@@ -22,10 +22,12 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"hermes/internal/atomicfile"
 	"hermes/internal/core"
 	"hermes/internal/domains/avis"
 	"hermes/internal/domains/relation"
@@ -289,19 +291,17 @@ func (sh *shell) printCache() {
 	fmt.Printf("%d cached calls, %d bytes\n", sh.sys.CIM.Len(), sh.sys.CIM.Bytes())
 }
 
-// saveState writes <prefix>.cache.json and <prefix>.stats.json.
+// saveState writes <prefix>.cache.json and <prefix>.stats.json, each
+// replaced atomically so a failed save keeps the previous snapshot.
 func (sh *shell) saveState(prefix string) error {
-	cache, err := os.Create(prefix + ".cache.json")
-	if err != nil {
+	if err := atomicfile.Write(prefix+".cache.json", func(w io.Writer) error {
+		return sh.sys.SaveState(w, nil)
+	}); err != nil {
 		return err
 	}
-	defer cache.Close()
-	stats, err := os.Create(prefix + ".stats.json")
-	if err != nil {
-		return err
-	}
-	defer stats.Close()
-	if err := sh.sys.SaveState(cache, stats); err != nil {
+	if err := atomicfile.Write(prefix+".stats.json", func(w io.Writer) error {
+		return sh.sys.SaveState(nil, w)
+	}); err != nil {
 		return err
 	}
 	fmt.Printf("saved %s.cache.json and %s.stats.json\n", prefix, prefix)

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"hermes/internal/admission"
+	"hermes/internal/atomicfile"
 	"hermes/internal/cim"
 	"hermes/internal/core"
 	"hermes/internal/domain"
@@ -212,17 +213,9 @@ func buildMounts(specs []mountSpec) []*remote.Client {
 }
 
 // writeFlightSnapshot dumps the flight-recorder ring to path as JSONL,
-// oldest record first.
+// oldest record first, replacing any previous dump atomically.
 func writeFlightSnapshot(o *obs.Observer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.Flight.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, o.Flight.WriteJSONL)
 }
 
 // snapshotOnQuit dumps the flight recorder to path on every SIGQUIT, the
@@ -489,10 +482,11 @@ func preRegisterMetrics(o *obs.Observer, doms []domain.Domain) {
 		o.Counter("hermes_dcsm_estimates_total", "source", source)
 	}
 	// Remote wire protocol.
-	for _, proto := range []string{"v1", "v2"} {
-		o.Counter("hermes_remote_calls_total", "proto", proto)
-	}
+	o.Counter("hermes_remote_calls_total", "proto", "v2")
 	o.Counter("hermes_remote_sessions_total", "proto", "v2")
+	for _, reason := range []string{"not-hello", "version"} {
+		o.Counter("hermes_remote_refused_total", "reason", reason)
+	}
 	o.Counter("hermes_remote_send_errors_total")
 	o.Counter("hermes_remote_cancels_total")
 	o.Counter("hermes_remote_heartbeats_total")
@@ -570,8 +564,9 @@ func preRegisterMetrics(o *obs.Observer, doms []domain.Domain) {
 	o.Metrics.SetHelp("hermes_invindex_candidates_total", "invariants returned by discrimination-index probes (bucket sizes summed)")
 	o.Metrics.SetHelp("hermes_invindex_scans_avoided_total", "registered invariants index probes skipped versus a full linear scan")
 	o.Metrics.SetHelp("hermes_invindex_parallel_matches_total", "equality probes whose candidate bucket fanned out across scheduler lanes")
-	o.Metrics.SetHelp("hermes_remote_calls_total", "domain calls served over the wire protocol, by protocol version")
-	o.Metrics.SetHelp("hermes_remote_sessions_total", "v2 streaming sessions negotiated")
+	o.Metrics.SetHelp("hermes_remote_calls_total", "domain calls served over the wire protocol")
+	o.Metrics.SetHelp("hermes_remote_sessions_total", "streaming sessions negotiated")
+	o.Metrics.SetHelp("hermes_remote_refused_total", "stale peers refused at the first line, by reason (not-hello: no hello first; version: no common version)")
 	o.Metrics.SetHelp("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors)")
 	o.Metrics.SetHelp("hermes_remote_cancels_total", "per-call cancel frames honoured by the server")
 	o.Metrics.SetHelp("hermes_remote_heartbeats_total", "heartbeat frames echoed to keep idle sessions verifiably alive")

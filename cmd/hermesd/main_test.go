@@ -285,8 +285,7 @@ func recentQuery(t *testing.T, sys *core.System, name string) obs.SpanData {
 // runs queries whose only source is a mount of node B, and the answers
 // must match a local run while the query's span tree stitches B's serve
 // subtrees under A's call spans — one tree, per-hop node= tags, remote
-// compute bounded by the caller's total. A v1 peer stays an opaque leaf:
-// same answers, no foreign children, no errors.
+// compute bounded by the caller's total.
 func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	regB := domain.NewRegistry()
 	for _, d := range BuildDomains() {
@@ -294,25 +293,16 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	}
 	addrB := startHermesdCfg(t, regB, func(s *remote.Server) { s.NodeName = "node-b" })
 
-	mkMediator := func(forceV1 bool) (http.Handler, *core.System) {
-		t.Helper()
-		var doms []domain.Domain
-		for _, m := range buildMounts([]mountSpec{{name: "avis", addr: addrB}}) {
-			if forceV1 {
-				m.ForceV1()
-			}
-			doms = append(doms, m)
-		}
-		h, sys, err := newObsHandler(doms, obsOptions{
-			Parallelism: 1, NodeName: "node-a", Clock: vclock.NewWall(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, sys
+	var doms []domain.Domain
+	for _, m := range buildMounts([]mountSpec{{name: "avis", addr: addrB}}) {
+		doms = append(doms, m)
 	}
-	twoHop, sys := mkMediator(false)
-	v1Hop, v1Sys := mkMediator(true)
+	twoHop, sys, err := newObsHandler(doms, obsOptions{
+		Parallelism: 1, NodeName: "node-a", Clock: vclock.NewWall(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct, _, err := newObsHandler(BuildDomains(), obsOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -321,19 +311,17 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	queries := []string{"?- actors(A).", "?- objects_between(10, 120, O)."}
 	for _, q := range queries {
 		want := queryAnswers(t, direct, q)
-		for name, h := range map[string]http.Handler{"v2": twoHop, "v1": v1Hop} {
-			got := queryAnswers(t, h, q)
-			if len(got) == 0 {
-				t.Errorf("query %q over the %s mount returned nothing", q, name)
-			}
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("query %q diverges over the %s mount:\n got:  %v\n want: %v", q, name, got, want)
-			}
+		got := queryAnswers(t, twoHop, q)
+		if len(got) == 0 {
+			t.Errorf("query %q over the mount returned nothing", q)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("query %q diverges over the mount:\n got:  %v\n want: %v", q, got, want)
 		}
 	}
 
-	// The v2 hop's trace: one stitched tree rooted at node-a, B's serve
-	// subtree tagged node-b beneath a v2 call span with the wire split.
+	// The trace: one stitched tree rooted at node-a, B's serve subtree
+	// tagged node-b beneath the call span with the wire split.
 	root := recentQuery(t, sys, queries[0])
 	if root.Tags["node"] != "node-a" {
 		t.Errorf("origin hop node tag = %q, want node-a", root.Tags["node"])
@@ -356,22 +344,6 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	}
 	if m := sys.Obs.Metrics.Snapshot(); m["hermes_trace_stitched_total"] < 1 {
 		t.Errorf("hermes_trace_stitched_total = %v, want >= 1", m["hermes_trace_stitched_total"])
-	}
-
-	// The v1 hop's trace: the call span is a local-only leaf.
-	v1Root := recentQuery(t, v1Sys, queries[0])
-	v1Call := findTag(v1Root, "remote.proto", "v1")
-	if v1Call == nil {
-		t.Fatalf("no v1 call span in the trace:\n%s", obs.Explain(v1Root))
-	}
-	if len(v1Call.Children) != 0 {
-		t.Errorf("v1 peer grew %d foreign children, want an opaque leaf", len(v1Call.Children))
-	}
-	if v1Call.Tags["error"] != "" {
-		t.Errorf("v1 hop errored: %s", v1Call.Tags["error"])
-	}
-	if got := v1Sys.Obs.Metrics.Snapshot()["hermes_trace_stitched_total"]; got != 0 {
-		t.Errorf("v1 system stitched %v subtrees, want 0", got)
 	}
 }
 

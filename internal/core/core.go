@@ -88,9 +88,6 @@ type Options struct {
 	// admission.PolicyShed rejects it immediately with a fast error
 	// wrapping domain.ErrOverloaded. Ignored without MaxInflightCalls.
 	ShedPolicy admission.Policy
-	// AdmissionQueue bounds the PolicyWait queue; arrivals beyond it are
-	// shed even under PolicyWait. 0 means unbounded.
-	AdmissionQueue int
 	// Memo, when set, enables the rule-level memo cache: intermediate IDB
 	// relations are cached by (rule set, adornment, binding pattern) and
 	// replayed instead of re-expanded, with benefit-driven admission and
@@ -177,7 +174,6 @@ func NewSystem(opts Options) *System {
 		s.Admission = admission.NewPool(admission.Config{
 			MaxInflight: opts.MaxInflightCalls,
 			Policy:      opts.ShedPolicy,
-			MaxQueue:    opts.AdmissionQueue,
 		})
 		s.Admission.SetObserver(opts.Obs)
 	}

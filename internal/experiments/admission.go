@@ -46,10 +46,9 @@ type AdmissionPoint struct {
 	GrantsPerSession int `json:"grants_per_session"`
 	// PoolPeak is the pool's lane high-water mark; SourcePeak is the
 	// concurrency the metered source actually observed. Both must stay
-	// within MaxInflight. PoolPeak is exact and reproducible; SourcePeak
-	// is a real-time observation (every open call holds a lane, so the
-	// bound is structural, but how many overlap on the wall clock depends
-	// on goroutine scheduling).
+	// within MaxInflight. Both are real-time observations (every open
+	// call holds a lane, so the bound is structural, but how many overlap
+	// on the wall clock depends on goroutine scheduling).
 	PoolPeak   int `json:"pool_peak"`
 	SourcePeak int `json:"source_peak"`
 	// SessionTAllMs is each admitted session's all-answers virtual time,

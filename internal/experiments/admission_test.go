@@ -67,11 +67,12 @@ func TestAdmissionFairness(t *testing.T) {
 	}
 	for i := range res.Points {
 		p, q := res.Points[i], res2.Points[i]
-		// SourcePeak is excluded: it is a wall-clock observation whose
-		// bound, not value, is guaranteed.
+		// SourcePeak and PoolPeak are excluded: they are high-water marks
+		// of goroutines overlapping on the wall clock, whose bound (checked
+		// above), not value, is guaranteed.
 		if p.MaxInflight != q.MaxInflight || p.Admitted != q.Admitted ||
 			p.Shed != q.Shed || p.GrantsPerSession != q.GrantsPerSession ||
-			p.PoolPeak != q.PoolPeak || p.SpreadMs != q.SpreadMs {
+			p.SpreadMs != q.SpreadMs {
 			t.Errorf("run 2 point %d = %+v, want %+v (nondeterministic)", i, q, p)
 		}
 		for j := range p.SessionTAllMs {

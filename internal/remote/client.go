@@ -18,31 +18,34 @@ import (
 	"hermes/internal/vclock"
 )
 
-// errSpeakV1 is the internal signal that the server answered the v2 hello
-// with an unknown-op error: it is a v1 server, so calls fall back to one
-// connection per call.
-var errSpeakV1 = errors.New("remote: server speaks protocol v1")
+// ErrProtocolMismatch reports a peer that failed the hello negotiation: it
+// answered with something other than a hello frame (a pre-v2 server),
+// rejected every offered version, or picked one never offered. It is a hard
+// error, deliberately not domain.ErrUnavailable: retrying cannot fix a peer
+// that speaks another protocol, and an outage breaker must not trip on it.
+var ErrProtocolMismatch = errors.New("remote: protocol mismatch")
+
+// maxResumes is how many times a broken answer stream is resumed on a
+// fresh connection before the call surfaces domain.ErrUnavailable to the
+// resilience layer.
+const maxResumes = 2
 
 // Client exposes one domain hosted by a remote server as a local
-// domain.Domain. Against a v2 server it multiplexes every call over one
-// persistent heartbeat-kept connection and can resume a broken answer
-// stream on a fresh connection; against a v1 server (detected by version
-// negotiation on first contact) each call dials its own connection.
-// Closing an answer stream cancels the server-side call either way
+// domain.Domain. It multiplexes every call over one persistent
+// heartbeat-kept connection and can resume a broken answer stream on a
+// fresh connection. Closing an answer stream cancels the server-side call
 // (pruning across the network).
 type Client struct {
-	addr       string
-	name       string
-	dialTO     time.Duration
-	frameTO    time.Duration
-	hbEvery    time.Duration
-	maxResumes int
+	addr    string
+	name    string
+	dialTO  time.Duration
+	frameTO time.Duration
+	hbEvery time.Duration
 
 	mu         sync.Mutex
 	specs      []domain.FuncSpec
 	ob         *obs.Observer
 	sess       *session
-	forceV1    bool
 	nextID     uint64
 	actuals    func(domain.Call, obs.Cost)
 	maxForeign int
@@ -56,7 +59,6 @@ func NewClient(addr, name string) *Client {
 		dialTO:     5 * time.Second,
 		frameTO:    30 * time.Second,
 		hbEvery:    10 * time.Second,
-		maxResumes: 2,
 		maxForeign: DefaultTraceMaxSubtreeBytes,
 	}
 }
@@ -66,27 +68,14 @@ func (c *Client) SetDialTimeout(d time.Duration) { c.dialTO = d }
 
 // SetFrameTimeout overrides the default 30 s per-frame read deadline: how
 // long a stream read may go without any frame arriving before the server
-// counts as wedged and the call surfaces domain.ErrUnavailable. On a v2
-// session heartbeat echoes refresh the deadline, so it must exceed the
-// heartbeat interval. 0 disables the deadline.
+// counts as wedged and the call surfaces domain.ErrUnavailable. Heartbeat
+// echoes refresh the deadline, so it must exceed the heartbeat interval.
+// 0 disables the deadline.
 func (c *Client) SetFrameTimeout(d time.Duration) { c.frameTO = d }
 
-// SetHeartbeatInterval overrides the default 10 s v2 heartbeat period.
+// SetHeartbeatInterval overrides the default 10 s heartbeat period.
 // 0 disables heartbeats (and the server's idle deadline for this client).
 func (c *Client) SetHeartbeatInterval(d time.Duration) { c.hbEvery = d }
-
-// SetMaxResumes overrides how many times a broken v2 answer stream is
-// resumed on a fresh connection (default 2) before the call surfaces
-// domain.ErrUnavailable to the resilience layer.
-func (c *Client) SetMaxResumes(n int) { c.maxResumes = n }
-
-// ForceV1 pins the client to the legacy one-connection-per-call protocol,
-// skipping version negotiation. Used by tests and differential harnesses.
-func (c *Client) ForceV1() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.forceV1 = true
-}
 
 // SetObserver installs the observability sink: per-domain dial counters
 // (hermes_remote_dials_total), resume counters, and the remote=<addr> span
@@ -135,7 +124,7 @@ func (c *Client) maxForeignBytes() int {
 	return c.maxForeign
 }
 
-// Close tears down the persistent v2 session, if any. The client remains
+// Close tears down the persistent session, if any. The client remains
 // usable: the next call re-establishes a session.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -173,9 +162,13 @@ func (c *Client) FunctionsErr() ([]domain.FuncSpec, error) {
 		return specs, nil
 	}
 	c.mu.Unlock()
-	specs, err := c.fetchFunctions()
+	listing, err := c.listing()
 	if err != nil {
 		return nil, err
+	}
+	specs := make([]domain.FuncSpec, 0, len(listing[c.name]))
+	for _, spec := range listing[c.name] {
+		specs = append(specs, domain.FuncSpec{Name: spec.Name, Arity: spec.Arity, Doc: spec.Doc})
 	}
 	c.mu.Lock()
 	c.specs = specs
@@ -183,18 +176,13 @@ func (c *Client) FunctionsErr() ([]domain.FuncSpec, error) {
 	return specs, nil
 }
 
-func (c *Client) fetchFunctions() ([]domain.FuncSpec, error) {
+// listing asks the server for the function listing of every domain it
+// hosts.
+func (c *Client) listing() (map[string][]FnSpec, error) {
 	sess, err := c.getSession()
-	if err == nil {
-		return c.functionsV2(sess)
-	}
-	if !errors.Is(err, errSpeakV1) {
+	if err != nil {
 		return nil, err
 	}
-	return c.functionsV1()
-}
-
-func (c *Client) functionsV2(sess *session) ([]domain.FuncSpec, error) {
 	id := c.newID()
 	entry := sess.registerCall(id)
 	defer sess.forget(id)
@@ -212,7 +200,7 @@ func (c *Client) functionsV2(sess *session) ([]domain.FuncSpec, error) {
 		if f.Err != "" {
 			return nil, fmt.Errorf("remote: %s", f.Err)
 		}
-		return toFuncSpecs(f.Functions[c.name]), nil
+		return f.Functions, nil
 	case <-sess.done:
 		return nil, sess.failure()
 	case <-timeout:
@@ -221,36 +209,8 @@ func (c *Client) functionsV2(sess *session) ([]domain.FuncSpec, error) {
 	}
 }
 
-func (c *Client) functionsV1() ([]domain.FuncSpec, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTO)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", domain.ErrUnavailable, c.addr, err)
-	}
-	defer conn.Close()
-	if c.frameTO > 0 {
-		conn.SetDeadline(time.Now().Add(c.frameTO))
-	}
-	if err := json.NewEncoder(conn).Encode(request{Op: "functions"}); err != nil {
-		return nil, fmt.Errorf("%w: send functions request to %s: %v", domain.ErrUnavailable, c.addr, err)
-	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("%w: read functions listing from %s: %v", domain.ErrUnavailable, c.addr, err)
-	}
-	return toFuncSpecs(resp.Functions[c.name]), nil
-}
-
-func toFuncSpecs(specs []FnSpec) []domain.FuncSpec {
-	out := make([]domain.FuncSpec, 0, len(specs))
-	for _, spec := range specs {
-		out = append(out, domain.FuncSpec{Name: spec.Name, Arity: spec.Arity, Doc: spec.Doc})
-	}
-	return out
-}
-
-// Call implements domain.Domain, preferring a multiplexed v2 call and
-// falling back to the legacy per-call connection when negotiation reported
-// a v1 server.
+// Call implements domain.Domain as one multiplexed call on the shared
+// session.
 func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -260,48 +220,32 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		return nil, err
 	}
 	ctx.Span.SetTag("remote", c.addr)
-	st, err := c.v2Call(ctx, fn, args, wargs)
-	if err == nil {
-		return st, nil
-	}
-	if !errors.Is(err, errSpeakV1) {
-		return nil, err
-	}
-	ctx.Span.SetTag("remote.proto", "v1")
-	return c.v1Call(ctx, fn, wargs)
-}
-
-func (c *Client) v2Call(ctx *domain.Ctx, fn string, args []term.Value, wargs []wireValue) (domain.Stream, error) {
 	sess, err := c.getSession()
 	if err != nil {
 		return nil, err
 	}
 	id := c.newID()
 	f := Frame{Op: OpCall, ID: id, Domain: c.name, Function: fn, Args: wargs}
-	st := &muxStream{c: c, sess: sess, id: id, fn: fn, args: wargs}
-	if ctx != nil {
-		st.cctx = ctx.Context
-		st.span = ctx.Span
-		if ctx.Clock != nil {
-			st.clock = ctx.Clock
-			st.issuedAt = ctx.Clock.Now()
+	st := &muxStream{c: c, sess: sess, id: id, fn: fn, args: wargs, cctx: ctx.Context, span: ctx.Span}
+	if ctx.Clock != nil {
+		st.clock = ctx.Clock
+		st.issuedAt = ctx.Clock.Now()
+	}
+	ctx.Span.SetTag("remote.proto", "v2")
+	// Federated tracing: when the server negotiated CapTrace and this call
+	// is traced locally, propagate the trace context — minting a trace ID
+	// at the origin hop — so the server's serve subtree comes back in a
+	// trace frame and stitches under this call span.
+	if sess.traceOK && ctx.Span != nil {
+		st.traceID = ctx.TraceID
+		if st.traceID == "" {
+			st.traceID = newTraceID()
 		}
-		ctx.Span.SetTag("remote.proto", "v2")
-		// Federated tracing: when the server negotiated CapTrace and this
-		// call is traced locally, propagate the trace context — minting a
-		// trace ID at the origin hop — so the server's serve subtree comes
-		// back in a trace frame and stitches under this call span.
-		if sess.traceOK && ctx.Span != nil {
-			st.traceID = ctx.TraceID
-			if st.traceID == "" {
-				st.traceID = newTraceID()
-			}
-			st.depth = ctx.TraceDepth + 1
-			f.TraceID = st.traceID
-			f.Depth = st.depth
-			st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
-			c.obsv().Counter("hermes_trace_propagated_total").Inc()
-		}
+		st.depth = ctx.TraceDepth + 1
+		f.TraceID = st.traceID
+		f.Depth = st.depth
+		st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
+		c.obsv().Counter("hermes_trace_propagated_total").Inc()
 	}
 	entry := sess.registerCall(id)
 	if !sess.send("call", f) {
@@ -328,15 +272,12 @@ func (c *Client) newID() uint64 {
 	return c.nextID
 }
 
-// getSession returns the live v2 session, dialing and negotiating one if
-// needed. errSpeakV1 reports a v1 server (remembered for the client's
-// lifetime); other errors are retryable transport failures.
+// getSession returns the live session, dialing and negotiating one if
+// needed. ErrProtocolMismatch reports a peer that failed the hello; other
+// errors are retryable transport failures.
 func (c *Client) getSession() (*session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.forceV1 {
-		return nil, errSpeakV1
-	}
 	if c.sess != nil && c.sess.alive() {
 		return c.sess, nil
 	}
@@ -353,7 +294,9 @@ func (c *Client) getSession() (*session, error) {
 	if helloTO <= 0 {
 		helloTO = c.dialTO
 	}
-	conn.SetDeadline(time.Now().Add(helloTO))
+	if helloTO > 0 {
+		conn.SetDeadline(time.Now().Add(helloTO))
+	}
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(conn)
 	hello := Frame{Op: OpHello, Versions: []int{ProtocolVersion}, Caps: []string{CapTrace, CapDebug}}
@@ -370,41 +313,41 @@ func (c *Client) getSession() (*session, error) {
 		return nil, fmt.Errorf("%w: read hello reply from %s: %v", domain.ErrUnavailable, c.addr, err)
 	}
 	conn.SetDeadline(time.Time{})
+	// Every hello failure is a hard protocol mismatch, not a retryable
+	// outage, and never a downgrade to another protocol.
 	switch {
-	case reply.Op == OpHello && reply.Err != "":
-		// The server understood the hello and rejected every version we
-		// offered: a hard protocol mismatch, not a retryable outage.
-		conn.Close()
-		return nil, fmt.Errorf("remote: %s: %s", c.addr, reply.Err)
-	case reply.Op == OpHello && reply.Version != ProtocolVersion:
+	case reply.Op != OpHello:
+		// A pre-v2 server answers the hello with an op-less unknown-op
+		// error frame.
+		err = fmt.Errorf("%w: %s did not answer the hello with a hello frame (err %q)", ErrProtocolMismatch, c.addr, reply.Err)
+	case reply.Err != "":
+		// The server rejected every version we offered.
+		err = fmt.Errorf("%w: %s: %s", ErrProtocolMismatch, c.addr, reply.Err)
+	case reply.Version != ProtocolVersion:
 		// The server picked a version we never offered: a protocol bug or
-		// an incompatible future server. Hard error, not a v1 fallback.
-		conn.Close()
-		return nil, fmt.Errorf("remote: %s chose unsupported protocol version %d", c.addr, reply.Version)
-	case reply.Op == OpHello:
-		s := &session{
-			c:       c,
-			conn:    conn,
-			enc:     enc,
-			dec:     dec,
-			traceOK: capSupported(reply.Caps, CapTrace),
-			debugOK: capSupported(reply.Caps, CapDebug),
-			done:    make(chan struct{}),
-			calls:   map[uint64]*callEntry{},
-		}
-		c.sess = s
-		go s.readLoop()
-		if c.hbEvery > 0 {
-			go s.heartbeatLoop(c.hbEvery)
-		}
-		return s, nil
-	default:
-		// A v1 server answers the hello with an unknown-op error frame
-		// (no "op" field): remember to speak v1 from now on.
-		conn.Close()
-		c.forceV1 = true
-		return nil, errSpeakV1
+		// an incompatible future server.
+		err = fmt.Errorf("%w: %s chose unsupported protocol version %d", ErrProtocolMismatch, c.addr, reply.Version)
 	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	s := &session{
+		c:       c,
+		conn:    conn,
+		enc:     enc,
+		dec:     dec,
+		traceOK: capSupported(reply.Caps, CapTrace),
+		debugOK: capSupported(reply.Caps, CapDebug),
+		done:    make(chan struct{}),
+		calls:   map[uint64]*callEntry{},
+	}
+	c.sess = s
+	go s.readLoop()
+	if c.hbEvery > 0 {
+		go s.heartbeatLoop(c.hbEvery)
+	}
+	return s, nil
 }
 
 // dropSession clears the cached session if it is still s (a newer session
@@ -417,7 +360,7 @@ func (c *Client) dropSession(s *session) {
 	}
 }
 
-// session is one live v2 connection: a reader goroutine routes frames to
+// session is one live connection: a reader goroutine routes frames to
 // per-call channels, a heartbeat goroutine keeps the connection verifiably
 // alive, and any failure cancels everything at once.
 type session struct {
@@ -557,7 +500,7 @@ func (s *session) heartbeatLoop(every time.Duration) {
 	}
 }
 
-// muxStream is one v2 call's answer stream. On session failure it resumes
+// muxStream is one call's answer stream. On session failure it resumes
 // the call on a fresh session with an answers-delivered offset (the same
 // deterministic-stream property PR 1's resilience resume relies on); when
 // resumes are exhausted the error surfaces as domain.ErrUnavailable so the
@@ -711,7 +654,7 @@ func (s *muxStream) acceptTrace(raw []byte) {
 // locally.
 func (s *muxStream) resume() error {
 	last := s.sess.failure()
-	for s.resumes < s.c.maxResumes {
+	for s.resumes < maxResumes {
 		s.resumes++
 		s.c.obsv().Counter("hermes_remote_resumes_total", "side", "client").Inc()
 		// A flaky mount must be diagnosable from EXPLAIN alone: record how
@@ -719,8 +662,8 @@ func (s *muxStream) resume() error {
 		s.span.SetTag("remote.resumes", fmt.Sprintf("%d", s.resumes))
 		sess, err := s.c.getSession()
 		if err != nil {
-			if errors.Is(err, errSpeakV1) {
-				return fmt.Errorf("%w: server at %s downgraded to v1 mid-call", domain.ErrUnavailable, s.c.addr)
+			if errors.Is(err, ErrProtocolMismatch) {
+				return err // the peer was replaced by one we cannot talk to
 			}
 			last = err
 			s.noteRetry()
@@ -774,53 +717,15 @@ func (s *muxStream) Close() error {
 	return nil
 }
 
-// v1Call is the legacy path: one connection per call.
-func (c *Client) v1Call(ctx *domain.Ctx, fn string, wargs []wireValue) (domain.Stream, error) {
-	dialer := net.Dialer{Timeout: c.dialTO}
-	var conn net.Conn
-	var err error
-	if ctx.Context != nil {
-		conn, err = dialer.DialContext(ctx.Context, "tcp", c.addr)
-	} else {
-		conn, err = dialer.Dial("tcp", c.addr)
-	}
-	if err != nil {
-		c.obsv().Counter("hermes_remote_dials_total", "domain", c.name, "outcome", "error").Inc()
-		return nil, fmt.Errorf("%w: dial %s: %v", domain.ErrUnavailable, c.addr, err)
-	}
-	c.obsv().Counter("hermes_remote_dials_total", "domain", c.name, "outcome", "ok").Inc()
-	if err := json.NewEncoder(conn).Encode(request{
-		Op: "call", Domain: c.name, Function: fn, Args: wargs,
-	}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: send request to %s: %v", domain.ErrUnavailable, c.addr, err)
-	}
-	s := &remoteStream{
-		conn:    conn,
-		dec:     json.NewDecoder(conn),
-		addr:    c.addr,
-		frameTO: c.frameTO,
-		cctx:    ctx.Context,
-		stopped: make(chan struct{}),
-	}
-	if s.cctx != nil {
-		go s.watchCtx()
-	}
-	return s, nil
-}
-
 // DebugSnapshot asks the peer for its debug rollup payload (the
-// /debug/cluster contribution) over the v2 session. v1 peers, v2 peers
-// that did not grant CapDebug, and peers without a configured rollup all
-// return an error; the caller marks them degraded rather than failing the
+// /debug/cluster contribution) over the session. Peers that fail the
+// hello, peers that did not grant CapDebug, and peers without a configured
+// rollup all return an error; the caller marks them degraded rather than failing the
 // whole cluster view. timeout bounds the round trip (0 falls back to the
 // frame timeout).
 func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 	sess, err := c.getSession()
 	if err != nil {
-		if errors.Is(err, errSpeakV1) {
-			return nil, fmt.Errorf("remote: %s speaks protocol v1 (no debug capability)", c.addr)
-		}
 		return nil, err
 	}
 	if !sess.debugOK {
@@ -857,109 +762,20 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 	}
 }
 
-// DiscoverDomains asks a server which domains it hosts. It speaks v1 (the
-// one-shot functions listing), which every server version serves.
+// DiscoverDomains asks a server which domains it hosts: hello, one
+// functions listing, close. timeout bounds the dial and each reply.
 func DiscoverDomains(addr string, timeout time.Duration) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	c := NewClient(addr, "")
+	c.dialTO, c.frameTO, c.hbEvery = timeout, timeout, 0
+	defer c.Close()
+	listing, err := c.listing()
 	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", domain.ErrUnavailable, addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := json.NewEncoder(conn).Encode(request{Op: "functions"}); err != nil {
 		return nil, err
 	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(resp.Functions))
-	for name := range resp.Functions {
+	out := make([]string, 0, len(listing))
+	for name := range listing {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// remoteStream pulls answer chunks off a v1 per-call connection. A
-// per-frame read deadline keeps a wedged server from blocking Next
-// forever, and a watchdog goroutine aborts the read the moment the call's
-// context is cancelled; transport failures surface domain.ErrUnavailable
-// so the resilience layer retries or breaks.
-type remoteStream struct {
-	conn    net.Conn
-	dec     *json.Decoder
-	addr    string
-	frameTO time.Duration
-	cctx    context.Context
-
-	stopped   chan struct{}
-	closeOnce sync.Once
-
-	pending []term.Value
-	done    bool
-}
-
-// watchCtx unblocks an in-flight read when the call context ends. The
-// past-deadline trick (rather than Close) keeps the connection valid for
-// the error path to report on.
-func (s *remoteStream) watchCtx() {
-	select {
-	case <-s.cctx.Done():
-		s.conn.SetReadDeadline(time.Now())
-	case <-s.stopped:
-	}
-}
-
-func (s *remoteStream) Next() (term.Value, bool, error) {
-	for {
-		if len(s.pending) > 0 {
-			v := s.pending[0]
-			s.pending = s.pending[1:]
-			return v, true, nil
-		}
-		if s.done {
-			return nil, false, nil
-		}
-		if s.cctx != nil && s.cctx.Err() != nil {
-			s.done = true
-			return nil, false, s.cctx.Err()
-		}
-		if s.frameTO > 0 {
-			s.conn.SetReadDeadline(time.Now().Add(s.frameTO))
-		}
-		var resp response
-		if err := s.dec.Decode(&resp); err != nil {
-			s.done = true
-			if s.cctx != nil && s.cctx.Err() != nil {
-				return nil, false, s.cctx.Err()
-			}
-			return nil, false, fmt.Errorf("%w: read answers from %s: %v", domain.ErrUnavailable, s.addr, err)
-		}
-		if resp.Err != "" {
-			s.done = true
-			if resp.Unavailable {
-				return nil, false, fmt.Errorf("%w: %s", domain.ErrUnavailable, resp.Err)
-			}
-			return nil, false, fmt.Errorf("remote: %s", resp.Err)
-		}
-		vals, err := decodeValues(resp.Values)
-		if err != nil {
-			s.done = true
-			return nil, false, err
-		}
-		s.pending = vals
-		if resp.Done {
-			s.done = true
-		}
-	}
-}
-
-func (s *remoteStream) Close() error {
-	s.done = true
-	s.pending = nil
-	s.closeOnce.Do(func() { close(s.stopped) })
-	return s.conn.Close()
 }

@@ -9,6 +9,7 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
+	"hermes/internal/obs"
 	"hermes/internal/remote"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
@@ -236,11 +237,12 @@ func TestScenarioMidStreamDropResumesWithOffset(t *testing.T) {
 // --- Scenarios driving the real server with a raw driver ---
 
 // Stale version: a client offering only versions the server does not speak
-// is rejected on the hello with a hard error frame, and the connection is
-// released.
+// is rejected on the hello with a hard error frame, the connection is
+// released, and the refusal is counted.
 func TestScenarioStaleVersionAgainstServer(t *testing.T) {
 	NoLeakCheck(t)
-	srv, addr := startServer(t, nil, rangeDomain(3, 0))
+	ob := obs.NewObserver()
+	srv, addr := startServer(t, func(s *remote.Server) { s.SetObserver(ob) }, rangeDomain(3, 0))
 	d := DialDriver(t, addr)
 	reply := d.Hello(99)
 	if reply.Op != remote.OpHello || reply.Err == "" || reply.Version != 0 {
@@ -249,6 +251,9 @@ func TestScenarioStaleVersionAgainstServer(t *testing.T) {
 	waitFor(t, "server to release the rejected connection", func() bool {
 		return srv.OpenConns() == 0
 	})
+	if got := ob.Counter("hermes_remote_refused_total", "reason", "version").Value(); got != 1 {
+		t.Errorf("version refusals counted = %d, want 1", got)
+	}
 }
 
 // Malformed frame mid-session: after a clean handshake the driver sends

@@ -2,27 +2,30 @@
 // server (cmd/hermesd) that hosts source domains, and a client that makes a
 // remote domain look like any local domain.Domain.
 //
-// Two wire protocols share every listener, selected by version negotiation
-// on the first line a client sends:
+// There is one wire protocol. Every connection is persistent and
+// multiplexes many calls; every message is a single JSON object on its own
+// line (a Frame) carrying an op and a per-call ID: `hello` negotiates the
+// version, `call` starts a call, `answers` frames stream back with
+// first-answer-before-last-answer semantics, `cancel` aborts one call
+// without dropping the connection, `resume` re-issues a call with an
+// answers-delivered offset after a transport failure, and `heartbeat`
+// keeps idle connections verifiably alive in both directions.
 //
-//   - v1 (legacy) is one-shot newline-delimited JSON: one TCP connection
-//     per call, a single request object, then response frames streaming
-//     back. Closing the client connection aborts the server-side call.
-//   - v2 (streaming) multiplexes many calls over one persistent
-//     connection. Every message is a single JSON object on its own line
-//     (a Frame) carrying an op and a per-call ID: `hello` negotiates the
-//     version, `call` starts a call, `answers` frames stream back with
-//     first-answer-before-last-answer semantics, `cancel` aborts one call
-//     without dropping the connection, `resume` re-issues a call with an
-//     answers-delivered offset after a transport failure, and `heartbeat`
-//     keeps idle connections verifiably alive in both directions.
+// A client opens with `{"op":"hello","versions":[2],...}` and the server
+// answers `{"op":"hello","version":2}`; the version list is kept because it
+// checks input from outside the program. A stale peer is refused once,
+// typed and counted, never served and never silently downgraded:
 //
-// A v2 client opens with `{"op":"hello","versions":[2],...}`. A v2 server
-// answers `{"op":"hello","version":2}` and enters the multiplexed session
-// loop; a v1 server instead answers with an unknown-op error, which the
-// client takes as "speak v1" and falls back to one connection per call. A
-// first line whose op is `call` or `functions` is a v1 client and is served
-// by the legacy path, so old clients keep working against new servers.
+//   - A server whose first line is not a hello (a pre-v2 client opening
+//     with its `call` or `functions` request) answers one error frame
+//     carrying `err` and `done` — the keys such a client decodes — and
+//     releases the connection; a hello offering only other versions gets a
+//     hello frame carrying `err`. Both bump
+//     hermes_remote_refused_total{reason="not-hello"|"version"}.
+//   - A client whose hello is answered by anything but an accepting hello
+//     frame returns ErrProtocolMismatch, which is not
+//     domain.ErrUnavailable: resilience neither retries it nor trips the
+//     breaker, and no second connection is dialled.
 //
 // The simulated-network experiments do not use this package — they wrap
 // local domains with internal/netsim so that WAN latencies are virtual and
@@ -40,7 +43,7 @@ import (
 // ProtocolVersion is the streaming protocol version this package speaks.
 const ProtocolVersion = 2
 
-// v2 frame ops. OpHello doubles as the version-negotiation request and
+// Frame ops. OpHello doubles as the version-negotiation request and
 // reply; OpAnswers carries answer chunks; OpError aborts one call.
 const (
 	OpHello     = "hello"
@@ -62,7 +65,7 @@ const (
 
 // Capabilities negotiated on hello frames: the client lists what it
 // understands, the server replies with what it will use. A peer that
-// advertises nothing is a plain-v2 speaker and is served without the
+// advertises nothing is a plain speaker and is served without the
 // optional frames, so capability growth never breaks interop.
 const (
 	// CapTrace: the peer understands federated trace context on call
@@ -91,7 +94,7 @@ func decodeValue(w wireValue) (term.Value, error)       { return term.DecodeJSON
 func encodeValues(vs []term.Value) ([]wireValue, error) { return term.EncodeJSONs(vs) }
 func decodeValues(ws []wireValue) ([]term.Value, error) { return term.DecodeJSONs(ws) }
 
-// Frame is one v2 wire message: a single JSON object on its own line. The
+// Frame is one wire message: a single JSON object on its own line. The
 // op selects which fields are meaningful; unknown fields are ignored on
 // decode, so the vocabulary can grow compatibly. It is exported for the
 // interop harness (internal/remote/interop), whose driver/responder
@@ -113,7 +116,7 @@ type Frame struct {
 	// silently dead peer from a quiet one. 0 means no heartbeats.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 	// Caps (both hellos) lists optional protocol capabilities (CapTrace,
-	// CapDebug). Absent means plain v2; unknown names are ignored.
+	// CapDebug). Absent means neither; unknown names are ignored.
 	Caps []string `json:"caps,omitempty"`
 
 	// Call fields (OpCall, OpResume). Offset on a resume is how many
@@ -163,27 +166,7 @@ func versionSupported(versions []int) bool {
 	return false
 }
 
-// request opens every v1 connection: one call, or a functions listing.
-type request struct {
-	Op       string      `json:"op"` // "call" or "functions"
-	Domain   string      `json:"domain,omitempty"`
-	Function string      `json:"function,omitempty"`
-	Args     []wireValue `json:"args,omitempty"`
-}
-
-// response frames stream back from the v1 server. For a call, zero or more
-// frames carry Values with Done=false, then a final frame has Done=true
-// (possibly with trailing values). Err aborts the stream.
-type response struct {
-	Values      []wireValue         `json:"values,omitempty"`
-	Done        bool                `json:"done,omitempty"`
-	Err         string              `json:"err,omitempty"`
-	Unavailable bool                `json:"unavailable,omitempty"`
-	Functions   map[string][]FnSpec `json:"functions,omitempty"`
-}
-
-// FnSpec describes one function in a wire function listing (shared by the
-// v1 response and the v2 OpFunctions frame).
+// FnSpec describes one function in an OpFunctions listing.
 type FnSpec struct {
 	Name  string `json:"name"`
 	Arity int    `json:"arity"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -16,19 +17,18 @@ import (
 )
 
 // Server hosts source domains over TCP: the hermesd side of the protocol.
-// It speaks both wire versions — the first line of a connection selects the
-// v2 multiplexed session loop (op "hello") or the legacy one-shot v1 path
-// (op "call"/"functions").
+// Every connection opens with a hello and then runs the multiplexed session
+// loop; any other first line is refused once and the connection released.
 type Server struct {
 	reg *domain.Registry
 	// ChunkSize is how many answers travel per response frame. The first
-	// answer of a v2 call is always flushed immediately, regardless of
+	// answer of a call is always flushed immediately, regardless of
 	// chunking, so time-to-first-answer does not wait for a full chunk.
 	ChunkSize int
 	// HeaderTimeout bounds how long a fresh connection may take to send
-	// its first line (the v2 hello or the v1 request). Without it a
-	// connection that sends nothing pins a handler goroutine and a conns
-	// entry forever (slowloris). 0 disables the deadline.
+	// its first line (the hello). Without it a connection that sends
+	// nothing pins a handler goroutine and a conns entry forever
+	// (slowloris). 0 disables the deadline.
 	HeaderTimeout time.Duration
 	// Logf receives connection-level diagnostics (default: log.Printf; set
 	// to a no-op in tests).
@@ -95,8 +95,8 @@ func (s *Server) debugFn() func() ([]byte, error) {
 }
 
 // SetObserver installs the observability sink: per-frame send-error
-// accounting (hermes_remote_send_errors_total), served-call counters by
-// protocol version, and cancel/resume/heartbeat counters.
+// accounting (hermes_remote_send_errors_total), served-call and refusal
+// counters, and cancel/resume/heartbeat counters.
 func (s *Server) SetObserver(o *obs.Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,55 +180,38 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// handle serves one connection: the first line selects the protocol. A v2
-// hello enters the multiplexed session loop; a v1 call or functions request
-// is served one-shot by the legacy path.
+// handle serves one connection. The first line must be a hello offering a
+// version this server speaks; then the multiplexed session loop runs. A
+// stale peer — a pre-v2 client opening with its request, or a hello offering
+// only other versions — is refused once: one error frame, one
+// hermes_remote_refused_total bump, connection released. It is never served
+// and never downgraded.
 func (s *Server) handle(conn net.Conn) {
 	defer s.dropConn(conn)
 	if s.HeaderTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.HeaderTimeout))
 	}
 	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
 	var first Frame
 	if err := dec.Decode(&first); err != nil {
 		s.Logf("remote: bad request from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	switch first.Op {
-	case OpHello:
-		s.serveSession(conn, dec, enc, first)
-	case "functions":
-		sn := &v1Sender{s: s, conn: conn, enc: enc}
-		s.serveFunctions(sn)
-	case "call":
-		s.serveV1Call(conn, enc, request{
-			Op: first.Op, Domain: first.Domain, Function: first.Function, Args: first.Args,
-		})
+	ss := &serverSession{srv: s, conn: conn, enc: json.NewEncoder(conn), calls: map[uint64]context.CancelFunc{}}
+	switch {
+	case first.Op != OpHello:
+		// err + done are the keys a pre-v2 client decodes on its reply.
+		s.obsv().Counter("hermes_remote_refused_total", "reason", "not-hello").Inc()
+		ss.send("error", Frame{Op: OpError, Done: true,
+			Err: fmt.Sprintf("first line has op %q, want hello: this server speaks only protocol version %d", first.Op, ProtocolVersion)})
+	case !versionSupported(first.Versions):
+		s.obsv().Counter("hermes_remote_refused_total", "reason", "version").Inc()
+		ss.send("hello", Frame{Op: OpHello,
+			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", first.Versions, ProtocolVersion)})
 	default:
-		sn := &v1Sender{s: s, conn: conn, enc: enc}
-		sn.send("error", response{Err: fmt.Sprintf("unknown op %q", first.Op), Done: true})
+		s.serveSession(ss, dec, first)
 	}
-}
-
-// v1Sender writes legacy response frames with send-error accounting.
-type v1Sender struct {
-	s    *Server
-	conn net.Conn
-	enc  *json.Encoder
-}
-
-func (sn *v1Sender) send(what string, resp response) bool {
-	if err := sn.enc.Encode(resp); err != nil {
-		sn.s.noteSendError(what, sn.conn.RemoteAddr(), err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) serveFunctions(sn *v1Sender) {
-	sn.send("functions", response{Functions: s.functionListing(), Done: true})
 }
 
 func (s *Server) functionListing() map[string][]FnSpec {
@@ -258,83 +241,7 @@ func (s *Server) functionListing() map[string][]FnSpec {
 	return out
 }
 
-// serveV1Call runs one legacy call. A peer-monitor goroutine watches the
-// connection for the client going away: the v1 client sends nothing after
-// its request, so any read result means the peer closed (or broke), and
-// the call context is cancelled. serveCall checks that context between
-// answers, so a trickling source stops promptly instead of executing until
-// the next full-chunk flush happens to fail.
-func (s *Server) serveV1Call(conn net.Conn, enc *json.Encoder, req request) {
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		buf := make([]byte, 1)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				cancel()
-				return
-			}
-		}
-	}()
-	s.obsv().Counter("hermes_remote_calls_total", "proto", "v1").Inc()
-	sn := &v1Sender{s: s, conn: conn, enc: enc}
-	s.serveCall(sn, req, cctx)
-}
-
-func (s *Server) serveCall(sn *v1Sender, req request, cctx context.Context) {
-	args, err := decodeValues(req.Args)
-	if err != nil {
-		sn.send("error", response{Err: err.Error(), Done: true})
-		return
-	}
-	// Server-side execution runs under wall-clock time: simulated compute
-	// costs become real delays, which is what a genuinely remote source
-	// looks like to the mediator.
-	ctx := domain.NewCtx(vclock.NewWall())
-	ctx.Context = cctx
-	stream, err := s.reg.Call(ctx, domain.Call{Domain: req.Domain, Function: req.Function, Args: args})
-	if err != nil {
-		sn.send("error", response{Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable), Done: true})
-		return
-	}
-	defer stream.Close()
-	chunk := make([]wireValue, 0, s.ChunkSize)
-	flush := func(done bool) bool {
-		ok := sn.send("answers", response{Values: chunk, Done: done})
-		chunk = chunk[:0]
-		return ok
-	}
-	for {
-		if cctx.Err() != nil {
-			// Client went away: abort the domain stream (closed by the
-			// deferred Close) without draining the source.
-			return
-		}
-		v, ok, err := stream.Next()
-		if err != nil {
-			sn.send("error", response{Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable), Done: true})
-			return
-		}
-		if !ok {
-			flush(true)
-			return
-		}
-		wv, err := encodeValue(v)
-		if err != nil {
-			sn.send("error", response{Err: err.Error(), Done: true})
-			return
-		}
-		chunk = append(chunk, wv)
-		if len(chunk) >= s.ChunkSize {
-			if !flush(false) {
-				// Client went away (stream closed / pruning): stop the call.
-				return
-			}
-		}
-	}
-}
-
-// serverSession is one v2 multiplexed connection: a reader goroutine (the
+// serverSession is one multiplexed connection: a reader goroutine (the
 // handler itself) dispatches incoming frames, per-call goroutines stream
 // answers back through a write-mutexed encoder, and dropping the
 // connection — for any reason — cancels every in-flight call.
@@ -412,20 +319,13 @@ func (ss *serverSession) cancelAll() {
 	}
 }
 
-// serveSession negotiates the version and runs the v2 session loop. The
+// serveSession answers an accepted hello and runs the session loop. The
 // loop goroutine doubles as the per-connection reader the protocol
 // requires: a dead or misbehaving client surfaces here as a read error
 // immediately — not at the next flush boundary — and cancels every
 // in-flight call.
-func (s *Server) serveSession(conn net.Conn, dec *json.Decoder, enc *json.Encoder, hello Frame) {
-	ss := &serverSession{srv: s, conn: conn, enc: enc, calls: map[uint64]context.CancelFunc{}}
-	if !versionSupported(hello.Versions) {
-		ss.send("hello", Frame{
-			Op:  OpHello,
-			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", hello.Versions, ProtocolVersion),
-		})
-		return
-	}
+func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame) {
+	conn := ss.conn
 	ss.peerTrace = capSupported(hello.Caps, CapTrace)
 	if !ss.send("hello", Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}) {
 		return
@@ -451,7 +351,7 @@ func (s *Server) serveSession(conn net.Conn, dec *json.Decoder, enc *json.Encode
 			// EOF is the client hanging up; anything else (reset, idle
 			// deadline, malformed frame) also ends the session — JSON
 			// framing cannot resynchronize after garbage.
-			if !errors.Is(err, net.ErrClosed) && err.Error() != "EOF" {
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.Logf("remote: session %s: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -467,7 +367,7 @@ func (s *Server) serveSession(conn net.Conn, dec *json.Decoder, enc *json.Encode
 				s.obsv().Counter("hermes_remote_resumes_total", "side", "server").Inc()
 			}
 			s.obsv().Counter("hermes_remote_calls_total", "proto", "v2").Inc()
-			go s.serveCallV2(ss, f, cctx)
+			go s.serveCall(ss, f, cctx)
 		case OpCancel:
 			s.obsv().Counter("hermes_remote_cancels_total").Inc()
 			ss.cancel(f.ID)
@@ -484,13 +384,13 @@ func (s *Server) serveSession(conn net.Conn, dec *json.Decoder, enc *json.Encode
 	}
 }
 
-// serveCallV2 runs one multiplexed call. The first answer is flushed in
+// serveCall runs one multiplexed call. The first answer is flushed in
 // its own frame immediately (first-answer-before-last-answer); later
 // answers travel in ChunkSize frames. A resume skips the Offset answers
 // the client already delivered. Cancellation — an explicit cancel frame or
 // the whole connection dropping — is checked between answers, aborting the
 // domain stream promptly even for trickling sources.
-func (s *Server) serveCallV2(ss *serverSession, f Frame, cctx context.Context) {
+func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 	defer ss.finish(f.ID)
 	args, err := decodeValues(f.Args)
 	if err != nil {

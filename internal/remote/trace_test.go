@@ -218,8 +218,8 @@ func TestFederatedTraceTruncation(t *testing.T) {
 }
 
 // TestDebugSnapshot covers the rollup op: a configured node answers with
-// its payload, an unconfigured node answers with a typed error (degraded,
-// not fatal), and a v1 peer is refused client-side without a round trip.
+// its payload, and an unconfigured node answers with a typed error
+// (degraded, not fatal).
 func TestDebugSnapshot(t *testing.T) {
 	payload := []byte(`{"node":"node-b","metrics":{}}`)
 	_, addr := startServerCfg(t, func(s *Server) {
@@ -241,13 +241,5 @@ func TestDebugSnapshot(t *testing.T) {
 	if _, err := cb.DebugSnapshot(2 * time.Second); err == nil ||
 		!strings.Contains(err.Error(), "not configured") {
 		t.Errorf("unconfigured node: err = %v", err)
-	}
-
-	cv1 := NewClient(addr, "echo")
-	defer cv1.Close()
-	cv1.ForceV1()
-	if _, err := cv1.DebugSnapshot(time.Second); err == nil ||
-		!strings.Contains(err.Error(), "protocol v1") {
-		t.Errorf("v1 peer: err = %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -126,35 +125,6 @@ func TestV2CloseCancelsServerCall(t *testing.T) {
 	})
 }
 
-// Regression (prompt client-drop detection): the v1 server used to notice
-// a dead client only at a full-chunk flush (ChunkSize=64) or Done, so a
-// trickling source kept executing — and its goroutine kept running — long
-// after the client disconnected. The per-connection monitor must cancel
-// the call as soon as the peer closes.
-func TestV1ClientDropAbortsTricklingCall(t *testing.T) {
-	meter := domaintest.Metered(trickleDomain(10000, 10*time.Millisecond))
-	_, addr := startServer(t, meter)
-	before := runtime.NumGoroutine()
-	c := NewClient(addr, "trickle")
-	c.ForceV1()
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Next(); !ok || err != nil {
-		t.Fatalf("first answer: %v %v", ok, err)
-	}
-	s.Close() // drops the per-call connection
-	// Under the old flush-boundary detection this took ChunkSize answers
-	// x 10ms = 640ms+; the monitor makes it immediate.
-	waitFor(t, "server call abort after peer close", func() bool {
-		return meter.Current() == 0
-	})
-	waitFor(t, "server goroutines drain", func() bool {
-		return runtime.NumGoroutine() <= before+1
-	})
-}
-
 // Regression (slowloris): a connection that sends nothing used to pin a
 // handler goroutine and a conns entry forever. The header deadline drops
 // it.
@@ -210,29 +180,6 @@ func wedgedListener(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// Regression (wedged server, v1): remoteStream.Next used to block forever
-// when the server stopped responding. The per-frame read deadline surfaces
-// a typed, retryable ErrUnavailable.
-func TestV1WedgedServerSurfacesUnavailable(t *testing.T) {
-	addr := wedgedListener(t)
-	c := NewClient(addr, "echo")
-	c.ForceV1()
-	c.SetFrameTimeout(100 * time.Millisecond)
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	start := time.Now()
-	_, _, err = s.Next()
-	if !errors.Is(err, domain.ErrUnavailable) {
-		t.Errorf("Next = %v, want ErrUnavailable", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("read deadline did not bound the wedged read")
-	}
-}
-
 // A wedged server must also bound v2 call setup: the hello exchange reads
 // under a deadline and surfaces ErrUnavailable.
 func TestV2WedgedServerHelloTimesOut(t *testing.T) {
@@ -242,36 +189,6 @@ func TestV2WedgedServerHelloTimesOut(t *testing.T) {
 	_, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(1)})
 	if !errors.Is(err, domain.ErrUnavailable) {
 		t.Errorf("Call = %v, want ErrUnavailable", err)
-	}
-}
-
-// Regression (ctx ignored mid-stream, v1): cancelling the call context
-// used to leave Next blocked until the server said something. The watchdog
-// unblocks the read immediately and Next reports the ctx error.
-func TestV1CtxCancelUnblocksNext(t *testing.T) {
-	addr := wedgedListener(t)
-	c := NewClient(addr, "echo")
-	c.ForceV1()
-	c.SetFrameTimeout(10 * time.Second) // deadline alone must not be the rescuer
-	cctx, cancel := context.WithCancel(context.Background())
-	ctx := domain.NewCtx(vclock.NewVirtual(0))
-	ctx.Context = cctx
-	s, err := c.Call(ctx, "gen", []term.Value{term.Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, _, err = s.Next()
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Next = %v, want context.Canceled", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("ctx cancellation did not unblock the in-flight read")
 	}
 }
 
@@ -388,54 +305,6 @@ func TestV2ResumeExhaustionSurfacesUnavailable(t *testing.T) {
 	}
 }
 
-// TestV1FallbackNegotiation: against a server that only speaks v1 (it
-// answers the hello with an unknown-op error), the client transparently
-// falls back to one connection per call.
-func TestV1FallbackNegotiation(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := json.NewDecoder(conn)
-				enc := json.NewEncoder(conn)
-				var req request
-				if dec.Decode(&req) != nil {
-					return
-				}
-				switch req.Op {
-				case "call":
-					enc.Encode(response{Values: []wireValue{{T: "i", S: "7"}}, Done: true})
-				default:
-					enc.Encode(response{Err: "unknown op \"" + req.Op + "\"", Done: true})
-				}
-			}()
-		}
-	}()
-	c := NewClient(l.Addr().String(), "echo")
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := domain.Collect(s)
-	if err != nil || len(vals) != 1 || !term.Equal(vals[0], term.Int(7)) {
-		t.Fatalf("fallback call = %v, %v", vals, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.forceV1 {
-		t.Error("client should remember the server speaks v1")
-	}
-}
-
 // TestV2HeartbeatKeepsQuietSessionAlive: a call whose source is slower
 // than the frame timeout survives because heartbeat echoes keep refreshing
 // the session's read deadline.
@@ -483,23 +352,15 @@ func TestSendErrorsLoggedAndCounted(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	sn := &v1Sender{s: srv, conn: server, enc: json.NewEncoder(failingWriter{})}
-	if sn.send("answers", response{Done: true}) {
+	ss := &serverSession{srv: srv, conn: server, enc: json.NewEncoder(failingWriter{}), calls: map[uint64]context.CancelFunc{}}
+	if ss.send("error", Frame{Op: OpError, ID: 1, Err: "x"}) {
 		t.Fatal("send on a broken writer should report failure")
 	}
 	if logged != 1 {
 		t.Errorf("Logf calls = %d, want 1", logged)
 	}
-	if got := ob.Counter("hermes_remote_send_errors_total", "frame", "answers").Value(); got != 1 {
-		t.Errorf("send_errors_total = %d, want 1", got)
-	}
-	// The v2 session path shares the accounting.
-	ss := &serverSession{srv: srv, conn: server, enc: json.NewEncoder(failingWriter{}), calls: map[uint64]context.CancelFunc{}}
-	if ss.send("error", Frame{Op: OpError, ID: 1, Err: "x"}) {
-		t.Fatal("session send on a broken writer should report failure")
-	}
 	if got := ob.Counter("hermes_remote_send_errors_total", "frame", "error").Value(); got != 1 {
-		t.Errorf("v2 send_errors_total = %d, want 1", got)
+		t.Errorf("send_errors_total = %d, want 1", got)
 	}
 }
 
