@@ -12,11 +12,11 @@
 // instead of failing the query.
 //
 // The manager is safe for concurrent use by parallel query branches. The
-// cache map is sharded (shard.go) so lookups from different branches do
-// not serialize behind one lock, and concurrent misses on the same call
-// coalesce into a single source fetch (flight.go). Locks are split by
-// concern — stats, invariants, hooks, eviction, flights — and none is held
-// while clock time is charged or a source is called.
+// cache map is sharded (internal/shardmap) so lookups from different
+// branches do not serialize behind one lock, and concurrent misses on the
+// same call coalesce into a single source fetch (flight.go). Locks are
+// split by concern — stats, invariants, hooks, eviction, flights — and none
+// is held while clock time is charged or a source is called.
 package cim
 
 import (
@@ -30,6 +30,7 @@ import (
 	"hermes/internal/invindex"
 	"hermes/internal/lang"
 	"hermes/internal/obs"
+	"hermes/internal/shardmap"
 	"hermes/internal/term"
 )
 
@@ -186,8 +187,9 @@ type Manager struct {
 	caller Caller
 	cfg    Config
 
-	// store is the sharded cache map; counter stamps recency.
-	store   *store
+	// store is the sharded cache map, which also enforces the entry/byte
+	// budgets (pickVictim, evicted); counter stamps recency.
+	store   *shardmap.Map[*Entry]
 	counter atomic.Int64
 
 	statsMu sync.Mutex
@@ -220,9 +222,6 @@ type Manager struct {
 	// cache entry (ledger.go).
 	ledger ledger
 
-	// evictMu serializes budget enforcement (one evictor at a time).
-	evictMu sync.Mutex
-
 	// flightMu guards the in-flight call index (flight.go).
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -230,13 +229,15 @@ type Manager struct {
 
 // New creates a manager that issues actual calls through caller.
 func New(caller Caller, cfg Config) *Manager {
-	return &Manager{
+	m := &Manager{
 		caller:  caller,
 		cfg:     cfg,
-		store:   newStore(),
 		idx:     invindex.New(),
 		flights: make(map[string]*flight),
 	}
+	m.store = shardmap.New(func(e *Entry) int { return e.Bytes },
+		cfg.MaxEntries, cfg.MaxBytes, m.pickVictim, m.evicted)
+	return m
 }
 
 // SetObserver installs the observability sink: lookup outcome counters,
@@ -301,8 +302,8 @@ func (m *Manager) lookup(ctx *domain.Ctx, outcome string) {
 // occupancy refreshes the cache-size gauges.
 func (m *Manager) occupancy() {
 	o := m.obs()
-	o.Gauge("hermes_cim_entries").Set(float64(m.store.count.Load()))
-	o.Gauge("hermes_cim_bytes").Set(float64(m.store.bytes.Load()))
+	o.Gauge("hermes_cim_entries").Set(float64(m.store.Len()))
+	o.Gauge("hermes_cim_bytes").Set(float64(m.store.Bytes()))
 }
 
 // degraded counts a degraded (cache-only, source down) serve and marks the
@@ -362,16 +363,16 @@ func (m *Manager) Stats() Stats {
 }
 
 // Len returns the number of cached entries.
-func (m *Manager) Len() int { return int(m.store.count.Load()) }
+func (m *Manager) Len() int { return m.store.Len() }
 
 // Bytes returns the total cached answer bytes.
-func (m *Manager) Bytes() int { return int(m.store.bytes.Load()) }
+func (m *Manager) Bytes() int { return m.store.Bytes() }
 
 // Clear drops all cached entries (invariants are kept). Every dropped
 // call key is reported to the invalidation subscriber.
 func (m *Manager) Clear() {
-	dropped := m.store.snapshot()
-	m.store.clear()
+	dropped := m.store.Snapshot()
+	m.store.Clear()
 	m.idx.ResetCalls(nil)
 	for _, e := range dropped {
 		m.invalidate(e.Call.Key())
@@ -382,7 +383,7 @@ func (m *Manager) Clear() {
 // Lookup returns the cached entry for a call, if any, without charging any
 // clock cost (introspection for tests and tools).
 func (m *Manager) Lookup(c domain.Call) (*Entry, bool) {
-	return m.store.get(c.Key())
+	return m.store.Get(c.Key())
 }
 
 // Store inserts (or replaces) a cache entry for a call.
@@ -398,52 +399,35 @@ func (m *Manager) storeEntry(c domain.Call, answers []term.Value, complete bool,
 	e := &Entry{Call: c, Answers: answers, Complete: complete, Cost: cost, Bytes: bytes}
 	e.lastUsed.Store(m.counter.Add(1))
 	m.idx.AddCall(c)
-	if old := m.store.put(c.Key(), e); old != nil {
+	if _, refreshed := m.store.Put(c.Key(), e); refreshed {
 		// A refresh replaced previously served answers: memo relations
 		// built from the old entry are stale. A fresh store fires nothing —
 		// the miss that produced it is itself feeding an in-progress fill.
 		m.invalidate(c.Key())
 	}
 	m.bumpStats(func(st *Stats) { st.StoredEntries++ })
-	m.evict()
+	m.store.Evict()
 	m.occupancy()
 }
 
-// evict enforces the entry/byte budgets. Victim selection scans a
-// snapshot, so no shard lock is held across the scan; removal re-checks
-// the entry is still current.
-func (m *Manager) evict() {
-	over := func() bool {
-		if m.cfg.MaxEntries > 0 && int(m.store.count.Load()) > m.cfg.MaxEntries {
-			return true
-		}
-		if m.cfg.MaxBytes > 0 && int(m.store.bytes.Load()) > m.cfg.MaxBytes {
-			return true
-		}
-		return false
-	}
-	if !over() {
-		return
-	}
-	m.evictMu.Lock()
-	defer m.evictMu.Unlock()
-	for over() {
-		var victim *Entry
-		for _, e := range m.store.snapshot() {
-			if victim == nil || m.evictBefore(e, victim) {
-				victim = e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		if m.store.removeIf(victim.Call.Key(), victim) {
-			m.idx.RemoveCall(victim.Call)
-			m.invalidate(victim.Call.Key())
-			m.bumpStats(func(st *Stats) { st.Evictions++ })
-			m.obs().Counter("hermes_cim_evictions_total").Inc()
+// pickVictim chooses the entry the configured policy evicts first from a
+// store snapshot (the store's budget loop calls it while over budget).
+func (m *Manager) pickVictim(snap []*Entry) (string, *Entry) {
+	victim := snap[0]
+	for _, e := range snap[1:] {
+		if m.evictBefore(e, victim) {
+			victim = e
 		}
 	}
+	return victim.Call.Key(), victim
+}
+
+// evicted unhooks an entry the budget loop removed.
+func (m *Manager) evicted(key string, e *Entry) {
+	m.idx.RemoveCall(e.Call)
+	m.invalidate(key)
+	m.bumpStats(func(st *Stats) { st.Evictions++ })
+	m.obs().Counter("hermes_cim_evictions_total").Inc()
 }
 
 // evictBefore reports whether a should be evicted before b under the
@@ -499,7 +483,7 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	ctx.Clock.Sleep(m.cfg.LookupCost)
 
 	// 1. Exact hit on a complete entry.
-	if e, ok := m.store.get(call.Key()); ok && e.Complete {
+	if e, ok := m.store.Get(call.Key()); ok && e.Complete {
 		m.touch(e)
 		m.bumpStats(func(st *Stats) {
 			st.ExactHits++
@@ -576,7 +560,7 @@ func (m *Manager) Degrade(ctx *domain.Ctx, call domain.Call) (*Response, bool) {
 	ctx.Clock.Sleep(m.cfg.LookupCost)
 	var e *Entry
 	var inv *lang.Invariant
-	if ex, ok := m.store.get(call.Key()); ok {
+	if ex, ok := m.store.Get(call.Key()); ok {
 		e = ex
 	} else if eq, eqInv := m.findEquality(ctx, call); eq != nil {
 		e, inv = eq, eqInv

@@ -13,23 +13,18 @@ package cim
 
 import (
 	"sync"
-	"time"
 
 	"hermes/internal/domain"
 	"hermes/internal/invindex"
 	"hermes/internal/lang"
+	"hermes/internal/spool"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
 
-// flightItem is one shared answer with its availability reading on the
-// leader's clock.
-type flightItem struct {
-	v  term.Value
-	at time.Duration
-}
-
 // flight is one in-flight actual source call with its attached readers.
+// The shared answers live in log; everything under mu is the puller
+// election, which decides who advances the source on everyone's behalf.
 type flight struct {
 	m    *Manager
 	call domain.Call
@@ -39,36 +34,28 @@ type flight struct {
 	ready    chan struct{}
 	setupErr error
 
+	// log holds each answer stamped with its availability reading on the
+	// leader's clock, and the flight's end (error and end time). It is
+	// pushed and settled only under mu, so a reader that finds its index
+	// pending, takes mu and probes again sees every finished pull.
+	log spool.Log[term.Value]
+
 	mu       sync.Mutex
-	wake     chan struct{} // closed and replaced on every state change
 	src      domain.Stream // the measured actual stream; pulled under the pulling flag
 	srcClock vclock.Clock  // the leader's clock, advanced by whoever pulls
-	items    []flightItem
-	done     bool
-	err      error
-	endAt    time.Duration
 	readers  int
 	pulling  bool
 	// closeOnIdle defers the last reader's early close while a pull is in
 	// progress (the stream must not be closed under a concurrent Next).
 	closeOnIdle bool
 	// abandoned marks a flight ended by an early close rather than source
-	// exhaustion: its item list may be incomplete, so late joiners must
-	// start their own call instead of attaching.
+	// exhaustion: its log may be incomplete, so late joiners must start
+	// their own call instead of attaching.
 	abandoned bool
 }
 
 func newFlight(m *Manager, call domain.Call) *flight {
-	return &flight{
-		m: m, call: call, key: call.Key(),
-		ready: make(chan struct{}),
-		wake:  make(chan struct{}),
-	}
-}
-
-func (f *flight) broadcastLocked() {
-	close(f.wake)
-	f.wake = make(chan struct{})
+	return &flight{m: m, call: call, key: call.Key(), ready: make(chan struct{})}
 }
 
 // lead issues the actual call as the flight's one source fetch. On setup
@@ -94,13 +81,7 @@ func (f *flight) lead(ctx *domain.Ctx) (domain.Stream, error) {
 // measurement (DCSM). Called from inside src.Next/src.Close, so f.mu is
 // never held here.
 func (f *flight) onMeasured(meas domain.Measurement) {
-	f.mu.Lock()
-	vals := make([]term.Value, len(f.items))
-	for i, it := range f.items {
-		vals[i] = it.v
-	}
-	f.mu.Unlock()
-	f.m.storeEntry(f.call, vals, meas.Complete, meas.Cost)
+	f.m.storeEntry(f.call, f.log.Values(), meas.Complete, meas.Cost)
 	if hook := f.m.measureHook(); hook != nil {
 		hook(meas)
 	}
@@ -114,9 +95,38 @@ func (f *flight) detach() {
 	f.mu.Unlock()
 }
 
+// pull advances the source by one answer on behalf of every reader and
+// logs the outcome. The caller won the election (set f.pulling under f.mu)
+// and released the lock. The pull advances the leader's clock, which
+// meters the call.
+func (f *flight) pull(src domain.Stream) {
+	v, ok, err := src.Next()
+	at := f.srcClock.Now()
+	f.mu.Lock()
+	f.pulling = false
+	if err == nil && ok {
+		f.log.Push(v, at)
+		// The last reader left during the pull: the flight ends here, and
+		// this puller finishes that reader's close.
+		f.abandoned = f.closeOnIdle && f.readers == 0
+	}
+	abandoned := f.abandoned
+	ended := err != nil || !ok || abandoned
+	if ended {
+		f.log.Settle(err, at)
+	}
+	f.mu.Unlock()
+	if ended {
+		f.m.removeFlight(f)
+		if abandoned {
+			src.Close()
+		}
+	}
+}
+
 // flightReader is one consumer's view of a flight: it replays the shared
-// answer list from its own cursor, advancing its clock to each answer's
-// availability time, and co-consumes the source past the end of the list.
+// log from its own cursor, advancing its clock to each answer's
+// availability time, and co-consumes the source past the end of the log.
 type flightReader struct {
 	f      *flight
 	ctx    *domain.Ctx
@@ -126,70 +136,46 @@ type flightReader struct {
 
 func (r *flightReader) Next() (term.Value, bool, error) {
 	f := r.f
-	f.mu.Lock()
 	for {
-		if r.idx < len(f.items) {
-			it := f.items[r.idx]
-			r.idx++
+		it, st, wake := f.log.Probe(r.idx)
+		if st == spool.Pending {
+			// Nothing logged for us yet. Probe again under the election
+			// lock: a pull that finished since the first probe has logged
+			// its answer by now, so exactly one source Next is issued per
+			// missing answer. Then either this reader — the most caught-up
+			// — pulls, or it waits for whoever is pulling.
+			f.mu.Lock()
+			it, st, wake = f.log.Probe(r.idx)
+			if st == spool.Pending && !f.pulling {
+				f.pulling = true
+				src := f.src
+				f.mu.Unlock()
+				f.pull(src)
+				continue
+			}
 			f.mu.Unlock()
-			vclock.AdvanceTo(r.ctx.Clock, it.at)
-			return it.v, true, nil
 		}
-		if f.done {
-			err := f.err
-			end := f.endAt
-			f.mu.Unlock()
+		switch st {
+		case spool.Ready:
+			r.idx++
+			vclock.AdvanceTo(r.ctx.Clock, it.At)
+			return it.V, true, nil
+		case spool.Ended:
+			endAt, err, _ := f.log.End()
 			if err != nil {
 				return nil, false, err
 			}
-			vclock.AdvanceTo(r.ctx.Clock, end)
+			vclock.AdvanceTo(r.ctx.Clock, endAt)
 			return nil, false, nil
-		}
-		if !f.pulling {
-			// This reader is the most caught-up: pull the source on behalf
-			// of everyone. The pull advances the leader's clock.
-			f.pulling = true
-			src := f.src
-			f.mu.Unlock()
-			v, ok, err := src.Next()
-			at := f.srcClock.Now()
-			f.mu.Lock()
-			f.pulling = false
-			switch {
-			case err != nil:
-				f.done, f.err, f.endAt = true, err, at
-			case !ok:
-				f.done, f.endAt = true, at
-			default:
-				f.items = append(f.items, flightItem{v: v, at: at})
-			}
-			if !f.done && f.closeOnIdle && f.readers == 0 {
-				f.done, f.abandoned, f.endAt = true, true, at
-			}
-			finished := f.done
-			needClose := f.done && f.abandoned && err == nil
-			f.broadcastLocked()
-			f.mu.Unlock()
-			if finished {
-				f.m.removeFlight(f)
-				if needClose {
-					src.Close()
-				}
-			}
-			f.mu.Lock()
-			continue
 		}
 		// Someone else is pulling: wait for the broadcast (or our own
 		// cancellation — a parallel branch being torn down must not hang
 		// on a flight other branches keep feeding).
-		wake := f.wake
-		f.mu.Unlock()
 		select {
 		case <-wake:
-		case <-doneCh(r.ctx):
+		case <-r.ctx.Done():
 			return nil, false, r.ctx.Err()
 		}
-		f.mu.Lock()
 	}
 }
 
@@ -201,7 +187,7 @@ func (r *flightReader) Close() error {
 	f := r.f
 	f.mu.Lock()
 	f.readers--
-	if f.readers > 0 || f.done {
+	if _, _, ended := f.log.End(); f.readers > 0 || ended {
 		f.mu.Unlock()
 		return nil
 	}
@@ -215,23 +201,12 @@ func (r *flightReader) Close() error {
 	// Last reader leaving an unfinished flight: close the source. The
 	// measured stream records an incomplete entry, exactly like an
 	// unshared early close (interactive pruning).
-	f.done = true
 	f.abandoned = true
-	f.endAt = f.srcClock.Now()
+	f.log.Settle(nil, f.srcClock.Now())
 	src := f.src
-	f.broadcastLocked()
 	f.mu.Unlock()
 	f.m.removeFlight(f)
 	return src.Close()
-}
-
-// doneCh returns the Ctx's cancellation channel (nil blocks forever in a
-// select, which is the desired behavior for uncancellable contexts).
-func doneCh(ctx *domain.Ctx) <-chan struct{} {
-	if ctx.Context != nil {
-		return ctx.Context.Done()
-	}
-	return nil
 }
 
 // actualStream issues the real source call with single-flight semantics:
@@ -266,7 +241,7 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream
 			m.flightMu.Unlock()
 			select {
 			case <-f.ready:
-			case <-doneCh(ctx):
+			case <-ctx.Done():
 				f.detach()
 				return nil, ctx.Err()
 			}

@@ -62,7 +62,7 @@ func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.
 			return nil
 		}
 		ctx.Clock.Sleep(m.cfg.LookupCost)
-		if e, found := m.store.get(oc.Key()); found && (e.Complete || !requireComplete) {
+		if e, found := m.store.Get(oc.Key()); found && (e.Complete || !requireComplete) {
 			return []*Entry{e}
 		}
 		return nil
@@ -82,7 +82,7 @@ func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.
 	}
 	if m.cfg.LinearMatching {
 		m.linearScans.Add(1)
-		for _, e := range m.store.snapshot() {
+		for _, e := range m.store.Snapshot() {
 			if e.Call.Domain != other.Domain || e.Call.Function != other.Function {
 				continue
 			}
@@ -91,7 +91,7 @@ func (m *Manager) findCandidates(ctx *domain.Ctx, theta term.Subst, cond []lang.
 		return out
 	}
 	for _, ck := range m.idx.CallKeys(other.Domain, other.Function) {
-		e, ok := m.store.get(ck)
+		e, ok := m.store.Get(ck)
 		if !ok {
 			continue // evicted since the bucket copy; the scan never saw it
 		}
@@ -313,7 +313,7 @@ func (m *Manager) findPartial(ctx *domain.Ctx, call domain.Call) (*Entry, *lang.
 		}
 	}
 	// An incomplete exact entry is itself a sound partial answer.
-	if e, ok := m.store.get(call.Key()); ok && !e.Complete {
+	if e, ok := m.store.Get(call.Key()); ok && !e.Complete {
 		consider(e, nil)
 	}
 	if m.cfg.LinearMatching {

@@ -45,7 +45,7 @@ func (m *Manager) Save(w io.Writer) error {
 	snap := cacheSnapshot{Version: cacheSnapshotVersion, Counter: m.counter.Load()}
 	ledger := m.ledger.snapshot()
 	snap.Ledger = &ledger
-	for _, e := range m.store.snapshot() {
+	for _, e := range m.store.Snapshot() {
 		args, err := term.EncodeJSONs(e.Call.Args)
 		if err != nil {
 			return fmt.Errorf("cim: save: %w", err)
@@ -102,8 +102,8 @@ func (m *Manager) Load(r io.Reader) error {
 	}
 	// The load replaces whatever was cached: memo relations built from the
 	// previous contents are stale, and the call index is rebuilt to match.
-	prior := m.store.snapshot()
-	m.store.replace(entries)
+	prior := m.store.Snapshot()
+	m.store.Replace(entries)
 	calls := make([]domain.Call, 0, len(entries))
 	for _, e := range entries {
 		calls = append(calls, e.Call)
@@ -121,7 +121,7 @@ func (m *Manager) Load(r io.Reader) error {
 			break
 		}
 	}
-	m.evict()
+	m.store.Evict()
 	m.occupancy()
 	return nil
 }

@@ -31,7 +31,7 @@ func (m *Manager) CostModel() CostModel {
 // lookups and stores (shard read-locks only).
 func (m *Manager) Probe(call domain.Call) (Source, int) {
 	scratch := domain.NewCtx(vclock.NewVirtual(0)) // absorbs matching costs
-	if e, ok := m.store.get(call.Key()); ok && e.Complete {
+	if e, ok := m.store.Get(call.Key()); ok && e.Complete {
 		return SourceCacheExact, len(e.Answers)
 	}
 	if e, _ := m.findEquality(scratch, call); e != nil {

@@ -376,6 +376,15 @@ func (c *Ctx) Err() error {
 	return nil
 }
 
+// Done returns the cancellation context's channel, or nil — which blocks
+// forever in a select — when the Ctx has none.
+func (c *Ctx) Done() <-chan struct{} {
+	if c.Context != nil {
+		return c.Context.Done()
+	}
+	return nil
+}
+
 // Remaining returns the clock time left before the query deadline.
 // ok=false means no deadline is set (infinite budget).
 func (c *Ctx) Remaining() (time.Duration, bool) {

@@ -18,6 +18,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"hermes/internal/domain"
@@ -193,21 +194,10 @@ func (m *memoRecordStream) next() (term.Subst, bool, error) {
 	}
 	m.n++
 	if !m.settled {
-		tuple := make([]term.Value, len(m.atom.Args))
-		record := true
-		for i, t := range m.atom.Args {
-			v, evalErr := out.Eval(t)
-			if evalErr != nil {
-				// Cannot represent this emission as a ground tuple: stop
-				// recording (followers fall back) but keep answering.
-				record = false
-				break
-			}
-			tuple[i] = v
-		}
-		if record {
-			m.rec.Add(tuple, now)
-		} else {
+		// An emission that cannot be represented as a ground tuple, or
+		// that takes the relation past the memo's per-entry cap, ends the
+		// recording (followers fall back); the leader keeps answering.
+		if tuple, ok := argTuple(m.atom, out); !ok || !m.rec.Add(tuple, now) {
 			m.abort()
 		}
 	}
@@ -243,9 +233,7 @@ func (m *memoRecordStream) close() error {
 
 // memoFollowStream replays an in-progress fill published by a concurrent
 // leader. If the leader aborts, the follower falls back to its own
-// evaluation, subtracting the multiset of tuples it already replayed
-// (substitutions with equal ground argument tuples are interchangeable, so
-// subtraction by tuple key is exact).
+// evaluation, subtracting the multiset of tuples it already replayed.
 type memoFollowStream struct {
 	eng      *Engine
 	ctx      *domain.Ctx
@@ -255,7 +243,7 @@ type memoFollowStream struct {
 	span     *obs.Span
 	fallback func() substStream
 
-	emitted map[string]int // tuple key -> count replayed before a fallback
+	emitted multiset // tuples replayed before a fallback
 	fb      substStream
 	done    bool
 }
@@ -272,18 +260,18 @@ func (m *memoFollowStream) next() (term.Subst, bool, error) {
 			m.finish()
 			return nil, false, err
 		}
-		it, state := m.reader.Next(ctxDoneCh(m.ctx))
+		it, state := m.reader.Next(m.ctx.Done())
 		switch state {
 		case memo.ReadItem:
 			vclock.AdvanceTo(m.ctx.Clock, it.At)
 			m.ctx.Clock.Sleep(m.eng.memo.PerTupleCost())
-			out, ok := m.s.UnifyAll(m.atom.Args, it.Vals)
+			out, ok := m.s.UnifyAll(m.atom.Args, it.V)
 			if !ok {
 				// Cannot happen for a same-key flight (the leader applied
 				// the same filters), but skipping is the sound reaction.
 				continue
 			}
-			m.countReplayed(it.Vals)
+			m.emitted.add(valsKey(it.V))
 			return out, true, nil
 		case memo.ReadEndCommitted:
 			inputs, degraded, endAt := m.reader.Result()
@@ -320,50 +308,39 @@ func (m *memoFollowStream) fbNext() (term.Subst, bool, error) {
 			return nil, false, nil
 		}
 		if len(m.emitted) > 0 {
-			if k, kerr := m.tupleKey(out); kerr == nil {
-				if c := m.emitted[k]; c > 0 {
-					if c == 1 {
-						delete(m.emitted, k)
-					} else {
-						m.emitted[k] = c - 1
-					}
-					continue
-				}
+			if tuple, ok := argTuple(m.atom, out); ok && m.emitted.take(valsKey(tuple)) {
+				continue
 			}
 		}
 		return out, true, nil
 	}
 }
 
-func (m *memoFollowStream) countReplayed(vals []term.Value) {
-	if m.emitted == nil {
-		m.emitted = make(map[string]int)
-	}
-	m.emitted[valsKey(vals)]++
-}
-
-// tupleKey renders an emission's ground argument tuple as a multiset key.
-func (m *memoFollowStream) tupleKey(out term.Subst) (string, error) {
-	vals := make([]term.Value, len(m.atom.Args))
-	for i, t := range m.atom.Args {
+// argTuple evaluates an atom's arguments under an emission to the ground
+// tuple the memo records and the multiset filters key on. ok=false when an
+// argument does not evaluate (an attribute path that does not resolve).
+func argTuple(a *lang.Atom, out term.Subst) ([]term.Value, bool) {
+	vals := make([]term.Value, len(a.Args))
+	for i, t := range a.Args {
 		v, err := out.Eval(t)
 		if err != nil {
-			return "", err
+			return nil, false
 		}
 		vals[i] = v
 	}
-	return valsKey(vals), nil
+	return vals, true
 }
 
+// valsKey renders a ground tuple as a multiset key.
 func valsKey(vals []term.Value) string {
-	k := ""
+	var b strings.Builder
 	for i, v := range vals {
 		if i > 0 {
-			k += "|"
+			b.WriteByte('|')
 		}
-		k += v.Key()
+		b.WriteString(v.Key())
 	}
-	return k
+	return b.String()
 }
 
 func (m *memoFollowStream) finish() {

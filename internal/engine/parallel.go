@@ -41,6 +41,7 @@ import (
 	"hermes/internal/lang"
 	"hermes/internal/obs"
 	"hermes/internal/rewrite"
+	"hermes/internal/spool"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -56,15 +57,6 @@ func parentContext(ctx *domain.Ctx) context.Context {
 		return ctx.Context
 	}
 	return context.Background()
-}
-
-// ctxDoneCh returns the Ctx's cancellation channel (nil — blocking
-// forever in a select — when it has none).
-func ctxDoneCh(ctx *domain.Ctx) <-chan struct{} {
-	if ctx.Context != nil {
-		return ctx.Context.Done()
-	}
-	return nil
 }
 
 // unionItem is one merged emission: a caller-level substitution and the
@@ -271,7 +263,7 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 			break
 		}
 	}
-	var emitted map[string]int // multiset of pushed answers (armed only)
+	var emitted multiset // answers pushed so far (armed only)
 	replanned := false
 	branchStart := fork.Clock.Now()
 	it := u.eng.newBodyIter(fork, u.plan, pr, headEnv, u.depth+1)
@@ -323,43 +315,28 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 				armed = false
 			}
 		}
-		if replanned && len(emitted) > 0 {
-			k := emissionKey(u.atom, out)
-			if c := emitted[k]; c > 0 {
-				if c == 1 {
-					delete(emitted, k)
-				} else {
-					emitted[k] = c - 1
-				}
-				continue
-			}
+		// The emitted multiset is only maintained while a re-plan can still
+		// happen, and only consulted after one did. (After a successful
+		// mapBack every atom argument is ground under out, and path
+		// arguments disarmed the watchdog at setup, so argTuple cannot fail
+		// here.)
+		counting, filtering := armed && !replanned, replanned && len(emitted) > 0
+		var key string
+		if counting || filtering {
+			tuple, _ := argTuple(u.atom, out)
+			key = valsKey(tuple)
+		}
+		if filtering && emitted.take(key) {
+			continue
 		}
 		if !u.push(br, out, fork.Clock.Now()) {
 			settle(nil)
 			return false
 		}
-		if armed && !replanned {
-			if emitted == nil {
-				emitted = make(map[string]int)
-			}
-			emitted[emissionKey(u.atom, out)]++
+		if counting {
+			emitted.add(key)
 		}
 	}
-}
-
-// emissionKey renders an emission's ground atom-argument tuple as a
-// multiset key (after a successful mapBack every atom argument is ground
-// under out; path arguments disarm the watchdog at setup).
-func emissionKey(a *lang.Atom, out term.Subst) string {
-	vals := make([]term.Value, len(a.Args))
-	for i, t := range a.Args {
-		v, err := out.Eval(t)
-		if err != nil {
-			return "?" // unreachable when the watchdog is armed
-		}
-		vals[i] = v
-	}
-	return valsKey(vals)
 }
 
 // push enqueues an emission, blocking while the branch's queue is full.
@@ -472,91 +449,18 @@ func (u *parallelUnion) close() error {
 	return nil
 }
 
-// spoolItem is one prefetched source answer with its availability time on
-// the producer's clock.
-type spoolItem struct {
-	v  term.Value
-	at time.Duration
-}
-
-// spool is the materialized, replayable answer stream of one independent
-// in() literal, filled eagerly by a producer goroutine.
-type spool struct {
-	mu    sync.Mutex
-	wake  chan struct{} // closed and replaced on every state change
-	items []spoolItem
-	done  bool
-	err   error
-	endAt time.Duration
-}
-
-func newSpool() *spool {
-	return &spool{wake: make(chan struct{})}
-}
-
-func (sp *spool) broadcastLocked() {
-	close(sp.wake)
-	sp.wake = make(chan struct{})
-}
-
-func (sp *spool) push(v term.Value, at time.Duration) {
-	sp.mu.Lock()
-	sp.items = append(sp.items, spoolItem{v: v, at: at})
-	sp.broadcastLocked()
-	sp.mu.Unlock()
-}
-
-func (sp *spool) settle(err error, at time.Duration) {
-	sp.mu.Lock()
-	sp.done = true
-	sp.err = err
-	sp.endAt = at
-	sp.broadcastLocked()
-	sp.mu.Unlock()
-}
-
-// get returns the idx-th answer, waiting for the producer when it has not
-// arrived yet. ok=false means the spool ended before idx (err reports a
-// producer failure, delivered after the answers that preceded it).
-func (sp *spool) get(ctx *domain.Ctx, idx int) (spoolItem, bool, error) {
-	for {
-		sp.mu.Lock()
-		if idx < len(sp.items) {
-			it := sp.items[idx]
-			sp.mu.Unlock()
-			return it, true, nil
-		}
-		if sp.done {
-			err := sp.err
-			sp.mu.Unlock()
-			return spoolItem{}, false, err
-		}
-		wake := sp.wake
-		sp.mu.Unlock()
-		select {
-		case <-wake:
-		case <-ctxDoneCh(ctx):
-			return spoolItem{}, false, ctx.Err()
-		}
-	}
-}
-
-// end returns the producer's final clock reading (0 until settled).
-func (sp *spool) end() time.Duration {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.endAt
-}
-
 // stage runs the producers for a body's independent in() literals. It is
 // created when the nested-loop evaluation first reaches one of them; from
 // then on those levels open replay streams over the spools instead of
-// issuing a source call per outer binding.
+// issuing a source call per outer binding. A spool is the materialized,
+// replayable answer stream of one independent in() literal, filled eagerly
+// by a producer goroutine with each answer's availability time on the
+// producer's clock.
 type stage struct {
 	eng    *Engine
 	sched  *domain.Sched
 	extra  int
-	spools map[int]*spool // execution position -> spool
+	spools map[int]*spool.Log[term.Value] // execution position -> spool
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	closed bool
@@ -573,9 +477,10 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 	gctx, cancel := context.WithCancel(parentContext(ctx))
 	st := &stage{
 		eng: e, sched: ctx.Sched, extra: extra,
-		spools: make(map[int]*spool, extra),
+		spools: make(map[int]*spool.Log[term.Value], extra),
 		cancel: cancel,
 	}
+	logs := make([]spool.Log[term.Value], extra) // one allocation for every level's spool
 	e.cfg.Obs.Counter("hermes_engine_parallel_stages_total").Inc()
 	ctx.Span.SetTag("parallel", strconv.Itoa(extra+1))
 	for i := 1; i <= extra; i++ {
@@ -585,7 +490,7 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 		if !ok {
 			continue
 		}
-		sp := newSpool()
+		sp := &logs[i-1]
 		st.spools[level] = sp
 		fork := ctx.Fork().WithContext(gctx)
 		st.wg.Add(1)
@@ -596,32 +501,28 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 
 // run is the producer: it issues the literal's source call on its own
 // forked clock and drains it eagerly into the spool (prefetch).
-func (st *stage) run(fork *domain.Ctx, lit *lang.InCall, route rewrite.Route, base term.Subst, sp *spool) {
+func (st *stage) run(fork *domain.Ctx, lit *lang.InCall, route rewrite.Route, base term.Subst, sp *spool.Log[term.Value]) {
 	defer st.wg.Done()
 	g := st.eng.cfg.Obs.Gauge("hermes_engine_inflight_branches")
 	g.Add(1)
 	defer g.Add(-1)
 	stream, err := st.eng.openCallStream(fork, lit, route, base)
 	if err != nil {
-		sp.settle(err, fork.Clock.Now())
+		sp.Settle(err, fork.Clock.Now())
 		return
 	}
 	defer stream.Close()
 	for {
 		if err := fork.Err(); err != nil {
-			sp.settle(err, fork.Clock.Now())
+			sp.Settle(err, fork.Clock.Now())
 			return
 		}
 		v, ok, err := stream.Next()
-		if err != nil {
-			sp.settle(err, fork.Clock.Now())
+		if err != nil || !ok {
+			sp.Settle(err, fork.Clock.Now())
 			return
 		}
-		if !ok {
-			sp.settle(nil, fork.Clock.Now())
-			return
-		}
-		sp.push(v, fork.Clock.Now())
+		sp.Push(v, fork.Clock.Now())
 	}
 }
 
@@ -650,7 +551,7 @@ func (st *stage) close() {
 // time; replays for later outer bindings find the clock already past and
 // cost nothing, like a cache hit.
 type replayStream struct {
-	sp   *spool
+	sp   *spool.Log[term.Value]
 	ctx  *domain.Ctx
 	v    string
 	s    term.Subst
@@ -658,26 +559,53 @@ type replayStream struct {
 	done bool
 }
 
+// next returns the next spooled answer, waiting for the producer when it
+// has not arrived yet. A producer failure is delivered after the answers
+// that preceded it.
 func (r *replayStream) next() (term.Subst, bool, error) {
 	if r.done {
 		return nil, false, nil
 	}
-	it, ok, err := r.sp.get(r.ctx, r.idx)
-	if err != nil {
+	it, st := r.sp.Wait(r.idx, r.ctx.Done())
+	switch st {
+	case spool.Ready:
+		r.idx++
+		vclock.AdvanceTo(r.ctx.Clock, it.At)
+		out := r.s.Clone()
+		out[r.v] = it.V
+		return out, true, nil
+	case spool.Pending:
 		r.done = true
-		vclock.AdvanceTo(r.ctx.Clock, r.sp.end())
-		return nil, false, err
+		return nil, false, r.ctx.Err()
 	}
-	if !ok {
-		r.done = true
-		vclock.AdvanceTo(r.ctx.Clock, r.sp.end())
-		return nil, false, nil
-	}
-	r.idx++
-	vclock.AdvanceTo(r.ctx.Clock, it.at)
-	out := r.s.Clone()
-	out[r.v] = it.v
-	return out, true, nil
+	r.done = true
+	endAt, err, _ := r.sp.End()
+	vclock.AdvanceTo(r.ctx.Clock, endAt)
+	return nil, false, err
 }
 
 func (r *replayStream) close() error { return nil }
+
+// multiset counts tuple keys (valsKey) already delivered, so that a
+// re-evaluation of the same relation can drop one occurrence of each:
+// substitutions with equal ground argument tuples are interchangeable, so
+// subtraction by key is exact.
+type multiset map[string]int
+
+func (ms *multiset) add(key string) {
+	if *ms == nil {
+		*ms = make(multiset)
+	}
+	(*ms)[key]++
+}
+
+// take removes one occurrence of key, reporting whether there was one.
+func (ms multiset) take(key string) bool {
+	c := ms[key]
+	if c > 1 {
+		ms[key] = c - 1
+	} else {
+		delete(ms, key)
+	}
+	return c > 0
+}

@@ -27,7 +27,7 @@ func (c *Cache) Format(k int) string {
 	fmt.Fprintf(&b, "saved=%s\n", st.Saved.Round(time.Millisecond))
 
 	now := c.tick.Load()
-	entries := c.store.snapshot()
+	entries := c.store.Snapshot()
 	views := make([]entryView, 0, len(entries))
 	c.scoreMu.Lock()
 	for _, e := range entries {

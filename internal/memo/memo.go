@@ -26,6 +26,7 @@
 package memo
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,8 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/obs"
+	"hermes/internal/shardmap"
+	"hermes/internal/spool"
 	"hermes/internal/term"
 )
 
@@ -117,8 +120,8 @@ type Stats struct {
 	// DegradedSkips counts probes that found only a degraded entry and
 	// refused to serve it.
 	DegradedSkips int
-	// RejectedStores counts fills that completed but failed admission
-	// (below MinBenefit, or oversized).
+	// RejectedStores counts fills that failed admission: completed below
+	// MinBenefit, or cut short at the tuple that crossed MaxEntryBytes.
 	RejectedStores int
 	// Evictions counts budget evictions.
 	Evictions int
@@ -171,7 +174,9 @@ type Entry struct {
 type Cache struct {
 	cfg Config
 
-	store *store
+	// store is the sharded entry map, which also enforces the entry/byte
+	// budgets (pickVictim, evicted).
+	store *shardmap.Map[*Entry]
 	// tick is the operation counter that drives score decay and recency.
 	tick atomic.Int64
 
@@ -190,9 +195,6 @@ type Cache struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	// evictMu serializes budget enforcement.
-	evictMu sync.Mutex
-
 	hookMu sync.RWMutex
 	ob     *obs.Observer
 	// onSavings credits a hit's avoided cost to an external ledger (the
@@ -202,12 +204,14 @@ type Cache struct {
 
 // New builds a memo cache.
 func New(cfg Config) *Cache {
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg.normalized(),
-		store:    newStore(),
 		inputIdx: make(map[string]map[string]*Entry),
 		flights:  make(map[string]*flight),
 	}
+	c.store = shardmap.New(func(e *Entry) int { return e.Bytes },
+		c.cfg.MaxEntries, c.cfg.MaxBytes, c.pickVictim, c.evicted)
+	return c
 }
 
 // SetObserver installs the observability sink for the hermes_memo_*
@@ -252,10 +256,10 @@ func (c *Cache) Stats() Stats {
 }
 
 // Len returns the number of cached relations.
-func (c *Cache) Len() int { return int(c.store.count.Load()) }
+func (c *Cache) Len() int { return c.store.Len() }
 
 // Bytes returns the total cached tuple bytes.
-func (c *Cache) Bytes() int { return int(c.store.bytes.Load()) }
+func (c *Cache) Bytes() int { return c.store.Bytes() }
 
 // LookupCost is the clock cost the engine charges per probe.
 func (c *Cache) LookupCost() time.Duration { return c.cfg.LookupCost }
@@ -266,8 +270,8 @@ func (c *Cache) PerTupleCost() time.Duration { return c.cfg.PerTuple }
 // occupancy refreshes the size gauges.
 func (c *Cache) occupancy() {
 	o := c.obs()
-	o.Gauge("hermes_memo_entries").Set(float64(c.store.count.Load()))
-	o.Gauge("hermes_memo_bytes").Set(float64(c.store.bytes.Load()))
+	o.Gauge("hermes_memo_entries").Set(float64(c.store.Len()))
+	o.Gauge("hermes_memo_bytes").Set(float64(c.store.Bytes()))
 }
 
 // ProbeResult is the outcome of consulting the memo for a subgoal
@@ -288,7 +292,7 @@ type ProbeResult struct {
 // fill of the same key or makes the caller the fill's leader.
 func (c *Cache) Probe(key string) ProbeResult {
 	now := c.tick.Add(1)
-	if e, ok := c.store.get(key); ok {
+	if e, ok := c.store.Get(key); ok {
 		if !e.Degraded {
 			saved := e.Cost.TAll
 			c.credit(e, saved, now)
@@ -316,7 +320,7 @@ func (c *Cache) Probe(key string) ProbeResult {
 		c.obs().Counter("hermes_memo_flight_shares_total").Inc()
 		return ProbeResult{Reader: &FlightReader{c: c, f: f}}
 	}
-	f := newFlight()
+	f := &flight{}
 	c.flights[key] = f
 	c.flightMu.Unlock()
 	return ProbeResult{Rec: &Recording{c: c, key: key, f: f}}
@@ -326,7 +330,7 @@ func (c *Cache) Probe(key string) ProbeResult {
 // (committed, non-degraded entry present), without touching scores or
 // stats. Introspection for tests and chaos assertions.
 func (c *Cache) Serveable(key string) bool {
-	e, ok := c.store.get(key)
+	e, ok := c.store.Get(key)
 	return ok && !e.Degraded
 }
 
@@ -338,7 +342,7 @@ func (c *Cache) Serveable(key string) bool {
 // accounting. Degraded entries report a miss: the engine would not
 // serve them either.
 func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
-	e, got := c.store.get(key)
+	e, got := c.store.Get(key)
 	if !got || e.Degraded {
 		return 0, false
 	}
@@ -348,7 +352,7 @@ func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
 // SnapshotEntries returns the cached relations for introspection (debug
 // views, chaos assertions). The entries are shared; callers must not
 // mutate them.
-func (c *Cache) SnapshotEntries() []*Entry { return c.store.snapshot() }
+func (c *Cache) SnapshotEntries() []*Entry { return c.store.Snapshot() }
 
 // credit bumps an entry's decayed benefit score and recency.
 func (c *Cache) credit(e *Entry, saved time.Duration, now int64) {
@@ -383,23 +387,12 @@ func (c *Cache) InvalidateInput(callKey string) {
 	victims := make([]*Entry, 0, len(deps))
 	for _, e := range deps {
 		victims = append(victims, e)
-		// Unhook the entry from its other inputs' dependency sets.
-		for _, in := range e.Inputs {
-			if in == callKey {
-				continue
-			}
-			if m := c.inputIdx[in]; m != nil {
-				delete(m, e.Key)
-				if len(m) == 0 {
-					delete(c.inputIdx, in)
-				}
-			}
-		}
+		c.deindexLocked(e) // its other inputs' dependency sets
 	}
 	c.invMu.Unlock()
 	n := 0
 	for _, e := range victims {
-		if c.store.removeIf(e.Key, e) {
+		if c.store.RemoveIf(e.Key, e) {
 			n++
 		}
 	}
@@ -421,19 +414,10 @@ func (c *Cache) admit(e *Entry) {
 	e.scoreTick = now
 	e.lastUsed = now
 	c.scoreMu.Unlock()
-	old := c.store.put(e.Key, e)
+	old, replaced := c.store.Put(e.Key, e)
 	c.invMu.Lock()
-	if old != nil {
-		for _, in := range old.Inputs {
-			if m := c.inputIdx[in]; m != nil {
-				if m[old.Key] == old {
-					delete(m, old.Key)
-				}
-				if len(m) == 0 {
-					delete(c.inputIdx, in)
-				}
-			}
-		}
+	if replaced {
+		c.deindexLocked(old)
 	}
 	for _, in := range e.Inputs {
 		m := c.inputIdx[in]
@@ -455,13 +439,13 @@ func (c *Cache) admit(e *Entry) {
 	if e.Degraded {
 		o.Counter("hermes_memo_degraded_stores_total").Inc()
 	}
-	c.evict()
+	c.store.Evict()
 	c.occupancy()
 }
 
-// deindex removes an evicted entry's reverse-index references.
-func (c *Cache) deindex(e *Entry) {
-	c.invMu.Lock()
+// deindexLocked removes a replaced, evicted or invalidated entry's
+// reverse-index references. Callers hold invMu.
+func (c *Cache) deindexLocked(e *Entry) {
 	for _, in := range e.Inputs {
 		if m := c.inputIdx[in]; m != nil {
 			if m[e.Key] == e {
@@ -472,56 +456,39 @@ func (c *Cache) deindex(e *Entry) {
 			}
 		}
 	}
-	c.invMu.Unlock()
 }
 
-// evict enforces the budgets, dropping the entries with the lowest decayed
-// benefit score first (ties broken least-recently-used).
-func (c *Cache) evict() {
-	over := func() bool {
-		if c.cfg.MaxEntries > 0 && int(c.store.count.Load()) > c.cfg.MaxEntries {
-			return true
-		}
-		if c.cfg.MaxBytes > 0 && int(c.store.bytes.Load()) > c.cfg.MaxBytes {
-			return true
-		}
-		return false
-	}
-	if !over() {
-		return
-	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	for over() {
-		now := c.tick.Load()
-		var victim *Entry
-		var victimScore float64
-		c.scoreMu.Lock()
-		for _, e := range c.store.snapshot() {
-			s := c.decayedScoreLocked(e, now)
-			if victim == nil || s < victimScore ||
-				(s == victimScore && e.lastUsed < victim.lastUsed) {
-				victim, victimScore = e, s
-			}
-		}
-		c.scoreMu.Unlock()
-		if victim == nil {
-			return
-		}
-		if c.store.removeIf(victim.Key, victim) {
-			c.deindex(victim)
-			c.bumpStats(func(st *Stats) { st.Evictions++ })
-			c.obs().Counter("hermes_memo_evictions_total").Inc()
+// pickVictim chooses the entry with the lowest decayed benefit score (ties
+// broken least-recently-used) from a store snapshot; the store's budget
+// loop calls it while over budget.
+func (c *Cache) pickVictim(snap []*Entry) (string, *Entry) {
+	now := c.tick.Load()
+	var victim *Entry
+	var victimScore float64
+	c.scoreMu.Lock()
+	for _, e := range snap {
+		s := c.decayedScoreLocked(e, now)
+		if victim == nil || s < victimScore ||
+			(s == victimScore && e.lastUsed < victim.lastUsed) {
+			victim, victimScore = e, s
 		}
 	}
+	c.scoreMu.Unlock()
+	return victim.Key, victim
+}
+
+// evicted unhooks an entry the budget loop removed.
+func (c *Cache) evicted(_ string, e *Entry) {
+	c.invMu.Lock()
+	c.deindexLocked(e)
+	c.invMu.Unlock()
+	c.bumpStats(func(st *Stats) { st.Evictions++ })
+	c.obs().Counter("hermes_memo_evictions_total").Inc()
 }
 
 // Item is one published tuple of an in-progress fill, stamped with the
 // leader clock's reading when it was recorded.
-type Item struct {
-	Vals []term.Value
-	At   time.Duration
-}
+type Item = spool.Item[[]term.Value]
 
 // ReadState is the outcome of FlightReader.Next.
 type ReadState int
@@ -532,49 +499,25 @@ const (
 	ReadItem ReadState = iota
 	// ReadEndCommitted means the fill completed; Result carries its inputs.
 	ReadEndCommitted
-	// ReadEndAborted means the leader abandoned the fill (error or early
-	// close); the follower must evaluate the remainder itself.
+	// ReadEndAborted means the leader abandoned the fill (error, early
+	// close, or a relation over MaxEntryBytes); the follower must evaluate
+	// the remainder itself.
 	ReadEndAborted
 	// ReadCancelled means the follower's own context was cancelled.
 	ReadCancelled
 )
 
-// flight is one in-progress fill: the leader publishes tuples as it
-// records them, followers replay the publication stream. The wake channel
-// is closed and replaced on every state change (the spool pattern).
+// errAborted settles the log of a fill its leader abandoned.
+var errAborted = errors.New("memo: fill aborted")
+
+// flight is one in-progress fill: the leader publishes tuples into log as
+// it records them and followers replay it. inputs and degraded are written
+// by Commit before it settles the log and read only by followers that have
+// observed the settle, so the log's mutex orders them.
 type flight struct {
-	mu        sync.Mutex
-	wake      chan struct{}
-	items     []Item
-	done      bool
-	committed bool
-	inputs    []string
-	degraded  bool
-	endAt     time.Duration
-}
-
-func newFlight() *flight {
-	return &flight{wake: make(chan struct{})}
-}
-
-func (f *flight) publish(it Item) {
-	f.mu.Lock()
-	f.items = append(f.items, it)
-	close(f.wake)
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
-}
-
-func (f *flight) settle(committed bool, inputs []string, degraded bool, endAt time.Duration) {
-	f.mu.Lock()
-	f.done = true
-	f.committed = committed
-	f.inputs = inputs
-	f.degraded = degraded
-	f.endAt = endAt
-	close(f.wake)
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
+	log      spool.Log[[]term.Value]
+	inputs   []string
+	degraded bool
 }
 
 // FlightReader replays an in-progress fill for a follower occurrence.
@@ -590,43 +533,30 @@ type FlightReader struct {
 // (ReadCancelled). The leader never waits on followers, so progress only
 // depends on the leader's own consumer.
 func (r *FlightReader) Next(cancel <-chan struct{}) (Item, ReadState) {
-	for {
-		r.f.mu.Lock()
-		if r.idx < len(r.f.items) {
-			it := r.f.items[r.idx]
-			r.f.mu.Unlock()
-			r.idx++
-			return it, ReadItem
-		}
-		if r.f.done {
-			committed := r.f.committed
-			r.f.mu.Unlock()
-			if committed {
-				return Item{}, ReadEndCommitted
-			}
-			if !r.fellBack {
-				r.fellBack = true
-				r.c.bumpStats(func(st *Stats) { st.FlightFallbacks++ })
-				r.c.obs().Counter("hermes_memo_flight_fallbacks_total").Inc()
-			}
-			return Item{}, ReadEndAborted
-		}
-		wake := r.f.wake
-		r.f.mu.Unlock()
-		select {
-		case <-wake:
-		case <-cancel:
-			return Item{}, ReadCancelled
-		}
+	it, st := r.f.log.Wait(r.idx, cancel)
+	switch st {
+	case spool.Ready:
+		r.idx++
+		return it, ReadItem
+	case spool.Pending:
+		return Item{}, ReadCancelled
 	}
+	if _, err, _ := r.f.log.End(); err == nil {
+		return Item{}, ReadEndCommitted
+	}
+	if !r.fellBack {
+		r.fellBack = true
+		r.c.bumpStats(func(st *Stats) { st.FlightFallbacks++ })
+		r.c.obs().Counter("hermes_memo_flight_fallbacks_total").Inc()
+	}
+	return Item{}, ReadEndAborted
 }
 
 // Result returns the committed fill's inputs, degraded flag and end time.
 // Valid after Next returned ReadEndCommitted.
 func (r *FlightReader) Result() (inputs []string, degraded bool, endAt time.Duration) {
-	r.f.mu.Lock()
-	defer r.f.mu.Unlock()
-	return r.f.inputs, r.f.degraded, r.f.endAt
+	endAt, _, _ = r.f.log.End()
+	return r.f.inputs, r.f.degraded, endAt
 }
 
 // Recording is the leader side of a fill: the engine records every tuple
@@ -664,47 +594,66 @@ func (rec *Recording) Note(callKey string, degraded bool) {
 }
 
 // Add records one emitted tuple and publishes it to any followers. at is
-// the leader clock's reading.
-func (rec *Recording) Add(vals []term.Value, at time.Duration) {
-	rec.mu.Lock()
-	for _, v := range vals {
-		rec.bytes += term.SizeBytes(v)
-	}
-	rec.mu.Unlock()
-	rec.f.publish(Item{Vals: vals, At: at})
-}
-
-// Commit finishes the fill at natural exhaustion: the published tuples
-// become a cache entry (when admitted) and followers see a committed end.
-func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
+// the leader clock's reading. It reports whether the fill is still being
+// recorded: the tuple that takes the relation past MaxEntryBytes aborts the
+// fill instead (counted once as a rejected store), so a relation that could
+// never be admitted is not buffered for the rest of its evaluation.
+func (rec *Recording) Add(vals []term.Value, at time.Duration) bool {
 	rec.mu.Lock()
 	if rec.done {
 		rec.mu.Unlock()
-		return
+		return false
+	}
+	for _, v := range vals {
+		rec.bytes += term.SizeBytes(v)
+	}
+	oversized := rec.c.cfg.MaxEntryBytes > 0 && rec.bytes > rec.c.cfg.MaxEntryBytes
+	rec.mu.Unlock()
+	if oversized {
+		if rec.finish() {
+			rec.c.bumpStats(func(st *Stats) { st.RejectedStores++ })
+			rec.f.log.Settle(errAborted, at)
+		}
+		return false
+	}
+	rec.f.log.Push(vals, at)
+	return true
+}
+
+// finish marks the recording done and frees the key's flight slot for the
+// next prober. It reports false when the recording was already finished.
+func (rec *Recording) finish() bool {
+	rec.mu.Lock()
+	if rec.done {
+		rec.mu.Unlock()
+		return false
 	}
 	rec.done = true
-	inputs := rec.inputs
-	degraded := rec.degraded
-	bytes := rec.bytes
 	rec.mu.Unlock()
-
 	rec.c.flightMu.Lock()
 	if rec.c.flights[rec.key] == rec.f {
 		delete(rec.c.flights, rec.key)
 	}
 	rec.c.flightMu.Unlock()
+	return true
+}
 
-	rec.f.mu.Lock()
-	tuples := make([][]term.Value, len(rec.f.items))
-	for i, it := range rec.f.items {
-		tuples[i] = it.Vals
+// Commit finishes the fill at natural exhaustion: the published tuples
+// become a cache entry (when admitted) and followers see a committed end.
+func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
+	if !rec.finish() {
+		return
 	}
-	rec.f.mu.Unlock()
-	// Settle after snapshotting so followers never see a half-built state.
-	rec.f.settle(true, inputs, degraded, at)
+	rec.mu.Lock()
+	inputs, degraded, bytes := rec.inputs, rec.degraded, rec.bytes
+	rec.mu.Unlock()
 
-	if cost.TAll < rec.c.cfg.MinBenefit ||
-		(rec.c.cfg.MaxEntryBytes > 0 && bytes > rec.c.cfg.MaxEntryBytes) {
+	tuples := rec.f.log.Values()
+	// Settle after snapshotting so followers never see a half-built state.
+	rec.f.inputs, rec.f.degraded = inputs, degraded
+	rec.f.log.Settle(nil, at)
+
+	if cost.TAll < rec.c.cfg.MinBenefit {
 		rec.c.bumpStats(func(st *Stats) { st.RejectedStores++ })
 		return
 	}
@@ -722,17 +671,7 @@ func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
 // stream before exhaustion): nothing is stored, and followers fall back to
 // their own evaluation.
 func (rec *Recording) Abort(at time.Duration) {
-	rec.mu.Lock()
-	if rec.done {
-		rec.mu.Unlock()
-		return
+	if rec.finish() {
+		rec.f.log.Settle(errAborted, at)
 	}
-	rec.done = true
-	rec.mu.Unlock()
-	rec.c.flightMu.Lock()
-	if rec.c.flights[rec.key] == rec.f {
-		delete(rec.c.flights, rec.key)
-	}
-	rec.c.flightMu.Unlock()
-	rec.f.settle(false, nil, false, at)
 }

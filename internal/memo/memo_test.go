@@ -163,6 +163,40 @@ func TestAdmissionThresholds(t *testing.T) {
 	}
 }
 
+// TestOversizedFillAbortsAtCrossingTuple: a relation of three times
+// MaxEntryBytes is not buffered to the end of its evaluation — the Add that
+// crosses the cap settles the fill aborted.
+func TestOversizedFillAbortsAtCrossingTuple(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxEntryBytes = 16 // two ints
+	c := New(cfg)
+	key := fillKey(0)
+	lead, follow := c.Probe(key), c.Probe(key)
+
+	for i := 0; i < 6; i++ {
+		recording := lead.Rec.Add([]term.Value{term.Int(int64(i))}, time.Duration(i)*time.Millisecond)
+		if recording != (i < 2) {
+			t.Fatalf("Add #%d reported recording=%v", i, recording)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if it, st := follow.Reader.Next(nil); st != ReadItem || !term.Equal(it.V[0], term.Int(int64(i))) {
+			t.Fatalf("replay #%d = (%+v, %v)", i, it, st)
+		}
+	}
+	if _, st := follow.Reader.Next(nil); st != ReadEndAborted {
+		t.Fatalf("state after the crossing tuple = %v, want ReadEndAborted", st)
+	}
+	// The flight slot is free again, and the leader's late Commit is a no-op.
+	if res := c.Probe(key); res.Rec == nil {
+		t.Error("probe after the abort should lead a fresh fill")
+	}
+	lead.Rec.Commit(time.Second, domain.CostVector{TAll: time.Second, Card: 6})
+	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 || c.Len() != 0 || c.Serveable(key) {
+		t.Errorf("stats = %+v, Len = %d; want exactly 1 rejected store and nothing stored", st, c.Len())
+	}
+}
+
 func TestEvictionPrefersLowDecayedBenefit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxEntries = 2
@@ -210,11 +244,11 @@ func TestSingleFlightFollowerReplay(t *testing.T) {
 	lead.Rec.Add([]term.Value{term.Int(2)}, 7*time.Millisecond)
 
 	it, st := follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.Vals[0], term.Int(1)) || it.At != 5*time.Millisecond {
+	if st != ReadItem || !term.Equal(it.V[0], term.Int(1)) || it.At != 5*time.Millisecond {
 		t.Fatalf("first replay = (%+v, %v)", it, st)
 	}
 	it, st = follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.Vals[0], term.Int(2)) {
+	if st != ReadItem || !term.Equal(it.V[0], term.Int(2)) {
 		t.Fatalf("second replay = (%+v, %v)", it, st)
 	}
 
@@ -253,7 +287,7 @@ func TestSingleFlightAbortFallsBack(t *testing.T) {
 	lead.Rec.Abort(2 * time.Millisecond)
 
 	it, st := follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.Vals[0], term.Int(1)) {
+	if st != ReadItem || !term.Equal(it.V[0], term.Int(1)) {
 		t.Fatalf("replay before abort = (%+v, %v)", it, st)
 	}
 	if _, st = follow.Reader.Next(nil); st != ReadEndAborted {

@@ -2,9 +2,12 @@
 // repo-relative path the docs mention must exist, every markdown link
 // target must resolve, every CLI flag the docs attribute to one of
 // this repo's binaries must actually be defined by a command under cmd/,
-// and README's hermesd flag table must stay in two-way sync with the
-// flags cmd/hermesd actually defines. CI runs it so README/docs drift
-// fails the build instead of rotting.
+// and three tables must stay in two-way sync with the tree: README's
+// hermesd flag table with the flags cmd/hermesd defines,
+// docs/OBSERVABILITY.md's metric table with the families it registers,
+// and docs/ARCHITECTURE.md's package table with the directories under
+// internal/. CI runs it so README/docs drift fails the build instead of
+// rotting.
 //
 // Usage: go run ./tools/doccheck [-root dir]
 package main
@@ -41,7 +44,7 @@ var (
 	// symbolRe strips a Go symbol qualifier: internal/core.System → internal/core.
 	symbolRe = regexp.MustCompile(`^(.*?)\.[A-Z].*$`)
 	// tableFlagRe matches a README flag-table row's flag cell: | `-memo` | ...
-	tableFlagRe = regexp.MustCompile("^\\|\\s*`-([a-z][a-z0-9-]*)`\\s*\\|")
+	tableFlagRe = regexp.MustCompile("^\\|\\s*`(-[a-z][a-z0-9-]*)`\\s*\\|")
 	// metricDefRe extracts metric family names from cmd/hermesd's
 	// pre-registration (Counter/Gauge/Histogram instantiations and
 	// SetHelp-only families).
@@ -49,46 +52,19 @@ var (
 	// tableMetricRe matches an OBSERVABILITY.md metric-table row's name
 	// cell: | `hermes_queries_total` | ...
 	tableMetricRe = regexp.MustCompile("^\\|\\s*`(hermes_[a-z0-9_]+)`")
+	// tablePackageRe matches an ARCHITECTURE.md package-table row's name
+	// cell: | `internal/cim` | ... (`internal/domains/*` is one row).
+	tablePackageRe = regexp.MustCompile("^\\|\\s*`(internal/[a-z]+)(?:/\\*)?`\\s*\\|")
 )
 
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
-
-	flags, err := definedFlags(*root)
+	problems, err := check(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doccheck:", err)
 		os.Exit(2)
 	}
-
-	var problems []string
-	for _, pattern := range docFiles {
-		matches, err := filepath.Glob(filepath.Join(*root, pattern))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
-		}
-		for _, file := range matches {
-			p, err := checkFile(*root, file, flags)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "doccheck:", err)
-				os.Exit(2)
-			}
-			problems = append(problems, p...)
-		}
-	}
-	p, err := checkFlagSync(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
-	}
-	problems = append(problems, p...)
-	p, err = checkMetricsSync(*root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
-	}
-	problems = append(problems, p...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Println(p)
@@ -99,135 +75,118 @@ func main() {
 	fmt.Println("doccheck: all documentation references resolve")
 }
 
-// definedFlags collects every flag name defined by the commands under
-// cmd/ and tools/, so docs can mention any binary's flags.
-func definedFlags(root string) (map[string]bool, error) {
-	flags := map[string]bool{}
-	for _, pattern := range []string{"cmd/*/*.go", "tools/*/*.go"} {
+func check(root string) ([]string, error) {
+	// Docs may mention any binary's flags, so collect them from every
+	// command under cmd/ and tools/.
+	flags, err := sourceNames(root, flagDefRe, "", "cmd/*/*.go", "tools/*/*.go")
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, pattern := range docFiles {
+		matches, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil {
+			return nil, err
+		}
+		for _, file := range matches {
+			p, err := checkFile(root, file, flags)
+			if err != nil {
+				return nil, err
+			}
+			problems = append(problems, p...)
+		}
+	}
+
+	// Rows for flags of other binaries are stale too — the table is hermesd's.
+	hermesdFlags, err := sourceNames(root, flagDefRe, "-", "cmd/hermesd/*.go")
+	if err != nil {
+		return nil, err
+	}
+	// Families the server registers or names via SetHelp.
+	metrics, err := sourceNames(root, metricDefRe, "", "cmd/hermesd/*.go")
+	if err != nil {
+		return nil, err
+	}
+	packages := map[string]bool{}
+	dirs, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range dirs {
+		if d.IsDir() {
+			packages["internal/"+d.Name()] = true
+		}
+	}
+	for _, t := range []struct {
+		doc     string
+		rowRe   *regexp.Regexp
+		defined map[string]bool
+		stale   string // what a row whose name is not defined is missing
+		missing string // what a defined name without a row is
+	}{
+		{"README.md", tableFlagRe, hermesdFlags, "a flag cmd/hermesd defines", "cmd/hermesd flag"},
+		{"docs/OBSERVABILITY.md", tableMetricRe, metrics, "a family cmd/hermesd registers", "cmd/hermesd metric"},
+		{"docs/ARCHITECTURE.md", tablePackageRe, packages, "a directory under internal/", "directory"},
+	} {
+		p, err := tableSync(root, t.doc, t.rowRe, t.defined, t.stale, t.missing)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, p...)
+	}
+	return problems, nil
+}
+
+// sourceNames collects prefix + every name re captures in the non-test Go
+// sources the glob patterns match.
+func sourceNames(root string, re *regexp.Regexp, prefix string, patterns ...string) (map[string]bool, error) {
+	names := map[string]bool{}
+	for _, pattern := range patterns {
 		srcs, err := filepath.Glob(filepath.Join(root, pattern))
 		if err != nil {
 			return nil, err
 		}
 		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
 			data, err := os.ReadFile(src)
 			if err != nil {
 				return nil, err
 			}
-			for _, m := range flagDefRe.FindAllStringSubmatch(string(data), -1) {
-				flags[m[1]] = true
+			for _, m := range re.FindAllStringSubmatch(string(data), -1) {
+				names[prefix+m[1]] = true
 			}
 		}
 	}
-	return flags, nil
+	return names, nil
 }
 
-// checkFlagSync keeps README's hermesd flag table and cmd/hermesd's flag
-// definitions in two-way sync: a flag defined by the server but missing
-// from the table is undocumented, and a table row whose flag the server
-// no longer defines is stale. (Rows for flags of other binaries would be
-// caught here too — the table is hermesd's.)
-func checkFlagSync(root string) ([]string, error) {
-	defined := map[string]bool{}
-	srcs, err := filepath.Glob(filepath.Join(root, "cmd/hermesd/*.go"))
-	if err != nil {
-		return nil, err
-	}
-	for _, src := range srcs {
-		if strings.HasSuffix(src, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range flagDefRe.FindAllStringSubmatch(string(data), -1) {
-			defined[m[1]] = true
-		}
-	}
-
-	data, err := os.ReadFile(filepath.Join(root, "README.md"))
+// tableSync keeps one documentation table and the set of names the tree
+// defines in two-way sync: a row (a line rowRe matches, capturing the
+// name) that names nothing defined is stale, and a defined name without a
+// row is undocumented.
+func tableSync(root, doc string, rowRe *regexp.Regexp, defined map[string]bool, stale, missing string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(root, doc))
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
 	documented := map[string]bool{}
 	for i, line := range strings.Split(string(data), "\n") {
-		m := tableFlagRe.FindStringSubmatch(line)
+		m := rowRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		documented[m[1]] = true
 		if !defined[m[1]] {
-			problems = append(problems, fmt.Sprintf(
-				"README.md:%d: flag table row %q names a flag cmd/hermesd does not define", i+1, "-"+m[1]))
+			problems = append(problems, fmt.Sprintf("%s:%d: table row %q does not name %s", doc, i+1, m[1], stale))
 		}
 	}
-	var missing []string
-	for f := range defined {
-		if !documented[f] {
-			missing = append(missing, "-"+f)
+	for name := range defined {
+		if !documented[name] {
+			problems = append(problems, fmt.Sprintf("%s: %s %q has no table row", doc, missing, name))
 		}
-	}
-	sort.Strings(missing)
-	for _, f := range missing {
-		problems = append(problems, fmt.Sprintf(
-			"README.md: cmd/hermesd flag %q is missing from the flag table", f))
-	}
-	sort.Strings(problems)
-	return problems, nil
-}
-
-// checkMetricsSync keeps docs/OBSERVABILITY.md's metric table and
-// cmd/hermesd's metric pre-registration in two-way sync: a hermes_*
-// family the server registers (or names via SetHelp) but the table omits
-// is undocumented, and a table row naming a family the server no longer
-// registers is stale.
-func checkMetricsSync(root string) ([]string, error) {
-	defined := map[string]bool{}
-	srcs, err := filepath.Glob(filepath.Join(root, "cmd/hermesd/*.go"))
-	if err != nil {
-		return nil, err
-	}
-	for _, src := range srcs {
-		if strings.HasSuffix(src, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range metricDefRe.FindAllStringSubmatch(string(data), -1) {
-			defined[m[1]] = true
-		}
-	}
-
-	data, err := os.ReadFile(filepath.Join(root, "docs/OBSERVABILITY.md"))
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
-	documented := map[string]bool{}
-	for i, line := range strings.Split(string(data), "\n") {
-		m := tableMetricRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		documented[m[1]] = true
-		if !defined[m[1]] {
-			problems = append(problems, fmt.Sprintf(
-				"docs/OBSERVABILITY.md:%d: metric table row %q names a family cmd/hermesd does not register", i+1, m[1]))
-		}
-	}
-	var missing []string
-	for f := range defined {
-		if !documented[f] {
-			missing = append(missing, f)
-		}
-	}
-	sort.Strings(missing)
-	for _, f := range missing {
-		problems = append(problems, fmt.Sprintf(
-			"docs/OBSERVABILITY.md: cmd/hermesd metric %q is missing from the metric table", f))
 	}
 	sort.Strings(problems)
 	return problems, nil
