@@ -49,16 +49,8 @@ func main() {
 	trace := flag.Bool("trace", false, "print every domain call with how it was served")
 	flag.Parse()
 
-	opts := core.Options{Obs: obs.NewObserver()}
-	if *trace {
-		ecfg := engine.DefaultConfig()
-		ecfg.Trace = func(ev engine.TraceEvent) {
-			fmt.Printf("  [trace %6dms] %-12s %s\n", ev.At.Milliseconds(), ev.Source, ev.Call)
-		}
-		opts.Engine = &ecfg
-	}
-	sys := core.NewSystem(opts)
-	if err := setupDomains(sys, *connect); err != nil {
+	sys, err := newSystem(*connect)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hermes:", err)
 		os.Exit(1)
 	}
@@ -77,7 +69,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	sh := &shell{sys: sys, explain: *explain, interactive: *interactive, limit: *limit}
+	sh := &shell{sys: sys, explain: *explain, interactive: *interactive, limit: *limit, trace: *trace}
 	if *query != "" {
 		if err := sh.runQuery(*query); err != nil {
 			fmt.Fprintln(os.Stderr, "hermes:", err)
@@ -101,12 +93,24 @@ const builtinProgram = `
 	F1 <= G1 & G2 <= F2 => avis:frames_to_objects(V, F1, F2) >= avis:frames_to_objects(V, G1, G2).
 `
 
+// newSystem builds the shell's mediator over either the domains a hermesd
+// at connect hosts or the built-in simulated federation. The clock is
+// chosen before construction: the system hands it to the DCSM (record
+// stamps) as it is built, so it cannot be swapped afterwards.
+func newSystem(connect string) (*core.System, error) {
+	opts := core.Options{Obs: obs.NewObserver()}
+	if connect != "" {
+		// Real distribution: wall-clock timing.
+		opts.Clock = vclock.NewWall()
+	}
+	sys := core.NewSystem(opts)
+	return sys, setupDomains(sys, connect)
+}
+
 // setupDomains registers either remote domains from hermesd or the
 // built-in simulated federation.
 func setupDomains(sys *core.System, connect string) error {
 	if connect != "" {
-		// Real distribution: wall-clock timing.
-		sys.Clock = vclock.NewWall()
 		names, err := remote.DiscoverDomains(connect, 5*time.Second)
 		if err != nil {
 			return fmt.Errorf("discover %s: %w", connect, err)
@@ -140,6 +144,7 @@ type shell struct {
 	explain     bool
 	interactive bool
 	limit       int
+	trace       bool // -trace: list every domain call after the answers
 }
 
 func (sh *shell) repl() {
@@ -253,7 +258,28 @@ func (sh *shell) drain(cur *engine.Cursor) error {
 	}
 	fmt.Printf("%d answers, first in %dms, all in %dms\n",
 		metrics.Answers, metrics.TFirst.Milliseconds(), metrics.TAll.Milliseconds())
+	if sh.trace {
+		printCalls(cur.Span().Snapshot())
+	}
 	return nil
+}
+
+// printCalls lists the domain calls under a finished query span, each with
+// its issue time and the tags saying how it was served (route, cim outcome,
+// serving entry, degraded, breaker, error).
+func printCalls(d obs.SpanData) {
+	if strings.HasPrefix(d.Name, "call ") {
+		served := ""
+		for _, k := range []string{"route", "cim", "serving", "degraded", "breaker", "error"} {
+			if v, ok := d.Tags[k]; ok {
+				served += " " + k + "=" + v
+			}
+		}
+		fmt.Printf("  [trace %6dms] %s%s\n", d.Start.Milliseconds(), strings.TrimPrefix(d.Name, "call "), served)
+	}
+	for _, c := range d.Children {
+		printCalls(c)
+	}
 }
 
 func (sh *shell) printPlans(q string) error {

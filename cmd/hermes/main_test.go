@@ -1,17 +1,20 @@
 package main
 
 import (
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"hermes/internal/core"
+	"hermes/internal/domain"
+	"hermes/internal/domains/avis"
+	"hermes/internal/remote"
 )
 
 func testShell(t *testing.T) *shell {
 	t.Helper()
-	sys := core.NewSystem(core.Options{})
-	if err := setupDomains(sys, ""); err != nil {
+	sys, err := newSystem("")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.LoadProgram(builtinProgram); err != nil {
@@ -107,5 +110,45 @@ func TestShellQueryError(t *testing.T) {
 	sh := testShell(t)
 	if err := sh.runQuery("?- nosuch(X)."); err == nil {
 		t.Error("unknown predicate should error")
+	}
+}
+
+// TestConnectStampsRecordsOnWallClock: a -connect system runs on the wall
+// clock, and the DCSM must stamp its records with that clock — it used to
+// keep the virtual clock the system was first built with, so every record
+// of a real remote session read RecordedAt = 0.
+func TestConnectStampsRecordsOnWallClock(t *testing.T) {
+	store := avis.New("avis")
+	avis.LoadRope(store)
+	reg := domain.NewRegistry()
+	reg.Register(store)
+	srv := remote.NewServer(reg)
+	srv.Logf = func(string, ...any) {}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	sys, err := newSystem(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadProgram(builtinProgram); err != nil {
+		t.Fatal(err)
+	}
+	sh := &shell{sys: sys, trace: true}
+	if err := sh.runQuery("?- actors(A)."); err != nil {
+		t.Fatal(err)
+	}
+	recs := sys.DCSM.Records("avis", "actors", 1)
+	if len(recs) == 0 {
+		t.Fatal("the remote call left no DCSM record")
+	}
+	for _, r := range recs {
+		if r.RecordedAt <= 0 {
+			t.Errorf("record %s stamped RecordedAt = %v, want a wall-clock reading", r.Call, r.RecordedAt)
+		}
 	}
 }

@@ -169,19 +169,26 @@ func main() {
 			log.Fatal(http.ListenAndServe(*httpAddr, h))
 		}()
 	}
+	srv := newServer(reg, node, *traceMaxDepth, *traceMaxBytes, obsSys)
+	log.Printf("hermesd: listening on %s", *addr)
+	log.Fatal(srv.ListenAndServe(*addr))
+}
+
+// newServer builds the TCP side over reg. With an embedded mediator (sys
+// non-nil) the server reports into its observer and serves its debug
+// rollup to peers.
+func newServer(reg *domain.Registry, node string, traceMaxDepth, traceMaxBytes int, sys *core.System) *remote.Server {
 	srv := remote.NewServer(reg)
 	srv.NodeName = node
-	srv.TraceMaxDepth = *traceMaxDepth
-	srv.TraceMaxSubtreeBytes = *traceMaxBytes
-	if obsSys != nil {
-		srv.SetObserver(obsSys.Obs)
-		sys := obsSys
+	srv.TraceMaxDepth = traceMaxDepth
+	srv.TraceMaxSubtreeBytes = traceMaxBytes
+	if sys != nil {
+		srv.SetObserver(sys.Obs)
 		srv.SetDebugInfo(func() ([]byte, error) {
 			return selfInfoJSON(node, sys.Obs, sys)
 		})
 	}
-	log.Printf("hermesd: listening on %s", *addr)
-	log.Fatal(srv.ListenAndServe(*addr))
+	return srv
 }
 
 // mountSpec names one remote mediator domain to mount: the -mount flag's
@@ -304,7 +311,6 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 	if err := sys.LoadProgram(serverProgram); err != nil {
 		return nil, nil, err
 	}
-	preRegisterMetrics(o, doms)
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler(o))
@@ -402,177 +408,6 @@ func writeCalibration(w io.Writer, o *obs.Observer, sys *core.System) {
 		fmt.Fprintf(w, "%-28s %8d %10.2f %10.2f %10.2f %10.2f %8d %7d\n",
 			name, r.Samples, r.MedianQTf, r.MedianQTa, r.MedianQCrd, r.P95QTa, f.records, f.tables)
 	}
-}
-
-// preRegisterMetrics touches every hermes_* metric family so a scrape
-// before any traffic already reports them (at zero) with help texts, and
-// so tools/doccheck's metrics-sync gate has one canonical inventory to
-// hold docs/OBSERVABILITY.md against. Kinds must match the registering
-// packages exactly — the registry panics on a kind mismatch — and
-// gauge/histogram families must be instantiated before SetHelp names
-// them: SetHelp on an unknown family would create it with the default
-// counter kind, and a later Gauge()/Histogram() call on it panics.
-// Families keyed by free-form labels (invariant text) get SetHelp only.
-func preRegisterMetrics(o *obs.Observer, doms []domain.Domain) {
-	// Admission pool.
-	o.Counter("hermes_admission_granted_total")
-	o.Counter("hermes_admission_queued_total")
-	o.Counter("hermes_admission_shed_total")
-	o.Gauge("hermes_admission_inflight_lanes")
-	o.Gauge("hermes_admission_peak_lanes")
-	o.Metrics.Histogram("hermes_admission_wait_ms")
-	// Resilience wrapper, per domain.
-	for _, d := range doms {
-		o.Gauge("hermes_breaker_state", "domain", d.Name())
-		o.Counter("hermes_breaker_rejections_total", "domain", d.Name())
-		o.Counter("hermes_call_retries_total", "domain", d.Name())
-		o.Counter("hermes_call_timeouts_total", "domain", d.Name())
-		o.Counter("hermes_stream_resumes_total", "domain", d.Name())
-		for _, to := range []string{"closed", "open", "half-open"} {
-			o.Counter("hermes_breaker_transitions_total", "domain", d.Name(), "to", to)
-		}
-	}
-	// CIM cache and invariants.
-	for _, outcome := range []string{"exact", "equality", "partial", "miss", "degraded"} {
-		o.Counter("hermes_cim_lookups_total", "outcome", outcome)
-	}
-	o.Counter("hermes_cim_degraded_total")
-	o.Counter("hermes_cim_evictions_total")
-	o.Counter("hermes_cim_singleflight_shares_total")
-	o.Counter("hermes_cim_saved_ms_total")
-	o.Gauge("hermes_cim_inflight_calls")
-	o.Gauge("hermes_cim_entries")
-	o.Gauge("hermes_cim_bytes")
-	// Memo cache.
-	o.Counter("hermes_memo_hits_total")
-	o.Counter("hermes_memo_misses_total")
-	o.Counter("hermes_memo_stores_total")
-	o.Counter("hermes_memo_degraded_stores_total")
-	o.Counter("hermes_memo_degraded_skips_total")
-	o.Counter("hermes_memo_evictions_total")
-	o.Counter("hermes_memo_invalidations_total")
-	o.Counter("hermes_memo_saved_ms_total")
-	o.Counter("hermes_memo_flight_shares_total")
-	o.Counter("hermes_memo_flight_fallbacks_total")
-	o.Gauge("hermes_memo_entries")
-	o.Gauge("hermes_memo_bytes")
-	// Engine and planner.
-	for _, route := range []string{"direct", "cim"} {
-		o.Counter("hermes_engine_calls_total", "route", route)
-	}
-	for _, reason := range []string{"error", "breaker-open"} {
-		o.Counter("hermes_engine_call_errors_total", "reason", reason)
-	}
-	o.Counter("hermes_engine_parallel_unions_total")
-	o.Counter("hermes_engine_parallel_stages_total")
-	o.Gauge("hermes_engine_inflight_branches")
-	o.Counter("hermes_queries_total")
-	o.Counter("hermes_query_answers_total")
-	o.Metrics.Histogram("hermes_query_tfirst_ms")
-	o.Metrics.Histogram("hermes_query_tall_ms")
-	o.Counter("hermes_plan_replans_total")
-	o.Counter("hermes_plan_inflation_applied_total")
-	// Invariant discrimination index.
-	o.Counter("hermes_invindex_candidates_total")
-	o.Counter("hermes_invindex_scans_avoided_total")
-	o.Counter("hermes_invindex_parallel_matches_total")
-	// DCSM statistics and calibration.
-	o.Counter("hermes_dcsm_observations_total")
-	for _, source := range []string{"native", "summary", "raw", "none"} {
-		o.Counter("hermes_dcsm_estimates_total", "source", source)
-	}
-	// Remote wire protocol.
-	o.Counter("hermes_remote_calls_total", "proto", "v2")
-	o.Counter("hermes_remote_sessions_total", "proto", "v2")
-	for _, reason := range []string{"not-hello", "version"} {
-		o.Counter("hermes_remote_refused_total", "reason", reason)
-	}
-	o.Counter("hermes_remote_send_errors_total")
-	o.Counter("hermes_remote_cancels_total")
-	o.Counter("hermes_remote_heartbeats_total")
-	for _, side := range []string{"client", "server"} {
-		o.Counter("hermes_remote_resumes_total", "side", side)
-	}
-	// Federated tracing.
-	o.Counter("hermes_trace_propagated_total")
-	o.Counter("hermes_trace_stitched_total")
-	o.Counter("hermes_trace_dropped_depth_total")
-	o.Counter("hermes_trace_truncated_total")
-	o.Counter("hermes_trace_foreign_subtree_bytes_total")
-	for _, reason := range []string{"decode", "oversize"} {
-		o.Counter("hermes_trace_malformed_total", "reason", reason)
-	}
-	for _, d := range doms {
-		o.Metrics.Histogram("hermes_dcsm_qerror_tf", "domain", d.Name())
-		o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", d.Name())
-		o.Metrics.Histogram("hermes_dcsm_qerror_card", "domain", d.Name())
-	}
-	o.Metrics.SetHelp("hermes_admission_granted_total", "query sessions granted admission lanes")
-	o.Metrics.SetHelp("hermes_admission_queued_total", "query sessions that waited for a free admission lane")
-	o.Metrics.SetHelp("hermes_admission_shed_total", "query sessions shed at a saturated admission pool")
-	o.Metrics.SetHelp("hermes_admission_inflight_lanes", "admission lanes currently held by running sessions")
-	o.Metrics.SetHelp("hermes_admission_peak_lanes", "high-water mark of concurrently held admission lanes")
-	o.Metrics.SetHelp("hermes_admission_wait_ms", "milliseconds sessions spent queued for admission")
-	o.Metrics.SetHelp("hermes_breaker_rejections_total", "calls rejected by an open per-domain circuit breaker")
-	o.Metrics.SetHelp("hermes_breaker_transitions_total", "circuit breaker state transitions, by domain and target state")
-	o.Metrics.SetHelp("hermes_call_retries_total", "domain call retries by the resilience wrapper")
-	o.Metrics.SetHelp("hermes_call_timeouts_total", "domain calls abandoned at the per-call timeout")
-	o.Metrics.SetHelp("hermes_stream_resumes_total", "answer streams resumed mid-stream after a transport failure")
-	o.Metrics.SetHelp("hermes_cim_evictions_total", "cache entries evicted by the CIM replacement policy")
-	o.Metrics.SetHelp("hermes_cim_entries", "answer sets currently cached by the CIM")
-	o.Metrics.SetHelp("hermes_cim_bytes", "bytes of cached answer sets held by the CIM")
-	o.Metrics.SetHelp("hermes_cim_invariant_hits_total", "cache servings proved by an invariant, by invariant text")
-	o.Metrics.SetHelp("hermes_engine_calls_total", "domain calls issued by the engine, by route (direct or via the CIM)")
-	o.Metrics.SetHelp("hermes_engine_call_errors_total", "domain calls that failed, by reason")
-	o.Metrics.SetHelp("hermes_query_answers_total", "answers produced across all queries")
-	o.Metrics.SetHelp("hermes_query_tfirst_ms", "milliseconds to each query's first answer")
-	o.Metrics.SetHelp("hermes_query_tall_ms", "milliseconds to each query's last answer")
-	o.Metrics.SetHelp("hermes_dcsm_observations_total", "completed call measurements folded into DCSM statistics")
-	o.Metrics.SetHelp("hermes_dcsm_estimates_total", "cost estimates served, by source (native, summary, raw, none)")
-	o.Metrics.SetHelp("hermes_trace_propagated_total", "remote calls sent with federated trace context")
-	o.Metrics.SetHelp("hermes_trace_stitched_total", "peer span subtrees stitched under local call spans")
-	o.Metrics.SetHelp("hermes_trace_dropped_depth_total", "serve subtrees withheld because the call exceeded the hop-depth limit")
-	o.Metrics.SetHelp("hermes_trace_truncated_total", "serve subtrees pruned to the -trace-max-subtree-bytes budget before shipping")
-	o.Metrics.SetHelp("hermes_trace_foreign_subtree_bytes_total", "bytes of peer span subtrees received in trace frames")
-	o.Metrics.SetHelp("hermes_trace_malformed_total", "peer span subtrees dropped instead of stitched, by reason")
-	o.Metrics.SetHelp("hermes_dcsm_qerror_tf", "q-error of DCSM first-answer time estimates vs measured calls")
-	o.Metrics.SetHelp("hermes_dcsm_qerror_ta", "q-error of DCSM total-time estimates vs measured calls")
-	o.Metrics.SetHelp("hermes_dcsm_qerror_card", "q-error of DCSM cardinality estimates vs measured calls")
-	o.Metrics.SetHelp("hermes_cim_saved_ms_total", "estimated milliseconds of source work avoided by cache and invariant hits")
-	o.Metrics.SetHelp("hermes_cim_lookups_total", "CIM cache probes by serving outcome")
-	o.Metrics.SetHelp("hermes_cim_degraded_total", "responses served purely from cache because the source was down")
-	o.Metrics.SetHelp("hermes_cim_singleflight_shares_total", "concurrent identical or invariant-equivalent calls served by one in-flight source fetch")
-	o.Metrics.SetHelp("hermes_cim_inflight_calls", "source calls currently in flight through the CIM")
-	o.Metrics.SetHelp("hermes_memo_hits_total", "IDB subgoals served by replaying a memoized intermediate relation")
-	o.Metrics.SetHelp("hermes_memo_misses_total", "memo probes that fell through to subgoal evaluation")
-	o.Metrics.SetHelp("hermes_memo_stores_total", "intermediate relations admitted into the memo cache")
-	o.Metrics.SetHelp("hermes_memo_degraded_stores_total", "memo entries admitted in quarantine because a contributing source call was degraded")
-	o.Metrics.SetHelp("hermes_memo_degraded_skips_total", "memo probes that found only a quarantined degraded entry and re-evaluated")
-	o.Metrics.SetHelp("hermes_memo_evictions_total", "memo entries evicted by the benefit-driven policy")
-	o.Metrics.SetHelp("hermes_memo_invalidations_total", "memo entries dropped because a contributing domain call was refreshed, evicted, or degraded")
-	o.Metrics.SetHelp("hermes_memo_saved_ms_total", "estimated milliseconds of re-evaluation avoided by memo hits")
-	o.Metrics.SetHelp("hermes_memo_flight_shares_total", "concurrent identical subgoals that shared one in-flight memo fill")
-	o.Metrics.SetHelp("hermes_memo_flight_fallbacks_total", "memo flight followers that re-evaluated after their leader aborted")
-	o.Metrics.SetHelp("hermes_memo_entries", "intermediate relations currently memoized")
-	o.Metrics.SetHelp("hermes_memo_bytes", "bytes of memoized intermediate relations")
-	o.Metrics.SetHelp("hermes_engine_parallel_unions_total", "rule unions executed as parallel merges")
-	o.Metrics.SetHelp("hermes_engine_parallel_stages_total", "independent-sibling prefetch stages started")
-	o.Metrics.SetHelp("hermes_engine_inflight_branches", "parallel pipeline branches currently running")
-	o.Metrics.SetHelp("hermes_queries_total", "queries executed by the embedded mediator")
-	o.Metrics.SetHelp("hermes_plan_replans_total", "union lanes that abandoned their body order mid-query for a cheaper one")
-	o.Metrics.SetHelp("hermes_plan_inflation_applied_total", "plan choices whose winning estimate carried q-error or cold-start cost inflation")
-	o.Metrics.SetHelp("hermes_invindex_candidates_total", "invariants returned by discrimination-index probes (bucket sizes summed)")
-	o.Metrics.SetHelp("hermes_invindex_scans_avoided_total", "registered invariants index probes skipped versus a full linear scan")
-	o.Metrics.SetHelp("hermes_invindex_parallel_matches_total", "equality probes whose candidate bucket fanned out across scheduler lanes")
-	o.Metrics.SetHelp("hermes_remote_calls_total", "domain calls served over the wire protocol")
-	o.Metrics.SetHelp("hermes_remote_sessions_total", "streaming sessions negotiated")
-	o.Metrics.SetHelp("hermes_remote_refused_total", "stale peers refused at the first line, by reason (not-hello: no hello first; version: no common version)")
-	o.Metrics.SetHelp("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors)")
-	o.Metrics.SetHelp("hermes_remote_cancels_total", "per-call cancel frames honoured by the server")
-	o.Metrics.SetHelp("hermes_remote_heartbeats_total", "heartbeat frames echoed to keep idle sessions verifiably alive")
-	o.Metrics.SetHelp("hermes_remote_resumes_total", "mid-stream resumes of broken remote answer streams, by side")
-	o.Metrics.SetHelp("hermes_remote_dials_total", "TCP dials to remote domain servers, by outcome")
-	o.Metrics.SetHelp("hermes_breaker_state", "per-domain circuit breaker state: 0 closed, 1 open, 2 half-open")
 }
 
 // BuildDomains assembles the full demonstration federation.

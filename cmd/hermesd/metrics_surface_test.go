@@ -1,0 +1,119 @@
+package main
+
+import (
+	"os"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"hermes/internal/domain"
+	"hermes/internal/memo"
+	"hermes/internal/remote"
+	"hermes/internal/resilience"
+)
+
+// surfaceDelta is every difference between the series a freshly wired
+// daemon lists and testdata/metrics_surface.golden, which is the parent
+// commit's list (what its preRegisterMetrics produced for this wiring).
+var surfaceDelta = map[string]string{
+	// A mount's dial tallies are attached when the client is wired, so they
+	// list at zero; the parent created them at the first dial.
+	`hermes_remote_dials_total{domain="peer",outcome="error"}`: "added",
+	`hermes_remote_dials_total{domain="peer",outcome="ok"}`:    "added",
+	// The parent pre-registered an unlabeled series nothing ever bumped:
+	// failed frame writes count under {frame="..."}, created as they occur.
+	`hermes_remote_send_errors_total`: "removed",
+}
+
+// TestFreshDaemonMetricSurface: the metric surface now follows from wiring
+// alone. A daemon wired the way main wires it — embedded mediator with
+// admission pool and memo, remote.Server, one -mount client — lists, before
+// any traffic, exactly the families of docs/OBSERVABILITY.md's table, each
+// with # TYPE and a non-empty # HELP, and the golden's series, all at zero.
+func TestFreshDaemonMetricSurface(t *testing.T) {
+	doms := BuildDomains()
+	reg := domain.NewRegistry()
+	for _, d := range doms {
+		reg.Register(d)
+	}
+	mounts := buildMounts([]mountSpec{{name: "peer", addr: "127.0.0.1:1"}})
+	for _, m := range mounts {
+		reg.Register(resilience.Wrap(m, resilience.DefaultPolicy()))
+		doms = append(doms, m)
+	}
+	mcfg := memo.DefaultConfig()
+	_, sys, err := newObsHandler(doms, obsOptions{MaxInflight: 4, Memo: &mcfg, CalQuantile: 0.9, ColdInflate: 1.5, NodeName: "n", Mounts: mounts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newServer(reg, "n", remote.DefaultTraceMaxDepth, remote.DefaultTraceMaxSubtreeBytes, sys)
+
+	var sb strings.Builder
+	if err := sys.Obs.Metrics.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	helped := map[string]bool{}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "# HELP "):
+			helped[f[2]] = len(f) > 3
+		case strings.HasPrefix(line, "# TYPE "):
+			if !helped[f[2]] {
+				t.Errorf("family %s has no # HELP text", f[2])
+			}
+			got = append(got, line)
+		default:
+			i := strings.LastIndexByte(line, ' ')
+			if line[i+1:] != "0" {
+				t.Errorf("series not at zero before traffic: %s", line)
+			}
+			got = append(got, line[:i])
+		}
+	}
+
+	golden, err := os.ReadFile("testdata/metrics_surface.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		want[line] = true
+	}
+	seen := map[string]bool{}
+	for _, line := range got {
+		seen[line] = true
+		if !want[line] && surfaceDelta[line] != "added" {
+			t.Errorf("lists %q, which the parent's surface does not", line)
+		}
+	}
+	for line := range want {
+		if !seen[line] && surfaceDelta[line] != "removed" {
+			t.Errorf("does not list %q, which the parent's surface does", line)
+		}
+	}
+	for line, how := range surfaceDelta {
+		if (how == "added") != seen[line] || (how == "removed") != want[line] {
+			t.Errorf("surfaceDelta says %q is %s, but listed=%v golden=%v", line, how, seen[line], want[line])
+		}
+	}
+
+	// The families are exactly the documented ones.
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented, families []string
+	for _, m := range regexp.MustCompile("(?m)^\\|\\s*`(hermes_[a-z0-9_]+)`").FindAllStringSubmatch(string(doc), -1) {
+		documented = append(documented, m[1])
+	}
+	for fam := range helped {
+		families = append(families, fam)
+	}
+	sort.Strings(documented)
+	sort.Strings(families)
+	if strings.Join(documented, "\n") != strings.Join(families, "\n") {
+		t.Errorf("families listed by a fresh daemon differ from docs/OBSERVABILITY.md's table:\nlisted:     %v\ndocumented: %v", families, documented)
+	}
+}

@@ -113,16 +113,16 @@ type Pool struct {
 	free     int
 	sessions map[*Lease]struct{}
 	queue    []*waiter
-	stats    Stats
+	peak     int // high-water mark of held lanes
 
 	// lastFree is the latest execution-clock reading at which a lane was
 	// returned, used to stamp grants to queued sessions so waiting costs
 	// virtual time.
 	lastFree time.Duration
 
-	granted, queued, shed *obs.Counter
-	occupancy, peak       *obs.Gauge
-	waitMS                *obs.Histogram
+	// Tallies, bumped at the event site and read by Stats and the registry.
+	granted, queued, shed obs.Counter
+	waitMS                obs.Histogram
 }
 
 // NewPool builds a pool of cfg.MaxInflight lanes.
@@ -137,30 +137,20 @@ func NewPool(cfg Config) *Pool {
 	}
 }
 
-// SetObserver wires the pool's metrics into an observer: the occupancy and
-// peak gauges and the granted/queued/shed counters all pre-register at
-// zero so a scrape before traffic already reports them. Nil-safe.
+// SetObserver attaches the pool's tallies to the observer's metrics
+// registry: the hermes_admission_* families are declared here and nowhere
+// else. The lane gauges read the pool at scrape time. Nil-safe.
 func (p *Pool) SetObserver(o *obs.Observer) {
-	if p == nil || o == nil {
+	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.granted = o.Counter("hermes_admission_granted_total")
-	p.queued = o.Counter("hermes_admission_queued_total")
-	p.shed = o.Counter("hermes_admission_shed_total")
-	p.occupancy = o.Gauge("hermes_admission_inflight_lanes")
-	p.peak = o.Gauge("hermes_admission_peak_lanes")
-	p.waitMS = o.Histogram("hermes_admission_wait_ms")
-	o.Metrics.SetHelp("hermes_admission_granted_total", "evaluation lanes granted by the server-wide admission pool")
-	o.Metrics.SetHelp("hermes_admission_queued_total", "query sessions that waited for an admission lane")
-	o.Metrics.SetHelp("hermes_admission_shed_total", "query sessions shed with ErrOverloaded at a saturated pool")
-	o.Metrics.SetHelp("hermes_admission_inflight_lanes", "evaluation lanes currently held across all sessions")
-	o.Metrics.SetHelp("hermes_admission_peak_lanes", "high-water mark of concurrently held lanes")
-	o.Metrics.SetHelp("hermes_admission_wait_ms", "execution-clock time sessions spent queued for admission")
-	p.granted.Add(0)
-	p.occupancy.Set(float64(p.cfg.MaxInflight - p.free))
-	p.peak.Set(float64(p.stats.Peak))
+	r := o.Registry()
+	r.AttachCounter("hermes_admission_granted_total", "evaluation lanes granted by the server-wide admission pool", p.granted.Value)
+	r.AttachCounter("hermes_admission_queued_total", "query sessions that waited for an admission lane", p.queued.Value)
+	r.AttachCounter("hermes_admission_shed_total", "query sessions shed with ErrOverloaded at a saturated pool", p.shed.Value)
+	r.AttachGauge("hermes_admission_inflight_lanes", "evaluation lanes currently held across all sessions", func() float64 { return float64(p.Stats().Occupancy) })
+	r.AttachGauge("hermes_admission_peak_lanes", "high-water mark of concurrently held lanes", func() float64 { return float64(p.Stats().Peak) })
+	r.AttachHistogram("hermes_admission_wait_ms", "execution-clock time sessions spent queued for admission", &p.waitMS)
 }
 
 // Capacity returns the pool's lane bound.
@@ -173,23 +163,23 @@ func (p *Pool) Policy() Policy { return p.cfg.Policy }
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.stats
-	s.Occupancy = p.cfg.MaxInflight - p.free
-	s.Waiting = len(p.queue)
-	return s
+	return Stats{
+		Granted:   p.granted.Value(),
+		Queued:    p.queued.Value(),
+		Shed:      p.shed.Value(),
+		Occupancy: p.cfg.MaxInflight - p.free,
+		Peak:      p.peak,
+		Waiting:   len(p.queue),
+	}
 }
 
-// takeLocked moves n lanes from free to held and maintains the gauges.
+// takeLocked moves n lanes from free to held and maintains the peak.
 func (p *Pool) takeLocked(n int) {
 	p.free -= n
-	p.stats.Granted += int64(n)
 	p.granted.Add(int64(n))
-	occ := p.cfg.MaxInflight - p.free
-	if occ > p.stats.Peak {
-		p.stats.Peak = occ
-		p.peak.Set(float64(occ))
+	if occ := p.cfg.MaxInflight - p.free; occ > p.peak {
+		p.peak = occ
 	}
-	p.occupancy.Set(float64(occ))
 }
 
 // returnLocked gives n lanes back at clock reading now and hands as many
@@ -205,7 +195,6 @@ func (p *Pool) returnLocked(n int, now time.Duration) {
 	if now > p.lastFree {
 		p.lastFree = now
 	}
-	p.occupancy.Set(float64(p.cfg.MaxInflight - p.free))
 	for p.free > 0 && len(p.queue) > 0 {
 		w := p.queue[0]
 		p.queue = p.queue[1:]
@@ -251,7 +240,6 @@ func (p *Pool) Admit(weight int, now func() time.Duration, cancel <-chan struct{
 		return l, nil
 	}
 	if p.cfg.Policy == PolicyShed || (p.cfg.MaxQueue > 0 && len(p.queue) >= p.cfg.MaxQueue) {
-		p.stats.Shed++
 		p.shed.Inc()
 		err := p.overloadErr()
 		p.mu.Unlock()
@@ -260,7 +248,6 @@ func (p *Pool) Admit(weight int, now func() time.Duration, cancel <-chan struct{
 	w := &waiter{lease: l, ready: make(chan struct{})}
 	p.queue = append(p.queue, w)
 	p.sessions[l] = struct{}{} // waiters count toward fair shares
-	p.stats.Queued++
 	p.queued.Inc()
 	p.mu.Unlock()
 

@@ -372,6 +372,51 @@ func TestObserverMetrics(t *testing.T) {
 	}
 }
 
+// TestExportedFamiliesEqualStats: a grant, a queued session that waits and
+// a shed one move every hermes_admission_* family, and each equals the
+// Stats field it shares a tally with, read by name. A handle declared but
+// never attached leaves its family at zero and fails here.
+func TestExportedFamiliesEqualStats(t *testing.T) {
+	p := NewPool(Config{MaxInflight: 1, Policy: PolicyWait, MaxQueue: 1})
+	o := obs.NewObserver()
+	p.SetObserver(o)
+	first, err := p.Admit(1, fixedNow(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan *Lease)
+	go func() {
+		l, _ := p.Admit(1, fixedNow(0), nil)
+		queued <- l
+	}()
+	waitFor(t, func() bool { return p.Stats().Waiting == 1 })
+	if _, err := p.Admit(1, fixedNow(0), nil); !domain.IsOverloaded(err) {
+		t.Fatalf("admit past the queue bound: err = %v, want ErrOverloaded", err)
+	}
+	first.Close()
+	second := <-queued
+	st := p.Stats()
+	for name, want := range map[string]int64{
+		"hermes_admission_granted_total": st.Granted,
+		"hermes_admission_queued_total":  st.Queued,
+		"hermes_admission_shed_total":    st.Shed,
+	} {
+		if got := o.Counter(name).Value(); got != want || got == 0 {
+			t.Errorf("%s = %d, Stats says %d (and the workload must move it)", name, got, want)
+		}
+	}
+	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != float64(st.Occupancy) || got != 1 {
+		t.Errorf("inflight gauge = %g, Stats says %d, want 1", got, st.Occupancy)
+	}
+	if got := o.Gauge("hermes_admission_peak_lanes").Value(); got != float64(st.Peak) || got != 1 {
+		t.Errorf("peak gauge = %g, Stats says %d, want 1", got, st.Peak)
+	}
+	if got := o.Histogram("hermes_admission_wait_ms").Count(); got != 1 {
+		t.Errorf("hermes_admission_wait_ms count = %d, want 1 (the queued session)", got)
+	}
+	second.Close()
+}
+
 func TestNilSafety(t *testing.T) {
 	var p *Pool
 	p.SetObserver(nil)

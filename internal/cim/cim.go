@@ -15,8 +15,9 @@
 // cache map is sharded (internal/shardmap) so lookups from different
 // branches do not serialize behind one lock, and concurrent misses on the
 // same call coalesce into a single source fetch (flight.go). Locks are
-// split by concern — stats, invariants, hooks, eviction, flights — and none
-// is held while clock time is charged or a source is called.
+// split by concern — invariants, hooks, eviction, flights — and none is held
+// while clock time is charged or a source is called; activity is tallied in
+// lock-free counters.
 package cim
 
 import (
@@ -139,7 +140,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats count CIM activity.
+// Stats count CIM activity: a view of the manager's tallies, one atomic
+// read per field and not one critical section — read it after the workload
+// quiesces when the fields must add up.
 type Stats struct {
 	ExactHits            int
 	EqualityHits         int
@@ -147,8 +150,8 @@ type Stats struct {
 	Misses               int
 	UnavailableFallbacks int
 	// DegradedServes counts responses served purely from cache because
-	// the source was down (subset of UnavailableFallbacks that produced a
-	// degraded-tagged response).
+	// the source was down. Every fallback produces a degraded-tagged
+	// response, so it and UnavailableFallbacks read the same tally.
 	DegradedServes  int
 	Evictions       int
 	StoredEntries   int
@@ -192,8 +195,13 @@ type Manager struct {
 	store   *shardmap.Map[*Entry]
 	counter atomic.Int64
 
-	statsMu sync.Mutex
-	stats   Stats
+	// Tallies, bumped at the event site and read by Stats and the registry.
+	lookups                        [len(outcomeNames)]obs.Counter // by serving Source
+	degradedServes, evictions      obs.Counter
+	storedEntries, servedFromCache obs.Counter
+	singleFlightShares, savedNS    obs.Counter
+	idxCandidates, idxScansAvoided obs.Counter
+	idxParallelMatches             obs.Counter
 
 	// idx is the shared invariant + cached-call discrimination index:
 	// equality/partial probes, flight attachment and cache scans consult
@@ -207,8 +215,9 @@ type Manager struct {
 	hookMu sync.RWMutex
 	// onMeasure observes completed actual calls (wired to the DCSM).
 	onMeasure func(domain.Measurement)
-	// ob receives CIM metrics and per-call span tags (nil = off).
-	ob *obs.Observer
+	// metrics is where the per-invariant hit counters, whose label is
+	// free-form invariant text, are bumped by name (nil = off).
+	metrics *obs.Registry
 	// costModel prices the source call a cache hit avoided (wired to the
 	// DCSM estimator; nil = use the serving entry's observed cost).
 	costModel func(domain.Pattern) (domain.CostVector, bool)
@@ -240,21 +249,43 @@ func New(caller Caller, cfg Config) *Manager {
 	return m
 }
 
-// SetObserver installs the observability sink: lookup outcome counters,
-// cache occupancy gauges, and outcome tags (cim=exact|equality|partial|miss,
-// degraded, serving) on the span each call's Ctx carries.
-func (m *Manager) SetObserver(o *obs.Observer) {
-	m.hookMu.Lock()
-	defer m.hookMu.Unlock()
-	m.ob = o
+// outcomeNames are how a probe's serving Source reads as the outcome label
+// of hermes_cim_lookups_total and the cim= tag on the call's span.
+var outcomeNames = [...]string{
+	SourceActual:        "miss",
+	SourceCacheExact:    "exact",
+	SourceCacheEquality: "equality",
+	SourceCachePartial:  "partial",
+	SourceCacheDegraded: "degraded",
 }
 
-// obs returns the installed observer (nil-safe: a nil Observer's methods
-// are no-ops).
-func (m *Manager) obs() *obs.Observer {
-	m.hookMu.RLock()
-	defer m.hookMu.RUnlock()
-	return m.ob
+// SetObserver attaches the manager's tallies to the observer's metrics
+// registry: the hermes_cim_* and hermes_invindex_* families are declared
+// here and nowhere else. The occupancy gauges read the store, and the
+// in-flight gauge the flight index, at scrape time.
+func (m *Manager) SetObserver(o *obs.Observer) {
+	r := o.Registry()
+	m.hookMu.Lock()
+	m.metrics = r
+	m.hookMu.Unlock()
+	for i := range m.lookups {
+		r.AttachCounter("hermes_cim_lookups_total", "CIM cache probes by serving outcome", m.lookups[i].Value, "outcome", outcomeNames[i])
+	}
+	r.AttachCounter("hermes_cim_degraded_total", "responses served purely from cache because the source was down", m.degradedServes.Value)
+	r.AttachCounter("hermes_cim_evictions_total", "cache entries evicted by the CIM replacement policy", m.evictions.Value)
+	r.AttachCounter("hermes_cim_singleflight_shares_total", "concurrent identical or invariant-equivalent calls served by one in-flight source fetch", m.singleFlightShares.Value)
+	r.AttachCounter("hermes_cim_saved_ms_total", "estimated milliseconds of source work avoided by cache and invariant hits", func() int64 { return time.Duration(m.savedNS.Value()).Milliseconds() })
+	r.DeclareCounter("hermes_cim_invariant_hits_total", "cache servings proved by an invariant, by invariant text")
+	r.AttachGauge("hermes_cim_entries", "answer sets currently cached by the CIM", func() float64 { return float64(m.store.Len()) })
+	r.AttachGauge("hermes_cim_bytes", "bytes of cached answer sets held by the CIM", func() float64 { return float64(m.store.Bytes()) })
+	r.AttachGauge("hermes_cim_inflight_calls", "source calls currently in flight through the CIM", func() float64 {
+		m.flightMu.Lock()
+		defer m.flightMu.Unlock()
+		return float64(len(m.flights))
+	})
+	r.AttachCounter("hermes_invindex_candidates_total", "invariants returned by discrimination-index probes (bucket sizes summed)", m.idxCandidates.Value)
+	r.AttachCounter("hermes_invindex_scans_avoided_total", "registered invariants index probes skipped versus a full linear scan", m.idxScansAvoided.Value)
+	r.AttachCounter("hermes_invindex_parallel_matches_total", "equality probes whose candidate bucket fanned out across scheduler lanes", m.idxParallelMatches.Value)
 }
 
 // SetOnInvalidate installs the invalidation observer: fn is called with a
@@ -286,30 +317,16 @@ func (m *Manager) measureHook() func(domain.Measurement) {
 	return m.onMeasure
 }
 
-// bumpStats applies one update to the activity counters.
-func (m *Manager) bumpStats(fn func(*Stats)) {
-	m.statsMu.Lock()
-	fn(&m.stats)
-	m.statsMu.Unlock()
-}
-
 // lookup counts one cache probe outcome and tags the call's span with it.
-func (m *Manager) lookup(ctx *domain.Ctx, outcome string) {
-	m.obs().Counter("hermes_cim_lookups_total", "outcome", outcome).Inc()
-	ctx.Span.SetTag("cim", outcome)
-}
-
-// occupancy refreshes the cache-size gauges.
-func (m *Manager) occupancy() {
-	o := m.obs()
-	o.Gauge("hermes_cim_entries").Set(float64(m.store.Len()))
-	o.Gauge("hermes_cim_bytes").Set(float64(m.store.Bytes()))
+func (m *Manager) lookup(ctx *domain.Ctx, served Source) {
+	m.lookups[served].Inc()
+	ctx.Span.SetTag("cim", outcomeNames[served])
 }
 
 // degraded counts a degraded (cache-only, source down) serve and marks the
 // call's span.
 func (m *Manager) degraded(ctx *domain.Ctx) {
-	m.obs().Counter("hermes_cim_degraded_total").Inc()
+	m.degradedServes.Inc()
 	ctx.Span.SetTag("degraded", "true")
 }
 
@@ -355,11 +372,21 @@ func (m *Manager) InvariantCoverage(dom, fn string, arity int) bool {
 // pre-index oracle.
 func (m *Manager) LinearScans() int64 { return m.linearScans.Load() }
 
-// Stats returns a snapshot of the activity counters.
+// Stats returns the activity counters.
 func (m *Manager) Stats() Stats {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	return m.stats
+	degraded := int(m.degradedServes.Value())
+	return Stats{
+		ExactHits:            int(m.lookups[SourceCacheExact].Value()),
+		EqualityHits:         int(m.lookups[SourceCacheEquality].Value()),
+		PartialHits:          int(m.lookups[SourceCachePartial].Value()),
+		Misses:               int(m.lookups[SourceActual].Value()),
+		UnavailableFallbacks: degraded,
+		DegradedServes:       degraded,
+		Evictions:            int(m.evictions.Value()),
+		StoredEntries:        int(m.storedEntries.Value()),
+		ServedFromCache:      int(m.servedFromCache.Value()),
+		SingleFlightShares:   int(m.singleFlightShares.Value()),
+	}
 }
 
 // Len returns the number of cached entries.
@@ -377,7 +404,6 @@ func (m *Manager) Clear() {
 	for _, e := range dropped {
 		m.invalidate(e.Call.Key())
 	}
-	m.occupancy()
 }
 
 // Lookup returns the cached entry for a call, if any, without charging any
@@ -405,9 +431,8 @@ func (m *Manager) storeEntry(c domain.Call, answers []term.Value, complete bool,
 		// the miss that produced it is itself feeding an in-progress fill.
 		m.invalidate(c.Key())
 	}
-	m.bumpStats(func(st *Stats) { st.StoredEntries++ })
+	m.storedEntries.Inc()
 	m.store.Evict()
-	m.occupancy()
 }
 
 // pickVictim chooses the entry the configured policy evicts first from a
@@ -426,8 +451,7 @@ func (m *Manager) pickVictim(snap []*Entry) (string, *Entry) {
 func (m *Manager) evicted(key string, e *Entry) {
 	m.idx.RemoveCall(e.Call)
 	m.invalidate(key)
-	m.bumpStats(func(st *Stats) { st.Evictions++ })
-	m.obs().Counter("hermes_cim_evictions_total").Inc()
+	m.evictions.Inc()
 }
 
 // evictBefore reports whether a should be evicted before b under the
@@ -485,11 +509,8 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	// 1. Exact hit on a complete entry.
 	if e, ok := m.store.Get(call.Key()); ok && e.Complete {
 		m.touch(e)
-		m.bumpStats(func(st *Stats) {
-			st.ExactHits++
-			st.ServedFromCache += len(e.Answers)
-		})
-		m.lookup(ctx, "exact")
+		m.servedFromCache.Add(int64(len(e.Answers)))
+		m.lookup(ctx, SourceCacheExact)
 		m.credit(ctx, call, e, nil, true)
 		return &Response{
 			Stream:        m.cacheStream(ctx, e.Answers),
@@ -503,11 +524,8 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	// identical answer set.
 	if e, inv := m.findEquality(ctx, call); e != nil {
 		m.touch(e)
-		m.bumpStats(func(st *Stats) {
-			st.EqualityHits++
-			st.ServedFromCache += len(e.Answers)
-		})
-		m.lookup(ctx, "equality")
+		m.servedFromCache.Add(int64(len(e.Answers)))
+		m.lookup(ctx, SourceCacheEquality)
 		ctx.Span.SetTag("serving", e.Call.String())
 		m.credit(ctx, call, e, inv, true)
 		return &Response{
@@ -522,11 +540,8 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	// whose answers are a sound partial answer for ours.
 	if e, inv := m.findPartial(ctx, call); e != nil {
 		m.touch(e)
-		m.bumpStats(func(st *Stats) {
-			st.PartialHits++
-			st.ServedFromCache += len(e.Answers)
-		})
-		m.lookup(ctx, "partial")
+		m.servedFromCache.Add(int64(len(e.Answers)))
+		m.lookup(ctx, SourceCachePartial)
 		ctx.Span.SetTag("serving", e.Call.String())
 		// Hits only, no savings: the actual call still runs to complete
 		// the partial answer.
@@ -537,8 +552,7 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	// 4. Miss: actual call. When the source is unreachable (including an
 	// open circuit breaker, which wraps domain.ErrUnavailable), degrade
 	// to whatever sound answers the cache holds instead of failing.
-	m.bumpStats(func(st *Stats) { st.Misses++ })
-	m.lookup(ctx, "miss")
+	m.lookup(ctx, SourceActual)
 	stream, err := m.actualStream(ctx, call)
 	if err != nil {
 		if m.cfg.FallbackOnUnavailable && isUnavailable(err) {
@@ -571,12 +585,8 @@ func (m *Manager) Degrade(ctx *domain.Ctx, call domain.Call) (*Response, bool) {
 		return nil, false
 	}
 	m.touch(e)
-	m.bumpStats(func(st *Stats) {
-		st.UnavailableFallbacks++
-		st.DegradedServes++
-		st.ServedFromCache += len(e.Answers)
-	})
-	m.lookup(ctx, "degraded")
+	m.servedFromCache.Add(int64(len(e.Answers)))
+	m.lookup(ctx, SourceCacheDegraded)
 	m.degraded(ctx)
 	ctx.Span.SetTag("serving", e.Call.String())
 	// Hits only, no savings: with the source down there was no working
@@ -598,8 +608,7 @@ func (m *Manager) Degrade(ctx *domain.Ctx, call domain.Call) (*Response, bool) {
 // (fast first answers), then the actual call's remaining answers
 // deduplicated against them. With ParallelActual the actual call is
 // accounted on a clock forked at request time, so its latency overlaps the
-// cached phase. No manager lock is held anywhere in the stream path — the
-// stats counters have their own mutex.
+// cached phase. No manager lock is held anywhere in the stream path.
 func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *Entry) *Response {
 	cached := e.Answers
 	seed := make(map[string]struct{}, len(cached))
@@ -637,10 +646,6 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 		}
 		if actualErr != nil {
 			if unavailableOK && isUnavailable(actualErr) {
-				m.bumpStats(func(st *Stats) {
-					st.UnavailableFallbacks++
-					st.DegradedServes++
-				})
 				m.degraded(ctx)
 				resp.Degraded = true
 				m.invalidate(call.Key())
@@ -656,10 +661,6 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 			// The source died mid-completion: everything emitted so far
 			// (cached prefix + actual answers) is sound, so degrade to a
 			// partial result instead of failing the query.
-			m.bumpStats(func(st *Stats) {
-				st.UnavailableFallbacks++
-				st.DegradedServes++
-			})
 			m.degraded(ctx)
 			resp.Degraded = true
 			m.invalidate(call.Key())

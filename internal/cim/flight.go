@@ -231,7 +231,6 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream
 				f.mu.Unlock()
 				if cur, ok := m.flights[f.key]; ok && cur == f {
 					delete(m.flights, f.key)
-					m.obs().Gauge("hermes_cim_inflight_calls").Add(-1)
 				}
 				m.flightMu.Unlock()
 				continue
@@ -251,18 +250,16 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream
 				f.detach()
 				continue
 			}
-			m.obs().Counter("hermes_cim_singleflight_shares_total").Inc()
+			m.singleFlightShares.Inc()
 			ctx.Span.SetTag("singleflight", shared)
 			if shared == "shared-equality" {
 				ctx.Span.SetTag("serving", f.call.String())
 			}
-			m.bumpStats(func(st *Stats) { st.SingleFlightShares++ })
 			return &flightReader{f: f, ctx: ctx}, nil
 		}
 		f = newFlight(m, call)
 		f.readers = 1
 		m.flights[key] = f
-		m.obs().Gauge("hermes_cim_inflight_calls").Add(1)
 		m.flightMu.Unlock()
 		return f.lead(ctx)
 	}
@@ -336,7 +333,6 @@ func (m *Manager) removeFlight(f *flight) {
 	m.flightMu.Lock()
 	if cur, ok := m.flights[f.key]; ok && cur == f {
 		delete(m.flights, f.key)
-		m.obs().Gauge("hermes_cim_inflight_calls").Add(-1)
 	}
 	m.flightMu.Unlock()
 }

@@ -116,13 +116,8 @@ func relevant(t *lang.CallTemplate, c domain.Call) bool {
 // EXPLAIN shows), and the invariants the bucket let the probe skip are
 // counted as scans avoided.
 func (m *Manager) indexProbe(ctx *domain.Ctx, candidates int) {
-	o := m.obs()
-	if o != nil {
-		o.Counter("hermes_invindex_candidates_total").Add(int64(candidates))
-		if avoided := m.idx.Len() - candidates; avoided > 0 {
-			o.Counter("hermes_invindex_scans_avoided_total").Add(int64(avoided))
-		}
-	}
+	m.idxCandidates.Add(int64(candidates))
+	m.idxScansAvoided.Add(int64(m.idx.Len() - candidates))
 	ctx.Span.SetTag("invindex.candidates", strconv.Itoa(candidates))
 }
 
@@ -209,7 +204,7 @@ func (m *Manager) findEqualityParallel(ctx *domain.Ctx, call domain.Call, cands 
 		return nil, nil, false
 	}
 	defer ctx.Sched.Release(extra)
-	m.obs().Counter("hermes_invindex_parallel_matches_total").Inc()
+	m.idxParallelMatches.Inc()
 
 	workers := extra + 1
 	chunk := (len(cands) + workers - 1) / workers

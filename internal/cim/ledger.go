@@ -160,13 +160,16 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	invKey := ExactKey
 	if inv != nil {
 		invKey = inv.String()
-		m.obs().Counter("hermes_cim_invariant_hits_total", "invariant", invKey).Inc()
+		m.hookMu.RLock()
+		r := m.metrics
+		m.hookMu.RUnlock()
+		r.Counter("hermes_cim_invariant_hits_total", "invariant", invKey).Inc()
 		ctx.Span.SetTag("invariant", invKey)
 	}
 	var saved time.Duration
 	if withSavings {
 		saved = m.avoidedCost(call, e)
-		m.obs().Counter("hermes_cim_saved_ms_total").Add(saved.Milliseconds())
+		m.savedNS.Add(int64(saved))
 		ctx.Span.SetTag("cim.saved_ms", fmt.Sprintf("%.1f", float64(saved)/float64(time.Millisecond)))
 	}
 	m.ledger.credit(invKey, e.Call.Key(), saved)

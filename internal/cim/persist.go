@@ -122,6 +122,5 @@ func (m *Manager) Load(r io.Reader) error {
 		}
 	}
 	m.store.Evict()
-	m.occupancy()
 	return nil
 }

@@ -145,6 +145,9 @@ type System struct {
 	wrappers      map[string]*resilience.Wrapper
 	queryDeadline time.Duration
 	parallelism   int
+	// inflationApplied counts plan choices whose winning estimate was
+	// inflated; NewSystem attaches it to the metrics registry.
+	inflationApplied obs.Counter
 }
 
 // NewSystem builds a system from options.
@@ -170,6 +173,7 @@ func NewSystem(opts Options) *System {
 	if s.parallelism <= 0 {
 		s.parallelism = runtime.GOMAXPROCS(0)
 	}
+	s.Obs.Registry().AttachCounter("hermes_plan_inflation_applied_total", "plan choices whose winning estimate carried q-error or cold-start cost inflation", s.inflationApplied.Value)
 	if opts.MaxInflightCalls > 0 {
 		s.Admission = admission.NewPool(admission.Config{
 			MaxInflight: opts.MaxInflightCalls,
@@ -368,6 +372,8 @@ func (s *System) Register(d domain.Domain) {
 	type actualsSink interface {
 		SetActualsHook(func(domain.Call, obs.Cost))
 	}
+	// The domain's q-error histograms list at zero from registration on.
+	s.Obs.DomainQErr(d.Name())
 	foundEst := false
 	for probe := d; probe != nil; {
 		if est, ok := probe.(domain.Estimator); ok && !foundEst {
@@ -524,7 +530,7 @@ func (s *System) Optimize(query string, interactive bool) (*rewrite.Plan, domain
 	}
 	best, cv, detail, err := s.estimator.BestDetail(plans, interactive)
 	if err == nil && detail.Inflated+detail.ColdInflated > 0 {
-		s.Obs.Counter("hermes_plan_inflation_applied_total").Inc()
+		s.inflationApplied.Inc()
 	}
 	return best, cv, err
 }
@@ -601,7 +607,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 		// The winning estimate carries q-error (or cold-start) inflation:
 		// record the largest factor applied to any of its calls.
 		pc.SetTag("cal.inflate", fmt.Sprintf("%.2f", detail.MaxInflation))
-		s.Obs.Counter("hermes_plan_inflation_applied_total").Inc()
+		s.inflationApplied.Inc()
 	}
 	if detail.MemoHits > 0 {
 		pc.SetTag("memo.est_hits", strconv.Itoa(detail.MemoHits))

@@ -85,8 +85,22 @@ type DB struct {
 	estimators map[string]domain.Estimator
 	now        func() time.Duration
 	access     accessStats // per-table usage counters for AutoTune
-	ob         *obs.Observer
+
+	// Event tallies, attached to the metrics registry by SetObserver.
+	observations obs.Counter
+	estimates    [len(estimateSources)]obs.Counter
 }
+
+// Where a cost estimate was resolved: the source label of
+// hermes_dcsm_estimates_total.
+const (
+	estimateNative = iota
+	estimateSummary
+	estimateRaw
+	estimateNone
+)
+
+var estimateSources = [...]string{"native", "summary", "raw", "none"}
 
 // New creates an empty module. The now function stamps record times; pass
 // the execution clock's Now (nil uses a zero clock).
@@ -103,12 +117,15 @@ func New(cfg Config, now func() time.Duration) *DB {
 	}
 }
 
-// SetObserver installs the observability sink: observation and
-// estimate-resolution counters (hermes_dcsm_*).
+// SetObserver attaches the module's tallies to the observer's metrics
+// registry: the hermes_dcsm_observations_total and _estimates_total
+// families are declared here and nowhere else.
 func (db *DB) SetObserver(o *obs.Observer) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.ob = o
+	r := o.Registry()
+	r.AttachCounter("hermes_dcsm_observations_total", "completed call measurements folded into DCSM statistics", db.observations.Value)
+	for i, source := range estimateSources {
+		r.AttachCounter("hermes_dcsm_estimates_total", "cost estimates served, by source (native, summary, raw, none)", db.estimates[i].Value, "source", source)
+	}
 }
 
 // RegisterEstimator connects a domain's native cost model: estimates for
@@ -125,7 +142,7 @@ func (db *DB) RegisterEstimator(dom string, est domain.Estimator) {
 func (db *DB) Observe(m domain.Measurement) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.ob.Counter("hermes_dcsm_observations_total").Inc()
+	db.observations.Inc()
 	rec := Record{
 		Call:       m.Call,
 		Cost:       m.Cost,

@@ -34,7 +34,7 @@ func (db *DB) CostWithTrace(p domain.Pattern) (domain.CostVector, []string, erro
 	db.mu.RUnlock()
 	if hasEst {
 		if cv, missing, ok := est.EstimateCost(p); ok {
-			db.ob.Counter("hermes_dcsm_estimates_total", "source", "native").Inc()
+			db.estimates[estimateNative].Inc()
 			trace = append(trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
 			if len(missing) == 0 {
 				return cv, trace, nil
@@ -109,7 +109,7 @@ func (db *DB) costFromStats(p domain.Pattern) (domain.CostVector, []string, erro
 			if row, hit := t.lookupRow(q); hit {
 				if cv, valid := rowVector(row); valid {
 					db.access.noteTableHit(tk)
-					db.ob.Counter("hermes_dcsm_estimates_total", "source", "summary").Inc()
+					db.estimates[estimateSummary].Inc()
 					trace = append(trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(dims), q, row.L))
 					return cv, trace, nil
 				}
@@ -118,7 +118,7 @@ func (db *DB) costFromStats(p domain.Pattern) (domain.CostVector, []string, erro
 		} else if db.cfg.AllowRawAggregation && len(recs) > 0 {
 			if cv, ok := db.aggregate(recs, func(r Record) bool { return matchPattern(q, r.Call) }); ok {
 				db.access.noteRawServe(tk, p.Domain, p.Function, arity, dims)
-				db.ob.Counter("hermes_dcsm_estimates_total", "source", "raw").Inc()
+				db.estimates[estimateRaw].Inc()
 				trace = append(trace, fmt.Sprintf("raw aggregation over cost vector database for %s", q))
 				return cv, trace, nil
 			}
@@ -136,6 +136,6 @@ func (db *DB) costFromStats(p domain.Pattern) (domain.CostVector, []string, erro
 			}
 		}
 	}
-	db.ob.Counter("hermes_dcsm_estimates_total", "source", "none").Inc()
+	db.estimates[estimateNone].Inc()
 	return domain.CostVector{}, trace, fmt.Errorf("%w: %s", ErrNoStatistics, p)
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hermes/internal/cim"
@@ -26,27 +25,6 @@ import (
 	"hermes/internal/term"
 )
 
-// TraceEvent records one domain call the engine issued, with how it was
-// served. Wire a collector through Config.Trace to see exactly which calls
-// a plan made and which the cache absorbed.
-type TraceEvent struct {
-	Call  domain.Call
-	Route rewrite.Route
-	// Source is the CIM's serving source for CIM-routed calls
-	// ("cache-exact", "cache-partial", ...); "direct" otherwise. A call
-	// that failed at setup reports "error", or "breaker-open" when an open
-	// circuit breaker short-circuited it before it reached the source.
-	Source string
-	// At is the clock reading when the call was issued.
-	At time.Duration
-	// Degraded marks a call answered purely from cache because its source
-	// was down: the answers are sound but possibly partial.
-	Degraded bool
-	// Err is the setup error for "error"/"breaker-open" events, nil
-	// otherwise.
-	Err error
-}
-
 // Config tunes the engine.
 type Config struct {
 	// QueryInit is the fixed per-query setup cost; the paper's reported
@@ -56,13 +34,7 @@ type Config struct {
 	PerDisplay time.Duration
 	// MaxDepth bounds IDB recursion during evaluation.
 	MaxDepth int
-	// Trace, when set, observes every domain call the engine issues,
-	// including calls that fail at setup (an open breaker reports
-	// Source "breaker-open" rather than being skipped silently).
-	Trace func(TraceEvent)
-	// Obs, when set, receives query/call spans and engine metrics. The
-	// legacy Trace hook is independent of it and keeps working; Obs is
-	// its generalization (span trees instead of flat events).
+	// Obs, when set, receives query/call spans and engine metrics.
 	Obs *obs.Observer
 	// EstimateCall, when set, prices a domain call as it is issued (the
 	// mediator wires it to the DCSM). The estimate lands on the call's
@@ -103,22 +75,20 @@ type Engine struct {
 	memo      *memo.Cache  // nil when rule-level memoization is off
 	cfg       Config
 	onMeasure func(domain.Measurement)
-	// traceMu serializes Config.Trace callbacks: under Parallelism > 1
-	// several branches issue calls concurrently, and trace collectors
-	// (appending to slices, printing) must not need their own locking.
-	traceMu sync.Mutex
+
+	// Event tallies, attached to cfg.Obs's metrics registry by New.
+	queries, answers, parallelUnions, parallelStages, replans obs.Counter
+	calls                                                     [2]obs.Counter // by rewrite.Route
+	callErrors                                                [len(callErrorReasons)]obs.Counter
+	inflightBranches                                          obs.Gauge
+	tfirstMS, tallMS                                          obs.Histogram
 }
 
-// trace delivers a TraceEvent to the configured collector, serialized
-// across parallel branches.
-func (e *Engine) trace(ev TraceEvent) {
-	if e.cfg.Trace == nil {
-		return
-	}
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	e.cfg.Trace(ev)
-}
+// Why a domain call can die at setup: the reason label of
+// hermes_engine_call_errors_total.
+const reasonError, reasonBreakerOpen = 0, 1
+
+var callErrorReasons = [...]string{reasonError: "error", reasonBreakerOpen: "breaker-open"}
 
 // New builds an engine. cimMgr may be nil; onMeasure (may be nil) observes
 // the measurement of every direct source call, for the DCSM.
@@ -126,7 +96,25 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(d
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 64
 	}
-	return &Engine{reg: reg, cim: cimMgr, cfg: cfg, onMeasure: onMeasure}
+	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, onMeasure: onMeasure}
+	// The hermes_engine_*, hermes_queries_total, hermes_query_* and
+	// hermes_plan_replans_total families are declared here and nowhere else.
+	r := cfg.Obs.Registry()
+	r.AttachCounter("hermes_queries_total", "queries executed by the embedded mediator", e.queries.Value)
+	r.AttachCounter("hermes_query_answers_total", "answers produced across all queries", e.answers.Value)
+	r.AttachHistogram("hermes_query_tfirst_ms", "milliseconds to each query's first answer", &e.tfirstMS)
+	r.AttachHistogram("hermes_query_tall_ms", "milliseconds to each query's last answer", &e.tallMS)
+	for route := range e.calls {
+		r.AttachCounter("hermes_engine_calls_total", "domain calls issued by the engine, by route (direct or via the CIM)", e.calls[route].Value, "route", rewrite.Route(route).String())
+	}
+	for i, reason := range callErrorReasons {
+		r.AttachCounter("hermes_engine_call_errors_total", "domain calls that failed, by reason", e.callErrors[i].Value, "reason", reason)
+	}
+	r.AttachCounter("hermes_engine_parallel_unions_total", "rule unions executed as parallel merges", e.parallelUnions.Value)
+	r.AttachCounter("hermes_engine_parallel_stages_total", "independent-sibling prefetch stages started", e.parallelStages.Value)
+	r.AttachGauge("hermes_engine_inflight_branches", "parallel pipeline branches currently running", e.inflightBranches.Value)
+	r.AttachCounter("hermes_plan_replans_total", "union lanes that abandoned their body order mid-query for a cheaper one", e.replans.Value)
+	return e
 }
 
 // SetMemo installs the rule-level memo cache the engine consults before
@@ -243,10 +231,9 @@ func (c *Cursor) finish(complete bool) {
 	// Ending is idempotent, so it is safe whether the span was opened here
 	// or handed in by the mediator; a root span publishes to the tracer.
 	c.span.End(c.ctx.Clock.Now())
-	o := c.eng.cfg.Obs
-	o.Counter("hermes_query_answers_total").Add(int64(c.metrics.Answers))
-	o.Histogram("hermes_query_tfirst_ms").Observe(float64(c.metrics.TFirst) / float64(time.Millisecond))
-	o.Histogram("hermes_query_tall_ms").Observe(float64(c.metrics.TAll) / float64(time.Millisecond))
+	c.eng.answers.Add(int64(c.metrics.Answers))
+	c.eng.tfirstMS.Observe(float64(c.metrics.TFirst) / float64(time.Millisecond))
+	c.eng.tallMS.Observe(float64(c.metrics.TAll) / float64(time.Millisecond))
 }
 
 // Metrics returns the timings observed so far (final after exhaustion or
@@ -269,7 +256,7 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 		span = e.cfg.Obs.StartQuery(queryLine(plan), start)
 		ctx = ctx.WithSpan(span)
 	}
-	e.cfg.Obs.Counter("hermes_queries_total").Inc()
+	e.queries.Inc()
 	if n := ctx.Sched.Limit(); n > 1 {
 		span.SetTag("parallel", strconv.Itoa(n))
 	}

@@ -256,17 +256,16 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 			span.SetEstimate(obs.Cost{TFirst: cv.TFirst, TAll: cv.TAll, Card: cv.Card})
 		}
 	}
-	e.cfg.Obs.Counter("hermes_engine_calls_total", "route", route.String()).Inc()
+	e.calls[route].Inc()
 	cctx := ctx.WithSpan(span)
 	var stream domain.Stream
 	var onFinish func()
 	if route == rewrite.RouteCIM && e.cim != nil {
 		resp, err := e.cim.CallThrough(cctx, call)
 		if err != nil {
-			return nil, e.callFailed(ctx, span, call, route, issuedAt, err)
+			return nil, e.callFailed(ctx, span, err)
 		}
 		stream = resp.Stream
-		e.trace(TraceEvent{Call: call, Route: route, Source: resp.Source.String(), At: issuedAt, Degraded: resp.Degraded})
 		if note := ctx.CallNote; note != nil {
 			note(call.Key(), resp.Degraded)
 			// A partial hit turns degraded lazily, mid-drain, when the
@@ -281,10 +280,9 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	} else {
 		inner, err := e.reg.Call(cctx, call)
 		if err != nil {
-			return nil, e.callFailed(ctx, span, call, route, issuedAt, err)
+			return nil, e.callFailed(ctx, span, err)
 		}
 		stream = domain.NewMeasuredStreamAt(inner, ctx.Clock, call, issuedAt, e.onMeasure)
-		e.trace(TraceEvent{Call: call, Route: route, Source: "direct", At: issuedAt})
 		if note := ctx.CallNote; note != nil {
 			note(call.Key(), false)
 		}
@@ -293,19 +291,17 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 }
 
 // callFailed records a domain call that died at setup: it tags and ends
-// the call span, counts the failure, and — crucially for operators — emits
-// a TraceEvent even though no answers flowed. An open circuit breaker used
-// to skip the call silently; it now reports Source "breaker-open".
-func (e *Engine) callFailed(ctx *domain.Ctx, span *obs.Span, call domain.Call, route rewrite.Route, issuedAt time.Duration, err error) error {
-	source := "error"
+// the call span and counts the failure. An open circuit breaker is
+// surfaced (breaker=open) rather than skipped silently.
+func (e *Engine) callFailed(ctx *domain.Ctx, span *obs.Span, err error) error {
+	reason := reasonError
 	if errors.Is(err, resilience.ErrBreakerOpen) {
-		source = "breaker-open"
+		reason = reasonBreakerOpen
 		span.SetTag("breaker", "open")
 	}
 	span.SetTag("error", err.Error())
 	span.End(ctx.Clock.Now())
-	e.cfg.Obs.Counter("hermes_engine_call_errors_total", "reason", source).Inc()
-	e.trace(TraceEvent{Call: call, Route: route, Source: source, At: issuedAt, Err: err})
+	e.callErrors[reason].Inc()
 	return err
 }
 

@@ -140,7 +140,7 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 	for i := range u.branches {
 		u.branches[i] = &unionBranch{}
 	}
-	e.cfg.Obs.Counter("hermes_engine_parallel_unions_total").Inc()
+	e.parallelUnions.Inc()
 	// Static round-robin lane assignment: the cheapest alternatives head
 	// each lane's work list, so they launch first.
 	for lane := 0; lane < lanes; lane++ {
@@ -197,11 +197,10 @@ func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules
 // forked clock.
 func (u *parallelUnion) runLane(fork *domain.Ctx, idxs []int) {
 	defer u.wg.Done()
-	g := u.eng.cfg.Obs.Gauge("hermes_engine_inflight_branches")
 	for _, ri := range idxs {
-		g.Add(1)
+		u.eng.inflightBranches.Add(1)
 		ok := u.runBranch(fork, ri)
-		g.Add(-1)
+		u.eng.inflightBranches.Add(-1)
 		if !ok {
 			// Cancelled/closed: mark the lane's remaining branches done so
 			// the merge never waits on them.
@@ -299,7 +298,7 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 				if alt, altCV, found := cfg.Replan(u.plan, pr, bound); found && alt != nil &&
 					altCV.TAll < elapsed && fork.Replans.Take() {
 					u.span.SetTag("replan", "1")
-					cfg.Obs.Counter("hermes_plan_replans_total").Inc()
+					u.eng.replans.Inc()
 					replanned = true
 					it.close()
 					pr = alt
@@ -481,7 +480,7 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 		cancel: cancel,
 	}
 	logs := make([]spool.Log[term.Value], extra) // one allocation for every level's spool
-	e.cfg.Obs.Counter("hermes_engine_parallel_stages_total").Inc()
+	e.parallelStages.Inc()
 	ctx.Span.SetTag("parallel", strconv.Itoa(extra+1))
 	for i := 1; i <= extra; i++ {
 		level := indep[i]
@@ -503,9 +502,8 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 // forked clock and drains it eagerly into the spool (prefetch).
 func (st *stage) run(fork *domain.Ctx, lit *lang.InCall, route rewrite.Route, base term.Subst, sp *spool.Log[term.Value]) {
 	defer st.wg.Done()
-	g := st.eng.cfg.Obs.Gauge("hermes_engine_inflight_branches")
-	g.Add(1)
-	defer g.Add(-1)
+	st.eng.inflightBranches.Add(1)
+	defer st.eng.inflightBranches.Add(-1)
 	stream, err := st.eng.openCallStream(fork, lit, route, base)
 	if err != nil {
 		sp.Settle(err, fork.Clock.Now())

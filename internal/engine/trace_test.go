@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,13 +18,26 @@ import (
 	"hermes/internal/vclock"
 )
 
-func TestTraceObserverDirectCalls(t *testing.T) {
+// callSpans returns the call spans directly under a finished query root.
+func callSpans(t *testing.T, cur *Cursor) []obs.SpanData {
+	t.Helper()
+	var out []obs.SpanData
+	for _, c := range cur.Span().Snapshot().Children {
+		if strings.HasPrefix(c.Name, "call ") {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestCallSpansDirectCalls: every domain call the engine issues lands as a
+// call span in issue order, tagged with its route (what the legacy trace
+// hook's TestTraceObserverDirectCalls checked on flat events).
+func TestCallSpansDirectCalls(t *testing.T) {
 	d := seqDomain()
 	reg := domain.NewRegistry()
 	reg.Register(d)
-	var events []TraceEvent
-	cfg := Config{MaxDepth: 8, Trace: func(ev TraceEvent) { events = append(events, ev) }}
-	eng := New(reg, nil, cfg, nil)
+	eng := New(reg, nil, Config{MaxDepth: 8, Obs: obs.NewObserver()}, nil)
 	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
 	q, _ := lang.ParseQuery("?- v(X, Y).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -39,23 +53,27 @@ func TestTraceObserverDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 nums + 4 double calls, all direct, in issue order.
-	if len(events) != 5 {
-		t.Fatalf("events = %d, want 5", len(events))
+	calls := callSpans(t, cur)
+	if len(calls) != 5 {
+		t.Fatalf("call spans = %d, want 5", len(calls))
 	}
-	if events[0].Call.Function != "nums" || events[0].Source != "direct" {
-		t.Errorf("first event = %+v", events[0])
+	if calls[0].Name != "call d:nums()" || calls[0].Tags["route"] != "direct" {
+		t.Errorf("first call span = %s %v", calls[0].Name, calls[0].Tags)
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Call.Function != "double" {
-			t.Errorf("event %d = %+v", i, events[i])
+	for i := 1; i < len(calls); i++ {
+		if !strings.HasPrefix(calls[i].Name, "call d:double(") || calls[i].Tags["route"] != "direct" {
+			t.Errorf("call span %d = %s %v", i, calls[i].Name, calls[i].Tags)
 		}
-		if events[i].At < events[i-1].At {
-			t.Errorf("trace out of order at %d", i)
+		if calls[i].Start < calls[i-1].Start {
+			t.Errorf("call spans out of issue order at %d", i)
 		}
 	}
 }
 
-func TestTraceObserverCIMSources(t *testing.T) {
+// TestCallSpansCIMSources: a CIM-routed call's span says how the cache
+// served it — miss on the first run, exact hit on the second (what
+// TestTraceObserverCIMSources checked as Source actual / cache-exact).
+func TestCallSpansCIMSources(t *testing.T) {
 	d := domaintest.New("d")
 	d.Define("f", domaintest.Func{Arity: 1,
 		Fn: func(args []term.Value) ([]term.Value, error) {
@@ -64,9 +82,7 @@ func TestTraceObserverCIMSources(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	mgr := cim.New(reg, cim.Config{ParallelActual: true})
-	var events []TraceEvent
-	cfg := Config{MaxDepth: 8, Trace: func(ev TraceEvent) { events = append(events, ev) }}
-	eng := New(reg, mgr, cfg, nil)
+	eng := New(reg, mgr, Config{MaxDepth: 8, Obs: obs.NewObserver()}, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:f(1)).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{CIMDomains: map[string]bool{"d": true}}, reg)
@@ -74,7 +90,7 @@ func TestTraceObserverCIMSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	run := func() obs.SpanData {
 		cur, err := eng.ExecutePlan(domain.NewCtx(vclock.NewVirtual(0)), plans[0])
 		if err != nil {
 			t.Fatal(err)
@@ -82,20 +98,18 @@ func TestTraceObserverCIMSources(t *testing.T) {
 		if _, _, err := CollectAll(cur); err != nil {
 			t.Fatal(err)
 		}
+		calls := callSpans(t, cur)
+		if len(calls) != 1 {
+			t.Fatalf("call spans = %d, want 1", len(calls))
+		}
+		return calls[0]
 	}
-	run()
-	run()
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
+	first, second := run(), run()
+	if first.Tags["route"] != "cim" || first.Tags["cim"] != "miss" {
+		t.Errorf("first run call span tags = %v, want route=cim cim=miss", first.Tags)
 	}
-	if events[0].Source != "actual" {
-		t.Errorf("first run source = %q, want actual (miss)", events[0].Source)
-	}
-	if events[1].Source != "cache-exact" {
-		t.Errorf("second run source = %q, want cache-exact", events[1].Source)
-	}
-	if events[0].Route != rewrite.RouteCIM {
-		t.Errorf("route = %v", events[0].Route)
+	if second.Tags["route"] != "cim" || second.Tags["cim"] != "exact" {
+		t.Errorf("second run call span tags = %v, want route=cim cim=exact", second.Tags)
 	}
 }
 
@@ -111,20 +125,20 @@ func (downDomain) Call(*domain.Ctx, string, []term.Value) (domain.Stream, error)
 	return nil, fmt.Errorf("%w: host down", domain.ErrUnavailable)
 }
 
-// TestTraceObserverBreakerOpen covers the previously-silent path: a call
-// short-circuited by an open circuit breaker must surface as a TraceEvent
-// with Source "breaker-open" and tag its span breaker=open, not vanish.
-func TestTraceObserverBreakerOpen(t *testing.T) {
+// TestCallSpansBreakerOpen: a call that dies at setup still leaves a call
+// span carrying the error, and one short-circuited by an open circuit
+// breaker is surfaced — breaker=open on the span, reason="breaker-open" on
+// the error counter — rather than skipped silently (what
+// TestTraceObserverBreakerOpen checked as Source error / breaker-open).
+func TestCallSpansBreakerOpen(t *testing.T) {
 	w := resilience.Wrap(downDomain{}, resilience.Policy{
 		MaxAttempts: 1,
 		Breaker:     resilience.BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 	})
 	reg := domain.NewRegistry()
 	reg.Register(w)
-	var events []TraceEvent
 	o := obs.NewObserver()
-	cfg := Config{MaxDepth: 8, Obs: o, Trace: func(ev TraceEvent) { events = append(events, ev) }}
-	eng := New(reg, nil, cfg, nil)
+	eng := New(reg, nil, Config{MaxDepth: 8, Obs: o}, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, down:get()).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -146,41 +160,32 @@ func TestTraceObserverBreakerOpen(t *testing.T) {
 	if err := run(); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("second query error = %v, want ErrBreakerOpen", err)
 	}
-
-	if len(events) != 2 {
-		t.Fatalf("events = %d, want 2", len(events))
-	}
-	if events[0].Source != "error" || events[0].Err == nil {
-		t.Errorf("first event = %+v, want Source error with Err set", events[0])
-	}
-	if events[1].Source != "breaker-open" {
-		t.Errorf("second event source = %q, want breaker-open", events[1].Source)
-	}
-	if !errors.Is(events[1].Err, resilience.ErrBreakerOpen) {
-		t.Errorf("second event Err = %v, want ErrBreakerOpen", events[1].Err)
-	}
-	if v := o.Counter("hermes_engine_call_errors_total", "reason", "breaker-open").Value(); v != 1 {
-		t.Errorf("breaker-open error counter = %d, want 1", v)
+	for reason, want := range map[string]int64{"error": 1, "breaker-open": 1} {
+		if v := o.Counter("hermes_engine_call_errors_total", "reason", reason).Value(); v != want {
+			t.Errorf("call errors reason=%s = %d, want %d", reason, v, want)
+		}
 	}
 
-	// The span tree of the rejected query (newest first) records the
-	// short-circuit on its call span and an incomplete root.
+	// Retained span trees, newest first: the rejected query, then the one
+	// that reached the down source. Both roots are incomplete and hold one
+	// call span with the setup error; only the rejected one says breaker=open.
 	recent := o.Tracer.Recent()
 	if len(recent) != 2 {
 		t.Fatalf("retained spans = %d, want 2", len(recent))
 	}
-	root := recent[0]
-	if root.Tags["complete"] != "false" {
-		t.Errorf("root tags = %v, want complete=false", root.Tags)
-	}
-	if len(root.Children) != 1 {
-		t.Fatalf("root children = %d, want 1 call span", len(root.Children))
-	}
-	call := root.Children[0]
-	if call.Tags["breaker"] != "open" {
-		t.Errorf("call span tags = %v, want breaker=open", call.Tags)
-	}
-	if call.Tags["error"] == "" {
-		t.Errorf("call span tags = %v, want error tag", call.Tags)
+	for i, root := range recent {
+		if root.Tags["complete"] != "false" {
+			t.Errorf("root %d tags = %v, want complete=false", i, root.Tags)
+		}
+		if len(root.Children) != 1 {
+			t.Fatalf("root %d children = %d, want 1 call span", i, len(root.Children))
+		}
+		call := root.Children[0]
+		if call.Tags["error"] == "" {
+			t.Errorf("call span %d tags = %v, want error tag", i, call.Tags)
+		}
+		if got, want := call.Tags["breaker"], map[int]string{0: "open", 1: ""}[i]; got != want {
+			t.Errorf("call span %d breaker tag = %q, want %q", i, got, want)
+		}
 	}
 }

@@ -105,7 +105,9 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// Stats count memo activity.
+// Stats count memo activity: a view of the cache's tallies, one atomic read
+// per field and not one critical section — read it after the workload
+// quiesces when the fields must add up.
 type Stats struct {
 	// Hits are probes served from a committed, non-degraded entry.
 	Hits int
@@ -180,8 +182,9 @@ type Cache struct {
 	// tick is the operation counter that drives score decay and recency.
 	tick atomic.Int64
 
-	statsMu sync.Mutex
-	stats   Stats
+	// Tallies, bumped at the event site and read by Stats and the registry.
+	hits, misses, stores, degradedStores, degradedSkips, rejectedStores obs.Counter
+	evictions, invalidations, flightShares, flightFallbacks, savedNS    obs.Counter
 
 	// scoreMu guards the entries' benefit-score fields.
 	scoreMu sync.Mutex
@@ -196,7 +199,6 @@ type Cache struct {
 	flights  map[string]*flight
 
 	hookMu sync.RWMutex
-	ob     *obs.Observer
 	// onSavings credits a hit's avoided cost to an external ledger (the
 	// mediator wires it to the CIM savings ledger's "(memo)" bucket).
 	onSavings func(entryKey string, saved time.Duration)
@@ -214,12 +216,23 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// SetObserver installs the observability sink for the hermes_memo_*
-// metrics. Nil-safe like every obs use.
+// SetObserver attaches the cache's tallies to the observer's metrics
+// registry: the hermes_memo_* families are declared here and nowhere else.
+// The occupancy gauges read the store at scrape time.
 func (c *Cache) SetObserver(o *obs.Observer) {
-	c.hookMu.Lock()
-	defer c.hookMu.Unlock()
-	c.ob = o
+	r := o.Registry()
+	r.AttachCounter("hermes_memo_hits_total", "IDB subgoals served by replaying a memoized intermediate relation", c.hits.Value)
+	r.AttachCounter("hermes_memo_misses_total", "memo probes that fell through to subgoal evaluation", c.misses.Value)
+	r.AttachCounter("hermes_memo_stores_total", "intermediate relations admitted into the memo cache", c.stores.Value)
+	r.AttachCounter("hermes_memo_degraded_stores_total", "memo entries admitted in quarantine because a contributing source call was degraded", c.degradedStores.Value)
+	r.AttachCounter("hermes_memo_degraded_skips_total", "memo probes that found only a quarantined degraded entry and re-evaluated", c.degradedSkips.Value)
+	r.AttachCounter("hermes_memo_evictions_total", "memo entries evicted by the benefit-driven policy", c.evictions.Value)
+	r.AttachCounter("hermes_memo_invalidations_total", "memo entries dropped because a contributing domain call was refreshed, evicted, or degraded", c.invalidations.Value)
+	r.AttachCounter("hermes_memo_saved_ms_total", "estimated milliseconds of re-evaluation avoided by memo hits", func() int64 { return time.Duration(c.savedNS.Value()).Milliseconds() })
+	r.AttachCounter("hermes_memo_flight_shares_total", "concurrent identical subgoals that shared one in-flight memo fill", c.flightShares.Value)
+	r.AttachCounter("hermes_memo_flight_fallbacks_total", "memo flight followers that re-evaluated after their leader aborted", c.flightFallbacks.Value)
+	r.AttachGauge("hermes_memo_entries", "intermediate relations currently memoized", func() float64 { return float64(c.store.Len()) })
+	r.AttachGauge("hermes_memo_bytes", "bytes of memoized intermediate relations", func() float64 { return float64(c.store.Bytes()) })
 }
 
 // SetSavingsHook installs the external savings ledger credit: called once
@@ -230,29 +243,27 @@ func (c *Cache) SetSavingsHook(fn func(entryKey string, saved time.Duration)) {
 	c.onSavings = fn
 }
 
-func (c *Cache) obs() *obs.Observer {
-	c.hookMu.RLock()
-	defer c.hookMu.RUnlock()
-	return c.ob
-}
-
 func (c *Cache) savingsHook() func(string, time.Duration) {
 	c.hookMu.RLock()
 	defer c.hookMu.RUnlock()
 	return c.onSavings
 }
 
-func (c *Cache) bumpStats(fn func(*Stats)) {
-	c.statsMu.Lock()
-	fn(&c.stats)
-	c.statsMu.Unlock()
-}
-
-// Stats returns a snapshot of the activity counters.
+// Stats returns the activity counters.
 func (c *Cache) Stats() Stats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats
+	return Stats{
+		Hits:            int(c.hits.Value()),
+		Misses:          int(c.misses.Value()),
+		Stores:          int(c.stores.Value()),
+		DegradedStores:  int(c.degradedStores.Value()),
+		DegradedSkips:   int(c.degradedSkips.Value()),
+		RejectedStores:  int(c.rejectedStores.Value()),
+		Evictions:       int(c.evictions.Value()),
+		Invalidations:   int(c.invalidations.Value()),
+		FlightShares:    int(c.flightShares.Value()),
+		FlightFallbacks: int(c.flightFallbacks.Value()),
+		Saved:           time.Duration(c.savedNS.Value()),
+	}
 }
 
 // Len returns the number of cached relations.
@@ -266,13 +277,6 @@ func (c *Cache) LookupCost() time.Duration { return c.cfg.LookupCost }
 
 // PerTupleCost is the clock cost the engine charges per replayed tuple.
 func (c *Cache) PerTupleCost() time.Duration { return c.cfg.PerTuple }
-
-// occupancy refreshes the size gauges.
-func (c *Cache) occupancy() {
-	o := c.obs()
-	o.Gauge("hermes_memo_entries").Set(float64(c.store.Len()))
-	o.Gauge("hermes_memo_bytes").Set(float64(c.store.Bytes()))
-}
 
 // ProbeResult is the outcome of consulting the memo for a subgoal
 // occurrence: exactly one field is non-nil.
@@ -296,28 +300,20 @@ func (c *Cache) Probe(key string) ProbeResult {
 		if !e.Degraded {
 			saved := e.Cost.TAll
 			c.credit(e, saved, now)
-			c.bumpStats(func(st *Stats) {
-				st.Hits++
-				st.Saved += saved
-			})
-			o := c.obs()
-			o.Counter("hermes_memo_hits_total").Inc()
-			o.Counter("hermes_memo_saved_ms_total").Add(saved.Milliseconds())
+			c.hits.Inc()
+			c.savedNS.Add(int64(saved))
 			if hook := c.savingsHook(); hook != nil {
 				hook(key, saved)
 			}
 			return ProbeResult{Entry: e}
 		}
-		c.bumpStats(func(st *Stats) { st.DegradedSkips++ })
-		c.obs().Counter("hermes_memo_degraded_skips_total").Inc()
+		c.degradedSkips.Inc()
 	}
-	c.bumpStats(func(st *Stats) { st.Misses++ })
-	c.obs().Counter("hermes_memo_misses_total").Inc()
+	c.misses.Inc()
 	c.flightMu.Lock()
 	if f := c.flights[key]; f != nil {
 		c.flightMu.Unlock()
-		c.bumpStats(func(st *Stats) { st.FlightShares++ })
-		c.obs().Counter("hermes_memo_flight_shares_total").Inc()
+		c.flightShares.Inc()
 		return ProbeResult{Reader: &FlightReader{c: c, f: f}}
 	}
 	f := &flight{}
@@ -390,16 +386,10 @@ func (c *Cache) InvalidateInput(callKey string) {
 		c.deindexLocked(e) // its other inputs' dependency sets
 	}
 	c.invMu.Unlock()
-	n := 0
 	for _, e := range victims {
 		if c.store.RemoveIf(e.Key, e) {
-			n++
+			c.invalidations.Inc()
 		}
-	}
-	if n > 0 {
-		c.bumpStats(func(st *Stats) { st.Invalidations += n })
-		c.obs().Counter("hermes_memo_invalidations_total").Add(int64(n))
-		c.occupancy()
 	}
 }
 
@@ -428,19 +418,11 @@ func (c *Cache) admit(e *Entry) {
 		m[e.Key] = e
 	}
 	c.invMu.Unlock()
-	c.bumpStats(func(st *Stats) {
-		st.Stores++
-		if e.Degraded {
-			st.DegradedStores++
-		}
-	})
-	o := c.obs()
-	o.Counter("hermes_memo_stores_total").Inc()
+	c.stores.Inc()
 	if e.Degraded {
-		o.Counter("hermes_memo_degraded_stores_total").Inc()
+		c.degradedStores.Inc()
 	}
 	c.store.Evict()
-	c.occupancy()
 }
 
 // deindexLocked removes a replaced, evicted or invalidated entry's
@@ -482,8 +464,7 @@ func (c *Cache) evicted(_ string, e *Entry) {
 	c.invMu.Lock()
 	c.deindexLocked(e)
 	c.invMu.Unlock()
-	c.bumpStats(func(st *Stats) { st.Evictions++ })
-	c.obs().Counter("hermes_memo_evictions_total").Inc()
+	c.evictions.Inc()
 }
 
 // Item is one published tuple of an in-progress fill, stamped with the
@@ -546,8 +527,7 @@ func (r *FlightReader) Next(cancel <-chan struct{}) (Item, ReadState) {
 	}
 	if !r.fellBack {
 		r.fellBack = true
-		r.c.bumpStats(func(st *Stats) { st.FlightFallbacks++ })
-		r.c.obs().Counter("hermes_memo_flight_fallbacks_total").Inc()
+		r.c.flightFallbacks.Inc()
 	}
 	return Item{}, ReadEndAborted
 }
@@ -611,7 +591,7 @@ func (rec *Recording) Add(vals []term.Value, at time.Duration) bool {
 	rec.mu.Unlock()
 	if oversized {
 		if rec.finish() {
-			rec.c.bumpStats(func(st *Stats) { st.RejectedStores++ })
+			rec.c.rejectedStores.Inc()
 			rec.f.log.Settle(errAborted, at)
 		}
 		return false
@@ -654,7 +634,7 @@ func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
 	rec.f.log.Settle(nil, at)
 
 	if cost.TAll < rec.c.cfg.MinBenefit {
-		rec.c.bumpStats(func(st *Stats) { st.RejectedStores++ })
+		rec.c.rejectedStores.Inc()
 		return
 	}
 	rec.c.admit(&Entry{

@@ -9,9 +9,13 @@
 // estimated versus what the call actually cost. This package makes all of
 // that first-class:
 //
-//   - Registry holds named metrics with label sets and renders them in
-//     Prometheus text exposition format (WritePrometheus, or the /metrics
-//     endpoint from Handler).
+//   - Registry is a reader of layer-owned tallies: the layer that observes
+//     an event keeps one Counter, Gauge or Histogram for it as a struct
+//     field, bumps it at the event site, and attaches it — with the
+//     family's name, help and label values, declared nowhere else — in its
+//     SetObserver. The registry renders what is attached in Prometheus text
+//     exposition format (WritePrometheus, or the /metrics endpoint from
+//     Handler) and returns the live series by name.
 //   - Tracer starts one root Span per query; the engine, CIM, DCSM,
 //     resilience wrapper and remote client hang child spans and outcome
 //     tags off it (cim=exact|equality|partial|miss, degraded=true,

@@ -15,10 +15,38 @@ import (
 // quantiles are computed over this sliding window.
 const HistogramWindow = 1024
 
-// Counter is a monotonically increasing metric. The zero value is unusable;
-// obtain counters from a Registry. All methods are nil-receiver safe.
+// attached is the list of layer-owned tallies a registry-owned series
+// reads; attaches happen at wiring.
+type attached[T int64 | float64] struct {
+	mu    sync.Mutex
+	reads []func() T
+}
+
+func (a *attached[T]) add(read func() T) {
+	a.mu.Lock()
+	a.reads = append(a.reads, read)
+	a.mu.Unlock()
+}
+
+func (a *attached[T]) sum() (n T) {
+	a.mu.Lock()
+	reads := a.reads
+	a.mu.Unlock()
+	for _, read := range reads {
+		n += read()
+	}
+	return n
+}
+
+// Counter is a monotonically increasing tally. The zero value is ready to
+// use: the layer that observes an event keeps a Counter as a struct field,
+// bumps it at the event site, and attaches it to a Registry at wiring. A
+// Counter obtained from a Registry is the series itself: its Value adds
+// every attached tally to what was bumped through it by name. All methods
+// are nil-receiver safe.
 type Counter struct {
-	v atomic.Int64
+	v    atomic.Int64
+	more attached[int64]
 }
 
 // Inc adds one.
@@ -37,13 +65,15 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v.Load() + c.more.sum()
 }
 
-// Gauge is a metric that can go up and down. All methods are nil-receiver
-// safe.
+// Gauge is a metric that can go up and down; like Counter its zero value
+// is a layer-owned handle and a registry-owned Gauge sums what is attached
+// to it. All methods are nil-receiver safe.
 type Gauge struct {
 	bits atomic.Uint64 // math.Float64bits
+	more attached[float64]
 }
 
 // Set replaces the gauge value.
@@ -72,18 +102,22 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	return math.Float64frombits(g.bits.Load()) + g.more.sum()
 }
 
 // Histogram accumulates observations and answers quantile queries over a
 // bounded window of the most recent HistogramWindow samples. Count and Sum
-// are exact over all observations. All methods are nil-receiver safe.
+// are exact over all observations. Like Counter, the zero value is a
+// layer-owned handle, and a registry-owned Histogram merges what is
+// attached to it: counts and sums add, quantiles range over every attached
+// window. All methods are nil-receiver safe.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
 	sum     float64
 	samples []float64
-	next    int // overwrite cursor once the window is full
+	next    int          // overwrite cursor once the window is full
+	more    []*Histogram // attached to a registry-owned series
 }
 
 // Observe records one sample.
@@ -109,8 +143,12 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	n, more := h.count, h.more
+	h.mu.Unlock()
+	for _, a := range more {
+		n += a.Count()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed samples.
@@ -119,8 +157,24 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
+	sum, more := h.sum, h.more
+	h.mu.Unlock()
+	for _, a := range more {
+		sum += a.Sum()
+	}
+	return sum
+}
+
+// window appends the retained samples, own and attached, to dst.
+func (h *Histogram) window(dst []float64) []float64 {
+	h.mu.Lock()
+	dst = append(dst, h.samples...)
+	more := h.more
+	h.mu.Unlock()
+	for _, a := range more {
+		dst = a.window(dst)
+	}
+	return dst
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) over the retained window,
@@ -129,9 +183,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	sorted := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
+	sorted := h.window(nil)
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -179,9 +231,9 @@ type family struct {
 	byLabel map[string]any // rendered label string -> *Counter | *Gauge | *Histogram
 }
 
-// Registry holds named metrics. It is safe for concurrent use; lookups
-// return the same instance for the same (name, labels), so callers may
-// either cache the returned metric or re-fetch it on every update.
+// Registry holds named metric series and reads the tallies the layers
+// attached to them. It is safe for concurrent use; lookups return the same
+// instance for the same (name, labels).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -220,15 +272,10 @@ func labelString(labels []string) string {
 	return b.String()
 }
 
-// metric returns (creating on first use) the instance for (name, labels),
-// checking that the name is not reused with a different kind.
-func (r *Registry) metric(name string, kind metricKind, labels []string) any {
-	if r == nil {
-		return nil
-	}
-	ls := labelString(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// familyLocked returns (creating on first use) the family name, checking
+// that the name is not reused with a different kind; a non-empty help
+// becomes its # HELP text. The caller holds r.mu.
+func (r *Registry) familyLocked(name, help string, kind metricKind) *family {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, kind: kind, byLabel: make(map[string]any)}
@@ -237,6 +284,22 @@ func (r *Registry) metric(name string, kind metricKind, labels []string) any {
 	if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", name, f.kind, kind))
 	}
+	if help != "" {
+		f.help = help
+	}
+	return f
+}
+
+// metric returns (creating on first use) the registry-owned instance for
+// (name, labels).
+func (r *Registry) metric(name, help string, kind metricKind, labels []string) any {
+	if r == nil {
+		return nil
+	}
+	ls := labelString(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, help, kind)
 	m, ok := f.byLabel[ls]
 	if !ok {
 		switch kind {
@@ -252,39 +315,67 @@ func (r *Registry) metric(name string, kind metricKind, labels []string) any {
 	return m
 }
 
-// Counter returns the counter for (name, labels), creating it at zero on
-// first use. Labels are alternating key, value strings. Nil-receiver safe:
-// a nil registry returns a nil (no-op) counter.
+// Counter returns the counter series (name, labels), creating it at zero
+// on first use: the read API, and the bump API of the rare families whose
+// label values cannot be enumerated at wiring. Labels are alternating key,
+// value strings. Nil-receiver safe: a nil registry returns a nil (no-op)
+// counter.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	m, _ := r.metric(name, kindCounter, labels).(*Counter)
+	m, _ := r.metric(name, "", kindCounter, labels).(*Counter)
 	return m
 }
 
-// Gauge returns the gauge for (name, labels).
+// Gauge returns the gauge series (name, labels).
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	m, _ := r.metric(name, kindGauge, labels).(*Gauge)
+	m, _ := r.metric(name, "", kindGauge, labels).(*Gauge)
 	return m
 }
 
-// Histogram returns the histogram for (name, labels).
+// Histogram returns the histogram series (name, labels).
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	m, _ := r.metric(name, kindHistogram, labels).(*Histogram)
+	m, _ := r.metric(name, "", kindHistogram, labels).(*Histogram)
 	return m
 }
 
-// SetHelp attaches a help string rendered as the metric's # HELP line.
-func (r *Registry) SetHelp(name, help string) {
+// AttachCounter declares the counter family name — this call is the one
+// place its help text lives — and adds read, typically a layer-owned
+// Counter's Value method, to the series (name, labels), which lists at
+// zero from then on. Tallies attached to one series sum. The owning layer
+// calls it once per series from its SetObserver. Nil-receiver safe.
+func (r *Registry) AttachCounter(name, help string, read func() int64, labels ...string) {
+	if c, _ := r.metric(name, help, kindCounter, labels).(*Counter); c != nil {
+		c.more.add(read)
+	}
+}
+
+// AttachGauge is AttachCounter for a gauge family; read is a layer-owned
+// Gauge's Value method or a function deriving the reading from the layer's
+// state at scrape time.
+func (r *Registry) AttachGauge(name, help string, read func() float64, labels ...string) {
+	if g, _ := r.metric(name, help, kindGauge, labels).(*Gauge); g != nil {
+		g.more.add(read)
+	}
+}
+
+// AttachHistogram is AttachCounter for a histogram family.
+func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...string) {
+	if head, _ := r.metric(name, help, kindHistogram, labels).(*Histogram); head != nil {
+		head.mu.Lock()
+		head.more = append(head.more, h)
+		head.mu.Unlock()
+	}
+}
+
+// DeclareCounter declares a counter family whose label values are free-form
+// text, so its series cannot be attached at wiring: they appear as the event
+// site bumps them through Counter(name, labels...). Nil-receiver safe.
+func (r *Registry) DeclareCounter(name, help string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, byLabel: make(map[string]any)}
-		r.families[name] = f
-	}
-	f.help = help
+	r.familyLocked(name, help, kindCounter)
 }
 
 // summaryQuantiles are the quantiles every histogram exports.
@@ -297,71 +388,70 @@ var summaryQuantiles = []struct {
 	{"0.99", 0.99},
 }
 
+// series is one labeled instance of a family, copied out of the registry.
+type series struct {
+	family *family
+	labels string
+	m      any // *Counter | *Gauge | *Histogram
+}
+
+// gather copies out every series, sorted by family name then label string.
+// Only instance pointers are taken under the lock; callers read the values
+// through the instances' own synchronization. A family without series
+// yields one entry with a nil instance, so it still renders its header.
+func (r *Registry) gather() []series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []series
+	for _, f := range r.families {
+		if len(f.byLabel) == 0 {
+			out = append(out, series{family: f})
+		}
+		for ls, m := range f.byLabel {
+			out = append(out, series{f, ls, m})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].family != out[j].family {
+			return out[i].family.name < out[j].family.name
+		}
+		return out[i].labels < out[j].labels
+	})
+	return out
+}
+
 // WritePrometheus renders every metric in Prometheus text exposition
 // format, families and label sets in sorted order so output is stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	// Snapshot instance pointers under the lock; values are read via their
-	// own synchronization below.
-	type inst struct {
-		labels string
-		m      any
-	}
-	snap := make(map[string][]inst, len(names))
-	metas := make(map[string]*family, len(names))
-	for n, f := range r.families {
-		metas[n] = f
-		for ls, m := range f.byLabel {
-			snap[n] = append(snap[n], inst{ls, m})
-		}
-	}
-	r.mu.Unlock()
-
-	sort.Strings(names)
-	for _, n := range names {
-		f := metas[n]
-		insts := snap[n]
-		sort.Slice(insts, func(i, j int) bool { return insts[i].labels < insts[j].labels })
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", n, f.help); err != nil {
-				return err
+	var b strings.Builder
+	var last *family
+	for _, in := range r.gather() {
+		n, f := in.family.name, in.family
+		if f != last {
+			last = f
+			if f.help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", n, f.help)
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", n, f.kind); err != nil {
-			return err
-		}
-		for _, in := range insts {
-			var err error
-			switch m := in.m.(type) {
-			case *Counter:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", n, in.labels, m.Value())
-			case *Gauge:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", n, in.labels, formatFloat(m.Value()))
-			case *Histogram:
-				for _, sq := range summaryQuantiles {
-					ls := mergeLabel(in.labels, "quantile", sq.label)
-					if _, err = fmt.Fprintf(w, "%s%s %s\n", n, ls, formatFloat(m.Quantile(sq.q))); err != nil {
-						return err
-					}
-				}
-				if _, err = fmt.Fprintf(w, "%s_sum%s %s\n", n, in.labels, formatFloat(m.Sum())); err != nil {
-					return err
-				}
-				_, err = fmt.Fprintf(w, "%s_count%s %d\n", n, in.labels, m.Count())
+		switch m := in.m.(type) {
+		case *Counter:
+			fmt.Fprintf(&b, "%s%s %d\n", n, in.labels, m.Value())
+		case *Gauge:
+			fmt.Fprintf(&b, "%s%s %s\n", n, in.labels, formatFloat(m.Value()))
+		case *Histogram:
+			for _, sq := range summaryQuantiles {
+				fmt.Fprintf(&b, "%s%s %s\n", n, mergeLabel(in.labels, "quantile", sq.label), formatFloat(m.Quantile(sq.q)))
 			}
-			if err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "%s_sum%s %s\n", n, in.labels, formatFloat(m.Sum()))
+			fmt.Fprintf(&b, "%s_count%s %d\n", n, in.labels, m.Count())
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Snapshot returns every metric's current reading keyed by name plus
@@ -372,33 +462,17 @@ func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	type inst struct {
-		key string
-		m   any
-	}
-	insts := make([]inst, 0, len(r.families))
-	for n, f := range r.families {
-		for ls, m := range f.byLabel {
-			insts = append(insts, inst{n + ls, m})
-		}
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]float64, len(insts))
-	for _, in := range insts {
+	out := make(map[string]float64)
+	for _, in := range r.gather() {
+		n := in.family.name
 		switch m := in.m.(type) {
 		case *Counter:
-			out[in.key] = float64(m.Value())
+			out[n+in.labels] = float64(m.Value())
 		case *Gauge:
-			out[in.key] = m.Value()
+			out[n+in.labels] = m.Value()
 		case *Histogram:
-			name, labels := in.key, ""
-			if i := strings.IndexByte(in.key, '{'); i >= 0 {
-				name, labels = in.key[:i], in.key[i:]
-			}
-			out[name+"_count"+labels] = float64(m.Count())
-			out[name+"_sum"+labels] = m.Sum()
+			out[n+"_count"+in.labels] = float64(m.Count())
+			out[n+"_sum"+in.labels] = m.Sum()
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -141,9 +142,86 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 }
 
+// TestAttachedHandles: layer-owned handles attached to registry series are
+// read, not mirrored — eight goroutines bump two layers' handles (both
+// attached to the same series, so they sum) while a ninth scrapes; run
+// with -race. The by-name lookup returns the live, summed series.
+func TestAttachedHandles(t *testing.T) {
+	type layer struct {
+		events Counter
+		level  Gauge
+		waitMS Histogram
+	}
+	r := NewRegistry()
+	var a, b layer
+	for _, l := range []*layer{&a, &b} {
+		r.AttachCounter("events_total", "events seen", l.events.Value, "side", "client")
+		r.AttachGauge("level", "current level", l.level.Value)
+		r.AttachHistogram("wait_ms", "time waited", &l.waitMS)
+	}
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	for _, want := range []string{"# HELP events_total events seen", `events_total{side="client"} 0`, "level 0", "wait_ms_count 0"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("scrape before traffic missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	const goroutines, perG = 8, 500
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.WritePrometheus(io.Discard)
+				r.Snapshot()
+			}
+		}
+	}()
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(l *layer) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				l.events.Inc()
+				l.level.Add(1)
+				l.waitMS.Observe(float64(i))
+			}
+		}([]*layer{&a, &b}[g%2])
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+
+	if got := r.Counter("events_total", "side", "client").Value(); got != goroutines*perG {
+		t.Errorf("summed counter = %d, want %d", got, goroutines*perG)
+	}
+	if got := a.events.Value(); got != goroutines*perG/2 {
+		t.Errorf("one layer's own tally = %d, want %d", got, goroutines*perG/2)
+	}
+	if got := r.Gauge("level").Value(); math.Abs(got-goroutines*perG) > 1e-9 {
+		t.Errorf("summed gauge = %g, want %d", got, goroutines*perG)
+	}
+	h := r.Histogram("wait_ms")
+	if got := h.Count(); got != goroutines*perG {
+		t.Errorf("merged histogram count = %d, want %d", got, goroutines*perG)
+	}
+	if got := h.Quantile(1); got != perG-1 {
+		t.Errorf("merged histogram max = %g, want %d", got, perG-1)
+	}
+	if got := r.Snapshot()[`events_total{side="client"}`]; got != goroutines*perG {
+		t.Errorf("snapshot = %g, want %d", got, goroutines*perG)
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.SetHelp("cim_hits_total", "CIM cache hits by kind.")
+	r.DeclareCounter("cim_hits_total", "CIM cache hits by kind.")
 	r.Counter("cim_hits_total", "kind", "exact").Add(3)
 	r.Counter("cim_hits_total", "kind", "partial").Add(1)
 	r.Gauge("breaker_state", "domain", "avis").Set(2)

@@ -298,6 +298,9 @@ type Observer struct {
 	Tracer      *Tracer
 	Calibration *Calibration
 	Flight      *FlightRecorder
+
+	qerrMu sync.Mutex
+	qerr   map[string]*[3]Histogram // per domain: Tf, Ta, Card q-errors
 }
 
 // NewObserver returns an observer with a fresh registry, a tracer
@@ -322,28 +325,52 @@ func (o *Observer) StartQuery(name string, at time.Duration) *Span {
 	return o.Tracer.StartQuery(name, at)
 }
 
-// Counter forwards to the registry (nil-safe; returns a no-op counter).
-func (o *Observer) Counter(name string, labels ...string) *Counter {
+// Registry returns the metrics registry, nil (whose methods are no-ops)
+// for a nil observer: what a layer's SetObserver attaches its tallies to.
+func (o *Observer) Registry() *Registry {
 	if o == nil {
 		return nil
 	}
-	return o.Metrics.Counter(name, labels...)
+	return o.Metrics
+}
+
+// Counter forwards to the registry (nil-safe; returns a no-op counter).
+func (o *Observer) Counter(name string, labels ...string) *Counter {
+	return o.Registry().Counter(name, labels...)
 }
 
 // Gauge forwards to the registry (nil-safe).
 func (o *Observer) Gauge(name string, labels ...string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Gauge(name, labels...)
+	return o.Registry().Gauge(name, labels...)
 }
 
 // Histogram forwards to the registry (nil-safe).
 func (o *Observer) Histogram(name string, labels ...string) *Histogram {
+	return o.Registry().Histogram(name, labels...)
+}
+
+// DomainQErr returns dom's hermes_dcsm_qerror_{tf,ta,card} histograms,
+// attaching them to the registry the first time the domain is seen. The
+// mediator calls it as each domain registers, so the series list at zero
+// before the domain's first measured call. Nil-safe.
+func (o *Observer) DomainQErr(dom string) *[3]Histogram {
 	if o == nil {
 		return nil
 	}
-	return o.Metrics.Histogram(name, labels...)
+	o.qerrMu.Lock()
+	defer o.qerrMu.Unlock()
+	q := o.qerr[dom]
+	if q == nil {
+		q = new([3]Histogram)
+		if o.qerr == nil {
+			o.qerr = make(map[string]*[3]Histogram)
+		}
+		o.qerr[dom] = q
+		o.Metrics.AttachHistogram("hermes_dcsm_qerror_tf", "q-error of DCSM first-answer time estimates vs measured calls", &q[0], "domain", dom)
+		o.Metrics.AttachHistogram("hermes_dcsm_qerror_ta", "q-error of DCSM total-time estimates vs measured calls", &q[1], "domain", dom)
+		o.Metrics.AttachHistogram("hermes_dcsm_qerror_card", "q-error of DCSM cardinality estimates vs measured calls", &q[2], "domain", dom)
+	}
+	return q
 }
 
 // ObserveCalibration feeds one completed call's estimated and measured
@@ -356,10 +383,9 @@ func (o *Observer) ObserveCalibration(dom, fn string, est, actual Cost) {
 		return
 	}
 	o.Calibration.Observe(dom, fn, est, actual)
-	if o.Metrics != nil {
-		qtf, qta, qcard := QErrs(est, actual)
-		o.Metrics.Histogram("hermes_dcsm_qerror_tf", "domain", dom).Observe(qtf)
-		o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", dom).Observe(qta)
-		o.Metrics.Histogram("hermes_dcsm_qerror_card", "domain", dom).Observe(qcard)
-	}
+	q := o.DomainQErr(dom)
+	qtf, qta, qcard := QErrs(est, actual)
+	q[0].Observe(qtf)
+	q[1].Observe(qta)
+	q[2].Observe(qcard)
 }

@@ -44,12 +44,23 @@ type Client struct {
 
 	mu         sync.Mutex
 	specs      []domain.FuncSpec
-	ob         *obs.Observer
 	sess       *session
 	nextID     uint64
 	actuals    func(domain.Call, obs.Cost)
 	maxForeign int
+
+	// Event tallies, attached to the metrics registry by SetObserver.
+	dials                          [2]obs.Counter // dialOK, dialError
+	resumes                        obs.Counter
+	tracePropagated, traceStitched obs.Counter
+	traceForeignBytes              obs.Counter
+	traceMalformed                 [2]obs.Counter // traceDecode, traceOversize
 }
+
+const (
+	dialOK, dialError          = 0, 1 // hermes_remote_dials_total's outcomes
+	traceDecode, traceOversize = 0, 1 // hermes_trace_malformed_total's reasons
+)
 
 // NewClient creates a client for the domain `name` served at addr.
 func NewClient(addr, name string) *Client {
@@ -77,19 +88,22 @@ func (c *Client) SetFrameTimeout(d time.Duration) { c.frameTO = d }
 // 0 disables heartbeats (and the server's idle deadline for this client).
 func (c *Client) SetHeartbeatInterval(d time.Duration) { c.hbEvery = d }
 
-// SetObserver installs the observability sink: per-domain dial counters
-// (hermes_remote_dials_total), resume counters, and the remote=<addr> span
-// tag on calls.
+// SetObserver attaches the client's tallies to the observer's metrics
+// registry: hermes_remote_dials_total under this client's domain label, and
+// the caller-side federated-tracing families, which every mount's client
+// feeds (they sum). Those families are declared here and nowhere else.
 func (c *Client) SetObserver(o *obs.Observer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ob = o
-}
-
-func (c *Client) obsv() *obs.Observer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ob
+	r := o.Registry()
+	for i, outcome := range [2]string{dialOK: "ok", dialError: "error"} {
+		r.AttachCounter("hermes_remote_dials_total", "TCP dials to remote domain servers, by outcome", c.dials[i].Value, "domain", c.name, "outcome", outcome)
+	}
+	attachResumes(r, &c.resumes, "client")
+	r.AttachCounter("hermes_trace_propagated_total", "remote calls sent with federated trace context", c.tracePropagated.Value)
+	r.AttachCounter("hermes_trace_stitched_total", "peer span subtrees stitched under local call spans", c.traceStitched.Value)
+	r.AttachCounter("hermes_trace_foreign_subtree_bytes_total", "bytes of peer span subtrees received in trace frames", c.traceForeignBytes.Value)
+	for i, reason := range [2]string{traceDecode: "decode", traceOversize: "oversize"} {
+		r.AttachCounter("hermes_trace_malformed_total", "peer span subtrees dropped instead of stitched, by reason", c.traceMalformed[i].Value, "reason", reason)
+	}
 }
 
 // SetActualsHook installs fn, called with the remote-reported [Tf,Ta,Card]
@@ -245,7 +259,7 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		f.TraceID = st.traceID
 		f.Depth = st.depth
 		st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
-		c.obsv().Counter("hermes_trace_propagated_total").Inc()
+		c.tracePropagated.Inc()
 	}
 	entry := sess.registerCall(id)
 	if !sess.send("call", f) {
@@ -284,10 +298,10 @@ func (c *Client) getSession() (*session, error) {
 	c.sess = nil
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTO)
 	if err != nil {
-		c.ob.Counter("hermes_remote_dials_total", "domain", c.name, "outcome", "error").Inc()
+		c.dials[dialError].Inc()
 		return nil, fmt.Errorf("%w: dial %s: %v", domain.ErrUnavailable, c.addr, err)
 	}
-	c.ob.Counter("hermes_remote_dials_total", "domain", c.name, "outcome", "ok").Inc()
+	c.dials[dialOK].Inc()
 	// Bound the whole hello exchange: a server that accepts but never
 	// answers must not wedge call setup.
 	helloTO := c.frameTO
@@ -617,16 +631,15 @@ func (s *muxStream) acceptTrace(raw []byte) {
 	if s.span == nil || s.traceID == "" || len(raw) == 0 {
 		return
 	}
-	ob := s.c.obsv()
-	ob.Counter("hermes_trace_foreign_subtree_bytes_total").Add(int64(len(raw)))
+	s.c.traceForeignBytes.Add(int64(len(raw)))
 	if max := s.c.maxForeignBytes(); max > 0 && len(raw) > max {
-		ob.Counter("hermes_trace_malformed_total", "reason", "oversize").Inc()
+		s.c.traceMalformed[traceOversize].Inc()
 		s.span.SetTag("remote.trace", "oversize")
 		return
 	}
 	d, err := obs.DecodeSpanJSON(raw)
 	if err != nil {
-		ob.Counter("hermes_trace_malformed_total", "reason", "decode").Inc()
+		s.c.traceMalformed[traceDecode].Inc()
 		s.span.SetTag("remote.trace", "malformed")
 		return
 	}
@@ -641,7 +654,7 @@ func (s *muxStream) acceptTrace(raw []byte) {
 		stitched = obs.RebaseSpan(d, s.issuedAt)
 	}
 	s.span.AttachForeign(stitched)
-	ob.Counter("hermes_trace_stitched_total").Inc()
+	s.c.traceStitched.Inc()
 	if d.Actual != nil && s.call != nil {
 		if hook := s.c.actualsHook(); hook != nil {
 			hook(*s.call, *d.Actual)
@@ -656,7 +669,7 @@ func (s *muxStream) resume() error {
 	last := s.sess.failure()
 	for s.resumes < maxResumes {
 		s.resumes++
-		s.c.obsv().Counter("hermes_remote_resumes_total", "side", "client").Inc()
+		s.c.resumes.Inc()
 		// A flaky mount must be diagnosable from EXPLAIN alone: record how
 		// many times this stream resumed and how many attempts failed.
 		s.span.SetTag("remote.resumes", fmt.Sprintf("%d", s.resumes))

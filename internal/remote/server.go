@@ -49,9 +49,16 @@ type Server struct {
 	listener  net.Listener
 	conns     map[net.Conn]struct{}
 	closed    bool
-	ob        *obs.Observer
+	metrics   *obs.Registry // where noteSendError counts by name
 	debugInfo func() ([]byte, error)
+
+	// Event tallies, attached to the metrics registry by SetObserver.
+	calls, sessions, cancels, heartbeats, resumes obs.Counter
+	refused                                       [2]obs.Counter // refusedNotHello, refusedVersion
+	traceDroppedDepth, traceTruncated             obs.Counter
 }
+
+const refusedNotHello, refusedVersion = 0, 1 // hermes_remote_refused_total's reasons
 
 // DefaultHeaderTimeout is how long a new connection gets to send its first
 // line before the server drops it.
@@ -94,19 +101,31 @@ func (s *Server) debugFn() func() ([]byte, error) {
 	return s.debugInfo
 }
 
-// SetObserver installs the observability sink: per-frame send-error
-// accounting (hermes_remote_send_errors_total), served-call and refusal
-// counters, and cancel/resume/heartbeat counters.
+// SetObserver attaches the server's tallies to the observer's metrics
+// registry: the serving-side hermes_remote_* and hermes_trace_* families
+// are declared here and nowhere else.
 func (s *Server) SetObserver(o *obs.Observer) {
+	r := o.Registry()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ob = o
+	s.metrics = r
+	s.mu.Unlock()
+	r.AttachCounter("hermes_remote_calls_total", "domain calls served over the wire protocol", s.calls.Value, "proto", "v2")
+	r.AttachCounter("hermes_remote_sessions_total", "streaming sessions negotiated", s.sessions.Value, "proto", "v2")
+	for i, reason := range [2]string{refusedNotHello: "not-hello", refusedVersion: "version"} {
+		r.AttachCounter("hermes_remote_refused_total", "stale peers refused at the first line, by reason (not-hello: no hello first; version: no common version)", s.refused[i].Value, "reason", reason)
+	}
+	r.DeclareCounter("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors)")
+	r.AttachCounter("hermes_remote_cancels_total", "per-call cancel frames honoured by the server", s.cancels.Value)
+	r.AttachCounter("hermes_remote_heartbeats_total", "heartbeat frames echoed to keep idle sessions verifiably alive", s.heartbeats.Value)
+	attachResumes(r, &s.resumes, "server")
+	r.AttachCounter("hermes_trace_dropped_depth_total", "serve subtrees withheld because the call exceeded the hop-depth limit", s.traceDroppedDepth.Value)
+	r.AttachCounter("hermes_trace_truncated_total", "serve subtrees pruned to the -trace-max-subtree-bytes budget before shipping", s.traceTruncated.Value)
 }
 
-func (s *Server) obsv() *obs.Observer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ob
+// attachResumes declares hermes_remote_resumes_total, the one family both
+// ends of the protocol feed, and attaches one end's tally to its side.
+func attachResumes(r *obs.Registry, c *obs.Counter, side string) {
+	r.AttachCounter("hermes_remote_resumes_total", "mid-stream resumes of broken remote answer streams, by side", c.Value, "side", side)
 }
 
 // noteSendError routes a failed frame write through the connection log and
@@ -115,7 +134,10 @@ func (s *Server) obsv() *obs.Observer {
 // bugs from every dashboard.
 func (s *Server) noteSendError(what string, to net.Addr, err error) {
 	s.Logf("remote: send %s to %s: %v", what, to, err)
-	s.obsv().Counter("hermes_remote_send_errors_total", "frame", what).Inc()
+	s.mu.Lock()
+	r := s.metrics
+	s.mu.Unlock()
+	r.Counter("hermes_remote_send_errors_total", "frame", what).Inc()
 }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
@@ -202,11 +224,11 @@ func (s *Server) handle(conn net.Conn) {
 	switch {
 	case first.Op != OpHello:
 		// err + done are the keys a pre-v2 client decodes on its reply.
-		s.obsv().Counter("hermes_remote_refused_total", "reason", "not-hello").Inc()
+		s.refused[refusedNotHello].Inc()
 		ss.send("error", Frame{Op: OpError, Done: true,
 			Err: fmt.Sprintf("first line has op %q, want hello: this server speaks only protocol version %d", first.Op, ProtocolVersion)})
 	case !versionSupported(first.Versions):
-		s.obsv().Counter("hermes_remote_refused_total", "reason", "version").Inc()
+		s.refused[refusedVersion].Inc()
 		ss.send("hello", Frame{Op: OpHello,
 			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", first.Versions, ProtocolVersion)})
 	default:
@@ -330,7 +352,7 @@ func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame)
 	if !ss.send("hello", Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}) {
 		return
 	}
-	s.obsv().Counter("hermes_remote_sessions_total", "proto", "v2").Inc()
+	s.sessions.Inc()
 	// The client announced its heartbeat period: a connection silent for
 	// several periods is dead, not idle. Clients that do not heartbeat get
 	// no idle deadline (their reads may legitimately pause forever).
@@ -364,15 +386,15 @@ func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame)
 				continue
 			}
 			if f.Op == OpResume {
-				s.obsv().Counter("hermes_remote_resumes_total", "side", "server").Inc()
+				s.resumes.Inc()
 			}
-			s.obsv().Counter("hermes_remote_calls_total", "proto", "v2").Inc()
+			s.calls.Inc()
 			go s.serveCall(ss, f, cctx)
 		case OpCancel:
-			s.obsv().Counter("hermes_remote_cancels_total").Inc()
+			s.cancels.Inc()
 			ss.cancel(f.ID)
 		case OpHeartbeat:
-			s.obsv().Counter("hermes_remote_heartbeats_total").Inc()
+			s.heartbeats.Inc()
 			ss.send("heartbeat", Frame{Op: OpHeartbeat, ID: f.ID})
 		case OpFunctions:
 			go ss.send("functions", Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true})
@@ -407,7 +429,7 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 	var span *obs.Span
 	if ss.peerTrace && f.TraceID != "" && s.TraceMaxDepth > 0 {
 		if f.Depth > s.TraceMaxDepth {
-			s.obsv().Counter("hermes_trace_dropped_depth_total").Inc()
+			s.traceDroppedDepth.Inc()
 		} else {
 			span = obs.NewSpan(fmt.Sprintf("serve %s:%s", f.Domain, f.Function), ctx.Clock.Now())
 			span.SetTag("node", s.NodeName)
@@ -487,7 +509,7 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 		return
 	}
 	if truncated {
-		s.obsv().Counter("hermes_trace_truncated_total").Inc()
+		s.traceTruncated.Inc()
 	}
 	ss.send("trace", Frame{Op: OpTrace, ID: id, Trace: payload})
 }

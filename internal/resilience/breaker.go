@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"hermes/internal/obs"
 )
 
 // ErrBreakerOpen reports that the circuit breaker rejected a call without
@@ -85,9 +87,9 @@ type Breaker struct {
 	openedAt  time.Duration
 	probing   bool // a half-open probe is in flight
 	metrics   BreakerMetrics
-	// onTransition, when set, observes every state change. It runs with
-	// the breaker's lock held, so it must not call back into the breaker.
-	onTransition func(at time.Duration, from, to BreakerState)
+	// transitions counts state changes by target state; the wrapper
+	// attaches it to the metrics registry.
+	transitions [3]obs.Counter
 }
 
 // NewBreaker builds a breaker in the closed state.
@@ -116,14 +118,12 @@ func (b *Breaker) Metrics() BreakerMetrics {
 	return out
 }
 
-// SetTransitionHook installs a state-change observer (the mediator wires
-// it to the breaker-state gauge). The hook runs with the breaker's lock
-// held and must not call back into the breaker; lock-free sinks (atomic
-// gauges, counters) are safe.
-func (b *Breaker) SetTransitionHook(fn func(at time.Duration, from, to BreakerState)) {
+// stateValue reads the state as the hermes_breaker_state gauge shows it —
+// 0 closed, 1 open, 2 half-open — without advancing the open timeout.
+func (b *Breaker) stateValue() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.onTransition = fn
+	return float64(b.state)
 }
 
 func (b *Breaker) transitionLocked(now time.Duration, to BreakerState) {
@@ -133,9 +133,7 @@ func (b *Breaker) transitionLocked(now time.Duration, to BreakerState) {
 	from := b.state
 	b.metrics.Transitions = append(b.metrics.Transitions, Transition{At: now, From: from, To: to})
 	b.state = to
-	if b.onTransition != nil {
-		b.onTransition(now, from, to)
-	}
+	b.transitions[to].Inc()
 }
 
 // advanceLocked moves open→half-open once the open timeout elapses.

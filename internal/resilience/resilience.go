@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"hermes/internal/domain"
@@ -62,7 +61,9 @@ func DefaultPolicy() Policy {
 	}
 }
 
-// Metrics count the wrapper's activity.
+// Metrics count the wrapper's activity: a view of its tallies, one atomic
+// read per field and not one critical section — read it after the workload
+// quiesces when the fields must add up.
 type Metrics struct {
 	// Calls is how many calls entered the wrapper.
 	Calls int
@@ -91,9 +92,9 @@ type Wrapper struct {
 	policy  Policy
 	breaker *Breaker
 
-	mu      sync.Mutex
-	metrics Metrics
-	ob      *obs.Observer
+	// Tallies, bumped at the event site and read by Metrics and the registry.
+	calls, attempts, retries, successes, failures obs.Counter
+	timeouts, rejections, resumes, backoffNS      obs.Counter
 }
 
 // Wrap builds a resilient front for d.
@@ -131,53 +132,35 @@ func (w *Wrapper) Breaker() *Breaker { return w.breaker }
 // Policy returns the active policy.
 func (w *Wrapper) Policy() Policy { return w.policy }
 
-// Metrics returns a snapshot of the wrapper's counters.
+// Metrics returns the wrapper's counters.
 func (w *Wrapper) Metrics() Metrics {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.metrics
-}
-
-func (w *Wrapper) note(f func(*Metrics)) {
-	w.mu.Lock()
-	f(&w.metrics)
-	w.mu.Unlock()
-}
-
-// breakerStateValue maps states onto the hermes_breaker_state gauge:
-// 0 closed, 1 open, 2 half-open.
-func breakerStateValue(s BreakerState) float64 {
-	switch s {
-	case StateOpen:
-		return 1
-	case StateHalfOpen:
-		return 2
-	default:
-		return 0
+	return Metrics{
+		Calls:             int(w.calls.Value()),
+		Attempts:          int(w.attempts.Value()),
+		Retries:           int(w.retries.Value()),
+		Successes:         int(w.successes.Value()),
+		Failures:          int(w.failures.Value()),
+		Timeouts:          int(w.timeouts.Value()),
+		BreakerRejections: int(w.rejections.Value()),
+		StreamResumes:     int(w.resumes.Value()),
+		BackoffTotal:      time.Duration(w.backoffNS.Value()),
 	}
 }
 
-// SetObserver installs the observability sink: retry/rejection/timeout
-// counters and the per-domain breaker-state gauge, kept current by a
-// breaker transition hook.
+// SetObserver attaches the wrapper's tallies to the observer's metrics
+// registry under its domain's label: the hermes_breaker_*, hermes_call_*
+// and hermes_stream_resumes_total families are declared here and nowhere
+// else.
 func (w *Wrapper) SetObserver(o *obs.Observer) {
-	w.mu.Lock()
-	w.ob = o
-	w.mu.Unlock()
-	name := w.inner.Name()
-	gauge := o.Gauge("hermes_breaker_state", "domain", name)
-	gauge.Set(breakerStateValue(w.breaker.State(0)))
-	w.breaker.SetTransitionHook(func(at time.Duration, from, to BreakerState) {
-		gauge.Set(breakerStateValue(to))
-		o.Counter("hermes_breaker_transitions_total", "domain", name, "to", to.String()).Inc()
-	})
-}
-
-// obsv returns the installed observer (nil-safe to use).
-func (w *Wrapper) obsv() *obs.Observer {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ob
+	r, name := o.Registry(), w.inner.Name()
+	r.AttachGauge("hermes_breaker_state", "per-domain circuit breaker state: 0 closed, 1 open, 2 half-open", w.breaker.stateValue, "domain", name)
+	for to := range w.breaker.transitions {
+		r.AttachCounter("hermes_breaker_transitions_total", "circuit breaker state transitions, by domain and target state", w.breaker.transitions[to].Value, "domain", name, "to", BreakerState(to).String())
+	}
+	r.AttachCounter("hermes_breaker_rejections_total", "calls rejected by an open per-domain circuit breaker", w.rejections.Value, "domain", name)
+	r.AttachCounter("hermes_call_retries_total", "domain call attempts after the first, whether or not the call finally succeeded", w.retries.Value, "domain", name)
+	r.AttachCounter("hermes_call_timeouts_total", "domain calls abandoned at the per-call timeout", w.timeouts.Value, "domain", name)
+	r.AttachCounter("hermes_stream_resumes_total", "answer streams resumed mid-stream after a transport failure", w.resumes.Value, "domain", name)
 }
 
 // attempt runs one call attempt, enforcing the per-call timeout. The
@@ -198,8 +181,7 @@ func (w *Wrapper) attempt(ctx *domain.Ctx, fn string, args []term.Value) (domain
 		}
 		// The caller stopped waiting at the timeout: charge exactly that.
 		ctx.Clock.Sleep(w.policy.CallTimeout)
-		w.note(func(m *Metrics) { m.Timeouts++ })
-		w.obsv().Counter("hermes_call_timeouts_total", "domain", w.inner.Name()).Inc()
+		w.timeouts.Inc()
 		return nil, ctx, fmt.Errorf("%w: %w: %s:%s setup took %s (budget %s)",
 			domain.ErrUnavailable, ErrCallTimeout, w.inner.Name(), fn, elapsed, w.policy.CallTimeout)
 	}
@@ -214,7 +196,7 @@ func (w *Wrapper) attempt(ctx *domain.Ctx, fn string, args []term.Value) (domain
 // retries with deterministic backoff, and a resumable answer stream.
 func (w *Wrapper) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	call := domain.Call{Domain: w.inner.Name(), Function: fn, Args: args}
-	w.note(func(m *Metrics) { m.Calls++ })
+	w.calls.Inc()
 	s, sctx, err := w.callRaw(ctx, call, fn, args)
 	if err != nil {
 		return nil, err
@@ -234,22 +216,18 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 			return nil, nil, err
 		}
 		if err := w.breaker.Allow(ctx.Clock.Now()); err != nil {
-			w.note(func(m *Metrics) { m.BreakerRejections++ })
-			w.obsv().Counter("hermes_breaker_rejections_total", "domain", call.Domain).Inc()
+			w.rejections.Inc()
 			return nil, nil, fmt.Errorf("%w: domain %s: %w", domain.ErrUnavailable, call.Domain, err)
 		}
-		w.note(func(m *Metrics) {
-			m.Attempts++
-			if attempt > 1 {
-				m.Retries++
-			}
-		})
+		w.attempts.Inc()
+		if attempt > 1 {
+			w.retries.Inc()
+		}
 		s, sctx, err := w.attempt(ctx, fn, args)
 		if err == nil {
 			w.breaker.Record(ctx.Clock.Now(), true)
-			w.note(func(m *Metrics) { m.Successes++ })
+			w.successes.Inc()
 			if attempt > 1 {
-				w.obsv().Counter("hermes_call_retries_total", "domain", call.Domain).Add(int64(attempt - 1))
 				ctx.Span.SetTag("retries", strconv.Itoa(attempt-1))
 			}
 			return s, sctx, nil
@@ -261,7 +239,7 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 			// half-open probe abandoned this way must free its slot rather
 			// than wedge the breaker.
 			w.breaker.Abandon(ctx.Clock.Now())
-			w.note(func(m *Metrics) { m.Failures++ })
+			w.failures.Inc()
 			return nil, nil, err
 		}
 		if domain.IsOverloaded(err) {
@@ -269,7 +247,7 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 			// fast — retrying into an overloaded server only deepens the
 			// overload — and don't charge the breaker either way.
 			w.breaker.Abandon(ctx.Clock.Now())
-			w.note(func(m *Metrics) { m.Failures++ })
+			w.failures.Inc()
 			return nil, nil, err
 		}
 		retryable := domain.IsRetryable(err)
@@ -277,7 +255,7 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 		// function, type error, ...): not a breaker failure.
 		w.breaker.Record(ctx.Clock.Now(), !retryable)
 		if !retryable || attempt >= w.policy.MaxAttempts {
-			w.note(func(m *Metrics) { m.Failures++ })
+			w.failures.Inc()
 			return nil, nil, err
 		}
 		d := bo.Delay(attempt, prev)
@@ -285,11 +263,11 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 		if left, bounded := ctx.Remaining(); bounded && d >= left {
 			// Backing off would blow the query deadline: give up now so
 			// the layer above can degrade to cache instead.
-			w.note(func(m *Metrics) { m.Failures++ })
+			w.failures.Inc()
 			return nil, nil, fmt.Errorf("retry abandoned (backoff %s exceeds deadline budget %s): %w", d, left, err)
 		}
 		ctx.Clock.Sleep(d)
-		w.note(func(m *Metrics) { m.BackoffTotal += d })
+		w.backoffNS.Add(int64(d))
 	}
 }
 
@@ -357,8 +335,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 			return nil, false, err
 		}
 		s.resumes++
-		s.w.note(func(m *Metrics) { m.StreamResumes++ })
-		s.w.obsv().Counter("hermes_stream_resumes_total", "domain", s.call.Domain).Inc()
+		s.w.resumes.Inc()
 		s.parent.Span.SetTag("resumed", strconv.Itoa(s.resumes))
 		s.cur.Close()
 		// Re-issue through the full breaker/retry path. callRaw keeps the

@@ -4,10 +4,10 @@
 // this repo's binaries must actually be defined by a command under cmd/,
 // and three tables must stay in two-way sync with the tree: README's
 // hermesd flag table with the flags cmd/hermesd defines,
-// docs/OBSERVABILITY.md's metric table with the families it registers,
-// and docs/ARCHITECTURE.md's package table with the directories under
-// internal/. CI runs it so README/docs drift fails the build instead of
-// rotting.
+// docs/OBSERVABILITY.md's metric table with the families the layers under
+// internal/ and cmd/ declare (each exactly once), and docs/ARCHITECTURE.md's
+// package table with the directories under internal/. CI runs it so
+// README/docs drift fails the build instead of rotting.
 //
 // Usage: go run ./tools/doccheck [-root dir]
 package main
@@ -45,10 +45,10 @@ var (
 	symbolRe = regexp.MustCompile(`^(.*?)\.[A-Z].*$`)
 	// tableFlagRe matches a README flag-table row's flag cell: | `-memo` | ...
 	tableFlagRe = regexp.MustCompile("^\\|\\s*`(-[a-z][a-z0-9-]*)`\\s*\\|")
-	// metricDefRe extracts metric family names from cmd/hermesd's
-	// pre-registration (Counter/Gauge/Histogram instantiations and
-	// SetHelp-only families).
-	metricDefRe = regexp.MustCompile(`(?:Counter|Gauge|Histogram|SetHelp)\("(hermes_[a-z0-9_]+)"`)
+	// metricDeclRe extracts metric family names from their declarations:
+	// the obs.Registry Attach*/DeclareCounter call that carries a family's
+	// name and help text.
+	metricDeclRe = regexp.MustCompile(`\.(?:Attach(?:Counter|Gauge|Histogram)|DeclareCounter)\(\s*"(hermes_[a-z0-9_]+)"`)
 	// tableMetricRe matches an OBSERVABILITY.md metric-table row's name
 	// cell: | `hermes_queries_total` | ...
 	tableMetricRe = regexp.MustCompile("^\\|\\s*`(hermes_[a-z0-9_]+)`")
@@ -78,7 +78,7 @@ func main() {
 func check(root string) ([]string, error) {
 	// Docs may mention any binary's flags, so collect them from every
 	// command under cmd/ and tools/.
-	flags, err := sourceNames(root, flagDefRe, "", "cmd/*/*.go", "tools/*/*.go")
+	flags, _, err := sourceNames(root, flagDefRe, "", "cmd/*/*.go", "tools/*/*.go")
 	if err != nil {
 		return nil, err
 	}
@@ -98,14 +98,18 @@ func check(root string) ([]string, error) {
 	}
 
 	// Rows for flags of other binaries are stale too — the table is hermesd's.
-	hermesdFlags, err := sourceNames(root, flagDefRe, "-", "cmd/hermesd/*.go")
+	hermesdFlags, _, err := sourceNames(root, flagDefRe, "-", "cmd/hermesd/*.go")
 	if err != nil {
 		return nil, err
 	}
-	// Families the server registers or names via SetHelp.
-	metrics, err := sourceNames(root, metricDefRe, "", "cmd/hermesd/*.go")
+	// Families the layers declare. A family has one owner: a second
+	// declaration (a second copy of its help text) fails the check.
+	metrics, again, err := sourceNames(root, metricDeclRe, "", "internal/*/*.go", "internal/*/*/*.go", "cmd/*/*.go")
 	if err != nil {
 		return nil, err
+	}
+	for _, at := range again {
+		problems = append(problems, at+" is a second declaration of that metric family; the layer that observes the event declares it once")
 	}
 	packages := map[string]bool{}
 	dirs, err := os.ReadDir(filepath.Join(root, "internal"))
@@ -125,7 +129,7 @@ func check(root string) ([]string, error) {
 		missing string // what a defined name without a row is
 	}{
 		{"README.md", tableFlagRe, hermesdFlags, "a flag cmd/hermesd defines", "cmd/hermesd flag"},
-		{"docs/OBSERVABILITY.md", tableMetricRe, metrics, "a family cmd/hermesd registers", "cmd/hermesd metric"},
+		{"docs/OBSERVABILITY.md", tableMetricRe, metrics, "a family some layer declares", "declared metric"},
 		{"docs/ARCHITECTURE.md", tablePackageRe, packages, "a directory under internal/", "directory"},
 	} {
 		p, err := tableSync(root, t.doc, t.rowRe, t.defined, t.stale, t.missing)
@@ -138,13 +142,15 @@ func check(root string) ([]string, error) {
 }
 
 // sourceNames collects prefix + every name re captures in the non-test Go
-// sources the glob patterns match.
-func sourceNames(root string, re *regexp.Regexp, prefix string, patterns ...string) (map[string]bool, error) {
+// sources the glob patterns match, and lists as "file: name" every capture
+// of a name after its first.
+func sourceNames(root string, re *regexp.Regexp, prefix string, patterns ...string) (map[string]bool, []string, error) {
 	names := map[string]bool{}
+	var again []string
 	for _, pattern := range patterns {
 		srcs, err := filepath.Glob(filepath.Join(root, pattern))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, src := range srcs {
 			if strings.HasSuffix(src, "_test.go") {
@@ -152,14 +158,17 @@ func sourceNames(root string, re *regexp.Regexp, prefix string, patterns ...stri
 			}
 			data, err := os.ReadFile(src)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, m := range re.FindAllStringSubmatch(string(data), -1) {
+				if names[prefix+m[1]] {
+					again = append(again, src+": "+m[1])
+				}
 				names[prefix+m[1]] = true
 			}
 		}
 	}
-	return names, nil
+	return names, again, nil
 }
 
 // tableSync keeps one documentation table and the set of names the tree
