@@ -129,15 +129,22 @@ var benchPattern = domain.Pattern{Domain: "d", Function: "f", Args: []domain.Pat
 	domain.Const(term.Str("rope")), domain.Const(term.Int(7)), domain.Bound,
 }}
 
-// BenchmarkDCSMLookupRaw measures estimation that must aggregate the raw
-// cost vector database (the "expensive aggregation" of §6.2).
+// BenchmarkDCSMLookupRaw measures estimation answered from the raw cost
+// vector database (the "expensive aggregation" of §6.2, served by the
+// per-mask index) at two history sizes: ns/op and allocs/op must not grow
+// with the history.
 func BenchmarkDCSMLookupRaw(b *testing.B) {
-	db := trainDB(b, 2000, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Cost(benchPattern); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{2000, 200000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			db := trainDB(b, n, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Cost(benchPattern); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

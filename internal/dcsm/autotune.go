@@ -1,134 +1,71 @@
 package dcsm
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // The paper closes §6.2.2 with: "we can watch the access patterns for the
 // tables and decide which tables are needed very frequently and decide to
 // create these tables. Alternatively, drop the tables that are not
-// accessed very often." This file implements that policy: estimation
-// tracks, per (function, dimension-set), how often a summary table served
-// a lookup and how often the expensive raw aggregation had to run; AutoTune
-// materializes tables for hot raw-aggregation shapes and drops cold tables.
-
-// accessStats is guarded by its own mutex so the read-mostly estimation
-// path keeps using the data RLock.
-type accessStats struct {
-	mu sync.Mutex
-	// tableHits counts summary-table serves per tableKey since the last
-	// AutoTune.
-	tableHits map[string]int
-	// rawServes counts raw aggregations per would-be tableKey (the
-	// dimension set the lookup needed) since the last AutoTune.
-	rawServes map[string]struct {
-		count int
-		dom   string
-		fn    string
-		arity int
-		dims  []int
-	}
-}
-
-func (a *accessStats) init() {
-	if a.tableHits == nil {
-		a.tableHits = map[string]int{}
-	}
-	if a.rawServes == nil {
-		a.rawServes = map[string]struct {
-			count int
-			dom   string
-			fn    string
-			arity int
-			dims  []int
-		}{}
-	}
-}
-
-func (a *accessStats) noteTableHit(key string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.init()
-	a.tableHits[key]++
-}
-
-func (a *accessStats) noteRawServe(key, dom, fn string, arity int, dims []int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.init()
-	e := a.rawServes[key]
-	e.count++
-	e.dom, e.fn, e.arity = dom, fn, arity
-	e.dims = append([]int(nil), dims...)
-	a.rawServes[key] = e
-}
+// accessed very often." This file implements that policy. Estimation
+// counts, per (function, dimension set), how often a summary table served
+// a lookup (SummaryTable.hits) and how often the raw database did
+// (maskIndex.serves); AutoTune materializes tables for hot raw shapes and
+// drops cold tables.
 
 // TableHits returns the per-table serve counts since the last AutoTune.
 func (db *DB) TableHits() map[string]int {
-	db.access.mu.Lock()
-	defer db.access.mu.Unlock()
-	out := make(map[string]int, len(db.access.tableHits))
-	for k, v := range db.access.tableHits {
-		out[k] = v
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := map[string]int{}
+	for _, g := range db.groups {
+		for _, t := range g.tables {
+			if n := t.hits.Load(); n > 0 {
+				out[t.key()] = int(n)
+			}
+		}
 	}
 	return out
 }
 
 // RawAggregations returns, per would-be table key, how many estimations
-// had to aggregate the raw database since the last AutoTune.
+// the raw database served since the last AutoTune.
 func (db *DB) RawAggregations() map[string]int {
-	db.access.mu.Lock()
-	defer db.access.mu.Unlock()
-	out := make(map[string]int, len(db.access.rawServes))
-	for k, v := range db.access.rawServes {
-		out[k] = v.count
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := map[string]int{}
+	for k, g := range db.groups {
+		for mask, ix := range g.indexes {
+			if n := ix.serves.Load(); n > 0 {
+				out[tableKey(k, maskDims(mask))] = int(n)
+			}
+		}
 	}
 	return out
 }
 
 // AutoTune applies the access-pattern policy: every dimension shape that
-// needed createThreshold or more raw aggregations gets a summary table
-// materialized; every existing table with fewer than keepThreshold hits is
-// dropped. Counters reset afterwards. It returns the created and dropped
-// table keys, sorted.
+// served createThreshold or more estimates from the raw database gets a
+// summary table materialized; every existing table with fewer than
+// keepThreshold hits is dropped, except one created in this very pass.
+// Counters reset afterwards. It returns the created and dropped table
+// keys, sorted.
 func (db *DB) AutoTune(createThreshold, keepThreshold int) (created, dropped []string, err error) {
-	db.access.mu.Lock()
-	raw := db.access.rawServes
-	hits := db.access.tableHits
-	db.access.rawServes = nil
-	db.access.tableHits = nil
-	db.access.init()
-	db.access.mu.Unlock()
-
-	for key, e := range raw {
-		if e.count < createThreshold {
-			continue
-		}
-		if _, err2 := db.Summarize(e.dom, e.fn, e.arity, e.dims); err2 != nil {
-			return created, dropped, err2
-		}
-		created = append(created, key)
-	}
 	db.mu.Lock()
-	for key, t := range db.summaries {
-		if hits[key] < keepThreshold {
-			// Never drop a table created in this very pass.
-			fresh := false
-			for _, c := range created {
-				if c == key {
-					fresh = true
-					break
-				}
-			}
-			if !fresh {
-				delete(db.summaries, key)
-				dropped = append(dropped, key)
+	defer db.mu.Unlock()
+	for k, g := range db.groups {
+		fresh := map[uint64]bool{}
+		for mask, ix := range g.indexes {
+			if n := int(ix.serves.Swap(0)); n > 0 && n >= createThreshold {
+				created = append(created, db.summarize(k, maskDims(mask)).key())
+				fresh[mask] = true
 			}
 		}
-		_ = t
+		for mask, t := range g.tables {
+			if int(t.hits.Swap(0)) < keepThreshold && !fresh[mask] {
+				delete(g.tables, mask)
+				dropped = append(dropped, t.key())
+			}
+		}
 	}
-	db.mu.Unlock()
 	sort.Strings(created)
 	sort.Strings(dropped)
 	return created, dropped, nil

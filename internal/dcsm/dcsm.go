@@ -13,6 +13,15 @@
 // searches the most specific applicable table first and recursively relaxes
 // known constants to $b on misses (§6.3).
 //
+// Where no summary table covers a level, the raw database answers it — by
+// a hash probe, not a scan: each function keeps one index per dimension
+// mask an estimate has asked for (§6.2.2's "create tables by access
+// pattern", done automatically), folded forward on every Observe. An index
+// is derived state: it returns exactly the vector a fold over the matching
+// records would, is rebuilt on demand when records are trimmed, dropped or
+// loaded, and is never persisted. Explicitly built summary tables remain
+// snapshots and take precedence.
+//
 // Domains that provide their own cost model plug in through
 // domain.Estimator; the DCSM forwards their estimates and fills in only the
 // missing components from cached statistics.
@@ -22,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +39,6 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/obs"
-	"hermes/internal/term"
 )
 
 // ErrNoStatistics reports that neither a native estimator nor any recorded
@@ -70,9 +79,23 @@ type Record struct {
 	RecordedAt            time.Duration
 }
 
-// groupKey identifies all records of one domain function.
-func groupKey(dom, fn string, arity int) string {
-	return fmt.Sprintf("%s:%s/%d", dom, fn, arity)
+// funcKey identifies one domain function: everything the module knows
+// about it — raw records, per-mask indexes, summary tables — hangs off one
+// group under this key.
+type funcKey struct {
+	domain, function string
+	arity            int
+}
+
+func keyOf(c domain.Call) funcKey { return funcKey{c.Domain, c.Function, len(c.Args)} }
+
+func (k funcKey) String() string { return fmt.Sprintf("%s:%s/%d", k.domain, k.function, k.arity) }
+
+// group is the state of one domain function.
+type group struct {
+	recs    []Record                 // raw cost vector database, in recording order
+	indexes map[uint64]*maskIndex    // by dimension mask; derived from recs
+	tables  map[uint64]*SummaryTable // by dimension mask; explicit snapshots
 }
 
 // DB is the domain cost and statistics module.
@@ -80,11 +103,9 @@ type DB struct {
 	cfg Config
 
 	mu         sync.RWMutex
-	records    map[string][]Record      // groupKey -> raw cost vector database
-	summaries  map[string]*SummaryTable // tableKey -> summary table
+	groups     map[funcKey]*group
 	estimators map[string]domain.Estimator
 	now        func() time.Duration
-	access     accessStats // per-table usage counters for AutoTune
 
 	// Event tallies, attached to the metrics registry by SetObserver.
 	observations obs.Counter
@@ -110,8 +131,7 @@ func New(cfg Config, now func() time.Duration) *DB {
 	}
 	return &DB{
 		cfg:        cfg,
-		records:    make(map[string][]Record),
-		summaries:  make(map[string]*SummaryTable),
+		groups:     make(map[funcKey]*group),
 		estimators: make(map[string]domain.Estimator),
 		now:        now,
 	}
@@ -143,20 +163,14 @@ func (db *DB) Observe(m domain.Measurement) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.observations.Inc()
-	rec := Record{
+	db.insert(Record{
 		Call:       m.Call,
 		Cost:       m.Cost,
 		HasTf:      true,
 		HasTa:      m.Complete,
 		HasCard:    m.Complete,
 		RecordedAt: db.now(),
-	}
-	key := groupKey(m.Call.Domain, m.Call.Function, len(m.Call.Args))
-	recs := append(db.records[key], rec)
-	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
-		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
-	}
-	db.records[key] = recs
+	})
 }
 
 // ObserveRecord inserts a fully-specified record, preserving its original
@@ -165,19 +179,48 @@ func (db *DB) Observe(m domain.Measurement) {
 func (db *DB) ObserveRecord(rec Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	key := groupKey(rec.Call.Domain, rec.Call.Function, len(rec.Call.Args))
-	recs := append(db.records[key], rec)
-	if db.cfg.MaxRecordsPerCall > 0 && len(recs) > db.cfg.MaxRecordsPerCall {
-		recs = recs[len(recs)-db.cfg.MaxRecordsPerCall:]
+	db.insert(rec)
+}
+
+// group returns the state of a function, creating it on first use. The
+// caller holds the write lock.
+func (db *DB) group(k funcKey) *group {
+	g := db.groups[k]
+	if g == nil {
+		g = &group{}
+		db.groups[k] = g
 	}
-	db.records[key] = recs
+	return g
+}
+
+// view returns the state of a function for reading; one never seen reads
+// as empty.
+func (db *DB) view(k funcKey) *group {
+	if g := db.groups[k]; g != nil {
+		return g
+	}
+	return &group{}
+}
+
+// insert appends a record and carries the function's indexes forward. A
+// MaxRecordsPerCall trim shifts every record index, so it drops the indexes
+// instead; the next estimate refolds the one it needs.
+func (db *DB) insert(rec Record) {
+	g := db.group(keyOf(rec.Call))
+	g.recs = append(g.recs, rec)
+	if max := db.cfg.MaxRecordsPerCall; max > 0 && len(g.recs) > max {
+		g.recs = g.recs[len(g.recs)-max:]
+		g.dropIndexes()
+		return
+	}
+	g.indexLast(db.cfg.RecencyHalfLife > 0)
 }
 
 // RecordCount returns the number of raw records held for a function.
 func (db *DB) RecordCount(dom, fn string, arity int) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.records[groupKey(dom, fn, arity)])
+	return len(db.view(funcKey{dom, fn, arity}).recs)
 }
 
 // Records returns a copy of the raw records for a function, in recording
@@ -185,7 +228,7 @@ func (db *DB) RecordCount(dom, fn string, arity int) int {
 func (db *DB) Records(dom, fn string, arity int) []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]Record(nil), db.records[groupKey(dom, fn, arity)]...)
+	return append([]Record(nil), db.view(funcKey{dom, fn, arity}).recs...)
 }
 
 // DropDetail deletes the raw records of a function, keeping only its
@@ -193,7 +236,10 @@ func (db *DB) Records(dom, fn string, arity int) []Record {
 func (db *DB) DropDetail(dom, fn string, arity int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.records, groupKey(dom, fn, arity))
+	if g := db.groups[funcKey{dom, fn, arity}]; g != nil {
+		g.recs = nil
+		g.dropIndexes()
+	}
 }
 
 // FunctionStat is one domain function's statistics footprint: how much
@@ -214,45 +260,41 @@ type FunctionStat struct {
 func (db *DB) FunctionStats() []FunctionStat {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	byKey := map[string]*FunctionStat{}
-	get := func(dom, fn string, arity int) *FunctionStat {
-		key := groupKey(dom, fn, arity)
-		st := byKey[key]
-		if st == nil {
-			st = &FunctionStat{Domain: dom, Function: fn, Arity: arity}
-			byKey[key] = st
-		}
-		return st
-	}
-	for _, recs := range db.records {
-		if len(recs) == 0 {
+	var out []FunctionStat
+	for _, k := range db.sortedKeys() {
+		g := db.groups[k]
+		if len(g.recs) == 0 && len(g.tables) == 0 {
 			continue
 		}
-		c := recs[0].Call
-		get(c.Domain, c.Function, len(c.Args)).Records = len(recs)
+		out = append(out, FunctionStat{Domain: k.domain, Function: k.function, Arity: k.arity,
+			Records: len(g.recs), SummaryTables: len(g.tables)})
 	}
-	for _, t := range db.summaries {
-		get(t.Domain, t.Function, t.Arity).SummaryTables++
-	}
-	out := make([]FunctionStat, 0, len(byKey))
-	for _, st := range byKey {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Domain != out[j].Domain {
-			return out[i].Domain < out[j].Domain
-		}
-		if out[i].Function != out[j].Function {
-			return out[i].Function < out[j].Function
-		}
-		return out[i].Arity < out[j].Arity
-	})
 	return out
+}
+
+// sortedKeys returns the function keys ordered by domain, function, arity:
+// the one order every listing and the snapshot use.
+func (db *DB) sortedKeys() []funcKey {
+	keys := make([]funcKey, 0, len(db.groups))
+	for k := range db.groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.domain != b.domain {
+			return a.domain < b.domain
+		}
+		if a.function != b.function {
+			return a.function < b.function
+		}
+		return a.arity < b.arity
+	})
+	return keys
 }
 
 // weight returns the recency weight of a record at summarization or
 // estimation time.
-func (db *DB) weight(rec Record, now time.Duration) float64 {
+func (db *DB) weight(rec *Record, now time.Duration) float64 {
 	if db.cfg.RecencyHalfLife <= 0 {
 		return 1
 	}
@@ -276,76 +318,14 @@ func (db *DB) Storage() StorageStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var s StorageStats
-	for _, recs := range db.records {
-		s.RawRecords += len(recs)
-	}
-	s.SummaryTables = len(db.summaries)
-	for _, t := range db.summaries {
-		s.SummaryRows += len(t.rows)
+	for _, g := range db.groups {
+		s.RawRecords += len(g.recs)
+		s.SummaryTables += len(g.tables)
+		for _, t := range g.tables {
+			s.SummaryRows += len(t.rows)
+		}
 	}
 	return s
-}
-
-// aggregate folds a set of records into a cost vector, respecting missing
-// components and recency weights. ok=false when no record contributes
-// anything.
-func (db *DB) aggregate(recs []Record, match func(Record) bool) (domain.CostVector, bool) {
-	now := db.now()
-	var sumTf, sumTa, sumCard float64
-	var wTf, wTa, wCard float64
-	for _, r := range recs {
-		if !match(r) {
-			continue
-		}
-		w := db.weight(r, now)
-		if r.HasTf {
-			sumTf += w * float64(r.Cost.TFirst)
-			wTf += w
-		}
-		if r.HasTa {
-			sumTa += w * float64(r.Cost.TAll)
-			wTa += w
-		}
-		if r.HasCard {
-			sumCard += w * r.Cost.Card
-			wCard += w
-		}
-	}
-	if wTf == 0 && wTa == 0 && wCard == 0 {
-		return domain.CostVector{}, false
-	}
-	var cv domain.CostVector
-	if wTf > 0 {
-		cv.TFirst = time.Duration(sumTf / wTf)
-	}
-	if wTa > 0 {
-		cv.TAll = time.Duration(sumTa / wTa)
-	}
-	if wCard > 0 {
-		cv.Card = sumCard / wCard
-	}
-	// Fill gaps conservatively: a missing Ta is at least Tf.
-	if wTa == 0 {
-		cv.TAll = cv.TFirst
-	}
-	if wCard == 0 {
-		cv.Card = 1
-	}
-	return cv, true
-}
-
-// matchPattern reports whether a record's call matches a pattern's known
-// constants.
-func matchPattern(p domain.Pattern, c domain.Call) bool {
-	if len(p.Args) != len(c.Args) {
-		return false
-	}
-	for i, a := range p.Args {
-		if a.Known && !term.Equal(a.Val, c.Args[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // dimsKey canonically encodes a dimension set.
@@ -357,10 +337,15 @@ func dimsKey(dims []int) string {
 	return strings.Join(parts, ",")
 }
 
-// tableKey identifies a summary table by function and dimension set.
-func tableKey(dom, fn string, arity int, dims []int) string {
-	return groupKey(dom, fn, arity) + "[" + dimsKey(dims) + "]"
+// tableKey names a (function, dimension set) pair the way AutoTune and the
+// access counters report it.
+func tableKey(k funcKey, dims []int) string {
+	return k.String() + "[" + dimsKey(dims) + "]"
 }
+
+// maxDims is how many argument positions a dimension mask can name.
+// Pattern.Mask drops positions past it, so estimation treats them as $b.
+const maxDims = 64
 
 // normalizeDims sorts and deduplicates a dimension list and validates it
 // against the arity.
@@ -369,7 +354,7 @@ func normalizeDims(dims []int, arity int) ([]int, error) {
 	sort.Ints(out)
 	prev := -1
 	for _, d := range out {
-		if d < 0 || d >= arity {
+		if d < 0 || d >= arity || d >= maxDims {
 			return nil, fmt.Errorf("dimension %d out of range for arity %d", d, arity)
 		}
 		if d == prev {
@@ -378,4 +363,22 @@ func normalizeDims(dims []int, arity int) ([]int, error) {
 		prev = d
 	}
 	return out, nil
+}
+
+// dimsMask is the bitmask form of a normalized dimension list; maskDims is
+// its inverse.
+func dimsMask(dims []int) uint64 {
+	var m uint64
+	for _, d := range dims {
+		m |= 1 << uint(d)
+	}
+	return m
+}
+
+func maskDims(mask uint64) []int {
+	dims := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		dims = append(dims, bits.TrailingZeros64(mask))
+	}
+	return dims
 }

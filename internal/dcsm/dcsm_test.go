@@ -329,6 +329,9 @@ func TestSummarizeValidation(t *testing.T) {
 	if _, err := db.Summarize("d", "f", 2, []int{0, 0}); err == nil {
 		t.Error("duplicate dimension should error")
 	}
+	if _, err := db.Summarize("d", "wide", 70, []int{64}); err == nil {
+		t.Error("a dimension past the 64 positions a mask can name should error")
+	}
 }
 
 func TestSummaryTableString(t *testing.T) {

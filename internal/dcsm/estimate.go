@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hermes/internal/domain"
+	"hermes/internal/term"
 )
 
 // Cost estimates the cost vector of a domain call pattern: the module's
@@ -17,30 +18,42 @@ import (
 //     known constants are relaxed to $b one at a time, breadth-first, down
 //     to the fully-general single-row table (§6.3).
 //  3. When AllowRawAggregation is set, levels without a matching summary
-//     table aggregate the raw cost vector database instead (the expensive
-//     average the summaries exist to avoid).
+//     table are answered from the raw cost vector database instead: the
+//     average over the matching records, read off the function's index for
+//     that dimension set (created the first time a level asks for it).
+//
+// An estimate allocates nothing and formats nothing, however much history
+// the function has; TestCostAllocsFlat holds it to that.
 func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
-	cv, _, err := db.CostWithTrace(p)
-	return cv, err
+	return db.cost(p, nil)
 }
 
-// CostWithTrace is Cost plus a human-readable trace of the lookup path,
-// used by tests reproducing the paper's §6.3 example and by the CLI's
-// explain mode.
+// CostWithTrace is Cost plus a human-readable trace of the lookup path.
+// It renders the lines TestPaperSection63RelaxationOrder pins against the
+// paper's §6.3 walk-through and examples/logistics prints; Cost itself
+// formats nothing.
 func (db *DB) CostWithTrace(p domain.Pattern) (domain.CostVector, []string, error) {
 	var trace []string
+	cv, err := db.cost(p, &trace)
+	return cv, trace, err
+}
+
+// cost resolves an estimate, appending the lookup path to trace when one
+// is asked for.
+func (db *DB) cost(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
 	db.mu.RLock()
 	est, hasEst := db.estimators[p.Domain]
 	db.mu.RUnlock()
 	if hasEst {
 		if cv, missing, ok := est.EstimateCost(p); ok {
 			db.estimates[estimateNative].Inc()
-			trace = append(trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
-			if len(missing) == 0 {
-				return cv, trace, nil
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
 			}
-			if statCV, statTrace, err := db.costFromStats(p); err == nil {
-				trace = append(trace, statTrace...)
+			if len(missing) == 0 {
+				return cv, nil
+			}
+			if statCV, err := db.costFromStats(p, trace); err == nil {
 				for _, field := range missing {
 					switch field {
 					case "tf":
@@ -52,24 +65,13 @@ func (db *DB) CostWithTrace(p domain.Pattern) (domain.CostVector, []string, erro
 					}
 				}
 			}
-			return cv, trace, nil
+			return cv, nil
 		}
-		trace = append(trace, fmt.Sprintf("native estimator for %s declined pattern", p.Domain))
-	}
-	cv, statTrace, err := db.costFromStats(p)
-	trace = append(trace, statTrace...)
-	return cv, trace, err
-}
-
-// knownPositions returns the ascending positions of known constants.
-func knownPositions(p domain.Pattern) []int {
-	var out []int
-	for i, a := range p.Args {
-		if a.Known {
-			out = append(out, i)
+		if trace != nil {
+			*trace = append(*trace, fmt.Sprintf("native estimator for %s declined pattern", p.Domain))
 		}
 	}
-	return out
+	return db.costFromStats(p, trace)
 }
 
 // rowVector converts a summary row to a cost vector, applying the same
@@ -88,54 +90,113 @@ func rowVector(r *SummaryRow) (domain.CostVector, bool) {
 	return cv, true
 }
 
-// costFromStats runs the breadth-first relaxation search over summary
-// tables and (optionally) the raw database.
-func (db *DB) costFromStats(p domain.Pattern) (domain.CostVector, []string, error) {
+// costFromStats runs the relaxation search under the read lock. Only when
+// it reaches a level whose index does not exist yet (the first estimate to
+// ask for that mask, or the first after the records moved) does it start
+// over under the write lock, which may build indexes as it goes.
+func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
+	traced := 0
+	if trace != nil {
+		traced = len(*trace)
+	}
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var trace []string
-	arity := len(p.Args)
-	gk := groupKey(p.Domain, p.Function, arity)
-	recs := db.records[gk]
+	cv, done, err := db.search(p, trace, false)
+	db.mu.RUnlock()
+	if done {
+		return cv, err
+	}
+	if trace != nil {
+		*trace = (*trace)[:traced]
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	cv, _, err = db.search(p, trace, true)
+	return cv, err
+}
 
-	queue := []domain.Pattern{p}
-	visited := map[uint64]bool{p.Mask(): true}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		dims := knownPositions(q)
-		tk := tableKey(p.Domain, p.Function, arity, dims)
-		if t, ok := db.summaries[tk]; ok {
-			if row, hit := t.lookupRow(q); hit {
+// search is the breadth-first relaxation of §6.3 over dimension masks:
+// the pattern's own known positions first, then every way of relaxing one
+// constant to $b, then two, down to the fully-general level. At each level
+// a summary table with exactly those dimensions is probed if one exists;
+// otherwise, with AllowRawAggregation, the raw database's index for the
+// mask is. done=false means an index was missing and build was not set;
+// nothing has been counted and the caller retries.
+func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.CostVector, done bool, err error) {
+	g := db.view(funcKey{p.Domain, p.Function, len(p.Args)})
+	full := p.Mask()
+	var (
+		valBuf  [8]term.Value
+		hashBuf [8]uint64
+		maskBuf [16]uint64
+	)
+	vals := valBuf[:0]
+	for _, a := range p.Args {
+		vals = append(vals, a.Val)
+	}
+	argHashes := hashArgs(hashBuf[:0], vals)
+
+	queue := append(maskBuf[:0], full)
+	for head := 0; head < len(queue); head++ {
+		mask := queue[head]
+		if t := g.tables[mask]; t != nil {
+			if row, hit := t.lookupRow(p); hit {
 				if cv, valid := rowVector(row); valid {
-					db.access.noteTableHit(tk)
+					t.hits.Add(1)
 					db.estimates[estimateSummary].Inc()
-					trace = append(trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(dims), q, row.L))
-					return cv, trace, nil
+					if trace != nil {
+						*trace = append(*trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(t.Dims), relaxTo(p, mask), row.L))
+					}
+					return cv, true, nil
 				}
 			}
-			trace = append(trace, fmt.Sprintf("summary table %s: no row for %s", dimsKey(dims), q))
-		} else if db.cfg.AllowRawAggregation && len(recs) > 0 {
-			if cv, ok := db.aggregate(recs, func(r Record) bool { return matchPattern(q, r.Call) }); ok {
-				db.access.noteRawServe(tk, p.Domain, p.Function, arity, dims)
-				db.estimates[estimateRaw].Inc()
-				trace = append(trace, fmt.Sprintf("raw aggregation over cost vector database for %s", q))
-				return cv, trace, nil
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("summary table %s: no row for %s", dimsKey(t.Dims), relaxTo(p, mask)))
 			}
-			trace = append(trace, fmt.Sprintf("raw database: no records match %s", q))
-		} else {
-			trace = append(trace, fmt.Sprintf("no table with dims %s for %s", dimsKey(dims), q))
+		} else if db.cfg.AllowRawAggregation && len(g.recs) > 0 {
+			ix, built := g.index(mask, build, db.cfg.RecencyHalfLife > 0)
+			if !built {
+				return domain.CostVector{}, false, nil
+			}
+			if cv, hit := db.probe(g, ix, vals, argHashes); hit {
+				ix.serves.Add(1)
+				db.estimates[estimateRaw].Inc()
+				if trace != nil {
+					*trace = append(*trace, fmt.Sprintf("raw aggregation over cost vector database for %s", relaxTo(p, mask)))
+				}
+				return cv, true, nil
+			}
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("raw database: no records match %s", relaxTo(p, mask)))
+			}
+		} else if trace != nil {
+			*trace = append(*trace, fmt.Sprintf("no table with dims %s for %s", dimsKey(maskDims(mask)), relaxTo(p, mask)))
 		}
 		// Relax one known constant at a time (nondeterministic choice in the
-		// paper; breadth-first here, so more specific levels win).
-		for _, d := range dims {
-			r := q.Relax(d)
-			if m := r.Mask(); !visited[m] {
-				visited[m] = true
-				queue = append(queue, r)
+		// paper; breadth-first here, so more specific levels win), lowest
+		// position first. A mask is reachable by relaxing its missing
+		// positions in any order; enqueueing it only from the parent that
+		// relaxes them in ascending order — so only positions above every
+		// one already relaxed — visits each mask once, at the place a
+		// visited-set would have kept.
+		relaxed := full &^ mask
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			if bit := rest & -rest; bit > relaxed {
+				queue = append(queue, mask&^bit)
 			}
 		}
 	}
 	db.estimates[estimateNone].Inc()
-	return domain.CostVector{}, trace, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+	return domain.CostVector{}, true, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+}
+
+// relaxTo renders the pattern a search level stands for: p with every
+// position outside the mask generalized to $b. Trace-only.
+func relaxTo(p domain.Pattern, mask uint64) domain.Pattern {
+	q := domain.Pattern{Domain: p.Domain, Function: p.Function, Args: make([]domain.PatternArg, len(p.Args))}
+	for i, a := range p.Args {
+		if a.Known && mask&(1<<uint(i)) != 0 {
+			q.Args[i] = a
+		}
+	}
+	return q
 }

@@ -15,7 +15,8 @@ import (
 // immediately well-informed. Save/Load use a versioned JSON snapshot that
 // carries both the raw cost vector database and the summary tables
 // (summaries are not always derivable: the raw detail may have been
-// dropped).
+// dropped). The per-mask indexes and the access counters are not part of
+// it: a loaded module rebuilds each index at the first estimate that asks.
 
 const snapshotVersion = 1
 
@@ -59,13 +60,14 @@ type snapshot struct {
 }
 
 // Save writes the module's full state (raw records and summary tables) as
-// JSON.
+// JSON. Functions and tables are emitted in sorted key order, so saving the
+// same state twice writes the same bytes.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	snap := snapshot{Version: snapshotVersion}
-	for _, recs := range db.records {
-		for _, rec := range recs {
+	for _, k := range db.sortedKeys() {
+		for _, rec := range db.groups[k].recs {
 			args, err := term.EncodeJSONs(rec.Call.Args)
 			if err != nil {
 				return fmt.Errorf("dcsm: save: %w", err)
@@ -78,7 +80,7 @@ func (db *DB) Save(w io.Writer) error {
 			})
 		}
 	}
-	for _, t := range db.summaries {
+	for _, t := range db.tables() {
 		st := snapshotTable{
 			Domain: t.Domain, Function: t.Function, Arity: t.Arity,
 			Dims: append([]int(nil), t.Dims...), BuiltNs: int64(t.BuiltAt),
@@ -100,7 +102,7 @@ func (db *DB) Save(w io.Writer) error {
 }
 
 // Load replaces the module's state with a snapshot previously written by
-// Save.
+// Save. Access counters start from zero, like the state they described.
 func (db *DB) Load(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -109,7 +111,7 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version != snapshotVersion {
 		return fmt.Errorf("dcsm: load: unsupported snapshot version %d", snap.Version)
 	}
-	records := make(map[string][]Record)
+	loaded := DB{groups: make(map[funcKey]*group)}
 	for _, sr := range snap.Records {
 		args, err := term.DecodeJSONs(sr.Args)
 		if err != nil {
@@ -123,10 +125,9 @@ func (db *DB) Load(r io.Reader) error {
 			HasTf: sr.HasTf, HasTa: sr.HasTa, HasCard: sr.HasCard,
 			RecordedAt: time.Duration(sr.AtNs),
 		}
-		key := groupKey(sr.Domain, sr.Function, len(args))
-		records[key] = append(records[key], rec)
+		g := loaded.group(keyOf(rec.Call))
+		g.recs = append(g.recs, rec)
 	}
-	summaries := make(map[string]*SummaryTable)
 	for _, st := range snap.Tables {
 		dims, err := normalizeDims(st.Dims, st.Arity)
 		if err != nil {
@@ -148,11 +149,10 @@ func (db *DB) Load(r io.Reader) error {
 			}
 			t.rows[rowKey(dimVals)] = row
 		}
-		summaries[tableKey(st.Domain, st.Function, st.Arity, dims)] = t
+		loaded.group(funcKey{st.Domain, st.Function, st.Arity}).setTable(t)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.records = records
-	db.summaries = summaries
+	db.groups = loaded.groups
 	return nil
 }

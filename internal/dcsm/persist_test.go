@@ -83,6 +83,82 @@ func TestLoadSurvivesDroppedDetail(t *testing.T) {
 	}
 }
 
+// TestSaveIsDeterministic: two saves of one state write the same bytes, and
+// so does a save of the state loaded back (functions and tables are
+// emitted in key order, not map order).
+func TestSaveIsDeterministic(t *testing.T) {
+	db := New(DefaultConfig(), nil)
+	loadFigure2(db)
+	if _, err := db.SummarizeLossless("d1", "p_bf", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SummarizeLossless("d1", "p_bb", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Summarize("d1", "p_bb", 2, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SummarizeFullyLossy("d2", "q_ff", 0); err != nil {
+		t.Fatal(err)
+	}
+	save := func(db *DB) []byte {
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(db)
+	for i := 0; i < 20; i++ { // map order varies from range to range
+		if again := save(db); !bytes.Equal(first, again) {
+			t.Fatalf("save %d of the same state differs:\n%s\nvs\n%s", i+2, first, again)
+		}
+	}
+	reloaded := New(DefaultConfig(), nil)
+	if err := reloaded.Load(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if again := save(reloaded); !bytes.Equal(first, again) {
+		t.Fatalf("save of the reloaded state differs:\n%s\nvs\n%s", first, again)
+	}
+}
+
+// TestLoadResetsAccessCounters: the counters AutoTune reads describe the
+// state they were counted on; Load replaces that state and they go with it.
+func TestLoadResetsAccessCounters(t *testing.T) {
+	db := New(DefaultConfig(), nil)
+	loadFigure2(db)
+	if _, err := db.SummarizeLossless("d2", "q_bf", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []domain.Pattern{
+		{Domain: "d1", Function: "p_bf", Args: []domain.PatternArg{domain.Const(term.Str("a"))}},
+		{Domain: "d2", Function: "q_bf", Args: []domain.PatternArg{domain.Const(term.Str("b1"))}},
+	} {
+		for i := 0; i < 3; i++ {
+			if _, err := db.Cost(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(db.RawAggregations()) != 1 || len(db.TableHits()) != 1 {
+		t.Fatalf("before load: raw=%v hits=%v", db.RawAggregations(), db.TableHits())
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if raw, hits := db.RawAggregations(), db.TableHits(); len(raw) != 0 || len(hits) != 0 {
+		t.Errorf("counters survived Load: raw=%v hits=%v", raw, hits)
+	}
+	if created, dropped, _ := db.AutoTune(3, 0); len(created) != 0 || len(dropped) != 0 {
+		t.Errorf("AutoTune acted on the previous state's counts: created=%v dropped=%v", created, dropped)
+	}
+}
+
 func TestLoadRejectsBadInput(t *testing.T) {
 	db := New(DefaultConfig(), nil)
 	if err := db.Load(strings.NewReader("not json")); err == nil {

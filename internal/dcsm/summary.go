@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/domain"
@@ -35,6 +36,12 @@ type SummaryTable struct {
 	rows map[string]*SummaryRow
 	// BuiltAt is the clock reading when the table was (re)built.
 	BuiltAt time.Duration
+	// hits counts the estimates this table served since the last AutoTune.
+	hits atomic.Int64
+}
+
+func (t *SummaryTable) key() string {
+	return tableKey(funcKey{t.Domain, t.Function, t.Arity}, t.Dims)
 }
 
 // Rows returns the table's rows ordered by dimension values (stable for
@@ -97,26 +104,34 @@ func rowKey(vals []term.Value) string {
 // aggregates the current raw cost vector database; records with missing
 // components contribute only their valid metrics.
 func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, error) {
+	k := funcKey{dom, fn, arity}
 	nd, err := normalizeDims(dims, arity)
 	if err != nil {
-		return nil, fmt.Errorf("summarize %s: %w", groupKey(dom, fn, arity), err)
+		return nil, fmt.Errorf("summarize %s: %w", k, err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	recs := db.records[groupKey(dom, fn, arity)]
+	return db.summarize(k, nd), nil
+}
+
+// summarize builds and registers the table over normalized dims. The
+// caller holds the write lock.
+func (db *DB) summarize(k funcKey, nd []int) *SummaryTable {
+	g := db.group(k)
 	now := db.now()
-	t := &SummaryTable{Domain: dom, Function: fn, Arity: arity, Dims: nd,
+	t := &SummaryTable{Domain: k.domain, Function: k.function, Arity: k.arity, Dims: nd,
 		rows: make(map[string]*SummaryRow), BuiltAt: now}
-	for _, rec := range recs {
+	for r := range g.recs {
+		rec := &g.recs[r]
 		dimVals := make([]term.Value, len(nd))
 		for i, d := range nd {
 			dimVals[i] = rec.Call.Args[d]
 		}
-		k := rowKey(dimVals)
-		row, ok := t.rows[k]
+		rk := rowKey(dimVals)
+		row, ok := t.rows[rk]
 		if !ok {
 			row = &SummaryRow{DimVals: dimVals}
-			t.rows[k] = row
+			t.rows[rk] = row
 		}
 		w := db.weight(rec, now)
 		row.L++
@@ -133,8 +148,21 @@ func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, e
 			row.wCard += w
 		}
 	}
-	db.summaries[tableKey(dom, fn, arity, nd)] = t
-	return t, nil
+	g.setTable(t)
+	return t
+}
+
+// setTable registers a table under its dimension mask. Replacing a table
+// refreshes the snapshot, not its access history.
+func (g *group) setTable(t *SummaryTable) {
+	if g.tables == nil {
+		g.tables = make(map[uint64]*SummaryTable)
+	}
+	mask := dimsMask(t.Dims)
+	if old := g.tables[mask]; old != nil {
+		t.hits.Store(old.hits.Load())
+	}
+	g.tables[mask] = t
 }
 
 // weightedMean folds a new duration observation into a running weighted
@@ -175,7 +203,7 @@ func (db *DB) Table(dom, fn string, arity int, dims []int) (*SummaryTable, bool)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.summaries[tableKey(dom, fn, arity, nd)]
+	t, ok := db.view(funcKey{dom, fn, arity}).tables[dimsMask(nd)]
 	return t, ok
 }
 
@@ -188,22 +216,26 @@ func (db *DB) DropTable(dom, fn string, arity int, dims []int) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.summaries, tableKey(dom, fn, arity, nd))
+	if g := db.groups[funcKey{dom, fn, arity}]; g != nil {
+		delete(g.tables, dimsMask(nd))
+	}
 }
 
-// Tables lists all registered summary tables.
+// Tables lists all registered summary tables, ordered by table key.
 func (db *DB) Tables() []*SummaryTable {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]*SummaryTable, 0, len(db.summaries))
-	for _, t := range db.summaries {
-		out = append(out, t)
+	return db.tables()
+}
+
+func (db *DB) tables() []*SummaryTable {
+	var out []*SummaryTable
+	for _, g := range db.groups {
+		for _, t := range g.tables {
+			out = append(out, t)
+		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		ka := tableKey(out[a].Domain, out[a].Function, out[a].Arity, out[a].Dims)
-		kb := tableKey(out[b].Domain, out[b].Function, out[b].Arity, out[b].Dims)
-		return ka < kb
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].key() < out[b].key() })
 	return out
 }
 

@@ -6,6 +6,7 @@ package term
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,12 +207,99 @@ func (r Record) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Equal reports whether two values are identical (same canonical key).
+// Equal reports whether two values are identical: it answers exactly what
+// a.Key() == b.Key() answers — Int(1) differs from Float(1), every NaN
+// equals every NaN, +0 differs from -0, record field order is ignored —
+// but reads the values instead of building their keys. Key stays the one
+// canonical encoding; only records (and Value implementations from outside
+// this package) still compare through it.
 func Equal(a, b Value) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+	switch av := a.(type) {
+	case nil:
+		return b == nil
+	case Str:
+		bv, ok := b.(Str)
+		return ok && av == bv
+	case Int:
+		bv, ok := b.(Int)
+		return ok && av == bv
+	case Float:
+		bv, ok := b.(Float)
+		return ok && floatBits(av) == floatBits(bv)
+	case Bool:
+		bv, ok := b.(Bool)
+		return ok && av == bv
+	case Tuple:
+		bv, ok := b.(Tuple)
+		if !ok || len(av) != len(bv) {
+			return false
+		}
+		for i := range av {
+			if !Equal(av[i], bv[i]) {
+				return false
+			}
+		}
+		return true
+	case Record:
+		bv, ok := b.(Record)
+		return ok && av.Key() == bv.Key()
 	}
-	return a.Key() == b.Key()
+	return b != nil && a.Key() == b.Key()
+}
+
+// floatBits is the identity Float.Key encodes: the bit pattern, with all
+// NaNs folded into one.
+func floatBits(f Float) uint64 {
+	if f != f {
+		return 0x7ff8000000000001
+	}
+	return math.Float64bits(float64(f))
+}
+
+// FNV-1a parameters.
+const (
+	hashOffset uint64 = 14695981039346656037
+	hashPrime  uint64 = 1099511628211
+)
+
+// Hash returns a 64-bit hash consistent with Equal: Equal(a, b) implies
+// Hash(a) == Hash(b). Like Equal it reads the value rather than its key,
+// so it does not allocate except for records. Hashes are stable within and
+// across processes but are not a persistence format.
+func Hash(v Value) uint64 {
+	switch x := v.(type) {
+	case nil:
+		return hashOffset
+	case Str:
+		return hashString(hashWord(hashOffset, uint64(KindString)), string(x))
+	case Int:
+		return hashWord(hashWord(hashOffset, uint64(KindInt)), uint64(x))
+	case Float:
+		return hashWord(hashWord(hashOffset, uint64(KindFloat)), floatBits(x))
+	case Bool:
+		var bit uint64
+		if x {
+			bit = 1
+		}
+		return hashWord(hashWord(hashOffset, uint64(KindBool)), bit)
+	case Tuple:
+		h := hashWord(hashWord(hashOffset, uint64(KindTuple)), uint64(len(x)))
+		for _, e := range x {
+			h = hashWord(h, Hash(e))
+		}
+		return h
+	}
+	// Records hash their order-insensitive key, as Equal compares it.
+	return hashString(hashWord(hashOffset, uint64(KindRecord)), v.Key())
+}
+
+func hashWord(h, w uint64) uint64 { return (h ^ w) * hashPrime }
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * hashPrime
+	}
+	return h
 }
 
 // Numeric reports whether v is an Int or Float, and its float64 reading.
