@@ -256,8 +256,7 @@ func (sh *shell) drain(cur *engine.Cursor) error {
 	for _, a := range answers {
 		fmt.Println(" ", a)
 	}
-	fmt.Printf("%d answers, first in %dms, all in %dms\n",
-		metrics.Answers, metrics.TFirst.Milliseconds(), metrics.TAll.Milliseconds())
+	fmt.Println(metrics.Summary())
 	if sh.trace {
 		printCalls(cur.Span().Snapshot())
 	}

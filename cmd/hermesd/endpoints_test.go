@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"hermes/internal/admission"
+	"hermes/internal/core"
 	"hermes/internal/memo"
 )
 
@@ -51,7 +51,7 @@ func TestDocumentedEndpointsServed(t *testing.T) {
 	}
 
 	mcfg := memo.DefaultConfig()
-	h, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait, Pprof: true, Memo: &mcfg})
+	h, _, err := newObsHandler(BuildDomains(), obsOptions{Pprof: true, Core: core.Options{Memo: &mcfg}})
 	if err != nil {
 		t.Fatal(err)
 	}

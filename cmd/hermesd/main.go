@@ -47,7 +47,6 @@ import (
 
 	"hermes/internal/admission"
 	"hermes/internal/atomicfile"
-	"hermes/internal/cim"
 	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/domains/avis"
@@ -78,11 +77,9 @@ func main() {
 	memoOn := flag.Bool("memo", true, "enable the rule-level memo cache for intermediate IDB results")
 	memoEntries := flag.Int("memo-entries", memoDefaults.MaxEntries, "memo cache entry budget")
 	memoBytes := flag.Int("memo-bytes", memoDefaults.MaxBytes, "memo cache byte budget")
-	memoDecay := flag.Float64("memo-decay", memoDefaults.Decay, "per-access exponential decay of memo entry benefit scores (0,1]")
 	calQuantile := flag.Float64("cal-inflate-quantile", 0.9, "q-error quantile used to inflate per-call cost estimates from calibration history (0 disables inflation)")
 	coldInflate := flag.Float64("cold-start-inflation", 1.5, "cost inflation factor for functions with no calibration samples at all (<=1 disables)")
 	replanFactor := flag.Float64("replan-factor", 0, "mid-query watchdog: re-plan a union lane when its elapsed cost exceeds this factor times its estimate (<=1 disables)")
-	invThreshold := flag.Int("invindex-parallel-threshold", cim.DefaultParallelMatchThreshold, "invariant-index bucket size at which equality matching fans out across scheduler lanes (negative disables fan-out)")
 	nodeName := flag.String("node-name", "", "name tagging this node's spans in federated traces and /debug/cluster (default: the hostname)")
 	traceMaxDepth := flag.Int("trace-max-depth", remote.DefaultTraceMaxDepth, "federated-tracing hop-depth limit: calls arriving deeper than this are served without a trace subtree (cycle guard; 0 disables tracing)")
 	traceMaxBytes := flag.Int("trace-max-subtree-bytes", remote.DefaultTraceMaxSubtreeBytes, "byte budget for the span subtree shipped per served call; deeper levels are pruned to fit and the root is tagged truncated=1 (0 = unlimited)")
@@ -132,29 +129,29 @@ func main() {
 	var obsSys *core.System
 	if *httpAddr != "" {
 		oo := obsOptions{
-			Parallelism:  *parallelism,
-			MaxInflight:  *maxInflight,
-			Shed:         shed,
-			SlowQueryMS:  *slowQueryMS,
-			Pprof:        *pprofOn,
-			CalQuantile:  *calQuantile,
-			ColdInflate:  *coldInflate,
-			ReplanFactor: *replanFactor,
-			InvThreshold: *invThreshold,
-			NodeName:     node,
-			Mounts:       mounts,
-			PeerTimeout:  *peerTimeout,
-			// Real mounts run under real time; the embedded mediator must
-			// time spans on the wall clock or stitched cross-hop traces
-			// would compare virtual readings against wall durations.
-			Clock: vclock.NewWall(),
+			Core: core.Options{
+				// Real mounts run under real time; the embedded mediator must
+				// time spans on the wall clock or stitched cross-hop traces
+				// would compare virtual readings against wall durations.
+				Clock:              vclock.NewWall(),
+				Parallelism:        *parallelism,
+				MaxInflightCalls:   *maxInflight,
+				ShedPolicy:         shed,
+				CalInflateQuantile: *calQuantile,
+				ColdStartInflation: *coldInflate,
+				ReplanFactor:       *replanFactor,
+			},
+			SlowQueryMS: *slowQueryMS,
+			Pprof:       *pprofOn,
+			NodeName:    node,
+			Mounts:      mounts,
+			PeerTimeout: *peerTimeout,
 		}
 		if *memoOn {
 			mcfg := memoDefaults
 			mcfg.MaxEntries = *memoEntries
 			mcfg.MaxBytes = *memoBytes
-			mcfg.Decay = *memoDecay
-			oo.Memo = &mcfg
+			oo.Core.Memo = &mcfg
 		}
 		h, sys, err := newObsHandler(doms, oo)
 		if err != nil {
@@ -253,26 +250,21 @@ const serverProgram = `
 	F1 <= G1 & G2 <= F2 => avis:frames_to_objects(V, F1, F2) >= avis:frames_to_objects(V, G1, G2).
 `
 
-// obsOptions configures the embedded mediator behind the observability
-// endpoint; fields mirror the hermesd flags of the same names.
+// obsOptions configures the observability endpoint and the embedded
+// mediator behind it.
 type obsOptions struct {
-	Parallelism  int              // -parallelism
-	MaxInflight  int              // -max-inflight
-	Shed         admission.Policy // -shed-policy
-	SlowQueryMS  int              // -slow-query-ms
-	Pprof        bool             // -pprof
-	Memo         *memo.Config     // -memo, -memo-entries, -memo-bytes, -memo-decay
-	CalQuantile  float64          // -cal-inflate-quantile
-	ColdInflate  float64          // -cold-start-inflation
-	ReplanFactor float64          // -replan-factor
-	InvThreshold int              // -invindex-parallel-threshold
-	NodeName     string           // -node-name (resolved)
-	Mounts       []*remote.Client // -mount clients, for /debug/cluster fan-out
-	PeerTimeout  time.Duration    // -cluster-peer-timeout
-	// Clock is the embedded mediator's execution clock. nil keeps the
-	// deterministic virtual clock (tests); main passes a wall clock so
-	// span times are comparable with remote subtree times.
-	Clock vclock.Clock
+	// Core is the embedded mediator's configuration (-parallelism,
+	// -max-inflight, -shed-policy, -memo*, -cal-inflate-quantile,
+	// -cold-start-inflation, -replan-factor); newObsHandler adds the
+	// observer and the resilience policy. A nil Clock keeps the
+	// deterministic virtual clock (tests); main passes a wall clock so span
+	// times are comparable with remote subtree times.
+	Core        core.Options
+	SlowQueryMS int              // -slow-query-ms
+	Pprof       bool             // -pprof
+	NodeName    string           // -node-name (resolved)
+	Mounts      []*remote.Client // -mount clients, for /debug/cluster fan-out
+	PeerTimeout time.Duration    // -cluster-peer-timeout
 }
 
 // newObsHandler builds the observability endpoint: an embedded mediator
@@ -290,21 +282,8 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 	o := obs.NewObserver()
 	o.Flight.SetThreshold(time.Duration(opts.SlowQueryMS) * time.Millisecond)
 	pol := resilience.DefaultPolicy()
-	ccfg := cim.DefaultConfig()
-	ccfg.ParallelMatchThreshold = opts.InvThreshold
-	sys := core.NewSystem(core.Options{
-		Obs:                o,
-		Clock:              opts.Clock,
-		Resilience:         &pol,
-		CIM:                &ccfg,
-		Parallelism:        opts.Parallelism,
-		MaxInflightCalls:   opts.MaxInflight,
-		ShedPolicy:         opts.Shed,
-		Memo:               opts.Memo,
-		CalInflateQuantile: opts.CalQuantile,
-		ColdStartInflation: opts.ColdInflate,
-		ReplanFactor:       opts.ReplanFactor,
-	})
+	opts.Core.Obs, opts.Core.Resilience = o, &pol
+	sys := core.NewSystem(opts.Core)
 	for _, d := range doms {
 		sys.Register(d)
 	}
@@ -374,8 +353,7 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 		for _, a := range answers {
 			fmt.Fprintln(w, a)
 		}
-		fmt.Fprintf(w, "%d answers, first in %dms, all in %dms\n\n",
-			metrics.Answers, metrics.TFirst.Milliseconds(), metrics.TAll.Milliseconds())
+		fmt.Fprintf(w, "%s\n\n", metrics.Summary())
 		fmt.Fprint(w, obs.Explain(cur.Span().Snapshot()))
 	})
 	return mux, sys, nil

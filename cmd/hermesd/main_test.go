@@ -217,11 +217,11 @@ func TestTwoHopMountQueryDifferential(t *testing.T) {
 	for _, m := range buildMounts([]mountSpec{{name: "avis", addr: addrA}}) {
 		mountDoms = append(mountDoms, m)
 	}
-	twoHop, _, err := newObsHandler(mountDoms, obsOptions{Parallelism: 1})
+	twoHop, _, err := newObsHandler(mountDoms, obsOptions{Core: core.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := newObsHandler(local, obsOptions{Parallelism: 1})
+	direct, _, err := newObsHandler(local, obsOptions{Core: core.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +298,12 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 		doms = append(doms, m)
 	}
 	twoHop, sys, err := newObsHandler(doms, obsOptions{
-		Parallelism: 1, NodeName: "node-a", Clock: vclock.NewWall(),
+		Core: core.Options{Parallelism: 1, Clock: vclock.NewWall()}, NodeName: "node-a",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := newObsHandler(BuildDomains(), obsOptions{Parallelism: 1})
+	direct, _, err := newObsHandler(BuildDomains(), obsOptions{Core: core.Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestDebugClusterRollup(t *testing.T) {
 
 	mounts := buildMounts([]mountSpec{{name: "cal", addr: addrB}, {name: "dead", addr: addrDead}})
 	h, _, err := newObsHandler(BuildDomains(), obsOptions{
-		Parallelism: 1, NodeName: "node-a",
+		Core: core.Options{Parallelism: 1}, NodeName: "node-a",
 		Mounts: mounts, PeerTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/memo"
 	"hermes/internal/remote"
@@ -43,7 +44,7 @@ func TestFreshDaemonMetricSurface(t *testing.T) {
 		doms = append(doms, m)
 	}
 	mcfg := memo.DefaultConfig()
-	_, sys, err := newObsHandler(doms, obsOptions{MaxInflight: 4, Memo: &mcfg, CalQuantile: 0.9, ColdInflate: 1.5, NodeName: "n", Mounts: mounts})
+	_, sys, err := newObsHandler(doms, obsOptions{Core: core.Options{MaxInflightCalls: 4, Memo: &mcfg, CalInflateQuantile: 0.9, ColdStartInflation: 1.5}, NodeName: "n", Mounts: mounts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,27 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"encoding/json"
 	"os"
 	"path/filepath"
 
 	"hermes/internal/admission"
+	"hermes/internal/core"
+	"hermes/internal/domains/avis"
 	"hermes/internal/memo"
 	"hermes/internal/obs"
+	"hermes/internal/vclock"
 )
 
 // TestObsEndpoints exercises the observability HTTP surface end to end:
 // a query through /query, then /metrics (Prometheus text with CIM and
 // breaker families) and /debug/queries (the span ring buffer).
 func TestObsEndpoints(t *testing.T) {
-	h, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait})
+	h, _, err := newObsHandler(BuildDomains(), obsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestObsEndpoints(t *testing.T) {
 // Retry-After header — before any source sees it — and serves normally
 // once the lane frees.
 func TestQueryAdmissionShed(t *testing.T) {
-	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Parallelism: 1, MaxInflight: 1, Shed: admission.PolicyShed})
+	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Core: core.Options{Parallelism: 1, MaxInflightCalls: 1, ShedPolicy: admission.PolicyShed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestQueryAdmissionShed(t *testing.T) {
 // TestQueryConcurrentSessions: without the old global query mutex,
 // concurrent /query requests all succeed on their own forked clocks.
 func TestQueryConcurrentSessions(t *testing.T) {
-	h, _, err := newObsHandler(BuildDomains(), obsOptions{Parallelism: 2, MaxInflight: 4, Shed: admission.PolicyWait})
+	h, _, err := newObsHandler(BuildDomains(), obsOptions{Core: core.Options{Parallelism: 2, MaxInflightCalls: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func TestQueryConcurrentSessions(t *testing.T) {
 // table on /debug/calibration, and the flight-recorder JSONL with the
 // query's full span tree.
 func TestCalibrationCIMAndFlightEndpoints(t *testing.T) {
-	h, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait})
+	h, _, err := newObsHandler(BuildDomains(), obsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +292,7 @@ func TestCalibrationCIMAndFlightEndpoints(t *testing.T) {
 // TestFlightSnapshotFile: writeFlightSnapshot dumps the ring to disk, the
 // SIGQUIT handler's workhorse.
 func TestFlightSnapshotFile(t *testing.T) {
-	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait})
+	h, sys, err := newObsHandler(BuildDomains(), obsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +318,7 @@ func TestFlightSnapshotFile(t *testing.T) {
 // TestSlowQueryThreshold: with -slow-query-ms above the workload's cost,
 // finished queries are offered to the flight recorder but skipped.
 func TestSlowQueryThreshold(t *testing.T) {
-	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait, SlowQueryMS: 3600000})
+	h, sys, err := newObsHandler(BuildDomains(), obsOptions{SlowQueryMS: 3600000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +337,11 @@ func TestSlowQueryThreshold(t *testing.T) {
 
 // TestPprofGate: the Go profiling handlers are mounted only with -pprof.
 func TestPprofGate(t *testing.T) {
-	on, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait, Pprof: true})
+	on, _, err := newObsHandler(BuildDomains(), obsOptions{Pprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait})
+	off, _, err := newObsHandler(BuildDomains(), obsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +367,7 @@ func TestPprofGate(t *testing.T) {
 // in /metrics; with the memo disabled, /debug/memo says so.
 func TestMemoEndpoint(t *testing.T) {
 	mcfg := memo.DefaultConfig()
-	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait, Memo: &mcfg})
+	h, sys, err := newObsHandler(BuildDomains(), obsOptions{Core: core.Options{Memo: &mcfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +417,7 @@ func TestMemoEndpoint(t *testing.T) {
 	}
 
 	// Disabled: the endpoint still answers, explaining itself.
-	h2, _, err := newObsHandler(BuildDomains(), obsOptions{Shed: admission.PolicyWait})
+	h2, _, err := newObsHandler(BuildDomains(), obsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,5 +431,51 @@ func TestMemoEndpoint(t *testing.T) {
 	off, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(off), "memo disabled") {
 		t.Errorf("/debug/memo without memo = %q", off)
+	}
+}
+
+// sleepRecorder is a real-time clock that never blocks: Sleep adds the
+// requested duration to a total shared with every fork.
+type sleepRecorder struct {
+	start time.Time
+	slept *atomic.Int64
+}
+
+func (c sleepRecorder) Now() time.Duration   { return time.Since(c.start) }
+func (c sleepRecorder) Fork() vclock.Clock   { return c }
+func (c sleepRecorder) Join(...vclock.Clock) {}
+func (c sleepRecorder) RealTime() bool       { return true }
+func (c sleepRecorder) Sleep(d time.Duration) {
+	if d > 0 {
+		c.slept.Add(int64(d))
+	}
+}
+
+// TestLiveNodeSleepsOnNothing: on a real-time clock the mediator asks for
+// no sleep at all once the source charges nothing — cold, as a CIM exact
+// hit, and memo-served. What a live hermesd waits for is its sources.
+func TestLiveNodeSleepsOnNothing(t *testing.T) {
+	clk := sleepRecorder{time.Now(), new(atomic.Int64)}
+	mcfg := memo.DefaultConfig()
+	doms := BuildDomains()
+	doms[0].(*avis.Store).SetCostParams(avis.CostParams{}) // serverProgram's rules call nothing else
+	h, sys, err := newObsHandler(doms, obsOptions{Core: core.Options{Clock: clk, Memo: &mcfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"?- objects_between(4, 47, O).",                    // cold: the source is called
+		"?- in(O, avis:frames_to_objects('rope', 4, 47)).", // the same call: CIM exact hit
+		"?- objects_between(4, 47, O).",                    // the same subgoal: memo replay
+	} {
+		if got := len(queryAnswers(t, h, q)); got != 19 {
+			t.Fatalf("%s: %d answers, want 19", q, got)
+		}
+	}
+	if cs, ms := sys.CIM.Stats(), sys.Memo.Stats(); cs.Misses != 1 || cs.ExactHits != 1 || ms.Hits != 1 {
+		t.Fatalf("want one miss, one CIM exact hit, one memo hit; got cim %+v memo %+v", cs, ms)
+	}
+	if got := time.Duration(clk.slept.Load()); got != 0 {
+		t.Errorf("mediator requested %v of sleep over three queries, want 0", got)
 	}
 }

@@ -32,8 +32,10 @@ import (
 )
 
 // Options configure a System. The zero value gives a virtual clock, an
-// enabled CIM with default costs, a statistics-cache DCSM, and
-// paper-faithful rewriter/estimator/engine settings.
+// enabled CIM, a statistics-cache DCSM and the paper's rewriter and
+// estimator settings, and charges the execution clock no mediator
+// overhead: time passes only where a source, the network or a resilience
+// backoff spends it.
 type Options struct {
 	// Clock is the execution clock (nil: fresh virtual clock).
 	Clock vclock.Clock

@@ -12,6 +12,7 @@ import (
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/domains/spatial"
 	"hermes/internal/engine"
+	"hermes/internal/memo"
 	"hermes/internal/netsim"
 	"hermes/internal/rewrite"
 	"hermes/internal/term"
@@ -282,5 +283,38 @@ func TestDisableCIM(t *testing.T) {
 	}
 	if sys.CIM != nil {
 		t.Error("CIM should be nil when disabled")
+	}
+}
+
+// TestDefaultOptionsChargeNoOverhead: with every option at its default and
+// the memo on, the only time a query costs is its sources' — over a
+// zero-cost source a cold run, a CIM exact hit and a memo replay all read
+// zero on the execution clock.
+func TestDefaultOptionsChargeNoOverhead(t *testing.T) {
+	d := domaintest.New("d")
+	d.Define("f", domaintest.Func{Arity: 1, Fn: func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.Str("a"), term.Str("b")}, nil
+	}})
+	mcfg := memo.DefaultConfig()
+	sys := NewSystem(Options{Memo: &mcfg})
+	sys.Register(d)
+	if err := sys.LoadProgram(`v(X) :- in(X, d:f(1)).`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"?- v(X).",          // cold
+		"?- in(X, d:f(1)).", // the call again, outside the rule: CIM exact hit
+		"?- v(X).",          // the subgoal again: memo replay
+	} {
+		answers, m, err := sys.QueryAll(q)
+		if err != nil || len(answers) != 2 {
+			t.Fatalf("%s: %d answers, err %v", q, len(answers), err)
+		}
+		if m.TFirst != 0 || m.TAll != 0 {
+			t.Errorf("%s: TFirst=%v TAll=%v, want 0 and 0", q, m.TFirst, m.TAll)
+		}
+	}
+	if cs, ms := sys.CIM.Stats(), sys.Memo.Stats(); cs.Misses != 1 || cs.ExactHits != 1 || ms.Hits != 1 {
+		t.Fatalf("want one miss, one CIM exact hit, one memo hit; got cim %+v memo %+v", cs, ms)
 	}
 }

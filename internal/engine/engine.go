@@ -27,10 +27,12 @@ import (
 
 // Config tunes the engine.
 type Config struct {
-	// QueryInit is the fixed per-query setup cost; the paper's reported
-	// times include "query initialization + wait for response + display".
+	// QueryInit is a modelled fixed per-query setup cost; the paper's
+	// reported times include "query initialization + wait for response +
+	// display". Like PerDisplay it is zero except under the experiments'
+	// overhead profile.
 	QueryInit time.Duration
-	// PerDisplay is charged per answer delivered to the user.
+	// PerDisplay is a modelled charge per answer delivered to the user.
 	PerDisplay time.Duration
 	// MaxDepth bounds IDB recursion during evaluation.
 	MaxDepth int
@@ -58,14 +60,10 @@ type Config struct {
 	Replan func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (*rewrite.PlanRule, domain.CostVector, bool)
 }
 
-// DefaultConfig mirrors the fixed overheads implied by the paper's
-// cache-only timings (≈300 ms to a first cached answer).
+// DefaultConfig charges no fixed overhead: QueryInit and PerDisplay are
+// zero unless the experiments' overhead profile sets them.
 func DefaultConfig() Config {
-	return Config{
-		QueryInit:  230 * time.Millisecond,
-		PerDisplay: 9 * time.Millisecond,
-		MaxDepth:   64,
-	}
+	return Config{MaxDepth: 64}
 }
 
 // Engine executes plans.
@@ -151,6 +149,14 @@ type Metrics struct {
 	Bytes   int
 	// Complete is false when the cursor was closed before exhaustion.
 	Complete bool
+}
+
+// Summary is the line both binaries print under a query's answers. Times
+// show at microsecond resolution: a warm query on a live node finishes in
+// tens of microseconds, which whole milliseconds would print as 0.
+func (m Metrics) Summary() string {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("%d answers, first in %.3fms, all in %.3fms", m.Answers, ms(m.TFirst), ms(m.TAll))
 }
 
 // Cursor streams query answers. It realizes the interactive mode: pull as

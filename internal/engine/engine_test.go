@@ -347,3 +347,12 @@ func TestAnswerStringRendering(t *testing.T) {
 		t.Errorf("answer string = %q", got)
 	}
 }
+
+// TestMetricsSummaryResolvesMicroseconds pins the line hermes and hermesd
+// print: a warm live query must not read "first in 0ms, all in 0ms".
+func TestMetricsSummaryResolvesMicroseconds(t *testing.T) {
+	m := Metrics{Answers: 19, TFirst: 41 * time.Microsecond, TAll: 2096650 * time.Microsecond}
+	if got, want := m.Summary(), "19 answers, first in 0.041ms, all in 2096.650ms"; got != want {
+		t.Errorf("Summary() = %q, want %q", got, want)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hermes/internal/cim"
+	"hermes/internal/core"
 	"hermes/internal/dcsm"
 	"hermes/internal/domain"
 	"hermes/internal/netsim"
@@ -215,7 +216,7 @@ func AblationRecency() ([]RecencyRow, error) {
 			Site:       SiteUSA,
 			DisableCIM: true,
 			Load:       drift,
-			DCSMConfig: &dcsm.Config{AllowRawAggregation: true, RecencyHalfLife: half},
+			Core:       core.Options{DCSM: &dcsm.Config{AllowRawAggregation: true, RecencyHalfLife: half}},
 		})
 		if err != nil {
 			return nil, 0, err
@@ -347,7 +348,7 @@ func AblationCachePolicy() ([]CachePolicyRow, error) {
 		ccfg := paperCIMConfig()
 		ccfg.MaxEntries = 6
 		ccfg.Policy = pol.policy
-		tb, err := NewTestbed(TestbedOptions{Site: SiteUSA, CIMConfig: &ccfg, RouteViaCIM: true})
+		tb, err := NewTestbed(TestbedOptions{Site: SiteUSA, RouteViaCIM: true, Core: core.Options{CIM: &ccfg}})
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +402,7 @@ func AblationParallelPartial() ([]ParallelPartialRow, error) {
 		ccfg := paperCIMConfig()
 		ccfg.ParallelActual = par
 		tb, err := NewTestbed(TestbedOptions{
-			Site: SiteUSA, CIMConfig: &ccfg, RouteViaCIM: true, WithInvariants: true,
+			Site: SiteUSA, RouteViaCIM: true, WithInvariants: true, Core: core.Options{CIM: &ccfg},
 		})
 		if err != nil {
 			return nil, err
@@ -460,8 +461,7 @@ func Availability() ([]AvailabilityRow, error) {
 	var rows []AvailabilityRow
 
 	run := func(phase string, prime bool, at time.Duration) error {
-		ccfg := paperCIMConfig()
-		tb2, err := NewTestbedWithOutage(TestbedOptions{Site: SiteUSA, RouteViaCIM: true, WithInvariants: true, CIMConfig: &ccfg}, outageFrom, outageTo)
+		tb2, err := NewTestbedWithOutage(TestbedOptions{Site: SiteUSA, RouteViaCIM: true, WithInvariants: true}, outageFrom, outageTo)
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ func adaptiveSystem(adaptive bool) *core.System {
 		opts.CalInflateQuantile = 0.9
 		opts.ColdStartInflation = 1.5
 	}
-	sys := core.NewSystem(opts)
+	sys := core.NewSystem(paperProfile(opts))
 	sys.Register(newMirror("mirrora", 1900*time.Millisecond,
 		domain.CostVector{TFirst: 40 * time.Millisecond, TAll: 50 * time.Millisecond, Card: 3}))
 	sys.Register(newMirror("mirrorb", 350*time.Millisecond,

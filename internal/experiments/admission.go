@@ -11,10 +11,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
-	"hermes/internal/domains/avis"
 	"hermes/internal/engine"
-	"hermes/internal/netsim"
-	"hermes/internal/term"
 )
 
 // The admission fairness experiment drives K=8 concurrent query sessions
@@ -68,40 +65,6 @@ type AdmissionResult struct {
 	Points   []AdmissionPoint `json:"points"`
 }
 
-// admissionSystem wires a fresh federation for one capacity setting: the
-// four single-answer videos behind the flat WAN profile (as in the
-// parallel speedup experiment), a concurrency meter on the source, no CIM
-// — we are measuring the scheduler tier, not the cache.
-func admissionSystem(maxInflight int) (*core.System, *domaintest.Meter, error) {
-	store := avis.New("avis")
-	for i, size := range []int{900, 910, 920, 930} {
-		store.MustAddVideo(fmt.Sprintf("v%d", i+1), 100, size, nil)
-	}
-	meter := domaintest.Metered(netsim.Wrap(store, wanFlat))
-	sys := core.NewSystem(core.Options{
-		DisableCIM:       true,
-		Parallelism:      4,
-		MaxInflightCalls: maxInflight,
-		ShedPolicy:       admission.PolicyShed,
-	})
-	sys.Register(meter)
-	if err := sys.LoadProgram(parallelProgram); err != nil {
-		return nil, nil, err
-	}
-	// Establish the persistent connection so no session pays the one-time
-	// Connect charge; sessions then fork identical warm clocks.
-	s, err := sys.Registry.Call(sys.Ctx(), domain.Call{
-		Domain: "avis", Function: "video_size", Args: []term.Value{term.Str("v1")},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := domain.Collect(s); err != nil {
-		return nil, nil, err
-	}
-	return sys, meter, nil
-}
-
 // AdmissionFairness runs K=8 sessions of the 4-rule union query at pool
 // capacities 4, 8, 16 and 32.
 func AdmissionFairness() (*AdmissionResult, error) {
@@ -113,7 +76,14 @@ func AdmissionFairness() (*AdmissionResult, error) {
 		Site:     wanFlat.Name,
 	}
 	for _, capacity := range []int{4, 8, 16, 32} {
-		sys, meter, err := admissionSystem(capacity)
+		// A fresh federation per capacity, with a concurrency meter on the
+		// source.
+		meter := domaintest.Metered(fourVideoSource())
+		sys, err := fourVideoSystem(core.Options{
+			Parallelism:      4,
+			MaxInflightCalls: capacity,
+			ShedPolicy:       admission.PolicyShed,
+		}, meter)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/obs"
 	"hermes/internal/term"
@@ -67,7 +68,7 @@ func median(xs []float64) float64 {
 // is a real measured source execution) and grades each round's estimates.
 func CalibrationWarmup() (*CalibrationResult, error) {
 	o := obs.NewObserver()
-	tb, err := NewTestbed(TestbedOptions{DisableCIM: true, Seed: 11, Obs: o})
+	tb, err := NewTestbed(TestbedOptions{DisableCIM: true, Seed: 11, Core: core.Options{Obs: o}})
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"hermes/internal/admission"
 	"hermes/internal/cim"
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/engine"
 	"hermes/internal/faultinject"
@@ -162,9 +163,8 @@ func runChaosPass(opts ChaosOptions, faults *faultinject.Config) (*ChaosReport, 
 		WithInvariants: true,
 		RouteViaCIM:    true,
 		Seed:           opts.Seed,
-		Resilience:     &policy,
-		QueryDeadline:  opts.QueryDeadline,
 		Faults:         faults,
+		Core:           core.Options{Resilience: &policy, QueryDeadline: opts.QueryDeadline},
 	})
 	if err != nil {
 		return nil, err
@@ -356,18 +356,20 @@ func RunChaosConcurrent(opts ChaosOptions, sessions, maxInflight int) (*ChaosCon
 	}
 	mcfg := memo.DefaultConfig()
 	tb, err := NewTestbed(TestbedOptions{
-		Site:             opts.Site,
-		WithInvariants:   true,
-		RouteViaCIM:      true,
-		Seed:             opts.Seed,
-		Resilience:       &policy,
-		QueryDeadline:    opts.QueryDeadline,
-		Faults:           cfg,
-		Parallelism:      4,
-		MaxInflightCalls: maxInflight,
-		ShedPolicy:       admission.PolicyWait,
-		Obs:              o,
-		Memo:             &mcfg,
+		Site:           opts.Site,
+		WithInvariants: true,
+		RouteViaCIM:    true,
+		Seed:           opts.Seed,
+		Faults:         cfg,
+		Core: core.Options{
+			Resilience:       &policy,
+			QueryDeadline:    opts.QueryDeadline,
+			Parallelism:      4,
+			MaxInflightCalls: maxInflight,
+			ShedPolicy:       admission.PolicyWait,
+			Obs:              o,
+			Memo:             &mcfg,
+		},
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/faultinject"
 	"hermes/internal/memo"
@@ -269,7 +270,7 @@ func TestChaosMemoDegradedQuarantine(t *testing.T) {
 		WithInvariants: true,
 		Seed:           3,
 		Faults:         &faultinject.Config{Seed: 3, Windows: []faultinject.Window{window}},
-		Memo:           &mcfg,
+		Core:           core.Options{Memo: &mcfg},
 	})
 	if err != nil {
 		t.Fatal(err)

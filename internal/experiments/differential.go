@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/engine"
 	"hermes/internal/memo"
 	"hermes/internal/obs"
@@ -205,15 +206,14 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 		RouteViaCIM:    true,
 		WithInvariants: true,
 		Seed:           uint64(opts.Seed),
-		Parallelism:    parallelism,
-		Memo:           mcfg,
+		Core:           core.Options{Parallelism: parallelism, Memo: mcfg},
 	}
 	name := fmt.Sprintf("memo=%v p=%d", withMemo, parallelism)
 	if adaptive {
-		tbOpts.Obs = obs.NewObserver()
-		tbOpts.CalInflateQuantile = 0.9
-		tbOpts.ColdStartInflation = 1.5
-		tbOpts.ReplanFactor = 3
+		tbOpts.Core.Obs = obs.NewObserver()
+		tbOpts.Core.CalInflateQuantile = 0.9
+		tbOpts.Core.ColdStartInflation = 1.5
+		tbOpts.Core.ReplanFactor = 3
 		name = fmt.Sprintf("adaptive p=%d", parallelism)
 	}
 	tb, err := NewTestbed(tbOpts)

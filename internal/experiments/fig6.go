@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hermes/internal/dcsm"
-	"hermes/internal/engine"
 	"hermes/internal/estimate"
 	"hermes/internal/vclock"
 )
@@ -79,9 +78,6 @@ func Figure6() ([]Fig6Row, error) {
 		}
 	}
 
-	// The engine's fixed query overheads, which measured times include.
-	engCfg := engine.DefaultConfig()
-
 	losslessEst := estimate.New(losslessDB, nil, estimate.DefaultConfig())
 	lossyEst := estimate.New(lossyDB, nil, estimate.DefaultConfig())
 
@@ -107,11 +103,11 @@ func Figure6() ([]Fig6Row, error) {
 		// them to the predictions so both sides report the same quantity
 		// ("query initialization + wait + display").
 		adjust := func(cv time.Duration, answersN float64, all bool) time.Duration {
-			out := cv + engCfg.QueryInit
+			out := cv + paperQueryInit
 			if all {
-				out += time.Duration(answersN) * engCfg.PerDisplay
+				out += time.Duration(answersN) * paperPerDisplay
 			} else {
-				out += engCfg.PerDisplay
+				out += paperPerDisplay
 			}
 			return out
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"hermes/internal/cim"
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/vclock"
 	"hermes/internal/workload"
@@ -53,15 +53,15 @@ func HitRate() ([]HitRateRow, error) {
 			{"cache + invariants", false, true},
 		} {
 			// This study characterizes the caching *policies*, so the CIM
-			// runs at modern in-memory costs rather than the paper-era
+			// runs at the profile's light cost set rather than the paper-era
 			// constants used to reproduce Figure 5's absolute latencies.
-			ccfg := cim.DefaultConfig()
+			ccfg := lightCIMConfig()
 			tb, err := NewTestbed(TestbedOptions{
 				Site:           SiteUSA,
 				DisableCIM:     cfg.disable,
 				WithInvariants: cfg.invariants,
 				RouteViaCIM:    !cfg.disable,
-				CIMConfig:      &ccfg,
+				Core:           core.Options{CIM: &ccfg},
 			})
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hermes/internal/cim"
+	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/lang"
 	"hermes/internal/rewrite"
@@ -88,7 +89,7 @@ func syntheticInvariants(n int) []*lang.Invariant {
 // them before reaching the invariant that matches), and one cached
 // complete call an equality invariant can prove equivalent to a probe.
 func invindexManager(n int, linear bool) (*cim.Manager, error) {
-	cfg := cim.DefaultConfig()
+	cfg := lightCIMConfig()
 	cfg.LinearMatching = linear
 	m := cim.New(nil, cfg)
 	synth := syntheticInvariants(n)
@@ -202,8 +203,7 @@ func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport,
 			RouteViaCIM:    true,
 			WithInvariants: true,
 			Seed:           7,
-			Parallelism:    1,
-			CIMConfig:      &ccfg,
+			Core:           core.Options{CIM: &ccfg},
 		})
 		if err != nil {
 			return nil, 0, err

@@ -31,7 +31,7 @@ type OptQualityRow struct {
 // the statistics-driven choice comes to the true optimum.
 func OptimizerQuality(n int) ([]OptQualityRow, error) {
 	store, rel := workload.Federation(workload.DefaultFederation())
-	sys := core.NewSystem(core.Options{DisableCIM: true})
+	sys := core.NewSystem(paperProfile(core.Options{DisableCIM: true}))
 	sys.Register(netsim.Wrap(store, SiteUSA))
 	sys.Register(rel)
 	if err := sys.LoadProgram(`

@@ -69,21 +69,29 @@ type ParallelResult struct {
 	Points      []ParallelPoint `json:"points"`
 }
 
-// parallelSystem wires a fresh federation for one Parallelism setting:
-// four single-answer videos behind the flat WAN profile, no CIM (we are
-// measuring the pipeline, not the cache).
-func parallelSystem(par int) (*core.System, error) {
+// fourVideoSource is parallelProgram's federation: four single-answer
+// videos behind the flat WAN profile.
+func fourVideoSource() domain.Domain {
 	store := avis.New("avis")
 	for i, size := range []int{900, 910, 920, 930} {
 		store.MustAddVideo(fmt.Sprintf("v%d", i+1), 100, size, nil)
 	}
-	sys := core.NewSystem(core.Options{DisableCIM: true, Parallelism: par})
-	sys.Register(netsim.Wrap(store, wanFlat))
+	return netsim.Wrap(store, wanFlat)
+}
+
+// fourVideoSystem wires a fresh mediator over src — fourVideoSource(),
+// possibly wrapped — without a CIM: the parallel and admission experiments
+// measure the pipeline and the scheduler tier, not the cache. The
+// persistent connection is established before returning, so no timed query
+// pays the one-time Connect charge and forked sessions start from
+// identical warm clocks.
+func fourVideoSystem(opts core.Options, src domain.Domain) (*core.System, error) {
+	opts.DisableCIM = true
+	sys := core.NewSystem(paperProfile(opts))
+	sys.Register(src)
 	if err := sys.LoadProgram(parallelProgram); err != nil {
 		return nil, err
 	}
-	// Establish the persistent connection so neither timed query pays the
-	// one-time Connect charge (each timed run models a warm session).
 	s, err := sys.Registry.Call(sys.Ctx(), domain.Call{
 		Domain: "avis", Function: "video_size", Args: []term.Value{term.Str("v1")},
 	})
@@ -106,7 +114,7 @@ func ParallelSpeedup() (*ParallelResult, error) {
 	}
 	var base ParallelPoint
 	for _, par := range []int{1, 2, 4, 8} {
-		sys, err := parallelSystem(par)
+		sys, err := fourVideoSystem(core.Options{Parallelism: par}, fourVideoSource())
 		if err != nil {
 			return nil, err
 		}

@@ -11,19 +11,13 @@ import (
 	"math/rand"
 	"time"
 
-	"hermes/internal/admission"
-	"hermes/internal/cim"
 	"hermes/internal/core"
-	"hermes/internal/dcsm"
 	"hermes/internal/domain"
 	"hermes/internal/domains/avis"
 	"hermes/internal/domains/relation"
 	"hermes/internal/engine"
 	"hermes/internal/faultinject"
-	"hermes/internal/memo"
 	"hermes/internal/netsim"
-	"hermes/internal/obs"
-	"hermes/internal/resilience"
 	"hermes/internal/rewrite"
 	"hermes/internal/term"
 )
@@ -34,23 +28,6 @@ var (
 	SiteItaly = netsim.Italy
 	SiteLocal = netsim.Local
 )
-
-// paperCIMConfig prices CIM operation the way the paper's implementation
-// measured it: Figure 5's cache-only rows cost ≈300 ms to the first answer
-// and ≈1 s to all answers (including query initialization and display),
-// and equality-invariant hits cost several hundred ms more than exact hits
-// because the cache must be scanned and conditions checked.
-func paperCIMConfig() cim.Config {
-	return cim.Config{
-		LookupCost:            40 * time.Millisecond,
-		PerAnswer:             25 * time.Millisecond,
-		InvariantMatch:        80 * time.Millisecond,
-		ScanPerEntry:          15 * time.Millisecond,
-		DedupProbe:            11 * time.Millisecond,
-		ParallelActual:        true,
-		FallbackOnUnavailable: true,
-	}
-}
 
 // mediatorProgram defines the queries of the paper's appendix plus the
 // actors query of Figure 5, over the AVIS video store and the INGRES cast
@@ -125,10 +102,6 @@ type TestbedOptions struct {
 	WithInvariants bool
 	// RouteViaCIM routes avis and ingres calls through the CIM.
 	RouteViaCIM bool
-	// CIMConfig overrides paperCIMConfig.
-	CIMConfig *cim.Config
-	// DCSMConfig overrides the default statistics configuration.
-	DCSMConfig *dcsm.Config
 	// Seed drives the netsim jitter.
 	Seed uint64
 	// Load, if set, installs a time-varying latency multiplier on the
@@ -137,36 +110,14 @@ type TestbedOptions struct {
 	// Faults, if set, wraps the remote AVIS source in a deterministic
 	// fault injector (chaos/soak experiments).
 	Faults *faultinject.Config
-	// Resilience, if set, wraps every source in the resilient call layer.
-	Resilience *resilience.Policy
-	// QueryDeadline bounds each query's execution-clock budget.
-	QueryDeadline time.Duration
-	// Parallelism bounds intra-query parallel branches. 0 defaults to 1
-	// (strictly sequential): the paper's experiments ran a sequential
-	// engine, and the reproduced figures are calibrated to it. The parallel
-	// speedup experiment raises it explicitly.
-	Parallelism int
-	// MaxInflightCalls, when positive, bounds in-flight source calls
-	// server-wide across every concurrent session via the admission pool
-	// (the admission and concurrent-chaos experiments).
-	MaxInflightCalls int
-	// ShedPolicy selects the pool's saturation behaviour.
-	ShedPolicy admission.Policy
-	// Obs, when set, threads an observer through every layer, including
-	// the admission pool's gauges.
-	Obs *obs.Observer
-	// Memo, when set, enables the rule-level memo cache (intermediate IDB
-	// relations replayed instead of re-expanded).
-	Memo *memo.Config
-	// CalInflateQuantile, when > 0 (with Obs set), inflates per-call cost
-	// estimates by the observed q-error at this quantile (adaptive
-	// planning experiments).
-	CalInflateQuantile float64
-	// ColdStartInflation is the inflation factor applied to functions with
-	// no calibration samples (only with CalInflateQuantile > 0).
-	ColdStartInflation float64
-	// ReplanFactor arms the mid-query branch watchdog (> 1).
-	ReplanFactor float64
+	// Core is every other option of the mediator under test, handed to
+	// core.NewSystem through the overhead profile (profile.go): a nil CIM
+	// means paperCIMConfig. Three fields are the testbed's own: DisableCIM
+	// is taken from above, Rewrite is always the testbed's explicit-routing
+	// configuration, and Parallelism 0 means 1 — the paper's experiments
+	// ran a sequential engine and the reproduced figures are calibrated to
+	// it; the parallel experiments raise it explicitly.
+	Core core.Options
 }
 
 // Testbed is a fully wired federation: the mediator system plus direct
@@ -242,35 +193,16 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 		crew.MustInsert(term.Str(fmt.Sprintf("crew member %03d", i)), term.Str(role))
 	}
 
-	ccfg := paperCIMConfig()
-	if opts.CIMConfig != nil {
-		ccfg = *opts.CIMConfig
+	sysOpts := opts.Core
+	sysOpts.DisableCIM = opts.DisableCIM
+	sysOpts.Rewrite = &rewrite.Config{
+		PushSelections: true,
+		CIMDomains:     map[string]bool{},
 	}
-	sysOpts := core.Options{
-		DisableCIM: opts.DisableCIM,
-		CIM:        &ccfg,
-		Rewrite: &rewrite.Config{
-			PushSelections: true,
-			CIMDomains:     map[string]bool{},
-		},
-	}
-	if opts.DCSMConfig != nil {
-		sysOpts.DCSM = opts.DCSMConfig
-	}
-	sysOpts.Resilience = opts.Resilience
-	sysOpts.QueryDeadline = opts.QueryDeadline
-	sysOpts.Parallelism = opts.Parallelism
 	if sysOpts.Parallelism == 0 {
 		sysOpts.Parallelism = 1
 	}
-	sysOpts.MaxInflightCalls = opts.MaxInflightCalls
-	sysOpts.ShedPolicy = opts.ShedPolicy
-	sysOpts.Obs = opts.Obs
-	sysOpts.Memo = opts.Memo
-	sysOpts.CalInflateQuantile = opts.CalInflateQuantile
-	sysOpts.ColdStartInflation = opts.ColdStartInflation
-	sysOpts.ReplanFactor = opts.ReplanFactor
-	sys := core.NewSystem(sysOpts)
+	sys := core.NewSystem(paperProfile(sysOpts))
 
 	var hostOpts []netsim.Option
 	if opts.Seed != 0 {

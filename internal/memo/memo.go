@@ -39,8 +39,9 @@ import (
 	"hermes/internal/term"
 )
 
-// Config tunes the memo cache. Zero cost/decay fields take the defaults;
-// MaxEntries/MaxBytes zero mean unlimited.
+// Config tunes the memo cache. A zero Decay or MaxEntryBytes takes the
+// default; MaxEntries/MaxBytes zero mean unlimited; zero costs charge
+// nothing.
 type Config struct {
 	// MaxEntries bounds the number of cached relations (0 = unlimited).
 	MaxEntries int
@@ -65,27 +66,21 @@ type Config struct {
 	PerTuple time.Duration
 }
 
-// Defaults; the probe/replay costs are far below the CIM's per-call costs
-// because a memo hit replaces whole join pipelines, not one source call.
 const (
 	defaultMaxEntries    = 512
 	defaultMaxBytes      = 8 << 20
 	defaultDecay         = 0.98
 	defaultMaxEntryBytes = 256 << 10
-	defaultLookupCost    = 500 * time.Microsecond
-	defaultPerTuple      = 200 * time.Microsecond
 )
 
-// DefaultConfig returns the configuration used by hermesd and the
-// experiments.
+// DefaultConfig returns hermesd's configuration: bounded budgets, decayed
+// benefit scores, and no modelled probe or replay cost.
 func DefaultConfig() Config {
 	return Config{
 		MaxEntries:    defaultMaxEntries,
 		MaxBytes:      defaultMaxBytes,
 		Decay:         defaultDecay,
 		MaxEntryBytes: defaultMaxEntryBytes,
-		LookupCost:    defaultLookupCost,
-		PerTuple:      defaultPerTuple,
 	}
 }
 
@@ -95,12 +90,6 @@ func (cfg Config) normalized() Config {
 	}
 	if cfg.MaxEntryBytes == 0 {
 		cfg.MaxEntryBytes = defaultMaxEntryBytes
-	}
-	if cfg.LookupCost == 0 {
-		cfg.LookupCost = defaultLookupCost
-	}
-	if cfg.PerTuple == 0 {
-		cfg.PerTuple = defaultPerTuple
 	}
 	return cfg
 }

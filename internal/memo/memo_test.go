@@ -420,3 +420,14 @@ func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroConfigChargesNothing: a zero cost is a zero cost, not a request
+// for a default — the modelled probe and replay costs exist only where the
+// experiments' overhead profile sets them.
+func TestZeroConfigChargesNothing(t *testing.T) {
+	for name, cfg := range map[string]Config{"zero": {}, "default": DefaultConfig()} {
+		if c := New(cfg); c.LookupCost() != 0 || c.PerTupleCost() != 0 {
+			t.Errorf("%s config charges lookup=%v per-tuple=%v, want 0 and 0", name, c.LookupCost(), c.PerTupleCost())
+		}
+	}
+}
