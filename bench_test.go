@@ -446,6 +446,9 @@ func BenchmarkParallelFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineJoin runs a two-literal nested-loop join at two sizes, 64
+// and 64×64 answers, so the engine's per-tuple cost — one binding per
+// literal per answer — shows in ns/op, B/op and allocs/op.
 func BenchmarkEngineJoin(b *testing.B) {
 	d := domaintest.New("d")
 	d.Define("gen", domaintest.Func{Arity: 0,
@@ -463,21 +466,31 @@ func BenchmarkEngineJoin(b *testing.B) {
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	eng := engine.New(reg, nil, engine.Config{MaxDepth: 8}, nil)
-	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:gen()), in(Y, d:next(X)).`)
-	q, _ := lang.ParseQuery("?- v(X, Y).")
+	prog, _ := lang.ParseProgram(`
+		v(X, Y) :- in(X, d:gen()), in(Y, d:next(X)).
+		w(X, Y) :- in(X, d:gen()), in(Y, d:gen()).
+	`)
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
-	plans, err := rw.Plans(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur, err := eng.ExecutePlan(domain.NewCtx(vclock.NewVirtual(0)), plans[0])
+	for _, size := range []struct{ name, query string }{
+		{"answers=64", "?- v(X, Y)."},
+		{"answers=4096", "?- w(X, Y)."},
+	} {
+		q, _ := lang.ParseQuery(size.query)
+		plans, err := rw.Plans(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := engine.CollectAll(cur); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cur, err := eng.ExecutePlan(domain.NewCtx(vclock.NewVirtual(0)), plans[0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := engine.CollectAll(cur); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // every argument unifies.
 func unifyTemplate(s term.Subst, t *lang.CallTemplate, c domain.Call) (term.Subst, bool) {
 	if t.Domain != c.Domain || t.Function != c.Function || len(t.Args) != len(c.Args) {
-		return nil, false
+		return term.Subst{}, false
 	}
 	return s.UnifyAll(t.Args, c.Args)
 }

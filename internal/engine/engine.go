@@ -131,14 +131,18 @@ type Answer struct {
 
 // String renders the answer as var=value pairs.
 func (a Answer) String() string {
-	s := ""
+	var b strings.Builder
+	b.WriteByte('{')
 	for i, v := range a.Vars {
 		if i > 0 {
-			s += ", "
+			b.WriteString(", ")
 		}
-		s += v + "=" + a.Vals[i].String()
+		b.WriteString(v)
+		b.WriteByte('=')
+		b.WriteString(a.Vals[i].String())
 	}
-	return "{" + s + "}"
+	b.WriteByte('}')
+	return b.String()
 }
 
 // Metrics are the observed timings of a query execution.

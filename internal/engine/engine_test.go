@@ -346,6 +346,13 @@ func TestAnswerStringRendering(t *testing.T) {
 	if got := answers[0].String(); got != "{X=6}" {
 		t.Errorf("answer string = %q", got)
 	}
+	if got := (Answer{}).String(); got != "{}" {
+		t.Errorf("empty answer string = %q", got)
+	}
+	two := Answer{Vars: []string{"A", "Obj"}, Vals: []term.Value{term.Str("rope"), term.Tuple{term.Int(1), term.Float(2.5)}}}
+	if got, want := two.String(), "{A="+two.Vals[0].String()+", Obj="+two.Vals[1].String()+"}"; got != want {
+		t.Errorf("two-variable answer string = %q, want %q", got, want)
+	}
 }
 
 // TestMetricsSummaryResolvesMicroseconds pins the line hermes and hermesd

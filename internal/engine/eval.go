@@ -22,7 +22,7 @@ type substStream interface {
 // emptyStream yields nothing.
 type emptyStream struct{}
 
-func (emptyStream) next() (term.Subst, bool, error) { return nil, false, nil }
+func (emptyStream) next() (term.Subst, bool, error) { return term.Subst{}, false, nil }
 func (emptyStream) close() error                    { return nil }
 
 // singleStream yields one substitution.
@@ -33,7 +33,7 @@ type singleStream struct {
 
 func (s *singleStream) next() (term.Subst, bool, error) {
 	if s.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	s.done = true
 	return s.s, true, nil
@@ -65,18 +65,21 @@ type bodyIter struct {
 func (e *Engine) newBodyIter(ctx *domain.Ctx, plan *rewrite.Plan, pr *rewrite.PlanRule, base term.Subst, depth int) *bodyIter {
 	b := &bodyIter{eng: e, ctx: ctx, plan: plan, pr: pr, base: base, depth: depth}
 	if ctx.Sched.Limit() > 1 {
-		bound := make(map[string]bool, len(base))
-		for v := range base {
-			bound[v] = true
-		}
-		b.indep = rewrite.IndependentInCalls(pr, bound)
+		b.indep = rewrite.IndependentInCalls(pr, boundVars(base))
 	}
 	return b
 }
 
+// boundVars returns the set of variables s binds.
+func boundVars(s term.Subst) map[string]bool {
+	bound := make(map[string]bool, s.Len())
+	s.Each(func(name string, _ term.Value) { bound[name] = true })
+	return bound
+}
+
 func (b *bodyIter) next() (term.Subst, bool, error) {
 	if b.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	n := len(b.pr.Order)
 	if n == 0 {
@@ -89,7 +92,7 @@ func (b *bodyIter) next() (term.Subst, bool, error) {
 		s, err := b.openLevel(0, b.base)
 		if err != nil {
 			b.done = true
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		b.streams = []substStream{s}
 		i = 0
@@ -97,16 +100,16 @@ func (b *bodyIter) next() (term.Subst, bool, error) {
 	for {
 		if err := b.ctx.Err(); err != nil {
 			b.shutdown()
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if i < 0 {
 			b.shutdown()
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 		v, ok, err := b.streams[i].next()
 		if err != nil {
 			b.shutdown()
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if !ok {
 			b.streams[i].close()
@@ -120,7 +123,7 @@ func (b *bodyIter) next() (term.Subst, bool, error) {
 		s, err := b.openLevel(i+1, v)
 		if err != nil {
 			b.shutdown()
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		b.streams = append(b.streams, s)
 		i++
@@ -191,9 +194,7 @@ func (e *Engine) evalComparison(c *lang.Comparison, s term.Subst) (substStream, 
 			if err != nil {
 				return nil, err
 			}
-			out := s.Clone()
-			out[varSide.Var] = v
-			return &singleStream{s: out}, nil
+			return &singleStream{s: s.Bind(varSide.Var, v)}, nil
 		}
 		return nil, fmt.Errorf("engine: comparison %s has unbound non-variable side", c)
 	}
@@ -381,11 +382,9 @@ type bindStream struct {
 func (b *bindStream) next() (term.Subst, bool, error) {
 	v, ok, err := b.inner.Next()
 	if err != nil || !ok {
-		return nil, false, err
+		return term.Subst{}, false, err
 	}
-	out := b.s.Clone()
-	out[b.v] = v
-	return out, true, nil
+	return b.s.Bind(b.v, v), true, nil
 }
 
 func (b *bindStream) close() error { return b.inner.Close() }
@@ -401,17 +400,17 @@ type membershipStream struct {
 
 func (m *membershipStream) next() (term.Subst, bool, error) {
 	if m.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	for {
 		v, ok, err := m.inner.Next()
 		if err != nil {
 			m.done = true
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if !ok {
 			m.done = true
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 		if term.Equal(v, m.want) {
 			m.done = true
@@ -485,7 +484,6 @@ type atomStream struct {
 
 	ruleIdx int
 	current *bodyIter
-	headSub term.Subst // caller-side partial bindings for the current rule
 	rule    *rewrite.PlanRule
 }
 
@@ -493,13 +491,13 @@ func (as *atomStream) next() (term.Subst, bool, error) {
 	for {
 		if as.current == nil {
 			if as.ruleIdx >= len(as.rules) {
-				return nil, false, nil
+				return term.Subst{}, false, nil
 			}
 			as.rule = as.rules[as.ruleIdx]
 			as.ruleIdx++
 			headEnv, ok, err := bindHead(as.atom, as.rule.Rule, as.s)
 			if err != nil {
-				return nil, false, err
+				return term.Subst{}, false, err
 			}
 			if !ok {
 				continue // head constants conflict with the call
@@ -508,7 +506,7 @@ func (as *atomStream) next() (term.Subst, bool, error) {
 		}
 		env, ok, err := as.current.next()
 		if err != nil {
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if !ok {
 			as.current.close()
@@ -517,7 +515,7 @@ func (as *atomStream) next() (term.Subst, bool, error) {
 		}
 		out, ok, err := mapBack(as.atom, as.rule.Rule, as.s, env)
 		if err != nil {
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if !ok {
 			continue
@@ -539,7 +537,7 @@ func (as *atomStream) close() error {
 // the body to bind.
 func bindHead(a *lang.Atom, r *lang.Rule, s term.Subst) (term.Subst, bool, error) {
 	if len(a.Args) != len(r.Head.Args) {
-		return nil, false, fmt.Errorf("engine: %s called with %d args, rule head has %d", a.Pred, len(a.Args), len(r.Head.Args))
+		return term.Subst{}, false, fmt.Errorf("engine: %s called with %d args, rule head has %d", a.Pred, len(a.Args), len(r.Head.Args))
 	}
 	env := term.Subst{}
 	for i, arg := range a.Args {
@@ -549,12 +547,12 @@ func bindHead(a *lang.Atom, r *lang.Rule, s term.Subst) (term.Subst, bool, error
 		}
 		v, err := s.Eval(arg)
 		if err != nil {
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		var ok bool
 		env, ok = env.Unify(h, v)
 		if !ok {
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 	}
 	return env, true, nil
@@ -569,12 +567,12 @@ func mapBack(a *lang.Atom, r *lang.Rule, s term.Subst, env term.Subst) (term.Sub
 		h := r.Head.Args[i]
 		v, err := env.Eval(h)
 		if err != nil {
-			return nil, false, fmt.Errorf("engine: head term %s of %s unbound after body: %w", h, a.Pred, err)
+			return term.Subst{}, false, fmt.Errorf("engine: head term %s of %s unbound after body: %w", h, a.Pred, err)
 		}
 		var ok bool
 		out, ok = out.Unify(arg, v)
 		if !ok {
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 	}
 	return out, true, nil

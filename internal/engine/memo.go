@@ -131,7 +131,7 @@ type memoServeStream struct {
 
 func (m *memoServeStream) next() (term.Subst, bool, error) {
 	if m.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	for m.idx < len(m.entry.Tuples) {
 		tuple := m.entry.Tuples[m.idx]
@@ -144,7 +144,7 @@ func (m *memoServeStream) next() (term.Subst, bool, error) {
 		return out, true, nil
 	}
 	m.finish()
-	return nil, false, nil
+	return term.Subst{}, false, nil
 }
 
 func (m *memoServeStream) finish() {
@@ -181,11 +181,11 @@ func (m *memoRecordStream) next() (term.Subst, bool, error) {
 	out, ok, err := m.inner.next()
 	if err != nil {
 		m.abort()
-		return nil, false, err
+		return term.Subst{}, false, err
 	}
 	if !ok {
 		m.commit()
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	now := m.ctx.Clock.Now()
 	if !m.gotFirst {
@@ -250,7 +250,7 @@ type memoFollowStream struct {
 
 func (m *memoFollowStream) next() (term.Subst, bool, error) {
 	if m.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	if m.fb != nil {
 		return m.fbNext()
@@ -258,7 +258,7 @@ func (m *memoFollowStream) next() (term.Subst, bool, error) {
 	for {
 		if err := m.ctx.Err(); err != nil {
 			m.finish()
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		it, state := m.reader.Next(m.ctx.Done())
 		switch state {
@@ -282,14 +282,14 @@ func (m *memoFollowStream) next() (term.Subst, bool, error) {
 				}
 			}
 			m.finish()
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		case memo.ReadEndAborted:
 			m.span.SetTag("memo.fallback", "true")
 			m.fb = m.fallback()
 			return m.fbNext()
 		default: // memo.ReadCancelled
 			m.finish()
-			return nil, false, m.ctx.Err()
+			return term.Subst{}, false, m.ctx.Err()
 		}
 	}
 }
@@ -301,11 +301,11 @@ func (m *memoFollowStream) fbNext() (term.Subst, bool, error) {
 		out, ok, err := m.fb.next()
 		if err != nil {
 			m.finish()
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		if !ok {
 			m.finish()
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 		if len(m.emitted) > 0 {
 			if tuple, ok := argTuple(m.atom, out); ok && m.emitted.take(valsKey(tuple)) {

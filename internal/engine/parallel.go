@@ -291,11 +291,7 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 		}
 		if armed && !replanned {
 			if elapsed := fork.Clock.Now() - branchStart; float64(elapsed) > cfg.ReplanFactor*float64(u.ests[ri].TAll) {
-				bound := make(map[string]bool, len(headEnv))
-				for v := range headEnv {
-					bound[v] = true
-				}
-				if alt, altCV, found := cfg.Replan(u.plan, pr, bound); found && alt != nil &&
+				if alt, altCV, found := cfg.Replan(u.plan, pr, boundVars(headEnv)); found && alt != nil &&
 					altCV.TAll < elapsed && fork.Replans.Take() {
 					u.span.SetTag("replan", "1")
 					u.eng.replans.Inc()
@@ -362,7 +358,7 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 	for {
 		if u.closed {
 			u.mu.Unlock()
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 		best := -1
 		var bestAt time.Duration
@@ -404,7 +400,7 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 			u.teardown()
 			vclock.AdvanceTo(u.ctx.Clock, end)
 			u.span.End(u.ctx.Clock.Now())
-			return nil, false, nil
+			return term.Subst{}, false, nil
 		}
 		br := u.branches[best]
 		if bestErr {
@@ -415,7 +411,7 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 			vclock.AdvanceTo(u.ctx.Clock, bestAt)
 			u.span.SetTag("error", err.Error())
 			u.span.End(u.ctx.Clock.Now())
-			return nil, false, err
+			return term.Subst{}, false, err
 		}
 		it := br.queue[0]
 		br.queue = br.queue[1:]
@@ -562,24 +558,22 @@ type replayStream struct {
 // that preceded it.
 func (r *replayStream) next() (term.Subst, bool, error) {
 	if r.done {
-		return nil, false, nil
+		return term.Subst{}, false, nil
 	}
 	it, st := r.sp.Wait(r.idx, r.ctx.Done())
 	switch st {
 	case spool.Ready:
 		r.idx++
 		vclock.AdvanceTo(r.ctx.Clock, it.At)
-		out := r.s.Clone()
-		out[r.v] = it.V
-		return out, true, nil
+		return r.s.Bind(r.v, it.V), true, nil
 	case spool.Pending:
 		r.done = true
-		return nil, false, r.ctx.Err()
+		return term.Subst{}, false, r.ctx.Err()
 	}
 	r.done = true
 	endAt, err, _ := r.sp.End()
 	vclock.AdvanceTo(r.ctx.Clock, endAt)
-	return nil, false, err
+	return term.Subst{}, false, err
 }
 
 func (r *replayStream) close() error { return nil }

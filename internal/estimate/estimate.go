@@ -271,7 +271,6 @@ func (st *costState) costPlanRule(pr *rewrite.PlanRule, known term.Subst, bound 
 	if depth > maxDepth {
 		return domain.CostVector{}, fmt.Errorf("estimate: recursion deeper than %d while costing %s", maxDepth, pr.Rule.Head.Pred)
 	}
-	known = known.Clone()
 	bound = cloneBound(bound)
 	total := domain.CostVector{Card: 1}
 	mult := 1.0 // Π Card_j over already-costed literals
@@ -304,7 +303,7 @@ func (st *costState) costPlanRule(pr *rewrite.PlanRule, known term.Subst, bound 
 		case *lang.Comparison:
 			cv = domain.CostVector{Card: 1}
 			if l.Op == term.OpEQ {
-				st.propagateEquality(l, known, bound)
+				known = propagateEquality(l, known, bound)
 			}
 			if isFilter(l, bound) {
 				cv.Card = st.est.cfg.ComparisonSelectivity
@@ -332,23 +331,24 @@ func cloneBound(b map[string]bool) map[string]bool {
 }
 
 // propagateEquality records X = const (either orientation) as a plan-time
-// known binding.
-func (st *costState) propagateEquality(c *lang.Comparison, known term.Subst, bound map[string]bool) {
+// known binding and returns the extended substitution.
+func propagateEquality(c *lang.Comparison, known term.Subst, bound map[string]bool) term.Subst {
 	bindIfConst := func(v, other term.Term) {
 		if !v.IsVar() || bound[v.Var] {
 			return
 		}
 		if other.IsConst() {
-			known[v.Var] = other.Const
+			known = known.Bind(v.Var, other.Const)
 		} else if other.Var != "" && len(other.Path) == 0 {
-			if val, ok := known[other.Var]; ok {
-				known[v.Var] = val
+			if val, ok := known.Lookup(other.Var); ok {
+				known = known.Bind(v.Var, val)
 			}
 		}
 		bound[v.Var] = true
 	}
 	bindIfConst(c.Left, c.Right)
 	bindIfConst(c.Right, c.Left)
+	return known
 }
 
 // isFilter reports whether a comparison filters already-bound values
@@ -373,7 +373,7 @@ func callPattern(ct *lang.CallTemplate, known term.Subst) domain.Pattern {
 		case t.IsConst():
 			args[i] = domain.Const(t.Const)
 		case len(t.Path) == 0:
-			if v, ok := known[t.Var]; ok {
+			if v, ok := known.Lookup(t.Var); ok {
 				args[i] = domain.Const(v)
 			} else {
 				args[i] = domain.Bound
@@ -508,7 +508,7 @@ func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known 
 		case len(t.Path) > 0:
 			return domain.CostVector{}, false
 		default:
-			if v, ok := known[t.Var]; ok {
+			if v, ok := known.Lookup(t.Var); ok {
 				args[i] = memo.KeyArg{Bound: true, ValueKey: v.Key()}
 			} else if bound[t.Var] {
 				return domain.CostVector{}, false
@@ -561,11 +561,11 @@ func headBindings(a *lang.Atom, r *lang.Rule, known term.Subst, bound map[string
 		}
 		switch {
 		case arg.IsConst():
-			subKnown[h.Var] = arg.Const
+			subKnown = subKnown.Bind(h.Var, arg.Const)
 			subBound[h.Var] = true
 		case arg.Var != "" && bound[arg.Var]:
-			if v, ok := known[arg.Var]; ok && len(arg.Path) == 0 {
-				subKnown[h.Var] = v
+			if v, ok := known.Lookup(arg.Var); ok && len(arg.Path) == 0 {
+				subKnown = subKnown.Bind(h.Var, v)
 			}
 			subBound[h.Var] = true
 		}

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -20,43 +20,57 @@ import (
 // sorted, virtual-clock times).
 func Explain(d SpanData) string {
 	var b strings.Builder
-	writeNode(&b, d, "", "", "")
+	writeNode(&b, d, "", "")
 	return b.String()
 }
 
-func writeNode(b *strings.Builder, d SpanData, firstPrefix, restPrefix, childPrefix string) {
+func writeNode(b *strings.Builder, d SpanData, firstPrefix, childPrefix string) {
 	b.WriteString(firstPrefix)
 	b.WriteString(d.Name)
 	for _, t := range d.sortedTags() {
 		b.WriteString("  ")
 		b.WriteString(t)
 	}
+	var buf [96]byte // a cost vector of ordinary magnitudes fits
 	if d.Est != nil {
-		fmt.Fprintf(b, "  est=%s", formatCost(*d.Est))
+		b.WriteString("  est=")
+		b.Write(appendCost(buf[:0], *d.Est))
 	}
 	if d.Actual != nil {
-		fmt.Fprintf(b, "  actual=%s", formatCost(*d.Actual))
+		b.WriteString("  actual=")
+		b.Write(appendCost(buf[:0], *d.Actual))
 	} else if d.Est == nil {
-		fmt.Fprintf(b, "  (%s)", millis(d.Duration()))
+		b.WriteString("  (")
+		b.Write(appendMillis(buf[:0], d.Duration()))
+		b.WriteByte(')')
 	}
 	b.WriteByte('\n')
-	_ = restPrefix
 	for i, c := range d.Children {
 		last := i == len(d.Children)-1
 		connector, indent := "├─ ", "│  "
 		if last {
 			connector, indent = "└─ ", "   "
 		}
-		writeNode(b, c, childPrefix+connector, childPrefix+indent, childPrefix+indent)
+		writeNode(b, c, childPrefix+connector, childPrefix+indent)
 	}
 }
 
-// formatCost renders a cost vector the way the paper's tables report it.
-func formatCost(c Cost) string {
-	return fmt.Sprintf("[Tf=%s Ta=%s Card=%.2f]", millis(c.TFirst), millis(c.TAll), c.Card)
+// appendCost renders a cost vector the way the paper's tables report it:
+// [Tf=%.1fms Ta=%.1fms Card=%.2f].
+func appendCost(dst []byte, c Cost) []byte {
+	dst = append(dst, "[Tf="...)
+	dst = appendMillis(dst, c.TFirst)
+	dst = append(dst, " Ta="...)
+	dst = appendMillis(dst, c.TAll)
+	dst = append(dst, " Card="...)
+	dst = strconv.AppendFloat(dst, c.Card, 'f', 2, 64)
+	return append(dst, ']')
 }
 
-// millis renders a duration in execution-clock milliseconds.
-func millis(d time.Duration) string {
-	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
+// appendMillis renders a duration in execution-clock milliseconds, %.1fms.
+func appendMillis(dst []byte, d time.Duration) []byte {
+	dst = strconv.AppendFloat(dst, float64(d)/float64(time.Millisecond), 'f', 1, 64)
+	return append(dst, "ms"...)
 }
+
+func millis(d time.Duration) string { return string(appendMillis(nil, d)) }

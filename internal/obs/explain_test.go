@@ -2,6 +2,8 @@ package obs
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,5 +131,59 @@ func TestExplainNestedIndentation(t *testing.T) {
 		"   └─ b1  (0.0ms)\n"
 	if got != want {
 		t.Errorf("tree layout:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRenderersMatchFmt holds the strconv renderers to the fmt verbs they
+// replaced — "%.1fms" for times, "%.2f" for cardinalities — over zero,
+// negatives, ties at the rounding digit, values past the stack buffer's
+// ordinary range, and the non-finite cardinalities a broken estimate makes.
+func TestRenderersMatchFmt(t *testing.T) {
+	fmtMillis := func(d time.Duration) string {
+		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
+	}
+	durations := []time.Duration{
+		0, 1, -1, 49 * time.Microsecond, 50 * time.Microsecond, 51 * time.Microsecond,
+		150 * time.Microsecond, 250 * time.Microsecond, -50 * time.Microsecond,
+		999949 * time.Nanosecond, 231200 * time.Microsecond, -3 * time.Second,
+		1000 * time.Second, 1e6 * time.Millisecond, 123456789 * time.Millisecond,
+		math.MaxInt64, math.MinInt64,
+	}
+	for _, d := range durations {
+		if got, want := millis(d), fmtMillis(d); got != want {
+			t.Errorf("millis(%d) = %q, fmt says %q", d, got, want)
+		}
+	}
+	cards := []float64{
+		0, math.Copysign(0, -1), 1, 9, -2.5, 0.005, 0.015, 0.025, 1.005, 2.675, 1e6, 1e21,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for i, card := range cards {
+		c := Cost{TFirst: durations[i%len(durations)], TAll: durations[(i+7)%len(durations)], Card: card}
+		want := fmt.Sprintf("[Tf=%s Ta=%s Card=%.2f]", fmtMillis(c.TFirst), fmtMillis(c.TAll), c.Card)
+		var buf [96]byte
+		if got := string(appendCost(buf[:0], c)); got != want {
+			t.Errorf("appendCost(%+v) = %q, fmt says %q", c, got, want)
+		}
+	}
+	// A whole node line, the three shapes writeNode prints.
+	est, act := Cost{TFirst: 50 * time.Microsecond, TAll: time.Second, Card: math.Inf(1)}, Cost{Card: math.NaN()}
+	for _, d := range []SpanData{
+		{Name: "n", Start: 5, End: 150 * time.Microsecond},
+		{Name: "n", Est: &est},
+		{Name: "n", Est: &est, Actual: &act},
+	} {
+		want := d.Name
+		if d.Est != nil {
+			want += fmt.Sprintf("  est=[Tf=%s Ta=%s Card=%.2f]", fmtMillis(d.Est.TFirst), fmtMillis(d.Est.TAll), d.Est.Card)
+		}
+		if d.Actual != nil {
+			want += fmt.Sprintf("  actual=[Tf=%s Ta=%s Card=%.2f]", fmtMillis(d.Actual.TFirst), fmtMillis(d.Actual.TAll), d.Actual.Card)
+		} else if d.Est == nil {
+			want += fmt.Sprintf("  (%s)", fmtMillis(d.Duration()))
+		}
+		if got := Explain(d); got != want+"\n" {
+			t.Errorf("Explain = %q, fmt says %q", got, want+"\n")
+		}
 	}
 }

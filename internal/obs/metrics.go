@@ -118,6 +118,10 @@ type Histogram struct {
 	samples []float64
 	next    int          // overwrite cursor once the window is full
 	more    []*Histogram // attached to a registry-owned series
+	// sorted is samples in ascending order, built by the first Quantile
+	// after an Observe and emptied by the next one, so a reader that asks
+	// again before anything was observed does not sort again.
+	sorted []float64
 }
 
 // Observe records one sample.
@@ -129,6 +133,7 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.count++
 	h.sum += v
+	h.sorted = h.sorted[:0]
 	if len(h.samples) < HistogramWindow {
 		h.samples = append(h.samples, v)
 		return
@@ -183,11 +188,28 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	if h.more == nil {
+		defer h.mu.Unlock()
+		if len(h.sorted) != len(h.samples) {
+			h.sorted = append(h.sorted[:0], h.samples...)
+			sort.Float64s(h.sorted)
+		}
+		return nearestRank(h.sorted, q)
+	}
+	h.mu.Unlock()
+	// A series that merges attached handles cannot see their Observes:
+	// it sorts at read.
 	sorted := h.window(nil)
+	sort.Float64s(sorted)
+	return nearestRank(sorted, q)
+}
+
+// nearestRank reads the q-quantile off an ascending slice; 0 when empty.
+func nearestRank(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	sort.Float64s(sorted)
 	if q <= 0 {
 		return sorted[0]
 	}

@@ -3,6 +3,8 @@ package obs
 import (
 	"io"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -104,6 +106,68 @@ func TestHistogramWindowBounded(t *testing.T) {
 	}
 	if got := h.Sum(); got != float64(HistogramWindow)*1e6+float64(HistogramWindow) {
 		t.Errorf("sum = %g", got)
+	}
+}
+
+// TestHistogramSortedWindowCache: the sorted copy a Quantile leaves behind
+// must never be read after an Observe. Interleaved Observes and Quantiles —
+// through the fill, the wrap-around and ±Inf samples — answer what a fresh
+// sort of the last HistogramWindow observations answers, bit for bit; then
+// 8 observers and 2 readers share one histogram (run with -race).
+func TestHistogramSortedWindowCache(t *testing.T) {
+	h := &Histogram{}
+	rng := rand.New(rand.NewSource(20))
+	var all []float64
+	fresh := func(q float64) float64 {
+		win := all
+		if len(win) > HistogramWindow {
+			win = win[len(win)-HistogramWindow:]
+		}
+		sorted := append([]float64(nil), win...)
+		sort.Float64s(sorted)
+		return nearestRank(sorted, q)
+	}
+	for i := 0; i < 3*HistogramWindow; i++ {
+		v := rng.NormFloat64() * 100
+		switch rng.Intn(200) {
+		case 0:
+			v = math.Inf(1)
+		case 1:
+			v = math.Inf(-1)
+		}
+		h.Observe(v)
+		all = append(all, v)
+		for n := rng.Intn(3); n > 0; n-- { // 0, 1 or 2 reads per write
+			q := []float64{0, 0.5, 0.9, 0.99, 1, rng.Float64()}[rng.Intn(6)]
+			if got, want := h.Quantile(q), fresh(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("after %d observations q=%g: cached %v, fresh sort %v", i+1, q, got, want)
+			}
+		}
+	}
+
+	shared := &Histogram{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				shared.Observe(float64(g*400 + i))
+			}
+		}(g)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				shared.Quantile(0.9)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, lo, hi := shared.Count(), shared.Quantile(0), shared.Quantile(1); n != 3200 || lo > hi || hi > 3199 {
+		t.Errorf("after 3200 observations: count %d, min %g, max %g", n, lo, hi)
 	}
 }
 

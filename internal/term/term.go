@@ -49,22 +49,65 @@ func (t Term) Vars(dst []string) []string {
 }
 
 // Subst is a substitution: a binding environment mapping variable names to
-// ground values.
-type Subst map[string]Value
+// ground values. It is an immutable chain of bindings, newest first: Bind
+// allocates one node and shares the rest, so extending a substitution never
+// copies it and a Subst handed to several goroutines can be extended by each
+// without synchronization. The zero value is the empty substitution. A chain
+// is as long as the bindings made in one rule body, so lookups walk it.
+type Subst struct{ b *binding }
 
-// Clone returns an independent copy of s.
-func (s Subst) Clone() Subst {
-	c := make(Subst, len(s))
-	for k, v := range s {
-		c[k] = v
+type binding struct {
+	name string
+	val  Value
+	next *binding
+	n    int // distinct names bound in this node and the ones behind it
+}
+
+// Bind returns s extended with name bound to v, leaving s as it was. A name
+// already bound is shadowed: the newest binding wins.
+func (s Subst) Bind(name string, v Value) Subst {
+	n := s.Len()
+	if _, rebound := s.Lookup(name); !rebound {
+		n++
 	}
-	return c
+	return Subst{&binding{name: name, val: v, next: s.b, n: n}}
+}
+
+// Len returns the number of variables bound in s.
+func (s Subst) Len() int {
+	if s.b == nil {
+		return 0
+	}
+	return s.b.n
+}
+
+// Each calls f once per bound variable with its value, newest binding first.
+func (s Subst) Each(f func(name string, v Value)) {
+	for b := s.b; b != nil; b = b.next {
+		if !shadowed(s.b, b) {
+			f(b.name, b.val)
+		}
+	}
+}
+
+// shadowed reports whether a node in front of b rebinds b's name.
+func shadowed(head, b *binding) bool {
+	for a := head; a != b; a = a.next {
+		if a.name == b.name {
+			return true
+		}
+	}
+	return false
 }
 
 // Lookup returns the binding of a variable.
 func (s Subst) Lookup(name string) (Value, bool) {
-	v, ok := s[name]
-	return v, ok
+	for b := s.b; b != nil; b = b.next {
+		if b.name == name {
+			return b.val, true
+		}
+	}
+	return nil, false
 }
 
 // Eval resolves a term to a ground value under the substitution. It fails
@@ -73,7 +116,7 @@ func (s Subst) Eval(t Term) (Value, error) {
 	if t.IsConst() {
 		return t.Const, nil
 	}
-	v, ok := s[t.Var]
+	v, ok := s.Lookup(t.Var)
 	if !ok {
 		return nil, fmt.Errorf("variable %s is unbound", t.Var)
 	}
@@ -92,7 +135,7 @@ func (s Subst) Ground(t Term) bool {
 	if t.IsConst() {
 		return true
 	}
-	_, ok := s[t.Var]
+	_, ok := s.Lookup(t.Var)
 	return ok
 }
 
@@ -106,39 +149,37 @@ func (s Subst) Unify(t Term, v Value) (Subst, bool) {
 		if Equal(t.Const, v) {
 			return s, true
 		}
-		return nil, false
+		return Subst{}, false
 	}
 	if len(t.Path) > 0 {
 		cur, err := s.Eval(t)
 		if err != nil {
-			return nil, false
+			return Subst{}, false
 		}
 		if Equal(cur, v) {
 			return s, true
 		}
-		return nil, false
+		return Subst{}, false
 	}
-	if bound, ok := s[t.Var]; ok {
+	if bound, ok := s.Lookup(t.Var); ok {
 		if Equal(bound, v) {
 			return s, true
 		}
-		return nil, false
+		return Subst{}, false
 	}
-	out := s.Clone()
-	out[t.Var] = v
-	return out, true
+	return Subst{&binding{name: t.Var, val: v, next: s.b, n: s.Len() + 1}}, true
 }
 
 // UnifyAll unifies a list of terms against a list of ground values.
 func (s Subst) UnifyAll(ts []Term, vs []Value) (Subst, bool) {
 	if len(ts) != len(vs) {
-		return nil, false
+		return Subst{}, false
 	}
 	cur := s
 	for i, t := range ts {
 		next, ok := cur.Unify(t, vs[i])
 		if !ok {
-			return nil, false
+			return Subst{}, false
 		}
 		cur = next
 	}

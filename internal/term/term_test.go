@@ -6,7 +6,7 @@ import (
 )
 
 func TestSubstEval(t *testing.T) {
-	s := Subst{"X": Int(3), "T": NewRecord(Field{Name: "loc", Val: Str("d7")})}
+	s := Subst{}.Bind("X", Int(3)).Bind("T", NewRecord(Field{Name: "loc", Val: Str("d7")}))
 	v, err := s.Eval(C(Str("k")))
 	if err != nil || !Equal(v, Str("k")) {
 		t.Errorf("Eval(const) = %v, %v", v, err)
@@ -28,7 +28,7 @@ func TestSubstEval(t *testing.T) {
 }
 
 func TestSubstGround(t *testing.T) {
-	s := Subst{"X": Int(1)}
+	s := Subst{}.Bind("X", Int(1))
 	if !s.Ground(C(Int(9))) {
 		t.Error("constants are ground")
 	}
@@ -43,16 +43,16 @@ func TestSubstGround(t *testing.T) {
 func TestUnifyBindsFreshVar(t *testing.T) {
 	s := Subst{}
 	s2, ok := s.Unify(V("X"), Int(5))
-	if !ok || !Equal(s2["X"], Int(5)) {
+	if !ok || !Equal(valueOf(s2, "X"), Int(5)) {
 		t.Fatalf("Unify fresh var failed: %v %v", s2, ok)
 	}
-	if _, bound := s["X"]; bound {
+	if _, bound := s.Lookup("X"); bound {
 		t.Error("Unify mutated the original substitution")
 	}
 }
 
 func TestUnifyBoundVar(t *testing.T) {
-	s := Subst{"X": Int(5)}
+	s := Subst{}.Bind("X", Int(5))
 	if _, ok := s.Unify(V("X"), Int(5)); !ok {
 		t.Error("Unify with agreeing binding should succeed")
 	}
@@ -73,7 +73,7 @@ func TestUnifyConst(t *testing.T) {
 
 func TestUnifyPathTerm(t *testing.T) {
 	rec := NewRecord(Field{Name: "a", Val: Int(1)})
-	s := Subst{"R": rec}
+	s := Subst{}.Bind("R", rec)
 	if _, ok := s.Unify(V("R", "a"), Int(1)); !ok {
 		t.Error("path term equal to value should unify")
 	}
@@ -89,7 +89,7 @@ func TestUnifyAll(t *testing.T) {
 	s, ok := (Subst{}).UnifyAll(
 		[]Term{V("X"), C(Int(2)), V("X")},
 		[]Value{Int(1), Int(2), Int(1)})
-	if !ok || !Equal(s["X"], Int(1)) {
+	if !ok || !Equal(valueOf(s, "X"), Int(1)) {
 		t.Fatalf("UnifyAll = %v, %v", s, ok)
 	}
 	if _, ok := (Subst{}).UnifyAll(
@@ -198,10 +198,18 @@ func TestRelOpDuality(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s := Subst{"X": Int(1)}
-	c := s.Clone()
-	c["Y"] = Int(2)
-	if _, ok := s["Y"]; ok {
-		t.Error("Clone shares storage with original")
+	s := Subst{}.Bind("X", Int(1))
+	c := s.Bind("Y", Int(2))
+	if _, ok := s.Lookup("Y"); ok {
+		t.Error("Bind changed the substitution it extended")
 	}
+	if !Equal(valueOf(c, "Y"), Int(2)) || !Equal(valueOf(c, "X"), Int(1)) {
+		t.Errorf("extended substitution = %v", c)
+	}
+}
+
+// valueOf is s[name] of the map Subst used to be: nil when unbound.
+func valueOf(s Subst, name string) Value {
+	v, _ := s.Lookup(name)
+	return v
 }
