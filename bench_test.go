@@ -19,6 +19,7 @@ import (
 	"hermes/internal/engine"
 	"hermes/internal/experiments"
 	"hermes/internal/lang"
+	"hermes/internal/obs"
 	"hermes/internal/rewrite"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
@@ -492,5 +493,36 @@ func BenchmarkEngineJoin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+var explainSink string
+
+// BenchmarkSpanTreeExplain is what tracing one query costs: build a
+// 10-span tagged tree, end it, snapshot it twice (the tracer's publish and
+// the reply's EXPLAIN each take one) and render it.
+func BenchmarkSpanTreeExplain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		root := obs.NewSpan("?- q(X).", 0)
+		for c := 0; c < 3; c++ {
+			call := root.Child("call d:f(1)", time.Millisecond)
+			call.SetTag("route", "cim")
+			call.SetTag("cim", "exact")
+			call.SetEstimate(obs.Cost{TFirst: time.Millisecond, TAll: 2 * time.Millisecond, Card: 3})
+			for l := 0; l < 2; l++ {
+				leaf := call.Child("fetch", time.Millisecond)
+				leaf.SetTag("n", "1")
+				leaf.End(2 * time.Millisecond)
+			}
+			call.SetActual(obs.Cost{TFirst: time.Millisecond, TAll: 3 * time.Millisecond, Card: 3})
+			call.End(3 * time.Millisecond)
+		}
+		root.SetTag("answers", "9")
+		root.SetTag("complete", "true")
+		root.SetActual(obs.Cost{TFirst: time.Millisecond, TAll: 4 * time.Millisecond, Card: 9})
+		root.End(4 * time.Millisecond)
+		root.Snapshot()
+		explainSink = obs.Explain(root.Snapshot())
 	}
 }

@@ -270,7 +270,7 @@ func printCalls(d obs.SpanData) {
 	if strings.HasPrefix(d.Name, "call ") {
 		served := ""
 		for _, k := range []string{"route", "cim", "serving", "degraded", "breaker", "error"} {
-			if v, ok := d.Tags[k]; ok {
+			if v, ok := d.Tags.Lookup(k); ok {
 				served += " " + k + "=" + v
 			}
 		}

@@ -242,7 +242,7 @@ func TestTwoHopMountQueryDifferential(t *testing.T) {
 
 // findTag walks a span snapshot for the first node tagged k=v.
 func findTag(d obs.SpanData, k, v string) *obs.SpanData {
-	if d.Tags[k] == v {
+	if d.Tag(k) == v {
 		return &d
 	}
 	for i := range d.Children {
@@ -257,7 +257,7 @@ func findTag(d obs.SpanData, k, v string) *obs.SpanData {
 // given node name — the roots of stitched remote subtrees — without
 // descending into them (a hop's own children are part of its total).
 func foreignTotal(d obs.SpanData, node string) time.Duration {
-	if d.Tags["node"] == node {
+	if d.Tag("node") == node {
 		return d.Duration()
 	}
 	var sum time.Duration
@@ -323,15 +323,15 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	// The trace: one stitched tree rooted at node-a, B's serve subtree
 	// tagged node-b beneath the call span with the wire split.
 	root := recentQuery(t, sys, queries[0])
-	if root.Tags["node"] != "node-a" {
-		t.Errorf("origin hop node tag = %q, want node-a", root.Tags["node"])
+	if root.Tag("node") != "node-a" {
+		t.Errorf("origin hop node tag = %q, want node-a", root.Tag("node"))
 	}
 	serve := findTag(root, "node", "node-b")
 	if serve == nil {
 		t.Fatalf("no node-b serve subtree stitched into the trace:\n%s", obs.Explain(root))
 	}
 	call := findTag(root, "remote.proto", "v2")
-	if call == nil || call.Tags["remote.wire_ms"] == "" {
+	if call == nil || call.Tag("remote.wire_ms") == "" {
 		t.Errorf("v2 call span missing or without remote.wire_ms:\n%s", obs.Explain(root))
 	}
 	sum := foreignTotal(root, "node-b")

@@ -177,6 +177,7 @@ type Entry struct {
 	Cost  domain.CostVector
 	Bytes int
 
+	key      string // Call.Key(), the key the store holds the entry under
 	lastUsed atomic.Int64
 }
 
@@ -402,7 +403,7 @@ func (m *Manager) Clear() {
 	m.store.Clear()
 	m.idx.ResetCalls(nil)
 	for _, e := range dropped {
-		m.invalidate(e.Call.Key())
+		m.invalidate(e.key)
 	}
 }
 
@@ -422,14 +423,14 @@ func (m *Manager) storeEntry(c domain.Call, answers []term.Value, complete bool,
 	for _, v := range answers {
 		bytes += term.SizeBytes(v)
 	}
-	e := &Entry{Call: c, Answers: answers, Complete: complete, Cost: cost, Bytes: bytes}
+	e := &Entry{Call: c, Answers: answers, Complete: complete, Cost: cost, Bytes: bytes, key: c.Key()}
 	e.lastUsed.Store(m.counter.Add(1))
 	m.idx.AddCall(c)
-	if _, refreshed := m.store.Put(c.Key(), e); refreshed {
+	if _, refreshed := m.store.Put(e.key, e); refreshed {
 		// A refresh replaced previously served answers: memo relations
 		// built from the old entry are stale. A fresh store fires nothing —
 		// the miss that produced it is itself feeding an in-progress fill.
-		m.invalidate(c.Key())
+		m.invalidate(e.key)
 	}
 	m.storedEntries.Inc()
 	m.store.Evict()
@@ -444,7 +445,7 @@ func (m *Manager) pickVictim(snap []*Entry) (string, *Entry) {
 			victim = e
 		}
 	}
-	return victim.Call.Key(), victim
+	return victim.key, victim
 }
 
 // evicted unhooks an entry the budget loop removed.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -170,9 +171,9 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	if withSavings {
 		saved = m.avoidedCost(call, e)
 		m.savedNS.Add(int64(saved))
-		ctx.Span.SetTag("cim.saved_ms", fmt.Sprintf("%.1f", float64(saved)/float64(time.Millisecond)))
+		ctx.Span.SetTag("cim.saved_ms", strconv.FormatFloat(float64(saved)/float64(time.Millisecond), 'f', 1, 64))
 	}
-	m.ledger.credit(invKey, e.Call.Key(), saved)
+	m.ledger.credit(invKey, e.key, saved)
 }
 
 // CreditMemo records one rule-level memo hit in the savings ledger under

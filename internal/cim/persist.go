@@ -98,7 +98,8 @@ func (m *Manager) Load(r io.Reader) error {
 			Bytes: bytes,
 		}
 		e.lastUsed.Store(es.LastUsed)
-		entries[e.Call.Key()] = e
+		e.key = e.Call.Key()
+		entries[e.key] = e
 	}
 	// The load replaces whatever was cached: memo relations built from the
 	// previous contents are stale, and the call index is rebuilt to match.
@@ -110,7 +111,7 @@ func (m *Manager) Load(r io.Reader) error {
 	}
 	m.idx.ResetCalls(calls)
 	for _, e := range prior {
-		m.invalidate(e.Call.Key())
+		m.invalidate(e.key)
 	}
 	if snap.Ledger != nil {
 		m.ledger.restore(*snap.Ledger)

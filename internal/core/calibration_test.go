@@ -19,7 +19,7 @@ import (
 func sumSavedTags(d obs.SpanData, t *testing.T) float64 {
 	t.Helper()
 	total := 0.0
-	if v, ok := d.Tags["cim.saved_ms"]; ok {
+	if v, ok := d.Tags.Lookup("cim.saved_ms"); ok {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			t.Fatalf("bad cim.saved_ms tag %q: %v", v, err)
@@ -139,7 +139,7 @@ func TestPlanChoiceCalibrationTag(t *testing.T) {
 		snap := cur.Span().Snapshot()
 		for _, c := range snap.Children {
 			if c.Name == "plan-choice" {
-				return c.Tags["calibration"]
+				return c.Tag("calibration")
 			}
 		}
 		t.Fatalf("no plan-choice span in %+v", snap)

@@ -562,8 +562,8 @@ func (s *System) Query(query string) (*engine.Cursor, error) {
 // count), a plan-choice child span (chosen index, plan, estimated cost),
 // then one child span per domain call added by the engine. The span tree
 // finalizes — and publishes to the tracer — when the cursor is drained or
-// closed; render it with obs.Explain(cursor.Span().Snapshot()). Without a
-// configured observer this is Query with per-plan estimation ranking.
+// closed; obs.Explain(cursor.Span().Snapshot()) renders that same tree, not
+// a copy. Without an observer this is Query with per-plan estimation ranking.
 func (s *System) QueryTraced(query string, interactive bool) (*engine.Cursor, error) {
 	return s.QueryTracedCtx(s.Ctx(), query, interactive)
 }

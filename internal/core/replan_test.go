@@ -95,7 +95,7 @@ func runReplanQuery(t *testing.T, sys *System) ([]string, obs.SpanData) {
 
 // findTag searches a span tree for a tag value.
 func findTag(d obs.SpanData, key string) (string, bool) {
-	if v, ok := d.Tags[key]; ok {
+	if v, ok := d.Tags.Lookup(key); ok {
 		return v, true
 	}
 	for _, c := range d.Children {

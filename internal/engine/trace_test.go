@@ -57,11 +57,11 @@ func TestCallSpansDirectCalls(t *testing.T) {
 	if len(calls) != 5 {
 		t.Fatalf("call spans = %d, want 5", len(calls))
 	}
-	if calls[0].Name != "call d:nums()" || calls[0].Tags["route"] != "direct" {
+	if calls[0].Name != "call d:nums()" || calls[0].Tag("route") != "direct" {
 		t.Errorf("first call span = %s %v", calls[0].Name, calls[0].Tags)
 	}
 	for i := 1; i < len(calls); i++ {
-		if !strings.HasPrefix(calls[i].Name, "call d:double(") || calls[i].Tags["route"] != "direct" {
+		if !strings.HasPrefix(calls[i].Name, "call d:double(") || calls[i].Tag("route") != "direct" {
 			t.Errorf("call span %d = %s %v", i, calls[i].Name, calls[i].Tags)
 		}
 		if calls[i].Start < calls[i-1].Start {
@@ -105,10 +105,10 @@ func TestCallSpansCIMSources(t *testing.T) {
 		return calls[0]
 	}
 	first, second := run(), run()
-	if first.Tags["route"] != "cim" || first.Tags["cim"] != "miss" {
+	if first.Tag("route") != "cim" || first.Tag("cim") != "miss" {
 		t.Errorf("first run call span tags = %v, want route=cim cim=miss", first.Tags)
 	}
-	if second.Tags["route"] != "cim" || second.Tags["cim"] != "exact" {
+	if second.Tag("route") != "cim" || second.Tag("cim") != "exact" {
 		t.Errorf("second run call span tags = %v, want route=cim cim=exact", second.Tags)
 	}
 }
@@ -174,17 +174,17 @@ func TestCallSpansBreakerOpen(t *testing.T) {
 		t.Fatalf("retained spans = %d, want 2", len(recent))
 	}
 	for i, root := range recent {
-		if root.Tags["complete"] != "false" {
+		if root.Tag("complete") != "false" {
 			t.Errorf("root %d tags = %v, want complete=false", i, root.Tags)
 		}
 		if len(root.Children) != 1 {
 			t.Fatalf("root %d children = %d, want 1 call span", i, len(root.Children))
 		}
 		call := root.Children[0]
-		if call.Tags["error"] == "" {
+		if call.Tag("error") == "" {
 			t.Errorf("call span %d tags = %v, want error tag", i, call.Tags)
 		}
-		if got, want := call.Tags["breaker"], map[int]string{0: "open", 1: ""}[i]; got != want {
+		if got, want := call.Tag("breaker"), map[int]string{0: "open", 1: ""}[i]; got != want {
 			t.Errorf("call span %d breaker tag = %q, want %q", i, got, want)
 		}
 	}

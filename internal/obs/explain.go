@@ -2,7 +2,7 @@ package obs
 
 import (
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 )
 
@@ -19,40 +19,44 @@ import (
 // clock extent. The output is deterministic for deterministic runs (tags
 // sorted, virtual-clock times).
 func Explain(d SpanData) string {
-	var b strings.Builder
-	writeNode(&b, d, "", "")
-	return b.String()
+	e := explainPool.Get().(*explainBuf)
+	defer explainPool.Put(e)
+	e.out, e.prefix = e.out[:0], e.prefix[:0]
+	e.node(d, "", "")
+	return string(e.out) // the one allocation, of exactly the final size
 }
 
-func writeNode(b *strings.Builder, d SpanData, firstPrefix, childPrefix string) {
-	b.WriteString(firstPrefix)
-	b.WriteString(d.Name)
-	for _, t := range d.sortedTags() {
-		b.WriteString("  ")
-		b.WriteString(t)
+// explainBuf is Explain's scratch: the text so far and the tree prefix.
+type explainBuf struct{ out, prefix []byte }
+
+var explainPool = sync.Pool{New: func() any { return new(explainBuf) }}
+
+// node writes d's line after prefix+connector, then its children under
+// prefix+indent.
+func (e *explainBuf) node(d SpanData, connector, indent string) {
+	b := append(append(append(e.out, e.prefix...), connector...), d.Name...)
+	for _, t := range d.Tags {
+		b = append(append(append(append(b, "  "...), t.K...), '='), t.V...)
 	}
-	var buf [96]byte // a cost vector of ordinary magnitudes fits
 	if d.Est != nil {
-		b.WriteString("  est=")
-		b.Write(appendCost(buf[:0], *d.Est))
+		b = appendCost(append(b, "  est="...), *d.Est)
 	}
 	if d.Actual != nil {
-		b.WriteString("  actual=")
-		b.Write(appendCost(buf[:0], *d.Actual))
+		b = appendCost(append(b, "  actual="...), *d.Actual)
 	} else if d.Est == nil {
-		b.WriteString("  (")
-		b.Write(appendMillis(buf[:0], d.Duration()))
-		b.WriteByte(')')
+		b = append(appendMillis(append(b, "  ("...), d.Duration()), ')')
 	}
-	b.WriteByte('\n')
+	e.out = append(b, '\n')
+	n := len(e.prefix)
+	e.prefix = append(e.prefix, indent...)
 	for i, c := range d.Children {
-		last := i == len(d.Children)-1
-		connector, indent := "├─ ", "│  "
-		if last {
-			connector, indent = "└─ ", "   "
+		if i == len(d.Children)-1 {
+			e.node(c, "└─ ", "   ")
+		} else {
+			e.node(c, "├─ ", "│  ")
 		}
-		writeNode(b, c, childPrefix+connector, childPrefix+indent)
 	}
+	e.prefix = e.prefix[:n]
 }
 
 // appendCost renders a cost vector the way the paper's tables report it:

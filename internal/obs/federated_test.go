@@ -110,23 +110,23 @@ func TestExplainFederatedGolden(t *testing.T) {
 		Name:   "serve avis:frames_to_objects",
 		Start:  ms(36),
 		End:    ms(859),
-		Tags:   map[string]string{"node": "node-b"},
+		Tags:   tagsOf(map[string]string{"node": "node-b"}),
 		Actual: &Cost{TFirst: ms(310), TAll: ms(823), Card: 19},
 		Children: []SpanData{
 			{
 				Name:  "call avis:frames_to_objects('rope', 4, 47)",
 				Start: ms(40),
 				End:   ms(850),
-				Tags: map[string]string{
+				Tags: tagsOf(map[string]string{
 					"route": "direct", "remote": "node-c:7117",
 					"remote.proto": "v2", "remote.wire_ms": "18.5",
-				},
+				}),
 				Children: []SpanData{
 					{
 						Name:   "serve avis:frames_to_objects",
 						Start:  ms(55),
 						End:    ms(835),
-						Tags:   map[string]string{"node": "node-c", "truncated": "1"},
+						Tags:   tagsOf(map[string]string{"node": "node-c", "truncated": "1"}),
 						Actual: &Cost{TFirst: ms(290), TAll: ms(780), Card: 19},
 					},
 				},

@@ -30,9 +30,8 @@ type FlightRecord struct {
 // a nil recorder is a no-op.
 type FlightRecorder struct {
 	mu        sync.Mutex
-	capacity  int
 	threshold time.Duration
-	records   []FlightRecord // oldest first
+	records   ring[FlightRecord]
 	seq       int64
 	skipped   int64
 }
@@ -40,10 +39,7 @@ type FlightRecorder struct {
 // NewFlightRecorder returns a recorder retaining the last capacity
 // queries (minimum 1) at or above threshold (0 = keep everything).
 func NewFlightRecorder(capacity int, threshold time.Duration) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{capacity: capacity, threshold: threshold}
+	return &FlightRecorder{records: newRing[FlightRecord](capacity), threshold: threshold}
 }
 
 // SetThreshold replaces the slow-query threshold (0 = keep everything).
@@ -69,15 +65,12 @@ func (f *FlightRecorder) Record(d SpanData) {
 		f.skipped++
 		return
 	}
-	f.records = append(f.records, FlightRecord{
+	f.records.push(FlightRecord{
 		Seq:        f.seq,
 		Name:       d.Name,
 		DurationMS: float64(d.Duration()) / float64(time.Millisecond),
 		Root:       d,
 	})
-	if len(f.records) > f.capacity {
-		f.records = f.records[len(f.records)-f.capacity:]
-	}
 }
 
 // Records returns the retained flight records, newest first.
@@ -87,11 +80,7 @@ func (f *FlightRecorder) Records() []FlightRecord {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightRecord, len(f.records))
-	for i, r := range f.records {
-		out[len(f.records)-1-i] = r
-	}
-	return out
+	return f.records.newestFirst()
 }
 
 // Stats returns how many finished queries were offered and how many
@@ -113,11 +102,11 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	f.mu.Lock()
-	records := append([]FlightRecord(nil), f.records...)
+	records := f.records.newestFirst()
 	f.mu.Unlock()
 	enc := json.NewEncoder(w)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
+	for i := len(records) - 1; i >= 0; i-- {
+		if err := enc.Encode(records[i]); err != nil {
 			return err
 		}
 	}

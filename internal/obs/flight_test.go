@@ -62,7 +62,7 @@ func TestFlightRecorderEvictionOldestFirst(t *testing.T) {
 func TestFlightRecorderJSONL(t *testing.T) {
 	f := NewFlightRecorder(4, 0)
 	root := span("?- q(X).", 40*time.Millisecond)
-	root.Tags = map[string]string{"answers": "2"}
+	root.Tags = tagsOf(map[string]string{"answers": "2"})
 	root.Children = []SpanData{span("call avis:frames(4, 30, F)", 30*time.Millisecond)}
 	f.Record(root)
 	var buf bytes.Buffer

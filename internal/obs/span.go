@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,18 +22,27 @@ type Cost struct {
 // and actual cost vectors, and child spans. Spans are safe for concurrent
 // use and every method is nil-receiver safe, so instrumented code can
 // thread a possibly-nil span without conditionals.
+//
+// Once a span and everything under it has ended, the first Snapshot
+// freezes the subtree: its SpanData is built once and handed out by every
+// later Snapshot. A write to an ended span moves the tree's generation
+// on, which un-freezes the span and every ancestor frozen with it.
 type Span struct {
 	mu       sync.Mutex
 	name     string
 	start    time.Duration
 	end      time.Duration
-	ended    bool
-	tags     map[string]string
+	tags     Tags // once ended, shared with the SpanData handed out
 	est      *Cost
 	actual   *Cost
 	children []*Span
-	foreign  []SpanData  // stitched remote subtrees, rendered after children
-	onEnd    func(*Span) // set on roots by the Tracer
+	foreign  []SpanData    // stitched remote subtrees, rendered after children
+	kids     []SpanData    // the Children handed out while frozen
+	root     *Span         // the tree's root; a root points at itself
+	tracer   *Tracer       // on a root the Tracer started: End publishes to it
+	gen      atomic.Uint64 // on the root: writes to ended spans of the tree
+	frozenAt uint64        // the generation, plus one, kids was built at
+	ended    bool
 }
 
 // NewSpan opens a standalone root span outside any tracer: ending it
@@ -40,7 +50,24 @@ type Span struct {
 // that travel back to the caller in a trace frame rather than entering the
 // server's own /debug/queries ring.
 func NewSpan(name string, at time.Duration) *Span {
-	return &Span{name: name, start: at}
+	s := &Span{name: name, start: at}
+	s.root = s
+	return s
+}
+
+// write runs f on s under its lock. A write to an ended span may
+// contradict a frozen tree: it moves the generation on, which un-freezes s
+// and its ancestors for every Snapshot that starts after the writer returns.
+func (s *Span) write(f func()) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	f()
+	if s.ended {
+		s.root.gen.Add(1)
+	}
+	s.mu.Unlock()
 }
 
 // Child opens a sub-span starting at execution-clock reading at. On a nil
@@ -49,67 +76,32 @@ func (s *Span) Child(name string, at time.Duration) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: at}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+	c := &Span{name: name, start: at, root: s.root}
+	s.write(func() { s.children = append(s.children, c) })
 	return c
 }
 
 // SetTag records an outcome tag. Later values overwrite earlier ones.
 func (s *Span) SetTag(k, v string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.tags == nil {
-		s.tags = make(map[string]string)
-	}
-	s.tags[k] = v
-	s.mu.Unlock()
-}
-
-// Tag returns a tag's value (for tests and renderers).
-func (s *Span) Tag(k string) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.tags[k]
-	return v, ok
+	s.write(func() {
+		if s.ended {
+			s.tags = slices.Clone(s.tags) // handed-out SpanData keep the old ones
+		}
+		s.tags = s.tags.set(k, v)
+	})
 }
 
 // SetEstimate attaches the planner's estimated cost vector.
-func (s *Span) SetEstimate(c Cost) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.est = &c
-	s.mu.Unlock()
-}
+func (s *Span) SetEstimate(c Cost) { s.write(func() { s.est = &c }) }
 
 // SetActual attaches the measured cost vector.
-func (s *Span) SetActual(c Cost) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.actual = &c
-	s.mu.Unlock()
-}
+func (s *Span) SetActual(c Cost) { s.write(func() { s.actual = &c }) }
 
 // AttachForeign grafts an already-snapshotted subtree — a remote peer's
 // serve span, rebased onto this clock — under s. Snapshot renders foreign
 // subtrees after the locally opened children. Nil-receiver safe.
 func (s *Span) AttachForeign(d SpanData) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.foreign = append(s.foreign, d)
-	s.mu.Unlock()
+	s.write(func() { s.foreign = append(s.foreign, d) })
 }
 
 // End closes the span at execution-clock reading at. Ending a span twice
@@ -125,81 +117,73 @@ func (s *Span) End(at time.Duration) {
 	}
 	s.ended = true
 	s.end = at
-	onEnd := s.onEnd
 	s.mu.Unlock()
-	if onEnd != nil {
-		onEnd(s)
+	if s.tracer != nil {
+		s.tracer.publish(s)
 	}
 }
 
-// Snapshot returns a deep, immutable copy of the span tree for rendering.
-// A still-open span snapshots with End == Start.
+// Snapshot returns the span tree as immutable data for rendering. A
+// still-open span snapshots with End == Start, and a tree holding one is
+// rebuilt on every call; a tree that has wholly ended is built by the
+// first call and shared by every later one, so a SpanData is read-only.
 func (s *Span) Snapshot() SpanData {
 	if s == nil {
 		return SpanData{}
 	}
-	s.mu.Lock()
-	d := SpanData{
-		Name:  s.name,
-		Start: s.start,
-		End:   s.end,
-	}
-	if !s.ended {
-		d.End = s.start
-	}
-	if s.est != nil {
-		c := *s.est
-		d.Est = &c
-	}
-	if s.actual != nil {
-		c := *s.actual
-		d.Actual = &c
-	}
-	if len(s.tags) > 0 {
-		d.Tags = make(map[string]string, len(s.tags))
-		for k, v := range s.tags {
-			d.Tags[k] = v
-		}
-	}
-	children := append([]*Span(nil), s.children...)
-	foreign := append([]SpanData(nil), s.foreign...)
-	s.mu.Unlock()
-	for _, c := range children {
-		d.Children = append(d.Children, c.Snapshot())
-	}
-	d.Children = append(d.Children, foreign...)
+	d, _ := s.snapshot(s.root.gen.Load() + 1)
 	return d
+}
+
+// snapshot returns s's subtree and whether all of it has ended, in which
+// case it is now frozen at generation gen; a write to an ended span during
+// the build moves the generation on, so the next call rebuilds. The lock
+// is held across the children (locks nest parent → child only), so
+// concurrent Snapshots of an ended tree wait for one build and share it.
+func (s *Span) snapshot(gen uint64) (SpanData, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := SpanData{Name: s.name, Start: s.start, End: s.end, Tags: s.tags, Est: s.est, Actual: s.actual}
+	if s.frozenAt == gen {
+		d.Children = s.kids
+		return d, true
+	}
+	all := s.ended
+	if !all {
+		d.End, d.Tags = s.start, slices.Clone(s.tags) // still being written
+	}
+	if n := len(s.children) + len(s.foreign); n > 0 {
+		d.Children = make([]SpanData, 0, n)
+		for _, c := range s.children {
+			cd, ok := c.snapshot(gen)
+			d.Children, all = append(d.Children, cd), all && ok
+		}
+		d.Children = append(d.Children, s.foreign...)
+	}
+	if all {
+		s.kids, s.frozenAt = d.Children, gen
+	}
+	return d, all
 }
 
 // SpanData is an immutable span-tree snapshot.
 type SpanData struct {
-	Name     string            `json:"name"`
-	Start    time.Duration     `json:"start"`
-	End      time.Duration     `json:"end"`
-	Tags     map[string]string `json:"tags,omitempty"`
-	Est      *Cost             `json:"est,omitempty"`
-	Actual   *Cost             `json:"actual,omitempty"`
-	Children []SpanData        `json:"children,omitempty"`
+	Name     string        `json:"name"`
+	Start    time.Duration `json:"start"`
+	End      time.Duration `json:"end"`
+	Tags     Tags          `json:"tags,omitempty"`
+	Est      *Cost         `json:"est,omitempty"`
+	Actual   *Cost         `json:"actual,omitempty"`
+	Children []SpanData    `json:"children,omitempty"`
 }
 
 // Duration is the span's clock extent.
 func (d SpanData) Duration() time.Duration { return d.End - d.Start }
 
-// sortedTags returns "k=v" strings in key order.
-func (d SpanData) sortedTags() []string {
-	if len(d.Tags) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(d.Tags))
-	for k := range d.Tags {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = k + "=" + d.Tags[k]
-	}
-	return out
+// Tag returns the value of tag k, "" when the span does not carry it.
+func (d SpanData) Tag(k string) string {
+	v, _ := d.Tags.Lookup(k)
+	return v
 }
 
 // Tracer creates root query spans and retains the most recent finished
@@ -207,8 +191,7 @@ func (d SpanData) sortedTags() []string {
 // safe for concurrent use; a nil Tracer disables tracing.
 type Tracer struct {
 	mu        sync.Mutex
-	recent    []SpanData // oldest first
-	capacity  int
+	recent    ring[SpanData]
 	started   int64
 	finished  int64
 	onPublish func(SpanData) // e.g. the flight recorder
@@ -217,10 +200,7 @@ type Tracer struct {
 // NewTracer returns a tracer retaining the last capacity finished query
 // spans (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{capacity: capacity}
+	return &Tracer{recent: newRing[SpanData](capacity)}
 }
 
 // StartQuery opens a root span for one query at execution-clock reading
@@ -233,8 +213,8 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 	t.mu.Lock()
 	t.started++
 	t.mu.Unlock()
-	s := &Span{name: name, start: at}
-	s.onEnd = t.publish
+	s := NewSpan(name, at)
+	s.tracer = t
 	return s
 }
 
@@ -242,10 +222,7 @@ func (t *Tracer) publish(s *Span) {
 	d := s.Snapshot()
 	t.mu.Lock()
 	t.finished++
-	t.recent = append(t.recent, d)
-	if len(t.recent) > t.capacity {
-		t.recent = t.recent[len(t.recent)-t.capacity:]
-	}
+	t.recent.push(d)
 	hook := t.onPublish
 	t.mu.Unlock()
 	if hook != nil {
@@ -271,11 +248,7 @@ func (t *Tracer) Recent() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, len(t.recent))
-	for i, d := range t.recent {
-		out[len(t.recent)-1-i] = d
-	}
-	return out
+	return t.recent.newestFirst()
 }
 
 // Counts returns how many query spans were started and finished.

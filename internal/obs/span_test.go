@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 		t.Fatalf("children = %d", len(d.Children))
 	}
 	c := d.Children[0]
-	if c.Tags["cim"] != "exact" {
+	if c.Tag("cim") != "exact" {
 		t.Errorf("child tags = %v", c.Tags)
 	}
 	if c.Est == nil || c.Actual == nil || c.Est.Card != 3 {
@@ -43,7 +44,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	}
 	// The snapshot is detached: later mutation must not leak in.
 	root.SetTag("late", "yes")
-	if _, ok := recent[0].Tags["late"]; ok {
+	if _, ok := recent[0].Tags.Lookup("late"); ok {
 		t.Error("snapshot aliased live span")
 	}
 	started, finished := tr.Counts()
@@ -76,7 +77,8 @@ func TestTracerRingEviction(t *testing.T) {
 		}
 	}
 	tr.mu.Lock()
-	internal := append([]SpanData(nil), tr.recent...)
+	internal := tr.recent.newestFirst()
+	slices.Reverse(internal)
 	tr.mu.Unlock()
 	for i, want := range []string{"q2", "q3", "q4"} {
 		if internal[i].Name != want {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -83,16 +84,7 @@ func TruncateSpanJSON(d SpanData, maxBytes int) (b []byte, truncated, ok bool) {
 	}
 	for depth := spanDepth(d) - 1; depth >= 0; depth-- {
 		pruned := pruneSpan(d, depth)
-		if pruned.Tags == nil {
-			pruned.Tags = map[string]string{}
-		} else {
-			tags := make(map[string]string, len(pruned.Tags)+1)
-			for k, v := range pruned.Tags {
-				tags[k] = v
-			}
-			pruned.Tags = tags
-		}
-		pruned.Tags[TruncatedTag] = "1"
+		pruned.Tags = slices.Clone(d.Tags).set(TruncatedTag, "1") // d's own stay as they are
 		b, err = json.Marshal(pruned)
 		if err == nil && len(b) <= maxBytes {
 			return b, true, true

@@ -8,20 +8,29 @@ import (
 	"time"
 )
 
+// tagsOf builds fixture tags the way a span holds them: sorted by key.
+func tagsOf(m map[string]string) Tags {
+	var t Tags
+	for k, v := range m {
+		t = t.set(k, v)
+	}
+	return t
+}
+
 func sampleSubtree() SpanData {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	return SpanData{
 		Name:   "serve avis:actors",
 		Start:  ms(10),
 		End:    ms(250),
-		Tags:   map[string]string{"node": "node-b"},
+		Tags:   tagsOf(map[string]string{"node": "node-b"}),
 		Actual: &Cost{TFirst: ms(40), TAll: ms(240), Card: 9},
 		Children: []SpanData{
 			{
 				Name:  "call avis:actors('rope')",
 				Start: ms(12),
 				End:   ms(248),
-				Tags:  map[string]string{"route": "cim", "cim": "exact"},
+				Tags:  tagsOf(map[string]string{"route": "cim", "cim": "exact"}),
 				Est:   &Cost{TFirst: ms(1800), TAll: ms(2000), Card: 9},
 				Children: []SpanData{
 					{Name: "fetch", Start: ms(13), End: ms(247)},
@@ -122,14 +131,14 @@ func TestTruncateSpanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pruned output does not decode: %v", err)
 	}
-	if got.Tags[TruncatedTag] != "1" {
+	if got.Tag(TruncatedTag) != "1" {
 		t.Errorf("pruned root not tagged %s=1: %v", TruncatedTag, got.Tags)
 	}
 	if got.Name != d.Name || got.Actual == nil {
 		t.Errorf("pruning damaged the root: %+v", got)
 	}
 	// The original is untouched: pruning copies before tagging.
-	if _, tagged := d.Tags[TruncatedTag]; tagged {
+	if _, tagged := d.Tags.Lookup(TruncatedTag); tagged {
 		t.Error("TruncateSpanJSON mutated its input's tags")
 	}
 

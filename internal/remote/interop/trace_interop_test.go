@@ -155,7 +155,7 @@ func TestScenarioOversizedTraceSubtree(t *testing.T) {
 		}
 		big := obs.SpanData{
 			Name: "serve src:gen", End: time.Millisecond,
-			Tags: map[string]string{"padding": strings.Repeat("x", 2048)},
+			Tags: obs.Tags{{K: "padding", V: strings.Repeat("x", 2048)}},
 		}
 		payload, _ := obs.EncodeSpanJSON(big)
 		enc.Encode(remote.Frame{Op: remote.OpTrace, ID: f.ID, Trace: payload})
@@ -183,8 +183,8 @@ func TestScenarioOversizedTraceSubtree(t *testing.T) {
 	if len(snap.Children) != 0 {
 		t.Error("oversized subtree was stitched")
 	}
-	if snap.Tags["remote.trace"] != "oversize" {
-		t.Errorf("remote.trace tag = %q, want oversize", snap.Tags["remote.trace"])
+	if snap.Tag("remote.trace") != "oversize" {
+		t.Errorf("remote.trace tag = %q, want oversize", snap.Tag("remote.trace"))
 	}
 	m := ob.Metrics.Snapshot()
 	if m[`hermes_trace_malformed_total{reason="oversize"}`] != 1 {

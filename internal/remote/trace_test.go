@@ -24,7 +24,7 @@ func tracedCtx(name string) (*domain.Ctx, *obs.Span) {
 
 // findSpan walks a snapshot looking for a node whose tags carry k=v.
 func findSpan(d obs.SpanData, k, v string) *obs.SpanData {
-	if d.Tags[k] == v {
+	if d.Tag(k) == v {
 		return &d
 	}
 	for i := range d.Children {
@@ -68,10 +68,10 @@ func TestFederatedTraceStitching(t *testing.T) {
 	call.End(ctx.Clock.Now())
 
 	snap := call.Snapshot()
-	if snap.Tags["remote.proto"] != "v2" {
-		t.Errorf("remote.proto = %q, want v2", snap.Tags["remote.proto"])
+	if snap.Tag("remote.proto") != "v2" {
+		t.Errorf("remote.proto = %q, want v2", snap.Tag("remote.proto"))
 	}
-	if snap.Tags["remote.wire_ms"] == "" {
+	if snap.Tag("remote.wire_ms") == "" {
 		t.Error("remote.wire_ms tag missing: wire time not split from remote compute")
 	}
 	if len(snap.Children) != 1 {
@@ -82,8 +82,8 @@ func TestFederatedTraceStitching(t *testing.T) {
 	if serve.Name != "serve echo:gen" {
 		t.Errorf("stitched subtree root = %q", serve.Name)
 	}
-	if serve.Tags["node"] != "node-b" {
-		t.Errorf("serve span node tag = %q, want node-b", serve.Tags["node"])
+	if serve.Tag("node") != "node-b" {
+		t.Errorf("serve span node tag = %q, want node-b", serve.Tag("node"))
 	}
 	if serve.Actual == nil || serve.Actual.Card != 5 {
 		t.Errorf("serve span actual = %+v, want Card=5", serve.Actual)
@@ -154,8 +154,8 @@ func TestFederatedTraceTwoHop(t *testing.T) {
 	}
 	// B's serve span carries the B→C hop's client-side tags: the middle
 	// hop is diagnosable from the stitched tree alone.
-	if serveB.Tags["remote.proto"] != "v2" {
-		t.Errorf("node-b serve span remote.proto = %q, want v2", serveB.Tags["remote.proto"])
+	if serveB.Tag("remote.proto") != "v2" {
+		t.Errorf("node-b serve span remote.proto = %q, want v2", serveB.Tag("remote.proto"))
 	}
 }
 
@@ -206,7 +206,7 @@ func TestFederatedTraceTruncation(t *testing.T) {
 		t.Fatalf("no stitched subtree after truncation:\n%s", obs.Explain(snap))
 	}
 	serve := snap.Children[0]
-	if serve.Tags[obs.TruncatedTag] != "1" {
+	if serve.Tag(obs.TruncatedTag) != "1" {
 		t.Errorf("pruned subtree not tagged %s=1: %v", obs.TruncatedTag, serve.Tags)
 	}
 	if len(serve.Children) == 64 {

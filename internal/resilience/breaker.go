@@ -49,6 +49,8 @@ type BreakerConfig struct {
 	HalfOpenSuccesses int
 }
 
+const maxTransitions = 32 // state changes a breaker remembers
+
 // Transition is one recorded state change, for tests and dashboards.
 type Transition struct {
 	At       time.Duration
@@ -70,7 +72,8 @@ type BreakerMetrics struct {
 	// verdict (context cancellation, query deadline, admission shed) and
 	// freed the probe slot without closing or re-opening the breaker.
 	AbandonedProbes int
-	// Transitions is the full state-change history in clock order.
+	// Transitions is the last maxTransitions state changes in clock order;
+	// the hermes_breaker_transitions_total counters carry the totals.
 	Transitions []Transition
 }
 
@@ -131,6 +134,9 @@ func (b *Breaker) transitionLocked(now time.Duration, to BreakerState) {
 		return
 	}
 	from := b.state
+	if ts := b.metrics.Transitions; len(ts) == maxTransitions {
+		b.metrics.Transitions = ts[:copy(ts, ts[1:])]
+	}
 	b.metrics.Transitions = append(b.metrics.Transitions, Transition{At: now, From: from, To: to})
 	b.state = to
 	b.transitions[to].Inc()

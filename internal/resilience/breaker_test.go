@@ -237,3 +237,38 @@ func TestBreakerStaleVerdictAfterAbandon(t *testing.T) {
 		t.Fatalf("abandon on closed breaker moved it: %s", got)
 	}
 }
+
+// TestBreakerTransitionHistoryIsBounded flaps a breaker far past the
+// history bound: only the newest maxTransitions changes stay, in clock
+// order, while the trip count keeps the total.
+func TestBreakerTransitionHistoryIsBounded(t *testing.T) {
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: sec(1)})
+	const cycles = 40 // three transitions each: open, half-open, closed
+	for i := 0; i < cycles; i++ {
+		at := sec(10 * i)
+		if err := b.Allow(at); err != nil {
+			t.Fatalf("cycle %d: closed breaker rejected: %v", i, err)
+		}
+		b.Record(at, false) // trips
+		if err := b.Allow(at + sec(2)); err != nil {
+			t.Fatalf("cycle %d: probe rejected: %v", i, err)
+		}
+		b.Record(at+sec(2), true) // closes
+	}
+	m := b.Metrics()
+	if m.Trips != cycles {
+		t.Errorf("trips = %d, want %d", m.Trips, cycles)
+	}
+	if len(m.Transitions) != maxTransitions || cap(b.metrics.Transitions) > 2*maxTransitions {
+		t.Fatalf("history holds %d (cap %d), want %d", len(m.Transitions), cap(b.metrics.Transitions), maxTransitions)
+	}
+	last := m.Transitions[maxTransitions-1]
+	if want := (Transition{At: sec(10*(cycles-1) + 2), From: StateHalfOpen, To: StateClosed}); last != want {
+		t.Errorf("newest transition = %v, want %v", last, want)
+	}
+	for i := 1; i < maxTransitions; i++ {
+		if m.Transitions[i].At < m.Transitions[i-1].At || m.Transitions[i].From != m.Transitions[i-1].To {
+			t.Errorf("history out of order at %d: %v then %v", i, m.Transitions[i-1], m.Transitions[i])
+		}
+	}
+}
