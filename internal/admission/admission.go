@@ -156,9 +156,6 @@ func (p *Pool) SetObserver(o *obs.Observer) {
 // Capacity returns the pool's lane bound.
 func (p *Pool) Capacity() int { return p.cfg.MaxInflight }
 
-// Policy returns the configured saturation behaviour.
-func (p *Pool) Policy() Policy { return p.cfg.Policy }
-
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()

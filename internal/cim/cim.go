@@ -22,7 +22,6 @@ package cim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,12 +109,6 @@ type Config struct {
 	MaxBytes int
 	// Policy selects the eviction policy.
 	Policy EvictionPolicy
-	// ParallelMatchThreshold is the equality-candidate bucket size at
-	// which invariant matching fans out across the query's scheduler
-	// lanes (0 = DefaultParallelMatchThreshold; negative disables
-	// fan-out). Small buckets stay sequential: forking clocks costs more
-	// than the handful of match attempts it would overlap.
-	ParallelMatchThreshold int
 	// LinearMatching restores the pre-index full-scan matching paths
 	// (every registered invariant tried per probe, cache scans walking a
 	// whole store snapshot). It exists as the differential oracle for the
@@ -124,10 +117,6 @@ type Config struct {
 	// serve path when the index is active.
 	LinearMatching bool
 }
-
-// DefaultParallelMatchThreshold is the equality-candidate bucket size at
-// which matching fans out when Config.ParallelMatchThreshold is zero.
-const DefaultParallelMatchThreshold = 64
 
 // DefaultConfig returns the configuration of a live node: cache work is
 // charged nothing (its real cost is whatever the CPU spends), the actual
@@ -201,8 +190,7 @@ type Manager struct {
 	degradedServes, evictions      obs.Counter
 	storedEntries, servedFromCache obs.Counter
 	singleFlightShares, savedNS    obs.Counter
-	idxCandidates, idxScansAvoided obs.Counter
-	idxParallelMatches             obs.Counter
+	idxCandidates                  obs.Counter
 
 	// idx is the shared invariant + cached-call discrimination index:
 	// equality/partial probes, flight attachment and cache scans consult
@@ -285,8 +273,6 @@ func (m *Manager) SetObserver(o *obs.Observer) {
 		return float64(len(m.flights))
 	})
 	r.AttachCounter("hermes_invindex_candidates_total", "invariants returned by discrimination-index probes (bucket sizes summed)", m.idxCandidates.Value)
-	r.AttachCounter("hermes_invindex_scans_avoided_total", "registered invariants index probes skipped versus a full linear scan", m.idxScansAvoided.Value)
-	r.AttachCounter("hermes_invindex_parallel_matches_total", "equality probes whose candidate bucket fanned out across scheduler lanes", m.idxParallelMatches.Value)
 }
 
 // SetOnInvalidate installs the invalidation observer: fn is called with a
@@ -351,21 +337,8 @@ func (m *Manager) AddInvariant(inv *lang.Invariant) error {
 	return nil
 }
 
-// Invariants returns the registered invariants.
-func (m *Manager) Invariants() []*lang.Invariant {
-	return append([]*lang.Invariant(nil), m.idx.All()...)
-}
-
-// Index exposes the invariant discrimination index (introspection and
-// cross-layer wiring: the rewriter's routing enumeration consults it).
+// Index exposes the invariant discrimination index (introspection).
 func (m *Manager) Index() *invindex.Index { return m.idx }
-
-// InvariantCoverage reports whether any registered invariant could apply
-// to calls of (dom, fn, arity). It is the rewriter's
-// Config.InvariantCoverage hook.
-func (m *Manager) InvariantCoverage(dom, fn string, arity int) bool {
-	return m.idx.Covered(dom, fn, arity)
-}
 
 // LinearScans returns how many debug-only full linear scans the manager
 // has performed. On the indexed serve path this stays zero; the
@@ -683,42 +656,4 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 // multi-error chains the resilience layer builds).
 func isUnavailable(err error) bool {
 	return errors.Is(err, domain.ErrUnavailable)
-}
-
-// Call implements domain.Domain using the paper's decoding scheme: a call
-// to CIM of the form cim:domain&function(args) is translated into a call to
-// function in domain, routed through the cache. The separator is '&'
-// written as "__" in function names since '&' is not an identifier
-// character ("cim:avis__frames_to_objects(...)").
-func (m *Manager) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
-	call, err := DecodeFunction(fn, args)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.CallThrough(ctx, call)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stream, nil
-}
-
-// Name implements domain.Domain.
-func (m *Manager) Name() string { return "cim" }
-
-// Functions implements domain.Domain. The CIM accepts any encoded
-// domain&function name, so it advertises no fixed specs.
-func (m *Manager) Functions() []domain.FuncSpec { return nil }
-
-// EncodeFunction builds the CIM-routed function name for a domain call.
-func EncodeFunction(dom, fn string) string { return dom + "__" + fn }
-
-// DecodeFunction splits a CIM-routed function name back into the original
-// call.
-func DecodeFunction(fn string, args []term.Value) (domain.Call, error) {
-	for i := 0; i+1 < len(fn); i++ {
-		if fn[i] == '_' && fn[i+1] == '_' {
-			return domain.Call{Domain: fn[:i], Function: fn[i+2:], Args: args}, nil
-		}
-	}
-	return domain.Call{}, fmt.Errorf("cim: function %q is not of the form domain__function", fn)
 }

@@ -500,33 +500,6 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-func TestCIMAsDomainDecoding(t *testing.T) {
-	d := domaintest.New("avis")
-	d.Define("objects", domaintest.Func{Arity: 1,
-		Fn: func(args []term.Value) ([]term.Value, error) { return strs("rope", "chest"), nil }})
-	reg := domain.NewRegistry()
-	reg.Register(d)
-	m := New(reg, testCfg())
-	fn := EncodeFunction("avis", "objects")
-	if fn != "avis__objects" {
-		t.Errorf("encoded = %q", fn)
-	}
-	s, err := m.Call(newCtx(), fn, []term.Value{term.Str("rope")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := domain.Collect(s)
-	if err != nil || len(vals) != 2 {
-		t.Errorf("vals = %v, %v", vals, err)
-	}
-	if _, err := m.Call(newCtx(), "badname", nil); err == nil {
-		t.Error("undecodable function should error")
-	}
-	if m.Name() != "cim" {
-		t.Errorf("Name = %q", m.Name())
-	}
-}
-
 func TestIncompleteEntryServesAsPartial(t *testing.T) {
 	d := domaintest.New("d")
 	d.Define("f", domaintest.Func{Arity: 1,

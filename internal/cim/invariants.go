@@ -2,7 +2,6 @@ package cim
 
 import (
 	"strconv"
-	"sync"
 
 	"hermes/internal/domain"
 	"hermes/internal/invindex"
@@ -112,25 +111,11 @@ func relevant(t *lang.CallTemplate, c domain.Call) bool {
 }
 
 // indexProbe reports one discrimination-index probe: the candidate
-// bucket size feeds the obs counters (and the span tag interactive
-// EXPLAIN shows), and the invariants the bucket let the probe skip are
-// counted as scans avoided.
+// bucket size feeds the obs counter and the span tag interactive EXPLAIN
+// shows.
 func (m *Manager) indexProbe(ctx *domain.Ctx, candidates int) {
 	m.idxCandidates.Add(int64(candidates))
-	m.idxScansAvoided.Add(int64(m.idx.Len() - candidates))
 	ctx.Span.SetTag("invindex.candidates", strconv.Itoa(candidates))
-}
-
-// parallelThreshold resolves the configured equality fan-out threshold.
-func (m *Manager) parallelThreshold() int {
-	switch {
-	case m.cfg.ParallelMatchThreshold > 0:
-		return m.cfg.ParallelMatchThreshold
-	case m.cfg.ParallelMatchThreshold < 0:
-		return int(^uint(0) >> 1) // disabled: no bucket is this large
-	default:
-		return DefaultParallelMatchThreshold
-	}
 }
 
 // matchEquality tries one equality invariant against a call: both
@@ -166,20 +151,15 @@ func (m *Manager) matchEquality(ctx *domain.Ctx, inv *lang.Invariant, call domai
 // findEquality looks for a cached call that an equality invariant
 // proves has the identical answer set (§4.1, case 2). Candidates come
 // from the discrimination index — exactly the invariants whose dispatch
-// check the linear scan would have passed — and large buckets fan the
-// match attempts out across the query's scheduler lanes. The matched
-// invariant is returned alongside the entry for savings attribution.
+// check the linear scan would have passed — tried in registration order.
+// The matched invariant is returned alongside the entry for savings
+// attribution.
 func (m *Manager) findEquality(ctx *domain.Ctx, call domain.Call) (*Entry, *lang.Invariant) {
 	if m.cfg.LinearMatching {
 		return m.findEqualityLinear(ctx, call)
 	}
 	cands := m.idx.Equalities(invindex.KeyOfCall(call))
 	m.indexProbe(ctx, len(cands))
-	if len(cands) >= m.parallelThreshold() {
-		if e, inv, ok := m.findEqualityParallel(ctx, call, cands); ok {
-			return e, inv
-		}
-	}
 	for _, inv := range cands {
 		ctx.Clock.Sleep(m.cfg.InvariantMatch)
 		if e, ok := m.matchEquality(ctx, inv, call); ok {
@@ -187,72 +167,6 @@ func (m *Manager) findEquality(ctx *domain.Ctx, call domain.Call) (*Entry, *lang
 		}
 	}
 	return nil, nil
-}
-
-// findEqualityParallel fans equality matching over a large candidate
-// bucket across the per-query scheduler: each extra lane granted by
-// ctx.Sched works a contiguous chunk on a forked clock, stopping at its
-// chunk's first hit; all forks join back into the caller's clock
-// (virtual time = the slowest chunk, so the fan-out is what shortens the
-// probe), and the winner is the hit with the lowest bucket position —
-// exactly the invariant sequential matching would have chosen, making
-// results and answer streams identical at any parallelism. ok=false
-// when no extra lanes were granted (caller falls back to sequential).
-func (m *Manager) findEqualityParallel(ctx *domain.Ctx, call domain.Call, cands []*lang.Invariant) (*Entry, *lang.Invariant, bool) {
-	extra := ctx.Sched.TryAcquire(len(cands) / m.parallelThreshold())
-	if extra <= 0 {
-		return nil, nil, false
-	}
-	defer ctx.Sched.Release(extra)
-	m.idxParallelMatches.Inc()
-
-	workers := extra + 1
-	chunk := (len(cands) + workers - 1) / workers
-	type hit struct {
-		pos int
-		e   *Entry
-	}
-	hits := make([]hit, workers)
-	forks := make([]*domain.Ctx, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		fctx := ctx.Fork()
-		forks[w] = fctx
-		hits[w] = hit{pos: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int, fctx *domain.Ctx) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fctx.Clock.Sleep(m.cfg.InvariantMatch)
-				if e, ok := m.matchEquality(fctx, cands[i], call); ok {
-					hits[w] = hit{pos: i, e: e}
-					return
-				}
-			}
-		}(w, lo, hi, fctx)
-	}
-	wg.Wait()
-	for _, f := range forks {
-		ctx.Clock.Join(f.Clock)
-	}
-	best := hit{pos: -1}
-	for _, h := range hits {
-		if h.pos >= 0 && (best.pos < 0 || h.pos < best.pos) {
-			best = h
-		}
-	}
-	if best.pos < 0 {
-		return nil, nil, true
-	}
-	return best.e, cands[best.pos], true
 }
 
 // findEqualityLinear is the pre-index full scan, kept as the

@@ -21,8 +21,8 @@ func (m *Manager) InvariantsHandler() http.Handler {
 		for _, row := range m.Ledger().Invariants {
 			earned[row.Key] = row
 		}
-		fmt.Fprintf(w, "invariant index: %d invariants in %d buckets (parallel match threshold %d, linear scans %d)\n",
-			m.idx.Len(), len(buckets), m.parallelThreshold(), m.LinearScans())
+		fmt.Fprintf(w, "invariant index: %d invariants in %d buckets (linear scans %d)\n",
+			m.idx.Len(), len(buckets), m.LinearScans())
 		line := func(kind string, inv *lang.Invariant) {
 			key := inv.String()
 			if row, ok := earned[key]; ok {

@@ -93,11 +93,9 @@ func TestServePathNeverScansLinearly(t *testing.T) {
 	}
 }
 
-// TestParallelEqualityMatchDeterministic pins the fan-out contract:
-// when a bucket reaches the threshold and the scheduler grants lanes,
-// matching fans out, but the winner is the invariant the sequential
-// scan would have chosen (lowest bucket position), regardless of which
-// worker finished first.
+// TestParallelEqualityMatchDeterministic pins the winner of an equality
+// probe with several matching invariants: the first-registered one (lowest
+// bucket position), on every run, with a scheduler that has lanes to give.
 func TestParallelEqualityMatchDeterministic(t *testing.T) {
 	d := domaintest.New("d")
 	ans := func(vals ...string) func([]term.Value) ([]term.Value, error) {
@@ -107,47 +105,43 @@ func TestParallelEqualityMatchDeterministic(t *testing.T) {
 	d.Define("g", domaintest.Func{Arity: 1, Fn: ans("from-g")})
 	d.Define("h", domaintest.Func{Arity: 1, Fn: ans("from-h", "extra")})
 
-	for _, threshold := range []int{2, -1} {
-		cfg := testCfg()
-		cfg.ParallelMatchThreshold = threshold
-		reg := domain.NewRegistry()
-		reg.Register(d)
-		m := New(reg, cfg)
-		// Registration order decides the sequential winner: g before h.
-		for _, src := range []string{
-			"true => d:f(X) = d:g(X).",
-			"true => d:f(X) = d:h(X).",
-		} {
-			inv, err := lang.ParseInvariant(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.AddInvariant(inv)
+	reg := domain.NewRegistry()
+	reg.Register(d)
+	m := New(reg, testCfg())
+	// Registration order decides the winner: g before h.
+	for _, src := range []string{
+		"true => d:f(X) = d:g(X).",
+		"true => d:f(X) = d:h(X).",
+	} {
+		inv, err := lang.ParseInvariant(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Both equality targets are cached and complete.
-		m.Store(call("d", "g", term.Str("a")), strs("from-g"), true, domain.CostVector{})
-		m.Store(call("d", "h", term.Str("a")), strs("from-h", "extra"), true, domain.CostVector{})
+		m.AddInvariant(inv)
+	}
+	// Both equality targets are cached and complete.
+	m.Store(call("d", "g", term.Str("a")), strs("from-g"), true, domain.CostVector{})
+	m.Store(call("d", "h", term.Str("a")), strs("from-h", "extra"), true, domain.CostVector{})
 
-		for i := 0; i < 25; i++ {
-			ctx := domain.NewCtx(vclock.NewVirtual(0))
-			ctx.Sched = domain.NewSched(4)
-			resp, err := m.CallThrough(ctx, call("d", "f", term.Str("a")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Source != SourceCacheEquality {
-				t.Fatalf("threshold=%d: source = %v, want equality hit", threshold, resp.Source)
-			}
-			if got := resp.ServingCall.Function; got != "g" {
-				t.Fatalf("threshold=%d run %d: served by d:%s, want the first-registered invariant's d:g", threshold, i, got)
-			}
-			if got := drain(t, resp); len(got) != 1 || got[0].Key() != term.Str("from-g").Key() {
-				t.Fatalf("threshold=%d: answers = %v", threshold, got)
-			}
+	for i := 0; i < 25; i++ {
+		ctx := domain.NewCtx(vclock.NewVirtual(0))
+		ctx.Sched = domain.NewSched(4)
+		resp, err := m.CallThrough(ctx, call("d", "f", term.Str("a")))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := m.LinearScans(); n != 0 {
-			t.Fatalf("threshold=%d: parallel path fell back to %d linear scans", threshold, n)
+		if resp.Source != SourceCacheEquality {
+			t.Fatalf("source = %v, want equality hit", resp.Source)
 		}
+		if got := resp.ServingCall.Function; got != "g" {
+			t.Fatalf("run %d: served by d:%s, want the first-registered invariant's d:g", i, got)
+		}
+		if got := drain(t, resp); len(got) != 1 || got[0].Key() != term.Str("from-g").Key() {
+			t.Fatalf("answers = %v", got)
+		}
+	}
+	if n := m.LinearScans(); n != 0 {
+		t.Fatalf("indexed path fell back to %d linear scans", n)
 	}
 }
 

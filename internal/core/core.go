@@ -279,14 +279,6 @@ func NewSystem(opts Options) *System {
 		s.rewriteCfg.CIMDomains = map[string]bool{}
 		s.cimAll = s.CIM != nil && opts.Rewrite == nil
 	}
-	if opts.Rewrite == nil && s.CIM != nil {
-		// Default rewriter config: let routing enumeration (if ever
-		// enabled) consult the invariant index so only calls an invariant
-		// covers branch between direct and CIM routes. Callers supplying
-		// their own Rewrite config keep full control of the plan space.
-		s.rewriteCfg.InvariantCoverage = s.CIM.InvariantCoverage
-	}
-
 	escfg := estimate.DefaultConfig()
 	if opts.Estimate != nil {
 		escfg = *opts.Estimate
@@ -604,7 +596,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 		}
 	}
 	pc.SetTag("plan", planLine(best))
-	pc.SetEstimate(obs.Cost{TFirst: cv.TFirst, TAll: cv.TAll, Card: cv.Card})
+	pc.SetEstimate(cv)
 	if detail.Inflated+detail.ColdInflated > 0 {
 		// The winning estimate carries q-error (or cold-start) inflation:
 		// record the largest factor applied to any of its calls.
@@ -642,9 +634,7 @@ func (s *System) calibrate(m domain.Measurement) {
 	if err != nil {
 		return
 	}
-	s.Obs.ObserveCalibration(m.Call.Domain, m.Call.Function,
-		obs.Cost{TFirst: cv.TFirst, TAll: cv.TAll, Card: cv.Card},
-		obs.Cost{TFirst: m.Cost.TFirst, TAll: m.Cost.TAll, Card: m.Cost.Card})
+	s.Obs.ObserveCalibration(m.Call.Domain, m.Call.Function, cv, m.Cost)
 }
 
 // calibrateRemote feeds a mounted peer's reported actual cost for one
@@ -658,8 +648,7 @@ func (s *System) calibrateRemote(c domain.Call, actual obs.Cost) {
 	if err != nil {
 		return
 	}
-	s.Obs.ObserveCalibration(c.Domain, c.Function,
-		obs.Cost{TFirst: cv.TFirst, TAll: cv.TAll, Card: cv.Card}, actual)
+	s.Obs.ObserveCalibration(c.Domain, c.Function, cv, actual)
 }
 
 // planFunctions collects the distinct (domain, function) pairs of every
@@ -694,7 +683,7 @@ func planFunctions(p *rewrite.Plan) [][2]string {
 
 // planLine is a plan's one-line query rendering, used in plan-choice tags.
 func planLine(p *rewrite.Plan) string {
-	line := p.String()
+	line := p.QueryLine()
 	if i := strings.IndexByte(line, '\n'); i >= 0 {
 		line = line[:i]
 	}
@@ -748,9 +737,6 @@ func (s *System) PrimeCache(calls []domain.Call) error {
 	}
 	return nil
 }
-
-// Elapsed returns the current clock reading; convenient for reporting.
-func (s *System) Elapsed() time.Duration { return s.Clock.Now() }
 
 // SaveState persists the result cache and the statistics cache.
 func (s *System) SaveState(cache, stats io.Writer) error {

@@ -124,27 +124,6 @@ func PatternOf(c Call) Pattern {
 	return Pattern{Domain: c.Domain, Function: c.Function, Args: args}
 }
 
-// Key returns a canonical encoding of the pattern.
-func (p Pattern) Key() string {
-	var b strings.Builder
-	b.WriteString(p.Domain)
-	b.WriteByte(':')
-	b.WriteString(p.Function)
-	b.WriteByte('(')
-	for i, a := range p.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if a.Known {
-			b.WriteString(a.Val.Key())
-		} else {
-			b.WriteString("$b")
-		}
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
 // String renders the pattern in DCSM syntax, e.g. "d:f(5, $b)".
 func (p Pattern) String() string {
 	parts := make([]string, len(p.Args))
@@ -166,17 +145,6 @@ func (p Pattern) Mask() uint64 {
 	return m
 }
 
-// KnownCount returns how many arguments are known constants.
-func (p Pattern) KnownCount() int {
-	n := 0
-	for _, a := range p.Args {
-		if a.Known {
-			n++
-		}
-	}
-	return n
-}
-
 // Relax returns a copy of the pattern with argument position i generalized
 // to $b.
 func (p Pattern) Relax(i int) Pattern {
@@ -187,18 +155,10 @@ func (p Pattern) Relax(i int) Pattern {
 }
 
 // CostVector is the paper's [Tf, Ta, Card] cost estimate: estimated time to
-// first answer, time to all answers, and answer-set cardinality.
-type CostVector struct {
-	TFirst time.Duration
-	TAll   time.Duration
-	Card   float64
-}
-
-// String renders the vector the way the experiments report it.
-func (cv CostVector) String() string {
-	return fmt.Sprintf("[Tf=%s Ta=%s Card=%.2f]",
-		vclock.Millis(cv.TFirst)+"ms", vclock.Millis(cv.TAll)+"ms", cv.Card)
-}
+// first answer, time to all answers, and answer-set cardinality. It is the
+// type spans carry (obs cannot import this package), under the name the
+// planner and the sources use.
+type CostVector = obs.Cost
 
 // FuncSpec describes one function exported by a domain.
 type FuncSpec struct {

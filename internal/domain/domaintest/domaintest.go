@@ -47,20 +47,7 @@ func (d *Domain) Define(name string, f Func) *Domain {
 	return d
 }
 
-// DefineTable registers a zero-cost function returning fixed answers for
-// specific argument lists, keyed by the ground call. Unknown argument
-// lists return empty answer sets.
-func (d *Domain) DefineTable(name string, arity int, table map[string][]term.Value) *Domain {
-	return d.Define(name, Func{
-		Arity: arity,
-		Fn: func(args []term.Value) ([]term.Value, error) {
-			c := domain.Call{Domain: d.name, Function: name, Args: args}
-			return table[c.Key()], nil
-		},
-	})
-}
-
-// Key builds the lookup key DefineTable uses for an argument list.
+// Key builds the call key of an argument list, for tables of fixed answers.
 func (d *Domain) Key(fn string, args ...term.Value) string {
 	return domain.Call{Domain: d.name, Function: fn, Args: args}.Key()
 }

@@ -86,43 +86,6 @@ func (s *FuncStream) Close() error {
 	return s.closer()
 }
 
-// ConcatStream yields all answers of each member stream in order.
-type ConcatStream struct {
-	streams []Stream
-	idx     int
-}
-
-// NewConcatStream concatenates streams.
-func NewConcatStream(streams ...Stream) *ConcatStream {
-	return &ConcatStream{streams: streams}
-}
-
-// Next yields from the current member stream, advancing on exhaustion.
-func (s *ConcatStream) Next() (term.Value, bool, error) {
-	for s.idx < len(s.streams) {
-		v, ok, err := s.streams[s.idx].Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return v, true, nil
-		}
-		s.idx++
-	}
-	return nil, false, nil
-}
-
-// Close closes all member streams, returning the first error.
-func (s *ConcatStream) Close() error {
-	var first error
-	for _, m := range s.streams {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // DedupStream suppresses answers already seen (by canonical key). Seed keys
 // may be provided, e.g. the cached partial answers a CIM subset-invariant
 // already delivered.

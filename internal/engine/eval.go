@@ -254,7 +254,7 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	span.SetTag("route", route.String())
 	if e.cfg.EstimateCall != nil {
 		if cv, ok := e.cfg.EstimateCall(call, route); ok {
-			span.SetEstimate(obs.Cost{TFirst: cv.TFirst, TAll: cv.TAll, Card: cv.Card})
+			span.SetEstimate(cv)
 		}
 	}
 	e.calls[route].Inc()

@@ -66,17 +66,12 @@ type Config struct {
 	// estimator, so that planning can proceed on cold systems; Err from
 	// PlanCost reports how many literals fell back to it.
 	DefaultCost domain.CostVector
-	// ComparisonSelectivity scales cardinality per filtering comparison.
-	// The paper's estimator uses 1 (comparisons are ignored); values < 1
-	// are an extension.
-	ComparisonSelectivity float64
 }
 
 // DefaultConfig matches the paper's estimator.
 func DefaultConfig() Config {
 	return Config{
-		DefaultCost:           domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * time.Second, Card: 10},
-		ComparisonSelectivity: 1,
+		DefaultCost: domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * time.Second, Card: 10},
 	}
 }
 
@@ -104,9 +99,6 @@ type Estimator struct {
 
 // New builds an estimator over the DCSM. cache may be nil.
 func New(db *dcsm.DB, cache CacheModel, cfg Config) *Estimator {
-	if cfg.ComparisonSelectivity <= 0 {
-		cfg.ComparisonSelectivity = 1
-	}
 	return &Estimator{db: db, cache: cache, cfg: cfg}
 }
 
@@ -301,12 +293,10 @@ func (st *costState) costPlanRule(pr *rewrite.PlanRule, known term.Subst, bound 
 				}
 			}
 		case *lang.Comparison:
+			// The paper's estimator ignores a comparison's selectivity.
 			cv = domain.CostVector{Card: 1}
 			if l.Op == term.OpEQ {
 				known = propagateEquality(l, known, bound)
-			}
-			if isFilter(l, bound) {
-				cv.Card = st.est.cfg.ComparisonSelectivity
 			}
 		}
 		total.TFirst += cv.TFirst
@@ -349,18 +339,6 @@ func propagateEquality(c *lang.Comparison, known term.Subst, bound map[string]bo
 	bindIfConst(c.Left, c.Right)
 	bindIfConst(c.Right, c.Left)
 	return known
-}
-
-// isFilter reports whether a comparison filters already-bound values
-// rather than producing a binding.
-func isFilter(c *lang.Comparison, bound map[string]bool) bool {
-	groundOrKnown := func(t term.Term) bool {
-		return t.IsConst() || bound[t.Var]
-	}
-	if c.Op != term.OpEQ {
-		return true
-	}
-	return groundOrKnown(c.Left) && groundOrKnown(c.Right)
 }
 
 // callPattern converts an in() call template into a DCSM pattern: constant

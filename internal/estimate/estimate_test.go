@@ -270,31 +270,6 @@ func TestBestByFirstAnswer(t *testing.T) {
 	}
 }
 
-func TestComparisonSelectivityExtension(t *testing.T) {
-	db := dcsm.New(dcsm.DefaultConfig(), nil)
-	obs(db, "d", "f", nil, 100, 1000, 10)
-	obs(db, "d", "g", nil, 100, 1000, 1)
-	cfg := DefaultConfig()
-	cfg.ComparisonSelectivity = 0.5
-	est := New(db, nil, cfg)
-	plans := plansFor(t, `
-		v(X, Y) :- in(X, d:f()), X != 'z', in(Y, d:g()).
-	`, "?- v(X, Y).")
-	// Find the ordering where the filter sits between f and g.
-	p := findPlan(t, plans, "in(X, d:f()) & X != 'z' & in(Y, d:g())")
-	cv, _, err := est.PlanCost(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ta = 1000 + 10·0.5·1000 = 6000ms with selectivity 0.5.
-	if cv.TAll != 6000*time.Millisecond {
-		t.Errorf("Ta = %v, want 6000ms", cv.TAll)
-	}
-	if cv.Card != 5 {
-		t.Errorf("Card = %v, want 5", cv.Card)
-	}
-}
-
 func TestEmptyPlanListError(t *testing.T) {
 	est := New(dcsm.New(dcsm.DefaultConfig(), nil), nil, DefaultConfig())
 	if _, _, err := est.Best(nil, false); err == nil {

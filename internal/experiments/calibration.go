@@ -109,9 +109,7 @@ func CalibrationWarmup() (*CalibrationResult, error) {
 				continue
 			}
 			estimated++
-			_, ta, card := obs.QErrs(
-				obs.Cost{TFirst: est.TFirst, TAll: est.TAll, Card: est.Card},
-				obs.Cost{TFirst: actual.TFirst, TAll: actual.TAll, Card: actual.Card})
+			_, ta, card := obs.QErrs(est, actual)
 			qTa = append(qTa, ta)
 			qCard = append(qCard, card)
 		}

@@ -230,17 +230,6 @@ func (ix *Index) Len() int {
 	return len(ix.all)
 }
 
-// Covered reports whether any invariant could apply to calls of the
-// given (domain, function, arity): the rewriter's routing enumeration
-// uses it to branch CIM-vs-direct only where an invariant could make the
-// cache route serve a different call's answers.
-func (ix *Index) Covered(dom, fn string, arity int) bool {
-	k := Key{Domain: dom, Function: fn, Arity: arity}
-	ix.invMu.RLock()
-	defer ix.invMu.RUnlock()
-	return len(ix.equal[k]) > 0 || len(ix.super[k]) > 0
-}
-
 // AddCall records a cached call in the entry index (CIM store).
 func (ix *Index) AddCall(c domain.Call) {
 	k := fnKey{domain: c.Domain, function: c.Function}

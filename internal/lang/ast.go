@@ -77,13 +77,6 @@ func (c *CallTemplate) Vars(dst []string) []string {
 	return dst
 }
 
-// Clone returns a deep copy of the template.
-func (c *CallTemplate) Clone() *CallTemplate {
-	args := make([]term.Term, len(c.Args))
-	copy(args, c.Args)
-	return &CallTemplate{Domain: c.Domain, Function: c.Function, Args: args}
-}
-
 // InCall is the literal in(X, domain:function(args...)): X ranges over the
 // answer set of the call. Per the paper, the call arguments must be ground
 // when the literal is executed; X may be bound (membership test, pruning
@@ -164,15 +157,6 @@ func (r *Rule) String() string {
 		parts[i] = l.String()
 	}
 	return r.Head.String() + " :- " + strings.Join(parts, " & ") + "."
-}
-
-// Clone returns a deep copy of the rule (sharing terms, which are
-// immutable, but with fresh slices so bodies can be reordered).
-func (r *Rule) Clone() *Rule {
-	head := Atom{Pred: r.Head.Pred, Args: append([]term.Term(nil), r.Head.Args...)}
-	body := make([]Literal, len(r.Body))
-	copy(body, r.Body)
-	return &Rule{Head: head, Body: body}
 }
 
 // InvRel is the relationship asserted by an invariant between the answer

@@ -5,9 +5,10 @@
 // The engine consults it before re-expanding a subgoal, so repeated traffic
 // skips not just the source calls but the joins, unions and per-rule
 // bookkeeping above them; following "Don't Trash your Intermediate Results,
-// Cache 'em" (Roy et al.), admission and eviction are benefit-driven: each
-// entry carries an exponentially decayed score of the compute time its hits
-// avoided, and the lowest-scoring entries are evicted first.
+// Cache 'em" (Roy et al.), eviction is benefit-driven: each entry carries
+// an exponentially decayed score of the compute time its hits avoided, and
+// the lowest-scoring entries are evicted first. Admission is by size alone
+// (Config.MaxEntryBytes).
 //
 // Soundness machinery:
 //
@@ -53,10 +54,6 @@ type Config struct {
 	// than lifetime totals. Must be in (0, 1]; 1 disables decay; 0 takes
 	// the default.
 	Decay float64
-	// MinBenefit is the admission threshold: fills whose observed compute
-	// time is below it are not stored (the relation is too cheap to be
-	// worth a slot). 0 admits everything.
-	MinBenefit time.Duration
 	// MaxEntryBytes skips storing any single relation larger than this
 	// (0 takes the default; negative = unlimited).
 	MaxEntryBytes int
@@ -111,8 +108,8 @@ type Stats struct {
 	// DegradedSkips counts probes that found only a degraded entry and
 	// refused to serve it.
 	DegradedSkips int
-	// RejectedStores counts fills that failed admission: completed below
-	// MinBenefit, or cut short at the tuple that crossed MaxEntryBytes.
+	// RejectedStores counts fills that failed admission: cut short at the
+	// tuple that crossed MaxEntryBytes.
 	RejectedStores int
 	// Evictions counts budget evictions.
 	Evictions int
@@ -622,10 +619,6 @@ func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
 	rec.f.inputs, rec.f.degraded = inputs, degraded
 	rec.f.log.Settle(nil, at)
 
-	if cost.TAll < rec.c.cfg.MinBenefit {
-		rec.c.rejectedStores.Inc()
-		return
-	}
 	rec.c.admit(&Entry{
 		Key:      rec.key,
 		Tuples:   tuples,

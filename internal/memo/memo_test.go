@@ -143,23 +143,17 @@ func TestInvalidateUnknownInputIsNoop(t *testing.T) {
 
 func TestAdmissionThresholds(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MinBenefit = 10 * time.Millisecond
 	cfg.MaxEntryBytes = 16
 	c := New(cfg)
 
-	// Too cheap to store.
-	commitEntry(t, c, fillKey(0), [][]term.Value{{term.Int(1)}}, nil, false, time.Millisecond)
-	if c.Serveable(fillKey(0)) {
-		t.Error("below-MinBenefit fill was admitted")
-	}
 	// Too large to store (3 ints = 24 bytes > 16).
 	commitEntry(t, c, fillKey(1),
 		[][]term.Value{{term.Int(1)}, {term.Int(2)}, {term.Int(3)}}, nil, false, time.Second)
 	if c.Serveable(fillKey(1)) {
 		t.Error("oversized fill was admitted")
 	}
-	if st := c.Stats(); st.RejectedStores != 2 || st.Stores != 0 {
-		t.Errorf("stats = %+v, want 2 rejected stores, 0 stores", st)
+	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 {
+		t.Errorf("stats = %+v, want 1 rejected store, 0 stores", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -226,20 +225,4 @@ func (c *Calibration) Summary() []CalibrationRow {
 		return rows[i].Function < rows[j].Function
 	})
 	return rows
-}
-
-// FormatCalibrationRows renders the worst-calibrated-first table shown
-// at /debug/calibration.
-func FormatCalibrationRows(rows []CalibrationRow) string {
-	if len(rows) == 0 {
-		return "no calibration samples yet\n"
-	}
-	out := fmt.Sprintf("%-28s %8s %10s %10s %10s %10s\n",
-		"function", "samples", "med(qTf)", "med(qTa)", "med(qCard)", "p95(qTa)")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-28s %8d %10.2f %10.2f %10.2f %10.2f\n",
-			r.Domain+":"+r.Function, r.Samples,
-			r.MedianQTf, r.MedianQTa, r.MedianQCrd, r.P95QTa)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -55,11 +54,6 @@ func TestCalibrationObserveAndSummary(t *testing.T) {
 	}
 	if _, n := c.Grade("faces", "unknown"); n != 0 {
 		t.Errorf("Grade of untracked function reported %d samples", n)
-	}
-
-	text := FormatCalibrationRows(rows)
-	if !strings.Contains(text, "avis:frames") || !strings.Contains(text, "ingres:roads") {
-		t.Errorf("rendered table missing functions:\n%s", text)
 	}
 }
 

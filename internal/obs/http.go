@@ -11,8 +11,6 @@ import (
 //	GET /debug/queries         the recent-query span ring buffer, newest
 //	                           first, each query rendered as its EXPLAIN
 //	                           tree
-//	GET /debug/calibration     per-function cost-model q-error table,
-//	                           worst-calibrated first
 //	GET /debug/flightrecorder  the flight recorder's retained root-span
 //	                           trees as JSONL, oldest first
 //
@@ -39,15 +37,6 @@ func Handler(o *Observer) http.Handler {
 			fmt.Fprintf(w, "\n-- query %d (started at %s, took %s)\n", i+1, millis(d.Start), millis(d.Duration()))
 			fmt.Fprint(w, Explain(d))
 		}
-	})
-	mux.HandleFunc("/debug/calibration", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if o == nil || o.Calibration == nil {
-			fmt.Fprintln(w, "calibration disabled")
-			return
-		}
-		fmt.Fprintln(w, "DCSM calibration: q-error = max(est/actual, actual/est), worst first")
-		fmt.Fprint(w, FormatCalibrationRows(o.Calibration.Summary()))
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,11 @@ type Cost struct {
 	TFirst time.Duration
 	TAll   time.Duration
 	Card   float64
+}
+
+// String renders the vector the way the experiments report it.
+func (c Cost) String() string {
+	return fmt.Sprintf("[Tf=%dms Ta=%dms Card=%.2f]", c.TFirst.Milliseconds(), c.TAll.Milliseconds(), c.Card)
 }
 
 // Span is one node of a query trace: a named, clock-stamped interval with

@@ -34,8 +34,8 @@ type Policy struct {
 	// Breaker configures the per-domain circuit breaker.
 	Breaker BreakerConfig
 	// ResumeStream re-issues the call after a mid-stream retryable
-	// failure and resumes the answer stream, suppressing answers already
-	// delivered (answer sets are sets, so this is sound).
+	// failure and resumes the answer stream past the prefix already
+	// delivered (sound when the source replays answers in the same order).
 	ResumeStream bool
 	// MaxResumes bounds mid-stream re-issues per call (default 2 when
 	// ResumeStream is set).
@@ -128,9 +128,6 @@ func (w *Wrapper) Inner() domain.Domain { return w.inner }
 
 // Breaker returns the wrapper's circuit breaker (for metrics assertions).
 func (w *Wrapper) Breaker() *Breaker { return w.breaker }
-
-// Policy returns the active policy.
-func (w *Wrapper) Policy() Policy { return w.policy }
 
 // Metrics returns the wrapper's counters.
 func (w *Wrapper) Metrics() Metrics {
@@ -274,25 +271,24 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 // newStream wraps a successful attempt's stream with clock joining and
 // mid-stream resume.
 func (w *Wrapper) newStream(parent, streamCtx *domain.Ctx, call domain.Call, s domain.Stream) domain.Stream {
-	rs := &resilientStream{w: w, parent: parent, cur: s, curCtx: streamCtx, call: call}
-	if w.policy.ResumeStream {
-		rs.seen = make(map[string]struct{})
-	}
-	return rs
+	return &resilientStream{w: w, parent: parent, cur: s, curCtx: streamCtx, call: call}
 }
 
 // resilientStream joins forked attempt clocks back into the caller's and
 // resumes after mid-stream retryable failures by re-issuing the call and
-// suppressing already-delivered answers.
+// skipping the prefix already delivered. Like the wire protocol's resume
+// offset, that assumes the source replays a call's answers in the same
+// order; duplicates within the stream keep their multiplicity.
 type resilientStream struct {
-	w       *Wrapper
-	parent  *domain.Ctx
-	cur     domain.Stream
-	curCtx  *domain.Ctx
-	call    domain.Call
-	seen    map[string]struct{}
-	resumes int
-	done    bool
+	w         *Wrapper
+	parent    *domain.Ctx
+	cur       domain.Stream
+	curCtx    *domain.Ctx
+	call      domain.Call
+	delivered int // answers handed to the consumer so far
+	skip      int // answers of the re-issued stream still to drop
+	resumes   int
+	done      bool
 }
 
 func (s *resilientStream) join() {
@@ -313,13 +309,11 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 				s.done = true
 				return nil, false, nil
 			}
-			if s.seen != nil {
-				k := v.Key()
-				if _, dup := s.seen[k]; dup && s.resumes > 0 {
-					continue // already delivered before the truncation
-				}
-				s.seen[k] = struct{}{}
+			if s.skip > 0 {
+				s.skip-- // already delivered before the truncation
+				continue
 			}
+			s.delivered++
 			return v, true, nil
 		}
 		if s.parent.Err() != nil || domain.IsOverloaded(err) {
@@ -340,15 +334,15 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 		s.cur.Close()
 		// Re-issue through the full breaker/retry path. callRaw keeps the
 		// resume accounting here, at the top level: the fresh stream
-		// replays the whole answer set, the seen-filter drops the prefix
-		// already delivered, and this loop (bounded by MaxResumes) handles
-		// any further truncation.
+		// replays the whole answer set, the first `delivered` answers of it
+		// are dropped, and this loop (bounded by MaxResumes) handles any
+		// further truncation.
 		ns, nctx, rerr := s.w.callRaw(s.parent, s.call, s.call.Function, s.call.Args)
 		if rerr != nil {
 			s.done = true
 			return nil, false, rerr
 		}
-		s.cur, s.curCtx = ns, nctx
+		s.cur, s.curCtx, s.skip = ns, nctx, s.delivered
 	}
 }
 

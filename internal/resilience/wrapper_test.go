@@ -227,7 +227,7 @@ func TestWrapperResumesTruncatedStream(t *testing.T) {
 		t.Fatalf("resumed stream failed: %v", err)
 	}
 	// The full answer set, exactly once: the resume replays the source
-	// stream and the seen-filter drops the prefix delivered before the cut.
+	// stream and drops the prefix delivered before the cut.
 	if len(got) != 5 {
 		t.Fatalf("got %d answers, want 5: %v", len(got), got)
 	}
@@ -241,6 +241,33 @@ func TestWrapperResumesTruncatedStream(t *testing.T) {
 	}
 	if m := w.Metrics(); m.StreamResumes != 1 {
 		t.Errorf("metrics = %+v", m)
+	}
+}
+
+// TestResumeKeepsDuplicateAnswers: a resume skips the delivered prefix by
+// count, not by value, so an answer the source emits more than once keeps
+// its multiplicity across a cut — including a second cut inside the replay.
+func TestResumeKeepsDuplicateAnswers(t *testing.T) {
+	want := []term.Value{term.Int(1), term.Int(1), term.Int(2), term.Int(1)}
+	for _, cuts := range []int{1, 2} {
+		src := &flaky{vals: want, truncateCalls: cuts, truncAt: 1}
+		w := Wrap(src, Policy{MaxAttempts: 1, ResumeStream: true, MaxResumes: 2, Seed: 3})
+		s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "get", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := domain.Collect(s)
+		if err != nil {
+			t.Fatalf("%d cuts: resumed stream failed: %v", cuts, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d cuts: got %v, want %v", cuts, got, want)
+		}
+		for i := range want {
+			if !term.Equal(got[i], want[i]) {
+				t.Fatalf("%d cuts: got %v, want %v", cuts, got, want)
+			}
+		}
 	}
 }
 

@@ -55,22 +55,18 @@ func (rw *Rewriter) Plans(q *lang.Query) ([]*Plan, error) {
 // CIMDomains, direct otherwise.
 func (rw *Rewriter) routings(body []lang.Literal) [][]Route {
 	base := make([]Route, len(body))
-	var inIdx []int
+	var inIdx []int // the in() literals to branch; stays empty without EnumerateRouting
 	for i, lit := range body {
 		if in, ok := lit.(*lang.InCall); ok {
 			if rw.cfg.CIMDomains[in.Call.Domain] {
 				base[i] = RouteCIM
 			}
-			// Only calls some invariant covers are worth branching: for
-			// the rest the CIM can at best serve an exact repeat, so the
-			// base route stands and the plan space stays small.
-			if rw.cfg.InvariantCoverage == nil ||
-				rw.cfg.InvariantCoverage(in.Call.Domain, in.Call.Function, len(in.Call.Args)) {
+			if rw.cfg.EnumerateRouting {
 				inIdx = append(inIdx, i)
 			}
 		}
 	}
-	if !rw.cfg.EnumerateRouting || len(inIdx) == 0 {
+	if len(inIdx) == 0 {
 		return [][]Route{base}
 	}
 	// Branch each in() literal both ways, capped at 2^6 vectors.

@@ -138,10 +138,9 @@ func (p *Plan) Fingerprint() uint64 {
 	return fp
 }
 
-// String renders the whole plan.
-func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString("?- ")
+// QueryLine renders the query statement alone: its literals in execution
+// order, CIM-routed calls marked. It is the line String starts with.
+func (p *Plan) QueryLine() string {
 	parts := make([]string, len(p.Query.Order))
 	for i, bi := range p.Query.Order {
 		s := p.Query.Rule.Body[bi].String()
@@ -152,8 +151,14 @@ func (p *Plan) String() string {
 		}
 		parts[i] = s
 	}
-	b.WriteString(strings.Join(parts, " & "))
-	b.WriteString(".\n")
+	return "?- " + strings.Join(parts, " & ") + "."
+}
+
+// String renders the whole plan.
+func (p *Plan) String() string {
+	var b strings.Builder
+	b.WriteString(p.QueryLine())
+	b.WriteByte('\n')
 	for _, key := range sortedKeys(p.Rules) {
 		for _, pr := range p.Rules[key] {
 			fmt.Fprintf(&b, "  %s  %s\n", key, pr)
@@ -192,12 +197,6 @@ type Config struct {
 	// direct and CIM routing, letting the cost estimator choose (the
 	// paper's per-call decision mode). Doubles the plan space per call.
 	EnumerateRouting bool
-	// InvariantCoverage, when set with EnumerateRouting, prunes the
-	// routing enumeration to calls some registered invariant could
-	// actually serve: a call no invariant covers keeps its base route
-	// instead of doubling the plan space for a CIM branch that can at
-	// best hit an exact repeat. Wired to the invariant index's Covered.
-	InvariantCoverage func(dom, fn string, arity int) bool
 	// PushSelections rewrites source scans followed by equality filters
 	// into source-side selects where the source supports it.
 	PushSelections bool

@@ -281,45 +281,6 @@ func TestEnumerateRoutingBranches(t *testing.T) {
 	}
 }
 
-func TestInvariantCoveragePrunesRouting(t *testing.T) {
-	prog := mustParse(t, `
-		v(X) :- in(X, avis:objects('rope')), in(X, avis:actors('rope')).
-	`)
-	covered := func(dom, fn string, arity int) bool {
-		return dom == "avis" && fn == "objects" && arity == 1
-	}
-	rw := New(prog, Config{EnumerateRouting: true, InvariantCoverage: covered}, nil)
-	plans, err := rw.Plans(mustQuery(t, "?- v(X)."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var objectsCIM bool
-	for _, p := range plans {
-		for _, pr := range p.Rules[PredKey{Pred: "v", Adorn: "f"}] {
-			for bi, lit := range pr.Rule.Body {
-				in, ok := lit.(*lang.InCall)
-				if !ok {
-					continue
-				}
-				route := pr.Routes[bi]
-				switch in.Call.Function {
-				case "objects":
-					if route == RouteCIM {
-						objectsCIM = true
-					}
-				case "actors":
-					if route == RouteCIM {
-						t.Fatalf("uncovered call avis:actors branched to CIM:\n%s", p)
-					}
-				}
-			}
-		}
-	}
-	if !objectsCIM {
-		t.Error("covered call avis:objects never branched to CIM routing")
-	}
-}
-
 func TestMaxPlansCap(t *testing.T) {
 	prog := mustParse(t, m1Source)
 	rw := New(prog, Config{MaxPlans: 3}, nil)
@@ -403,5 +364,45 @@ func TestPlanStringRendering(t *testing.T) {
 	}
 	if !strings.Contains(s, "CIM[") {
 		t.Errorf("plan rendering missing CIM routing markers: %s", s)
+	}
+}
+
+// TestQueryLineIsFirstLineOfString runs every plan of the corpus above —
+// access-equivalent and union predicates, in() literals in the query
+// itself, routed, unrouted and enumerated — through both renderings: the
+// plan-choice tag is QueryLine, and must read as String's first line does.
+func TestQueryLineIsFirstLineOfString(t *testing.T) {
+	const routed = `
+		v(X) :- in(X, avis:objects('rope')).
+		w(X) :- in(X, local:f()).
+	`
+	const union = `
+		s(A) :- in(A, d1:f()).
+		s(A) :- in(A, d2:g()).
+	`
+	cim := map[string]bool{"d1": true, "d2": true, "avis": true}
+	for _, tc := range []struct {
+		src, query string
+		cfg        Config
+	}{
+		{m1Source, "?- m('a', C).", Config{}},
+		{m1Source, "?- m('a', C).", Config{CIMDomains: cim}},
+		{m1Source, "?- m(A, C), A != 'z'.", Config{PushSelections: true}},
+		{union, "?- s(X).", Config{}},
+		{union, "?- s(X), in(Y, d2:g()).", Config{CIMDomains: cim}},
+		{routed, "?- v(X), w(Y).", Config{CIMDomains: cim}},
+		{routed, "?- in(X, avis:objects('rope')), in(Y, local:f()).", Config{CIMDomains: cim}},
+		{routed, "?- in(X, avis:objects('rope')), w(X).", Config{EnumerateRouting: true}},
+	} {
+		plans, err := New(mustParse(t, tc.src), tc.cfg, nil).Plans(mustQuery(t, tc.query))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		for _, p := range plans {
+			full := p.String()
+			if first := full[:strings.IndexByte(full, '\n')]; p.QueryLine() != first {
+				t.Errorf("%s: QueryLine = %q, String starts %q", tc.query, p.QueryLine(), first)
+			}
+		}
 	}
 }

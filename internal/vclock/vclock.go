@@ -137,20 +137,6 @@ func AdvanceTo(c Clock, t time.Duration) {
 	}
 }
 
-// Stopwatch measures an interval on any Clock.
-type Stopwatch struct {
-	clock Clock
-	start time.Duration
-}
-
-// StartStopwatch begins measuring on c.
-func StartStopwatch(c Clock) *Stopwatch {
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed returns the time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Now() - s.start }
-
 // Millis formats a duration the way the paper reports times: integral
 // milliseconds.
 func Millis(d time.Duration) string {

@@ -100,15 +100,6 @@ func TestWallClock(t *testing.T) {
 	w.Join(f) // must be a no-op, not panic
 }
 
-func TestStopwatch(t *testing.T) {
-	v := NewVirtual(time.Second)
-	sw := StartStopwatch(v)
-	v.Sleep(250 * time.Millisecond)
-	if sw.Elapsed() != 250*time.Millisecond {
-		t.Errorf("elapsed = %v", sw.Elapsed())
-	}
-}
-
 func TestMillis(t *testing.T) {
 	if s := Millis(2581 * time.Millisecond); s != "2581" {
 		t.Errorf("Millis = %q", s)
