@@ -77,9 +77,6 @@ func main() {
 	memoOn := flag.Bool("memo", true, "enable the rule-level memo cache for intermediate IDB results")
 	memoEntries := flag.Int("memo-entries", memoDefaults.MaxEntries, "memo cache entry budget")
 	memoBytes := flag.Int("memo-bytes", memoDefaults.MaxBytes, "memo cache byte budget")
-	calQuantile := flag.Float64("cal-inflate-quantile", 0.9, "q-error quantile used to inflate per-call cost estimates from calibration history (0 disables inflation)")
-	coldInflate := flag.Float64("cold-start-inflation", 1.5, "cost inflation factor for functions with no calibration samples at all (<=1 disables)")
-	replanFactor := flag.Float64("replan-factor", 0, "mid-query watchdog: re-plan a union lane when its elapsed cost exceeds this factor times its estimate (<=1 disables)")
 	nodeName := flag.String("node-name", "", "name tagging this node's spans in federated traces and /debug/cluster (default: the hostname)")
 	traceMaxDepth := flag.Int("trace-max-depth", remote.DefaultTraceMaxDepth, "federated-tracing hop-depth limit: calls arriving deeper than this are served without a trace subtree (cycle guard; 0 disables tracing)")
 	traceMaxBytes := flag.Int("trace-max-subtree-bytes", remote.DefaultTraceMaxSubtreeBytes, "byte budget for the span subtree shipped per served call; deeper levels are pruned to fit and the root is tagged truncated=1 (0 = unlimited)")
@@ -133,13 +130,15 @@ func main() {
 				// Real mounts run under real time; the embedded mediator must
 				// time spans on the wall clock or stitched cross-hop traces
 				// would compare virtual readings against wall durations.
-				Clock:              vclock.NewWall(),
-				Parallelism:        *parallelism,
-				MaxInflightCalls:   *maxInflight,
-				ShedPolicy:         shed,
-				CalInflateQuantile: *calQuantile,
-				ColdStartInflation: *coldInflate,
-				ReplanFactor:       *replanFactor,
+				Clock:            vclock.NewWall(),
+				Parallelism:      *parallelism,
+				MaxInflightCalls: *maxInflight,
+				ShedPolicy:       shed,
+				// Calibration-inflated costing at the setting every
+				// configuration in the tree uses: p90 q-error, ×1.5 for
+				// functions never measured.
+				CalInflateQuantile: 0.9,
+				ColdStartInflation: 1.5,
 			},
 			SlowQueryMS: *slowQueryMS,
 			Pprof:       *pprofOn,
@@ -254,11 +253,10 @@ const serverProgram = `
 // mediator behind it.
 type obsOptions struct {
 	// Core is the embedded mediator's configuration (-parallelism,
-	// -max-inflight, -shed-policy, -memo*, -cal-inflate-quantile,
-	// -cold-start-inflation, -replan-factor); newObsHandler adds the
-	// observer and the resilience policy. A nil Clock keeps the
-	// deterministic virtual clock (tests); main passes a wall clock so span
-	// times are comparable with remote subtree times.
+	// -max-inflight, -shed-policy, -memo*, and the fixed cost inflation);
+	// newObsHandler adds the observer and the resilience policy. A nil
+	// Clock keeps the deterministic virtual clock (tests); main passes a
+	// wall clock so span times are comparable with remote subtree times.
 	Core        core.Options
 	SlowQueryMS int              // -slow-query-ms
 	Pprof       bool             // -pprof

@@ -439,7 +439,9 @@ func TestFlightFollowerCancelledWhileWaiting(t *testing.T) {
 
 	lead := openStream(t, m, newCtx(), c)
 	cctx, cancel := context.WithCancel(context.Background())
-	follower := openStream(t, m, newCtx().WithContext(cctx), c)
+	fctx := newCtx()
+	fctx.Context = cctx
+	follower := openStream(t, m, fctx, c)
 	other := openStream(t, m, newCtx(), c)
 
 	type res struct {

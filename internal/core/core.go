@@ -114,12 +114,6 @@ type Options struct {
 	// Functions with even one observation use their observed quantile
 	// instead — see obs.Calibration.PlanGrade's cold/thin distinction.
 	ColdStartInflation float64
-	// ReplanFactor, when > 1, arms the engine's mid-query branch
-	// watchdog: a parallel union lane whose elapsed cost exceeds
-	// ReplanFactor times its estimate abandons its body order for a
-	// cheaper one from the rewriter (bounded to one re-plan per query,
-	// span-tagged replan=1).
-	ReplanFactor float64
 }
 
 // System is a mediator instance.
@@ -249,12 +243,6 @@ func NewSystem(opts Options) *System {
 			return cv, err == nil
 		}
 	}
-	if opts.ReplanFactor > 1 {
-		ecfg.ReplanFactor = opts.ReplanFactor
-		if ecfg.Replan == nil {
-			ecfg.Replan = s.replanRule
-		}
-	}
 	s.engine = engine.New(s.Registry, s.CIM, ecfg, observe)
 
 	if opts.Memo != nil {
@@ -298,46 +286,6 @@ func NewSystem(opts Options) *System {
 		s.estimator.SetCalibration(s.Obs.Calibration, opts.CalInflateQuantile, opts.ColdStartInflation)
 	}
 	return s
-}
-
-// replanRule is the engine watchdog's re-entry into the rewriter: given
-// a plan rule whose actual cost blew past its estimate and the variables
-// bound so far, enumerate the body's alternative permissible orders and
-// return the cheapest different one by estimated all-answers time. The
-// estimate runs against the *current* DCSM, calibration, and memo state,
-// so what was cheapest at initial planning time need not win here.
-func (s *System) replanRule(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (*rewrite.PlanRule, domain.CostVector, bool) {
-	rw := rewrite.New(s.Program, s.rewriteCfg, s.Registry)
-	var best *rewrite.PlanRule
-	var bestCV domain.CostVector
-	for _, alt := range rw.Reorder(pr, bound) {
-		if sameOrder(alt.Order, pr.Order) {
-			continue
-		}
-		cv, err := s.estimator.RuleCost(plan, alt, bound)
-		if err != nil {
-			continue
-		}
-		if best == nil || cv.TAll < bestCV.TAll {
-			best, bestCV = alt, cv
-		}
-	}
-	if best == nil {
-		return nil, domain.CostVector{}, false
-	}
-	return best, bestCV, true
-}
-
-func sameOrder(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Register adds a source domain to the federation. If the domain ships a
@@ -595,7 +543,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 			pc.SetTag("chosen", strconv.Itoa(i+1))
 		}
 	}
-	pc.SetTag("plan", planLine(best))
+	pc.SetTag("plan", best.QueryLine())
 	pc.SetEstimate(cv)
 	if detail.Inflated+detail.ColdInflated > 0 {
 		// The winning estimate carries q-error (or cold-start) inflation:
@@ -679,15 +627,6 @@ func planFunctions(p *rewrite.Plan) [][2]string {
 		}
 	}
 	return out
-}
-
-// planLine is a plan's one-line query rendering, used in plan-choice tags.
-func planLine(p *rewrite.Plan) string {
-	line := p.QueryLine()
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
-	}
-	return line
 }
 
 // QueryAll optimizes, executes and drains a query.

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"hermes/internal/obs"
@@ -203,12 +202,6 @@ type Ctx struct {
 	// must bypass the memo (it would otherwise wait on itself); the
 	// engine checks OnMemoPath before probing.
 	MemoPath map[string]bool
-	// Replans, when non-nil, is the query-wide mid-query re-plan budget
-	// shared by every branch (forks alias the same counter). The engine's
-	// branch watchdog must Take from it before abandoning a lane's body
-	// order, which bounds re-planning per query no matter how many lanes
-	// blow their estimates.
-	Replans *ReplanBudget
 	// TraceID, when nonempty, identifies the federated trace this
 	// execution belongs to. The remote client propagates it on call frames
 	// (minting one at the origin hop); the remote server adopts the
@@ -218,32 +211,6 @@ type Ctx struct {
 	// sends TraceDepth+1; a server refuses to emit trace subtrees past its
 	// depth limit, which bounds mount cycles.
 	TraceDepth int
-}
-
-// ReplanBudget bounds how many mid-query re-plans a query may perform.
-// It is shared across concurrently-forked contexts; Take is safe for
-// concurrent use.
-type ReplanBudget struct {
-	mu   sync.Mutex
-	left int
-}
-
-// NewReplanBudget returns a budget allowing n re-plans.
-func NewReplanBudget(n int) *ReplanBudget { return &ReplanBudget{left: n} }
-
-// Take consumes one re-plan if any remain, reporting whether it did. A
-// nil budget always refuses — the watchdog is disarmed.
-func (b *ReplanBudget) Take() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.left <= 0 {
-		return false
-	}
-	b.left--
-	return true
 }
 
 // NewCtx returns a context over the given clock. A nil clock gets a fresh
@@ -266,7 +233,6 @@ func (c *Ctx) Fork() *Ctx {
 		Sched:      c.Sched,
 		CallNote:   c.CallNote,
 		MemoPath:   c.MemoPath,
-		Replans:    c.Replans,
 		TraceID:    c.TraceID,
 		TraceDepth: c.TraceDepth,
 	}
@@ -296,13 +262,6 @@ func (c *Ctx) WithMemoPath(key string) *Ctx {
 // OnMemoPath reports whether key is already being filled on this
 // evaluation path (recursion through the same memoized subgoal).
 func (c *Ctx) OnMemoPath(key string) bool { return c.MemoPath[key] }
-
-// WithContext returns a copy of the Ctx carrying gc for cancellation.
-func (c *Ctx) WithContext(gc context.Context) *Ctx {
-	out := *c
-	out.Context = gc
-	return &out
-}
 
 // WithDeadline returns a copy of the Ctx whose query deadline is the
 // absolute clock reading d (0 clears it).

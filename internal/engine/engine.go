@@ -47,17 +47,6 @@ type Config struct {
 	// estimator over the DCSM). The parallel union uses it to launch a
 	// union predicate's alternatives cheapest-estimated-Tf-first.
 	EstimateRule func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (domain.CostVector, bool)
-	// ReplanFactor arms the mid-query branch watchdog: when a parallel
-	// union lane's elapsed cost exceeds ReplanFactor times its estimated
-	// all-answers cost, the lane abandons its body order and asks Replan
-	// for a cheaper one. Values <= 1, or a nil Replan, disable the
-	// watchdog. Re-planning is bounded by the query-wide
-	// domain.ReplanBudget on the Ctx (one re-plan per query).
-	ReplanFactor float64
-	// Replan, when set, re-enters the rewriter for one plan rule: given
-	// the variables bound so far, it returns an alternative body order
-	// with its estimated cost, or ok=false when no better order exists.
-	Replan func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (*rewrite.PlanRule, domain.CostVector, bool)
 }
 
 // DefaultConfig charges no fixed overhead: QueryInit and PerDisplay are
@@ -75,11 +64,11 @@ type Engine struct {
 	onMeasure func(domain.Measurement)
 
 	// Event tallies, attached to cfg.Obs's metrics registry by New.
-	queries, answers, parallelUnions, parallelStages, replans obs.Counter
-	calls                                                     [2]obs.Counter // by rewrite.Route
-	callErrors                                                [len(callErrorReasons)]obs.Counter
-	inflightBranches                                          obs.Gauge
-	tfirstMS, tallMS                                          obs.Histogram
+	queries, answers, parallelUnions, parallelStages obs.Counter
+	calls                                            [2]obs.Counter // by rewrite.Route
+	callErrors                                       [len(callErrorReasons)]obs.Counter
+	inflightBranches                                 obs.Gauge
+	tfirstMS, tallMS                                 obs.Histogram
 }
 
 // Why a domain call can die at setup: the reason label of
@@ -95,8 +84,8 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(d
 		cfg.MaxDepth = 64
 	}
 	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, onMeasure: onMeasure}
-	// The hermes_engine_*, hermes_queries_total, hermes_query_* and
-	// hermes_plan_replans_total families are declared here and nowhere else.
+	// The hermes_engine_*, hermes_queries_total and hermes_query_* families
+	// are declared here and nowhere else.
 	r := cfg.Obs.Registry()
 	r.AttachCounter("hermes_queries_total", "queries executed by the embedded mediator", e.queries.Value)
 	r.AttachCounter("hermes_query_answers_total", "answers produced across all queries", e.answers.Value)
@@ -111,7 +100,6 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(d
 	r.AttachCounter("hermes_engine_parallel_unions_total", "rule unions executed as parallel merges", e.parallelUnions.Value)
 	r.AttachCounter("hermes_engine_parallel_stages_total", "independent-sibling prefetch stages started", e.parallelStages.Value)
 	r.AttachGauge("hermes_engine_inflight_branches", "parallel pipeline branches currently running", e.inflightBranches.Value)
-	r.AttachCounter("hermes_plan_replans_total", "union lanes that abandoned their body order mid-query for a cheaper one", e.replans.Value)
 	return e
 }
 
@@ -263,17 +251,12 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 	start := ctx.Clock.Now()
 	span := ctx.Span
 	if span == nil && e.cfg.Obs != nil {
-		span = e.cfg.Obs.StartQuery(queryLine(plan), start)
+		span = e.cfg.Obs.StartQuery(plan.QueryLine(), start)
 		ctx = ctx.WithSpan(span)
 	}
 	e.queries.Inc()
 	if n := ctx.Sched.Limit(); n > 1 {
 		span.SetTag("parallel", strconv.Itoa(n))
-	}
-	if e.cfg.ReplanFactor > 1 && e.cfg.Replan != nil && ctx.Replans == nil {
-		armed := *ctx
-		armed.Replans = domain.NewReplanBudget(1)
-		ctx = &armed
 	}
 	ctx.Clock.Sleep(e.cfg.QueryInit)
 	var vars []string
@@ -288,16 +271,6 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 	}
 	iter := e.newBodyIter(ctx, plan, plan.Query, term.Subst{}, 0)
 	return &Cursor{eng: e, ctx: ctx, vars: vars, iter: iter, start: start, span: span}, nil
-}
-
-// queryLine is the plan's one-line query rendering, used to name
-// engine-opened root spans.
-func queryLine(p *rewrite.Plan) string {
-	s := p.String()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }
 
 // CollectAll drains a cursor (all-answers mode).

@@ -343,6 +343,30 @@ func valsKey(vals []term.Value) string {
 	return b.String()
 }
 
+// multiset counts tuple keys (valsKey) already delivered, so that a
+// re-evaluation of the same relation can drop one occurrence of each:
+// substitutions with equal ground argument tuples are interchangeable, so
+// subtraction by key is exact.
+type multiset map[string]int
+
+func (ms *multiset) add(key string) {
+	if *ms == nil {
+		*ms = make(multiset)
+	}
+	(*ms)[key]++
+}
+
+// take removes one occurrence of key, reporting whether there was one.
+func (ms multiset) take(key string) bool {
+	c := ms[key]
+	if c > 1 {
+		ms[key] = c - 1
+	} else {
+		delete(ms, key)
+	}
+	return c > 0
+}
+
 func (m *memoFollowStream) finish() {
 	if m.done {
 		return

@@ -101,12 +101,7 @@ type parallelUnion struct {
 	branches []*unionBranch
 	closed   bool
 
-	rules []*rewrite.PlanRule // launch order (cheapest Tf first)
-	// ests[i]/priced[i] retain rules[i]'s full estimated cost vector
-	// (when EstimateRule priced it): the branch watchdog compares a
-	// lane's elapsed clock against its estimate to detect blowouts.
-	ests    []domain.CostVector
-	priced  []bool
+	rules   []*rewrite.PlanRule // launch order (cheapest Tf first)
 	depth   int
 	ordered bool
 	extra   int
@@ -123,13 +118,13 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 		return nil
 	}
 	lanes := extra + 1
-	ranked, ests, priced := e.rankRules(plan, a, s, rules)
+	ranked := e.rankRules(plan, a, s, rules)
 	now := ctx.Clock.Now()
 	span := ctx.Span.Child("union "+a.Pred, now)
 	span.SetTag("parallel", strconv.Itoa(lanes))
 	u := &parallelUnion{
 		eng: e, ctx: ctx, plan: plan, atom: a, s: s, span: span,
-		rules: ranked, ests: ests, priced: priced, depth: depth,
+		rules: ranked, depth: depth,
 		ordered: !vclock.IsReal(ctx.Clock),
 		extra:   extra,
 	}
@@ -148,7 +143,8 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 		for i := lane; i < len(ranked); i += lanes {
 			idxs = append(idxs, i)
 		}
-		fork := ctx.Fork().WithContext(gctx).WithSpan(span)
+		fork := ctx.Fork()
+		fork.Context, fork.Span = gctx, span.Lane(lane)
 		u.wg.Add(1)
 		go u.runLane(fork, idxs)
 	}
@@ -156,19 +152,14 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 }
 
 // rankRules orders the alternatives cheapest-estimated-Tf-first (stable:
-// unpriced rules keep their program order, after priced ones). It also
-// returns each ranked rule's full estimated cost vector (aligned with
-// the returned order) so the branch watchdog can compare elapsed cost
-// against the estimate the launch order was based on.
-func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules []*rewrite.PlanRule) ([]*rewrite.PlanRule, []domain.CostVector, []bool) {
+// unpriced rules keep their program order, after priced ones).
+func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules []*rewrite.PlanRule) []*rewrite.PlanRule {
 	if e.cfg.EstimateRule == nil {
-		return rules, nil, nil
+		return rules
 	}
 	type ranked struct {
-		pr     *rewrite.PlanRule
-		cv     domain.CostVector
-		priced bool
-		tf     time.Duration
+		pr *rewrite.PlanRule
+		tf time.Duration
 	}
 	rs := make([]ranked, len(rules))
 	for i, pr := range rules {
@@ -180,17 +171,15 @@ func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules
 			}
 		}
 		if cv, ok := e.cfg.EstimateRule(plan, pr, bound); ok {
-			rs[i].cv, rs[i].priced, rs[i].tf = cv, true, cv.TFirst
+			rs[i].tf = cv.TFirst
 		}
 	}
 	sort.SliceStable(rs, func(i, j int) bool { return rs[i].tf < rs[j].tf })
 	out := make([]*rewrite.PlanRule, len(rs))
-	ests := make([]domain.CostVector, len(rs))
-	priced := make([]bool, len(rs))
 	for i, r := range rs {
-		out[i], ests[i], priced[i] = r.pr, r.cv, r.priced
+		out[i] = r.pr
 	}
-	return out, ests, priced
+	return out
 }
 
 // runLane evaluates the lane's assigned alternatives sequentially on one
@@ -220,17 +209,6 @@ func (u *parallelUnion) runLane(fork *domain.Ctx, idxs []int) {
 
 // runBranch evaluates one alternative to exhaustion, pushing mapped-back
 // answers. It returns false when the union was closed or cancelled.
-//
-// When the watchdog is armed (Config.ReplanFactor > 1, a Replan hook, a
-// priced estimate for this rule, and a Ctx re-plan budget), the branch
-// checks its elapsed clock against its estimate on every answer. A lane
-// whose elapsed cost blows past ReplanFactor x estimate asks the
-// rewriter for a cheaper body order under the bindings learned so far,
-// and — if one exists and the query-wide budget grants it — abandons
-// the losing order and re-evaluates under the new one. Answers already
-// pushed are subtracted from the re-evaluation by multiset, so the
-// union's output is exactly what a no-replan run would deliver (a
-// nested-loop join's answer multiset does not depend on body order).
 func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 	br := u.branches[ri]
 	pr := u.rules[ri]
@@ -251,22 +229,8 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 		settle(nil) // head constants conflict with the call: empty branch
 		return true
 	}
-	cfg := &u.eng.cfg
-	armed := cfg.ReplanFactor > 1 && cfg.Replan != nil && fork.Replans != nil &&
-		ri < len(u.priced) && u.priced[ri] && u.ests[ri].TAll > 0
-	for _, t := range u.atom.Args {
-		if len(t.Path) > 0 {
-			// Emission keys need every atom argument ground and evaluable;
-			// attribute paths make that uncertain, so stay on one order.
-			armed = false
-			break
-		}
-	}
-	var emitted multiset // answers pushed so far (armed only)
-	replanned := false
-	branchStart := fork.Clock.Now()
 	it := u.eng.newBodyIter(fork, u.plan, pr, headEnv, u.depth+1)
-	defer func() { it.close() }()
+	defer it.close()
 	for {
 		env, ok, err := it.next()
 		if err != nil {
@@ -289,47 +253,9 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 		if !ok {
 			continue
 		}
-		if armed && !replanned {
-			if elapsed := fork.Clock.Now() - branchStart; float64(elapsed) > cfg.ReplanFactor*float64(u.ests[ri].TAll) {
-				if alt, altCV, found := cfg.Replan(u.plan, pr, boundVars(headEnv)); found && alt != nil &&
-					altCV.TAll < elapsed && fork.Replans.Take() {
-					u.span.SetTag("replan", "1")
-					u.eng.replans.Inc()
-					replanned = true
-					it.close()
-					pr = alt
-					it = u.eng.newBodyIter(fork, u.plan, pr, headEnv, u.depth+1)
-					// The new order regenerates the whole relation; the
-					// emitted multiset filters out what this lane already
-					// pushed. The in-hand answer was not pushed, so it is
-					// not counted — the re-evaluation re-delivers it.
-					continue
-				}
-				// No acceptable alternative (or the budget is spent):
-				// stop checking, ride the current order out.
-				armed = false
-			}
-		}
-		// The emitted multiset is only maintained while a re-plan can still
-		// happen, and only consulted after one did. (After a successful
-		// mapBack every atom argument is ground under out, and path
-		// arguments disarmed the watchdog at setup, so argTuple cannot fail
-		// here.)
-		counting, filtering := armed && !replanned, replanned && len(emitted) > 0
-		var key string
-		if counting || filtering {
-			tuple, _ := argTuple(u.atom, out)
-			key = valsKey(tuple)
-		}
-		if filtering && emitted.take(key) {
-			continue
-		}
 		if !u.push(br, out, fork.Clock.Now()) {
 			settle(nil)
 			return false
-		}
-		if counting {
-			emitted.add(key)
 		}
 	}
 }
@@ -487,7 +413,8 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 		}
 		sp := &logs[i-1]
 		st.spools[level] = sp
-		fork := ctx.Fork().WithContext(gctx)
+		fork := ctx.Fork()
+		fork.Context, fork.Span = gctx, ctx.Span.Lane(i)
 		st.wg.Add(1)
 		go st.run(fork, lit, pr.Routes[bi], base, sp)
 	}
@@ -577,27 +504,3 @@ func (r *replayStream) next() (term.Subst, bool, error) {
 }
 
 func (r *replayStream) close() error { return nil }
-
-// multiset counts tuple keys (valsKey) already delivered, so that a
-// re-evaluation of the same relation can drop one occurrence of each:
-// substitutions with equal ground argument tuples are interchangeable, so
-// subtraction by key is exact.
-type multiset map[string]int
-
-func (ms *multiset) add(key string) {
-	if *ms == nil {
-		*ms = make(multiset)
-	}
-	(*ms)[key]++
-}
-
-// take removes one occurrence of key, reporting whether there was one.
-func (ms multiset) take(key string) bool {
-	c := ms[key]
-	if c > 1 {
-		ms[key] = c - 1
-	} else {
-		delete(ms, key)
-	}
-	return c > 0
-}

@@ -236,8 +236,8 @@ func TestSessionStopDrainsParallelBranches(t *testing.T) {
 		// Wall clock: the merge is by arrival, so the fast branch's answer
 		// comes through while the other branches are still blocked.
 		cctx, cancel := context.WithCancel(context.Background())
-		ctx := domain.NewCtx(vclock.NewWall()).WithContext(cctx)
-		ctx.Sched = domain.NewSched(4)
+		ctx := domain.NewCtx(vclock.NewWall())
+		ctx.Context, ctx.Sched = cctx, domain.NewSched(4)
 		cur, err := h.eng.ExecutePlan(ctx, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -267,8 +267,8 @@ func TestContextCancelDrainsParallelBranches(t *testing.T) {
 		plan := h.plan(blockerUnionProg, "?- u(X).")
 
 		cctx, cancel := context.WithCancel(context.Background())
-		ctx := domain.NewCtx(vclock.NewWall()).WithContext(cctx)
-		ctx.Sched = domain.NewSched(4)
+		ctx := domain.NewCtx(vclock.NewWall())
+		ctx.Context, ctx.Sched = cctx, domain.NewSched(4)
 		cur, err := h.eng.ExecutePlan(ctx, plan)
 		if err != nil {
 			t.Fatal(err)

@@ -58,8 +58,8 @@ type DifferentialConfig struct {
 	Parallelism int    `json:"parallelism"`
 	Memo        bool   `json:"memo"`
 	// Adaptive marks the cell that runs optimizer-chosen plans under
-	// calibration-inflated costing and the re-plan watchdog, instead of
-	// plans pinned to textual order. Plan choice must never change
+	// calibration-inflated costing, instead of plans pinned to textual
+	// order. Plan choice must never change
 	// answers, so this cell diffs against the same baseline.
 	Adaptive   bool       `json:"adaptive,omitempty"`
 	Errors     int        `json:"errors"`
@@ -191,8 +191,8 @@ type diffRun struct {
 // pinned to textual order so every configuration executes the same joins;
 // only the memo (and the engine width) differs. The adaptive cell is the
 // exception: it lets the optimizer choose plans under calibration-inflated
-// costing with the re-plan watchdog armed, asserting that feedback-driven
-// plan choice never changes an answer multiset.
+// costing, asserting that feedback-driven plan choice never changes an
+// answer multiset.
 func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, parallelism int, withMemo, adaptive bool) (*diffRun, error) {
 	var mcfg *memo.Config
 	if withMemo {
@@ -213,7 +213,6 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 		tbOpts.Core.Obs = obs.NewObserver()
 		tbOpts.Core.CalInflateQuantile = 0.9
 		tbOpts.Core.ColdStartInflation = 1.5
-		tbOpts.Core.ReplanFactor = 3
 		name = fmt.Sprintf("adaptive p=%d", parallelism)
 	}
 	tb, err := NewTestbed(tbOpts)

@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hermes/internal/term"
@@ -111,6 +112,27 @@ func TestInvariantRoundTripProperty(t *testing.T) {
 		}
 		if got.String() != src {
 			t.Fatalf("case %d: round trip changed rendering:\n  %q\n  %q", i, src, got.String())
+		}
+	}
+}
+
+// TestStrConstantRoundTrip: a string constant holding a quote, a
+// backslash or a newline renders as one line that parses back to the same
+// constant.
+func TestStrConstantRoundTrip(t *testing.T) {
+	for _, v := range []term.Str{"it's", `back\slash`, "a\nb", "tab\there"} {
+		q := &Query{Body: []Literal{&Comparison{Op: term.OpEQ, Left: term.V("X"), Right: term.C(v)}}}
+		src := q.String()
+		if strings.ContainsAny(src, "\n\t") {
+			t.Errorf("%q renders over more than one line: %q", string(v), src)
+		}
+		got, err := ParseQuery(src)
+		if err != nil {
+			t.Errorf("%q: reparse %q: %v", string(v), src, err)
+			continue
+		}
+		if c := got.Body[0].(*Comparison).Right.Const; c != v {
+			t.Errorf("%q: %q parses back to %#v", string(v), src, c)
 		}
 	}
 }

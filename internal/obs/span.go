@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,6 +34,10 @@ func (c Cost) String() string {
 // freezes the subtree: its SpanData is built once and handed out by every
 // later Snapshot. A write to an ended span moves the tree's generation
 // on, which un-freezes the span and every ancestor frozen with it.
+//
+// A snapshot lists children by start time, and same-instant children by
+// the rank of the Lane that opened them, then in the order they were
+// opened: a tree timed on a virtual clock renders the same on every run.
 type Span struct {
 	mu       sync.Mutex
 	name     string
@@ -44,11 +49,13 @@ type Span struct {
 	children []*Span
 	foreign  []SpanData    // stitched remote subtrees, rendered after children
 	kids     []SpanData    // the Children handed out while frozen
-	root     *Span         // the tree's root; a root points at itself
+	root     *Span         // the tree's root (a root's is itself); a Lane handle's span
 	tracer   *Tracer       // on a root the Tracer started: End publishes to it
 	gen      atomic.Uint64 // on the root: writes to ended spans of the tree
 	frozenAt uint64        // the generation, plus one, kids was built at
 	ended    bool
+	handle   bool   // s is a Lane handle
+	lane     uint32 // sibling rank; children opened through s inherit it
 }
 
 // NewSpan opens a standalone root span outside any tracer: ending it
@@ -61,19 +68,40 @@ func NewSpan(name string, at time.Duration) *Span {
 	return s
 }
 
-// write runs f on s under its lock. A write to an ended span may
-// contradict a frozen tree: it moves the generation on, which un-freezes s
-// and its ancestors for every Snapshot that starts after the writer returns.
-func (s *Span) write(f func()) {
+// Lane returns a handle on s for the concurrent branch of launch rank r
+// (0 first). Every method acts on s, but children opened through the
+// handle list after same-instant siblings opened by s itself or by
+// lower-ranked lanes. On a nil span it returns nil.
+func (s *Span) Lane(r int) *Span {
 	if s == nil {
+		return nil
+	}
+	return &Span{root: s.target(), handle: true, lane: s.lane<<8 | uint32(r+1)}
+}
+
+// target is the span s stands for: itself, or a Lane handle's span.
+func (s *Span) target() *Span {
+	if s != nil && s.handle {
+		return s.root
+	}
+	return s
+}
+
+// write runs f on s's target t under t's lock. A write to an ended span
+// may contradict a frozen tree: it moves the generation on, which
+// un-freezes t and its ancestors for every Snapshot that starts after the
+// writer returns.
+func (s *Span) write(f func(t *Span)) {
+	t := s.target()
+	if t == nil {
 		return
 	}
-	s.mu.Lock()
-	f()
-	if s.ended {
-		s.root.gen.Add(1)
+	t.mu.Lock()
+	f(t)
+	if t.ended {
+		t.root.gen.Add(1)
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Child opens a sub-span starting at execution-clock reading at. On a nil
@@ -82,37 +110,38 @@ func (s *Span) Child(name string, at time.Duration) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: at, root: s.root}
-	s.write(func() { s.children = append(s.children, c) })
+	c := &Span{name: name, start: at, root: s.target().root, lane: s.lane}
+	s.write(func(t *Span) { t.children = append(t.children, c) })
 	return c
 }
 
 // SetTag records an outcome tag. Later values overwrite earlier ones.
 func (s *Span) SetTag(k, v string) {
-	s.write(func() {
-		if s.ended {
-			s.tags = slices.Clone(s.tags) // handed-out SpanData keep the old ones
+	s.write(func(t *Span) {
+		if t.ended {
+			t.tags = slices.Clone(t.tags) // handed-out SpanData keep the old ones
 		}
-		s.tags = s.tags.set(k, v)
+		t.tags = t.tags.set(k, v)
 	})
 }
 
 // SetEstimate attaches the planner's estimated cost vector.
-func (s *Span) SetEstimate(c Cost) { s.write(func() { s.est = &c }) }
+func (s *Span) SetEstimate(c Cost) { s.write(func(t *Span) { t.est = &c }) }
 
 // SetActual attaches the measured cost vector.
-func (s *Span) SetActual(c Cost) { s.write(func() { s.actual = &c }) }
+func (s *Span) SetActual(c Cost) { s.write(func(t *Span) { t.actual = &c }) }
 
 // AttachForeign grafts an already-snapshotted subtree — a remote peer's
 // serve span, rebased onto this clock — under s. Snapshot renders foreign
 // subtrees after the locally opened children. Nil-receiver safe.
 func (s *Span) AttachForeign(d SpanData) {
-	s.write(func() { s.foreign = append(s.foreign, d) })
+	s.write(func(t *Span) { t.foreign = append(t.foreign, d) })
 }
 
 // End closes the span at execution-clock reading at. Ending a span twice
 // is a no-op; ending a root span publishes its snapshot to the Tracer.
 func (s *Span) End(at time.Duration) {
+	s = s.target()
 	if s == nil {
 		return
 	}
@@ -134,6 +163,7 @@ func (s *Span) End(at time.Duration) {
 // rebuilt on every call; a tree that has wholly ended is built by the
 // first call and shared by every later one, so a SpanData is read-only.
 func (s *Span) Snapshot() SpanData {
+	s = s.target()
 	if s == nil {
 		return SpanData{}
 	}
@@ -160,6 +190,10 @@ func (s *Span) snapshot(gen uint64) (SpanData, bool) {
 	}
 	if n := len(s.children) + len(s.foreign); n > 0 {
 		d.Children = make([]SpanData, 0, n)
+		slices.SortStableFunc(s.children, func(a, b *Span) int {
+			// start and lane never change once a child is opened.
+			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.lane, b.lane))
+		})
 		for _, c := range s.children {
 			cd, ok := c.snapshot(gen)
 			d.Children, all = append(d.Children, cd), all && ok

@@ -365,7 +365,9 @@ func TestWrapperAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	clk.Sleep(6 * time.Second)
 	gc, cancel := context.WithCancel(context.Background())
 	src.mode, src.cancel = "cancel", cancel
-	if _, err := w.Call(domain.NewCtx(clk).WithContext(gc), "get", nil); err == nil {
+	probe := domain.NewCtx(clk)
+	probe.Context = gc
+	if _, err := w.Call(probe, "get", nil); err == nil {
 		t.Fatal("cancelled probe should fail")
 	}
 

@@ -139,7 +139,8 @@ func (p *Plan) Fingerprint() uint64 {
 }
 
 // QueryLine renders the query statement alone: its literals in execution
-// order, CIM-routed calls marked. It is the line String starts with.
+// order, CIM-routed calls marked. It is the line String starts with: a
+// string constant renders escaped, so the statement is one line.
 func (p *Plan) QueryLine() string {
 	parts := make([]string, len(p.Query.Order))
 	for i, bi := range p.Query.Order {
@@ -363,23 +364,6 @@ func (rw *Rewriter) orderings(body []lang.Literal, bound map[string]bool) [][]in
 		}
 	}
 	rec()
-	return out
-}
-
-// Reorder re-enters the ordering enumeration for one plan rule with a
-// fresh bound-variable set — the mid-query re-planning entry point. The
-// engine's branch watchdog calls it when a lane's actual cost blows past
-// its estimate: bound then contains the head bindings plus whatever the
-// query has learned so far, and every returned PlanRule shares the
-// original's Rule and Routes but executes the body in a different
-// permissible order. The caller re-costs the alternatives and switches
-// to the cheapest.
-func (rw *Rewriter) Reorder(pr *PlanRule, bound map[string]bool) []*PlanRule {
-	orders := rw.orderings(pr.Rule.Body, bound)
-	out := make([]*PlanRule, 0, len(orders))
-	for _, ord := range orders {
-		out = append(out, &PlanRule{Rule: pr.Rule, Order: ord, Routes: pr.Routes})
-	}
 	return out
 }
 

@@ -64,7 +64,11 @@ func (s Str) Kind() Kind { return KindString }
 // Key returns a canonical quoted encoding.
 func (s Str) Key() string { return "s" + strconv.Quote(string(s)) }
 
-func (s Str) String() string { return "'" + string(s) + "'" }
+// String renders the constant the way the language reads it back:
+// single-quoted, with backslash, quote, newline and tab escaped.
+func (s Str) String() string { return "'" + strEscaper.Replace(string(s)) + "'" }
+
+var strEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`, "\n", `\n`, "\t", `\t`)
 
 // Int is an integer constant.
 type Int int64

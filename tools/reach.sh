@@ -76,6 +76,11 @@ if bad="$(grep -v -E "^[^ ]+ ($classes) .+" "$out/allow.txt")"; then
 	echo "$bad" >&2
 	exit 1
 fi
+if bad="$(grep -E '^[^ ]+ paper ' "$out/allow.txt" | grep -v -F '§')"; then
+	echo "reach: tools/reach.allow paper entries whose reason cites no section of the paper (§):" >&2
+	echo "$bad" >&2
+	exit 1
+fi
 cut -d' ' -f1 "$out/allow.txt" | sort -u >"$out/allowed.txt"
 
 unlisted="$(comm -23 "$out/unreached.txt" "$out/allowed.txt")"
