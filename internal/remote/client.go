@@ -4,11 +4,11 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -198,9 +198,9 @@ func (c *Client) listing() (map[string][]FnSpec, error) {
 		return nil, err
 	}
 	id := c.newID()
-	entry := sess.registerCall(id)
+	slot := sess.registerCall(id)
 	defer sess.forget(id)
-	if !sess.send("functions", Frame{Op: OpFunctions, ID: id}) {
+	if !sess.send("functions", &Frame{Op: OpFunctions, ID: id}, nil) {
 		return nil, sess.failure()
 	}
 	var timeout <-chan time.Time
@@ -209,18 +209,17 @@ func (c *Client) listing() (map[string][]FnSpec, error) {
 		defer t.Stop()
 		timeout = t.C
 	}
-	select {
-	case f := <-entry.ch:
-		if f.Err != "" {
-			return nil, fmt.Errorf("remote: %s", f.Err)
-		}
-		return f.Functions, nil
-	case <-sess.done:
-		return nil, sess.failure()
-	case <-timeout:
+	f, err := sess.await(slot, timeout)
+	switch {
+	case err != nil:
+		return nil, err
+	case f == nil:
 		sess.fail(fmt.Errorf("%w: functions listing from %s timed out", domain.ErrUnavailable, c.addr))
 		return nil, sess.failure()
+	case f.Err != "":
+		return nil, fmt.Errorf("remote: %s", f.Err)
 	}
+	return f.Functions, nil
 }
 
 // Call implements domain.Domain as one multiplexed call on the shared
@@ -229,7 +228,7 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	wargs, err := encodeValues(args)
+	wargs, err := appendValues(nil, args)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +238,7 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		return nil, err
 	}
 	id := c.newID()
-	f := Frame{Op: OpCall, ID: id, Domain: c.name, Function: fn, Args: wargs}
+	f := Frame{Op: OpCall, ID: id, Domain: c.name, Function: fn}
 	st := &muxStream{c: c, sess: sess, id: id, fn: fn, args: wargs, cctx: ctx.Context, span: ctx.Span}
 	if ctx.Clock != nil {
 		st.clock = ctx.Clock
@@ -261,12 +260,11 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
 		c.tracePropagated.Inc()
 	}
-	entry := sess.registerCall(id)
-	if !sess.send("call", f) {
+	st.slot = sess.registerCall(id)
+	if !sess.send("call", &f, wargs) {
 		sess.forget(id)
 		return nil, sess.failure()
 	}
-	st.entry = entry
 	return st, nil
 }
 
@@ -311,18 +309,24 @@ func (c *Client) getSession() (*session, error) {
 	if helloTO > 0 {
 		conn.SetDeadline(time.Now().Add(helloTO))
 	}
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
+	s := &session{
+		c:     c,
+		out:   frameWriter{w: conn},
+		in:    newFrameReader(conn),
+		conn:  conn,
+		done:  make(chan struct{}),
+		calls: map[uint64]*callSlot{},
+	}
 	hello := Frame{Op: OpHello, Versions: []int{ProtocolVersion}, Caps: []string{CapTrace, CapDebug}}
 	if c.hbEvery > 0 {
 		hello.HeartbeatMS = int(c.hbEvery / time.Millisecond)
 	}
-	if err := enc.Encode(hello); err != nil {
+	if err := s.out.write(&hello, nil, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: send hello to %s: %v", domain.ErrUnavailable, c.addr, err)
 	}
-	var reply Frame
-	if err := dec.Decode(&reply); err != nil {
+	var reply frameIn
+	if err := s.in.next(&reply); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: read hello reply from %s: %v", domain.ErrUnavailable, c.addr, err)
 	}
@@ -346,16 +350,8 @@ func (c *Client) getSession() (*session, error) {
 		conn.Close()
 		return nil, err
 	}
-	s := &session{
-		c:       c,
-		conn:    conn,
-		enc:     enc,
-		dec:     dec,
-		traceOK: capSupported(reply.Caps, CapTrace),
-		debugOK: capSupported(reply.Caps, CapDebug),
-		done:    make(chan struct{}),
-		calls:   map[uint64]*callEntry{},
-	}
+	s.traceOK = capSupported(reply.Caps, CapTrace)
+	s.debugOK = capSupported(reply.Caps, CapDebug)
 	c.sess = s
 	go s.readLoop()
 	if c.hbEvery > 0 {
@@ -375,33 +371,93 @@ func (c *Client) dropSession(s *session) {
 }
 
 // session is one live connection: a reader goroutine routes frames to
-// per-call channels, a heartbeat goroutine keeps the connection verifiably
+// per-call slots, a heartbeat goroutine keeps the connection verifiably
 // alive, and any failure cancels everything at once.
 type session struct {
-	c    *Client
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	c   *Client
+	out frameWriter
+	in  *frameReader // read by the hello exchange, then by readLoop alone
 	// Capabilities the server's hello granted: trace subtree frames and
 	// debug rollup requests. Immutable after negotiation.
 	traceOK bool
 	debugOK bool
 
-	wmu sync.Mutex
-
+	conn     net.Conn
 	done     chan struct{}
 	failOnce sync.Once
 	errMu    sync.Mutex
 	err      error
 
 	mu    sync.Mutex
-	calls map[uint64]*callEntry
+	calls map[uint64]*callSlot
 }
 
-// callEntry is the routing slot of one in-flight call.
-type callEntry struct {
-	ch   chan Frame    // frames for this call, routed by the reader
-	gone chan struct{} // closed when the call deregisters
+// callSlot is the routing slot of one in-flight call: what the reader has
+// routed and the call has not yet taken, growing from empty. The reader
+// never blocks on it, so one call's unread answers cannot stall the
+// frames of another on the same session; the price is that a call's
+// undelivered answers are buffered here, bounded only by its answer set,
+// because the protocol has no per-call flow control.
+type callSlot struct {
+	ready chan struct{} // signalled, without blocking, when something arrives
+
+	mu     sync.Mutex
+	values []term.Value
+	trace  []byte // the call's trace frame payload
+	done   bool   // the server's done answers frame arrived
+	bad    error  // an answers frame carried a value term.DecodeJSON rejects
+	// reply is the frame that ended the call otherwise: an error, a
+	// functions or debug reply, or an op a call does not expect.
+	reply *Frame
+}
+
+func newCallSlot() *callSlot { return &callSlot{ready: make(chan struct{}, 1)} }
+
+// route files one frame. Nothing routes after the frame that ends the
+// call: a trace frame sent after done is never stitched.
+func (c *callSlot) route(in *frameIn) {
+	c.mu.Lock()
+	if c.done || c.bad != nil || c.reply != nil {
+		c.mu.Unlock()
+		return
+	}
+	switch {
+	case in.Op == OpAnswers && in.badValue != nil:
+		c.bad = in.badValue
+	case in.Op == OpAnswers:
+		c.values = append(c.values, in.values...)
+		c.done = in.Done
+	case in.Op == OpTrace:
+		c.trace = in.Trace
+	default:
+		f := in.Frame
+		c.reply = &f
+	}
+	c.mu.Unlock()
+	select {
+	case c.ready <- struct{}{}:
+	default:
+	}
+}
+
+// await waits for the reply frame of a one-shot request (functions,
+// debug). A nil frame with a nil error means the timeout fired.
+func (s *session) await(c *callSlot, timeout <-chan time.Time) (*Frame, error) {
+	for {
+		select {
+		case <-c.ready:
+			c.mu.Lock()
+			f := c.reply
+			c.mu.Unlock()
+			if f != nil {
+				return f, nil
+			}
+		case <-s.done:
+			return nil, s.failure()
+		case <-timeout:
+			return nil, nil
+		}
+	}
 }
 
 func (s *session) alive() bool {
@@ -435,66 +491,54 @@ func (s *session) failure() error {
 	return s.err
 }
 
-// send writes one frame. Concurrent calls serialize on the write mutex; a
-// write failure kills the whole session (the connection is broken).
-func (s *session) send(what string, f Frame) bool {
-	s.wmu.Lock()
-	err := s.enc.Encode(f)
-	s.wmu.Unlock()
-	if err != nil {
+// send writes one frame, args being its term.AppendJSON argument list.
+// Concurrent calls serialize on the writer; a write failure kills the
+// whole session (the connection is broken).
+func (s *session) send(what string, f *Frame, args []byte) bool {
+	if err := s.out.write(f, args, nil); err != nil {
 		s.fail(fmt.Errorf("%w: send %s to %s: %v", domain.ErrUnavailable, what, s.c.addr, err))
 		return false
 	}
 	return true
 }
 
-func (s *session) registerCall(id uint64) *callEntry {
-	e := &callEntry{ch: make(chan Frame, 32), gone: make(chan struct{})}
+func (s *session) registerCall(id uint64) *callSlot {
+	c := newCallSlot()
 	s.mu.Lock()
-	s.calls[id] = e
+	s.calls[id] = c
 	s.mu.Unlock()
-	return e
+	return c
 }
 
 func (s *session) forget(id uint64) {
 	s.mu.Lock()
-	e := s.calls[id]
 	delete(s.calls, id)
 	s.mu.Unlock()
-	if e != nil {
-		close(e.gone)
-	}
 }
 
 // readLoop is the session's reader goroutine: it routes every incoming
-// frame to its call's channel. The per-read deadline is the wedged-server
+// frame to its call's slot. The per-read deadline is the wedged-server
 // detector — heartbeat echoes arrive at least every hbEvery, so a
 // connection silent for frameTO is dead, and every in-flight call learns
 // it immediately via s.done rather than blocking forever.
 func (s *session) readLoop() {
+	var in frameIn
 	for {
 		if s.c.frameTO > 0 {
 			s.conn.SetReadDeadline(time.Now().Add(s.c.frameTO))
 		}
-		var f Frame
-		if err := s.dec.Decode(&f); err != nil {
+		if err := s.in.next(&in); err != nil {
 			s.fail(fmt.Errorf("%w: session read from %s: %v", domain.ErrUnavailable, s.c.addr, err))
 			return
 		}
-		if f.Op == OpHeartbeat && f.ID == 0 {
+		if in.Op == OpHeartbeat && in.ID == 0 {
 			continue // echo of our keepalive; the read refreshed the deadline
 		}
 		s.mu.Lock()
-		e := s.calls[f.ID]
+		c := s.calls[in.ID]
 		s.mu.Unlock()
-		if e == nil {
-			continue // call finished while the frame was in transit
-		}
-		select {
-		case e.ch <- f:
-		case <-e.gone:
-		case <-s.done:
-			return
+		if c != nil { // else the call finished while the frame was in transit
+			c.route(&in)
 		}
 	}
 }
@@ -505,7 +549,7 @@ func (s *session) heartbeatLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if !s.send("heartbeat", Frame{Op: OpHeartbeat}) {
+			if !s.send("heartbeat", &Frame{Op: OpHeartbeat}, nil) {
 				return
 			}
 		case <-s.done:
@@ -520,13 +564,13 @@ func (s *session) heartbeatLoop(every time.Duration) {
 // resumes are exhausted the error surfaces as domain.ErrUnavailable so the
 // resilience layer's retries and breakers engage.
 type muxStream struct {
-	c     *Client
-	sess  *session
-	id    uint64
-	entry *callEntry
-	cctx  context.Context
-	fn    string
-	args  []wireValue
+	c    *Client
+	sess *session
+	id   uint64
+	slot *callSlot
+	cctx context.Context
+	fn   string
+	args []byte // the term.AppendJSON argument list, re-sent on resume
 
 	// Federated-tracing state: the local call span foreign subtrees stitch
 	// under, the propagated trace context, the decoded call (for the
@@ -543,7 +587,8 @@ type muxStream struct {
 	delivered int
 	resumes   int
 	retries   int
-	srvDone   bool
+	srvDone   bool  // the server ended the call: done, or an error frame
+	err       error // what ends the stream once pending is delivered
 	finished  bool
 }
 
@@ -558,6 +603,10 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 		if s.finished {
 			return nil, false, nil
 		}
+		if s.err != nil {
+			s.finish(true) // no cancel if the server ended the call itself
+			return nil, false, s.err
+		}
 		if s.srvDone {
 			s.finish(false)
 			return nil, false, nil
@@ -567,20 +616,13 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 			ctxDone = s.cctx.Done()
 		}
 		select {
-		case f := <-s.entry.ch:
-			if err := s.handle(f); err != nil {
-				return nil, false, err
-			}
+		case <-s.slot.ready:
+			s.take()
 		case <-s.sess.done:
-			// Frames routed before the failure may still sit buffered;
+			// Frames routed before the failure may still sit in the slot;
 			// deliver them before deciding the stream is broken.
-			select {
-			case f := <-s.entry.ch:
-				if err := s.handle(f); err != nil {
-					return nil, false, err
-				}
+			if s.take() {
 				continue
-			default:
 			}
 			if err := s.resume(); err != nil {
 				s.finish(false)
@@ -593,33 +635,34 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 	}
 }
 
-// handle folds one routed frame into the stream state.
-func (s *muxStream) handle(f Frame) error {
-	switch f.Op {
-	case OpTrace:
-		s.acceptTrace(f.Trace)
-		return nil
-	case OpAnswers:
-		vals, err := decodeValues(f.Values)
-		if err != nil {
-			s.finish(true)
-			return err
+// take moves what the slot holds into the stream and reports whether
+// there was anything. It runs only once pending is delivered, so the
+// values that arrived before an error frame are still delivered before
+// the error.
+func (s *muxStream) take() bool {
+	c := s.slot
+	c.mu.Lock()
+	values, trace, done, bad, reply := c.values, c.trace, c.done, c.bad, c.reply
+	c.values, c.trace = nil, nil
+	c.mu.Unlock()
+	s.acceptTrace(trace)
+	s.pending = values
+	s.srvDone = done
+	switch {
+	case bad != nil:
+		s.err = bad
+	case reply == nil:
+	case reply.Op == OpError:
+		s.srvDone = true
+		if reply.Unavailable {
+			s.err = fmt.Errorf("%w: %s", domain.ErrUnavailable, reply.Err)
+		} else {
+			s.err = fmt.Errorf("remote: %s", reply.Err)
 		}
-		s.pending = vals
-		if f.Done {
-			s.srvDone = true
-		}
-		return nil
-	case OpError:
-		s.finish(false) // the server already ended this call
-		if f.Unavailable {
-			return fmt.Errorf("%w: %s", domain.ErrUnavailable, f.Err)
-		}
-		return fmt.Errorf("remote: %s", f.Err)
 	default:
-		s.finish(true)
-		return fmt.Errorf("remote: unexpected frame op %q on call %d", f.Op, f.ID)
+		s.err = fmt.Errorf("remote: unexpected frame op %q on call %d", reply.Op, reply.ID)
 	}
+	return len(values) > 0 || trace != nil || done || s.err != nil
 }
 
 // acceptTrace stitches the server's serve subtree under the local call
@@ -647,7 +690,7 @@ func (s *muxStream) acceptTrace(raw []byte) {
 	if s.clock != nil {
 		elapsed := s.clock.Now() - s.issuedAt
 		if wire := elapsed - d.Duration(); wire > 0 {
-			s.span.SetTag("remote.wire_ms", fmt.Sprintf("%.1f", float64(wire)/float64(time.Millisecond)))
+			s.span.SetTag("remote.wire_ms", strconv.FormatFloat(float64(wire)/float64(time.Millisecond), 'f', 1, 64))
 		} else {
 			s.span.SetTag("remote.wire_ms", "0.0")
 		}
@@ -672,7 +715,7 @@ func (s *muxStream) resume() error {
 		s.c.resumes.Inc()
 		// A flaky mount must be diagnosable from EXPLAIN alone: record how
 		// many times this stream resumed and how many attempts failed.
-		s.span.SetTag("remote.resumes", fmt.Sprintf("%d", s.resumes))
+		s.span.SetTag("remote.resumes", strconv.Itoa(s.resumes))
 		sess, err := s.c.getSession()
 		if err != nil {
 			if errors.Is(err, ErrProtocolMismatch) {
@@ -683,20 +726,20 @@ func (s *muxStream) resume() error {
 			continue
 		}
 		id := s.c.newID()
-		entry := sess.registerCall(id)
+		slot := sess.registerCall(id)
 		offset := s.delivered + len(s.pending)
-		f := Frame{Op: OpResume, ID: id, Domain: s.c.name, Function: s.fn, Args: s.args, Offset: offset}
+		f := Frame{Op: OpResume, ID: id, Domain: s.c.name, Function: s.fn, Offset: offset}
 		if sess.traceOK && s.traceID != "" {
 			f.TraceID = s.traceID
 			f.Depth = s.depth
 		}
-		if !sess.send("resume", f) {
+		if !sess.send("resume", &f, s.args) {
 			sess.forget(id)
 			last = sess.failure()
 			s.noteRetry()
 			continue
 		}
-		s.sess, s.id, s.entry = sess, id, entry
+		s.sess, s.id, s.slot = sess, id, slot
 		return nil
 	}
 	if errors.Is(last, domain.ErrUnavailable) {
@@ -708,7 +751,7 @@ func (s *muxStream) resume() error {
 // noteRetry counts a failed resume attempt (dial or re-send) on the span.
 func (s *muxStream) noteRetry() {
 	s.retries++
-	s.span.SetTag("remote.retries", fmt.Sprintf("%d", s.retries))
+	s.span.SetTag("remote.retries", strconv.Itoa(s.retries))
 }
 
 // finish deregisters the call; sendCancel additionally tells the server to
@@ -720,7 +763,7 @@ func (s *muxStream) finish(sendCancel bool) {
 	s.finished = true
 	s.sess.forget(s.id)
 	if sendCancel && !s.srvDone && s.sess.alive() {
-		s.sess.send("cancel", Frame{Op: OpCancel, ID: s.id})
+		s.sess.send("cancel", &Frame{Op: OpCancel, ID: s.id}, nil)
 	}
 }
 
@@ -745,9 +788,9 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 		return nil, fmt.Errorf("remote: %s did not grant the debug capability", c.addr)
 	}
 	id := c.newID()
-	entry := sess.registerCall(id)
+	slot := sess.registerCall(id)
 	defer sess.forget(id)
-	if !sess.send("debug", Frame{Op: OpDebug, ID: id}) {
+	if !sess.send("debug", &Frame{Op: OpDebug, ID: id}, nil) {
 		return nil, sess.failure()
 	}
 	if timeout <= 0 {
@@ -759,20 +802,19 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 		defer t.Stop()
 		tc = t.C
 	}
-	select {
-	case f := <-entry.ch:
-		if f.Err != "" {
-			return nil, fmt.Errorf("remote: %s", f.Err)
-		}
-		return f.Debug, nil
-	case <-sess.done:
-		return nil, sess.failure()
-	case <-tc:
+	f, err := sess.await(slot, tc)
+	switch {
+	case err != nil:
+		return nil, err
+	case f == nil:
 		// Unlike a wedged session read, a slow debug reply should not kill
 		// the shared session: calls may be healthy while the rollup fn is
-		// slow. The pending entry is forgotten; a late reply is dropped.
+		// slow. The pending slot is forgotten; a late reply is dropped.
 		return nil, fmt.Errorf("%w: debug rollup from %s timed out", domain.ErrUnavailable, c.addr)
+	case f.Err != "":
+		return nil, fmt.Errorf("remote: %s", f.Err)
 	}
+	return f.Debug, nil
 }
 
 // DiscoverDomains asks a server which domains it hosts: hello, one

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hermes/internal/domain"
+	"hermes/internal/domain/domaintest"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -94,5 +96,52 @@ func TestServerCloseDuringStream(t *testing.T) {
 		if seen > 200000 {
 			t.Fatal("stream never terminated after server close")
 		}
+	}
+}
+
+// Regression (nested calls on one mount deadlock): the pipelined engine
+// keeps an outer stream open while inner literals call the same mount. The
+// session reader used to block on the outer call's full 32-frame channel,
+// so once its unread remainder passed 32 frames the inner call's frames
+// were never routed, and heartbeats kept the stalled session alive. A call
+// slot now buffers what its consumer has not read, never the reader.
+func TestNestedCallOnOneMountDoesNotDeadlock(t *testing.T) {
+	meter := domaintest.Metered(echoDomain())
+	_, addr := startServer(t, meter)
+	c := NewClient(addr, "echo")
+	defer c.Close()
+	outer, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(5000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outer.Close()
+	if _, ok, err := outer.Next(); !ok || err != nil {
+		t.Fatalf("outer first answer: %v %v", ok, err)
+	}
+	// The server has written all 79 outer frames before the inner call
+	// starts, so they reach the session reader ahead of the inner frames.
+	waitFor(t, "the server to finish the outer call", func() bool { return meter.Current() == 0 })
+	inner := make(chan error, 1)
+	go func() {
+		s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(3)})
+		if err == nil {
+			var vals []term.Value
+			if vals, err = domain.Collect(s); err == nil && len(vals) != 3 {
+				err = fmt.Errorf("inner call: %d answers, want 3", len(vals))
+			}
+		}
+		inner <- err
+	}()
+	select {
+	case err := <-inner:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("inner call hung behind the outer call's unread answers on the same session")
+	}
+	rest, err := domain.Collect(outer)
+	if err != nil || len(rest) != 4999 {
+		t.Fatalf("outer remainder: %d answers, %v; want 4999", len(rest), err)
 	}
 }

@@ -27,6 +27,27 @@
 //     domain.ErrUnavailable: resilience neither retries it nor trips the
 //     breaker, and no second connection is dialled.
 //
+// Framing is one frame per line, ended by its newline. Both ends encode
+// and decode with one hand-written codec (codec.go) that writes the bytes
+// json.NewEncoder writes for a Frame — HTML escaping, field order,
+// omitempty, float format and compacted raw payloads included — and reads
+// what json.Unmarshal reads, or fails; answer values and call arguments
+// go straight between term.Values and the line. encoding/json is kept as
+// the tests' oracle (codec_test.go, FuzzFrameCodec) and as the
+// interop harness's peer. The decoder matches keys exactly as spelled —
+// encoding/json also matches them case-insensitively, the one documented
+// divergence — and rejects a repeated key and a null outside a listing,
+// which encoding/json accepts. An answer NaN or ±Inf has no JSON text: the
+// server ends that call with an error frame naming it (not unavailable:
+// a retry would hit the same value).
+//
+// The client's session reader never blocks on a call: each in-flight call
+// has a slot that grows from empty and holds what arrived until the call
+// reads it. A call's undelivered answers are therefore buffered in full —
+// memory is bounded by the call's answer set, since the protocol has no
+// per-call flow control — and one call left unread cannot stall another
+// on the same session.
+//
 // The simulated-network experiments do not use this package — they wrap
 // local domains with internal/netsim so that WAN latencies are virtual and
 // deterministic. This package exists to run the system for real across
@@ -85,20 +106,13 @@ func capSupported(caps []string, cap string) bool {
 	return false
 }
 
-// wireValue is the JSON encoding of a term.Value, shared with the
-// persistence formats.
-type wireValue = term.JSONValue
-
-func encodeValue(v term.Value) (wireValue, error)       { return term.EncodeJSON(v) }
-func decodeValue(w wireValue) (term.Value, error)       { return term.DecodeJSON(w) }
-func encodeValues(vs []term.Value) ([]wireValue, error) { return term.EncodeJSONs(vs) }
-func decodeValues(ws []wireValue) ([]term.Value, error) { return term.DecodeJSONs(ws) }
-
 // Frame is one wire message: a single JSON object on its own line. The
 // op selects which fields are meaningful; unknown fields are ignored on
 // decode, so the vocabulary can grow compatibly. It is exported for the
 // interop harness (internal/remote/interop), whose driver/responder
-// simulators speak raw frames over real sockets.
+// simulators speak raw frames over real sockets through encoding/json.
+// The package's own codec never reads or fills Args and Values: it
+// carries call arguments and answers as term.Values (appendFrame, frameIn).
 type Frame struct {
 	// Op is the frame type (OpHello, OpCall, ...).
 	Op string `json:"op"`
@@ -123,10 +137,10 @@ type Frame struct {
 	// answers the client already delivered: the server re-executes the
 	// call and skips that prefix (answer streams are deterministic per
 	// source, the same property PR 1's mid-stream resume relies on).
-	Domain   string      `json:"domain,omitempty"`
-	Function string      `json:"function,omitempty"`
-	Args     []wireValue `json:"args,omitempty"`
-	Offset   int         `json:"offset,omitempty"`
+	Domain   string           `json:"domain,omitempty"`
+	Function string           `json:"function,omitempty"`
+	Args     []term.JSONValue `json:"args,omitempty"`
+	Offset   int              `json:"offset,omitempty"`
 	// Trace context (OpCall, OpResume, when CapTrace was negotiated).
 	// TraceID names the federated trace this call belongs to; Depth counts
 	// mount hops from the origin, so a server can refuse to trace past its
@@ -136,8 +150,8 @@ type Frame struct {
 
 	// Answer fields (OpAnswers). Done marks the last frame of a call; a
 	// Done frame may itself carry trailing values.
-	Values []wireValue `json:"values,omitempty"`
-	Done   bool        `json:"done,omitempty"`
+	Values []term.JSONValue `json:"values,omitempty"`
+	Done   bool             `json:"done,omitempty"`
 
 	// Error fields (OpError, and hello rejections). Unavailable marks
 	// retryable transport/source outages (domain.ErrUnavailable).

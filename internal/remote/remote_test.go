@@ -2,16 +2,38 @@ package remote
 
 import (
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
+	"hermes/internal/obs"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
+
+// roundTrip sends vs through the codec as an answers frame's values and
+// reads the line back.
+func roundTrip(t *testing.T, vs ...term.Value) frameIn {
+	t.Helper()
+	list, err := appendValues(nil, vs)
+	if err != nil {
+		t.Fatalf("encode %v: %v", vs, err)
+	}
+	line, err := appendFrame(nil, &Frame{Op: OpAnswers, ID: 1}, nil, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in frameIn
+	if err := decodeFrame(new(term.JSONReader), line, &in); err != nil {
+		t.Fatalf("decode %s: %v", line, err)
+	}
+	return in
+}
 
 func TestValueCodecRoundTrip(t *testing.T) {
 	vals := []term.Value{
@@ -29,41 +51,36 @@ func TestValueCodecRoundTrip(t *testing.T) {
 			term.Field{Name: "pos", Val: term.Tuple{term.Float(1), term.Float(2)}},
 		),
 	}
-	for _, v := range vals {
-		w, err := encodeValue(v)
-		if err != nil {
-			t.Fatalf("encode %v: %v", v, err)
-		}
-		got, err := decodeValue(w)
-		if err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		if !term.Equal(v, got) {
-			t.Errorf("round trip %v -> %v", v, got)
+	got := roundTrip(t, vals...)
+	if got.badValue != nil || len(got.values) != len(vals) {
+		t.Fatalf("decoded %v, %v", got.values, got.badValue)
+	}
+	for i, v := range vals {
+		if !term.Equal(v, got.values[i]) {
+			t.Errorf("round trip %v -> %v", v, got.values[i])
 		}
 	}
 }
 
 func TestValueCodecIntExactProperty(t *testing.T) {
 	f := func(n int64) bool {
-		w, err := encodeValue(term.Int(n))
-		if err != nil {
-			return false
-		}
-		got, err := decodeValue(w)
-		return err == nil && term.Equal(got, term.Int(n))
+		got := roundTrip(t, term.Int(n))
+		return got.badValue == nil && len(got.values) == 1 && term.Equal(got.values[0], term.Int(n))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// A well-formed frame carrying a value term.DecodeJSON rejects fails the
+// call (badValue), not the line: the session survives it.
 func TestDecodeErrors(t *testing.T) {
-	if _, err := decodeValue(wireValue{T: "zz"}); err == nil {
-		t.Error("unknown tag should fail")
-	}
-	if _, err := decodeValue(wireValue{T: "i", S: "notanint"}); err == nil {
-		t.Error("bad int payload should fail")
+	for _, v := range []string{`{"t":"zz"}`, `{"t":"i","s":"notanint"}`} {
+		var in frameIn
+		err := decodeFrame(new(term.JSONReader), []byte(`{"op":"answers","id":1,"values":[`+v+`]}`+"\n"), &in)
+		if err != nil || in.badValue == nil {
+			t.Errorf("%s: err %v, badValue %v; want a bad value in a good frame", v, err, in.badValue)
+		}
 	}
 }
 
@@ -305,5 +322,46 @@ func TestClientAsRegistryDomain(t *testing.T) {
 	vals, err := domain.Collect(s)
 	if err != nil || len(vals) != 3 {
 		t.Errorf("vals = %v, %v", vals, err)
+	}
+}
+
+// Regression (an answer the wire cannot encode hung the caller): sources
+// can produce NaN and ±Inf (flat files and CSV parse them), which JSON
+// cannot carry. The failed answers frame used to be logged and counted
+// server-side while the client waited forever; now the value's own
+// encoding fails and the server sends an error frame naming it. Retrying
+// would hit the same value, so the error is not ErrUnavailable.
+func TestUnencodableAnswerFailsTheCall(t *testing.T) {
+	d := domaintest.New("num")
+	d.Define("gen", domaintest.Func{Arity: 0,
+		Fn: func([]term.Value) ([]term.Value, error) {
+			return []term.Value{term.Int(1), term.Float(math.NaN())}, nil
+		}})
+	ob := obs.NewObserver()
+	_, addr := startServerCfg(t, func(s *Server) { s.SetObserver(ob) }, d)
+	c := NewClient(addr, "num")
+	defer c.Close()
+	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := domain.Collect(s)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("call with a NaN answer never returned")
+	}
+	if err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("err = %v, want an error naming the NaN answer", err)
+	}
+	if errors.Is(err, domain.ErrUnavailable) {
+		t.Errorf("err = %v: a value the wire cannot carry is not an outage", err)
+	}
+	if n := ob.Counter("hermes_remote_send_errors_total", "frame", "answers").Value(); n != 0 {
+		t.Errorf("send_errors_total{frame=answers} = %d, want 0: the error frame went out", n)
 	}
 }

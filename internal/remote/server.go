@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/obs"
+	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
 
@@ -213,26 +213,26 @@ func (s *Server) handle(conn net.Conn) {
 	if s.HeaderTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.HeaderTimeout))
 	}
-	dec := json.NewDecoder(conn)
-	var first Frame
-	if err := dec.Decode(&first); err != nil {
+	in := newFrameReader(conn)
+	var first frameIn
+	if err := in.next(&first); err != nil {
 		s.Logf("remote: bad request from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	ss := &serverSession{srv: s, conn: conn, enc: json.NewEncoder(conn), calls: map[uint64]context.CancelFunc{}}
+	ss := &serverSession{srv: s, conn: conn, out: frameWriter{w: conn}, calls: map[uint64]context.CancelFunc{}}
 	switch {
 	case first.Op != OpHello:
 		// err + done are the keys a pre-v2 client decodes on its reply.
 		s.refused[refusedNotHello].Inc()
-		ss.send("error", Frame{Op: OpError, Done: true,
-			Err: fmt.Sprintf("first line has op %q, want hello: this server speaks only protocol version %d", first.Op, ProtocolVersion)})
+		ss.send("error", &Frame{Op: OpError, Done: true,
+			Err: fmt.Sprintf("first line has op %q, want hello: this server speaks only protocol version %d", first.Op, ProtocolVersion)}, nil)
 	case !versionSupported(first.Versions):
 		s.refused[refusedVersion].Inc()
-		ss.send("hello", Frame{Op: OpHello,
-			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", first.Versions, ProtocolVersion)})
+		ss.send("hello", &Frame{Op: OpHello,
+			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", first.Versions, ProtocolVersion)}, nil)
 	default:
-		s.serveSession(ss, dec, first)
+		s.serveSession(ss, in, first.Frame)
 	}
 }
 
@@ -265,13 +265,12 @@ func (s *Server) functionListing() map[string][]FnSpec {
 
 // serverSession is one multiplexed connection: a reader goroutine (the
 // handler itself) dispatches incoming frames, per-call goroutines stream
-// answers back through a write-mutexed encoder, and dropping the
-// connection — for any reason — cancels every in-flight call.
+// answers back through one frame writer, and dropping the connection —
+// for any reason — cancels every in-flight call.
 type serverSession struct {
 	srv  *Server
 	conn net.Conn
-	enc  *json.Encoder
-	wmu  sync.Mutex
+	out  frameWriter
 	// peerTrace records whether the client's hello advertised CapTrace:
 	// only then do calls grow serve spans and final trace frames.
 	peerTrace bool
@@ -280,13 +279,11 @@ type serverSession struct {
 	calls map[uint64]context.CancelFunc
 }
 
-// send writes one frame, routing failures through the send-error
-// accounting. Concurrent per-call streams serialize on the write mutex.
-func (ss *serverSession) send(what string, f Frame) bool {
-	ss.wmu.Lock()
-	err := ss.enc.Encode(f)
-	ss.wmu.Unlock()
-	if err != nil {
+// send writes one frame, values being its term.AppendJSON answer list,
+// routing failures through the send-error accounting. Concurrent per-call
+// streams serialize on the writer.
+func (ss *serverSession) send(what string, f *Frame, values []byte) bool {
+	if err := ss.out.write(f, nil, values); err != nil {
 		ss.srv.noteSendError(what, ss.conn.RemoteAddr(), err)
 		return false
 	}
@@ -346,10 +343,10 @@ func (ss *serverSession) cancelAll() {
 // requires: a dead or misbehaving client surfaces here as a read error
 // immediately — not at the next flush boundary — and cancels every
 // in-flight call.
-func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame) {
+func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	conn := ss.conn
 	ss.peerTrace = capSupported(hello.Caps, CapTrace)
-	if !ss.send("hello", Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}) {
+	if !ss.send("hello", &Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}, nil) {
 		return
 	}
 	s.sessions.Inc()
@@ -368,8 +365,8 @@ func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame)
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		var f frameIn
+		if err := in.next(&f); err != nil {
 			// EOF is the client hanging up; anything else (reset, idle
 			// deadline, malformed frame) also ends the session — JSON
 			// framing cannot resynchronize after garbage.
@@ -382,7 +379,7 @@ func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame)
 		case OpCall, OpResume:
 			cctx, ok := ss.register(f.ID)
 			if !ok {
-				ss.send("error", Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("call id %d already in flight", f.ID)})
+				ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("call id %d already in flight", f.ID)}, nil)
 				continue
 			}
 			if f.Op == OpResume {
@@ -395,28 +392,33 @@ func (s *Server) serveSession(ss *serverSession, dec *json.Decoder, hello Frame)
 			ss.cancel(f.ID)
 		case OpHeartbeat:
 			s.heartbeats.Inc()
-			ss.send("heartbeat", Frame{Op: OpHeartbeat, ID: f.ID})
+			ss.send("heartbeat", &Frame{Op: OpHeartbeat, ID: f.ID}, nil)
 		case OpFunctions:
-			go ss.send("functions", Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true})
+			go ss.send("functions", &Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true}, nil)
 		case OpDebug:
 			go s.serveDebug(ss, f.ID)
 		default:
-			ss.send("error", Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)})
+			ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)}, nil)
 		}
 	}
 }
 
 // serveCall runs one multiplexed call. The first answer is flushed in
 // its own frame immediately (first-answer-before-last-answer); later
-// answers travel in ChunkSize frames. A resume skips the Offset answers
-// the client already delivered. Cancellation — an explicit cancel frame or
-// the whole connection dropping — is checked between answers, aborting the
-// domain stream promptly even for trickling sources.
-func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
+// answers travel in ChunkSize frames. Each answer is encoded into its
+// frame's value list as the stream produces it, so one the wire cannot
+// carry (a NaN, an infinity) ends the call with an error frame naming it.
+// A resume skips the Offset answers the client already delivered.
+// Cancellation — an explicit cancel frame or the whole connection
+// dropping — is checked between answers, aborting the domain stream
+// promptly even for trickling sources.
+func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 	defer ss.finish(f.ID)
-	args, err := decodeValues(f.Args)
-	if err != nil {
-		ss.send("error", Frame{Op: OpError, ID: f.ID, Err: err.Error()})
+	fail := func(err error) {
+		ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)}, nil)
+	}
+	if f.badValue != nil {
+		fail(f.badValue)
 		return
 	}
 	ctx := domain.NewCtx(vclock.NewWall())
@@ -431,7 +433,7 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 		if f.Depth > s.TraceMaxDepth {
 			s.traceDroppedDepth.Inc()
 		} else {
-			span = obs.NewSpan(fmt.Sprintf("serve %s:%s", f.Domain, f.Function), ctx.Clock.Now())
+			span = obs.NewSpan("serve "+f.Domain+":"+f.Function, ctx.Clock.Now())
 			span.SetTag("node", s.NodeName)
 			ctx.Span = span
 			ctx.TraceID = f.TraceID
@@ -439,9 +441,9 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 		}
 	}
 	serveStart := ctx.Clock.Now()
-	stream, err := s.reg.Call(ctx, domain.Call{Domain: f.Domain, Function: f.Function, Args: args})
+	stream, err := s.reg.Call(ctx, domain.Call{Domain: f.Domain, Function: f.Function, Args: f.args})
 	if err != nil {
-		ss.send("error", Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)})
+		fail(err)
 		return
 	}
 	defer stream.Close()
@@ -449,10 +451,11 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 	sentFirst := false
 	produced := 0
 	var tFirst time.Duration
-	chunk := make([]wireValue, 0, s.ChunkSize)
+	var values []byte // the open frame's answer list, grown from empty
+	inFrame := 0
 	flush := func(done bool) bool {
-		ok := ss.send("answers", Frame{Op: OpAnswers, ID: f.ID, Values: chunk, Done: done})
-		chunk = chunk[:0]
+		ok := ss.send("answers", &Frame{Op: OpAnswers, ID: f.ID, Done: done}, values)
+		values, inFrame = values[:0], 0
 		return ok
 	}
 	for {
@@ -461,7 +464,7 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 		}
 		v, ok, err := stream.Next()
 		if err != nil {
-			ss.send("error", Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)})
+			fail(err)
 			return
 		}
 		if !ok {
@@ -485,13 +488,15 @@ func (s *Server) serveCall(ss *serverSession, f Frame, cctx context.Context) {
 			skip--
 			continue
 		}
-		wv, err := encodeValue(v)
-		if err != nil {
-			ss.send("error", Frame{Op: OpError, ID: f.ID, Err: err.Error()})
+		if inFrame > 0 {
+			values = append(values, ',')
+		}
+		if values, err = term.AppendJSON(values, v); err != nil {
+			fail(fmt.Errorf("answer %s: %w", v, err))
 			return
 		}
-		chunk = append(chunk, wv)
-		if !sentFirst || len(chunk) >= s.ChunkSize {
+		inFrame++
+		if !sentFirst || inFrame >= s.ChunkSize {
 			sentFirst = true
 			if !flush(false) {
 				return
@@ -511,7 +516,7 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 	if truncated {
 		s.traceTruncated.Inc()
 	}
-	ss.send("trace", Frame{Op: OpTrace, ID: id, Trace: payload})
+	ss.send("trace", &Frame{Op: OpTrace, ID: id, Trace: payload}, nil)
 }
 
 // serveDebug answers an OpDebug rollup request from the configured debug
@@ -520,13 +525,13 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 func (s *Server) serveDebug(ss *serverSession, id uint64) {
 	fn := s.debugFn()
 	if fn == nil {
-		ss.send("debug", Frame{Op: OpDebug, ID: id, Err: "debug rollup not configured on this node", Done: true})
+		ss.send("debug", &Frame{Op: OpDebug, ID: id, Err: "debug rollup not configured on this node", Done: true}, nil)
 		return
 	}
 	payload, err := fn()
 	if err != nil {
-		ss.send("debug", Frame{Op: OpDebug, ID: id, Err: err.Error(), Done: true})
+		ss.send("debug", &Frame{Op: OpDebug, ID: id, Err: err.Error(), Done: true}, nil)
 		return
 	}
-	ss.send("debug", Frame{Op: OpDebug, ID: id, Debug: payload, Done: true})
+	ss.send("debug", &Frame{Op: OpDebug, ID: id, Debug: payload, Done: true}, nil)
 }

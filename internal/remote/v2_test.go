@@ -352,8 +352,8 @@ func TestSendErrorsLoggedAndCounted(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	ss := &serverSession{srv: srv, conn: server, enc: json.NewEncoder(failingWriter{}), calls: map[uint64]context.CancelFunc{}}
-	if ss.send("error", Frame{Op: OpError, ID: 1, Err: "x"}) {
+	ss := &serverSession{srv: srv, conn: server, out: frameWriter{w: failingWriter{}}, calls: map[uint64]context.CancelFunc{}}
+	if ss.send("error", &Frame{Op: OpError, ID: 1, Err: "x"}, nil) {
 		t.Fatal("send on a broken writer should report failure")
 	}
 	if logged != 1 {

@@ -6,7 +6,12 @@ import (
 )
 
 // FuzzDecodeJSON: arbitrary JSON must never panic the value decoder, and
-// anything it accepts must re-encode and decode to an equal value.
+// anything it accepts must re-encode and decode to an equal value. The
+// hand-written reader is held to encoding/json + DecodeJSON: whatever it
+// accepts, they accept as an equal value (it may reject more: a repeated
+// key, a null; keys differing only in case are the documented divergence),
+// and what AppendJSON writes for that value is what
+// json.Marshal writes.
 func FuzzDecodeJSON(f *testing.F) {
 	for _, s := range []string{
 		`{"t":"s","s":"x"}`,
@@ -23,13 +28,32 @@ func FuzzDecodeJSON(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var r JSONReader
+		r.Reset(raw)
+		hv, herr := r.Value()
+		handOK := herr == nil && r.End() == nil
+
+		// Where a key matches a field only case-insensitively, encoding/json
+		// and the hand reader part ways by design.
+		var tree any
+		folded := json.Unmarshal(raw, &tree) == nil &&
+			foldedKey(tree, "t", "s", "f", "b", "l", "r", "n", "v")
 		var w JSONValue
 		if err := json.Unmarshal(raw, &w); err != nil {
+			if handOK && !folded {
+				t.Fatalf("hand reader accepted %q as %s; encoding/json: %v", raw, hv, err)
+			}
 			return
 		}
 		v, err := DecodeJSON(w)
 		if err != nil {
+			if handOK && !folded {
+				t.Fatalf("hand reader accepted %q as %s; DecodeJSON: %v", raw, hv, err)
+			}
 			return
+		}
+		if handOK && !folded && !Equal(hv, v) {
+			t.Fatalf("%q: hand reader %s, encoding/json %s", raw, hv, v)
 		}
 		w2, err := EncodeJSON(v)
 		if err != nil {
@@ -41,6 +65,11 @@ func FuzzDecodeJSON(f *testing.F) {
 		}
 		if !Equal(v, v2) {
 			t.Fatalf("round trip changed value: %s -> %s", v, v2)
+		}
+		text, err := AppendJSON(nil, v)
+		want, _ := json.Marshal(w2)
+		if err != nil || string(text) != string(want) {
+			t.Fatalf("%s: AppendJSON %s, %v; json.Marshal %s", v, text, err, want)
 		}
 	})
 }

@@ -2,7 +2,9 @@ package term
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,4 +121,79 @@ func TestJSONSlices(t *testing.T) {
 	if _, err := DecodeJSONs([]JSONValue{{T: "zz"}}); err == nil {
 		t.Error("bad element must fail")
 	}
+}
+
+// wireCorpus adds to equalCorpus the values whose JSON text is delicate:
+// escapes, HTML characters, control and invalid UTF-8 bytes, U+2028, the
+// float format's 'e' cutoffs, and the non-finite floats no JSON text holds.
+func wireCorpus() []Value {
+	vals := equalCorpus()
+	for _, s := range []string{"<a&b>", "\x00\x1f\x7f", "\b\f\n\r\t", "\u2028\u2029", "日本", "\xed\xa0\x80", "a\xffb\xc3"} {
+		vals = append(vals, Str(s), NewRecord(Field{s, Str(s)}))
+	}
+	for _, f := range []float64{1e-6, 9.99e-7, 1e20, 1e21, 123.456, -2.5e-8, 5e-324, math.MaxFloat64, -1e300} {
+		vals = append(vals, Float(f), Tuple{Float(f)})
+	}
+	return append(vals, Tuple{Int(1), Float(math.NaN())}, NewRecord(Field{"x", Float(math.Inf(-1))}))
+}
+
+// TestAppendJSONMatchesMarshal: the hand-written value encoder writes
+// exactly the bytes json.Marshal writes for EncodeJSON's form, fails
+// exactly where it fails, and JSONReader.Value reads the text back to the
+// value encoding/json reads from it.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	vals := wireCorpus()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		vals = append(vals, genValue(rng, 3))
+	}
+	var r JSONReader
+	for _, v := range vals {
+		got, err := AppendJSON(nil, v)
+		w, _ := EncodeJSON(v)
+		want, werr := json.Marshal(w)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: AppendJSON err %v, json.Marshal err %v", v, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s:\n got %s\nwant %s", v, got, want)
+		}
+		var w2 JSONValue
+		json.Unmarshal(want, &w2)
+		sent, _ := DecodeJSON(w2) // v, but -0 arrives as 0: omitempty drops it
+		r.Reset(got)
+		back, err := r.Value()
+		if end := r.End(); err != nil || end != nil || !Equal(back, sent) {
+			t.Fatalf("%s: read back %v, %v, %v", v, back, err, end)
+		}
+	}
+}
+
+// foldedKey reports whether a decoded JSON tree holds an object key that
+// is not one of names but matches one case-insensitively: there
+// encoding/json and the exact-key hand decoder part ways by design.
+func foldedKey(v any, names ...string) bool {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			for _, n := range names {
+				if k != n && strings.EqualFold(k, n) {
+					return true
+				}
+			}
+			if foldedKey(e, names...) {
+				return true
+			}
+		}
+	case []any:
+		for _, e := range x {
+			if foldedKey(e, names...) {
+				return true
+			}
+		}
+	}
+	return false
 }
