@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"slices"
 	"strings"
+
+	"hermes/internal/term"
 )
 
 // Tag is one outcome tag of a span (cim=exact, breaker=open, ...).
@@ -43,41 +44,57 @@ func (t Tags) MarshalJSON() ([]byte, error) {
 	if t == nil {
 		return []byte("null"), nil
 	}
-	b := []byte{'{'}
+	return t.appendJSON(nil), nil
+}
+
+// appendJSON writes t as the object of a map: keys in order, strings
+// HTML-escaped.
+func (t Tags) appendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i, kv := range t {
 		if i > 0 {
-			b = append(b, ',')
+			dst = append(dst, ',')
 		}
-		b = append(appendJSONString(b, kv.K), ':')
-		b = appendJSONString(b, kv.V)
+		dst = append(term.AppendJSONString(dst, kv.K), ':')
+		dst = term.AppendJSONString(dst, kv.V)
 	}
-	return append(b, '}'), nil
+	return append(dst, '}')
 }
 
-// appendJSONString quotes s; one that needs an escape goes to encoding/json.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
-			q, _ := json.Marshal(s) // a string cannot fail to marshal
-			return append(dst, q...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
-}
-
-// UnmarshalJSON accepts what a map[string]string accepts by decoding
-// through one: duplicate keys, null values, escapes and type errors are
-// treated as they were. null leaves t untouched, {} makes it empty.
+// UnmarshalJSON accepts what a map[string]string accepts: a repeated key
+// keeps its last value, a null value is "", a value of another type is an
+// error. null leaves t untouched, {} makes it empty.
 func (t *Tags) UnmarshalJSON(b []byte) error {
-	var m map[string]string
-	if err := json.Unmarshal(b, &m); err != nil || m == nil {
+	var r term.JSONReader
+	r.Reset(b)
+	if r.Null() {
+		return r.End()
+	}
+	out := readTags(&r)
+	if err := r.End(); err != nil {
 		return err
 	}
-	out := make(Tags, 0, len(m))
-	for k, v := range m {
-		out = append(out, Tag{k, v})
-	}
-	slices.SortFunc(out, func(a, b Tag) int { return strings.Compare(a.K, b.K) })
 	*t = out
 	return nil
+}
+
+// readTags reads a non-null tags object.
+func readTags(r *term.JSONReader) Tags {
+	var t Tags
+	for more := r.Open('{'); more; more = r.More('}') {
+		k := string(r.Key())
+		v := ""
+		if !r.Null() {
+			v = r.Str()
+		}
+		if n := len(t); n == 0 || t[n-1].K < k {
+			t = append(t, Tag{k, v}) // in order, as encoded: sized to fit
+		} else {
+			t = t.set(k, v)
+		}
+	}
+	if t == nil {
+		t = Tags{}
+	}
+	return t
 }

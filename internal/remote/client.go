@@ -492,7 +492,7 @@ func (s *session) failure() error {
 }
 
 // send writes one frame, args being its term.AppendJSON argument list.
-// Concurrent calls serialize on the writer; a write failure kills the
+// Concurrent calls coalesce on the writer; a write failure kills the
 // whole session (the connection is broken).
 func (s *session) send(what string, f *Frame, args []byte) bool {
 	if err := s.out.write(f, args, nil); err != nil {

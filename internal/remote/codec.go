@@ -21,30 +21,101 @@ import (
 // which shares no code with them.
 
 // frameWriter writes whole frames, one line each, from many goroutines
-// onto one connection.
+// onto one connection, coalescing them: a frame encoded while another
+// goroutine's Write is in flight joins the pending buffer, and its sender
+// waits for that write to end, then writes everything pending as one
+// batch — or finds that another waiting sender already has. Each sender
+// waits for at most the write in flight and its own batch, never for a
+// clock or for frames queued after its own. The first write error sticks:
+// every frame not yet written, and every later write or queue, reports it.
 type frameWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte // the line being written, kept for the next one
+	mu      sync.Mutex
+	w       io.Writer
+	pending []byte // frames encoded and not yet handed to w
+	spare   []byte // a written batch's buffer, kept for the next one
+	writing bool   // a batch's Write is in flight
+	// started and written count the batches handed to w and returned
+	// from it; a frame leaves in batch started+1 of the moment it is
+	// encoded.
+	started, written uint64
+	err              error
+	wrote            sync.Cond // a batch was taken or written, or the writer failed
 }
 
-// maxKeptLine bounds the line buffer a writer keeps between frames.
+// maxKeptLine bounds the buffer a writer keeps between batches.
 const maxKeptLine = 64 << 10
 
+// maxPending bounds the bytes queued behind an in-flight write: past it a
+// caller waits until the writer takes them, so a peer that stops reading
+// blocks its senders instead of growing the queue.
+const maxPending = 256 << 10
+
 // write encodes f, with the given term.AppendJSON lists as its args and
-// values, and writes the line.
+// values, and returns once it has been written together with every frame
+// queued before it.
 func (w *frameWriter) write(f *Frame, args, values []byte) error {
+	return w.put(f, args, values, true)
+}
+
+// queue encodes f to leave with the next write.
+func (w *frameWriter) queue(f *Frame, args, values []byte) error {
+	return w.put(f, args, values, false)
+}
+
+func (w *frameWriter) put(f *Frame, args, values []byte, flush bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	line, err := appendFrame(w.buf[:0], f, args, values)
+	if w.wrote.L == nil {
+		w.wrote.L = &w.mu
+	}
+	for w.err == nil && w.writing && len(w.pending) >= maxPending {
+		w.wrote.Wait()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	line, err := appendFrame(w.pending, f, args, values)
 	if err != nil {
+		w.pending = line[:len(w.pending)] // drop what was encoded of f
 		return err
 	}
-	if cap(line) <= maxKeptLine {
-		w.buf = line
+	w.pending = line
+	if !flush {
+		return nil
 	}
-	_, err = w.w.Write(line)
-	return err
+	for batch := w.started + 1; w.err == nil && w.written < batch; {
+		if w.writing {
+			w.wrote.Wait()
+		} else {
+			w.writeBatch()
+		}
+	}
+	return w.err
+}
+
+// writeBatch hands everything pending to w, unlocking around the Write.
+func (w *frameWriter) writeBatch() {
+	batch := w.pending
+	w.pending, w.spare = w.spare, nil
+	w.writing = true
+	w.started++
+	w.wrote.Broadcast() // the queue has room again
+	w.mu.Unlock()
+	_, err := w.w.Write(batch)
+	w.mu.Lock()
+	w.writing = false
+	w.written++
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	if cap(batch) <= maxKeptLine {
+		if len(w.pending) == 0 {
+			w.pending = batch[:0]
+		} else {
+			w.spare = batch[:0]
+		}
+	}
+	w.wrote.Broadcast()
 }
 
 // appendFrame appends f as the line json.NewEncoder(w).Encode(f) writes,

@@ -41,6 +41,23 @@
 // server ends that call with an error frame naming it (not unavailable:
 // a retry would hit the same value).
 //
+// Writes coalesce. Each connection has one frame writer: a frame encoded
+// while another goroutine's Write is in flight joins the pending buffer,
+// and its sender waits for that write, then writes everything pending as
+// one batch (or finds another waiting sender has). A sender waits for at
+// most the write in flight and its own batch, never for a clock, and never
+// writes frames queued after its own, so the session read loop's inline
+// heartbeat echo cannot keep it from reading a cancel. The server queues a
+// call's trace frame and writes it with the done frame behind it. The
+// first answer is never held: it is written at once, or right after the
+// write in flight. The queue is bounded (maxPending): past it senders wait
+// for the writer, so a peer that stops reading blocks them instead of
+// growing memory. A write error is sticky: every frame not yet written
+// reports it to its sender, as does every later write or queue, so
+// hermes_remote_send_errors_total counts it once per lost frame under that
+// frame's own label; a queued trace frame's loss is reported by the done
+// frame written after it.
+//
 // The client's session reader never blocks on a call: each in-flight call
 // has a slot that grows from empty and holds what arrived until the call
 // reads it. A call's undelivered answers are therefore buffered in full —

@@ -281,7 +281,7 @@ type serverSession struct {
 
 // send writes one frame, values being its term.AppendJSON answer list,
 // routing failures through the send-error accounting. Concurrent per-call
-// streams serialize on the writer.
+// streams coalesce on the writer.
 func (ss *serverSession) send(what string, f *Frame, values []byte) bool {
 	if err := ss.out.write(f, nil, values); err != nil {
 		ss.srv.noteSendError(what, ss.conn.RemoteAddr(), err)
@@ -469,8 +469,9 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 		}
 		if !ok {
 			// Complete stream: close the serve span with its measured
-			// [Tf,Ta,Card] actual and ship the subtree before the done
-			// frame, so the caller stitches before the call resolves.
+			// [Tf,Ta,Card] actual and queue the subtree ahead of the done
+			// frame — one write carries both — so the caller stitches
+			// before the call resolves.
 			if span != nil {
 				now := ctx.Clock.Now()
 				span.SetActual(obs.Cost{TFirst: tFirst, TAll: now - serveStart, Card: float64(produced)})
@@ -506,8 +507,8 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 }
 
 // sendTrace encodes the serve span subtree within the configured byte
-// budget (pruning depth-first, tagging truncation) and ships it as the
-// call's trace frame.
+// budget (pruning depth-first, tagging truncation) and queues it as the
+// call's trace frame, to leave in one write with the done frame after it.
 func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 	payload, truncated, ok := obs.TruncateSpanJSON(span.Snapshot(), s.TraceMaxSubtreeBytes)
 	if !ok {
@@ -516,7 +517,9 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 	if truncated {
 		s.traceTruncated.Inc()
 	}
-	ss.send("trace", &Frame{Op: OpTrace, ID: id, Trace: payload}, nil)
+	if err := ss.out.queue(&Frame{Op: OpTrace, ID: id, Trace: payload}, nil, nil); err != nil {
+		s.noteSendError("trace", ss.conn.RemoteAddr(), err)
+	}
 }
 
 // serveDebug answers an OpDebug rollup request from the configured debug

@@ -135,7 +135,7 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 		}
 		dst = append(dst, `{"t":"f"`...)
 		if f != 0 { // omitempty drops -0 too
-			dst = appendJSONFloat(append(dst, `,"f":`...), f)
+			dst = AppendJSONFloat(append(dst, `,"f":`...), f)
 		}
 	case Bool:
 		dst = append(dst, `{"t":"b"`...)
@@ -184,10 +184,10 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendJSONFloat formats f the way encoding/json does: like
+// AppendJSONFloat formats f the way encoding/json does: like
 // strconv's shortest 'f', switching to 'e' outside [1e-6, 1e21), with the
 // exponent's leading zero dropped.
-func appendJSONFloat(dst []byte, f float64) []byte {
+func AppendJSONFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -278,7 +278,7 @@ func (r *JSONReader) Value() (Value, error) {
 		case "s":
 			bit, s = 2, r.Text()
 		case "f":
-			bit, f = 4, r.float()
+			bit, f = 4, r.Float()
 		case "b":
 			bit, b = 8, r.Bool()
 		case "l":

@@ -55,6 +55,9 @@ func (r *JSONReader) ws() byte {
 	return 0
 }
 
+// Err returns the first error, if one has stuck.
+func (r *JSONReader) Err() error { return r.err }
+
 // End checks that only whitespace follows and returns the first error.
 func (r *JSONReader) End() error {
 	if r.ws(); r.pos != len(r.data) {
@@ -75,14 +78,15 @@ func (r *JSONReader) Open(open byte) bool {
 		return false
 	}
 	r.pos++
+	if r.depth+1 > maxJSONDepth { // an empty container counts, as in encoding/json
+		r.fail("exceeded max depth")
+		return false
+	}
 	if close := open + 2; r.ws() == close { // '{'+2 is '}', '['+2 is ']'
 		r.pos++
 		return false
 	}
-	if r.depth++; r.depth > maxJSONDepth {
-		r.fail("exceeded max depth")
-		return false
-	}
+	r.depth++
 	return true
 }
 
@@ -322,8 +326,8 @@ func (r *JSONReader) Uint() uint64 {
 	return n
 }
 
-// float reads a number that must fit a float64.
-func (r *JSONReader) float() float64 {
+// Float reads a number that must fit a float64.
+func (r *JSONReader) Float() float64 {
 	lit := r.number()
 	if r.err != nil {
 		return 0
