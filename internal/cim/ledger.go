@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"hermes/internal/domain"
 	"hermes/internal/lang"
+	"hermes/internal/obs"
 )
 
 // ExactKey is the ledger attribution key for exact cache hits (hits
@@ -171,7 +171,7 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	if withSavings {
 		saved = m.avoidedCost(call, e)
 		m.savedNS.Add(int64(saved))
-		ctx.Span.SetTag("cim.saved_ms", strconv.FormatFloat(float64(saved)/float64(time.Millisecond), 'f', 1, 64))
+		ctx.Span.SetTag("cim.saved_ms", obs.FormatMillis(saved))
 	}
 	m.ledger.credit(invKey, e.key, saved)
 }

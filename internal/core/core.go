@@ -548,7 +548,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 	if detail.Inflated+detail.ColdInflated > 0 {
 		// The winning estimate carries q-error (or cold-start) inflation:
 		// record the largest factor applied to any of its calls.
-		pc.SetTag("cal.inflate", fmt.Sprintf("%.2f", detail.MaxInflation))
+		pc.SetTag("cal.inflate", obs.FormatFixed(detail.MaxInflation, 2))
 		s.inflationApplied.Inc()
 	}
 	if detail.MemoHits > 0 {
@@ -560,7 +560,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 		grade, worst := s.Obs.Calibration.PlanGrade(planFunctions(best))
 		pc.SetTag("calibration", grade)
 		if grade != "cold" {
-			pc.SetTag("calibration.qerr", fmt.Sprintf("%.2f", worst))
+			pc.SetTag("calibration.qerr", obs.FormatFixed(worst, 2))
 		}
 	}
 	pc.End(ctx.Clock.Now())

@@ -59,28 +59,38 @@ type Call struct {
 // Key returns a canonical encoding of the call, used as the unique index of
 // cache entries and statistics records.
 func (c Call) Key() string {
-	var b strings.Builder
-	b.WriteString(c.Domain)
-	b.WriteByte(':')
-	b.WriteString(c.Function)
-	b.WriteByte('(')
+	var buf [callBuf]byte
+	b := append(append(append(buf[:0], c.Domain...), ':'), c.Function...)
+	b = append(b, '(')
 	for i, a := range c.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(a.Key())
+		b = term.AppendKey(b, a)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return string(append(b, ')'))
 }
 
+// callBuf is the stack buffer a call's key or name is built in before its
+// one copy into a string; a longer one grows on the heap.
+const callBuf = 128
+
 // String renders the call in source syntax.
-func (c Call) String() string {
-	parts := make([]string, len(c.Args))
+func (c Call) String() string { return c.Prefixed("") }
+
+// Prefixed returns prefix followed by c.String(), built in one buffer.
+func (c Call) Prefixed(prefix string) string {
+	var buf [callBuf]byte
+	dst := append(append(buf[:0], prefix...), c.Domain...)
+	dst = append(append(dst, ':'), c.Function...)
+	dst = append(dst, '(')
 	for i, a := range c.Args {
-		parts[i] = a.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = term.AppendString(dst, a)
 	}
-	return c.Domain + ":" + c.Function + "(" + strings.Join(parts, ", ") + ")"
+	return string(append(dst, ')'))
 }
 
 // PatternArg is one argument of a call pattern: either a known constant or

@@ -33,6 +33,29 @@ func TestCallString(t *testing.T) {
 	}
 }
 
+// TestCallKeyAllocsPer: a call over string and integer arguments builds
+// its key and its name with one allocation each, the string itself.
+func TestCallKeyAllocsPer(t *testing.T) {
+	c := Call{Domain: "ingres", Function: "equal",
+		Args: []term.Value{term.Str("cast"), term.Str("role"), term.Str("it's"), term.Int(-47)}}
+	if got, want := c.Key(), `ingres:equal(s"cast",s"role",s"it's",i-47)`; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	if got, want := c.String(), `ingres:equal('cast', 'role', 'it\'s', -47)`; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	plain := Call{Domain: "avis", Function: "frames_to_objects",
+		Args: []term.Value{term.Str("rope"), term.Int(4), term.Int(47)}}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = plain.Key() }); n != 1 {
+		t.Errorf("Key allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s = plain.String() }); n != 1 {
+		t.Errorf("String allocates %v times, want 1", n)
+	}
+	_ = s
+}
+
 func TestPatternOfAndRelax(t *testing.T) {
 	c := Call{Domain: "d", Function: "f", Args: []term.Value{term.Str("a"), term.Int(2)}}
 	p := PatternOf(c)

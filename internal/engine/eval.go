@@ -250,7 +250,7 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	}
 	call := domain.Call{Domain: l.Call.Domain, Function: l.Call.Function, Args: args}
 	issuedAt := ctx.Clock.Now()
-	span := ctx.Span.Child("call "+call.String(), issuedAt)
+	span := ctx.Span.Child(call.Prefixed("call "), issuedAt)
 	span.SetTag("route", route.String())
 	if e.cfg.EstimateCall != nil {
 		if cv, ok := e.cfg.EstimateCall(call, route); ok {

@@ -17,7 +17,6 @@ package engine
 // identically for cached answers.
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -77,7 +76,7 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom
 		now := ctx.Clock.Now()
 		span := ctx.Span.Child("memo "+pk.String(), now)
 		span.SetTag("memo", "hit")
-		span.SetTag("memo.saved_ms", fmt.Sprintf("%.1f", float64(res.Entry.Cost.TAll)/float64(time.Millisecond)))
+		span.SetTag("memo.saved_ms", obs.FormatMillis(res.Entry.Cost.TAll))
 		// An enclosing fill inherits the entry's inputs: its relation now
 		// depends on the same domain calls.
 		if note := ctx.CallNote; note != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical token kinds.
@@ -74,39 +75,56 @@ type token struct {
 	col  int
 }
 
-// lexer tokenizes mediator language source.
+// lexer tokenizes mediator language source. It reads the source string
+// in place: pos is a byte offset, runes are decoded as they are read (an
+// invalid byte reads as U+FFFD, as converting to []rune makes it), and a
+// token's text is a substring of the source unless it is a string literal
+// holding an escape or an invalid byte. line and col count runes.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (lx *lexer) errorf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
+// decode returns the rune at byte offset p and its width; 0, 0 past the end.
+func (lx *lexer) decode(p int) (rune, int) {
+	if p >= len(lx.src) {
+		return 0, 0
 	}
-	return lx.src[lx.pos]
+	if c := lx.src[p]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(lx.src[p:])
 }
 
+func (lx *lexer) peek() rune {
+	r, _ := lx.decode(lx.pos)
+	return r
+}
+
+// peekAt returns the rune off runes ahead of the current one.
 func (lx *lexer) peekAt(off int) rune {
-	if lx.pos+off >= len(lx.src) {
-		return 0
+	p := lx.pos
+	for ; off > 0; off-- {
+		_, n := lx.decode(p)
+		p += n
 	}
-	return lx.src[lx.pos+off]
+	r, _ := lx.decode(p)
+	return r
 }
 
 func (lx *lexer) advance() rune {
-	r := lx.src[lx.pos]
-	lx.pos++
+	r, n := lx.decode(lx.pos)
+	lx.pos += n
 	if r == '\n' {
 		lx.line++
 		lx.col = 1
@@ -199,41 +217,54 @@ func (lx *lexer) next() (token, error) {
 }
 
 func (lx *lexer) scanOperator(mk func(tokenKind, string) token) (token, error) {
+	start := lx.pos
 	r := lx.advance()
-	two := string(r)
-	if n := lx.peek(); n == '=' || n == '>' || n == '<' {
-		two += string(n)
-	}
-	switch two {
-	case "=>":
+	switch n := lx.peek(); {
+	case r == '=' && n == '>':
 		lx.advance()
 		return mk(tokImplies, "=>"), nil
-	case "==", "!=", "<>", "<=", ">=", "=<":
+	case n == '=' || (r == '<' && n == '>') || (r == '=' && n == '<'):
 		lx.advance()
-		return mk(tokRelOp, two), nil
+		return mk(tokRelOp, lx.src[start:lx.pos]), nil
 	}
 	switch r {
 	case '=', '<', '>':
-		return mk(tokRelOp, string(r)), nil
+		return mk(tokRelOp, lx.src[start:lx.pos]), nil
 	}
 	return token{}, lx.errorf(mk(0, "").line, mk(0, "").col, "unexpected character %q", r)
 }
 
+// scanString returns the literal as a substring of the source until it
+// meets an escape or an invalid byte; from there on it builds the text.
 func (lx *lexer) scanString(mk func(tokenKind, string) token) (token, error) {
 	quote := lx.advance()
-	var b strings.Builder
+	start := lx.pos
+	var b *strings.Builder
 	for {
 		if lx.pos >= len(lx.src) {
 			t := mk(tokString, "")
 			return token{}, lx.errorf(t.line, t.col, "unterminated string")
 		}
-		r := lx.advance()
+		at := lx.pos
+		r, n := lx.decode(at)
+		if b == nil {
+			if r == quote {
+				lx.advance()
+				return mk(tokString, lx.src[start:at]), nil
+			}
+			if r != '\\' && (r != utf8.RuneError || n > 1) {
+				lx.advance()
+				continue
+			}
+			b = new(strings.Builder)
+			b.WriteString(lx.src[start:at])
+		}
+		lx.advance()
 		if r == quote {
-			break
+			return mk(tokString, b.String()), nil
 		}
 		if r == '\\' && lx.pos < len(lx.src) {
-			esc := lx.advance()
-			switch esc {
+			switch esc := lx.advance(); esc {
 			case 'n':
 				b.WriteRune('\n')
 			case 't':
@@ -245,25 +276,24 @@ func (lx *lexer) scanString(mk func(tokenKind, string) token) (token, error) {
 		}
 		b.WriteRune(r)
 	}
-	return mk(tokString, b.String()), nil
 }
 
 func (lx *lexer) scanNumber(mk func(tokenKind, string) token) (token, error) {
-	var b strings.Builder
+	start := lx.pos
 	if lx.peek() == '-' {
-		b.WriteRune(lx.advance())
+		lx.advance()
 	}
 	for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-		b.WriteRune(lx.advance())
+		lx.advance()
 	}
 	isFloat := false
 	// A '.' is part of the number only when followed by a digit; otherwise it
 	// is the statement terminator (e.g. "q(142)." ).
 	if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
 		isFloat = true
-		b.WriteRune(lx.advance())
+		lx.advance()
 		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-			b.WriteRune(lx.advance())
+			lx.advance()
 		}
 	}
 	// An exponent may follow either form ("1.5e3", "1e+06") when a digit
@@ -272,19 +302,19 @@ func (lx *lexer) scanNumber(mk func(tokenKind, string) token) (token, error) {
 		n1, n2 := lx.peekAt(1), lx.peekAt(2)
 		if unicode.IsDigit(n1) || ((n1 == '+' || n1 == '-') && unicode.IsDigit(n2)) {
 			isFloat = true
-			b.WriteRune(lx.advance()) // e
+			lx.advance() // e
 			if lx.peek() == '+' || lx.peek() == '-' {
-				b.WriteRune(lx.advance())
+				lx.advance()
 			}
 			for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-				b.WriteRune(lx.advance())
+				lx.advance()
 			}
 		}
 	}
 	if isFloat {
-		return mk(tokFloat, b.String()), nil
+		return mk(tokFloat, lx.src[start:lx.pos]), nil
 	}
-	return mk(tokInt, b.String()), nil
+	return mk(tokInt, lx.src[start:lx.pos]), nil
 }
 
 // scanWord scans identifiers and variables. Variables may carry an
@@ -294,21 +324,19 @@ func (lx *lexer) scanNumber(mk func(tokenKind, string) token) (token, error) {
 // identifier or digit belonging to the same variable reference, because
 // attribute access requires no intervening whitespace).
 func (lx *lexer) scanWord(mk func(tokenKind, string) token) (token, error) {
-	var b strings.Builder
+	start := lx.pos
 	first := lx.advance()
-	b.WriteRune(first)
 	for lx.pos < len(lx.src) && isIdentRune(lx.peek()) {
-		b.WriteRune(lx.advance())
+		lx.advance()
 	}
-	isVar := isVarStart(first)
-	if isVar {
+	if isVarStart(first) {
 		for lx.peek() == '.' && (isIdentRune(lx.peekAt(1)) || unicode.IsDigit(lx.peekAt(1))) {
-			b.WriteRune(lx.advance()) // '.'
+			lx.advance() // '.'
 			for lx.pos < len(lx.src) && isIdentRune(lx.peek()) {
-				b.WriteRune(lx.advance())
+				lx.advance()
 			}
 		}
-		return mk(tokVar, b.String()), nil
+		return mk(tokVar, lx.src[start:lx.pos]), nil
 	}
-	return mk(tokIdent, b.String()), nil
+	return mk(tokIdent, lx.src[start:lx.pos]), nil
 }

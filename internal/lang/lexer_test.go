@@ -1,7 +1,10 @@
 package lang
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // lexKinds tokenizes src and returns the token kinds (minus EOF).
@@ -172,4 +175,312 @@ func TestLexUnicodeIdentifiers(t *testing.T) {
 	if kinds[0] != tokVar {
 		t.Errorf("Ärger kind = %v, want var", kinds[0])
 	}
+}
+
+// refLexAll is lexAll over refLexer.
+func refLexAll(src string) ([]token, error) {
+	lx := newRefLexer(src)
+	var toks []token
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// FuzzLexer: lexAll, which slices the source string, yields exactly the
+// tokens — kinds, texts, lines, columns — and the error text of the
+// rune-slice lexer it replaced.
+func FuzzLexer(f *testing.F) {
+	for _, s := range []string{
+		// FuzzParseProgram's corpus
+		"p(X).",
+		"m(A, C) :- p(A, B), q(B, C).",
+		"p(A, B) :- in($ans, d1:p_ff()), =($ans.1, A), =($ans.2, B).",
+		"Dist > 142 => spatial:range('map1', X, Y, Dist) = spatial:range('points', X, Y, 142).",
+		"V1 <= V2 => relation:select_lt(T, A, V2) >= relation:select_lt(T, A, V1).",
+		"q(142).",
+		"v(Y) :- X = 'k', in(Y, d:f(X)).",
+		"p('unterminated",
+		"p(A :- q(A).",
+		"% comment only",
+		"?-",
+		"=>",
+		"p(1.5e3, -2, true, false, 'str', X.a.b).",
+		"\x00\x01\x02",
+		"p(((((",
+		"a :- b & c & d & e.",
+		// escapes, invalid UTF-8, non-ASCII letters and digits, operators
+		`'it\'s' "tab\there" 'a\nb' 'q\"' "\\"`, `'end\`, "'a\\",
+		"'bad \xff byte' 'x\xc3' '\xe2\x82' 'é\\\xff'", "\xff", "p(\xc3)", "'\xe2\x82",
+		"'\xef\xbf\xbd'", "\xef\xbf\xbd",
+		"café(Ärger, ٣٤, 1٢.5e٣) :- Ünï.ä.1 != 'ñ'.",
+		"a <> b =< c == d >= e <= f < g > h => i :- j ?- k != l",
+		"x !> y", "x !< y", "x ! y",
+		"1east 1e+5 -4e-2 2E3 3..4 5.e", "1e+", "-x",
+		"// line\n# hash\n%pct\r\n\tp .\n  q", "p.\n  @",
+		"\u2028p\u00a0(X)\u3000.",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		got, gotErr := lexAll(src)
+		want, wantErr := refLexAll(src)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("lex %q: error %v, reference %v", src, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("lex %q: %d tokens, reference %d\n%v\n%v", src, len(got), len(want), got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("lex %q: token %d = %+v, reference %+v", src, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// refLexer is the rune-slice lexer lexAll replaced, kept verbatim (renamed)
+// as FuzzLexer's reference: it tokenizes mediator language source.
+type refLexer struct {
+	src  []rune
+	pos  int
+	line int
+	col  int
+}
+
+func newRefLexer(src string) *refLexer {
+	return &refLexer{src: []rune(src), line: 1, col: 1}
+}
+
+func (lx *refLexer) errorf(line, col int, format string, args ...any) error {
+	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
+}
+
+func (lx *refLexer) peek() rune {
+	if lx.pos >= len(lx.src) {
+		return 0
+	}
+	return lx.src[lx.pos]
+}
+
+func (lx *refLexer) peekAt(off int) rune {
+	if lx.pos+off >= len(lx.src) {
+		return 0
+	}
+	return lx.src[lx.pos+off]
+}
+
+func (lx *refLexer) advance() rune {
+	r := lx.src[lx.pos]
+	lx.pos++
+	if r == '\n' {
+		lx.line++
+		lx.col = 1
+	} else {
+		lx.col++
+	}
+	return r
+}
+
+func refIsIdentStart(r rune) bool {
+	return unicode.IsLetter(r) || r == '_' || r == '$'
+}
+
+func refIsIdentRune(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+}
+
+func refIsVarStart(r rune) bool {
+	return unicode.IsUpper(r) || r == '_' || r == '$'
+}
+
+func (lx *refLexer) skipSpaceAndComments() {
+	for lx.pos < len(lx.src) {
+		r := lx.peek()
+		switch {
+		case unicode.IsSpace(r):
+			lx.advance()
+		case r == '%' || r == '#':
+			for lx.pos < len(lx.src) && lx.peek() != '\n' {
+				lx.advance()
+			}
+		case r == '/' && lx.peekAt(1) == '/':
+			for lx.pos < len(lx.src) && lx.peek() != '\n' {
+				lx.advance()
+			}
+		default:
+			return
+		}
+	}
+}
+
+// next scans the next token.
+func (lx *refLexer) next() (token, error) {
+	lx.skipSpaceAndComments()
+	line, col := lx.line, lx.col
+	mk := func(k tokenKind, text string) token {
+		return token{kind: k, text: text, line: line, col: col}
+	}
+	if lx.pos >= len(lx.src) {
+		return mk(tokEOF, ""), nil
+	}
+	r := lx.peek()
+	switch {
+	case r == '(':
+		lx.advance()
+		return mk(tokLParen, "("), nil
+	case r == ')':
+		lx.advance()
+		return mk(tokRParen, ")"), nil
+	case r == ',':
+		lx.advance()
+		return mk(tokComma, ","), nil
+	case r == '&':
+		lx.advance()
+		return mk(tokAmp, "&"), nil
+	case r == '?' && lx.peekAt(1) == '-':
+		lx.advance()
+		lx.advance()
+		return mk(tokQuery, "?-"), nil
+	case r == ':':
+		lx.advance()
+		if lx.peek() == '-' {
+			lx.advance()
+			return mk(tokIf, ":-"), nil
+		}
+		return mk(tokColon, ":"), nil
+	case r == '.':
+		lx.advance()
+		return mk(tokDot, "."), nil
+	case r == '=' || r == '!' || r == '<' || r == '>':
+		return lx.scanOperator(mk)
+	case r == '\'' || r == '"':
+		return lx.scanString(mk)
+	case unicode.IsDigit(r) || (r == '-' && unicode.IsDigit(lx.peekAt(1))):
+		return lx.scanNumber(mk)
+	case refIsIdentStart(r):
+		return lx.scanWord(mk)
+	}
+	return token{}, lx.errorf(line, col, "unexpected character %q", r)
+}
+
+func (lx *refLexer) scanOperator(mk func(tokenKind, string) token) (token, error) {
+	r := lx.advance()
+	two := string(r)
+	if n := lx.peek(); n == '=' || n == '>' || n == '<' {
+		two += string(n)
+	}
+	switch two {
+	case "=>":
+		lx.advance()
+		return mk(tokImplies, "=>"), nil
+	case "==", "!=", "<>", "<=", ">=", "=<":
+		lx.advance()
+		return mk(tokRelOp, two), nil
+	}
+	switch r {
+	case '=', '<', '>':
+		return mk(tokRelOp, string(r)), nil
+	}
+	return token{}, lx.errorf(mk(0, "").line, mk(0, "").col, "unexpected character %q", r)
+}
+
+func (lx *refLexer) scanString(mk func(tokenKind, string) token) (token, error) {
+	quote := lx.advance()
+	var b strings.Builder
+	for {
+		if lx.pos >= len(lx.src) {
+			t := mk(tokString, "")
+			return token{}, lx.errorf(t.line, t.col, "unterminated string")
+		}
+		r := lx.advance()
+		if r == quote {
+			break
+		}
+		if r == '\\' && lx.pos < len(lx.src) {
+			esc := lx.advance()
+			switch esc {
+			case 'n':
+				b.WriteRune('\n')
+			case 't':
+				b.WriteRune('\t')
+			default:
+				b.WriteRune(esc)
+			}
+			continue
+		}
+		b.WriteRune(r)
+	}
+	return mk(tokString, b.String()), nil
+}
+
+func (lx *refLexer) scanNumber(mk func(tokenKind, string) token) (token, error) {
+	var b strings.Builder
+	if lx.peek() == '-' {
+		b.WriteRune(lx.advance())
+	}
+	for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
+		b.WriteRune(lx.advance())
+	}
+	isFloat := false
+	// A '.' is part of the number only when followed by a digit; otherwise it
+	// is the statement terminator (e.g. "q(142)." ).
+	if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
+		isFloat = true
+		b.WriteRune(lx.advance())
+		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
+			b.WriteRune(lx.advance())
+		}
+	}
+	// An exponent may follow either form ("1.5e3", "1e+06") when a digit
+	// (optionally signed) comes after the 'e'.
+	if e := lx.peek(); e == 'e' || e == 'E' {
+		n1, n2 := lx.peekAt(1), lx.peekAt(2)
+		if unicode.IsDigit(n1) || ((n1 == '+' || n1 == '-') && unicode.IsDigit(n2)) {
+			isFloat = true
+			b.WriteRune(lx.advance()) // e
+			if lx.peek() == '+' || lx.peek() == '-' {
+				b.WriteRune(lx.advance())
+			}
+			for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
+				b.WriteRune(lx.advance())
+			}
+		}
+	}
+	if isFloat {
+		return mk(tokFloat, b.String()), nil
+	}
+	return mk(tokInt, b.String()), nil
+}
+
+// scanWord scans identifiers and variables. Variables may carry an
+// attribute path: the lexer folds "P.name" or "$ans.1" into a single tokVar
+// whose text contains the dots, disambiguating the path dot from the
+// statement terminator (a terminator dot is never directly followed by an
+// identifier or digit belonging to the same variable reference, because
+// attribute access requires no intervening whitespace).
+func (lx *refLexer) scanWord(mk func(tokenKind, string) token) (token, error) {
+	var b strings.Builder
+	first := lx.advance()
+	b.WriteRune(first)
+	for lx.pos < len(lx.src) && refIsIdentRune(lx.peek()) {
+		b.WriteRune(lx.advance())
+	}
+	isVar := refIsVarStart(first)
+	if isVar {
+		for lx.peek() == '.' && (refIsIdentRune(lx.peekAt(1)) || unicode.IsDigit(lx.peekAt(1))) {
+			b.WriteRune(lx.advance()) // '.'
+			for lx.pos < len(lx.src) && refIsIdentRune(lx.peek()) {
+				b.WriteRune(lx.advance())
+			}
+		}
+		return mk(tokVar, b.String()), nil
+	}
+	return mk(tokIdent, b.String()), nil
 }

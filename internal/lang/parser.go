@@ -16,7 +16,10 @@ type parser struct {
 
 func lexAll(src string) ([]token, error) {
 	lx := newLexer(src)
-	var toks []token
+	// Queries run about two bytes to a token counting the end: "?- q(4, 47, O)."
+	// is 15 bytes and 11 tokens. Longer source (programs, comments) grows
+	// from the cap instead of reserving for its whole length up front.
+	toks := make([]token, 0, min(len(src)/2+2, 64))
 	for {
 		t, err := lx.next()
 		if err != nil {

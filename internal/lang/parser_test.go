@@ -176,6 +176,31 @@ func TestParseQueryForms(t *testing.T) {
 	}
 }
 
+// TestParseQueryAllocsPer bounds what parsing the benchmark's hot query
+// forms allocates: the lexer takes its tokens out of the source string,
+// so what is left is one token slice and the syntax tree.
+func TestParseQueryAllocsPer(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		max float64 // measured + 20 %
+	}{
+		{"?- query3(4, 47, O, A).", 10},
+		{"?- in(O, avis:frames_to_objects('rope', 4, 47)) & in(P, ingres:equal('cast', 'role', O)) & =(P.name, A).", 28},
+	} {
+		if n := testing.AllocsPerRun(100, func() { ParseQuery(tc.src) }); n > tc.max {
+			t.Errorf("ParseQuery(%q) allocates %v times, want at most %v", tc.src, n, tc.max)
+		}
+		if n := testing.AllocsPerRun(100, func() { lexAll(tc.src) }); n != 1 {
+			t.Errorf("lexAll(%q) allocates %v times, want 1 (the token slice)", tc.src, n)
+		}
+	}
+	// Long source reserves no more than the cap up front: a megabyte of
+	// blanks around one short statement.
+	if toks, err := lexAll(strings.Repeat(" ", 1<<20) + "q."); err != nil || cap(toks) > 64 {
+		t.Errorf("lexAll over 1 MiB of blanks: cap %d, err %v; want cap at most 64", cap(toks), err)
+	}
+}
+
 func TestParseSourceMixed(t *testing.T) {
 	prog, queries, err := ParseSource(`
 		p(A) :- in(A, d:f()).

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -49,11 +50,11 @@ func QErrs(est, actual Cost) (qtf, qta, qcard float64) {
 	return
 }
 
-// calEntry holds one (domain, function)'s q-error windows.
-type calEntry struct {
-	domain, function string
-	qtf, qta, qcard  *Histogram
-}
+// calKey names one tracked function.
+type calKey struct{ domain, function string }
+
+// calEntry holds one function's q-error windows.
+type calEntry struct{ qtf, qta, qcard Histogram }
 
 // Calibration aggregates est-vs-actual q-errors per (domain, function)
 // so operators can see how wrong the DCSM's cost model is and the
@@ -63,23 +64,20 @@ type calEntry struct {
 // *Calibration disables tracking.
 type Calibration struct {
 	mu      sync.Mutex
-	entries map[string]*calEntry // keyed "domain:function"
+	entries map[calKey]*calEntry
 }
 
 // NewCalibration returns an empty calibration table.
 func NewCalibration() *Calibration {
-	return &Calibration{entries: make(map[string]*calEntry)}
+	return &Calibration{entries: make(map[calKey]*calEntry)}
 }
 
 func (c *Calibration) entry(dom, fn string) *calEntry {
-	key := dom + ":" + fn
-	e := c.entries[key]
+	k := calKey{dom, fn}
+	e := c.entries[k]
 	if e == nil {
-		e = &calEntry{
-			domain: dom, function: fn,
-			qtf: &Histogram{}, qta: &Histogram{}, qcard: &Histogram{},
-		}
-		c.entries[key] = e
+		e = &calEntry{}
+		c.entries[k] = e
 	}
 	return e
 }
@@ -118,12 +116,12 @@ func (c *Calibration) QErrQuantile(dom, fn string, q float64) (qerr float64, n i
 		return 0, 0
 	}
 	c.mu.Lock()
-	e := c.entries[dom+":"+fn]
+	e := c.entries[calKey{dom, fn}]
 	c.mu.Unlock()
 	if e == nil {
 		return 0, 0
 	}
-	return e.qta.Quantile(q), e.qta.Count()
+	return e.qta.quantileCount(q)
 }
 
 // PlanGrade grades a plan by the (domain, function) pairs of the calls
@@ -195,20 +193,20 @@ func (c *Calibration) Summary() []CalibrationRow {
 		return nil
 	}
 	c.mu.Lock()
-	entries := make([]*calEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
+	entries := maps.Clone(c.entries)
 	c.mu.Unlock()
 	rows := make([]CalibrationRow, 0, len(entries))
-	for _, e := range entries {
+	for k, e := range entries {
+		// qta is the window the planner reads, and so keeps sorted; qtf
+		// and qcard are read only here, sorted at read so that a visit to
+		// the calibration page does not make their every Observe pay.
 		rows = append(rows, CalibrationRow{
-			Domain:     e.domain,
-			Function:   e.function,
+			Domain:     k.domain,
+			Function:   k.function,
 			Samples:    e.qta.Count(),
-			MedianQTf:  e.qtf.Quantile(0.5),
+			MedianQTf:  e.qtf.windowQuantile(0.5),
 			MedianQTa:  e.qta.Quantile(0.5),
-			MedianQCrd: e.qcard.Quantile(0.5),
+			MedianQCrd: e.qcard.windowQuantile(0.5),
 			P95QTa:     e.qta.Quantile(0.95),
 		})
 	}

@@ -116,6 +116,47 @@ func TestCalibrationQErrQuantile(t *testing.T) {
 	}
 }
 
+// TestCalibrationKeysDoNotCollide: a colon inside a domain or function
+// name does not merge two functions' windows.
+func TestCalibrationKeysDoNotCollide(t *testing.T) {
+	c := NewCalibration()
+	good := Cost{TAll: 100 * time.Millisecond, Card: 10}
+	c.Observe("a:b", "c", good, good)
+	c.Observe("a", "b:c", good, Cost{TAll: time.Second, Card: 10})
+	if q, n := c.Grade("a:b", "c"); q != 1 || n != 1 {
+		t.Errorf("Grade(a:b, c) = %g, %d, want 1, 1", q, n)
+	}
+	if q, n := c.Grade("a", "b:c"); q != 10 || n != 1 {
+		t.Errorf("Grade(a, b:c) = %g, %d, want 10, 1", q, n)
+	}
+	if rows := c.Summary(); len(rows) != 2 || rows[0].Domain != "a" || rows[0].Function != "b:c" || rows[1].Domain != "a:b" {
+		t.Errorf("summary = %+v, want two rows, a / b:c first", rows)
+	}
+}
+
+// TestCalibrationSummaryKeepsNoSortedCopy: reading the summary sorts the
+// Tf and card windows at read and leaves them nothing to maintain on
+// later Observes; only the planner's Ta window stays sorted.
+func TestCalibrationSummaryKeepsNoSortedCopy(t *testing.T) {
+	c := NewCalibration()
+	for i := 1; i <= 5; i++ {
+		c.Observe("d", "f", Cost{TFirst: time.Millisecond, TAll: time.Millisecond, Card: 1},
+			Cost{TFirst: time.Duration(i) * time.Millisecond, TAll: time.Duration(i) * time.Millisecond, Card: float64(i)})
+	}
+	rows := c.Summary()
+	if len(rows) != 1 || rows[0].MedianQTf != 3 || rows[0].MedianQCrd != 3 {
+		t.Fatalf("summary = %+v, want one row with medians 3", rows)
+	}
+	c.Observe("d", "f", Cost{TAll: time.Millisecond, Card: 1}, Cost{TAll: time.Millisecond, Card: 1})
+	e := c.entries[calKey{"d", "f"}]
+	if len(e.qtf.sorted) != 0 || len(e.qcard.sorted) != 0 {
+		t.Errorf("qtf/qcard keep sorted copies of %d/%d samples after Summary", len(e.qtf.sorted), len(e.qcard.sorted))
+	}
+	if len(e.qta.sorted) != 6 {
+		t.Errorf("qta sorted copy holds %d samples, want 6", len(e.qta.sorted))
+	}
+}
+
 func TestObserverObserveCalibration(t *testing.T) {
 	o := NewObserver()
 	o.ObserveCalibration("avis", "frames",

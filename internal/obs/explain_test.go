@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,5 +186,63 @@ func TestRenderersMatchFmt(t *testing.T) {
 		if got := Explain(d); got != want+"\n" {
 			t.Errorf("Explain = %q, fmt says %q", got, want+"\n")
 		}
+	}
+}
+
+// FuzzAppendFixed holds the fixed-point formatter to strconv's big-decimal
+// rounding over arbitrary bit patterns at one and two decimals, and
+// AppendMillis to strconv on the float quotient over arbitrary int64.
+func FuzzAppendFixed(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1,
+		0.125, 2.675, 0.15, 0.05, 0.25, 1.005, 0.045, 99.95, 9.995, -0.05, 1e-300,
+		1 << 53, 1<<53 + 2, 1e15, 1e16, 1e21, 12345.675, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, fixedLimit[1], math.Nextafter(fixedLimit[1], 0),
+		fixedLimit[2], math.Nextafter(fixedLimit[2], 0),
+	} {
+		f.Add(math.Float64bits(v), int64(v))
+	}
+	for _, d := range []int64{
+		0, 1, -1, 49999, 50000, 50001, 150000, 250000, -50000, 999949, -999950,
+		1<<53 - 1, 1 << 53, -(1<<53 - 1), -1 << 53, math.MaxInt64, math.MinInt64,
+		9007199254749999, -9007199254849999, // past 2⁵³ the float quotient rounds up a digit
+	} {
+		f.Add(uint64(0), d)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, d int64) {
+		// Quotients of d land on and beside the halfway points that random
+		// bit patterns almost never reach.
+		for _, v := range []float64{math.Float64frombits(bits), float64(d) / 1e3, float64(d) / 1e4} {
+			for _, prec := range []int{1, 2} {
+				if got, want := AppendFixed(nil, v, prec), strconv.AppendFloat(nil, v, 'f', prec, 64); string(got) != string(want) {
+					t.Fatalf("AppendFixed(%v (%#x), %d) = %q, strconv says %q", v, math.Float64bits(v), prec, got, want)
+				}
+			}
+		}
+		if got, want := AppendMillis(nil, time.Duration(d)), strconv.AppendFloat(nil, float64(d)/1e6, 'f', 1, 64); string(got) != string(want) {
+			t.Fatalf("AppendMillis(%d) = %q, strconv says %q", d, got, want)
+		}
+	})
+}
+
+// TestExplainAllocsPer: EXPLAIN of an ended tree allocates once, the
+// string, and the number formatter allocates nothing into a buffer that
+// holds its output.
+func TestExplainAllocsPer(t *testing.T) {
+	d := tenSpanTree().Snapshot()
+	var text string
+	if n := testing.AllocsPerRun(100, func() { text = Explain(d) }); n > 1 && !raceEnabled {
+		t.Errorf("Explain allocates %v times, want 1 (the string)", n)
+	}
+	if strings.Count(text, "\n") != 10 {
+		t.Errorf("tree of %d lines, want 10:\n%s", strings.Count(text, "\n"), text)
+	}
+	var buf [32]byte
+	if n := testing.AllocsPerRun(100, func() {
+		AppendFixed(buf[:0], 1234.5678, 2)
+		AppendFixed(buf[:0], -0.333, 1)
+		AppendMillis(buf[:0], 231249*time.Microsecond)
+	}); n != 0 {
+		t.Errorf("AppendFixed and AppendMillis allocate %v times, want 0", n)
 	}
 }

@@ -111,6 +111,14 @@ func (g *Gauge) Value() float64 {
 // layer-owned handle, and a registry-owned Histogram merges what is
 // attached to it: counts and sums add, quantiles range over every attached
 // window. All methods are nil-receiver safe.
+//
+// A handle's own window is kept sorted once it has been read: the first
+// Quantile sorts it, and from then on each Observe binary-searches its
+// sample in, and the sample the ring overwrites out, of the sorted copy.
+// The copy goes stale, and the next Quantile sorts again, whenever the
+// window holds a NaN or a zero: sort.Float64s leaves NaNs, and +0 beside
+// -0, in an order that depends on the input order, which insertion cannot
+// reproduce bit for bit. A handle nobody reads never builds the copy.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
@@ -118,10 +126,11 @@ type Histogram struct {
 	samples []float64
 	next    int          // overwrite cursor once the window is full
 	more    []*Histogram // attached to a registry-owned series
-	// sorted is samples in ascending order, built by the first Quantile
-	// after an Observe and emptied by the next one, so a reader that asks
-	// again before anything was observed does not sort again.
+	// sorted is samples in ascending order while len(sorted) ==
+	// len(samples) > 0; a stale copy is emptied.
 	sorted []float64
+	// unordered counts the samples in the window that are NaN or zero.
+	unordered int
 }
 
 // Observe records one sample.
@@ -133,13 +142,55 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.count++
 	h.sum += v
-	h.sorted = h.sorted[:0]
+	keep := len(h.sorted) > 0 && len(h.sorted) == len(h.samples) && h.unordered == 0 && !unorderedSample(v)
+	if unorderedSample(v) {
+		h.unordered++
+	}
 	if len(h.samples) < HistogramWindow {
 		h.samples = append(h.samples, v)
+		if keep {
+			h.sorted = insertSorted(h.sorted, v)
+		}
+	} else {
+		old := h.samples[h.next]
+		h.samples[h.next] = v
+		h.next = (h.next + 1) % HistogramWindow
+		if unorderedSample(old) {
+			h.unordered--
+		}
+		if keep {
+			replaceSorted(h.sorted, old, v)
+		}
+	}
+	if !keep {
+		h.sorted = h.sorted[:0]
+	}
+}
+
+// unorderedSample reports whether sort.Float64s may place v among its
+// equals in an order insertion cannot reproduce.
+func unorderedSample(v float64) bool { return v != v || v == 0 }
+
+// insertSorted inserts v into the ascending s.
+func insertSorted(s []float64, v float64) []float64 {
+	i := sort.SearchFloat64s(s, v)
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// replaceSorted replaces one old in the ascending s by v, shifting only
+// the elements between their two places.
+func replaceSorted(s []float64, old, v float64) {
+	i, j := sort.SearchFloat64s(s, old), sort.SearchFloat64s(s, v)
+	if j > i {
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
 		return
 	}
-	h.samples[h.next] = v
-	h.next = (h.next + 1) % HistogramWindow
+	copy(s[j+1:i+1], s[j:i])
+	s[j] = v
 }
 
 // Count returns how many samples were observed in total.
@@ -191,18 +242,38 @@ func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	if h.more == nil {
 		defer h.mu.Unlock()
-		if len(h.sorted) != len(h.samples) {
-			h.sorted = append(h.sorted[:0], h.samples...)
-			sort.Float64s(h.sorted)
-		}
-		return nearestRank(h.sorted, q)
+		return h.ownQuantileLocked(q)
 	}
 	h.mu.Unlock()
 	// A series that merges attached handles cannot see their Observes:
 	// it sorts at read.
+	return h.windowQuantile(q)
+}
+
+// windowQuantile is Quantile read off a sorted copy of the window, own and
+// attached, that it does not keep.
+func (h *Histogram) windowQuantile(q float64) float64 {
 	sorted := h.window(nil)
 	sort.Float64s(sorted)
 	return nearestRank(sorted, q)
+}
+
+// quantileCount is Quantile and Count under one lock, for a handle
+// nothing is attached to.
+func (h *Histogram) quantileCount(q float64) (float64, int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ownQuantileLocked(q), h.count
+}
+
+// ownQuantileLocked reads the q-quantile off the handle's own window,
+// sorting it first if the sorted copy is stale. The caller holds h.mu.
+func (h *Histogram) ownQuantileLocked(q float64) float64 {
+	if len(h.sorted) != len(h.samples) {
+		h.sorted = append(h.sorted[:0], h.samples...)
+		sort.Float64s(h.sorted)
+	}
+	return nearestRank(h.sorted, q)
 }
 
 // nearestRank reads the q-quantile off an ascending slice; 0 when empty.

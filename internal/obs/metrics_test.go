@@ -109,8 +109,8 @@ func TestHistogramWindowBounded(t *testing.T) {
 	}
 }
 
-// TestHistogramSortedWindowCache: the sorted copy a Quantile leaves behind
-// must never be read after an Observe. Interleaved Observes and Quantiles —
+// TestHistogramSortedWindowCache: the sorted copy Observe keeps up to date
+// never answers differently from a fresh sort. Interleaved Observes and Quantiles —
 // through the fill, the wrap-around and ±Inf samples — answer what a fresh
 // sort of the last HistogramWindow observations answers, bit for bit; then
 // 8 observers and 2 readers share one histogram (run with -race).
@@ -168,6 +168,75 @@ func TestHistogramSortedWindowCache(t *testing.T) {
 	wg.Wait()
 	if n, lo, hi := shared.Count(), shared.Quantile(0), shared.Quantile(1); n != 3200 || lo > hi || hi > 3199 {
 		t.Errorf("after 3200 observations: count %d, min %g, max %g", n, lo, hi)
+	}
+}
+
+// TestHistogramSortedWindowMatchesSort: over seeded interleavings of
+// Observe and Quantile — bursts with no read between them, reads after
+// every write, the fill and four wrap-arounds, and samples drawn from a
+// pool heavy in NaN payloads, ±0, ±Inf and repeats — every Quantile is
+// what sorting the window as stored answers, bit for bit.
+func TestHistogramSortedWindowMatchesSort(t *testing.T) {
+	special := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000042), math.Float64frombits(0xfff0000000000001),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, -1, 2.5,
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := &Histogram{}
+		var ring []float64 // the window in storage order
+		next := 0
+		rate := []int{0, 2, 50, 200}[seed%4] // specials per thousand
+		for i := 0; i < 4*HistogramWindow+300; i++ {
+			v := math.Round(rng.NormFloat64()*1000) / 8
+			if rng.Intn(1000) < rate {
+				v = special[rng.Intn(len(special))]
+			}
+			h.Observe(v)
+			if len(ring) < HistogramWindow {
+				ring = append(ring, v)
+			} else {
+				ring[next] = v
+				next = (next + 1) % HistogramWindow
+			}
+			reads := 0
+			switch r := rng.Intn(10); {
+			case i/700%2 == 1:
+				// a stretch with no reads: the sorted copy goes stale or is
+				// kept up to date by whatever was read before it
+			case r < 6:
+				reads = 1
+			case r < 8:
+				reads = 3
+			}
+			for ; reads > 0; reads-- {
+				q := []float64{0, 0.5, 0.9, 0.99, 1, rng.Float64()}[rng.Intn(6)]
+				want := append([]float64(nil), ring...)
+				sort.Float64s(want)
+				if got, w := h.Quantile(q), nearestRank(want, q); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("seed %d, after %d observations, q=%g: %v (%#x), sort at read %v (%#x)",
+						seed, i+1, q, got, math.Float64bits(got), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// TestHistogramObserveAllocsPer: once the window is full and read, an
+// Observe and a Quantile allocate nothing.
+func TestHistogramObserveAllocsPer(t *testing.T) {
+	h := &Histogram{}
+	for i := 0; i < HistogramWindow; i++ {
+		h.Observe(float64(i%97 + 1)) // no zero: the window stays sorted by insertion
+	}
+	h.Quantile(0.5)
+	v := 0.0
+	if n := testing.AllocsPerRun(1000, func() {
+		v++
+		h.Observe(float64(int(v)%89 + 1))
+		h.Quantile(0.9)
+	}); n != 0 {
+		t.Errorf("Observe and Quantile in steady state allocate %v times, want 0", n)
 	}
 }
 

@@ -690,7 +690,7 @@ func (s *muxStream) acceptTrace(raw []byte) {
 	if s.clock != nil {
 		elapsed := s.clock.Now() - s.issuedAt
 		if wire := elapsed - d.Duration(); wire > 0 {
-			s.span.SetTag("remote.wire_ms", strconv.FormatFloat(float64(wire)/float64(time.Millisecond), 'f', 1, 64))
+			s.span.SetTag("remote.wire_ms", obs.FormatMillis(wire))
 		} else {
 			s.span.SetTag("remote.wire_ms", "0.0")
 		}

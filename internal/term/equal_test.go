@@ -215,16 +215,26 @@ func TestFuzzCodecRoundTrips(t *testing.T) {
 }
 
 // FuzzEqualMatchesKey: Equal(a, b) == (a.Key() == b.Key()) and Equal
-// implies equal hashes, on whatever two values the input decodes to.
+// implies equal hashes, on whatever two values the input decodes to; and
+// AppendKey and AppendString append exactly Key and String.
 func FuzzEqualMatchesKey(f *testing.F) {
 	vals := equalCorpus()
 	for i, a := range vals {
 		f.Add(encodeFuzz(a), encodeFuzz(a))
 		f.Add(encodeFuzz(a), encodeFuzz(vals[(i+1)%len(vals)]))
 	}
+	f.Add(encodeFuzz(Str(`a\b`)), encodeFuzz(Str("'\n\t\x7f\x00é")))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a, _ := decodeFuzz(rawA, 0)
 		b, _ := decodeFuzz(rawB, 0)
 		checkEqualMatchesKey(t, a, b)
+		for _, v := range []Value{a, b} {
+			if got := string(AppendKey(nil, v)); got != v.Key() {
+				t.Fatalf("AppendKey(%s) = %q, Key %q", v, got, v.Key())
+			}
+			if got := string(AppendString([]byte("x"), v)); got != "x"+v.String() {
+				t.Fatalf("AppendString(%s) = %q, String %q", v, got, "x"+v.String())
+			}
+		}
 	})
 }

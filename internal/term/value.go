@@ -62,13 +62,56 @@ type Str string
 func (s Str) Kind() Kind { return KindString }
 
 // Key returns a canonical quoted encoding.
-func (s Str) Key() string { return "s" + strconv.Quote(string(s)) }
+func (s Str) Key() string {
+	var buf [stackBuf]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+func (s Str) appendKey(dst []byte) []byte {
+	return strconv.AppendQuote(append(dst, 's'), string(s))
+}
 
 // String renders the constant the way the language reads it back:
 // single-quoted, with backslash, quote, newline and tab escaped.
-func (s Str) String() string { return "'" + strEscaper.Replace(string(s)) + "'" }
+func (s Str) String() string {
+	var buf [stackBuf]byte
+	return string(s.appendString(buf[:0]))
+}
+
+func (s Str) appendString(dst []byte) []byte {
+	return append(append(append(dst, '\''), strEscaper.Replace(string(s))...), '\'')
+}
 
 var strEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`, "\n", `\n`, "\t", `\t`)
+
+// stackBuf is the stack buffer a string or integer's key or rendering is
+// built in before its one copy into a string; a longer one grows on the
+// heap.
+const stackBuf = 64
+
+// AppendKey appends v.Key() to dst; strings and integers are written in
+// place, other kinds through their Key.
+func AppendKey(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case Str:
+		return x.appendKey(dst)
+	case Int:
+		return x.appendKey(dst)
+	}
+	return append(dst, v.Key()...)
+}
+
+// AppendString appends v.String() to dst; strings and integers are
+// written in place, other kinds through their String.
+func AppendString(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case Str:
+		return x.appendString(dst)
+	case Int:
+		return x.appendString(dst)
+	}
+	return append(dst, v.String()...)
+}
 
 // Int is an integer constant.
 type Int int64
@@ -77,9 +120,18 @@ type Int int64
 func (i Int) Kind() Kind { return KindInt }
 
 // Key returns a canonical decimal encoding.
-func (i Int) Key() string { return "i" + strconv.FormatInt(int64(i), 10) }
+func (i Int) Key() string {
+	var buf [stackBuf]byte
+	return string(i.appendKey(buf[:0]))
+}
 
+func (i Int) appendKey(dst []byte) []byte { return i.appendString(append(dst, 'i')) }
+
+// String is appendString's digits as a string; FormatInt, unlike a copy
+// out of a buffer, hands out 0 to 99 without allocating.
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
+
+func (i Int) appendString(dst []byte) []byte { return strconv.AppendInt(dst, int64(i), 10) }
 
 // Float is a floating-point constant.
 type Float float64
