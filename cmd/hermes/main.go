@@ -35,6 +35,7 @@ import (
 	"hermes/internal/netsim"
 	"hermes/internal/obs"
 	"hermes/internal/remote"
+	"hermes/internal/resilience"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -100,8 +101,11 @@ const builtinProgram = `
 func newSystem(connect string) (*core.System, error) {
 	opts := core.Options{Obs: obs.NewObserver()}
 	if connect != "" {
-		// Real distribution: wall-clock timing.
+		// Real distribution: wall-clock timing, and the retry, breaker and
+		// mid-stream resume a remote source needs.
 		opts.Clock = vclock.NewWall()
+		pol := resilience.DefaultPolicy()
+		opts.Resilience = &pol
 	}
 	sys := core.NewSystem(opts)
 	return sys, setupDomains(sys, connect)

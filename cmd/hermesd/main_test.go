@@ -330,9 +330,9 @@ func TestTwoHopFederatedTraceDifferential(t *testing.T) {
 	if serve == nil {
 		t.Fatalf("no node-b serve subtree stitched into the trace:\n%s", obs.Explain(root))
 	}
-	call := findTag(root, "remote.proto", "v2")
+	call := findTag(root, "remote", addrB)
 	if call == nil || call.Tag("remote.wire_ms") == "" {
-		t.Errorf("v2 call span missing or without remote.wire_ms:\n%s", obs.Explain(root))
+		t.Errorf("remote call span missing or without remote.wire_ms:\n%s", obs.Explain(root))
 	}
 	sum := foreignTotal(root, "node-b")
 	if sum <= 0 {

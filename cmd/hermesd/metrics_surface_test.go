@@ -22,9 +22,6 @@ var surfaceDelta = map[string]string{
 	// list at zero; the parent created them at the first dial.
 	`hermes_remote_dials_total{domain="peer",outcome="error"}`: "added",
 	`hermes_remote_dials_total{domain="peer",outcome="ok"}`:    "added",
-	// The parent pre-registered an unlabeled series nothing ever bumped:
-	// failed frame writes count under {frame="..."}, created as they occur.
-	`hermes_remote_send_errors_total`: "removed",
 }
 
 // TestFreshDaemonMetricSurface: the metric surface now follows from wiring

@@ -155,12 +155,10 @@ func TestConcurrentResilienceStress(t *testing.T) {
 		FailLatency:  time.Millisecond,
 	})
 	pol := resilience.Policy{
-		MaxAttempts:  2,
-		BackoffBase:  time.Millisecond,
-		BackoffCap:   4 * time.Millisecond,
-		Seed:         7,
-		ResumeStream: true,
-		MaxResumes:   1,
+		MaxAttempts: 2,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  4 * time.Millisecond,
+		Seed:        7,
 		// A low threshold and short open timeout keep the breaker cycling
 		// through trips, probes and recoveries for the whole run.
 		Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: 20 * time.Millisecond},

@@ -77,17 +77,15 @@ func DefaultChaosOptions() ChaosOptions {
 }
 
 // ChaosPolicy is the resilience policy the chaos runs apply to every
-// source: three attempts with sub-second decorrelated backoff, stream
-// resume, and a breaker that trips after three straight failures and
-// probes again after 5 s.
+// source: three attempts with sub-second decorrelated backoff and a
+// breaker that trips after three straight failures and probes again after
+// 5 s.
 func ChaosPolicy(seed uint64) resilience.Policy {
 	return resilience.Policy{
-		MaxAttempts:  3,
-		BackoffBase:  80 * time.Millisecond,
-		BackoffCap:   800 * time.Millisecond,
-		Seed:         seed,
-		ResumeStream: true,
-		MaxResumes:   2,
+		MaxAttempts: 3,
+		BackoffBase: 80 * time.Millisecond,
+		BackoffCap:  800 * time.Millisecond,
+		Seed:        seed,
 		Breaker: resilience.BreakerConfig{
 			FailureThreshold:  3,
 			OpenTimeout:       5 * time.Second,

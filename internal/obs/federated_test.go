@@ -103,7 +103,6 @@ func TestExplainFederatedGolden(t *testing.T) {
 	c1 := root.Child("call avis:frames_to_objects('rope', 4, 47)", ms(5))
 	c1.SetTag("route", "direct")
 	c1.SetTag("remote", "node-b:7117")
-	c1.SetTag("remote.proto", "v2")
 	c1.SetTag("remote.wire_ms", "62.0")
 	c1.SetActual(Cost{TFirst: ms(400), TAll: ms(890), Card: 19})
 	c1.AttachForeign(SpanData{
@@ -118,8 +117,7 @@ func TestExplainFederatedGolden(t *testing.T) {
 				Start: ms(40),
 				End:   ms(850),
 				Tags: tagsOf(map[string]string{
-					"route": "direct", "remote": "node-c:7117",
-					"remote.proto": "v2", "remote.wire_ms": "18.5",
+					"route": "direct", "remote": "node-c:7117", "remote.wire_ms": "18.5",
 				}),
 				Children: []SpanData{
 					{
@@ -141,9 +139,8 @@ func TestExplainFederatedGolden(t *testing.T) {
 	c2 := root.Child("call terrain:findrte(10, 120)", ms(900))
 	c2.SetTag("route", "direct")
 	c2.SetTag("remote", "node-d:7117")
-	c2.SetTag("remote.proto", "v2")
 	c2.SetTag("remote.trace", "malformed")
-	c2.SetTag("remote.resumes", "1")
+	c2.SetTag("resumed", "1")
 	c2.SetActual(Cost{TFirst: ms(30), TAll: ms(75), Card: 4})
 	c2.End(ms(978))
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,16 +24,12 @@ import (
 // that speaks another protocol, and an outage breaker must not trip on it.
 var ErrProtocolMismatch = errors.New("remote: protocol mismatch")
 
-// maxResumes is how many times a broken answer stream is resumed on a
-// fresh connection before the call surfaces domain.ErrUnavailable to the
-// resilience layer.
-const maxResumes = 2
-
 // Client exposes one domain hosted by a remote server as a local
 // domain.Domain. It multiplexes every call over one persistent
-// heartbeat-kept connection and can resume a broken answer stream on a
-// fresh connection. Closing an answer stream cancels the server-side call
-// (pruning across the network).
+// heartbeat-kept connection; a broken connection ends every call on it
+// with domain.ErrUnavailable, which the resilience layer re-issues.
+// Closing an answer stream cancels the server-side call (pruning across
+// the network).
 type Client struct {
 	addr    string
 	name    string
@@ -51,7 +46,6 @@ type Client struct {
 
 	// Event tallies, attached to the metrics registry by SetObserver.
 	dials                          [2]obs.Counter // dialOK, dialError
-	resumes                        obs.Counter
 	tracePropagated, traceStitched obs.Counter
 	traceForeignBytes              obs.Counter
 	traceMalformed                 [2]obs.Counter // traceDecode, traceOversize
@@ -97,7 +91,6 @@ func (c *Client) SetObserver(o *obs.Observer) {
 	for i, outcome := range [2]string{dialOK: "ok", dialError: "error"} {
 		r.AttachCounter("hermes_remote_dials_total", "TCP dials to remote domain servers, by outcome", c.dials[i].Value, "domain", c.name, "outcome", outcome)
 	}
-	attachResumes(r, &c.resumes, "client")
 	r.AttachCounter("hermes_trace_propagated_total", "remote calls sent with federated trace context", c.tracePropagated.Value)
 	r.AttachCounter("hermes_trace_stitched_total", "peer span subtrees stitched under local call spans", c.traceStitched.Value)
 	r.AttachCounter("hermes_trace_foreign_subtree_bytes_total", "bytes of peer span subtrees received in trace frames", c.traceForeignBytes.Value)
@@ -239,24 +232,21 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 	}
 	id := c.newID()
 	f := Frame{Op: OpCall, ID: id, Domain: c.name, Function: fn}
-	st := &muxStream{c: c, sess: sess, id: id, fn: fn, args: wargs, cctx: ctx.Context, span: ctx.Span}
+	st := &muxStream{c: c, sess: sess, id: id, cctx: ctx.Context, span: ctx.Span}
 	if ctx.Clock != nil {
 		st.clock = ctx.Clock
 		st.issuedAt = ctx.Clock.Now()
 	}
-	ctx.Span.SetTag("remote.proto", "v2")
 	// Federated tracing: when the server negotiated CapTrace and this call
 	// is traced locally, propagate the trace context — minting a trace ID
 	// at the origin hop — so the server's serve subtree comes back in a
 	// trace frame and stitches under this call span.
 	if sess.traceOK && ctx.Span != nil {
-		st.traceID = ctx.TraceID
-		if st.traceID == "" {
-			st.traceID = newTraceID()
+		f.TraceID = ctx.TraceID
+		if f.TraceID == "" {
+			f.TraceID = newTraceID()
 		}
-		st.depth = ctx.TraceDepth + 1
-		f.TraceID = st.traceID
-		f.Depth = st.depth
+		f.Depth = ctx.TraceDepth + 1
 		st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
 		c.tracePropagated.Inc()
 	}
@@ -276,7 +266,7 @@ func newTraceID() string {
 }
 
 // newID allocates a call ID. IDs are client-scoped (not session-scoped) so
-// a resumed call on a fresh session can never collide with a stale one.
+// a call re-issued on a fresh session can never collide with a stale one.
 func (c *Client) newID() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -558,38 +548,30 @@ func (s *session) heartbeatLoop(every time.Duration) {
 	}
 }
 
-// muxStream is one call's answer stream. On session failure it resumes
-// the call on a fresh session with an answers-delivered offset (the same
-// deterministic-stream property PR 1's resilience resume relies on); when
-// resumes are exhausted the error surfaces as domain.ErrUnavailable so the
-// resilience layer's retries and breakers engage.
+// muxStream is one call's answer stream. On session failure it delivers
+// what was already routed to its slot, then ends with the session's
+// domain.ErrUnavailable: the resilience layer re-issues the call and skips
+// the delivered prefix.
 type muxStream struct {
 	c    *Client
 	sess *session
 	id   uint64
 	slot *callSlot
 	cctx context.Context
-	fn   string
-	args []byte // the term.AppendJSON argument list, re-sent on resume
 
 	// Federated-tracing state: the local call span foreign subtrees stitch
-	// under, the propagated trace context, the decoded call (for the
-	// actuals hook), and the local clock reading when the call was issued
-	// (the rebase point for the peer's subtree).
+	// under, the decoded call (set only when the trace context was
+	// propagated; for the actuals hook), and the local clock reading when
+	// the call was issued (the rebase point for the peer's subtree).
 	span     *obs.Span
 	clock    vclock.Clock
 	issuedAt time.Duration
-	traceID  string
-	depth    int
 	call     *domain.Call
 
-	pending   []term.Value
-	delivered int
-	resumes   int
-	retries   int
-	srvDone   bool  // the server ended the call: done, or an error frame
-	err       error // what ends the stream once pending is delivered
-	finished  bool
+	pending  []term.Value
+	srvDone  bool  // the server ended the call: done, or an error frame
+	err      error // what ends the stream once pending is delivered
+	finished bool
 }
 
 func (s *muxStream) Next() (term.Value, bool, error) {
@@ -597,7 +579,6 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 		if len(s.pending) > 0 {
 			v := s.pending[0]
 			s.pending = s.pending[1:]
-			s.delivered++
 			return v, true, nil
 		}
 		if s.finished {
@@ -624,10 +605,8 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 			if s.take() {
 				continue
 			}
-			if err := s.resume(); err != nil {
-				s.finish(false)
-				return nil, false, err
-			}
+			s.finish(false)
+			return nil, false, s.sess.failure()
 		case <-ctxDone:
 			s.finish(true)
 			return nil, false, s.cctx.Err()
@@ -671,7 +650,7 @@ func (s *muxStream) take() bool {
 // hook. Every failure mode (oversize, malformed) drops the subtree and
 // counts it — the call itself always succeeds with a local-only trace.
 func (s *muxStream) acceptTrace(raw []byte) {
-	if s.span == nil || s.traceID == "" || len(raw) == 0 {
+	if s.span == nil || s.call == nil || len(raw) == 0 {
 		return
 	}
 	s.c.traceForeignBytes.Add(int64(len(raw)))
@@ -698,60 +677,11 @@ func (s *muxStream) acceptTrace(raw []byte) {
 	}
 	s.span.AttachForeign(stitched)
 	s.c.traceStitched.Inc()
-	if d.Actual != nil && s.call != nil {
+	if d.Actual != nil {
 		if hook := s.c.actualsHook(); hook != nil {
 			hook(*s.call, *d.Actual)
 		}
 	}
-}
-
-// resume re-issues the call on a fresh session, telling the server to skip
-// the prefix already delivered to the consumer plus what is still pending
-// locally.
-func (s *muxStream) resume() error {
-	last := s.sess.failure()
-	for s.resumes < maxResumes {
-		s.resumes++
-		s.c.resumes.Inc()
-		// A flaky mount must be diagnosable from EXPLAIN alone: record how
-		// many times this stream resumed and how many attempts failed.
-		s.span.SetTag("remote.resumes", strconv.Itoa(s.resumes))
-		sess, err := s.c.getSession()
-		if err != nil {
-			if errors.Is(err, ErrProtocolMismatch) {
-				return err // the peer was replaced by one we cannot talk to
-			}
-			last = err
-			s.noteRetry()
-			continue
-		}
-		id := s.c.newID()
-		slot := sess.registerCall(id)
-		offset := s.delivered + len(s.pending)
-		f := Frame{Op: OpResume, ID: id, Domain: s.c.name, Function: s.fn, Offset: offset}
-		if sess.traceOK && s.traceID != "" {
-			f.TraceID = s.traceID
-			f.Depth = s.depth
-		}
-		if !sess.send("resume", &f, s.args) {
-			sess.forget(id)
-			last = sess.failure()
-			s.noteRetry()
-			continue
-		}
-		s.sess, s.id, s.slot = sess, id, slot
-		return nil
-	}
-	if errors.Is(last, domain.ErrUnavailable) {
-		return last
-	}
-	return fmt.Errorf("%w: %v", domain.ErrUnavailable, last)
-}
-
-// noteRetry counts a failed resume attempt (dial or re-send) on the span.
-func (s *muxStream) noteRetry() {
-	s.retries++
-	s.span.SetTag("remote.retries", strconv.Itoa(s.retries))
 }
 
 // finish deregisters the call; sendCancel additionally tells the server to

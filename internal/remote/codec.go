@@ -143,7 +143,6 @@ func appendFrame(dst []byte, f *Frame, args, values []byte) ([]byte, error) {
 	if len(args) > 0 {
 		dst = append(append(append(dst, `,"args":[`...), args...), ']')
 	}
-	dst = appendInt(dst, `,"offset":`, f.Offset)
 	dst = appendString(dst, `,"trace_id":`, f.TraceID)
 	dst = appendInt(dst, `,"depth":`, f.Depth)
 	if len(values) > 0 {
@@ -328,7 +327,7 @@ func (d *frameReader) next(in *frameIn) error {
 // frameKeys are Frame's JSON keys; a key's bit in a decoder's seen-set is
 // 1 << its index.
 var frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "caps",
-	"domain", "function", "args", "offset", "trace_id", "depth", "values", "done",
+	"domain", "function", "args", "trace_id", "depth", "values", "done",
 	"err", "unavailable", "functions", "trace", "debug"}
 
 // decodeFrame decodes line, one frame, into in, reusing in.values' array.
@@ -377,8 +376,6 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 			in.Function = r.Str()
 		case "args":
 			in.args = in.readValues(r, in.args)
-		case "offset":
-			in.Offset = int(r.Int())
 		case "trace_id":
 			in.TraceID = r.Str()
 		case "depth":

@@ -155,7 +155,7 @@ func frameCorpus() []Frame {
 		{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace}},
 		{Op: OpHello, Err: "unsupported protocol versions [99] (server speaks 2)"},
 		{Op: OpCall, ID: 7, Domain: "avis", Function: "frames_to_objects", TraceID: "cafe0123cafe0123", Depth: 2},
-		{Op: OpResume, ID: math.MaxUint64, Domain: "d<&>", Function: "f\u2028", Offset: 12},
+		{Op: OpCall, ID: math.MaxUint64, Domain: "d<&>", Function: "f\u2028"},
 		{Op: OpAnswers, ID: 3, Done: true},
 		{Op: OpError, ID: 4, Err: "source \"x\" exploded\n\t<at> & \xff", Unavailable: true},
 		{Op: OpError, Done: true, Err: `first line has op "call", want hello`},

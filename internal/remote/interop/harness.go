@@ -159,8 +159,8 @@ func AcceptHello(dec *json.Decoder, enc *json.Encoder, v int) error {
 	return enc.Encode(remote.Frame{Op: remote.OpHello, Version: v})
 }
 
-// ReadCall reads frames until a call or resume arrives, skipping the
-// client's heartbeats.
+// ReadCall reads frames until a request arrives, skipping the client's
+// heartbeats.
 func ReadCall(dec *json.Decoder) (remote.Frame, error) {
 	for {
 		var f remote.Frame

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/obs"
 	"hermes/internal/remote"
+	"hermes/internal/resilience"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -64,9 +66,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // --- Scenarios driving the real client with a scripted responder ---
 
 // Timeout: a server that accepts the session but never answers anything.
-// The client's frame deadline must bound the call (including the resume
-// attempts against the equally wedged server) and surface the typed
-// retryable error.
+// The client's frame deadline must bound the call and surface the typed
+// retryable error on the one connection it dialled.
 func TestScenarioTimeout(t *testing.T) {
 	NoLeakCheck(t)
 	wedgeAfterHello := func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
@@ -75,8 +76,7 @@ func TestScenarioTimeout(t *testing.T) {
 		}
 		Wedge(conn)
 	}
-	// Initial session + one conn per resume attempt, all wedged.
-	addr := NewResponder(t, wedgeAfterHello, wedgeAfterHello, wedgeAfterHello)
+	addr := NewResponder(t, wedgeAfterHello)
 	c := NewHarnessClient(addr, "src")
 	defer c.Close()
 	start := time.Now()
@@ -118,7 +118,7 @@ func TestScenarioMalformedFrameFromServer(t *testing.T) {
 		conn.Write([]byte("{{{ this is not a frame\n"))
 		Wedge(conn)
 	}
-	addr := NewResponder(t, garbageAfterCall, garbageAfterCall, garbageAfterCall)
+	addr := NewResponder(t, garbageAfterCall)
 	c := NewHarnessClient(addr, "src")
 	defer c.Close()
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
@@ -146,7 +146,7 @@ func TestScenarioTruncatedFrameFromServer(t *testing.T) {
 		conn.Write([]byte(`{"op":"answers","id":` + itoa(f.ID) + `,"values":[{"t":"i","s":"0"}`))
 		// Connection closes on return: the frame never completes.
 	}
-	addr := NewResponder(t, truncate, truncate, truncate)
+	addr := NewResponder(t, truncate)
 	c := NewHarnessClient(addr, "src")
 	defer c.Close()
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
@@ -165,12 +165,13 @@ func itoa(n uint64) string {
 }
 
 // Mid-stream drop: the responder streams three answers and kills the
-// connection. The client must resume on a fresh connection carrying an
-// answers-delivered offset of exactly three, and the consumer sees every
-// answer exactly once.
-func TestScenarioMidStreamDropResumesWithOffset(t *testing.T) {
+// connection. The client ends the call with domain.ErrUnavailable; the
+// resilience wrapper in front of it re-issues a plain call on a fresh
+// connection, the responder replays all five answers, and the consumer sees
+// every answer exactly once, after one stream resume.
+func TestScenarioMidStreamDropResumes(t *testing.T) {
 	NoLeakCheck(t)
-	gotResume := make(chan remote.Frame, 1)
+	reissued := make(chan remote.Frame, 1)
 	first := func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
 		if AcceptHello(dec, enc, remote.ProtocolVersion) != nil {
 			return
@@ -193,9 +194,9 @@ func TestScenarioMidStreamDropResumesWithOffset(t *testing.T) {
 		if err != nil {
 			return
 		}
-		gotResume <- f
+		reissued <- f
 		var vals []term.JSONValue
-		for i := f.Offset; i < 5; i++ {
+		for i := 0; i < 5; i++ {
 			w, _ := term.EncodeJSON(term.Int(int64(i)))
 			vals = append(vals, w)
 		}
@@ -205,7 +206,8 @@ func TestScenarioMidStreamDropResumesWithOffset(t *testing.T) {
 	addr := NewResponder(t, first, second)
 	c := NewHarnessClient(addr, "src")
 	defer c.Close()
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
+	w := resilience.Wrap(c, resilience.DefaultPolicy())
+	s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
 	if err != nil {
 		t.Fatalf("call setup: %v", err)
 	}
@@ -221,16 +223,16 @@ func TestScenarioMidStreamDropResumesWithOffset(t *testing.T) {
 			t.Errorf("answer %d = %v, want %d", i, v, i)
 		}
 	}
+	if m := w.Metrics(); m.StreamResumes != 1 {
+		t.Errorf("StreamResumes = %d, want 1", m.StreamResumes)
+	}
 	select {
-	case f := <-gotResume:
-		if f.Op != remote.OpResume {
-			t.Errorf("second connection got op %q, want resume", f.Op)
-		}
-		if f.Offset != 3 {
-			t.Errorf("resume offset = %d, want 3 (answers already delivered)", f.Offset)
+	case f := <-reissued:
+		if f.Op != remote.OpCall {
+			t.Errorf("second connection got op %q, want a plain call", f.Op)
 		}
 	default:
-		t.Error("responder never saw the resume")
+		t.Error("responder never saw the re-issued call")
 	}
 }
 
@@ -404,5 +406,45 @@ func TestScenarioCancelIsPerCall(t *testing.T) {
 	}
 	if len(got) != 1 || !term.Equal(got[0], term.Int(42)) {
 		t.Fatalf("call 2 answers = %v, want [42]", got)
+	}
+}
+
+// Resume frame: the wire no longer resumes, so a `resume` frame from an
+// older client is an op the server does not speak. It gets the unknown-op
+// error frame for its id, never reaches a source, and the session survives
+// for the next call.
+func TestScenarioResumeFrameRefused(t *testing.T) {
+	NoLeakCheck(t)
+	meter := domaintest.Metered(rangeDomain(3, 0))
+	srv, addr := startServer(t, nil, meter)
+	d := DialDriver(t, addr)
+	if reply := d.Hello(remote.ProtocolVersion); reply.Version != remote.ProtocolVersion {
+		t.Fatalf("hello reply = %+v", reply)
+	}
+	d.SendRaw(`{"op":"resume","id":1,"domain":"src","function":"gen","offset":2}` + "\n")
+	f := d.MustRecv(2 * time.Second)
+	if f.Op != remote.OpError || f.ID != 1 || f.Unavailable || !strings.Contains(f.Err, `unknown op "resume"`) {
+		t.Errorf("resume reply = %+v, want the unknown-op error frame for id 1", f)
+	}
+	if meter.Total() != 0 {
+		t.Errorf("the resume frame reached the source %d times", meter.Total())
+	}
+	d.Send(remote.Frame{Op: remote.OpCall, ID: 2, Domain: "src", Function: "gen"})
+	var got int
+	for {
+		f := d.MustRecv(2 * time.Second)
+		if f.ID != 2 || f.Op != remote.OpAnswers {
+			t.Fatalf("call 2 frame = %+v, want answers", f)
+		}
+		got += len(f.Values)
+		if f.Done {
+			break
+		}
+	}
+	if got != 3 {
+		t.Errorf("call 2 answers = %d, want 3", got)
+	}
+	if n := srv.OpenConns(); n != 1 {
+		t.Errorf("OpenConns = %d, want the one session that survived", n)
 	}
 }

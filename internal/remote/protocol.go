@@ -7,9 +7,10 @@
 // line (a Frame) carrying an op and a per-call ID: `hello` negotiates the
 // version, `call` starts a call, `answers` frames stream back with
 // first-answer-before-last-answer semantics, `cancel` aborts one call
-// without dropping the connection, `resume` re-issues a call with an
-// answers-delivered offset after a transport failure, and `heartbeat`
-// keeps idle connections verifiably alive in both directions.
+// without dropping the connection, and `heartbeat` keeps idle connections
+// verifiably alive in both directions. A broken connection ends every call
+// on it with domain.ErrUnavailable; re-issuing the call is the resilience
+// layer's job (internal/resilience), not the wire's.
 //
 // A client opens with `{"op":"hello","versions":[2],...}` and the server
 // answers `{"op":"hello","version":2}`; the version list is kept because it
@@ -89,7 +90,6 @@ const (
 	OpAnswers   = "answers"
 	OpError     = "error"
 	OpCancel    = "cancel"
-	OpResume    = "resume"
 	OpHeartbeat = "heartbeat"
 	OpFunctions = "functions"
 	// OpTrace is the server's final per-call trace frame: the serialized
@@ -150,15 +150,11 @@ type Frame struct {
 	// CapDebug). Absent means neither; unknown names are ignored.
 	Caps []string `json:"caps,omitempty"`
 
-	// Call fields (OpCall, OpResume). Offset on a resume is how many
-	// answers the client already delivered: the server re-executes the
-	// call and skips that prefix (answer streams are deterministic per
-	// source, the same property PR 1's mid-stream resume relies on).
+	// Call fields (OpCall).
 	Domain   string           `json:"domain,omitempty"`
 	Function string           `json:"function,omitempty"`
 	Args     []term.JSONValue `json:"args,omitempty"`
-	Offset   int              `json:"offset,omitempty"`
-	// Trace context (OpCall, OpResume, when CapTrace was negotiated).
+	// Trace context (OpCall, when CapTrace was negotiated).
 	// TraceID names the federated trace this call belongs to; Depth counts
 	// mount hops from the origin, so a server can refuse to trace past its
 	// depth limit (the cycle guard for mutually mounted nodes).

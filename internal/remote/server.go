@@ -49,16 +49,22 @@ type Server struct {
 	listener  net.Listener
 	conns     map[net.Conn]struct{}
 	closed    bool
-	metrics   *obs.Registry // where noteSendError counts by name
 	debugInfo func() ([]byte, error)
 
 	// Event tallies, attached to the metrics registry by SetObserver.
-	calls, sessions, cancels, heartbeats, resumes obs.Counter
-	refused                                       [2]obs.Counter // refusedNotHello, refusedVersion
-	traceDroppedDepth, traceTruncated             obs.Counter
+	calls, sessions, cancels, heartbeats obs.Counter
+	refused                              [2]obs.Counter // refusedNotHello, refusedVersion
+	sendErrors                           [len(frameKinds)]obs.Counter
+	traceDroppedDepth, traceTruncated    obs.Counter
 }
 
 const refusedNotHello, refusedVersion = 0, 1 // hermes_remote_refused_total's reasons
+
+// The kinds of frame the server sends, hermes_remote_send_errors_total's labels.
+const kindHello, kindError, kindAnswers, kindHeartbeat, kindFunctions, kindDebug, kindTrace = 0, 1, 2, 3, 4, 5, 6
+
+var frameKinds = [...]string{kindHello: "hello", kindError: "error", kindAnswers: "answers",
+	kindHeartbeat: "heartbeat", kindFunctions: "functions", kindDebug: "debug", kindTrace: "trace"}
 
 // DefaultHeaderTimeout is how long a new connection gets to send its first
 // line before the server drops it.
@@ -106,38 +112,25 @@ func (s *Server) debugFn() func() ([]byte, error) {
 // are declared here and nowhere else.
 func (s *Server) SetObserver(o *obs.Observer) {
 	r := o.Registry()
-	s.mu.Lock()
-	s.metrics = r
-	s.mu.Unlock()
 	r.AttachCounter("hermes_remote_calls_total", "domain calls served over the wire protocol", s.calls.Value, "proto", "v2")
 	r.AttachCounter("hermes_remote_sessions_total", "streaming sessions negotiated", s.sessions.Value, "proto", "v2")
 	for i, reason := range [2]string{refusedNotHello: "not-hello", refusedVersion: "version"} {
 		r.AttachCounter("hermes_remote_refused_total", "stale peers refused at the first line, by reason (not-hello: no hello first; version: no common version)", s.refused[i].Value, "reason", reason)
 	}
-	r.DeclareCounter("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors)")
+	for i, kind := range frameKinds {
+		r.AttachCounter("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors), by frame kind", s.sendErrors[i].Value, "frame", kind)
+	}
 	r.AttachCounter("hermes_remote_cancels_total", "per-call cancel frames honoured by the server", s.cancels.Value)
 	r.AttachCounter("hermes_remote_heartbeats_total", "heartbeat frames echoed to keep idle sessions verifiably alive", s.heartbeats.Value)
-	attachResumes(r, &s.resumes, "server")
 	r.AttachCounter("hermes_trace_dropped_depth_total", "serve subtrees withheld because the call exceeded the hop-depth limit", s.traceDroppedDepth.Value)
 	r.AttachCounter("hermes_trace_truncated_total", "serve subtrees pruned to the -trace-max-subtree-bytes budget before shipping", s.traceTruncated.Value)
 }
 
-// attachResumes declares hermes_remote_resumes_total, the one family both
-// ends of the protocol feed, and attaches one end's tally to its side.
-func attachResumes(r *obs.Registry, c *obs.Counter, side string) {
-	r.AttachCounter("hermes_remote_resumes_total", "mid-stream resumes of broken remote answer streams, by side", c.Value, "side", side)
-}
-
 // noteSendError routes a failed frame write through the connection log and
-// the hermes_remote_send_errors_total metric. Encode errors used to be
-// silently discarded, which hid both dead clients and real serialization
-// bugs from every dashboard.
-func (s *Server) noteSendError(what string, to net.Addr, err error) {
-	s.Logf("remote: send %s to %s: %v", what, to, err)
-	s.mu.Lock()
-	r := s.metrics
-	s.mu.Unlock()
-	r.Counter("hermes_remote_send_errors_total", "frame", what).Inc()
+// hermes_remote_send_errors_total, under the frame's kind.
+func (s *Server) noteSendError(kind int, to net.Addr, err error) {
+	s.Logf("remote: send %s to %s: %v", frameKinds[kind], to, err)
+	s.sendErrors[kind].Inc()
 }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
@@ -225,11 +218,11 @@ func (s *Server) handle(conn net.Conn) {
 	case first.Op != OpHello:
 		// err + done are the keys a pre-v2 client decodes on its reply.
 		s.refused[refusedNotHello].Inc()
-		ss.send("error", &Frame{Op: OpError, Done: true,
+		ss.send(kindError, &Frame{Op: OpError, Done: true,
 			Err: fmt.Sprintf("first line has op %q, want hello: this server speaks only protocol version %d", first.Op, ProtocolVersion)}, nil)
 	case !versionSupported(first.Versions):
 		s.refused[refusedVersion].Inc()
-		ss.send("hello", &Frame{Op: OpHello,
+		ss.send(kindHello, &Frame{Op: OpHello,
 			Err: fmt.Sprintf("unsupported protocol versions %v (server speaks %d)", first.Versions, ProtocolVersion)}, nil)
 	default:
 		s.serveSession(ss, in, first.Frame)
@@ -282,9 +275,9 @@ type serverSession struct {
 // send writes one frame, values being its term.AppendJSON answer list,
 // routing failures through the send-error accounting. Concurrent per-call
 // streams coalesce on the writer.
-func (ss *serverSession) send(what string, f *Frame, values []byte) bool {
+func (ss *serverSession) send(kind int, f *Frame, values []byte) bool {
 	if err := ss.out.write(f, nil, values); err != nil {
-		ss.srv.noteSendError(what, ss.conn.RemoteAddr(), err)
+		ss.srv.noteSendError(kind, ss.conn.RemoteAddr(), err)
 		return false
 	}
 	return true
@@ -346,7 +339,7 @@ func (ss *serverSession) cancelAll() {
 func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	conn := ss.conn
 	ss.peerTrace = capSupported(hello.Caps, CapTrace)
-	if !ss.send("hello", &Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}, nil) {
+	if !ss.send(kindHello, &Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}, nil) {
 		return
 	}
 	s.sessions.Inc()
@@ -376,14 +369,11 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			return
 		}
 		switch f.Op {
-		case OpCall, OpResume:
+		case OpCall:
 			cctx, ok := ss.register(f.ID)
 			if !ok {
-				ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("call id %d already in flight", f.ID)}, nil)
+				ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("call id %d already in flight", f.ID)}, nil)
 				continue
-			}
-			if f.Op == OpResume {
-				s.resumes.Inc()
 			}
 			s.calls.Inc()
 			go s.serveCall(ss, f, cctx)
@@ -392,13 +382,13 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			ss.cancel(f.ID)
 		case OpHeartbeat:
 			s.heartbeats.Inc()
-			ss.send("heartbeat", &Frame{Op: OpHeartbeat, ID: f.ID}, nil)
+			ss.send(kindHeartbeat, &Frame{Op: OpHeartbeat, ID: f.ID}, nil)
 		case OpFunctions:
-			go ss.send("functions", &Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true}, nil)
+			go ss.send(kindFunctions, &Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true}, nil)
 		case OpDebug:
 			go s.serveDebug(ss, f.ID)
 		default:
-			ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)}, nil)
+			ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)}, nil)
 		}
 	}
 }
@@ -408,14 +398,13 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 // answers travel in ChunkSize frames. Each answer is encoded into its
 // frame's value list as the stream produces it, so one the wire cannot
 // carry (a NaN, an infinity) ends the call with an error frame naming it.
-// A resume skips the Offset answers the client already delivered.
 // Cancellation — an explicit cancel frame or the whole connection
 // dropping — is checked between answers, aborting the domain stream
 // promptly even for trickling sources.
 func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 	defer ss.finish(f.ID)
 	fail := func(err error) {
-		ss.send("error", &Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)}, nil)
+		ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)}, nil)
 	}
 	if f.badValue != nil {
 		fail(f.badValue)
@@ -447,14 +436,13 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 		return
 	}
 	defer stream.Close()
-	skip := f.Offset
 	sentFirst := false
 	produced := 0
 	var tFirst time.Duration
 	var values []byte // the open frame's answer list, grown from empty
 	inFrame := 0
 	flush := func(done bool) bool {
-		ok := ss.send("answers", &Frame{Op: OpAnswers, ID: f.ID, Done: done}, values)
+		ok := ss.send(kindAnswers, &Frame{Op: OpAnswers, ID: f.ID, Done: done}, values)
 		values, inFrame = values[:0], 0
 		return ok
 	}
@@ -485,10 +473,6 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 			tFirst = ctx.Clock.Now() - serveStart
 		}
 		produced++
-		if skip > 0 {
-			skip--
-			continue
-		}
 		if inFrame > 0 {
 			values = append(values, ',')
 		}
@@ -518,7 +502,7 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 		s.traceTruncated.Inc()
 	}
 	if err := ss.out.queue(&Frame{Op: OpTrace, ID: id, Trace: payload}, nil, nil); err != nil {
-		s.noteSendError("trace", ss.conn.RemoteAddr(), err)
+		s.noteSendError(kindTrace, ss.conn.RemoteAddr(), err)
 	}
 }
 
@@ -528,13 +512,13 @@ func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
 func (s *Server) serveDebug(ss *serverSession, id uint64) {
 	fn := s.debugFn()
 	if fn == nil {
-		ss.send("debug", &Frame{Op: OpDebug, ID: id, Err: "debug rollup not configured on this node", Done: true}, nil)
+		ss.send(kindDebug, &Frame{Op: OpDebug, ID: id, Err: "debug rollup not configured on this node", Done: true}, nil)
 		return
 	}
 	payload, err := fn()
 	if err != nil {
-		ss.send("debug", &Frame{Op: OpDebug, ID: id, Err: err.Error(), Done: true}, nil)
+		ss.send(kindDebug, &Frame{Op: OpDebug, ID: id, Err: err.Error(), Done: true}, nil)
 		return
 	}
-	ss.send("debug", &Frame{Op: OpDebug, ID: id, Debug: payload, Done: true}, nil)
+	ss.send(kindDebug, &Frame{Op: OpDebug, ID: id, Debug: payload, Done: true}, nil)
 }

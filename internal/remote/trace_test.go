@@ -68,8 +68,8 @@ func TestFederatedTraceStitching(t *testing.T) {
 	call.End(ctx.Clock.Now())
 
 	snap := call.Snapshot()
-	if snap.Tag("remote.proto") != "v2" {
-		t.Errorf("remote.proto = %q, want v2", snap.Tag("remote.proto"))
+	if snap.Tag("remote") != addr {
+		t.Errorf("remote = %q, want %s", snap.Tag("remote"), addr)
 	}
 	if snap.Tag("remote.wire_ms") == "" {
 		t.Error("remote.wire_ms tag missing: wire time not split from remote compute")
@@ -154,8 +154,8 @@ func TestFederatedTraceTwoHop(t *testing.T) {
 	}
 	// B's serve span carries the B→C hop's client-side tags: the middle
 	// hop is diagnosable from the stitched tree alone.
-	if serveB.Tag("remote.proto") != "v2" {
-		t.Errorf("node-b serve span remote.proto = %q, want v2", serveB.Tag("remote.proto"))
+	if serveB.Tag("remote") != addrC {
+		t.Errorf("node-b serve span remote = %q, want %s", serveB.Tag("remote"), addrC)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/obs"
+	"hermes/internal/resilience"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -228,12 +229,16 @@ func TestV2CtxCancelMidStream(t *testing.T) {
 }
 
 // TestV2ResumeAfterSessionDrop: killing the session connection mid-stream
-// resumes the call on a fresh connection with an answers-delivered offset;
-// the consumer sees every answer exactly once, in order.
+// ends the call with domain.ErrUnavailable, and the resilience wrapper in
+// front of the client re-issues it on a fresh connection, skipping the
+// delivered prefix; the consumer sees every answer exactly once, in order.
+// The source trickles on the server's wall clock, so the drop always lands
+// mid-stream.
 func TestV2ResumeAfterSessionDrop(t *testing.T) {
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, echoDomain())
-	c := NewClient(addr, "echo")
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(50)})
+	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, trickleDomain(50, 2*time.Millisecond))
+	c := NewClient(addr, "trickle")
+	w := resilience.Wrap(c, resilience.DefaultPolicy())
+	s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +249,7 @@ func TestV2ResumeAfterSessionDrop(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("answer %d: %v %v", i, ok, err)
 		}
-		rec := v.(term.Record)
-		n, _ := rec.Get("i")
-		got = append(got, int64(n.(term.Int)))
+		got = append(got, int64(v.(term.Int)))
 	}
 	// Kill the transport under the stream.
 	c.mu.Lock()
@@ -261,27 +264,27 @@ func TestV2ResumeAfterSessionDrop(t *testing.T) {
 		if !ok {
 			break
 		}
-		rec := v.(term.Record)
-		n, _ := rec.Get("i")
-		got = append(got, int64(n.(term.Int)))
+		got = append(got, int64(v.(term.Int)))
 	}
 	if len(got) != 50 {
 		t.Fatalf("answers = %d, want 50 (no loss, no duplicates)", len(got))
 	}
 	for i, n := range got {
 		if n != int64(i) {
-			t.Fatalf("answer %d = %d, want %d (resume offset wrong)", i, n, i)
+			t.Fatalf("answer %d = %d, want %d (resumed prefix skipped wrongly)", i, n, i)
 		}
+	}
+	if m := w.Metrics(); m.StreamResumes != 1 {
+		t.Errorf("StreamResumes = %d, want 1: the drop did not land mid-stream", m.StreamResumes)
 	}
 }
 
-// TestV2ResumeExhaustionSurfacesUnavailable: when the server stays down,
-// bounded resumes give up with the retryable error the resilience layer
-// expects.
+// TestV2ResumeExhaustionSurfacesUnavailable: when the server goes away for
+// good mid-stream, the stream ends with the retryable error the resilience
+// layer re-issues on; the wire itself does not retry.
 func TestV2ResumeExhaustionSurfacesUnavailable(t *testing.T) {
 	srv, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, echoDomain())
 	c := NewClient(addr, "echo")
-	c.SetDialTimeout(200 * time.Millisecond)
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(100000)})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +356,7 @@ func TestSendErrorsLoggedAndCounted(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	ss := &serverSession{srv: srv, conn: server, out: frameWriter{w: failingWriter{}}, calls: map[uint64]context.CancelFunc{}}
-	if ss.send("error", &Frame{Op: OpError, ID: 1, Err: "x"}, nil) {
+	if ss.send(kindError, &Frame{Op: OpError, ID: 1, Err: "x"}, nil) {
 		t.Fatal("send on a broken writer should report failure")
 	}
 	if logged != 1 {

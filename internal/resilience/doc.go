@@ -4,7 +4,10 @@
 // policy-driven wrapper around any domain.Domain that adds per-call
 // deadlines, bounded retry with decorrelated exponential backoff, a
 // per-domain circuit breaker with half-open probing, and mid-stream resume
-// after truncated answer streams. Cache degradation — serving stale or
+// after truncated answer streams. Resume is always on, with a constant
+// budget of two re-issues per call, and it is the only one: a
+// remote.Client reports a broken connection as domain.ErrUnavailable and
+// leaves the re-issue to this layer. Cache degradation — serving stale or
 // partial answers when a source stays down — lives above this layer, in
 // the CIM: the wrapper's job is to fail fast and predictably so the CIM's
 // fallback can take over.

@@ -61,7 +61,6 @@ func TestExportedFamiliesEqualMetrics(t *testing.T) {
 
 	// Retries and a mid-stream resume.
 	p := testPolicy()
-	p.ResumeStream, p.MaxResumes = true, 2
 	w := Wrap(&flaky{vals: vals(5), failSetup: 2, truncateCalls: 1, truncAt: 2}, p)
 	w.SetObserver(o)
 	s, err := w.Call(ctx, "get", nil)

@@ -15,6 +15,9 @@ import (
 // budget. It surfaces wrapped in domain.ErrUnavailable (retryable).
 var ErrCallTimeout = errors.New("per-call timeout exceeded")
 
+// maxResumes bounds the mid-stream re-issues of one call.
+const maxResumes = 2
+
 // Policy is the resilience policy applied to every call through a Wrapper.
 type Policy struct {
 	// MaxAttempts bounds call attempts, the first try included (≤1 means
@@ -33,13 +36,6 @@ type Policy struct {
 	Seed uint64
 	// Breaker configures the per-domain circuit breaker.
 	Breaker BreakerConfig
-	// ResumeStream re-issues the call after a mid-stream retryable
-	// failure and resumes the answer stream past the prefix already
-	// delivered (sound when the source replays answers in the same order).
-	ResumeStream bool
-	// MaxResumes bounds mid-stream re-issues per call (default 2 when
-	// ResumeStream is set).
-	MaxResumes int
 }
 
 // DefaultPolicy returns a policy tuned for the paper's WAN sources:
@@ -47,12 +43,10 @@ type Policy struct {
 // five straight failures and probes again after 30 s of execution time.
 func DefaultPolicy() Policy {
 	return Policy{
-		MaxAttempts:  4,
-		BackoffBase:  50 * time.Millisecond,
-		BackoffCap:   2 * time.Second,
-		Seed:         1,
-		ResumeStream: true,
-		MaxResumes:   2,
+		MaxAttempts: 4,
+		BackoffBase: 50 * time.Millisecond,
+		BackoffCap:  2 * time.Second,
+		Seed:        1,
 		Breaker: BreakerConfig{
 			FailureThreshold:  5,
 			OpenTimeout:       30 * time.Second,
@@ -101,9 +95,6 @@ type Wrapper struct {
 func Wrap(d domain.Domain, p Policy) *Wrapper {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 1
-	}
-	if p.ResumeStream && p.MaxResumes <= 0 {
-		p.MaxResumes = 2
 	}
 	return &Wrapper{inner: d, policy: p, breaker: NewBreaker(p.Breaker)}
 }
@@ -276,9 +267,10 @@ func (w *Wrapper) newStream(parent, streamCtx *domain.Ctx, call domain.Call, s d
 
 // resilientStream joins forked attempt clocks back into the caller's and
 // resumes after mid-stream retryable failures by re-issuing the call and
-// skipping the prefix already delivered. Like the wire protocol's resume
-// offset, that assumes the source replays a call's answers in the same
-// order; duplicates within the stream keep their multiplicity.
+// skipping the prefix already delivered. It is the only resume a broken
+// stream gets — a remote.Client just reports the broken connection — and
+// it assumes the source replays a call's answers in the same order;
+// duplicates within the stream keep their multiplicity.
 type resilientStream struct {
 	w         *Wrapper
 	parent    *domain.Ctx
@@ -324,7 +316,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 		}
 		retryable := domain.IsRetryable(err)
 		s.w.breaker.Record(s.parent.Clock.Now(), !retryable)
-		if !retryable || !s.w.policy.ResumeStream || s.resumes >= s.w.policy.MaxResumes {
+		if !retryable || s.resumes >= maxResumes {
 			s.done = true
 			return nil, false, err
 		}
@@ -335,7 +327,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 		// Re-issue through the full breaker/retry path. callRaw keeps the
 		// resume accounting here, at the top level: the fresh stream
 		// replays the whole answer set, the first `delivered` answers of it
-		// are dropped, and this loop (bounded by MaxResumes) handles any
+		// are dropped, and this loop (bounded by maxResumes) handles any
 		// further truncation.
 		ns, nctx, rerr := s.w.callRaw(s.parent, s.call, s.call.Function, s.call.Args)
 		if rerr != nil {

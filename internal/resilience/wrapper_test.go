@@ -214,8 +214,7 @@ func TestWrapperPerCallTimeout(t *testing.T) {
 
 func TestWrapperResumesTruncatedStream(t *testing.T) {
 	src := &flaky{vals: vals(5), truncateCalls: 1, truncAt: 2}
-	w := Wrap(src, Policy{MaxAttempts: 2, BackoffBase: 10 * time.Millisecond, Seed: 3,
-		ResumeStream: true, MaxResumes: 2})
+	w := Wrap(src, Policy{MaxAttempts: 2, BackoffBase: 10 * time.Millisecond, Seed: 3})
 	ctx := domain.NewCtx(vclock.NewVirtual(0))
 
 	s, err := w.Call(ctx, "get", nil)
@@ -251,7 +250,7 @@ func TestResumeKeepsDuplicateAnswers(t *testing.T) {
 	want := []term.Value{term.Int(1), term.Int(1), term.Int(2), term.Int(1)}
 	for _, cuts := range []int{1, 2} {
 		src := &flaky{vals: want, truncateCalls: cuts, truncAt: 1}
-		w := Wrap(src, Policy{MaxAttempts: 1, ResumeStream: true, MaxResumes: 2, Seed: 3})
+		w := Wrap(src, Policy{MaxAttempts: 1, Seed: 3})
 		s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "get", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -272,9 +271,10 @@ func TestResumeKeepsDuplicateAnswers(t *testing.T) {
 }
 
 func TestWrapperResumeExhaustionSurfacesError(t *testing.T) {
-	// Every stream truncates; MaxResumes=1 means the second cut surfaces.
+	// Every stream truncates: the cut after the last of maxResumes
+	// re-issues surfaces.
 	src := &flaky{vals: vals(5), truncateCalls: 1 << 30, truncAt: 2}
-	w := Wrap(src, Policy{MaxAttempts: 1, ResumeStream: true, MaxResumes: 1, Seed: 3})
+	w := Wrap(src, Policy{MaxAttempts: 1, Seed: 3})
 	ctx := domain.NewCtx(vclock.NewVirtual(0))
 	s, err := w.Call(ctx, "get", nil)
 	if err != nil {
@@ -284,7 +284,7 @@ func TestWrapperResumeExhaustionSurfacesError(t *testing.T) {
 	if !errors.Is(err, domain.ErrUnavailable) {
 		t.Fatalf("exhausted resume = %v, want retryable error", err)
 	}
-	if m := w.Metrics(); m.StreamResumes != 1 {
+	if m := w.Metrics(); m.StreamResumes != maxResumes {
 		t.Errorf("metrics = %+v", m)
 	}
 }
