@@ -10,7 +10,7 @@
 //
 // Besides the domain protocol, hermesd serves an observability HTTP
 // endpoint (-http): GET /metrics is a Prometheus text exposition, GET
-// /debug/queries the recent-query span ring buffer, GET /debug/calibration
+// /debug/queries the newest 64 flight records as EXPLAIN trees, GET /debug/calibration
 // the DCSM cost-model calibration table (worst-estimated functions first,
 // joined with their statistics footprint), GET /debug/cim the cache
 // savings ledger, GET /debug/invariants the invariant discrimination
@@ -24,8 +24,9 @@
 //
 // The flight recorder keeps the last finished query span trees in a
 // bounded ring; -slow-query-ms skips queries that finished faster than
-// the threshold (0 records every query). SIGQUIT dumps the ring to the
-// -flight-snapshot path without stopping the server.
+// the threshold (0 records every query), so /debug/queries then lists
+// recent slow queries. SIGQUIT dumps the ring to the -flight-snapshot
+// path without stopping the server.
 //
 // Usage:
 //

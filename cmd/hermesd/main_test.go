@@ -267,16 +267,16 @@ func foreignTotal(d obs.SpanData, node string) time.Duration {
 	return sum
 }
 
-// recentQuery pulls a finished query's span tree out of a system's tracer
-// ring by root name.
+// recentQuery pulls a finished query's span tree out of a system's flight
+// recorder by root name.
 func recentQuery(t *testing.T, sys *core.System, name string) obs.SpanData {
 	t.Helper()
-	for _, d := range sys.Obs.Tracer.Recent() {
-		if d.Name == name {
-			return d
+	for _, r := range sys.Obs.Flight.Records() {
+		if r.Name == name {
+			return r.Root
 		}
 	}
-	t.Fatalf("query %q not found in the tracer ring", name)
+	t.Fatalf("query %q not found in the flight recorder", name)
 	return obs.SpanData{}
 }
 

@@ -22,6 +22,10 @@ var surfaceDelta = map[string]string{
 	// list at zero; the parent created them at the first dial.
 	`hermes_remote_dials_total{domain="peer",outcome="error"}`: "added",
 	`hermes_remote_dials_total{domain="peer",outcome="ok"}`:    "added",
+	// Each loaded invariant's hit series is attached when the invariant is
+	// registered, so it lists at zero; the parent created it at the first hit.
+	`hermes_cim_invariant_hits_total{invariant="F1 <= G1 & G2 <= F2 => avis:frames_to_objects(V, F1, F2) >= avis:frames_to_objects(V, G1, G2)."}`: "added",
+	`hermes_cim_invariant_hits_total{invariant="true => avis:frames_to_objects(V, F, L) = avis:objects_in_range(V, F, L)."}`:                      "added",
 }
 
 // TestFreshDaemonMetricSurface: the metric surface now follows from wiring

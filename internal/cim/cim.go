@@ -168,6 +168,10 @@ type Entry struct {
 
 	key      string // Call.Key(), the key the store holds the entry under
 	lastUsed atomic.Int64
+	// hits and savedNS are the entry's row of the savings ledger: the
+	// serves credited to it and the source time they avoided. The row
+	// leaves the ledger with the entry.
+	hits, savedNS atomic.Int64
 }
 
 // Caller executes actual source calls; satisfied by *domain.Registry.
@@ -204,9 +208,13 @@ type Manager struct {
 	hookMu sync.RWMutex
 	// onMeasure observes completed actual calls (wired to the DCSM).
 	onMeasure func(domain.Measurement)
-	// metrics is where the per-invariant hit counters, whose label is
-	// free-form invariant text, are bumped by name (nil = off).
+	// metrics is where each registered invariant's hit series is listed
+	// (nil = off); listed holds the invariant texts listed there.
 	metrics *obs.Registry
+	listed  map[string]bool
+	// invKeys is each registered invariant's text, rendered once: its
+	// savings-ledger key and the label of its hit series.
+	invKeys map[*lang.Invariant]string
 	// costModel prices the source call a cache hit avoided (wired to the
 	// DCSM estimator; nil = use the serving entry's observed cost).
 	costModel func(domain.Pattern) (domain.CostVector, bool)
@@ -216,8 +224,8 @@ type Manager struct {
 	// intermediate relations built from those answers.
 	onInvalidate func(callKey string)
 
-	// ledger attributes hits and avoided cost per invariant and per
-	// cache entry (ledger.go).
+	// ledger attributes hits and avoided cost per invariant (ledger.go);
+	// each entry carries its own row.
 	ledger ledger
 
 	// flightMu guards the in-flight call index (flight.go).
@@ -232,6 +240,8 @@ func New(caller Caller, cfg Config) *Manager {
 		cfg:     cfg,
 		idx:     invindex.New(),
 		flights: make(map[string]*flight),
+		invKeys: make(map[*lang.Invariant]string),
+		ledger:  ledger{byInvariant: make(map[string]LedgerRow)},
 	}
 	m.store = shardmap.New(func(e *Entry) int { return e.Bytes },
 		cfg.MaxEntries, cfg.MaxBytes, m.pickVictim, m.evicted)
@@ -255,7 +265,10 @@ var outcomeNames = [...]string{
 func (m *Manager) SetObserver(o *obs.Observer) {
 	r := o.Registry()
 	m.hookMu.Lock()
-	m.metrics = r
+	m.metrics, m.listed = r, make(map[string]bool)
+	for _, key := range m.invKeys {
+		m.listInvariantLocked(key)
+	}
 	m.hookMu.Unlock()
 	for i := range m.lookups {
 		r.AttachCounter("hermes_cim_lookups_total", "CIM cache probes by serving outcome", m.lookups[i].Value, "outcome", outcomeNames[i])
@@ -264,7 +277,6 @@ func (m *Manager) SetObserver(o *obs.Observer) {
 	r.AttachCounter("hermes_cim_evictions_total", "cache entries evicted by the CIM replacement policy", m.evictions.Value)
 	r.AttachCounter("hermes_cim_singleflight_shares_total", "concurrent identical or invariant-equivalent calls served by one in-flight source fetch", m.singleFlightShares.Value)
 	r.AttachCounter("hermes_cim_saved_ms_total", "estimated milliseconds of source work avoided by cache and invariant hits", func() int64 { return time.Duration(m.savedNS.Value()).Milliseconds() })
-	r.DeclareCounter("hermes_cim_invariant_hits_total", "cache servings proved by an invariant, by invariant text")
 	r.AttachGauge("hermes_cim_entries", "answer sets currently cached by the CIM", func() float64 { return float64(m.store.Len()) })
 	r.AttachGauge("hermes_cim_bytes", "bytes of cached answer sets held by the CIM", func() float64 { return float64(m.store.Bytes()) })
 	r.AttachGauge("hermes_cim_inflight_calls", "source calls currently in flight through the CIM", func() float64 {
@@ -327,14 +339,31 @@ func (m *Manager) SetMeasurementObserver(fn func(domain.Measurement)) {
 }
 
 // AddInvariant validates and registers an invariant into the shared
-// discrimination index. Ill-formed invariants (free condition variables)
-// are rejected: applying one could never be proven sound.
+// discrimination index, and lists its hit series at zero. Ill-formed
+// invariants (free condition variables) are rejected: applying one could
+// never be proven sound.
 func (m *Manager) AddInvariant(inv *lang.Invariant) error {
 	if err := inv.Validate(); err != nil {
 		return err
 	}
+	key := inv.String()
+	m.hookMu.Lock()
+	m.invKeys[inv] = key
+	m.listInvariantLocked(key)
+	m.hookMu.Unlock()
 	m.idx.AddInvariant(inv)
 	return nil
+}
+
+// listInvariantLocked lists the hermes_cim_invariant_hits_total series of
+// the invariant text key, which reads the key's savings-ledger row, once
+// per registry. The caller holds hookMu.
+func (m *Manager) listInvariantLocked(key string) {
+	if m.metrics == nil || m.listed[key] {
+		return
+	}
+	m.listed[key] = true
+	m.metrics.AttachCounter("hermes_cim_invariant_hits_total", "cache servings proved by an invariant, by invariant text", func() int64 { return m.ledger.hits(key) }, "invariant", key)
 }
 
 // Index exposes the invariant discrimination index (introspection).
@@ -399,10 +428,13 @@ func (m *Manager) storeEntry(c domain.Call, answers []term.Value, complete bool,
 	e := &Entry{Call: c, Answers: answers, Complete: complete, Cost: cost, Bytes: bytes, key: c.Key()}
 	e.lastUsed.Store(m.counter.Add(1))
 	m.idx.AddCall(c)
-	if _, refreshed := m.store.Put(e.key, e); refreshed {
-		// A refresh replaced previously served answers: memo relations
-		// built from the old entry are stale. A fresh store fires nothing —
-		// the miss that produced it is itself feeding an in-progress fill.
+	if old, refreshed := m.store.Put(e.key, e); refreshed {
+		// The call keeps its ledger row. A refresh replaced previously
+		// served answers: memo relations built from the old entry are
+		// stale. A fresh store fires nothing — the miss that produced it is
+		// itself feeding an in-progress fill.
+		e.hits.Add(old.hits.Load())
+		e.savedNS.Add(old.savedNS.Load())
 		m.invalidate(e.key)
 	}
 	m.storedEntries.Inc()

@@ -30,8 +30,9 @@ const ExactKey = "(exact)"
 // of masquerading as an invariant.
 const MemoBucket = "(memo)"
 
-// LedgerRow is one attribution bucket: an invariant (or ExactKey) in
-// the per-invariant view, a cached call in the per-entry view.
+// LedgerRow is one attribution bucket: an invariant (or ExactKey, or
+// MemoBucket) in the per-invariant view, a cached call in the per-entry
+// view.
 type LedgerRow struct {
 	Key   string        `json:"key"`
 	Hits  int64         `json:"hits"`
@@ -39,49 +40,42 @@ type LedgerRow struct {
 }
 
 // LedgerSnapshot is the savings ledger at a point in time. Rows are
-// sorted by avoided cost (descending), then hits, then key.
+// sorted by avoided cost (descending), then hits, then key. Entries lists
+// the calls cached now: a call's row leaves with its cache entry.
 type LedgerSnapshot struct {
 	Total      time.Duration `json:"total"`
 	Invariants []LedgerRow   `json:"invariants"`
 	Entries    []LedgerRow   `json:"entries"`
 }
 
-// ledger accumulates the attribution buckets. Rows survive cache
-// eviction: this is a ledger of what already happened, not an index of
-// what is cached now.
+// ledger accumulates the per-invariant buckets: a ledger of what already
+// happened, which cache eviction does not touch. The per-entry rows live
+// on the entries.
 type ledger struct {
 	mu          sync.Mutex
 	total       time.Duration
-	byInvariant map[string]*LedgerRow
-	byEntry     map[string]*LedgerRow
+	byInvariant map[string]LedgerRow
 }
 
-func (l *ledger) credit(invKey, entryKey string, saved time.Duration) {
+func (l *ledger) credit(invKey string, saved time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.byInvariant == nil {
-		l.byInvariant = make(map[string]*LedgerRow)
-		l.byEntry = make(map[string]*LedgerRow)
-	}
-	bump := func(m map[string]*LedgerRow, key string) {
-		r := m[key]
-		if r == nil {
-			r = &LedgerRow{Key: key}
-			m[key] = r
-		}
-		r.Hits++
-		r.Saved += saved
-	}
-	bump(l.byInvariant, invKey)
-	bump(l.byEntry, entryKey)
+	r := l.byInvariant[invKey]
+	r.Key, r.Hits, r.Saved = invKey, r.Hits+1, r.Saved+saved
+	l.byInvariant[invKey] = r
 	l.total += saved
 }
 
-func sortRows(m map[string]*LedgerRow) []LedgerRow {
-	rows := make([]LedgerRow, 0, len(m))
-	for _, r := range m {
-		rows = append(rows, *r)
-	}
+// hits reads one bucket's hit count: what its invariant's
+// hermes_cim_invariant_hits_total series shows.
+func (l *ledger) hits(invKey string) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.byInvariant[invKey].Hits
+}
+
+// sortRows orders rows by avoided cost (descending), then hits, then key.
+func sortRows(rows []LedgerRow) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Saved != rows[j].Saved {
 			return rows[i].Saved > rows[j].Saved
@@ -91,34 +85,29 @@ func sortRows(m map[string]*LedgerRow) []LedgerRow {
 		}
 		return rows[i].Key < rows[j].Key
 	})
-	return rows
 }
 
-// restore replaces the ledger contents with a persisted snapshot, so
-// savings attribution survives a mediator restart alongside the cache.
+// snapshot returns the total and the per-invariant view.
+func (l *ledger) snapshot() LedgerSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := LedgerSnapshot{Total: l.total, Invariants: make([]LedgerRow, 0, len(l.byInvariant))}
+	for _, r := range l.byInvariant {
+		s.Invariants = append(s.Invariants, r)
+	}
+	sortRows(s.Invariants)
+	return s
+}
+
+// restore replaces the per-invariant buckets with a persisted snapshot's,
+// so savings attribution survives a mediator restart alongside the cache.
 func (l *ledger) restore(s LedgerSnapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total = s.Total
-	l.byInvariant = make(map[string]*LedgerRow, len(s.Invariants))
-	l.byEntry = make(map[string]*LedgerRow, len(s.Entries))
+	l.byInvariant = make(map[string]LedgerRow, len(s.Invariants))
 	for _, r := range s.Invariants {
-		row := r
-		l.byInvariant[r.Key] = &row
-	}
-	for _, r := range s.Entries {
-		row := r
-		l.byEntry[r.Key] = &row
-	}
-}
-
-func (l *ledger) snapshot() LedgerSnapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LedgerSnapshot{
-		Total:      l.total,
-		Invariants: sortRows(l.byInvariant),
-		Entries:    sortRows(l.byEntry),
+		l.byInvariant[r.Key] = r
 	}
 }
 
@@ -150,21 +139,20 @@ func (m *Manager) avoidedCost(call domain.Call, e *Entry) time.Duration {
 	return e.Cost.TAll
 }
 
-// credit records one cache serve in the ledger. withSavings is true
-// when the serve genuinely replaced a source call (exact and equality
-// hits); partial and degraded serves count hits only — a partial hit
-// still issues the actual call, and a degraded serve had no working
-// source to avoid. Invariant hits bump the per-invariant counter and
-// tag the span; savings additionally tag cim.saved_ms so a trace's
-// per-span avoided costs sum to the ledger total.
+// credit records one cache serve in the ledger: in the serving entry's
+// row and in its invariant's bucket (ExactKey for none). withSavings is
+// true when the serve genuinely replaced a source call (exact and
+// equality hits); partial and degraded serves count hits only — a partial
+// hit still issues the actual call, and a degraded serve had no working
+// source to avoid. Invariant hits tag the span with the invariant; savings
+// additionally tag cim.saved_ms so a trace's per-span avoided costs sum to
+// the ledger total.
 func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.Invariant, withSavings bool) {
 	invKey := ExactKey
 	if inv != nil {
-		invKey = inv.String()
 		m.hookMu.RLock()
-		r := m.metrics
+		invKey = m.invKeys[inv]
 		m.hookMu.RUnlock()
-		r.Counter("hermes_cim_invariant_hits_total", "invariant", invKey).Inc()
 		ctx.Span.SetTag("invariant", invKey)
 	}
 	var saved time.Duration
@@ -173,20 +161,32 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 		m.savedNS.Add(int64(saved))
 		ctx.Span.SetTag("cim.saved_ms", obs.FormatMillis(saved))
 	}
-	m.ledger.credit(invKey, e.key, saved)
+	e.hits.Add(1)
+	e.savedNS.Add(int64(saved))
+	m.ledger.credit(invKey, saved)
 }
 
-// CreditMemo records one rule-level memo hit in the savings ledger under
-// the MemoBucket invariant bucket, attributed to the memo entry's key in
-// the per-entry view. The memo's own hermes_memo_saved_ms_total counter
-// tracks the metric side; this keeps the unified "what did caching earn"
-// ledger complete.
-func (m *Manager) CreditMemo(entryKey string, saved time.Duration) {
-	m.ledger.credit(MemoBucket, entryKey, saved)
+// CreditMemo records one rule-level memo hit in the savings ledger's
+// MemoBucket and total; /debug/memo lists the memo's entries. The memo's
+// own hermes_memo_saved_ms_total counter tracks the metric side; this
+// keeps the unified "what did caching earn" ledger complete.
+func (m *Manager) CreditMemo(saved time.Duration) {
+	m.ledger.credit(MemoBucket, saved)
 }
 
-// Ledger returns the savings ledger snapshot.
-func (m *Manager) Ledger() LedgerSnapshot { return m.ledger.snapshot() }
+// Ledger returns the savings ledger snapshot: the per-invariant buckets,
+// and a row for each cached call that has served.
+func (m *Manager) Ledger() LedgerSnapshot {
+	s := m.ledger.snapshot()
+	s.Entries = []LedgerRow{}
+	for _, e := range m.store.Snapshot() {
+		if n := e.hits.Load(); n > 0 {
+			s.Entries = append(s.Entries, LedgerRow{Key: e.key, Hits: n, Saved: time.Duration(e.savedNS.Load())})
+		}
+	}
+	sortRows(s.Entries)
+	return s
+}
 
 // FormatLedger renders the /debug/cim top-K table.
 func FormatLedger(s LedgerSnapshot, k int) string {

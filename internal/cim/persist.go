@@ -43,7 +43,7 @@ type cacheSnapshot struct {
 // Save writes the cache contents as JSON.
 func (m *Manager) Save(w io.Writer) error {
 	snap := cacheSnapshot{Version: cacheSnapshotVersion, Counter: m.counter.Load()}
-	ledger := m.ledger.snapshot()
+	ledger := m.Ledger()
 	snap.Ledger = &ledger
 	for _, e := range m.store.Snapshot() {
 		args, err := term.EncodeJSONs(e.Call.Args)
@@ -101,6 +101,16 @@ func (m *Manager) Load(r io.Reader) error {
 		e.key = e.Call.Key()
 		entries[e.key] = e
 	}
+	if snap.Ledger != nil {
+		m.ledger.restore(*snap.Ledger)
+		// A saved row whose call was not saved has no entry to live on.
+		for _, r := range snap.Ledger.Entries {
+			if e := entries[r.Key]; e != nil {
+				e.hits.Store(r.Hits)
+				e.savedNS.Store(int64(r.Saved))
+			}
+		}
+	}
 	// The load replaces whatever was cached: memo relations built from the
 	// previous contents are stale, and the call index is rebuilt to match.
 	prior := m.store.Snapshot()
@@ -112,9 +122,6 @@ func (m *Manager) Load(r io.Reader) error {
 	m.idx.ResetCalls(calls)
 	for _, e := range prior {
 		m.invalidate(e.key)
-	}
-	if snap.Ledger != nil {
-		m.ledger.restore(*snap.Ledger)
 	}
 	for {
 		cur := m.counter.Load()

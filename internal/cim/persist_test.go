@@ -134,7 +134,7 @@ func TestCacheSaveLoadLedgerRoundTrip(t *testing.T) {
 		}
 	}
 	// Memo savings share the ledger under their own bucket.
-	m.CreditMemo("p^ff|#2a|v0|v1", 700*time.Millisecond)
+	m.CreditMemo(700 * time.Millisecond)
 	before := m.Ledger()
 	if before.Total == 0 || len(before.Invariants) == 0 {
 		t.Fatalf("ledger vacuous before save: %+v", before)

@@ -82,8 +82,8 @@ true => d:f(A) = d:g(A).
 	}
 
 	spanSum := 0.0
-	for _, root := range o.Tracer.Recent() {
-		spanSum += sumSavedTags(root, t)
+	for _, r := range o.Flight.Records() {
+		spanSum += sumSavedTags(r.Root, t)
 	}
 	ledMS := float64(led.Total) / float64(time.Millisecond)
 	if math.Abs(spanSum-ledMS) > 1.0 {
@@ -224,5 +224,53 @@ F1 <= G1 & G2 <= F2 => src:range(F1, F2) >= src:range(G1, G2).
 	// A degraded partial serve earns hit credit but no savings.
 	if led := sys.CIM.Ledger(); led.Total != 0 || len(led.Invariants) == 0 {
 		t.Errorf("ledger after degraded partial = %+v", led)
+	}
+}
+
+// TestLoadedInvariantsListHitSeriesAtZero: after LoadProgram, every loaded
+// invariant's hermes_cim_invariant_hits_total series is listed at 0 before
+// its first hit, so a scrape answers "which invariant never fires?"; a hit
+// moves only its own invariant's series.
+func TestLoadedInvariantsListHitSeriesAtZero(t *testing.T) {
+	o := obs.NewObserver()
+	d := domaintest.New("d")
+	answers := func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.Str("a"), term.Str("b")}, nil
+	}
+	for _, fn := range []string{"f", "g"} {
+		d.Define(fn, domaintest.Func{Arity: 1, PerCall: 50 * time.Millisecond, Fn: answers})
+	}
+	d.Define("r", domaintest.Func{Arity: 2, PerCall: 50 * time.Millisecond, Fn: answers})
+	sys := NewSystem(Options{Obs: o})
+	sys.Register(d)
+	equality, superset := "true => d:f(A) = d:g(A).", "F1 <= G1 & G2 <= F2 => d:r(F1, F2) >= d:r(G1, G2)."
+	if err := sys.LoadProgram("vf(X) :- in(X, d:f(1)).\nvg(X) :- in(X, d:g(1)).\n" + equality + "\n" + superset + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	series := func() string {
+		var sb strings.Builder
+		if err := o.Metrics.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	for _, inv := range []string{equality, superset} {
+		if want := fmt.Sprintf("hermes_cim_invariant_hits_total{invariant=%q} 0\n", inv); !strings.Contains(series(), want) {
+			t.Errorf("after LoadProgram the scrape lacks %q", want)
+		}
+	}
+	for _, q := range []string{"?- vf(X).", "?- vg(X)."} { // a miss, then an equality hit
+		cur, err := sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := engine.CollectAll(cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for inv, want := range map[string]string{equality: "1", superset: "0"} {
+		if line := fmt.Sprintf("hermes_cim_invariant_hits_total{invariant=%q} %s\n", inv, want); !strings.Contains(series(), line) {
+			t.Errorf("after one equality hit the scrape lacks %q", line)
+		}
 	}
 }

@@ -314,8 +314,10 @@ func (s *System) Register(d domain.Domain) {
 	type actualsSink interface {
 		SetActualsHook(func(domain.Call, obs.Cost))
 	}
-	// The domain's q-error histograms list at zero from registration on.
-	s.Obs.DomainQErr(d.Name())
+	// The domain's q-error series list at zero from registration on.
+	if s.Obs != nil {
+		s.Obs.Calibration.ListDomain(d.Name())
+	}
 	foundEst := false
 	for probe := d; probe != nil; {
 		if est, ok := probe.(domain.Estimator); ok && !foundEst {

@@ -169,11 +169,12 @@ func TestCallSpansBreakerOpen(t *testing.T) {
 	// Retained span trees, newest first: the rejected query, then the one
 	// that reached the down source. Both roots are incomplete and hold one
 	// call span with the setup error; only the rejected one says breaker=open.
-	recent := o.Tracer.Recent()
+	recent := o.Flight.Records()
 	if len(recent) != 2 {
 		t.Fatalf("retained spans = %d, want 2", len(recent))
 	}
-	for i, root := range recent {
+	for i, rec := range recent {
+		root := rec.Root
 		if root.Tag("complete") != "false" {
 			t.Errorf("root %d tags = %v, want complete=false", i, root.Tags)
 		}

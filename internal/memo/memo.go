@@ -187,7 +187,7 @@ type Cache struct {
 	hookMu sync.RWMutex
 	// onSavings credits a hit's avoided cost to an external ledger (the
 	// mediator wires it to the CIM savings ledger's "(memo)" bucket).
-	onSavings func(entryKey string, saved time.Duration)
+	onSavings func(saved time.Duration)
 }
 
 // New builds a memo cache.
@@ -222,14 +222,14 @@ func (c *Cache) SetObserver(o *obs.Observer) {
 }
 
 // SetSavingsHook installs the external savings ledger credit: called once
-// per hit with the serving entry's key and avoided cost.
-func (c *Cache) SetSavingsHook(fn func(entryKey string, saved time.Duration)) {
+// per hit with its avoided cost.
+func (c *Cache) SetSavingsHook(fn func(saved time.Duration)) {
 	c.hookMu.Lock()
 	defer c.hookMu.Unlock()
 	c.onSavings = fn
 }
 
-func (c *Cache) savingsHook() func(string, time.Duration) {
+func (c *Cache) savingsHook() func(time.Duration) {
 	c.hookMu.RLock()
 	defer c.hookMu.RUnlock()
 	return c.onSavings
@@ -289,7 +289,7 @@ func (c *Cache) Probe(key string) ProbeResult {
 			c.hits.Inc()
 			c.savedNS.Add(int64(saved))
 			if hook := c.savingsHook(); hook != nil {
-				hook(key, saved)
+				hook(saved)
 			}
 			return ProbeResult{Entry: e}
 		}

@@ -65,14 +65,13 @@ func TestStoreAndHit(t *testing.T) {
 
 func TestSavingsHook(t *testing.T) {
 	c := New(DefaultConfig())
-	var gotKey string
 	var gotSaved time.Duration
-	c.SetSavingsHook(func(k string, d time.Duration) { gotKey, gotSaved = k, d })
+	c.SetSavingsHook(func(d time.Duration) { gotSaved = d })
 	key := fillKey(0)
 	commitEntry(t, c, key, nil, nil, false, 80*time.Millisecond)
 	c.Probe(key)
-	if gotKey != key || gotSaved != 80*time.Millisecond {
-		t.Errorf("savings hook got (%q, %v), want (%q, 80ms)", gotKey, gotSaved, key)
+	if gotSaved != 80*time.Millisecond {
+		t.Errorf("savings hook got %v, want 80ms", gotSaved)
 	}
 }
 

@@ -61,10 +61,13 @@ type calEntry struct{ qtf, qta, qcard Histogram }
 // planner can tell whether a plan was ranked on trustworthy numbers.
 // It keeps a bounded sample window per function (the same windowed
 // histogram the registry uses) and is safe for concurrent use; a nil
-// *Calibration disables tracking.
+// *Calibration disables tracking. The windows are the only copy of the
+// samples: the per-domain hermes_dcsm_qerror_{tf,ta,card} series merge
+// them.
 type Calibration struct {
 	mu      sync.Mutex
 	entries map[calKey]*calEntry
+	reg     *Registry // where each function's windows join its domain's series
 }
 
 // NewCalibration returns an empty calibration table.
@@ -72,14 +75,33 @@ func NewCalibration() *Calibration {
 	return &Calibration{entries: make(map[calKey]*calEntry)}
 }
 
+// entry returns (creating on first use) the function's windows. The
+// caller holds c.mu.
 func (c *Calibration) entry(dom, fn string) *calEntry {
 	k := calKey{dom, fn}
 	e := c.entries[k]
 	if e == nil {
 		e = &calEntry{}
 		c.entries[k] = e
+		c.attach(dom, &e.qtf, &e.qta, &e.qcard)
 	}
 	return e
+}
+
+// ListDomain lists dom's q-error series at zero, before the domain's
+// first measured call. Nil-safe.
+func (c *Calibration) ListDomain(dom string) {
+	if c != nil {
+		c.attach(dom, nil, nil, nil)
+	}
+}
+
+// attach lists dom's hermes_dcsm_qerror_{tf,ta,card} series and merges
+// the given windows (nil: none) into them.
+func (c *Calibration) attach(dom string, qtf, qta, qcard *Histogram) {
+	c.reg.AttachHistogram("hermes_dcsm_qerror_tf", "q-error of DCSM first-answer time estimates vs measured calls", qtf, "domain", dom)
+	c.reg.AttachHistogram("hermes_dcsm_qerror_ta", "q-error of DCSM total-time estimates vs measured calls", qta, "domain", dom)
+	c.reg.AttachHistogram("hermes_dcsm_qerror_card", "q-error of DCSM cardinality estimates vs measured calls", qcard, "domain", dom)
 }
 
 // Observe feeds one completed call's estimate and measured actual into

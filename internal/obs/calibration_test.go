@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"io"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -192,4 +196,91 @@ func TestCalibrationNilSafety(t *testing.T) {
 	// An observer with a nil Calibration/Metrics still accepts feeds.
 	partial := &Observer{}
 	partial.ObserveCalibration("d", "f", Cost{}, Cost{})
+}
+
+// TestDomainQErrSeriesMergeFunctionWindows: each measured call is observed
+// once, into its function's windows, and a domain's q-error series are the
+// registry's merge of those windows — count and sum the sums of the
+// domain's function counts and sums, quantiles over their union.
+func TestDomainQErrSeriesMergeFunctionWindows(t *testing.T) {
+	o := NewObserver()
+	o.Calibration.ListDomain("idle")
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	for i := 1; i <= 30; i++ {
+		o.ObserveCalibration("avis", "frames", Cost{TFirst: ms(2), TAll: ms(10), Card: 4}, Cost{TFirst: ms(i), TAll: ms(10 * i), Card: float64(i)})
+		o.ObserveCalibration("avis", "objects", Cost{TAll: ms(50), Card: 2}, Cost{TAll: ms(5 * i), Card: 2})
+		o.ObserveCalibration("ingres", "roads", Cost{TAll: ms(7), Card: 1}, Cost{TAll: ms(7), Card: 1})
+	}
+	for _, dom := range []string{"avis", "ingres", "idle"} {
+		for _, c := range []struct {
+			name string
+			win  func(*calEntry) *Histogram
+		}{
+			{"hermes_dcsm_qerror_tf", func(e *calEntry) *Histogram { return &e.qtf }},
+			{"hermes_dcsm_qerror_ta", func(e *calEntry) *Histogram { return &e.qta }},
+			{"hermes_dcsm_qerror_card", func(e *calEntry) *Histogram { return &e.qcard }},
+		} {
+			var n int64
+			var sum float64
+			var union []float64
+			for k, e := range o.Calibration.entries {
+				if k.domain == dom {
+					n += c.win(e).Count()
+					sum += c.win(e).Sum()
+					union = c.win(e).window(union)
+				}
+			}
+			snap := o.Metrics.Snapshot()
+			label := `{domain="` + dom + `"}`
+			if got, ok := snap[c.name+"_count"+label]; !ok || got != float64(n) {
+				t.Errorf("%s_count%s = %g (listed %v), function windows hold %d", c.name, label, got, ok, n)
+			}
+			if got := snap[c.name+"_sum"+label]; got != sum {
+				t.Errorf("%s_sum%s = %g, function windows sum to %g", c.name, label, got, sum)
+			}
+			sort.Float64s(union)
+			if got, want := o.Metrics.Histogram(c.name, "domain", dom).Quantile(0.95), nearestRank(union, 0.95); got != want {
+				t.Errorf("%s%s p95 = %g, over the union of function windows %g", c.name, label, got, want)
+			}
+		}
+	}
+	if n := o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", "avis").Count(); n != 60 {
+		t.Errorf("avis observed %d Ta q-errors for 60 measured calls", n)
+	}
+}
+
+// TestCalibrationObserveWhileScraped: the registry reads the calibration
+// windows it merges while calls are observed into them and new functions
+// attach theirs; run with -race.
+func TestCalibrationObserveWhileScraped(t *testing.T) {
+	o := NewObserver()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				o.ObserveCalibration("d", fmt.Sprintf("f%d", i%(g+2)), Cost{TAll: time.Millisecond}, Cost{TAll: time.Duration(i+1) * time.Millisecond})
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				o.Metrics.WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-scraped
+	if n := o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", "d").Count(); n != 4*300 {
+		t.Errorf("merged count = %d, want %d", n, 4*300)
+	}
 }

@@ -19,8 +19,8 @@
 //   - Tracer starts one root Span per query; the engine, CIM, DCSM,
 //     resilience wrapper and remote client hang child spans and outcome
 //     tags off it (cim=exact|equality|partial|miss, degraded=true,
-//     breaker=open, ...). Finished span trees land in a bounded ring
-//     buffer served at /debug/queries.
+//     breaker=open, ...). Finished span trees land in the flight
+//     recorder's bounded ring, which /debug/queries renders.
 //   - Explain renders a finished span tree as a text tree annotating every
 //     node with its estimated versus actual [Tf, Ta, Card] cost vector —
 //     the paper's cost triple of time-to-first-answer, time-to-all-answers

@@ -92,7 +92,7 @@ func TestFlightRecorderConcurrentWriteJSONL(t *testing.T) {
 // compares against a golden file.
 func TestExplainFederatedGolden(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	root := NewTracer(1).StartQuery("?- objects_between(4, 47, O).", 0)
+	root := NewTracer(nil).StartQuery("?- objects_between(4, 47, O).", 0)
 	root.SetTag("node", "node-a")
 	root.SetTag("answers", "19")
 	root.SetTag("complete", "true")

@@ -1,10 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"time"
+
+	"hermes/internal/term"
 )
 
 // DefaultFlightCapacity is how many finished root-span trees the
@@ -96,7 +98,8 @@ func (f *FlightRecorder) Stats() (offered, skipped int64) {
 
 // WriteJSONL dumps the retained records oldest first, one JSON object
 // per line (the /debug/flightrecorder format, also used for on-disk
-// snapshots). A nil recorder writes nothing.
+// snapshots): the bytes json.Encoder writes for each FlightRecord. A nil
+// recorder writes nothing.
 func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 	if f == nil {
 		return nil
@@ -104,9 +107,18 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 	f.mu.Lock()
 	records := f.records.newestFirst()
 	f.mu.Unlock()
-	enc := json.NewEncoder(w)
+	var b []byte
 	for i := len(records) - 1; i >= 0; i-- {
-		if err := enc.Encode(records[i]); err != nil {
+		r := &records[i]
+		b = strconv.AppendInt(append(b[:0], `{"seq":`...), r.Seq, 10)
+		b = term.AppendJSONString(append(b, `,"name":`...), r.Name)
+		b = term.AppendJSONFloat(append(b, `,"duration_ms":`...), r.DurationMS)
+		var err error
+		if b, err = AppendSpanJSON(append(b, `,"root":`...), r.Root); err != nil {
+			return err
+		}
+		b = append(b, "}\n"...)
+		if _, err = w.Write(b); err != nil {
 			return err
 		}
 	}

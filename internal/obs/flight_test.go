@@ -114,3 +114,34 @@ func TestObserverFeedsFlightRecorder(t *testing.T) {
 		t.Fatalf("flight records = %+v", recs)
 	}
 }
+
+// TestFlightJSONLMatchesEncoder: the hand-written JSONL writer emits the
+// bytes json.Encoder writes for each FlightRecord, oldest first.
+func TestFlightJSONLMatchesEncoder(t *testing.T) {
+	f := NewFlightRecorder(3, 0)
+	for i, name := range []string{"?- q(X).", "<a & b>", "?- r(\" \xff\", 1e-7).", "last"} {
+		root := span(name, time.Duration(i*1234567+1))
+		root.Start = time.Duration(i)
+		root.Tags = tagsOf(map[string]string{"answers": fmt.Sprint(i), "<tag>": "v&w"})
+		root.Est = &Cost{TFirst: time.Millisecond, TAll: 3 * time.Millisecond, Card: 1.0 / 3}
+		root.Children = []SpanData{sampleSubtree(), {Name: "leaf", Actual: &Cost{Card: 2.5e21}}}
+		f.Record(root)
+	}
+	var got, want bytes.Buffer
+	if err := f.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&want)
+	recs := f.Records()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if err := enc.Encode(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("WriteJSONL =\n%s\njson.Encoder =\n%s", got.String(), want.String())
+	}
+	if n := strings.Count(got.String(), "\n"); n != 3 {
+		t.Errorf("wrote %d lines, want the 3 retained records", n)
+	}
+}

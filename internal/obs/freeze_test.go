@@ -382,8 +382,8 @@ func TestOpenGrandchildIsNeverFrozen(t *testing.T) {
 }
 
 // TestRingFlightAndExplainReadOneTree: a tag written before the root ends
-// is in the tracer ring, the flight record and the EXPLAIN — which are one
-// tree, built once.
+// is in the flight record (the ring /debug/queries renders) and the
+// EXPLAIN — which are one tree, built once.
 func TestRingFlightAndExplainReadOneTree(t *testing.T) {
 	o := NewObserver()
 	root := o.StartQuery("?- q(X).", 0)
@@ -394,8 +394,8 @@ func TestRingFlightAndExplainReadOneTree(t *testing.T) {
 	root.SetTag("zlast", "written just before End")
 	root.End(3 * time.Millisecond)
 
-	ring, flight, explain := o.Tracer.Recent()[0], o.Flight.Records()[0].Root, root.Snapshot()
-	for name, d := range map[string]SpanData{"ring": ring, "flight": flight, "explain": explain} {
+	ring, explain := o.Flight.Records()[0].Root, root.Snapshot()
+	for name, d := range map[string]SpanData{"flight": ring, "explain": explain} {
 		if d.Tag("zlast") == "" || d.Tag("answers") != "2" || d.Children[0].Tag("cim") != "exact" {
 			t.Errorf("%s misses a tag written before End: %+v", name, d)
 		}

@@ -5,11 +5,14 @@ import (
 	"net/http"
 )
 
+// debugQueries is how many flight records /debug/queries renders.
+const debugQueries = 64
+
 // Handler serves an observer over HTTP:
 //
 //	GET /metrics               Prometheus text exposition of every metric
-//	GET /debug/queries         the recent-query span ring buffer, newest
-//	                           first, each query rendered as its EXPLAIN
+//	GET /debug/queries         the newest debugQueries flight records,
+//	                           newest first, each rendered as its EXPLAIN
 //	                           tree
 //	GET /debug/flightrecorder  the flight recorder's retained root-span
 //	                           trees as JSONL, oldest first
@@ -31,11 +34,12 @@ func Handler(o *Observer) http.Handler {
 			return
 		}
 		started, finished := o.Tracer.Counts()
-		recent := o.Tracer.Recent()
+		recent := o.Flight.Records()
+		recent = recent[:min(len(recent), debugQueries)]
 		fmt.Fprintf(w, "%d queries started, %d finished, %d retained\n", started, finished, len(recent))
-		for i, d := range recent {
-			fmt.Fprintf(w, "\n-- query %d (started at %s, took %s)\n", i+1, millis(d.Start), millis(d.Duration()))
-			fmt.Fprint(w, Explain(d))
+		for i, r := range recent {
+			fmt.Fprintf(w, "\n-- query %d (started at %s, took %s)\n", i+1, millis(r.Root.Start), millis(r.Root.Duration()))
+			fmt.Fprint(w, Explain(r.Root))
 		}
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {

@@ -365,10 +365,16 @@ func labelString(labels []string) string {
 	return b.String()
 }
 
-// familyLocked returns (creating on first use) the family name, checking
-// that the name is not reused with a different kind; a non-empty help
-// becomes its # HELP text. The caller holds r.mu.
-func (r *Registry) familyLocked(name, help string, kind metricKind) *family {
+// metric returns (creating on first use) the registry-owned instance for
+// (name, labels), checking that the name is not reused with a different
+// kind; a non-empty help becomes the family's # HELP text.
+func (r *Registry) metric(name, help string, kind metricKind, labels []string) any {
+	if r == nil {
+		return nil
+	}
+	ls := labelString(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, kind: kind, byLabel: make(map[string]any)}
@@ -380,19 +386,6 @@ func (r *Registry) familyLocked(name, help string, kind metricKind) *family {
 	if help != "" {
 		f.help = help
 	}
-	return f
-}
-
-// metric returns (creating on first use) the registry-owned instance for
-// (name, labels).
-func (r *Registry) metric(name, help string, kind metricKind, labels []string) any {
-	if r == nil {
-		return nil
-	}
-	ls := labelString(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, kind)
 	m, ok := f.byLabel[ls]
 	if !ok {
 		switch kind {
@@ -409,9 +402,7 @@ func (r *Registry) metric(name, help string, kind metricKind, labels []string) a
 }
 
 // Counter returns the counter series (name, labels), creating it at zero
-// on first use: the read API, and the bump API of the rare families whose
-// label values cannot be enumerated at wiring. Labels are alternating key,
-// value strings. Nil-receiver safe: a nil registry returns a nil (no-op)
+// on first use: the read API. Labels are alternating key, value strings. Nil-receiver safe: a nil registry returns a nil (no-op)
 // counter.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
 	m, _ := r.metric(name, "", kindCounter, labels).(*Counter)
@@ -450,25 +441,14 @@ func (r *Registry) AttachGauge(name, help string, read func() float64, labels ..
 	}
 }
 
-// AttachHistogram is AttachCounter for a histogram family.
+// AttachHistogram is AttachCounter for a histogram family; a nil h only
+// lists the series.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...string) {
-	if head, _ := r.metric(name, help, kindHistogram, labels).(*Histogram); head != nil {
+	if head, _ := r.metric(name, help, kindHistogram, labels).(*Histogram); head != nil && h != nil {
 		head.mu.Lock()
 		head.more = append(head.more, h)
 		head.mu.Unlock()
 	}
-}
-
-// DeclareCounter declares a counter family whose label values are free-form
-// text, so its series cannot be attached at wiring: they appear as the event
-// site bumps them through Counter(name, labels...). Nil-receiver safe.
-func (r *Registry) DeclareCounter(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.familyLocked(name, help, kindCounter)
 }
 
 // summaryQuantiles are the quantiles every histogram exports.
@@ -484,24 +464,22 @@ var summaryQuantiles = []struct {
 // series is one labeled instance of a family, copied out of the registry.
 type series struct {
 	family *family
+	help   string // the family's help, read under the registry lock
 	labels string
 	m      any // *Counter | *Gauge | *Histogram
 }
 
 // gather copies out every series, sorted by family name then label string.
-// Only instance pointers are taken under the lock; callers read the values
-// through the instances' own synchronization. A family without series
-// yields one entry with a nil instance, so it still renders its header.
+// Only instance pointers and help texts are taken under the lock (a
+// series attached while others are scraped may set its family's help);
+// callers read the values through the instances' own synchronization.
 func (r *Registry) gather() []series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []series
 	for _, f := range r.families {
-		if len(f.byLabel) == 0 {
-			out = append(out, series{family: f})
-		}
 		for ls, m := range f.byLabel {
-			out = append(out, series{f, ls, m})
+			out = append(out, series{f, f.help, ls, m})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -525,8 +503,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		n, f := in.family.name, in.family
 		if f != last {
 			last = f
-			if f.help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", n, f.help)
+			if in.help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", n, in.help)
 			}
 			fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
 		}

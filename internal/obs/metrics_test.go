@@ -56,9 +56,10 @@ func TestNilSafety(t *testing.T) {
 	o.StartQuery("q", 0).SetTag("a", "b")
 	var tr *Tracer
 	tr.StartQuery("q", 0).End(0)
-	if got := tr.Recent(); got != nil {
-		t.Errorf("nil tracer Recent = %v", got)
+	if started, finished := tr.Counts(); started != 0 || finished != 0 {
+		t.Errorf("nil tracer counts = %d, %d", started, finished)
 	}
+	NewTracer(nil).StartQuery("q", 0).End(0) // a tracer without a recorder keeps nothing
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -354,9 +355,11 @@ func TestAttachedHandles(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareCounter("cim_hits_total", "CIM cache hits by kind.")
-	r.Counter("cim_hits_total", "kind", "exact").Add(3)
-	r.Counter("cim_hits_total", "kind", "partial").Add(1)
+	var exact, partial Counter
+	exact.Add(3)
+	partial.Add(1)
+	r.AttachCounter("cim_hits_total", "CIM cache hits by kind.", exact.Value, "kind", "exact")
+	r.AttachCounter("cim_hits_total", "", partial.Value, "kind", "partial")
 	r.Gauge("breaker_state", "domain", "avis").Set(2)
 	h := r.Histogram("query_ms")
 	h.Observe(10)

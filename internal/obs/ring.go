@@ -1,6 +1,6 @@
 package obs
 
-// ring is the bounded window the tracer and the flight recorder keep: the
+// ring is the bounded window the flight recorder keeps: the
 // last len(buf) items pushed. A push overwrites the oldest in place, so an
 // evicted span tree is unreachable at once rather than lingering in the
 // backing array of a re-sliced append. Callers lock.

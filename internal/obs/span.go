@@ -226,33 +226,27 @@ func (d SpanData) Tag(k string) string {
 	return v
 }
 
-// Tracer creates root query spans and retains the most recent finished
-// span trees in a bounded ring buffer (the /debug/queries feed). It is
-// safe for concurrent use; a nil Tracer disables tracing.
+// Tracer creates root query spans and hands every finished span tree to
+// its flight recorder, whose ring /debug/queries renders. It is safe for
+// concurrent use; a nil Tracer disables tracing.
 type Tracer struct {
-	mu        sync.Mutex
-	recent    ring[SpanData]
-	started   int64
-	finished  int64
-	onPublish func(SpanData) // e.g. the flight recorder
+	started, finished atomic.Int64
+	flight            *FlightRecorder // nil keeps no trees
 }
 
-// NewTracer returns a tracer retaining the last capacity finished query
-// spans (minimum 1).
-func NewTracer(capacity int) *Tracer {
-	return &Tracer{recent: newRing[SpanData](capacity)}
+// NewTracer returns a tracer publishing finished query spans to f.
+func NewTracer(f *FlightRecorder) *Tracer {
+	return &Tracer{flight: f}
 }
 
 // StartQuery opens a root span for one query at execution-clock reading
-// at. Ending the returned span publishes its snapshot to the ring buffer.
-// On a nil tracer it returns nil.
+// at. Ending the returned span publishes its snapshot to the flight
+// recorder. On a nil tracer it returns nil.
 func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.started++
-	t.mu.Unlock()
+	t.started.Add(1)
 	s := NewSpan(name, at)
 	s.tracer = t
 	return s
@@ -260,35 +254,8 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 
 func (t *Tracer) publish(s *Span) {
 	d := s.Snapshot()
-	t.mu.Lock()
-	t.finished++
-	t.recent.push(d)
-	hook := t.onPublish
-	t.mu.Unlock()
-	if hook != nil {
-		hook(d)
-	}
-}
-
-// SetOnPublish installs a hook called with every finished root-span
-// snapshot after it enters the ring (used to feed the flight recorder).
-func (t *Tracer) SetOnPublish(fn func(SpanData)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onPublish = fn
-	t.mu.Unlock()
-}
-
-// Recent returns the retained finished query spans, newest first.
-func (t *Tracer) Recent() []SpanData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.recent.newestFirst()
+	t.finished.Add(1)
+	t.flight.Record(d)
 }
 
 // Counts returns how many query spans were started and finished.
@@ -296,9 +263,7 @@ func (t *Tracer) Counts() (started, finished int64) {
 	if t == nil {
 		return 0, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.started, t.finished
+	return t.started.Load(), t.finished.Load()
 }
 
 // Observer bundles the observability facilities the system threads
@@ -311,22 +276,20 @@ type Observer struct {
 	Tracer      *Tracer
 	Calibration *Calibration
 	Flight      *FlightRecorder
-
-	qerrMu sync.Mutex
-	qerr   map[string]*[3]Histogram // per domain: Tf, Ta, Card q-errors
 }
 
-// NewObserver returns an observer with a fresh registry, a tracer
-// retaining the last 64 queries, an empty calibration table, and a
-// flight recorder fed by the tracer (keep-everything threshold).
+// NewObserver returns an observer with a fresh registry, a calibration
+// table whose per-function windows that registry merges into per-domain
+// q-error series, and a flight recorder (keep-everything threshold) fed by
+// the tracer.
 func NewObserver() *Observer {
 	o := &Observer{
 		Metrics:     NewRegistry(),
-		Tracer:      NewTracer(64),
 		Calibration: NewCalibration(),
 		Flight:      NewFlightRecorder(DefaultFlightCapacity, 0),
 	}
-	o.Tracer.SetOnPublish(o.Flight.Record)
+	o.Calibration.reg = o.Metrics
+	o.Tracer = NewTracer(o.Flight)
 	return o
 }
 
@@ -362,43 +325,13 @@ func (o *Observer) Histogram(name string, labels ...string) *Histogram {
 	return o.Registry().Histogram(name, labels...)
 }
 
-// DomainQErr returns dom's hermes_dcsm_qerror_{tf,ta,card} histograms,
-// attaching them to the registry the first time the domain is seen. The
-// mediator calls it as each domain registers, so the series list at zero
-// before the domain's first measured call. Nil-safe.
-func (o *Observer) DomainQErr(dom string) *[3]Histogram {
-	if o == nil {
-		return nil
-	}
-	o.qerrMu.Lock()
-	defer o.qerrMu.Unlock()
-	q := o.qerr[dom]
-	if q == nil {
-		q = new([3]Histogram)
-		if o.qerr == nil {
-			o.qerr = make(map[string]*[3]Histogram)
-		}
-		o.qerr[dom] = q
-		o.Metrics.AttachHistogram("hermes_dcsm_qerror_tf", "q-error of DCSM first-answer time estimates vs measured calls", &q[0], "domain", dom)
-		o.Metrics.AttachHistogram("hermes_dcsm_qerror_ta", "q-error of DCSM total-time estimates vs measured calls", &q[1], "domain", dom)
-		o.Metrics.AttachHistogram("hermes_dcsm_qerror_card", "q-error of DCSM cardinality estimates vs measured calls", &q[2], "domain", dom)
-	}
-	return q
-}
-
 // ObserveCalibration feeds one completed call's estimated and measured
-// cost vectors into the calibration table and the per-domain
-// hermes_dcsm_qerror_{tf,ta,card} histograms. Callers must only feed
-// spans whose actual reflects a real source call (cache-served answers
-// would fake enormous "errors"). Nil-safe.
+// cost vectors into the calibration table, whose function windows the
+// per-domain hermes_dcsm_qerror_{tf,ta,card} series read. Callers must
+// only feed spans whose actual reflects a real source call (cache-served
+// answers would fake enormous "errors"). Nil-safe.
 func (o *Observer) ObserveCalibration(dom, fn string, est, actual Cost) {
-	if o == nil {
-		return
+	if o != nil {
+		o.Calibration.Observe(dom, fn, est, actual)
 	}
-	o.Calibration.Observe(dom, fn, est, actual)
-	q := o.DomainQErr(dom)
-	qtf, qta, qcard := QErrs(est, actual)
-	q[0].Observe(qtf)
-	q[1].Observe(qta)
-	q[2].Observe(qcard)
 }

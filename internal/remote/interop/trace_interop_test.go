@@ -34,7 +34,7 @@ func acceptHelloWithCaps(dec *json.Decoder, enc *json.Encoder) error {
 // tracedHarnessCtx builds a call context carrying a live span, the shape
 // a traced query hands the remote client.
 func tracedHarnessCtx() (*domain.Ctx, *obs.Span) {
-	root := obs.NewTracer(1).StartQuery("?- q.", 0)
+	root := obs.NewTracer(nil).StartQuery("?- q.", 0)
 	call := root.Child("call src:gen()", 0)
 	ctx := domain.NewCtx(vclock.NewVirtual(0))
 	ctx.Span = call

@@ -15,7 +15,7 @@ import (
 // tracedCtx returns a wall-clock call context carrying a live call span,
 // the shape the engine hands the remote client for a traced query.
 func tracedCtx(name string) (*domain.Ctx, *obs.Span) {
-	root := obs.NewTracer(1).StartQuery("?- q.", 0)
+	root := obs.NewTracer(nil).StartQuery("?- q.", 0)
 	call := root.Child(name, 0)
 	ctx := domain.NewCtx(vclock.NewWall())
 	ctx.Span = call

@@ -49,15 +49,8 @@ type BreakerConfig struct {
 	HalfOpenSuccesses int
 }
 
-const maxTransitions = 32 // state changes a breaker remembers
-
-// Transition is one recorded state change, for tests and dashboards.
-type Transition struct {
-	At       time.Duration
-	From, To BreakerState
-}
-
-// BreakerMetrics counts breaker activity.
+// BreakerMetrics counts breaker activity: a view of the breaker's
+// tallies, which the hermes_breaker_* families also read.
 type BreakerMetrics struct {
 	// Trips counts closed→open (and half-open→open) transitions.
 	Trips int
@@ -72,9 +65,6 @@ type BreakerMetrics struct {
 	// verdict (context cancellation, query deadline, admission shed) and
 	// freed the probe slot without closing or re-opening the breaker.
 	AbandonedProbes int
-	// Transitions is the last maxTransitions state changes in clock order;
-	// the hermes_breaker_transitions_total counters carry the totals.
-	Transitions []Transition
 }
 
 // Breaker is a per-domain circuit breaker. Time is supplied by the caller
@@ -89,10 +79,12 @@ type Breaker struct {
 	successes int // consecutive probe successes while half-open
 	openedAt  time.Duration
 	probing   bool // a half-open probe is in flight
-	metrics   BreakerMetrics
-	// transitions counts state changes by target state; the wrapper
-	// attaches it to the metrics registry.
-	transitions [3]obs.Counter
+
+	// Tallies, bumped at the event site and read by Metrics; the wrapper
+	// attaches transitions (by target state) and rejections to the
+	// registry. A trip is a transition to open.
+	transitions                                 [3]obs.Counter
+	rejections, probes, probeFailures, abandons obs.Counter
 }
 
 // NewBreaker builds a breaker in the closed state.
@@ -112,13 +104,15 @@ func (b *Breaker) State(now time.Duration) BreakerState {
 	return b.state
 }
 
-// Metrics returns a snapshot of the activity counters.
+// Metrics returns the activity counters, one atomic read per field.
 func (b *Breaker) Metrics() BreakerMetrics {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.metrics
-	out.Transitions = append([]Transition(nil), b.metrics.Transitions...)
-	return out
+	return BreakerMetrics{
+		Trips:           int(b.transitions[StateOpen].Value()),
+		Probes:          int(b.probes.Value()),
+		ProbeFailures:   int(b.probeFailures.Value()),
+		Rejections:      int(b.rejections.Value()),
+		AbandonedProbes: int(b.abandons.Value()),
+	}
 }
 
 // stateValue reads the state as the hermes_breaker_state gauge shows it —
@@ -129,15 +123,10 @@ func (b *Breaker) stateValue() float64 {
 	return float64(b.state)
 }
 
-func (b *Breaker) transitionLocked(now time.Duration, to BreakerState) {
+func (b *Breaker) transitionLocked(to BreakerState) {
 	if b.state == to {
 		return
 	}
-	from := b.state
-	if ts := b.metrics.Transitions; len(ts) == maxTransitions {
-		b.metrics.Transitions = ts[:copy(ts, ts[1:])]
-	}
-	b.metrics.Transitions = append(b.metrics.Transitions, Transition{At: now, From: from, To: to})
 	b.state = to
 	b.transitions[to].Inc()
 }
@@ -145,7 +134,7 @@ func (b *Breaker) transitionLocked(now time.Duration, to BreakerState) {
 // advanceLocked moves open→half-open once the open timeout elapses.
 func (b *Breaker) advanceLocked(now time.Duration) {
 	if b.state == StateOpen && now >= b.openedAt+b.cfg.OpenTimeout {
-		b.transitionLocked(now, StateHalfOpen)
+		b.transitionLocked(StateHalfOpen)
 		b.successes = 0
 		b.probing = false
 	}
@@ -167,14 +156,14 @@ func (b *Breaker) Allow(now time.Duration) error {
 		return nil
 	case StateHalfOpen:
 		if b.probing {
-			b.metrics.Rejections++
+			b.rejections.Inc()
 			return ErrBreakerOpen
 		}
 		b.probing = true
-		b.metrics.Probes++
+		b.probes.Inc()
 		return nil
 	default: // StateOpen
-		b.metrics.Rejections++
+		b.rejections.Inc()
 		return ErrBreakerOpen
 	}
 }
@@ -197,10 +186,9 @@ func (b *Breaker) Record(now time.Duration, ok bool) {
 		}
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
-			b.transitionLocked(now, StateOpen)
+			b.transitionLocked(StateOpen)
 			b.openedAt = now
 			b.failures = 0
-			b.metrics.Trips++
 		}
 	case StateHalfOpen:
 		if !b.probing {
@@ -210,16 +198,15 @@ func (b *Breaker) Record(now time.Duration, ok bool) {
 		if ok {
 			b.successes++
 			if b.successes >= b.cfg.HalfOpenSuccesses {
-				b.transitionLocked(now, StateClosed)
+				b.transitionLocked(StateClosed)
 				b.failures = 0
 			}
 			return
 		}
 		b.successes = 0
-		b.transitionLocked(now, StateOpen)
+		b.transitionLocked(StateOpen)
 		b.openedAt = now
-		b.metrics.Trips++
-		b.metrics.ProbeFailures++
+		b.probeFailures.Inc()
 	default: // StateOpen: a straggler from before the trip; ignore.
 	}
 }
@@ -241,6 +228,6 @@ func (b *Breaker) Abandon(now time.Duration) {
 	b.advanceLocked(now)
 	if b.state == StateHalfOpen && b.probing {
 		b.probing = false
-		b.metrics.AbandonedProbes++
+		b.abandons.Inc()
 	}
 }

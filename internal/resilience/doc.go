@@ -18,6 +18,8 @@
 //
 // When an obs.Observer is installed (SetObserver, done by core.System
 // for every registered domain), the wrapper reports per-domain breaker
-// state and transitions, rejections, retries, timeouts, and stream
-// resumes, and tags the active call span.
+// state, transition counts by target state and rejections, and retries,
+// timeouts and stream resumes, and tags the active call span. The breaker
+// keeps counters, not a history: the state sequence is what its
+// transition counters and State show.
 package resilience

@@ -44,8 +44,8 @@ func (r renamed) Name() string { return r.name }
 // TestExportedFamiliesEqualMetrics drives retries, per-call timeouts, a
 // resumed stream, a breaker trip with fast rejections and a half-open
 // recovery through wrappers reporting into one observer, then checks every
-// exported family against the Metrics field (or breaker history) it shares
-// a tally with, read by name under the wrapper's domain label. A handle
+// exported family against the Metrics field (or breaker state sequence) it
+// shares a tally with, read by name under the wrapper's domain label. A handle
 // declared but never attached leaves its family at zero and fails here.
 func TestExportedFamiliesEqualMetrics(t *testing.T) {
 	o := obs.NewObserver()
@@ -98,10 +98,9 @@ func TestExportedFamiliesEqualMetrics(t *testing.T) {
 	}
 	check(b, "hermes_call_timeouts_total", b.Metrics().Timeouts)
 	check(b, "hermes_breaker_rejections_total", b.Metrics().BreakerRejections)
-	to := map[BreakerState]int{}
-	for _, tr := range b.Breaker().Metrics().Transitions {
-		to[tr.To]++
-	}
+	// closed→open (the trip), open→half-open and half-open→closed (the
+	// recovering probe).
+	to := map[BreakerState]int{StateOpen: b.Breaker().Metrics().Trips, StateHalfOpen: 1, StateClosed: 1}
 	for _, st := range []BreakerState{StateClosed, StateOpen, StateHalfOpen} {
 		check(b, "hermes_breaker_transitions_total", to[st], "to", st.String())
 	}

@@ -88,7 +88,7 @@ type Wrapper struct {
 
 	// Tallies, bumped at the event site and read by Metrics and the registry.
 	calls, attempts, retries, successes, failures obs.Counter
-	timeouts, rejections, resumes, backoffNS      obs.Counter
+	timeouts, resumes, backoffNS                  obs.Counter
 }
 
 // Wrap builds a resilient front for d.
@@ -129,7 +129,7 @@ func (w *Wrapper) Metrics() Metrics {
 		Successes:         int(w.successes.Value()),
 		Failures:          int(w.failures.Value()),
 		Timeouts:          int(w.timeouts.Value()),
-		BreakerRejections: int(w.rejections.Value()),
+		BreakerRejections: int(w.breaker.rejections.Value()),
 		StreamResumes:     int(w.resumes.Value()),
 		BackoffTotal:      time.Duration(w.backoffNS.Value()),
 	}
@@ -145,7 +145,7 @@ func (w *Wrapper) SetObserver(o *obs.Observer) {
 	for to := range w.breaker.transitions {
 		r.AttachCounter("hermes_breaker_transitions_total", "circuit breaker state transitions, by domain and target state", w.breaker.transitions[to].Value, "domain", name, "to", BreakerState(to).String())
 	}
-	r.AttachCounter("hermes_breaker_rejections_total", "calls rejected by an open per-domain circuit breaker", w.rejections.Value, "domain", name)
+	r.AttachCounter("hermes_breaker_rejections_total", "calls rejected by an open per-domain circuit breaker", w.breaker.rejections.Value, "domain", name)
 	r.AttachCounter("hermes_call_retries_total", "domain call attempts after the first, whether or not the call finally succeeded", w.retries.Value, "domain", name)
 	r.AttachCounter("hermes_call_timeouts_total", "domain calls abandoned at the per-call timeout", w.timeouts.Value, "domain", name)
 	r.AttachCounter("hermes_stream_resumes_total", "answer streams resumed mid-stream after a transport failure", w.resumes.Value, "domain", name)
@@ -204,7 +204,6 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 			return nil, nil, err
 		}
 		if err := w.breaker.Allow(ctx.Clock.Now()); err != nil {
-			w.rejections.Inc()
 			return nil, nil, fmt.Errorf("%w: domain %s: %w", domain.ErrUnavailable, call.Domain, err)
 		}
 		w.attempts.Inc()

@@ -46,9 +46,9 @@ var (
 	// tableFlagRe matches a README flag-table row's flag cell: | `-memo` | ...
 	tableFlagRe = regexp.MustCompile("^\\|\\s*`(-[a-z][a-z0-9-]*)`\\s*\\|")
 	// metricDeclRe extracts metric family names from their declarations:
-	// the obs.Registry Attach*/DeclareCounter call that carries a family's
-	// name and help text.
-	metricDeclRe = regexp.MustCompile(`\.(?:Attach(?:Counter|Gauge|Histogram)|DeclareCounter)\(\s*"(hermes_[a-z0-9_]+)"`)
+	// the obs.Registry Attach* call that carries a family's name and help
+	// text.
+	metricDeclRe = regexp.MustCompile(`\.Attach(?:Counter|Gauge|Histogram)\(\s*"(hermes_[a-z0-9_]+)"`)
 	// tableMetricRe matches an OBSERVABILITY.md metric-table row's name
 	// cell: | `hermes_queries_total` | ...
 	tableMetricRe = regexp.MustCompile("^\\|\\s*`(hermes_[a-z0-9_]+)`")
