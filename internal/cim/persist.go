@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"hermes/internal/domain"
@@ -19,16 +21,18 @@ import (
 // the savings ledger; version 1 snapshots (no ledger) still load.
 const cacheSnapshotVersion = 2
 
+// Args and Answers hold term.AppendJSONs arrays, which json.Encoder
+// re-emits as they are.
 type cacheEntrySnapshot struct {
-	Domain   string           `json:"domain"`
-	Function string           `json:"function"`
-	Args     []term.JSONValue `json:"args"`
-	Answers  []term.JSONValue `json:"answers"`
-	Complete bool             `json:"complete"`
-	TfNs     int64            `json:"tf"`
-	TaNs     int64            `json:"ta"`
-	Card     float64          `json:"card"`
-	LastUsed int64            `json:"lastUsed"`
+	Domain   string          `json:"domain"`
+	Function string          `json:"function"`
+	Args     json.RawMessage `json:"args"`
+	Answers  json.RawMessage `json:"answers"`
+	Complete bool            `json:"complete"`
+	TfNs     int64           `json:"tf"`
+	TaNs     int64           `json:"ta"`
+	Card     float64         `json:"card"`
+	LastUsed int64           `json:"lastUsed"`
 }
 
 type cacheSnapshot struct {
@@ -40,23 +44,35 @@ type cacheSnapshot struct {
 	Ledger *LedgerSnapshot `json:"ledger,omitempty"`
 }
 
-// Save writes the cache contents as JSON.
+// Save writes the cache contents as JSON, entries in key order, so saving
+// the same state twice writes the same bytes. An entry holding a value
+// that has no JSON form (a NaN or ±Inf float) is left out, as if it had
+// been evicted.
 func (m *Manager) Save(w io.Writer) error {
 	snap := cacheSnapshot{Version: cacheSnapshotVersion, Counter: m.counter.Load()}
 	ledger := m.Ledger()
 	snap.Ledger = &ledger
-	for _, e := range m.store.Snapshot() {
-		args, err := term.EncodeJSONs(e.Call.Args)
-		if err != nil {
-			return fmt.Errorf("cim: save: %w", err)
+	entries := m.store.Snapshot()
+	slices.SortFunc(entries, func(a, b *Entry) int { return strings.Compare(a.key, b.key) })
+	snap.Entries = make([]cacheEntrySnapshot, 0, len(entries))
+	// Every entry's value arrays are windows on one buffer. A window stays
+	// valid when an append moves the buffer: the old array is not written
+	// again.
+	var text []byte
+	for _, e := range entries {
+		start := len(text)
+		var err error
+		if text, err = term.AppendJSONs(text, e.Call.Args); err != nil {
+			continue
 		}
-		answers, err := term.EncodeJSONs(e.Answers)
-		if err != nil {
-			return fmt.Errorf("cim: save: %w", err)
+		mid := len(text)
+		if text, err = term.AppendJSONs(text, e.Answers); err != nil {
+			text = text[:start]
+			continue
 		}
 		snap.Entries = append(snap.Entries, cacheEntrySnapshot{
-			Domain: e.Call.Domain, Function: e.Call.Function, Args: args,
-			Answers: answers, Complete: e.Complete,
+			Domain: e.Call.Domain, Function: e.Call.Function,
+			Args: text[start:mid:mid], Answers: text[mid:len(text):len(text)], Complete: e.Complete,
 			TfNs: int64(e.Cost.TFirst), TaNs: int64(e.Cost.TAll), Card: e.Cost.Card,
 			LastUsed: e.lastUsed.Load(),
 		})

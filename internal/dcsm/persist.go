@@ -20,28 +20,30 @@ import (
 
 const snapshotVersion = 1
 
+// Args and DimVals hold term.EncodeJSONs arrays, which json.Encoder
+// re-emits as they are.
 type snapshotRecord struct {
-	Domain   string           `json:"domain"`
-	Function string           `json:"function"`
-	Args     []term.JSONValue `json:"args"`
-	TfNs     int64            `json:"tf"`
-	TaNs     int64            `json:"ta"`
-	Card     float64          `json:"card"`
-	HasTf    bool             `json:"hasTf"`
-	HasTa    bool             `json:"hasTa"`
-	HasCard  bool             `json:"hasCard"`
-	AtNs     int64            `json:"at"`
+	Domain   string          `json:"domain"`
+	Function string          `json:"function"`
+	Args     json.RawMessage `json:"args"`
+	TfNs     int64           `json:"tf"`
+	TaNs     int64           `json:"ta"`
+	Card     float64         `json:"card"`
+	HasTf    bool            `json:"hasTf"`
+	HasTa    bool            `json:"hasTa"`
+	HasCard  bool            `json:"hasCard"`
+	AtNs     int64           `json:"at"`
 }
 
 type snapshotRow struct {
-	DimVals []term.JSONValue `json:"dims"`
-	TfNs    int64            `json:"tf"`
-	TaNs    int64            `json:"ta"`
-	Card    float64          `json:"card"`
-	L       int              `json:"l"`
-	WTf     float64          `json:"wTf"`
-	WTa     float64          `json:"wTa"`
-	WCard   float64          `json:"wCard"`
+	DimVals json.RawMessage `json:"dims"`
+	TfNs    int64           `json:"tf"`
+	TaNs    int64           `json:"ta"`
+	Card    float64         `json:"card"`
+	L       int             `json:"l"`
+	WTf     float64         `json:"wTf"`
+	WTa     float64         `json:"wTa"`
+	WCard   float64         `json:"wCard"`
 }
 
 type snapshotTable struct {
@@ -61,7 +63,8 @@ type snapshot struct {
 
 // Save writes the module's full state (raw records and summary tables) as
 // JSON. Functions and tables are emitted in sorted key order, so saving the
-// same state twice writes the same bytes.
+// same state twice writes the same bytes. A record or summary row holding
+// a value that has no JSON form (a NaN or ±Inf float) is left out.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -70,7 +73,7 @@ func (db *DB) Save(w io.Writer) error {
 		for _, rec := range db.groups[k].recs {
 			args, err := term.EncodeJSONs(rec.Call.Args)
 			if err != nil {
-				return fmt.Errorf("dcsm: save: %w", err)
+				continue
 			}
 			snap.Records = append(snap.Records, snapshotRecord{
 				Domain: rec.Call.Domain, Function: rec.Call.Function, Args: args,
@@ -88,7 +91,7 @@ func (db *DB) Save(w io.Writer) error {
 		for _, r := range t.Rows() {
 			dims, err := term.EncodeJSONs(r.DimVals)
 			if err != nil {
-				return fmt.Errorf("dcsm: save: %w", err)
+				continue
 			}
 			st.Rows = append(st.Rows, snapshotRow{
 				DimVals: dims,

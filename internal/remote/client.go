@@ -395,7 +395,7 @@ type callSlot struct {
 	values []term.Value
 	trace  []byte // the call's trace frame payload
 	done   bool   // the server's done answers frame arrived
-	bad    error  // an answers frame carried a value term.DecodeJSON rejects
+	bad    error  // an answers frame carried a form that names no value
 	// reply is the frame that ended the call otherwise: an error, a
 	// functions or debug reply, or an op a call does not expect.
 	reply *Frame

@@ -17,8 +17,9 @@ import (
 // decoder reads, from one line, the Frame json.Unmarshal reads or fails.
 // Call arguments and answer values go straight between term.Values and the
 // line (term.AppendJSON, term.JSONReader.Value), never through a Frame's
-// JSONValue fields. codec_test.go holds both directions to encoding/json,
-// which shares no code with them.
+// Args and Values. codec_test.go holds both directions to encoding/json,
+// which shares no code with the frame codec; term's tests hold the value
+// codec to it.
 
 // frameWriter writes whole frames, one line each, from many goroutines
 // onto one connection, coalescing them: a frame encoded while another
@@ -287,8 +288,9 @@ func appendRaw(dst []byte, key string, raw []byte) ([]byte, error) {
 
 // frameIn is one decoded frame: the Frame's fields, with its call arguments
 // and answer values decoded straight to term.Values (the embedded Args and
-// Values stay empty). badValue reports a well-formed frame carrying a value
-// term.DecodeJSON rejects: that fails the call, not the session.
+// Values stay empty). badValue reports a well-formed frame carrying a form
+// that names no value (term.JSONReader.Value's err): that fails the call,
+// not the session.
 type frameIn struct {
 	Frame
 	args, values []term.Value
@@ -407,8 +409,8 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 	return nil
 }
 
-// readValues reads a list of term values onto vs; the first one
-// term.DecodeJSON would reject becomes in.badValue.
+// readValues reads a list of term values onto vs; the first form that
+// names no value becomes in.badValue.
 func (in *frameIn) readValues(r *term.JSONReader, vs []term.Value) []term.Value {
 	for more := r.Open('['); more; more = r.More(']') {
 		v, err := r.Value()

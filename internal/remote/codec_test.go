@@ -16,20 +16,53 @@ import (
 
 // encoding/json is the frame codec's oracle: it shares no code with the
 // hand-written encoder and decoder, and every test here holds them to it.
+// Values are the exception: a Frame carries each one's term.AppendJSON
+// text, which term's own tests hold to encoding/json.
 
 // oracleLine is the line json.NewEncoder(w).Encode(f) writes for f with
 // the given values as its args and values.
 func oracleLine(f Frame, args, values []term.Value) ([]byte, error) {
 	var err error
-	if f.Args, err = term.EncodeJSONs(args); err != nil {
+	if f.Args, err = rawValues(args); err != nil {
 		return nil, err
 	}
-	if f.Values, err = term.EncodeJSONs(values); err != nil {
+	if f.Values, err = rawValues(values); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
 	err = json.NewEncoder(&buf).Encode(f)
 	return buf.Bytes(), err
+}
+
+// rawValues is each value's term.AppendJSON text, as a Frame carries it.
+func rawValues(vs []term.Value) ([]json.RawMessage, error) {
+	var out []json.RawMessage
+	for _, v := range vs {
+		text, err := term.AppendJSON(nil, v)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, text)
+	}
+	return out, nil
+}
+
+// valuesOf reads a Frame's value texts back.
+func valuesOf(raws []json.RawMessage) ([]term.Value, error) {
+	out := make([]term.Value, len(raws))
+	var r term.JSONReader
+	for i, raw := range raws {
+		r.Reset(raw)
+		v, err := r.Value()
+		if err == nil {
+			err = r.End()
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // handLine is the line the codec writes for the same frame.
@@ -47,7 +80,7 @@ func handLine(f Frame, args, values []term.Value) ([]byte, error) {
 }
 
 // codecKeys are every key a frame line's objects can hold: Frame's,
-// FnSpec's and term.JSONValue's.
+// FnSpec's and a term value's.
 var codecKeys = append(frameKeys[:], "name", "arity", "doc", "t", "s", "f", "b", "l", "r", "n", "v")
 
 // foldedKey reports whether a decoded JSON tree holds an object key that
@@ -93,16 +126,16 @@ func checkDecode(t *testing.T, line []byte) {
 	if jerr != nil {
 		t.Fatalf("codec accepted %q; encoding/json: %v", line, jerr)
 	}
-	args, aerr := term.DecodeJSONs(jf.Args)
-	values, verr := term.DecodeJSONs(jf.Values)
+	args, aerr := valuesOf(jf.Args)
+	values, verr := valuesOf(jf.Values)
 	if in.badValue != nil {
 		if aerr == nil && verr == nil {
-			t.Fatalf("%q: codec rejects a value (%v) that DecodeJSON accepts", line, in.badValue)
+			t.Fatalf("%q: codec rejects a value (%v) that reads on its own", line, in.badValue)
 		}
 		return
 	}
 	if aerr != nil || verr != nil {
-		t.Fatalf("%q: codec accepts values DecodeJSON rejects: %v %v", line, aerr, verr)
+		t.Fatalf("%q: codec accepts values that do not read on their own: %v %v", line, aerr, verr)
 	}
 	if !sameValues(in.args, args) || !sameValues(in.values, values) {
 		t.Fatalf("%q: codec values %v %v, encoding/json %v %v", line, in.args, in.values, args, values)
@@ -215,8 +248,8 @@ func FuzzFrameCodec(f *testing.F) {
 		if json.Unmarshal(line, &jf) != nil {
 			return
 		}
-		args, aerr := term.DecodeJSONs(jf.Args)
-		values, verr := term.DecodeJSONs(jf.Values)
+		args, aerr := valuesOf(jf.Args)
+		values, verr := valuesOf(jf.Values)
 		if aerr != nil || verr != nil {
 			return
 		}

@@ -181,8 +181,7 @@ func TestScenarioMidStreamDropResumes(t *testing.T) {
 			return
 		}
 		for i := 0; i < 3; i++ {
-			w, _ := term.EncodeJSON(term.Int(int64(i)))
-			enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: f.ID, Values: []term.JSONValue{w}})
+			enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: f.ID, Values: intValues(i, i+1)})
 		}
 		// Drop the connection mid-stream (script return closes it).
 	}
@@ -195,12 +194,7 @@ func TestScenarioMidStreamDropResumes(t *testing.T) {
 			return
 		}
 		reissued <- f
-		var vals []term.JSONValue
-		for i := 0; i < 5; i++ {
-			w, _ := term.EncodeJSON(term.Int(int64(i)))
-			vals = append(vals, w)
-		}
-		enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: f.ID, Values: vals, Done: true})
+		enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: f.ID, Values: intValues(0, 5), Done: true})
 		Wedge(conn)
 	}
 	addr := NewResponder(t, first, second)
@@ -394,7 +388,9 @@ func TestScenarioCancelIsPerCall(t *testing.T) {
 			t.Fatalf("call 2 frame = %+v", f)
 		}
 		for _, w := range f.Values {
-			v, err := term.DecodeJSON(w)
+			var r term.JSONReader
+			r.Reset(w)
+			v, err := r.Value()
 			if err != nil {
 				t.Fatalf("decode call 2 value: %v", err)
 			}

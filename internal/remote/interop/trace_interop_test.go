@@ -41,13 +41,18 @@ func tracedHarnessCtx() (*domain.Ctx, *obs.Span) {
 	return ctx, call
 }
 
-func sendAnswers(enc *json.Encoder, id uint64, n int, done bool) {
-	var vals []term.JSONValue
-	for i := 0; i < n; i++ {
-		w, _ := term.EncodeJSON(term.Int(int64(i)))
-		vals = append(vals, w)
+// intValues is the wire text of the ints lo..hi-1, as a Frame's Values.
+func intValues(lo, hi int) []json.RawMessage {
+	var vals []json.RawMessage
+	for i := lo; i < hi; i++ {
+		text, _ := term.AppendJSON(nil, term.Int(int64(i)))
+		vals = append(vals, text)
 	}
-	enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: id, Values: vals, Done: done})
+	return vals
+}
+
+func sendAnswers(enc *json.Encoder, id uint64, n int, done bool) {
+	enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: id, Values: intValues(0, n), Done: done})
 }
 
 // A v2 peer that never advertised the trace capability (an older build):

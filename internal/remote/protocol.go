@@ -73,11 +73,7 @@
 // lives in internal/remote/interop.
 package remote
 
-import (
-	"encoding/json"
-
-	"hermes/internal/term"
-)
+import "encoding/json"
 
 // ProtocolVersion is the streaming protocol version this package speaks.
 const ProtocolVersion = 2
@@ -127,9 +123,10 @@ func capSupported(caps []string, cap string) bool {
 // op selects which fields are meaningful; unknown fields are ignored on
 // decode, so the vocabulary can grow compatibly. It is exported for the
 // interop harness (internal/remote/interop), whose driver/responder
-// simulators speak raw frames over real sockets through encoding/json.
-// The package's own codec never reads or fills Args and Values: it
-// carries call arguments and answers as term.Values (appendFrame, frameIn).
+// simulators speak raw frames over real sockets through encoding/json;
+// there Args and Values hold each value's term.AppendJSON text. The
+// package's own codec never reads or fills them: it carries call arguments
+// and answers as term.Values (appendFrame, frameIn).
 type Frame struct {
 	// Op is the frame type (OpHello, OpCall, ...).
 	Op string `json:"op"`
@@ -151,9 +148,9 @@ type Frame struct {
 	Caps []string `json:"caps,omitempty"`
 
 	// Call fields (OpCall).
-	Domain   string           `json:"domain,omitempty"`
-	Function string           `json:"function,omitempty"`
-	Args     []term.JSONValue `json:"args,omitempty"`
+	Domain   string            `json:"domain,omitempty"`
+	Function string            `json:"function,omitempty"`
+	Args     []json.RawMessage `json:"args,omitempty"`
 	// Trace context (OpCall, when CapTrace was negotiated).
 	// TraceID names the federated trace this call belongs to; Depth counts
 	// mount hops from the origin, so a server can refuse to trace past its
@@ -163,8 +160,8 @@ type Frame struct {
 
 	// Answer fields (OpAnswers). Done marks the last frame of a call; a
 	// Done frame may itself carry trailing values.
-	Values []term.JSONValue `json:"values,omitempty"`
-	Done   bool             `json:"done,omitempty"`
+	Values []json.RawMessage `json:"values,omitempty"`
+	Done   bool              `json:"done,omitempty"`
 
 	// Error fields (OpError, and hello rejections). Unavailable marks
 	// retryable transport/source outages (domain.ErrUnavailable).

@@ -72,8 +72,8 @@ func TestValueCodecIntExactProperty(t *testing.T) {
 	}
 }
 
-// A well-formed frame carrying a value term.DecodeJSON rejects fails the
-// call (badValue), not the line: the session survives it.
+// A well-formed frame carrying a form that names no value fails the call
+// (badValue), not the line: the session survives it.
 func TestDecodeErrors(t *testing.T) {
 	for _, v := range []string{`{"t":"zz"}`, `{"t":"i","s":"notanint"}`} {
 		var in frameIn
@@ -135,6 +135,36 @@ func echoDomain() *domaintest.Domain {
 			return nil, domain.ErrUnavailable
 		}})
 	return d
+}
+
+// TestNegativeZeroKeepsItsSign: a -0 argument reaches the source as -0,
+// and a -0 answer reaches the caller as -0. Written in json.Marshal's
+// omitempty form, both would arrive as +0, which Equal and Key tell apart.
+func TestNegativeZeroKeepsItsSign(t *testing.T) {
+	d := domaintest.New("z")
+	d.Define("echo", domaintest.Func{Arity: 1,
+		Fn: func(args []term.Value) ([]term.Value, error) {
+			f, ok := args[0].(term.Float)
+			return []term.Value{term.Bool(ok && math.Signbit(float64(f))), args[0]}, nil
+		}})
+	_, addr := startServer(t, d)
+	c := NewClient(addr, "z")
+	defer c.Close()
+	negZero := term.Float(math.Copysign(0, -1))
+	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "echo", []term.Value{negZero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := domain.Collect(s)
+	if err != nil || len(vals) != 2 {
+		t.Fatalf("answers %v, %v", vals, err)
+	}
+	if !term.Equal(vals[0], term.Bool(true)) {
+		t.Error("the source saw +0 for a -0 argument")
+	}
+	if !term.Equal(vals[1], negZero) {
+		t.Errorf("a -0 answer arrived as %v", vals[1])
+	}
 }
 
 func TestEndToEndCall(t *testing.T) {

@@ -7,118 +7,59 @@ import (
 	"unicode/utf8"
 )
 
-// JSONValue is the portable JSON encoding of a Value, shared by the remote
-// wire protocol and the cache/statistics persistence formats. Int64
-// payloads travel as decimal text so they survive JSON's float64 numbers
-// exactly. The persistence formats build it and go through encoding/json;
-// the wire writes and reads the same text without it (AppendJSON,
-// JSONReader.Value), with encoding/json as the tests' oracle.
-type JSONValue struct {
-	T string      `json:"t"`           // s, i, f, b, tu, r
-	S string      `json:"s,omitempty"` // string payload (also int64 text)
-	F float64     `json:"f,omitempty"`
-	B bool        `json:"b,omitempty"`
-	L []JSONValue `json:"l,omitempty"` // tuple elements
-	R []JSONField `json:"r,omitempty"` // record fields
-}
+// A value's JSON form is one object: its tag "t" (s, i, f, b, tu, r) and
+// the payload key the tag reads, left out when it holds the zero value:
+// "s" (a string, or an int's decimal text, so int64s survive JSON's
+// float64 numbers exactly), "f", "b", "l" (tuple elements) or "r" (record
+// fields, each {"n":name,"v":value}). It is the text encoding/json writes
+// for the reflective tree json_test.go keeps as the codec's oracle, except
+// that a negative zero is written "f":-0 and keeps its sign. The wire and
+// the cache and statistics snapshots all write it with AppendJSON and read
+// it with JSONReader.Value.
 
-// JSONField is one record field in a JSONValue.
-type JSONField struct {
-	N string    `json:"n"`
-	V JSONValue `json:"v"`
-}
-
-// EncodeJSON converts a Value to its JSON form.
-func EncodeJSON(v Value) (JSONValue, error) {
-	switch cv := v.(type) {
-	case Str:
-		return JSONValue{T: "s", S: string(cv)}, nil
-	case Int:
-		return JSONValue{T: "i", S: strconv.FormatInt(int64(cv), 10)}, nil
-	case Float:
-		return JSONValue{T: "f", F: float64(cv)}, nil
-	case Bool:
-		return JSONValue{T: "b", B: bool(cv)}, nil
-	case Tuple:
-		out := JSONValue{T: "tu", L: make([]JSONValue, len(cv))}
-		for i, e := range cv {
-			we, err := EncodeJSON(e)
-			if err != nil {
-				return JSONValue{}, err
-			}
-			out.L[i] = we
-		}
-		return out, nil
-	case Record:
-		fields := cv.Fields()
-		out := JSONValue{T: "r", R: make([]JSONField, len(fields))}
-		for i, f := range fields {
-			wv, err := EncodeJSON(f.Val)
-			if err != nil {
-				return JSONValue{}, err
-			}
-			out.R[i] = JSONField{N: f.Name, V: wv}
-		}
-		return out, nil
-	}
-	return JSONValue{}, fmt.Errorf("term: cannot encode value of kind %v", v.Kind())
-}
-
-// DecodeJSON converts a JSON form back to a Value.
-func DecodeJSON(w JSONValue) (Value, error) {
-	switch w.T {
-	case "s":
-		return Str(w.S), nil
-	case "i":
-		n, err := strconv.ParseInt(w.S, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("term: bad int payload %q", w.S)
-		}
-		return Int(n), nil
-	case "f":
-		return Float(w.F), nil
-	case "b":
-		return Bool(w.B), nil
-	case "tu":
-		out := make(Tuple, len(w.L))
-		for i, e := range w.L {
-			v, err := DecodeJSON(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case "r":
-		fields := make([]Field, len(w.R))
-		for i, f := range w.R {
-			v, err := DecodeJSON(f.V)
-			if err != nil {
-				return nil, err
-			}
-			fields[i] = Field{Name: f.N, Val: v}
-		}
-		return NewRecord(fields...), nil
-	}
-	return nil, fmt.Errorf("term: unknown value tag %q", w.T)
-}
-
-// EncodeJSONs encodes a slice of values.
-func EncodeJSONs(vs []Value) ([]JSONValue, error) {
-	out := make([]JSONValue, len(vs))
+// AppendJSONs appends vs as a JSON array of their JSON forms, [] for none.
+// On error it returns dst as it was.
+func AppendJSONs(dst []byte, vs []Value) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '[')
 	for i, v := range vs {
-		w, err := EncodeJSON(v)
-		if err != nil {
-			return nil, err
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		out[i] = w
+		var err error
+		if dst, err = AppendJSON(dst, v); err != nil {
+			return dst[:start], err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// EncodeJSONs is AppendJSONs into a new slice.
+func EncodeJSONs(vs []Value) ([]byte, error) { return AppendJSONs(nil, vs) }
+
+// DecodeJSONs reads an array EncodeJSONs wrote. A null, or no text at all
+// (a snapshot field that is absent), reads as no values.
+func DecodeJSONs(data []byte) ([]Value, error) {
+	var r JSONReader
+	r.Reset(data)
+	out := []Value{}
+	if len(data) > 0 && !r.Null() {
+		for more := r.Open('['); more; more = r.More(']') {
+			v, err := r.Value()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+	}
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// AppendJSON appends the text json.Marshal writes for v's EncodeJSON form,
-// without building that form. NaN and ±Inf have no JSON text and are an
-// error, as they are for json.Marshal.
+// AppendJSON appends v's JSON form. NaN and ±Inf have no JSON text and are
+// an error, as they are for json.Marshal.
 func AppendJSON(dst []byte, v Value) ([]byte, error) {
 	switch cv := v.(type) {
 	case Str:
@@ -134,7 +75,7 @@ func AppendJSON(dst []byte, v Value) ([]byte, error) {
 			return dst, fmt.Errorf("term: float %v has no JSON form", f)
 		}
 		dst = append(dst, `{"t":"f"`...)
-		if f != 0 { // omitempty drops -0 too
+		if f != 0 || math.Signbit(f) { // omitempty would drop -0 and its sign
 			dst = AppendJSONFloat(append(dst, `,"f":`...), f)
 		}
 	case Bool:
@@ -252,14 +193,14 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// Value reads one value's JSON form straight to the Value: what DecodeJSON
-// returns for the JSONValue json.Unmarshal decodes from the same text.
-// Text json.Unmarshal would not decode into a JSONValue is r's error, and
-// so are a repeated key and a null, which it would accept. A well-formed
-// form DecodeJSON rejects (an unknown tag, a bad int payload, a bad element
-// even where the tag ignores it) is read to its end and returned as err.
-// Keys match exactly as spelled; encoding/json also matches them
-// case-insensitively.
+// Value reads one value's JSON form straight to the Value. Malformed JSON,
+// a payload of the wrong JSON type, a repeated key and a null are r's
+// error. A well-formed form that names no value (an unknown tag, a bad int
+// payload, a bad element even where the tag ignores it) is read to its end
+// and returned as err. Unknown keys are skipped, and keys match exactly as
+// spelled. json_test.go and FuzzDecodeJSON hold it to encoding/json
+// decoding the oracle tree; encoding/json also matches keys
+// case-insensitively and accepts a repeated key and a null.
 func (r *JSONReader) Value() (Value, error) {
 	var (
 		tag, s       []byte
@@ -339,7 +280,8 @@ func (r *JSONReader) Value() (Value, error) {
 	return v, nil
 }
 
-// field reads one record field's {"n":…,"v":…} form.
+// field reads one record field's {"n":…,"v":…} form; a field without "v"
+// names no value.
 func (r *JSONReader) field() (Field, error) {
 	var (
 		name []byte
@@ -365,20 +307,7 @@ func (r *JSONReader) field() (Field, error) {
 		seen |= bit
 	}
 	if seen&2 == 0 && bad == nil {
-		bad = fmt.Errorf("term: unknown value tag %q", "") // DecodeJSON of the zero JSONValue
+		bad = fmt.Errorf("term: unknown value tag %q", "") // as for a form without "t"
 	}
 	return Field{Name: string(name), Val: v}, bad
-}
-
-// DecodeJSONs decodes a slice of values.
-func DecodeJSONs(ws []JSONValue) ([]Value, error) {
-	out := make([]Value, len(ws))
-	for i, w := range ws {
-		v, err := DecodeJSON(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
