@@ -318,3 +318,51 @@ func TestDefaultOptionsChargeNoOverhead(t *testing.T) {
 		t.Fatalf("want one miss, one CIM exact hit, one memo hit; got cim %+v memo %+v", cs, ms)
 	}
 }
+
+// TestMemoFillOverRefreshedCallStoresNothing: a memo fill whose input call
+// the CIM refreshes while the fill runs has read answers that are no
+// longer current. It must store nothing, so the next run answers from the
+// refreshed entry instead of replaying the stale relation.
+func TestMemoFillOverRefreshedCallStoresNothing(t *testing.T) {
+	d := domaintest.New("d")
+	d.Define("f", domaintest.Func{Arity: 0, Fn: func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.Str("a"), term.Str("b")}, nil
+	}})
+	mcfg := memo.DefaultConfig()
+	sys := NewSystem(Options{Memo: &mcfg})
+	sys.Register(d)
+	if err := sys.LoadProgram(`p(X) :- in(X, d:f()).`); err != nil {
+		t.Fatal(err)
+	}
+	call := domain.Call{Domain: "d", Function: "f"}
+	if err := sys.PrimeCache([]domain.Call{call}); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := sys.Query("?- p(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cur.Next(); !ok || err != nil {
+		t.Fatalf("first answer: ok=%v err=%v", ok, err)
+	}
+	sys.CIM.Store(call, []term.Value{term.Str("c")}, true, domain.CostVector{TAll: time.Second})
+	for {
+		_, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	answers, _, err := sys.QueryAll("?- p(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 1 || !term.Equal(answers[0].Vals[0], term.Str("c")) {
+		t.Errorf("after the refresh: answers %v, want [c] (memo stats %+v)", answers, sys.Memo.Stats())
+	}
+	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
+		t.Errorf("memo stats %+v, want no hit and the stale fill dropped as one invalidation", st)
+	}
+}

@@ -207,11 +207,6 @@ type Ctx struct {
 	// record a fill's contributing inputs. Must be safe for concurrent
 	// calls — parallel branches share the hook.
 	CallNote func(callKey string, degraded bool)
-	// MemoPath is the set of memo keys currently being filled on this
-	// evaluation path. A recursive subgoal that re-enters its own fill
-	// must bypass the memo (it would otherwise wait on itself); the
-	// engine checks OnMemoPath before probing.
-	MemoPath map[string]bool
 	// TraceID, when nonempty, identifies the federated trace this
 	// execution belongs to. The remote client propagates it on call frames
 	// (minting one at the origin hop); the remote server adopts the
@@ -242,7 +237,6 @@ func (c *Ctx) Fork() *Ctx {
 		Span:       c.Span,
 		Sched:      c.Sched,
 		CallNote:   c.CallNote,
-		MemoPath:   c.MemoPath,
 		TraceID:    c.TraceID,
 		TraceDepth: c.TraceDepth,
 	}
@@ -255,23 +249,6 @@ func (c *Ctx) WithCallNote(fn func(callKey string, degraded bool)) *Ctx {
 	out.CallNote = fn
 	return &out
 }
-
-// WithMemoPath returns a copy of the Ctx with key added to the set of
-// in-progress memo fills on this path. The map is copied on extension so
-// sibling branches never see each other's fills.
-func (c *Ctx) WithMemoPath(key string) *Ctx {
-	out := *c
-	out.MemoPath = make(map[string]bool, len(c.MemoPath)+1)
-	for k := range c.MemoPath {
-		out.MemoPath[k] = true
-	}
-	out.MemoPath[key] = true
-	return &out
-}
-
-// OnMemoPath reports whether key is already being filled on this
-// evaluation path (recursion through the same memoized subgoal).
-func (c *Ctx) OnMemoPath(key string) bool { return c.MemoPath[key] }
 
 // WithDeadline returns a copy of the Ctx whose query deadline is the
 // absolute clock reading d (0 clears it).

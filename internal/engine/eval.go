@@ -449,7 +449,7 @@ func (e *Engine) evalAtom(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom, s t
 // buildAtomStream opens the actual evaluation of an IDB occurrence: a
 // parallel union of the alternatives when the scheduler grants lanes, the
 // sequential union otherwise. It is the memo-free lower half of evalAtom,
-// shared with the memo leader and fallback paths.
+// shared with the memo's fill path.
 func (e *Engine) buildAtomStream(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules []*rewrite.PlanRule, depth int) substStream {
 	if len(rules) >= 2 {
 		if pu := e.newParallelUnion(ctx, plan, a, s, rules, depth); pu != nil {

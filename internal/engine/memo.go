@@ -3,10 +3,12 @@ package engine
 // Rule-level memoization of IDB subgoal occurrences (internal/memo wired
 // into evalAtom). The memo serves whole intermediate relations: on a hit
 // the engine replays the cached tuples instead of re-expanding the
-// subgoal's rules; on a miss it either leads a fill (evaluating normally
-// while recording every emitted tuple and every contributing domain call)
-// or, when a concurrent occurrence of the same key is already filling,
-// follows that flight, replaying tuples as the leader publishes them.
+// subgoal's rules; on a miss it fills the key, evaluating normally while
+// recording every emitted tuple and every contributing domain call. A
+// concurrent occurrence of the same key fills it too; the CIM beneath both
+// coalesces their source calls. A recursive re-entry with the same key is
+// the same evaluation one level deeper, so it ends at the depth guard
+// exactly as it would memo-off.
 //
 // Soundness relies on the memo key (memo.KeyOf) pinning everything that
 // could change the answer multiset: the plan's rule section fingerprint,
@@ -17,7 +19,6 @@ package engine
 // identically for cached answers.
 
 import (
-	"strings"
 	"time"
 
 	"hermes/internal/domain"
@@ -26,7 +27,6 @@ import (
 	"hermes/internal/obs"
 	"hermes/internal/rewrite"
 	"hermes/internal/term"
-	"hermes/internal/vclock"
 )
 
 // memoKeyArgs classifies an occurrence's argument positions for the memo
@@ -54,8 +54,7 @@ func memoKeyArgs(a *lang.Atom, s term.Subst) ([]memo.KeyArg, bool) {
 }
 
 // newMemoStream consults the memo for an IDB occurrence. ok=false means
-// the occurrence is not memoizable here (un-keyable arguments, or
-// recursion back into a fill this path is already leading) and the caller
+// the occurrence is not memoizable (un-keyable arguments) and the caller
 // must evaluate it directly.
 func (e *Engine) newMemoStream(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom, s term.Subst, pk rewrite.PredKey, rules []*rewrite.PlanRule, depth int) (substStream, bool) {
 	kargs, ok := memoKeyArgs(a, s)
@@ -63,16 +62,9 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom
 		return nil, false
 	}
 	mkey := memo.KeyOf(plan.Fingerprint(), a.Pred, string(pk.Adorn), kargs)
-	if ctx.OnMemoPath(mkey) {
-		// Recursive re-entry into our own fill: waiting on the flight would
-		// deadlock, so the occurrence evaluates directly (and recurses to
-		// the depth bound exactly as it would memo-off).
-		return nil, false
-	}
 	ctx.Clock.Sleep(e.memo.LookupCost())
 	res := e.memo.Probe(mkey)
-	switch {
-	case res.Entry != nil:
+	if res.Entry != nil {
 		now := ctx.Clock.Now()
 		span := ctx.Span.Child("memo "+pk.String(), now)
 		span.SetTag("memo", "hit")
@@ -85,33 +77,21 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom
 			}
 		}
 		return &memoServeStream{eng: e, ctx: ctx, atom: a, s: s, entry: res.Entry, span: span}, true
-	case res.Reader != nil:
-		span := ctx.Span.Child("memo "+pk.String(), ctx.Clock.Now())
-		span.SetTag("memo", "share")
-		return &memoFollowStream{
-			eng: e, ctx: ctx, atom: a, s: s, reader: res.Reader, span: span,
-			fallback: func() substStream {
-				return e.buildAtomStream(ctx, plan, a, s, rules, depth)
-			},
-		}, true
-	default:
-		// Leader: evaluate normally, recording tuples and domain calls.
-		// The CallNote chain keeps any outer fill observing too, and the
-		// extended MemoPath lets recursive re-entries bypass this fill.
-		rec := res.Rec
-		prev := ctx.CallNote
-		lctx := ctx.WithCallNote(func(callKey string, degraded bool) {
-			rec.Note(callKey, degraded)
-			if prev != nil {
-				prev(callKey, degraded)
-			}
-		}).WithMemoPath(mkey)
-		inner := e.buildAtomStream(lctx, plan, a, s, rules, depth)
-		return &memoRecordStream{
-			eng: e, ctx: lctx, atom: a, inner: inner, rec: rec,
-			start: ctx.Clock.Now(),
-		}, true
 	}
+	// Miss: evaluate normally, recording tuples and domain calls. The
+	// CallNote chain keeps any outer fill observing too.
+	rec := res.Rec
+	prev := ctx.CallNote
+	lctx := ctx.WithCallNote(func(callKey string, degraded bool) {
+		rec.Note(callKey, degraded)
+		if prev != nil {
+			prev(callKey, degraded)
+		}
+	})
+	inner := e.buildAtomStream(lctx, plan, a, s, rules, depth)
+	return &memoRecordStream{
+		ctx: lctx, atom: a, inner: inner, rec: rec, start: ctx.Clock.Now(),
+	}, true
 }
 
 // memoServeStream replays a committed memo entry, re-unifying each tuple
@@ -159,11 +139,10 @@ func (m *memoServeStream) close() error {
 	return nil
 }
 
-// memoRecordStream is the leader side: it passes the inner evaluation
-// through unchanged while recording each emission's ground argument tuple,
+// memoRecordStream is a fill: it passes the inner evaluation through
+// unchanged while recording each emission's ground argument tuple,
 // committing on natural exhaustion and aborting on error or early close.
 type memoRecordStream struct {
-	eng   *Engine
 	ctx   *domain.Ctx
 	atom  *lang.Atom
 	inner substStream
@@ -195,8 +174,8 @@ func (m *memoRecordStream) next() (term.Subst, bool, error) {
 	if !m.settled {
 		// An emission that cannot be represented as a ground tuple, or
 		// that takes the relation past the memo's per-entry cap, ends the
-		// recording (followers fall back); the leader keeps answering.
-		if tuple, ok := argTuple(m.atom, out); !ok || !m.rec.Add(tuple, now) {
+		// recording; the stream keeps answering.
+		if tuple, ok := argTuple(m.atom, out); !ok || !m.rec.Add(tuple) {
 			m.abort()
 		}
 	}
@@ -213,7 +192,7 @@ func (m *memoRecordStream) commit() {
 	if m.gotFirst {
 		tf = m.firstAt - m.start
 	}
-	m.rec.Commit(now, domain.CostVector{TFirst: tf, TAll: now - m.start, Card: float64(m.n)})
+	m.rec.Commit(domain.CostVector{TFirst: tf, TAll: now - m.start, Card: float64(m.n)})
 }
 
 func (m *memoRecordStream) abort() {
@@ -221,7 +200,7 @@ func (m *memoRecordStream) abort() {
 		return
 	}
 	m.settled = true
-	m.rec.Abort(m.ctx.Clock.Now())
+	m.rec.Abort()
 }
 
 func (m *memoRecordStream) close() error {
@@ -230,93 +209,8 @@ func (m *memoRecordStream) close() error {
 	return m.inner.close()
 }
 
-// memoFollowStream replays an in-progress fill published by a concurrent
-// leader. If the leader aborts, the follower falls back to its own
-// evaluation, subtracting the multiset of tuples it already replayed.
-type memoFollowStream struct {
-	eng      *Engine
-	ctx      *domain.Ctx
-	atom     *lang.Atom
-	s        term.Subst
-	reader   *memo.FlightReader
-	span     *obs.Span
-	fallback func() substStream
-
-	emitted multiset // tuples replayed before a fallback
-	fb      substStream
-	done    bool
-}
-
-func (m *memoFollowStream) next() (term.Subst, bool, error) {
-	if m.done {
-		return term.Subst{}, false, nil
-	}
-	if m.fb != nil {
-		return m.fbNext()
-	}
-	for {
-		if err := m.ctx.Err(); err != nil {
-			m.finish()
-			return term.Subst{}, false, err
-		}
-		it, state := m.reader.Next(m.ctx.Done())
-		switch state {
-		case memo.ReadItem:
-			vclock.AdvanceTo(m.ctx.Clock, it.At)
-			m.ctx.Clock.Sleep(m.eng.memo.PerTupleCost())
-			out, ok := m.s.UnifyAll(m.atom.Args, it.V)
-			if !ok {
-				// Cannot happen for a same-key flight (the leader applied
-				// the same filters), but skipping is the sound reaction.
-				continue
-			}
-			m.emitted.add(valsKey(it.V))
-			return out, true, nil
-		case memo.ReadEndCommitted:
-			inputs, degraded, endAt := m.reader.Result()
-			vclock.AdvanceTo(m.ctx.Clock, endAt)
-			if note := m.ctx.CallNote; note != nil {
-				for _, in := range inputs {
-					note(in, degraded)
-				}
-			}
-			m.finish()
-			return term.Subst{}, false, nil
-		case memo.ReadEndAborted:
-			m.span.SetTag("memo.fallback", "true")
-			m.fb = m.fallback()
-			return m.fbNext()
-		default: // memo.ReadCancelled
-			m.finish()
-			return term.Subst{}, false, m.ctx.Err()
-		}
-	}
-}
-
-// fbNext drains the fallback evaluation, dropping one occurrence of every
-// tuple already replayed from the aborted flight.
-func (m *memoFollowStream) fbNext() (term.Subst, bool, error) {
-	for {
-		out, ok, err := m.fb.next()
-		if err != nil {
-			m.finish()
-			return term.Subst{}, false, err
-		}
-		if !ok {
-			m.finish()
-			return term.Subst{}, false, nil
-		}
-		if len(m.emitted) > 0 {
-			if tuple, ok := argTuple(m.atom, out); ok && m.emitted.take(valsKey(tuple)) {
-				continue
-			}
-		}
-		return out, true, nil
-	}
-}
-
 // argTuple evaluates an atom's arguments under an emission to the ground
-// tuple the memo records and the multiset filters key on. ok=false when an
+// tuple the memo records. ok=false when an
 // argument does not evaluate (an attribute path that does not resolve).
 func argTuple(a *lang.Atom, out term.Subst) ([]term.Value, bool) {
 	vals := make([]term.Value, len(a.Args))
@@ -328,57 +222,4 @@ func argTuple(a *lang.Atom, out term.Subst) ([]term.Value, bool) {
 		vals[i] = v
 	}
 	return vals, true
-}
-
-// valsKey renders a ground tuple as a multiset key.
-func valsKey(vals []term.Value) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(v.Key())
-	}
-	return b.String()
-}
-
-// multiset counts tuple keys (valsKey) already delivered, so that a
-// re-evaluation of the same relation can drop one occurrence of each:
-// substitutions with equal ground argument tuples are interchangeable, so
-// subtraction by key is exact.
-type multiset map[string]int
-
-func (ms *multiset) add(key string) {
-	if *ms == nil {
-		*ms = make(multiset)
-	}
-	(*ms)[key]++
-}
-
-// take removes one occurrence of key, reporting whether there was one.
-func (ms multiset) take(key string) bool {
-	c := ms[key]
-	if c > 1 {
-		ms[key] = c - 1
-	} else {
-		delete(ms, key)
-	}
-	return c > 0
-}
-
-func (m *memoFollowStream) finish() {
-	if m.done {
-		return
-	}
-	m.done = true
-	m.span.End(m.ctx.Clock.Now())
-}
-
-func (m *memoFollowStream) close() error {
-	var err error
-	if m.fb != nil {
-		err = m.fb.close()
-	}
-	m.finish()
-	return err
 }

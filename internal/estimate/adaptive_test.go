@@ -195,9 +195,9 @@ func TestMemoResidencyDiscount(t *testing.T) {
 		t.Fatalf("probe did not open a recording: %+v", res)
 	}
 	for i := 0; i < 3; i++ {
-		res.Rec.Add([]term.Value{term.Int(int64(i))}, time.Duration(i)*time.Millisecond)
+		res.Rec.Add([]term.Value{term.Int(int64(i))})
 	}
-	res.Rec.Commit(3*time.Millisecond, domain.CostVector{TAll: time.Second, Card: 3})
+	res.Rec.Commit(domain.CostVector{TAll: time.Second, Card: 3})
 	if _, ok := mc.EstimateServe(key); !ok {
 		t.Fatal("seeded entry not serveable")
 	}
@@ -217,15 +217,15 @@ func TestMemoResidencyDiscount(t *testing.T) {
 		t.Errorf("warm memo TFirst = %v", cv.TFirst)
 	}
 
-	// A degraded entry (fill recorded while a source was down) must not
-	// discount: the engine would not serve it either.
+	// A degraded fill (recorded while a source was down) must not
+	// discount: it is not stored, so the engine would not serve it either.
 	mc2 := memo.New(memo.DefaultConfig())
 	res2 := mc2.Probe(key)
 	res2.Rec.Note("d|f", true) // degraded input
-	res2.Rec.Add([]term.Value{term.Int(0)}, 0)
-	res2.Rec.Commit(time.Millisecond, domain.CostVector{TAll: time.Second, Card: 1})
+	res2.Rec.Add([]term.Value{term.Int(0)})
+	res2.Rec.Commit(domain.CostVector{TAll: time.Second, Card: 1})
 	if mc2.Serveable(key) {
-		t.Fatal("degraded entry should not be serveable")
+		t.Fatal("degraded fill should not be serveable")
 	}
 	est.SetMemo(mc2)
 	cv, d, err = est.PlanCostDetail(p)

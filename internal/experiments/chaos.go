@@ -316,14 +316,15 @@ type ChaosConcurrentReport struct {
 	// have been under fire.
 	FaultEvents int
 	// MemoStats is the rule-level memo cache's counters: the soak runs
-	// with the memo enabled so degraded CIM serves flow into memo entries.
+	// with the memo enabled so degraded CIM serves flow into memo fills.
 	MemoStats memo.Stats
-	// MemoDegradedEntries counts memo entries built (at least partly) from
-	// cached-while-down answers; MemoDegradedServeable counts how many of
-	// those the cache would serve as exact — which must be zero, always:
-	// a degraded intermediate relation is a lower bound, not the answer.
-	MemoDegradedEntries   int
-	MemoDegradedServeable int
+	// MemoEntries counts the memo entries left after the soak;
+	// MemoWrongEntries counts those whose relation differs from the one a
+	// fault-free mediator memoizes under the same key — which must be
+	// zero, always: a relation built from cached-while-down answers is a
+	// lower bound, not the answer, and is never stored.
+	MemoEntries      int
+	MemoWrongEntries int
 	// Errors collects per-query failures (empty on a passing run).
 	Errors []string
 }
@@ -492,16 +493,51 @@ func RunChaosConcurrent(opts ChaosOptions, sessions, maxInflight int) (*ChaosCon
 		report.Errors = append(report.Errors, fmt.Sprintf("pool not drained after soak: %+v", st))
 	}
 	report.FaultEvents = len(tb.Faults.EventLog())
-	if tb.Sys.Memo != nil {
-		report.MemoStats = tb.Sys.Memo.Stats()
-		for _, e := range tb.Sys.Memo.SnapshotEntries() {
-			if !e.Degraded {
-				continue
+	// Every memo entry left must hold the relation a fault-free mediator
+	// memoizes under the same key, after running the same plans.
+	report.MemoStats = tb.Sys.Memo.Stats()
+	ref, err := NewTestbed(TestbedOptions{
+		Site:           opts.Site,
+		WithInvariants: true,
+		RouteViaCIM:    true,
+		Seed:           opts.Seed,
+		Core:           core.Options{Memo: &mcfg},
+	})
+	if err == nil {
+		err = chaosPrime(ref)
+	}
+	for _, plan := range plans {
+		var cur *engine.Cursor
+		if err == nil {
+			cur, err = ref.Sys.Execute(plan)
+		}
+		if err == nil {
+			_, _, err = engine.CollectAll(cur)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chaos: fault-free memo reference: %w", err)
+	}
+	relation := func(e *memo.Entry) string { // the sorted tuple multiset
+		rows := make([]string, len(e.Tuples))
+		for i, t := range e.Tuples {
+			parts := make([]string, len(t))
+			for j, v := range t {
+				parts[j] = v.Key()
 			}
-			report.MemoDegradedEntries++
-			if tb.Sys.Memo.Serveable(e.Key) {
-				report.MemoDegradedServeable++
-			}
+			rows[i] = strings.Join(parts, "|")
+		}
+		sort.Strings(rows)
+		return strings.Join(rows, "\n")
+	}
+	want := make(map[string]string)
+	for _, e := range ref.Sys.Memo.SnapshotEntries() {
+		want[e.Key] = relation(e)
+	}
+	for _, e := range tb.Sys.Memo.SnapshotEntries() {
+		report.MemoEntries++
+		if w, ok := want[e.Key]; !ok || w != relation(e) {
+			report.MemoWrongEntries++
 		}
 	}
 	return report, nil

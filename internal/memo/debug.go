@@ -22,8 +22,6 @@ func (c *Cache) Format(k int) string {
 	fmt.Fprintf(&b, "memo: %d entries, %d bytes\n", c.Len(), c.Bytes())
 	fmt.Fprintf(&b, "hits=%d misses=%d stores=%d rejected=%d evictions=%d invalidations=%d\n",
 		st.Hits, st.Misses, st.Stores, st.RejectedStores, st.Evictions, st.Invalidations)
-	fmt.Fprintf(&b, "degraded: stores=%d skips=%d  flights: shares=%d fallbacks=%d\n",
-		st.DegradedStores, st.DegradedSkips, st.FlightShares, st.FlightFallbacks)
 	fmt.Fprintf(&b, "saved=%s\n", st.Saved.Round(time.Millisecond))
 
 	now := c.tick.Load()
@@ -47,13 +45,9 @@ func (c *Cache) Format(k int) string {
 		fmt.Fprintf(&b, "\ntop entries by decayed benefit:\n")
 	}
 	for _, v := range views {
-		tag := ""
-		if v.e.Degraded {
-			tag = " DEGRADED"
-		}
-		fmt.Fprintf(&b, "  %8.1f  %4d tuples  %6dB  cost=%s  inputs=%d%s  %s\n",
+		fmt.Fprintf(&b, "  %8.1f  %4d tuples  %6dB  cost=%s  inputs=%d  %s\n",
 			v.score, len(v.e.Tuples), v.e.Bytes,
-			v.e.Cost.TAll.Round(time.Millisecond), len(v.e.Inputs), tag, v.e.Key)
+			v.e.Cost.TAll.Round(time.Millisecond), len(v.e.Inputs), v.e.Key)
 	}
 	return b.String()
 }

@@ -8,26 +8,24 @@
 // Cache 'em" (Roy et al.), eviction is benefit-driven: each entry carries
 // an exponentially decayed score of the compute time its hits avoided, and
 // the lowest-scoring entries are evicted first. Admission is by size alone
-// (Config.MaxEntryBytes).
+// (maxEntryBytes).
 //
-// Soundness machinery:
+// Soundness rests on one storage rule:
 //
-//   - Every entry records the set of domain-call keys that contributed to
+//   - Every fill records the set of domain-call keys that contributed to
 //     it (Inputs). The CIM fires Cache.InvalidateInput whenever one of
 //     those calls is refreshed, evicted or served degraded, and the memo
 //     drops every dependent entry.
-//   - Entries built while a source was down (any contributing call served
-//     degraded) are stored tagged Degraded and are never served: the next
-//     evaluation after recovery replaces them with a fresh entry.
-//   - Concurrent identical subgoals coalesce into one fill (a flight): the
-//     first occurrence evaluates and publishes tuples as they arrive, the
-//     others replay the publication stream; if the leader abandons the fill
-//     (error, early close), followers fall back to their own evaluation,
-//     subtracting the multiset of tuples they already emitted.
+//   - A fill stores its relation only if none of the calls it read was
+//     invalidated or served degraded while the fill ran. A relation built
+//     from cached-while-down answers, or from answers replaced under it,
+//     is never stored; the next evaluation fills it afresh.
+//
+// Concurrent fills of one key each evaluate for themselves: the CIM under
+// them coalesces their source calls or serves them as hits.
 package memo
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -36,92 +34,63 @@ import (
 	"hermes/internal/domain"
 	"hermes/internal/obs"
 	"hermes/internal/shardmap"
-	"hermes/internal/spool"
 	"hermes/internal/term"
 )
 
-// Config tunes the memo cache. A zero Decay or MaxEntryBytes takes the
-// default; MaxEntries/MaxBytes zero mean unlimited; zero costs charge
-// nothing.
+// Config tunes the memo cache. MaxEntries/MaxBytes zero mean unlimited;
+// zero costs charge nothing.
 type Config struct {
 	// MaxEntries bounds the number of cached relations (0 = unlimited).
 	MaxEntries int
 	// MaxBytes bounds the total cached tuple bytes (0 = unlimited).
 	MaxBytes int
-	// Decay is the per-operation multiplicative decay of each entry's
-	// benefit score: after n cache operations without a hit an entry's
-	// score has shrunk by Decay^n, so eviction tracks recent value rather
-	// than lifetime totals. Must be in (0, 1]; 1 disables decay; 0 takes
-	// the default.
-	Decay float64
-	// MaxEntryBytes skips storing any single relation larger than this
-	// (0 takes the default; negative = unlimited).
-	MaxEntryBytes int
 	// LookupCost is charged to the query clock per memo probe.
 	LookupCost time.Duration
-	// PerTuple is charged per tuple replayed from a memo entry or flight.
+	// PerTuple is charged per tuple replayed from a memo entry.
 	PerTuple time.Duration
 }
 
 const (
-	defaultMaxEntries    = 512
-	defaultMaxBytes      = 8 << 20
-	defaultDecay         = 0.98
-	defaultMaxEntryBytes = 256 << 10
+	defaultMaxEntries = 512
+	defaultMaxBytes   = 8 << 20
+	// decay is the per-operation multiplicative decay of each entry's
+	// benefit score: after n cache operations without a hit an entry's
+	// score has shrunk by decay^n, so eviction tracks recent value rather
+	// than lifetime totals.
+	decay = 0.98
+	// maxEntryBytes caps one relation: the tuple that takes a fill past it
+	// ends the fill unstored.
+	maxEntryBytes = 256 << 10
+	// invRing is how many recent invalidations Commit can check a fill's
+	// inputs against; a fill that outlived more is not stored.
+	invRing = 64
 )
 
-// DefaultConfig returns hermesd's configuration: bounded budgets, decayed
-// benefit scores, and no modelled probe or replay cost.
+// DefaultConfig returns hermesd's configuration: bounded budgets and no
+// modelled probe or replay cost.
 func DefaultConfig() Config {
-	return Config{
-		MaxEntries:    defaultMaxEntries,
-		MaxBytes:      defaultMaxBytes,
-		Decay:         defaultDecay,
-		MaxEntryBytes: defaultMaxEntryBytes,
-	}
-}
-
-func (cfg Config) normalized() Config {
-	if cfg.Decay <= 0 || cfg.Decay > 1 {
-		cfg.Decay = defaultDecay
-	}
-	if cfg.MaxEntryBytes == 0 {
-		cfg.MaxEntryBytes = defaultMaxEntryBytes
-	}
-	return cfg
+	return Config{MaxEntries: defaultMaxEntries, MaxBytes: defaultMaxBytes}
 }
 
 // Stats count memo activity: a view of the cache's tallies, one atomic read
 // per field and not one critical section — read it after the workload
 // quiesces when the fields must add up.
 type Stats struct {
-	// Hits are probes served from a committed, non-degraded entry.
+	// Hits are probes served from a committed entry.
 	Hits int
-	// Misses are probes that found nothing serveable (including degraded
-	// skips) and so either led or followed a fill.
+	// Misses are probes that found nothing and so started a fill.
 	Misses int
 	// Stores counts committed fills admitted into the cache.
 	Stores int
-	// DegradedStores counts committed fills stored tagged Degraded because
-	// a contributing domain call was served degraded (cached-while-down).
-	DegradedStores int
-	// DegradedSkips counts probes that found only a degraded entry and
-	// refused to serve it.
-	DegradedSkips int
 	// RejectedStores counts fills that failed admission: cut short at the
-	// tuple that crossed MaxEntryBytes.
+	// tuple that crossed maxEntryBytes.
 	RejectedStores int
 	// Evictions counts budget evictions.
 	Evictions int
-	// Invalidations counts entries dropped because a contributing domain
-	// call was refreshed, evicted or degraded.
+	// Invalidations counts entries dropped, and committed fills not
+	// stored, because a contributing domain call was refreshed, evicted or
+	// degraded.
 	Invalidations int
-	// FlightShares counts probes that attached to an in-progress fill
-	// instead of evaluating the subgoal themselves.
-	FlightShares int
-	// FlightFallbacks counts followers whose flight aborted and who fell
-	// back to their own evaluation.
-	FlightFallbacks int
 	// Saved is the total compute time hits avoided (the sum of serving
 	// entries' observed fill costs).
 	Saved time.Duration
@@ -140,18 +109,13 @@ type Entry struct {
 	// fill; any of them being refreshed, evicted or degraded invalidates
 	// the entry.
 	Inputs []string
-	// Degraded marks a relation built while a contributing source was
-	// down. Degraded entries are kept (visible in /debug/memo) but never
-	// served.
-	Degraded bool
 	// Cost is the observed cost of the fill that produced the relation:
 	// what a hit on this entry avoids.
 	Cost  domain.CostVector
 	Bytes int
 
-	// Benefit score, guarded by Cache.scoreMu: score decays by
-	// Config.Decay per cache operation and grows by the avoided cost on
-	// every hit.
+	// Benefit score, guarded by Cache.scoreMu: score decays by decay per
+	// cache operation and grows by the avoided cost on every hit.
 	score     float64
 	scoreTick int64
 	lastUsed  int64
@@ -169,20 +133,21 @@ type Cache struct {
 	tick atomic.Int64
 
 	// Tallies, bumped at the event site and read by Stats and the registry.
-	hits, misses, stores, degradedStores, degradedSkips, rejectedStores obs.Counter
-	evictions, invalidations, flightShares, flightFallbacks, savedNS    obs.Counter
+	hits, misses, stores, rejectedStores obs.Counter
+	evictions, invalidations, savedNS    obs.Counter
 
 	// scoreMu guards the entries' benefit-score fields.
 	scoreMu sync.Mutex
 
 	// invMu guards the reverse index from domain-call keys to the entries
-	// that depend on them.
+	// that depend on them, and the ring of recent invalidations.
 	invMu    sync.Mutex
 	inputIdx map[string]map[string]*Entry
-
-	// flightMu guards the in-progress fill index.
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// invGen numbers InvalidateInput calls; it is written under invMu and
+	// read without it when a fill starts. invLog[g%invRing] is the call
+	// key of invalidation g.
+	invGen atomic.Uint64
+	invLog [invRing]string
 
 	hookMu sync.RWMutex
 	// onSavings credits a hit's avoided cost to an external ledger (the
@@ -192,11 +157,7 @@ type Cache struct {
 
 // New builds a memo cache.
 func New(cfg Config) *Cache {
-	c := &Cache{
-		cfg:      cfg.normalized(),
-		inputIdx: make(map[string]map[string]*Entry),
-		flights:  make(map[string]*flight),
-	}
+	c := &Cache{cfg: cfg, inputIdx: make(map[string]map[string]*Entry)}
 	c.store = shardmap.New(func(e *Entry) int { return e.Bytes },
 		c.cfg.MaxEntries, c.cfg.MaxBytes, c.pickVictim, c.evicted)
 	return c
@@ -210,13 +171,9 @@ func (c *Cache) SetObserver(o *obs.Observer) {
 	r.AttachCounter("hermes_memo_hits_total", "IDB subgoals served by replaying a memoized intermediate relation", c.hits.Value)
 	r.AttachCounter("hermes_memo_misses_total", "memo probes that fell through to subgoal evaluation", c.misses.Value)
 	r.AttachCounter("hermes_memo_stores_total", "intermediate relations admitted into the memo cache", c.stores.Value)
-	r.AttachCounter("hermes_memo_degraded_stores_total", "memo entries admitted in quarantine because a contributing source call was degraded", c.degradedStores.Value)
-	r.AttachCounter("hermes_memo_degraded_skips_total", "memo probes that found only a quarantined degraded entry and re-evaluated", c.degradedSkips.Value)
 	r.AttachCounter("hermes_memo_evictions_total", "memo entries evicted by the benefit-driven policy", c.evictions.Value)
 	r.AttachCounter("hermes_memo_invalidations_total", "memo entries dropped because a contributing domain call was refreshed, evicted, or degraded", c.invalidations.Value)
 	r.AttachCounter("hermes_memo_saved_ms_total", "estimated milliseconds of re-evaluation avoided by memo hits", func() int64 { return time.Duration(c.savedNS.Value()).Milliseconds() })
-	r.AttachCounter("hermes_memo_flight_shares_total", "concurrent identical subgoals that shared one in-flight memo fill", c.flightShares.Value)
-	r.AttachCounter("hermes_memo_flight_fallbacks_total", "memo flight followers that re-evaluated after their leader aborted", c.flightFallbacks.Value)
 	r.AttachGauge("hermes_memo_entries", "intermediate relations currently memoized", func() float64 { return float64(c.store.Len()) })
 	r.AttachGauge("hermes_memo_bytes", "bytes of memoized intermediate relations", func() float64 { return float64(c.store.Bytes()) })
 }
@@ -238,17 +195,13 @@ func (c *Cache) savingsHook() func(time.Duration) {
 // Stats returns the activity counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:            int(c.hits.Value()),
-		Misses:          int(c.misses.Value()),
-		Stores:          int(c.stores.Value()),
-		DegradedStores:  int(c.degradedStores.Value()),
-		DegradedSkips:   int(c.degradedSkips.Value()),
-		RejectedStores:  int(c.rejectedStores.Value()),
-		Evictions:       int(c.evictions.Value()),
-		Invalidations:   int(c.invalidations.Value()),
-		FlightShares:    int(c.flightShares.Value()),
-		FlightFallbacks: int(c.flightFallbacks.Value()),
-		Saved:           time.Duration(c.savedNS.Value()),
+		Hits:           int(c.hits.Value()),
+		Misses:         int(c.misses.Value()),
+		Stores:         int(c.stores.Value()),
+		RejectedStores: int(c.rejectedStores.Value()),
+		Evictions:      int(c.evictions.Value()),
+		Invalidations:  int(c.invalidations.Value()),
+		Saved:          time.Duration(c.savedNS.Value()),
 	}
 }
 
@@ -267,65 +220,47 @@ func (c *Cache) PerTupleCost() time.Duration { return c.cfg.PerTuple }
 // ProbeResult is the outcome of consulting the memo for a subgoal
 // occurrence: exactly one field is non-nil.
 type ProbeResult struct {
-	// Entry is a committed, non-degraded relation to replay (hit).
+	// Entry is a committed relation to replay (hit).
 	Entry *Entry
-	// Reader follows an in-progress fill of the same key started by a
-	// concurrent occurrence.
-	Reader *FlightReader
-	// Rec means this occurrence leads the fill: evaluate the subgoal,
+	// Rec means this occurrence fills the key: evaluate the subgoal,
 	// record through Rec, and Commit or Abort.
 	Rec *Recording
 }
 
 // Probe consults the cache for key. A hit bumps the entry's benefit score
-// and credits the savings ledger; a miss either attaches to an in-flight
-// fill of the same key or makes the caller the fill's leader.
+// and credits the savings ledger; a miss starts a fill.
 func (c *Cache) Probe(key string) ProbeResult {
 	now := c.tick.Add(1)
 	if e, ok := c.store.Get(key); ok {
-		if !e.Degraded {
-			saved := e.Cost.TAll
-			c.credit(e, saved, now)
-			c.hits.Inc()
-			c.savedNS.Add(int64(saved))
-			if hook := c.savingsHook(); hook != nil {
-				hook(saved)
-			}
-			return ProbeResult{Entry: e}
+		saved := e.Cost.TAll
+		c.credit(e, saved, now)
+		c.hits.Inc()
+		c.savedNS.Add(int64(saved))
+		if hook := c.savingsHook(); hook != nil {
+			hook(saved)
 		}
-		c.degradedSkips.Inc()
+		return ProbeResult{Entry: e}
 	}
 	c.misses.Inc()
-	c.flightMu.Lock()
-	if f := c.flights[key]; f != nil {
-		c.flightMu.Unlock()
-		c.flightShares.Inc()
-		return ProbeResult{Reader: &FlightReader{c: c, f: f}}
-	}
-	f := &flight{}
-	c.flights[key] = f
-	c.flightMu.Unlock()
-	return ProbeResult{Rec: &Recording{c: c, key: key, f: f}}
+	return ProbeResult{Rec: &Recording{c: c, key: key, startGen: c.invGen.Load()}}
 }
 
-// Serveable reports whether a probe for key would be a hit right now
-// (committed, non-degraded entry present), without touching scores or
-// stats. Introspection for tests and chaos assertions.
+// Serveable reports whether a probe for key would be a hit right now,
+// without touching scores or stats. Introspection for tests and chaos
+// assertions.
 func (c *Cache) Serveable(key string) bool {
-	e, ok := c.store.Get(key)
-	return ok && !e.Degraded
+	_, ok := c.store.Get(key)
+	return ok
 }
 
 // EstimateServe reports whether key is currently serveable and, if so,
 // how many tuples a replay would emit. Like Serveable it bypasses the
-// probe path entirely — no stats, no score credit, no single-flight —
-// because its caller is the *cost estimator*, which must be free to
-// price candidate plans without perturbing the cache's benefit
-// accounting. Degraded entries report a miss: the engine would not
-// serve them either.
+// probe path entirely — no stats, no score credit — because its caller is
+// the *cost estimator*, which must be free to price candidate plans
+// without perturbing the cache's benefit accounting.
 func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
-	e, got := c.store.Get(key)
-	if !got || e.Degraded {
+	e, ok := c.store.Get(key)
+	if !ok {
 		return 0, false
 	}
 	return len(e.Tuples), true
@@ -349,39 +284,37 @@ func (c *Cache) credit(e *Entry, saved time.Duration, now int64) {
 // scoreMu.
 func (c *Cache) decayedScoreLocked(e *Entry, now int64) float64 {
 	dt := now - e.scoreTick
-	if dt <= 0 || c.cfg.Decay == 1 {
+	if dt <= 0 {
 		return e.score
 	}
-	return e.score * math.Pow(c.cfg.Decay, float64(dt))
+	return e.score * math.Pow(decay, float64(dt))
 }
 
 // InvalidateInput drops every cached relation that recorded callKey as a
-// contributing domain call. The CIM fires it when an entry for that call
+// contributing domain call, and logs the call so that a fill in progress
+// that read it is not stored. The CIM fires it when an entry for that call
 // is refreshed, evicted or served degraded.
 func (c *Cache) InvalidateInput(callKey string) {
 	c.invMu.Lock()
+	defer c.invMu.Unlock()
+	gen := c.invGen.Add(1)
+	c.invLog[gen%invRing] = callKey
 	deps := c.inputIdx[callKey]
-	if len(deps) == 0 {
-		c.invMu.Unlock()
-		return
-	}
 	delete(c.inputIdx, callKey)
-	victims := make([]*Entry, 0, len(deps))
 	for _, e := range deps {
-		victims = append(victims, e)
 		c.deindexLocked(e) // its other inputs' dependency sets
-	}
-	c.invMu.Unlock()
-	for _, e := range victims {
 		if c.store.RemoveIf(e.Key, e) {
 			c.invalidations.Inc()
 		}
 	}
 }
 
-// admit stores a committed fill's entry, indexes its inputs, and enforces
-// the budgets.
-func (c *Cache) admit(e *Entry) {
+// admit stores a committed fill's entry and indexes its inputs unless the
+// fill is spoiled, or one of its inputs was invalidated since the fill
+// started. The check, the store and the index share one invMu critical
+// section, so an invalidation either is seen by the check or finds the
+// entry indexed.
+func (c *Cache) admit(rec *Recording, e *Entry) {
 	now := c.tick.Add(1)
 	c.scoreMu.Lock()
 	// Seed the score with the fill's own cost so a fresh expensive entry
@@ -390,9 +323,13 @@ func (c *Cache) admit(e *Entry) {
 	e.scoreTick = now
 	e.lastUsed = now
 	c.scoreMu.Unlock()
-	old, replaced := c.store.Put(e.Key, e)
 	c.invMu.Lock()
-	if replaced {
+	if rec.spoiled || c.invalidatedSinceLocked(rec) {
+		c.invMu.Unlock()
+		c.invalidations.Inc()
+		return
+	}
+	if old, replaced := c.store.Put(e.Key, e); replaced {
 		c.deindexLocked(old)
 	}
 	for _, in := range e.Inputs {
@@ -405,10 +342,23 @@ func (c *Cache) admit(e *Entry) {
 	}
 	c.invMu.Unlock()
 	c.stores.Inc()
-	if e.Degraded {
-		c.degradedStores.Inc()
-	}
 	c.store.Evict()
+}
+
+// invalidatedSinceLocked reports whether an input of rec may have been
+// invalidated after the fill started: the ring names one, or more
+// invalidations happened than the ring keeps. Callers hold invMu.
+func (c *Cache) invalidatedSinceLocked(rec *Recording) bool {
+	gen := c.invGen.Load()
+	if gen-rec.startGen > invRing {
+		return true
+	}
+	for g := rec.startGen + 1; g <= gen; g++ {
+		if rec.inputSet[c.invLog[g%invRing]] {
+			return true
+		}
+	}
+	return false
 }
 
 // deindexLocked removes a replaced, evicted or invalidated entry's
@@ -453,99 +403,33 @@ func (c *Cache) evicted(_ string, e *Entry) {
 	c.evictions.Inc()
 }
 
-// Item is one published tuple of an in-progress fill, stamped with the
-// leader clock's reading when it was recorded.
-type Item = spool.Item[[]term.Value]
-
-// ReadState is the outcome of FlightReader.Next.
-type ReadState int
-
-// Flight read outcomes.
-const (
-	// ReadItem delivered a tuple.
-	ReadItem ReadState = iota
-	// ReadEndCommitted means the fill completed; Result carries its inputs.
-	ReadEndCommitted
-	// ReadEndAborted means the leader abandoned the fill (error, early
-	// close, or a relation over MaxEntryBytes); the follower must evaluate
-	// the remainder itself.
-	ReadEndAborted
-	// ReadCancelled means the follower's own context was cancelled.
-	ReadCancelled
-)
-
-// errAborted settles the log of a fill its leader abandoned.
-var errAborted = errors.New("memo: fill aborted")
-
-// flight is one in-progress fill: the leader publishes tuples into log as
-// it records them and followers replay it. inputs and degraded are written
-// by Commit before it settles the log and read only by followers that have
-// observed the settle, so the log's mutex orders them.
-type flight struct {
-	log      spool.Log[[]term.Value]
-	inputs   []string
-	degraded bool
-}
-
-// FlightReader replays an in-progress fill for a follower occurrence.
-type FlightReader struct {
-	c        *Cache
-	f        *flight
-	idx      int
-	fellBack bool
-}
-
-// Next returns the reader's next event, waiting for the leader to publish
-// when the follower has caught up. cancel, when non-nil, aborts the wait
-// (ReadCancelled). The leader never waits on followers, so progress only
-// depends on the leader's own consumer.
-func (r *FlightReader) Next(cancel <-chan struct{}) (Item, ReadState) {
-	it, st := r.f.log.Wait(r.idx, cancel)
-	switch st {
-	case spool.Ready:
-		r.idx++
-		return it, ReadItem
-	case spool.Pending:
-		return Item{}, ReadCancelled
-	}
-	if _, err, _ := r.f.log.End(); err == nil {
-		return Item{}, ReadEndCommitted
-	}
-	if !r.fellBack {
-		r.fellBack = true
-		r.c.flightFallbacks.Inc()
-	}
-	return Item{}, ReadEndAborted
-}
-
-// Result returns the committed fill's inputs, degraded flag and end time.
-// Valid after Next returned ReadEndCommitted.
-func (r *FlightReader) Result() (inputs []string, degraded bool, endAt time.Duration) {
-	endAt, _, _ = r.f.log.End()
-	return r.f.inputs, r.f.degraded, endAt
-}
-
-// Recording is the leader side of a fill: the engine records every tuple
-// the subgoal emits and every domain call it issues, then commits on
-// natural exhaustion or aborts on error/early close.
+// Recording is one fill in progress: the engine records every tuple the
+// subgoal emits and every domain call it issues, then commits on natural
+// exhaustion or aborts on error or early close.
 type Recording struct {
-	c   *Cache
-	key string
-	f   *flight
+	c        *Cache
+	key      string
+	startGen uint64 // Cache.invGen when the fill started
 
 	mu       sync.Mutex
+	tuples   [][]term.Value
 	inputs   []string
 	inputSet map[string]bool
-	degraded bool
+	spoiled  bool // a contributing call was served degraded
 	bytes    int
 	done     bool
 }
 
 // Note records a contributing domain call (thread-safe: parallel branches
 // under the subgoal note concurrently). degraded marks a call served from
-// cache because its source was down.
+// cache because its source was down, which keeps the fill from being
+// stored.
 func (rec *Recording) Note(callKey string, degraded bool) {
 	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.done {
+		return
+	}
 	if rec.inputSet == nil {
 		rec.inputSet = make(map[string]bool)
 	}
@@ -554,86 +438,58 @@ func (rec *Recording) Note(callKey string, degraded bool) {
 		rec.inputs = append(rec.inputs, callKey)
 	}
 	if degraded {
-		rec.degraded = true
+		rec.spoiled = true
 	}
-	rec.mu.Unlock()
 }
 
-// Add records one emitted tuple and publishes it to any followers. at is
-// the leader clock's reading. It reports whether the fill is still being
-// recorded: the tuple that takes the relation past MaxEntryBytes aborts the
-// fill instead (counted once as a rejected store), so a relation that could
-// never be admitted is not buffered for the rest of its evaluation.
-func (rec *Recording) Add(vals []term.Value, at time.Duration) bool {
+// Add records one emitted tuple. It reports whether the fill is still
+// being recorded: the tuple that takes the relation past maxEntryBytes
+// ends the fill instead (counted once as a rejected store), so a relation
+// that could never be admitted is not buffered for the rest of its
+// evaluation.
+func (rec *Recording) Add(vals []term.Value) bool {
 	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	if rec.done {
-		rec.mu.Unlock()
 		return false
 	}
 	for _, v := range vals {
 		rec.bytes += term.SizeBytes(v)
 	}
-	oversized := rec.c.cfg.MaxEntryBytes > 0 && rec.bytes > rec.c.cfg.MaxEntryBytes
-	rec.mu.Unlock()
-	if oversized {
-		if rec.finish() {
-			rec.c.rejectedStores.Inc()
-			rec.f.log.Settle(errAborted, at)
-		}
+	if rec.bytes > maxEntryBytes {
+		rec.done, rec.tuples = true, nil
+		rec.c.rejectedStores.Inc()
 		return false
 	}
-	rec.f.log.Push(vals, at)
+	rec.tuples = append(rec.tuples, vals)
 	return true
 }
 
-// finish marks the recording done and frees the key's flight slot for the
-// next prober. It reports false when the recording was already finished.
-func (rec *Recording) finish() bool {
+// Commit finishes the fill at natural exhaustion: the recorded tuples
+// become a cache entry, unless a contributing call was served degraded or
+// invalidated while the fill ran — such a fill counts as one invalidation
+// and stores nothing.
+func (rec *Recording) Commit(cost domain.CostVector) {
 	rec.mu.Lock()
 	if rec.done {
 		rec.mu.Unlock()
-		return false
+		return
 	}
 	rec.done = true
 	rec.mu.Unlock()
-	rec.c.flightMu.Lock()
-	if rec.c.flights[rec.key] == rec.f {
-		delete(rec.c.flights, rec.key)
-	}
-	rec.c.flightMu.Unlock()
-	return true
-}
-
-// Commit finishes the fill at natural exhaustion: the published tuples
-// become a cache entry (when admitted) and followers see a committed end.
-func (rec *Recording) Commit(at time.Duration, cost domain.CostVector) {
-	if !rec.finish() {
-		return
-	}
-	rec.mu.Lock()
-	inputs, degraded, bytes := rec.inputs, rec.degraded, rec.bytes
-	rec.mu.Unlock()
-
-	tuples := rec.f.log.Values()
-	// Settle after snapshotting so followers never see a half-built state.
-	rec.f.inputs, rec.f.degraded = inputs, degraded
-	rec.f.log.Settle(nil, at)
-
-	rec.c.admit(&Entry{
-		Key:      rec.key,
-		Tuples:   tuples,
-		Inputs:   inputs,
-		Degraded: degraded,
-		Cost:     cost,
-		Bytes:    bytes,
+	rec.c.admit(rec, &Entry{
+		Key:    rec.key,
+		Tuples: rec.tuples,
+		Inputs: rec.inputs,
+		Cost:   cost,
+		Bytes:  rec.bytes,
 	})
 }
 
 // Abort abandons the fill (subgoal error, or the consumer closed the
-// stream before exhaustion): nothing is stored, and followers fall back to
-// their own evaluation.
-func (rec *Recording) Abort(at time.Duration) {
-	if rec.finish() {
-		rec.f.log.Settle(errAborted, at)
-	}
+// stream before exhaustion): nothing is stored.
+func (rec *Recording) Abort() {
+	rec.mu.Lock()
+	rec.done, rec.tuples = true, nil
+	rec.mu.Unlock()
 }

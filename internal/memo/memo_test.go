@@ -3,6 +3,7 @@ package memo
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,11 +26,14 @@ func commitEntry(t *testing.T, c *Cache, key string, tuples [][]term.Value, inpu
 	for _, in := range inputs {
 		res.Rec.Note(in, degraded)
 	}
-	for i, tu := range tuples {
-		res.Rec.Add(tu, time.Duration(i)*time.Millisecond)
+	for _, tu := range tuples {
+		res.Rec.Add(tu)
 	}
-	res.Rec.Commit(cost, domain.CostVector{TAll: cost, Card: float64(len(tuples))})
+	res.Rec.Commit(domain.CostVector{TAll: cost, Card: float64(len(tuples))})
 }
+
+// bigRow is a one-column tuple of n bytes.
+func bigRow(n int) []term.Value { return []term.Value{term.Str(strings.Repeat("x", n))} }
 
 func TestStoreAndHit(t *testing.T) {
 	c := New(DefaultConfig())
@@ -54,13 +58,6 @@ func TestStoreAndHit(t *testing.T) {
 	if c.Len() != 1 || c.Bytes() == 0 {
 		t.Errorf("Len=%d Bytes=%d, want 1 entry with nonzero bytes", c.Len(), c.Bytes())
 	}
-	// The second leader-probe above (none) must not have created a flight.
-	c.flightMu.Lock()
-	n := len(c.flights)
-	c.flightMu.Unlock()
-	if n != 0 {
-		t.Errorf("%d flights left open after a hit", n)
-	}
 }
 
 func TestSavingsHook(t *testing.T) {
@@ -80,28 +77,78 @@ func TestDegradedEntryNeverServed(t *testing.T) {
 	key := fillKey(0)
 	commitEntry(t, c, key, [][]term.Value{{term.Int(1)}}, []string{"d:f()"}, true, 50*time.Millisecond)
 
-	if c.Serveable(key) {
-		t.Fatal("degraded entry reported serveable")
+	if c.Serveable(key) || c.Len() != 0 {
+		t.Fatalf("a fill that read a degraded call was stored (Len %d)", c.Len())
 	}
 	res := c.Probe(key)
 	if res.Entry != nil {
-		t.Fatal("degraded entry was served as a hit")
+		t.Fatal("degraded fill was served as a hit")
 	}
 	if res.Rec == nil {
-		t.Fatal("probe over a degraded entry should lead a fresh fill")
+		t.Fatal("probe after a degraded fill should start a fresh fill")
 	}
 	st := c.Stats()
-	if st.DegradedStores != 1 || st.DegradedSkips != 1 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 1 degraded store, 1 degraded skip, 0 hits", st)
+	if st.Stores != 0 || st.Invalidations != 1 || st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 0 stores, 1 invalidation, 0 hits, 2 misses", st)
 	}
-	// Re-filling with a sound result replaces the degraded entry.
+	// A sound refill is stored.
 	for _, tu := range [][]term.Value{{term.Int(1)}, {term.Int(2)}} {
-		res.Rec.Add(tu, 0)
+		res.Rec.Add(tu)
 	}
 	res.Rec.Note("d:f()", false)
-	res.Rec.Commit(time.Millisecond, domain.CostVector{TAll: 40 * time.Millisecond, Card: 2})
+	res.Rec.Commit(domain.CostVector{TAll: 40 * time.Millisecond, Card: 2})
 	if !c.Serveable(key) {
 		t.Fatal("sound refill not serveable")
+	}
+}
+
+// TestInvalidationDuringFillStoresNothing: a fill whose input call is
+// refreshed or evicted between its Note and its Commit read answers that
+// are no longer current, so it stores nothing and counts one invalidation.
+func TestInvalidationDuringFillStoresNothing(t *testing.T) {
+	c := New(DefaultConfig())
+	key := fillKey(0)
+	res := c.Probe(key)
+	res.Rec.Note("d:f()", false)
+	res.Rec.Add([]term.Value{term.Int(1)})
+	c.InvalidateInput("d:f()")
+	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond, Card: 1})
+	if c.Serveable(key) {
+		t.Error("fill whose input was invalidated mid-fill is serveable")
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Stores != 0 {
+		t.Errorf("stats = %+v, want 1 invalidation and 0 stores", st)
+	}
+
+	// The rule looks at the fill's own inputs, from its start on: an
+	// invalidation before the fill started, or of a call it did not read,
+	// does not stop it.
+	c.InvalidateInput("d:g()")
+	res = c.Probe(key)
+	res.Rec.Note("d:g()", false)
+	c.InvalidateInput("d:h()")
+	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
+	if !c.Serveable(key) {
+		t.Error("fill untouched by its inputs' invalidations was not stored")
+	}
+}
+
+// TestFillOutlivingTheRingStoresNothing: Commit sees the last invRing
+// invalidations; a fill that outlived more cannot tell whether one of
+// them was its input, so it is not stored.
+func TestFillOutlivingTheRingStoresNothing(t *testing.T) {
+	c := New(DefaultConfig())
+	for _, n := range []int{invRing, invRing + 1} {
+		key := fillKey(n)
+		res := c.Probe(key)
+		res.Rec.Note("d:f()", false)
+		for i := 0; i < n; i++ {
+			c.InvalidateInput(fmt.Sprintf("d:other(%d)", i))
+		}
+		res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
+		if got, want := c.Serveable(key), n <= invRing; got != want {
+			t.Errorf("after %d unrelated invalidations: serveable = %v, want %v", n, got, want)
+		}
 	}
 }
 
@@ -141,50 +188,45 @@ func TestInvalidateUnknownInputIsNoop(t *testing.T) {
 }
 
 func TestAdmissionThresholds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxEntryBytes = 16
-	c := New(cfg)
+	c := New(DefaultConfig())
 
-	// Too large to store (3 ints = 24 bytes > 16).
-	commitEntry(t, c, fillKey(1),
-		[][]term.Value{{term.Int(1)}, {term.Int(2)}, {term.Int(3)}}, nil, false, time.Second)
+	// Too large to store: three rows of 100 KiB > maxEntryBytes.
+	row := bigRow(100 << 10)
+	commitEntry(t, c, fillKey(1), [][]term.Value{row, row, row}, nil, false, time.Second)
 	if c.Serveable(fillKey(1)) {
 		t.Error("oversized fill was admitted")
 	}
 	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 {
 		t.Errorf("stats = %+v, want 1 rejected store, 0 stores", st)
 	}
+	// Two of them fit.
+	commitEntry(t, c, fillKey(2), [][]term.Value{row, row}, nil, false, time.Second)
+	if !c.Serveable(fillKey(2)) {
+		t.Error("fill under maxEntryBytes was not admitted")
+	}
 }
 
 // TestOversizedFillAbortsAtCrossingTuple: a relation of three times
-// MaxEntryBytes is not buffered to the end of its evaluation — the Add that
-// crosses the cap settles the fill aborted.
+// maxEntryBytes is not buffered to the end of its evaluation — the Add that
+// crosses the cap ends the fill, and its late Commit stores nothing.
 func TestOversizedFillAbortsAtCrossingTuple(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxEntryBytes = 16 // two ints
-	c := New(cfg)
+	c := New(DefaultConfig())
 	key := fillKey(0)
-	lead, follow := c.Probe(key), c.Probe(key)
+	lead := c.Probe(key)
+	row := bigRow(maxEntryBytes / 2) // two rows fill the cap exactly
 
 	for i := 0; i < 6; i++ {
-		recording := lead.Rec.Add([]term.Value{term.Int(int64(i))}, time.Duration(i)*time.Millisecond)
-		if recording != (i < 2) {
+		if recording := lead.Rec.Add(row); recording != (i < 2) {
 			t.Fatalf("Add #%d reported recording=%v", i, recording)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if it, st := follow.Reader.Next(nil); st != ReadItem || !term.Equal(it.V[0], term.Int(int64(i))) {
-			t.Fatalf("replay #%d = (%+v, %v)", i, it, st)
-		}
+	if lead.Rec.tuples != nil {
+		t.Errorf("the ended fill still buffers %d tuples", len(lead.Rec.tuples))
 	}
-	if _, st := follow.Reader.Next(nil); st != ReadEndAborted {
-		t.Fatalf("state after the crossing tuple = %v, want ReadEndAborted", st)
-	}
-	// The flight slot is free again, and the leader's late Commit is a no-op.
 	if res := c.Probe(key); res.Rec == nil {
-		t.Error("probe after the abort should lead a fresh fill")
+		t.Error("probe after the abort should start a fresh fill")
 	}
-	lead.Rec.Commit(time.Second, domain.CostVector{TAll: time.Second, Card: 6})
+	lead.Rec.Commit(domain.CostVector{TAll: time.Second, Card: 6})
 	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 || c.Len() != 0 || c.Serveable(key) {
 		t.Errorf("stats = %+v, Len = %d; want exactly 1 rejected store and nothing stored", st, c.Len())
 	}
@@ -193,14 +235,14 @@ func TestOversizedFillAbortsAtCrossingTuple(t *testing.T) {
 func TestEvictionPrefersLowDecayedBenefit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxEntries = 2
-	cfg.Decay = 0.5
 	c := New(cfg)
 
 	commitEntry(t, c, fillKey(0), nil, nil, false, 100*time.Millisecond)
 	commitEntry(t, c, fillKey(1), nil, nil, false, 10*time.Millisecond)
 	// Repeated hits on the cheap entry outweigh the expensive idle one
-	// under decay.
-	for i := 0; i < 8; i++ {
+	// under decay: after ~100 operations the idle entry's 100 has decayed
+	// below the newcomer's 20, while undecayed it would outlast it.
+	for i := 0; i < 100; i++ {
 		if c.Probe(fillKey(1)).Entry == nil {
 			t.Fatal("expected hit on entry 1")
 		}
@@ -220,99 +262,52 @@ func TestEvictionPrefersLowDecayedBenefit(t *testing.T) {
 	}
 }
 
-func TestSingleFlightFollowerReplay(t *testing.T) {
+func TestConcurrentFillsOfOneKeyEachLead(t *testing.T) {
 	c := New(DefaultConfig())
 	key := fillKey(0)
-	lead := c.Probe(key)
-	if lead.Rec == nil {
-		t.Fatal("first probe should lead")
+	first, second := c.Probe(key), c.Probe(key)
+	if first.Rec == nil || second.Rec == nil {
+		t.Fatal("both probes of an unfilled key should start a fill")
 	}
-	follow := c.Probe(key)
-	if follow.Reader == nil {
-		t.Fatal("second probe should follow the in-progress fill")
-	}
+	first.Rec.Note("call1", false)
+	second.Rec.Note("call1", false)
+	first.Rec.Add([]term.Value{term.Int(1)})
+	second.Rec.Add([]term.Value{term.Int(2)})
+	first.Rec.Commit(domain.CostVector{TAll: time.Millisecond, Card: 1})
+	second.Rec.Commit(domain.CostVector{TAll: time.Millisecond, Card: 1})
 
-	lead.Rec.Note("call1", false)
-	lead.Rec.Add([]term.Value{term.Int(1)}, 5*time.Millisecond)
-	lead.Rec.Add([]term.Value{term.Int(2)}, 7*time.Millisecond)
-
-	it, st := follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.V[0], term.Int(1)) || it.At != 5*time.Millisecond {
-		t.Fatalf("first replay = (%+v, %v)", it, st)
+	res := c.Probe(key)
+	if res.Entry == nil || !term.Equal(res.Entry.Tuples[0][0], term.Int(2)) {
+		t.Fatalf("probe = %+v, want the last committed fill", res)
 	}
-	it, st = follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.V[0], term.Int(2)) {
-		t.Fatalf("second replay = (%+v, %v)", it, st)
+	if st := c.Stats(); st.Stores != 2 || st.Misses != 2 || c.Len() != 1 {
+		t.Errorf("stats = %+v, Len = %d; want 2 stores of one entry", st, c.Len())
 	}
-
-	// Follower catches up, then the leader commits: the wait must resolve
-	// to a committed end carrying the inputs.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, st := follow.Reader.Next(nil)
-		if st != ReadEndCommitted {
-			t.Errorf("end state = %v, want ReadEndCommitted", st)
-			return
-		}
-		inputs, degraded, endAt := follow.Reader.Result()
-		if len(inputs) != 1 || inputs[0] != "call1" || degraded || endAt != 9*time.Millisecond {
-			t.Errorf("Result() = (%v, %v, %v)", inputs, degraded, endAt)
-		}
-	}()
-	lead.Rec.Commit(9*time.Millisecond, domain.CostVector{TAll: 9 * time.Millisecond, Card: 2})
-	<-done
-
-	if stats := c.Stats(); stats.FlightShares != 1 {
-		t.Errorf("flight shares = %d, want 1", stats.FlightShares)
-	}
-	if !c.Serveable(key) {
-		t.Error("committed fill not serveable")
+	// The replaced entry is unhooked: one invalidation drops the survivor.
+	c.InvalidateInput("call1")
+	if c.Serveable(key) || c.Stats().Invalidations != 1 {
+		t.Errorf("invalidation after a replacing store: serveable=%v stats=%+v", c.Serveable(key), c.Stats())
 	}
 }
 
-func TestSingleFlightAbortFallsBack(t *testing.T) {
+func TestAbortStoresNothing(t *testing.T) {
 	c := New(DefaultConfig())
 	key := fillKey(0)
-	lead := c.Probe(key)
-	follow := c.Probe(key)
-	lead.Rec.Add([]term.Value{term.Int(1)}, time.Millisecond)
-	lead.Rec.Abort(2 * time.Millisecond)
-
-	it, st := follow.Reader.Next(nil)
-	if st != ReadItem || !term.Equal(it.V[0], term.Int(1)) {
-		t.Fatalf("replay before abort = (%+v, %v)", it, st)
-	}
-	if _, st = follow.Reader.Next(nil); st != ReadEndAborted {
-		t.Fatalf("end state = %v, want ReadEndAborted", st)
-	}
-	if c.Serveable(key) {
+	res := c.Probe(key)
+	res.Rec.Add([]term.Value{term.Int(1)})
+	res.Rec.Abort()
+	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
+	if c.Serveable(key) || c.Stats().Stores != 0 {
 		t.Error("aborted fill produced a serveable entry")
 	}
-	if stats := c.Stats(); stats.FlightFallbacks != 1 {
-		t.Errorf("flight fallbacks = %d, want 1", stats.FlightFallbacks)
-	}
-	// The flight slot must be free for the next prober to lead.
 	if res := c.Probe(key); res.Rec == nil {
-		t.Error("probe after abort should lead a fresh fill")
-	}
-}
-
-func TestFlightReaderCancel(t *testing.T) {
-	c := New(DefaultConfig())
-	key := fillKey(0)
-	c.Probe(key) // leader, never commits
-	follow := c.Probe(key)
-	cancel := make(chan struct{})
-	close(cancel)
-	if _, st := follow.Reader.Next(cancel); st != ReadCancelled {
-		t.Fatalf("state = %v, want ReadCancelled", st)
+		t.Error("probe after abort should start a fresh fill")
 	}
 }
 
 func TestConcurrentFillsAndInvalidations(t *testing.T) {
-	// Race-detector stress: concurrent leaders, followers, probes and
-	// invalidations over a small key space.
+	// Race-detector stress: concurrent fills, probes and invalidations
+	// over a small key space.
 	cfg := DefaultConfig()
 	cfg.MaxEntries = 8
 	c := New(cfg)
@@ -324,20 +319,13 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 200; i++ {
 				key := fillKey(rng.Intn(4))
-				switch res := c.Probe(key); {
-				case res.Rec != nil:
+				if res := c.Probe(key); res.Rec != nil {
 					res.Rec.Note(fmt.Sprintf("call%d", rng.Intn(3)), rng.Intn(10) == 0)
-					res.Rec.Add([]term.Value{term.Int(int64(i))}, time.Duration(i))
+					res.Rec.Add([]term.Value{term.Int(int64(i))})
 					if rng.Intn(5) == 0 {
-						res.Rec.Abort(time.Duration(i))
+						res.Rec.Abort()
 					} else {
-						res.Rec.Commit(time.Duration(i), domain.CostVector{TAll: time.Duration(rng.Intn(100)) * time.Millisecond})
-					}
-				case res.Reader != nil:
-					for {
-						if _, st := res.Reader.Next(nil); st != ReadItem {
-							break
-						}
+						res.Rec.Commit(domain.CostVector{TAll: time.Duration(rng.Intn(100)) * time.Millisecond})
 					}
 				}
 				if rng.Intn(7) == 0 {
@@ -355,21 +343,33 @@ func TestConcurrentFillsAndInvalidations(t *testing.T) {
 // TestPropertyInvalidatedInputsNeverServed drives a seeded random schedule
 // of fills, hits, evictions and invalidations against a ground-truth
 // model, asserting the memo never serves a relation any of whose inputs
-// was invalidated after the relation was committed.
+// was invalidated after its fill started. Fills stay open across steps,
+// so invalidations land between a fill's Notes and its Commit as well as
+// on committed relations.
 func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
+	type fill struct {
+		key    string
+		id     int
+		rec    *Recording
+		ins    []string // inputs it will note, in order
+		noted  int
+		spoilt bool // an input was invalidated since the fill started
+		invs   int  // invalidations since the fill started
+	}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
 		cfg.MaxEntries = 6
-		cfg.Decay = 0.9
 		c := New(cfg)
-		// live[key] = the input set of the currently valid fill, nil when
-		// the key must not be served.
-		live := map[string][]string{}
+		// live[key] = the id of the fill whose relation may be served; a
+		// key absent must not be served.
+		live := map[string]int{}
+		liveIns := map[string][]string{}
+		var open []*fill
 		inputs := []string{"in0", "in1", "in2", "in3"}
-		for step := 0; step < 500; step++ {
-			switch rng.Intn(4) {
-			case 0, 1: // fill or probe
+		for step := 0; step < 800; step++ {
+			switch rng.Intn(6) {
+			case 0, 1: // probe: a hit must be the live fill; a miss opens a fill
 				key := fillKey(rng.Intn(10))
 				res := c.Probe(key)
 				if res.Entry != nil {
@@ -377,32 +377,54 @@ func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
 					if !ok {
 						t.Fatalf("seed %d step %d: served %q, which was invalidated or never committed", seed, step, key)
 					}
-					if len(res.Entry.Inputs) != len(want) {
-						t.Fatalf("seed %d step %d: served %q with stale input set %v (want %v)", seed, step, key, res.Entry.Inputs, want)
+					if got := int(res.Entry.Tuples[0][0].(term.Int)); got != want {
+						t.Fatalf("seed %d step %d: served %q from fill %d, want fill %d", seed, step, key, got, want)
 					}
-				} else if res.Rec != nil {
-					var ins []string
-					for _, in := range inputs {
-						if rng.Intn(2) == 0 {
-							ins = append(ins, in)
-							res.Rec.Note(in, false)
-						}
-					}
-					res.Rec.Commit(time.Millisecond, domain.CostVector{TAll: time.Duration(1+rng.Intn(50)) * time.Millisecond})
-					live[key] = ins
+					continue
 				}
-			case 2: // invalidate one input
+				f := &fill{key: key, id: step, rec: res.Rec}
+				for _, in := range inputs {
+					if rng.Intn(2) == 0 {
+						f.ins = append(f.ins, in)
+					}
+				}
+				f.rec.Add([]term.Value{term.Int(int64(step))})
+				open = append(open, f)
+			case 2: // an open fill notes its next input, or commits
+				if len(open) == 0 {
+					continue
+				}
+				k := rng.Intn(len(open))
+				f := open[k]
+				if f.noted < len(f.ins) {
+					f.rec.Note(f.ins[f.noted], false)
+					f.noted++
+					continue
+				}
+				f.rec.Commit(domain.CostVector{TAll: time.Duration(1+rng.Intn(50)) * time.Millisecond})
+				open = append(open[:k], open[k+1:]...)
+				if !f.spoilt && f.invs <= invRing {
+					live[f.key], liveIns[f.key] = f.id, f.ins
+				}
+			case 3: // invalidate one input
 				in := inputs[rng.Intn(len(inputs))]
 				c.InvalidateInput(in)
-				for k, ins := range live {
+				for k, ins := range liveIns {
 					for _, i2 := range ins {
 						if i2 == in {
 							delete(live, k)
+							delete(liveIns, k)
 							break
 						}
 					}
 				}
-			case 3: // spot-check Serveable against the model (evictions may
+				for _, f := range open {
+					f.invs++
+					for _, i2 := range f.ins {
+						f.spoilt = f.spoilt || i2 == in
+					}
+				}
+			default: // spot-check Serveable against the model (evictions may
 				// have dropped a live entry; that is allowed, the reverse —
 				// serving a dead one — is not)
 				key := fillKey(rng.Intn(10))
@@ -422,5 +444,38 @@ func TestZeroConfigChargesNothing(t *testing.T) {
 		if c := New(cfg); c.LookupCost() != 0 || c.PerTupleCost() != 0 {
 			t.Errorf("%s config charges lookup=%v per-tuple=%v, want 0 and 0", name, c.LookupCost(), c.PerTupleCost())
 		}
+	}
+}
+
+// TestFillAllocsPer: a miss, two Notes, eight Adds and a Commit allocate
+// the Recording, its input list and set, the growing tuple slice and the
+// Entry; checking the fill against the invalidation ring allocates
+// nothing.
+func TestFillAllocsPer(t *testing.T) {
+	const runs = 200
+	c := New(DefaultConfig())
+	keys := make([]string, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range keys {
+		keys[i] = fillKey(i)
+	}
+	row := []term.Value{term.Int(1)}
+	cost := domain.CostVector{TAll: time.Millisecond, Card: 8}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		rec := c.Probe(keys[next]).Rec
+		next++
+		rec.Note("d:f()", false)
+		rec.Note("d:g()", false)
+		for i := 0; i < 8; i++ {
+			rec.Add(row)
+		}
+		rec.Commit(cost)
+	})
+	if c.Len() != runs+1 {
+		t.Fatalf("Len = %d, want every fill stored", c.Len())
+	}
+	// Measured 10 (12 when a fill also published into a flight log).
+	if n > 12 {
+		t.Errorf("fill allocates %v, bound 12", n)
 	}
 }

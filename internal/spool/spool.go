@@ -2,9 +2,9 @@
 // append-only, time-stamped broadcast log. A producer pushes items with the
 // clock reading at which each became available and settles the log once;
 // any number of readers, each keeping its own cursor, replay the prefix
-// they missed and then wait for what comes next. CIM flights, memo fills
-// and the engine's prefetch stages are its clients; who pulls a source,
-// what an aborted fill means and how time is charged stay with them.
+// they missed and then wait for what comes next. CIM flights and the
+// engine's prefetch stages are its clients; who pulls a source, what an
+// aborted fetch means and how time is charged stay with them.
 package spool
 
 import (
