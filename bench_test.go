@@ -284,55 +284,6 @@ func BenchmarkCIMPartialLookupLargeCache(b *testing.B) {
 	}
 }
 
-// BenchmarkInvariantMatch measures a cache probe against growing
-// invariant inventories, discrimination index vs the LinearMatching
-// full scan: the indexed probe stays ~O(bucket) while the linear scan
-// grows O(N). The hit probe is served via an equality invariant the
-// linear scan only reaches after every synthetic invariant; the miss
-// probe matches nothing (the linear worst case).
-func BenchmarkInvariantMatch(b *testing.B) {
-	hit := domain.Call{Domain: "d", Function: "g", Args: []term.Value{term.Str("a")}}
-	miss := domain.Call{Domain: "d", Function: "nomatch", Args: []term.Value{term.Str("a")}}
-	for _, n := range []int{1, 100, 10000} {
-		for _, linear := range []bool{false, true} {
-			cfg := cim.Config{ParallelActual: true, LinearMatching: linear}
-			m := cim.New(nil, cfg)
-			for i := 0; i < n; i++ {
-				inv, err := lang.ParseInvariant(fmt.Sprintf("true => syn%d:lookup%d(X) = syn%d:probe%d(X).", i%7, i, i%7, i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.AddInvariant(inv)
-			}
-			inv, err := lang.ParseInvariant("true => d:f(X) = d:g(X).")
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.AddInvariant(inv)
-			m.Store(domain.Call{Domain: "d", Function: "f", Args: []term.Value{term.Str("a")}},
-				[]term.Value{term.Str("x")}, true, domain.CostVector{})
-			mode := "indexed"
-			if linear {
-				mode = "linear"
-			}
-			b.Run(fmt.Sprintf("invs=%d/%s/hit", n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if src, _ := m.Probe(hit); src != cim.SourceCacheEquality {
-						b.Fatalf("probe served %v, want equality hit", src)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("invs=%d/%s/miss", n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if src, _ := m.Probe(miss); src != cim.SourceActual {
-						b.Fatalf("probe served %v, want actual", src)
-					}
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkCIMProbe(b *testing.B) {
 	m, _ := benchCIM(b)
 	ctx := domain.NewCtx(vclock.NewVirtual(0))

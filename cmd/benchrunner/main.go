@@ -23,9 +23,9 @@
 //	                          # calibration-blind optimizer on a repeat
 //	                          # workload (also writes BENCH_adaptive.json)
 //	benchrunner -fig invindex # invariant discrimination index: probe
-//	                          # latency scaling to 10k invariants plus the
-//	                          # indexed-vs-linear differential (also
-//	                          # writes BENCH_invindex.json)
+//	                          # latency scaling to 10k invariants plus a
+//	                          # differential against the AVIS invariants
+//	                          # alone (also writes BENCH_invindex.json)
 package main
 
 import (

@@ -7,6 +7,10 @@
 // cached subset call — optionally overlapping the actual source call in
 // parallel and deduplicating its answers against those already served.
 //
+// All three are one lookup ladder, find, which every lookup runs: the serve
+// path, the estimator's side-effect-free Probe, and the re-lookup after a
+// failed source call.
+//
 // The CIM also realizes the paper's availability story: when the source is
 // temporarily unreachable, cached (possibly partial) results are served
 // instead of failing the query.
@@ -80,7 +84,9 @@ const (
 // zero (the default) charges the execution clock nothing for cache work,
 // and only the experiments' overhead profile sets them, to reproduce the
 // paper's Figure 5 (whose cache-only rows are not free: ≈300 ms to first
-// answer including query initialization and display).
+// answer including query initialization and display). Invariant matching
+// always goes through the discrimination index, and an unreachable source
+// always degrades to the cache: neither is configurable.
 type Config struct {
 	// LookupCost is charged per cache probe.
 	LookupCost time.Duration
@@ -100,47 +106,33 @@ type Config struct {
 	// serving cached partial answers (the paper's recommended strategy);
 	// when false the actual call starts only after the cache is drained.
 	ParallelActual bool
-	// FallbackOnUnavailable serves whatever the cache has (even partial)
-	// when the actual source reports domain.ErrUnavailable.
-	FallbackOnUnavailable bool
 	// MaxEntries bounds the number of cached calls (0 = unlimited).
 	MaxEntries int
 	// MaxBytes bounds the total cached answer bytes (0 = unlimited).
 	MaxBytes int
 	// Policy selects the eviction policy.
 	Policy EvictionPolicy
-	// LinearMatching restores the pre-index full-scan matching paths
-	// (every registered invariant tried per probe, cache scans walking a
-	// whole store snapshot). It exists as the differential oracle for the
-	// indexed path and for debugging; every linear scan bumps the
-	// manager's LinearScans counter, which tests assert stays zero on the
-	// serve path when the index is active.
-	LinearMatching bool
 }
 
 // DefaultConfig returns the configuration of a live node: cache work is
-// charged nothing (its real cost is whatever the CPU spends), the actual
-// call overlaps cached partial answers, and an unreachable source degrades
-// to the cache.
+// charged nothing (its real cost is whatever the CPU spends) and the actual
+// call overlaps cached partial answers. Under every configuration an
+// unreachable source degrades to the cache (CallThrough).
 func DefaultConfig() Config {
-	return Config{
-		ParallelActual:        true,
-		FallbackOnUnavailable: true,
-	}
+	return Config{ParallelActual: true}
 }
 
 // Stats count CIM activity: a view of the manager's tallies, one atomic
 // read per field and not one critical section — read it after the workload
 // quiesces when the fields must add up.
 type Stats struct {
-	ExactHits            int
-	EqualityHits         int
-	PartialHits          int
-	Misses               int
-	UnavailableFallbacks int
-	// DegradedServes counts responses served purely from cache because
-	// the source was down. Every fallback produces a degraded-tagged
-	// response, so it and UnavailableFallbacks read the same tally.
+	ExactHits    int
+	EqualityHits int
+	PartialHits  int
+	Misses       int
+	// DegradedServes counts responses served from cache because the source
+	// was down: wholly (SourceCacheDegraded), or a partial hit whose
+	// completion call failed.
 	DegradedServes  int
 	Evictions       int
 	StoredEntries   int
@@ -200,9 +192,6 @@ type Manager struct {
 	// equality/partial probes, flight attachment and cache scans consult
 	// it instead of walking the invariant list or a store snapshot.
 	idx *invindex.Index
-	// linearScans counts full linear scans taken by the debug-only
-	// LinearMatching paths. Zero whenever the index serves the query path.
-	linearScans atomic.Int64
 
 	// hookMu guards the optional hooks, set once at wiring time.
 	hookMu sync.RWMutex
@@ -369,26 +358,18 @@ func (m *Manager) listInvariantLocked(key string) {
 // Index exposes the invariant discrimination index (introspection).
 func (m *Manager) Index() *invindex.Index { return m.idx }
 
-// LinearScans returns how many debug-only full linear scans the manager
-// has performed. On the indexed serve path this stays zero; the
-// differential harness runs with Config.LinearMatching to exercise the
-// pre-index oracle.
-func (m *Manager) LinearScans() int64 { return m.linearScans.Load() }
-
 // Stats returns the activity counters.
 func (m *Manager) Stats() Stats {
-	degraded := int(m.degradedServes.Value())
 	return Stats{
-		ExactHits:            int(m.lookups[SourceCacheExact].Value()),
-		EqualityHits:         int(m.lookups[SourceCacheEquality].Value()),
-		PartialHits:          int(m.lookups[SourceCachePartial].Value()),
-		Misses:               int(m.lookups[SourceActual].Value()),
-		UnavailableFallbacks: degraded,
-		DegradedServes:       degraded,
-		Evictions:            int(m.evictions.Value()),
-		StoredEntries:        int(m.storedEntries.Value()),
-		ServedFromCache:      int(m.servedFromCache.Value()),
-		SingleFlightShares:   int(m.singleFlightShares.Value()),
+		ExactHits:          int(m.lookups[SourceCacheExact].Value()),
+		EqualityHits:       int(m.lookups[SourceCacheEquality].Value()),
+		PartialHits:        int(m.lookups[SourceCachePartial].Value()),
+		Misses:             int(m.lookups[SourceActual].Value()),
+		DegradedServes:     int(m.degradedServes.Value()),
+		Evictions:          int(m.evictions.Value()),
+		StoredEntries:      int(m.storedEntries.Value()),
+		ServedFromCache:    int(m.servedFromCache.Value()),
+		SingleFlightShares: int(m.singleFlightShares.Value()),
 	}
 }
 
@@ -485,9 +466,15 @@ type Response struct {
 	// CachedAnswers is how many answers the cache contributed (all of them
 	// for exact/equality hits; the partial prefix for subset hits).
 	CachedAnswers int
-	// ServingCall is the cached call whose answers were used (differs from
-	// the requested call on invariant hits).
+	// ServingCall is the call whose answers were used: the cached call
+	// that served, or the in-flight call a miss attached to. It differs
+	// from the requested call when an invariant proved it equivalent or a
+	// subset.
 	ServingCall domain.Call
+	// ServingKey is ServingCall's cache key when ServingCall is not the
+	// requested call, and empty otherwise. A memo fill that read the
+	// response depends on that entry too.
+	ServingKey string
 	// Degraded marks a response that fell back to cache because the source
 	// was unreachable — either entirely (SourceCacheDegraded) or part-way
 	// through completing a partial hit. The answers are sound (every tuple
@@ -505,109 +492,109 @@ func (m *Manager) cacheStream(ctx *domain.Ctx, answers []term.Value) domain.Stre
 	})
 }
 
-// CallThrough routes a ground call through the cache. The returned stream
-// is lazy: for partial hits the actual source call starts only if the
-// consumer drains past the cached answers, so interactive queries that stop
-// early never pay for it (§4.1).
-func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, error) {
+// find is the CIM's one lookup ladder (§4.1): the call's own complete
+// entry (exact), else a complete cached call an equality invariant proves
+// identical, else the sound partial answer with the most cached answers —
+// the call's own incomplete entry, or a cached call a superset invariant
+// proves a subset. It returns the entry, the invariant that proved it (nil
+// for the call's own entry) and the rung as a Source: a nil entry and
+// SourceActual on a miss. cands is how many invariants the discrimination
+// index returned to the equality and partial rungs; the serve path counts
+// them, a Probe does not. Besides that count, find only charges the lookup
+// and matching costs to ctx's clock and tags its span.
+func (m *Manager) find(ctx *domain.Ctx, call domain.Call, key string) (e *Entry, inv *lang.Invariant, src Source, cands int) {
 	ctx.Clock.Sleep(m.cfg.LookupCost)
-
-	// 1. Exact hit on a complete entry.
-	if e, ok := m.store.Get(call.Key()); ok && e.Complete {
-		m.touch(e)
-		m.servedFromCache.Add(int64(len(e.Answers)))
-		m.lookup(ctx, SourceCacheExact)
-		m.credit(ctx, call, e, nil, true)
-		return &Response{
-			Stream:        m.cacheStream(ctx, e.Answers),
-			Source:        SourceCacheExact,
-			CachedAnswers: len(e.Answers),
-			ServingCall:   call,
-		}, nil
+	own, ok := m.store.Get(key)
+	if ok && own.Complete {
+		return own, nil, SourceCacheExact, 0
 	}
-
-	// 2. Equality invariants: a different cached call with a provably
-	// identical answer set.
-	if e, inv := m.findEquality(ctx, call); e != nil {
-		m.touch(e)
-		m.servedFromCache.Add(int64(len(e.Answers)))
-		m.lookup(ctx, SourceCacheEquality)
-		ctx.Span.SetTag("serving", e.Call.String())
-		m.credit(ctx, call, e, inv, true)
-		return &Response{
-			Stream:        m.cacheStream(ctx, e.Answers),
-			Source:        SourceCacheEquality,
-			CachedAnswers: len(e.Answers),
-			ServingCall:   e.Call,
-		}, nil
+	if e, inv, cands = m.findEquality(ctx, call); e != nil {
+		return e, inv, SourceCacheEquality, cands
 	}
-
-	// 3. Subset invariants (or an incomplete exact entry): a cached call
-	// whose answers are a sound partial answer for ours.
-	if e, inv := m.findPartial(ctx, call); e != nil {
-		m.touch(e)
-		m.servedFromCache.Add(int64(len(e.Answers)))
-		m.lookup(ctx, SourceCachePartial)
-		ctx.Span.SetTag("serving", e.Call.String())
-		// Hits only, no savings: the actual call still runs to complete
-		// the partial answer.
-		m.credit(ctx, call, e, inv, false)
-		return m.servePartialThenActual(ctx, call, e), nil
+	e, inv, n := m.findPartial(ctx, call, own)
+	if e == nil {
+		return nil, nil, SourceActual, cands + n
 	}
-
-	// 4. Miss: actual call. When the source is unreachable (including an
-	// open circuit breaker, which wraps domain.ErrUnavailable), degrade
-	// to whatever sound answers the cache holds instead of failing.
-	m.lookup(ctx, SourceActual)
-	stream, err := m.actualStream(ctx, call)
-	if err != nil {
-		if m.cfg.FallbackOnUnavailable && isUnavailable(err) {
-			if resp, ok := m.Degrade(ctx, call); ok {
-				return resp, nil
-			}
-		}
-		return nil, err
-	}
-	return &Response{Stream: stream, Source: SourceActual, ServingCall: call}, nil
+	return e, inv, SourceCachePartial, cands + n
 }
 
-// Degrade serves the best sound cached answer for a call without touching
-// the source: an exact entry (complete or partial), an equality-invariant
-// match, or a subset-invariant partial answer. ok=false when the cache
-// holds nothing sound for the call. The response is tagged Degraded; its
-// answers are always a subset of the true answer set.
-func (m *Manager) Degrade(ctx *domain.Ctx, call domain.Call) (*Response, bool) {
-	ctx.Clock.Sleep(m.cfg.LookupCost)
-	var e *Entry
-	var inv *lang.Invariant
-	if ex, ok := m.store.Get(call.Key()); ok {
-		e = ex
-	} else if eq, eqInv := m.findEquality(ctx, call); eq != nil {
-		e, inv = eq, eqInv
-	} else if pe, peInv := m.findPartial(ctx, call); pe != nil {
-		e, inv = pe, peInv
+// CallThrough routes a ground call through the cache. find serves an
+// exact, equality or partial hit; a miss issues the actual call, attached
+// to an identical or equivalent call already in flight when there is one.
+// The returned stream is lazy: for partial hits the actual source call
+// starts only if the consumer drains past the cached answers, so
+// interactive queries that stop early never pay for it (§4.1).
+//
+// When the actual call fails as unavailable (including an open circuit
+// breaker, which wraps domain.ErrUnavailable), find runs once more and
+// whatever it finds is served as SourceCacheDegraded instead of failing
+// the call. The only entry it can find that the first run missed is one a
+// concurrent call stored in between, and since it keeps the ladder's
+// order, it prefers a complete equality match to the call's own incomplete
+// entry.
+func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, error) {
+	key := call.Key()
+	e, inv, src, cands := m.find(ctx, call, key)
+	m.idxCandidates.Add(int64(cands))
+	if e != nil {
+		return m.serve(ctx, call, key, e, inv, src), nil
 	}
+	m.lookup(ctx, SourceActual)
+	r, err := m.actualStream(ctx, call, key)
+	if err == nil {
+		resp := &Response{Stream: r, Source: SourceActual, ServingCall: r.f.call}
+		if r.f.key != key {
+			resp.ServingKey = r.f.key
+		}
+		return resp, nil
+	}
+	if !isUnavailable(err) {
+		return nil, err
+	}
+	e, inv, _, cands = m.find(ctx, call, key)
+	m.idxCandidates.Add(int64(cands))
 	if e == nil {
-		return nil, false
+		return nil, err
 	}
+	return m.serve(ctx, call, key, e, inv, SourceCacheDegraded), nil
+}
+
+// serve answers a call from the entry find chose, as source src: it stamps
+// recency, counts and tags the serve, credits the savings ledger and
+// builds the response. Exact and equality hits replace the source call and
+// are credited with its avoided cost; a partial hit still issues the call,
+// and a degraded serve had no working source to avoid, so those count
+// hits only.
+func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry, inv *lang.Invariant, src Source) *Response {
 	m.touch(e)
 	m.servedFromCache.Add(int64(len(e.Answers)))
-	m.lookup(ctx, SourceCacheDegraded)
-	m.degraded(ctx)
-	ctx.Span.SetTag("serving", e.Call.String())
-	// Hits only, no savings: with the source down there was no working
-	// call to avoid.
-	m.credit(ctx, call, e, inv, false)
-	// The serve is degraded: memo relations previously built from this
-	// call's answers must not outlive the outage as exact.
-	m.invalidate(call.Key())
-	return &Response{
-		Stream:        m.cacheStream(ctx, e.Answers),
-		Source:        SourceCacheDegraded,
-		CachedAnswers: len(e.Answers),
-		ServingCall:   e.Call,
-		Degraded:      true,
-	}, true
+	m.lookup(ctx, src)
+	if src == SourceCacheDegraded {
+		m.degraded(ctx)
+		// Memo relations previously built from this call's answers must
+		// not outlive the outage as exact.
+		m.invalidate(key)
+	}
+	if src != SourceCacheExact {
+		ctx.Span.SetTag("serving", e.Call.String())
+	}
+	m.credit(ctx, call, e, inv, src == SourceCacheExact || src == SourceCacheEquality)
+	var resp *Response
+	if src == SourceCachePartial {
+		resp = m.servePartialThenActual(ctx, call, key, e)
+	} else {
+		resp = &Response{
+			Stream:        m.cacheStream(ctx, e.Answers),
+			Source:        src,
+			CachedAnswers: len(e.Answers),
+			ServingCall:   e.Call,
+			Degraded:      src == SourceCacheDegraded,
+		}
+	}
+	if inv != nil {
+		resp.ServingKey = e.key
+	}
+	return resp
 }
 
 // servePartialThenActual builds the two-phase stream: cached answers first
@@ -615,7 +602,7 @@ func (m *Manager) Degrade(ctx *domain.Ctx, call domain.Call) (*Response, bool) {
 // deduplicated against them. With ParallelActual the actual call is
 // accounted on a clock forked at request time, so its latency overlaps the
 // cached phase. No manager lock is held anywhere in the stream path.
-func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *Entry) *Response {
+func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, key string, e *Entry) *Response {
 	cached := e.Answers
 	seed := make(map[string]struct{}, len(cached))
 	var fork *domain.Ctx
@@ -626,8 +613,16 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 	var actual domain.Stream
 	var actualErr error
 	started := false
-	unavailableOK := m.cfg.FallbackOnUnavailable
 	resp := &Response{Source: SourceCachePartial, CachedAnswers: len(cached), ServingCall: e.Call}
+	// degrade ends the stream when the source is unreachable: everything
+	// emitted so far (the cached prefix and any actual answers) is sound,
+	// so the partial result stands instead of failing the query.
+	degrade := func() (term.Value, bool, error) {
+		m.degraded(ctx)
+		resp.Degraded = true
+		m.invalidate(key)
+		return nil, false, nil
+	}
 
 	next := func() (term.Value, bool, error) {
 		if idx < len(cached) {
@@ -643,19 +638,15 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 			if fork != nil {
 				actx = fork
 			}
-			var s domain.Stream
-			s, actualErr = m.actualStream(actx, call)
+			var r *flightReader
+			r, actualErr = m.actualStream(actx, call, key)
 			if actualErr == nil {
-				s = domain.NewDedupStream(s, seed).WithProbeCost(ctx.Clock, m.cfg.DedupProbe)
-				actual = s
+				actual = domain.NewDedupStream(r, seed).WithProbeCost(ctx.Clock, m.cfg.DedupProbe)
 			}
 		}
 		if actualErr != nil {
-			if unavailableOK && isUnavailable(actualErr) {
-				m.degraded(ctx)
-				resp.Degraded = true
-				m.invalidate(call.Key())
-				return nil, false, nil // partial answers are the best we can do
+			if isUnavailable(actualErr) {
+				return degrade()
 			}
 			return nil, false, actualErr
 		}
@@ -663,14 +654,8 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, e *E
 		if fork != nil {
 			ctx.Clock.Join(fork.Clock) // wait for the parallel call to catch up
 		}
-		if err != nil && unavailableOK && isUnavailable(err) {
-			// The source died mid-completion: everything emitted so far
-			// (cached prefix + actual answers) is sound, so degrade to a
-			// partial result instead of failing the query.
-			m.degraded(ctx)
-			resp.Degraded = true
-			m.invalidate(call.Key())
-			return nil, false, nil
+		if err != nil && isUnavailable(err) {
+			return degrade() // the source died mid-completion
 		}
 		return v, ok, err
 	}

@@ -14,7 +14,7 @@ import (
 // testCfg has zero serve costs so timing assertions are about source costs
 // only, except where a test overrides it.
 func testCfg() Config {
-	return Config{ParallelActual: true, FallbackOnUnavailable: true}
+	return Config{ParallelActual: true}
 }
 
 func newCtx() *domain.Ctx { return domain.NewCtx(vclock.NewVirtual(0)) }
@@ -348,26 +348,8 @@ func TestUnavailableFallbackServesPartial(t *testing.T) {
 	if len(got) != 1 || !term.Equal(got[0], term.Str("a")) {
 		t.Errorf("fallback answers = %v", got)
 	}
-	if st := m.Stats(); st.UnavailableFallbacks != 1 {
+	if st := m.Stats(); st.DegradedServes != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-
-	// With fallback disabled, the error propagates.
-	cfg := testCfg()
-	cfg.FallbackOnUnavailable = false
-	m2 := New(reg, cfg)
-	m2.AddInvariant(inv)
-	resp, err = m2.CallThrough(newCtx(), call("d", "f", term.Int(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, resp)
-	resp3, err := m2.CallThrough(newCtx(), call("d", "f", term.Int(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := domain.Collect(resp3.Stream); err == nil {
-		t.Error("expected unavailability error with fallback disabled")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hermes/internal/domain"
+	"hermes/internal/domain/domaintest"
 	"hermes/internal/domains/avis"
 	"hermes/internal/lang"
 	"hermes/internal/term"
@@ -18,10 +19,17 @@ import (
 type downable struct {
 	domain.Domain
 	down bool
+	// whileDown, when set, runs in every refused call: it stands in for a
+	// concurrent caller that stores an entry while this call's source
+	// call fails.
+	whileDown func()
 }
 
 func (d *downable) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	if d.down {
+		if d.whileDown != nil {
+			d.whileDown()
+		}
 		// Mimic the resilience layer's multi-wrapped chains: ErrUnavailable
 		// buried under other wrapping, as errors.Is (not ==) must find it.
 		return nil, fmt.Errorf("retries exhausted: %w",
@@ -127,7 +135,7 @@ func TestDegradedAnswersAreSoundSubset(t *testing.T) {
 		t.Fatal("no degraded serves over a flapping source; property vacuous")
 	}
 	st := m.Stats()
-	if st.DegradedServes == 0 || st.UnavailableFallbacks == 0 {
+	if st.DegradedServes == 0 {
 		t.Errorf("degradation not counted: %+v", st)
 	}
 }
@@ -192,5 +200,58 @@ func TestDegradeServesIncompleteEntrySubset(t *testing.T) {
 		if !truth[v.Key()] {
 			t.Fatalf("unsound degraded answer %s", v)
 		}
+	}
+}
+
+// TestUnavailableMissServesEntryStoredMeanwhile: when a miss's source
+// call fails as unavailable, the lookup ladder runs once more and serves
+// what a concurrent call stored in between, degraded. The re-lookup keeps
+// the ladder's order: a complete equality match beats the call's own
+// incomplete entry. With nothing stored, the typed error stands.
+func TestUnavailableMissServesEntryStoredMeanwhile(t *testing.T) {
+	d := domaintest.New("d")
+	for _, fn := range []string{"f", "g"} {
+		d.Define(fn, domaintest.Func{Arity: 1,
+			Fn: func([]term.Value) ([]term.Value, error) { return strs("x", "y"), nil }})
+	}
+	src := &downable{Domain: d, down: true}
+	reg := domain.NewRegistry()
+	reg.Register(src)
+	m := New(reg, testCfg())
+	inv, err := lang.ParseInvariant("true => d:f(A) = d:g(A).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddInvariant(inv); err != nil {
+		t.Fatal(err)
+	}
+	var invalidated []string
+	m.SetOnInvalidate(func(key string) { invalidated = append(invalidated, key) })
+
+	f := call("d", "f", term.Str("a"))
+	if _, err := m.CallThrough(newCtx(), f); !errors.Is(err, domain.ErrUnavailable) {
+		t.Fatalf("nothing cached: err = %v, want unavailable", err)
+	}
+
+	g := call("d", "g", term.Str("a"))
+	src.whileDown = func() {
+		m.Store(f, strs("x"), false, domain.CostVector{})
+		m.Store(g, strs("x", "y"), true, domain.CostVector{})
+	}
+	resp, err := m.CallThrough(newCtx(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Source != SourceCacheDegraded || !resp.Degraded || resp.ServingCall.Key() != g.Key() || resp.ServingKey != g.Key() {
+		t.Fatalf("response = %+v, want a degraded serve of %s", resp, g)
+	}
+	if got := drain(t, resp); len(got) != 2 {
+		t.Fatalf("answers = %v, want d:g(a)'s two", got)
+	}
+	if st := m.Stats(); st.DegradedServes != 1 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 1 degraded serve after 2 misses", st)
+	}
+	if len(invalidated) != 1 || invalidated[0] != f.Key() {
+		t.Errorf("invalidated %v, want the degraded call %s", invalidated, f.Key())
 	}
 }

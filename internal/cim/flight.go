@@ -16,7 +16,6 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/invindex"
-	"hermes/internal/lang"
 	"hermes/internal/spool"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
@@ -54,13 +53,13 @@ type flight struct {
 	abandoned bool
 }
 
-func newFlight(m *Manager, call domain.Call) *flight {
-	return &flight{m: m, call: call, key: call.Key(), ready: make(chan struct{})}
+func newFlight(m *Manager, call domain.Call, key string) *flight {
+	return &flight{m: m, call: call, key: key, ready: make(chan struct{})}
 }
 
 // lead issues the actual call as the flight's one source fetch. On setup
 // failure the flight is dissolved so a later caller may retry.
-func (f *flight) lead(ctx *domain.Ctx) (domain.Stream, error) {
+func (f *flight) lead(ctx *domain.Ctx) (*flightReader, error) {
 	start := ctx.Clock.Now()
 	inner, err := f.m.caller.Call(ctx, f.call)
 	if err != nil {
@@ -209,11 +208,12 @@ func (r *flightReader) Close() error {
 	return src.Close()
 }
 
-// actualStream issues the real source call with single-flight semantics:
-// if an identical (or equality-invariant-equivalent) call is already in
-// flight, attach to it instead of stampeding the source.
-func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream, error) {
-	key := call.Key()
+// actualStream issues the real source call under key, the call's cache
+// key, with single-flight semantics: if an identical (or
+// equality-invariant-equivalent) call is already in flight, attach to it
+// instead of stampeding the source. The reader's flight is the call whose
+// answers it reads.
+func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call, key string) (*flightReader, error) {
 	for {
 		m.flightMu.Lock()
 		f := m.flights[key]
@@ -257,7 +257,7 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream
 			}
 			return &flightReader{f: f, ctx: ctx}, nil
 		}
-		f = newFlight(m, call)
+		f = newFlight(m, call, key)
 		f.readers = 1
 		m.flights[key] = f
 		m.flightMu.Unlock()
@@ -265,65 +265,35 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call) (domain.Stream
 	}
 }
 
-// equivalentFlightLocked scans the (small) in-flight set for a call an
-// equality invariant proves has the identical answer set. Caller holds
-// m.flightMu.
+// equivalentFlightLocked finds an in-flight call an equality invariant
+// proves has the call's answer set: findCandidates' ground fast path, with
+// the flight index in place of the store. The call's equality bucket is
+// walked once, in registration order, so of several equivalent flights the
+// first-registered invariant's wins. Caller holds m.flightMu.
 func (m *Manager) equivalentFlightLocked(ctx *domain.Ctx, call domain.Call) *flight {
 	if len(m.flights) == 0 {
 		return nil
 	}
-	for _, f := range m.flights {
-		if m.provesEqual(ctx, call, f.call) {
-			return f
-		}
-	}
-	return nil
-}
-
-// provesEqual reports whether some equality invariant proves
-// answers(a) = answers(b). Candidates come from the discrimination
-// index (the linear walk over all registered invariants remains only as
-// the LinearMatching debug oracle); the caller holds m.flightMu, so
-// matching stays sequential regardless of bucket size.
-func (m *Manager) provesEqual(ctx *domain.Ctx, a, b domain.Call) bool {
-	cands := m.idx.Equalities(invindex.KeyOfCall(a))
-	if m.cfg.LinearMatching {
-		m.linearScans.Add(1)
-		cands = nil
-		for _, inv := range m.idx.All() {
-			if inv.Rel != lang.RelEqual {
-				continue
-			}
-			if !relevant(&inv.Left, a) && !relevant(&inv.Right, a) {
-				continue
-			}
-			cands = append(cands, inv)
-		}
-	} else {
-		m.indexProbe(ctx, len(cands))
-	}
+	cands := m.idx.Equalities(invindex.KeyOfCall(call))
+	m.idxCandidates.Add(int64(len(cands)))
+	tagCandidates(ctx, len(cands))
 	for _, inv := range cands {
 		ctx.Clock.Sleep(m.cfg.InvariantMatch)
-		sides := [2][2]*lang.CallTemplate{
-			{&inv.Left, &inv.Right},
-			{&inv.Right, &inv.Left},
-		}
-		for _, pair := range sides {
-			mine, other := pair[0], pair[1]
-			theta, ok := unifyTemplate(term.Subst{}, mine, a)
+		for _, side := range orientations(inv) {
+			theta, ok := unifyTemplate(term.Subst{}, side.mine, call)
 			if !ok {
 				continue
 			}
-			oc, ok := groundTemplate(other, theta)
+			oc, ok := groundTemplate(side.other, theta)
 			if !ok || !condHolds(inv.Cond, theta) {
 				continue
 			}
-			if oc.Key() == b.Key() {
-				return true
+			if f := m.flights[oc.Key()]; f != nil {
+				return f
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // removeFlight detaches a flight from the index once it completed,

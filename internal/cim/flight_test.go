@@ -26,7 +26,7 @@ type gateDomain struct {
 func (g *gateDomain) Name() string { return g.name }
 
 func (g *gateDomain) Functions() []domain.FuncSpec {
-	return []domain.FuncSpec{{Name: "slow", Arity: 1}, {Name: "slow2", Arity: 1}}
+	return []domain.FuncSpec{{Name: "slow", Arity: 1}, {Name: "slow2", Arity: 1}, {Name: "slow3", Arity: 1}}
 }
 
 func (g *gateDomain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
@@ -187,6 +187,81 @@ func TestSingleFlightEqualityEquivalentCalls(t *testing.T) {
 	}
 	if st := m.Stats(); st.SingleFlightShares != 1 {
 		t.Errorf("SingleFlightShares = %d, want 1", st.SingleFlightShares)
+	}
+}
+
+// TestEquivalentFlightAttachIsDeterministic: with two equivalent flights
+// open, a miss attaches to the flight of the first-registered invariant on
+// every run, and reports that flight's call as the one serving it.
+func TestEquivalentFlightAttachIsDeterministic(t *testing.T) {
+	first, second := call("g", "slow", term.Str("a")), call("g", "slow2", term.Str("a"))
+	for run := 0; run < 25; run++ {
+		g := &gateDomain{name: "g", started: make(chan struct{}, 2), release: make(chan struct{})}
+		reg := domain.NewRegistry()
+		reg.Register(g)
+		m := New(reg, testCfg())
+		for _, src := range []string{
+			"true => g:slow3(X) = g:slow(X).",
+			"true => g:slow3(X) = g:slow2(X).",
+		} {
+			inv, err := lang.ParseInvariant(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AddInvariant(inv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, c := range []domain.Call{second, first} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if resp, err := m.CallThrough(newCtx(), c); err == nil {
+					domain.Collect(resp.Stream)
+				}
+			}()
+		}
+		waitReaders(t, m, first.Key(), 1)
+		waitReaders(t, m, second.Key(), 1)
+		attached := make(chan *Response, 1)
+		go func() {
+			resp, err := m.CallThrough(newCtx(), call("g", "slow3", term.Str("a")))
+			if err != nil {
+				t.Error(err)
+				close(attached)
+				return
+			}
+			attached <- resp
+			domain.Collect(resp.Stream)
+		}()
+		joined := ""
+		for joined == "" {
+			for _, c := range []domain.Call{first, second} {
+				m.flightMu.Lock()
+				f := m.flights[c.Key()]
+				f.mu.Lock()
+				if f.readers == 2 {
+					joined = c.Key()
+				}
+				f.mu.Unlock()
+				m.flightMu.Unlock()
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(g.release)
+		resp, ok := <-attached
+		wg.Wait()
+		if !ok {
+			t.FailNow()
+		}
+		if joined != first.Key() || resp.ServingCall.Key() != first.Key() || resp.ServingKey != first.Key() {
+			t.Fatalf("run %d: attached to %s (serving key %q), want the first-registered invariant's %s",
+				run, resp.ServingCall, resp.ServingKey, first)
+		}
+		if got := g.calls.Load(); got != 2 {
+			t.Fatalf("run %d: source called %d times, want 2", run, got)
+		}
 	}
 }
 

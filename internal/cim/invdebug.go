@@ -21,8 +21,7 @@ func (m *Manager) InvariantsHandler() http.Handler {
 		for _, row := range m.Ledger().Invariants {
 			earned[row.Key] = row
 		}
-		fmt.Fprintf(w, "invariant index: %d invariants in %d buckets (linear scans %d)\n",
-			m.idx.Len(), len(buckets), m.LinearScans())
+		fmt.Fprintf(w, "invariant index: %d invariants in %d buckets\n", m.idx.Len(), len(buckets))
 		line := func(kind string, inv *lang.Invariant) {
 			key := inv.String()
 			if row, ok := earned[key]; ok {

@@ -145,12 +145,14 @@ func TestLedgerPartialAndDegradedCountHitsOnly(t *testing.T) {
 	}
 
 	// Source down: a degraded serve (cache-only, no working source to
-	// avoid) counts a hit, still no savings.
-	drain(t, mustCall(t, m, call("avis", "frames_to_objects", term.Int(30), term.Int(40), term.Str("v"))))
+	// avoid) counts a hit, still no savings. The entry it serves is one a
+	// concurrent call stores while this call's source call fails.
+	narrow := call("avis", "frames_to_objects", term.Int(30), term.Int(40), term.Str("v"))
 	src.down = true
-	resp2, ok := m.Degrade(newCtx(), call("avis", "frames_to_objects", term.Int(30), term.Int(40), term.Str("v")))
-	if !ok || resp2.Source != SourceCacheDegraded {
-		t.Fatalf("degrade = %v, ok=%v", resp2, ok)
+	src.whileDown = func() { m.Store(narrow, strs("o1", "o2"), true, domain.CostVector{TAll: time.Second}) }
+	resp2 := mustCall(t, m, narrow)
+	if resp2.Source != SourceCacheDegraded {
+		t.Fatalf("source = %v, want a degraded serve", resp2.Source)
 	}
 	drain(t, resp2)
 	led = m.Ledger()

@@ -120,3 +120,24 @@ func TestExportedFamiliesEqualStats(t *testing.T) {
 		t.Error("hermes_invindex_candidates_total did not move")
 	}
 }
+
+// TestProbeCountsNoCandidates: Probe has no side effects on the stats, so
+// a probe that reaches the equality and partial rungs leaves
+// hermes_invindex_candidates_total where it was; the serve path counts.
+func TestProbeCountsNoCandidates(t *testing.T) {
+	m, _ := invariantTestbed(t, testCfg())
+	o := obs.NewObserver()
+	m.SetObserver(o)
+	candidates := o.Counter("hermes_invindex_candidates_total")
+	c := call("d", "f", term.Str("a"))
+	if src, _ := m.Probe(c); src != SourceActual {
+		t.Fatalf("probe with nothing cached = %v, want actual", src)
+	}
+	if got := candidates.Value(); got != 0 {
+		t.Fatalf("a probe moved hermes_invindex_candidates_total to %d", got)
+	}
+	drain(t, mustCall(t, m, c))
+	if got := candidates.Value(); got == 0 {
+		t.Fatal("the serve path did not count its candidates")
+	}
+}

@@ -26,19 +26,14 @@ func (m *Manager) CostModel() CostModel {
 
 // Probe reports, without side effects on the cache, stats, or any clock,
 // how a ground call would be served right now: the source kind and the
-// number of answers the cache would contribute. It backs the estimator's
-// CIM-aware costing. Probes are read-only and run concurrently with
-// lookups and stores (shard read-locks only).
+// number of answers the cache would contribute. It runs the serve path's
+// lookup ladder on a scratch context, which absorbs the matching costs,
+// and backs the estimator's CIM-aware costing. Probes are read-only and
+// run concurrently with lookups and stores (shard read-locks only).
 func (m *Manager) Probe(call domain.Call) (Source, int) {
-	scratch := domain.NewCtx(vclock.NewVirtual(0)) // absorbs matching costs
-	if e, ok := m.store.Get(call.Key()); ok && e.Complete {
-		return SourceCacheExact, len(e.Answers)
+	e, _, src, _ := m.find(domain.NewCtx(vclock.NewVirtual(0)), call, call.Key())
+	if e == nil {
+		return SourceActual, 0
 	}
-	if e, _ := m.findEquality(scratch, call); e != nil {
-		return SourceCacheEquality, len(e.Answers)
-	}
-	if e, _ := m.findPartial(scratch, call); e != nil {
-		return SourceCachePartial, len(e.Answers)
-	}
-	return SourceActual, 0
+	return src, len(e.Answers)
 }

@@ -56,9 +56,9 @@ type Options struct {
 	Estimate *estimate.Config
 	// Resilience, when set, wraps every registered domain in a resilient
 	// call layer: per-call deadlines, bounded retry with deterministic
-	// backoff, and a per-domain circuit breaker. Combined with the CIM's
-	// FallbackOnUnavailable, a down source degrades to cached answers
-	// instead of failing the query.
+	// backoff, and a per-domain circuit breaker. A call the layer gives up
+	// on reaches the CIM as unavailable, and the CIM degrades it to cached
+	// answers instead of failing the query.
 	Resilience *resilience.Policy
 	// QueryDeadline, when nonzero, gives every query that much execution
 	// clock from its start; past it, evaluation stops with

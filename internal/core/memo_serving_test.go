@@ -1,0 +1,162 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"hermes/internal/domain"
+	"hermes/internal/domain/domaintest"
+	"hermes/internal/memo"
+	"hermes/internal/term"
+)
+
+// memoSystem builds a mediator with the memo on over d, loaded with prog.
+func memoSystem(t *testing.T, d domain.Domain, prog string) *System {
+	t.Helper()
+	mcfg := memo.DefaultConfig()
+	sys := NewSystem(Options{Memo: &mcfg})
+	sys.Register(d)
+	if err := sys.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// queryVals runs q and returns each answer's first value.
+func queryVals(t *testing.T, sys *System, q string) []string {
+	t.Helper()
+	answers, _, err := sys.QueryAll(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	out := make([]string, len(answers))
+	for i, a := range answers {
+		out[i] = a.Vals[0].String()
+	}
+	return out
+}
+
+// TestMemoFillDependsOnEqualityServingCall: d:g(1) is served from the
+// cached d:f(1) through d:f(A) = d:g(A), so the memo relation built from
+// it depends on d:f(1). Refreshing d:f(1) must drop the relation, and the
+// rerun must answer from the refreshed entry instead of replaying it.
+func TestMemoFillDependsOnEqualityServingCall(t *testing.T) {
+	d := domaintest.New("d")
+	for _, fn := range []string{"f", "g"} {
+		d.Define(fn, domaintest.Func{Arity: 1, Fn: func([]term.Value) ([]term.Value, error) {
+			return []term.Value{term.Str("a"), term.Str("b")}, nil
+		}})
+	}
+	sys := memoSystem(t, d, `
+		true => d:f(A) = d:g(A).
+		p(X) :- in(X, d:g(1)).`)
+	f1 := domain.Call{Domain: "d", Function: "f", Args: []term.Value{term.Int(1)}}
+	if err := sys.PrimeCache([]domain.Call{f1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryVals(t, sys, "?- p(X)."); len(got) != 2 {
+		t.Fatalf("first run: %v, want a and b", got)
+	}
+	if st := sys.CIM.Stats(); st.EqualityHits != 1 {
+		t.Fatalf("cim stats %+v, want the first run served by an equality hit", st)
+	}
+	sys.CIM.Store(f1, []term.Value{term.Str("c")}, true, domain.CostVector{TAll: time.Second})
+	if got := queryVals(t, sys, "?- p(X)."); len(got) != 1 || got[0] != "'c'" {
+		t.Errorf("after refreshing d:f(1): %v, want ['c'] (memo stats %+v)", got, sys.Memo.Stats())
+	}
+	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
+		t.Errorf("memo stats %+v, want no hit and one invalidation", st)
+	}
+}
+
+// TestMemoFillDependsOnPartialServingCall: d:f(5) is served the cached
+// d:f(1) as a partial answer through a superset invariant, then completed
+// by the source. The memo relation depends on d:f(1) too, so refreshing
+// d:f(1) drops it.
+func TestMemoFillDependsOnPartialServingCall(t *testing.T) {
+	d := domaintest.New("d")
+	d.Define("f", domaintest.Func{Arity: 1, Fn: func(args []term.Value) ([]term.Value, error) {
+		if n, _ := term.Numeric(args[0]); n <= 1 {
+			return []term.Value{term.Str("a")}, nil
+		}
+		return []term.Value{term.Str("a"), term.Str("b")}, nil
+	}})
+	sys := memoSystem(t, d, `
+		V1 <= V2 => d:f(V2) >= d:f(V1).
+		p(X) :- in(X, d:f(5)).`)
+	f1 := domain.Call{Domain: "d", Function: "f", Args: []term.Value{term.Int(1)}}
+	if err := sys.PrimeCache([]domain.Call{f1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryVals(t, sys, "?- p(X)."); len(got) != 2 {
+		t.Fatalf("first run: %v, want a and b", got)
+	}
+	if st := sys.CIM.Stats(); st.PartialHits != 1 {
+		t.Fatalf("cim stats %+v, want the first run served by a partial hit", st)
+	}
+	sys.CIM.Store(f1, []term.Value{term.Str("a"), term.Str("c")}, true, domain.CostVector{TAll: time.Second})
+	queryVals(t, sys, "?- p(X).")
+	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
+		t.Errorf("memo stats %+v, want the rerun to miss after one invalidation", st)
+	}
+}
+
+// gatedDomain serves d:f and d:g; every call signals called, and its
+// answer stream blocks before its first answer until release is closed, so
+// a test can hold a call in flight.
+type gatedDomain struct{ called, release chan struct{} }
+
+func (g *gatedDomain) Name() string { return "d" }
+
+func (g *gatedDomain) Functions() []domain.FuncSpec {
+	return []domain.FuncSpec{{Name: "f", Arity: 1}, {Name: "g", Arity: 1}}
+}
+
+func (g *gatedDomain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
+	g.called <- struct{}{}
+	inner := domain.NewSliceStream([]term.Value{term.Str("x"), term.Str("y")})
+	first := true
+	return domain.NewFuncStream(func() (term.Value, bool, error) {
+		if first {
+			first = false
+			<-g.release
+		}
+		return inner.Next()
+	}, inner.Close), nil
+}
+
+// TestMemoFillDependsOnEquivalentFlight: a miss on d:g(1) attaches to the
+// in-flight d:f(1) through d:f(A) = d:g(A) and reads its answers, so the
+// memo relation depends on d:f(1), the only one of the two calls the
+// flight caches. Refreshing d:f(1) must drop the relation.
+func TestMemoFillDependsOnEquivalentFlight(t *testing.T) {
+	g := &gatedDomain{called: make(chan struct{}, 2), release: make(chan struct{})}
+	sys := memoSystem(t, g, `
+		true => d:f(A) = d:g(A).
+		p(X) :- in(X, d:g(1)).`)
+	errs := make(chan error, 2)
+	query := func(q string) {
+		_, _, err := sys.QueryAll(q)
+		errs <- err
+	}
+	go query("?- in(X, d:f(1)).")
+	<-g.called // d:f(1) is in flight: the next query's miss finds it
+	go query("?- p(X).")
+	for deadline := time.Now().Add(5 * time.Second); sys.CIM.Stats().SingleFlightShares == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the miss on d:g(1) never attached to the d:f(1) flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(g.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	f1 := domain.Call{Domain: "d", Function: "f", Args: []term.Value{term.Int(1)}}
+	sys.CIM.Store(f1, []term.Value{term.Str("c")}, true, domain.CostVector{TAll: time.Second})
+	if got := queryVals(t, sys, "?- p(X)."); len(got) != 1 || got[0] != "'c'" {
+		t.Errorf("after refreshing d:f(1): %v, want ['c'] (memo stats %+v)", got, sys.Memo.Stats())
+	}
+}

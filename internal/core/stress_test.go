@@ -169,7 +169,7 @@ func TestConcurrentResilienceStress(t *testing.T) {
 
 	sharedClk := vclock.NewVirtual(0)
 	db := dcsm.New(dcsm.DefaultConfig(), sharedClk.Now)
-	m := cim.New(reg, cim.Config{ParallelActual: true, FallbackOnUnavailable: true})
+	m := cim.New(reg, cim.Config{ParallelActual: true})
 	m.SetMeasurementObserver(db.Observe)
 	inv, err := lang.ParseInvariant(
 		"F1 <= G1 & G2 <= F2 => avis:frames_to_objects(V, F1, F2) >= avis:frames_to_objects(V, G1, G2).")

@@ -269,6 +269,12 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 		stream = resp.Stream
 		if note := ctx.CallNote; note != nil {
 			note(call.Key(), resp.Degraded)
+			// An invariant-proved serve, or an equivalent flight, read
+			// another call's answers: a refresh of that entry must drop
+			// the fill too.
+			if resp.ServingKey != "" {
+				note(resp.ServingKey, resp.Degraded)
+			}
 			// A partial hit turns degraded lazily, mid-drain, when the
 			// source dies under the actual call: re-note at stream finish
 			// so memo fills in progress learn about it.

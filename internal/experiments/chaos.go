@@ -288,9 +288,8 @@ func FormatChaos(truth, faulted *ChaosReport) string {
 	fmt.Fprintf(&b, "  breaker: trips=%d probes=%d probe-failures=%d rejections=%d final=%s\n",
 		faulted.Breaker.Trips, faulted.Breaker.Probes, faulted.Breaker.ProbeFailures,
 		faulted.Breaker.Rejections, faulted.BreakerFinal)
-	fmt.Fprintf(&b, "  cim: degraded=%d fallbacks=%d exact=%d partial=%d\n",
-		faulted.CIM.DegradedServes, faulted.CIM.UnavailableFallbacks,
-		faulted.CIM.ExactHits, faulted.CIM.PartialHits)
+	fmt.Fprintf(&b, "  cim: degraded=%d exact=%d partial=%d\n",
+		faulted.CIM.DegradedServes, faulted.CIM.ExactHits, faulted.CIM.PartialHits)
 	return b.String()
 }
 

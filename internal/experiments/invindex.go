@@ -9,7 +9,6 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/lang"
-	"hermes/internal/rewrite"
 	"hermes/internal/term"
 )
 
@@ -19,15 +18,15 @@ import (
 // the invariant set still cheaper than calling the source? The linear
 // scan the paper's prototype used degrades with every registered
 // invariant; the discrimination index keeps per-probe work at the size
-// of the call's bucket.
+// of the call's bucket, so probe latency stays flat as the inventory
+// grows.
 
 // InvindexPoint is one measured cache-probe latency at a given invariant
-// inventory, linear scan vs discrimination index.
+// inventory, with its ratio to the smallest inventory's.
 type InvindexPoint struct {
 	Invariants        int     `json:"invariants"`
-	LinearNsPerProbe  float64 `json:"linear_ns_per_probe"`
 	IndexedNsPerProbe float64 `json:"indexed_ns_per_probe"`
-	Speedup           float64 `json:"speedup"`
+	VsSmallest        float64 `json:"vs_smallest"`
 }
 
 // InvindexReport is the committed BENCH_invindex.json: the probe-latency
@@ -39,27 +38,22 @@ type InvindexReport struct {
 	Differential   *InvindexDifferentialReport `json:"differential"`
 }
 
-// InvindexDifferentialReport is the indexed-vs-linear answer diff over
-// the harness workload with a large synthetic invariant inventory
-// loaded.
+// InvindexDifferentialReport diffs the harness workload's answers with a
+// large synthetic invariant inventory loaded against the AVIS invariants
+// alone.
 type InvindexDifferentialReport struct {
 	Queries    int `json:"queries"`
 	Invariants int `json:"invariants"`
 	// Mismatches counts queries whose answer multiset differed between
-	// the indexed and the linear-scan configuration. Zero on a passing
-	// run.
+	// the two inventories. Zero on a passing run.
 	Mismatches      int      `json:"mismatches"`
 	MismatchDetails []string `json:"mismatch_details,omitempty"`
-	// IndexedLinearScans must be zero: the indexed serve path never falls
-	// back to a full scan. LinearLinearScans counts the oracle's scans.
-	IndexedLinearScans int64 `json:"indexed_linear_scans"`
-	LinearLinearScans  int64 `json:"linear_linear_scans"`
 }
 
 // syntheticInvariants generates n well-formed invariants that never
 // apply to the experiment workload: they inflate the registered
-// inventory the way federation peers would, so the linear scan pays for
-// every one of them on every probe while the index skips them all. The
+// inventory the way federation peers would, which a linear scan would pay
+// for on every probe while the index skips them all. The
 // mix mirrors real inventories — mostly equalities over distinct
 // functions, a shared-function family that lands in one bucket, and
 // range supersets.
@@ -85,13 +79,11 @@ func syntheticInvariants(n int) []*lang.Invariant {
 }
 
 // invindexManager builds a stand-alone CIM with the AVIS invariants
-// plus n synthetic ones (registered first, so a linear scan pays for
+// plus n synthetic ones (registered first, so a linear scan would pay for
 // them before reaching the invariant that matches), and one cached
 // complete call an equality invariant can prove equivalent to a probe.
-func invindexManager(n int, linear bool) (*cim.Manager, error) {
-	cfg := lightCIMConfig()
-	cfg.LinearMatching = linear
-	m := cim.New(nil, cfg)
+func invindexManager(n int) (*cim.Manager, error) {
+	m := cim.New(nil, lightCIMConfig())
 	synth := syntheticInvariants(n)
 	for _, inv := range synth {
 		if err := m.AddInvariant(inv); err != nil {
@@ -116,11 +108,10 @@ func invindexManager(n int, linear bool) (*cim.Manager, error) {
 }
 
 // InvindexScaling measures wall-clock cache-probe latency against
-// growing invariant inventories, linear scan vs discrimination index.
-// Each point alternates an equality-hit probe (served via an AVIS
-// invariant the linear scan only reaches after every synthetic
-// invariant) with a miss probe (no invariant applies — the linear worst
-// case, and the common case for any call outside the cached hot set).
+// growing invariant inventories. Each point alternates an equality-hit
+// probe (served via an AVIS invariant registered after every synthetic
+// one) with a miss probe (no invariant applies, the common case for any
+// call outside the cached hot set).
 func InvindexScaling() (*InvindexReport, error) {
 	const probes = 400
 	sizes := []int{1, 100, 1000, 10000}
@@ -132,10 +123,15 @@ func InvindexScaling() (*InvindexReport, error) {
 		Domain: "avis", Function: "video_size",
 		Args: []term.Value{term.Str("rope")},
 	}
-	measure := func(m *cim.Manager) (float64, error) {
+	rep := &InvindexReport{ProbesPerPoint: probes}
+	for _, n := range sizes {
+		m, err := invindexManager(n)
+		if err != nil {
+			return nil, err
+		}
 		// Warm once: fault in any lazy state before timing.
-		if src, n := m.Probe(hit); src != cim.SourceCacheEquality || n != 3 {
-			return 0, fmt.Errorf("experiments: invindex probe served %v (%d answers), want cache-equality with 3", src, n)
+		if src, got := m.Probe(hit); src != cim.SourceCacheEquality || got != 3 {
+			return nil, fmt.Errorf("experiments: invindex probe served %v (%d answers), want cache-equality with 3", src, got)
 		}
 		start := time.Now()
 		for i := 0; i < probes; i++ {
@@ -145,31 +141,12 @@ func InvindexScaling() (*InvindexReport, error) {
 				m.Probe(miss)
 			}
 		}
-		return float64(time.Since(start).Nanoseconds()) / probes, nil
-	}
-	rep := &InvindexReport{ProbesPerPoint: probes}
-	for _, n := range sizes {
-		lm, err := invindexManager(n, true)
-		if err != nil {
-			return nil, err
+		ns := float64(time.Since(start).Nanoseconds()) / probes
+		smallest := ns
+		if len(rep.Points) > 0 {
+			smallest = rep.Points[0].IndexedNsPerProbe
 		}
-		im, err := invindexManager(n, false)
-		if err != nil {
-			return nil, err
-		}
-		linNs, err := measure(lm)
-		if err != nil {
-			return nil, err
-		}
-		idxNs, err := measure(im)
-		if err != nil {
-			return nil, err
-		}
-		p := InvindexPoint{Invariants: n, LinearNsPerProbe: linNs, IndexedNsPerProbe: idxNs}
-		if idxNs > 0 {
-			p.Speedup = linNs / idxNs
-		}
-		rep.Points = append(rep.Points, p)
+		rep.Points = append(rep.Points, InvindexPoint{Invariants: n, IndexedNsPerProbe: ns, VsSmallest: ns / smallest})
 	}
 	diff, err := InvindexDifferential(0, 0)
 	if err != nil {
@@ -180,12 +157,11 @@ func InvindexScaling() (*InvindexReport, error) {
 }
 
 // InvindexDifferential replays the differential harness workload on two
-// otherwise identical federations — one matching invariants through the
-// discrimination index, one through the LinearMatching full-scan oracle
-// — with a synthetic invariant inventory loaded on top of the AVIS
-// invariants, and diffs every query's answer multiset. queries and
-// invariants of 0 select the acceptance scale (220 queries, 10k
-// invariants).
+// otherwise identical federations, one with a synthetic invariant
+// inventory loaded on top of the AVIS invariants and one with the AVIS
+// invariants alone, and diffs every query's answer multiset: invariants
+// that apply to no call must change no answer. queries and invariants of
+// 0 select the acceptance scale (220 queries, 10k invariants).
 func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport, error) {
 	if queries == 0 {
 		queries = DefaultDifferentialOptions().Queries
@@ -194,11 +170,9 @@ func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport,
 		invariants = 10000
 	}
 	workload := differentialWorkload(DefaultDifferentialOptions().Seed, queries, DefaultDifferentialOptions().RepeatFraction)
-	synth := syntheticInvariants(invariants)
 
-	run := func(linear bool) (*diffRun, int64, error) {
+	run := func(synth []*lang.Invariant) (*diffRun, error) {
 		ccfg := paperCIMConfig()
-		ccfg.LinearMatching = linear
 		tb, err := NewTestbed(TestbedOptions{
 			RouteViaCIM:    true,
 			WithInvariants: true,
@@ -206,50 +180,47 @@ func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport,
 			Core:           core.Options{CIM: &ccfg},
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		for _, inv := range synth {
 			if err := tb.Sys.CIM.AddInvariant(inv); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		r := &diffRun{results: make([][]string, len(workload))}
 		for i, q := range workload {
-			var plan *rewrite.Plan
-			plan, err = originalOrderPlan(tb.Sys, q.Text)
+			plan, err := originalOrderPlan(tb.Sys, q.Text)
 			if err != nil {
-				return nil, 0, fmt.Errorf("invindex differential: plan %s: %w", q.Text, err)
+				return nil, fmt.Errorf("invindex differential: plan %s: %w", q.Text, err)
 			}
 			answers, _, err := runPlan(tb.Sys, plan)
 			if err != nil {
-				return nil, 0, fmt.Errorf("invindex differential: run %s: %w", q.Text, err)
+				return nil, fmt.Errorf("invindex differential: run %s: %w", q.Text, err)
 			}
 			r.results[i] = answerMultiset(answers)
 		}
-		return r, tb.Sys.CIM.LinearScans(), nil
+		return r, nil
 	}
 
-	indexed, idxScans, err := run(false)
+	loaded, err := run(syntheticInvariants(invariants))
 	if err != nil {
 		return nil, err
 	}
-	linear, linScans, err := run(true)
+	alone, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
 	rep := &InvindexDifferentialReport{
-		Queries:            queries,
-		Invariants:         invariants + strings.Count(avisInvariants, "=>"),
-		IndexedLinearScans: idxScans,
-		LinearLinearScans:  linScans,
+		Queries:    queries,
+		Invariants: invariants + strings.Count(avisInvariants, "=>"),
 	}
 	for i := range workload {
-		if !multisetsEqual(indexed.results[i], linear.results[i]) {
+		if !multisetsEqual(loaded.results[i], alone.results[i]) {
 			rep.Mismatches++
 			if len(rep.MismatchDetails) < 5 {
 				rep.MismatchDetails = append(rep.MismatchDetails, fmt.Sprintf(
-					"%s: indexed %d answers, linear %d answers",
-					workload[i].Text, len(indexed.results[i]), len(linear.results[i])))
+					"%s: %d answers with the inventory loaded, %d without",
+					workload[i].Text, len(loaded.results[i]), len(alone.results[i])))
 			}
 		}
 	}
@@ -260,18 +231,17 @@ func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport,
 func FormatInvindex(rep *InvindexReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cache-probe latency vs registered invariants (%d probes/point, wall clock):\n\n", rep.ProbesPerPoint)
-	fmt.Fprintf(&b, "%12s %16s %16s %9s\n", "invariants", "linear ns/probe", "indexed ns/probe", "speedup")
+	fmt.Fprintf(&b, "%12s %16s %12s\n", "invariants", "indexed ns/probe", "vs smallest")
 	for _, p := range rep.Points {
-		fmt.Fprintf(&b, "%12d %16.0f %16.0f %8.1fx\n",
-			p.Invariants, p.LinearNsPerProbe, p.IndexedNsPerProbe, p.Speedup)
+		fmt.Fprintf(&b, "%12d %16.0f %11.2fx\n", p.Invariants, p.IndexedNsPerProbe, p.VsSmallest)
 	}
 	d := rep.Differential
 	verdict := "PASS"
-	if d.Mismatches > 0 || d.IndexedLinearScans != 0 {
+	if d.Mismatches > 0 {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "\ndifferential: %d queries with %d invariants loaded: %d mismatches; linear scans indexed=%d oracle=%d — %s\n",
-		d.Queries, d.Invariants, d.Mismatches, d.IndexedLinearScans, d.LinearLinearScans, verdict)
+	fmt.Fprintf(&b, "\ndifferential: %d queries, %d invariants loaded vs the AVIS invariants alone: %d mismatches — %s\n",
+		d.Queries, d.Invariants, d.Mismatches, verdict)
 	for _, det := range d.MismatchDetails {
 		fmt.Fprintf(&b, "  mismatch: %s\n", det)
 	}

@@ -32,13 +32,12 @@ const (
 // because the cache must be scanned and conditions checked.
 func paperCIMConfig() cim.Config {
 	return cim.Config{
-		LookupCost:            40 * time.Millisecond,
-		PerAnswer:             25 * time.Millisecond,
-		InvariantMatch:        80 * time.Millisecond,
-		ScanPerEntry:          15 * time.Millisecond,
-		DedupProbe:            11 * time.Millisecond,
-		ParallelActual:        true,
-		FallbackOnUnavailable: true,
+		LookupCost:     40 * time.Millisecond,
+		PerAnswer:      25 * time.Millisecond,
+		InvariantMatch: 80 * time.Millisecond,
+		ScanPerEntry:   15 * time.Millisecond,
+		DedupProbe:     11 * time.Millisecond,
+		ParallelActual: true,
 	}
 }
 

@@ -145,7 +145,7 @@ func (b *callBucket) remove(key string) {
 // Index is the shared invariant + cached-call discrimination index.
 type Index struct {
 	invMu sync.RWMutex
-	all   []*lang.Invariant         // registration order
+	n     int                       // registered invariants
 	equal map[Key][]*lang.Invariant // RelEqual invariants by either side's key
 	super map[Key][]*lang.Invariant // RelSuperset invariants by Left (superset) key
 	// shapes holds, per bucket, the ShapeKey of every side registered
@@ -176,7 +176,7 @@ func New() *Index {
 func (ix *Index) AddInvariant(inv *lang.Invariant) {
 	ix.invMu.Lock()
 	defer ix.invMu.Unlock()
-	ix.all = append(ix.all, inv)
+	ix.n++
 	switch inv.Rel {
 	case lang.RelEqual:
 		lk, rk := KeyOfTemplate(&inv.Left), KeyOfTemplate(&inv.Right)
@@ -215,19 +215,11 @@ func (ix *Index) Supersets(k Key) []*lang.Invariant {
 	return bucket
 }
 
-// All returns the registered invariants in registration order. The slice
-// is append-only and shared; callers must not mutate it.
-func (ix *Index) All() []*lang.Invariant {
-	ix.invMu.RLock()
-	defer ix.invMu.RUnlock()
-	return ix.all
-}
-
 // Len returns the number of registered invariants.
 func (ix *Index) Len() int {
 	ix.invMu.RLock()
 	defer ix.invMu.RUnlock()
-	return len(ix.all)
+	return ix.n
 }
 
 // AddCall records a cached call in the entry index (CIM store).
