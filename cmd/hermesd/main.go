@@ -16,7 +16,7 @@
 // savings ledger, GET /debug/invariants the invariant discrimination
 // index (buckets joined with per-invariant savings), GET /debug/memo the
 // rule-level memo cache (stats plus
-// top entries by decayed benefit), GET /debug/flightrecorder the
+// most recently used entries), GET /debug/flightrecorder the
 // flight-recorder ring as JSONL, and GET /query?q=... runs a query
 // through an embedded mediator
 // over the hosted domains and returns its answers plus EXPLAIN span tree.

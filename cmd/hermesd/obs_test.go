@@ -399,7 +399,7 @@ func TestMemoEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/memo status = %d", code)
 	}
-	for _, want := range []string{"hits=1", "actors", "top entries by decayed benefit"} {
+	for _, want := range []string{"hits=1", "actors", "most recently used entries"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/debug/memo missing %q:\n%s", want, body)
 		}

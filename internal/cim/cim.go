@@ -459,29 +459,22 @@ func (m *Manager) touch(e *Entry) {
 	e.lastUsed.Store(m.counter.Add(1))
 }
 
-// Response is the result of routing a call through the CIM.
+// Response is the result of routing a call through the CIM. The calls
+// whose answers it reads are reported to ctx.CallNote as they are read
+// (note).
 type Response struct {
 	Stream domain.Stream
 	Source Source
-	// CachedAnswers is how many answers the cache contributed (all of them
-	// for exact/equality hits; the partial prefix for subset hits).
-	CachedAnswers int
-	// ServingCall is the call whose answers were used: the cached call
-	// that served, or the in-flight call a miss attached to. It differs
-	// from the requested call when an invariant proved it equivalent or a
-	// subset.
-	ServingCall domain.Call
-	// ServingKey is ServingCall's cache key when ServingCall is not the
-	// requested call, and empty otherwise. A memo fill that read the
-	// response depends on that entry too.
-	ServingKey string
-	// Degraded marks a response that fell back to cache because the source
-	// was unreachable — either entirely (SourceCacheDegraded) or part-way
-	// through completing a partial hit. The answers are sound (every tuple
-	// is a true answer) but may be a strict subset of the full answer set.
-	// For partial hits the flag is set lazily, when the completion call
-	// fails: it is authoritative once the stream is drained.
-	Degraded bool
+}
+
+// note reports to the context's call observer (a memo fill recording its
+// inputs) a call whose answers a serve read: the requested call, the
+// cached call an invariant proved, or the flight a miss attached to.
+// degraded marks answers served from cache while the source was down.
+func note(ctx *domain.Ctx, key string, degraded bool) {
+	if ctx.CallNote != nil {
+		ctx.CallNote(key, degraded)
+	}
 }
 
 // cacheStream serves a materialized answer slice, charging PerAnswer per
@@ -542,11 +535,7 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	m.lookup(ctx, SourceActual)
 	r, err := m.actualStream(ctx, call, key)
 	if err == nil {
-		resp := &Response{Stream: r, Source: SourceActual, ServingCall: r.f.call}
-		if r.f.key != key {
-			resp.ServingKey = r.f.key
-		}
-		return resp, nil
+		return &Response{Stream: r, Source: SourceActual}, nil
 	}
 	if !isUnavailable(err) {
 		return nil, err
@@ -559,17 +548,24 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 	return m.serve(ctx, call, key, e, inv, SourceCacheDegraded), nil
 }
 
-// serve answers a call from the entry find chose, as source src: it stamps
-// recency, counts and tags the serve, credits the savings ledger and
-// builds the response. Exact and equality hits replace the source call and
-// are credited with its avoided cost; a partial hit still issues the call,
-// and a degraded serve had no working source to avoid, so those count
-// hits only.
+// serve answers a call from the entry find chose, as source src: it notes
+// the calls it reads, stamps recency, counts and tags the serve, credits
+// the savings ledger and builds the response. Exact and equality hits
+// replace the source call and are credited with its avoided cost; a
+// partial hit still issues the call, and a degraded serve had no working
+// source to avoid, so those count hits only.
 func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry, inv *lang.Invariant, src Source) *Response {
+	degraded := src == SourceCacheDegraded
+	note(ctx, key, degraded)
+	if inv != nil {
+		// An invariant proved another call's entry: a refresh of that
+		// entry must drop what was built from this serve too.
+		note(ctx, e.key, degraded)
+	}
 	m.touch(e)
 	m.servedFromCache.Add(int64(len(e.Answers)))
 	m.lookup(ctx, src)
-	if src == SourceCacheDegraded {
+	if degraded {
 		m.degraded(ctx)
 		// Memo relations previously built from this call's answers must
 		// not outlive the outage as exact.
@@ -579,22 +575,10 @@ func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry,
 		ctx.Span.SetTag("serving", e.Call.String())
 	}
 	m.credit(ctx, call, e, inv, src == SourceCacheExact || src == SourceCacheEquality)
-	var resp *Response
 	if src == SourceCachePartial {
-		resp = m.servePartialThenActual(ctx, call, key, e)
-	} else {
-		resp = &Response{
-			Stream:        m.cacheStream(ctx, e.Answers),
-			Source:        src,
-			CachedAnswers: len(e.Answers),
-			ServingCall:   e.Call,
-			Degraded:      src == SourceCacheDegraded,
-		}
+		return &Response{Stream: m.servePartialThenActual(ctx, call, key, e), Source: src}
 	}
-	if inv != nil {
-		resp.ServingKey = e.key
-	}
-	return resp
+	return &Response{Stream: m.cacheStream(ctx, e.Answers), Source: src}
 }
 
 // servePartialThenActual builds the two-phase stream: cached answers first
@@ -602,7 +586,7 @@ func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry,
 // deduplicated against them. With ParallelActual the actual call is
 // accounted on a clock forked at request time, so its latency overlaps the
 // cached phase. No manager lock is held anywhere in the stream path.
-func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, key string, e *Entry) *Response {
+func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, key string, e *Entry) domain.Stream {
 	cached := e.Answers
 	seed := make(map[string]struct{}, len(cached))
 	var fork *domain.Ctx
@@ -613,13 +597,12 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, key 
 	var actual domain.Stream
 	var actualErr error
 	started := false
-	resp := &Response{Source: SourceCachePartial, CachedAnswers: len(cached), ServingCall: e.Call}
 	// degrade ends the stream when the source is unreachable: everything
 	// emitted so far (the cached prefix and any actual answers) is sound,
 	// so the partial result stands instead of failing the query.
 	degrade := func() (term.Value, bool, error) {
 		m.degraded(ctx)
-		resp.Degraded = true
+		note(ctx, key, true)
 		m.invalidate(key)
 		return nil, false, nil
 	}
@@ -665,8 +648,7 @@ func (m *Manager) servePartialThenActual(ctx *domain.Ctx, call domain.Call, key 
 		}
 		return nil
 	}
-	resp.Stream = domain.NewFuncStream(next, closer)
-	return resp
+	return domain.NewFuncStream(next, closer)
 }
 
 // isUnavailable walks the full wrap tree (errors.Is handles the

@@ -1,6 +1,7 @@
 package cim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +31,32 @@ func drain(t *testing.T, resp *Response) []term.Value {
 		t.Fatalf("drain: %v", err)
 	}
 	return vals
+}
+
+// noteLog is what a memo fill sees of the serves under a context: the call
+// keys the CIM notes to its CallNote, and whether any was noted degraded.
+type noteLog struct {
+	mu       sync.Mutex
+	keys     map[string]bool
+	degraded bool
+}
+
+// notingCtx returns a fresh context whose CallNote records into a noteLog.
+func notingCtx() (*domain.Ctx, *noteLog) {
+	l := &noteLog{keys: map[string]bool{}}
+	return newCtx().WithCallNote(func(key string, degraded bool) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.keys[key] = true
+		l.degraded = l.degraded || degraded
+	}), l
+}
+
+// read reports whether key was noted, and whether any note was degraded.
+func (l *noteLog) read(key string) (noted, degraded bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.keys[key], l.degraded
 }
 
 func strs(ss ...string) []term.Value {
@@ -169,6 +196,7 @@ func TestSelectLtSupersetInvariant(t *testing.T) {
 
 	// The wide call (bound 50) gets the cached 2 answers first, then the
 	// actual call's remaining answers, deduplicated.
+	fromCache := m.Stats().ServedFromCache
 	resp2, err := m.CallThrough(newCtx(), call("relation", "select_lt",
 		term.Str("emp"), term.Str("age"), term.Int(50)))
 	if err != nil {
@@ -177,8 +205,8 @@ func TestSelectLtSupersetInvariant(t *testing.T) {
 	if resp2.Source != SourceCachePartial {
 		t.Fatalf("source = %v, want partial hit", resp2.Source)
 	}
-	if resp2.CachedAnswers != 2 {
-		t.Errorf("cached answers = %d, want 2", resp2.CachedAnswers)
+	if n := m.Stats().ServedFromCache - fromCache; n != 2 {
+		t.Errorf("cached answers = %d, want 2", n)
 	}
 	got := drain(t, resp2)
 	if len(got) != 5 {

@@ -94,7 +94,8 @@ func TestDegradedAnswersAreSoundSubset(t *testing.T) {
 		}
 		truth := asSet(direct)
 
-		resp, err := m.CallThrough(newCtx(), c)
+		ctx, notes := notingCtx()
+		resp, err := m.CallThrough(ctx, c)
 		if err != nil {
 			// Nothing cached to degrade to: the only acceptable failure,
 			// and it must stay typed retryable.
@@ -108,16 +109,17 @@ func TestDegradedAnswersAreSoundSubset(t *testing.T) {
 			t.Fatalf("call %d (%s, served by %v): drain: %v", i, c, resp.Source, err)
 		}
 		have := asSet(got)
+		_, isDegraded := notes.read(c.Key())
 
 		// Soundness: never a tuple outside the true answer set, degraded
 		// or not.
 		for k := range have {
 			if !truth[k] {
 				t.Fatalf("call %d (%s, served by %v, degraded=%v): unsound answer %s",
-					i, c, resp.Source, resp.Degraded, k)
+					i, c, resp.Source, isDegraded, k)
 			}
 		}
-		if resp.Degraded {
+		if isDegraded {
 			degraded++
 			// Either served wholly from cache, or a partial hit whose
 			// completion call fell back mid-stream.
@@ -168,7 +170,8 @@ func TestDegradeServesIncompleteEntrySubset(t *testing.T) {
 	resp.Stream.Close()
 
 	src.down = true
-	resp2, err := m.CallThrough(newCtx(), c)
+	ctx, notes := notingCtx()
+	resp2, err := m.CallThrough(ctx, c)
 	if err != nil {
 		t.Fatalf("expected degraded serve from incomplete entry, got %v", err)
 	}
@@ -177,9 +180,9 @@ func TestDegradeServesIncompleteEntrySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The incomplete entry serves as a partial hit whose completion call
-	// fails; by drain time the response must be flagged degraded.
-	if !resp2.Degraded {
-		t.Fatalf("response = %+v, want degraded cache serve", resp2)
+	// fails; by drain time the call must have been noted degraded.
+	if noted, degraded := notes.read(c.Key()); resp2.Source != SourceCachePartial || !noted || !degraded {
+		t.Fatalf("source %v, noted %v, degraded %v: want a partial serve noted degraded", resp2.Source, noted, degraded)
 	}
 	ds, err := truthReg.Call(newCtx(), c)
 	if err != nil {
@@ -238,12 +241,16 @@ func TestUnavailableMissServesEntryStoredMeanwhile(t *testing.T) {
 		m.Store(f, strs("x"), false, domain.CostVector{})
 		m.Store(g, strs("x", "y"), true, domain.CostVector{})
 	}
-	resp, err := m.CallThrough(newCtx(), f)
+	ctx, notes := notingCtx()
+	resp, err := m.CallThrough(ctx, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Source != SourceCacheDegraded || !resp.Degraded || resp.ServingCall.Key() != g.Key() || resp.ServingKey != g.Key() {
-		t.Fatalf("response = %+v, want a degraded serve of %s", resp, g)
+	notedF, _ := notes.read(f.Key())
+	notedG, degraded := notes.read(g.Key())
+	if resp.Source != SourceCacheDegraded || !notedF || !notedG || !degraded {
+		t.Fatalf("source %v, noted %s %v and %s %v, degraded %v: want a degraded serve of %s",
+			resp.Source, f, notedF, g, notedG, degraded, g)
 	}
 	if got := drain(t, resp); len(got) != 2 {
 		t.Fatalf("answers = %v, want d:g(a)'s two", got)

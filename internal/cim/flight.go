@@ -73,6 +73,7 @@ func (f *flight) lead(ctx *domain.Ctx) (*flightReader, error) {
 	f.src = domain.NewMeasuredStreamAt(inner, ctx.Clock, f.call, start, f.onMeasured)
 	f.mu.Unlock()
 	close(f.ready)
+	note(ctx, f.key, false)
 	return &flightReader{f: f, ctx: ctx}, nil
 }
 
@@ -211,8 +212,8 @@ func (r *flightReader) Close() error {
 // actualStream issues the real source call under key, the call's cache
 // key, with single-flight semantics: if an identical (or
 // equality-invariant-equivalent) call is already in flight, attach to it
-// instead of stampeding the source. The reader's flight is the call whose
-// answers it reads.
+// instead of stampeding the source. The call, and the flight's call when
+// that differs, are noted once the reader is attached.
 func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call, key string) (*flightReader, error) {
 	for {
 		m.flightMu.Lock()
@@ -252,8 +253,10 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call, key string) (*
 			}
 			m.singleFlightShares.Inc()
 			ctx.Span.SetTag("singleflight", shared)
+			note(ctx, key, false)
 			if shared == "shared-equality" {
 				ctx.Span.SetTag("serving", f.call.String())
+				note(ctx, f.key, false)
 			}
 			return &flightReader{f: f, ctx: ctx}, nil
 		}

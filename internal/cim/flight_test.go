@@ -225,8 +225,9 @@ func TestEquivalentFlightAttachIsDeterministic(t *testing.T) {
 		waitReaders(t, m, first.Key(), 1)
 		waitReaders(t, m, second.Key(), 1)
 		attached := make(chan *Response, 1)
+		ctx, notes := notingCtx()
 		go func() {
-			resp, err := m.CallThrough(newCtx(), call("g", "slow3", term.Str("a")))
+			resp, err := m.CallThrough(ctx, call("g", "slow3", term.Str("a")))
 			if err != nil {
 				t.Error(err)
 				close(attached)
@@ -250,14 +251,16 @@ func TestEquivalentFlightAttachIsDeterministic(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		close(g.release)
-		resp, ok := <-attached
+		_, ok := <-attached
 		wg.Wait()
 		if !ok {
 			t.FailNow()
 		}
-		if joined != first.Key() || resp.ServingCall.Key() != first.Key() || resp.ServingKey != first.Key() {
-			t.Fatalf("run %d: attached to %s (serving key %q), want the first-registered invariant's %s",
-				run, resp.ServingCall, resp.ServingKey, first)
+		notedFirst, _ := notes.read(first.Key())
+		notedSecond, _ := notes.read(second.Key())
+		if joined != first.Key() || !notedFirst || notedSecond {
+			t.Fatalf("run %d: attached to %s (noted %s %v, %s %v), want the first-registered invariant's %s",
+				run, joined, first, notedFirst, second, notedSecond, first)
 		}
 		if got := g.calls.Load(); got != 2 {
 			t.Fatalf("run %d: source called %d times, want 2", run, got)

@@ -24,15 +24,10 @@ import (
 // that needed no invariant).
 const ExactKey = "(exact)"
 
-// MemoBucket is the ledger attribution key under which rule-level memo
-// hits are credited in the per-invariant view: the memo sits above the
-// CIM, so its savings share the ledger but get their own bucket instead
-// of masquerading as an invariant.
-const MemoBucket = "(memo)"
-
-// LedgerRow is one attribution bucket: an invariant (or ExactKey, or
-// MemoBucket) in the per-invariant view, a cached call in the per-entry
-// view.
+// LedgerRow is one attribution bucket: an invariant (or ExactKey) in the
+// per-invariant view, a cached call in the per-entry view. A restored
+// snapshot may also hold a "(memo)" bucket, which earlier versions
+// credited memo hits to; it loads as a historical row and grows no more.
 type LedgerRow struct {
 	Key   string        `json:"key"`
 	Hits  int64         `json:"hits"`
@@ -164,14 +159,6 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	e.hits.Add(1)
 	e.savedNS.Add(int64(saved))
 	m.ledger.credit(invKey, saved)
-}
-
-// CreditMemo records one rule-level memo hit in the savings ledger's
-// MemoBucket and total; /debug/memo lists the memo's entries. The memo's
-// own hermes_memo_saved_ms_total counter tracks the metric side; this
-// keeps the unified "what did caching earn" ledger complete.
-func (m *Manager) CreditMemo(saved time.Duration) {
-	m.ledger.credit(MemoBucket, saved)
 }
 
 // Ledger returns the savings ledger snapshot: the per-invariant buckets,

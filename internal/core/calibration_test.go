@@ -11,6 +11,7 @@ import (
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/engine"
+	"hermes/internal/memo"
 	"hermes/internal/obs"
 	"hermes/internal/term"
 )
@@ -34,9 +35,17 @@ func sumSavedTags(d obs.SpanData, t *testing.T) float64 {
 
 // TestSavingsLedgerMatchesSpans is the acceptance check for the savings
 // ledger: over a workload with exact and equality-invariant hits, the
-// per-invariant saved-ms totals must sum to the span-level avoided cost
-// tagged on the traces.
+// per-invariant saved-ms totals must sum to the ledger total, which equals
+// hermes_cim_saved_ms_total and the span-level avoided cost tagged on the
+// traces. With the memo on, its hits save too, and are counted by the memo
+// alone: the CIM's ledger still matches the CIM's counter and tags.
 func TestSavingsLedgerMatchesSpans(t *testing.T) {
+	for _, memoOn := range []bool{false, true} {
+		checkLedgerMatchesSpans(t, memoOn)
+	}
+}
+
+func checkLedgerMatchesSpans(t *testing.T, memoOn bool) {
 	o := obs.NewObserver()
 	d := domaintest.New("d")
 	answers := func([]term.Value) ([]term.Value, error) {
@@ -44,7 +53,12 @@ func TestSavingsLedgerMatchesSpans(t *testing.T) {
 	}
 	d.Define("f", domaintest.Func{Arity: 1, PerCall: 120 * time.Millisecond, PerAnswer: time.Millisecond, Fn: answers})
 	d.Define("g", domaintest.Func{Arity: 1, PerCall: 80 * time.Millisecond, PerAnswer: time.Millisecond, Fn: answers})
-	sys := NewSystem(Options{Obs: o})
+	opts := Options{Obs: o}
+	if memoOn {
+		mcfg := memo.DefaultConfig()
+		opts.Memo = &mcfg
+	}
+	sys := NewSystem(opts)
 	sys.Register(d)
 	if err := sys.LoadProgram(`
 vf(X) :- in(X, d:f(1)).
@@ -56,9 +70,9 @@ true => d:f(A) = d:g(A).
 
 	for _, q := range []string{
 		"?- vf(X).", // miss: fills the cache and the DCSM
-		"?- vf(X).", // exact hit: DCSM-priced savings
+		"?- vf(X).", // exact hit: DCSM-priced savings (memo on: a memo hit)
 		"?- vg(X).", // equality-invariant hit off f's entry
-		"?- vg(X).", // exact hit (g cached by now? no — equality serves, nothing stored) or another invariant hit
+		"?- vg(X).", // another invariant hit (memo on: a memo hit)
 	} {
 		cur, err := sys.QueryTraced(q, false)
 		if err != nil {
@@ -68,17 +82,23 @@ true => d:f(A) = d:g(A).
 			t.Fatal(err)
 		}
 	}
+	if memoOn && sys.Memo.Stats().Hits == 0 {
+		t.Fatal("memo on: no memo hits")
+	}
 
 	led := sys.CIM.Ledger()
 	if led.Total <= 0 {
-		t.Fatal("no savings recorded")
+		t.Fatalf("memo=%v: no savings recorded", memoOn)
 	}
 	var invSum time.Duration
 	for _, r := range led.Invariants {
 		invSum += r.Saved
 	}
 	if invSum != led.Total {
-		t.Fatalf("per-invariant sums %v != ledger total %v", invSum, led.Total)
+		t.Fatalf("memo=%v: per-invariant sums %v != ledger total %v", memoOn, invSum, led.Total)
+	}
+	if v := o.Metrics.Counter("hermes_cim_saved_ms_total").Value(); v != led.Total.Milliseconds() {
+		t.Errorf("memo=%v: hermes_cim_saved_ms_total = %d, ledger total %v", memoOn, v, led.Total)
 	}
 
 	spanSum := 0.0
@@ -87,7 +107,7 @@ true => d:f(A) = d:g(A).
 	}
 	ledMS := float64(led.Total) / float64(time.Millisecond)
 	if math.Abs(spanSum-ledMS) > 1.0 {
-		t.Errorf("span-level saved %.2fms, ledger total %.2fms", spanSum, ledMS)
+		t.Errorf("memo=%v: span-level saved %.2fms, ledger total %.2fms", memoOn, spanSum, ledMS)
 	}
 
 	// The equality invariant must appear as its own attribution row.
@@ -99,13 +119,10 @@ true => d:f(A) = d:g(A).
 		}
 	}
 	if !found {
-		t.Errorf("no credited row for %q: %+v", invKey, led.Invariants)
-	}
-	if v := o.Metrics.Counter("hermes_cim_saved_ms_total").Value(); v <= 0 {
-		t.Errorf("hermes_cim_saved_ms_total = %d", v)
+		t.Errorf("memo=%v: no credited row for %q: %+v", memoOn, invKey, led.Invariants)
 	}
 	if v := o.Metrics.Counter("hermes_cim_invariant_hits_total", "invariant", invKey).Value(); v < 1 {
-		t.Errorf("hermes_cim_invariant_hits_total = %d", v)
+		t.Errorf("memo=%v: hermes_cim_invariant_hits_total = %d", memoOn, v)
 	}
 }
 

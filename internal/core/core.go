@@ -92,10 +92,12 @@ type Options struct {
 	ShedPolicy admission.Policy
 	// Memo, when set, enables the rule-level memo cache: intermediate IDB
 	// relations are cached by (rule set, adornment, binding pattern) and
-	// replayed instead of re-expanded, with benefit-driven admission and
+	// replayed instead of re-expanded, with size-capped admission, LRU
 	// eviction, and invalidation driven by the CIM (a contributing domain
-	// call refreshed, evicted, or served degraded drops the relation).
-	// Nil disables memoization. Use memo.DefaultConfig() for the defaults.
+	// call refreshed, evicted, or served degraded drops the relation). A
+	// memo hit's saving is counted by the memo alone (memo.Stats.Saved),
+	// not in the CIM's savings ledger. Nil disables memoization. Use
+	// memo.DefaultConfig() for the defaults.
 	// When memoization is on, plan costing prices subgoals whose memo
 	// entry is currently resident at their replay cost, so α-equivalent
 	// repeat queries pick orders that reuse warm entries.
@@ -249,10 +251,8 @@ func NewSystem(opts Options) *System {
 		mc := memo.New(*opts.Memo)
 		mc.SetObserver(s.Obs)
 		if s.CIM != nil {
-			// Memo hits share the CIM's savings ledger (the "(memo)"
-			// bucket), and CIM invalidations — refresh, eviction, degraded
-			// serve — drop the memo relations built from those answers.
-			mc.SetSavingsHook(s.CIM.CreditMemo)
+			// CIM invalidations — refresh, eviction, degraded serve — drop
+			// the memo relations built from those answers.
 			s.CIM.SetOnInvalidate(mc.InvalidateInput)
 		}
 		s.engine.SetMemo(mc)

@@ -101,20 +101,26 @@ func TestMemoFillDependsOnPartialServingCall(t *testing.T) {
 	}
 }
 
-// gatedDomain serves d:f and d:g; every call signals called, and its
-// answer stream blocks before its first answer until release is closed, so
-// a test can hold a call in flight.
-type gatedDomain struct{ called, release chan struct{} }
+// gatedDomain serves d:f, d:g and d:h, two answers each. A call of the
+// gated function signals called, and its answer stream blocks before its
+// first answer until release is closed, so a test can hold it in flight.
+type gatedDomain struct {
+	gated           string
+	called, release chan struct{}
+}
 
 func (g *gatedDomain) Name() string { return "d" }
 
 func (g *gatedDomain) Functions() []domain.FuncSpec {
-	return []domain.FuncSpec{{Name: "f", Arity: 1}, {Name: "g", Arity: 1}}
+	return []domain.FuncSpec{{Name: "f", Arity: 1}, {Name: "g", Arity: 1}, {Name: "h", Arity: 1}}
 }
 
 func (g *gatedDomain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
-	g.called <- struct{}{}
 	inner := domain.NewSliceStream([]term.Value{term.Str("x"), term.Str("y")})
+	if fn != g.gated {
+		return inner, nil
+	}
+	g.called <- struct{}{}
 	first := true
 	return domain.NewFuncStream(func() (term.Value, bool, error) {
 		if first {
@@ -125,12 +131,23 @@ func (g *gatedDomain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domai
 	}, inner.Close), nil
 }
 
+// awaitShare waits until a CIM miss has attached to a call in flight.
+func awaitShare(t *testing.T, sys *System) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); sys.CIM.Stats().SingleFlightShares == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no miss ever attached to the call in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMemoFillDependsOnEquivalentFlight: a miss on d:g(1) attaches to the
 // in-flight d:f(1) through d:f(A) = d:g(A) and reads its answers, so the
 // memo relation depends on d:f(1), the only one of the two calls the
 // flight caches. Refreshing d:f(1) must drop the relation.
 func TestMemoFillDependsOnEquivalentFlight(t *testing.T) {
-	g := &gatedDomain{called: make(chan struct{}, 2), release: make(chan struct{})}
+	g := &gatedDomain{gated: "f", called: make(chan struct{}, 2), release: make(chan struct{})}
 	sys := memoSystem(t, g, `
 		true => d:f(A) = d:g(A).
 		p(X) :- in(X, d:g(1)).`)
@@ -142,12 +159,7 @@ func TestMemoFillDependsOnEquivalentFlight(t *testing.T) {
 	go query("?- in(X, d:f(1)).")
 	<-g.called // d:f(1) is in flight: the next query's miss finds it
 	go query("?- p(X).")
-	for deadline := time.Now().Add(5 * time.Second); sys.CIM.Stats().SingleFlightShares == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the miss on d:g(1) never attached to the d:f(1) flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitShare(t, sys)
 	close(g.release)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
@@ -158,5 +170,45 @@ func TestMemoFillDependsOnEquivalentFlight(t *testing.T) {
 	sys.CIM.Store(f1, []term.Value{term.Str("c")}, true, domain.CostVector{TAll: time.Second})
 	if got := queryVals(t, sys, "?- p(X)."); len(got) != 1 || got[0] != "'c'" {
 		t.Errorf("after refreshing d:f(1): %v, want ['c'] (memo stats %+v)", got, sys.Memo.Stats())
+	}
+}
+
+// TestMemoFillDependsOnPartialCompletionFlight: d:f(5) is one partial hit
+// off the cached d:f(1), and its completion call attaches to the in-flight
+// d:h(5) through d:f(A) = d:h(A). The completion read d:h(5)'s answers, so
+// the memo relation depends on d:h(5): refreshing it must drop the relation.
+func TestMemoFillDependsOnPartialCompletionFlight(t *testing.T) {
+	g := &gatedDomain{gated: "h", called: make(chan struct{}, 2), release: make(chan struct{})}
+	sys := memoSystem(t, g, `
+		true => d:f(A) = d:h(A).
+		V1 <= V2 => d:f(V2) >= d:f(V1).
+		p(X) :- in(X, d:f(5)).`)
+	f1 := domain.Call{Domain: "d", Function: "f", Args: []term.Value{term.Int(1)}}
+	if err := sys.PrimeCache([]domain.Call{f1}); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	query := func(q string) {
+		_, _, err := sys.QueryAll(q)
+		errs <- err
+	}
+	go query("?- in(X, d:h(5)).")
+	<-g.called // d:h(5) is in flight
+	go query("?- p(X).")
+	awaitShare(t, sys)
+	close(g.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sys.CIM.Stats(); st.PartialHits != 1 || st.SingleFlightShares != 1 {
+		t.Fatalf("cim stats %+v, want one partial hit whose completion shared a flight", st)
+	}
+	h5 := domain.Call{Domain: "d", Function: "h", Args: []term.Value{term.Int(5)}}
+	sys.CIM.Store(h5, []term.Value{term.Str("c")}, true, domain.CostVector{TAll: time.Second})
+	queryVals(t, sys, "?- p(X).")
+	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
+		t.Errorf("memo stats %+v, want the rerun to miss after one invalidation", st)
 	}
 }

@@ -201,11 +201,13 @@ type Ctx struct {
 	// engine's parallel operators draw evaluation lanes from. Nil means
 	// strictly sequential evaluation.
 	Sched *Sched
-	// CallNote, when non-nil, observes every domain call issued under this
-	// context: the call's key and whether it was served degraded (from
-	// cache while the source was down). The memo cache installs it to
-	// record a fill's contributing inputs. Must be safe for concurrent
-	// calls — parallel branches share the hook.
+	// CallNote, when non-nil, observes every domain call whose answers
+	// are read under this context: the call's key and whether it was
+	// served degraded (from cache while the source was down). The engine
+	// notes its direct calls; the CIM notes every entry and flight it
+	// reads. The memo cache installs it to record a fill's contributing
+	// inputs. Must be safe for concurrent calls — parallel branches share
+	// the hook.
 	CallNote func(callKey string, degraded bool)
 	// TraceID, when nonempty, identifies the federated trace this
 	// execution belongs to. The remote client propagates it on call frames

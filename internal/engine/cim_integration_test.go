@@ -129,3 +129,35 @@ func TestCIMPartialOrderingPreserved(t *testing.T) {
 		}
 	}
 }
+
+// TestCIMCallInFillAllocsPer: an exact CIM hit opened inside a memo fill
+// (a context with CallNote set) allocates no more than one outside it
+// would: the CIM notes the call key it already built, so the engine builds
+// neither a second key nor a per-call closure.
+func TestCIMCallInFillAllocsPer(t *testing.T) {
+	eng, mgr, _, _ := cimHarness(t)
+	mgr.Store(domain.Call{Domain: "d", Function: "gen"}, []term.Value{term.Int(1)}, true, domain.CostVector{})
+	prog, err := lang.ParseProgram(`v(X) :- in(X, d:gen()).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := prog.Rules[0].Body[0].(*lang.InCall)
+	notes := 0
+	ctx := domain.NewCtx(vclock.NewVirtual(0)).WithCallNote(func(string, bool) { notes++ })
+	n := testing.AllocsPerRun(200, func() {
+		stream, err := eng.openCallStream(ctx, lit, rewrite.RouteCIM, term.Subst{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+	})
+	if n > 9 {
+		t.Errorf("an exact CIM hit inside a fill allocates %v times, want at most 9", n)
+	}
+	if notes == 0 {
+		t.Error("the CIM hit was never noted to the fill")
+	}
+	if st := mgr.Stats(); st.Misses != 0 || st.ExactHits == 0 {
+		t.Errorf("cim stats %+v, want exact hits only", st)
+	}
+}

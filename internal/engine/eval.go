@@ -260,30 +260,13 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	e.calls[route].Inc()
 	cctx := ctx.WithSpan(span)
 	var stream domain.Stream
-	var onFinish func()
 	if route == rewrite.RouteCIM && e.cim != nil {
+		// The CIM notes the calls it reads to ctx.CallNote itself.
 		resp, err := e.cim.CallThrough(cctx, call)
 		if err != nil {
 			return nil, e.callFailed(ctx, span, err)
 		}
 		stream = resp.Stream
-		if note := ctx.CallNote; note != nil {
-			note(call.Key(), resp.Degraded)
-			// An invariant-proved serve, or an equivalent flight, read
-			// another call's answers: a refresh of that entry must drop
-			// the fill too.
-			if resp.ServingKey != "" {
-				note(resp.ServingKey, resp.Degraded)
-			}
-			// A partial hit turns degraded lazily, mid-drain, when the
-			// source dies under the actual call: re-note at stream finish
-			// so memo fills in progress learn about it.
-			onFinish = func() {
-				if resp.Degraded {
-					note(call.Key(), true)
-				}
-			}
-		}
 	} else {
 		inner, err := e.reg.Call(cctx, call)
 		if err != nil {
@@ -294,7 +277,7 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 			note(call.Key(), false)
 		}
 	}
-	return &spanStream{inner: stream, ctx: ctx, span: span, issuedAt: issuedAt, onFinish: onFinish}, nil
+	return &spanStream{inner: stream, ctx: ctx, span: span, issuedAt: issuedAt}, nil
 }
 
 // callFailed records a domain call that died at setup: it tags and ends
@@ -328,10 +311,6 @@ type spanStream struct {
 	n        int
 	gotFirst bool
 	finished bool
-	// onFinish, when set, runs once at stream finish (exhaustion, error or
-	// early close); the CIM path uses it to report laziness-discovered
-	// degradation to the memo recorder.
-	onFinish func()
 }
 
 func (ss *spanStream) Next() (term.Value, bool, error) {
@@ -373,9 +352,6 @@ func (ss *spanStream) finish() {
 	actual := obs.Cost{TFirst: tf, TAll: all, Card: float64(ss.n)}
 	ss.span.SetActual(actual)
 	ss.span.End(now)
-	if ss.onFinish != nil {
-		ss.onFinish()
-	}
 }
 
 // bindStream binds each answer to a fresh variable.

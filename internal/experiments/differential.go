@@ -37,8 +37,6 @@ type DifferentialOptions struct {
 	RepeatFraction float64
 	// Parallelism lists the engine widths to cross with memo on/off.
 	Parallelism []int
-	// Memo overrides the memo configuration for the memo-on runs.
-	Memo *memo.Config
 }
 
 // DefaultDifferentialOptions is the acceptance configuration: 220 queries,
@@ -197,9 +195,6 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 	var mcfg *memo.Config
 	if withMemo {
 		c := memo.DefaultConfig()
-		if opts.Memo != nil {
-			c = *opts.Memo
-		}
 		mcfg = &c
 	}
 	tbOpts := TestbedOptions{
@@ -278,15 +273,6 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 // every requested parallelism and diffs each configuration's per-query
 // answer multisets against the baseline (memo off, lowest parallelism).
 func RunDifferential(opts DifferentialOptions) (*DifferentialReport, error) {
-	if opts.Queries == 0 {
-		opts.Queries = DefaultDifferentialOptions().Queries
-	}
-	if opts.RepeatFraction == 0 {
-		opts.RepeatFraction = DefaultDifferentialOptions().RepeatFraction
-	}
-	if len(opts.Parallelism) == 0 {
-		opts.Parallelism = DefaultDifferentialOptions().Parallelism
-	}
 	workload := differentialWorkload(opts.Seed, opts.Queries, opts.RepeatFraction)
 	repeats := 0
 	for _, q := range workload {

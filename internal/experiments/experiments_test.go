@@ -62,7 +62,7 @@ func TestFigure5Shape(t *testing.T) {
 					q, site, partial.TAll, noCache.TAll)
 			}
 			// 4. The partial configuration served some cached answers.
-			if partial.CachedAnswers == 0 {
+			if partial.FromCache == 0 {
 				t.Errorf("[%s/%s] partial config served nothing from cache", q, site)
 			}
 			// 5. Same answers in every configuration.

@@ -21,9 +21,9 @@ type Fig5Row struct {
 	TAll   time.Duration
 	Tuples int
 	Bytes  int
-	// CachedAnswers is how many answers the cache contributed (the
+	// FromCache is how many answers the cache contributed (the
 	// paper's "(22 bytes from partial inv)" annotations).
-	CachedAnswers int
+	FromCache int
 }
 
 // fig5Query is one of the four Figure 5 queries with its priming recipes.
@@ -178,7 +178,7 @@ func runFig5Cell(q fig5Query, cfg fig5Config, site netsim.Profile) (Fig5Row, err
 		Bytes:  metrics.Bytes,
 	}
 	if tb.Sys.CIM != nil {
-		row.CachedAnswers = tb.Sys.CIM.Stats().ServedFromCache - before
+		row.FromCache = tb.Sys.CIM.Stats().ServedFromCache - before
 	}
 	return row, nil
 }
@@ -200,7 +200,7 @@ func FormatFigure5(rows []Fig5Row) string {
 		}
 		fmt.Fprintf(&b, "%-52s %-22s %-8s %8sms %8sms %8d %8d %d\n",
 			q, r.Config, r.Site,
-			vclock.Millis(r.TFirst), vclock.Millis(r.TAll), r.Tuples, r.Bytes, r.CachedAnswers)
+			vclock.Millis(r.TFirst), vclock.Millis(r.TAll), r.Tuples, r.Bytes, r.FromCache)
 	}
 	return b.String()
 }

@@ -8,14 +8,8 @@ import (
 	"time"
 )
 
-// entryView is a scored snapshot row for the debug listing.
-type entryView struct {
-	e     *Entry
-	score float64
-}
-
 // Format renders the cache state as text: the activity counters followed by
-// the top-k entries by decayed benefit score.
+// the k most recently used entries, most recent first.
 func (c *Cache) Format(k int) string {
 	st := c.Stats()
 	var b strings.Builder
@@ -24,30 +18,26 @@ func (c *Cache) Format(k int) string {
 		st.Hits, st.Misses, st.Stores, st.RejectedStores, st.Evictions, st.Invalidations)
 	fmt.Fprintf(&b, "saved=%s\n", st.Saved.Round(time.Millisecond))
 
-	now := c.tick.Load()
-	entries := c.store.Snapshot()
-	views := make([]entryView, 0, len(entries))
-	c.scoreMu.Lock()
-	for _, e := range entries {
-		views = append(views, entryView{e: e, score: c.decayedScoreLocked(e, now)})
+	// Stamps are read once, so a hit during the sort cannot reorder it.
+	type row struct {
+		e    *Entry
+		used int64
 	}
-	c.scoreMu.Unlock()
-	sort.Slice(views, func(i, j int) bool {
-		if views[i].score != views[j].score {
-			return views[i].score > views[j].score
-		}
-		return views[i].e.Key < views[j].e.Key
-	})
-	if k > 0 && len(views) > k {
-		views = views[:k]
+	var rows []row
+	for _, e := range c.store.Snapshot() {
+		rows = append(rows, row{e, e.lastUsed.Load()})
 	}
-	if len(views) > 0 {
-		fmt.Fprintf(&b, "\ntop entries by decayed benefit:\n")
+	sort.Slice(rows, func(i, j int) bool { return rows[i].used > rows[j].used })
+	if k > 0 && len(rows) > k {
+		rows = rows[:k]
 	}
-	for _, v := range views {
-		fmt.Fprintf(&b, "  %8.1f  %4d tuples  %6dB  cost=%s  inputs=%d  %s\n",
-			v.score, len(v.e.Tuples), v.e.Bytes,
-			v.e.Cost.TAll.Round(time.Millisecond), len(v.e.Inputs), v.e.Key)
+	if len(rows) > 0 {
+		fmt.Fprintf(&b, "\nmost recently used entries:\n")
+	}
+	for _, r := range rows {
+		e := r.e
+		fmt.Fprintf(&b, "  %4d tuples  %6dB  cost=%s  inputs=%d  %s\n",
+			len(e.Tuples), e.Bytes, e.Cost.TAll.Round(time.Millisecond), len(e.Inputs), e.Key)
 	}
 	return b.String()
 }

@@ -4,11 +4,10 @@
 // (predicate + adornment + bound values + free-variable structure, key.go).
 // The engine consults it before re-expanding a subgoal, so repeated traffic
 // skips not just the source calls but the joins, unions and per-rule
-// bookkeeping above them; following "Don't Trash your Intermediate Results,
-// Cache 'em" (Roy et al.), eviction is benefit-driven: each entry carries
-// an exponentially decayed score of the compute time its hits avoided, and
-// the lowest-scoring entries are evicted first. Admission is by size alone
-// (maxEntryBytes).
+// bookkeeping above them ("Don't Trash your Intermediate Results, Cache
+// 'em", Roy et al.). Eviction is least-recently-used, the CIM's default
+// rule; admission is by size alone (maxEntryBytes). A hit's avoided cost
+// is counted here (Stats.Saved) and nowhere else.
 //
 // Soundness rests on one storage rule:
 //
@@ -26,7 +25,6 @@
 package memo
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,11 +51,6 @@ type Config struct {
 const (
 	defaultMaxEntries = 512
 	defaultMaxBytes   = 8 << 20
-	// decay is the per-operation multiplicative decay of each entry's
-	// benefit score: after n cache operations without a hit an entry's
-	// score has shrunk by decay^n, so eviction tracks recent value rather
-	// than lifetime totals.
-	decay = 0.98
 	// maxEntryBytes caps one relation: the tuple that takes a fill past it
 	// ends the fill unstored.
 	maxEntryBytes = 256 << 10
@@ -97,7 +90,7 @@ type Stats struct {
 }
 
 // Entry is one cached intermediate relation. Immutable once stored except
-// for the benefit-score fields, which the Cache guards.
+// for the recency stamp, which is atomic.
 type Entry struct {
 	// Key is the canonical subgoal key (key.go).
 	Key string
@@ -114,11 +107,8 @@ type Entry struct {
 	Cost  domain.CostVector
 	Bytes int
 
-	// Benefit score, guarded by Cache.scoreMu: score decays by decay per
-	// cache operation and grows by the avoided cost on every hit.
-	score     float64
-	scoreTick int64
-	lastUsed  int64
+	// lastUsed is the tick of the entry's store or latest hit.
+	lastUsed atomic.Int64
 }
 
 // Cache is the rule-level memo cache. Safe for concurrent use by parallel
@@ -129,15 +119,12 @@ type Cache struct {
 	// store is the sharded entry map, which also enforces the entry/byte
 	// budgets (pickVictim, evicted).
 	store *shardmap.Map[*Entry]
-	// tick is the operation counter that drives score decay and recency.
+	// tick stamps recency.
 	tick atomic.Int64
 
 	// Tallies, bumped at the event site and read by Stats and the registry.
 	hits, misses, stores, rejectedStores obs.Counter
 	evictions, invalidations, savedNS    obs.Counter
-
-	// scoreMu guards the entries' benefit-score fields.
-	scoreMu sync.Mutex
 
 	// invMu guards the reverse index from domain-call keys to the entries
 	// that depend on them, and the ring of recent invalidations.
@@ -148,11 +135,6 @@ type Cache struct {
 	// key of invalidation g.
 	invGen atomic.Uint64
 	invLog [invRing]string
-
-	hookMu sync.RWMutex
-	// onSavings credits a hit's avoided cost to an external ledger (the
-	// mediator wires it to the CIM savings ledger's "(memo)" bucket).
-	onSavings func(saved time.Duration)
 }
 
 // New builds a memo cache.
@@ -171,25 +153,11 @@ func (c *Cache) SetObserver(o *obs.Observer) {
 	r.AttachCounter("hermes_memo_hits_total", "IDB subgoals served by replaying a memoized intermediate relation", c.hits.Value)
 	r.AttachCounter("hermes_memo_misses_total", "memo probes that fell through to subgoal evaluation", c.misses.Value)
 	r.AttachCounter("hermes_memo_stores_total", "intermediate relations admitted into the memo cache", c.stores.Value)
-	r.AttachCounter("hermes_memo_evictions_total", "memo entries evicted by the benefit-driven policy", c.evictions.Value)
+	r.AttachCounter("hermes_memo_evictions_total", "memo entries evicted least-recently-used", c.evictions.Value)
 	r.AttachCounter("hermes_memo_invalidations_total", "memo entries dropped because a contributing domain call was refreshed, evicted, or degraded", c.invalidations.Value)
 	r.AttachCounter("hermes_memo_saved_ms_total", "estimated milliseconds of re-evaluation avoided by memo hits", func() int64 { return time.Duration(c.savedNS.Value()).Milliseconds() })
 	r.AttachGauge("hermes_memo_entries", "intermediate relations currently memoized", func() float64 { return float64(c.store.Len()) })
 	r.AttachGauge("hermes_memo_bytes", "bytes of memoized intermediate relations", func() float64 { return float64(c.store.Bytes()) })
-}
-
-// SetSavingsHook installs the external savings ledger credit: called once
-// per hit with its avoided cost.
-func (c *Cache) SetSavingsHook(fn func(saved time.Duration)) {
-	c.hookMu.Lock()
-	defer c.hookMu.Unlock()
-	c.onSavings = fn
-}
-
-func (c *Cache) savingsHook() func(time.Duration) {
-	c.hookMu.RLock()
-	defer c.hookMu.RUnlock()
-	return c.onSavings
 }
 
 // Stats returns the activity counters.
@@ -227,18 +195,13 @@ type ProbeResult struct {
 	Rec *Recording
 }
 
-// Probe consults the cache for key. A hit bumps the entry's benefit score
-// and credits the savings ledger; a miss starts a fill.
+// Probe consults the cache for key. A hit stamps the entry's recency and
+// counts its fill cost as saved; a miss starts a fill.
 func (c *Cache) Probe(key string) ProbeResult {
-	now := c.tick.Add(1)
 	if e, ok := c.store.Get(key); ok {
-		saved := e.Cost.TAll
-		c.credit(e, saved, now)
+		e.lastUsed.Store(c.tick.Add(1))
 		c.hits.Inc()
-		c.savedNS.Add(int64(saved))
-		if hook := c.savingsHook(); hook != nil {
-			hook(saved)
-		}
+		c.savedNS.Add(int64(e.Cost.TAll))
 		return ProbeResult{Entry: e}
 	}
 	c.misses.Inc()
@@ -246,7 +209,7 @@ func (c *Cache) Probe(key string) ProbeResult {
 }
 
 // Serveable reports whether a probe for key would be a hit right now,
-// without touching scores or stats. Introspection for tests and chaos
+// without touching recency or stats. Introspection for tests and chaos
 // assertions.
 func (c *Cache) Serveable(key string) bool {
 	_, ok := c.store.Get(key)
@@ -255,9 +218,9 @@ func (c *Cache) Serveable(key string) bool {
 
 // EstimateServe reports whether key is currently serveable and, if so,
 // how many tuples a replay would emit. Like Serveable it bypasses the
-// probe path entirely — no stats, no score credit — because its caller is
-// the *cost estimator*, which must be free to price candidate plans
-// without perturbing the cache's benefit accounting.
+// probe path entirely — no stats, no recency stamp — because its caller
+// is the *cost estimator*, which must be free to price candidate plans
+// without perturbing what the cache evicts.
 func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
 	e, ok := c.store.Get(key)
 	if !ok {
@@ -270,25 +233,6 @@ func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
 // views, chaos assertions). The entries are shared; callers must not
 // mutate them.
 func (c *Cache) SnapshotEntries() []*Entry { return c.store.Snapshot() }
-
-// credit bumps an entry's decayed benefit score and recency.
-func (c *Cache) credit(e *Entry, saved time.Duration, now int64) {
-	c.scoreMu.Lock()
-	e.score = c.decayedScoreLocked(e, now) + float64(saved)/float64(time.Millisecond)
-	e.scoreTick = now
-	e.lastUsed = now
-	c.scoreMu.Unlock()
-}
-
-// decayedScoreLocked reads an entry's score as of tick now. Callers hold
-// scoreMu.
-func (c *Cache) decayedScoreLocked(e *Entry, now int64) float64 {
-	dt := now - e.scoreTick
-	if dt <= 0 {
-		return e.score
-	}
-	return e.score * math.Pow(decay, float64(dt))
-}
 
 // InvalidateInput drops every cached relation that recorded callKey as a
 // contributing domain call, and logs the call so that a fill in progress
@@ -315,14 +259,7 @@ func (c *Cache) InvalidateInput(callKey string) {
 // section, so an invalidation either is seen by the check or finds the
 // entry indexed.
 func (c *Cache) admit(rec *Recording, e *Entry) {
-	now := c.tick.Add(1)
-	c.scoreMu.Lock()
-	// Seed the score with the fill's own cost so a fresh expensive entry
-	// is not the first eviction victim.
-	e.score = float64(e.Cost.TAll) / float64(time.Millisecond)
-	e.scoreTick = now
-	e.lastUsed = now
-	c.scoreMu.Unlock()
+	e.lastUsed.Store(c.tick.Add(1))
 	c.invMu.Lock()
 	if rec.spoiled || c.invalidatedSinceLocked(rec) {
 		c.invMu.Unlock()
@@ -376,22 +313,15 @@ func (c *Cache) deindexLocked(e *Entry) {
 	}
 }
 
-// pickVictim chooses the entry with the lowest decayed benefit score (ties
-// broken least-recently-used) from a store snapshot; the store's budget
-// loop calls it while over budget.
+// pickVictim chooses the least-recently-used entry from a store snapshot;
+// the store's budget loop calls it while over budget.
 func (c *Cache) pickVictim(snap []*Entry) (string, *Entry) {
-	now := c.tick.Load()
-	var victim *Entry
-	var victimScore float64
-	c.scoreMu.Lock()
-	for _, e := range snap {
-		s := c.decayedScoreLocked(e, now)
-		if victim == nil || s < victimScore ||
-			(s == victimScore && e.lastUsed < victim.lastUsed) {
-			victim, victimScore = e, s
+	victim := snap[0]
+	for _, e := range snap[1:] {
+		if e.lastUsed.Load() < victim.lastUsed.Load() {
+			victim = e
 		}
 	}
-	c.scoreMu.Unlock()
 	return victim.Key, victim
 }
 

@@ -60,18 +60,6 @@ func TestStoreAndHit(t *testing.T) {
 	}
 }
 
-func TestSavingsHook(t *testing.T) {
-	c := New(DefaultConfig())
-	var gotSaved time.Duration
-	c.SetSavingsHook(func(d time.Duration) { gotSaved = d })
-	key := fillKey(0)
-	commitEntry(t, c, key, nil, nil, false, 80*time.Millisecond)
-	c.Probe(key)
-	if gotSaved != 80*time.Millisecond {
-		t.Errorf("savings hook got %v, want 80ms", gotSaved)
-	}
-}
-
 func TestDegradedEntryNeverServed(t *testing.T) {
 	c := New(DefaultConfig())
 	key := fillKey(0)
@@ -232,33 +220,34 @@ func TestOversizedFillAbortsAtCrossingTuple(t *testing.T) {
 	}
 }
 
-func TestEvictionPrefersLowDecayedBenefit(t *testing.T) {
+// TestEvictionIsLeastRecentlyUsed: over budget, the entry neither stored
+// nor hit for longest goes first, whatever its fill cost; a hit renews an
+// entry, and the estimator's EstimateServe does not.
+func TestEvictionIsLeastRecentlyUsed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxEntries = 2
 	c := New(cfg)
 
 	commitEntry(t, c, fillKey(0), nil, nil, false, 100*time.Millisecond)
 	commitEntry(t, c, fillKey(1), nil, nil, false, 10*time.Millisecond)
-	// Repeated hits on the cheap entry outweigh the expensive idle one
-	// under decay: after ~100 operations the idle entry's 100 has decayed
-	// below the newcomer's 20, while undecayed it would outlast it.
-	for i := 0; i < 100; i++ {
-		if c.Probe(fillKey(1)).Entry == nil {
-			t.Fatal("expected hit on entry 1")
-		}
+	if c.Probe(fillKey(0)).Entry == nil {
+		t.Fatal("expected hit on entry 0")
 	}
+	c.EstimateServe(fillKey(1))
 	commitEntry(t, c, fillKey(2), nil, nil, false, 20*time.Millisecond)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after eviction, want 2", c.Len())
+	if c.Serveable(fillKey(1)) {
+		t.Error("entry 1, idle since its store, survived; LRU should have evicted it")
 	}
-	if c.Serveable(fillKey(0)) {
-		t.Error("idle expensive entry survived; decayed benefit should have evicted it")
+	if !c.Serveable(fillKey(0)) || !c.Serveable(fillKey(2)) {
+		t.Error("recently used entries were evicted")
 	}
-	if !c.Serveable(fillKey(1)) || !c.Serveable(fillKey(2)) {
-		t.Error("recently valuable entries were evicted")
+	// Entry 0's hit is now older than entry 2's store.
+	commitEntry(t, c, fillKey(3), nil, nil, false, time.Second)
+	if c.Serveable(fillKey(0)) || !c.Serveable(fillKey(2)) || !c.Serveable(fillKey(3)) {
+		t.Error("the second eviction did not take the least recently used entry 0")
 	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
+	if st := c.Stats(); st.Evictions != 2 || c.Len() != 2 {
+		t.Errorf("evictions = %d, Len = %d; want 2 and 2", st.Evictions, c.Len())
 	}
 }
 
