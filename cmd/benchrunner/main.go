@@ -17,15 +17,16 @@
 //	                             # statistics warm (also writes
 //	                             # BENCH_calibration.json)
 //	benchrunner -fig memo     # rule-level memo cache differential harness
-//	                          # and repeat-query latency (also writes
+//	                          # against the soundness oracle and
+//	                          # repeat-query latency (also writes
 //	                          # BENCH_memo.json)
 //	benchrunner -fig adaptive # calibration-driven adaptive planning vs a
 //	                          # calibration-blind optimizer on a repeat
 //	                          # workload (also writes BENCH_adaptive.json)
 //	benchrunner -fig invindex # invariant discrimination index: probe
 //	                          # latency scaling to 10k invariants plus a
-//	                          # differential against the AVIS invariants
-//	                          # alone (also writes BENCH_invindex.json)
+//	                          # differential against the soundness oracle
+//	                          # (also writes BENCH_invindex.json)
 package main
 
 import (
@@ -202,7 +203,7 @@ func run(fig, out string) error {
 	}
 	if want("memo") {
 		section("Rule-level memo cache: differential harness and repeat-query latency")
-		rep, err := experiments.RunDifferential(experiments.DefaultDifferentialOptions())
+		rep, err := experiments.RunDifferential()
 		if err != nil {
 			return err
 		}
@@ -223,7 +224,7 @@ func run(fig, out string) error {
 		}
 	}
 	if want("invindex") {
-		section("Invariant discrimination index: probe latency scaling and indexed-vs-linear differential")
+		section("Invariant discrimination index: probe latency scaling and a differential against the oracle")
 		res, err := experiments.InvindexScaling()
 		if err != nil {
 			return err

@@ -11,7 +11,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/dcsm"
 	"hermes/internal/domain"
-	"hermes/internal/netsim"
+	"hermes/internal/faultinject"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -456,12 +456,13 @@ type AvailabilityRow struct {
 // query before, during (cold cache), and during an outage with a warm
 // cache.
 func Availability() ([]AvailabilityRow, error) {
-	outageFrom, outageTo := 1*time.Hour, 2*time.Hour
+	outage := faultinject.Window{From: 1 * time.Hour, To: 2 * time.Hour}
 	query := "?- in(Object, avis:frames_to_objects('rope', 4, 47))."
 	var rows []AvailabilityRow
 
 	run := func(phase string, prime bool, at time.Duration) error {
-		tb2, err := NewTestbedWithOutage(TestbedOptions{Site: SiteUSA, RouteViaCIM: true, WithInvariants: true}, outageFrom, outageTo)
+		tb2, err := NewTestbed(TestbedOptions{Site: SiteUSA, RouteViaCIM: true, WithInvariants: true,
+			Faults: &faultinject.Config{Windows: []faultinject.Window{outage}}})
 		if err != nil {
 			return err
 		}
@@ -496,19 +497,6 @@ func Availability() ([]AvailabilityRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// NewTestbedWithOutage is NewTestbed plus an AVIS outage window.
-func NewTestbedWithOutage(opts TestbedOptions, from, to time.Duration) (*Testbed, error) {
-	tb, err := NewTestbed(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Re-wrap the AVIS store with the outage and re-register.
-	host := netsim.Wrap(tb.AVIS, opts.Site, netsim.WithOutage(from, to))
-	tb.Sys.Registry.Register(host)
-	tb.hosts[0] = host
-	return tb, nil
 }
 
 // FormatAvailability renders the availability demonstration.

@@ -9,7 +9,9 @@ import (
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/engine"
+	"hermes/internal/lang"
 	"hermes/internal/obs"
+	"hermes/internal/oracle"
 	"hermes/internal/term"
 )
 
@@ -120,8 +122,9 @@ type AdaptiveResult struct {
 	BlindWarmMeanMS    int64   `json:"blind_warm_mean_ms"`
 	AdaptiveWarmMeanMS int64   `json:"adaptive_warm_mean_ms"`
 	WarmImprovementPct float64 `json:"warm_improvement_pct"`
-	// AnswersEqual asserts the two modes returned identical answer
-	// multisets on every round (plan choice must never change answers).
+	// AnswersEqual asserts that both modes returned the reference
+	// evaluator's answer multiset on every round (plan choice must never
+	// change answers).
 	AnswersEqual bool `json:"answers_equal"`
 	// InflationApplied counts adaptive plan choices whose winning
 	// estimate carried q-error or cold-start inflation.
@@ -147,10 +150,23 @@ func AdaptivePlanning() (*AdaptiveResult, error) {
 		"blind":    adaptiveSystem(false),
 		"adaptive": adaptiveSystem(true),
 	}
+	prog, err := lang.ParseProgram(adaptiveProgram)
+	if err != nil {
+		return nil, err
+	}
+	// The reference evaluator reads a third, unwrapped pair of mirrors.
+	mirrors := []domain.Domain{newMirror("mirrora", 0, domain.CostVector{}), newMirror("mirrorb", 0, domain.CostVector{})}
 	res := &AdaptiveResult{AnswersEqual: true}
-	answers := map[string][][]string{} // mode -> per-round answer multisets
 	for round := 1; round <= rounds; round++ {
 		q := fmt.Sprintf("?- fetch('k%d', V).", (round-1)%6)
+		pq, err := lang.ParseQuery(q)
+		if err != nil {
+			return nil, err
+		}
+		want, err := oracle.Eval(prog, pq, mirrors...)
+		if err != nil {
+			return nil, err
+		}
 		for _, mode := range []string{"blind", "adaptive"} {
 			sys := systems[mode]
 			plan, cv, err := sys.Optimize(q, false)
@@ -165,7 +181,7 @@ func AdaptivePlanning() (*AdaptiveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			answers[mode] = append(answers[mode], answerMultiset(ans))
+			res.AnswersEqual = res.AnswersEqual && oracle.Equal(rows(ans), want)
 			res.Rounds = append(res.Rounds, AdaptiveRound{
 				Round:    round,
 				Mode:     mode,
@@ -174,11 +190,6 @@ func AdaptivePlanning() (*AdaptiveResult, error) {
 				ActualMS: m.TAll.Milliseconds(),
 				Answers:  m.Answers,
 			})
-		}
-	}
-	for round := 0; round < rounds; round++ {
-		if !multisetsEqual(answers["blind"][round], answers["adaptive"][round]) {
-			res.AnswersEqual = false
 		}
 	}
 	var blindSum, adaptiveSum, warm int64

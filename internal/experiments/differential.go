@@ -3,52 +3,37 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
 	"hermes/internal/core"
-	"hermes/internal/engine"
 	"hermes/internal/memo"
 	"hermes/internal/obs"
+	"hermes/internal/oracle"
 	"hermes/internal/rewrite"
+	"hermes/internal/term"
 )
 
 // The differential harness is the memo cache's acceptance gate: a seeded
 // random workload replayed under every combination of memo on/off and
-// parallelism, asserting that every configuration produces exactly the
-// same answer multiset per query. The engine performs no duplicate
+// parallelism, asserting that every configuration answers each query
+// with exactly the multiset the reference evaluator (internal/oracle)
+// computes from the raw stores. The engine performs no duplicate
 // elimination, so replaying a memoized relation must reproduce
-// multiplicities too — which is why comparisons use answerMultiset and
-// not the deduplicating answerKeys of the chaos harness. Everything runs
-// on the virtual clock, so a mismatch is deterministic and replayable
-// from the seed.
+// multiplicities too. Everything runs on the virtual clock, so a mismatch
+// is deterministic and replayable from the seed.
 
-// DifferentialOptions configure a differential run.
-type DifferentialOptions struct {
-	// Seed drives the workload generator and the netsim jitter.
-	Seed int64
-	// Queries is the workload length.
-	Queries int
-	// RepeatFraction is the probability that a query is a repeat of an
-	// earlier one (the memo's target traffic). Half of the repeats are
-	// α-renamed — same constants, fresh variable names — which must still
-	// hit, since memo keys canonicalize variable identity.
-	RepeatFraction float64
-	// Parallelism lists the engine widths to cross with memo on/off.
-	Parallelism []int
-}
+// The acceptance configuration: 220 queries, 55% repeat traffic,
+// sequential and 4-wide engines. Half of the repeats are α-renamed (same
+// constants, fresh variable names), which must still hit, since memo keys
+// canonicalize variable identity.
+const (
+	diffSeed           = 7
+	diffQueries        = 220
+	diffRepeatFraction = 0.55
+)
 
-// DefaultDifferentialOptions is the acceptance configuration: 220 queries,
-// 55% repeat traffic, sequential and 4-wide engines.
-func DefaultDifferentialOptions() DifferentialOptions {
-	return DifferentialOptions{
-		Seed:           7,
-		Queries:        220,
-		RepeatFraction: 0.55,
-		Parallelism:    []int{1, 4},
-	}
-}
+var diffParallelism = []int{1, 4}
 
 // DifferentialConfig is one (memo, parallelism) cell of the matrix.
 type DifferentialConfig struct {
@@ -57,8 +42,7 @@ type DifferentialConfig struct {
 	Memo        bool   `json:"memo"`
 	// Adaptive marks the cell that runs optimizer-chosen plans under
 	// calibration-inflated costing, instead of plans pinned to textual
-	// order. Plan choice must never change
-	// answers, so this cell diffs against the same baseline.
+	// order. Plan choice must never change answers.
 	Adaptive   bool       `json:"adaptive,omitempty"`
 	Errors     int        `json:"errors"`
 	Mismatches int        `json:"mismatches"`
@@ -79,8 +63,7 @@ type DifferentialReport struct {
 	Repeats int                  `json:"repeats"`
 	Configs []DifferentialConfig `json:"configs"`
 	// TotalMismatches counts (config, query) pairs whose answer multiset
-	// differs from the baseline (memo off, lowest parallelism). Zero on a
-	// passing run.
+	// differs from the reference evaluator's. Zero on a passing run.
 	TotalMismatches int `json:"total_mismatches"`
 	// MismatchDetails describes the first few mismatches for debugging.
 	MismatchDetails []string `json:"mismatch_details,omitempty"`
@@ -118,16 +101,16 @@ func (q diffTemplate) render(suffix string) string {
 	}
 }
 
-// differentialWorkload generates the seeded query stream: fresh draws over
-// the appendix templates with random frame ranges, and repeat draws from
-// history, half of them α-renamed.
-func differentialWorkload(seed int64, n int, repeatFraction float64) []diffQuery {
-	rng := rand.New(rand.NewSource(seed))
+// differentialWorkload generates the seeded query stream of n queries:
+// fresh draws over the appendix templates with random frame ranges, and
+// repeat draws from history, half of them α-renamed.
+func differentialWorkload(n int) []diffQuery {
+	rng := rand.New(rand.NewSource(diffSeed))
 	var hist []diffTemplate
 	out := make([]diffQuery, 0, n)
 	renames := 0
 	for i := 0; i < n; i++ {
-		if len(hist) > 0 && rng.Float64() < repeatFraction {
+		if len(hist) > 0 && rng.Float64() < diffRepeatFraction {
 			q := hist[rng.Intn(len(hist))]
 			suffix := ""
 			if rng.Intn(2) == 0 {
@@ -151,47 +134,13 @@ func differentialWorkload(seed int64, n int, repeatFraction float64) []diffQuery
 	return out
 }
 
-// answerMultiset canonicalizes an answer multiset: one key per delivered
-// answer, sorted, duplicates preserved. The deduplicating answerKeys of
-// the chaos harness would mask a memo bug that drops or doubles tuples.
-func answerMultiset(answers []engine.Answer) []string {
-	keys := make([]string, len(answers))
-	for i, a := range answers {
-		parts := make([]string, len(a.Vals))
-		for j, v := range a.Vals {
-			parts[j] = v.Key()
-		}
-		keys[i] = strings.Join(parts, "|")
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func multisetsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// diffRun is one configuration's pass over the workload.
-type diffRun struct {
-	cfg     DifferentialConfig
-	results [][]string // per-query sorted answer multisets (nil on error)
-}
-
-// runDifferentialConfig replays the workload on a fresh testbed. Plans are
-// pinned to textual order so every configuration executes the same joins;
-// only the memo (and the engine width) differs. The adaptive cell is the
-// exception: it lets the optimizer choose plans under calibration-inflated
-// costing, asserting that feedback-driven plan choice never changes an
-// answer multiset.
-func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, parallelism int, withMemo, adaptive bool) (*diffRun, error) {
+// runDifferentialCell replays the workload on a fresh testbed and adds
+// the cell, with its mismatches against want, to the report. Plans are
+// pinned to textual order so every configuration executes the same
+// joins; only the memo (and the engine width) differs. The adaptive cell
+// is the exception: it lets the optimizer choose plans under
+// calibration-inflated costing.
+func runDifferentialCell(rep *DifferentialReport, workload []diffQuery, want [][][]term.Value, parallelism int, withMemo, adaptive bool) error {
 	var mcfg *memo.Config
 	if withMemo {
 		c := memo.DefaultConfig()
@@ -200,7 +149,7 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 	tbOpts := TestbedOptions{
 		RouteViaCIM:    true,
 		WithInvariants: true,
-		Seed:           uint64(opts.Seed),
+		Seed:           diffSeed,
 		Core:           core.Options{Parallelism: parallelism, Memo: mcfg},
 	}
 	name := fmt.Sprintf("memo=%v p=%d", withMemo, parallelism)
@@ -212,17 +161,9 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 	}
 	tb, err := NewTestbed(tbOpts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	run := &diffRun{
-		cfg: DifferentialConfig{
-			Name:        name,
-			Parallelism: parallelism,
-			Memo:        withMemo,
-			Adaptive:    adaptive,
-		},
-		results: make([][]string, len(workload)),
-	}
+	cell := DifferentialConfig{Name: name, Parallelism: parallelism, Memo: withMemo, Adaptive: adaptive}
 	var sumAll, sumRepeat, sumFresh time.Duration
 	repeats, fresh := 0, 0
 	for i, q := range workload {
@@ -233,14 +174,22 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 			plan, err = originalOrderPlan(tb.Sys, q.Text)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("differential: plan %s: %w", q.Text, err)
+			return fmt.Errorf("differential: plan %s: %w", q.Text, err)
 		}
 		answers, metrics, err := runPlan(tb.Sys, plan)
 		if err != nil {
-			run.cfg.Errors++
+			cell.Errors++
 			continue
 		}
-		run.results[i] = answerMultiset(answers)
+		if got := rows(answers); !oracle.Equal(got, want[i]) {
+			cell.Mismatches++
+			rep.TotalMismatches++
+			if len(rep.MismatchDetails) < 8 {
+				rep.MismatchDetails = append(rep.MismatchDetails,
+					fmt.Sprintf("%s q[%d] %s: %d answers vs the oracle's %d",
+						name, i, q.Text, len(got), len(want[i])))
+			}
+		}
 		sumAll += metrics.TAll
 		if q.Repeat {
 			sumRepeat += metrics.TAll
@@ -256,72 +205,46 @@ func runDifferentialConfig(opts DifferentialOptions, workload []diffQuery, paral
 		}
 		return float64(d) / float64(n) / float64(time.Millisecond)
 	}
-	run.cfg.MeanMS = ms(sumAll, repeats+fresh)
-	run.cfg.RepeatMeanMS = ms(sumRepeat, repeats)
-	run.cfg.FreshMeanMS = ms(sumFresh, fresh)
+	cell.MeanMS = ms(sumAll, repeats+fresh)
+	cell.RepeatMeanMS = ms(sumRepeat, repeats)
+	cell.FreshMeanMS = ms(sumFresh, fresh)
 	if tb.Sys.Memo != nil {
 		st := tb.Sys.Memo.Stats()
-		run.cfg.MemoStats = st
+		cell.MemoStats = st
 		if probes := st.Hits + st.Misses; probes > 0 {
-			run.cfg.HitRate = float64(st.Hits) / float64(probes)
+			cell.HitRate = float64(st.Hits) / float64(probes)
 		}
 	}
-	return run, nil
+	rep.Configs = append(rep.Configs, cell)
+	return nil
 }
 
 // RunDifferential replays the generated workload under memo off/on at
-// every requested parallelism and diffs each configuration's per-query
-// answer multisets against the baseline (memo off, lowest parallelism).
-func RunDifferential(opts DifferentialOptions) (*DifferentialReport, error) {
-	workload := differentialWorkload(opts.Seed, opts.Queries, opts.RepeatFraction)
-	repeats := 0
-	for _, q := range workload {
-		if q.Repeat {
-			repeats++
-		}
-	}
-	report := &DifferentialReport{Seed: opts.Seed, Queries: len(workload), Repeats: repeats}
-
-	var runs []*diffRun
-	for _, p := range opts.Parallelism {
-		for _, withMemo := range []bool{false, true} {
-			run, err := runDifferentialConfig(opts, workload, p, withMemo, false)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, run)
-		}
-	}
-	// One adaptive cell at the widest engine: optimizer-chosen plans under
-	// inflated costing and the watchdog, against the same pinned baseline.
-	adaptiveRun, err := runDifferentialConfig(opts, workload,
-		opts.Parallelism[len(opts.Parallelism)-1], true, true)
+// every parallelism, plus one adaptive cell at the widest engine, and
+// compares each query's answer multiset with the reference evaluator's.
+func RunDifferential() (*DifferentialReport, error) {
+	workload := differentialWorkload(diffQueries)
+	want, err := oracleAnswers(workload)
 	if err != nil {
 		return nil, err
 	}
-	runs = append(runs, adaptiveRun)
-	baseline := runs[0]
-	for _, run := range runs {
-		for i := range workload {
-			want, got := baseline.results[i], run.results[i]
-			if want == nil || got == nil {
-				// Errors are counted separately; only compare answered
-				// queries (a passing run has zero errors anyway).
-				continue
-			}
-			if !multisetsEqual(want, got) {
-				run.cfg.Mismatches++
-				report.TotalMismatches++
-				if len(report.MismatchDetails) < 8 {
-					report.MismatchDetails = append(report.MismatchDetails,
-						fmt.Sprintf("%s q[%d] %s: %d answers vs baseline %d",
-							run.cfg.Name, i, workload[i].Text, len(got), len(want)))
-				}
+	rep := &DifferentialReport{Seed: diffSeed, Queries: len(workload)}
+	for _, q := range workload {
+		if q.Repeat {
+			rep.Repeats++
+		}
+	}
+	for _, p := range diffParallelism {
+		for _, withMemo := range []bool{false, true} {
+			if err := runDifferentialCell(rep, workload, want, p, withMemo, false); err != nil {
+				return nil, err
 			}
 		}
-		report.Configs = append(report.Configs, run.cfg)
 	}
-	return report, nil
+	if err := runDifferentialCell(rep, workload, want, diffParallelism[len(diffParallelism)-1], true, true); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // FormatDifferential renders the matrix the way BENCH.md quotes it.
@@ -340,7 +263,7 @@ func FormatDifferential(rep *DifferentialReport) string {
 			c.Name, c.Errors, c.Mismatches, hit, c.MeanMS, c.RepeatMeanMS, c.FreshMeanMS)
 	}
 	if rep.TotalMismatches == 0 {
-		b.WriteString("answer multisets identical across all configurations\n")
+		b.WriteString("every configuration's answer multisets equal the oracle's\n")
 	} else {
 		fmt.Fprintf(&b, "%d MISMATCHES\n", rep.TotalMismatches)
 		for _, d := range rep.MismatchDetails {

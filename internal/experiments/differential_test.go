@@ -1,18 +1,14 @@
 package experiments
 
-import (
-	"testing"
-
-	"hermes/internal/engine"
-	"hermes/internal/term"
-)
+import "testing"
 
 // TestDifferentialMemoEquivalence is the memo cache's acceptance test:
-// 220 generated queries, memo on/off × parallelism 1/4, identical answer
-// multisets everywhere, a ≥30% hit rate on the repeat-heavy profile, and
-// repeat queries running faster with the memo than without it.
+// 220 generated queries, memo on/off × parallelism 1/4 plus an adaptive
+// cell, every answer multiset equal to the oracle's, a ≥30% hit rate on
+// the repeat-heavy profile, and repeat queries running faster with the
+// memo than without it.
 func TestDifferentialMemoEquivalence(t *testing.T) {
-	rep, err := RunDifferential(DefaultDifferentialOptions())
+	rep, err := RunDifferential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +16,7 @@ func TestDifferentialMemoEquivalence(t *testing.T) {
 		t.Fatalf("workload too small: %d queries", rep.Queries)
 	}
 	if rep.TotalMismatches != 0 {
-		t.Fatalf("answer multisets diverged:\n%s", FormatDifferential(rep))
+		t.Fatalf("answer multisets diverged from the oracle:\n%s", FormatDifferential(rep))
 	}
 	var offRepeat, onRepeat float64
 	for _, c := range rep.Configs {
@@ -47,8 +43,8 @@ func TestDifferentialMemoEquivalence(t *testing.T) {
 // TestDifferentialWorkloadDeterministic pins the generator: same seed,
 // same stream.
 func TestDifferentialWorkloadDeterministic(t *testing.T) {
-	a := differentialWorkload(7, 50, 0.5)
-	b := differentialWorkload(7, 50, 0.5)
+	a := differentialWorkload(50)
+	b := differentialWorkload(50)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -56,23 +52,5 @@ func TestDifferentialWorkloadDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestAnswerMultisetKeepsDuplicates guards the harness itself: the chaos
-// harness's answerKeys collapses duplicates, the differential comparison
-// must not.
-func TestAnswerMultisetKeepsDuplicates(t *testing.T) {
-	answers := []engine.Answer{
-		{Vals: []term.Value{term.Str("a")}},
-		{Vals: []term.Value{term.Str("a")}},
-		{Vals: []term.Value{term.Str("b")}},
-	}
-	ms := answerMultiset(answers)
-	if len(ms) != 3 {
-		t.Fatalf("multiset collapsed duplicates: %v", ms)
-	}
-	if len(answerKeys(answers)) != 2 {
-		t.Fatalf("answerKeys stopped deduplicating — chaos comparisons rely on it")
 	}
 }

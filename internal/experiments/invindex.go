@@ -9,6 +9,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/lang"
+	"hermes/internal/oracle"
 	"hermes/internal/term"
 )
 
@@ -38,14 +39,14 @@ type InvindexReport struct {
 	Differential   *InvindexDifferentialReport `json:"differential"`
 }
 
-// InvindexDifferentialReport diffs the harness workload's answers with a
-// large synthetic invariant inventory loaded against the AVIS invariants
-// alone.
+// InvindexDifferentialReport compares the harness workload's answers, with
+// a large synthetic invariant inventory loaded, against the reference
+// evaluator's.
 type InvindexDifferentialReport struct {
 	Queries    int `json:"queries"`
 	Invariants int `json:"invariants"`
-	// Mismatches counts queries whose answer multiset differed between
-	// the two inventories. Zero on a passing run.
+	// Mismatches counts queries whose answer multiset differed from the
+	// oracle's. Zero on a passing run.
 	Mismatches      int      `json:"mismatches"`
 	MismatchDetails []string `json:"mismatch_details,omitempty"`
 }
@@ -156,71 +157,58 @@ func InvindexScaling() (*InvindexReport, error) {
 	return rep, nil
 }
 
-// InvindexDifferential replays the differential harness workload on two
-// otherwise identical federations, one with a synthetic invariant
-// inventory loaded on top of the AVIS invariants and one with the AVIS
-// invariants alone, and diffs every query's answer multiset: invariants
-// that apply to no call must change no answer. queries and invariants of
-// 0 select the acceptance scale (220 queries, 10k invariants).
+// InvindexDifferential replays the differential harness workload on a
+// federation with a synthetic invariant inventory loaded on top of the
+// AVIS invariants, and compares every query's answer multiset with the
+// reference evaluator's: invariants that apply to no call must change no
+// answer. queries and invariants of 0 select the acceptance scale (220
+// queries, 10k invariants).
 func InvindexDifferential(queries, invariants int) (*InvindexDifferentialReport, error) {
 	if queries == 0 {
-		queries = DefaultDifferentialOptions().Queries
+		queries = diffQueries
 	}
 	if invariants == 0 {
 		invariants = 10000
 	}
-	workload := differentialWorkload(DefaultDifferentialOptions().Seed, queries, DefaultDifferentialOptions().RepeatFraction)
-
-	run := func(synth []*lang.Invariant) (*diffRun, error) {
-		ccfg := paperCIMConfig()
-		tb, err := NewTestbed(TestbedOptions{
-			RouteViaCIM:    true,
-			WithInvariants: true,
-			Seed:           7,
-			Core:           core.Options{CIM: &ccfg},
-		})
-		if err != nil {
+	workload := differentialWorkload(queries)
+	want, err := oracleAnswers(workload)
+	if err != nil {
+		return nil, err
+	}
+	ccfg := paperCIMConfig()
+	tb, err := NewTestbed(TestbedOptions{
+		RouteViaCIM:    true,
+		WithInvariants: true,
+		Seed:           diffSeed,
+		Core:           core.Options{CIM: &ccfg},
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, inv := range syntheticInvariants(invariants) {
+		if err := tb.Sys.CIM.AddInvariant(inv); err != nil {
 			return nil, err
 		}
-		for _, inv := range synth {
-			if err := tb.Sys.CIM.AddInvariant(inv); err != nil {
-				return nil, err
-			}
-		}
-		r := &diffRun{results: make([][]string, len(workload))}
-		for i, q := range workload {
-			plan, err := originalOrderPlan(tb.Sys, q.Text)
-			if err != nil {
-				return nil, fmt.Errorf("invindex differential: plan %s: %w", q.Text, err)
-			}
-			answers, _, err := runPlan(tb.Sys, plan)
-			if err != nil {
-				return nil, fmt.Errorf("invindex differential: run %s: %w", q.Text, err)
-			}
-			r.results[i] = answerMultiset(answers)
-		}
-		return r, nil
-	}
-
-	loaded, err := run(syntheticInvariants(invariants))
-	if err != nil {
-		return nil, err
-	}
-	alone, err := run(nil)
-	if err != nil {
-		return nil, err
 	}
 	rep := &InvindexDifferentialReport{
 		Queries:    queries,
 		Invariants: invariants + strings.Count(avisInvariants, "=>"),
 	}
-	for i := range workload {
-		if !multisetsEqual(loaded.results[i], alone.results[i]) {
+	for i, q := range workload {
+		plan, err := originalOrderPlan(tb.Sys, q.Text)
+		if err != nil {
+			return nil, fmt.Errorf("invindex differential: plan %s: %w", q.Text, err)
+		}
+		answers, _, err := runPlan(tb.Sys, plan)
+		if err != nil {
+			return nil, fmt.Errorf("invindex differential: run %s: %w", q.Text, err)
+		}
+		if !oracle.Equal(rows(answers), want[i]) {
 			rep.Mismatches++
 			if len(rep.MismatchDetails) < 5 {
 				rep.MismatchDetails = append(rep.MismatchDetails, fmt.Sprintf(
-					"%s: %d answers with the inventory loaded, %d without",
-					workload[i].Text, len(loaded.results[i]), len(alone.results[i])))
+					"%s: %d answers with the inventory loaded, %d from the oracle",
+					q.Text, len(answers), len(want[i])))
 			}
 		}
 	}
@@ -240,7 +228,7 @@ func FormatInvindex(rep *InvindexReport) string {
 	if d.Mismatches > 0 {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(&b, "\ndifferential: %d queries, %d invariants loaded vs the AVIS invariants alone: %d mismatches — %s\n",
+	fmt.Fprintf(&b, "\ndifferential: %d queries, %d invariants loaded, against the oracle: %d mismatches — %s\n",
 		d.Queries, d.Invariants, d.Mismatches, verdict)
 	for _, det := range d.MismatchDetails {
 		fmt.Fprintf(&b, "  mismatch: %s\n", det)

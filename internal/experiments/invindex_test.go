@@ -9,9 +9,8 @@ import (
 )
 
 // TestInvindexDifferential runs a scaled-down version of the acceptance
-// harness: a large synthetic inventory of invariants that apply to no
-// call must leave every answer multiset as the AVIS invariants alone
-// give it.
+// harness: with a large synthetic inventory of invariants that apply to
+// no call loaded, every answer multiset must equal the oracle's.
 func TestInvindexDifferential(t *testing.T) {
 	rep, err := InvindexDifferential(60, 2000)
 	if err != nil {

@@ -17,7 +17,9 @@ import (
 	"hermes/internal/domains/relation"
 	"hermes/internal/engine"
 	"hermes/internal/faultinject"
+	"hermes/internal/lang"
 	"hermes/internal/netsim"
+	"hermes/internal/oracle"
 	"hermes/internal/rewrite"
 	"hermes/internal/term"
 )
@@ -108,7 +110,7 @@ type TestbedOptions struct {
 	// remote hosts (recency ablation).
 	Load func(time.Duration) float64
 	// Faults, if set, wraps the remote AVIS source in a deterministic
-	// fault injector (chaos/soak experiments).
+	// fault injector (the availability demonstration's outage window).
 	Faults *faultinject.Config
 	// Core is every other option of the mediator under test, handed to
 	// core.NewSystem through the overhead profile (profile.go): a nil CIM
@@ -123,13 +125,10 @@ type TestbedOptions struct {
 // Testbed is a fully wired federation: the mediator system plus direct
 // handles on the sources for dataset inspection.
 type Testbed struct {
-	Sys  *core.System
-	AVIS *avis.Store
-	Rel  *relation.DB
-	// Faults is the AVIS fault injector (nil unless TestbedOptions.Faults
-	// was set).
-	Faults *faultinject.Injector
-	hosts  []*netsim.Host
+	Sys   *core.System
+	AVIS  *avis.Store
+	Rel   *relation.DB
+	hosts []*netsim.Host
 }
 
 // ResetConnections cools every simulated network connection, so the next
@@ -217,10 +216,8 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 	}
 	avisHost := netsim.Wrap(store, opts.Site, hostOpts...)
 	relHost := netsim.Wrap(rel, relSite, hostOpts...)
-	var injector *faultinject.Injector
 	if opts.Faults != nil {
-		injector = faultinject.Wrap(avisHost, *opts.Faults)
-		sys.Register(injector)
+		sys.Register(faultinject.Wrap(avisHost, *opts.Faults))
 	} else {
 		sys.Register(avisHost)
 	}
@@ -239,7 +236,7 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 		// co-located relational database is cheaper to query directly.
 		sys.RouteThroughCIM("avis", true)
 	}
-	return &Testbed{Sys: sys, AVIS: store, Rel: rel, Faults: injector, hosts: []*netsim.Host{avisHost, relHost}}, nil
+	return &Testbed{Sys: sys, AVIS: store, Rel: rel, hosts: []*netsim.Host{avisHost, relHost}}, nil
 }
 
 // originalOrderPlan returns a plan whose rule for the query's single
@@ -275,6 +272,39 @@ func runPlan(sys *core.System, plan *rewrite.Plan) ([]engine.Answer, engine.Metr
 		return nil, engine.Metrics{}, err
 	}
 	return engine.CollectAll(cur)
+}
+
+// rows turns engine answers into the value rows internal/oracle compares.
+func rows(answers []engine.Answer) [][]term.Value {
+	out := make([][]term.Value, len(answers))
+	for i, a := range answers {
+		out[i] = a.Vals
+	}
+	return out
+}
+
+// oracleAnswers evaluates each workload query with the reference
+// evaluator (internal/oracle) against the testbed's raw stores.
+func oracleAnswers(workload []diffQuery) ([][][]term.Value, error) {
+	prog, err := lang.ParseProgram(mediatorProgram)
+	if err != nil {
+		return nil, err
+	}
+	tb, err := NewTestbed(TestbedOptions{DisableCIM: true})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]term.Value, len(workload))
+	for i, w := range workload {
+		q, err := lang.ParseQuery(w.Text)
+		if err == nil {
+			out[i], err = oracle.Eval(prog, q, tb.AVIS, tb.Rel)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: oracle %s: %w", w.Text, err)
+		}
+	}
+	return out, nil
 }
 
 // trainingCalls builds the ≈20-instantiations-per-call warm-up set the

@@ -209,8 +209,7 @@ func (c *Cache) Probe(key string) ProbeResult {
 }
 
 // Serveable reports whether a probe for key would be a hit right now,
-// without touching recency or stats. Introspection for tests and chaos
-// assertions.
+// without touching recency or stats. Introspection for tests.
 func (c *Cache) Serveable(key string) bool {
 	_, ok := c.store.Get(key)
 	return ok
@@ -228,11 +227,6 @@ func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
 	}
 	return len(e.Tuples), true
 }
-
-// SnapshotEntries returns the cached relations for introspection (debug
-// views, chaos assertions). The entries are shared; callers must not
-// mutate them.
-func (c *Cache) SnapshotEntries() []*Entry { return c.store.Snapshot() }
 
 // InvalidateInput drops every cached relation that recorded callKey as a
 // contributing domain call, and logs the call so that a fill in progress

@@ -3,7 +3,7 @@
 // sites (Maryland, Cornell, Bucknell = "USA"; and Italy); this package
 // substitutes deterministic site profiles that charge connection setup,
 // round trips, bandwidth-limited transfer and load-dependent slowdown
-// against the execution clock, and can inject temporary unavailability.
+// against the execution clock.
 //
 // A Host wraps any domain.Domain: the wrapped domain still charges its own
 // compute time; the Host adds the network's share. All randomness is seeded
@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"hermes/internal/domain"
@@ -23,8 +23,9 @@ import (
 )
 
 // Profile describes the network path to a site. Connections are
-// persistent: the first call of a session pays Connect + RTT, subsequent
-// calls only RTT — without this, the paper's multi-call queries (query2
+// persistent: the first call of a session pays Connect + RTT, later calls
+// only RTT (a call issued while the connection is still coming up waits
+// for the rest of it) — without this, the paper's multi-call queries (query2
 // issues ~25 source calls and still finishes in seconds) would be
 // impossible at the reported timings.
 type Profile struct {
@@ -69,14 +70,6 @@ func WithSeed(seed uint64) Option {
 	return func(h *Host) { h.seed = seed }
 }
 
-// WithOutage makes the host unavailable on [from, to) of the execution
-// clock: calls in that window fail with domain.ErrUnavailable.
-func WithOutage(from, to time.Duration) Option {
-	return func(h *Host) {
-		h.outages = append(h.outages, outage{from: from, to: to})
-	}
-}
-
 // WithLoad installs a time-varying load multiplier: all latencies at clock
 // reading t are scaled by load(t) (≥ 1 under load, 1 = nominal). Used by
 // the recency-weighting ablation to model drifting network conditions.
@@ -84,24 +77,42 @@ func WithLoad(load func(t time.Duration) float64) Option {
 	return func(h *Host) { h.load = load }
 }
 
-type outage struct{ from, to time.Duration }
-
 // Host is a domain reachable over a simulated network path.
 type Host struct {
 	inner   domain.Domain
 	profile Profile
 	seed    uint64
-	outages []outage
 	load    func(time.Duration) float64
-	// warm is set after the first call: the persistent connection is up
-	// and later calls skip the Connect charge. ResetConnection cools it.
-	// Atomic: parallel query branches call the same host concurrently.
-	warm atomic.Bool
+	// up is the execution-clock reading at which the persistent connection
+	// is up, once a call has opened it; warm says one has. A call charges
+	// by where its own clock stands against up, so parallel branches pay
+	// by virtual time, not by which reached the host first. mu guards
+	// both: parallel query branches call the same host concurrently.
+	mu   sync.Mutex
+	up   time.Duration
+	warm bool
 }
 
 // ResetConnection drops the persistent connection: the next call pays the
 // full setup cost again.
-func (h *Host) ResetConnection() { h.warm.Store(false) }
+func (h *Host) ResetConnection() {
+	h.mu.Lock()
+	h.warm = false
+	h.mu.Unlock()
+}
+
+// connectWait returns how long a call issued at now waits for the
+// persistent connection. A call that finds none opens it, up connect
+// later; so does one whose own opening would finish sooner, so the time
+// the connection is up does not depend on which branch arrived first.
+func (h *Host) connectWait(now, connect time.Duration) time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.warm || now+connect < h.up {
+		h.warm, h.up = true, now+connect
+	}
+	return max(h.up-now, 0)
+}
 
 // Wrap places d behind the network described by p.
 func Wrap(d domain.Domain, p Profile, opts ...Option) *Host {
@@ -149,29 +160,20 @@ func (h *Host) loadFactor(t time.Duration) float64 {
 	return f
 }
 
-// Call charges connection setup and RTT, checks availability, invokes the
-// wrapped domain, and returns a stream that charges per-answer transfer.
+// Call charges connection setup and RTT, invokes the wrapped domain, and
+// returns a stream that charges per-answer transfer.
 func (h *Host) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	call := domain.Call{Domain: h.inner.Name(), Function: fn, Args: args}
 	now := ctx.Clock.Now()
-	for _, o := range h.outages {
-		if now >= o.from && now < o.to {
-			return nil, fmt.Errorf("%w: site %s (outage until %s)", domain.ErrUnavailable, h.profile.Name, o.to)
-		}
-	}
 	jitter := h.jitterFactor(call.Key())
 	load := h.loadFactor(now)
 	scale := func(d time.Duration) time.Duration {
 		return time.Duration(float64(d) * jitter * load)
 	}
-	setup := h.profile.RTT
-	if h.warm.CompareAndSwap(false, true) {
-		setup += h.profile.Connect
-	}
-	ctx.Clock.Sleep(scale(setup))
+	ctx.Clock.Sleep(h.connectWait(now, scale(h.profile.Connect)) + scale(h.profile.RTT))
 	inner, err := h.inner.Call(ctx, fn, args)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
+	"hermes/internal/faultinject"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -48,8 +49,9 @@ func TestHostChargesNetworkCost(t *testing.T) {
 	if elapsed != want {
 		t.Errorf("elapsed = %v, want %v", elapsed, want)
 	}
-	// Persistent connection: the second call skips the Connect charge.
-	elapsed2, _ := runCall(t, h, 0)
+	// Persistent connection: a call issued once it is up skips the Connect
+	// charge.
+	elapsed2, _ := runCall(t, h, want)
 	if elapsed2 != want-100*time.Millisecond {
 		t.Errorf("warm call = %v, want %v", elapsed2, want-100*time.Millisecond)
 	}
@@ -58,6 +60,24 @@ func TestHostChargesNetworkCost(t *testing.T) {
 	elapsed3, _ := runCall(t, h, 0)
 	if elapsed3 != want {
 		t.Errorf("after reset = %v, want %v", elapsed3, want)
+	}
+}
+
+// TestColdConnectionChargedByVirtualTime: two calls issued at the same
+// virtual time on a cold host both wait for the connection, whichever
+// reaches the host first; a call issued halfway through the setup waits
+// for the rest of it.
+func TestColdConnectionChargedByVirtualTime(t *testing.T) {
+	p := Profile{Name: "t", Connect: 100 * time.Millisecond, RTT: 50 * time.Millisecond}
+	h := Wrap(mkDomain(), p)
+	compute := 10 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		if got, _ := runCall(t, h, time.Second); got != p.Connect+p.RTT+compute {
+			t.Errorf("call %d at the same virtual time took %v, want Connect+RTT+compute %v", i, got, p.Connect+p.RTT+compute)
+		}
+	}
+	if got, _ := runCall(t, h, time.Second+40*time.Millisecond); got != 60*time.Millisecond+p.RTT+compute {
+		t.Errorf("call during setup took %v, want the remaining 60ms + RTT + compute", got)
 	}
 }
 
@@ -98,19 +118,27 @@ func TestProfilesOrdering(t *testing.T) {
 	}
 }
 
+// TestOutageWindow: a host behind a fault injector's outage window, as
+// the experiments compose them, fails with ErrUnavailable inside the
+// window and serves, paying its network cost, before and after it.
 func TestOutageWindow(t *testing.T) {
-	h := Wrap(mkDomain(), Local, WithOutage(10*time.Second, 20*time.Second))
-	ctx := domain.NewCtx(vclock.NewVirtual(15 * time.Second))
-	_, err := h.Call(ctx, "f", []term.Value{term.Int(1)})
-	if !errors.Is(err, domain.ErrUnavailable) {
-		t.Errorf("err = %v, want ErrUnavailable", err)
-	}
-	// Outside the window the call succeeds.
-	if _, vals := runCall(t, h, 25*time.Second); len(vals) != 2 {
-		t.Error("call after outage failed")
-	}
-	if _, vals := runCall(t, h, 0); len(vals) != 2 {
-		t.Error("call before outage failed")
+	h := faultinject.Wrap(Wrap(mkDomain(), USAEast), faultinject.Config{
+		Windows: []faultinject.Window{{From: 10 * time.Second, To: 20 * time.Second}}})
+	for _, at := range []time.Duration{0, 15 * time.Second, 25 * time.Second} {
+		ctx := domain.NewCtx(vclock.NewVirtual(at))
+		s, err := h.Call(ctx, "f", []term.Value{term.Int(1)})
+		if at == 15*time.Second {
+			if !errors.Is(err, domain.ErrUnavailable) {
+				t.Errorf("call in the window: err = %v, want ErrUnavailable", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("call at %v: %v", at, err)
+		}
+		if vals, err := domain.Collect(s); err != nil || len(vals) != 2 || ctx.Clock.Now()-at < USAEast.RTT {
+			t.Errorf("call at %v: %v, %v after %v", at, vals, err, ctx.Clock.Now()-at)
+		}
 	}
 }
 
