@@ -185,7 +185,7 @@ type Manager struct {
 	lookups                        [len(outcomeNames)]obs.Counter // by serving Source
 	degradedServes, evictions      obs.Counter
 	storedEntries, servedFromCache obs.Counter
-	singleFlightShares, savedNS    obs.Counter
+	singleFlightShares             obs.Counter
 	idxCandidates                  obs.Counter
 
 	// idx is the shared invariant + cached-call discrimination index:
@@ -265,7 +265,7 @@ func (m *Manager) SetObserver(o *obs.Observer) {
 	r.AttachCounter("hermes_cim_degraded_total", "responses served purely from cache because the source was down", m.degradedServes.Value)
 	r.AttachCounter("hermes_cim_evictions_total", "cache entries evicted by the CIM replacement policy", m.evictions.Value)
 	r.AttachCounter("hermes_cim_singleflight_shares_total", "concurrent identical or invariant-equivalent calls served by one in-flight source fetch", m.singleFlightShares.Value)
-	r.AttachCounter("hermes_cim_saved_ms_total", "estimated milliseconds of source work avoided by cache and invariant hits", func() int64 { return time.Duration(m.savedNS.Value()).Milliseconds() })
+	r.AttachCounter("hermes_cim_saved_ms_total", "estimated milliseconds of source work avoided by cache and invariant hits", func() int64 { return m.ledger.savedTotal().Milliseconds() })
 	r.AttachGauge("hermes_cim_entries", "answer sets currently cached by the CIM", func() float64 { return float64(m.store.Len()) })
 	r.AttachGauge("hermes_cim_bytes", "bytes of cached answer sets held by the CIM", func() float64 { return float64(m.store.Bytes()) })
 	r.AttachGauge("hermes_cim_inflight_calls", "source calls currently in flight through the CIM", func() float64 {

@@ -69,6 +69,14 @@ func (l *ledger) hits(invKey string) int64 {
 	return l.byInvariant[invKey].Hits
 }
 
+// savedTotal reads the avoided cost summed over every bucket: what
+// hermes_cim_saved_ms_total shows.
+func (l *ledger) savedTotal() time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.total
+}
+
 // sortRows orders rows by avoided cost (descending), then hits, then key.
 func sortRows(rows []LedgerRow) {
 	sort.Slice(rows, func(i, j int) bool {
@@ -153,7 +161,6 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	var saved time.Duration
 	if withSavings {
 		saved = m.avoidedCost(call, e)
-		m.savedNS.Add(int64(saved))
 		ctx.Span.SetTag("cim.saved_ms", obs.FormatMillis(saved))
 	}
 	e.hits.Add(1)

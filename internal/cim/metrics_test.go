@@ -1,6 +1,7 @@
 package cim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -30,6 +31,36 @@ func TestSavedMSKeepsSubMillisecondSavings(t *testing.T) {
 	}
 	if want := m.Ledger().Total.Milliseconds(); got != want {
 		t.Errorf("hermes_cim_saved_ms_total = %d, ledger total = %d ms", got, want)
+	}
+}
+
+// TestSavedMSReadsRestoredLedger: the exported savings counter reads the
+// ledger's total, so a manager that loaded a snapshot carrying savings
+// shows them on hermes_cim_saved_ms_total exactly as Ledger().Total does.
+// At the parent the counter kept its own tally, which a load left at 0.
+func TestSavedMSReadsRestoredLedger(t *testing.T) {
+	m, d, _ := ledgerFixture(t)
+	a := term.Str("a")
+	drain(t, mustCall(t, m, call("d", "f", a))) // miss: fills the entry
+	drain(t, mustCall(t, m, call("d", "f", a))) // exact hit: credits savings
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reg := domain.NewRegistry()
+	reg.Register(d)
+	m2 := New(reg, testCfg())
+	o := obs.NewObserver()
+	m2.SetObserver(o)
+	if err := m2.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := m2.Ledger().Total.Milliseconds()
+	if want == 0 {
+		t.Fatal("the restored ledger carries no savings")
+	}
+	if got := o.Counter("hermes_cim_saved_ms_total").Value(); got != want {
+		t.Errorf("hermes_cim_saved_ms_total = %d after a load, ledger total = %d ms", got, want)
 	}
 }
 

@@ -46,14 +46,14 @@ type Options struct {
 	CIM *cim.Config
 	// DCSM configures the statistics module.
 	DCSM *dcsm.Config
-	// Engine configures the run-time query processor.
+	// Engine configures the run-time query processor's modelled overheads
+	// (QueryInit, PerDisplay). Its Obs, EstimateCall and EstimateRule are
+	// always wired by NewSystem.
 	Engine *engine.Config
 	// Rewrite configures plan enumeration. CIMDomains defaults to routing
 	// every registered domain through the CIM when the CIM is enabled and
 	// the field is nil.
 	Rewrite *rewrite.Config
-	// Estimate configures the rule cost estimator.
-	Estimate *estimate.Config
 	// Resilience, when set, wraps every registered domain in a resilient
 	// call layer: per-call deadlines, bounded retry with deterministic
 	// backoff, and a per-domain circuit breaker. A call the layer gives up
@@ -67,8 +67,8 @@ type Options struct {
 	// Obs, when set, threads an observer through every layer: the engine,
 	// CIM, DCSM, resilience wrappers and remote clients all update its
 	// metrics registry, and QueryTraced builds span trees in its tracer.
-	// The engine's per-call cost estimates (EXPLAIN's est column) are wired
-	// to the DCSM automatically unless Engine.EstimateCall is set.
+	// With an observer, the engine's per-call cost estimates (EXPLAIN's est
+	// column) are wired to the DCSM.
 	Obs *obs.Observer
 	// Parallelism bounds how many operator branches one query may run
 	// concurrently: parallel rule unions, prefetched independent source
@@ -219,14 +219,11 @@ func NewSystem(opts Options) *System {
 		}
 	}
 
-	ecfg := engine.DefaultConfig()
+	ecfg := engine.Config{Obs: s.Obs}
 	if opts.Engine != nil {
-		ecfg = *opts.Engine
+		ecfg.QueryInit, ecfg.PerDisplay = opts.Engine.QueryInit, opts.Engine.PerDisplay
 	}
-	if ecfg.Obs == nil {
-		ecfg.Obs = s.Obs
-	}
-	if ecfg.EstimateCall == nil && s.Obs != nil {
+	if s.Obs != nil {
 		// Price each call as it is issued so EXPLAIN shows est vs actual.
 		// Gated on the observer: the probe updates DCSM access statistics,
 		// which AutoTune reads, so it only runs when someone is watching.
@@ -235,7 +232,7 @@ func NewSystem(opts Options) *System {
 			return cv, err == nil
 		}
 	}
-	if ecfg.EstimateRule == nil && s.parallelism > 1 {
+	if s.parallelism > 1 {
 		// Rank a union predicate's rules cheapest-estimated-Tf-first before
 		// launching them in parallel. Only wired when parallelism is on: the
 		// estimate probes the DCSM (whose access statistics AutoTune reads),
@@ -259,7 +256,6 @@ func NewSystem(opts Options) *System {
 		s.Memo = mc
 	}
 
-	s.rewriteCfg = rewrite.Config{PushSelections: true}
 	if opts.Rewrite != nil {
 		s.rewriteCfg = *opts.Rewrite
 	}
@@ -267,15 +263,11 @@ func NewSystem(opts Options) *System {
 		s.rewriteCfg.CIMDomains = map[string]bool{}
 		s.cimAll = s.CIM != nil && opts.Rewrite == nil
 	}
-	escfg := estimate.DefaultConfig()
-	if opts.Estimate != nil {
-		escfg = *opts.Estimate
-	}
 	var cacheModel estimate.CacheModel
 	if s.CIM != nil {
 		cacheModel = s.CIM
 	}
-	s.estimator = estimate.New(s.DCSM, cacheModel, escfg)
+	s.estimator = estimate.New(s.DCSM, cacheModel)
 	if s.Memo != nil {
 		// Memo-aware costing: subgoals whose memo entry is resident are
 		// priced at their replay cost, so repeat queries pick orders that

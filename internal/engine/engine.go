@@ -34,8 +34,6 @@ type Config struct {
 	QueryInit time.Duration
 	// PerDisplay is a modelled charge per answer delivered to the user.
 	PerDisplay time.Duration
-	// MaxDepth bounds IDB recursion during evaluation.
-	MaxDepth int
 	// Obs, when set, receives query/call spans and engine metrics.
 	Obs *obs.Observer
 	// EstimateCall, when set, prices a domain call as it is issued (the
@@ -49,11 +47,8 @@ type Config struct {
 	EstimateRule func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (domain.CostVector, bool)
 }
 
-// DefaultConfig charges no fixed overhead: QueryInit and PerDisplay are
-// zero unless the experiments' overhead profile sets them.
-func DefaultConfig() Config {
-	return Config{MaxDepth: 64}
-}
+// maxDepth bounds IDB recursion during evaluation.
+const maxDepth = 64
 
 // Engine executes plans.
 type Engine struct {
@@ -80,9 +75,6 @@ var callErrorReasons = [...]string{reasonError: "error", reasonBreakerOpen: "bre
 // New builds an engine. cimMgr may be nil; onMeasure (may be nil) observes
 // the measurement of every direct source call, for the DCSM.
 func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(domain.Measurement)) *Engine {
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 64
-	}
 	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, onMeasure: onMeasure}
 	// The hermes_engine_*, hermes_queries_total and hermes_query_* families
 	// are declared here and nowhere else.

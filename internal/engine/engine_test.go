@@ -18,7 +18,6 @@ type harness struct {
 	t   *testing.T
 	reg *domain.Registry
 	eng *Engine
-	rw  rewrite.Config
 }
 
 func newHarness(t *testing.T, doms ...domain.Domain) *harness {
@@ -27,9 +26,8 @@ func newHarness(t *testing.T, doms ...domain.Domain) *harness {
 	for _, d := range doms {
 		reg.Register(d)
 	}
-	cfg := Config{} // zero overheads: assertions about pure source costs
-	cfg.MaxDepth = 16
-	return &harness{t: t, reg: reg, eng: New(reg, nil, cfg, nil)}
+	// Zero overheads: assertions about pure source costs.
+	return &harness{t: t, reg: reg, eng: New(reg, nil, Config{}, nil)}
 }
 
 func (h *harness) plan(progSrc, querySrc string) *rewrite.Plan {
@@ -42,7 +40,7 @@ func (h *harness) plan(progSrc, querySrc string) *rewrite.Plan {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	rw := rewrite.New(prog, h.rw, h.reg)
+	rw := rewrite.New(prog, rewrite.Config{}, h.reg)
 	plans, err := rw.Plans(q)
 	if err != nil {
 		h.t.Fatal(err)
@@ -282,7 +280,7 @@ func TestCursorCloseStopsWork(t *testing.T) {
 func TestQueryInitAndDisplayCharged(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(seqDomain())
-	eng := New(reg, nil, Config{QueryInit: 230 * time.Millisecond, PerDisplay: 10 * time.Millisecond, MaxDepth: 8}, nil)
+	eng := New(reg, nil, Config{QueryInit: 230 * time.Millisecond, PerDisplay: 10 * time.Millisecond}, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:nums()).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -306,7 +304,7 @@ func TestMeasurementObserverSeesDirectCalls(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(seqDomain())
 	var seen []domain.Measurement
-	eng := New(reg, nil, Config{MaxDepth: 8}, func(m domain.Measurement) { seen = append(seen, m) })
+	eng := New(reg, nil, Config{}, func(m domain.Measurement) { seen = append(seen, m) })
 	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
 	q, _ := lang.ParseQuery("?- v(X, Y).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)

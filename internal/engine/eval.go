@@ -411,8 +411,8 @@ func (m *membershipStream) close() error {
 // for its run-time adornment, concatenating the rules' answers (union, no
 // duplicate elimination).
 func (e *Engine) evalAtom(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.Atom, s term.Subst, depth int) (substStream, error) {
-	if depth >= e.cfg.MaxDepth {
-		return nil, fmt.Errorf("engine: recursion deeper than %d evaluating %s", e.cfg.MaxDepth, a.Pred)
+	if depth >= maxDepth {
+		return nil, fmt.Errorf("engine: recursion deeper than %d evaluating %s", maxDepth, a.Pred)
 	}
 	adorn := runtimeAdornment(a, s)
 	key := rewrite.PredKey{Pred: a.Pred, Adorn: adorn}

@@ -37,7 +37,7 @@ func TestCallSpansDirectCalls(t *testing.T) {
 	d := seqDomain()
 	reg := domain.NewRegistry()
 	reg.Register(d)
-	eng := New(reg, nil, Config{MaxDepth: 8, Obs: obs.NewObserver()}, nil)
+	eng := New(reg, nil, Config{Obs: obs.NewObserver()}, nil)
 	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
 	q, _ := lang.ParseQuery("?- v(X, Y).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -82,7 +82,7 @@ func TestCallSpansCIMSources(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	mgr := cim.New(reg, cim.Config{ParallelActual: true})
-	eng := New(reg, mgr, Config{MaxDepth: 8, Obs: obs.NewObserver()}, nil)
+	eng := New(reg, mgr, Config{Obs: obs.NewObserver()}, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:f(1)).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{CIMDomains: map[string]bool{"d": true}}, reg)
@@ -138,7 +138,7 @@ func TestCallSpansBreakerOpen(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(w)
 	o := obs.NewObserver()
-	eng := New(reg, nil, Config{MaxDepth: 8, Obs: o}, nil)
+	eng := New(reg, nil, Config{Obs: o}, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, down:get()).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)

@@ -22,7 +22,7 @@ func singleCallEstimator(t *testing.T) (*Estimator, *dcsm.DB) {
 	t.Helper()
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	obs(db, "d", "f", nil, 100, 1000, 1)
-	return New(db, nil, DefaultConfig()), db
+	return New(db, nil), db
 }
 
 // TestInflationColdPath: a never-observed function takes the cold-start
@@ -141,7 +141,7 @@ func TestInflationFlipsPlanChoice(t *testing.T) {
 	`
 	plans := plansFor(t, src, "?- v(X).")
 
-	blind := New(db, nil, DefaultConfig())
+	blind := New(db, nil)
 	p, _, err := blind.Best(plans, false)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestInflationFlipsPlanChoice(t *testing.T) {
 		cal.Observe("d", "spiky", calCost(500), calCost(5000))
 		cal.Observe("d", "honest", calCost(2000), calCost(2000))
 	}
-	robust := New(db, nil, DefaultConfig())
+	robust := New(db, nil)
 	robust.SetCalibration(cal, 0.9, 1.5)
 	p, cv, d, err := robust.BestDetail(plans, false)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 	p := plans[0]
 
 	mc := memo.New(memo.DefaultConfig())
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	est.SetMemo(mc)
 
 	// Cold memo: source cost.

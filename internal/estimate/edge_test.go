@@ -28,7 +28,7 @@ func TestCIMRoutedNonGroundPatternAddsLookup(t *testing.T) {
 	mgr := cim.New(reg, ccfg)
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	obs(db, "d", "f", []term.Value{term.Int(1)}, 500, 500, 1)
-	est := New(db, mgr, DefaultConfig())
+	est := New(db, mgr)
 
 	plans := plansForWithCfg(t, `
 		v(X, Y) :- in(X, d:gen()), in(Y, d:f(X)).
@@ -69,7 +69,7 @@ func plansForWithCfg(t *testing.T, src, query string, cfg rewrite.Config) []*rew
 func TestRecursiveCostingDepthError(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	obs(db, "d", "edge", []term.Value{term.Str("a")}, 10, 10, 1)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `
 		walk(X, Y) :- in(Y, d:edge(X)).
 		walk(X, Y) :- walk(X, Z), in(Y, d:edge(Z)).
@@ -94,7 +94,7 @@ func TestRecursiveCostingDepthError(t *testing.T) {
 // the plan lacks is a clear error.
 func TestPlanMissingAdornmentError(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
 	p := plans[0]
 	// Sabotage: remove the rules.
@@ -111,7 +111,7 @@ func TestFirstAnswerFromFirstRule(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	obs(db, "d", "fast", nil, 10, 100, 1)
 	obs(db, "d", "slow", nil, 5000, 9000, 1)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `
 		v(X) :- in(X, d:fast()).
 		v(X) :- in(X, d:slow()).

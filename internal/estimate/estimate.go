@@ -60,26 +60,15 @@ type MemoModel interface {
 	PerTupleCost() time.Duration
 }
 
-// Config tunes the estimator.
-type Config struct {
-	// DefaultCost is assumed for calls with no statistics and no native
-	// estimator, so that planning can proceed on cold systems; Err from
-	// PlanCost reports how many literals fell back to it.
-	DefaultCost domain.CostVector
-}
-
-// DefaultConfig matches the paper's estimator.
-func DefaultConfig() Config {
-	return Config{
-		DefaultCost: domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * time.Second, Card: 10},
-	}
-}
+// defaultCost is assumed for calls with no statistics and no native
+// estimator, so that planning can proceed on cold systems; PlanCost
+// reports how many literals fell back to it.
+var defaultCost = domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * time.Second, Card: 10}
 
 // Estimator costs plans.
 type Estimator struct {
 	db    *dcsm.DB
 	cache CacheModel // nil when no CIM is deployed
-	cfg   Config
 
 	// cal, when set, turns on calibration-inflated costing: every call's
 	// time components are multiplied by the calQuantile q-error observed
@@ -98,8 +87,8 @@ type Estimator struct {
 }
 
 // New builds an estimator over the DCSM. cache may be nil.
-func New(db *dcsm.DB, cache CacheModel, cfg Config) *Estimator {
-	return &Estimator{db: db, cache: cache, cfg: cfg}
+func New(db *dcsm.DB, cache CacheModel) *Estimator {
+	return &Estimator{db: db, cache: cache}
 }
 
 // SetCalibration enables calibration-inflated costing. quantile selects
@@ -120,8 +109,7 @@ func (e *Estimator) SetMemo(m MemoModel) { e.memo = m }
 // CostDetail reports how a plan's estimate was put together, beyond the
 // cost vector itself.
 type CostDetail struct {
-	// Defaulted counts literals with no statistics that used
-	// Config.DefaultCost.
+	// Defaulted counts literals with no statistics that used defaultCost.
 	Defaulted int
 	// Inflated counts calls whose cost was inflated by an observed
 	// q-error factor > 1; ColdInflated counts calls that took the
@@ -137,7 +125,7 @@ type CostDetail struct {
 
 // PlanCost estimates the cost vector of executing a plan in all-answers
 // mode. defaulted reports how many literals had no statistics and used
-// Config.DefaultCost.
+// defaultCost.
 func (e *Estimator) PlanCost(p *rewrite.Plan) (cv domain.CostVector, defaulted int, err error) {
 	cv, d, err := e.PlanCostDetail(p)
 	return cv, d.Defaulted, err
@@ -377,7 +365,7 @@ func (st *costState) costInCall(l *lang.InCall, route rewrite.Route, known term.
 	if err != nil {
 		// No statistics: assume the default cost. (For CIM-routed calls a
 		// cache probe below may still refine hits to their serve cost.)
-		actual = st.est.cfg.DefaultCost
+		actual = defaultCost
 		st.defaulted++
 	}
 	// Calibration inflation applies to the source-call cost only: a CIM

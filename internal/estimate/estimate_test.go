@@ -113,7 +113,7 @@ func containsStr(s, sub string) bool {
 func TestPaperSection7Formulas(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	loadStats(db)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, m1Source, "?- m('a', C).")
 
 	p8 := findPlan(t, plans, "d1:p_bf(A)", "d2:q_bf(B)")
@@ -161,7 +161,7 @@ func TestMembershipCallCardClamped(t *testing.T) {
 	// one continuation per probe.
 	obs(db, "d1", "p_enum", []term.Value{term.Str("a")}, 100, 500, 7)
 	obs(db, "d2", "q_ff", nil, 500, 3000, 3)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `
 		m(C) :- q(B, C), p(B).
 		p(B) :- in(B, d1:p_enum('a')).
@@ -184,7 +184,7 @@ func TestMembershipCallCardClamped(t *testing.T) {
 
 func TestDefaultCostCountsFallbacks(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
 	_, defaulted, err := est.PlanCost(plans[0])
 	if err != nil {
@@ -207,7 +207,7 @@ func TestCIMAwareCostingExactHit(t *testing.T) {
 	mgr := cim.New(reg, ccfg)
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	obs(db, "d", "f", []term.Value{term.Int(1)}, 5000, 5000, 2)
-	est := New(db, mgr, DefaultConfig())
+	est := New(db, mgr)
 
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:f(1)).`)
 	q, _ := lang.ParseQuery("?- v(X).")
@@ -248,7 +248,7 @@ func TestBestByFirstAnswer(t *testing.T) {
 	// fastfirst: slow overall, quick first answer. fastall: the reverse.
 	obs(db, "d", "fastfirst", nil, 10, 10000, 5)
 	obs(db, "d", "fastall", nil, 3000, 3000, 5)
-	est := New(db, nil, DefaultConfig())
+	est := New(db, nil)
 	plans := plansFor(t, `
 		access_equivalent('v', 1).
 		v(X) :- in(X, d:fastfirst()).
@@ -271,7 +271,7 @@ func TestBestByFirstAnswer(t *testing.T) {
 }
 
 func TestEmptyPlanListError(t *testing.T) {
-	est := New(dcsm.New(dcsm.DefaultConfig(), nil), nil, DefaultConfig())
+	est := New(dcsm.New(dcsm.DefaultConfig(), nil), nil)
 	if _, _, err := est.Best(nil, false); err == nil {
 		t.Error("Best(nil) should error")
 	}

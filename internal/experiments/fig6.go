@@ -78,8 +78,8 @@ func Figure6() ([]Fig6Row, error) {
 		}
 	}
 
-	losslessEst := estimate.New(losslessDB, nil, estimate.DefaultConfig())
-	lossyEst := estimate.New(lossyDB, nil, estimate.DefaultConfig())
+	losslessEst := estimate.New(losslessDB, nil)
+	lossyEst := estimate.New(lossyDB, nil)
 
 	var rows []Fig6Row
 	for _, q := range fig6Queries() {

@@ -64,7 +64,7 @@ func OptimizerQuality(n int) ([]OptQualityRow, error) {
 			statsDB.ObserveRecord(rec)
 		}
 	}
-	est := estimate.New(statsDB, nil, estimate.DefaultConfig())
+	est := estimate.New(statsDB, nil)
 
 	var rows []OptQualityRow
 	for i := 0; i < n; i++ {

@@ -51,7 +51,7 @@ func PlanChoice() ([]PlanChoiceRow, error) {
 	}
 	statsDB := dcsm.New(dcsm.DefaultConfig(), sys.Clock.Now)
 	replayRecords(sys.DCSM, statsDB)
-	est := estimate.New(statsDB, nil, estimate.DefaultConfig())
+	est := estimate.New(statsDB, nil)
 
 	pairs := []struct{ name, a, b string }{
 		{"query1 vs query1'", "?- query1(4, 47, Object, Size).", "?- query1p(4, 47, Object, Size)."},

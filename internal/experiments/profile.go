@@ -60,9 +60,7 @@ func lightCIMConfig() cim.Config {
 // paper's CIM costs unless the caller brought a CIM configuration, the
 // memo costs when the memo is on.
 func paperProfile(opts core.Options) core.Options {
-	ecfg := engine.DefaultConfig()
-	ecfg.QueryInit, ecfg.PerDisplay = paperQueryInit, paperPerDisplay
-	opts.Engine = &ecfg
+	opts.Engine = &engine.Config{QueryInit: paperQueryInit, PerDisplay: paperPerDisplay}
 	if opts.CIM == nil {
 		ccfg := paperCIMConfig()
 		opts.CIM = &ccfg

@@ -194,10 +194,7 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 
 	sysOpts := opts.Core
 	sysOpts.DisableCIM = opts.DisableCIM
-	sysOpts.Rewrite = &rewrite.Config{
-		PushSelections: true,
-		CIMDomains:     map[string]bool{},
-	}
+	sysOpts.Rewrite = &rewrite.Config{CIMDomains: map[string]bool{}}
 	if sysOpts.Parallelism == 0 {
 		sysOpts.Parallelism = 1
 	}

@@ -51,7 +51,7 @@ func TestConcurrentClients(t *testing.T) {
 
 // TestLargePayload streams a result set far larger than one chunk.
 func TestLargePayload(t *testing.T) {
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 16 }, echoDomain())
+	_, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 16 }, echoDomain())
 	c := NewClient(addr, "echo")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(5000)})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestLargePayload(t *testing.T) {
 // TestServerCloseDuringStream: closing the server mid-stream surfaces an
 // error on the client rather than hanging.
 func TestServerCloseDuringStream(t *testing.T) {
-	srv, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, echoDomain())
+	srv, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 1 }, echoDomain())
 	c := NewClient(addr, "echo")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(100000)})
 	if err != nil {

@@ -190,7 +190,7 @@ func TestEndToEndCall(t *testing.T) {
 }
 
 func TestChunkedStreaming(t *testing.T) {
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 3 }, echoDomain()) // force multiple frames for 10 answers
+	_, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 3 }, echoDomain()) // force multiple frames for 10 answers
 	c := NewClient(addr, "echo")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(10)})
 	if err != nil {
@@ -316,7 +316,7 @@ func TestUnknownRemoteDomainErrors(t *testing.T) {
 }
 
 func TestEarlyCloseAbortsServer(t *testing.T) {
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, echoDomain())
+	_, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 1 }, echoDomain())
 	c := NewClient(addr, "echo")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(10000)})
 	if err != nil {

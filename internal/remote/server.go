@@ -21,10 +21,11 @@ import (
 // loop; any other first line is refused once and the connection released.
 type Server struct {
 	reg *domain.Registry
-	// ChunkSize is how many answers travel per response frame. The first
-	// answer of a call is always flushed immediately, regardless of
-	// chunking, so time-to-first-answer does not wait for a full chunk.
-	ChunkSize int
+	// chunkSize is how many answers travel per response frame (64; tests
+	// shrink it to force many frames). The first answer of a call is
+	// always flushed immediately, regardless of chunking, so
+	// time-to-first-answer does not wait for a full chunk.
+	chunkSize int
 	// HeaderTimeout bounds how long a fresh connection may take to send
 	// its first line (the hello). Without it a connection that sends
 	// nothing pins a handler goroutine and a conns entry forever
@@ -81,7 +82,7 @@ const (
 func NewServer(reg *domain.Registry) *Server {
 	return &Server{
 		reg:                  reg,
-		ChunkSize:            64,
+		chunkSize:            64,
 		HeaderTimeout:        DefaultHeaderTimeout,
 		Logf:                 log.Printf,
 		NodeName:             "hermesd",
@@ -395,7 +396,7 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 
 // serveCall runs one multiplexed call. The first answer is flushed in
 // its own frame immediately (first-answer-before-last-answer); later
-// answers travel in ChunkSize frames. Each answer is encoded into its
+// answers travel in chunkSize frames. Each answer is encoded into its
 // frame's value list as the stream produces it, so one the wire cannot
 // carry (a NaN, an infinity) ends the call with an error frame naming it.
 // Cancellation — an explicit cancel frame or the whole connection
@@ -481,7 +482,7 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 			return
 		}
 		inFrame++
-		if !sentFirst || inFrame >= s.ChunkSize {
+		if !sentFirst || inFrame >= s.chunkSize {
 			sentFirst = true
 			if !flush(false) {
 				return

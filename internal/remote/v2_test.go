@@ -88,7 +88,7 @@ func TestV2SingleConnectionMultiplexes(t *testing.T) {
 func TestV2FirstAnswerBeforeLastAnswer(t *testing.T) {
 	d := trickleDomain(64, 30*time.Millisecond)
 	// One chunk would cover the whole answer set.
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 64 }, d)
+	_, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 64 }, d)
 	c := NewClient(addr, "trickle")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestV2CtxCancelMidStream(t *testing.T) {
 // The source trickles on the server's wall clock, so the drop always lands
 // mid-stream.
 func TestV2ResumeAfterSessionDrop(t *testing.T) {
-	_, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, trickleDomain(50, 2*time.Millisecond))
+	_, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 1 }, trickleDomain(50, 2*time.Millisecond))
 	c := NewClient(addr, "trickle")
 	w := resilience.Wrap(c, resilience.DefaultPolicy())
 	s, err := w.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
@@ -283,7 +283,7 @@ func TestV2ResumeAfterSessionDrop(t *testing.T) {
 // good mid-stream, the stream ends with the retryable error the resilience
 // layer re-issues on; the wire itself does not retry.
 func TestV2ResumeExhaustionSurfacesUnavailable(t *testing.T) {
-	srv, addr := startServerCfg(t, func(s *Server) { s.ChunkSize = 1 }, echoDomain())
+	srv, addr := startServerCfg(t, func(s *Server) { s.chunkSize = 1 }, echoDomain())
 	c := NewClient(addr, "echo")
 	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(100000)})
 	if err != nil {

@@ -8,24 +8,25 @@ import (
 )
 
 func TestMaxOrderingsCap(t *testing.T) {
-	// Six independent calls: 720 permutations, capped.
+	// Six independent calls: 720 permutations, capped. The query body has
+	// one ordering and one routing, so each of r's orderings is one plan.
 	prog := mustParse(t, `
 		r(A, B, C, D, E, F) :-
 		    in(A, d:f1()), in(B, d:f2()), in(C, d:f3()),
 		    in(D, d:f4()), in(E, d:f5()), in(F, d:f6()).
 	`)
-	rw := New(prog, Config{MaxOrderingsPerBody: 5, MaxPlans: 5}, nil)
+	rw := New(prog, Config{}, nil)
 	plans, err := rw.Plans(mustQuery(t, "?- r(A, B, C, D, E, F)."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) > 5 {
-		t.Errorf("plans = %d, cap 5", len(plans))
+	if len(plans) != maxOrderings {
+		t.Errorf("plans = %d, want the ordering cap %d", len(plans), maxOrderings)
 	}
 }
 
 func TestPushBodyMultipleFiltersPushesOne(t *testing.T) {
-	rw := New(&lang.Program{}, Config{PushSelections: true}, fakePusher{"rel:equal": true})
+	rw := New(&lang.Program{}, Config{}, fakePusher{"rel:equal": true})
 	q := mustQuery(t, "?- in(P, rel:all('cast')) & P.role = 'x' & P.name = 'y'.")
 	plans, err := rw.Plans(q)
 	if err != nil {
@@ -45,7 +46,7 @@ func TestPushBodyMultipleFiltersPushesOne(t *testing.T) {
 }
 
 func TestPushBodyRequiresConstantTable(t *testing.T) {
-	rw := New(&lang.Program{}, Config{PushSelections: true}, fakePusher{"rel:equal": true})
+	rw := New(&lang.Program{}, Config{}, fakePusher{"rel:equal": true})
 	// Table name is a variable: no push possible.
 	q := mustQuery(t, "?- in(T, d:tables()) & in(P, rel:all(T)) & P.role = 'x'.")
 	plans, err := rw.Plans(q)

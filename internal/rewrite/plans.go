@@ -15,10 +15,7 @@ const QueryPred = "_query"
 // permissible plan exists (e.g. a domain call whose arguments can never be
 // ground).
 func (rw *Rewriter) Plans(q *lang.Query) ([]*Plan, error) {
-	body := q.Body
-	if rw.cfg.PushSelections {
-		body = rw.pushBody(body)
-	}
+	body := rw.pushBody(q.Body)
 	qRule := &lang.Rule{Head: lang.Atom{Pred: QueryPred}, Body: body}
 	ords := rw.orderings(body, map[string]bool{})
 	if len(ords) == 0 {
@@ -36,11 +33,11 @@ func (rw *Rewriter) Plans(q *lang.Query) ([]*Plan, error) {
 			if err := as.run(plan, pending, nil); err != nil {
 				return nil, err
 			}
-			if len(as.plans) >= rw.cfg.MaxPlans {
+			if len(as.plans) >= maxPlans {
 				break
 			}
 		}
-		if len(as.plans) >= rw.cfg.MaxPlans {
+		if len(as.plans) >= maxPlans {
 			break
 		}
 	}
@@ -121,7 +118,7 @@ type assembler struct {
 // run resolves pending keys into plan.Rules, emitting completed plans.
 // chain tracks the key dependency path for recursion detection.
 func (as *assembler) run(plan *Plan, pending []PredKey, chain []PredKey) error {
-	if len(as.plans) >= as.rw.cfg.MaxPlans {
+	if len(as.plans) >= maxPlans {
 		return nil
 	}
 	// Skip keys already resolved (shared subgoals, benign cross-references).
@@ -170,7 +167,7 @@ func (as *assembler) run(plan *Plan, pending []PredKey, chain []PredKey) error {
 			}
 		}
 		delete(plan.Rules, key)
-		if len(as.plans) >= as.rw.cfg.MaxPlans {
+		if len(as.plans) >= maxPlans {
 			return nil
 		}
 	}
@@ -211,10 +208,7 @@ func (as *assembler) alternatives(key PredKey) ([][]*PlanRule, error) {
 	// Per-rule ordering/routing variants.
 	perRule := make([][]*PlanRule, 0, len(rules))
 	for _, r := range rules {
-		body := r.Body
-		if rw.cfg.PushSelections {
-			body = rw.pushBody(body)
-		}
+		body := rw.pushBody(r.Body)
 		eff := &lang.Rule{Head: r.Head, Body: body}
 		hb := headBoundVars(eff, key.Adorn)
 		var variants []*PlanRule
@@ -242,7 +236,7 @@ func (as *assembler) alternatives(key PredKey) ([][]*PlanRule, error) {
 			}
 		}
 		if feasible {
-			alts = product(perRule, rw.cfg.MaxPlans)
+			alts = product(perRule, maxPlans)
 		}
 	}
 	as.altCache[key] = alts

@@ -198,20 +198,13 @@ type Config struct {
 	// direct and CIM routing, letting the cost estimator choose (the
 	// paper's per-call decision mode). Doubles the plan space per call.
 	EnumerateRouting bool
-	// PushSelections rewrites source scans followed by equality filters
-	// into source-side selects where the source supports it.
-	PushSelections bool
-	// MaxPlans caps the number of generated plans (0 = DefaultMaxPlans).
-	MaxPlans int
-	// MaxOrderingsPerBody caps the body permutations explored per rule
-	// (0 = DefaultMaxOrderings).
-	MaxOrderingsPerBody int
 }
 
-// Default caps.
+// Enumeration caps: plans generated per query, and body permutations
+// explored per rule.
 const (
-	DefaultMaxPlans     = 128
-	DefaultMaxOrderings = 24
+	maxPlans     = 128
+	maxOrderings = 24
 )
 
 // SelectPusher reports whether a domain supports source-side equality
@@ -235,15 +228,9 @@ type Rewriter struct {
 // access-equivalent predicates.
 const AccessEquivalentFacts = "access_equivalent"
 
-// New builds a rewriter. pusher may be nil when Config.PushSelections is
-// false.
+// New builds a rewriter. Equality selections on scans are pushed to the
+// sources pusher reports support for; a nil pusher pushes none.
 func New(prog *lang.Program, cfg Config, pusher SelectPusher) *Rewriter {
-	if cfg.MaxPlans <= 0 {
-		cfg.MaxPlans = DefaultMaxPlans
-	}
-	if cfg.MaxOrderingsPerBody <= 0 {
-		cfg.MaxOrderingsPerBody = DefaultMaxOrderings
-	}
 	rw := &Rewriter{prog: prog, cfg: cfg, pusher: pusher, equivalent: map[string]bool{}}
 	for _, r := range prog.Rules {
 		if r.Head.Pred == AccessEquivalentFacts && len(r.Body) == 0 && len(r.Head.Args) == 2 {
@@ -335,7 +322,7 @@ func (rw *Rewriter) orderings(body []lang.Literal, bound map[string]bool) [][]in
 	b := cloneSet(bound)
 	var rec func()
 	rec = func() {
-		if len(out) >= rw.cfg.MaxOrderingsPerBody {
+		if len(out) >= maxOrderings {
 			return
 		}
 		if len(order) == len(body) {

@@ -194,7 +194,7 @@ func TestPushSelections(t *testing.T) {
 	prog := mustParse(t, `
 		actor(A, O) :- in(P, rel:all('cast')), =(P.name, A), =(P.role, O).
 	`)
-	rw := New(prog, Config{PushSelections: true}, fakePusher{"rel:equal": true})
+	rw := New(prog, Config{}, fakePusher{"rel:equal": true})
 	plans, err := rw.Plans(mustQuery(t, "?- actor(A, 'brandon shaw')."))
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestPushSelections(t *testing.T) {
 }
 
 func TestPushSelectionsRequiresSourceSupport(t *testing.T) {
-	rw := New(&lang.Program{}, Config{PushSelections: true}, fakePusher{})
+	rw := New(&lang.Program{}, Config{}, fakePusher{})
 	q := mustQuery(t, "?- in(P, rel:all('cast')) & P.role = 'x'.")
 	plans, err := rw.Plans(q)
 	if err != nil {
@@ -282,14 +282,19 @@ func TestEnumerateRoutingBranches(t *testing.T) {
 }
 
 func TestMaxPlansCap(t *testing.T) {
-	prog := mustParse(t, m1Source)
-	rw := New(prog, Config{MaxPlans: 3}, nil)
-	plans, err := rw.Plans(mustQuery(t, "?- m('a', C)."))
+	// Two query orderings times 24 orderings of r times 24 of s: 1152
+	// candidate plans, capped.
+	prog := mustParse(t, `
+		r(A, B, C, D) :- in(A, d:f1()), in(B, d:f2()), in(C, d:f3()), in(D, d:f4()).
+		s(A, B, C, D) :- in(A, d:f1()), in(B, d:f2()), in(C, d:f3()), in(D, d:f4()).
+	`)
+	rw := New(prog, Config{}, nil)
+	plans, err := rw.Plans(mustQuery(t, "?- r(A, B, C, D), s(E, F, G, H)."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) > 3 {
-		t.Errorf("plans = %d, cap 3", len(plans))
+	if len(plans) != maxPlans {
+		t.Errorf("plans = %d, want the plan cap %d", len(plans), maxPlans)
 	}
 }
 
@@ -387,7 +392,7 @@ func TestQueryLineIsFirstLineOfString(t *testing.T) {
 	}{
 		{m1Source, "?- m('a', C).", Config{}},
 		{m1Source, "?- m('a', C).", Config{CIMDomains: cim}},
-		{m1Source, "?- m(A, C), A != 'z'.", Config{PushSelections: true}},
+		{m1Source, "?- m(A, C), A != 'z'.", Config{}},
 		{union, "?- s(X).", Config{}},
 		{union, "?- s(X), in(Y, d2:g()).", Config{CIMDomains: cim}},
 		{routed, "?- v(X), w(Y).", Config{CIMDomains: cim}},
