@@ -5,22 +5,22 @@
 //
 // Statistics live in two forms: the cost vector database (one record per
 // executed call, with its record time) and summary tables. A summary table
-// keeps a chosen subset of argument positions as dimensions and aggregates
-// the metrics of all records sharing dimension values into averages plus
-// the count l of aggregated tuples. Keeping every position is the paper's
-// lossless summarization; dropping positions (typically those that can
-// never be instantiated at plan time) is lossy summarization. Estimation
-// searches the most specific applicable table first and recursively relaxes
-// known constants to $b on misses (§6.3).
+// keeps a chosen subset of argument positions as dimensions; each row
+// averages the metrics of the records sharing its dimension values and
+// keeps their count, the paper's l. Keeping every position is lossless
+// summarization; dropping some (typically those that can never be
+// constants at plan time) is lossy. Estimation searches the most specific
+// applicable table first and relaxes known constants to $b on misses
+// (§6.3). Tables are snapshots and take precedence at their mask.
 //
-// Where no summary table covers a level, the raw database answers it — by
-// a hash probe, not a scan: each function keeps one index per dimension
-// mask an estimate has asked for (§6.2.2's "create tables by access
-// pattern", done automatically), folded forward on every Observe. An index
-// is derived state: it returns exactly the vector a fold over the matching
-// records would, is rebuilt on demand when records are trimmed, dropped or
-// loaded, and is never persisted. Explicitly built summary tables remain
-// snapshots and take precedence.
+// Where no table covers a level, the raw database answers it through one
+// index per dimension mask an estimate has asked for (§6.2.2's "create
+// tables by access pattern", done automatically), folded forward on every
+// Observe, rebuilt on demand when records are trimmed, dropped or loaded,
+// and never persisted. Tables and indexes are one fold: weighted sums per
+// row in recording order, one division per component, one gap-fill. So a
+// lossless table built without recency weighting returns exactly the raw
+// estimate, and both are probed by hash and term.Equal, without allocating.
 //
 // Domains that provide their own cost model plug in through
 // domain.Estimator; the DCSM forwards their estimates and fills in only the
@@ -173,15 +173,6 @@ func (db *DB) Observe(m domain.Measurement) {
 	})
 }
 
-// ObserveRecord inserts a fully-specified record, preserving its original
-// timestamp and validity flags. Used to replay one database's records into
-// another (e.g. building a lossy twin for comparison experiments).
-func (db *DB) ObserveRecord(rec Record) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.insert(rec)
-}
-
 // group returns the state of a function, creating it on first use. The
 // caller holds the write lock.
 func (db *DB) group(k funcKey) *group {
@@ -214,13 +205,6 @@ func (db *DB) insert(rec Record) {
 		return
 	}
 	g.indexLast(db.cfg.RecencyHalfLife > 0)
-}
-
-// RecordCount returns the number of raw records held for a function.
-func (db *DB) RecordCount(dom, fn string, arity int) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.view(funcKey{dom, fn, arity}).recs)
 }
 
 // Records returns a copy of the raw records for a function, in recording

@@ -23,6 +23,14 @@ func meas(dom, fn string, args []term.Value, tfMs, taMs int, card float64) domai
 
 func sv(s string) []term.Value { return []term.Value{term.Str(s)} }
 
+// observeRecord inserts a fully specified record, keeping its stamp and
+// validity flags, the way Observe inserts a measurement.
+func (db *DB) observeRecord(rec Record) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.insert(rec)
+}
+
 // loadFigure2 loads the cost vector database of the paper's Figure 2:
 // tables for d1:p_bf (T16), d1:p_bb (T17), d2:q_bf (T18) and d2:q_ff (T19).
 // T16's Ta entries are the paper's literal values (2.00, 2.20, 2.80, 2.84
@@ -48,7 +56,7 @@ func loadFigure2(db *DB) {
 func TestPaperFigure2CostVectorDatabase(t *testing.T) {
 	db := New(DefaultConfig(), nil)
 	loadFigure2(db)
-	if n := db.RecordCount("d1", "p_bf", 1); n != 4 {
+	if n := len(db.Records("d1", "p_bf", 1)); n != 4 {
 		t.Fatalf("T16 records = %d, want 4", n)
 	}
 	// §6.1: cost of d1:p_bf(a) = average of the two 'a' entries = 2.10 s.
@@ -252,7 +260,7 @@ func TestMaxRecordsPerCallBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Observe(meas("d", "f", sv("a"), 100, 1000+i, 1))
 	}
-	if n := db.RecordCount("d", "f", 1); n != 3 {
+	if n := len(db.Records("d", "f", 1)); n != 3 {
 		t.Errorf("records = %d, want 3", n)
 	}
 }

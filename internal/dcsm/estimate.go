@@ -22,8 +22,9 @@ import (
 //     average over the matching records, read off the function's index for
 //     that dimension set (created the first time a level asks for it).
 //
-// An estimate allocates nothing and formats nothing, however much history
-// the function has; TestCostAllocsFlat holds it to that.
+// An estimate allocates nothing and formats nothing, whether a table or an
+// index answers it and however much history the function has;
+// TestCostAllocsFlat holds it to that.
 func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
 	return db.cost(p, nil)
 }
@@ -72,22 +73,6 @@ func (db *DB) cost(p domain.Pattern, trace *[]string) (domain.CostVector, error)
 		}
 	}
 	return db.costFromStats(p, trace)
-}
-
-// rowVector converts a summary row to a cost vector, applying the same
-// conservative gap-filling as raw aggregation.
-func rowVector(r *SummaryRow) (domain.CostVector, bool) {
-	if r.wTf == 0 && r.wTa == 0 && r.wCard == 0 {
-		return domain.CostVector{}, false
-	}
-	cv := domain.CostVector{TFirst: r.AvgTf, TAll: r.AvgTa, Card: r.AvgCard}
-	if r.wTa == 0 {
-		cv.TAll = cv.TFirst
-	}
-	if r.wCard == 0 {
-		cv.Card = 1
-	}
-	return cv, true
 }
 
 // costFromStats runs the relaxation search under the read lock. Only when
@@ -139,12 +124,13 @@ func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.C
 	for head := 0; head < len(queue); head++ {
 		mask := queue[head]
 		if t := g.tables[mask]; t != nil {
-			if row, hit := t.lookupRow(p); hit {
-				if cv, valid := rowVector(row); valid {
+			if row, _ := t.find(hashTuple(mask, argHashes), vals); row >= 0 {
+				r := &t.rows[row]
+				if cv, valid := r.vector(); valid {
 					t.hits.Add(1)
 					db.estimates[estimateSummary].Inc()
 					if trace != nil {
-						*trace = append(*trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(t.Dims), relaxTo(p, mask), row.L))
+						*trace = append(*trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(t.Dims), relaxTo(p, mask), r.L))
 					}
 					return cv, true, nil
 				}

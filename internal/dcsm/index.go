@@ -44,12 +44,16 @@ type indexRow struct {
 
 func (ix *maskIndex) built() bool { return ix.heads != nil }
 
-// fold accumulates weighted cost components; vector turns the sums into
-// an estimate.
+// fold accumulates weighted cost components: the one aggregation behind
+// both raw estimates and summary rows (§6.2.1: group, average, count).
 type fold struct {
 	sumTf, sumTa, sumCard float64
-	wTf, wTa, wCard       float64
+	weights
 }
+
+// weights are the total weight each component was averaged over: a record
+// that missed a component does not count toward it.
+type weights struct{ wTf, wTa, wCard float64 }
 
 func (f *fold) add(r *Record, w float64) {
 	if r.HasTf {
@@ -66,12 +70,9 @@ func (f *fold) add(r *Record, w float64) {
 	}
 }
 
-// vector averages each component over the records that carried it. ok is
-// false when no record contributed anything.
-func (f fold) vector() (domain.CostVector, bool) {
-	if f.wTf == 0 && f.wTa == 0 && f.wCard == 0 {
-		return domain.CostVector{}, false
-	}
+// mean divides each sum by its weight, once; a component no record
+// carried reads 0.
+func (f *fold) mean() domain.CostVector {
 	var cv domain.CostVector
 	if f.wTf > 0 {
 		cv.TFirst = time.Duration(f.sumTf / f.wTf)
@@ -82,19 +83,32 @@ func (f fold) vector() (domain.CostVector, bool) {
 	if f.wCard > 0 {
 		cv.Card = f.sumCard / f.wCard
 	}
-	// Fill gaps conservatively: a missing Ta is at least Tf.
-	if f.wTa == 0 {
-		cv.TAll = cv.TFirst
-	}
-	if f.wCard == 0 {
-		cv.Card = 1
-	}
-	return cv, true
+	return cv
 }
 
-// hashTuple folds the per-argument hashes at the mask's positions.
+// vector is the estimate the fold stands for.
+func (f *fold) vector() (domain.CostVector, bool) { return f.estimate(f.mean()) }
+
+// estimate turns component means into an estimate, filling gaps
+// conservatively: a missing Ta is Tf, a missing Card is 1. ok is false when
+// no record contributed anything.
+func (w weights) estimate(mean domain.CostVector) (domain.CostVector, bool) {
+	if w.wTf == 0 && w.wTa == 0 && w.wCard == 0 {
+		return domain.CostVector{}, false
+	}
+	if w.wTa == 0 {
+		mean.TAll = mean.TFirst
+	}
+	if w.wCard == 0 {
+		mean.Card = 1
+	}
+	return mean, true
+}
+
+// hashTuple folds the per-argument hashes at the mask's positions. Only
+// those positions are read, so argHashes may end after the mask's highest.
 func hashTuple(mask uint64, argHashes []uint64) uint64 {
-	h := uint64(len(argHashes))
+	h := uint64(14695981039346656037)
 	for ; mask != 0; mask &= mask - 1 {
 		h = (h ^ argHashes[bits.TrailingZeros64(mask)]) * 1099511628211
 	}

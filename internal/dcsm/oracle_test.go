@@ -244,7 +244,7 @@ func runAgainstOracle(t *testing.T, cfg Config, alphabet [][]term.Value, persist
 		case op < 24:
 			// Replayed records carry their own stamp and may miss any component.
 			r := oracleRecord(rng, alphabet, now-time.Duration(rng.Intn(20000))*time.Millisecond)
-			db.ObserveRecord(r)
+			db.observeRecord(r)
 			keep(r)
 		case op == 24:
 			db.DropDetail("d", "f", oracleArity)
@@ -303,9 +303,11 @@ func TestIndexUnderConcurrentObserversAndEstimators(t *testing.T) {
 			wg.Wait()
 			frozen.Store(true)
 			recs := db.Records("d", "f", oracleArity)
-			if want := 1600; max > 0 {
+			want := 1600
+			if max > 0 {
 				want = max
-			} else if len(recs) != want {
+			}
+			if len(recs) != want {
 				t.Fatalf("%d records kept, want %d", len(recs), want)
 			}
 			checkAgainstOracle(t, db, cfg, time.Duration(ticks.Load()), recs, rand.New(rand.NewSource(7)), oracleAlphabetNoSave, 0)
@@ -316,7 +318,9 @@ func TestIndexUnderConcurrentObserversAndEstimators(t *testing.T) {
 // TestCostAllocsFlat: an estimate is a hash probe, so what it allocates is
 // a small constant that does not depend on how much history the function
 // has. (Before the indexes, each estimate built two key strings per record
-// argument it compared.)
+// argument it compared; before tables were probed by hash, a table hit
+// built a key string for the row it looked up.) The raw levels are probed
+// through the index, the (rope, 7, $b) level through a summary table.
 func TestCostAllocsFlat(t *testing.T) {
 	ground := domain.Pattern{Domain: "d", Function: "f", Args: []domain.PatternArg{
 		domain.Const(term.Str("rope")), domain.Const(term.Int(7)), domain.Const(term.Int(37)),
@@ -324,7 +328,10 @@ func TestCostAllocsFlat(t *testing.T) {
 	allBound := domain.Pattern{Domain: "d", Function: "f", Args: []domain.PatternArg{
 		domain.Bound, domain.Bound, domain.Bound,
 	}}
-	measure := func(n int) (groundAllocs, boundAllocs float64) {
+	tableHit := domain.Pattern{Domain: "d", Function: "f", Args: []domain.PatternArg{
+		domain.Const(term.Str("rope")), domain.Const(term.Int(7)), domain.Bound,
+	}}
+	measure := func(n int) (groundAllocs, boundAllocs, tableAllocs float64) {
 		db := New(DefaultConfig(), nil)
 		for i := 0; i < n; i++ {
 			db.Observe(domain.Measurement{
@@ -335,11 +342,15 @@ func TestCostAllocsFlat(t *testing.T) {
 				Complete: true,
 			})
 		}
+		if _, err := db.Summarize("d", "f", 3, []int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range []domain.Pattern{ground, allBound} {
 			if _, err := db.Cost(p); err != nil { // first ask builds the index
 				t.Fatal(err)
 			}
 		}
+		before := db.TableHits()["d:f/3[0,1]"]
 		cost := func(p domain.Pattern) func() {
 			return func() {
 				if _, err := db.Cost(p); err != nil {
@@ -347,15 +358,20 @@ func TestCostAllocsFlat(t *testing.T) {
 				}
 			}
 		}
-		return testing.AllocsPerRun(200, cost(ground)), testing.AllocsPerRun(200, cost(allBound))
+		groundAllocs, boundAllocs = testing.AllocsPerRun(200, cost(ground)), testing.AllocsPerRun(200, cost(allBound))
+		tableAllocs = testing.AllocsPerRun(200, cost(tableHit))
+		if hits := db.TableHits()["d:f/3[0,1]"] - before; hits != 201 {
+			t.Fatalf("the summary table served %d of the 201 (rope, 7, $b) estimates", hits)
+		}
+		return groundAllocs, boundAllocs, tableAllocs
 	}
-	smallGround, smallBound := measure(1000)
-	largeGround, largeBound := measure(200000)
-	if smallGround != largeGround || smallBound != largeBound {
-		t.Errorf("allocations per estimate grow with history: ground %v -> %v, all-$b %v -> %v",
-			smallGround, largeGround, smallBound, largeBound)
+	smallGround, smallBound, smallTable := measure(1000)
+	largeGround, largeBound, largeTable := measure(200000)
+	if smallGround != largeGround || smallBound != largeBound || smallTable != largeTable {
+		t.Errorf("allocations per estimate grow with history: ground %v -> %v, all-$b %v -> %v, table hit %v -> %v",
+			smallGround, largeGround, smallBound, largeBound, smallTable, largeTable)
 	}
-	if largeGround > 2 || largeBound > 2 {
-		t.Errorf("an estimate allocates: ground %v, all-$b %v per call", largeGround, largeBound)
+	if largeGround > 2 || largeBound > 2 || largeTable > 2 {
+		t.Errorf("an estimate allocates: ground %v, all-$b %v, table hit %v per call", largeGround, largeBound, largeTable)
 	}
 }

@@ -136,21 +136,28 @@ func (db *DB) Load(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("dcsm: load table %s:%s: %w", st.Domain, st.Function, err)
 		}
-		t := &SummaryTable{
-			Domain: st.Domain, Function: st.Function, Arity: st.Arity,
-			Dims: dims, rows: make(map[string]*SummaryRow), BuiltAt: time.Duration(st.BuiltNs),
-		}
+		t := newTable(funcKey{st.Domain, st.Function, st.Arity}, dims, time.Duration(st.BuiltNs))
+		// find reads a row's values at their argument positions, < maxDims.
+		var args [maxDims]term.Value
+		var argHashes [maxDims]uint64
 		for _, sr := range st.Rows {
 			dimVals, err := term.DecodeJSONs(sr.DimVals)
 			if err != nil {
 				return fmt.Errorf("dcsm: load: %w", err)
 			}
-			row := &SummaryRow{
-				DimVals: dimVals,
-				AvgTf:   time.Duration(sr.TfNs), AvgTa: time.Duration(sr.TaNs), AvgCard: sr.Card,
-				L: sr.L, wTf: sr.WTf, wTa: sr.WTa, wCard: sr.WCard,
+			if len(dimVals) != len(dims) {
+				return fmt.Errorf("dcsm: load table %s: row has %d dimension values, want %d", t.key(), len(dimVals), len(dims))
 			}
-			t.rows[rowKey(dimVals)] = row
+			for j, d := range dims {
+				args[d], argHashes[d] = dimVals[j], term.Hash(dimVals[j])
+			}
+			row, added := t.row(args[:], argHashes[:])
+			if !added {
+				return fmt.Errorf("dcsm: load table %s: two rows for %s", t.key(), sr.DimVals)
+			}
+			r := &t.rows[row]
+			r.AvgTf, r.AvgTa, r.AvgCard = time.Duration(sr.TfNs), time.Duration(sr.TaNs), sr.Card
+			r.L, r.weights = sr.L, weights{sr.WTf, sr.WTa, sr.WCard}
 		}
 		loaded.group(funcKey{st.Domain, st.Function, st.Arity}).setTable(t)
 	}

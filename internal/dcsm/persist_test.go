@@ -30,8 +30,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// Same record counts and storage.
-	if db2.RecordCount("d1", "p_bf", 1) != 4 {
-		t.Errorf("records after load = %d", db2.RecordCount("d1", "p_bf", 1))
+	if len(db2.Records("d1", "p_bf", 1)) != 4 {
+		t.Errorf("records after load = %d", len(db2.Records("d1", "p_bf", 1)))
 	}
 	s1, s2 := db.Storage(), db2.Storage()
 	if s1 != s2 {
@@ -166,6 +166,33 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	if err := db.Load(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("unknown version should fail")
+	}
+}
+
+// TestLoadRejectsMalformedRows: a summary row must hold one value per
+// dimension, and no two rows of a table may hold equal values. A short row
+// could never be probed, and a duplicate would silently lose one row's l.
+func TestLoadRejectsMalformedRows(t *testing.T) {
+	table := func(rows string) string {
+		return `{"version":1,"tables":[{"domain":"d","function":"f","arity":2,"dims":[0,1],"rows":[` + rows + `]}]}`
+	}
+	a, b := `{"t":"s","s":"a"}`, `{"t":"s","s":"b"}`
+	for _, c := range []struct{ name, snap string }{
+		{"short row", table(`{"dims":[` + a + `],"tf":1,"l":1,"wTf":1}`)},
+		{"long row", table(`{"dims":[` + a + `,` + b + `,` + a + `],"tf":1,"l":1,"wTf":1}`)},
+		{"duplicate rows", table(`{"dims":[` + a + `,` + b + `],"tf":1,"l":2,"wTf":2},{"dims":[` + a + `,` + b + `],"tf":3,"l":5,"wTf":5}`)},
+	} {
+		if err := New(DefaultConfig(), nil).Load(strings.NewReader(c.snap)); err == nil {
+			t.Errorf("%s: loaded without an error", c.name)
+		}
+	}
+	// The well-formed neighbour loads.
+	db := New(DefaultConfig(), nil)
+	if err := db.Load(strings.NewReader(table(`{"dims":[` + a + `,` + b + `],"tf":1,"l":2,"wTf":2},{"dims":[` + b + `,` + a + `],"tf":3,"l":5,"wTf":5}`))); err != nil {
+		t.Fatal(err)
+	}
+	if s := db.Storage(); s.SummaryRows != 2 {
+		t.Errorf("loaded %d rows, want 2", s.SummaryRows)
 	}
 }
 

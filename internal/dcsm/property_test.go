@@ -1,7 +1,6 @@
 package dcsm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -13,7 +12,8 @@ import (
 // TestLosslessPropertyRandomized: for randomly generated statistics, the
 // lossless summary gives exactly the same estimate as the raw cost vector
 // database for every fully-known pattern that has records — the defining
-// property of §6.2.1, beyond the paper's worked example.
+// property of §6.2.1, beyond the paper's worked example. Exactly means ==:
+// a table row is the same fold as an index row, divided once.
 func TestLosslessPropertyRandomized(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -52,8 +52,7 @@ func TestLosslessPropertyRandomized(t *testing.T) {
 			if errRaw != nil || errSum != nil {
 				t.Fatalf("trial %d %s: errors %v / %v", trial, p, errRaw, errSum)
 			}
-			if !closeDur(cvRaw.TAll, cvSum.TAll) || !closeDur(cvRaw.TFirst, cvSum.TFirst) ||
-				!closeF(cvRaw.Card, cvSum.Card) {
+			if cvRaw != cvSum {
 				t.Fatalf("trial %d %s: raw %v != summarized %v", trial, p, cvRaw, cvSum)
 			}
 		}
@@ -62,25 +61,8 @@ func TestLosslessPropertyRandomized(t *testing.T) {
 
 func replay(src, dst *DB, arity int) {
 	for _, rec := range src.Records("d", "f", arity) {
-		dst.ObserveRecord(rec)
+		dst.observeRecord(rec)
 	}
-}
-
-// closeDur tolerates sub-microsecond rounding from incremental averaging.
-func closeDur(a, b time.Duration) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= time.Microsecond
-}
-
-func closeF(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-6
 }
 
 // TestRelaxationAlwaysTerminates: estimation over random patterns and
@@ -152,11 +134,14 @@ func TestSummaryStringStable(t *testing.T) {
 	if s1 != t2.String() {
 		t.Error("table rendering unstable")
 	}
+	// Observed 9 down to 0, listed 0 up to 9.
 	rows := t1.Rows()
-	for i := 1; i < len(rows); i++ {
-		a := fmt.Sprint(rows[i-1].DimVals)
-		b := fmt.Sprint(rows[i].DimVals)
-		_ = a
-		_ = b
+	if len(rows) != 10 {
+		t.Fatalf("%d rows, want 10", len(rows))
+	}
+	for i, r := range rows {
+		if len(r.DimVals) != 1 || !term.Equal(r.DimVals[0], term.Int(int64(i))) {
+			t.Errorf("row %d holds %v, want [%d]", i, r.DimVals, i)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func goldenStats() *DB {
 		{term.Float(0), term.Float(-2.5e-8)},
 	}
 	for i, args := range argSets {
-		db.ObserveRecord(Record{
+		db.observeRecord(Record{
 			Call: domain.Call{Domain: "d", Function: "f", Args: args},
 			Cost: domain.CostVector{
 				TFirst: time.Duration(i+1) * time.Millisecond, TAll: time.Duration(10*i+5) * time.Millisecond,
@@ -41,7 +41,7 @@ func goldenStats() *DB {
 			RecordedAt: time.Duration(i) * time.Second,
 		})
 	}
-	db.ObserveRecord(Record{Call: domain.Call{Domain: "e", Function: "g"}, Cost: domain.CostVector{TAll: time.Second}, HasTa: true})
+	db.observeRecord(Record{Call: domain.Call{Domain: "e", Function: "g"}, Cost: domain.CostVector{TAll: time.Second}, HasTa: true})
 	for _, dims := range [][]int{{0, 1}, {0}, {}} {
 		if _, err := db.Summarize("d", "f", 2, dims); err != nil {
 			panic(err)
@@ -95,7 +95,7 @@ func TestSaveSkipsRecordWithoutJSONForm(t *testing.T) {
 	if err := db2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := db2.RecordCount("d", "f", 1); n != 1 {
+	if n := len(db2.Records("d", "f", 1)); n != 1 {
 		t.Errorf("loaded %d records, want the one with a JSON form", n)
 	}
 	cv, err := db2.Cost(domain.Pattern{Domain: "d", Function: "f", Args: []domain.PatternArg{domain.Const(term.Str("a"))}})

@@ -20,36 +20,87 @@ type SummaryRow struct {
 	AvgTa   time.Duration
 	AvgCard float64
 	L       int
-	// per-metric contribution weights (records may miss components).
-	wTf, wTa, wCard float64
+	weights
+	next int32 // next row whose dimension values hash alike, -1 at the end
+}
+
+// vector is the estimate the row stands for, gaps filled as raw
+// aggregation fills them.
+func (r *SummaryRow) vector() (domain.CostVector, bool) {
+	return r.estimate(domain.CostVector{TFirst: r.AvgTf, TAll: r.AvgTa, Card: r.AvgCard})
 }
 
 // SummaryTable is a (possibly lossy) summarization of a function's cost
-// vector database over a chosen dimension set.
+// vector database over a chosen dimension set. Rows are found as a
+// maskIndex finds its rows: by hashTuple at Dims, then term.Equal.
 type SummaryTable struct {
 	Domain   string
 	Function string
 	Arity    int
 	// Dims are the argument positions kept as dimensions, ascending. All
 	// positions = lossless summarization; fewer = lossy.
-	Dims []int
-	rows map[string]*SummaryRow
+	Dims  []int
+	heads map[uint64]int32 // hash of a row's values at Dims -> its newest row
+	rows  []SummaryRow
 	// BuiltAt is the clock reading when the table was (re)built.
 	BuiltAt time.Duration
 	// hits counts the estimates this table served since the last AutoTune.
 	hits atomic.Int64
 }
 
+func newTable(k funcKey, dims []int, builtAt time.Duration) *SummaryTable {
+	return &SummaryTable{Domain: k.domain, Function: k.function, Arity: k.arity, Dims: dims,
+		heads: make(map[uint64]int32), BuiltAt: builtAt}
+}
+
 func (t *SummaryTable) key() string {
 	return tableKey(funcKey{t.Domain, t.Function, t.Arity}, t.Dims)
+}
+
+// find returns the row whose dimension values equal args at the table's
+// dimensions, or -1, and the head of the chain h hashes to (-1 when there
+// is none). args is indexed by argument position.
+func (t *SummaryTable) find(h uint64, args []term.Value) (row, head int32) {
+	head, ok := t.heads[h]
+	if !ok {
+		return -1, -1
+	}
+	for row = head; row >= 0; row = t.rows[row].next {
+		match := true
+		for j := 0; j < len(t.Dims) && match; j++ {
+			match = term.Equal(t.rows[row].DimVals[j], args[t.Dims[j]])
+		}
+		if match {
+			return row, head
+		}
+	}
+	return -1, head
+}
+
+// row returns the row for args' values at the table's dimensions, adding
+// an empty one on first sight; added reports that. argHashes are the
+// hashes of args.
+func (t *SummaryTable) row(args []term.Value, argHashes []uint64) (row int32, added bool) {
+	h := hashTuple(dimsMask(t.Dims), argHashes)
+	row, head := t.find(h, args)
+	if row >= 0 {
+		return row, false
+	}
+	dimVals := make([]term.Value, len(t.Dims))
+	for j, d := range t.Dims {
+		dimVals[j] = args[d]
+	}
+	t.heads[h] = int32(len(t.rows))
+	t.rows = append(t.rows, SummaryRow{DimVals: dimVals, next: head})
+	return int32(len(t.rows) - 1), true
 }
 
 // Rows returns the table's rows ordered by dimension values (stable for
 // display and golden tests).
 func (t *SummaryTable) Rows() []*SummaryRow {
-	out := make([]*SummaryRow, 0, len(t.rows))
-	for _, r := range t.rows {
-		out = append(out, r)
+	out := make([]*SummaryRow, len(t.rows))
+	for i := range t.rows {
+		out[i] = &t.rows[i]
 	}
 	sort.Slice(out, func(a, b int) bool {
 		return rowKey(out[a].DimVals) < rowKey(out[b].DimVals)
@@ -91,6 +142,7 @@ func (t *SummaryTable) String() string {
 	return b.String()
 }
 
+// rowKey orders rows for display.
 func rowKey(vals []term.Value) string {
 	parts := make([]string, len(vals))
 	for i, v := range vals {
@@ -114,39 +166,29 @@ func (db *DB) Summarize(dom, fn string, arity int, dims []int) (*SummaryTable, e
 	return db.summarize(k, nd), nil
 }
 
-// summarize builds and registers the table over normalized dims. The
-// caller holds the write lock.
+// summarize builds and registers the table over normalized dims: the
+// records are folded per row, in recording order, exactly as raw
+// aggregation folds them, and each row divides once. The caller holds the
+// write lock.
 func (db *DB) summarize(k funcKey, nd []int) *SummaryTable {
 	g := db.group(k)
 	now := db.now()
-	t := &SummaryTable{Domain: k.domain, Function: k.function, Arity: k.arity, Dims: nd,
-		rows: make(map[string]*SummaryRow), BuiltAt: now}
-	for r := range g.recs {
-		rec := &g.recs[r]
-		dimVals := make([]term.Value, len(nd))
-		for i, d := range nd {
-			dimVals[i] = rec.Call.Args[d]
+	t := newTable(k, nd, now)
+	var folds []fold
+	var buf [8]uint64
+	for i := range g.recs {
+		rec := &g.recs[i]
+		row, added := t.row(rec.Call.Args, hashArgs(buf[:0], rec.Call.Args))
+		if added {
+			folds = append(folds, fold{})
 		}
-		rk := rowKey(dimVals)
-		row, ok := t.rows[rk]
-		if !ok {
-			row = &SummaryRow{DimVals: dimVals}
-			t.rows[rk] = row
-		}
-		w := db.weight(rec, now)
-		row.L++
-		if rec.HasTf {
-			row.AvgTf = weightedMean(row.AvgTf, row.wTf, rec.Cost.TFirst, w)
-			row.wTf += w
-		}
-		if rec.HasTa {
-			row.AvgTa = weightedMean(row.AvgTa, row.wTa, rec.Cost.TAll, w)
-			row.wTa += w
-		}
-		if rec.HasCard {
-			row.AvgCard = weightedMeanF(row.AvgCard, row.wCard, rec.Cost.Card, w)
-			row.wCard += w
-		}
+		folds[row].add(rec, db.weight(rec, now))
+		t.rows[row].L++
+	}
+	for i := range folds {
+		r, f := &t.rows[i], &folds[i]
+		cv := f.mean()
+		r.AvgTf, r.AvgTa, r.AvgCard, r.weights = cv.TFirst, cv.TAll, cv.Card, f.weights
 	}
 	g.setTable(t)
 	return t
@@ -163,19 +205,6 @@ func (g *group) setTable(t *SummaryTable) {
 		t.hits.Store(old.hits.Load())
 	}
 	g.tables[mask] = t
-}
-
-// weightedMean folds a new duration observation into a running weighted
-// mean.
-func weightedMean(mean time.Duration, wSum float64, x time.Duration, w float64) time.Duration {
-	return time.Duration(weightedMeanF(float64(mean), wSum, float64(x), w))
-}
-
-func weightedMeanF(mean, wSum, x, w float64) float64 {
-	if wSum+w == 0 {
-		return 0
-	}
-	return (mean*wSum + x*w) / (wSum + w)
 }
 
 // SummarizeLossless builds the lossless summary: every argument position
@@ -195,18 +224,6 @@ func (db *DB) SummarizeFullyLossy(dom, fn string, arity int) (*SummaryTable, err
 	return db.Summarize(dom, fn, arity, nil)
 }
 
-// Table returns the registered summary table with the given dimensions.
-func (db *DB) Table(dom, fn string, arity int, dims []int) (*SummaryTable, bool) {
-	nd, err := normalizeDims(dims, arity)
-	if err != nil {
-		return nil, false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.view(funcKey{dom, fn, arity}).tables[dimsMask(nd)]
-	return t, ok
-}
-
 // DropTable removes a summary table ("drop the tables that are not
 // accessed very often").
 func (db *DB) DropTable(dom, fn string, arity int, dims []int) {
@@ -221,13 +238,8 @@ func (db *DB) DropTable(dom, fn string, arity int, dims []int) {
 	}
 }
 
-// Tables lists all registered summary tables, ordered by table key.
-func (db *DB) Tables() []*SummaryTable {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tables()
-}
-
+// tables lists all registered summary tables, ordered by table key. The
+// caller holds the lock.
 func (db *DB) tables() []*SummaryTable {
 	var out []*SummaryTable
 	for _, g := range db.groups {
@@ -237,19 +249,4 @@ func (db *DB) tables() []*SummaryTable {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].key() < out[b].key() })
 	return out
-}
-
-// lookupRow probes a summary table for the row matching a pattern's
-// constants at the table's dimension positions. Every dimension must be a
-// known constant in the pattern.
-func (t *SummaryTable) lookupRow(p domain.Pattern) (*SummaryRow, bool) {
-	vals := make([]term.Value, len(t.Dims))
-	for i, d := range t.Dims {
-		if d >= len(p.Args) || !p.Args[d].Known {
-			return nil, false
-		}
-		vals[i] = p.Args[d].Val
-	}
-	r, ok := t.rows[rowKey(vals)]
-	return r, ok
 }

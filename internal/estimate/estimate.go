@@ -426,7 +426,7 @@ func groundCall(p domain.Pattern) (domain.Call, bool) {
 // and cardinalities (§7 step 2); the first answer comes from the first
 // rule.
 func (st *costState) costAtom(a *lang.Atom, known term.Subst, bound map[string]bool, depth int) (domain.CostVector, error) {
-	adorn := adornmentOf(a, bound, known)
+	adorn := rewrite.AtomAdornment(a, bound)
 	key := rewrite.PredKey{Pred: a.Pred, Adorn: adorn}
 	rules, ok := st.plan.Rules[key]
 	if !ok || len(rules) == 0 {
@@ -494,21 +494,6 @@ func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known 
 		TAll:   lookup + time.Duration(n)*per,
 		Card:   float64(n),
 	}, true
-}
-
-// adornmentOf computes an atom's adornment: bound where the argument is a
-// constant or a bound variable.
-func adornmentOf(a *lang.Atom, bound map[string]bool, known term.Subst) rewrite.Adornment {
-	b := make([]byte, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsConst() || bound[t.Var] {
-			b[i] = 'b'
-		} else {
-			b[i] = 'f'
-		}
-	}
-	_ = known
-	return rewrite.Adornment(b)
 }
 
 // headBindings unifies an atom occurrence with a rule head at plan time:

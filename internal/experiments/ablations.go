@@ -82,69 +82,50 @@ func AblationSummarization() ([]SummarizationRow, error) {
 		truth[i] = ctx.Clock.Now() - t0
 	}
 
-	groups := fig6FunctionGroups
-	mkDB := func(raw bool) *dcsm.DB {
-		db := dcsm.New(dcsm.Config{AllowRawAggregation: raw}, nil)
-		replayRecords(tb.Sys.DCSM, db)
-		return db
+	// Each configuration starts from a copy of the training statistics. One
+	// that summarizes builds its tables function by function and then drops
+	// the function's raw detail.
+	fullyLossy := func(db *dcsm.DB, f dcsm.FunctionStat) error {
+		_, err := db.SummarizeFullyLossy(f.Domain, f.Function, f.Arity)
+		return err
 	}
-	type cfg struct {
-		name  string
-		build func() (*dcsm.DB, error)
-		// dropRaw removes raw detail after summarizing.
-		dropRaw bool
-	}
-	cfgs := []cfg{
-		{name: "raw cost vector DB", build: func() (*dcsm.DB, error) { return mkDB(true), nil }},
-		{name: "lossless tables", dropRaw: true, build: func() (*dcsm.DB, error) {
-			db := mkDB(false)
-			for _, g := range groups {
-				if _, err := db.SummarizeLossless(g.dom, g.fn, g.arity); err != nil {
-					return nil, err
-				}
-				if _, err := db.SummarizeFullyLossy(g.dom, g.fn, g.arity); err != nil {
-					return nil, err
-				}
+	cfgs := []struct {
+		name      string
+		summarize func(db *dcsm.DB, f dcsm.FunctionStat) error
+	}{
+		{"raw cost vector DB", nil},
+		{"lossless tables", func(db *dcsm.DB, f dcsm.FunctionStat) error {
+			if _, err := db.SummarizeLossless(f.Domain, f.Function, f.Arity); err != nil {
+				return err
 			}
-			return db, nil
+			return fullyLossy(db, f)
 		}},
-		{name: "analysis-driven lossy", dropRaw: true, build: func() (*dcsm.DB, error) {
-			db := mkDB(false)
+		{"analysis-driven lossy", func(db *dcsm.DB, f dcsm.FunctionStat) error {
 			// Keep only the first argument (video / table name): the deeper
 			// positions are runtime values in the hidden predicates.
-			for _, g := range groups {
-				dims := []int{}
-				if g.arity > 0 {
-					dims = []int{0}
-				}
-				if _, err := db.Summarize(g.dom, g.fn, g.arity, dims); err != nil {
-					return nil, err
-				}
-				if _, err := db.SummarizeFullyLossy(g.dom, g.fn, g.arity); err != nil {
-					return nil, err
-				}
+			dims := []int{}
+			if f.Arity > 0 {
+				dims = []int{0}
 			}
-			return db, nil
-		}},
-		{name: "fully lossy", dropRaw: true, build: func() (*dcsm.DB, error) {
-			db := mkDB(false)
-			for _, g := range groups {
-				if _, err := db.SummarizeFullyLossy(g.dom, g.fn, g.arity); err != nil {
-					return nil, err
-				}
+			if _, err := db.Summarize(f.Domain, f.Function, f.Arity, dims); err != nil {
+				return err
 			}
-			return db, nil
+			return fullyLossy(db, f)
 		}},
+		{"fully lossy", fullyLossy},
 	}
 	var rows []SummarizationRow
 	for _, c := range cfgs {
-		db, err := c.build()
-		if err != nil {
+		db := dcsm.New(dcsm.Config{AllowRawAggregation: c.summarize == nil}, nil)
+		if err := copyStats(tb.Sys.DCSM, db); err != nil {
 			return nil, err
 		}
-		if c.dropRaw {
-			for _, g := range groups {
-				db.DropDetail(g.dom, g.fn, g.arity)
+		if c.summarize != nil {
+			for _, f := range db.FunctionStats() {
+				if err := c.summarize(db, f); err != nil {
+					return nil, err
+				}
+				db.DropDetail(f.Domain, f.Function, f.Arity)
 			}
 		}
 		row := SummarizationRow{Config: c.name}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -60,20 +61,16 @@ func Figure6() ([]Fig6Row, error) {
 	if err := tb.WarmConnections(); err != nil {
 		return nil, err
 	}
-	calls := trainingCalls(1996)
-	if err := sys.WarmStatistics(calls); err != nil {
+	if err := sys.WarmStatistics(trainingCalls(1996)); err != nil {
 		return nil, err
 	}
-	replayRecords(sys.DCSM, losslessDB)
-	replayRecords(sys.DCSM, lossyDB)
-	seen := map[string]bool{}
-	for _, c := range calls {
-		k := fmt.Sprintf("%s:%s/%d", c.Domain, c.Function, len(c.Args))
-		if seen[k] {
-			continue
+	for _, db := range []*dcsm.DB{losslessDB, lossyDB} {
+		if err := copyStats(sys.DCSM, db); err != nil {
+			return nil, err
 		}
-		seen[k] = true
-		if _, err := lossyDB.SummarizeFullyLossy(c.Domain, c.Function, len(c.Args)); err != nil {
+	}
+	for _, f := range lossyDB.FunctionStats() {
+		if _, err := lossyDB.SummarizeFullyLossy(f.Domain, f.Function, f.Arity); err != nil {
 			return nil, err
 		}
 	}
@@ -95,7 +92,7 @@ func Figure6() ([]Fig6Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figure 6 %s lossy: %w", q.name, err)
 		}
-		answers, metrics, err := runPlan(sys, plan)
+		_, metrics, err := runPlan(sys, plan)
 		if err != nil {
 			return nil, fmt.Errorf("figure 6 %s run: %w", q.name, err)
 		}
@@ -120,31 +117,18 @@ func Figure6() ([]Fig6Row, error) {
 			LossyTf:    adjust(predictLossy.TFirst, predictLossy.Card, false),
 			LossyTa:    adjust(predictLossy.TAll, predictLossy.Card, true),
 		})
-		_ = answers
 	}
 	return rows, nil
 }
 
-// fig6FunctionGroups lists the domain functions the training set touches.
-var fig6FunctionGroups = []struct {
-	dom, fn string
-	arity   int
-}{
-	{"avis", "video_size", 1},
-	{"avis", "frames_to_objects", 3},
-	{"avis", "object_to_frames", 2},
-	{"ingres", "equal", 3},
-	{"ingres", "all", 1},
-}
-
-// replayRecords copies every training record from src into dst, so both
-// the lossless and the lossy configuration see identical observations.
-func replayRecords(src, dst *dcsm.DB) {
-	for _, g := range fig6FunctionGroups {
-		for _, rec := range src.Records(g.dom, g.fn, g.arity) {
-			dst.ObserveRecord(rec)
-		}
+// copyStats loads a copy of src's statistics into dst through a snapshot,
+// so that both configurations of a comparison see identical observations.
+func copyStats(src, dst *dcsm.DB) error {
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		return err
 	}
+	return dst.Load(&buf)
 }
 
 // FormatFigure6 renders the rows like the paper's Figure 6 table.

@@ -56,13 +56,8 @@ func OptimizerQuality(n int) ([]OptQualityRow, error) {
 		}
 	}
 	statsDB := dcsm.New(dcsm.DefaultConfig(), sys.Clock.Now)
-	for _, g := range []struct {
-		dom, fn string
-		arity   int
-	}{{"avis", "frames_to_objects", 3}, {"rel", "all", 1}} {
-		for _, rec := range sys.DCSM.Records(g.dom, g.fn, g.arity) {
-			statsDB.ObserveRecord(rec)
-		}
+	if err := copyStats(sys.DCSM, statsDB); err != nil {
+		return nil, err
 	}
 	est := estimate.New(statsDB, nil)
 

@@ -50,7 +50,9 @@ func PlanChoice() ([]PlanChoiceRow, error) {
 		return nil, err
 	}
 	statsDB := dcsm.New(dcsm.DefaultConfig(), sys.Clock.Now)
-	replayRecords(sys.DCSM, statsDB)
+	if err := copyStats(sys.DCSM, statsDB); err != nil {
+		return nil, err
+	}
 	est := estimate.New(statsDB, nil)
 
 	pairs := []struct{ name, a, b string }{

@@ -94,7 +94,7 @@ func (rw *Rewriter) neededKeys(pr *PlanRule, headBound map[string]bool) ([]PredK
 	for _, bi := range pr.Order {
 		lit := pr.Rule.Body[bi]
 		if a, ok := lit.(*lang.Atom); ok {
-			keys = append(keys, PredKey{Pred: a.Pred, Adorn: atomAdornment(a, bound)})
+			keys = append(keys, PredKey{Pred: a.Pred, Adorn: AtomAdornment(a, bound)})
 		}
 		ok, binds := schedulable(lit, bound)
 		if !ok {

@@ -87,7 +87,7 @@ func validateOrdering(t *testing.T, trial, plan int, key PredKey, pr *PlanRule) 
 	}
 }
 
-// TestAdornmentConsistency: atomAdornment agrees with groundness under any
+// TestAdornmentConsistency: AtomAdornment agrees with groundness under any
 // substitution state.
 func TestAdornmentConsistency(t *testing.T) {
 	a := &lang.Atom{Pred: "p", Args: []term.Term{
@@ -102,7 +102,7 @@ func TestAdornmentConsistency(t *testing.T) {
 		{map[string]bool{"X": true, "Y": true, "R": true}, "bbbb"},
 	}
 	for _, c := range cases {
-		if got := atomAdornment(a, c.bound); got != c.want {
+		if got := AtomAdornment(a, c.bound); got != c.want {
 			t.Errorf("bound %v: adornment %q, want %q", c.bound, got, c.want)
 		}
 	}

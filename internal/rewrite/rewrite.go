@@ -364,9 +364,10 @@ func cloneSet(s map[string]bool) map[string]bool {
 	return out
 }
 
-// atomAdornment computes the adornment of an atom occurrence given the
-// variables bound before it executes.
-func atomAdornment(a *lang.Atom, bound map[string]bool) Adornment {
+// AtomAdornment computes the adornment of an atom occurrence given the
+// variables bound before it executes. The estimator keys its plan lookups
+// with it too, so the two cannot disagree on a predicate's adornment.
+func AtomAdornment(a *lang.Atom, bound map[string]bool) Adornment {
 	var b strings.Builder
 	for _, t := range a.Args {
 		if groundUnder(t, bound) {

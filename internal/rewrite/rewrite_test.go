@@ -346,7 +346,7 @@ func TestDroppableDimsExportedHiddenContrast(t *testing.T) {
 
 func TestAdornmentString(t *testing.T) {
 	a := &lang.Atom{Pred: "p", Args: []term.Term{term.C(term.Str("x")), term.V("Y")}}
-	ad := atomAdornment(a, map[string]bool{})
+	ad := AtomAdornment(a, map[string]bool{})
 	if ad != "bf" {
 		t.Errorf("adornment = %q, want bf", ad)
 	}
