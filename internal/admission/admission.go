@@ -139,7 +139,7 @@ func NewPool(cfg Config) *Pool {
 
 // SetObserver attaches the pool's tallies to the observer's metrics
 // registry: the hermes_admission_* families are declared here and nowhere
-// else. The lane gauges read the pool at scrape time. Nil-safe.
+// else. The lane gauge reads the pool at scrape time. Nil-safe.
 func (p *Pool) SetObserver(o *obs.Observer) {
 	if p == nil {
 		return
@@ -149,7 +149,6 @@ func (p *Pool) SetObserver(o *obs.Observer) {
 	r.AttachCounter("hermes_admission_queued_total", "query sessions that waited for an admission lane", p.queued.Value)
 	r.AttachCounter("hermes_admission_shed_total", "query sessions shed with ErrOverloaded at a saturated pool", p.shed.Value)
 	r.AttachGauge("hermes_admission_inflight_lanes", "evaluation lanes currently held across all sessions", func() float64 { return float64(p.Stats().Occupancy) })
-	r.AttachGauge("hermes_admission_peak_lanes", "high-water mark of concurrently held lanes", func() float64 { return float64(p.Stats().Peak) })
 	r.AttachHistogram("hermes_admission_wait_ms", "execution-clock time sessions spent queued for admission", &p.waitMS)
 }
 

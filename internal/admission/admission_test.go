@@ -359,16 +359,10 @@ func TestObserverMetrics(t *testing.T) {
 	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != 2 {
 		t.Fatalf("inflight gauge = %v, want 2", got)
 	}
-	if got := o.Gauge("hermes_admission_peak_lanes").Value(); got != 2 {
-		t.Fatalf("peak gauge = %v, want 2", got)
-	}
 	a.Close()
 	b.Close()
 	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != 0 {
 		t.Fatalf("inflight gauge after close = %v, want 0", got)
-	}
-	if got := o.Gauge("hermes_admission_peak_lanes").Value(); got != 2 {
-		t.Fatalf("peak gauge after close = %v, want 2 (high-water)", got)
 	}
 }
 
@@ -407,9 +401,6 @@ func TestExportedFamiliesEqualStats(t *testing.T) {
 	}
 	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != float64(st.Occupancy) || got != 1 {
 		t.Errorf("inflight gauge = %g, Stats says %d, want 1", got, st.Occupancy)
-	}
-	if got := o.Gauge("hermes_admission_peak_lanes").Value(); got != float64(st.Peak) || got != 1 {
-		t.Errorf("peak gauge = %g, Stats says %d, want 1", got, st.Peak)
 	}
 	if got := o.Histogram("hermes_admission_wait_ms").Count(); got != 1 {
 		t.Errorf("hermes_admission_wait_ms count = %d, want 1 (the queued session)", got)
@@ -456,9 +447,6 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 	if st.Peak > 6 {
 		t.Fatalf("peak %d exceeded capacity 6", st.Peak)
-	}
-	if got := o.Gauge("hermes_admission_peak_lanes").Value(); got > 6 {
-		t.Fatalf("peak gauge %v exceeded capacity", got)
 	}
 }
 

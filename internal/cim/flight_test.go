@@ -63,11 +63,16 @@ func waitReaders(t *testing.T, m *Manager, key string, n int) {
 	}
 }
 
+// TestSingleFlightConcurrentIdenticalCalls: n identical calls arriving
+// while the first is in flight cost the source one call; the other n-1
+// attach to it, and hermes_cim_singleflight_shares_total counts them.
 func TestSingleFlightConcurrentIdenticalCalls(t *testing.T) {
 	g := &gateDomain{name: "g", started: make(chan struct{}, 1), release: make(chan struct{})}
 	reg := domain.NewRegistry()
 	reg.Register(g)
 	m := New(reg, testCfg())
+	o := obs.NewObserver()
+	m.SetObserver(o)
 
 	const n = 8
 	c := call("g", "slow", term.Str("a"))
@@ -115,8 +120,8 @@ func TestSingleFlightConcurrentIdenticalCalls(t *testing.T) {
 	if got := g.calls.Load(); got != 1 {
 		t.Errorf("source called %d times, want 1", got)
 	}
-	if st := m.Stats(); st.SingleFlightShares != n-1 {
-		t.Errorf("SingleFlightShares = %d, want %d", st.SingleFlightShares, n-1)
+	if got := o.Counter("hermes_cim_singleflight_shares_total").Value(); got != n-1 {
+		t.Errorf("hermes_cim_singleflight_shares_total = %d, want %d", got, n-1)
 	}
 	// The one measured call was cached; a later identical call is an exact
 	// hit.

@@ -59,11 +59,10 @@ type Engine struct {
 	onMeasure func(domain.Measurement)
 
 	// Event tallies, attached to cfg.Obs's metrics registry by New.
-	queries, answers, parallelUnions, parallelStages obs.Counter
-	calls                                            [2]obs.Counter // by rewrite.Route
-	callErrors                                       [len(callErrorReasons)]obs.Counter
-	inflightBranches                                 obs.Gauge
-	tfirstMS, tallMS                                 obs.Histogram
+	queries          obs.Counter
+	calls            [2]obs.Counter // by rewrite.Route
+	callErrors       [len(callErrorReasons)]obs.Counter
+	tfirstMS, tallMS obs.Histogram
 }
 
 // Why a domain call can die at setup: the reason label of
@@ -80,7 +79,6 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(d
 	// are declared here and nowhere else.
 	r := cfg.Obs.Registry()
 	r.AttachCounter("hermes_queries_total", "queries executed by the embedded mediator", e.queries.Value)
-	r.AttachCounter("hermes_query_answers_total", "answers produced across all queries", e.answers.Value)
 	r.AttachHistogram("hermes_query_tfirst_ms", "milliseconds to each query's first answer", &e.tfirstMS)
 	r.AttachHistogram("hermes_query_tall_ms", "milliseconds to each query's last answer", &e.tallMS)
 	for route := range e.calls {
@@ -89,9 +87,6 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(d
 	for i, reason := range callErrorReasons {
 		r.AttachCounter("hermes_engine_call_errors_total", "domain calls that failed, by reason", e.callErrors[i].Value, "reason", reason)
 	}
-	r.AttachCounter("hermes_engine_parallel_unions_total", "rule unions executed as parallel merges", e.parallelUnions.Value)
-	r.AttachCounter("hermes_engine_parallel_stages_total", "independent-sibling prefetch stages started", e.parallelStages.Value)
-	r.AttachGauge("hermes_engine_inflight_branches", "parallel pipeline branches currently running", e.inflightBranches.Value)
 	return e
 }
 
@@ -221,7 +216,6 @@ func (c *Cursor) finish(complete bool) {
 	// Ending is idempotent, so it is safe whether the span was opened here
 	// or handed in by the mediator; a root span publishes to the tracer.
 	c.span.End(c.ctx.Clock.Now())
-	c.eng.answers.Add(int64(c.metrics.Answers))
 	c.eng.tfirstMS.Observe(float64(c.metrics.TFirst) / float64(time.Millisecond))
 	c.eng.tallMS.Observe(float64(c.metrics.TAll) / float64(time.Millisecond))
 }

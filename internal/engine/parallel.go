@@ -135,7 +135,6 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 	for i := range u.branches {
 		u.branches[i] = &unionBranch{}
 	}
-	e.parallelUnions.Inc()
 	// Static round-robin lane assignment: the cheapest alternatives head
 	// each lane's work list, so they launch first.
 	for lane := 0; lane < lanes; lane++ {
@@ -187,10 +186,7 @@ func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules
 func (u *parallelUnion) runLane(fork *domain.Ctx, idxs []int) {
 	defer u.wg.Done()
 	for _, ri := range idxs {
-		u.eng.inflightBranches.Add(1)
-		ok := u.runBranch(fork, ri)
-		u.eng.inflightBranches.Add(-1)
-		if !ok {
+		if !u.runBranch(fork, ri) {
 			// Cancelled/closed: mark the lane's remaining branches done so
 			// the merge never waits on them.
 			u.mu.Lock()
@@ -402,7 +398,6 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 		cancel: cancel,
 	}
 	logs := make([]spool.Log[term.Value], extra) // one allocation for every level's spool
-	e.parallelStages.Inc()
 	ctx.Span.SetTag("parallel", strconv.Itoa(extra+1))
 	for i := 1; i <= extra; i++ {
 		level := indep[i]
@@ -425,8 +420,6 @@ func (e *Engine) newStage(ctx *domain.Ctx, pr *rewrite.PlanRule, base term.Subst
 // forked clock and drains it eagerly into the spool (prefetch).
 func (st *stage) run(fork *domain.Ctx, lit *lang.InCall, route rewrite.Route, base term.Subst, sp *spool.Log[term.Value]) {
 	defer st.wg.Done()
-	st.eng.inflightBranches.Add(1)
-	defer st.eng.inflightBranches.Add(-1)
 	stream, err := st.eng.openCallStream(fork, lit, route, base)
 	if err != nil {
 		sp.Settle(err, fork.Clock.Now())

@@ -190,3 +190,59 @@ func TestCallSpansBreakerOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryLatencyHistograms: every executed query observes its time to
+// first and to all answers once. On the virtual clock
+// hermes_query_tfirst_ms and hermes_query_tall_ms count the queries and
+// sum exactly the cursors' Metrics.TFirst and Metrics.TAll in
+// milliseconds.
+func TestQueryLatencyHistograms(t *testing.T) {
+	d := domaintest.New("d")
+	d.Define("nums", domaintest.Func{Arity: 1, PerCall: 30 * time.Millisecond, PerAnswer: 7 * time.Millisecond,
+		Fn: func(args []term.Value) ([]term.Value, error) {
+			out := make([]term.Value, args[0].(term.Int))
+			for i := range out {
+				out[i] = term.Int(i)
+			}
+			return out, nil
+		}})
+	reg := domain.NewRegistry()
+	reg.Register(d)
+	o := obs.NewObserver()
+	eng := New(reg, nil, Config{Obs: o}, nil)
+	prog, _ := lang.ParseProgram(`v(N, X) :- in(X, d:nums(N)).`)
+	rw := rewrite.New(prog, rewrite.Config{}, reg)
+	var tfirst, tall float64
+	for n := 1; n <= 3; n++ {
+		q, _ := lang.ParseQuery(fmt.Sprintf("?- v(%d, X).", n))
+		plans, err := rw.Plans(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := eng.ExecutePlan(domain.NewCtx(vclock.NewVirtual(0)), plans[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := CollectAll(cur); err != nil {
+			t.Fatal(err)
+		}
+		m := cur.Metrics()
+		tfirst += float64(m.TFirst) / float64(time.Millisecond)
+		tall += float64(m.TAll) / float64(time.Millisecond)
+	}
+	if tfirst == 0 || tall <= tfirst {
+		t.Fatalf("the queries cost Tf %gms, Ta %gms; the sources must charge time", tfirst, tall)
+	}
+	for _, h := range []struct {
+		name string
+		sum  float64
+	}{{"hermes_query_tfirst_ms", tfirst}, {"hermes_query_tall_ms", tall}} {
+		got := o.Histogram(h.name)
+		if got.Count() != 3 || got.Sum() != h.sum {
+			t.Errorf("%s count %d sum %g, want 3 queries summing %g", h.name, got.Count(), got.Sum(), h.sum)
+		}
+	}
+	if got := o.Counter("hermes_queries_total").Value(); got != 3 {
+		t.Errorf("hermes_queries_total = %d, want 3", got)
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -10,8 +11,8 @@ import (
 	"hermes/internal/admission"
 	"hermes/internal/core"
 	"hermes/internal/domain"
-	"hermes/internal/domain/domaintest"
 	"hermes/internal/engine"
+	"hermes/internal/obs"
 )
 
 // The admission fairness experiment drives K=8 concurrent query sessions
@@ -41,11 +42,12 @@ type AdmissionPoint struct {
 	// implicit admission lane plus every extra-lane acquisition during the
 	// union's parallel branches. Identical across sessions by symmetry.
 	GrantsPerSession int `json:"grants_per_session"`
-	// PoolPeak is the pool's lane high-water mark; SourcePeak is the
-	// concurrency the metered source actually observed. Both must stay
-	// within MaxInflight. Both are real-time observations (every open
-	// call holds a lane, so the bound is structural, but how many overlap
-	// on the wall clock depends on goroutine scheduling).
+	// PoolPeak is the most lanes held at one virtual instant: each
+	// session's admission lane over its root span, plus the extra lanes of
+	// every parallel union over the union's span. SourcePeak is the most
+	// source calls open at one virtual instant, over the call spans. Both
+	// must stay within MaxInflight, and both are functions of the run's
+	// virtual time, not of how goroutines overlapped on the wall clock.
 	PoolPeak   int `json:"pool_peak"`
 	SourcePeak int `json:"source_peak"`
 	// SessionTAllMs is each admitted session's all-answers virtual time,
@@ -76,14 +78,14 @@ func AdmissionFairness() (*AdmissionResult, error) {
 		Site:     wanFlat.Name,
 	}
 	for _, capacity := range []int{4, 8, 16, 32} {
-		// A fresh federation per capacity, with a concurrency meter on the
-		// source.
-		meter := domaintest.Metered(fourVideoSource())
+		// A fresh federation per capacity, traced: the peaks are read off
+		// the sessions' span trees.
 		sys, err := fourVideoSystem(core.Options{
 			Parallelism:      4,
 			MaxInflightCalls: capacity,
 			ShedPolicy:       admission.PolicyShed,
-		}, meter)
+			Obs:              obs.NewObserver(),
+		}, fourVideoSource())
 		if err != nil {
 			return nil, err
 		}
@@ -119,6 +121,7 @@ func AdmissionFairness() (*AdmissionResult, error) {
 		// mid-run would hand real-time-dependent extra lanes to whoever is
 		// still running, and the figure would stop being reproducible.
 		talls := make([]time.Duration, len(admitted))
+		trees := make([]obs.SpanData, len(admitted))
 		errs := make([]error, len(admitted))
 		var wg sync.WaitGroup
 		for i, s := range admitted {
@@ -139,7 +142,7 @@ func AdmissionFairness() (*AdmissionResult, error) {
 					errs[i] = fmt.Errorf("session %d starved: %d answers, want 4", i, len(answers))
 					return
 				}
-				talls[i] = m.TAll
+				talls[i], trees[i] = m.TAll, cur.Span().Snapshot()
 			}(i, s)
 		}
 		wg.Wait()
@@ -152,9 +155,13 @@ func AdmissionFairness() (*AdmissionResult, error) {
 			}
 		}
 
+		var lanes, calls []interval
+		for _, root := range trees {
+			lanes = append(lanes, interval{root.Start, root.End, 1}) // the admission lane
+			lanes, calls = spanIntervals(root.Children, lanes, calls)
+		}
+		pt.PoolPeak, pt.SourcePeak = peakOverlap(lanes), peakOverlap(calls)
 		st := sys.Admission.Stats()
-		pt.PoolPeak = st.Peak
-		pt.SourcePeak = meter.Peak()
 		if pt.Admitted > 0 {
 			// Grants split evenly: identical sessions, and every extra-lane
 			// request is bound by the fair share, never by arrival order.
@@ -176,6 +183,46 @@ func AdmissionFairness() (*AdmissionResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
+}
+
+// interval is a weight held over the virtual-time span [start, end).
+type interval struct {
+	start, end time.Duration
+	weight     int
+}
+
+// spanIntervals appends what the spans below a session's root record to
+// lanes and calls: a union span tagged parallel=N holds N-1 extra lanes,
+// and each call span is one open source call.
+func spanIntervals(spans []obs.SpanData, lanes, calls []interval) ([]interval, []interval) {
+	for _, d := range spans {
+		switch {
+		case strings.HasPrefix(d.Name, "union "):
+			if n, err := strconv.Atoi(d.Tag("parallel")); err == nil {
+				lanes = append(lanes, interval{d.Start, d.End, n - 1})
+			}
+		case strings.HasPrefix(d.Name, "call "):
+			calls = append(calls, interval{d.Start, d.End, 1})
+		}
+		lanes, calls = spanIntervals(d.Children, lanes, calls)
+	}
+	return lanes, calls
+}
+
+// peakOverlap is the largest total weight of intervals that overlap at one
+// instant. The overlap only grows where an interval starts, so the peak is
+// the weight held at some start.
+func peakOverlap(ivs []interval) (peak int) {
+	for _, at := range ivs {
+		held := 0
+		for _, iv := range ivs {
+			if iv.start <= at.start && at.start < iv.end {
+				held += iv.weight
+			}
+		}
+		peak = max(peak, held)
+	}
+	return peak
 }
 
 // FormatAdmission renders the fairness table.

@@ -67,11 +67,9 @@ func TestAdmissionFairness(t *testing.T) {
 	}
 	for i := range res.Points {
 		p, q := res.Points[i], res2.Points[i]
-		// SourcePeak and PoolPeak are excluded: they are high-water marks
-		// of goroutines overlapping on the wall clock, whose bound (checked
-		// above), not value, is guaranteed.
 		if p.MaxInflight != q.MaxInflight || p.Admitted != q.Admitted ||
 			p.Shed != q.Shed || p.GrantsPerSession != q.GrantsPerSession ||
+			p.PoolPeak != q.PoolPeak || p.SourcePeak != q.SourcePeak ||
 			p.SpreadMs != q.SpreadMs {
 			t.Errorf("run 2 point %d = %+v, want %+v (nondeterministic)", i, q, p)
 		}

@@ -32,7 +32,7 @@ func faultedTestbed(t *testing.T, seed uint64, windows []faultinject.Window, opt
 	t.Helper()
 	opts.QueryDeadline = 90 * time.Second
 	opts.Resilience = &resilience.Policy{MaxAttempts: 3, BackoffBase: 80 * time.Millisecond, BackoffCap: 800 * time.Millisecond,
-		Seed: seed, Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenTimeout: 5 * time.Second, HalfOpenSuccesses: 1}}
+		Seed: seed, Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenTimeout: 5 * time.Second}}
 	tb, err := NewTestbed(TestbedOptions{WithInvariants: true, RouteViaCIM: true, Seed: seed, Core: opts,
 		Faults: &faultinject.Config{Seed: seed, ErrorRate: 0.2, FailLatency: 60 * time.Millisecond, TruncateRate: 0.1,
 			SpikeRate: 0.05, SpikeLatency: 2 * time.Second, Windows: windows}})
@@ -198,8 +198,8 @@ func TestChaosConcurrentSoak(t *testing.T) {
 	}
 
 	st := tb.Sys.Admission.Stats()
-	if gauge := int(o.Gauge("hermes_admission_peak_lanes").Value()); st.Peak > lanes || gauge != st.Peak || gauge == 0 {
-		t.Errorf("pool peak %d, gauge peak %d; want equal, nonzero and at most %d", st.Peak, gauge, lanes)
+	if st.Peak > lanes || st.Peak == 0 {
+		t.Errorf("pool peak %d; want nonzero and at most %d", st.Peak, lanes)
 	}
 	if st.Shed != 0 || st.Queued != sessions-lanes || st.Occupancy != 0 || st.Waiting != 0 {
 		t.Errorf("pool %+v; want %d queued, none shed, drained", st, sessions-lanes)

@@ -11,10 +11,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/figures.golden")
 
-// TestFiguresGolden pins the text of the figures that summary tables and
-// statistics estimates feed: 2, 3, 4, 6 and plan. Every cell of them is a
-// count or virtual time, so the text is a function of the code; a digit
-// that moves fails here. Figures with wall-clock columns stay out.
+// TestFiguresGolden pins the text of the deterministic text figures: 2, 3,
+// 4, 5, 6, plan, optquality (n = 10, as benchrunner runs it), hitrate and
+// availability. Every cell of them is a count or virtual time, so the text
+// is a function of the code; a digit that moves fails here. Figures with wall-clock columns stay out.
 // Regenerate with go test ./internal/experiments -run TestFiguresGolden
 // -update, and say in the change why the figures moved.
 func TestFiguresGolden(t *testing.T) {
@@ -30,10 +30,18 @@ func TestFiguresGolden(t *testing.T) {
 	section("3", fig3, err)
 	fig4, err := Figure4()
 	section("4", fig4, err)
+	fig5, err := Figure5()
+	section("5", FormatFigure5(fig5), err)
 	fig6, err := Figure6()
 	section("6", FormatFigure6(fig6), err)
 	plan, err := PlanChoice()
 	section("plan", FormatPlanChoice(plan), err)
+	opt, err := OptimizerQuality(10)
+	section("optquality", FormatOptimizerQuality(opt), err)
+	hit, err := HitRate()
+	section("hitrate", FormatHitRate(hit), err)
+	avail, err := Availability()
+	section("availability", FormatAvailability(avail), err)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "figures.golden")

@@ -10,10 +10,11 @@
 // that first-class:
 //
 //   - Registry is a reader of layer-owned tallies: the layer that observes
-//     an event keeps one Counter, Gauge or Histogram for it as a struct
-//     field, bumps it at the event site, and attaches it — with the
-//     family's name, help and label values, declared nowhere else — in its
-//     SetObserver. The registry renders what is attached in Prometheus text
+//     an event keeps one Counter or Histogram for it as a struct field,
+//     bumps it at the event site, and attaches it — with the family's name,
+//     help and label values, declared nowhere else — in its SetObserver; a
+//     gauge attaches a function that reads the layer's state at scrape
+//     time. The registry renders what is attached in Prometheus text
 //     exposition format (WritePrometheus, or the /metrics endpoint from
 //     Handler) and returns the live series by name.
 //   - Tracer starts one root Span per query; the engine, CIM, DCSM,

@@ -68,33 +68,12 @@ func (c *Counter) Value() int64 {
 	return c.v.Load() + c.more.sum()
 }
 
-// Gauge is a metric that can go up and down; like Counter its zero value
-// is a layer-owned handle and a registry-owned Gauge sums what is attached
-// to it. All methods are nil-receiver safe.
+// Gauge is a registry-owned series that reads state at scrape time: its
+// value is the sum of the read functions attached to it (AttachGauge), so
+// a layer keeps no gauge of its own, only the state the function reads.
+// All methods are nil-receiver safe.
 type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits
 	more attached[float64]
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
 }
 
 // Value returns the current gauge reading.
@@ -102,7 +81,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load()) + g.more.sum()
+	return g.more.sum()
 }
 
 // Histogram accumulates observations and answers quantile queries over a
@@ -432,9 +411,8 @@ func (r *Registry) AttachCounter(name, help string, read func() int64, labels ..
 	}
 }
 
-// AttachGauge is AttachCounter for a gauge family; read is a layer-owned
-// Gauge's Value method or a function deriving the reading from the layer's
-// state at scrape time.
+// AttachGauge is AttachCounter for a gauge family; read derives the
+// reading from the layer's state at scrape time.
 func (r *Registry) AttachGauge(name, help string, read func() float64, labels ...string) {
 	if g, _ := r.metric(name, help, kindGauge, labels).(*Gauge); g != nil {
 		g.more.add(read)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -26,10 +27,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("different labels returned the same counter")
 	}
 
-	g := r.Gauge("breaker_state", "domain", "avis")
-	g.Set(2)
-	g.Add(-1.5)
-	if got := g.Value(); got != 0.5 {
+	// A gauge reads state: the series sums every function attached to it.
+	r.AttachGauge("breaker_state", "", func() float64 { return 2 }, "domain", "avis")
+	r.AttachGauge("breaker_state", "", func() float64 { return -1.5 }, "domain", "avis")
+	if got := r.Gauge("breaker_state", "domain", "avis").Value(); got != 0.5 {
 		t.Errorf("gauge = %g, want 0.5", got)
 	}
 }
@@ -46,7 +47,8 @@ func TestLabelOrderCanonical(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
+	r.AttachGauge("y", "", func() float64 { return 1 })
+	r.Gauge("y").Value()
 	r.Histogram("z").Observe(1)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -247,6 +249,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	const goroutines = 8
 	const perG = 500
+	var now atomic.Int64
+	r.AttachGauge("g_now", "", func() float64 { return float64(now.Load()) })
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -254,7 +258,8 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				r.Counter("c_total", "g", "shared").Inc()
-				r.Gauge("g_now").Add(1)
+				now.Add(1)
+				r.Gauge("g_now").Value()
 				r.Histogram("h_ms").Observe(float64(i))
 				if i%100 == 0 {
 					var sb strings.Builder
@@ -283,14 +288,14 @@ func TestConcurrentUpdates(t *testing.T) {
 func TestAttachedHandles(t *testing.T) {
 	type layer struct {
 		events Counter
-		level  Gauge
+		level  atomic.Int64
 		waitMS Histogram
 	}
 	r := NewRegistry()
 	var a, b layer
 	for _, l := range []*layer{&a, &b} {
 		r.AttachCounter("events_total", "events seen", l.events.Value, "side", "client")
-		r.AttachGauge("level", "current level", l.level.Value)
+		r.AttachGauge("level", "current level", func() float64 { return float64(l.level.Load()) })
 		r.AttachHistogram("wait_ms", "time waited", &l.waitMS)
 	}
 	var sb strings.Builder
@@ -360,7 +365,7 @@ func TestWritePrometheus(t *testing.T) {
 	partial.Add(1)
 	r.AttachCounter("cim_hits_total", "CIM cache hits by kind.", exact.Value, "kind", "exact")
 	r.AttachCounter("cim_hits_total", "", partial.Value, "kind", "partial")
-	r.Gauge("breaker_state", "domain", "avis").Set(2)
+	r.AttachGauge("breaker_state", "", func() float64 { return 2 }, "domain", "avis")
 	h := r.Histogram("query_ms")
 	h.Observe(10)
 	h.Observe(20)

@@ -214,7 +214,7 @@ var policy = resilience.Policy{
 	BackoffBase: 80 * time.Millisecond,
 	BackoffCap:  800 * time.Millisecond,
 	Seed:        1,
-	Breaker:     resilience.BreakerConfig{FailureThreshold: 3, OpenTimeout: 5 * time.Second, HalfOpenSuccesses: 1},
+	Breaker:     resilience.BreakerConfig{FailureThreshold: 3, OpenTimeout: 5 * time.Second},
 }
 
 func checkSystem(t *testing.T, seed uint64, s setup) {

@@ -170,6 +170,8 @@ func TestNegativeZeroKeepsItsSign(t *testing.T) {
 func TestEndToEndCall(t *testing.T) {
 	_, addr := startServer(t, echoDomain())
 	c := NewClient(addr, "echo")
+	o := obs.NewObserver()
+	c.SetObserver(o)
 	ctx := domain.NewCtx(vclock.NewVirtual(0))
 	s, err := c.Call(ctx, "gen", []term.Value{term.Int(5)})
 	if err != nil {
@@ -186,6 +188,11 @@ func TestEndToEndCall(t *testing.T) {
 	i, _ := rec.Get("i")
 	if !term.Equal(i, term.Int(3)) {
 		t.Errorf("vals[3] = %v", rec)
+	}
+	for outcome, want := range map[string]int64{"ok": 1, "error": 0} {
+		if got := o.Counter("hermes_remote_dials_total", "domain", "echo", "outcome", outcome).Value(); got != want {
+			t.Errorf("hermes_remote_dials_total{outcome=%q} = %d, want %d", outcome, got, want)
+		}
 	}
 }
 
@@ -233,9 +240,16 @@ func TestRemoteUnavailableIsTyped(t *testing.T) {
 func TestDialFailureIsUnavailable(t *testing.T) {
 	c := NewClient("127.0.0.1:1", "echo") // nothing listens on port 1
 	c.SetDialTimeout(200 * time.Millisecond)
+	o := obs.NewObserver()
+	c.SetObserver(o)
 	_, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", []term.Value{term.Int(1)})
 	if !errors.Is(err, domain.ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable", err)
+	}
+	for outcome, want := range map[string]int64{"ok": 0, "error": 1} {
+		if got := o.Counter("hermes_remote_dials_total", "domain", "echo", "outcome", outcome).Value(); got != want {
+			t.Errorf("hermes_remote_dials_total{outcome=%q} = %d, want %d", outcome, got, want)
+		}
 	}
 }
 

@@ -53,10 +53,10 @@ type Server struct {
 	debugInfo func() ([]byte, error)
 
 	// Event tallies, attached to the metrics registry by SetObserver.
-	calls, sessions, cancels, heartbeats obs.Counter
-	refused                              [2]obs.Counter // refusedNotHello, refusedVersion
-	sendErrors                           [len(frameKinds)]obs.Counter
-	traceDroppedDepth, traceTruncated    obs.Counter
+	calls                             obs.Counter
+	refused                           [2]obs.Counter // refusedNotHello, refusedVersion
+	sendErrors                        [len(frameKinds)]obs.Counter
+	traceDroppedDepth, traceTruncated obs.Counter
 }
 
 const refusedNotHello, refusedVersion = 0, 1 // hermes_remote_refused_total's reasons
@@ -114,15 +114,12 @@ func (s *Server) debugFn() func() ([]byte, error) {
 func (s *Server) SetObserver(o *obs.Observer) {
 	r := o.Registry()
 	r.AttachCounter("hermes_remote_calls_total", "domain calls served over the wire protocol", s.calls.Value, "proto", "v2")
-	r.AttachCounter("hermes_remote_sessions_total", "streaming sessions negotiated", s.sessions.Value, "proto", "v2")
 	for i, reason := range [2]string{refusedNotHello: "not-hello", refusedVersion: "version"} {
 		r.AttachCounter("hermes_remote_refused_total", "stale peers refused at the first line, by reason (not-hello: no hello first; version: no common version)", s.refused[i].Value, "reason", reason)
 	}
 	for i, kind := range frameKinds {
 		r.AttachCounter("hermes_remote_send_errors_total", "frame writes that failed (dead peers, serialization errors), by frame kind", s.sendErrors[i].Value, "frame", kind)
 	}
-	r.AttachCounter("hermes_remote_cancels_total", "per-call cancel frames honoured by the server", s.cancels.Value)
-	r.AttachCounter("hermes_remote_heartbeats_total", "heartbeat frames echoed to keep idle sessions verifiably alive", s.heartbeats.Value)
 	r.AttachCounter("hermes_trace_dropped_depth_total", "serve subtrees withheld because the call exceeded the hop-depth limit", s.traceDroppedDepth.Value)
 	r.AttachCounter("hermes_trace_truncated_total", "serve subtrees pruned to the -trace-max-subtree-bytes budget before shipping", s.traceTruncated.Value)
 }
@@ -343,7 +340,6 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	if !ss.send(kindHello, &Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}, nil) {
 		return
 	}
-	s.sessions.Inc()
 	// The client announced its heartbeat period: a connection silent for
 	// several periods is dead, not idle. Clients that do not heartbeat get
 	// no idle deadline (their reads may legitimately pause forever).
@@ -379,10 +375,8 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			s.calls.Inc()
 			go s.serveCall(ss, f, cctx)
 		case OpCancel:
-			s.cancels.Inc()
 			ss.cancel(f.ID)
 		case OpHeartbeat:
-			s.heartbeats.Inc()
 			ss.send(kindHeartbeat, &Frame{Op: OpHeartbeat, ID: f.ID}, nil)
 		case OpFunctions:
 			go ss.send(kindFunctions, &Frame{Op: OpFunctions, ID: f.ID, Functions: s.functionListing(), Done: true}, nil)

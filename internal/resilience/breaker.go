@@ -42,11 +42,9 @@ type BreakerConfig struct {
 	// the breaker (0 disables the breaker entirely).
 	FailureThreshold int
 	// OpenTimeout is how long the breaker stays open before allowing a
-	// half-open probe, measured on the execution clock.
+	// half-open probe, measured on the execution clock. The first probe
+	// that succeeds closes the breaker again.
 	OpenTimeout time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes close the
-	// breaker again (default 1).
-	HalfOpenSuccesses int
 }
 
 // BreakerMetrics counts breaker activity: a view of the breaker's
@@ -72,13 +70,12 @@ type BreakerMetrics struct {
 // under the virtual clock. The half-open state admits exactly one probe
 // at a time: concurrent calls are rejected until the probe reports.
 type Breaker struct {
-	mu        sync.Mutex
-	cfg       BreakerConfig
-	state     BreakerState
-	failures  int // consecutive retryable failures while closed
-	successes int // consecutive probe successes while half-open
-	openedAt  time.Duration
-	probing   bool // a half-open probe is in flight
+	mu       sync.Mutex
+	cfg      BreakerConfig
+	state    BreakerState
+	failures int // consecutive retryable failures while closed
+	openedAt time.Duration
+	probing  bool // a half-open probe is in flight
 
 	// Tallies, bumped at the event site and read by Metrics; the wrapper
 	// attaches transitions (by target state) and rejections to the
@@ -89,9 +86,6 @@ type Breaker struct {
 
 // NewBreaker builds a breaker in the closed state.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.HalfOpenSuccesses <= 0 {
-		cfg.HalfOpenSuccesses = 1
-	}
 	return &Breaker{cfg: cfg}
 }
 
@@ -135,7 +129,6 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 func (b *Breaker) advanceLocked(now time.Duration) {
 	if b.state == StateOpen && now >= b.openedAt+b.cfg.OpenTimeout {
 		b.transitionLocked(StateHalfOpen)
-		b.successes = 0
 		b.probing = false
 	}
 }
@@ -196,14 +189,10 @@ func (b *Breaker) Record(now time.Duration, ok bool) {
 		}
 		b.probing = false
 		if ok {
-			b.successes++
-			if b.successes >= b.cfg.HalfOpenSuccesses {
-				b.transitionLocked(StateClosed)
-				b.failures = 0
-			}
+			b.transitionLocked(StateClosed)
+			b.failures = 0
 			return
 		}
-		b.successes = 0
 		b.transitionLocked(StateOpen)
 		b.openedAt = now
 		b.probeFailures.Inc()

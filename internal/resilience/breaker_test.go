@@ -21,7 +21,7 @@ func transitionCounts(b *Breaker) [3]int64 {
 // and checks every transition and counter along the way, then flaps the
 // breaker: every trip is counted.
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenTimeout: sec(10), HalfOpenSuccesses: 1})
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenTimeout: sec(10)})
 
 	// Closed: failures below the threshold keep it closed; a success
 	// resets the consecutive count.
@@ -145,30 +145,6 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	b.Record(sec(13), true)
 	if got := b.State(sec(13)); got != StateClosed {
 		t.Fatalf("state after second probe success = %s, want closed", got)
-	}
-}
-
-// TestBreakerHalfOpenSuccessQuota checks HalfOpenSuccesses > 1: the
-// breaker closes only after the configured number of consecutive
-// successful probes.
-func TestBreakerHalfOpenSuccessQuota(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: sec(1), HalfOpenSuccesses: 2})
-	b.Allow(0)
-	b.Record(0, false)
-
-	if err := b.Allow(sec(2)); err != nil {
-		t.Fatal(err)
-	}
-	b.Record(sec(2), true)
-	if got := b.State(sec(2)); got != StateHalfOpen {
-		t.Fatalf("one of two successes should keep it half-open, got %s", got)
-	}
-	if err := b.Allow(sec(3)); err != nil {
-		t.Fatal(err)
-	}
-	b.Record(sec(3), true)
-	if got := b.State(sec(3)); got != StateClosed {
-		t.Fatalf("second success should close, got %s", got)
 	}
 }
 

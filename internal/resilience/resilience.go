@@ -48,9 +48,8 @@ func DefaultPolicy() Policy {
 		BackoffCap:  2 * time.Second,
 		Seed:        1,
 		Breaker: BreakerConfig{
-			FailureThreshold:  5,
-			OpenTimeout:       30 * time.Second,
-			HalfOpenSuccesses: 1,
+			FailureThreshold: 5,
+			OpenTimeout:      30 * time.Second,
 		},
 	}
 }
