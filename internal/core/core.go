@@ -47,8 +47,9 @@ type Options struct {
 	// DCSM configures the statistics module.
 	DCSM *dcsm.Config
 	// Engine configures the run-time query processor's modelled overheads
-	// (QueryInit, PerDisplay). Its Obs, EstimateCall and EstimateRule are
-	// always wired by NewSystem.
+	// (QueryInit, PerDisplay). NewSystem ignores its Obs and EstimateCall:
+	// it wires Obs to Options.Obs, and EstimateCall only when Options.Obs
+	// is set.
 	Engine *engine.Config
 	// Rewrite configures plan enumeration. CIMDomains defaults to routing
 	// every registered domain through the CIM when the CIM is enabled and
@@ -229,16 +230,6 @@ func NewSystem(opts Options) *System {
 		// which AutoTune reads, so it only runs when someone is watching.
 		ecfg.EstimateCall = func(c domain.Call, _ rewrite.Route) (domain.CostVector, bool) {
 			cv, err := s.DCSM.Cost(domain.PatternOf(c))
-			return cv, err == nil
-		}
-	}
-	if s.parallelism > 1 {
-		// Rank a union predicate's rules cheapest-estimated-Tf-first before
-		// launching them in parallel. Only wired when parallelism is on: the
-		// estimate probes the DCSM (whose access statistics AutoTune reads),
-		// and sequential runs never consult it.
-		ecfg.EstimateRule = func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (domain.CostVector, bool) {
-			cv, err := s.estimator.RuleCost(plan, pr, bound)
 			return cv, err == nil
 		}
 	}

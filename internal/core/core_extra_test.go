@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -375,5 +376,53 @@ func TestMemoFillOverRefreshedCallStoresNothing(t *testing.T) {
 	}
 	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
 		t.Errorf("memo stats %+v, want no hit and the stale fill dropped as one invalidation", st)
+	}
+}
+
+// TestParallelismLeavesDCSMCountsAlone: the access counts AutoTune reads
+// come from planning, which prices each plan once before execution, so
+// the same union queries leave the same counts at any parallelism —
+// before AutoTune (raw aggregations) and after it (summary table hits).
+func TestParallelismLeavesDCSMCountsAlone(t *testing.T) {
+	counts := func(parallelism int) (before, after [2]map[string]int) {
+		d := domaintest.New("d")
+		for i, fn := range []string{"a", "b", "c"} {
+			vals := []term.Value{term.Int(i), term.Int(10 + i)}
+			d.Define(fn, domaintest.Func{Arity: 0, PerCall: time.Duration(i+1) * 100 * time.Millisecond,
+				Fn: func([]term.Value) ([]term.Value, error) { return vals, nil }})
+		}
+		sys := NewSystem(Options{Parallelism: parallelism, DisableCIM: true})
+		sys.Register(d)
+		if err := sys.LoadProgram(`
+			u(Y) :- in(Y, d:a()).
+			u(Y) :- in(Y, d:b()).
+			u(Y) :- in(Y, d:c()).
+		`); err != nil {
+			t.Fatal(err)
+		}
+		run := func() [2]map[string]int {
+			for i := 0; i < 5; i++ {
+				if _, _, err := sys.QueryAll("?- u(Y)."); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return [2]map[string]int{sys.DCSM.RawAggregations(), sys.DCSM.TableHits()}
+		}
+		before = run()
+		if _, _, err := sys.AutoTuneStatistics(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		return before, run()
+	}
+	before1, after1 := counts(1)
+	before4, after4 := counts(4)
+	for i, name := range []string{"RawAggregations", "TableHits"} {
+		if !maps.Equal(before1[i], before4[i]) || !maps.Equal(after1[i], after4[i]) {
+			t.Errorf("%s before/after AutoTune: Parallelism 1 gives %v / %v, Parallelism 4 gives %v / %v",
+				name, before1[i], after1[i], before4[i], after4[i])
+		}
+	}
+	if len(before1[0]) == 0 || len(after1[1]) == 0 {
+		t.Fatalf("no counts to compare: raw %v before AutoTune, table hits %v after", before1[0], after1[1])
 	}
 }

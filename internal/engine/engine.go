@@ -25,7 +25,10 @@ import (
 	"hermes/internal/term"
 )
 
-// Config tunes the engine.
+// Config tunes the engine: two modelled overheads and the observability
+// hooks. None of it decides evaluation order: a union's rules launch in
+// program order, sequentially or on parallel lanes, and the engine never
+// prices a rule at run time.
 type Config struct {
 	// QueryInit is a modelled fixed per-query setup cost; the paper's
 	// reported times include "query initialization + wait for response +
@@ -40,11 +43,6 @@ type Config struct {
 	// mediator wires it to the DCSM). The estimate lands on the call's
 	// span so EXPLAIN can show estimated versus actual [Tf, Ta, Card].
 	EstimateCall func(c domain.Call, route rewrite.Route) (domain.CostVector, bool)
-	// EstimateRule, when set, prices one plan rule body given its
-	// head-bound variables (the mediator wires it to the rule cost
-	// estimator over the DCSM). The parallel union uses it to launch a
-	// union predicate's alternatives cheapest-estimated-Tf-first.
-	EstimateRule func(plan *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (domain.CostVector, bool)
 }
 
 // maxDepth bounds IDB recursion during evaluation.

@@ -4,9 +4,9 @@ package engine
 // over a simulated (or wall) clock, so "parallelism" has two components
 // that must stay separable:
 //
-//   - Real concurrency: branches run on their own goroutines, bounded by
+//   - Real concurrency: lanes run on their own goroutines, bounded by
 //     the per-query scheduler (domain.Sched) threaded through the Ctx.
-//   - Time accounting: each branch runs on a clock forked at launch, and
+//   - Time accounting: each lane runs on a clock forked at launch, and
 //     emissions carry the fork's reading; the consumer advances its clock
 //     to an emission's timestamp before yielding it. On a virtual clock
 //     the merge is by smallest timestamp, which makes parallel runs
@@ -17,7 +17,11 @@ package engine
 // Two operators use this machinery:
 //
 //   - parallelUnion evaluates the alternative rules of a union predicate
-//     concurrently (cheapest-estimated-Tf-first), merging their answers.
+//     on n lanes: lane i runs rules i, i+n, i+2n, … in program order into
+//     one queue, and the merge takes the smallest head among the lanes.
+//     Rules launch in program order, exactly as in the sequential
+//     atomStream. Nothing prices them at run time: the rule cost
+//     estimator priced the plan once, before execution.
 //   - stage spools the answer streams of independent sibling in() calls
 //     (proved independent by rewrite.IndependentInCalls) on producer
 //     goroutines launched when the body first reaches them, and replays
@@ -28,11 +32,10 @@ package engine
 // under lane starvation (including any nesting depth) evaluation falls
 // back to the sequential code path, so there is no deadlock by
 // construction. Close/cancel paths cancel a per-operator context and
-// wg.Wait for every branch, so no goroutine outlives its operator.
+// wg.Wait for every lane, so no goroutine outlives its operator.
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -46,11 +49,15 @@ import (
 	"hermes/internal/vclock"
 )
 
-// unionQueueBound caps per-branch buffered emissions; a producer that runs
-// far ahead of the merge blocks until the consumer drains.
+// unionQueueBound caps each lane's buffered emissions; a lane that runs
+// far ahead of the merge blocks until the consumer drains. A full queue
+// never stalls the ordered merge: the merge waits only on a live lane
+// with no head, and a lane blocked on a full queue has one. A queue per
+// rule would stall it: a rule its lane has not started has no head while
+// the lane blocks on an earlier rule's full queue.
 const unionQueueBound = 64
 
-// parentContext returns the cancellation context to derive branch
+// parentContext returns the cancellation context to derive lane
 // contexts from.
 func parentContext(ctx *domain.Ctx) context.Context {
 	if ctx.Context != nil {
@@ -60,34 +67,35 @@ func parentContext(ctx *domain.Ctx) context.Context {
 }
 
 // unionItem is one merged emission: a caller-level substitution and the
-// producing branch's clock reading when it became available.
+// producing lane's clock reading when it became available.
 type unionItem struct {
 	s  term.Subst
 	at time.Duration
 }
 
-// unionBranch is the merge-side state of one rule alternative.
-type unionBranch struct {
+// unionLane is the merge-side state of one lane. Its timestamps never
+// decrease: the lane runs its rules one after another on one clock.
+type unionLane struct {
 	queue []unionItem
 	done  bool
 	err   error
 	endAt time.Duration
 }
 
-// headAt returns the timestamp of the branch's next event (an answer, or
-// its terminal error). ok=false when the branch has nothing (left).
-func (br *unionBranch) headAt() (at time.Duration, ok, isErr bool) {
-	if len(br.queue) > 0 {
-		return br.queue[0].at, true, false
+// headAt returns the timestamp of the lane's next event (an answer, or
+// its terminal error). ok=false when the lane has nothing (left).
+func (ln *unionLane) headAt() (at time.Duration, ok, isErr bool) {
+	if len(ln.queue) > 0 {
+		return ln.queue[0].at, true, false
 	}
-	if br.done && br.err != nil {
-		return br.endAt, true, true
+	if ln.done && ln.err != nil {
+		return ln.endAt, true, true
 	}
 	return 0, false, false
 }
 
-// parallelUnion evaluates a union predicate's alternative rules
-// concurrently and merges their answers. It implements substStream.
+// parallelUnion evaluates a union predicate's alternative rules on
+// concurrent lanes and merges their answers. It implements substStream.
 type parallelUnion struct {
 	eng  *Engine
 	ctx  *domain.Ctx // consumer context
@@ -96,15 +104,13 @@ type parallelUnion struct {
 	s    term.Subst
 	span *obs.Span
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	branches []*unionBranch
-	closed   bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	lanes  []unionLane
+	closed bool
 
-	rules   []*rewrite.PlanRule // launch order (cheapest Tf first)
 	depth   int
 	ordered bool
-	extra   int
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 }
@@ -117,113 +123,54 @@ func (e *Engine) newParallelUnion(ctx *domain.Ctx, plan *rewrite.Plan, a *lang.A
 	if extra == 0 {
 		return nil
 	}
-	lanes := extra + 1
-	ranked := e.rankRules(plan, a, s, rules)
-	now := ctx.Clock.Now()
-	span := ctx.Span.Child("union "+a.Pred, now)
-	span.SetTag("parallel", strconv.Itoa(lanes))
+	span := ctx.Span.Child("union "+a.Pred, ctx.Clock.Now())
+	span.SetTag("parallel", strconv.Itoa(extra+1))
 	u := &parallelUnion{
 		eng: e, ctx: ctx, plan: plan, atom: a, s: s, span: span,
-		rules: ranked, depth: depth,
+		lanes: make([]unionLane, extra+1), depth: depth,
 		ordered: !vclock.IsReal(ctx.Clock),
-		extra:   extra,
 	}
 	u.cond = sync.NewCond(&u.mu)
 	gctx, cancel := context.WithCancel(parentContext(ctx))
 	u.cancel = cancel
-	u.branches = make([]*unionBranch, len(ranked))
-	for i := range u.branches {
-		u.branches[i] = &unionBranch{}
-	}
-	// Static round-robin lane assignment: the cheapest alternatives head
-	// each lane's work list, so they launch first.
-	for lane := 0; lane < lanes; lane++ {
-		var idxs []int
-		for i := lane; i < len(ranked); i += lanes {
-			idxs = append(idxs, i)
-		}
+	for i := range u.lanes {
 		fork := ctx.Fork()
-		fork.Context, fork.Span = gctx, span.Lane(lane)
+		fork.Context, fork.Span = gctx, span.Lane(i)
 		u.wg.Add(1)
-		go u.runLane(fork, idxs)
+		go u.runLane(fork, &u.lanes[i], rules, i)
 	}
 	return u
 }
 
-// rankRules orders the alternatives cheapest-estimated-Tf-first (stable:
-// unpriced rules keep their program order, after priced ones).
-func (e *Engine) rankRules(plan *rewrite.Plan, a *lang.Atom, s term.Subst, rules []*rewrite.PlanRule) []*rewrite.PlanRule {
-	if e.cfg.EstimateRule == nil {
-		return rules
-	}
-	type ranked struct {
-		pr *rewrite.PlanRule
-		tf time.Duration
-	}
-	rs := make([]ranked, len(rules))
-	for i, pr := range rules {
-		rs[i] = ranked{pr: pr, tf: time.Duration(1<<63 - 1)}
-		bound := map[string]bool{}
-		for j, arg := range a.Args {
-			if j < len(pr.Rule.Head.Args) && s.Ground(arg) && pr.Rule.Head.Args[j].IsVar() {
-				bound[pr.Rule.Head.Args[j].Var] = true
-			}
-		}
-		if cv, ok := e.cfg.EstimateRule(plan, pr, bound); ok {
-			rs[i].tf = cv.TFirst
-		}
-	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].tf < rs[j].tf })
-	out := make([]*rewrite.PlanRule, len(rs))
-	for i, r := range rs {
-		out[i] = r.pr
-	}
-	return out
-}
-
-// runLane evaluates the lane's assigned alternatives sequentially on one
-// forked clock.
-func (u *parallelUnion) runLane(fork *domain.Ctx, idxs []int) {
+// runLane evaluates rules i, i+n, i+2n, … of the n lanes' union in
+// program order on one forked clock, then settles the lane once: at its
+// first error, when the union is closed or cancelled, or after its last
+// rule.
+func (u *parallelUnion) runLane(fork *domain.Ctx, ln *unionLane, rules []*rewrite.PlanRule, i int) {
 	defer u.wg.Done()
-	for _, ri := range idxs {
-		if !u.runBranch(fork, ri) {
-			// Cancelled/closed: mark the lane's remaining branches done so
-			// the merge never waits on them.
-			u.mu.Lock()
-			for _, rest := range idxs {
-				if !u.branches[rest].done {
-					u.branches[rest].done = true
-					u.branches[rest].endAt = fork.Clock.Now()
-				}
-			}
-			u.cond.Broadcast()
-			u.mu.Unlock()
-			return
+	var err error
+	for ri := i; ri < len(rules); ri += len(u.lanes) {
+		var more bool
+		if more, err = u.runRule(fork, ln, rules[ri]); !more {
+			break
 		}
 	}
+	u.mu.Lock()
+	ln.done, ln.err, ln.endAt = true, err, fork.Clock.Now()
+	u.cond.Broadcast()
+	u.mu.Unlock()
 }
 
-// runBranch evaluates one alternative to exhaustion, pushing mapped-back
-// answers. It returns false when the union was closed or cancelled.
-func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
-	br := u.branches[ri]
-	pr := u.rules[ri]
-	settle := func(err error) {
-		u.mu.Lock()
-		br.done = true
-		br.err = err
-		br.endAt = fork.Clock.Now()
-		u.cond.Broadcast()
-		u.mu.Unlock()
-	}
+// runRule evaluates one alternative to exhaustion, pushing mapped-back
+// answers into the lane's queue. more is false when the lane must stop:
+// at an error, or when the union was closed or cancelled (err nil).
+func (u *parallelUnion) runRule(fork *domain.Ctx, ln *unionLane, pr *rewrite.PlanRule) (more bool, err error) {
 	headEnv, ok, err := bindHead(u.atom, pr.Rule, u.s)
 	if err != nil {
-		settle(err)
-		return false
+		return false, err
 	}
 	if !ok {
-		settle(nil) // head constants conflict with the call: empty branch
-		return true
+		return true, nil // head constants conflict with the call: no answers
 	}
 	it := u.eng.newBodyIter(fork, u.plan, pr, headEnv, u.depth+1)
 	defer it.close()
@@ -231,50 +178,43 @@ func (u *parallelUnion) runBranch(fork *domain.Ctx, ri int) bool {
 		env, ok, err := it.next()
 		if err != nil {
 			if fork.Err() != nil {
-				settle(nil) // cancellation, not a branch failure
-				return false
+				return false, nil // cancellation, not a rule failure
 			}
-			settle(err)
-			return true
+			return false, err
 		}
 		if !ok {
-			settle(nil)
-			return true
+			return true, nil
 		}
 		out, ok, err := mapBack(u.atom, pr.Rule, u.s, env)
 		if err != nil {
-			settle(err)
-			return true
+			return false, err
 		}
-		if !ok {
-			continue
-		}
-		if !u.push(br, out, fork.Clock.Now()) {
-			settle(nil)
-			return false
+		if ok && !u.push(ln, out, fork.Clock.Now()) {
+			return false, nil
 		}
 	}
 }
 
-// push enqueues an emission, blocking while the branch's queue is full.
+// push enqueues an emission, blocking while the lane's queue is full.
 // It returns false when the union was closed.
-func (u *parallelUnion) push(br *unionBranch, s term.Subst, at time.Duration) bool {
+func (u *parallelUnion) push(ln *unionLane, s term.Subst, at time.Duration) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	for len(br.queue) >= unionQueueBound && !u.closed {
+	for len(ln.queue) >= unionQueueBound && !u.closed {
 		u.cond.Wait()
 	}
 	if u.closed {
 		return false
 	}
-	br.queue = append(br.queue, unionItem{s: s, at: at})
+	ln.queue = append(ln.queue, unionItem{s: s, at: at})
 	u.cond.Broadcast()
 	return true
 }
 
-// next merges the branches. On a deterministic clock it emits the event
-// with the smallest branch timestamp, waiting until every live branch has
-// one; on a real-time clock it emits whatever has arrived.
+// next merges the lanes. On a deterministic clock it emits the event
+// with the smallest lane timestamp (ties to the lower lane), waiting until
+// every live lane has one; on a real-time clock it emits whatever has
+// arrived.
 func (u *parallelUnion) next() (term.Subst, bool, error) {
 	u.mu.Lock()
 	for {
@@ -287,10 +227,10 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 		bestErr := false
 		ready := true
 		anyRunning := false
-		for i, br := range u.branches {
-			at, ok, isErr := br.headAt()
+		for i := range u.lanes {
+			at, ok, isErr := u.lanes[i].headAt()
 			if !ok {
-				if !br.done {
+				if !u.lanes[i].done {
 					anyRunning = true
 					if u.ordered {
 						ready = false
@@ -311,11 +251,11 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 				u.cond.Wait()
 				continue
 			}
-			// Exhausted: the union completes when its slowest branch does.
+			// Exhausted: the union completes when its slowest lane does.
 			var end time.Duration
-			for _, br := range u.branches {
-				if br.endAt > end {
-					end = br.endAt
+			for _, ln := range u.lanes {
+				if ln.endAt > end {
+					end = ln.endAt
 				}
 			}
 			u.mu.Unlock()
@@ -324,10 +264,10 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 			u.span.End(u.ctx.Clock.Now())
 			return term.Subst{}, false, nil
 		}
-		br := u.branches[best]
+		ln := &u.lanes[best]
 		if bestErr {
-			err := br.err
-			br.err = nil // deliver once
+			err := ln.err
+			ln.err = nil // deliver once
 			u.mu.Unlock()
 			u.teardown()
 			vclock.AdvanceTo(u.ctx.Clock, bestAt)
@@ -335,16 +275,16 @@ func (u *parallelUnion) next() (term.Subst, bool, error) {
 			u.span.End(u.ctx.Clock.Now())
 			return term.Subst{}, false, err
 		}
-		it := br.queue[0]
-		br.queue = br.queue[1:]
-		u.cond.Broadcast() // wake producers waiting on a full queue
+		it := ln.queue[0]
+		ln.queue = ln.queue[1:]
+		u.cond.Broadcast() // wake a lane waiting on a full queue
 		u.mu.Unlock()
 		vclock.AdvanceTo(u.ctx.Clock, it.at)
 		return it.s, true, nil
 	}
 }
 
-// teardown cancels and joins every branch goroutine and returns the
+// teardown cancels and joins every lane goroutine and returns the
 // operator's lanes to the scheduler. Idempotent.
 func (u *parallelUnion) teardown() {
 	u.mu.Lock()
@@ -357,7 +297,7 @@ func (u *parallelUnion) teardown() {
 	u.mu.Unlock()
 	u.cancel()
 	u.wg.Wait()
-	u.ctx.Sched.Release(u.extra)
+	u.ctx.Sched.Release(len(u.lanes) - 1)
 }
 
 func (u *parallelUnion) close() error {

@@ -2,13 +2,20 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
+	"hermes/internal/rewrite"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
@@ -286,6 +293,146 @@ func TestContextCancelDrainsParallelBranches(t *testing.T) {
 			t.Fatal("CollectAll did not return after context cancellation")
 		}
 		cur.Close()
+	}
+	expectGoroutines(t, base+2)
+}
+
+// unionCase is a union of len(answers) rules, rule i being
+// u(X) :- in(X, d:fi()), whose source returns answers[i] distinct values.
+type unionCase struct {
+	answers   []int
+	perCall   []time.Duration
+	perAnswer []time.Duration
+}
+
+func (c unionCase) build(t *testing.T) (*harness, *domaintest.Domain, *rewrite.Plan) {
+	t.Helper()
+	d := domaintest.New("d")
+	var prog strings.Builder
+	for i, n := range c.answers {
+		vals := make([]term.Value, n)
+		for j := range vals {
+			vals[j] = term.Int(1000*i + j)
+		}
+		d.Define("f"+strconv.Itoa(i), domaintest.Func{Arity: 0, PerCall: c.perCall[i], PerAnswer: c.perAnswer[i],
+			Fn: func([]term.Value) ([]term.Value, error) { return vals, nil }})
+		fmt.Fprintf(&prog, "u(X) :- in(X, d:f%d()).\n", i)
+	}
+	h := newHarness(t, d)
+	return h, d, h.plan(prog.String(), "?- u(X).")
+}
+
+// runLanes executes plan on a fresh virtual clock under a scheduler of
+// the given limit. A merge that deadlocks hangs rather than failing, so
+// the run is guarded by a timer.
+func runLanes(t *testing.T, h *harness, plan *rewrite.Plan, limit int) ([]Answer, Metrics, error) {
+	t.Helper()
+	type result struct {
+		answers []Answer
+		m       Metrics
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ctx := domain.NewCtx(vclock.NewVirtual(0))
+		ctx.Sched = domain.NewSched(limit)
+		cur, err := h.eng.ExecutePlan(ctx, plan)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		answers, m, err := CollectAll(cur)
+		done <- result{answers, m, err}
+	}()
+	select {
+	case r := <-done:
+		return r.answers, r.m, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Sched(%d): the union did not finish in 10s", limit)
+		return nil, Metrics{}, nil
+	}
+}
+
+// checkLanes runs c sequentially and under every scheduler limit from 1
+// to 8 — fewer lanes than rules included — and checks each run returns
+// the sequential answer multiset, and that two runs agree on answer order
+// and TAll.
+func checkLanes(t *testing.T, name string, c unionCase) {
+	t.Helper()
+	h, _, plan := c.build(t)
+	seq, _ := h.runAll(plan)
+	want := answerInts(t, seq)
+	sort.Ints(want)
+	for limit := 1; limit <= 8; limit++ {
+		first, m1, err := runLanes(t, h, plan, limit)
+		if err != nil {
+			t.Fatalf("%s, Sched(%d): %v", name, limit, err)
+		}
+		second, m2, err := runLanes(t, h, plan, limit)
+		if err != nil {
+			t.Fatalf("%s, Sched(%d): %v", name, limit, err)
+		}
+		got1, got2 := answerInts(t, first), answerInts(t, second)
+		if !slices.Equal(got1, got2) || m1.TAll != m2.TAll {
+			t.Fatalf("%s, Sched(%d): two runs differ: TAll %v vs %v, order %v vs %v", name, limit, m1.TAll, m2.TAll, got1, got2)
+		}
+		slices.Sort(got1)
+		if !slices.Equal(got1, want) {
+			t.Fatalf("%s, Sched(%d): answers %v, want the sequential multiset %v", name, limit, got1, want)
+		}
+	}
+}
+
+func TestParallelUnionMergesLanes(t *testing.T) {
+	// Two lanes over three rules: lane 0 runs f0 then f2, lane 1 runs f1.
+	// f0's 65 answers overflow a queue of unionQueueBound before f2
+	// starts.
+	checkLanes(t, "65 answers then 3 on one lane", unionCase{
+		answers:   []int{65, 100, 3},
+		perCall:   []time.Duration{0, 0, 0},
+		perAnswer: []time.Duration{0, 0, 0},
+	})
+	rng := rand.New(rand.NewSource(1))
+	for seed := 0; seed < 16; seed++ {
+		rules := 2 + rng.Intn(5)
+		c := unionCase{}
+		for i := 0; i < rules; i++ {
+			c.answers = append(c.answers, rng.Intn(201))
+			c.perCall = append(c.perCall, time.Duration(rng.Intn(400))*time.Millisecond)
+			c.perAnswer = append(c.perAnswer, time.Duration(rng.Intn(4))*time.Millisecond)
+		}
+		checkLanes(t, fmt.Sprintf("case %d %v", seed, c.answers), c)
+	}
+}
+
+// TestParallelUnionLaneStopsAtError: a rule that fails ends its lane, so
+// the later rule sharing the lane never runs; the error reaches the
+// caller and every lane goroutine is joined.
+func TestParallelUnionLaneStopsAtError(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		d := domaintest.New("d")
+		d.Define("boom", domaintest.Func{Arity: 0, PerCall: 50 * time.Millisecond,
+			Fn: func([]term.Value) ([]term.Value, error) { return nil, errors.New("boom") }})
+		many := make([]term.Value, 200)
+		for j := range many {
+			many[j] = term.Int(j)
+		}
+		d.Define("many", domaintest.Func{Arity: 0, PerCall: 100 * time.Millisecond,
+			Fn: func([]term.Value) ([]term.Value, error) { return many, nil }})
+		h := newHarness(t, d)
+		// Two lanes: lane 0 runs boom then the second many; lane 1 the first.
+		plan := h.plan(`
+			u(X) :- in(X, d:boom()).
+			u(X) :- in(X, d:many()).
+			u(X) :- in(X, d:many()).
+		`, "?- u(X).")
+		if _, _, err := runLanes(t, h, plan, 2); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("err = %v, want the failing rule's error", err)
+		}
+		if n := d.CallCount("many"); n != 1 {
+			t.Fatalf("many called %d times, want 1 (lane 0 stops at boom)", n)
+		}
 	}
 	expectGoroutines(t, base+2)
 }

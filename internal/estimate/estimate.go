@@ -139,19 +139,6 @@ func (e *Estimator) PlanCostDetail(p *rewrite.Plan) (cv domain.CostVector, d Cos
 	return cv, st.detail(), err
 }
 
-// RuleCost estimates the cost vector of one plan rule body given the set
-// of head variables bound at call time. The engine's parallel union uses
-// it to launch the alternatives of a union predicate
-// cheapest-estimated-Tf-first, so the earliest expected first answer is
-// also the earliest launched.
-func (e *Estimator) RuleCost(p *rewrite.Plan, pr *rewrite.PlanRule, bound map[string]bool) (domain.CostVector, error) {
-	st := &costState{est: e, plan: p, maxInflation: 1}
-	if bound == nil {
-		bound = map[string]bool{}
-	}
-	return st.costPlanRule(pr, term.Subst{}, bound, 0)
-}
-
 // Best ranks plans by estimated all-answers time and returns the winner
 // with its cost. byFirstAnswer ranks by time-to-first-answer instead
 // (interactive mode).
