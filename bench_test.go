@@ -375,7 +375,7 @@ func BenchmarkParallelFanout(b *testing.B) {
 	}
 	reg := domain.NewRegistry()
 	reg.Register(d)
-	eng := engine.New(reg, nil, engine.Config{}, nil)
+	eng := engine.New(reg, nil, engine.Config{}, nil, nil, nil)
 	prog, _ := lang.ParseProgram(
 		`f(A, B, C, D) :- in(A, d:s1()) & in(B, d:s2()) & in(C, d:s3()) & in(D, d:s4()).`)
 	q, _ := lang.ParseQuery("?- f(A, B, C, D).")
@@ -417,7 +417,7 @@ func BenchmarkEngineJoin(b *testing.B) {
 		}})
 	reg := domain.NewRegistry()
 	reg.Register(d)
-	eng := engine.New(reg, nil, engine.Config{}, nil)
+	eng := engine.New(reg, nil, engine.Config{}, nil, nil, nil)
 	prog, _ := lang.ParseProgram(`
 		v(X, Y) :- in(X, d:gen()), in(Y, d:next(X)).
 		w(X, Y) :- in(X, d:gen()), in(Y, d:gen()).

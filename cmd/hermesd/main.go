@@ -306,7 +306,7 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 	}
 	mux.HandleFunc("/debug/calibration", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		writeCalibration(w, o, sys)
+		writeCalibration(w, sys)
 	})
 	mux.HandleFunc("/debug/cluster", clusterHandler(opts.NodeName, o, sys, opts.Mounts, opts.PeerTimeout))
 	if opts.Pprof {
@@ -358,12 +358,12 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 	return mux, sys, nil
 }
 
-// writeCalibration renders the DCSM calibration table: the observer's
+// writeCalibration renders the DCSM calibration table: the DCSM's
 // per-function q-error distributions (worst-calibrated first) joined with
 // each function's statistics footprint, so a badly-estimated function can
 // be told apart from a statistics-starved one at a glance.
-func writeCalibration(w io.Writer, o *obs.Observer, sys *core.System) {
-	rows := o.Calibration.Summary()
+func writeCalibration(w io.Writer, sys *core.System) {
+	rows := sys.DCSM.Calibration().Summary()
 	fmt.Fprintln(w, "DCSM calibration, worst-calibrated first (q-error = max(est/actual, actual/est)):")
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "no calibration samples yet")

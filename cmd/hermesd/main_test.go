@@ -379,7 +379,7 @@ func (d *latencyShiftDomain) Call(ctx *domain.Ctx, fn string, args []term.Value)
 
 // TestRemoteActualsFeedCalibration: a mediator whose source is a mounted
 // peer grades its cost estimates against the peer's reported [Tf,Ta,Card]
-// actuals — the trace frames' payload reaching obs.Calibration through
+// actuals — the trace frames' payload reaching the DCSM's calibration through
 // the system's actuals hook. After warm rounds against a source whose
 // first observation was badly stale, the median q-error must shrink.
 func TestRemoteActualsFeedCalibration(t *testing.T) {
@@ -413,7 +413,7 @@ func TestRemoteActualsFeedCalibration(t *testing.T) {
 
 	run(1)
 	run(2)
-	early, earlyN := o.Calibration.Grade("cal", "gen")
+	early, earlyN := sys.DCSM.Calibration().Grade("cal", "gen")
 	if earlyN == 0 {
 		t.Fatal("no calibration samples after a warm round: remote actuals never reached the caller's calibration")
 	}
@@ -423,7 +423,7 @@ func TestRemoteActualsFeedCalibration(t *testing.T) {
 	for round := 3; round <= 6; round++ {
 		run(round)
 	}
-	final, finalN := o.Calibration.Grade("cal", "gen")
+	final, finalN := sys.DCSM.Calibration().Grade("cal", "gen")
 	if finalN < 3 {
 		t.Fatalf("calibration samples = %d after 6 rounds, want >= 3", finalN)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/dcsm"
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
 	"hermes/internal/engine"
@@ -171,7 +172,7 @@ func TestPlanChoiceCalibrationTag(t *testing.T) {
 		planTag()
 	}
 	if tag := planTag(); tag != "trusted" {
-		rows := o.Calibration.Summary()
+		rows := sys.DCSM.Calibration().Summary()
 		t.Errorf("warm calibration = %q, want trusted (rows %+v)", tag, rows)
 	}
 }
@@ -289,5 +290,101 @@ func TestLoadedInvariantsListHitSeriesAtZero(t *testing.T) {
 		if line := fmt.Sprintf("hermes_cim_invariant_hits_total{invariant=%q} %s\n", inv, want); !strings.Contains(series(), line) {
 			t.Errorf("after one equality hit the scrape lacks %q", line)
 		}
+	}
+}
+
+// TestObserverChangesNothing: two systems that differ only in Options.Obs
+// run the same stream — misses, exact cache hits, traced and untraced
+// queries, an AutoTune and the summary-table hits after it — and end with
+// the same DCSM access counts, the same AutoTune decisions and the same
+// calibration-inflated plan estimates. Reads that only display or price a
+// number (EXPLAIN's estimate, the savings ledger, grading) do not count,
+// and the calibration lives in the DCSM, not in the observer.
+func TestObserverChangesNothing(t *testing.T) {
+	type result struct {
+		raw, tuned, hits string
+		optimized        domain.CostVector
+		planned          domain.CostVector
+		inflated         int64
+	}
+	run := func(o *obs.Observer) result {
+		d := domaintest.New("d")
+		d.Define("f", domaintest.Func{Arity: 1, PerCall: 10 * time.Millisecond, PerAnswer: 20 * time.Millisecond,
+			Fn: func(args []term.Value) ([]term.Value, error) {
+				// The answer count, and so Ta, grows with the argument:
+				// each new argument's estimate is off, so grading sees
+				// q-errors above 1 and inflation moves the plan estimates.
+				out := make([]term.Value, args[0].(term.Int))
+				for i := range out {
+					out[i] = term.Int(int64(i))
+				}
+				return out, nil
+			}})
+		dcfg := dcsm.DefaultConfig()
+		sys := NewSystem(Options{Obs: o, DCSM: &dcfg, Parallelism: 1, CalInflateQuantile: 0.9})
+		sys.Register(d)
+		if err := sys.LoadProgram(`v(X, Y) :- in(Y, d:f(X)).`); err != nil {
+			t.Fatal(err)
+		}
+		query := func(i int) {
+			t.Helper()
+			q := fmt.Sprintf("?- v(%d, Y).", []int{1, 2, 1, 3, 2, 5, 8, 5, 13, 1}[i%10])
+			var err error
+			if i%2 == 0 {
+				_, _, err = sys.QueryAll(q)
+			} else {
+				var cur *engine.Cursor
+				if cur, err = sys.QueryTraced(q, false); err == nil {
+					_, _, err = engine.CollectAll(cur)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			query(i)
+		}
+		var r result
+		r.raw = fmt.Sprint(sys.DCSM.RawAggregations())
+		created, dropped, err := sys.AutoTuneStatistics(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.tuned = fmt.Sprint(created, dropped)
+		for i := 10; i < 20; i++ {
+			query(i)
+		}
+		r.hits = fmt.Sprint(sys.DCSM.TableHits(), sys.DCSM.RawAggregations())
+		plan, cv, err := sys.Optimize("?- v(21, Y).", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.optimized = cv
+		if r.planned, err = sys.PlanCost(plan); err != nil {
+			t.Fatal(err)
+		}
+		if sys.CIM.Stats().ExactHits == 0 {
+			t.Fatal("the stream served no cache hit")
+		}
+		r.inflated = sys.inflationApplied.Value()
+		return r
+	}
+	watched, unwatched := run(obs.NewObserver()), run(nil)
+	if watched.raw != unwatched.raw {
+		t.Errorf("RawAggregations: watched %s, unwatched %s", watched.raw, unwatched.raw)
+	}
+	if watched.tuned != unwatched.tuned {
+		t.Errorf("AutoTune(1, 1) created, dropped: watched %s, unwatched %s", watched.tuned, unwatched.tuned)
+	}
+	if watched.hits != unwatched.hits {
+		t.Errorf("TableHits, RawAggregations after AutoTune: watched %s, unwatched %s", watched.hits, unwatched.hits)
+	}
+	if watched.optimized != unwatched.optimized || watched.planned != unwatched.planned {
+		t.Errorf("plan estimates: watched Optimize %v PlanCost %v, unwatched Optimize %v PlanCost %v",
+			watched.optimized, watched.planned, unwatched.optimized, unwatched.planned)
+	}
+	if watched.inflated != unwatched.inflated || watched.inflated == 0 {
+		t.Errorf("inflated plan choices: watched %d, unwatched %d; want equal and nonzero", watched.inflated, unwatched.inflated)
 	}
 }

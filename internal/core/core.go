@@ -47,9 +47,7 @@ type Options struct {
 	// DCSM configures the statistics module.
 	DCSM *dcsm.Config
 	// Engine configures the run-time query processor's modelled overheads
-	// (QueryInit, PerDisplay). NewSystem ignores its Obs and EstimateCall:
-	// it wires Obs to Options.Obs, and EstimateCall only when Options.Obs
-	// is set.
+	// (QueryInit, PerDisplay).
 	Engine *engine.Config
 	// Rewrite configures plan enumeration. CIMDomains defaults to routing
 	// every registered domain through the CIM when the CIM is enabled and
@@ -67,9 +65,10 @@ type Options struct {
 	QueryDeadline time.Duration
 	// Obs, when set, threads an observer through every layer: the engine,
 	// CIM, DCSM, resilience wrappers and remote clients all update its
-	// metrics registry, and QueryTraced builds span trees in its tracer.
-	// With an observer, the engine's per-call cost estimates (EXPLAIN's est
-	// column) are wired to the DCSM.
+	// metrics registry, and queries build span trees in its tracer, each
+	// call span carrying the DCSM's estimate (EXPLAIN's est column). The
+	// observer only records: the DCSM's access counts, its summary tables,
+	// the calibration and every plan choice are the same without one.
 	Obs *obs.Observer
 	// Parallelism bounds how many operator branches one query may run
 	// concurrently: parallel rule unions, prefetched independent source
@@ -103,13 +102,14 @@ type Options struct {
 	// entry is currently resident at their replay cost, so α-equivalent
 	// repeat queries pick orders that reuse warm entries.
 	Memo *memo.Config
-	// CalInflateQuantile, when > 0 (and an Observer is set), turns on
-	// calibration-inflated plan costing: every call's estimated time is
-	// multiplied by this quantile of the observed q-error distribution
-	// for its (domain, function). Use a pessimistic quantile (0.9): the
-	// inflated cost is then a worst-plausible-case cost, and minimizing
-	// it picks robust plans exactly when the calibration grade is rough.
-	// 0 keeps the calibration-blind costing of earlier releases.
+	// CalInflateQuantile, when > 0, turns on calibration-inflated plan
+	// costing: every call's estimated time is multiplied by this quantile
+	// of the q-error distribution the DCSM's calibration holds for its
+	// (domain, function); 1 reads the window's maximum. Use a pessimistic
+	// quantile (0.9): the inflated cost is then a worst-plausible-case
+	// cost, and minimizing it picks robust plans exactly when the
+	// calibration grade is rough. 0 keeps the calibration-blind costing of
+	// earlier releases.
 	CalInflateQuantile float64
 	// ColdStartInflation is the factor applied to calls whose function
 	// has no q-error observations at all (only meaningful with
@@ -186,54 +186,30 @@ func NewSystem(opts Options) *System {
 	}
 	s.DCSM = dcsm.New(dcfg, clk.Now)
 	s.DCSM.SetObserver(s.Obs)
-	// Every completed source measurement feeds the DCSM; with an observer
-	// installed it first grades the estimate the planner would have used
-	// against the measured actual (the calibration tracker). Both routes —
-	// direct engine calls and CIM cache misses — converge here, and
-	// cache-served or single-flight-shared streams never produce a
-	// measurement, so they cannot pollute the q-error distributions.
-	observe := s.DCSM.Observe
-	if s.Obs != nil {
-		observe = func(m domain.Measurement) {
-			s.calibrate(m)
-			s.DCSM.Observe(m)
-		}
-	}
 
+	// Every completed source measurement feeds the DCSM, which grades its
+	// own estimate against it first. Both routes — direct engine calls and
+	// CIM cache misses — converge there, and cache-served or single-flight-
+	// shared streams never produce a measurement, so they cannot pollute
+	// the q-error distributions.
 	if !opts.DisableCIM {
 		ccfg := cim.DefaultConfig()
 		if opts.CIM != nil {
 			ccfg = *opts.CIM
 		}
 		s.CIM = cim.New(s.Registry, ccfg)
-		s.CIM.SetMeasurementObserver(observe)
+		s.CIM.SetMeasurementObserver(s.DCSM.Observe)
 		s.CIM.SetObserver(s.Obs)
-		if s.Obs != nil {
-			// Price what each cache hit avoided (the savings ledger) with
-			// the same DCSM estimate the planner would have used. Gated on
-			// the observer like EstimateCall: the probe updates DCSM access
-			// statistics, which AutoTune reads.
-			s.CIM.SetCostModel(func(p domain.Pattern) (domain.CostVector, bool) {
-				cv, err := s.DCSM.Cost(p)
-				return cv, err == nil
-			})
-		}
+		// The savings ledger prices what each cache hit avoided with the
+		// estimate the planner would have used, read without counting.
+		s.CIM.SetCostModel(s.DCSM.Peek)
 	}
 
-	ecfg := engine.Config{Obs: s.Obs}
+	var ecfg engine.Config
 	if opts.Engine != nil {
-		ecfg.QueryInit, ecfg.PerDisplay = opts.Engine.QueryInit, opts.Engine.PerDisplay
+		ecfg = *opts.Engine
 	}
-	if s.Obs != nil {
-		// Price each call as it is issued so EXPLAIN shows est vs actual.
-		// Gated on the observer: the probe updates DCSM access statistics,
-		// which AutoTune reads, so it only runs when someone is watching.
-		ecfg.EstimateCall = func(c domain.Call, _ rewrite.Route) (domain.CostVector, bool) {
-			cv, err := s.DCSM.Cost(domain.PatternOf(c))
-			return cv, err == nil
-		}
-	}
-	s.engine = engine.New(s.Registry, s.CIM, ecfg, observe)
+	s.engine = engine.New(s.Registry, s.CIM, ecfg, s.Obs, s.DCSM.Peek, s.DCSM.Observe)
 
 	if opts.Memo != nil {
 		mc := memo.New(*opts.Memo)
@@ -254,20 +230,12 @@ func NewSystem(opts Options) *System {
 		s.rewriteCfg.CIMDomains = map[string]bool{}
 		s.cimAll = s.CIM != nil && opts.Rewrite == nil
 	}
-	var cacheModel estimate.CacheModel
-	if s.CIM != nil {
-		cacheModel = s.CIM
-	}
-	s.estimator = estimate.New(s.DCSM, cacheModel)
-	if s.Memo != nil {
-		// Memo-aware costing: subgoals whose memo entry is resident are
-		// priced at their replay cost, so repeat queries pick orders that
-		// reuse warm entries (cache management and optimization together).
-		s.estimator.SetMemo(s.Memo)
-	}
-	if opts.CalInflateQuantile > 0 && s.Obs != nil {
-		s.estimator.SetCalibration(s.Obs.Calibration, opts.CalInflateQuantile, opts.ColdStartInflation)
-	}
+	s.estimator = estimate.New(s.DCSM, s.CIM)
+	// Memo-aware costing: subgoals whose memo entry is resident are priced
+	// at their replay cost, so repeat queries pick orders that reuse warm
+	// entries (cache management and optimization together).
+	s.estimator.SetMemo(s.Memo)
+	s.estimator.SetCalibration(opts.CalInflateQuantile, opts.ColdStartInflation)
 	return s
 }
 
@@ -298,20 +266,21 @@ func (s *System) Register(d domain.Domain) {
 		SetActualsHook(func(domain.Call, obs.Cost))
 	}
 	// The domain's q-error series list at zero from registration on.
-	if s.Obs != nil {
-		s.Obs.Calibration.ListDomain(d.Name())
-	}
+	s.DCSM.Calibration().ListDomain(d.Name())
 	foundEst := false
 	for probe := d; probe != nil; {
 		if est, ok := probe.(domain.Estimator); ok && !foundEst {
 			s.DCSM.RegisterEstimator(d.Name(), est)
 			foundEst = true
 		}
-		if o, ok := probe.(observable); ok && s.Obs != nil {
+		if o, ok := probe.(observable); ok {
 			o.SetObserver(s.Obs)
 		}
-		if a, ok := probe.(actualsSink); ok && s.Obs != nil {
-			a.SetActualsHook(s.calibrateRemote)
+		if a, ok := probe.(actualsSink); ok {
+			// The peer's actual is the served subtree's compute alone; the
+			// engine's own measurement of the same call includes wire time,
+			// so together they bound the true cross-hop cost.
+			a.SetActualsHook(s.DCSM.Grade)
 		}
 		u, ok := probe.(unwrapper)
 		if !ok {
@@ -455,11 +424,7 @@ func (s *System) Optimize(query string, interactive bool) (*rewrite.Plan, domain
 	if err != nil {
 		return nil, domain.CostVector{}, err
 	}
-	best, cv, detail, err := s.estimator.BestDetail(plans, interactive)
-	if err == nil && detail.Inflated+detail.ColdInflated > 0 {
-		s.inflationApplied.Inc()
-	}
-	return best, cv, err
+	return s.choose(nil, plans, interactive)
 }
 
 // Execute runs a plan, returning a cursor over the answers.
@@ -516,12 +481,31 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 	rw.End(ctx.Clock.Now())
 
 	pc := root.Child("plan-choice", ctx.Clock.Now())
+	best, _, err := s.choose(pc, plans, interactive)
+	pc.End(ctx.Clock.Now())
+	if err != nil {
+		root.End(ctx.Clock.Now())
+		return nil, err
+	}
+	return s.engine.ExecutePlan(ctx.WithSpan(root), best)
+}
+
+// choose ranks the candidate plans and returns the cheapest. On a
+// plan-choice span (nil when untraced) it records the choice: the chosen
+// index and plan, its estimate, the inflation and memo replays behind it,
+// and whether it was ranked on trustworthy numbers.
+func (s *System) choose(pc *obs.Span, plans []*rewrite.Plan, interactive bool) (*rewrite.Plan, domain.CostVector, error) {
 	best, cv, detail, err := s.estimator.BestDetail(plans, interactive)
 	if err != nil {
 		pc.SetTag("error", err.Error())
-		pc.End(ctx.Clock.Now())
-		root.End(ctx.Clock.Now())
-		return nil, err
+		return nil, cv, err
+	}
+	inflated := detail.Inflated+detail.ColdInflated > 0
+	if inflated {
+		s.inflationApplied.Inc()
+	}
+	if pc == nil {
+		return best, cv, nil
 	}
 	for i, p := range plans {
 		if p == best {
@@ -530,58 +514,22 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 	}
 	pc.SetTag("plan", best.QueryLine())
 	pc.SetEstimate(cv)
-	if detail.Inflated+detail.ColdInflated > 0 {
+	if inflated {
 		// The winning estimate carries q-error (or cold-start) inflation:
 		// record the largest factor applied to any of its calls.
 		pc.SetTag("cal.inflate", obs.FormatFixed(detail.MaxInflation, 2))
-		s.inflationApplied.Inc()
 	}
 	if detail.MemoHits > 0 {
 		pc.SetTag("memo.est_hits", strconv.Itoa(detail.MemoHits))
 	}
-	if s.Obs != nil && s.Obs.Calibration != nil {
-		// Was the winning plan ranked on trustworthy numbers? Grade the
-		// cost-model calibration of every function the plan can call.
-		grade, worst := s.Obs.Calibration.PlanGrade(planFunctions(best))
-		pc.SetTag("calibration", grade)
-		if grade != "cold" {
-			pc.SetTag("calibration.qerr", obs.FormatFixed(worst, 2))
-		}
+	// Was the winning plan ranked on trustworthy numbers? Grade the
+	// cost-model calibration of every function the plan can call.
+	grade, worst := s.DCSM.Calibration().PlanGrade(planFunctions(best))
+	pc.SetTag("calibration", grade)
+	if grade != "cold" {
+		pc.SetTag("calibration.qerr", obs.FormatFixed(worst, 2))
 	}
-	pc.End(ctx.Clock.Now())
-
-	return s.engine.ExecutePlan(ctx.WithSpan(root), best)
-}
-
-// calibrate grades the DCSM's estimate for a call against its measured
-// actual, feeding the per-function q-error distributions. It runs just
-// before the measurement enters the statistics database, so the estimate
-// is exactly what the planner would have priced this call at. Incomplete
-// measurements (streams closed early by pruning) carry no usable Ta or
-// Card and are skipped, as are cold functions with nothing to grade.
-func (s *System) calibrate(m domain.Measurement) {
-	if !m.Complete {
-		return
-	}
-	cv, err := s.DCSM.Cost(domain.PatternOf(m.Call))
-	if err != nil {
-		return
-	}
-	s.Obs.ObserveCalibration(m.Call.Domain, m.Call.Function, cv, m.Cost)
-}
-
-// calibrateRemote feeds a mounted peer's reported actual cost for one
-// served call into the caller's calibration, graded against what this
-// node's DCSM would have priced the call at. The engine's own measurement
-// of the same call includes wire time; the peer's actual is the served
-// subtree's compute alone, so together they bound the true cross-hop cost.
-// Cold patterns (no estimate yet) are skipped — there is nothing to grade.
-func (s *System) calibrateRemote(c domain.Call, actual obs.Cost) {
-	cv, err := s.DCSM.Cost(domain.PatternOf(c))
-	if err != nil {
-		return
-	}
-	s.Obs.ObserveCalibration(c.Domain, c.Function, cv, actual)
+	return best, cv, nil
 }
 
 // planFunctions collects the distinct (domain, function) pairs of every

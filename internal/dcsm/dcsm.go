@@ -25,6 +25,12 @@
 // Domains that provide their own cost model plug in through
 // domain.Estimator; the DCSM forwards their estimates and fills in only the
 // missing components from cached statistics.
+//
+// The module grades its own estimates: Observe compares each complete
+// measurement with the estimate it held just before, into the q-error
+// windows of Calibration. Cost is the planner's read and the only one
+// counted toward AutoTune; Peek serves every read that only displays or
+// prices a number, so watching the module never changes what it keeps.
 package dcsm
 
 import (
@@ -107,6 +113,10 @@ type DB struct {
 	estimators map[string]domain.Estimator
 	now        func() time.Duration
 
+	// cal grades the module's estimates against the measurements that
+	// follow them: the q-error windows calibration-inflated costing reads.
+	cal *obs.Calibration
+
 	// Event tallies, attached to the metrics registry by SetObserver.
 	observations obs.Counter
 	estimates    [len(estimateSources)]obs.Counter
@@ -134,19 +144,27 @@ func New(cfg Config, now func() time.Duration) *DB {
 		groups:     make(map[funcKey]*group),
 		estimators: make(map[string]domain.Estimator),
 		now:        now,
+		cal:        obs.NewCalibration(),
 	}
 }
 
 // SetObserver attaches the module's tallies to the observer's metrics
 // registry: the hermes_dcsm_observations_total and _estimates_total
-// families are declared here and nowhere else.
+// families are declared here and nowhere else, and the calibration's
+// per-domain hermes_dcsm_qerror_{tf,ta,card} series are attached here.
+// The estimates family counts the planner's reads (Cost), not Peek's.
 func (db *DB) SetObserver(o *obs.Observer) {
 	r := o.Registry()
 	r.AttachCounter("hermes_dcsm_observations_total", "completed call measurements folded into DCSM statistics", db.observations.Value)
 	for i, source := range estimateSources {
 		r.AttachCounter("hermes_dcsm_estimates_total", "cost estimates served, by source (native, summary, raw, none)", db.estimates[i].Value, "source", source)
 	}
+	db.cal.SetRegistry(r)
 }
+
+// Calibration returns the module's record of how wrong its estimates have
+// been: per (domain, function) q-error windows, fed by Observe and Grade.
+func (db *DB) Calibration() *obs.Calibration { return db.cal }
 
 // RegisterEstimator connects a domain's native cost model: estimates for
 // that domain are directed to it, per the module's extensibility contract.
@@ -158,8 +176,13 @@ func (db *DB) RegisterEstimator(dom string, est domain.Estimator) {
 
 // Observe records the measurement of an executed call into the cost vector
 // database. Incomplete measurements contribute only their first-answer
-// time.
+// time. A complete one is first graded against the estimate the module
+// held just before recording it; an incomplete one carries no usable Ta or
+// Card, and is not.
 func (db *DB) Observe(m domain.Measurement) {
+	if m.Complete {
+		db.Grade(m.Call, m.Cost)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.observations.Inc()
@@ -171,6 +194,16 @@ func (db *DB) Observe(m domain.Measurement) {
 		HasCard:    m.Complete,
 		RecordedAt: db.now(),
 	})
+}
+
+// Grade feeds the q-error of the module's current estimate for a call
+// against its measured actual into the calibration. A call with no
+// estimate yet has nothing to grade. Observe grades the module's own
+// measurements; a mounted peer's reported actuals arrive here directly.
+func (db *DB) Grade(c domain.Call, actual domain.CostVector) {
+	if est, ok := db.Peek(domain.PatternOf(c)); ok {
+		db.cal.Observe(c.Domain, c.Function, est, actual)
+	}
 }
 
 // group returns the state of a function, creating it on first use. The

@@ -2,6 +2,7 @@ package dcsm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hermes/internal/domain"
 	"hermes/internal/term"
@@ -25,8 +26,22 @@ import (
 // An estimate allocates nothing and formats nothing, whether a table or an
 // index answers it and however much history the function has;
 // TestCostAllocsFlat holds it to that.
+//
+// Cost is the planner's read: it moves hermes_dcsm_estimates_total and the
+// access counters AutoTune reads. A read that only displays or prices a
+// number uses Peek.
 func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
-	return db.cost(p, nil)
+	return db.cost(p, nil, true)
+}
+
+// Peek is Cost for a read that only displays or prices a number: EXPLAIN's
+// per-call estimate, the CIM ledger's avoided cost and calibration grading.
+// It resolves in the same order and returns the same vector, but counts
+// nothing, so whether anyone watches never changes which summary tables
+// AutoTune keeps. ok is false where Cost returns ErrNoStatistics.
+func (db *DB) Peek(p domain.Pattern) (cv domain.CostVector, ok bool) {
+	cv, err := db.cost(p, nil, false)
+	return cv, err == nil
 }
 
 // CostWithTrace is Cost plus a human-readable trace of the lookup path.
@@ -35,26 +50,26 @@ func (db *DB) Cost(p domain.Pattern) (domain.CostVector, error) {
 // formats nothing.
 func (db *DB) CostWithTrace(p domain.Pattern) (domain.CostVector, []string, error) {
 	var trace []string
-	cv, err := db.cost(p, &trace)
+	cv, err := db.cost(p, &trace, true)
 	return cv, trace, err
 }
 
 // cost resolves an estimate, appending the lookup path to trace when one
-// is asked for.
-func (db *DB) cost(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
+// is asked for, and tallies it when count is set.
+func (db *DB) cost(p domain.Pattern, trace *[]string, count bool) (domain.CostVector, error) {
 	db.mu.RLock()
 	est, hasEst := db.estimators[p.Domain]
 	db.mu.RUnlock()
 	if hasEst {
 		if cv, missing, ok := est.EstimateCost(p); ok {
-			db.estimates[estimateNative].Inc()
+			db.tally(count, estimateNative, nil)
 			if trace != nil {
 				*trace = append(*trace, fmt.Sprintf("native estimator for %s: %s", p.Domain, cv))
 			}
 			if len(missing) == 0 {
 				return cv, nil
 			}
-			if statCV, err := db.costFromStats(p, trace); err == nil {
+			if statCV, err := db.costFromStats(p, trace, count); err == nil {
 				for _, field := range missing {
 					switch field {
 					case "tf":
@@ -72,20 +87,33 @@ func (db *DB) cost(p domain.Pattern, trace *[]string) (domain.CostVector, error)
 			*trace = append(*trace, fmt.Sprintf("native estimator for %s declined pattern", p.Domain))
 		}
 	}
-	return db.costFromStats(p, trace)
+	return db.costFromStats(p, trace, count)
+}
+
+// tally records where a counted estimate was resolved and, for one a
+// summary table or the raw database served, bumps the access counter
+// AutoTune reads (served; nil otherwise).
+func (db *DB) tally(count bool, source int, served *atomic.Int64) {
+	if !count {
+		return
+	}
+	db.estimates[source].Inc()
+	if served != nil {
+		served.Add(1)
+	}
 }
 
 // costFromStats runs the relaxation search under the read lock. Only when
 // it reaches a level whose index does not exist yet (the first estimate to
 // ask for that mask, or the first after the records moved) does it start
 // over under the write lock, which may build indexes as it goes.
-func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVector, error) {
+func (db *DB) costFromStats(p domain.Pattern, trace *[]string, count bool) (domain.CostVector, error) {
 	traced := 0
 	if trace != nil {
 		traced = len(*trace)
 	}
 	db.mu.RLock()
-	cv, done, err := db.search(p, trace, false)
+	cv, done, err := db.search(p, trace, false, count)
 	db.mu.RUnlock()
 	if done {
 		return cv, err
@@ -95,7 +123,7 @@ func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVecto
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	cv, _, err = db.search(p, trace, true)
+	cv, _, err = db.search(p, trace, true, count)
 	return cv, err
 }
 
@@ -106,7 +134,7 @@ func (db *DB) costFromStats(p domain.Pattern, trace *[]string) (domain.CostVecto
 // otherwise, with AllowRawAggregation, the raw database's index for the
 // mask is. done=false means an index was missing and build was not set;
 // nothing has been counted and the caller retries.
-func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.CostVector, done bool, err error) {
+func (db *DB) search(p domain.Pattern, trace *[]string, build, count bool) (cv domain.CostVector, done bool, err error) {
 	g := db.view(funcKey{p.Domain, p.Function, len(p.Args)})
 	full := p.Mask()
 	var (
@@ -127,8 +155,7 @@ func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.C
 			if row, _ := t.find(hashTuple(mask, argHashes), vals); row >= 0 {
 				r := &t.rows[row]
 				if cv, valid := r.vector(); valid {
-					t.hits.Add(1)
-					db.estimates[estimateSummary].Inc()
+					db.tally(count, estimateSummary, &t.hits)
 					if trace != nil {
 						*trace = append(*trace, fmt.Sprintf("summary table %s hit for %s (l=%d)", dimsKey(t.Dims), relaxTo(p, mask), r.L))
 					}
@@ -144,8 +171,7 @@ func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.C
 				return domain.CostVector{}, false, nil
 			}
 			if cv, hit := db.probe(g, ix, vals, argHashes); hit {
-				ix.serves.Add(1)
-				db.estimates[estimateRaw].Inc()
+				db.tally(count, estimateRaw, &ix.serves)
 				if trace != nil {
 					*trace = append(*trace, fmt.Sprintf("raw aggregation over cost vector database for %s", relaxTo(p, mask)))
 				}
@@ -171,7 +197,7 @@ func (db *DB) search(p domain.Pattern, trace *[]string, build bool) (cv domain.C
 			}
 		}
 	}
-	db.estimates[estimateNone].Inc()
+	db.tally(count, estimateNone, nil)
 	return domain.CostVector{}, true, fmt.Errorf("%w: %s", ErrNoStatistics, p)
 }
 

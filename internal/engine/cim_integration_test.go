@@ -31,7 +31,7 @@ func cimHarness(t *testing.T) (*Engine, *cim.Manager, *domaintest.Domain, func(s
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	mgr := cim.New(reg, cim.Config{ParallelActual: true})
-	eng := New(reg, mgr, Config{}, nil)
+	eng := New(reg, mgr, Config{}, nil, nil, nil)
 	planFn := func(progSrc, querySrc string) *rewrite.Plan {
 		prog, err := lang.ParseProgram(progSrc)
 		if err != nil {

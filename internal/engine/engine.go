@@ -25,10 +25,9 @@ import (
 	"hermes/internal/term"
 )
 
-// Config tunes the engine: two modelled overheads and the observability
-// hooks. None of it decides evaluation order: a union's rules launch in
-// program order, sequentially or on parallel lanes, and the engine never
-// prices a rule at run time.
+// Config tunes the engine's two modelled overheads. Neither decides
+// evaluation order: a union's rules launch in program order, sequentially
+// or on parallel lanes, and the engine never prices a rule at run time.
 type Config struct {
 	// QueryInit is a modelled fixed per-query setup cost; the paper's
 	// reported times include "query initialization + wait for response +
@@ -37,12 +36,6 @@ type Config struct {
 	QueryInit time.Duration
 	// PerDisplay is a modelled charge per answer delivered to the user.
 	PerDisplay time.Duration
-	// Obs, when set, receives query/call spans and engine metrics.
-	Obs *obs.Observer
-	// EstimateCall, when set, prices a domain call as it is issued (the
-	// mediator wires it to the DCSM). The estimate lands on the call's
-	// span so EXPLAIN can show estimated versus actual [Tf, Ta, Card].
-	EstimateCall func(c domain.Call, route rewrite.Route) (domain.CostVector, bool)
 }
 
 // maxDepth bounds IDB recursion during evaluation.
@@ -54,9 +47,11 @@ type Engine struct {
 	cim       *cim.Manager // nil when no CIM is deployed
 	memo      *memo.Cache  // nil when rule-level memoization is off
 	cfg       Config
+	obs       *obs.Observer
+	estimate  func(domain.Pattern) (domain.CostVector, bool)
 	onMeasure func(domain.Measurement)
 
-	// Event tallies, attached to cfg.Obs's metrics registry by New.
+	// Event tallies, attached to obs's metrics registry by New.
 	queries          obs.Counter
 	calls            [2]obs.Counter // by rewrite.Route
 	callErrors       [len(callErrorReasons)]obs.Counter
@@ -69,13 +64,17 @@ const reasonError, reasonBreakerOpen = 0, 1
 
 var callErrorReasons = [...]string{reasonError: "error", reasonBreakerOpen: "breaker-open"}
 
-// New builds an engine. cimMgr may be nil; onMeasure (may be nil) observes
-// the measurement of every direct source call, for the DCSM.
-func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, onMeasure func(domain.Measurement)) *Engine {
-	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, onMeasure: onMeasure}
+// New builds an engine. cimMgr may be nil. o (may be nil) receives query
+// and call spans and the engine's metrics. estimate (may be nil) prices a
+// traced call as it is issued, so EXPLAIN shows estimated versus actual
+// [Tf, Ta, Card]; the mediator wires it to the DCSM's uncounted read.
+// onMeasure (may be nil) observes the measurement of every direct source
+// call, for the DCSM.
+func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, o *obs.Observer, estimate func(domain.Pattern) (domain.CostVector, bool), onMeasure func(domain.Measurement)) *Engine {
+	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, obs: o, estimate: estimate, onMeasure: onMeasure}
 	// The hermes_engine_*, hermes_queries_total and hermes_query_* families
 	// are declared here and nowhere else.
-	r := cfg.Obs.Registry()
+	r := o.Registry()
 	r.AttachCounter("hermes_queries_total", "queries executed by the embedded mediator", e.queries.Value)
 	r.AttachHistogram("hermes_query_tfirst_ms", "milliseconds to each query's first answer", &e.tfirstMS)
 	r.AttachHistogram("hermes_query_tall_ms", "milliseconds to each query's last answer", &e.tallMS)
@@ -229,13 +228,13 @@ func (c *Cursor) Span() *obs.Span { return c.span }
 // ExecutePlan starts executing a plan, returning a cursor over its
 // answers. If ctx already carries a span (the mediator opens the query
 // root and hangs rewrite/plan-choice spans off it), call spans attach
-// there; otherwise, when Config.Obs is set, the engine opens and later
+// there; otherwise, when the engine has an observer, it opens and later
 // ends its own root span.
 func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, error) {
 	start := ctx.Clock.Now()
 	span := ctx.Span
-	if span == nil && e.cfg.Obs != nil {
-		span = e.cfg.Obs.StartQuery(plan.QueryLine(), start)
+	if span == nil && e.obs != nil {
+		span = e.obs.StartQuery(plan.QueryLine(), start)
 		ctx = ctx.WithSpan(span)
 	}
 	e.queries.Inc()

@@ -27,7 +27,7 @@ func newHarness(t *testing.T, doms ...domain.Domain) *harness {
 		reg.Register(d)
 	}
 	// Zero overheads: assertions about pure source costs.
-	return &harness{t: t, reg: reg, eng: New(reg, nil, Config{}, nil)}
+	return &harness{t: t, reg: reg, eng: New(reg, nil, Config{}, nil, nil, nil)}
 }
 
 func (h *harness) plan(progSrc, querySrc string) *rewrite.Plan {
@@ -280,7 +280,7 @@ func TestCursorCloseStopsWork(t *testing.T) {
 func TestQueryInitAndDisplayCharged(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(seqDomain())
-	eng := New(reg, nil, Config{QueryInit: 230 * time.Millisecond, PerDisplay: 10 * time.Millisecond}, nil)
+	eng := New(reg, nil, Config{QueryInit: 230 * time.Millisecond, PerDisplay: 10 * time.Millisecond}, nil, nil, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:nums()).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -304,7 +304,7 @@ func TestMeasurementObserverSeesDirectCalls(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(seqDomain())
 	var seen []domain.Measurement
-	eng := New(reg, nil, Config{}, func(m domain.Measurement) { seen = append(seen, m) })
+	eng := New(reg, nil, Config{}, nil, nil, func(m domain.Measurement) { seen = append(seen, m) })
 	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
 	q, _ := lang.ParseQuery("?- v(X, Y).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)

@@ -252,8 +252,8 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	issuedAt := ctx.Clock.Now()
 	span := ctx.Span.Child(call.Prefixed("call "), issuedAt)
 	span.SetTag("route", route.String())
-	if e.cfg.EstimateCall != nil {
-		if cv, ok := e.cfg.EstimateCall(call, route); ok {
+	if span != nil && e.estimate != nil {
+		if cv, ok := e.estimate(domain.PatternOf(call)); ok {
 			span.SetEstimate(cv)
 		}
 	}

@@ -37,7 +37,7 @@ func TestCallSpansDirectCalls(t *testing.T) {
 	d := seqDomain()
 	reg := domain.NewRegistry()
 	reg.Register(d)
-	eng := New(reg, nil, Config{Obs: obs.NewObserver()}, nil)
+	eng := New(reg, nil, Config{}, obs.NewObserver(), nil, nil)
 	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
 	q, _ := lang.ParseQuery("?- v(X, Y).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -70,6 +70,46 @@ func TestCallSpansDirectCalls(t *testing.T) {
 	}
 }
 
+// TestEstimateOnlyForTracedCalls: the engine prices a call only when the
+// call has a span to carry the estimate; an untraced query asks nothing.
+func TestEstimateOnlyForTracedCalls(t *testing.T) {
+	d := seqDomain()
+	reg := domain.NewRegistry()
+	reg.Register(d)
+	prog, _ := lang.ParseProgram(`v(X, Y) :- in(X, d:nums()), in(Y, d:double(X)).`)
+	q, _ := lang.ParseQuery("?- v(X, Y).")
+	plans, err := rewrite.New(prog, rewrite.Config{}, reg).Plans(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*obs.Observer{nil, obs.NewObserver()} {
+		asked := 0
+		estimate := func(domain.Pattern) (domain.CostVector, bool) {
+			asked++
+			return domain.CostVector{TAll: time.Millisecond, Card: 1}, true
+		}
+		cur, err := New(reg, nil, Config{}, o, estimate, nil).ExecutePlan(domain.NewCtx(vclock.NewVirtual(0)), plans[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := CollectAll(cur); err != nil {
+			t.Fatal(err)
+		}
+		want := 0 // untraced: no call has a span
+		if o != nil {
+			want = 5 // 1 nums + 4 double calls
+		}
+		if asked != want {
+			t.Errorf("observer=%v: %d estimates asked for, want %d", o != nil, asked, want)
+		}
+		for _, c := range callSpans(t, cur) {
+			if c.Est == nil {
+				t.Errorf("traced call span %s carries no estimate", c.Name)
+			}
+		}
+	}
+}
+
 // TestCallSpansCIMSources: a CIM-routed call's span says how the cache
 // served it — miss on the first run, exact hit on the second (what
 // TestTraceObserverCIMSources checked as Source actual / cache-exact).
@@ -82,7 +122,7 @@ func TestCallSpansCIMSources(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	mgr := cim.New(reg, cim.Config{ParallelActual: true})
-	eng := New(reg, mgr, Config{Obs: obs.NewObserver()}, nil)
+	eng := New(reg, mgr, Config{}, obs.NewObserver(), nil, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, d:f(1)).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{CIMDomains: map[string]bool{"d": true}}, reg)
@@ -138,7 +178,7 @@ func TestCallSpansBreakerOpen(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(w)
 	o := obs.NewObserver()
-	eng := New(reg, nil, Config{Obs: o}, nil)
+	eng := New(reg, nil, Config{}, o, nil, nil)
 	prog, _ := lang.ParseProgram(`v(X) :- in(X, down:get()).`)
 	q, _ := lang.ParseQuery("?- v(X).")
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
@@ -209,7 +249,7 @@ func TestQueryLatencyHistograms(t *testing.T) {
 	reg := domain.NewRegistry()
 	reg.Register(d)
 	o := obs.NewObserver()
-	eng := New(reg, nil, Config{Obs: o}, nil)
+	eng := New(reg, nil, Config{}, o, nil, nil)
 	prog, _ := lang.ParseProgram(`v(N, X) :- in(X, d:nums(N)).`)
 	rw := rewrite.New(prog, rewrite.Config{}, reg)
 	var tfirst, tall float64

@@ -30,8 +30,7 @@ func singleCallEstimator(t *testing.T) (*Estimator, *dcsm.DB) {
 func TestInflationColdPath(t *testing.T) {
 	est, _ := singleCallEstimator(t)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
-	cal := obs2.NewCalibration()
-	est.SetCalibration(cal, 0.9, 2.5)
+	est.SetCalibration(0.9, 2.5)
 
 	cv, d, err := est.PlanCostDetail(plans[0])
 	if err != nil {
@@ -51,11 +50,10 @@ func TestInflationColdPath(t *testing.T) {
 // TestInflationThinPath: a function with a single *accurate* observation
 // must not take cold-start inflation — its evidence says q-error 1.
 func TestInflationThinPath(t *testing.T) {
-	est, _ := singleCallEstimator(t)
+	est, db := singleCallEstimator(t)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
-	cal := obs2.NewCalibration()
-	cal.Observe("d", "f", calCost(1000), calCost(1000))
-	est.SetCalibration(cal, 0.9, 2.5)
+	db.Calibration().Observe("d", "f", calCost(1000), calCost(1000))
+	est.SetCalibration(0.9, 2.5)
 
 	cv, d, err := est.PlanCostDetail(plans[0])
 	if err != nil {
@@ -72,13 +70,12 @@ func TestInflationThinPath(t *testing.T) {
 // TestInflationRoughPath: consistently-wrong observations inflate by the
 // observed factor.
 func TestInflationRoughPath(t *testing.T) {
-	est, _ := singleCallEstimator(t)
+	est, db := singleCallEstimator(t)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
-	cal := obs2.NewCalibration()
 	for i := 0; i < obs2.CalMinSamples; i++ {
-		cal.Observe("d", "f", calCost(1000), calCost(4000)) // q-error 4
+		db.Calibration().Observe("d", "f", calCost(1000), calCost(4000)) // q-error 4
 	}
-	est.SetCalibration(cal, 0.9, 2.5)
+	est.SetCalibration(0.9, 2.5)
 
 	cv, d, err := est.PlanCostDetail(plans[0])
 	if err != nil {
@@ -97,21 +94,21 @@ func TestInflationRoughPath(t *testing.T) {
 // planner reads a pessimistic quantile.
 func TestInflationQuantileDivergence(t *testing.T) {
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
-	cal := obs2.NewCalibration()
+	estMedian, db := singleCallEstimator(t)
+	cal := db.Calibration()
 	for i := 0; i < 8; i++ {
 		cal.Observe("d", "f", calCost(1000), calCost(1000))
 	}
 	cal.Observe("d", "f", calCost(1000), calCost(16000))
 	cal.Observe("d", "f", calCost(1000), calCost(16000))
 
-	estMedian, _ := singleCallEstimator(t)
-	estMedian.SetCalibration(cal, 0.5, 1)
+	estMedian.SetCalibration(0.5, 1)
 	cvMed, _, err := estMedian.PlanCostDetail(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	estP90, _ := singleCallEstimator(t)
-	estP90.SetCalibration(cal, 0.9, 1)
+	estP90 := New(db, nil)
+	estP90.SetCalibration(0.9, 1)
 	cvP90, d, err := estP90.PlanCostDetail(plans[0])
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +121,24 @@ func TestInflationQuantileDivergence(t *testing.T) {
 	}
 	if d.MaxInflation != 16 {
 		t.Errorf("p90 detail = %+v", d)
+	}
+}
+
+// TestInflationQuantileOneReadsMaximum: quantile 1 inflates by the
+// window's largest q-error, and is not silently rewritten to p90.
+func TestInflationQuantileOneReadsMaximum(t *testing.T) {
+	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
+	est, db := singleCallEstimator(t)
+	for q := 1; q <= 10; q++ { // q-errors 1..10: p90 is 9, the maximum 10
+		db.Calibration().Observe("d", "f", calCost(1000), calCost(1000*q))
+	}
+	est.SetCalibration(1, 1)
+	cv, d, err := est.PlanCostDetail(plans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.TAll != 10000*time.Millisecond || d.MaxInflation != 10 {
+		t.Errorf("quantile 1: TAll = %v, max inflation %v; want 10000ms, 10 (the window maximum)", cv.TAll, d.MaxInflation)
 	}
 }
 
@@ -150,13 +165,13 @@ func TestInflationFlipsPlanChoice(t *testing.T) {
 		t.Fatalf("blind ranking should pick the optimistic plan, got %s", p)
 	}
 
-	cal := obs2.NewCalibration()
+	cal := db.Calibration()
 	for i := 0; i < obs2.CalMinSamples; i++ {
 		cal.Observe("d", "spiky", calCost(500), calCost(5000))
 		cal.Observe("d", "honest", calCost(2000), calCost(2000))
 	}
 	robust := New(db, nil)
-	robust.SetCalibration(cal, 0.9, 1.5)
+	robust.SetCalibration(0.9, 1.5)
 	p, cv, d, err := robust.BestDetail(plans, false)
 	if err != nil {
 		t.Fatal(err)

@@ -31,35 +31,6 @@ import (
 // maxDepth bounds recursive predicate costing.
 const maxDepth = 32
 
-// CacheModel exposes the CIM state the estimator needs; implemented by
-// *cim.Manager.
-type CacheModel interface {
-	// Probe reports, without side effects, how the CIM would serve a ground
-	// call right now and how many answers the cache would contribute.
-	Probe(c domain.Call) (cim.Source, int)
-	// CostModel returns the CIM's serve-cost parameters.
-	CostModel() cim.CostModel
-}
-
-// Calibration exposes the observed q-error distribution the estimator
-// inflates by; implemented by *obs.Calibration. n == 0 means the
-// (domain, function) has never been observed.
-type Calibration interface {
-	QErrQuantile(dom, fn string, q float64) (qerr float64, n int64)
-}
-
-// MemoModel exposes the memo-cache state the estimator needs to price a
-// subgoal at its replay cost; implemented by *memo.Cache.
-type MemoModel interface {
-	// EstimateServe reports whether the key is currently serveable and how
-	// many tuples a replay would emit, without perturbing cache stats.
-	EstimateServe(key string) (tuples int, ok bool)
-	// LookupCost / PerTupleCost are the clock costs the engine charges on
-	// the serve path.
-	LookupCost() time.Duration
-	PerTupleCost() time.Duration
-}
-
 // defaultCost is assumed for calls with no statistics and no native
 // estimator, so that planning can proceed on cold systems; PlanCost
 // reports how many literals fell back to it.
@@ -68,43 +39,41 @@ var defaultCost = domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * ti
 // Estimator costs plans.
 type Estimator struct {
 	db    *dcsm.DB
-	cache CacheModel // nil when no CIM is deployed
+	cache *cim.Manager // nil when no CIM is deployed
 
-	// cal, when set, turns on calibration-inflated costing: every call's
-	// time components are multiplied by the calQuantile q-error observed
-	// for its (domain, function), or by coldInflate when the function has
-	// never been observed. Because the inflation quantile is pessimistic
-	// (p90, not the median), the inflated cost *is* a worst-plausible-case
-	// cost — so ranking plans by minimum inflated cost is exactly the
-	// robust (minimize worst case) plan choice the rough grade calls for.
-	cal         Calibration
+	// calQuantile, when > 0, turns on calibration-inflated costing: every
+	// call's time components are multiplied by the calQuantile q-error the
+	// DCSM's calibration holds for its (domain, function), or by
+	// coldInflate when the function has never been graded. Because the
+	// inflation quantile is pessimistic (p90, not the median), the
+	// inflated cost *is* a worst-plausible-case cost — so ranking plans by
+	// minimum inflated cost is exactly the robust (minimize worst case)
+	// plan choice the rough grade calls for.
 	calQuantile float64
 	coldInflate float64
 	// memo, when set, prices subgoals whose memo key is currently
 	// resident at their replay cost instead of their source cost, so
 	// α-equivalent repeat queries pick orders that reuse warm entries.
-	memo MemoModel
+	memo *memo.Cache
 }
 
 // New builds an estimator over the DCSM. cache may be nil.
-func New(db *dcsm.DB, cache CacheModel) *Estimator {
+func New(db *dcsm.DB, cache *cim.Manager) *Estimator {
 	return &Estimator{db: db, cache: cache}
 }
 
-// SetCalibration enables calibration-inflated costing. quantile selects
-// the q-error quantile read per (domain, function) — pessimistic values
-// (0.9) make the ranking robust rather than optimistic. coldInflate is
-// the factor applied to functions with no observations at all; values
-// <= 1 disable cold-start inflation. A nil cal turns inflation off.
-func (e *Estimator) SetCalibration(cal Calibration, quantile, coldInflate float64) {
-	if quantile <= 0 || quantile >= 1 {
-		quantile = 0.9
-	}
-	e.cal, e.calQuantile, e.coldInflate = cal, quantile, coldInflate
+// SetCalibration sets calibration-inflated costing. quantile selects the
+// q-error quantile read per (domain, function) from the DCSM's
+// calibration — pessimistic values (0.9) make the ranking robust rather
+// than optimistic, and 1 reads the window's maximum; quantile <= 0 turns
+// inflation off. coldInflate is the factor applied to functions with no
+// observations at all; values <= 1 disable cold-start inflation.
+func (e *Estimator) SetCalibration(quantile, coldInflate float64) {
+	e.calQuantile, e.coldInflate = quantile, coldInflate
 }
 
-// SetMemo enables memo-residency-aware costing.
-func (e *Estimator) SetMemo(m MemoModel) { e.memo = m }
+// SetMemo enables memo-residency-aware costing (nil disables it).
+func (e *Estimator) SetMemo(m *memo.Cache) { e.memo = m }
 
 // CostDetail reports how a plan's estimate was put together, beyond the
 // cost vector itself.
@@ -206,10 +175,10 @@ func (st *costState) detail() CostDetail {
 // Card would double-count them through the nested-loop multiplier.
 func (st *costState) inflate(cv domain.CostVector, dom, fn string) domain.CostVector {
 	e := st.est
-	if e.cal == nil {
+	if e.calQuantile <= 0 {
 		return cv
 	}
-	q, n := e.cal.QErrQuantile(dom, fn, e.calQuantile)
+	q, n := e.db.Calibration().QErrQuantile(dom, fn, e.calQuantile)
 	factor := 1.0
 	switch {
 	case n == 0:

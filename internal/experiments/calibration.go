@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"hermes/internal/core"
 	"hermes/internal/domain"
 	"hermes/internal/obs"
 	"hermes/internal/term"
@@ -20,7 +19,7 @@ import (
 // call runs with no statistics and so no estimate; every later estimate
 // aggregates the accumulated records, and the error shrinks as the
 // workload's spread is averaged out. The same est/actual pairs feed the
-// observer's calibration tracker, which is what hermesd serves at
+// DCSM's calibration tracker, which is what hermesd serves at
 // /debug/calibration.
 
 // calibrationQuery gives the experiment a single-call query so each run
@@ -47,7 +46,7 @@ type CalibrationResult struct {
 	Site   string             `json:"site"`
 	Query  string             `json:"query"`
 	Rounds []CalibrationRound `json:"rounds"`
-	// TrackerSamples/TrackerMedianQTa are the observer-side calibration
+	// TrackerSamples/TrackerMedianQTa are the DCSM's calibration
 	// tracker's cumulative view of the same run (what /debug/calibration
 	// reports).
 	TrackerSamples   int64   `json:"tracker_samples"`
@@ -67,8 +66,7 @@ func median(xs []float64) float64 {
 // CalibrationWarmup runs the rounds on a CIM-disabled testbed (every call
 // is a real measured source execution) and grades each round's estimates.
 func CalibrationWarmup() (*CalibrationResult, error) {
-	o := obs.NewObserver()
-	tb, err := NewTestbed(TestbedOptions{DisableCIM: true, Seed: 11, Core: core.Options{Obs: o}})
+	tb, err := NewTestbed(TestbedOptions{DisableCIM: true, Seed: 11})
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +119,7 @@ func CalibrationWarmup() (*CalibrationResult, error) {
 			MedianQCard: round2(median(qCard)),
 		})
 	}
-	res.TrackerMedianQTa, res.TrackerSamples = o.Calibration.Grade("avis", "frames_to_objects")
+	res.TrackerMedianQTa, res.TrackerSamples = sys.DCSM.Calibration().Grade("avis", "frames_to_objects")
 	res.TrackerMedianQTa = round2(res.TrackerMedianQTa)
 	return res, nil
 }

@@ -61,13 +61,14 @@ type calEntry struct{ qtf, qta, qcard Histogram }
 // planner can tell whether a plan was ranked on trustworthy numbers.
 // It keeps a bounded sample window per function (the same windowed
 // histogram the registry uses) and is safe for concurrent use; a nil
-// *Calibration disables tracking. The windows are the only copy of the
-// samples: the per-domain hermes_dcsm_qerror_{tf,ta,card} series merge
-// them.
+// *Calibration disables tracking. The DCSM owns one (dcsm.DB.Calibration)
+// and feeds it as it records measurements. The windows are the only copy
+// of the samples: the per-domain hermes_dcsm_qerror_{tf,ta,card} series
+// merge them once SetRegistry names the registry.
 type Calibration struct {
 	mu      sync.Mutex
 	entries map[calKey]*calEntry
-	reg     *Registry // where each function's windows join its domain's series
+	reg     *Registry // where each function's windows join its domain's series (nil: nowhere)
 }
 
 // NewCalibration returns an empty calibration table.
@@ -88,16 +89,29 @@ func (c *Calibration) entry(dom, fn string) *calEntry {
 	return e
 }
 
+// SetRegistry lists the table's per-domain q-error series in r: the
+// windows of every function tracked so far, and of each one tracked later.
+func (c *Calibration) SetRegistry(r *Registry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reg = r
+	for k, e := range c.entries {
+		c.attach(k.domain, &e.qtf, &e.qta, &e.qcard)
+	}
+}
+
 // ListDomain lists dom's q-error series at zero, before the domain's
 // first measured call. Nil-safe.
 func (c *Calibration) ListDomain(dom string) {
 	if c != nil {
+		c.mu.Lock()
 		c.attach(dom, nil, nil, nil)
+		c.mu.Unlock()
 	}
 }
 
 // attach lists dom's hermes_dcsm_qerror_{tf,ta,card} series and merges
-// the given windows (nil: none) into them.
+// the given windows (nil: none) into them. The caller holds c.mu.
 func (c *Calibration) attach(dom string, qtf, qta, qcard *Histogram) {
 	c.reg.AttachHistogram("hermes_dcsm_qerror_tf", "q-error of DCSM first-answer time estimates vs measured calls", qtf, "domain", dom)
 	c.reg.AttachHistogram("hermes_dcsm_qerror_ta", "q-error of DCSM total-time estimates vs measured calls", qta, "domain", dom)

@@ -161,21 +161,36 @@ func TestCalibrationSummaryKeepsNoSortedCopy(t *testing.T) {
 	}
 }
 
-func TestObserverObserveCalibration(t *testing.T) {
-	o := NewObserver()
-	o.ObserveCalibration("avis", "frames",
+// calibrationWithRegistry returns an empty calibration table whose
+// windows a fresh registry merges into per-domain q-error series.
+func calibrationWithRegistry() (*Calibration, *Registry) {
+	c, reg := NewCalibration(), NewRegistry()
+	c.SetRegistry(reg)
+	return c, reg
+}
+
+// TestCalibrationSetRegistry: the registry's q-error series merge the
+// windows of functions tracked before SetRegistry named it and after.
+func TestCalibrationSetRegistry(t *testing.T) {
+	c := NewCalibration()
+	c.Observe("avis", "frames",
 		Cost{TAll: 100 * time.Millisecond, Card: 10},
 		Cost{TAll: 300 * time.Millisecond, Card: 10})
-	if q, n := o.Calibration.Grade("avis", "frames"); n != 1 || q != 3 {
+	reg := NewRegistry()
+	c.SetRegistry(reg)
+	c.Observe("ingres", "roads", Cost{TAll: time.Second, Card: 1}, Cost{TAll: time.Second, Card: 1})
+	if q, n := c.Grade("avis", "frames"); n != 1 || q != 3 {
 		t.Errorf("tracker fed q=%g n=%d, want 3, 1", q, n)
 	}
-	h := o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", "avis")
+	h := reg.Histogram("hermes_dcsm_qerror_ta", "domain", "avis")
 	if h.Count() != 1 || h.Quantile(0.5) != 3 {
 		t.Errorf("registry histogram count=%d median=%g", h.Count(), h.Quantile(0.5))
 	}
-	for _, name := range []string{"hermes_dcsm_qerror_tf", "hermes_dcsm_qerror_card"} {
-		if o.Metrics.Histogram(name, "domain", "avis").Count() != 1 {
-			t.Errorf("%s not fed", name)
+	for _, dom := range []string{"avis", "ingres"} {
+		for _, name := range []string{"hermes_dcsm_qerror_tf", "hermes_dcsm_qerror_ta", "hermes_dcsm_qerror_card"} {
+			if reg.Histogram(name, "domain", dom).Count() != 1 {
+				t.Errorf("%s{domain=%q} not fed", name, dom)
+			}
 		}
 	}
 }
@@ -183,8 +198,6 @@ func TestObserverObserveCalibration(t *testing.T) {
 // TestCalibrationNilSafety: the new hooks must all be nil-receiver
 // no-ops so an obs-disabled system costs only the nil checks.
 func TestCalibrationNilSafety(t *testing.T) {
-	var o *Observer
-	o.ObserveCalibration("d", "f", Cost{}, Cost{})
 	var c *Calibration
 	c.Observe("d", "f", Cost{}, Cost{})
 	if rows := c.Summary(); rows != nil {
@@ -193,9 +206,7 @@ func TestCalibrationNilSafety(t *testing.T) {
 	if _, n := c.Grade("d", "f"); n != 0 {
 		t.Error("nil calibration graded")
 	}
-	// An observer with a nil Calibration/Metrics still accepts feeds.
-	partial := &Observer{}
-	partial.ObserveCalibration("d", "f", Cost{}, Cost{})
+	c.ListDomain("d")
 }
 
 // TestDomainQErrSeriesMergeFunctionWindows: each measured call is observed
@@ -203,13 +214,13 @@ func TestCalibrationNilSafety(t *testing.T) {
 // registry's merge of those windows — count and sum the sums of the
 // domain's function counts and sums, quantiles over their union.
 func TestDomainQErrSeriesMergeFunctionWindows(t *testing.T) {
-	o := NewObserver()
-	o.Calibration.ListDomain("idle")
+	cal, reg := calibrationWithRegistry()
+	cal.ListDomain("idle")
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	for i := 1; i <= 30; i++ {
-		o.ObserveCalibration("avis", "frames", Cost{TFirst: ms(2), TAll: ms(10), Card: 4}, Cost{TFirst: ms(i), TAll: ms(10 * i), Card: float64(i)})
-		o.ObserveCalibration("avis", "objects", Cost{TAll: ms(50), Card: 2}, Cost{TAll: ms(5 * i), Card: 2})
-		o.ObserveCalibration("ingres", "roads", Cost{TAll: ms(7), Card: 1}, Cost{TAll: ms(7), Card: 1})
+		cal.Observe("avis", "frames", Cost{TFirst: ms(2), TAll: ms(10), Card: 4}, Cost{TFirst: ms(i), TAll: ms(10 * i), Card: float64(i)})
+		cal.Observe("avis", "objects", Cost{TAll: ms(50), Card: 2}, Cost{TAll: ms(5 * i), Card: 2})
+		cal.Observe("ingres", "roads", Cost{TAll: ms(7), Card: 1}, Cost{TAll: ms(7), Card: 1})
 	}
 	for _, dom := range []string{"avis", "ingres", "idle"} {
 		for _, c := range []struct {
@@ -223,14 +234,14 @@ func TestDomainQErrSeriesMergeFunctionWindows(t *testing.T) {
 			var n int64
 			var sum float64
 			var union []float64
-			for k, e := range o.Calibration.entries {
+			for k, e := range cal.entries {
 				if k.domain == dom {
 					n += c.win(e).Count()
 					sum += c.win(e).Sum()
 					union = c.win(e).window(union)
 				}
 			}
-			snap := o.Metrics.Snapshot()
+			snap := reg.Snapshot()
 			label := `{domain="` + dom + `"}`
 			if got, ok := snap[c.name+"_count"+label]; !ok || got != float64(n) {
 				t.Errorf("%s_count%s = %g (listed %v), function windows hold %d", c.name, label, got, ok, n)
@@ -239,12 +250,12 @@ func TestDomainQErrSeriesMergeFunctionWindows(t *testing.T) {
 				t.Errorf("%s_sum%s = %g, function windows sum to %g", c.name, label, got, sum)
 			}
 			sort.Float64s(union)
-			if got, want := o.Metrics.Histogram(c.name, "domain", dom).Quantile(0.95), nearestRank(union, 0.95); got != want {
+			if got, want := reg.Histogram(c.name, "domain", dom).Quantile(0.95), nearestRank(union, 0.95); got != want {
 				t.Errorf("%s%s p95 = %g, over the union of function windows %g", c.name, label, got, want)
 			}
 		}
 	}
-	if n := o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", "avis").Count(); n != 60 {
+	if n := reg.Histogram("hermes_dcsm_qerror_ta", "domain", "avis").Count(); n != 60 {
 		t.Errorf("avis observed %d Ta q-errors for 60 measured calls", n)
 	}
 }
@@ -253,14 +264,14 @@ func TestDomainQErrSeriesMergeFunctionWindows(t *testing.T) {
 // windows it merges while calls are observed into them and new functions
 // attach theirs; run with -race.
 func TestCalibrationObserveWhileScraped(t *testing.T) {
-	o := NewObserver()
+	cal, reg := calibrationWithRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				o.ObserveCalibration("d", fmt.Sprintf("f%d", i%(g+2)), Cost{TAll: time.Millisecond}, Cost{TAll: time.Duration(i+1) * time.Millisecond})
+				cal.Observe("d", fmt.Sprintf("f%d", i%(g+2)), Cost{TAll: time.Millisecond}, Cost{TAll: time.Duration(i+1) * time.Millisecond})
 			}
 		}(g)
 	}
@@ -273,14 +284,14 @@ func TestCalibrationObserveWhileScraped(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				o.Metrics.WritePrometheus(io.Discard)
+				reg.WritePrometheus(io.Discard)
 			}
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	<-scraped
-	if n := o.Metrics.Histogram("hermes_dcsm_qerror_ta", "domain", "d").Count(); n != 4*300 {
+	if n := reg.Histogram("hermes_dcsm_qerror_ta", "domain", "d").Count(); n != 4*300 {
 		t.Errorf("merged count = %d, want %d", n, 4*300)
 	}
 }

@@ -267,28 +267,23 @@ func (t *Tracer) Counts() (started, finished int64) {
 }
 
 // Observer bundles the observability facilities the system threads
-// through its layers: a metrics registry, a query tracer, a cost-model
-// calibration table, and a flight recorder. A nil Observer (or nil
-// fields) disables the corresponding facility; every method is
-// nil-receiver safe.
+// through its layers: a metrics registry, a query tracer and a flight
+// recorder. It only records: a layer behaves the same with or without
+// one. A nil Observer (or nil fields) disables the corresponding
+// facility; every method is nil-receiver safe.
 type Observer struct {
-	Metrics     *Registry
-	Tracer      *Tracer
-	Calibration *Calibration
-	Flight      *FlightRecorder
+	Metrics *Registry
+	Tracer  *Tracer
+	Flight  *FlightRecorder
 }
 
-// NewObserver returns an observer with a fresh registry, a calibration
-// table whose per-function windows that registry merges into per-domain
-// q-error series, and a flight recorder (keep-everything threshold) fed by
-// the tracer.
+// NewObserver returns an observer with a fresh registry and a flight
+// recorder (keep-everything threshold) fed by the tracer.
 func NewObserver() *Observer {
 	o := &Observer{
-		Metrics:     NewRegistry(),
-		Calibration: NewCalibration(),
-		Flight:      NewFlightRecorder(DefaultFlightCapacity, 0),
+		Metrics: NewRegistry(),
+		Flight:  NewFlightRecorder(DefaultFlightCapacity, 0),
 	}
-	o.Calibration.reg = o.Metrics
 	o.Tracer = NewTracer(o.Flight)
 	return o
 }
@@ -323,15 +318,4 @@ func (o *Observer) Gauge(name string, labels ...string) *Gauge {
 // Histogram forwards to the registry (nil-safe).
 func (o *Observer) Histogram(name string, labels ...string) *Histogram {
 	return o.Registry().Histogram(name, labels...)
-}
-
-// ObserveCalibration feeds one completed call's estimated and measured
-// cost vectors into the calibration table, whose function windows the
-// per-domain hermes_dcsm_qerror_{tf,ta,card} series read. Callers must
-// only feed spans whose actual reflects a real source call (cache-served
-// answers would fake enormous "errors"). Nil-safe.
-func (o *Observer) ObserveCalibration(dom, fn string, est, actual Cost) {
-	if o != nil {
-		o.Calibration.Observe(dom, fn, est, actual)
-	}
 }
