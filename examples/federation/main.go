@@ -77,7 +77,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, a := range answers {
-		actor, _ := a.Subst.Eval(term.V("Actor"))
+		actor, _ := a.Value("Actor")
 		fmt.Println("  on screen:", actor)
 	}
 	fmt.Printf("%d answers over TCP in %v (wall clock)\n", metrics.Answers, metrics.TAll.Round(time.Millisecond))

@@ -84,8 +84,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, a := range answers {
-		to, _ := a.Subst.Eval(term.V("To"))
-		route, _ := a.Subst.Eval(term.V("R"))
+		to, _ := a.Value("To")
+		route, _ := a.Value("R")
 		length, _ := term.Select(route, []string{"len"})
 		wps, _ := term.Select(route, []string{"waypoints"})
 		fmt.Printf("  to %v: %v steps via %v\n", to, length, wps)

@@ -201,9 +201,8 @@ type Manager struct {
 	// (nil = off); listed holds the invariant texts listed there.
 	metrics *obs.Registry
 	listed  map[string]bool
-	// invKeys is each registered invariant's text, rendered once: its
-	// savings-ledger key and the label of its hit series.
-	invKeys map[*lang.Invariant]string
+	// invs holds each registered invariant's text and compiled form.
+	invs map[*lang.Invariant]*invariant
 	// costModel prices the source call a cache hit avoided (wired to the
 	// DCSM estimator; nil = use the serving entry's observed cost).
 	costModel func(domain.Pattern) (domain.CostVector, bool)
@@ -229,7 +228,7 @@ func New(caller Caller, cfg Config) *Manager {
 		cfg:     cfg,
 		idx:     invindex.New(),
 		flights: make(map[string]*flight),
-		invKeys: make(map[*lang.Invariant]string),
+		invs:    make(map[*lang.Invariant]*invariant),
 		ledger:  ledger{byInvariant: make(map[string]LedgerRow)},
 	}
 	m.store = shardmap.New(func(e *Entry) int { return e.Bytes },
@@ -255,8 +254,8 @@ func (m *Manager) SetObserver(o *obs.Observer) {
 	r := o.Registry()
 	m.hookMu.Lock()
 	m.metrics, m.listed = r, make(map[string]bool)
-	for _, key := range m.invKeys {
-		m.listInvariantLocked(key)
+	for _, c := range m.invs {
+		m.listInvariantLocked(c.key)
 	}
 	m.hookMu.Unlock()
 	for i := range m.lookups {
@@ -327,18 +326,18 @@ func (m *Manager) SetMeasurementObserver(fn func(domain.Measurement)) {
 	m.onMeasure = fn
 }
 
-// AddInvariant validates and registers an invariant into the shared
-// discrimination index, and lists its hit series at zero. Ill-formed
+// AddInvariant validates and compiles an invariant, registers it into the
+// shared discrimination index, and lists its hit series at zero. Ill-formed
 // invariants (free condition variables) are rejected: applying one could
 // never be proven sound.
 func (m *Manager) AddInvariant(inv *lang.Invariant) error {
-	if err := inv.Validate(); err != nil {
+	c, err := compileInvariant(inv)
+	if err != nil {
 		return err
 	}
-	key := inv.String()
 	m.hookMu.Lock()
-	m.invKeys[inv] = key
-	m.listInvariantLocked(key)
+	m.invs[inv] = c
+	m.listInvariantLocked(c.key)
 	m.hookMu.Unlock()
 	m.idx.AddInvariant(inv)
 	return nil

@@ -269,7 +269,7 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call, key string) (*
 }
 
 // equivalentFlightLocked finds an in-flight call an equality invariant
-// proves has the call's answer set: findCandidates' ground fast path, with
+// proves has the call's answer set: findCandidate's ground fast path, with
 // the flight index in place of the store. The call's equality bucket is
 // walked once, in registration order, so of several equivalent flights the
 // first-registered invariant's wins. Caller holds m.flightMu.
@@ -280,15 +280,17 @@ func (m *Manager) equivalentFlightLocked(ctx *domain.Ctx, call domain.Call) *fli
 	cands := m.idx.Equalities(invindex.KeyOfCall(call))
 	m.idxCandidates.Add(int64(len(cands)))
 	tagCandidates(ctx, len(cands))
+	var buf [16]term.Value
 	for _, inv := range cands {
 		ctx.Clock.Sleep(m.cfg.InvariantMatch)
-		for _, side := range orientations(inv) {
-			theta, ok := unifyTemplate(term.Subst{}, side.mine, call)
-			if !ok {
+		c := m.compiled(inv)
+		for _, o := range c.sides {
+			theta, _ := c.frames(buf[:0])
+			if !unify(theta, o.mine, o.mineArgs, call) {
 				continue
 			}
-			oc, ok := groundTemplate(side.other, theta)
-			if !ok || !condHolds(inv.Cond, theta) {
+			oc, ok := groundTemplate(o.other, o.otherArgs, theta)
+			if !ok || !c.condHolds(theta) {
 				continue
 			}
 			if f := m.flights[oc.Key()]; f != nil {

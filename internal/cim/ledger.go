@@ -154,7 +154,7 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	invKey := ExactKey
 	if inv != nil {
 		m.hookMu.RLock()
-		invKey = m.invKeys[inv]
+		invKey = m.invs[inv].key
 		m.hookMu.RUnlock()
 		ctx.Span.SetTag("invariant", invKey)
 	}

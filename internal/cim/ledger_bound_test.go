@@ -98,9 +98,41 @@ func TestInvariantHitAllocsPer(t *testing.T) {
 	}
 	eq := testing.AllocsPerRun(200, serve(call("d", "g", a), SourceCacheEquality))
 	part := testing.AllocsPerRun(200, serve(call("d", "r", term.Int(1), term.Int(4)), SourceCachePartial))
-	// Measured 10 and 24 (23 and 43 when each hit rendered the invariant
-	// and its label and bumped a series looked up by name).
-	if eq > 12 || part > 26 {
-		t.Errorf("equality hit allocates %v (bound 12), partial hit %v (bound 26)", eq, part)
+	// Measured 8 and 16: matching runs in frames on the probe's stack (10
+	// and 24 when it built a substitution per binding, 23 and 43 when each
+	// hit also rendered the invariant and its label and bumped a series
+	// looked up by name).
+	if eq > 8 || part > 16 {
+		t.Errorf("equality hit allocates %v (bound 8), partial hit %v (bound 16)", eq, part)
+	}
+}
+
+// TestPartialScanAllocsPer: a partial-hit probe whose superset invariant
+// scans every cached call of the other side's function allocates the same
+// whether 8 or 64 of them are cached and match: each candidate is matched
+// in a frame reset from the probe's, not in a new binding environment.
+func TestPartialScanAllocsPer(t *testing.T) {
+	sup, err := lang.ParseInvariant("F1 <= G1 & G2 <= F2 => d:r(F1, F2) >= d:r(G1, G2).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := call("d", "r", term.Int(0), term.Int(1000))
+	var allocs [2]float64
+	for i, n := range []int{8, 64} {
+		m := New(nil, testCfg())
+		if err := m.AddInvariant(sup); err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j <= n; j++ {
+			m.Store(call("d", "r", term.Int(int64(j)), term.Int(int64(j+1))), strs("x"), true, domain.CostVector{})
+		}
+		allocs[i] = testing.AllocsPerRun(100, func() {
+			if src, got := m.Probe(probe); src != SourceCachePartial || got != 1 {
+				t.Fatalf("probe over %d cached calls served %v with %d answers, want a partial hit of 1", n, src, got)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("a partial-hit probe allocates %v times over 8 cached calls and %v over 64, want the same", allocs[0], allocs[1])
 	}
 }

@@ -2,6 +2,7 @@ package cim
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"hermes/internal/domain"
@@ -10,8 +11,60 @@ import (
 	"hermes/internal/term"
 )
 
+// names is the reference matcher's environment: variables bound by name,
+// copied on every extension. The ladder matches into frames of compiled
+// slots; the oracle matches by name, so the two share no matching code.
+type names map[string]term.Value
+
+func (n names) eval(t term.Term) (term.Value, bool) {
+	if t.IsConst() {
+		return t.Const, true
+	}
+	v, ok := n[t.Var]
+	if ok && len(t.Path) > 0 {
+		var err error
+		v, err = term.Select(v, t.Path)
+		ok = err == nil
+	}
+	return v, ok
+}
+
+// unify matches a call template against a ground call, extending n.
+func (n names) unify(tmpl *lang.CallTemplate, c domain.Call) (names, bool) {
+	if tmpl.Domain != c.Domain || tmpl.Function != c.Function || len(tmpl.Args) != len(c.Args) {
+		return nil, false
+	}
+	out := maps.Clone(n)
+	for i, t := range tmpl.Args {
+		if cur, ok := out.eval(t); ok || !t.IsVar() {
+			if !ok || !term.Equal(cur, c.Args[i]) {
+				return nil, false
+			}
+			continue
+		}
+		out[t.Var] = c.Args[i]
+	}
+	return out, true
+}
+
+// holds evaluates an invariant condition; one that cannot be evaluated
+// does not hold.
+func (n names) holds(cond []lang.Comparison) bool {
+	for _, c := range cond {
+		l, lok := n.eval(c.Left)
+		r, rok := n.eval(c.Right)
+		if !lok || !rok {
+			return false
+		}
+		if ok, err := c.Op.Holds(l, r); err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // linearLadder is the test-only oracle for find: §4.1's lookup ladder
-// with no index. It walks invs, the invariants in registration order,
+// with no index and name-keyed matching. It walks invs, the invariants in registration order,
 // with invindex.Relevant as the dispatch check, and scans a snapshot of
 // the whole store for every invariant side, ground or not. It reports
 // the source kind and the number of answers the serving entry holds.
@@ -28,13 +81,13 @@ func linearLadder(m *Manager, invs []*lang.Invariant, c domain.Call) (Source, in
 		return SourceCacheExact, len(own.Answers)
 	}
 	// matches lists the entries tmpl matches under θ with cond holding.
-	matches := func(theta term.Subst, cond []lang.Comparison, tmpl *lang.CallTemplate, complete bool) []*Entry {
+	matches := func(theta names, cond []lang.Comparison, tmpl *lang.CallTemplate, complete bool) []*Entry {
 		var out []*Entry
 		for _, e := range snap {
 			if complete && !e.Complete {
 				continue
 			}
-			if theta2, ok := unifyTemplate(theta, tmpl, e.Call); ok && condHolds(cond, theta2) {
+			if theta2, ok := theta.unify(tmpl, e.Call); ok && theta2.holds(cond) {
 				out = append(out, e)
 			}
 		}
@@ -45,7 +98,7 @@ func linearLadder(m *Manager, invs []*lang.Invariant, c domain.Call) (Source, in
 			continue
 		}
 		for _, sides := range [][2]*lang.CallTemplate{{&inv.Left, &inv.Right}, {&inv.Right, &inv.Left}} {
-			theta, ok := unifyTemplate(term.Subst{}, sides[0], c)
+			theta, ok := names{}.unify(sides[0], c)
 			if !ok {
 				continue
 			}
@@ -68,7 +121,7 @@ func linearLadder(m *Manager, invs []*lang.Invariant, c domain.Call) (Source, in
 		if inv.Rel != lang.RelSuperset || !invindex.Relevant(&inv.Left, c) {
 			continue
 		}
-		theta, ok := unifyTemplate(term.Subst{}, &inv.Left, c)
+		theta, ok := names{}.unify(&inv.Left, c)
 		if !ok {
 			continue
 		}

@@ -145,7 +145,7 @@ func TestCIMCallInFillAllocsPer(t *testing.T) {
 	notes := 0
 	ctx := domain.NewCtx(vclock.NewVirtual(0)).WithCallNote(func(string, bool) { notes++ })
 	n := testing.AllocsPerRun(200, func() {
-		stream, err := eng.openCallStream(ctx, lit, rewrite.RouteCIM, term.Subst{})
+		stream, err := eng.openCallStream(ctx, lit, rewrite.RouteCIM, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

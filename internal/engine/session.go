@@ -1,5 +1,7 @@
 package engine
 
+import "math"
+
 // Session wraps a cursor in the paper's interactive mode of operation
 // (§3): the mediator computes a first set of answers and presents them;
 // the user may ask for the next batch, request all remaining answers at
@@ -45,23 +47,9 @@ func (s *Session) More() (batch []Answer, ok bool, err error) {
 // Rest drains all remaining answers ("the user has the choice of
 // requesting all the remaining answers at any time").
 func (s *Session) Rest() ([]Answer, error) {
-	if s.done {
-		return nil, nil
-	}
-	var out []Answer
-	for {
-		a, cont, err := s.cur.Next()
-		if err != nil {
-			s.done = true
-			s.cur.Close()
-			return out, err
-		}
-		if !cont {
-			s.done = true
-			return out, nil
-		}
-		out = append(out, a)
-	}
+	s.batch = math.MaxInt
+	out, _, err := s.More()
+	return out, err
 }
 
 // Stop ends the session, cancelling running source calls.

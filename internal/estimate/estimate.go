@@ -104,7 +104,7 @@ func (e *Estimator) PlanCost(p *rewrite.Plan) (cv domain.CostVector, defaulted i
 // memo-residency adjustments.
 func (e *Estimator) PlanCostDetail(p *rewrite.Plan) (cv domain.CostVector, d CostDetail, err error) {
 	st := &costState{est: e, plan: p, maxInflation: 1}
-	cv, err = st.costPlanRule(p.Query, term.Subst{}, map[string]bool{}, 0)
+	cv, err = st.costPlanRule(p.Query, subst{}, map[string]bool{}, 0)
 	return cv, st.detail(), err
 }
 
@@ -203,7 +203,7 @@ func (st *costState) inflate(cv domain.CostVector, dom, fn string) domain.CostVe
 
 // costPlanRule costs one plan rule body under the plan-time-known constant
 // substitution and runtime-bound variable set of its head.
-func (st *costState) costPlanRule(pr *rewrite.PlanRule, known term.Subst, bound map[string]bool, depth int) (domain.CostVector, error) {
+func (st *costState) costPlanRule(pr *rewrite.PlanRule, known subst, bound map[string]bool, depth int) (domain.CostVector, error) {
 	if depth > maxDepth {
 		return domain.CostVector{}, fmt.Errorf("estimate: recursion deeper than %d while costing %s", maxDepth, pr.Rule.Head.Pred)
 	}
@@ -266,7 +266,7 @@ func cloneBound(b map[string]bool) map[string]bool {
 
 // propagateEquality records X = const (either orientation) as a plan-time
 // known binding and returns the extended substitution.
-func propagateEquality(c *lang.Comparison, known term.Subst, bound map[string]bool) term.Subst {
+func propagateEquality(c *lang.Comparison, known subst, bound map[string]bool) subst {
 	bindIfConst := func(v, other term.Term) {
 		if !v.IsVar() || bound[v.Var] {
 			return
@@ -288,25 +288,19 @@ func propagateEquality(c *lang.Comparison, known term.Subst, bound map[string]bo
 // callPattern converts an in() call template into a DCSM pattern: constant
 // terms and plan-time-known variables become constants, runtime-bound
 // variables become $b.
-func callPattern(ct *lang.CallTemplate, known term.Subst) domain.Pattern {
+func callPattern(ct *lang.CallTemplate, known subst) domain.Pattern {
 	args := make([]domain.PatternArg, len(ct.Args))
 	for i, t := range ct.Args {
-		switch {
-		case t.IsConst():
+		if t.IsConst() {
 			args[i] = domain.Const(t.Const)
-		case len(t.Path) == 0:
-			if v, ok := known.Lookup(t.Var); ok {
+			continue
+		}
+		// A path selects from a known record when it resolves; anything
+		// else is runtime-bound.
+		args[i] = domain.Bound
+		if v, ok := known.Lookup(t.Var); ok {
+			if v, err := term.Select(v, t.Path); err == nil {
 				args[i] = domain.Const(v)
-			} else {
-				args[i] = domain.Bound
-			}
-		default:
-			// A path selection from a known record could be resolved, but
-			// the conservative choice is $b.
-			if v, err := known.Eval(t); err == nil {
-				args[i] = domain.Const(v)
-			} else {
-				args[i] = domain.Bound
 			}
 		}
 	}
@@ -315,7 +309,7 @@ func callPattern(ct *lang.CallTemplate, known term.Subst) domain.Pattern {
 
 // costInCall estimates one in() literal via the DCSM, adjusting for CIM
 // routing.
-func (st *costState) costInCall(l *lang.InCall, route rewrite.Route, known term.Subst, bound map[string]bool) (domain.CostVector, error) {
+func (st *costState) costInCall(l *lang.InCall, route rewrite.Route, known subst, bound map[string]bool) (domain.CostVector, error) {
 	p := callPattern(&l.Call, known)
 	actual, err := st.est.db.Cost(p)
 	if err != nil {
@@ -381,7 +375,7 @@ func groundCall(p domain.Pattern) (domain.Call, bool) {
 // (pred, adornment) are costed recursively and combined by summing times
 // and cardinalities (§7 step 2); the first answer comes from the first
 // rule.
-func (st *costState) costAtom(a *lang.Atom, known term.Subst, bound map[string]bool, depth int) (domain.CostVector, error) {
+func (st *costState) costAtom(a *lang.Atom, known subst, bound map[string]bool, depth int) (domain.CostVector, error) {
 	adorn := rewrite.AtomAdornment(a, bound)
 	key := rewrite.PredKey{Pred: a.Pred, Adorn: adorn}
 	rules, ok := st.plan.Rules[key]
@@ -417,7 +411,7 @@ func (st *costState) costAtom(a *lang.Atom, known term.Subst, bound map[string]b
 // runtime key unknowable, so the subgoal is conservatively priced at
 // source cost; likewise attribute-path arguments, which the engine
 // refuses to memoize.
-func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known term.Subst, bound map[string]bool) (domain.CostVector, bool) {
+func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known subst, bound map[string]bool) (domain.CostVector, bool) {
 	m := st.est.memo
 	if m == nil {
 		return domain.CostVector{}, false
@@ -455,8 +449,8 @@ func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known 
 // headBindings unifies an atom occurrence with a rule head at plan time:
 // constants (literal or known) flow into head variables; runtime-bound
 // arguments mark head variables bound.
-func headBindings(a *lang.Atom, r *lang.Rule, known term.Subst, bound map[string]bool) (term.Subst, map[string]bool) {
-	subKnown := term.Subst{}
+func headBindings(a *lang.Atom, r *lang.Rule, known subst, bound map[string]bool) (subst, map[string]bool) {
+	subKnown := subst{}
 	subBound := map[string]bool{}
 	for i, arg := range a.Args {
 		if i >= len(r.Head.Args) {

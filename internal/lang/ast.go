@@ -21,7 +21,6 @@
 package lang
 
 import (
-	"fmt"
 	"strings"
 
 	"hermes/internal/term"
@@ -115,18 +114,18 @@ func (c *Comparison) Vars(dst []string) []string {
 	return c.Right.Vars(dst)
 }
 
-// Holds evaluates the comparison under a substitution. Both sides must be
-// ground.
-func (c *Comparison) Holds(s term.Subst) (bool, error) {
-	l, err := s.Eval(c.Left)
+// Holds evaluates the comparison over a frame, its sides compiled to the
+// slots l and r. Both sides must be ground.
+func (c *Comparison) Holds(f term.Frame, l, r term.Slot) (bool, error) {
+	lv, err := f.Eval(l)
 	if err != nil {
 		return false, err
 	}
-	r, err := s.Eval(c.Right)
+	rv, err := f.Eval(r)
 	if err != nil {
 		return false, err
 	}
-	return c.Op.Holds(l, r)
+	return c.Op.Holds(lv, rv)
 }
 
 // Literal is one conjunct of a rule body: an Atom, an InCall, or a
@@ -187,28 +186,6 @@ type Invariant struct {
 	Left  CallTemplate
 	Right CallTemplate
 	Rel   InvRel
-}
-
-// Validate checks the paper's well-formedness conditions on invariants:
-// no free variables (every condition variable appears in one of the two
-// calls), and conditions restricted to comparisons (guaranteed by the
-// type). It returns a descriptive error for the first violation.
-func (inv *Invariant) Validate() error {
-	inCalls := map[string]bool{}
-	for _, v := range inv.Left.Vars(nil) {
-		inCalls[v] = true
-	}
-	for _, v := range inv.Right.Vars(nil) {
-		inCalls[v] = true
-	}
-	for i := range inv.Cond {
-		for _, v := range inv.Cond[i].Vars(nil) {
-			if !inCalls[v] {
-				return fmt.Errorf("invariant %s: condition variable %s appears in neither domain call", inv, v)
-			}
-		}
-	}
-	return nil
 }
 
 // String renders the invariant.

@@ -152,7 +152,7 @@ func (as *assembler) run(plan *Plan, pending []PredKey, chain []PredKey) error {
 		var nested []PredKey
 		feasible := true
 		for _, pr := range alt {
-			hb := headBoundVars(pr.Rule, key.Adorn)
+			hb := HeadBoundVars(pr.Rule, key.Adorn)
 			ks, err := as.rw.neededKeys(pr, hb)
 			if err != nil {
 				feasible = false
@@ -174,9 +174,9 @@ func (as *assembler) run(plan *Plan, pending []PredKey, chain []PredKey) error {
 	return nil
 }
 
-// headBoundVars returns the variables of a rule head bound under an
+// HeadBoundVars returns the variables of a rule head bound under an
 // adornment.
-func headBoundVars(r *lang.Rule, adorn Adornment) map[string]bool {
+func HeadBoundVars(r *lang.Rule, adorn Adornment) map[string]bool {
 	bound := map[string]bool{}
 	for i, t := range r.Head.Args {
 		if i < len(adorn) && adorn[i] == 'b' && t.Var != "" {
@@ -210,7 +210,7 @@ func (as *assembler) alternatives(key PredKey) ([][]*PlanRule, error) {
 	for _, r := range rules {
 		body := rw.pushBody(r.Body)
 		eff := &lang.Rule{Head: r.Head, Body: body}
-		hb := headBoundVars(eff, key.Adorn)
+		hb := HeadBoundVars(eff, key.Adorn)
 		var variants []*PlanRule
 		for _, ord := range rw.orderings(body, hb) {
 			for _, routes := range rw.routings(body) {

@@ -74,7 +74,7 @@ func TestRandomProgramsPlanValidity(t *testing.T) {
 // literal to be schedulable when reached.
 func validateOrdering(t *testing.T, trial, plan int, key PredKey, pr *PlanRule) {
 	t.Helper()
-	bound := headBoundVars(pr.Rule, key.Adorn)
+	bound := HeadBoundVars(pr.Rule, key.Adorn)
 	for _, bi := range pr.Order {
 		lit := pr.Rule.Body[bi]
 		ok, binds := schedulable(lit, bound)

@@ -1,7 +1,9 @@
 package term
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -48,142 +50,103 @@ func (t Term) Vars(dst []string) []string {
 	return dst
 }
 
-// Subst is a substitution: a binding environment mapping variable names to
-// ground values. It is an immutable chain of bindings, newest first: Bind
-// allocates one node and shares the rest, so extending a substitution never
-// copies it and a Subst handed to several goroutines can be extended by each
-// without synchronization. The zero value is the empty substitution. A chain
-// is as long as the bindings made in one rule body, so lookups walk it.
-type Subst struct{ b *binding }
-
-type binding struct {
-	name string
-	val  Value
-	next *binding
-	n    int // distinct names bound in this node and the ones behind it
+// Slot is a term compiled against a numbering of its rule's or
+// invariant's variables: the term, and the frame position of its variable
+// (0 for a constant).
+type Slot struct {
+	Term *Term
+	Pos  int
 }
 
-// Bind returns s extended with name bound to v, leaving s as it was. A name
-// already bound is shadowed: the newest binding wins.
-func (s Subst) Bind(name string, v Value) Subst {
-	n := s.Len()
-	if _, rebound := s.Lookup(name); !rebound {
-		n++
+// Numbering assigns frame positions to variable names, in the order they
+// are first numbered.
+type Numbering []string
+
+// Pos numbers name unless it already is, and returns its position.
+func (n *Numbering) Pos(name string) int {
+	if i := slices.Index(*n, name); i >= 0 {
+		return i
 	}
-	return Subst{&binding{name: name, val: v, next: s.b, n: n}}
+	*n = append(*n, name)
+	return len(*n) - 1
 }
 
-// Len returns the number of variables bound in s.
-func (s Subst) Len() int {
-	if s.b == nil {
-		return 0
-	}
-	return s.b.n
-}
-
-// Each calls f once per bound variable with its value, newest binding first.
-func (s Subst) Each(f func(name string, v Value)) {
-	for b := s.b; b != nil; b = b.next {
-		if !shadowed(s.b, b) {
-			f(b.name, b.val)
-		}
-	}
-}
-
-// shadowed reports whether a node in front of b rebinds b's name.
-func shadowed(head, b *binding) bool {
-	for a := head; a != b; a = a.next {
-		if a.name == b.name {
-			return true
-		}
-	}
-	return false
-}
-
-// Lookup returns the binding of a variable.
-func (s Subst) Lookup(name string) (Value, bool) {
-	for b := s.b; b != nil; b = b.next {
-		if b.name == name {
-			return b.val, true
-		}
-	}
-	return nil, false
-}
-
-// Eval resolves a term to a ground value under the substitution. It fails
-// if the term's variable is unbound or the attribute path does not resolve.
-func (s Subst) Eval(t Term) (Value, error) {
+// Slot compiles a term, numbering its variable unless it already is. The
+// slot points at t, which must outlive it.
+func (n *Numbering) Slot(t *Term) Slot {
 	if t.IsConst() {
+		return Slot{Term: t}
+	}
+	return Slot{Term: t, Pos: n.Pos(t.Var)}
+}
+
+// Slots appends the compiled terms to dst.
+func (n *Numbering) Slots(dst []Slot, ts []Term) []Slot {
+	for i := range ts {
+		dst = append(dst, n.Slot(&ts[i]))
+	}
+	return dst
+}
+
+// Frame holds the values of one activation's variables by position, nil
+// where a variable is unbound. Matching writes into it in place, so one
+// frame serves a whole rule activation or invariant probe.
+type Frame []Value
+
+var errUnbound = errors.New("variable is unbound")
+
+// Eval resolves a slot to a ground value. It fails if the slot's variable
+// is unbound or the attribute path does not resolve.
+func (f Frame) Eval(s Slot) (Value, error) {
+	t := s.Term
+	if t.Const != nil {
 		return t.Const, nil
 	}
-	v, ok := s.Lookup(t.Var)
-	if !ok {
-		return nil, fmt.Errorf("variable %s is unbound", t.Var)
+	v := f[s.Pos]
+	if v == nil {
+		return nil, errUnbound
 	}
-	if len(t.Path) == 0 {
-		return v, nil
-	}
-	sel, err := Select(v, t.Path)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", t, err)
-	}
-	return sel, nil
+	return Select(v, t.Path)
 }
 
-// Ground reports whether t evaluates to a ground value under s.
-func (s Subst) Ground(t Term) bool {
-	if t.IsConst() {
+// EvalAll resolves slots to ground values, in order.
+func (f Frame) EvalAll(ss []Slot) ([]Value, error) {
+	vals := make([]Value, len(ss))
+	for i, s := range ss {
+		v, err := f.Eval(s)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+// Unify matches a slot against a ground value. An unbound bare variable
+// is stored; a constant, a bound variable or a path must already equal
+// the value (a path cannot be bound, since the enclosing record is
+// unknown).
+func (f Frame) Unify(s Slot, v Value) bool {
+	if s.Term.IsVar() && f[s.Pos] == nil {
+		f[s.Pos] = v
 		return true
 	}
-	_, ok := s.Lookup(t.Var)
-	return ok
+	cur, err := f.Eval(s)
+	return err == nil && Equal(cur, v)
 }
 
-// Unify matches a term against a ground value, extending the substitution.
-// Constants must equal the value; bound variables must agree with their
-// binding; unbound bare variables are bound to the value. Terms with
-// attribute paths must already be resolvable and equal to the value (they
-// cannot be bound, since the enclosing record is unknown).
-func (s Subst) Unify(t Term, v Value) (Subst, bool) {
-	if t.IsConst() {
-		if Equal(t.Const, v) {
-			return s, true
-		}
-		return Subst{}, false
+// UnifyAll unifies slots against values position by position. On failure
+// the frame may hold the bindings made before the mismatch.
+func (f Frame) UnifyAll(ss []Slot, vs []Value) bool {
+	if len(ss) != len(vs) {
+		return false
 	}
-	if len(t.Path) > 0 {
-		cur, err := s.Eval(t)
-		if err != nil {
-			return Subst{}, false
+	for i, s := range ss {
+		if !f.Unify(s, vs[i]) {
+			return false
 		}
-		if Equal(cur, v) {
-			return s, true
-		}
-		return Subst{}, false
 	}
-	if bound, ok := s.Lookup(t.Var); ok {
-		if Equal(bound, v) {
-			return s, true
-		}
-		return Subst{}, false
-	}
-	return Subst{&binding{name: t.Var, val: v, next: s.b, n: s.Len() + 1}}, true
-}
-
-// UnifyAll unifies a list of terms against a list of ground values.
-func (s Subst) UnifyAll(ts []Term, vs []Value) (Subst, bool) {
-	if len(ts) != len(vs) {
-		return Subst{}, false
-	}
-	cur := s
-	for i, t := range ts {
-		next, ok := cur.Unify(t, vs[i])
-		if !ok {
-			return Subst{}, false
-		}
-		cur = next
-	}
-	return cur, true
+	return true
 }
 
 // RelOp is a comparison operator of the mediator language.

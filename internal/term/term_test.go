@@ -5,100 +5,122 @@ import (
 	"testing/quick"
 )
 
-func TestSubstEval(t *testing.T) {
-	s := Subst{}.Bind("X", Int(3)).Bind("T", NewRecord(Field{Name: "loc", Val: Str("d7")}))
-	v, err := s.Eval(C(Str("k")))
-	if err != nil || !Equal(v, Str("k")) {
-		t.Errorf("Eval(const) = %v, %v", v, err)
-	}
-	v, err = s.Eval(V("X"))
-	if err != nil || !Equal(v, Int(3)) {
-		t.Errorf("Eval(X) = %v, %v", v, err)
-	}
-	v, err = s.Eval(V("T", "loc"))
-	if err != nil || !Equal(v, Str("d7")) {
-		t.Errorf("Eval(T.loc) = %v, %v", v, err)
-	}
-	if _, err := s.Eval(V("Y")); err == nil {
-		t.Error("Eval(unbound) should error")
-	}
-	if _, err := s.Eval(V("X", "f")); err == nil {
-		t.Error("Eval(path on int) should error")
-	}
+// frameOf numbers names in order and returns an empty frame for them.
+func frameOf(names ...string) (Numbering, Frame) {
+	return Numbering(names), make(Frame, len(names))
 }
 
-func TestSubstGround(t *testing.T) {
-	s := Subst{}.Bind("X", Int(1))
-	if !s.Ground(C(Int(9))) {
-		t.Error("constants are ground")
-	}
-	if !s.Ground(V("X")) {
-		t.Error("bound var is ground")
-	}
-	if s.Ground(V("Y")) {
-		t.Error("unbound var is not ground")
-	}
-}
+// slot compiles a term under n.
+func slot(n *Numbering, t Term) Slot { return n.Slot(&t) }
 
 func TestUnifyBindsFreshVar(t *testing.T) {
-	s := Subst{}
-	s2, ok := s.Unify(V("X"), Int(5))
-	if !ok || !Equal(valueOf(s2, "X"), Int(5)) {
-		t.Fatalf("Unify fresh var failed: %v %v", s2, ok)
-	}
-	if _, bound := s.Lookup("X"); bound {
-		t.Error("Unify mutated the original substitution")
+	n, f := frameOf("X")
+	if !f.Unify(slot(&n, V("X")), Int(5)) || !Equal(f[0], Int(5)) {
+		t.Fatalf("Unify fresh var failed: %v", f)
 	}
 }
 
 func TestUnifyBoundVar(t *testing.T) {
-	s := Subst{}.Bind("X", Int(5))
-	if _, ok := s.Unify(V("X"), Int(5)); !ok {
+	n, f := frameOf("X")
+	f[0] = Int(5)
+	if !f.Unify(slot(&n, V("X")), Int(5)) {
 		t.Error("Unify with agreeing binding should succeed")
 	}
-	if _, ok := s.Unify(V("X"), Int(6)); ok {
-		t.Error("Unify with conflicting binding should fail")
+	if f.Unify(slot(&n, V("X")), Int(6)) || !Equal(f[0], Int(5)) {
+		t.Error("Unify with conflicting binding should fail and keep the binding")
 	}
 }
 
 func TestUnifyConst(t *testing.T) {
-	s := Subst{}
-	if _, ok := s.Unify(C(Str("a")), Str("a")); !ok {
+	var n Numbering
+	f := Frame{}
+	if !f.Unify(slot(&n, C(Str("a"))), Str("a")) {
 		t.Error("const unifies with equal value")
 	}
-	if _, ok := s.Unify(C(Str("a")), Str("b")); ok {
+	if f.Unify(slot(&n, C(Str("a"))), Str("b")) {
 		t.Error("const must not unify with different value")
+	}
+	if len(n) != 0 {
+		t.Errorf("a constant was numbered: %v", n)
 	}
 }
 
 func TestUnifyPathTerm(t *testing.T) {
 	rec := NewRecord(Field{Name: "a", Val: Int(1)})
-	s := Subst{}.Bind("R", rec)
-	if _, ok := s.Unify(V("R", "a"), Int(1)); !ok {
+	n, f := frameOf("R")
+	f[0] = rec
+	if !f.Unify(slot(&n, V("R", "a")), Int(1)) {
 		t.Error("path term equal to value should unify")
 	}
-	if _, ok := s.Unify(V("R", "a"), Int(2)); ok {
+	if f.Unify(slot(&n, V("R", "a")), Int(2)) {
 		t.Error("path term different from value must not unify")
 	}
-	if _, ok := (Subst{}).Unify(V("R", "a"), Int(1)); ok {
-		t.Error("path on unbound var must not unify")
+	if _, empty := frameOf("R"); empty.Unify(slot(&n, V("R", "a")), Int(1)) || empty[0] != nil {
+		t.Error("path on unbound var must not unify, nor bind")
 	}
 }
 
 func TestUnifyAll(t *testing.T) {
-	s, ok := (Subst{}).UnifyAll(
-		[]Term{V("X"), C(Int(2)), V("X")},
-		[]Value{Int(1), Int(2), Int(1)})
-	if !ok || !Equal(valueOf(s, "X"), Int(1)) {
-		t.Fatalf("UnifyAll = %v, %v", s, ok)
+	var n Numbering
+	ss := n.Slots(nil, []Term{V("X"), C(Int(2)), V("X")})
+	f := make(Frame, len(n))
+	if !f.UnifyAll(ss, []Value{Int(1), Int(2), Int(1)}) || !Equal(f[0], Int(1)) {
+		t.Fatalf("UnifyAll = %v", f)
 	}
-	if _, ok := (Subst{}).UnifyAll(
-		[]Term{V("X"), V("X")},
-		[]Value{Int(1), Int(2)}); ok {
+	if f := make(Frame, len(n)); f.UnifyAll([]Slot{ss[0], ss[2]}, []Value{Int(1), Int(2)}) {
 		t.Error("UnifyAll with conflicting repeated var should fail")
 	}
-	if _, ok := (Subst{}).UnifyAll([]Term{V("X")}, []Value{Int(1), Int(2)}); ok {
+	if f := make(Frame, len(n)); f.UnifyAll(ss[:1], []Value{Int(1), Int(2)}) {
 		t.Error("UnifyAll with arity mismatch should fail")
+	}
+}
+
+func TestFrameEval(t *testing.T) {
+	n, f := frameOf("X", "T", "Y")
+	f[0], f[1] = Int(3), NewRecord(Field{Name: "loc", Val: Str("d7")})
+	for _, c := range []struct {
+		t    Term
+		want Value // nil: Eval fails
+	}{
+		{C(Str("k")), Str("k")},
+		{V("X"), Int(3)},
+		{V("T", "loc"), Str("d7")},
+		{V("Y"), nil},
+		{V("X", "f"), nil},
+	} {
+		v, err := f.Eval(slot(&n, c.t))
+		if (err == nil) != (c.want != nil) || c.want != nil && !Equal(v, c.want) {
+			t.Errorf("Eval(%s) = %v, %v; want %v", c.t, v, err, c.want)
+		}
+	}
+}
+
+func TestNumberingFirstOccurrence(t *testing.T) {
+	var n Numbering
+	ss := n.Slots(nil, []Term{V("B"), C(Int(1)), V("A", "x"), V("B")})
+	if len(n) != 2 || n[0] != "B" || n[1] != "A" || ss[0].Pos != 0 || ss[2].Pos != 1 || ss[3].Pos != 0 || len(ss[2].Term.Path) != 1 {
+		t.Errorf("numbering %v, slots %+v", n, ss)
+	}
+}
+
+// TestFrameAllocsPerBinding: evaluating, testing and storing a binding in
+// a frame allocates nothing, however many positions the frame has.
+func TestFrameAllocsPerBinding(t *testing.T) {
+	n, f := frameOf("A", "B", "C", "D", "E", "Fresh")
+	for i := range f[:5] {
+		f[i] = Int(int64(i))
+	}
+	var v, two Value = Str("rope"), Int(2)
+	bound, cnst, fresh := slot(&n, V("C")), slot(&n, C(v)), slot(&n, V("Fresh"))
+	for name, op := range map[string]func(){
+		"Unify of a bound variable": func() { f.Unify(bound, two) },
+		"Unify of a constant":       func() { f.Unify(cnst, v) },
+		"Unify of a fresh variable": func() { f[5] = nil; f.Unify(fresh, v) },
+		"Eval":                      func() { f.Eval(bound) },
+	} {
+		if n := testing.AllocsPerRun(200, op); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
 	}
 }
 
@@ -166,15 +188,13 @@ func TestTermString(t *testing.T) {
 // Property: Unify(t, v) then Eval(t) returns v.
 func TestUnifyEvalRoundTrip(t *testing.T) {
 	f := func(name string, val int64) bool {
-		if name == "" {
-			return true
-		}
-		v := Int(val)
-		s, ok := (Subst{}).Unify(V("V"+name), v)
-		if !ok {
+		var n Numbering
+		s := slot(&n, V("V"+name))
+		fr, v := make(Frame, len(n)), Int(val)
+		if !fr.Unify(s, v) {
 			return false
 		}
-		got, err := s.Eval(V("V" + name))
+		got, err := fr.Eval(s)
 		return err == nil && Equal(got, v)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -195,21 +215,4 @@ func TestRelOpDuality(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := Subst{}.Bind("X", Int(1))
-	c := s.Bind("Y", Int(2))
-	if _, ok := s.Lookup("Y"); ok {
-		t.Error("Bind changed the substitution it extended")
-	}
-	if !Equal(valueOf(c, "Y"), Int(2)) || !Equal(valueOf(c, "X"), Int(1)) {
-		t.Errorf("extended substitution = %v", c)
-	}
-}
-
-// valueOf is s[name] of the map Subst used to be: nil when unbound.
-func valueOf(s Subst, name string) Value {
-	v, _ := s.Lookup(name)
-	return v
 }
