@@ -12,9 +12,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/admission"
@@ -138,6 +140,7 @@ type System struct {
 
 	engine        *engine.Engine
 	rewriteCfg    rewrite.Config
+	planner       atomic.Pointer[rewrite.Planner]
 	estimator     *estimate.Estimator
 	cimAll        bool // route all domains through the CIM unless configured
 	resilience    *resilience.Policy
@@ -236,6 +239,7 @@ func NewSystem(opts Options) *System {
 	// entries (cache management and optimization together).
 	s.estimator.SetMemo(s.Memo)
 	s.estimator.SetCalibration(opts.CalInflateQuantile, opts.ColdStartInflation)
+	s.replan()
 	return s
 }
 
@@ -254,6 +258,7 @@ func (s *System) Register(d domain.Domain) {
 	if s.cimAll {
 		s.rewriteCfg.CIMDomains[d.Name()] = true
 	}
+	s.replan()
 	// Estimators and observable layers may sit behind wrapper layers
 	// (resilience, netsim): walk the unwrap chain, connecting every layer
 	// that participates.
@@ -303,6 +308,7 @@ func (s *System) RouteThroughCIM(dom string, via bool) {
 		s.rewriteCfg.CIMDomains = map[string]bool{}
 	}
 	s.rewriteCfg.CIMDomains[dom] = via
+	s.replan()
 }
 
 // LoadProgram parses mediator source and adds its rules and invariants.
@@ -312,6 +318,7 @@ func (s *System) LoadProgram(src string) error {
 		return fmt.Errorf("core: parse program: %w", err)
 	}
 	s.Program.Rules = append(s.Program.Rules, prog.Rules...)
+	s.replan()
 	for _, inv := range prog.Invariants {
 		s.Program.Invariants = append(s.Program.Invariants, inv)
 		if s.CIM != nil {
@@ -405,10 +412,20 @@ func (s *System) Plans(query string) ([]*rewrite.Plan, error) {
 	return s.PlansFor(q)
 }
 
-// PlansFor returns the candidate plans of a parsed query.
+// PlansFor returns the candidate plans of a parsed query. They are
+// enumerated once per query shape (see rewrite.Planner) and shared with
+// the other queries of the shape: they are read-only.
 func (s *System) PlansFor(q *lang.Query) ([]*rewrite.Plan, error) {
-	rw := rewrite.New(s.Program, s.rewriteCfg, s.Registry)
-	return rw.Plans(q)
+	return s.planner.Load().Plans(q)
+}
+
+// replan replaces the planner, and with it the table of query shapes, for
+// a change to what enumeration reads: the program, the registry or the
+// routing. The new rewriter gets its own copy of the routing.
+func (s *System) replan() {
+	cfg := s.rewriteCfg
+	cfg.CIMDomains = maps.Clone(cfg.CIMDomains)
+	s.planner.Store(rewrite.NewPlanner(rewrite.New(s.Program, cfg, s.Registry)))
 }
 
 // PlanCost prices a plan with the rule cost estimator.
@@ -524,42 +541,12 @@ func (s *System) choose(pc *obs.Span, plans []*rewrite.Plan, interactive bool) (
 	}
 	// Was the winning plan ranked on trustworthy numbers? Grade the
 	// cost-model calibration of every function the plan can call.
-	grade, worst := s.DCSM.Calibration().PlanGrade(planFunctions(best))
+	grade, worst := s.DCSM.Calibration().PlanGrade(best.Functions())
 	pc.SetTag("calibration", grade)
 	if grade != "cold" {
 		pc.SetTag("calibration.qerr", obs.FormatFixed(worst, 2))
 	}
 	return best, cv, nil
-}
-
-// planFunctions collects the distinct (domain, function) pairs of every
-// in() literal reachable in a plan, for calibration grading.
-func planFunctions(p *rewrite.Plan) [][2]string {
-	seen := map[[2]string]bool{}
-	var out [][2]string
-	addRule := func(pr *rewrite.PlanRule) {
-		if pr == nil || pr.Rule == nil {
-			return
-		}
-		for _, lit := range pr.Rule.Body {
-			ic, ok := lit.(*lang.InCall)
-			if !ok {
-				continue
-			}
-			df := [2]string{ic.Call.Domain, ic.Call.Function}
-			if !seen[df] {
-				seen[df] = true
-				out = append(out, df)
-			}
-		}
-	}
-	addRule(p.Query)
-	for _, prs := range p.Rules {
-		for _, pr := range prs {
-			addRule(pr)
-		}
-	}
-	return out
 }
 
 // QueryAll optimizes, executes and drains a query.

@@ -83,7 +83,7 @@ func TestRegistryRouting(t *testing.T) {
 	if !errors.Is(err, ErrUnknownDomain) {
 		t.Errorf("err = %v", err)
 	}
-	if reg.HasFunction("x", "f", 0) {
+	if ok, _ := reg.HasFunction("x", "f", 0); ok {
 		t.Error("HasFunction on unknown domain")
 	}
 }

@@ -69,22 +69,23 @@ func listFunctions(d Domain) ([]FuncSpec, error) {
 
 // HasFunction reports whether domain dom exports function fn with the given
 // arity (arity < 0 matches any). An unobtainable listing (unreachable
-// remote source) reports false: the function cannot be confirmed.
-func (r *Registry) HasFunction(dom, fn string, arity int) bool {
+// remote source) reports false with the listing's error: the function is
+// then unconfirmed rather than absent.
+func (r *Registry) HasFunction(dom, fn string, arity int) (bool, error) {
 	d, ok := r.Get(dom)
 	if !ok {
-		return false
+		return false, nil
 	}
 	specs, err := listFunctions(d)
 	if err != nil {
-		return false
+		return false, err
 	}
 	for _, spec := range specs {
 		if spec.Name == fn && (arity < 0 || spec.Arity == arity) {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // CheckCall verifies a call resolves to a known domain function. When the

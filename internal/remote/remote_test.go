@@ -302,8 +302,8 @@ func TestFunctionsUnreachableSurfacesUnavailable(t *testing.T) {
 	if errors.Is(err, domain.ErrUnknownFunction) {
 		t.Errorf("CheckCall misreported outage as unknown function: %v", err)
 	}
-	if reg.HasFunction("echo", "gen", 1) {
-		t.Error("HasFunction must not confirm a function it could not list")
+	if ok, err := reg.HasFunction("echo", "gen", 1); ok || !errors.Is(err, domain.ErrUnavailable) {
+		t.Errorf("HasFunction = (%v, %v): it must not confirm a function it could not list, and must say why", ok, err)
 	}
 
 	// Nothing was cached, so once the server is up the same client works.
@@ -314,6 +314,24 @@ func TestFunctionsUnreachableSurfacesUnavailable(t *testing.T) {
 	}
 	if len(c.Functions()) != 3 {
 		t.Errorf("recovered listing = %v", c.Functions())
+	}
+}
+
+// TestServeAfterCloseReturns: a server closed before Serve has started
+// closes the listener Serve is handed and returns, rather than accepting on
+// it for ever.
+func TestServeAfterCloseReturns(t *testing.T) {
+	srv := NewServer(domain.NewRegistry())
+	srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(l); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("Serve after Close = %v, want net.ErrClosed", err)
+	}
+	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener still open after Serve returned: Accept = %v", err)
 	}
 }
 

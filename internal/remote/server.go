@@ -135,6 +135,12 @@ func (s *Server) noteSendError(kind int, to net.Addr, err error) {
 // error (net.ErrClosed after Close).
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		// Closed before it started serving: nothing would close l.
+		s.mu.Unlock()
+		l.Close()
+		return net.ErrClosed
+	}
 	s.listener = l
 	s.mu.Unlock()
 	for {

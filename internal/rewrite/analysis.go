@@ -15,64 +15,84 @@ import (
 //
 // becomes in(T, d:equal(Tbl, attr, v)) with the comparison removed, when
 // the source exports equal/3. The transformation is applied repeatedly
-// until it no longer fires.
-func (rw *Rewriter) pushBody(body []lang.Literal) []lang.Literal {
+// until it no longer fires. It returns the pushes made, which applyPushes
+// replays on any body of the same shape, and whether every function
+// listing it read could be obtained.
+func (rw *Rewriter) pushBody(body []lang.Literal) (out []lang.Literal, pushes []push, confirmed bool) {
+	out, confirmed = body, true
 	if rw.pusher == nil {
-		return body
+		return out, nil, true
 	}
-	out := append([]lang.Literal(nil), body...)
-	for changed := true; changed; {
-		changed = false
-		for i, lit := range out {
-			in, ok := lit.(*lang.InCall)
-			if !ok || in.Call.Function != "all" || len(in.Call.Args) != 1 || !in.Out.IsVar() {
-				continue
-			}
-			if !in.Call.Args[0].IsConst() || !rw.pusher.HasFunction(in.Call.Domain, "equal", 3) {
-				continue
-			}
-			for j, lit2 := range out {
-				cmp, ok := lit2.(*lang.Comparison)
-				if !ok || cmp.Op != term.OpEQ {
-					continue
+	for {
+		p, ok := rw.nextPush(out, &confirmed)
+		if !ok {
+			return out, pushes, confirmed
+		}
+		pushes = append(pushes, p)
+		out = applyPushes(out, pushes[len(pushes)-1:])
+	}
+}
+
+// push is one selection push-down: the scan at body index scan absorbs the
+// comparison at index cmp, both indexes into the body as it stood when the
+// push was made.
+type push struct{ scan, cmp int }
+
+// nextPush finds the first scan and comparison of body that can be pushed,
+// clearing *confirmed when a domain's listing cannot be obtained.
+func (rw *Rewriter) nextPush(body []lang.Literal, confirmed *bool) (push, bool) {
+	for i, lit := range body {
+		in, ok := lit.(*lang.InCall)
+		if !ok || in.Call.Function != "all" || len(in.Call.Args) != 1 || !in.Out.IsVar() || !in.Call.Args[0].IsConst() {
+			continue
+		}
+		has, err := rw.pusher.HasFunction(in.Call.Domain, "equal", 3)
+		if err != nil {
+			*confirmed = false
+		}
+		if !has {
+			continue
+		}
+		for j, lit2 := range body {
+			if cmp, ok := lit2.(*lang.Comparison); ok && cmp.Op == term.OpEQ {
+				if _, _, ok := attrEquality(cmp, in.Out.Var); ok {
+					return push{scan: i, cmp: j}, true
 				}
-				attr, val, ok := attrEquality(cmp, in.Out.Var)
-				if !ok {
-					continue
-				}
-				pushed := &lang.InCall{
-					Out: in.Out,
-					Call: lang.CallTemplate{
-						Domain:   in.Call.Domain,
-						Function: "equal",
-						Args: []term.Term{
-							in.Call.Args[0],
-							term.C(term.Str(attr)),
-							val,
-						},
-					},
-				}
-				next := make([]lang.Literal, 0, len(out)-1)
-				for k, l := range out {
-					switch k {
-					case i:
-						next = append(next, pushed)
-					case j:
-						// comparison absorbed by the source select
-					default:
-						next = append(next, l)
-					}
-				}
-				out = next
-				changed = true
-				break
-			}
-			if changed {
-				break
 			}
 		}
 	}
-	return out
+	return push{}, false
+}
+
+// applyPushes makes pushes on body in order, each scan replaced by its
+// source select and its comparison dropped. pushBody makes them as it
+// finds them; a body of the same shape takes them all at once.
+func applyPushes(body []lang.Literal, pushes []push) []lang.Literal {
+	for _, p := range pushes {
+		in := body[p.scan].(*lang.InCall)
+		attr, val, _ := attrEquality(body[p.cmp].(*lang.Comparison), in.Out.Var)
+		pushed := &lang.InCall{
+			Out: in.Out,
+			Call: lang.CallTemplate{
+				Domain:   in.Call.Domain,
+				Function: "equal",
+				Args:     []term.Term{in.Call.Args[0], term.C(term.Str(attr)), val},
+			},
+		}
+		next := make([]lang.Literal, 0, len(body)-1)
+		for k, l := range body {
+			switch k {
+			case p.scan:
+				next = append(next, pushed)
+			case p.cmp:
+				// comparison absorbed by the source select
+			default:
+				next = append(next, l)
+			}
+		}
+		body = next
+	}
+	return body
 }
 
 // attrEquality recognizes a comparison of the form V.attr = t or t = V.attr

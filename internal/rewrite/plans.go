@@ -15,13 +15,23 @@ const QueryPred = "_query"
 // permissible plan exists (e.g. a domain call whose arguments can never be
 // ground).
 func (rw *Rewriter) Plans(q *lang.Query) ([]*Plan, error) {
-	body := rw.pushBody(q.Body)
+	s, err := rw.prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.plans, nil
+}
+
+// prepare derives q's plans, as Plans does, keeping what a Planner needs to
+// hand them out again to the other queries of q's shape.
+func (rw *Rewriter) prepare(q *lang.Query) (*shape, error) {
+	body, pushes, confirmed := rw.pushBody(q.Body)
 	qRule := &lang.Rule{Head: lang.Atom{Pred: QueryPred}, Body: body}
 	ords := rw.orderings(body, map[string]bool{})
 	if len(ords) == 0 {
 		return nil, fmt.Errorf("rewrite: query %s has no permissible subgoal ordering", q)
 	}
-	as := &assembler{rw: rw, altCache: map[PredKey][][]*PlanRule{}}
+	as := &assembler{rw: rw, altCache: map[PredKey][][]*PlanRule{}, confirmed: confirmed}
 	for _, ord := range ords {
 		for _, routes := range rw.routings(body) {
 			qpr := &PlanRule{Rule: qRule, Order: ord, Routes: routes}
@@ -44,7 +54,7 @@ func (rw *Rewriter) Plans(q *lang.Query) ([]*Plan, error) {
 	if len(as.plans) == 0 {
 		return nil, fmt.Errorf("rewrite: no feasible plan for query %s (some predicate has no feasible rules for its adornment)", q)
 	}
-	return as.plans, nil
+	return &shape{body: q.Body, pushes: pushes, plans: as.plans, confirmed: as.confirmed}, nil
 }
 
 // routings enumerates per-literal routing vectors for a body. Without
@@ -113,6 +123,9 @@ type assembler struct {
 	rw       *Rewriter
 	plans    []*Plan
 	altCache map[PredKey][][]*PlanRule
+	// confirmed stays true while every function listing push-down read
+	// could be obtained.
+	confirmed bool
 }
 
 // run resolves pending keys into plan.Rules, emitting completed plans.
@@ -208,7 +221,8 @@ func (as *assembler) alternatives(key PredKey) ([][]*PlanRule, error) {
 	// Per-rule ordering/routing variants.
 	perRule := make([][]*PlanRule, 0, len(rules))
 	for _, r := range rules {
-		body := rw.pushBody(r.Body)
+		body, _, confirmed := rw.pushBody(r.Body)
+		as.confirmed = as.confirmed && confirmed
 		eff := &lang.Rule{Head: r.Head, Body: body}
 		hb := HeadBoundVars(eff, key.Adorn)
 		var variants []*PlanRule

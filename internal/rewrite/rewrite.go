@@ -107,8 +107,9 @@ type Plan struct {
 	// union predicates).
 	Rules map[PredKey][]*PlanRule
 
-	// fp caches Fingerprint (0 = not yet computed).
-	fp atomic.Uint64
+	// fp caches Fingerprint (0 = not yet computed), funcs Functions.
+	fp    atomic.Uint64
+	funcs atomic.Pointer[[][2]string]
 }
 
 // Fingerprint hashes the plan's rule section — every (pred, adornment) key
@@ -136,6 +137,36 @@ func (p *Plan) Fingerprint() uint64 {
 	}
 	p.fp.Store(fp)
 	return fp
+}
+
+// Functions lists the distinct (domain, function) pairs of the in()
+// literals the plan can reach, the query's first. The list is cached on
+// the plan and shared with the plans of the same shape: it is read-only.
+func (p *Plan) Functions() [][2]string {
+	if fs := p.funcs.Load(); fs != nil {
+		return *fs
+	}
+	seen := map[[2]string]bool{}
+	var out [][2]string
+	add := func(pr *PlanRule) {
+		for _, lit := range pr.Rule.Body {
+			if ic, ok := lit.(*lang.InCall); ok {
+				df := [2]string{ic.Call.Domain, ic.Call.Function}
+				if !seen[df] {
+					seen[df] = true
+					out = append(out, df)
+				}
+			}
+		}
+	}
+	add(p.Query)
+	for _, key := range sortedKeys(p.Rules) {
+		for _, pr := range p.Rules[key] {
+			add(pr)
+		}
+	}
+	p.funcs.Store(&out)
+	return out
 }
 
 // QueryLine renders the query statement alone: its literals in execution
@@ -209,13 +240,17 @@ const (
 
 // SelectPusher reports whether a domain supports source-side equality
 // selection for scans, so that in(T, d:all(Tbl)) & T.attr = v can be pushed
-// to in(T, d:equal(Tbl, attr, v)). Satisfied by *domain.Registry via
+// to in(T, d:equal(Tbl, attr, v)). A non-nil error says the domain's
+// listing could not be obtained: the function is unconfirmed, and the
+// selection stays in the mediator. Satisfied by *domain.Registry via
 // HasFunction.
 type SelectPusher interface {
-	HasFunction(dom, fn string, arity int) bool
+	HasFunction(dom, fn string, arity int) (bool, error)
 }
 
-// Rewriter derives plans for queries over a program.
+// Rewriter derives plans for queries over a program. It holds nothing of
+// any one query: one rewriter serves every query over its program,
+// concurrently.
 type Rewriter struct {
 	prog   *lang.Program
 	cfg    Config

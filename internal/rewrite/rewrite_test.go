@@ -186,8 +186,8 @@ func TestRecursiveProgramPlansSelfReference(t *testing.T) {
 
 type fakePusher map[string]bool
 
-func (f fakePusher) HasFunction(dom, fn string, arity int) bool {
-	return f[dom+":"+fn]
+func (f fakePusher) HasFunction(dom, fn string, arity int) (bool, error) {
+	return f[dom+":"+fn], nil
 }
 
 func TestPushSelections(t *testing.T) {
