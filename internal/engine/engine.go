@@ -16,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"hermes/internal/cim"
@@ -110,20 +109,22 @@ func (a Answer) Value(name string) (term.Value, bool) {
 	return nil, false
 }
 
+// answerBuf is the stack buffer an answer renders into before its one
+// copy into a string; a longer answer grows on the heap.
+const answerBuf = 256
+
 // String renders the answer as var=value pairs.
 func (a Answer) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
+	var buf [answerBuf]byte
+	b := append(buf[:0], '{')
 	for i, v := range a.Vars {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(a.Vals[i].String())
+		b = append(append(b, v...), '=')
+		b = term.AppendString(b, a.Vals[i])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // Metrics are the observed timings of a query execution.

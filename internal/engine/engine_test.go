@@ -353,6 +353,43 @@ func TestAnswerStringRendering(t *testing.T) {
 	}
 }
 
+// TestAnswerStringPinned pins what hermesd's /query prints for an answer,
+// byte for byte: string escapes, floats, booleans, and records and tuples
+// nested in each other.
+func TestAnswerStringPinned(t *testing.T) {
+	rec := term.NewRecord(
+		term.Field{Name: "name", Val: term.Str("it's\ta\\b\n")},
+		term.Field{Name: "pos", Val: term.Tuple{term.Float(-0.5), term.Float(1e21), term.Float(3)}},
+		term.Field{Name: "inner", Val: term.NewRecord(term.Field{Name: "ok", Val: term.Bool(true)})},
+	)
+	cases := []struct {
+		a    Answer
+		want string
+	}{
+		{Answer{}, "{}"},
+		{Answer{Vars: []string{"X"}, Vals: []term.Value{term.Int(-42)}}, "{X=-42}"},
+		{Answer{Vars: []string{"B", "F"}, Vals: []term.Value{term.Bool(false), term.Float(2.5)}}, "{B=false, F=2.5}"},
+		{Answer{Vars: []string{"P", "T"}, Vals: []term.Value{rec, term.Tuple{}}},
+			`{P={name: 'it\'s\ta\\b\n', pos: <-0.5, 1e+21, 3>, inner: {ok: true}}, T=<>}`},
+		{Answer{Vars: []string{"E"}, Vals: []term.Value{term.NewRecord()}}, "{E={}}"},
+	}
+	for _, c := range cases {
+		if got := c.a.String(); got != c.want {
+			t.Errorf("answer string = %s, want %s", got, c.want)
+		}
+	}
+}
+
+// TestAnswerStringAllocsPer: an answer that fits the stack buffer renders
+// with one allocation, the string itself.
+func TestAnswerStringAllocsPer(t *testing.T) {
+	a := Answer{Vars: []string{"O", "A", "P"}, Vals: []term.Value{term.Int(1234567), term.Str("brandon shaw"),
+		term.NewRecord(term.Field{Name: "name", Val: term.Str("rope")}, term.Field{Name: "v", Val: term.Float(0.25)})}}
+	if n := testing.AllocsPerRun(100, func() { _ = a.String() }); n != 1 {
+		t.Errorf("Answer.String allocates %.0f objects, want 1", n)
+	}
+}
+
 // TestMetricsSummaryResolvesMicroseconds pins the line hermes and hermesd
 // print: a warm live query must not read "first in 0ms, all in 0ms".
 func TestMetricsSummaryResolvesMicroseconds(t *testing.T) {

@@ -101,14 +101,39 @@ func AppendKey(dst []byte, v Value) []byte {
 	return append(dst, v.Key()...)
 }
 
-// AppendString appends v.String() to dst; strings and integers are
-// written in place, other kinds through their String.
+// AppendString appends v.String() to dst. Every kind of this package is
+// written in place, records and tuples element by element; a Value from
+// outside it goes through its String. It recurses into records and tuples
+// only through itself: escape analysis then keeps a caller's stack buffer
+// on the stack, which it does not across a cycle of functions.
 func AppendString(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case Str:
 		return x.appendString(dst)
 	case Int:
 		return x.appendString(dst)
+	case Float:
+		return strconv.AppendFloat(dst, float64(x), 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(dst, bool(x))
+	case Tuple:
+		dst = append(dst, '<')
+		for i, e := range x {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendString(dst, e)
+		}
+		return append(dst, '>')
+	case Record:
+		dst = append(dst, '{')
+		for i, f := range x.fields {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendString(append(append(dst, f.Name...), ": "...), f.Val)
+		}
+		return append(dst, '}')
 	}
 	return append(dst, v.String()...)
 }
@@ -187,11 +212,8 @@ func (t Tuple) Key() string {
 }
 
 func (t Tuple) String() string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.String()
-	}
-	return "<" + strings.Join(parts, ", ") + ">"
+	var buf [stackBuf]byte
+	return string(AppendString(buf[:0], t))
 }
 
 // Field is one named component of a Record.
@@ -256,11 +278,8 @@ func (r Record) Key() string {
 }
 
 func (r Record) String() string {
-	parts := make([]string, len(r.fields))
-	for i, f := range r.fields {
-		parts[i] = f.Name + ": " + f.Val.String()
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	var buf [stackBuf]byte
+	return string(AppendString(buf[:0], r))
 }
 
 // Equal reports whether two values are identical: it answers exactly what

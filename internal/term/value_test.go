@@ -1,6 +1,7 @@
 package term
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,40 @@ func TestStringRendering(t *testing.T) {
 	r := NewRecord(Field{Name: "n", Val: Int(2)})
 	if !strings.Contains(r.String(), "n: 2") {
 		t.Errorf("Record.String() = %q", r.String())
+	}
+}
+
+// TestStringPinned pins how values print, byte for byte, and that
+// AppendString writes the same bytes: string escapes, floats, booleans,
+// and records and tuples nested in each other.
+func TestStringPinned(t *testing.T) {
+	nested := NewRecord(
+		Field{Name: "name", Val: Str("it's\ta\\b\n")},
+		Field{Name: "pos", Val: Tuple{Float(-0.5), Float(1e21), Float(3), Tuple{}}},
+		Field{Name: "inner", Val: NewRecord(Field{Name: "ok", Val: Bool(true)}, Field{Name: "e", Val: NewRecord()})},
+	)
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Str(""), `''`},
+		{Str("it's\ta\\b\n"), `'it\'s\ta\\b\n'`},
+		{Int(-42), "-42"},
+		{Float(2.5), "2.5"},
+		{Float(1e-7), "1e-07"},
+		{Float(math.Inf(-1)), "-Inf"},
+		{Float(math.NaN()), "NaN"},
+		{Bool(true), "true"},
+		{Bool(false), "false"},
+		{Tuple{Int(1), Str("x")}, "<1, 'x'>"},
+		{nested, `{name: 'it\'s\ta\\b\n', pos: <-0.5, 1e+21, 3, <>>, inner: {ok: true, e: {}}}`},
+	}
+	for _, c := range cases {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String = %s, want %s", got, c.want)
+		}
+		if got := string(AppendString([]byte("x"), c.v)); got != "x"+c.want {
+			t.Errorf("AppendString = %s, want x%s", got, c.want)
+		}
 	}
 }
