@@ -184,8 +184,7 @@ func TestConcurrentResilienceStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			ctx := domain.NewCtx(vclock.NewVirtual(0))
-			for i := 0; i < iters; i++ {
+			call := func(ctx *domain.Ctx, i int) error {
 				// A small call space, so concurrent workers repeat and
 				// contain each other's ranges: exact and partial hits race
 				// with inserts.
@@ -199,15 +198,13 @@ func TestConcurrentResilienceStress(t *testing.T) {
 					// Unavailable with an empty cache is legitimate; anything
 					// else is a bug.
 					if !domain.IsRetryable(err) {
-						errs <- fmt.Errorf("worker %d call %s: %v", g, c, err)
-						return
+						return fmt.Errorf("worker %d call %s: %v", g, c, err)
 					}
-					continue
+					return nil
 				}
 				vals, err := domain.Collect(resp.Stream)
 				if err != nil && !domain.IsRetryable(err) {
-					errs <- fmt.Errorf("worker %d drain %s: %v", g, c, err)
-					return
+					return fmt.Errorf("worker %d drain %s: %v", g, c, err)
 				}
 				// No interleaving may produce duplicate answers in one
 				// response.
@@ -215,8 +212,7 @@ func TestConcurrentResilienceStress(t *testing.T) {
 				for _, v := range vals {
 					k := v.Key()
 					if seen[k] {
-						errs <- fmt.Errorf("worker %d call %s: duplicate answer %s", g, c, k)
-						return
+						return fmt.Errorf("worker %d call %s: duplicate answer %s", g, c, k)
 					}
 					seen[k] = true
 				}
@@ -227,7 +223,23 @@ func TestConcurrentResilienceStress(t *testing.T) {
 					wrapper.Breaker().State(ctx.Clock.Now())
 					wrapper.Metrics()
 				}
+				return nil
+			}
+			for i := 0; i < iters; i++ {
+				// Each call runs on a fork of the shared clock, joined back
+				// after it, as an admitted session's does, so the breaker's
+				// open timeout elapses for every worker. A call the open
+				// breaker rejects costs no time: on clocks of their own, a
+				// breaker that opens ahead of every worker's clock would
+				// reject every call left in the run.
+				clk := sharedClk.Fork()
+				err := call(domain.NewCtx(clk), i)
+				sharedClk.Join(clk)
 				sharedClk.Sleep(time.Millisecond)
+				if err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(g)
 	}
