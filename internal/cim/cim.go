@@ -205,7 +205,7 @@ type Manager struct {
 	invs map[*lang.Invariant]*invariant
 	// costModel prices the source call a cache hit avoided (wired to the
 	// DCSM estimator; nil = use the serving entry's observed cost).
-	costModel func(domain.Pattern) (domain.CostVector, bool)
+	costModel func(domain.Call) (domain.CostVector, bool)
 	// onInvalidate observes call keys whose cached answers stopped being
 	// current: entry refreshed, evicted, cleared, replaced by a snapshot
 	// load, or served degraded. The memo cache wires it to drop
@@ -476,27 +476,20 @@ func note(ctx *domain.Ctx, key string, degraded bool) {
 	}
 }
 
-// cacheStream serves a materialized answer slice, charging PerAnswer per
-// value.
-func (m *Manager) cacheStream(ctx *domain.Ctx, answers []term.Value) domain.Stream {
-	return domain.NewTimedSliceStream(answers, ctx.Clock, func(term.Value) time.Duration {
-		return m.cfg.PerAnswer
-	})
-}
-
 // find is the CIM's one lookup ladder (§4.1): the call's own complete
 // entry (exact), else a complete cached call an equality invariant proves
 // identical, else the sound partial answer with the most cached answers —
 // the call's own incomplete entry, or a cached call a superset invariant
 // proves a subset. It returns the entry, the invariant that proved it (nil
 // for the call's own entry) and the rung as a Source: a nil entry and
-// SourceActual on a miss. cands is how many invariants the discrimination
-// index returned to the equality and partial rungs; the serve path counts
-// them, a Probe does not. Besides that count, find only charges the lookup
-// and matching costs to ctx's clock and tags its span.
-func (m *Manager) find(ctx *domain.Ctx, call domain.Call, key string) (e *Entry, inv *lang.Invariant, src Source, cands int) {
+// SourceActual on a miss. key is the call's Key, in bytes. cands is how
+// many invariants the discrimination index returned to the equality and
+// partial rungs; the serve path counts them, a Probe does not. Besides that
+// count, find only charges the lookup and matching costs to ctx's clock and
+// tags its span.
+func (m *Manager) find(ctx *domain.Ctx, call domain.Call, key []byte) (e *Entry, inv *lang.Invariant, src Source, cands int) {
 	ctx.Clock.Sleep(m.cfg.LookupCost)
-	own, ok := m.store.Get(key)
+	own, ok := m.store.GetBytes(key)
 	if ok && own.Complete {
 		return own, nil, SourceCacheExact, 0
 	}
@@ -524,25 +517,34 @@ func (m *Manager) find(ctx *domain.Ctx, call domain.Call, key string) (e *Entry,
 // concurrent call stored in between, and since it keeps the ladder's
 // order, it prefers a complete equality match to the call's own incomplete
 // entry.
-func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, error) {
-	key := call.Key()
-	e, inv, src, cands := m.find(ctx, call, key)
+//
+// The call's key is built in a stack buffer for the lookups. An exact hit
+// notes the entry's own key, which is the same string, so only a miss, an
+// equality hit or a partial hit copies the key into a string.
+func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (Response, error) {
+	var buf [domain.CallBuf]byte
+	kb := call.AppendKey(buf[:0])
+	e, inv, src, cands := m.find(ctx, call, kb)
 	m.idxCandidates.Add(int64(cands))
+	if src == SourceCacheExact {
+		return m.serve(ctx, call, e.key, e, inv, src), nil
+	}
+	key := string(kb)
 	if e != nil {
 		return m.serve(ctx, call, key, e, inv, src), nil
 	}
 	m.lookup(ctx, SourceActual)
 	r, err := m.actualStream(ctx, call, key)
 	if err == nil {
-		return &Response{Stream: r, Source: SourceActual}, nil
+		return Response{Stream: r, Source: SourceActual}, nil
 	}
 	if !isUnavailable(err) {
-		return nil, err
+		return Response{}, err
 	}
-	e, inv, _, cands = m.find(ctx, call, key)
+	e, inv, _, cands = m.find(ctx, call, kb)
 	m.idxCandidates.Add(int64(cands))
 	if e == nil {
-		return nil, err
+		return Response{}, err
 	}
 	return m.serve(ctx, call, key, e, inv, SourceCacheDegraded), nil
 }
@@ -553,7 +555,7 @@ func (m *Manager) CallThrough(ctx *domain.Ctx, call domain.Call) (*Response, err
 // replace the source call and are credited with its avoided cost; a
 // partial hit still issues the call, and a degraded serve had no working
 // source to avoid, so those count hits only.
-func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry, inv *lang.Invariant, src Source) *Response {
+func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry, inv *lang.Invariant, src Source) Response {
 	degraded := src == SourceCacheDegraded
 	note(ctx, key, degraded)
 	if inv != nil {
@@ -570,14 +572,14 @@ func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry,
 		// not outlive the outage as exact.
 		m.invalidate(key)
 	}
-	if src != SourceCacheExact {
+	if src != SourceCacheExact && ctx.Span != nil {
 		ctx.Span.SetTag("serving", e.Call.String())
 	}
 	m.credit(ctx, call, e, inv, src == SourceCacheExact || src == SourceCacheEquality)
 	if src == SourceCachePartial {
-		return &Response{Stream: m.servePartialThenActual(ctx, call, key, e), Source: src}
+		return Response{Stream: m.servePartialThenActual(ctx, call, key, e), Source: src}
 	}
-	return &Response{Stream: m.cacheStream(ctx, e.Answers), Source: src}
+	return Response{Stream: domain.NewTimedSliceStream(e.Answers, ctx.Clock, m.cfg.PerAnswer), Source: src}
 }
 
 // servePartialThenActual builds the two-phase stream: cached answers first

@@ -24,7 +24,7 @@ func call(dom, fn string, args ...term.Value) domain.Call {
 	return domain.Call{Domain: dom, Function: fn, Args: args}
 }
 
-func drain(t *testing.T, resp *Response) []term.Value {
+func drain(t *testing.T, resp Response) []term.Value {
 	t.Helper()
 	vals, err := domain.Collect(resp.Stream)
 	if err != nil {

@@ -229,7 +229,7 @@ func TestEquivalentFlightAttachIsDeterministic(t *testing.T) {
 		}
 		waitReaders(t, m, first.Key(), 1)
 		waitReaders(t, m, second.Key(), 1)
-		attached := make(chan *Response, 1)
+		attached := make(chan Response, 1)
 		ctx, notes := notingCtx()
 		go func() {
 			resp, err := m.CallThrough(ctx, call("g", "slow3", term.Str("a")))

@@ -17,7 +17,7 @@ import (
 // millisecond still add up. At the parent every 400 µs credit truncated to 0.
 func TestSavedMSKeepsSubMillisecondSavings(t *testing.T) {
 	m, _, o := ledgerFixture(t)
-	m.SetCostModel(func(domain.Pattern) (domain.CostVector, bool) {
+	m.SetCostModel(func(domain.Call) (domain.CostVector, bool) {
 		return domain.CostVector{TAll: 400 * time.Microsecond, Card: 2}, true
 	})
 	a := term.Str("a")

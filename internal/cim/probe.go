@@ -31,7 +31,8 @@ func (m *Manager) CostModel() CostModel {
 // and backs the estimator's CIM-aware costing. Probes are read-only and
 // run concurrently with lookups and stores (shard read-locks only).
 func (m *Manager) Probe(call domain.Call) (Source, int) {
-	e, _, src, _ := m.find(domain.NewCtx(vclock.NewVirtual(0)), call, call.Key())
+	var buf [domain.CallBuf]byte
+	e, _, src, _ := m.find(domain.NewCtx(vclock.NewVirtual(0)), call, call.AppendKey(buf[:0]))
 	if e == nil {
 		return SourceActual, 0
 	}

@@ -201,7 +201,7 @@ func (db *DB) Observe(m domain.Measurement) {
 // estimate yet has nothing to grade. Observe grades the module's own
 // measurements; a mounted peer's reported actuals arrive here directly.
 func (db *DB) Grade(c domain.Call, actual domain.CostVector) {
-	if est, ok := db.Peek(domain.PatternOf(c)); ok {
+	if est, ok := db.Peek(c); ok {
 		db.cal.Observe(c.Domain, c.Function, est, actual)
 	}
 }

@@ -1,11 +1,13 @@
 package dcsm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"hermes/internal/domain"
+	"hermes/internal/obs"
 	"hermes/internal/term"
 )
 
@@ -142,6 +144,99 @@ func TestSummaryStringStable(t *testing.T) {
 	for i, r := range rows {
 		if len(r.DimVals) != 1 || !term.Equal(r.DimVals[0], term.Int(int64(i))) {
 			t.Errorf("row %d holds %v, want [%d]", i, r.DimVals, i)
+		}
+	}
+}
+
+// stepEstimator is a native cost model whose answer turns on the first
+// argument: a whole estimate, one missing Ta and Card (filled from the
+// statistics), or none.
+type stepEstimator struct{}
+
+func (stepEstimator) EstimateCost(p domain.Pattern) (domain.CostVector, []string, bool) {
+	n, _ := p.Args[0].Val.(term.Int)
+	switch n % 3 {
+	case 0:
+		return domain.CostVector{TFirst: time.Millisecond, TAll: 7 * time.Millisecond, Card: 2}, nil, true
+	case 1:
+		return domain.CostVector{TFirst: 3 * time.Millisecond}, []string{"ta", "card"}, true
+	}
+	return domain.CostVector{}, nil, false
+}
+
+// TestPeekEqualsCostOfPattern: for generated ground calls, Peek(c) returns
+// exactly what Cost(domain.PatternOf(c)) returns, and moves no counter.
+// The trials cover a domain with a native estimator (whole, partial and
+// declined estimates) and one without, with and without summary tables,
+// raw aggregation and recency weighting, and calls with no statistics at
+// all: an unseen argument tuple, an unseen arity, an unseen domain.
+func TestPeekEqualsCostOfPattern(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		cfg := Config{AllowRawAggregation: rng.Intn(3) != 0}
+		if rng.Intn(3) == 0 {
+			cfg.RecencyHalfLife = time.Second
+		}
+		var now time.Duration
+		db := New(cfg, func() time.Duration { return now })
+		o := obs.NewObserver()
+		db.SetObserver(o)
+		db.RegisterEstimator("n", stepEstimator{})
+		arity := 1 + rng.Intn(3)
+		ground := func(dom string, arity int) domain.Call {
+			args := make([]term.Value, arity)
+			for a := range args {
+				args[a] = term.Int(int64(rng.Intn(4)))
+			}
+			return domain.Call{Domain: dom, Function: "f", Args: args}
+		}
+		for i := 0; i < rng.Intn(40); i++ {
+			now += time.Duration(rng.Intn(500)) * time.Millisecond
+			db.Observe(domain.Measurement{
+				Call: ground([]string{"d", "n"}[rng.Intn(2)], arity),
+				Cost: domain.CostVector{
+					TFirst: time.Duration(rng.Intn(1000)) * time.Millisecond,
+					TAll:   time.Duration(1000+rng.Intn(5000)) * time.Millisecond,
+					Card:   float64(rng.Intn(50)),
+				},
+				Complete: rng.Intn(4) != 0,
+			})
+		}
+		for _, dom := range []string{"d", "n"} {
+			for k := 0; k < rng.Intn(3); k++ {
+				var dims []int
+				for d := 0; d < arity; d++ {
+					if rng.Intn(2) == 0 {
+						dims = append(dims, d)
+					}
+				}
+				if _, err := db.Summarize(dom, "f", arity, dims); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		counters := func() string {
+			var estimates [len(estimateSources)]int64
+			for i, source := range estimateSources {
+				estimates[i] = o.Counter("hermes_dcsm_estimates_total", "source", source).Value()
+			}
+			return fmt.Sprint(db.TableHits(), db.RawAggregations(), estimates)
+		}
+		for i := 0; i < 30; i++ {
+			dom, n := []string{"d", "n", "e"}[rng.Intn(3)], arity
+			if rng.Intn(6) == 0 {
+				n++ // an arity no statistics were kept for
+			}
+			c := ground(dom, n)
+			before := counters()
+			peeked, ok := db.Peek(c)
+			if after := counters(); after != before {
+				t.Fatalf("trial %d: Peek(%s) moved the counters: %s -> %s", trial, c, before, after)
+			}
+			cv, err := db.Cost(domain.PatternOf(c))
+			if ok != (err == nil) || peeked != cv {
+				t.Fatalf("trial %d %s: Peek = %v, %v; Cost = %v, %v", trial, c, peeked, ok, cv, err)
+			}
 		}
 	}
 }

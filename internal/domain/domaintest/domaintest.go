@@ -94,8 +94,7 @@ func (d *Domain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 	if err != nil {
 		return nil, err
 	}
-	per := f.PerAnswer
-	return domain.NewTimedSliceStream(vals, ctx.Clock, func(term.Value) time.Duration { return per }), nil
+	return domain.NewTimedSliceStream(vals, ctx.Clock, f.PerAnswer), nil
 }
 
 // Meter wraps a domain and measures source-observed concurrency: how many

@@ -49,7 +49,7 @@ type Engine struct {
 	memo      *memo.Cache  // nil when rule-level memoization is off
 	cfg       Config
 	obs       *obs.Observer
-	estimate  func(domain.Pattern) (domain.CostVector, bool)
+	estimate  func(domain.Call) (domain.CostVector, bool)
 	onMeasure func(domain.Measurement)
 
 	// Event tallies, attached to obs's metrics registry by New.
@@ -71,7 +71,7 @@ var callErrorReasons = [...]string{reasonError: "error", reasonBreakerOpen: "bre
 // [Tf, Ta, Card]; the mediator wires it to the DCSM's uncounted read.
 // onMeasure (may be nil) observes the measurement of every direct source
 // call, for the DCSM.
-func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, o *obs.Observer, estimate func(domain.Pattern) (domain.CostVector, bool), onMeasure func(domain.Measurement)) *Engine {
+func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, o *obs.Observer, estimate func(domain.Call) (domain.CostVector, bool), onMeasure func(domain.Measurement)) *Engine {
 	e := &Engine{reg: reg, cim: cimMgr, cfg: cfg, obs: o, estimate: estimate, onMeasure: onMeasure}
 	// The hermes_engine_*, hermes_queries_total and hermes_query_* families
 	// are declared here and nowhere else.

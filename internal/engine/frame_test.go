@@ -88,19 +88,19 @@ type oneValue struct{ v term.Value }
 func (o oneValue) Next() (term.Value, bool, error) { return o.v, true, nil }
 func (o oneValue) Close() error                    { return nil }
 
-// TestBindStreamAllocsPerAnswer: binding one more answer stores it in the
-// frame and allocates nothing, whatever the size of the frame.
+// TestBindStreamAllocsPerAnswer: binding one more answer of a call stores
+// it in the frame and allocates nothing, whatever the size of the frame.
 func TestBindStreamAllocsPerAnswer(t *testing.T) {
 	for _, size := range []int{1, 6, 21} {
 		f := make(term.Frame, size)
 		for i := range f[1:] {
 			f[i+1] = term.Int(int64(i))
 		}
-		b := &bindStream{inner: oneValue{term.Str("rope")}, f: f, pos: 0}
+		b := &callStream{ctx: domain.Ctx{Clock: vclock.NewVirtual(0)}, inner: oneValue{term.Str("rope")}, out: &f[0]}
 		var ok bool
 		n := testing.AllocsPerRun(200, func() { ok, _ = b.next() })
 		if n != 0 {
-			t.Errorf("bindStream.next over %d positions allocates %v times per answer, want 0", size, n)
+			t.Errorf("callStream.next over %d positions allocates %v times per answer, want 0", size, n)
 		}
 		if !ok || !term.Equal(f[0], term.Str("rope")) {
 			t.Errorf("answer over %d positions = %v, %v", size, f[0], ok)

@@ -358,21 +358,21 @@ func (e *Engine) newStage(ctx *domain.Ctx, rc *ruleCode, f term.Frame) *stage {
 // forked clock and drains it eagerly into the spool (prefetch).
 func (st *stage) run(fork *domain.Ctx, lc *litCode, args []term.Value, err error, sp *spool.Log[term.Value]) {
 	defer st.wg.Done()
-	var stream domain.Stream
+	var cs *callStream
 	if err == nil {
-		stream, err = st.eng.openCallStream(fork, lc.lit.(*lang.InCall), lc.route, args)
+		cs, err = st.eng.openCallStream(fork, lc.lit.(*lang.InCall), lc.route, args)
 	}
 	if err != nil {
 		sp.Settle(err, fork.Clock.Now())
 		return
 	}
-	defer stream.Close()
+	defer cs.close()
 	for {
 		if err := fork.Err(); err != nil {
 			sp.Settle(err, fork.Clock.Now())
 			return
 		}
-		v, ok, err := stream.Next()
+		v, ok, err := cs.pull()
 		if err != nil || !ok {
 			sp.Settle(err, fork.Clock.Now())
 			return

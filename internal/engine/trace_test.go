@@ -84,7 +84,7 @@ func TestEstimateOnlyForTracedCalls(t *testing.T) {
 	}
 	for _, o := range []*obs.Observer{nil, obs.NewObserver()} {
 		asked := 0
-		estimate := func(domain.Pattern) (domain.CostVector, bool) {
+		estimate := func(domain.Call) (domain.CostVector, bool) {
 			asked++
 			return domain.CostVector{TAll: time.Millisecond, Card: 1}, true
 		}

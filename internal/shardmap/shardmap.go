@@ -49,8 +49,9 @@ func New[V comparable](size func(V) int, maxEntries, maxBytes int, pick func([]V
 	return m
 }
 
-// shardIdx hashes a key to its shard (FNV-1a).
-func shardIdx(key string) int {
+// shardIdx hashes a key to its shard (FNV-1a), a string and its bytes
+// alike.
+func shardIdx[K string | []byte](key K) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -63,6 +64,16 @@ func (m *Map[V]) Get(key string) (V, bool) {
 	sh := &m.shards[shardIdx(key)]
 	sh.mu.RLock()
 	v, ok := sh.m[key]
+	sh.mu.RUnlock()
+	return v, ok
+}
+
+// GetBytes is Get for a key held in bytes, such as one built in a stack
+// buffer: the lookup converts it without copying it into a string.
+func (m *Map[V]) GetBytes(key []byte) (V, bool) {
+	sh := &m.shards[shardIdx(key)]
+	sh.mu.RLock()
+	v, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
 	return v, ok
 }

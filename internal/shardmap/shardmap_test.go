@@ -187,3 +187,26 @@ func TestConcurrentPutRemoveSnapshot(t *testing.T) {
 		t.Fatalf("Len = %d exceeds the 32-entry budget after the last Evict", m.Len())
 	}
 }
+
+// TestGetBytesAllocsPer: a byte-keyed Get finds what Get finds, and
+// allocates nothing, hit or miss.
+func TestGetBytesAllocsPer(t *testing.T) {
+	m := unbounded()
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("d:f(%d)", i)
+		m.Put(k, &ent{key: k, bytes: 1})
+	}
+	var buf [32]byte
+	for _, k := range []string{"d:f(7)", "d:f(99)", "d:f(100)", ""} {
+		want, wantOK := m.Get(k)
+		key := append(buf[:0], k...)
+		var got *ent
+		var ok bool
+		if n := testing.AllocsPerRun(100, func() { got, ok = m.GetBytes(key) }); n != 0 {
+			t.Errorf("GetBytes(%q) allocates %v times, want 0", k, n)
+		}
+		if got != want || ok != wantOK {
+			t.Errorf("GetBytes(%q) = (%v, %v), Get = (%v, %v)", k, got, ok, want, wantOK)
+		}
+	}
+}
