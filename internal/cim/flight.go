@@ -281,6 +281,7 @@ func (m *Manager) equivalentFlightLocked(ctx *domain.Ctx, call domain.Call) *fli
 	m.idxCandidates.Add(int64(len(cands)))
 	tagCandidates(ctx, len(cands))
 	var buf [16]term.Value
+	var kbuf [domain.CallBuf]byte
 	for _, inv := range cands {
 		ctx.Clock.Sleep(m.cfg.InvariantMatch)
 		c := m.compiled(inv)
@@ -289,11 +290,11 @@ func (m *Manager) equivalentFlightLocked(ctx *domain.Ctx, call domain.Call) *fli
 			if !unify(theta, o.mine, o.mineArgs, call) {
 				continue
 			}
-			oc, ok := groundTemplate(o.other, o.otherArgs, theta)
+			key, ok := groundKey(kbuf[:0], o.other, o.otherArgs, theta)
 			if !ok || !c.condHolds(theta) {
 				continue
 			}
-			if f := m.flights[oc.Key()]; f != nil {
+			if f := m.flights[string(key)]; f != nil {
 				return f
 			}
 		}

@@ -75,11 +75,21 @@ func unify(f term.Frame, t *lang.CallTemplate, args []term.Slot, c domain.Call) 
 	return t.Domain == c.Domain && t.Function == c.Function && f.UnifyAll(args, c.Args)
 }
 
-// groundTemplate instantiates a call template over a frame, reporting
-// ok=false if any argument remains unbound.
-func groundTemplate(t *lang.CallTemplate, args []term.Slot, f term.Frame) (domain.Call, bool) {
-	vals, err := f.EvalAll(args)
-	return domain.Call{Domain: t.Domain, Function: t.Function, Args: vals}, err == nil
+// groundKey appends to dst the key of a call template instantiated over a
+// frame, reporting ok=false if any argument remains unbound. The call is
+// built on the stack: a probe that only looks its key up allocates nothing
+// for it.
+func groundKey(dst []byte, t *lang.CallTemplate, args []term.Slot, f term.Frame) ([]byte, bool) {
+	var buf [8]term.Value
+	vals := buf[:0]
+	for _, s := range args {
+		v, err := f.Eval(s)
+		if err != nil {
+			return dst, false
+		}
+		vals = append(vals, v)
+	}
+	return domain.Call{Domain: t.Domain, Function: t.Function, Args: vals}.AppendKey(dst), true
 }
 
 // condHolds evaluates an invariant condition over a frame. A condition
@@ -105,12 +115,13 @@ func (c *invariant) condHolds(f term.Frame) bool {
 // the clock is charged. requireComplete restricts to complete entries.
 func (m *Manager) findCandidate(ctx *domain.Ctx, c *invariant, o orientation, theta, scratch term.Frame, requireComplete bool, better func(e, best *Entry) bool) *Entry {
 	// Fast path: other side fully determined by our call's bindings.
-	if oc, ok := groundTemplate(o.other, o.otherArgs, theta); ok {
+	var kbuf [domain.CallBuf]byte
+	if key, ok := groundKey(kbuf[:0], o.other, o.otherArgs, theta); ok {
 		if !c.condHolds(theta) {
 			return nil
 		}
 		ctx.Clock.Sleep(m.cfg.LookupCost)
-		if e, found := m.store.Get(oc.Key()); found && (e.Complete || !requireComplete) && better(e, nil) {
+		if e, found := m.store.GetBytes(key); found && (e.Complete || !requireComplete) && better(e, nil) {
 			return e
 		}
 		return nil

@@ -215,12 +215,8 @@ type Ctx struct {
 	// inputs. Must be safe for concurrent calls — parallel branches share
 	// the hook.
 	CallNote func(callKey string, degraded bool)
-	// TraceID, when nonempty, identifies the federated trace this
-	// execution belongs to. The remote client propagates it on call frames
-	// (minting one at the origin hop); the remote server adopts the
-	// caller's ID so every node's serve spans stitch into one tree.
-	TraceID string
-	// TraceDepth counts mount hops from the trace origin. Each remote call
+	// TraceDepth counts mount hops from the trace origin (the federated
+	// trace's ID lives on Span's root: obs.Span.TraceID). Each remote call
 	// sends TraceDepth+1; a server refuses to emit trace subtrees past its
 	// depth limit, which bounds mount cycles.
 	TraceDepth int
@@ -245,7 +241,6 @@ func (c *Ctx) Fork() *Ctx {
 		Span:       c.Span,
 		Sched:      c.Sched,
 		CallNote:   c.CallNote,
-		TraceID:    c.TraceID,
 		TraceDepth: c.TraceDepth,
 	}
 }

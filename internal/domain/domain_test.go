@@ -163,8 +163,8 @@ func TestMeasuredStreamComplete(t *testing.T) {
 	if got.Cost.TFirst != 100*time.Millisecond || got.Cost.TAll != 200*time.Millisecond {
 		t.Errorf("cost = %v", got.Cost)
 	}
-	if got.Cost.Card != 2 || got.Bytes != 6 {
-		t.Errorf("card=%v bytes=%d", got.Cost.Card, got.Bytes)
+	if got.Cost.Card != 2 {
+		t.Errorf("card=%v", got.Cost.Card)
 	}
 }
 

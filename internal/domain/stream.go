@@ -149,20 +149,17 @@ type Measurement struct {
 	// and Card understate the true values and must not be recorded as
 	// all-answer statistics.
 	Complete bool
-	// Bytes is the total transferred answer size.
-	Bytes int
 }
 
 // SourceMeter accumulates the measurement of one source call: the call
 // setup time plus the time spent inside the source's Next, the time to
-// its first answer, and the answers and bytes it yielded. MeasuredStream
+// its first answer, and the answers it yielded. MeasuredStream
 // and the engine's per-call record both measure with it, so every
 // measurement the DCSM calibrates from is taken the same way.
 type SourceMeter struct {
 	acc   time.Duration // setup, then the time inside each Next
 	first time.Duration // acc at the first answer
 	count int
-	bytes int
 }
 
 // NewSourceMeter starts a measurement whose call was issued setup before
@@ -182,7 +179,6 @@ func (m *SourceMeter) Next(inner Stream, clock vclock.Clock) (term.Value, bool, 
 		m.first = m.acc
 	}
 	m.count++
-	m.bytes += term.SizeBytes(v)
 	return v, true, nil
 }
 
@@ -197,7 +193,6 @@ func (m *SourceMeter) Measurement(call Call, complete bool) Measurement {
 		Call:     call,
 		Cost:     CostVector{TFirst: tf, TAll: m.acc, Card: float64(m.count)},
 		Complete: complete,
-		Bytes:    m.bytes,
 	}
 }
 

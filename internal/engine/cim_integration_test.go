@@ -174,10 +174,11 @@ func TestCIMCallInFillAllocsPer(t *testing.T) {
 // feed it the direct route's measurement. An exact hit allocates 9: the
 // args, the span, its name, its tags and its two costs, the cim.saved_ms
 // text, the served stream and the engine's one record for the call. An
-// equality hit adds the key string, the serving call's name, the ground
-// template the invariant is matched with and the tags' growth past four.
-// The direct call drops the hit's text and stream; the test source makes
-// a stream and an answer slice.
+// equality hit adds the key string, the serving call's name and the tags'
+// growth past four; the invariant's other side is grounded and keyed on
+// the stack (it was 13 while that probe built a []term.Value and a key
+// string). The direct call drops the hit's text and stream; the test
+// source makes a stream and an answer slice.
 //
 // Before the call became one record these were 16, 20 and 15: a context
 // copy for the span, a span stream and a bind stream beside the source's
@@ -218,7 +219,7 @@ func TestServedCallAllocsPer(t *testing.T) {
 		max   float64
 	}{
 		{"?- in(X, d:f('a')).", 9},  // exact hit
-		{"?- in(X, d:g('a')).", 13}, // equality hit through the invariant
+		{"?- in(X, d:g('a')).", 12}, // equality hit through the invariant
 		{"?- in(X, e:h('a')).", 9},  // direct call, measured into the DCSM
 	} {
 		q, err := lang.ParseQuery(tc.query)

@@ -425,12 +425,12 @@ func TestTruncateLeavesFrozenTagsAlone(t *testing.T) {
 	d := root.Snapshot()
 	before := renderReal(t, d)
 	full, _ := EncodeSpanJSON(d)
-	b, truncated, ok := TruncateSpanJSON(d, len(full)-1)
+	b, truncated, ok := AppendSpanJSONWithin(nil, d, len(full)-1)
 	if !ok || !truncated || !bytes.Contains(b, []byte(`"truncated":"1"`)) {
 		t.Fatalf("truncate = %s, %v, %v", b, truncated, ok)
 	}
 	if renderReal(t, d) != before || renderReal(t, root.Snapshot()) != before {
-		t.Error("TruncateSpanJSON wrote into its input's tags")
+		t.Error("AppendSpanJSONWithin wrote into its input's tags")
 	}
 }
 

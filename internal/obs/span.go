@@ -2,6 +2,8 @@ package obs
 
 import (
 	"cmp"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"sync"
@@ -50,7 +52,7 @@ type Span struct {
 	foreign  []SpanData    // stitched remote subtrees, rendered after children
 	kids     []SpanData    // the Children handed out while frozen
 	root     *Span         // the tree's root (a root's is itself); a Lane handle's span
-	tracer   *Tracer       // on a root the Tracer started: End publishes to it
+	top      *rootState    // on a root: what only the root keeps
 	gen      atomic.Uint64 // on the root: writes to ended spans of the tree
 	frozenAt uint64        // the generation, plus one, kids was built at
 	ended    bool
@@ -58,14 +60,58 @@ type Span struct {
 	lane     uint32 // sibling rank; children opened through s inherit it
 }
 
+// rootState is what a root span keeps beyond a Span: the Tracer that
+// started it, to which End publishes, and the tree's federated trace ID.
+// A root and its rootState are one allocation (rootSpan), so the spans
+// under it stay in their smaller size class.
+type rootState struct {
+	tracer  *Tracer
+	traceID string // guarded by the root's mu
+}
+
+type rootSpan struct {
+	Span
+	state rootState
+}
+
 // NewSpan opens a standalone root span outside any tracer: ending it
 // publishes nothing. The remote server uses it for per-call serve spans
 // that travel back to the caller in a trace frame rather than entering the
 // server's own /debug/queries ring.
 func NewSpan(name string, at time.Duration) *Span {
-	s := &Span{name: name, start: at}
-	s.root = s
-	return s
+	r := &rootSpan{Span: Span{name: name, start: at}}
+	r.root, r.top = &r.Span, &r.state
+	return &r.Span
+}
+
+// TraceID returns the federated trace ID of s's tree: the one SetTraceID
+// gave it, or else one minted on first use, so every remote call of one
+// query carries the same ID. On a nil span it returns "".
+func (s *Span) TraceID() string {
+	if s == nil {
+		return ""
+	}
+	root := s.target().root
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	if root.top.traceID == "" {
+		var b [8]byte
+		rand.Read(b[:])
+		root.top.traceID = hex.EncodeToString(b[:])
+	}
+	return root.top.traceID
+}
+
+// SetTraceID makes id the trace ID of s's tree: a served call's span tree
+// keeps its caller's, and forwards it to the calls it makes in turn.
+func (s *Span) SetTraceID(id string) {
+	if s == nil {
+		return
+	}
+	root := s.target().root
+	root.mu.Lock()
+	root.top.traceID = id
+	root.mu.Unlock()
 }
 
 // Lane returns a handle on s for the concurrent branch of launch rank r
@@ -153,8 +199,8 @@ func (s *Span) End(at time.Duration) {
 	s.ended = true
 	s.end = at
 	s.mu.Unlock()
-	if s.tracer != nil {
-		s.tracer.publish(s)
+	if s.top != nil && s.top.tracer != nil {
+		s.top.tracer.publish(s)
 	}
 }
 
@@ -248,7 +294,7 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 	}
 	t.started.Add(1)
 	s := NewSpan(name, at)
-	s.tracer = t
+	s.top.tracer = t
 	return s
 }
 

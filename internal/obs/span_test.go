@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSpanTreeAndSnapshot(t *testing.T) {
@@ -77,5 +78,33 @@ func TestSpanConcurrentTagging(t *testing.T) {
 	d := f.Records()[0].Root
 	if len(d.Children) != 8*200 {
 		t.Errorf("children = %d, want %d", len(d.Children), 8*200)
+	}
+}
+
+// TestTraceIDOncePerTree: a span tree has one trace ID, minted on first
+// use through any span of it; a served tree keeps the one its caller sent.
+// Only a root keeps the ID, so every other span stays in the 192-byte size
+// class.
+func TestTraceIDOncePerTree(t *testing.T) {
+	root := NewTracer(nil).StartQuery("?- q.", 0)
+	leaf := root.Child("plan", 0).Lane(1).Child("call d:f()", 0)
+	id := leaf.TraceID()
+	if len(id) != 16 || root.TraceID() != id || leaf.TraceID() != id {
+		t.Errorf("trace IDs %q (leaf, first), %q (root), %q (leaf again): want one 16-hex-digit ID", id, root.TraceID(), leaf.TraceID())
+	}
+	if other := NewSpan("?- q.", 0).TraceID(); other == id {
+		t.Errorf("two trees share trace ID %q", id)
+	}
+	served := NewSpan("serve d:f", 0)
+	served.SetTraceID("cafe0123cafe0123")
+	if got := served.Child("call e:g()", 0).TraceID(); got != "cafe0123cafe0123" {
+		t.Errorf("a served tree's call carries %q, want its caller's", got)
+	}
+	if (*Span)(nil).TraceID() != "" {
+		t.Error("a nil span has a trace ID")
+	}
+	var s Span
+	if n := unsafe.Sizeof(s); n > 192 {
+		t.Errorf("a Span is %d bytes, past the 192-byte size class", n)
 	}
 }

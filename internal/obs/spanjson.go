@@ -239,26 +239,29 @@ func (s *spanReader) cost() *Cost {
 	return c
 }
 
-// TruncateSpanJSON encodes d in at most maxBytes, pruning the deepest
-// levels first until the encoding fits and tagging the root TruncatedTag=1
-// when anything was pruned. maxBytes <= 0 means unlimited. ok is false when
-// even the root alone does not fit.
-func TruncateSpanJSON(d SpanData, maxBytes int) (b []byte, truncated, ok bool) {
-	b, err := AppendSpanJSON(nil, d)
+// AppendSpanJSONWithin appends d's encoding in at most maxBytes, pruning
+// the deepest levels first until it fits and tagging the root
+// TruncatedTag=1 when anything was pruned. maxBytes <= 0 means unlimited.
+// ok is false, and dst comes back as it was, when even the root alone does
+// not fit or d has no JSON text. The remote server writes a call's trace
+// frame with it, straight into the frame.
+func AppendSpanJSONWithin(dst []byte, d SpanData, maxBytes int) (b []byte, truncated, ok bool) {
+	start := len(dst)
+	b, err := AppendSpanJSON(dst, d)
 	if err != nil {
-		return nil, false, false
+		return b[:start], false, false
 	}
-	if maxBytes <= 0 || len(b) <= maxBytes {
+	if maxBytes <= 0 || len(b)-start <= maxBytes {
 		return b, false, true
 	}
 	d.Tags = slices.Clone(d.Tags).set(TruncatedTag, "1") // the caller's stay as they are
 	for keep := spanDepth(d) - 1; keep >= 0; keep-- {
 		// A pruned tree encodes: the whole one did.
-		if b, _ = appendSpan(b[:0], &d, keep); len(b) <= maxBytes {
+		if b, _ = appendSpan(b[:start], &d, keep); len(b)-start <= maxBytes {
 			return b, true, true
 		}
 	}
-	return nil, true, false
+	return b[:start], true, false
 }
 
 // spanDepth returns the deepest nesting level in d (root = 0).

@@ -116,7 +116,7 @@ func TestTruncateSpanJSON(t *testing.T) {
 
 	// A generous (and an unlimited) budget ships the tree untouched.
 	for _, budget := range []int{len(full), len(full) * 2, 0, -1} {
-		b, truncated, ok := TruncateSpanJSON(d, budget)
+		b, truncated, ok := AppendSpanJSONWithin(nil, d, budget)
 		if !ok || truncated {
 			t.Fatalf("budget %d: ok=%v truncated=%v, want untouched", budget, ok, truncated)
 		}
@@ -125,12 +125,17 @@ func TestTruncateSpanJSON(t *testing.T) {
 		}
 	}
 
-	// A tight budget prunes deepest-first and tags the shipped root.
-	b, truncated, ok := TruncateSpanJSON(d, len(full)-1)
+	// A tight budget prunes deepest-first and tags the shipped root. The
+	// budget counts only what is appended.
+	const prefix = `{"trace":`
+	b, truncated, ok := AppendSpanJSONWithin([]byte(prefix), d, len(full)-1)
 	if !ok || !truncated {
 		t.Fatalf("tight budget: ok=%v truncated=%v, want pruned", ok, truncated)
 	}
-	if len(b) >= len(full) {
+	if !strings.HasPrefix(string(b), prefix) {
+		t.Fatalf("appended encoding lost its prefix: %s", b)
+	}
+	if b = b[len(prefix):]; len(b) >= len(full) {
 		t.Fatalf("pruned encoding (%d bytes) not smaller than full (%d)", len(b), len(full))
 	}
 	got, err := DecodeSpanJSON(b)
@@ -145,12 +150,12 @@ func TestTruncateSpanJSON(t *testing.T) {
 	}
 	// The original is untouched: pruning copies before tagging.
 	if _, tagged := d.Tags.Lookup(TruncatedTag); tagged {
-		t.Error("TruncateSpanJSON mutated its input's tags")
+		t.Error("AppendSpanJSONWithin mutated its input's tags")
 	}
 
 	// Even the root alone over budget: ok=false, nothing to ship.
-	if _, _, ok := TruncateSpanJSON(d, 10); ok {
-		t.Error("10-byte budget reported ok")
+	if b, _, ok := AppendSpanJSONWithin([]byte(prefix), d, 10); ok || string(b) != prefix {
+		t.Errorf("10-byte budget: ok=%v, appended %q", ok, b)
 	}
 }
 

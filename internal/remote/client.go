@@ -2,8 +2,6 @@ package remote
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -191,10 +189,11 @@ func (c *Client) listing() (map[string][]FnSpec, error) {
 		return nil, err
 	}
 	id := c.newID()
-	slot := sess.registerCall(id)
+	slot := newCallSlot()
+	sess.registerCall(id, slot)
 	defer sess.forget(id)
-	if !sess.send("functions", &Frame{Op: OpFunctions, ID: id}, nil) {
-		return nil, sess.failure()
+	if err := sess.send("functions", &Frame{Op: OpFunctions, ID: id}, nil); err != nil {
+		return nil, err
 	}
 	var timeout <-chan time.Time
 	if c.frameTO > 0 {
@@ -216,13 +215,10 @@ func (c *Client) listing() (map[string][]FnSpec, error) {
 }
 
 // Call implements domain.Domain as one multiplexed call on the shared
-// session.
+// session. The call's stream is its one record, routing slot included; its
+// arguments are encoded straight into the frame writer's buffer.
 func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	wargs, err := appendValues(nil, args)
-	if err != nil {
 		return nil, err
 	}
 	ctx.Span.SetTag("remote", c.addr)
@@ -233,36 +229,29 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 	id := c.newID()
 	f := Frame{Op: OpCall, ID: id, Domain: c.name, Function: fn}
 	st := &muxStream{c: c, sess: sess, id: id, cctx: ctx.Context, span: ctx.Span}
+	st.slot.ready = make(chan struct{}, 1)
 	if ctx.Clock != nil {
 		st.clock = ctx.Clock
 		st.issuedAt = ctx.Clock.Now()
 	}
 	// Federated tracing: when the server negotiated CapTrace and this call
-	// is traced locally, propagate the trace context — minting a trace ID
-	// at the origin hop — so the server's serve subtree comes back in a
-	// trace frame and stitches under this call span.
+	// is traced locally, propagate the trace context — the query's trace
+	// ID, minted at the origin by its first remote call — so the server's
+	// serve subtree comes back in a trace frame and stitches under this
+	// call span.
 	if sess.traceOK && ctx.Span != nil {
-		f.TraceID = ctx.TraceID
-		if f.TraceID == "" {
-			f.TraceID = newTraceID()
-		}
+		f.TraceID = ctx.Span.TraceID()
 		f.Depth = ctx.TraceDepth + 1
-		st.call = &domain.Call{Domain: c.name, Function: fn, Args: args}
+		st.call = domain.Call{Domain: c.name, Function: fn, Args: args}
+		st.propagated = true
 		c.tracePropagated.Inc()
 	}
-	st.slot = sess.registerCall(id)
-	if !sess.send("call", &f, wargs) {
+	sess.registerCall(id, &st.slot)
+	if err := sess.send("call", &f, &frameBody{args: args}); err != nil {
 		sess.forget(id)
-		return nil, sess.failure()
+		return nil, err
 	}
 	return st, nil
-}
-
-// newTraceID mints a federated trace identifier at the origin hop.
-func newTraceID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
 }
 
 // newID allocates a call ID. IDs are client-scoped (not session-scoped) so
@@ -311,7 +300,7 @@ func (c *Client) getSession() (*session, error) {
 	if c.hbEvery > 0 {
 		hello.HeartbeatMS = int(c.hbEvery / time.Millisecond)
 	}
-	if err := s.out.write(&hello, nil, nil); err != nil {
+	if err := s.out.write(&hello, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: send hello to %s: %v", domain.ErrUnavailable, c.addr, err)
 	}
@@ -387,7 +376,9 @@ type session struct {
 // never blocks on it, so one call's unread answers cannot stall the
 // frames of another on the same session; the price is that a call's
 // undelivered answers are buffered here, bounded only by its answer set,
-// because the protocol has no per-call flow control.
+// because the protocol has no per-call flow control. A domain call's slot
+// lives in its muxStream; a one-shot request (functions, debug) has its
+// own.
 type callSlot struct {
 	ready chan struct{} // signalled, without blocking, when something arrives
 
@@ -415,7 +406,11 @@ func (c *callSlot) route(in *frameIn) {
 	case in.Op == OpAnswers && in.badValue != nil:
 		c.bad = in.badValue
 	case in.Op == OpAnswers:
-		c.values = append(c.values, in.values...)
+		if len(c.values) == 0 {
+			c.values = in.values // the frame's own list: no copy
+		} else {
+			c.values = append(c.values, in.values...)
+		}
 		c.done = in.Done
 	case in.Op == OpTrace:
 		c.trace = in.Trace
@@ -481,23 +476,23 @@ func (s *session) failure() error {
 	return s.err
 }
 
-// send writes one frame, args being its term.AppendJSON argument list.
-// Concurrent calls coalesce on the writer; a write failure kills the
-// whole session (the connection is broken).
-func (s *session) send(what string, f *Frame, args []byte) bool {
-	if err := s.out.write(f, args, nil); err != nil {
+// send writes one frame with body b (nil: none). Concurrent calls
+// coalesce on the writer. It returns the frame's own error — an argument
+// with no JSON form — or, after a write failure, which kills the whole
+// session (the connection is broken), the session's.
+func (s *session) send(what string, f *Frame, b *frameBody) error {
+	err := s.out.write(f, b)
+	if err != nil && s.out.broken() {
 		s.fail(fmt.Errorf("%w: send %s to %s: %v", domain.ErrUnavailable, what, s.c.addr, err))
-		return false
+		return s.failure()
 	}
-	return true
+	return err
 }
 
-func (s *session) registerCall(id uint64) *callSlot {
-	c := newCallSlot()
+func (s *session) registerCall(id uint64, c *callSlot) {
 	s.mu.Lock()
 	s.calls[id] = c
 	s.mu.Unlock()
-	return c
 }
 
 func (s *session) forget(id uint64) {
@@ -539,7 +534,7 @@ func (s *session) heartbeatLoop(every time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			if !s.send("heartbeat", &Frame{Op: OpHeartbeat}, nil) {
+			if s.send("heartbeat", &Frame{Op: OpHeartbeat}, nil) != nil {
 				return
 			}
 		case <-s.done:
@@ -548,25 +543,27 @@ func (s *session) heartbeatLoop(every time.Duration) {
 	}
 }
 
-// muxStream is one call's answer stream. On session failure it delivers
-// what was already routed to its slot, then ends with the session's
+// muxStream is one call's answer stream, and the call's one record: it
+// holds the call's routing slot. On session failure it delivers what was
+// already routed to its slot, then ends with the session's
 // domain.ErrUnavailable: the resilience layer re-issues the call and skips
 // the delivered prefix.
 type muxStream struct {
+	slot callSlot // shared with the session reader; the rest is the stream's
 	c    *Client
 	sess *session
 	id   uint64
-	slot *callSlot
 	cctx context.Context
 
 	// Federated-tracing state: the local call span foreign subtrees stitch
-	// under, the decoded call (set only when the trace context was
-	// propagated; for the actuals hook), and the local clock reading when
+	// under, whether the trace context was propagated and the call it
+	// went with (for the actuals hook), and the local clock reading when
 	// the call was issued (the rebase point for the peer's subtree).
-	span     *obs.Span
-	clock    vclock.Clock
-	issuedAt time.Duration
-	call     *domain.Call
+	span       *obs.Span
+	clock      vclock.Clock
+	issuedAt   time.Duration
+	propagated bool
+	call       domain.Call
 
 	pending  []term.Value
 	srvDone  bool  // the server ended the call: done, or an error frame
@@ -578,6 +575,7 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 	for {
 		if len(s.pending) > 0 {
 			v := s.pending[0]
+			s.pending[0] = nil // the list shares its frame's arena: retain no more of it than needed
 			s.pending = s.pending[1:]
 			return v, true, nil
 		}
@@ -619,7 +617,7 @@ func (s *muxStream) Next() (term.Value, bool, error) {
 // values that arrived before an error frame are still delivered before
 // the error.
 func (s *muxStream) take() bool {
-	c := s.slot
+	c := &s.slot
 	c.mu.Lock()
 	values, trace, done, bad, reply := c.values, c.trace, c.done, c.bad, c.reply
 	c.values, c.trace = nil, nil
@@ -650,7 +648,7 @@ func (s *muxStream) take() bool {
 // hook. Every failure mode (oversize, malformed) drops the subtree and
 // counts it — the call itself always succeeds with a local-only trace.
 func (s *muxStream) acceptTrace(raw []byte) {
-	if s.span == nil || s.call == nil || len(raw) == 0 {
+	if s.span == nil || !s.propagated || len(raw) == 0 {
 		return
 	}
 	s.c.traceForeignBytes.Add(int64(len(raw)))
@@ -679,7 +677,7 @@ func (s *muxStream) acceptTrace(raw []byte) {
 	s.c.traceStitched.Inc()
 	if d.Actual != nil {
 		if hook := s.c.actualsHook(); hook != nil {
-			hook(*s.call, *d.Actual)
+			hook(s.call, *d.Actual)
 		}
 	}
 }
@@ -718,10 +716,11 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 		return nil, fmt.Errorf("remote: %s did not grant the debug capability", c.addr)
 	}
 	id := c.newID()
-	slot := sess.registerCall(id)
+	slot := newCallSlot()
+	sess.registerCall(id, slot)
 	defer sess.forget(id)
-	if !sess.send("debug", &Frame{Op: OpDebug, ID: id}, nil) {
-		return nil, sess.failure()
+	if err := sess.send("debug", &Frame{Op: OpDebug, ID: id}, nil); err != nil {
+		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = c.frameTO

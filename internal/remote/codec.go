@@ -3,12 +3,14 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"sync"
 
+	"hermes/internal/obs"
 	"hermes/internal/term"
 )
 
@@ -51,19 +53,19 @@ const maxKeptLine = 64 << 10
 // blocks its senders instead of growing the queue.
 const maxPending = 256 << 10
 
-// write encodes f, with the given term.AppendJSON lists as its args and
-// values, and returns once it has been written together with every frame
+// write encodes f with body b (nil: none) straight into the pending
+// buffer, and returns once it has been written together with every frame
 // queued before it.
-func (w *frameWriter) write(f *Frame, args, values []byte) error {
-	return w.put(f, args, values, true)
+func (w *frameWriter) write(f *Frame, b *frameBody) error {
+	return w.put(f, b, true)
 }
 
-// queue encodes f to leave with the next write.
-func (w *frameWriter) queue(f *Frame, args, values []byte) error {
-	return w.put(f, args, values, false)
+// queue encodes f with body b to leave with the next write.
+func (w *frameWriter) queue(f *Frame, b *frameBody) error {
+	return w.put(f, b, false)
 }
 
-func (w *frameWriter) put(f *Frame, args, values []byte, flush bool) error {
+func (w *frameWriter) put(f *Frame, b *frameBody, flush bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.wrote.L == nil {
@@ -75,7 +77,7 @@ func (w *frameWriter) put(f *Frame, args, values []byte, flush bool) error {
 	if w.err != nil {
 		return w.err
 	}
-	line, err := appendFrame(w.pending, f, args, values)
+	line, err := appendFrameBody(w.pending, f, b)
 	if err != nil {
 		w.pending = line[:len(w.pending)] // drop what was encoded of f
 		return err
@@ -92,6 +94,13 @@ func (w *frameWriter) put(f *Frame, args, values []byte, flush bool) error {
 		}
 	}
 	return w.err
+}
+
+// broken reports whether a write has failed: the connection is lost.
+func (w *frameWriter) broken() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err != nil
 }
 
 // writeBatch hands everything pending to w, unlocking around the Write.
@@ -119,12 +128,46 @@ func (w *frameWriter) writeBatch() {
 	w.wrote.Broadcast()
 }
 
+// frameBody is what a frame carries that its Frame does not: call
+// arguments and answer values as the sessions hold them, and a trace
+// payload as the span tree it encodes. Each is written straight into the
+// frame.
+type frameBody struct {
+	// args are a call's arguments, or argList their comma-separated
+	// term.AppendJSON list.
+	args    []term.Value
+	argList []byte
+	// values is an answers frame's term.AppendJSON list.
+	values []byte
+	// span, when set, is the trace payload, written by obs within spanMax
+	// bytes (<= 0: no limit) in place of Frame.Trace; truncated reports
+	// that levels were pruned to fit. obs writes compact JSON escaped as
+	// encoding/json escapes it, so this trusted path skips appendRaw's
+	// check and copy, which untrusted payloads keep.
+	span      *obs.SpanData
+	spanMax   int
+	truncated bool
+}
+
+// errNoTrace reports a span with no encoding within its budget: the call
+// ships no trace frame.
+var errNoTrace = errors.New("remote: trace subtree does not fit its budget")
+
 // appendFrame appends f as the line json.NewEncoder(w).Encode(f) writes,
 // HTML escaping on, except that the args and values keys come from args
 // and values, comma-separated term.AppendJSON lists (f.Args and f.Values
 // are not read). A trace or debug payload that is not one JSON value is an
 // error, as it is for encoding/json.
 func appendFrame(dst []byte, f *Frame, args, values []byte) ([]byte, error) {
+	return appendFrameBody(dst, f, &frameBody{argList: args, values: values})
+}
+
+// appendFrameBody is appendFrame with the args, values and trace of body
+// b (nil: none). A frame dropped on error leaves dst's bytes as they were.
+func appendFrameBody(dst []byte, f *Frame, b *frameBody) ([]byte, error) {
+	if b == nil {
+		b = &frameBody{}
+	}
 	dst = term.AppendJSONString(append(dst, `{"op":`...), f.Op)
 	if f.ID != 0 {
 		dst = strconv.AppendUint(append(dst, `,"id":`...), f.ID, 10)
@@ -141,13 +184,20 @@ func appendFrame(dst []byte, f *Frame, args, values []byte) ([]byte, error) {
 	dst = closeList(dst, len(f.Caps), ']')
 	dst = appendString(dst, `,"domain":`, f.Domain)
 	dst = appendString(dst, `,"function":`, f.Function)
-	if len(args) > 0 {
-		dst = append(append(append(dst, `,"args":[`...), args...), ']')
+	var err error
+	switch {
+	case len(b.args) > 0:
+		if dst, err = appendValues(append(dst, `,"args":[`...), b.args); err != nil {
+			return dst, err
+		}
+		dst = append(dst, ']')
+	case len(b.argList) > 0:
+		dst = append(append(append(dst, `,"args":[`...), b.argList...), ']')
 	}
 	dst = appendString(dst, `,"trace_id":`, f.TraceID)
 	dst = appendInt(dst, `,"depth":`, f.Depth)
-	if len(values) > 0 {
-		dst = append(append(append(dst, `,"values":[`...), values...), ']')
+	if len(b.values) > 0 {
+		dst = append(append(append(dst, `,"values":[`...), b.values...), ']')
 	}
 	if f.Done {
 		dst = append(dst, `,"done":true`...)
@@ -159,8 +209,12 @@ func appendFrame(dst []byte, f *Frame, args, values []byte) ([]byte, error) {
 	if len(f.Functions) > 0 {
 		dst = appendFunctions(dst, f.Functions)
 	}
-	var err error
-	if dst, err = appendRaw(dst, `,"trace":`, f.Trace); err != nil {
+	if b.span != nil {
+		var ok bool
+		if dst, b.truncated, ok = obs.AppendSpanJSONWithin(append(dst, `,"trace":`...), *b.span, b.spanMax); !ok {
+			return dst, errNoTrace
+		}
+	} else if dst, err = appendRaw(dst, `,"trace":`, f.Trace); err != nil {
 		return dst, err
 	}
 	if dst, err = appendRaw(dst, `,"debug":`, f.Debug); err != nil {
@@ -201,10 +255,11 @@ func appendString(dst []byte, key, s string) []byte {
 	return term.AppendJSONString(append(dst, key...), s)
 }
 
-// appendValues appends vs to list, a comma-separated term.AppendJSON list.
+// appendValues appends vs to list as a comma-separated term.AppendJSON
+// list, after a comma unless list is empty or ends a '['.
 func appendValues(list []byte, vs []term.Value) ([]byte, error) {
 	for _, v := range vs {
-		if len(list) > 0 {
+		if n := len(list); n > 0 && list[n-1] != '[' {
 			list = append(list, ',')
 		}
 		var err error
@@ -291,10 +346,15 @@ func appendRaw(dst []byte, key string, raw []byte) ([]byte, error) {
 // Values stay empty). badValue reports a well-formed frame carrying a form
 // that names no value (term.JSONReader.Value's err): that fails the call,
 // not the session.
+//
+// args and values, and the tuples in them, are carved from one allocation
+// per frame (term.JSONReader.Keep), so a receiver may keep either list as
+// it is; scratch, the buffer they are read into, is reused frame to frame.
 type frameIn struct {
 	Frame
 	args, values []term.Value
 	badValue     error
+	scratch      []term.Value
 }
 
 // frameReader reads one connection's frames, one line each.
@@ -332,15 +392,14 @@ var frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "
 	"domain", "function", "args", "trace_id", "depth", "values", "done",
 	"err", "unavailable", "functions", "trace", "debug"}
 
-// decodeFrame decodes line, one frame, into in, reusing in.values' array.
+// decodeFrame decodes line, one frame, into in, reusing in.scratch.
 // For every line it yields the Frame json.Unmarshal decodes, or an error.
 // It is stricter where encoding/json is lenient — a repeated key, a null
 // outside a listing, anything but whitespace after the frame are errors —
 // and matches keys exactly as spelled, where encoding/json also matches
 // them case-insensitively.
 func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
-	clear(in.values)
-	*in = frameIn{values: in.values[:0]}
+	*in = frameIn{scratch: in.scratch}
 	r.Reset(line)
 	var seen uint32
 	for more := r.Open('{'); more; more = r.More('}') {
@@ -355,7 +414,7 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 		}
 		switch string(key) {
 		case "op":
-			in.Op = r.Str()
+			in.Op = opOf(r.Text())
 		case "id":
 			in.ID = r.Uint()
 		case "versions":
@@ -377,13 +436,13 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 		case "function":
 			in.Function = r.Str()
 		case "args":
-			in.args = in.readValues(r, in.args)
+			in.args = in.readValues(r)
 		case "trace_id":
 			in.TraceID = r.Str()
 		case "depth":
 			in.Depth = int(r.Int())
 		case "values":
-			in.values = in.readValues(r, in.values)
+			in.values = in.readValues(r)
 		case "done":
 			in.Done = r.Bool()
 		case "err":
@@ -409,9 +468,11 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 	return nil
 }
 
-// readValues reads a list of term values onto vs; the first form that
-// names no value becomes in.badValue.
-func (in *frameIn) readValues(r *term.JSONReader, vs []term.Value) []term.Value {
+// readValues reads a list of term values into in.scratch and returns it
+// kept in the frame's arena; the first form that names no value becomes
+// in.badValue.
+func (in *frameIn) readValues(r *term.JSONReader) []term.Value {
+	vs := in.scratch[:0]
 	for more := r.Open('['); more; more = r.More(']') {
 		v, err := r.Value()
 		if err != nil && in.badValue == nil {
@@ -419,7 +480,23 @@ func (in *frameIn) readValues(r *term.JSONReader, vs []term.Value) []term.Value 
 		}
 		vs = append(vs, v)
 	}
-	return vs
+	kept := r.Keep(vs)
+	clear(vs)
+	in.scratch = vs
+	return kept
+}
+
+// frameOps are the ops this package sends; opOf returns the constant for
+// one of them, so a frame's op costs no string.
+var frameOps = [...]string{OpHello, OpCall, OpAnswers, OpError, OpCancel, OpHeartbeat, OpFunctions, OpTrace, OpDebug}
+
+func opOf(text []byte) string {
+	for _, op := range frameOps {
+		if string(text) == op {
+			return op
+		}
+	}
+	return string(text)
 }
 
 // readFunctions reads a listing: an object of domain names to spec lists,

@@ -5,13 +5,10 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
-	"hermes/internal/domain"
 	"hermes/internal/term"
-	"hermes/internal/vclock"
 )
 
 // encoding/json is the frame codec's oracle: it shares no code with the
@@ -255,47 +252,4 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 		checkEncode(t, jf, args, values)
 	})
-}
-
-// TestRemoteCallAllocsPerCall gates what one loopback call of a few answers
-// allocates, client and server together, with no timing threshold: the
-// routing slot grows from empty and the answers are appended straight into
-// their frame. The parent design preallocated a 32-frame channel (9.2 KiB)
-// and a 64-value chunk (6 KiB) per call before anything arrived.
-func TestRemoteCallAllocsPerCall(t *testing.T) {
-	_, addr := startServer(t, echoDomain())
-	c := NewClient(addr, "echo")
-	defer c.Close()
-	args := []term.Value{term.Int(4)}
-	call := func() {
-		s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vals, err := domain.Collect(s); err != nil || len(vals) != 4 {
-			t.Fatalf("call = %d answers, %v", len(vals), err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		call() // the session, its buffers and the server's connection
-	}
-	const n = 1000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		call()
-	}
-	runtime.ReadMemStats(&after)
-	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
-	allocsPer := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("per call: %.0f B, %.1f allocs", bytesPer, allocsPer)
-	// Measured 3 520 B and 58 allocs (3 630 B under -race; go1.24,
-	// linux/amd64); the bounds allow 25 % for runtime and scheduler noise.
-	if bytesPer > 4400 {
-		t.Errorf("a loopback call allocates %.0f B, want <= 4400", bytesPer)
-	}
-	if allocsPer > 72 {
-		t.Errorf("a loopback call allocates %.1f times, want <= 72", allocsPer)
-	}
 }

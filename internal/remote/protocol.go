@@ -66,6 +66,36 @@
 // per-call flow control — and one call left unread cannot stall another
 // on the same session.
 //
+// A call allocates little beyond the values it delivers, on either end,
+// and each buffer it borrows has one owner at a time:
+//
+//   - The client encodes a call's arguments straight into the frame
+//     writer's pending buffer. Its call is one record, the answer stream,
+//     which holds the routing slot; the slot's ready channel is the only
+//     other allocation.
+//   - The server's call is one record too, holding its domain.Ctx by
+//     value. Every call on a session runs on the session's one wall clock:
+//     a wall clock is only an epoch, and serving measures differences. A
+//     call borrows an answer list from a pool for as long as it runs —
+//     calls on one session run concurrently, so no list is session-wide —
+//     and encodes each chunk into it; the writer has copied the chunk out
+//     when send returns, and the list goes back to the pool when the call
+//     ends.
+//   - A traced call's serve subtree is encoded by obs straight into its
+//     trace frame, within TraceMaxSubtreeBytes. That path is trusted: obs
+//     writes compact JSON escaped as encoding/json escapes it, so the
+//     check and escape-copy a json.RawMessage payload gets (appendRaw)
+//     would re-read what was just written and change nothing. They stay
+//     for untrusted payloads: debug rollups, and the frames the interop
+//     harness builds. A property test holds the two paths byte-identical.
+//   - A decoded frame's value lists, and the element arrays of its tuples,
+//     are carved from one allocation per frame (term.JSONReader.Keep),
+//     which is never reused: a value retains at most its own frame, and a
+//     call's slot takes the frame's list over instead of copying it. Only
+//     the buffer the list is read into, and the reader's line buffer, are
+//     reused frame to frame; a trace payload is copied out of the line.
+//     Known ops decode to this package's constants.
+//
 // The simulated-network experiments do not use this package — they wrap
 // local domains with internal/netsim so that WAN latencies are virtual and
 // deterministic. This package exists to run the system for real across

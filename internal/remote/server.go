@@ -217,7 +217,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	ss := &serverSession{srv: s, conn: conn, out: frameWriter{w: conn}, calls: map[uint64]context.CancelFunc{}}
+	ss := newServerSession(s, conn)
 	switch {
 	case first.Op != OpHello:
 		// err + done are the keys a pre-v2 client decodes on its reply.
@@ -268,46 +268,70 @@ type serverSession struct {
 	srv  *Server
 	conn net.Conn
 	out  frameWriter
+	// clock times every call served on the session: a wall clock is only
+	// an epoch, and serving measures differences on it.
+	clock *vclock.Wall
 	// peerTrace records whether the client's hello advertised CapTrace:
 	// only then do calls grow serve spans and final trace frames.
 	peerTrace bool
 
 	mu    sync.Mutex
-	calls map[uint64]context.CancelFunc
+	calls map[uint64]*serverCall
 }
 
-// send writes one frame, values being its term.AppendJSON answer list,
-// routing failures through the send-error accounting. Concurrent per-call
-// streams coalesce on the writer.
-func (ss *serverSession) send(kind int, f *Frame, values []byte) bool {
-	if err := ss.out.write(f, nil, values); err != nil {
+func newServerSession(srv *Server, conn net.Conn) *serverSession {
+	return &serverSession{srv: srv, conn: conn, out: frameWriter{w: conn}, clock: vclock.NewWall(), calls: map[uint64]*serverCall{}}
+}
+
+// serverCall is one served call's record: what its call frame asked for,
+// its domain context, held by value, and its cancellation.
+type serverCall struct {
+	ss       *serverSession
+	id       uint64
+	call     domain.Call
+	traceID  string
+	depth    int
+	badValue error // an argument form that names no value
+	ctx      domain.Ctx
+	cancel   context.CancelFunc
+}
+
+// send writes one frame with body b (nil: none), routing failures through
+// the send-error accounting. Concurrent per-call streams coalesce on the
+// writer.
+func (ss *serverSession) send(kind int, f *Frame, b *frameBody) bool {
+	if err := ss.out.write(f, b); err != nil {
 		ss.srv.noteSendError(kind, ss.conn.RemoteAddr(), err)
 		return false
 	}
 	return true
 }
 
-// register creates the cancellation context of call id. ok=false reports a
-// duplicate in-flight id (a protocol violation by the client).
-func (ss *serverSession) register(id uint64) (context.Context, bool) {
+// register records the call a call frame starts, with a cancellation
+// context of its own. ok=false reports a duplicate in-flight id (a
+// protocol violation by the client).
+func (ss *serverSession) register(in *frameIn) (c *serverCall, ok bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if _, dup := ss.calls[id]; dup {
+	if _, dup := ss.calls[in.ID]; dup {
 		return nil, false
 	}
-	cctx, cancel := context.WithCancel(context.Background())
-	ss.calls[id] = cancel
-	return cctx, true
+	c = &serverCall{ss: ss, id: in.ID, call: domain.Call{Domain: in.Domain, Function: in.Function, Args: in.args},
+		traceID: in.TraceID, depth: in.Depth, badValue: in.badValue}
+	c.ctx.Clock = ss.clock
+	c.ctx.Context, c.cancel = context.WithCancel(context.Background())
+	ss.calls[in.ID] = c
+	return c, true
 }
 
 // finish forgets call id, releasing its context.
 func (ss *serverSession) finish(id uint64) {
 	ss.mu.Lock()
-	cancel := ss.calls[id]
+	c := ss.calls[id]
 	delete(ss.calls, id)
 	ss.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if c != nil {
+		c.cancel()
 	}
 }
 
@@ -315,10 +339,10 @@ func (ss *serverSession) finish(id uint64) {
 // call may have finished while the cancel frame was in transit).
 func (ss *serverSession) cancel(id uint64) {
 	ss.mu.Lock()
-	cancel := ss.calls[id]
+	c := ss.calls[id]
 	ss.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if c != nil {
+		c.cancel()
 	}
 }
 
@@ -327,7 +351,7 @@ func (ss *serverSession) cancelAll() {
 	ss.mu.Lock()
 	cancels := make([]context.CancelFunc, 0, len(ss.calls))
 	for _, c := range ss.calls {
-		cancels = append(cancels, c)
+		cancels = append(cancels, c.cancel)
 	}
 	ss.mu.Unlock()
 	for _, c := range cancels {
@@ -357,11 +381,11 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 		}
 	}
 	defer ss.cancelAll()
+	var f frameIn
 	for {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		var f frameIn
 		if err := in.next(&f); err != nil {
 			// EOF is the client hanging up; anything else (reset, idle
 			// deadline, malformed frame) also ends the session — JSON
@@ -373,13 +397,13 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 		}
 		switch f.Op {
 		case OpCall:
-			cctx, ok := ss.register(f.ID)
+			c, ok := ss.register(&f)
 			if !ok {
 				ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("call id %d already in flight", f.ID)}, nil)
 				continue
 			}
 			s.calls.Inc()
-			go s.serveCall(ss, f, cctx)
+			go s.serveCall(c)
 		case OpCancel:
 			ss.cancel(f.ID)
 		case OpHeartbeat:
@@ -394,6 +418,11 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	}
 }
 
+// answerLists recycles the lists served calls encode their answer chunks
+// into. A call holds one until it ends, since calls on one session run
+// concurrently; the frame writer copies a chunk out before send returns.
+var answerLists = sync.Pool{New: func() any { return new([]byte) }}
+
 // serveCall runs one multiplexed call. The first answer is flushed in
 // its own frame immediately (first-answer-before-last-answer); later
 // answers travel in chunkSize frames. Each answer is encoded into its
@@ -402,36 +431,36 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 // Cancellation — an explicit cancel frame or the whole connection
 // dropping — is checked between answers, aborting the domain stream
 // promptly even for trickling sources.
-func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
-	defer ss.finish(f.ID)
+func (s *Server) serveCall(c *serverCall) {
+	ss := c.ss
+	defer ss.finish(c.id)
 	fail := func(err error) {
-		ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)}, nil)
+		ss.send(kindError, &Frame{Op: OpError, ID: c.id, Err: err.Error(), Unavailable: errors.Is(err, domain.ErrUnavailable)}, nil)
 	}
-	if f.badValue != nil {
-		fail(f.badValue)
+	if c.badValue != nil {
+		fail(c.badValue)
 		return
 	}
-	ctx := domain.NewCtx(vclock.NewWall())
-	ctx.Context = cctx
+	ctx := &c.ctx
 	// Federated tracing: when the peer negotiated CapTrace and sent trace
 	// context, serve under a standalone span (outside this node's own query
-	// ring) that travels back in a trace frame. Past the depth limit the
-	// call is served normally, just without a subtree — the cycle guard for
-	// mutually mounted nodes.
+	// ring) that travels back in a trace frame and keeps the caller's trace
+	// ID. Past the depth limit the call is served normally, just without a
+	// subtree — the cycle guard for mutually mounted nodes.
 	var span *obs.Span
-	if ss.peerTrace && f.TraceID != "" && s.TraceMaxDepth > 0 {
-		if f.Depth > s.TraceMaxDepth {
+	if ss.peerTrace && c.traceID != "" && s.TraceMaxDepth > 0 {
+		if c.depth > s.TraceMaxDepth {
 			s.traceDroppedDepth.Inc()
 		} else {
-			span = obs.NewSpan("serve "+f.Domain+":"+f.Function, ctx.Clock.Now())
+			span = obs.NewSpan("serve "+c.call.Domain+":"+c.call.Function, ctx.Clock.Now())
 			span.SetTag("node", s.NodeName)
+			span.SetTraceID(c.traceID)
 			ctx.Span = span
-			ctx.TraceID = f.TraceID
-			ctx.TraceDepth = f.Depth
+			ctx.TraceDepth = c.depth
 		}
 	}
 	serveStart := ctx.Clock.Now()
-	stream, err := s.reg.Call(ctx, domain.Call{Domain: f.Domain, Function: f.Function, Args: f.args})
+	stream, err := s.reg.Call(ctx, c.call)
 	if err != nil {
 		fail(err)
 		return
@@ -440,15 +469,22 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 	sentFirst := false
 	produced := 0
 	var tFirst time.Duration
-	var values []byte // the open frame's answer list, grown from empty
+	list := answerLists.Get().(*[]byte)
+	values := (*list)[:0] // the open frame's answer list
+	defer func() {
+		if cap(values) <= maxKeptLine {
+			*list = values[:0]
+			answerLists.Put(list)
+		}
+	}()
 	inFrame := 0
 	flush := func(done bool) bool {
-		ok := ss.send(kindAnswers, &Frame{Op: OpAnswers, ID: f.ID, Done: done}, values)
+		ok := ss.send(kindAnswers, &Frame{Op: OpAnswers, ID: c.id, Done: done}, &frameBody{values: values})
 		values, inFrame = values[:0], 0
 		return ok
 	}
 	for {
-		if cctx.Err() != nil {
+		if ctx.Context.Err() != nil {
 			return // cancelled: abort the domain stream, send nothing
 		}
 		v, ok, err := stream.Next()
@@ -465,7 +501,7 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 				now := ctx.Clock.Now()
 				span.SetActual(obs.Cost{TFirst: tFirst, TAll: now - serveStart, Card: float64(produced)})
 				span.End(now)
-				s.sendTrace(ss, f.ID, span)
+				s.sendTrace(ss, c.id, span)
 			}
 			flush(true)
 			return
@@ -491,19 +527,20 @@ func (s *Server) serveCall(ss *serverSession, f frameIn, cctx context.Context) {
 	}
 }
 
-// sendTrace encodes the serve span subtree within the configured byte
-// budget (pruning depth-first, tagging truncation) and queues it as the
-// call's trace frame, to leave in one write with the done frame after it.
+// sendTrace queues the serve span subtree as the call's trace frame, to
+// leave in one write with the done frame after it. The subtree is encoded
+// straight into the frame within the configured byte budget (pruning
+// depth-first, tagging truncation); a root that alone exceeds it ships no
+// frame.
 func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
-	payload, truncated, ok := obs.TruncateSpanJSON(span.Snapshot(), s.TraceMaxSubtreeBytes)
-	if !ok {
-		return
-	}
-	if truncated {
-		s.traceTruncated.Inc()
-	}
-	if err := ss.out.queue(&Frame{Op: OpTrace, ID: id, Trace: payload}, nil, nil); err != nil {
+	d := span.Snapshot()
+	b := frameBody{span: &d, spanMax: s.TraceMaxSubtreeBytes}
+	switch err := ss.out.queue(&Frame{Op: OpTrace, ID: id}, &b); {
+	case errors.Is(err, errNoTrace):
+	case err != nil:
 		s.noteSendError(kindTrace, ss.conn.RemoteAddr(), err)
+	case b.truncated:
+		s.traceTruncated.Inc()
 	}
 }
 

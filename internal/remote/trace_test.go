@@ -1,8 +1,12 @@
 package remote
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,5 +245,123 @@ func TestDebugSnapshot(t *testing.T) {
 	if _, err := cb.DebugSnapshot(2 * time.Second); err == nil ||
 		!strings.Contains(err.Error(), "not configured") {
 		t.Errorf("unconfigured node: err = %v", err)
+	}
+}
+
+// idDomain records the trace ID of every call it serves.
+type idDomain struct {
+	mu  sync.Mutex
+	ids []string
+}
+
+func (*idDomain) Name() string { return "ids" }
+func (*idDomain) Functions() []domain.FuncSpec {
+	return []domain.FuncSpec{{Name: "get", Arity: 0}}
+}
+func (d *idDomain) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
+	d.mu.Lock()
+	d.ids = append(d.ids, ctx.Span.TraceID())
+	d.mu.Unlock()
+	return domain.NewSliceStream([]term.Value{term.Int(1)}), nil
+}
+
+// TestTraceIDOncePerQuery: the remote calls of one query carry one trace
+// ID, minted at the origin by the first of them and forwarded by every
+// hop; another query carries another.
+func TestTraceIDOncePerQuery(t *testing.T) {
+	ids := &idDomain{}
+	_, addrC := startServerCfg(t, func(s *Server) { s.NodeName = "node-c" }, ids)
+	mountC := NewClient(addrC, "ids")
+	defer mountC.Close()
+	_, addrB := startServerCfg(t, func(s *Server) { s.NodeName = "node-b" }, mountC)
+	c := NewClient(addrB, "ids")
+	defer c.Close()
+
+	tracer := obs.NewTracer(nil)
+	query := func(calls int) string {
+		root := tracer.StartQuery("?- q.", 0)
+		for i := 0; i < calls; i++ {
+			ctx := domain.NewCtx(vclock.NewWall())
+			ctx.Span = root.Child("call ids:get()", 0)
+			st, err := c.Call(ctx, "get", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := domain.Collect(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return root.TraceID()
+	}
+	first, second := query(2), query(1)
+	ids.mu.Lock()
+	defer ids.mu.Unlock()
+	if len(ids.ids) != 3 {
+		t.Fatalf("node-c served %d calls, want 3", len(ids.ids))
+	}
+	if len(first) != 16 || ids.ids[0] != first || ids.ids[1] != first {
+		t.Errorf("one query's calls reached node-c with trace IDs %q and %q, want its own %q", ids.ids[0], ids.ids[1], first)
+	}
+	if second == first || ids.ids[2] != second {
+		t.Errorf("the second query's call carries %q, want its own %q (the first query's is %q)", ids.ids[2], second, first)
+	}
+}
+
+// randomSpan grows under s a span tree whose names and tags hold what the
+// JSON encoders must escape: HTML characters, U+2028/U+2029, control
+// characters, quotes and invalid UTF-8.
+func randomSpan(rng *rand.Rand, s *obs.Span, depth int) {
+	pieces := []string{"a", "serve ", "<", ">", "&", "\u2028", "\u2029", "\xff", "\xe2\x80", "\"", "\\", "\n", "\x00", "é", "😀"}
+	text := func() string {
+		var b strings.Builder
+		for n := rng.Intn(6); n >= 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		s.SetTag(text(), text())
+	}
+	if rng.Intn(2) == 0 {
+		s.SetActual(obs.Cost{TFirst: time.Duration(rng.Int63n(1e6)), TAll: time.Duration(rng.Int63n(1e9)), Card: rng.NormFloat64() * 1e3})
+	}
+	for n := rng.Intn(4); depth > 0 && n > 0; n-- {
+		c := s.Child(text(), time.Duration(rng.Int63n(1e9)))
+		randomSpan(rng, c, depth-1)
+		c.End(2e9)
+	}
+}
+
+// TestTrustedTraceFrameMatchesAppendRaw: a trace frame whose subtree obs
+// encodes straight into the frame is byte for byte the frame the checked
+// path writes from the same subtree's payload, with a byte budget or
+// without one.
+func TestTrustedTraceFrameMatchesAppendRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		root := obs.NewSpan("serve <&>\u2028\xff", 0)
+		randomSpan(rng, root, 3)
+		root.End(3e9)
+		d := root.Snapshot()
+		budget := 0
+		if i%2 == 1 {
+			budget = 64 + rng.Intn(512)
+		}
+		payload, _, ok := obs.AppendSpanJSONWithin(nil, d, budget)
+		b := frameBody{span: &d, spanMax: budget}
+		trusted, err := appendFrameBody([]byte("prefix"), &Frame{Op: OpTrace, ID: uint64(i + 1)}, &b)
+		if !ok {
+			if !errors.Is(err, errNoTrace) {
+				t.Fatalf("tree %d: no encoding within %d bytes, but the trusted path says %v", i, budget, err)
+			}
+			continue
+		}
+		checked, cerr := appendFrame([]byte("prefix"), &Frame{Op: OpTrace, ID: uint64(i + 1), Trace: payload}, nil, nil)
+		if err != nil || cerr != nil {
+			t.Fatalf("tree %d: trusted err %v, checked err %v", i, err, cerr)
+		}
+		if !bytes.Equal(trusted, checked) {
+			t.Fatalf("tree %d:\ntrusted %s\nchecked %s", i, trusted, checked)
+		}
 	}
 }

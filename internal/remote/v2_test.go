@@ -350,7 +350,8 @@ func TestSendErrorsLoggedAndCounted(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	ss := &serverSession{srv: srv, conn: server, out: frameWriter{w: failingWriter{}}, calls: map[uint64]context.CancelFunc{}}
+	ss := newServerSession(srv, server)
+	ss.out.w = failingWriter{}
 	if ss.send(kindError, &Frame{Op: OpError, ID: 1, Err: "x"}, nil) {
 		t.Fatal("send on a broken writer should report failure")
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"errors"
 	"net"
 	"strings"
@@ -201,14 +200,14 @@ func TestFrameWriterStickyError(t *testing.T) {
 	bw := &blockingWriter{entered: make(chan struct{}), gate: make(chan struct{})}
 	w := &frameWriter{w: bw}
 	first := make(chan error, 1)
-	go func() { first <- w.write(&Frame{Op: OpAnswers, ID: 1}, nil, nil) }()
+	go func() { first <- w.write(&Frame{Op: OpAnswers, ID: 1}, nil) }()
 	<-bw.entered
-	if err := w.queue(&Frame{Op: OpTrace, ID: 2}, nil, nil); err != nil {
+	if err := w.queue(&Frame{Op: OpTrace, ID: 2}, nil); err != nil {
 		t.Fatalf("queue behind an in-flight write = %v, want nil", err)
 	}
 	// Behind the write in flight: queued, its sender waiting.
 	second := make(chan error, 1)
-	go func() { second <- w.write(&Frame{Op: OpAnswers, ID: 3}, nil, nil) }()
+	go func() { second <- w.write(&Frame{Op: OpAnswers, ID: 3}, nil) }()
 	pendingAtLeast(t, w, len(`{"op":"trace","id":2}`)+len(`{"op":"answers","id":3}`)+2)
 	close(bw.gate)
 	for _, ch := range []chan error{first, second} {
@@ -217,10 +216,10 @@ func TestFrameWriterStickyError(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.write(&Frame{Op: OpAnswers, ID: 4}, nil, nil); !errors.Is(err, errPeerGone) {
+		if err := w.write(&Frame{Op: OpAnswers, ID: 4}, nil); !errors.Is(err, errPeerGone) {
 			t.Errorf("write after the failure = %v, want %v", err, errPeerGone)
 		}
-		if err := w.queue(&Frame{Op: OpTrace, ID: 5}, nil, nil); !errors.Is(err, errPeerGone) {
+		if err := w.queue(&Frame{Op: OpTrace, ID: 5}, nil); !errors.Is(err, errPeerGone) {
 			t.Errorf("queue after the failure = %v, want %v", err, errPeerGone)
 		}
 	}
@@ -249,7 +248,7 @@ func TestFrameWriterSenderWritesOnlyItsBatch(t *testing.T) {
 	gw := &gatedWriter{gate: make(chan struct{})}
 	w := &frameWriter{w: gw}
 	echoed := make(chan error, 1)
-	go func() { echoed <- w.write(&Frame{Op: OpHeartbeat, ID: 1}, nil, nil) }()
+	go func() { echoed <- w.write(&Frame{Op: OpHeartbeat, ID: 1}, nil) }()
 	waitFor(t, "the echo's write", func() bool { return gw.calls.Load() == 1 })
 	stop := make(chan struct{})
 	flooded := make(chan struct{})
@@ -261,7 +260,7 @@ func TestFrameWriterSenderWritesOnlyItsBatch(t *testing.T) {
 				return
 			default:
 			}
-			if w.write(&Frame{Op: OpAnswers, ID: 2}, nil, nil) != nil {
+			if w.write(&Frame{Op: OpAnswers, ID: 2}, nil) != nil {
 				return
 			}
 		}
@@ -295,7 +294,7 @@ func TestFrameWriterQueueBounded(t *testing.T) {
 	const senders = 2 * maxPending / (32 << 10)
 	errs := make(chan error, senders)
 	for i := 0; i < senders; i++ {
-		go func() { errs <- w.write(big, nil, nil) }()
+		go func() { errs <- w.write(big, nil) }()
 	}
 	<-bw.entered
 	pendingAtLeast(t, w, maxPending)
@@ -329,15 +328,15 @@ func TestWriteQueueBoundedWhenPeerStopsReading(t *testing.T) {
 	srv.Logf = func(string, ...any) {}
 	client, server := net.Pipe() // Write blocks until the peer reads: it never does
 	defer client.Close()
-	ss := &serverSession{srv: srv, conn: server, out: frameWriter{w: server}, calls: map[uint64]context.CancelFunc{}}
+	ss := newServerSession(srv, server)
 	const calls = 3
 	var wg sync.WaitGroup
 	for id := uint64(1); id <= calls; id++ {
-		cctx, _ := ss.register(id)
+		c, _ := ss.register(&frameIn{Frame: Frame{Op: OpCall, ID: id, Domain: "trickle", Function: "gen"}})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.serveCall(ss, frameIn{Frame: Frame{Op: OpCall, ID: id, Domain: "trickle", Function: "gen"}}, cctx)
+			srv.serveCall(c)
 		}()
 	}
 	pendingAtLeast(t, &ss.out, 1)

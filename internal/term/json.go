@@ -264,7 +264,12 @@ func (r *JSONReader) Value() (Value, error) {
 		case "b":
 			v = Bool(b)
 		case "tu":
-			v = append(make(Tuple, 0, len(r.vals)-vmark), r.vals[vmark:]...)
+			t := Tuple{}
+			if n := len(r.vals) - vmark; n > 0 {
+				t = r.alloc(n)
+				copy(t, r.vals[vmark:])
+			}
+			v = t
 		case "r":
 			v = Record{fields: append(make([]Field, 0, len(r.fields)-fmark), r.fields[fmark:]...)}
 		default:

@@ -326,3 +326,70 @@ func foldedKey(v any, names ...string) bool {
 	}
 	return false
 }
+
+// TestTupleArenaAllocsPer: the tuples read from one text, and a list Keep
+// copies, share one allocation sized by the forms left in the text; each
+// tuple is capped, so appending to one never reaches its neighbour, and
+// Reset starts the next text on an arena of its own.
+func TestTupleArenaAllocsPer(t *testing.T) {
+	const k = 10
+	var want []Value
+	for i := 0; i < k; i++ {
+		want = append(want, Tuple{Int(i), Int(i + 1)}) // small ints box without allocating
+	}
+	text, err := AppendJSONs(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r JSONReader
+	var list [k]Value
+	var kept []Value
+	read := func() {
+		r.Reset(text)
+		vs := list[:0]
+		for more := r.Open('['); more; more = r.More(']') {
+			v, err := r.Value()
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, v)
+		}
+		kept = r.Keep(vs)
+	}
+	// One arena, and a slice header per tuple as it becomes a Value;
+	// with an array per tuple it was 2k.
+	if n := testing.AllocsPerRun(100, read); n != k+1 {
+		t.Errorf("reading %d tuples allocates %v times, want %d", k, n, k+1)
+	}
+	for i := range want {
+		if !Equal(kept[i], want[i]) {
+			t.Fatalf("value %d = %v, want %v", i, kept[i], want[i])
+		}
+	}
+	first := kept[0].(Tuple)
+	_ = append(first, Int(99))
+	if !Equal(kept[1], want[1]) {
+		t.Errorf("appending to one tuple changed its neighbour: %v", kept[1])
+	}
+	before := &kept[0]
+	read()
+	if &kept[0] == before || !Equal(first, want[0]) {
+		t.Error("the next text reused the arena of the last")
+	}
+
+	// Text the form count misses, spaced as encoding/json may space it,
+	// still fills its arenas by doubling, in a few allocations.
+	spaced := bytes.ReplaceAll(text, []byte(`{"t":`), []byte(`{ "t" :`))
+	var r2 JSONReader
+	n := testing.AllocsPerRun(100, func() {
+		r2.Reset(spaced)
+		for more := r2.Open('['); more; more = r2.More(']') {
+			if _, err := r2.Value(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > k+4 {
+		t.Errorf("reading %d spaced tuples allocates %v times, want at most %d", k, n, k+4)
+	}
+}

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"unicode"
@@ -27,6 +28,11 @@ type JSONReader struct {
 	// reading, one stack across nesting levels.
 	vals   []Value
 	fields []Field
+	// arena holds the element arrays of the tuples Value reads and the
+	// lists Keep copies: one allocation, sized by the value forms left in
+	// the text, serves them all. Reset drops it rather than reuse it, so a
+	// value read from one text retains at most that text's arena.
+	arena []Value
 }
 
 // maxJSONDepth is encoding/json's nesting limit.
@@ -34,7 +40,48 @@ const maxJSONDepth = 10000
 
 // Reset starts reading data.
 func (r *JSONReader) Reset(data []byte) {
-	r.data, r.pos, r.depth, r.err, r.text = data, 0, 0, nil, r.text[:0]
+	r.data, r.pos, r.depth, r.err, r.text, r.arena = data, 0, 0, nil, r.text[:0], nil
+}
+
+// valueMark opens every value form AppendJSON writes. A JSON string
+// cannot hold it unescaped, so counting it in a text counts the forms
+// there, unless a peer wrote them in another key order or spacing.
+var valueMark = []byte(`{"t":`)
+
+// arenaWindow bounds the text one arena is sized for, and arenaDoubling
+// the arena that doubling the last one gives, so an arena retains a
+// bounded share of a long text.
+const (
+	arenaWindow   = 64 << 10
+	arenaDoubling = 4 << 10
+)
+
+// alloc returns n slots of the arena, capped so that appending to them
+// never reaches a neighbour's. An arena without room is replaced by one
+// sized for n, one more slot for the value the caller is building, and
+// every form left in the next arenaWindow bytes — or, if larger, twice
+// the old one up to arenaDoubling, so that text the count misses (other
+// key orders or spacing) still takes few allocations and few counts.
+func (r *JSONReader) alloc(n int) []Value {
+	if cap(r.arena)-len(r.arena) < n {
+		rest := r.data[r.pos:min(len(r.data), r.pos+arenaWindow)]
+		r.arena = make([]Value, 0, max(n+1+bytes.Count(rest, valueMark), min(2*cap(r.arena), arenaDoubling)))
+	}
+	i := len(r.arena)
+	r.arena = r.arena[:i+n]
+	return r.arena[i : i+n : i+n]
+}
+
+// Keep returns a copy of vs in the arena of the text being read, which
+// needs no allocation of its own when the arena has room: a frame decoder
+// keeps the values list it read that way.
+func (r *JSONReader) Keep(vs []Value) []Value {
+	if len(vs) == 0 {
+		return nil
+	}
+	kept := r.alloc(len(vs))
+	copy(kept, vs)
+	return kept
 }
 
 func (r *JSONReader) fail(format string, args ...any) {
