@@ -356,12 +356,12 @@ func TestObserverMetrics(t *testing.T) {
 	if got := o.Counter("hermes_admission_shed_total").Value(); got != 1 {
 		t.Fatalf("shed = %d, want 1", got)
 	}
-	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != 2 {
+	if got := o.Metrics.Gauge("hermes_admission_inflight_lanes").Value(); got != 2 {
 		t.Fatalf("inflight gauge = %v, want 2", got)
 	}
 	a.Close()
 	b.Close()
-	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != 0 {
+	if got := o.Metrics.Gauge("hermes_admission_inflight_lanes").Value(); got != 0 {
 		t.Fatalf("inflight gauge after close = %v, want 0", got)
 	}
 }
@@ -399,10 +399,10 @@ func TestExportedFamiliesEqualStats(t *testing.T) {
 			t.Errorf("%s = %d, Stats says %d (and the workload must move it)", name, got, want)
 		}
 	}
-	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != float64(st.Occupancy) || got != 1 {
+	if got := o.Metrics.Gauge("hermes_admission_inflight_lanes").Value(); got != float64(st.Occupancy) || got != 1 {
 		t.Errorf("inflight gauge = %g, Stats says %d, want 1", got, st.Occupancy)
 	}
-	if got := o.Histogram("hermes_admission_wait_ms").Count(); got != 1 {
+	if got := o.Metrics.Histogram("hermes_admission_wait_ms").Count(); got != 1 {
 		t.Errorf("hermes_admission_wait_ms count = %d, want 1 (the queued session)", got)
 	}
 	second.Close()

@@ -572,8 +572,8 @@ func (m *Manager) serve(ctx *domain.Ctx, call domain.Call, key string, e *Entry,
 		// not outlive the outage as exact.
 		m.invalidate(key)
 	}
-	if src != SourceCacheExact && ctx.Span != nil {
-		ctx.Span.SetTag("serving", e.Call.String())
+	if src != SourceCacheExact {
+		ctx.Span.SetTagFrom("serving", &e.Call)
 	}
 	m.credit(ctx, call, e, inv, src == SourceCacheExact || src == SourceCacheEquality)
 	if src == SourceCachePartial {

@@ -255,7 +255,7 @@ func (m *Manager) actualStream(ctx *domain.Ctx, call domain.Call, key string) (*
 			ctx.Span.SetTag("singleflight", shared)
 			note(ctx, key, false)
 			if shared == "shared-equality" {
-				ctx.Span.SetTag("serving", f.call.String())
+				ctx.Span.SetTagFrom("serving", &f.call)
 				note(ctx, f.key, false)
 			}
 			return &flightReader{f: f, ctx: ctx}, nil

@@ -442,7 +442,7 @@ func TestFlightLastReaderEarlyCloseStoresIncomplete(t *testing.T) {
 		t.Fatalf("entry = %+v (found %v), want an incomplete entry", e, ok)
 	}
 	wantVals(t, "stored answers", e.Answers, "x", "y")
-	if got := o.Gauge("hermes_cim_inflight_calls").Value(); got != 0 {
+	if got := o.Metrics.Gauge("hermes_cim_inflight_calls").Value(); got != 0 {
 		t.Fatalf("hermes_cim_inflight_calls = %v after the flight ended, want 0", got)
 	}
 
@@ -488,7 +488,7 @@ func TestFlightCloseDuringPullDefersSourceClose(t *testing.T) {
 	if got := src.closes.Load(); got != 0 {
 		t.Fatalf("source closed %d times under a running Next", got)
 	}
-	if got := o.Gauge("hermes_cim_inflight_calls").Value(); got != 1 {
+	if got := o.Metrics.Gauge("hermes_cim_inflight_calls").Value(); got != 1 {
 		t.Fatalf("hermes_cim_inflight_calls = %v during the deferred close, want 1", got)
 	}
 	d.step <- struct{}{}
@@ -505,7 +505,7 @@ func TestFlightCloseDuringPullDefersSourceClose(t *testing.T) {
 	if n := src.nexts.Load(); n != 1 {
 		t.Fatalf("source Next called %d times, want 1", n)
 	}
-	if g := o.Gauge("hermes_cim_inflight_calls").Value(); g != 0 {
+	if g := o.Metrics.Gauge("hermes_cim_inflight_calls").Value(); g != 0 {
 		t.Fatalf("hermes_cim_inflight_calls = %v, want 0", g)
 	}
 	e, ok := m.Lookup(c)
@@ -622,7 +622,7 @@ func TestFlightLeaderSetupFailureFollowerRetries(t *testing.T) {
 	if st := m.Stats(); st.SingleFlightShares != 0 {
 		t.Fatalf("SingleFlightShares = %d, want 0 (a failed flight shares nothing)", st.SingleFlightShares)
 	}
-	if g := o.Gauge("hermes_cim_inflight_calls").Value(); g != 0 {
+	if g := o.Metrics.Gauge("hermes_cim_inflight_calls").Value(); g != 0 {
 		t.Fatalf("hermes_cim_inflight_calls = %v, want 0", g)
 	}
 }

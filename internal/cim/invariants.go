@@ -3,7 +3,6 @@ package cim
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"hermes/internal/domain"
 	"hermes/internal/invindex"
@@ -146,7 +145,7 @@ func (m *Manager) findCandidate(ctx *domain.Ctx, c *invariant, o orientation, th
 // tagCandidates shows on the call's span how many invariants the
 // discrimination index returned to a probe.
 func tagCandidates(ctx *domain.Ctx, candidates int) {
-	ctx.Span.SetTag("invindex.candidates", strconv.Itoa(candidates))
+	ctx.Span.SetTagInt("invindex.candidates", candidates)
 }
 
 // mostRecent prefers the entry used last: an equality hit's pick.

@@ -17,7 +17,6 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/lang"
-	"hermes/internal/obs"
 )
 
 // ExactKey is the ledger attribution key for exact cache hits (hits
@@ -161,9 +160,7 @@ func (m *Manager) credit(ctx *domain.Ctx, call domain.Call, e *Entry, inv *lang.
 	var saved time.Duration
 	if withSavings {
 		saved = m.avoidedCost(call, e)
-		if ctx.Span != nil {
-			ctx.Span.SetTag("cim.saved_ms", obs.FormatMillis(saved))
-		}
+		ctx.Span.SetTagMillis("cim.saved_ms", saved)
 	}
 	e.hits.Add(1)
 	e.savedNS.Add(int64(saved))

@@ -138,10 +138,10 @@ func TestExportedFamiliesEqualStats(t *testing.T) {
 	if st.Evictions == 0 || st.DegradedServes == 0 {
 		t.Errorf("the workload must evict and serve degraded: %+v", st)
 	}
-	if got, want := o.Gauge("hermes_cim_entries").Value(), float64(m.Len()); got != want || want == 0 {
+	if got, want := o.Metrics.Gauge("hermes_cim_entries").Value(), float64(m.Len()); got != want || want == 0 {
 		t.Errorf("hermes_cim_entries = %g, Len = %g", got, want)
 	}
-	if got, want := o.Gauge("hermes_cim_bytes").Value(), float64(m.Bytes()); got != want || want == 0 {
+	if got, want := o.Metrics.Gauge("hermes_cim_bytes").Value(), float64(m.Bytes()); got != want || want == 0 {
 		t.Errorf("hermes_cim_bytes = %g, Bytes = %g", got, want)
 	}
 	if got, want := o.Counter("hermes_cim_saved_ms_total").Value(), m.Ledger().Total.Milliseconds(); got != want {

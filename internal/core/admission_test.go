@@ -151,7 +151,7 @@ func TestAdmissionBoundsConcurrentSessions(t *testing.T) {
 	if st.Shed != 0 {
 		t.Errorf("wait policy shed %d sessions", st.Shed)
 	}
-	if got := o.Gauge("hermes_admission_inflight_lanes").Value(); got != 0 {
+	if got := o.Metrics.Gauge("hermes_admission_inflight_lanes").Value(); got != 0 {
 		t.Errorf("inflight gauge = %v after drain", got)
 	}
 }

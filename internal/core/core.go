@@ -14,7 +14,6 @@ import (
 	"io"
 	"maps"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -483,7 +482,7 @@ func (s *System) QueryTraced(query string, interactive bool) (*engine.Cursor, er
 func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool) (*engine.Cursor, error) {
 	root := s.Obs.StartQuery(strings.TrimSpace(query), ctx.Clock.Now())
 	if lease, ok := ctx.Sched.Lease().(*admission.Lease); ok {
-		root.SetTag("admission.wait_ms", vclock.Millis(lease.Waited()))
+		root.SetTagInt("admission.wait_ms", int(lease.Waited().Milliseconds()))
 	}
 
 	rw := root.Child("rewrite", ctx.Clock.Now())
@@ -494,7 +493,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 		root.End(ctx.Clock.Now())
 		return nil, err
 	}
-	rw.SetTag("plans", strconv.Itoa(len(plans)))
+	rw.SetTagInt("plans", len(plans))
 	rw.End(ctx.Clock.Now())
 
 	pc := root.Child("plan-choice", ctx.Clock.Now())
@@ -526,25 +525,25 @@ func (s *System) choose(pc *obs.Span, plans []*rewrite.Plan, interactive bool) (
 	}
 	for i, p := range plans {
 		if p == best {
-			pc.SetTag("chosen", strconv.Itoa(i+1))
+			pc.SetTagInt("chosen", i+1)
 		}
 	}
-	pc.SetTag("plan", best.QueryLine())
+	pc.SetTagFrom("plan", rewrite.QueryLine{Plan: best})
 	pc.SetEstimate(cv)
 	if inflated {
 		// The winning estimate carries q-error (or cold-start) inflation:
 		// record the largest factor applied to any of its calls.
-		pc.SetTag("cal.inflate", obs.FormatFixed(detail.MaxInflation, 2))
+		pc.SetTagFixed("cal.inflate", detail.MaxInflation, 2)
 	}
 	if detail.MemoHits > 0 {
-		pc.SetTag("memo.est_hits", strconv.Itoa(detail.MemoHits))
+		pc.SetTagInt("memo.est_hits", detail.MemoHits)
 	}
 	// Was the winning plan ranked on trustworthy numbers? Grade the
 	// cost-model calibration of every function the plan can call.
 	grade, worst := s.DCSM.Calibration().PlanGrade(best.Functions())
 	pc.SetTag("calibration", grade)
 	if grade != "cold" {
-		pc.SetTag("calibration.qerr", obs.FormatFixed(worst, 2))
+		pc.SetTagFixed("calibration.qerr", worst, 2)
 	}
 	return best, cv, nil
 }

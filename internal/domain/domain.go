@@ -82,13 +82,14 @@ func (c Call) AppendKey(dst []byte) []byte {
 const CallBuf = 128
 
 // String renders the call in source syntax.
-func (c Call) String() string { return c.Prefixed("") }
-
-// Prefixed returns prefix followed by c.String(), built in one buffer.
-func (c Call) Prefixed(prefix string) string {
+func (c Call) String() string {
 	var buf [CallBuf]byte
-	dst := append(append(buf[:0], prefix...), c.Domain...)
-	dst = append(append(dst, ':'), c.Function...)
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends c.String() to dst.
+func (c Call) AppendTo(dst []byte) []byte {
+	dst = append(append(append(dst, c.Domain...), ':'), c.Function...)
 	dst = append(dst, '(')
 	for i, a := range c.Args {
 		if i > 0 {
@@ -96,7 +97,7 @@ func (c Call) Prefixed(prefix string) string {
 		}
 		dst = term.AppendString(dst, a)
 	}
-	return string(append(dst, ')'))
+	return append(dst, ')')
 }
 
 // PatternArg is one argument of a call pattern: either a known constant or

@@ -171,18 +171,19 @@ func TestCIMCallInFillAllocsPer(t *testing.T) {
 // TestServedCallAllocsPer: what one traced call costs from evalInCall
 // through its last answer to close, on an engine and a CIM that price
 // calls with a DCSM (the span's estimate, the ledger's avoided cost) and
-// feed it the direct route's measurement. An exact hit allocates 9: the
-// args, the span, its name, its tags and its two costs, the cim.saved_ms
-// text, the served stream and the engine's one record for the call. An
-// equality hit adds the key string, the serving call's name and the tags'
-// growth past four; the invariant's other side is grounded and keyed on
-// the stack (it was 13 while that probe built a []term.Value and a key
-// string). The direct call drops the hit's text and stream; the test
-// source makes a stream and an answer slice.
+// feed it the direct route's measurement. An exact hit allocates 3: the
+// args, the served stream and the engine's one record for the call; its
+// span is a record in the query's tree, whose chunks of four spans and
+// eight tags the calls share, and its name, tags and costs are rendered
+// only when the tree is read. An equality hit adds the key string and a
+// tree's share of its three more tags; the invariant's other side is
+// grounded and keyed on the stack. The direct call drops the hit's
+// stream; the test source makes a stream and an answer slice.
 //
-// Before the call became one record these were 16, 20 and 15: a context
-// copy for the span, a span stream and a bind stream beside the source's
-// stream, a measured stream on the direct route, a key string, a
+// While each span was an object with its own name, tags and costs these
+// were 9, 12 and 9; before the call became one record, 16, 20 and 15: a
+// context copy for the span, a span stream and a bind stream beside the
+// source's stream, a measured stream on the direct route, a key string, a
 // *cim.Response and a per-answer closure per hit, and a domain.Pattern
 // each for the span's estimate and the ledger's avoided cost.
 func TestServedCallAllocsPer(t *testing.T) {
@@ -218,9 +219,9 @@ func TestServedCallAllocsPer(t *testing.T) {
 		query string
 		max   float64
 	}{
-		{"?- in(X, d:f('a')).", 9},  // exact hit
-		{"?- in(X, d:g('a')).", 12}, // equality hit through the invariant
-		{"?- in(X, e:h('a')).", 9},  // direct call, measured into the DCSM
+		{"?- in(X, d:f('a')).", 3}, // exact hit
+		{"?- in(X, d:g('a')).", 5}, // equality hit through the invariant
+		{"?- in(X, e:h('a')).", 4}, // direct call, measured into the DCSM
 	} {
 		q, err := lang.ParseQuery(tc.query)
 		if err != nil {

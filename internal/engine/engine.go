@@ -214,7 +214,7 @@ func (c *Cursor) finish(complete bool) {
 		c.metrics.TFirst = c.metrics.TAll
 	}
 	c.metrics.Complete = complete
-	c.span.SetTag("answers", strconv.Itoa(c.metrics.Answers))
+	c.span.SetTagInt("answers", c.metrics.Answers)
 	c.span.SetTag("complete", strconv.FormatBool(complete))
 	c.span.SetActual(obs.Cost{
 		TFirst: c.metrics.TFirst,
@@ -245,12 +245,13 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 	start := ctx.Clock.Now()
 	span := ctx.Span
 	if span == nil && e.obs != nil {
-		span = e.obs.StartQuery(plan.QueryLine(), start)
+		span = e.obs.StartQuery("", start)
+		span.SetName(rewrite.QueryLine{Plan: plan})
 		ctx = ctx.WithSpan(span)
 	}
 	e.queries.Inc()
 	if n := ctx.Sched.Limit(); n > 1 {
-		span.SetTag("parallel", strconv.Itoa(n))
+		span.SetTagInt("parallel", n)
 	}
 	ctx.Clock.Sleep(e.cfg.QueryInit)
 	rc := (&compiler{plan: plan, parallel: ctx.Sched.Limit() > 1}).rule(plan.Query, "")

@@ -198,7 +198,8 @@ func (e *Engine) openCallStream(ctx *domain.Ctx, l *lang.InCall, route rewrite.R
 	cs := &callStream{eng: e, ctx: *ctx, lit: l, args: args, issuedAt: ctx.Clock.Now()}
 	call := cs.call()
 	if ctx.Span != nil {
-		cs.span = ctx.Span.Child(call.Prefixed("call "), cs.issuedAt)
+		cs.span = ctx.Span.Child("", cs.issuedAt)
+		cs.span.SetName(cs)
 		cs.span.SetTag("route", route.String())
 		if e.estimate != nil {
 			if cv, ok := e.estimate(call); ok {
@@ -281,6 +282,12 @@ type callStream struct {
 	spanDone  bool
 	measuring bool // the direct route, until its measurement is reported
 	closed    bool
+}
+
+// AppendTo names the call span: "call " and the call. The literal and the
+// args it renders do not change once the record is made.
+func (cs *callStream) AppendTo(dst []byte) []byte {
+	return cs.call().AppendTo(append(dst, "call "...))
 }
 
 // call is the domain call the record serves.

@@ -60,9 +60,11 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term
 	res := e.memo.Probe(mkey)
 	if res.Entry != nil {
 		now := ctx.Clock.Now()
-		span := ctx.Span.Child("memo "+lc.key.String(), now)
-		span.SetTag("memo", "hit")
-		span.SetTag("memo.saved_ms", obs.FormatMillis(res.Entry.Cost.TAll))
+		ms := &memoServeStream{eng: e, ctx: ctx, lc: lc, f: f, entry: res.Entry}
+		ms.span = ctx.Span.Child("", now)
+		ms.span.SetName(ms)
+		ms.span.SetTag("memo", "hit")
+		ms.span.SetTagMillis("memo.saved_ms", res.Entry.Cost.TAll)
 		// An enclosing fill inherits the entry's inputs: its relation now
 		// depends on the same domain calls.
 		if note := ctx.CallNote; note != nil {
@@ -70,7 +72,7 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term
 				note(in, false)
 			}
 		}
-		return &memoServeStream{eng: e, ctx: ctx, lc: lc, f: f, entry: res.Entry, span: span}, true
+		return ms, true
 	}
 	// Miss: evaluate normally, recording tuples and domain calls. The
 	// CallNote chain keeps any outer fill observing too.
@@ -100,6 +102,13 @@ type memoServeStream struct {
 	span  *obs.Span
 	idx   int
 	done  bool
+}
+
+// AppendTo names the memo span: "memo " and the occurrence's key, which
+// does not change.
+func (m *memoServeStream) AppendTo(dst []byte) []byte {
+	dst = append(append(append(dst, "memo "...), m.lc.key.Pred...), '^')
+	return append(dst, m.lc.key.Adorn...)
 }
 
 func (m *memoServeStream) next() (bool, error) {

@@ -37,7 +37,6 @@ package engine
 import (
 	"context"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -115,6 +114,11 @@ type parallelUnion struct {
 	wg      sync.WaitGroup
 }
 
+// AppendTo names the union's span: "union " and the predicate.
+func (u *parallelUnion) AppendTo(dst []byte) []byte {
+	return append(append(dst, "union "...), u.lc.key.Pred...)
+}
+
 // newParallelUnion tries to set up a parallel union over the
 // occurrence's rules; it returns nil when the scheduler grants no extra
 // lane (the caller then uses the sequential atomStream). There must be at
@@ -124,12 +128,14 @@ func newParallelUnion(o occurrence) *parallelUnion {
 	if extra == 0 {
 		return nil
 	}
-	span := o.ctx.Span.Child("union "+o.lc.key.Pred, o.ctx.Clock.Now())
-	span.SetTag("parallel", strconv.Itoa(extra+1))
 	u := &parallelUnion{
-		occurrence: o, base: slices.Clone(o.f), span: span,
+		occurrence: o, base: slices.Clone(o.f),
 		lanes: make([]unionLane, extra+1), ordered: !vclock.IsReal(o.ctx.Clock),
 	}
+	span := o.ctx.Span.Child("", o.ctx.Clock.Now())
+	span.SetName(u)
+	span.SetTagInt("parallel", extra+1)
+	u.span = span
 	u.cond = sync.NewCond(&u.mu)
 	gctx, cancel := context.WithCancel(parentContext(o.ctx))
 	u.cancel = cancel
@@ -339,7 +345,7 @@ func (e *Engine) newStage(ctx *domain.Ctx, rc *ruleCode, f term.Frame) *stage {
 		cancel: cancel,
 	}
 	logs := make([]spool.Log[term.Value], extra) // one allocation for every level's spool
-	ctx.Span.SetTag("parallel", strconv.Itoa(extra+1))
+	ctx.Span.SetTagInt("parallel", extra+1)
 	for i := 1; i <= extra; i++ {
 		level := rc.indep[i]
 		lc := &rc.lits[level]

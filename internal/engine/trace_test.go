@@ -277,7 +277,7 @@ func TestQueryLatencyHistograms(t *testing.T) {
 		name string
 		sum  float64
 	}{{"hermes_query_tfirst_ms", tfirst}, {"hermes_query_tall_ms", tall}} {
-		got := o.Histogram(h.name)
+		got := o.Metrics.Histogram(h.name)
 		if got.Count() != 3 || got.Sum() != h.sum {
 			t.Errorf("%s count %d sum %g, want 3 queries summing %g", h.name, got.Count(), got.Sum(), h.sum)
 		}

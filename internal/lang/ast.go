@@ -37,11 +37,32 @@ func (a *Atom) String() string {
 	if len(a.Args) == 0 {
 		return a.Pred
 	}
-	parts := make([]string, len(a.Args))
-	for i, t := range a.Args {
-		parts[i] = t.String()
+	var buf [renderBuf]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends a.String() to dst.
+func (a *Atom) AppendTo(dst []byte) []byte {
+	dst = append(dst, a.Pred...)
+	if len(a.Args) == 0 {
+		return dst
 	}
-	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
+	return append(appendTerms(append(dst, '('), a.Args), ')')
+}
+
+// renderBuf is the stack buffer a literal renders into before its one copy
+// into a string.
+const renderBuf = 128
+
+// appendTerms appends ts, comma-separated.
+func appendTerms(dst []byte, ts []term.Term) []byte {
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = t.AppendTo(dst)
+	}
+	return dst
 }
 
 // Vars appends the variables of the atom to dst.
@@ -61,11 +82,14 @@ type CallTemplate struct {
 
 // String renders the call template.
 func (c *CallTemplate) String() string {
-	parts := make([]string, len(c.Args))
-	for i, t := range c.Args {
-		parts[i] = t.String()
-	}
-	return c.Domain + ":" + c.Function + "(" + strings.Join(parts, ", ") + ")"
+	var buf [renderBuf]byte
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends c.String() to dst.
+func (c *CallTemplate) AppendTo(dst []byte) []byte {
+	dst = append(append(append(dst, c.Domain...), ':'), c.Function...)
+	return append(appendTerms(append(dst, '('), c.Args), ')')
 }
 
 // Vars appends the variables of the call arguments to dst.
@@ -87,7 +111,14 @@ type InCall struct {
 
 // String renders the literal.
 func (l *InCall) String() string {
-	return "in(" + l.Out.String() + ", " + l.Call.String() + ")"
+	var buf [renderBuf]byte
+	return string(l.AppendTo(buf[:0]))
+}
+
+// AppendTo appends l.String() to dst.
+func (l *InCall) AppendTo(dst []byte) []byte {
+	dst = append(l.Out.AppendTo(append(dst, "in("...)), ", "...)
+	return append(l.Call.AppendTo(dst), ')')
 }
 
 // Vars appends the variables of the literal to dst.
@@ -105,7 +136,14 @@ type Comparison struct {
 
 // String renders the comparison infix.
 func (c *Comparison) String() string {
-	return c.Left.String() + " " + c.Op.String() + " " + c.Right.String()
+	var buf [renderBuf]byte
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends c.String() to dst.
+func (c *Comparison) AppendTo(dst []byte) []byte {
+	dst = append(append(append(c.Left.AppendTo(dst), ' '), c.Op.String()...), ' ')
+	return c.Right.AppendTo(dst)
 }
 
 // Vars appends the variables of the comparison to dst.
@@ -132,6 +170,7 @@ func (c *Comparison) Holds(f term.Frame, l, r term.Slot) (bool, error) {
 // Comparison.
 type Literal interface {
 	String() string
+	AppendTo(dst []byte) []byte
 	Vars(dst []string) []string
 	literal()
 }

@@ -64,10 +64,10 @@ func TestExportedFamiliesEqualStats(t *testing.T) {
 			t.Errorf("%s did not move: the workload must exercise it", name)
 		}
 	}
-	if got, want := o.Gauge("hermes_memo_entries").Value(), float64(c.Len()); got != want || want == 0 {
+	if got, want := o.Metrics.Gauge("hermes_memo_entries").Value(), float64(c.Len()); got != want || want == 0 {
 		t.Errorf("hermes_memo_entries = %g, Len = %g", got, want)
 	}
-	if got, want := o.Gauge("hermes_memo_bytes").Value(), float64(c.Bytes()); got != want || want == 0 {
+	if got, want := o.Metrics.Gauge("hermes_memo_bytes").Value(), float64(c.Bytes()); got != want || want == 0 {
 		t.Errorf("hermes_memo_bytes = %g, Bytes = %g", got, want)
 	}
 }

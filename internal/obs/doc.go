@@ -27,6 +27,17 @@
 //     the paper's cost triple of time-to-first-answer, time-to-all-answers
 //     and cardinality.
 //
+// A query's trace is stored as flat records owned by its root: span and
+// tag records in fixed-size chunks behind one lock per tree, children and
+// tags linked by index. A value set as a number (SetTagInt, SetTagMillis,
+// SetTagFixed) or an Appender (SetName, SetTagFrom) is kept as one and
+// rendered when the tree is first read; an appender must not change for
+// the tree's life. A string is kept as given. The first Snapshot of an
+// ended tree builds it once, into one node array, one tag array, one cost
+// array and one string; later snapshots share that build until a write to
+// an ended span invalidates it. Kept means copied out: nothing a flight
+// record, a federated subtree or a caller keeps points into the records.
+//
 // All timestamps are execution-clock readings (time.Duration since clock
 // zero), so traces of simulated runs replay deterministically. The package
 // imports only the standard library; every layer of the system can depend

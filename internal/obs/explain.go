@@ -79,18 +79,6 @@ func appendMillis(dst []byte, d time.Duration) []byte {
 
 func millis(d time.Duration) string { return string(appendMillis(nil, d)) }
 
-// FormatMillis returns what AppendMillis appends, as a span tag value.
-func FormatMillis(d time.Duration) string {
-	var buf [24]byte
-	return string(AppendMillis(buf[:0], d))
-}
-
-// FormatFixed returns what AppendFixed appends, as a span tag value.
-func FormatFixed(f float64, prec int) string {
-	var buf [24]byte
-	return string(AppendFixed(buf[:0], f, prec))
-}
-
 // AppendMillis appends d in milliseconds with one decimal, byte for byte
 // what strconv.AppendFloat(dst, float64(d)/1e6, 'f', 1, 64) appends. Below
 // 2⁵³ ns the quotient's rounding error is under a nanosecond, so rounding

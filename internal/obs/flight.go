@@ -75,6 +75,22 @@ func (f *FlightRecorder) Record(d SpanData) {
 	})
 }
 
+// skips reports whether a query that took d is under the threshold, and
+// then counts it as offered and skipped; a nil recorder keeps nothing.
+func (f *FlightRecorder) skips(d time.Duration) bool {
+	if f == nil {
+		return true
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.threshold > 0 && d < f.threshold {
+		f.seq++
+		f.skipped++
+		return true
+	}
+	return false
+}
+
 // Records returns the retained flight records, newest first.
 func (f *FlightRecorder) Records() []FlightRecord {
 	if f == nil {

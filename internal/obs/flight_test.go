@@ -38,6 +38,23 @@ func TestFlightRecorderThreshold(t *testing.T) {
 	}
 }
 
+// TestFlightThresholdBeforeSnapshot: a query under the slow-query
+// threshold is counted and skipped before its tree is snapshotted, so
+// publishing it allocates nothing.
+func TestFlightThresholdBeforeSnapshot(t *testing.T) {
+	f := NewFlightRecorder(8, time.Second)
+	tr := NewTracer(f)
+	root := tr.StartQuery("?- fast.", 0)
+	root.Child("call d:f()", 0).End(time.Millisecond)
+	root.End(2 * time.Millisecond)
+	if n := testing.AllocsPerRun(100, func() { tr.publish(root) }); n != 0 {
+		t.Errorf("publishing a fast tree allocates %v times, want 0", n)
+	}
+	if offered, skipped := f.Stats(); offered != 102 || skipped != 102 || len(f.Records()) != 0 {
+		t.Errorf("stats = %d offered, %d skipped, %d kept; want 102, 102, 0", offered, skipped, len(f.Records()))
+	}
+}
+
 func TestFlightRecorderEvictionOldestFirst(t *testing.T) {
 	f := NewFlightRecorder(3, 0)
 	for i := 0; i < 5; i++ {

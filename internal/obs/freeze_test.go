@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -259,7 +260,19 @@ func sameChildren(a, b SpanData) bool {
 	return len(a.Children) > 0 && len(b.Children) > 0 && &a.Children[0] == &b.Children[0]
 }
 
+// TestSpanTreeAllocsPerRun gates what a trace costs. Measured (go1.24,
+// linux/amd64): building tenSpanTree allocates 11 times (the root with its
+// first tags, three chunks of span records and two of tag records with a
+// directory each, and the test's three names), its first Snapshot 3 more
+// (nodes, tags, costs) and every later one nothing. The first two tags of
+// a root live in its own allocation; the next eight take one chunk.
 func TestSpanTreeAllocsPerRun(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { tenSpanTree() }); n > 11 && !raceEnabled {
+		t.Errorf("building a 10-span tree allocates %v times, want <= 11", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tenSpanTree().Snapshot() }); n > 11+3 && !raceEnabled {
+		t.Errorf("building and snapshotting a 10-span tree allocates %v times, want <= 14", n)
+	}
 	root := tenSpanTree()
 	root.Snapshot()
 	if n := testing.AllocsPerRun(100, func() { root.Snapshot() }); n != 0 {
@@ -279,12 +292,55 @@ func TestSpanTreeAllocsPerRun(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		s := fresh[i]
 		i++
-		s.SetTag("a", "1")
-		s.SetTag("b", "2")
+		s.SetTagInt("a", 1)
+		s.SetTagMillis("b", 2*time.Millisecond)
+	}); n != 0 {
+		t.Errorf("two new tags on a root allocate %v times, want 0", n)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(100, func() {
+		s := fresh[i]
+		i++
 		s.SetTag("c", "3")
-		s.SetTag("d", "4")
-	}); n != 1 {
-		t.Errorf("four new tags allocate %v times, want 1 in total", n)
+		s.SetTagFixed("d", 4, 2)
+		s.SetTag("e", "5")
+	}); n != 2 {
+		t.Errorf("three more tags allocate %v times, want 2 (a chunk and its directory)", n)
+	}
+}
+
+// line is an Appender for tests.
+type line string
+
+func (l line) AppendTo(dst []byte) []byte { return append(dst, l...) }
+
+// TestTypedValuesRenderAtFirstRead: numbers and appenders render as the
+// strings callers used to format, when the tree is first read, and a
+// write to the ended tree reaches the next snapshot only.
+func TestTypedValuesRenderAtFirstRead(t *testing.T) {
+	root := NewSpan("?- q.", 0)
+	call := root.Child("", time.Millisecond)
+	call.SetName(line("call d:f('x')"))
+	call.SetTagInt("n", -42)
+	call.SetTagMillis("saved_ms", 231249*time.Microsecond)
+	call.SetTagFixed("q", 1.455, 2)
+	call.SetTagFrom("plan", line("?- CIM[in(X, d:f('x'))]."))
+	call.SetTag("route", "cim")
+	call.SetTagFrom("nil", nil)
+	call.End(2 * time.Millisecond)
+	root.End(3 * time.Millisecond)
+	d := root.Snapshot()
+	want := "?- q.  (3.0ms)\n└─ call d:f('x')  n=-42  nil=  plan=?- CIM[in(X, d:f('x'))].  q=" +
+		strconv.FormatFloat(1.455, 'f', 2, 64) + "  route=cim  saved_ms=231.2  (1.0ms)\n"
+	if got := Explain(d); got != want {
+		t.Errorf("EXPLAIN =\n%s\nwant\n%s", got, want)
+	}
+	call.SetTagInt("n", 7)
+	if got := root.Snapshot().Children[0].Tag("n"); got != "7" {
+		t.Errorf("a late write reads %q, want 7", got)
+	}
+	if got := d.Children[0].Tag("n"); got != "-42" {
+		t.Errorf("a late write changed a snapshot handed out: n=%s", got)
 	}
 }
 

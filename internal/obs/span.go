@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"slices"
-	"sync"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -26,62 +24,80 @@ func (c Cost) String() string {
 	return fmt.Sprintf("[Tf=%dms Ta=%dms Card=%.2f]", c.TFirst.Milliseconds(), c.TAll.Milliseconds(), c.Card)
 }
 
+// Appender renders a value, a span's name or a tag's, onto dst. A span
+// keeps the appender it is given and calls it when its tree is first read,
+// under the tree's lock: an appender must not change for as long as the
+// tree lives, and must not call the tree's spans.
+type Appender interface{ AppendTo(dst []byte) []byte }
+
 // Span is one node of a query trace: a named, clock-stamped interval with
-// string outcome tags (cim=exact, breaker=open, ...), optional estimated
-// and actual cost vectors, and child spans. Spans are safe for concurrent
-// use and every method is nil-receiver safe, so instrumented code can
-// thread a possibly-nil span without conditionals.
+// outcome tags (cim=exact, breaker=open, ...), optional estimated and
+// actual cost vectors, and child spans. Spans are safe for concurrent use
+// and every method is nil-receiver safe, so instrumented code can thread a
+// possibly-nil span without conditionals.
 //
-// Once a span and everything under it has ended, the first Snapshot
-// freezes the subtree: its SpanData is built once and handed out by every
-// later Snapshot. A write to an ended span moves the tree's generation
-// on, which un-freezes the span and every ancestor frozen with it.
+// A Span is a record in its tree's storage (see tree): a value set as a
+// number or an Appender stays one until the tree is first read, and a
+// string is kept as given.
 //
 // A snapshot lists children by start time, and same-instant children by
 // the rank of the Lane that opened them, then in the order they were
 // opened: a tree timed on a virtual clock renders the same on every run.
 type Span struct {
-	mu       sync.Mutex
-	name     string
-	start    time.Duration
-	end      time.Duration
-	tags     Tags // once ended, shared with the SpanData handed out
-	est      *Cost
-	actual   *Cost
-	children []*Span
-	foreign  []SpanData    // stitched remote subtrees, rendered after children
-	kids     []SpanData    // the Children handed out while frozen
-	root     *Span         // the tree's root (a root's is itself); a Lane handle's span
-	top      *rootState    // on a root: what only the root keeps
-	gen      atomic.Uint64 // on the root: writes to ended spans of the tree
-	frozenAt uint64        // the generation, plus one, kids was built at
-	ended    bool
-	handle   bool   // s is a Lane handle
-	lane     uint32 // sibling rank; children opened through s inherit it
+	tr          *tree
+	name        string
+	nameA       Appender // renders the name instead, when set
+	start, end  time.Duration
+	est, actual Cost
+	id          int32 // this record's index in its tree
+	kids, next  int32 // newest child, next older sibling (0: none; the root is no child)
+	tags        int32 // 1 + the newest tag record (0: none)
+	lane        uint32
+	flags       uint8
 }
 
-// rootState is what a root span keeps beyond a Span: the Tracer that
-// started it, to which End publishes, and the tree's federated trace ID.
-// A root and its rootState are one allocation (rootSpan), so the spans
-// under it stay in their smaller size class.
-type rootState struct {
-	tracer  *Tracer
-	traceID string // guarded by the root's mu
-}
-
-type rootSpan struct {
-	Span
-	state rootState
-}
+const (
+	ended uint8 = 1 << iota
+	hasEst
+	hasActual
+	hasForeign
+	handle // a Lane handle: kids is the span it stands for
+)
 
 // NewSpan opens a standalone root span outside any tracer: ending it
 // publishes nothing. The remote server uses it for per-call serve spans
 // that travel back to the caller in a trace frame rather than entering the
 // server's own /debug/queries ring.
 func NewSpan(name string, at time.Duration) *Span {
-	r := &rootSpan{Span: Span{name: name, start: at}}
-	r.root, r.top = &r.Span, &r.state
-	return &r.Span
+	tr := new(tree)
+	tr.open = 1
+	s := tr.newSpan()
+	s.name, s.start = name, at
+	return s
+}
+
+// lock locks s's tree and returns the span s stands for: itself, or a
+// Lane handle's span.
+func (s *Span) lock() *Span {
+	s.tr.mu.Lock()
+	if s.flags&handle != 0 {
+		return s.tr.span(s.kids)
+	}
+	return s
+}
+
+// write runs f on the span s stands for, under the tree's lock; a write
+// to an ended span invalidates the tree's build.
+func (s *Span) write(f func(t *Span)) {
+	if s == nil {
+		return
+	}
+	t := s.lock()
+	f(t)
+	if t.flags&ended != 0 {
+		s.tr.gen++
+	}
+	s.tr.mu.Unlock()
 }
 
 // TraceID returns the federated trace ID of s's tree: the one SetTraceID
@@ -91,15 +107,15 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	root := s.target().root
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	if root.top.traceID == "" {
+	tr := s.tr
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.traceID == "" {
 		var b [8]byte
 		rand.Read(b[:])
-		root.top.traceID = hex.EncodeToString(b[:])
+		tr.traceID = hex.EncodeToString(b[:])
 	}
-	return root.top.traceID
+	return tr.traceID
 }
 
 // SetTraceID makes id the trace ID of s's tree: a served call's span tree
@@ -108,10 +124,9 @@ func (s *Span) SetTraceID(id string) {
 	if s == nil {
 		return
 	}
-	root := s.target().root
-	root.mu.Lock()
-	root.top.traceID = id
-	root.mu.Unlock()
+	s.tr.mu.Lock()
+	s.tr.traceID = id
+	s.tr.mu.Unlock()
 }
 
 // Lane returns a handle on s for the concurrent branch of launch rank r
@@ -122,134 +137,136 @@ func (s *Span) Lane(r int) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{root: s.target(), handle: true, lane: s.lane<<8 | uint32(r+1)}
-}
-
-// target is the span s stands for: itself, or a Lane handle's span.
-func (s *Span) target() *Span {
-	if s != nil && s.handle {
-		return s.root
-	}
-	return s
-}
-
-// write runs f on s's target t under t's lock. A write to an ended span
-// may contradict a frozen tree: it moves the generation on, which
-// un-freezes t and its ancestors for every Snapshot that starts after the
-// writer returns.
-func (s *Span) write(f func(t *Span)) {
-	t := s.target()
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	f(t)
-	if t.ended {
-		t.root.gen.Add(1)
-	}
-	t.mu.Unlock()
+	t := s.lock()
+	h := s.tr.newSpan()
+	h.flags, h.kids, h.lane = handle, t.id, s.lane<<8|uint32(r+1)
+	s.tr.mu.Unlock()
+	return h
 }
 
 // Child opens a sub-span starting at execution-clock reading at. On a nil
 // span it returns nil (tracing off).
-func (s *Span) Child(name string, at time.Duration) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{name: name, start: at, root: s.target().root, lane: s.lane}
-	s.write(func(t *Span) { t.children = append(t.children, c) })
+func (s *Span) Child(name string, at time.Duration) (c *Span) {
+	s.write(func(p *Span) {
+		c = p.tr.newSpan()
+		c.name, c.start, c.lane = name, at, s.lane
+		c.next, p.kids = p.kids, c.id
+		p.tr.open++
+	})
 	return c
 }
 
-// SetTag records an outcome tag. Later values overwrite earlier ones.
-func (s *Span) SetTag(k, v string) {
-	s.write(func(t *Span) {
-		if t.ended {
-			t.tags = slices.Clone(t.tags) // handed-out SpanData keep the old ones
-		}
-		t.tags = t.tags.set(k, v)
-	})
+// SetName names s by what a renders.
+func (s *Span) SetName(a Appender) { s.write(func(t *Span) { t.nameA = a }) }
+
+// SetTag records an outcome tag. Later values overwrite earlier ones. A
+// tree holds a key as its index among the keys interned for the life of
+// the process, so keys are the outcome names of the call sites, not data.
+func (s *Span) SetTag(k, v string) { s.setTag(k, tagRec{v: v}, nil) }
+
+// SetTagInt records an integer tag, rendered in decimal.
+func (s *Span) SetTagInt(k string, v int) { s.setTag(k, tagRec{n: uint64(v), kind: tagInt}, nil) }
+
+// SetTagMillis records a duration tag, rendered as AppendMillis does.
+func (s *Span) SetTagMillis(k string, d time.Duration) {
+	s.setTag(k, tagRec{n: uint64(d), kind: tagMillis}, nil)
+}
+
+// SetTagFixed records a number tag, rendered as AppendFixed does with
+// prec (at most 255) decimals.
+func (s *Span) SetTagFixed(k string, f float64, prec int) {
+	s.setTag(k, tagRec{n: math.Float64bits(f), kind: tagFixed, prec: uint8(prec)}, nil)
+}
+
+// SetTagFrom records a tag whose value a renders.
+func (s *Span) SetTagFrom(k string, a Appender) { s.setTag(k, tagRec{kind: tagApp}, a) }
+
+func (s *Span) setTag(k string, v tagRec, a Appender) {
+	if s == nil {
+		return
+	}
+	v.key = keyOf(k)
+	s.write(func(t *Span) { t.tr.setTag(t, v, a) })
 }
 
 // SetEstimate attaches the planner's estimated cost vector.
-func (s *Span) SetEstimate(c Cost) { s.write(func(t *Span) { t.est = &c }) }
+func (s *Span) SetEstimate(c Cost) {
+	s.write(func(t *Span) { t.est, t.flags = c, t.flags|hasEst })
+}
 
 // SetActual attaches the measured cost vector.
-func (s *Span) SetActual(c Cost) { s.write(func(t *Span) { t.actual = &c }) }
+func (s *Span) SetActual(c Cost) {
+	s.write(func(t *Span) { t.actual, t.flags = c, t.flags|hasActual })
+}
 
 // AttachForeign grafts an already-snapshotted subtree — a remote peer's
 // serve span, rebased onto this clock — under s. Snapshot renders foreign
 // subtrees after the locally opened children. Nil-receiver safe.
 func (s *Span) AttachForeign(d SpanData) {
-	s.write(func(t *Span) { t.foreign = append(t.foreign, d) })
+	s.write(func(t *Span) {
+		t.tr.foreign = &foreignSub{span: t.id, d: d, next: t.tr.foreign}
+		t.flags |= hasForeign
+	})
 }
 
 // End closes the span at execution-clock reading at. Ending a span twice
 // is a no-op; ending a root span publishes its snapshot to the Tracer.
 func (s *Span) End(at time.Duration) {
-	s = s.target()
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
+	t, tr := s.lock(), s.tr
+	if t.flags&ended != 0 {
+		tr.mu.Unlock()
 		return
 	}
-	s.ended = true
-	s.end = at
-	s.mu.Unlock()
-	if s.top != nil && s.top.tracer != nil {
-		s.top.tracer.publish(s)
+	t.flags |= ended
+	t.end = at
+	tr.open--
+	tr.mu.Unlock()
+	if t.id == 0 && tr.tracer != nil {
+		tr.tracer.publish(t)
 	}
 }
 
-// Snapshot returns the span tree as immutable data for rendering. A
-// still-open span snapshots with End == Start, and a tree holding one is
-// rebuilt on every call; a tree that has wholly ended is built by the
-// first call and shared by every later one, so a SpanData is read-only.
+// Snapshot returns the span tree under s as immutable data for rendering.
+// A still-open span snapshots with End == Start.
+//
+// The root's tree is built once, in a fixed set of allocations none of
+// which points into the tree's records (see tree.build), and every later
+// Snapshot of the wholly ended tree shares that build, so a SpanData is
+// read-only, until a write to an ended span invalidates it. A tree still
+// holding an open span is rebuilt per call, sharing the subtrees beside it
+// that had ended. A span under the root builds its own subtree afresh.
 func (s *Span) Snapshot() SpanData {
-	s = s.target()
 	if s == nil {
 		return SpanData{}
 	}
-	d, _ := s.snapshot(s.root.gen.Load() + 1)
-	return d
+	t, tr := s.lock(), s.tr
+	defer tr.mu.Unlock()
+	if t.id == 0 && tr.builtGen == tr.gen+1 && tr.pos == nil {
+		return tr.built[0]
+	}
+	b := builders.Get().(*builder)
+	defer b.release()
+	return tr.build(b, t, t.id == 0)
 }
 
-// snapshot returns s's subtree and whether all of it has ended, in which
-// case it is now frozen at generation gen; a write to an ended span during
-// the build moves the generation on, so the next call rebuilds. The lock
-// is held across the children (locks nest parent → child only), so
-// concurrent Snapshots of an ended tree wait for one build and share it.
-func (s *Span) snapshot(gen uint64) (SpanData, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := SpanData{Name: s.name, Start: s.start, End: s.end, Tags: s.tags, Est: s.est, Actual: s.actual}
-	if s.frozenAt == gen {
-		d.Children = s.kids
-		return d, true
+// WithSnapshot calls f with a snapshot of the tree under s that is built
+// for the call alone: f must keep nothing of it. The remote server encodes
+// a served call's tree into its trace frame so.
+func (s *Span) WithSnapshot(f func(SpanData)) {
+	if s == nil {
+		f(SpanData{})
+		return
 	}
-	all := s.ended
-	if !all {
-		d.End, d.Tags = s.start, slices.Clone(s.tags) // still being written
-	}
-	if n := len(s.children) + len(s.foreign); n > 0 {
-		d.Children = make([]SpanData, 0, n)
-		slices.SortStableFunc(s.children, func(a, b *Span) int {
-			// start and lane never change once a child is opened.
-			return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.lane, b.lane))
-		})
-		for _, c := range s.children {
-			cd, ok := c.snapshot(gen)
-			d.Children, all = append(d.Children, cd), all && ok
-		}
-		d.Children = append(d.Children, s.foreign...)
-	}
-	if all {
-		s.kids, s.frozenAt = d.Children, gen
-	}
-	return d, all
+	b := builders.Get().(*builder)
+	defer b.release()
+	b.scratch = true
+	t, tr := s.lock(), s.tr
+	d := tr.build(b, t, false)
+	tr.mu.Unlock()
+	f(d) // the build is b's, not the tree's
 }
 
 // SpanData is an immutable span-tree snapshot.
@@ -294,14 +311,17 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 	}
 	t.started.Add(1)
 	s := NewSpan(name, at)
-	s.top.tracer = t
+	s.tr.tracer = t
 	return s
 }
 
+// publish offers an ended root to the flight recorder, which takes a
+// snapshot only of a query it keeps.
 func (t *Tracer) publish(s *Span) {
-	d := s.Snapshot()
 	t.finished.Add(1)
-	t.flight.Record(d)
+	if !t.flight.skips(s.end - s.start) {
+		t.flight.Record(s.Snapshot())
+	}
 }
 
 // Counts returns how many query spans were started and finished.
@@ -354,14 +374,4 @@ func (o *Observer) Registry() *Registry {
 // Counter forwards to the registry (nil-safe; returns a no-op counter).
 func (o *Observer) Counter(name string, labels ...string) *Counter {
 	return o.Registry().Counter(name, labels...)
-}
-
-// Gauge forwards to the registry (nil-safe).
-func (o *Observer) Gauge(name string, labels ...string) *Gauge {
-	return o.Registry().Gauge(name, labels...)
-}
-
-// Histogram forwards to the registry (nil-safe).
-func (o *Observer) Histogram(name string, labels ...string) *Histogram {
-	return o.Registry().Histogram(name, labels...)
 }

@@ -83,8 +83,7 @@ func TestSpanConcurrentTagging(t *testing.T) {
 
 // TestTraceIDOncePerTree: a span tree has one trace ID, minted on first
 // use through any span of it; a served tree keeps the one its caller sent.
-// Only a root keeps the ID, so every other span stays in the 192-byte size
-// class.
+// Only a root keeps the ID; a span record stays within 192 bytes.
 func TestTraceIDOncePerTree(t *testing.T) {
 	root := NewTracer(nil).StartQuery("?- q.", 0)
 	leaf := root.Child("plan", 0).Lane(1).Child("call d:f()", 0)
@@ -105,6 +104,6 @@ func TestTraceIDOncePerTree(t *testing.T) {
 	}
 	var s Span
 	if n := unsafe.Sizeof(s); n > 192 {
-		t.Errorf("a Span is %d bytes, past the 192-byte size class", n)
+		t.Errorf("a span record is %d bytes, past 192", n)
 	}
 }

@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"hermes/internal/term"
@@ -106,11 +108,18 @@ func appendCostJSON(dst []byte, key string, c *Cost) ([]byte, error) {
 // span is checked as it is read, so a tree past MaxSpanDepth or
 // MaxSpanNodes, or an unnamed span, is rejected where it is reached, not
 // after the whole payload has been built.
+//
+// The tree comes back in the layout of a snapshot: one node array, one tag
+// array, one cost array and one string, none of which aliases b.
 func DecodeSpanJSON(b []byte) (SpanData, error) {
-	var s spanReader
+	s := spanReaders.Get().(*spanReader)
+	defer func() {
+		s.r.Reset(nil)
+		*s = spanReader{r: s.r, flat: s.flat[:0], tags: s.tags[:0], costs: s.costs[:0], text: s.text[:0], block: s.block[:0]}
+		spanReaders.Put(s)
+	}()
 	s.r.Reset(b)
-	var d SpanData
-	s.span(&d, 0)
+	s.span(-1, 0)
 	if s.err == nil {
 		if err := s.r.End(); err != nil {
 			s.err = fmt.Errorf("obs: span subtree: %w", err)
@@ -119,40 +128,73 @@ func DecodeSpanJSON(b []byte) (SpanData, error) {
 	if s.err != nil {
 		return SpanData{}, s.err
 	}
-	return d, nil
+	return s.batch(), nil
 }
 
-// spanReader reads one subtree. Syntax and type errors stick in r; a
-// validation error sticks in err.
+// spanReader reads one subtree into flat scratch, spans in the order read.
+// Syntax and type errors stick in r; a validation error sticks in err.
 type spanReader struct {
 	r     term.JSONReader
-	nodes int
 	err   error
+	flat  []flatSpan
+	tags  []flatTag
+	costs []Cost
+	text  []byte  // every name, key and value read, unescaped
+	block []int32 // batch's scratch: where each span's children start
 }
 
-// span reads one span, at nesting level depth, into d, counting it against
-// the limits before reading it and checking its fields after.
-func (s *spanReader) span(d *SpanData, depth int) {
+var spanReaders = sync.Pool{New: func() any { return new(spanReader) }}
+
+// textRange is a string read, as its bounds in spanReader.text.
+type textRange struct{ off, end int32 }
+
+type flatSpan struct {
+	start, end       time.Duration
+	name             textRange
+	parent, rank     int32 // the parent's index (-1: the root) and this span's place under it
+	kids             int32
+	tags             textRange // bounds in spanReader.tags
+	est, actual      int32     // 1 + index in spanReader.costs (0: none)
+	hasTags, hasKids bool      // set, so empty rather than nil
+}
+
+type flatTag struct{ k, v textRange }
+
+// keep copies a string read into the text.
+func (s *spanReader) keep(b []byte) textRange {
+	off := int32(len(s.text))
+	s.text = append(s.text, b...)
+	return textRange{off, int32(len(s.text))}
+}
+
+// span reads one span under parent, at nesting level depth, counting it
+// against the limits before reading it and checking its fields after.
+func (s *spanReader) span(parent int32, depth int) {
 	switch {
 	case depth > MaxSpanDepth:
 		s.err = fmt.Errorf("obs: span subtree deeper than %d", MaxSpanDepth)
 		return
-	case s.nodes >= MaxSpanNodes:
+	case len(s.flat) >= MaxSpanNodes:
 		s.err = fmt.Errorf("obs: span subtree larger than %d nodes", MaxSpanNodes)
 		return
 	}
-	s.nodes++
+	i := int32(len(s.flat))
+	s.flat = append(s.flat, flatSpan{parent: parent})
+	if parent >= 0 {
+		s.flat[i].rank = s.flat[parent].kids
+		s.flat[parent].kids++
+	}
 	if !s.r.Null() {
-		s.fields(d, depth)
+		s.fields(i, depth)
 	}
 	if s.err != nil || s.r.Err() != nil {
 		return
 	}
-	switch {
-	case d.Name == "":
+	switch f := &s.flat[i]; {
+	case f.name.off == f.name.end:
 		s.err = errors.New("obs: span subtree contains an unnamed span")
-	case d.End < d.Start:
-		s.err = fmt.Errorf("obs: span %q ends before it starts", d.Name)
+	case f.end < f.start:
+		s.err = fmt.Errorf("obs: span %q ends before it starts", s.text[f.name.off:f.name.end])
 	}
 }
 
@@ -175,8 +217,8 @@ func (s *spanReader) seenKey(seen *uint8, key []byte, keys []string) {
 	}
 }
 
-// fields reads a span object's members into d.
-func (s *spanReader) fields(d *SpanData, depth int) {
+// fields reads span i's members.
+func (s *spanReader) fields(i int32, depth int) {
 	r := &s.r
 	var seen uint8
 	for more := r.Open('{'); more && s.err == nil; more = r.More('}') {
@@ -189,22 +231,21 @@ func (s *spanReader) fields(d *SpanData, depth int) {
 		}
 		switch string(key) {
 		case "name":
-			d.Name = r.Str()
+			s.flat[i].name = s.keep(r.Text())
 		case "start":
-			d.Start = time.Duration(r.Int())
+			s.flat[i].start = time.Duration(r.Int())
 		case "end":
-			d.End = time.Duration(r.Int())
+			s.flat[i].end = time.Duration(r.Int())
 		case "tags":
-			d.Tags = readTags(r)
+			s.flat[i].tags, s.flat[i].hasTags = s.readTags(), true
 		case "est":
-			d.Est = s.cost()
+			s.flat[i].est = s.cost()
 		case "actual":
-			d.Actual = s.cost()
+			s.flat[i].actual = s.cost()
 		case "children":
-			d.Children = []SpanData{}
+			s.flat[i].hasKids = true
 			for more := r.Open('['); more && s.err == nil; more = r.More(']') {
-				d.Children = append(d.Children, SpanData{})
-				s.span(&d.Children[len(d.Children)-1], depth+1)
+				s.span(i, depth+1)
 			}
 		default:
 			r.Skip()
@@ -212,15 +253,37 @@ func (s *spanReader) fields(d *SpanData, depth int) {
 	}
 }
 
-// cost reads a Cost object.
-func (s *spanReader) cost() *Cost {
+// readTags reads a non-null tags object into one run of s.tags, sorted by
+// key, a repeated key keeping its last value, and returns the run's bounds.
+func (s *spanReader) readTags() textRange {
+	r, first := &s.r, len(s.tags)
+	for more := r.Open('{'); more; more = r.More('}') {
+		t := flatTag{k: s.keep(r.Key())}
+		if !r.Null() {
+			t.v = s.keep(r.Text())
+		}
+		i, found := slices.BinarySearchFunc(s.tags[first:], t.k, func(e flatTag, k textRange) int {
+			return bytes.Compare(s.text[e.k.off:e.k.end], s.text[k.off:k.end])
+		})
+		if found {
+			s.tags[first+i].v = t.v
+		} else {
+			s.tags = slices.Insert(s.tags, first+i, t)
+		}
+	}
+	return textRange{int32(first), int32(len(s.tags))}
+}
+
+// cost reads a Cost object and returns 1 + its index in s.costs.
+func (s *spanReader) cost() int32 {
 	r := &s.r
-	c := new(Cost)
+	s.costs = append(s.costs, Cost{})
+	c := &s.costs[len(s.costs)-1]
 	var seen uint8
 	for more := r.Open('{'); more; more = r.More('}') {
 		key := r.Key()
 		if s.seenKey(&seen, key, costKeys[:]); s.err != nil {
-			return c
+			break
 		}
 		if r.Null() {
 			continue
@@ -236,7 +299,59 @@ func (s *spanReader) cost() *Cost {
 			r.Skip()
 		}
 	}
-	return c
+	return int32(len(s.costs))
+}
+
+// batch lays the spans read out as a snapshot is: each span's children
+// one block of the node array, in pre-order of their parents. The root is
+// returned by value, so a lone span needs no node array.
+func (s *spanReader) batch() SpanData {
+	var root SpanData
+	var nodes []SpanData
+	if len(s.flat) > 1 {
+		nodes = make([]SpanData, len(s.flat)-1)
+	}
+	next := int32(0)
+	for _, f := range s.flat {
+		s.block = append(s.block, next)
+		next += f.kids
+	}
+	var tags []Tag
+	if len(s.tags) > 0 {
+		tags = make([]Tag, len(s.tags))
+	}
+	costs := slices.Clone(s.costs)
+	text := string(s.text)
+	str := func(t textRange) string { return text[t.off:t.end] }
+	for i, f := range s.flat {
+		d := &root
+		if f.parent >= 0 {
+			d = &nodes[s.block[f.parent]+f.rank]
+		}
+		d.Name, d.Start, d.End = str(f.name), f.start, f.end
+		if f.hasTags {
+			d.Tags = Tags{}
+			if f.tags.off < f.tags.end {
+				for j := f.tags.off; j < f.tags.end; j++ {
+					tags[j] = Tag{str(s.tags[j].k), str(s.tags[j].v)}
+				}
+				d.Tags = tags[f.tags.off:f.tags.end:f.tags.end]
+			}
+		}
+		if f.est > 0 {
+			d.Est = &costs[f.est-1]
+		}
+		if f.actual > 0 {
+			d.Actual = &costs[f.actual-1]
+		}
+		if f.hasKids {
+			d.Children = []SpanData{}
+			if at := s.block[i]; f.kids > 0 {
+				d.Children = nodes[at : at+f.kids : at+f.kids]
+			}
+		}
+	}
+	return root
 }
 
 // AppendSpanJSONWithin appends d's encoding in at most maxBytes, pruning

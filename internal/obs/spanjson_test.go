@@ -427,9 +427,11 @@ func TestDecodeSpanJSONAllocsPer(t *testing.T) {
 		}
 	})
 	t.Logf("DecodeSpanJSON: %.0f allocs", allocs)
-	// Measured 16 allocs (go1.24, linux/amd64); the bound allows 20 %.
-	if allocs > 19 {
-		t.Errorf("DecodeSpanJSON allocates %.0f times, want <= 19", allocs)
+	// Measured 4 allocs (go1.24, linux/amd64): the node, tag and cost
+	// arrays and the one string. 20 % more rounds down to the same bound.
+	// The race detector drops pooled scratch at random.
+	if allocs > 4 && !raceEnabled {
+		t.Errorf("DecodeSpanJSON allocates %.0f times, want <= 4", allocs)
 	}
 }
 

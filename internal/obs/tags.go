@@ -65,36 +65,19 @@ func (t Tags) appendJSON(dst []byte) []byte {
 // keeps its last value, a null value is "", a value of another type is an
 // error. null leaves t untouched, {} makes it empty.
 func (t *Tags) UnmarshalJSON(b []byte) error {
-	var r term.JSONReader
-	r.Reset(b)
-	if r.Null() {
-		return r.End()
+	var s spanReader
+	s.r.Reset(b)
+	if s.r.Null() {
+		return s.r.End()
 	}
-	out := readTags(&r)
-	if err := r.End(); err != nil {
+	run := s.readTags()
+	if err := s.r.End(); err != nil {
 		return err
+	}
+	text, out := string(s.text), make(Tags, 0, run.end-run.off)
+	for _, kv := range s.tags[run.off:run.end] {
+		out = append(out, Tag{text[kv.k.off:kv.k.end], text[kv.v.off:kv.v.end]})
 	}
 	*t = out
 	return nil
-}
-
-// readTags reads a non-null tags object.
-func readTags(r *term.JSONReader) Tags {
-	var t Tags
-	for more := r.Open('{'); more; more = r.More('}') {
-		k := string(r.Key())
-		v := ""
-		if !r.Null() {
-			v = r.Str()
-		}
-		if n := len(t); n == 0 || t[n-1].K < k {
-			t = append(t, Tag{k, v}) // in order, as encoded: sized to fit
-		} else {
-			t = t.set(k, v)
-		}
-	}
-	if t == nil {
-		t = Tags{}
-	}
-	return t
 }

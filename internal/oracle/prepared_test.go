@@ -61,14 +61,14 @@ func TestPreparedPlansMatchFresh(t *testing.T) {
 			switch {
 			case got[i].String() != want[i].String():
 				t.Fatalf("%s: plan %d:\n%s\nfresh:\n%s", q, i+1, got[i], want[i])
-			case got[i].QueryLine() != want[i].QueryLine():
-				t.Fatalf("%s: plan %d: query line %s, fresh %s", q, i+1, got[i].QueryLine(), want[i].QueryLine())
+			case string(got[i].AppendQueryLine(nil)) != string(want[i].AppendQueryLine(nil)):
+				t.Fatalf("%s: plan %d: query line %s, fresh %s", q, i+1, string(got[i].AppendQueryLine(nil)), string(want[i].AppendQueryLine(nil)))
 			case got[i].Fingerprint() != want[i].Fingerprint():
 				t.Fatalf("%s: plan %d: fingerprint %x, fresh %x", q, i+1, got[i].Fingerprint(), want[i].Fingerprint())
 			}
 		}
-		if pushed[q] && !strings.Contains(got[0].QueryLine(), "rel:equal(") {
-			t.Fatalf("%s: selection not pushed into the source: %s", q, got[0].QueryLine())
+		if pushed[q] && !strings.Contains(string(got[0].AppendQueryLine(nil)), "rel:equal(") {
+			t.Fatalf("%s: selection not pushed into the source: %s", q, string(got[0].AppendQueryLine(nil)))
 		}
 	}
 }

@@ -384,9 +384,9 @@ type callSlot struct {
 
 	mu     sync.Mutex
 	values []term.Value
-	trace  []byte // the call's trace frame payload
-	done   bool   // the server's done answers frame arrived
-	bad    error  // an answers frame carried a form that names no value
+	trace  peerTrace // the call's trace frame
+	done   bool      // the server's done answers frame arrived
+	bad    error     // an answers frame carried a form that names no value
 	// reply is the frame that ended the call otherwise: an error, a
 	// functions or debug reply, or an op a call does not expect.
 	reply *Frame
@@ -394,9 +394,31 @@ type callSlot struct {
 
 func newCallSlot() *callSlot { return &callSlot{ready: make(chan struct{}, 1)} }
 
+// peerTrace is a trace frame as the reader goroutine takes it off the
+// line, which the next frame overwrites: its payload's size, and the
+// subtree decoded, or why it is dropped.
+type peerTrace struct {
+	n    int           // payload bytes; 0: no trace frame
+	d    *obs.SpanData // nil when dropped
+	drop int           // why d is nil: a hermes_trace_malformed_total reason
+}
+
+// readTrace decodes a trace frame's payload within the client's budget.
+func (c *Client) readTrace(raw []byte) peerTrace {
+	t := peerTrace{n: len(raw), drop: traceOversize}
+	if max := c.maxForeignBytes(); len(raw) > 0 && (max <= 0 || len(raw) <= max) {
+		if d, err := obs.DecodeSpanJSON(raw); err == nil {
+			t.d = &d
+		} else {
+			t.drop = traceDecode
+		}
+	}
+	return t
+}
+
 // route files one frame. Nothing routes after the frame that ends the
 // call: a trace frame sent after done is never stitched.
-func (c *callSlot) route(in *frameIn) {
+func (c *callSlot) route(in *frameIn, cl *Client) {
 	c.mu.Lock()
 	if c.done || c.bad != nil || c.reply != nil {
 		c.mu.Unlock()
@@ -413,9 +435,10 @@ func (c *callSlot) route(in *frameIn) {
 		}
 		c.done = in.Done
 	case in.Op == OpTrace:
-		c.trace = in.Trace
+		c.trace = cl.readTrace(in.Trace)
 	default:
 		f := in.Frame
+		f.Trace = nil // it points into the line
 		c.reply = &f
 	}
 	c.mu.Unlock()
@@ -523,7 +546,7 @@ func (s *session) readLoop() {
 		c := s.calls[in.ID]
 		s.mu.Unlock()
 		if c != nil { // else the call finished while the frame was in transit
-			c.route(&in)
+			c.route(&in, s.c)
 		}
 	}
 }
@@ -620,7 +643,7 @@ func (s *muxStream) take() bool {
 	c := &s.slot
 	c.mu.Lock()
 	values, trace, done, bad, reply := c.values, c.trace, c.done, c.bad, c.reply
-	c.values, c.trace = nil, nil
+	c.values, c.trace = nil, peerTrace{}
 	c.mu.Unlock()
 	s.acceptTrace(trace)
 	s.pending = values
@@ -639,38 +662,29 @@ func (s *muxStream) take() bool {
 	default:
 		s.err = fmt.Errorf("remote: unexpected frame op %q on call %d", reply.Op, reply.ID)
 	}
-	return len(values) > 0 || trace != nil || done || s.err != nil
+	return len(values) > 0 || trace.n > 0 || done || s.err != nil
 }
 
 // acceptTrace stitches the server's serve subtree under the local call
-// span: validate, rebase onto this call's clock at issue time, split wire
-// time from remote compute, and feed the remote actual to the calibration
-// hook. Every failure mode (oversize, malformed) drops the subtree and
-// counts it — the call itself always succeeds with a local-only trace.
-func (s *muxStream) acceptTrace(raw []byte) {
-	if s.span == nil || !s.propagated || len(raw) == 0 {
+// span: rebase it onto this call's clock at issue time, split wire time
+// from remote compute, and feed the remote actual to the calibration hook.
+// A subtree dropped as oversize or malformed is counted and tagged — the
+// call itself always succeeds with a local-only trace.
+func (s *muxStream) acceptTrace(t peerTrace) {
+	if s.span == nil || !s.propagated || t.n == 0 {
 		return
 	}
-	s.c.traceForeignBytes.Add(int64(len(raw)))
-	if max := s.c.maxForeignBytes(); max > 0 && len(raw) > max {
-		s.c.traceMalformed[traceOversize].Inc()
-		s.span.SetTag("remote.trace", "oversize")
+	s.c.traceForeignBytes.Add(int64(t.n))
+	if t.d == nil {
+		s.c.traceMalformed[t.drop].Inc()
+		s.span.SetTag("remote.trace", [2]string{traceDecode: "malformed", traceOversize: "oversize"}[t.drop])
 		return
 	}
-	d, err := obs.DecodeSpanJSON(raw)
-	if err != nil {
-		s.c.traceMalformed[traceDecode].Inc()
-		s.span.SetTag("remote.trace", "malformed")
-		return
-	}
+	d := *t.d
 	stitched := d
 	if s.clock != nil {
 		elapsed := s.clock.Now() - s.issuedAt
-		if wire := elapsed - d.Duration(); wire > 0 {
-			s.span.SetTag("remote.wire_ms", obs.FormatMillis(wire))
-		} else {
-			s.span.SetTag("remote.wire_ms", "0.0")
-		}
+		s.span.SetTagMillis("remote.wire_ms", max(elapsed-d.Duration(), 0))
 		stitched = obs.RebaseSpan(d, s.issuedAt)
 	}
 	s.span.AttachForeign(stitched)

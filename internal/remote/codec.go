@@ -397,7 +397,8 @@ var frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "
 // It is stricter where encoding/json is lenient — a repeated key, a null
 // outside a listing, anything but whitespace after the frame are errors —
 // and matches keys exactly as spelled, where encoding/json also matches
-// them case-insensitively.
+// them case-insensitively. Trace is a slice of line, which the reader
+// reuses: the client decodes it before it reads the next frame.
 func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 	*in = frameIn{scratch: in.scratch}
 	r.Reset(line)
@@ -455,7 +456,7 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 				return err
 			}
 		case "trace":
-			in.Trace = bytes.Clone(r.Raw())
+			in.Trace = r.Raw() // the line's own bytes: read before the next frame
 		case "debug":
 			in.Debug = bytes.Clone(r.Raw())
 		default:

@@ -296,6 +296,11 @@ type serverCall struct {
 	cancel   context.CancelFunc
 }
 
+// AppendTo names the call's serve span: "serve domain:function".
+func (c *serverCall) AppendTo(dst []byte) []byte {
+	return append(append(append(append(dst, "serve "...), c.call.Domain...), ':'), c.call.Function...)
+}
+
 // send writes one frame with body b (nil: none), routing failures through
 // the send-error accounting. Concurrent per-call streams coalesce on the
 // writer.
@@ -452,7 +457,8 @@ func (s *Server) serveCall(c *serverCall) {
 		if c.depth > s.TraceMaxDepth {
 			s.traceDroppedDepth.Inc()
 		} else {
-			span = obs.NewSpan("serve "+c.call.Domain+":"+c.call.Function, ctx.Clock.Now())
+			span = obs.NewSpan("", ctx.Clock.Now())
+			span.SetName(c)
 			span.SetTag("node", s.NodeName)
 			span.SetTraceID(c.traceID)
 			ctx.Span = span
@@ -533,15 +539,16 @@ func (s *Server) serveCall(c *serverCall) {
 // depth-first, tagging truncation); a root that alone exceeds it ships no
 // frame.
 func (s *Server) sendTrace(ss *serverSession, id uint64, span *obs.Span) {
-	d := span.Snapshot()
-	b := frameBody{span: &d, spanMax: s.TraceMaxSubtreeBytes}
-	switch err := ss.out.queue(&Frame{Op: OpTrace, ID: id}, &b); {
-	case errors.Is(err, errNoTrace):
-	case err != nil:
-		s.noteSendError(kindTrace, ss.conn.RemoteAddr(), err)
-	case b.truncated:
-		s.traceTruncated.Inc()
-	}
+	span.WithSnapshot(func(d obs.SpanData) {
+		b := frameBody{span: &d, spanMax: s.TraceMaxSubtreeBytes}
+		switch err := ss.out.queue(&Frame{Op: OpTrace, ID: id}, &b); {
+		case errors.Is(err, errNoTrace):
+		case err != nil:
+			s.noteSendError(kindTrace, ss.conn.RemoteAddr(), err)
+		case b.truncated:
+			s.traceTruncated.Inc()
+		}
+	})
 }
 
 // serveDebug answers an OpDebug rollup request from the configured debug

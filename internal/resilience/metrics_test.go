@@ -85,7 +85,7 @@ func TestExportedFamiliesEqualMetrics(t *testing.T) {
 			t.Fatalf("call %d against the slow source succeeded", i)
 		}
 	}
-	if got := o.Gauge("hermes_breaker_state", "domain", "slow").Value(); got != 1 {
+	if got := o.Metrics.Gauge("hermes_breaker_state", "domain", "slow").Value(); got != 1 {
 		t.Errorf("hermes_breaker_state = %g with the breaker open, want 1", got)
 	}
 	slow.perCall = 0
@@ -93,7 +93,7 @@ func TestExportedFamiliesEqualMetrics(t *testing.T) {
 	if _, err := b.Call(ctx, "get", nil); err != nil {
 		t.Fatalf("probe after recovery: %v", err)
 	}
-	if got := o.Gauge("hermes_breaker_state", "domain", "slow").Value(); got != 0 {
+	if got := o.Metrics.Gauge("hermes_breaker_state", "domain", "slow").Value(); got != 0 {
 		t.Errorf("hermes_breaker_state = %g after recovery, want 0", got)
 	}
 	check(b, "hermes_call_timeouts_total", b.Metrics().Timeouts)

@@ -3,7 +3,6 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"hermes/internal/domain"
@@ -214,7 +213,7 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 			w.breaker.Record(ctx.Clock.Now(), true)
 			w.successes.Inc()
 			if attempt > 1 {
-				ctx.Span.SetTag("retries", strconv.Itoa(attempt-1))
+				ctx.Span.SetTagInt("retries", attempt-1)
 			}
 			return s, sctx, nil
 		}
@@ -320,7 +319,7 @@ func (s *resilientStream) Next() (term.Value, bool, error) {
 		}
 		s.resumes++
 		s.w.resumes.Inc()
-		s.parent.Span.SetTag("resumed", strconv.Itoa(s.resumes))
+		s.parent.Span.SetTagInt("resumed", s.resumes)
 		s.cur.Close()
 		// Re-issue through the full breaker/retry path. callRaw keeps the
 		// resume accounting here, at the top level: the fresh stream

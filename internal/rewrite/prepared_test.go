@@ -69,8 +69,8 @@ func samePlans(sys *core.System, cfg rewrite.Config, q string) error {
 		switch {
 		case got[i].String() != want[i].String():
 			return fmt.Errorf("plan %d:\n%s\nfresh:\n%s", i+1, got[i], want[i])
-		case got[i].QueryLine() != want[i].QueryLine():
-			return fmt.Errorf("plan %d: query line %s, fresh %s", i+1, got[i].QueryLine(), want[i].QueryLine())
+		case string(got[i].AppendQueryLine(nil)) != string(want[i].AppendQueryLine(nil)):
+			return fmt.Errorf("plan %d: query line %s, fresh %s", i+1, string(got[i].AppendQueryLine(nil)), string(want[i].AppendQueryLine(nil)))
 		case got[i].Fingerprint() != want[i].Fingerprint():
 			return fmt.Errorf("plan %d: fingerprint %x, fresh %x", i+1, got[i].Fingerprint(), want[i].Fingerprint())
 		}

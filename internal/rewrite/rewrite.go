@@ -169,34 +169,42 @@ func (p *Plan) Functions() [][2]string {
 	return out
 }
 
-// QueryLine renders the query statement alone: its literals in execution
-// order, CIM-routed calls marked. It is the line String starts with: a
-// string constant renders escaped, so the statement is one line.
-func (p *Plan) QueryLine() string {
-	parts := make([]string, len(p.Query.Order))
+// AppendQueryLine appends the query statement alone: its literals in
+// execution order, CIM-routed calls marked. It is the line String starts
+// with: a string constant renders escaped, so the statement is one line.
+func (p *Plan) AppendQueryLine(dst []byte) []byte {
+	dst = append(dst, "?- "...)
 	for i, bi := range p.Query.Order {
-		s := p.Query.Rule.Body[bi].String()
-		if p.Query.Routes[bi] == RouteCIM {
-			if _, isIn := p.Query.Rule.Body[bi].(*lang.InCall); isIn {
-				s = "CIM[" + s + "]"
-			}
+		if i > 0 {
+			dst = append(dst, " & "...)
 		}
-		parts[i] = s
+		l := p.Query.Rule.Body[bi]
+		if _, isIn := l.(*lang.InCall); isIn && p.Query.Routes[bi] == RouteCIM {
+			dst = append(l.AppendTo(append(dst, "CIM["...)), ']')
+		} else {
+			dst = l.AppendTo(dst)
+		}
 	}
-	return "?- " + strings.Join(parts, " & ") + "."
+	return append(dst, '.')
 }
+
+// QueryLine is a plan's query statement as a trace span keeps it, as its
+// name or a tag's value: rendered by AppendQueryLine when the trace is
+// first read. A plan does not change once built.
+type QueryLine struct{ Plan *Plan }
+
+// AppendTo appends the plan's query line.
+func (q QueryLine) AppendTo(dst []byte) []byte { return q.Plan.AppendQueryLine(dst) }
 
 // String renders the whole plan.
 func (p *Plan) String() string {
-	var b strings.Builder
-	b.WriteString(p.QueryLine())
-	b.WriteByte('\n')
+	b := append(p.AppendQueryLine(nil), '\n')
 	for _, key := range sortedKeys(p.Rules) {
 		for _, pr := range p.Rules[key] {
-			fmt.Fprintf(&b, "  %s  %s\n", key, pr)
+			b = fmt.Appendf(b, "  %s  %s\n", key, pr)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 func sortedKeys(m map[PredKey][]*PlanRule) []PredKey {

@@ -375,7 +375,8 @@ func TestPlanStringRendering(t *testing.T) {
 // TestQueryLineIsFirstLineOfString runs every plan of the corpus above —
 // access-equivalent and union predicates, in() literals in the query
 // itself, routed, unrouted and enumerated — through both renderings: the
-// plan-choice tag is QueryLine, and must read as String's first line does.
+// plan-choice tag is AppendQueryLine, and must read as String's first line
+// does, and as the literals' own String forms joined.
 func TestQueryLineIsFirstLineOfString(t *testing.T) {
 	const routed = `
 		v(X) :- in(X, avis:objects('rope')).
@@ -404,9 +405,20 @@ func TestQueryLineIsFirstLineOfString(t *testing.T) {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
 		for _, p := range plans {
-			full := p.String()
-			if first := full[:strings.IndexByte(full, '\n')]; p.QueryLine() != first {
-				t.Errorf("%s: QueryLine = %q, String starts %q", tc.query, p.QueryLine(), first)
+			full, line := p.String(), string(p.AppendQueryLine(nil))
+			if first := full[:strings.IndexByte(full, '\n')]; line != first {
+				t.Errorf("%s: AppendQueryLine = %q, String starts %q", tc.query, line, first)
+			}
+			// The literals' String forms, joined as the line once was.
+			parts := make([]string, len(p.Query.Order))
+			for i, bi := range p.Query.Order {
+				parts[i] = p.Query.Rule.Body[bi].String()
+				if _, isIn := p.Query.Rule.Body[bi].(*lang.InCall); isIn && p.Query.Routes[bi] == RouteCIM {
+					parts[i] = "CIM[" + parts[i] + "]"
+				}
+			}
+			if want := "?- " + strings.Join(parts, " & ") + "."; line != want {
+				t.Errorf("%s: AppendQueryLine = %q, its literals read %q", tc.query, line, want)
 			}
 		}
 	}

@@ -42,6 +42,18 @@ func (t Term) String() string {
 	return t.Var + "." + strings.Join(t.Path, ".")
 }
 
+// AppendTo appends t.String() to dst.
+func (t Term) AppendTo(dst []byte) []byte {
+	if t.IsConst() {
+		return AppendString(dst, t.Const)
+	}
+	dst = append(dst, t.Var...)
+	for _, p := range t.Path {
+		dst = append(append(dst, '.'), p...)
+	}
+	return dst
+}
+
 // Vars appends the variable of t (if any) to dst and returns it.
 func (t Term) Vars(dst []string) []string {
 	if t.Var != "" {
