@@ -70,7 +70,7 @@ const (
 // server's own /debug/queries ring.
 func NewSpan(name string, at time.Duration) *Span {
 	tr := new(tree)
-	tr.open = 1
+	tr.open, tr.nodes = 1, 1
 	s := tr.newSpan()
 	s.name, s.start = name, at
 	return s
@@ -95,7 +95,7 @@ func (s *Span) write(f func(t *Span)) {
 	t := s.lock()
 	f(t)
 	if t.flags&ended != 0 {
-		s.tr.gen++
+		s.tr.built, s.tr.pos = nil, nil
 	}
 	s.tr.mu.Unlock()
 }
@@ -152,6 +152,7 @@ func (s *Span) Child(name string, at time.Duration) (c *Span) {
 		c.name, c.start, c.lane = name, at, s.lane
 		c.next, p.kids = p.kids, c.id
 		p.tr.open++
+		p.tr.nodes++
 	})
 	return c
 }
@@ -190,13 +191,22 @@ func (s *Span) setTag(k string, v tagRec, a Appender) {
 }
 
 // SetEstimate attaches the planner's estimated cost vector.
-func (s *Span) SetEstimate(c Cost) {
-	s.write(func(t *Span) { t.est, t.flags = c, t.flags|hasEst })
-}
+func (s *Span) SetEstimate(c Cost) { s.setCost(c, hasEst) }
 
 // SetActual attaches the measured cost vector.
-func (s *Span) SetActual(c Cost) {
-	s.write(func(t *Span) { t.actual, t.flags = c, t.flags|hasActual })
+func (s *Span) SetActual(c Cost) { s.setCost(c, hasActual) }
+
+func (s *Span) setCost(c Cost, which uint8) {
+	s.write(func(t *Span) {
+		if t.flags&which == 0 {
+			t.tr.costs++
+		}
+		if t.flags |= which; which == hasEst {
+			t.est = c
+		} else {
+			t.actual = c
+		}
+	})
 }
 
 // AttachForeign grafts an already-snapshotted subtree — a remote peer's
@@ -206,6 +216,7 @@ func (s *Span) AttachForeign(d SpanData) {
 	s.write(func(t *Span) {
 		t.tr.foreign = &foreignSub{span: t.id, d: d, next: t.tr.foreign}
 		t.flags |= hasForeign
+		t.tr.nodes++
 	})
 }
 
@@ -244,7 +255,7 @@ func (s *Span) Snapshot() SpanData {
 	}
 	t, tr := s.lock(), s.tr
 	defer tr.mu.Unlock()
-	if t.id == 0 && tr.builtGen == tr.gen+1 && tr.pos == nil {
+	if t.id == 0 && tr.built != nil && tr.pos == nil {
 		return tr.built[0]
 	}
 	b := builders.Get().(*builder)
@@ -320,7 +331,7 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 func (t *Tracer) publish(s *Span) {
 	t.finished.Add(1)
 	if !t.flight.skips(s.end - s.start) {
-		t.flight.Record(s.Snapshot())
+		t.flight.keep(s.Snapshot())
 	}
 }
 

@@ -14,28 +14,28 @@ import (
 // one lock. Span and tag records sit in fixed-size chunks that are never
 // copied, so a *Span stays valid for the tree's life; the root and the
 // first tags live in the tree's own allocation. Children and tags are
-// linked by index, newest first. A write to an ended span moves gen on,
-// which invalidates the last build for every Snapshot that starts after
-// the writer returns.
+// linked by index, newest first. A write to an ended span drops the last
+// build for every Snapshot that starts after the writer returns.
 type tree struct {
 	mu      sync.Mutex
 	tracer  *Tracer // End of the root publishes to it
 	traceID string
-	gen     uint64
-	nspans  int32
+	nspans  int32 // records, Lane handles among them
 	ntags   int32
+	nodes   int32 // what the root's build holds: spans, and foreign subtrees
+	costs   int32
 	open    int32 // spans not yet ended
 	spans   []*[spanChunk]Span
 	tagRecs []*[tagChunk]tagRec
 	apps    []Appender // tag values rendered from appenders
 	foreign *foreignSub
 
-	// The root's last build, made at generation builtGen-1. pos is nil
-	// when every span had ended; otherwise pos[i] places span i's node in
-	// built when its whole subtree had ended, and is -1 when not.
-	built    []SpanData
-	pos      []int32
-	builtGen uint64
+	// The root's last build, nil once a span it shows as ended is written.
+	// pos is nil when every span had ended; otherwise pos[i] places span
+	// i's node in built when its whole subtree had ended, and is -1 when
+	// not.
+	built []SpanData
+	pos   []int32
 
 	root     Span
 	firstTag [2]tagRec
@@ -193,10 +193,11 @@ type fixup struct {
 
 var builders = sync.Pool{New: func() any { return new(builder) }}
 
-// build renders top's subtree as a snapshot: one exactly-sized []SpanData
-// whose Children are sub-slices of it, one []Tag, one []Cost that Est and
-// Actual point into, and one string that every rendered name and value
-// slices. None of them points into the tree's records: what a flight
+// build renders top's subtree as a snapshot: one []SpanData whose
+// Children are sub-slices of it, one []Tag, one []Cost that Est and Actual
+// point into, and one string that every rendered name and value slices;
+// the arrays are sized for the whole tree, exactly so for a root built
+// whole. None of them points into the tree's records: what a flight
 // record or a caller keeps is copied out. As the root's, the build becomes
 // the tree's; a scratch build fills b's own arrays, for b.release to reuse.
 func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
@@ -205,11 +206,10 @@ func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 	b.names = keys.names
 	keys.RUnlock()
 	partial := root && tr.open > 0
-	if partial && tr.pos != nil && tr.builtGen == tr.gen+1 {
+	if partial && tr.pos != nil {
 		b.prev, b.prevPos = tr.built, tr.pos
 	}
-	var n, nt, nc int
-	b.count(top, &n, &nt, &nc)
+	n, nt, nc := int(tr.nodes), int(tr.ntags), int(tr.costs)
 	switch {
 	case b.scratch:
 		b.nodes = slices.Grow(b.nodes[:0], n)[:n]
@@ -238,7 +238,7 @@ func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 		}
 	}
 	if root {
-		tr.built, tr.pos, tr.builtGen = b.nodes, b.pos, tr.gen+1
+		tr.built, tr.pos = b.nodes, b.pos
 	}
 	return b.nodes[0]
 }
@@ -263,30 +263,6 @@ func (b *builder) reused(i int32) int32 {
 		return -1
 	}
 	return b.prevPos[i]
-}
-
-// count adds up the nodes, tags and costs fill writes for r.
-func (b *builder) count(r *Span, n, nt, nc *int) {
-	tr := b.tr
-	*n++
-	for i := r.tags; i != 0; i = tr.tag(i - 1).next {
-		*nt++
-	}
-	*nc += int(r.flags&hasEst/hasEst + r.flags&hasActual/hasActual)
-	for i := r.kids; i != 0; i = tr.span(i).next {
-		if b.reused(i) >= 0 {
-			*n++
-		} else {
-			b.count(tr.span(i), n, nt, nc)
-		}
-	}
-	if r.flags&hasForeign != 0 {
-		for f := tr.foreign; f != nil; f = f.next {
-			if f.span == r.id {
-				*n++
-			}
-		}
-	}
 }
 
 // render appends a name's appender a, or else tag t's value, to the text,
