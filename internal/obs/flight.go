@@ -57,16 +57,16 @@ func (f *FlightRecorder) SetThreshold(d time.Duration) {
 // Record offers one finished root-span snapshot to the ring. Snapshots
 // faster than the threshold are skipped.
 func (f *FlightRecorder) Record(d SpanData) {
-	if !f.skips(d.Duration()) {
-		f.keep(d)
+	if f == nil {
+		return
 	}
-}
-
-// keep retains d.
-func (f *FlightRecorder) keep(d SpanData) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
+	if f.threshold > 0 && d.Duration() < f.threshold {
+		f.skipped++
+		return
+	}
 	f.records.push(FlightRecord{
 		Seq:        f.seq,
 		Name:       d.Name,

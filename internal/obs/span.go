@@ -331,7 +331,7 @@ func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
 func (t *Tracer) publish(s *Span) {
 	t.finished.Add(1)
 	if !t.flight.skips(s.end - s.start) {
-		t.flight.keep(s.Snapshot())
+		t.flight.Record(s.Snapshot())
 	}
 }
 
