@@ -87,8 +87,8 @@ func queryPrice(t *testing.T, sys *System, q string) (allocs, bytes float64) {
 // news join (40 call spans) are measured; the benchmark's queries have a
 // handful of spans and pay less.
 //
-// Measured (go1.24, linux/amd64): the CIM hit pays 22 objects, the news
-// join 29: the tree's chunks of span and tag records, one snapshot of it
+// Measured (go1.24, linux/amd64): the CIM hit pays 24 objects, the news
+// join 30: the tree's chunks of span and tag records, one snapshot of it
 // (nodes, tags, costs and the text of its names and numbers) and the
 // EXPLAIN text. While every span was an object with its own name, tags and
 // costs, rendered as they were set, they paid 123 and 223. The bounds
@@ -102,8 +102,8 @@ func TestObserverPriceAllocsPer(t *testing.T) {
 		cim         bool
 		bound       float64
 	}{
-		{"CIM hit", "?- query3(82, 115, O, A).", true, 27},
-		{"direct join", "?- news(295, 673, O, Frames).", false, 35},
+		{"CIM hit", "?- query3(82, 115, O, A).", true, 29},
+		{"direct join", "?- news(295, 673, O, Frames).", false, 36},
 	} {
 		on, onBytes := queryPrice(t, priceSystem(t, obs.NewObserver(), tc.cim), tc.query)
 		off, offBytes := queryPrice(t, priceSystem(t, nil, tc.cim), tc.query)

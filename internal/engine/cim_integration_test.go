@@ -173,8 +173,8 @@ func TestCIMCallInFillAllocsPer(t *testing.T) {
 // calls with a DCSM (the span's estimate, the ledger's avoided cost) and
 // feed it the direct route's measurement. An exact hit allocates 3: the
 // args, the served stream and the engine's one record for the call; its
-// span is a record in the query's tree, whose chunks of four spans and
-// eight tags the calls share, and its name, tags and costs are rendered
+// span is a record in the query's tree, whose chunks of three spans and
+// six tags the calls share, and its name, tags and costs are rendered
 // only when the tree is read. An equality hit adds the key string and a
 // tree's share of its three more tags; the invariant's other side is
 // grounded and keyed on the stack. The direct call drops the hit's

@@ -105,7 +105,7 @@ func TestExplainFederatedGolden(t *testing.T) {
 	c1.SetTag("remote", "node-b:7117")
 	c1.SetTag("remote.wire_ms", "62.0")
 	c1.SetActual(Cost{TFirst: ms(400), TAll: ms(890), Card: 19})
-	c1.AttachForeign(SpanData{
+	c1.AttachForeign(&SpanData{
 		Name:   "serve avis:frames_to_objects",
 		Start:  ms(36),
 		End:    ms(859),

@@ -211,8 +211,9 @@ func (s *Span) setCost(c Cost, which uint8) {
 
 // AttachForeign grafts an already-snapshotted subtree — a remote peer's
 // serve span, rebased onto this clock — under s. Snapshot renders foreign
-// subtrees after the locally opened children. Nil-receiver safe.
-func (s *Span) AttachForeign(d SpanData) {
+// subtrees after the locally opened children. The tree keeps d, which must
+// not change once attached. Nil-receiver safe.
+func (s *Span) AttachForeign(d *SpanData) {
 	s.write(func(t *Span) {
 		t.tr.foreign = &foreignSub{span: t.id, d: d, next: t.tr.foreign}
 		t.flags |= hasForeign

@@ -43,11 +43,12 @@ type tree struct {
 
 // Chunk sizes: a served call's standalone tree (its root and one tag) is
 // one 384-byte allocation, and a query pays at most one chunk's slack of
-// each kind. Larger chunks cost a cache-hit query bytes; smaller ones,
-// allocations.
+// each kind. A chunk of 3 spans (384 bytes) or 6 tags (192) fills its size
+// class, and so does the first of each with its directory of 8 (448, 256).
+// Larger chunks cost a cache-hit query bytes; smaller ones, allocations.
 const (
-	spanChunk = 4
-	tagChunk  = 8
+	spanChunk = 3
+	tagChunk  = 6
 )
 
 // tagRec is one tag as set: its interned key and its value as given (v),
@@ -72,7 +73,7 @@ const (
 // foreignSub is one stitched remote subtree of span, newest first.
 type foreignSub struct {
 	span int32
-	d    SpanData
+	d    *SpanData
 	next *foreignSub
 }
 
@@ -130,15 +131,25 @@ func (tr *tree) tag(i int32) *tagRec {
 func (tr *tree) newSpan() *Span {
 	i := tr.nspans
 	if i > 0 && (i-1)%spanChunk == 0 {
-		if tr.spans == nil {
-			tr.spans = make([]*[spanChunk]Span, 0, 4)
-		}
-		tr.spans = append(tr.spans, new([spanChunk]Span))
+		tr.spans = grow(tr.spans)
 	}
 	tr.nspans++
 	s := tr.span(i)
 	s.tr, s.id = tr, i
 	return s
+}
+
+// grow adds a chunk to dir. The first chunk carries the directory's first
+// eight slots in its own allocation.
+func grow[C any](dir []*C) []*C {
+	if dir == nil {
+		c := new(struct {
+			first C
+			dir   [8]*C
+		})
+		return append(c.dir[:0], &c.first)
+	}
+	return append(dir, new(C))
 }
 
 // setTag overwrites t's tag of v's key, or adds v as its newest.
@@ -154,10 +165,7 @@ func (tr *tree) setTag(t *Span, v tagRec, a Appender) {
 	}
 	if i == 0 {
 		if j := tr.ntags - int32(len(tr.firstTag)); j >= 0 && j%tagChunk == 0 {
-			if tr.tagRecs == nil {
-				tr.tagRecs = make([]*[tagChunk]tagRec, 0, 4)
-			}
-			tr.tagRecs = append(tr.tagRecs, new([tagChunk]tagRec))
+			tr.tagRecs = grow(tr.tagRecs)
 		}
 		tr.ntags++
 		i, v.next, t.tags = tr.ntags, t.tags, tr.ntags
@@ -363,7 +371,7 @@ func (b *builder) fill(at int32, r *Span) bool {
 			first++
 		}
 		for j := len(b.subs) - 1; j >= subs; j-- {
-			b.nodes[first] = b.subs[j].d
+			b.nodes[first] = *b.subs[j].d
 			first++
 		}
 	}

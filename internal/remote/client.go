@@ -680,14 +680,13 @@ func (s *muxStream) acceptTrace(t peerTrace) {
 		s.span.SetTag("remote.trace", [2]string{traceDecode: "malformed", traceOversize: "oversize"}[t.drop])
 		return
 	}
-	d := *t.d
-	stitched := d
+	d := t.d // decoded for this call alone: rebased in place and kept
 	if s.clock != nil {
 		elapsed := s.clock.Now() - s.issuedAt
 		s.span.SetTagMillis("remote.wire_ms", max(elapsed-d.Duration(), 0))
-		stitched = obs.RebaseSpan(d, s.issuedAt)
+		*d = obs.RebaseSpan(*d, s.issuedAt)
 	}
-	s.span.AttachForeign(stitched)
+	s.span.AttachForeign(d)
 	s.c.traceStitched.Inc()
 	if d.Actual != nil {
 		if hook := s.c.actualsHook(); hook != nil {
