@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -79,33 +80,44 @@ type foreignSub struct {
 
 // keys interns tag keys, so that a tag record holds its key as an index.
 // Keys are the outcome names of the instrumented call sites: a few dozen
-// constants, never released.
-var keys struct {
-	sync.RWMutex
+// constants, never released. A table is never changed once published, so
+// every goroutine that tags reads it without a lock; keysMu orders the
+// rare writers, each of which publishes a copy.
+var (
+	keys   atomic.Pointer[keyTable]
+	keysMu sync.Mutex
+)
+
+type keyTable struct {
 	index map[string]uint16
 	names []string
 }
 
 func keyOf(k string) uint16 {
-	keys.RLock()
-	i, ok := keys.index[k]
-	keys.RUnlock()
-	if ok {
+	if t := keys.Load(); t != nil {
+		if i, ok := t.index[k]; ok {
+			return i
+		}
+	}
+	keysMu.Lock()
+	defer keysMu.Unlock()
+	t := keys.Load()
+	if t == nil {
+		t = &keyTable{}
+	}
+	if i, ok := t.index[k]; ok {
 		return i
 	}
-	keys.Lock()
-	defer keys.Unlock()
-	if i, ok := keys.index[k]; ok {
-		return i
-	}
-	if len(keys.names) > math.MaxUint16 {
+	if len(t.names) > math.MaxUint16 {
 		panic("obs: more than 65536 distinct tag keys")
 	}
-	if keys.index == nil {
-		keys.index = map[string]uint16{}
+	i := uint16(len(t.names))
+	next := &keyTable{index: make(map[string]uint16, len(t.names)+1), names: append(t.names[:i:i], k)}
+	for name, j := range t.index {
+		next.index[name] = j
 	}
-	i = uint16(len(keys.names))
-	keys.index[k], keys.names = i, append(keys.names, k)
+	next.index[k] = i
+	keys.Store(next)
 	return i
 }
 
@@ -210,9 +222,9 @@ var builders = sync.Pool{New: func() any { return new(builder) }}
 // the tree's; a scratch build fills b's own arrays, for b.release to reuse.
 func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 	b.tr = tr
-	keys.RLock()
-	b.names = keys.names
-	keys.RUnlock()
+	if t := keys.Load(); t != nil {
+		b.names = t.names
+	}
 	partial := root && tr.open > 0
 	if partial && tr.pos != nil {
 		b.prev, b.prevPos = tr.built, tr.pos
