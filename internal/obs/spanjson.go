@@ -390,23 +390,19 @@ func spanDepth(d SpanData) int {
 	return max
 }
 
-// RebaseSpan shifts every clock reading in d so the root starts at base.
-// Stitching uses it to map a peer's serve subtree (timed on the peer's own
-// clock) onto the caller's execution-clock axis at the moment the call was
-// issued, so one EXPLAIN tree reads on a single axis.
-func RebaseSpan(d SpanData, base time.Duration) SpanData {
-	return shiftSpan(d, base-d.Start)
+// RebaseSpan shifts every clock reading in d, in place, so the root
+// starts at base. Stitching uses it to map a peer's serve subtree (timed on
+// the peer's own clock), decoded for the one call, onto the caller's
+// execution-clock axis at the moment the call was issued, so one EXPLAIN
+// tree reads on a single axis.
+func RebaseSpan(d *SpanData, base time.Duration) {
+	shiftSpan(d, base-d.Start)
 }
 
-func shiftSpan(d SpanData, by time.Duration) SpanData {
-	out := d
-	out.Start += by
-	out.End += by
-	if len(d.Children) > 0 {
-		out.Children = make([]SpanData, len(d.Children))
-		for i, c := range d.Children {
-			out.Children[i] = shiftSpan(c, by)
-		}
+func shiftSpan(d *SpanData, by time.Duration) {
+	d.Start += by
+	d.End += by
+	for i := range d.Children {
+		shiftSpan(&d.Children[i], by)
 	}
-	return out
 }

@@ -161,8 +161,8 @@ func TestTruncateSpanJSON(t *testing.T) {
 
 func TestRebaseSpan(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	d := sampleSubtree()
-	got := RebaseSpan(d, ms(1000))
+	d, got := sampleSubtree(), sampleSubtree()
+	RebaseSpan(&got, ms(1000))
 	if got.Start != ms(1000) {
 		t.Fatalf("root start %v, want 1s", got.Start)
 	}
@@ -177,10 +177,6 @@ func TestRebaseSpan(t *testing.T) {
 	if got.Children[0].Children[0].End-got.Children[0].Children[0].Start !=
 		d.Children[0].Children[0].End-d.Children[0].Children[0].Start {
 		t.Error("grandchild extent changed under rebase")
-	}
-	// The input is not mutated.
-	if d.Start != ms(10) {
-		t.Error("RebaseSpan mutated its input")
 	}
 }
 

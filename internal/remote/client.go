@@ -243,7 +243,7 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		f.TraceID = ctx.Span.TraceID()
 		f.Depth = ctx.TraceDepth + 1
 		st.call = domain.Call{Domain: c.name, Function: fn, Args: args}
-		st.propagated = true
+		st.propagated, st.slot.traced = true, true
 		c.tracePropagated.Inc()
 	}
 	sess.registerCall(id, &st.slot)
@@ -384,9 +384,10 @@ type callSlot struct {
 
 	mu     sync.Mutex
 	values []term.Value
-	trace  peerTrace // the call's trace frame
-	done   bool      // the server's done answers frame arrived
-	bad    error     // an answers frame carried a form that names no value
+	traced bool    // the call stitches a trace frame; set before it routes
+	trace  *[]byte // the call's trace frame payload, copied off the line
+	done   bool    // the server's done answers frame arrived
+	bad    error   // an answers frame carried a form that names no value
 	// reply is the frame that ended the call otherwise: an error, a
 	// functions or debug reply, or an op a call does not expect.
 	reply *Frame
@@ -394,31 +395,13 @@ type callSlot struct {
 
 func newCallSlot() *callSlot { return &callSlot{ready: make(chan struct{}, 1)} }
 
-// peerTrace is a trace frame as the reader goroutine takes it off the
-// line, which the next frame overwrites: its payload's size, and the
-// subtree decoded, or why it is dropped.
-type peerTrace struct {
-	n    int           // payload bytes; 0: no trace frame
-	d    *obs.SpanData // nil when dropped
-	drop int           // why d is nil: a hermes_trace_malformed_total reason
-}
-
-// readTrace decodes a trace frame's payload within the client's budget.
-func (c *Client) readTrace(raw []byte) peerTrace {
-	t := peerTrace{n: len(raw), drop: traceOversize}
-	if max := c.maxForeignBytes(); len(raw) > 0 && (max <= 0 || len(raw) <= max) {
-		if d, err := obs.DecodeSpanJSON(raw); err == nil {
-			t.d = &d
-		} else {
-			t.drop = traceDecode
-		}
-	}
-	return t
-}
+// tracePayloads recycles the copies of trace frame payloads that traced
+// calls take off the reader's line, each until its call has decoded it.
+var tracePayloads = sync.Pool{New: func() any { return new([]byte) }}
 
 // route files one frame. Nothing routes after the frame that ends the
 // call: a trace frame sent after done is never stitched.
-func (c *callSlot) route(in *frameIn, cl *Client) {
+func (c *callSlot) route(in *frameIn) {
 	c.mu.Lock()
 	if c.done || c.bad != nil || c.reply != nil {
 		c.mu.Unlock()
@@ -435,7 +418,11 @@ func (c *callSlot) route(in *frameIn, cl *Client) {
 		}
 		c.done = in.Done
 	case in.Op == OpTrace:
-		c.trace = cl.readTrace(in.Trace)
+		if c.traced { // else nothing would stitch it
+			p := tracePayloads.Get().(*[]byte)
+			*p = append((*p)[:0], in.Trace...)
+			c.trace = p
+		}
 	default:
 		f := in.Frame
 		f.Trace = nil // it points into the line
@@ -546,7 +533,7 @@ func (s *session) readLoop() {
 		c := s.calls[in.ID]
 		s.mu.Unlock()
 		if c != nil { // else the call finished while the frame was in transit
-			c.route(&in, s.c)
+			c.route(&in)
 		}
 	}
 }
@@ -643,7 +630,7 @@ func (s *muxStream) take() bool {
 	c := &s.slot
 	c.mu.Lock()
 	values, trace, done, bad, reply := c.values, c.trace, c.done, c.bad, c.reply
-	c.values, c.trace = nil, peerTrace{}
+	c.values, c.trace = nil, nil
 	c.mu.Unlock()
 	s.acceptTrace(trace)
 	s.pending = values
@@ -662,31 +649,42 @@ func (s *muxStream) take() bool {
 	default:
 		s.err = fmt.Errorf("remote: unexpected frame op %q on call %d", reply.Op, reply.ID)
 	}
-	return len(values) > 0 || trace.n > 0 || done || s.err != nil
+	return len(values) > 0 || trace != nil || done || s.err != nil
 }
 
 // acceptTrace stitches the server's serve subtree under the local call
-// span: rebase it onto this call's clock at issue time, split wire time
-// from remote compute, and feed the remote actual to the calibration hook.
-// A subtree dropped as oversize or malformed is counted and tagged — the
-// call itself always succeeds with a local-only trace.
-func (s *muxStream) acceptTrace(t peerTrace) {
-	if s.span == nil || !s.propagated || t.n == 0 {
+// span: validate, rebase onto this call's clock at issue time, split wire
+// time from remote compute, and feed the remote actual to the calibration
+// hook. Every failure mode (oversize, malformed) drops the subtree and
+// counts it — the call itself always succeeds with a local-only trace.
+// The payload goes back to the pool: the subtree does not alias it.
+func (s *muxStream) acceptTrace(p *[]byte) {
+	if p == nil {
 		return
 	}
-	s.c.traceForeignBytes.Add(int64(t.n))
-	if t.d == nil {
-		s.c.traceMalformed[t.drop].Inc()
-		s.span.SetTag("remote.trace", [2]string{traceDecode: "malformed", traceOversize: "oversize"}[t.drop])
+	defer tracePayloads.Put(p)
+	raw := *p
+	if len(raw) == 0 {
 		return
 	}
-	d := t.d // decoded for this call alone: rebased in place and kept
+	s.c.traceForeignBytes.Add(int64(len(raw)))
+	if max := s.c.maxForeignBytes(); max > 0 && len(raw) > max {
+		s.c.traceMalformed[traceOversize].Inc()
+		s.span.SetTag("remote.trace", "oversize")
+		return
+	}
+	d, err := obs.DecodeSpanJSON(raw)
+	if err != nil {
+		s.c.traceMalformed[traceDecode].Inc()
+		s.span.SetTag("remote.trace", "malformed")
+		return
+	}
 	if s.clock != nil {
 		elapsed := s.clock.Now() - s.issuedAt
 		s.span.SetTagMillis("remote.wire_ms", max(elapsed-d.Duration(), 0))
-		*d = obs.RebaseSpan(*d, s.issuedAt)
+		obs.RebaseSpan(&d, s.issuedAt) // decoded for this call alone
 	}
-	s.span.AttachForeign(d)
+	s.span.AttachForeign(&d)
 	s.c.traceStitched.Inc()
 	if d.Actual != nil {
 		if hook := s.c.actualsHook(); hook != nil {
