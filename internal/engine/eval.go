@@ -260,10 +260,12 @@ func (e *Engine) callFailed(ctx *domain.Ctx, span *obs.Span, err error) error {
 //     value until one matches, and then the source is closed (pruning).
 //
 // The parallel stage's producers drain the same record through pull and
-// bind nothing. Nothing that outlives the call may point into the record:
-// a cache entry's or a DCSM record's call holds the args slice, which is
-// its own allocation, and a span keeps the costs it is given in
-// allocations of their own.
+// bind nothing. Only the call span may keep the record past the call: it
+// keeps it as the Appender of its name for as long as the trace lives, so
+// what AppendTo reads, the literal and the args, never changes. A cache
+// entry's or a DCSM record's call holds the args slice, which is its own
+// allocation, and a span copies the costs it is given into its trace's
+// records.
 type callStream struct {
 	eng      *Engine
 	ctx      domain.Ctx // the caller's context, scoped to span
@@ -284,8 +286,7 @@ type callStream struct {
 	closed    bool
 }
 
-// AppendTo names the call span: "call " and the call. The literal and the
-// args it renders do not change once the record is made.
+// AppendTo names the call span: "call " and the call.
 func (cs *callStream) AppendTo(dst []byte) []byte {
 	return cs.call().AppendTo(append(dst, "call "...))
 }

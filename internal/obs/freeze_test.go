@@ -346,6 +346,25 @@ func TestTypedValuesRenderAtFirstRead(t *testing.T) {
 	}
 }
 
+// TestWithSnapshotBuildsForTheCallAlone: WithSnapshot shows what Snapshot
+// shows and leaves no build in the tree; its arrays are reused from call
+// to call, so it allocates only the rendered text.
+func TestWithSnapshotBuildsForTheCallAlone(t *testing.T) {
+	root := tenSpanTree()
+	root.SetTagInt("plans", 2)
+	var got string
+	root.WithSnapshot(func(d SpanData) { got = Explain(d) })
+	if root.tr.built != nil {
+		t.Error("WithSnapshot left its build in the tree")
+	}
+	if want := Explain(root.Snapshot()); got != want {
+		t.Errorf("WithSnapshot shows\n%s\nSnapshot shows\n%s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { root.WithSnapshot(func(SpanData) {}) }); n > 1 && !raceEnabled {
+		t.Errorf("WithSnapshot of a 10-span tree allocates %v times, want <= 1 (its text)", n)
+	}
+}
+
 // TestConcurrentSnapshotsShareOneFrozenTree: 8 goroutines add and end
 // children while 2 snapshot and render; once everything has ended, two
 // concurrent Snapshots return one tree. Run with -race.

@@ -265,8 +265,10 @@ func (s *Span) Snapshot() SpanData {
 }
 
 // WithSnapshot calls f with a snapshot of the tree under s that is built
-// for the call alone: f must keep nothing of it. The remote server encodes
-// a served call's tree into its trace frame so.
+// for the call alone, into arrays reused from call to call: f must keep
+// nothing of it. The remote server encodes a served call's tree into its
+// trace frame so; a Snapshot there would leave a build of its own in every
+// served tree, 2.9 allocations and 150 B per remote call.
 func (s *Span) WithSnapshot(f func(SpanData)) {
 	if s == nil {
 		f(SpanData{})

@@ -78,11 +78,13 @@ type foreignSub struct {
 	next *foreignSub
 }
 
-// keys interns tag keys, so that a tag record holds its key as an index.
-// Keys are the outcome names of the instrumented call sites: a few dozen
-// constants, never released. A table is never changed once published, so
-// every goroutine that tags reads it without a lock; keysMu orders the
-// rare writers, each of which publishes a copy.
+// keys interns tag keys, so that a tag record holds its key as an index
+// and fills 32 bytes; holding the key string makes it 48, and a cache-hit
+// query of the benchmark 13.98 KiB instead of 13.50. Keys are the outcome
+// names of the instrumented call sites: a few dozen constants, never
+// released. A table is never changed once published, so every goroutine
+// that tags reads it without a lock; keysMu orders the rare writers, each
+// of which publishes a copy.
 var (
 	keys   atomic.Pointer[keyTable]
 	keysMu sync.Mutex
