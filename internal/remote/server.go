@@ -386,6 +386,11 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 		}
 	}
 	defer ss.cancelAll()
+	// A call is served by a goroutine that has served one before when one
+	// is idle: it keeps the stack the calls grew, which a fresh goroutine
+	// would grow again, copying it, for every call.
+	next, quit := make(chan *serverCall), make(chan struct{})
+	defer close(quit)
 	var f frameIn
 	for {
 		if idle > 0 {
@@ -408,7 +413,11 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 				continue
 			}
 			s.calls.Inc()
-			go s.serveCall(c)
+			select {
+			case next <- c:
+			default:
+				go s.serveCalls(c, next, quit)
+			}
 		case OpCancel:
 			ss.cancel(f.ID)
 		case OpHeartbeat:
@@ -419,6 +428,18 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			go s.serveDebug(ss, f.ID)
 		default:
 			ss.send(kindError, &Frame{Op: OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)}, nil)
+		}
+	}
+}
+
+// serveCalls serves c, then each call handed to it on next, until quit.
+func (s *Server) serveCalls(c *serverCall, next <-chan *serverCall, quit <-chan struct{}) {
+	for {
+		s.serveCall(c)
+		select {
+		case c = <-next:
+		case <-quit:
+			return
 		}
 	}
 }
