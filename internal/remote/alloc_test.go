@@ -52,7 +52,7 @@ func TestRemoteCallAllocsPerCall(t *testing.T) {
 		}
 	})
 	t.Logf("per call: %.0f B, %.1f allocs", bytesPer, allocsPer)
-	// Measured 2 200 B and 46 allocs (2 550 B under -race; go1.24,
+	// Measured 2 170 B and 45 allocs (2 520 B under -race; go1.24,
 	// linux/amd64); the bounds allow 25 % for runtime and scheduler noise.
 	if bytesPer > 2750 {
 		t.Errorf("a loopback call allocates %.0f B, want <= 2750", bytesPer)
@@ -90,12 +90,12 @@ func TestRemoteTracedCallAllocsPerCall(t *testing.T) {
 		t.Fatalf("the serve subtree was not stitched:\n%s", obs.Explain(d))
 	}
 	t.Logf("per call: %.0f B, %.1f allocs", bytesPer, allocsPer)
-	// Measured 2 990 B and 53.7 allocs (3 680 B and 60.4 under -race;
+	// Measured 2 970 B and 52.8 allocs (3 610 B and 58.8 under -race;
 	// go1.24, linux/amd64); the bounds allow 25 % for runtime and
 	// scheduler noise, and the byte bound the -race figure. The server
 	// encodes its serve subtree through Span.WithSnapshot: through
 	// Snapshot, which keeps a build of its own in the served tree, the
-	// same call measured 3 204 B and 56.6 allocs, and the benchmark's
+	// same call measured 2.9 allocs and 210 B more, and the benchmark's
 	// two_hop 137.0 KiB and 1 899 allocations per query against 132.6 and
 	// 1 812. Before the trace was kept as flat records, the call was
 	// 3 240 B and 59 allocs; when each call minted its own trace ID,
