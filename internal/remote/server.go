@@ -389,7 +389,7 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	// A call is served by a goroutine that has served one before when one
 	// is idle: it keeps the stack the calls grew, which a fresh goroutine
 	// would grow again, copying it, for every call.
-	next, quit := make(chan *serverCall), make(chan struct{})
+	next, quit, waiting := make(chan *serverCall), make(chan struct{}), make(chan struct{}, maxIdleServers)
 	defer close(quit)
 	var f frameIn
 	for {
@@ -416,7 +416,7 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			select {
 			case next <- c:
 			default:
-				go s.serveCalls(c, next, quit)
+				go s.serveCalls(c, next, quit, waiting)
 			}
 		case OpCancel:
 			ss.cancel(f.ID)
@@ -432,12 +432,25 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	}
 }
 
-// serveCalls serves c, then each call handed to it on next, until quit.
-func (s *Server) serveCalls(c *serverCall, next <-chan *serverCall, quit <-chan struct{}) {
+// maxIdleServers bounds the goroutines a session keeps waiting for its
+// next call, so a burst of concurrent calls does not leave one behind per
+// call for as long as the connection lives.
+const maxIdleServers = 16
+
+// serveCalls serves c, then each call handed to it on next, until quit or
+// until maxIdleServers others are waiting already; waiting holds a token
+// per goroutine waiting.
+func (s *Server) serveCalls(c *serverCall, next <-chan *serverCall, quit <-chan struct{}, waiting chan struct{}) {
 	for {
 		s.serveCall(c)
 		select {
+		case waiting <- struct{}{}:
+		default:
+			return
+		}
+		select {
 		case c = <-next:
+			<-waiting
 		case <-quit:
 			return
 		}

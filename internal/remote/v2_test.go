@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,41 @@ func TestV2SingleConnectionMultiplexes(t *testing.T) {
 	}
 	if got := srv.OpenConns(); got != 1 {
 		t.Errorf("OpenConns = %d, want 1 (multiplexed session)", got)
+	}
+}
+
+// TestSessionKeepsFewIdleServers: after a burst of concurrent calls on one
+// session, at most maxIdleServers of the goroutines that served them stay
+// waiting for the next call, and the next call is served.
+func TestSessionKeepsFewIdleServers(t *testing.T) {
+	_, addr := startServer(t, trickleDomain(3, 20*time.Millisecond))
+	c := NewClient(addr, "trickle")
+	defer c.Close()
+	call := func() error {
+		s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
+		if err == nil {
+			_, err = domain.Collect(s)
+		}
+		return err
+	}
+	if err := call(); err != nil { // opens the session: one serving goroutine waits after it
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for i := 0; i < 3*maxIdleServers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := call(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "idle serving goroutines to leave", func() bool { return runtime.NumGoroutine() <= base+maxIdleServers })
+	if err := call(); err != nil {
+		t.Fatal(err)
 	}
 }
 
