@@ -450,7 +450,7 @@ func BenchmarkEngineJoin(b *testing.B) {
 var explainSink string
 
 // BenchmarkSpanTreeExplain is what tracing one query costs: build a
-// 10-span tagged tree, end it, snapshot it twice (the tracer's publish and
+// 10-span tagged tree, end it, snapshot it twice (the flight recorder and
 // the reply's EXPLAIN each take one) and render it.
 func BenchmarkSpanTreeExplain(b *testing.B) {
 	b.ReportAllocs()

@@ -291,9 +291,10 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(o))
-	mux.Handle("/debug/queries", obs.Handler(o))
-	mux.Handle("/debug/flightrecorder", obs.Handler(o))
+	oh := obs.Handler(o)
+	for _, path := range []string{"/metrics", "/debug/queries", "/debug/flightrecorder"} {
+		mux.Handle(path, oh)
+	}
 	mux.Handle("/debug/cim", sys.CIM.DebugHandler())
 	mux.Handle("/debug/invariants", sys.CIM.InvariantsHandler())
 	if sys.Memo != nil {

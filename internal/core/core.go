@@ -66,8 +66,9 @@ type Options struct {
 	QueryDeadline time.Duration
 	// Obs, when set, threads an observer through every layer: the engine,
 	// CIM, DCSM, resilience wrappers and remote clients all update its
-	// metrics registry, and queries build span trees in its tracer, each
-	// call span carrying the DCSM's estimate (EXPLAIN's est column). The
+	// metrics registry, and queries build span trees that its flight
+	// recorder keeps, each call span carrying the DCSM's estimate
+	// (EXPLAIN's est column). The
 	// observer only records: the DCSM's access counts, its summary tables,
 	// the calibration and every plan choice are the same without one.
 	Obs *obs.Observer
@@ -467,9 +468,10 @@ func (s *System) Query(query string) (*engine.Cursor, error) {
 // covering the whole pipeline: a rewrite child span (candidate plan
 // count), a plan-choice child span (chosen index, plan, estimated cost),
 // then one child span per domain call added by the engine. The span tree
-// finalizes — and publishes to the tracer — when the cursor is drained or
-// closed; obs.Explain(cursor.Span().Snapshot()) renders that same tree, not
-// a copy. Without an observer this is Query with per-plan estimation ranking.
+// finalizes — and publishes to the flight recorder — when the cursor is
+// drained or closed; obs.Explain(cursor.Span().Snapshot()) renders that
+// same tree, not a copy. Without an observer this is Query with per-plan
+// estimation ranking.
 func (s *System) QueryTraced(query string, interactive bool) (*engine.Cursor, error) {
 	return s.QueryTracedCtx(s.Ctx(), query, interactive)
 }

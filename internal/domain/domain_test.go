@@ -153,7 +153,7 @@ func TestMeasuredStreamComplete(t *testing.T) {
 	inner := NewTimedSliceStream([]term.Value{term.Str("abcd"), term.Str("ef")}, clk, 100*time.Millisecond)
 	var got Measurement
 	call := Call{Domain: "d", Function: "f"}
-	ms := NewMeasuredStream(inner, clk, call, func(m Measurement) { got = m })
+	ms := NewMeasuredStreamAt(inner, clk, call, clk.Now(), func(m Measurement) { got = m })
 	if _, err := Collect(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMeasuredStreamEarlyClose(t *testing.T) {
 	inner := NewSliceStream([]term.Value{term.Int(1), term.Int(2), term.Int(3)})
 	var got Measurement
 	fired := 0
-	ms := NewMeasuredStream(inner, clk, Call{}, func(m Measurement) { got = m; fired++ })
+	ms := NewMeasuredStreamAt(inner, clk, Call{}, clk.Now(), func(m Measurement) { got = m; fired++ })
 	ms.Next()
 	ms.Close()
 	ms.Close() // second close must not re-fire

@@ -215,16 +215,10 @@ type MeasuredStream struct {
 	onDone func(Measurement)
 }
 
-// NewMeasuredStream wraps inner; onDone receives the measurement exactly
-// once, when the stream is exhausted or closed. Measurement starts at the
-// clock's current reading; use NewMeasuredStreamAt when the call was issued
-// earlier (per-call costs accrue before the stream exists and must count).
-func NewMeasuredStream(inner Stream, clock vclock.Clock, call Call, onDone func(Measurement)) *MeasuredStream {
-	return NewMeasuredStreamAt(inner, clock, call, clock.Now(), onDone)
-}
-
-// NewMeasuredStreamAt is NewMeasuredStream with an explicit call-issue
-// reading.
+// NewMeasuredStreamAt wraps inner; onDone receives the measurement
+// exactly once, when the stream is exhausted or closed. Measurement starts
+// at start, the clock's reading when the call was issued: per-call costs
+// accrue before the stream exists and must count.
 func NewMeasuredStreamAt(inner Stream, clock vclock.Clock, call Call, start time.Duration, onDone func(Measurement)) *MeasuredStream {
 	return &MeasuredStream{inner: inner, clock: clock, call: call, meter: NewSourceMeter(clock.Now() - start), onDone: onDone}
 }

@@ -222,7 +222,8 @@ func (c *Cursor) finish(complete bool) {
 		Card:   float64(c.metrics.Answers),
 	})
 	// Ending is idempotent, so it is safe whether the span was opened here
-	// or handed in by the mediator; a root span publishes to the tracer.
+	// or handed in by the mediator; a root span publishes to the flight
+	// recorder.
 	c.span.End(c.ctx.Clock.Now())
 	c.eng.tfirstMS.Observe(float64(c.metrics.TFirst) / float64(time.Millisecond))
 	c.eng.tallMS.Observe(float64(c.metrics.TAll) / float64(time.Millisecond))

@@ -239,7 +239,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 	res2.Rec.Note("d|f", true) // degraded input
 	res2.Rec.Add([]term.Value{term.Int(0)})
 	res2.Rec.Commit(domain.CostVector{TAll: time.Second, Card: 1})
-	if mc2.Serveable(key) {
+	if _, ok := mc2.EstimateServe(key); ok {
 		t.Fatal("degraded fill should not be serveable")
 	}
 	est.SetMemo(mc2)

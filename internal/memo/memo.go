@@ -208,18 +208,11 @@ func (c *Cache) Probe(key string) ProbeResult {
 	return ProbeResult{Rec: &Recording{c: c, key: key, startGen: c.invGen.Load()}}
 }
 
-// Serveable reports whether a probe for key would be a hit right now,
-// without touching recency or stats. Introspection for tests.
-func (c *Cache) Serveable(key string) bool {
-	_, ok := c.store.Get(key)
-	return ok
-}
-
 // EstimateServe reports whether key is currently serveable and, if so,
-// how many tuples a replay would emit. Like Serveable it bypasses the
-// probe path entirely — no stats, no recency stamp — because its caller
-// is the *cost estimator*, which must be free to price candidate plans
-// without perturbing what the cache evicts.
+// how many tuples a replay would emit. It bypasses the probe path
+// entirely — no stats, no recency stamp — because its caller is the *cost
+// estimator*, which must be free to price candidate plans without
+// perturbing what the cache evicts.
 func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
 	e, ok := c.store.Get(key)
 	if !ok {

@@ -65,7 +65,7 @@ func TestDegradedEntryNeverServed(t *testing.T) {
 	key := fillKey(0)
 	commitEntry(t, c, key, [][]term.Value{{term.Int(1)}}, []string{"d:f()"}, true, 50*time.Millisecond)
 
-	if c.Serveable(key) || c.Len() != 0 {
+	if _, ok := c.EstimateServe(key); ok || c.Len() != 0 {
 		t.Fatalf("a fill that read a degraded call was stored (Len %d)", c.Len())
 	}
 	res := c.Probe(key)
@@ -85,7 +85,7 @@ func TestDegradedEntryNeverServed(t *testing.T) {
 	}
 	res.Rec.Note("d:f()", false)
 	res.Rec.Commit(domain.CostVector{TAll: 40 * time.Millisecond, Card: 2})
-	if !c.Serveable(key) {
+	if _, ok := c.EstimateServe(key); !ok {
 		t.Fatal("sound refill not serveable")
 	}
 }
@@ -101,7 +101,7 @@ func TestInvalidationDuringFillStoresNothing(t *testing.T) {
 	res.Rec.Add([]term.Value{term.Int(1)})
 	c.InvalidateInput("d:f()")
 	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond, Card: 1})
-	if c.Serveable(key) {
+	if _, ok := c.EstimateServe(key); ok {
 		t.Error("fill whose input was invalidated mid-fill is serveable")
 	}
 	if st := c.Stats(); st.Invalidations != 1 || st.Stores != 0 {
@@ -116,7 +116,7 @@ func TestInvalidationDuringFillStoresNothing(t *testing.T) {
 	res.Rec.Note("d:g()", false)
 	c.InvalidateInput("d:h()")
 	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
-	if !c.Serveable(key) {
+	if _, ok := c.EstimateServe(key); !ok {
 		t.Error("fill untouched by its inputs' invalidations was not stored")
 	}
 }
@@ -134,8 +134,8 @@ func TestFillOutlivingTheRingStoresNothing(t *testing.T) {
 			c.InvalidateInput(fmt.Sprintf("d:other(%d)", i))
 		}
 		res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
-		if got, want := c.Serveable(key), n <= invRing; got != want {
-			t.Errorf("after %d unrelated invalidations: serveable = %v, want %v", n, got, want)
+		if _, got := c.EstimateServe(key); got != (n <= invRing) {
+			t.Errorf("after %d unrelated invalidations: serveable = %v, want %v", n, got, n <= invRing)
 		}
 	}
 }
@@ -147,11 +147,13 @@ func TestInvalidateInput(t *testing.T) {
 	commitEntry(t, c, kB, nil, []string{"call2", "call3"}, false, 60*time.Millisecond)
 
 	c.InvalidateInput("call3")
-	if c.Serveable(kA) != true || c.Serveable(kB) != false {
-		t.Fatalf("call3 invalidation: A serveable=%v B serveable=%v, want true/false", c.Serveable(kA), c.Serveable(kB))
+	_, okA := c.EstimateServe(kA)
+	_, okB := c.EstimateServe(kB)
+	if okA != true || okB != false {
+		t.Fatalf("call3 invalidation: A serveable=%v B serveable=%v, want true/false", okA, okB)
 	}
 	c.InvalidateInput("call2")
-	if c.Serveable(kA) {
+	if _, ok := c.EstimateServe(kA); ok {
 		t.Fatal("call2 invalidation left A serveable")
 	}
 	if st := c.Stats(); st.Invalidations != 2 {
@@ -170,7 +172,7 @@ func TestInvalidateUnknownInputIsNoop(t *testing.T) {
 	c := New(DefaultConfig())
 	commitEntry(t, c, fillKey(0), nil, []string{"call1"}, false, 60*time.Millisecond)
 	c.InvalidateInput("no-such-call")
-	if !c.Serveable(fillKey(0)) || c.Stats().Invalidations != 0 {
+	if _, ok := c.EstimateServe(fillKey(0)); !ok || c.Stats().Invalidations != 0 {
 		t.Error("unrelated invalidation touched the entry")
 	}
 }
@@ -181,7 +183,7 @@ func TestAdmissionThresholds(t *testing.T) {
 	// Too large to store: three rows of 100 KiB > maxEntryBytes.
 	row := bigRow(100 << 10)
 	commitEntry(t, c, fillKey(1), [][]term.Value{row, row, row}, nil, false, time.Second)
-	if c.Serveable(fillKey(1)) {
+	if _, ok := c.EstimateServe(fillKey(1)); ok {
 		t.Error("oversized fill was admitted")
 	}
 	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 {
@@ -189,7 +191,7 @@ func TestAdmissionThresholds(t *testing.T) {
 	}
 	// Two of them fit.
 	commitEntry(t, c, fillKey(2), [][]term.Value{row, row}, nil, false, time.Second)
-	if !c.Serveable(fillKey(2)) {
+	if _, ok := c.EstimateServe(fillKey(2)); !ok {
 		t.Error("fill under maxEntryBytes was not admitted")
 	}
 }
@@ -215,7 +217,8 @@ func TestOversizedFillAbortsAtCrossingTuple(t *testing.T) {
 		t.Error("probe after the abort should start a fresh fill")
 	}
 	lead.Rec.Commit(domain.CostVector{TAll: time.Second, Card: 6})
-	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 || c.Len() != 0 || c.Serveable(key) {
+	_, served := c.EstimateServe(key)
+	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 0 || c.Len() != 0 || served {
 		t.Errorf("stats = %+v, Len = %d; want exactly 1 rejected store and nothing stored", st, c.Len())
 	}
 }
@@ -235,15 +238,20 @@ func TestEvictionIsLeastRecentlyUsed(t *testing.T) {
 	}
 	c.EstimateServe(fillKey(1))
 	commitEntry(t, c, fillKey(2), nil, nil, false, 20*time.Millisecond)
-	if c.Serveable(fillKey(1)) {
+	if _, ok := c.EstimateServe(fillKey(1)); ok {
 		t.Error("entry 1, idle since its store, survived; LRU should have evicted it")
 	}
-	if !c.Serveable(fillKey(0)) || !c.Serveable(fillKey(2)) {
+	_, ok0 := c.EstimateServe(fillKey(0))
+	_, ok2 := c.EstimateServe(fillKey(2))
+	if !ok0 || !ok2 {
 		t.Error("recently used entries were evicted")
 	}
 	// Entry 0's hit is now older than entry 2's store.
 	commitEntry(t, c, fillKey(3), nil, nil, false, time.Second)
-	if c.Serveable(fillKey(0)) || !c.Serveable(fillKey(2)) || !c.Serveable(fillKey(3)) {
+	_, ok0 = c.EstimateServe(fillKey(0))
+	_, ok2 = c.EstimateServe(fillKey(2))
+	_, ok3 := c.EstimateServe(fillKey(3))
+	if ok0 || !ok2 || !ok3 {
 		t.Error("the second eviction did not take the least recently used entry 0")
 	}
 	if st := c.Stats(); st.Evictions != 2 || c.Len() != 2 {
@@ -274,8 +282,8 @@ func TestConcurrentFillsOfOneKeyEachLead(t *testing.T) {
 	}
 	// The replaced entry is unhooked: one invalidation drops the survivor.
 	c.InvalidateInput("call1")
-	if c.Serveable(key) || c.Stats().Invalidations != 1 {
-		t.Errorf("invalidation after a replacing store: serveable=%v stats=%+v", c.Serveable(key), c.Stats())
+	if _, ok := c.EstimateServe(key); ok || c.Stats().Invalidations != 1 {
+		t.Errorf("invalidation after a replacing store: serveable=%v stats=%+v", ok, c.Stats())
 	}
 }
 
@@ -286,7 +294,7 @@ func TestAbortStoresNothing(t *testing.T) {
 	res.Rec.Add([]term.Value{term.Int(1)})
 	res.Rec.Abort()
 	res.Rec.Commit(domain.CostVector{TAll: time.Millisecond})
-	if c.Serveable(key) || c.Stats().Stores != 0 {
+	if _, ok := c.EstimateServe(key); ok || c.Stats().Stores != 0 {
 		t.Error("aborted fill produced a serveable entry")
 	}
 	if res := c.Probe(key); res.Rec == nil {
@@ -413,11 +421,12 @@ func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
 						f.spoilt = f.spoilt || i2 == in
 					}
 				}
-			default: // spot-check Serveable against the model (evictions may
+			default: // spot-check EstimateServe against the model (evictions may
 				// have dropped a live entry; that is allowed, the reverse —
 				// serving a dead one — is not)
 				key := fillKey(rng.Intn(10))
-				if _, ok := live[key]; !ok && c.Serveable(key) {
+				_, isLive := live[key]
+				if _, served := c.EstimateServe(key); !isLive && served {
 					t.Fatalf("seed %d step %d: %q serveable after invalidation", seed, step, key)
 				}
 			}

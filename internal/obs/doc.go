@@ -17,11 +17,12 @@
 //     time. The registry renders what is attached in Prometheus text
 //     exposition format (WritePrometheus, or the /metrics endpoint from
 //     Handler) and returns the live series by name.
-//   - Tracer starts one root Span per query; the engine, CIM, DCSM,
-//     resilience wrapper and remote client hang child spans and outcome
-//     tags off it (cim=exact|equality|partial|miss, degraded=true,
-//     breaker=open, ...). Finished span trees land in the flight
-//     recorder's bounded ring, which /debug/queries renders.
+//   - Observer.StartQuery opens one root Span per query; the engine, CIM,
+//     DCSM, resilience wrapper and remote client hang child spans and
+//     outcome tags off it (cim=exact|equality|partial|miss,
+//     degraded=true, breaker=open, ...). The flight recorder counts each
+//     query started and takes each root as it ends into its bounded ring,
+//     which /debug/queries renders.
 //   - Explain renders a finished span tree as a text tree annotating every
 //     node with its estimated versus actual [Tf, Ta, Card] cost vector —
 //     the paper's cost triple of time-to-first-answer, time-to-all-answers
@@ -32,11 +33,13 @@
 // tags linked by index. A value set as a number (SetTagInt, SetTagMillis,
 // SetTagFixed) or an Appender (SetName, SetTagFrom) is kept as one and
 // rendered when the tree is first read; an appender must not change for
-// the tree's life. A string is kept as given. The first Snapshot of an
-// ended tree builds it once, into one node array, one tag array, one cost
-// array and one string; later snapshots share that build until a write to
-// an ended span invalidates it. Kept means copied out: nothing a flight
-// record, a federated subtree or a caller keeps points into the records.
+// the tree's life. A string is kept as given. A Snapshot builds the tree
+// into one node array, one tag array, one cost array and one string. Only
+// a tree whose every span has ended keeps its build: later snapshots share
+// it until a write to an ended span invalidates it, while a tree with a
+// span still open is built whole on every Snapshot. Kept means copied out:
+// nothing a flight record, a federated subtree or a caller keeps points
+// into the records.
 //
 // All timestamps are execution-clock readings (time.Duration since clock
 // zero), so traces of simulated runs replay deterministically. The package

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // breaker-open short circuit — and compares it against the golden file.
 func TestExplainGolden(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	root := NewTracer(nil).StartQuery("?- objects_between(4, 47, O).", 0)
+	root := NewSpan("?- objects_between(4, 47, O).", 0)
 	root.SetTag("answers", "5")
 	root.SetTag("complete", "true")
 	root.SetActual(Cost{TFirst: ms(231), TAll: ms(462), Card: 5})
@@ -75,7 +75,7 @@ func TestExplainGolden(t *testing.T) {
 // line so an operator can read the serving decision off the tree.
 func TestExplainDegradedAndPartial(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	root := NewTracer(nil).StartQuery("?- objects_between(4, 47, O).", 0)
+	root := NewSpan("?- objects_between(4, 47, O).", 0)
 	root.SetTag("complete", "false")
 
 	deg := root.Child("call avis:frames_to_objects('rope', 4, 47)", 0)
@@ -114,7 +114,7 @@ func TestExplainDegradedAndPartial(t *testing.T) {
 }
 
 func TestExplainNestedIndentation(t *testing.T) {
-	root := NewTracer(nil).StartQuery("root", 0)
+	root := NewSpan("root", 0)
 	a := root.Child("a", 0)
 	a.Child("a1", 0).End(0)
 	a.Child("a2", 0).End(0)

@@ -14,7 +14,7 @@ import (
 
 // TestFlightRecorderConcurrentWriteJSONL hammers the recorder with
 // concurrent publishers, readers, dumpers, and threshold changes — the
-// live-server shape where the tracer's publish hook fires mid-query
+// live-server shape where ended roots publish to the recorder mid-query
 // while an operator curls /debug/flightrecorder. Run under -race this
 // pins the locking discipline; in any mode it checks every dumped line
 // is intact JSON with a positive sequence number.
@@ -92,7 +92,7 @@ func TestFlightRecorderConcurrentWriteJSONL(t *testing.T) {
 // compares against a golden file.
 func TestExplainFederatedGolden(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	root := NewTracer(nil).StartQuery("?- objects_between(4, 47, O).", 0)
+	root := NewSpan("?- objects_between(4, 47, O).", 0)
 	root.SetTag("node", "node-a")
 	root.SetTag("answers", "19")
 	root.SetTag("complete", "true")

@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/term"
@@ -25,23 +26,28 @@ type FlightRecord struct {
 
 // FlightRecorder is an always-on bounded ring of finished root-span
 // trees, so a degraded production query can be explained after the
-// fact without re-running it. A slow-query threshold filters what is
-// retained: 0 keeps every finished query, otherwise only queries whose
-// duration meets the threshold are recorded (the rest are counted as
-// skipped). Oldest records are evicted first. Safe for concurrent use;
-// a nil recorder is a no-op.
+// fact without re-running it. It counts the queries Observer.StartQuery
+// opens, and takes each finished one when its root ends. A slow-query
+// threshold filters what is retained: 0 keeps every finished query,
+// otherwise only queries whose duration meets the threshold are recorded
+// (the rest are counted as skipped). Oldest records are evicted first. Safe
+// for concurrent use; a nil recorder is a no-op.
 type FlightRecorder struct {
+	started   atomic.Int64
 	mu        sync.Mutex
 	threshold time.Duration
-	records   ring[FlightRecord]
-	seq       int64
-	skipped   int64
+	// The ring: the last len(buf) records kept. A record overwrites the
+	// oldest in place, so an evicted span tree is unreachable at once.
+	buf     []FlightRecord
+	next, n int // the slot the next record takes, records held
+	seq     int64
+	skipped int64
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity
 // queries (minimum 1) at or above threshold (0 = keep everything).
 func NewFlightRecorder(capacity int, threshold time.Duration) *FlightRecorder {
-	return &FlightRecorder{records: newRing[FlightRecord](capacity), threshold: threshold}
+	return &FlightRecorder{buf: make([]FlightRecord, max(capacity, 1)), threshold: threshold}
 }
 
 // SetThreshold replaces the slow-query threshold (0 = keep everything).
@@ -57,22 +63,17 @@ func (f *FlightRecorder) SetThreshold(d time.Duration) {
 // Record offers one finished root-span snapshot to the ring. Snapshots
 // faster than the threshold are skipped.
 func (f *FlightRecorder) Record(d SpanData) {
-	if f == nil {
-		return
+	if !f.skips(d.Duration()) {
+		f.keep(d)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seq++
-	if f.threshold > 0 && d.Duration() < f.threshold {
-		f.skipped++
-		return
+}
+
+// publish offers an ended root, taking a snapshot only of a query it
+// keeps.
+func (f *FlightRecorder) publish(s *Span) {
+	if !f.skips(s.end - s.start) {
+		f.keep(s.Snapshot())
 	}
-	f.records.push(FlightRecord{
-		Seq:        f.seq,
-		Name:       d.Name,
-		DurationMS: float64(d.Duration()) / float64(time.Millisecond),
-		Root:       d,
-	})
 }
 
 // skips reports whether a query that took d is under the threshold, and
@@ -91,6 +92,21 @@ func (f *FlightRecorder) skips(d time.Duration) bool {
 	return false
 }
 
+// keep stores d as the newest record, whatever the threshold.
+func (f *FlightRecorder) keep(d SpanData) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.seq++
+	f.buf[f.next] = FlightRecord{
+		Seq:        f.seq,
+		Name:       d.Name,
+		DurationMS: float64(d.Duration()) / float64(time.Millisecond),
+		Root:       d,
+	}
+	f.next = (f.next + 1) % len(f.buf)
+	f.n = min(f.n+1, len(f.buf))
+}
+
 // Records returns the retained flight records, newest first.
 func (f *FlightRecorder) Records() []FlightRecord {
 	if f == nil {
@@ -98,7 +114,21 @@ func (f *FlightRecorder) Records() []FlightRecord {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.records.newestFirst()
+	out := make([]FlightRecord, f.n)
+	for i := range out {
+		out[i] = f.buf[(f.next-1-i+len(f.buf))%len(f.buf)]
+	}
+	return out
+}
+
+// Counts returns how many queries were started and how many finished.
+func (f *FlightRecorder) Counts() (started, finished int64) {
+	if f == nil {
+		return 0, 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.started.Load(), f.seq
 }
 
 // Stats returns how many finished queries were offered and how many
@@ -120,9 +150,7 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	records := f.records.newestFirst()
-	f.mu.Unlock()
+	records := f.Records()
 	var b []byte
 	for i := len(records) - 1; i >= 0; i-- {
 		r := &records[i]

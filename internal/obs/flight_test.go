@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -43,15 +44,63 @@ func TestFlightRecorderThreshold(t *testing.T) {
 // publishing it allocates nothing.
 func TestFlightThresholdBeforeSnapshot(t *testing.T) {
 	f := NewFlightRecorder(8, time.Second)
-	tr := NewTracer(f)
-	root := tr.StartQuery("?- fast.", 0)
+	root := (&Observer{Flight: f}).StartQuery("?- fast.", 0)
 	root.Child("call d:f()", 0).End(time.Millisecond)
 	root.End(2 * time.Millisecond)
-	if n := testing.AllocsPerRun(100, func() { tr.publish(root) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { f.publish(root) }); n != 0 {
 		t.Errorf("publishing a fast tree allocates %v times, want 0", n)
 	}
 	if offered, skipped := f.Stats(); offered != 102 || skipped != 102 || len(f.Records()) != 0 {
 		t.Errorf("stats = %d offered, %d skipped, %d kept; want 102, 102, 0", offered, skipped, len(f.Records()))
+	}
+}
+
+// TestFlightConcurrentPublishing: roots ending at once on one observer are
+// each counted, numbered apart and written whole, and the recorder keeps
+// the newest of them up to its capacity; run with -race.
+func TestFlightConcurrentPublishing(t *testing.T) {
+	const n, capacity = 32, 8
+	o := &Observer{Flight: NewFlightRecorder(capacity, 0)}
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			root := o.StartQuery(fmt.Sprintf("?- q(%d).", g), 0)
+			root.SetTagInt("g", g)
+			root.Child("call d:f()", 0).End(time.Millisecond)
+			root.End(time.Duration(g+1) * time.Millisecond)
+		}(g)
+	}
+	wg.Wait()
+	if started, finished := o.Flight.Counts(); started != n || finished != n {
+		t.Errorf("counts = %d started, %d finished, want %d and %d", started, finished, n, n)
+	}
+	recs := o.Flight.Records()
+	if len(recs) != capacity {
+		t.Fatalf("retained = %d, want the capacity %d", len(recs), capacity)
+	}
+	for i, r := range recs {
+		if r.Seq != int64(n-i) {
+			t.Errorf("record %d has seq %d, want %d: seqs repeat or skip", i, r.Seq, n-i)
+		}
+	}
+	var buf bytes.Buffer
+	if err := o.Flight.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != capacity {
+		t.Fatalf("JSONL has %d lines, want %d", len(lines), capacity)
+	}
+	for _, line := range lines {
+		var rec FlightRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("not valid JSON: %v\n%s", err, line)
+		}
+		if rec.Root.Tag("g") == "" || len(rec.Root.Children) != 1 {
+			t.Errorf("record %d lost its tree: %+v", rec.Seq, rec.Root)
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func renderRef(t *testing.T, d refData) rendered {
 
 func renderReal(t *testing.T, d SpanData) rendered {
 	t.Helper()
-	j, err := EncodeSpanJSON(d)
+	j, err := AppendSpanJSON(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +423,7 @@ func TestConcurrentSnapshotsShareOneFrozenTree(t *testing.T) {
 }
 
 // TestOpenGrandchildIsNeverFrozen: a tree with one span still open is
-// rebuilt per call and shows that span with End == Start; the subtrees
-// beside it that have ended are shared all the same.
+// built whole per call and shows that span with End == Start.
 func TestOpenGrandchildIsNeverFrozen(t *testing.T) {
 	root := NewSpan("q", 0)
 	done := root.Child("done", 1)
@@ -438,9 +437,6 @@ func TestOpenGrandchildIsNeverFrozen(t *testing.T) {
 	a, b := root.Snapshot(), root.Snapshot()
 	if sameChildren(a, b) || sameChildren(a.Children[1], b.Children[1]) {
 		t.Error("a tree holding an open span was cached")
-	}
-	if !sameChildren(a.Children[0], b.Children[0]) {
-		t.Error("the ended subtree beside the open span was rebuilt")
 	}
 	if g := a.Children[1].Children[0]; g.Name != "straggler" || g.Start != 5 || g.End != g.Start {
 		t.Errorf("open grandchild snapshots as %+v, want End == Start == 5", g)
@@ -501,7 +497,7 @@ func TestTruncateLeavesFrozenTagsAlone(t *testing.T) {
 	root := tenSpanTree()
 	d := root.Snapshot()
 	before := renderReal(t, d)
-	full, _ := EncodeSpanJSON(d)
+	full, _ := AppendSpanJSON(nil, d)
 	b, truncated, ok := AppendSpanJSONWithin(nil, d, len(full)-1)
 	if !ok || !truncated || !bytes.Contains(b, []byte(`"truncated":"1"`)) {
 		t.Fatalf("truncate = %s, %v, %v", b, truncated, ok)
@@ -511,32 +507,31 @@ func TestTruncateLeavesFrozenTagsAlone(t *testing.T) {
 	}
 }
 
-// TestRingWindow: the ring keeps the newest items, newest first, and
-// overwrites — so releases — what it evicts.
+// TestRingWindow: the flight recorder's ring keeps the newest records,
+// newest first, and overwrites — so releases — what it evicts.
 func TestRingWindow(t *testing.T) {
-	r := newRing[*int](3)
-	if got := r.newestFirst(); len(got) != 0 {
+	f := NewFlightRecorder(3, 0)
+	if got := f.Records(); len(got) != 0 {
 		t.Fatalf("empty ring holds %v", got)
 	}
 	for i := 0; i < 8; i++ {
-		v := i
-		r.push(&v)
-		got := r.newestFirst()
+		f.Record(SpanData{})
+		got := f.Records()
 		if len(got) != min(i+1, 3) {
-			t.Fatalf("after %d pushes the ring holds %d", i+1, len(got))
+			t.Fatalf("after %d records the ring holds %d", i+1, len(got))
 		}
-		for j, p := range got {
-			if *p != i-j {
-				t.Fatalf("after %d pushes item %d is %d, want %d", i+1, j, *p, i-j)
+		for j, r := range got {
+			if r.Seq != int64(i-j+1) {
+				t.Fatalf("after %d records item %d is record %d, want %d", i+1, j, r.Seq, i-j+1)
 			}
 		}
 	}
-	for _, p := range r.buf {
-		if *p < 5 {
-			t.Errorf("evicted item %d is still reachable from the ring", *p)
+	for _, r := range f.buf {
+		if r.Seq < 6 {
+			t.Errorf("evicted record %d is still reachable from the ring", r.Seq)
 		}
 	}
-	if one := newRing[int](0); len(one.buf) != 1 {
+	if one := NewFlightRecorder(0, 0); len(one.buf) != 1 {
 		t.Errorf("minimum capacity = %d, want 1", len(one.buf))
 	}
 }

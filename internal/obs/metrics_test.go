@@ -56,12 +56,12 @@ func TestNilSafety(t *testing.T) {
 	var o *Observer
 	o.Counter("x").Inc()
 	o.StartQuery("q", 0).SetTag("a", "b")
-	var tr *Tracer
-	tr.StartQuery("q", 0).End(0)
-	if started, finished := tr.Counts(); started != 0 || finished != 0 {
-		t.Errorf("nil tracer counts = %d, %d", started, finished)
+	var f *FlightRecorder
+	o.StartQuery("q", 0).End(0)
+	if started, finished := f.Counts(); started != 0 || finished != 0 {
+		t.Errorf("nil recorder counts = %d, %d", started, finished)
 	}
-	NewTracer(nil).StartQuery("q", 0).End(0) // a tracer without a recorder keeps nothing
+	(&Observer{}).StartQuery("q", 0).End(0) // an observer without a recorder traces nothing
 }
 
 func TestHistogramQuantiles(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -64,7 +63,7 @@ const (
 	handle // a Lane handle: kids is the span it stands for
 )
 
-// NewSpan opens a standalone root span outside any tracer: ending it
+// NewSpan opens a standalone root span outside any observer: ending it
 // publishes nothing. The remote server uses it for per-call serve spans
 // that travel back to the caller in a trace frame rather than entering the
 // server's own /debug/queries ring.
@@ -95,7 +94,7 @@ func (s *Span) write(f func(t *Span)) {
 	t := s.lock()
 	f(t)
 	if t.flags&ended != 0 {
-		s.tr.built, s.tr.pos = nil, nil
+		s.tr.built = nil
 	}
 	s.tr.mu.Unlock()
 }
@@ -222,7 +221,8 @@ func (s *Span) AttachForeign(d *SpanData) {
 }
 
 // End closes the span at execution-clock reading at. Ending a span twice
-// is a no-op; ending a root span publishes its snapshot to the Tracer.
+// is a no-op; ending a root span opened by Observer.StartQuery offers its
+// tree to the flight recorder.
 func (s *Span) End(at time.Duration) {
 	if s == nil {
 		return
@@ -236,27 +236,27 @@ func (s *Span) End(at time.Duration) {
 	t.end = at
 	tr.open--
 	tr.mu.Unlock()
-	if t.id == 0 && tr.tracer != nil {
-		tr.tracer.publish(t)
+	if t.id == 0 && tr.flight != nil {
+		tr.flight.publish(t)
 	}
 }
 
 // Snapshot returns the span tree under s as immutable data for rendering.
 // A still-open span snapshots with End == Start.
 //
-// The root's tree is built once, in a fixed set of allocations none of
-// which points into the tree's records (see tree.build), and every later
-// Snapshot of the wholly ended tree shares that build, so a SpanData is
-// read-only, until a write to an ended span invalidates it. A tree still
-// holding an open span is rebuilt per call, sharing the subtrees beside it
-// that had ended. A span under the root builds its own subtree afresh.
+// The root's tree is built in a fixed set of allocations none of which
+// points into the tree's records (see tree.build). Once every span has
+// ended, the build is kept and every later Snapshot shares it, so a
+// SpanData is read-only, until a write to an ended span invalidates it. A
+// tree still holding an open span is built whole per call and keeps
+// nothing. A span under the root builds its own subtree afresh.
 func (s *Span) Snapshot() SpanData {
 	if s == nil {
 		return SpanData{}
 	}
 	t, tr := s.lock(), s.tr
 	defer tr.mu.Unlock()
-	if t.id == 0 && tr.built != nil && tr.pos == nil {
+	if t.id == 0 && tr.built != nil {
 		return tr.built[0]
 	}
 	b := builders.Get().(*builder)
@@ -303,77 +303,34 @@ func (d SpanData) Tag(k string) string {
 	return v
 }
 
-// Tracer creates root query spans and hands every finished span tree to
-// its flight recorder, whose ring /debug/queries renders. It is safe for
-// concurrent use; a nil Tracer disables tracing.
-type Tracer struct {
-	started, finished atomic.Int64
-	flight            *FlightRecorder // nil keeps no trees
-}
-
-// NewTracer returns a tracer publishing finished query spans to f.
-func NewTracer(f *FlightRecorder) *Tracer {
-	return &Tracer{flight: f}
-}
-
-// StartQuery opens a root span for one query at execution-clock reading
-// at. Ending the returned span publishes its snapshot to the flight
-// recorder. On a nil tracer it returns nil.
-func (t *Tracer) StartQuery(name string, at time.Duration) *Span {
-	if t == nil {
-		return nil
-	}
-	t.started.Add(1)
-	s := NewSpan(name, at)
-	s.tr.tracer = t
-	return s
-}
-
-// publish offers an ended root to the flight recorder, which takes a
-// snapshot only of a query it keeps.
-func (t *Tracer) publish(s *Span) {
-	t.finished.Add(1)
-	if !t.flight.skips(s.end - s.start) {
-		t.flight.Record(s.Snapshot())
-	}
-}
-
-// Counts returns how many query spans were started and finished.
-func (t *Tracer) Counts() (started, finished int64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.started.Load(), t.finished.Load()
-}
-
 // Observer bundles the observability facilities the system threads
-// through its layers: a metrics registry, a query tracer and a flight
-// recorder. It only records: a layer behaves the same with or without
-// one. A nil Observer (or nil fields) disables the corresponding
-// facility; every method is nil-receiver safe.
+// through its layers: a metrics registry, and a flight recorder that
+// keeps the query traces. It only records: a layer behaves the same with
+// or without one. A nil Observer (or nil fields) disables the
+// corresponding facility, a nil Flight tracing; every method is
+// nil-receiver safe.
 type Observer struct {
 	Metrics *Registry
-	Tracer  *Tracer
 	Flight  *FlightRecorder
 }
 
 // NewObserver returns an observer with a fresh registry and a flight
-// recorder (keep-everything threshold) fed by the tracer.
+// recorder with the keep-everything threshold.
 func NewObserver() *Observer {
-	o := &Observer{
-		Metrics: NewRegistry(),
-		Flight:  NewFlightRecorder(DefaultFlightCapacity, 0),
-	}
-	o.Tracer = NewTracer(o.Flight)
-	return o
+	return &Observer{Metrics: NewRegistry(), Flight: NewFlightRecorder(DefaultFlightCapacity, 0)}
 }
 
-// StartQuery forwards to the tracer (nil-safe).
+// StartQuery opens a root span for one query at execution-clock reading
+// at, counted as started on the flight recorder. Ending the span offers
+// its tree to the recorder. With tracing off it returns nil.
 func (o *Observer) StartQuery(name string, at time.Duration) *Span {
-	if o == nil {
+	if o == nil || o.Flight == nil {
 		return nil
 	}
-	return o.Tracer.StartQuery(name, at)
+	o.Flight.started.Add(1)
+	s := NewSpan(name, at)
+	s.tr.flight = o.Flight
+	return s
 }
 
 // Registry returns the metrics registry, nil (whose methods are no-ops)

@@ -10,8 +10,7 @@ import (
 
 func TestSpanTreeAndSnapshot(t *testing.T) {
 	f := NewFlightRecorder(4, 0)
-	tr := NewTracer(f)
-	root := tr.StartQuery("?- q(X).", 10*time.Millisecond)
+	root := (&Observer{Flight: f}).StartQuery("?- q(X).", 10*time.Millisecond)
 	root.SetTag("answers", "2")
 	call := root.Child("call d:f(1)", 12*time.Millisecond)
 	call.SetTag("cim", "exact")
@@ -48,7 +47,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	if _, ok := d.Tags.Lookup("late"); ok {
 		t.Error("snapshot aliased live span")
 	}
-	started, finished := tr.Counts()
+	started, finished := f.Counts()
 	if started != 1 || finished != 1 {
 		t.Errorf("counts = %d, %d", started, finished)
 	}
@@ -58,7 +57,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 // goroutines; run with -race.
 func TestSpanConcurrentTagging(t *testing.T) {
 	f := NewFlightRecorder(1, 0)
-	root := NewTracer(f).StartQuery("q", 0)
+	root := (&Observer{Flight: f}).StartQuery("q", 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -85,7 +84,7 @@ func TestSpanConcurrentTagging(t *testing.T) {
 // use through any span of it; a served tree keeps the one its caller sent.
 // Only a root keeps the ID; a span record stays within 192 bytes.
 func TestTraceIDOncePerTree(t *testing.T) {
-	root := NewTracer(nil).StartQuery("?- q.", 0)
+	root := NewSpan("?- q.", 0)
 	leaf := root.Child("plan", 0).Lane(1).Child("call d:f()", 0)
 	id := leaf.TraceID()
 	if len(id) != 16 || root.TraceID() != id || leaf.TraceID() != id {

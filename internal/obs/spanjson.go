@@ -36,11 +36,6 @@ const (
 // silently dropping the subtree.
 const TruncatedTag = "truncated"
 
-// EncodeSpanJSON renders a span snapshot as its wire JSON.
-func EncodeSpanJSON(d SpanData) ([]byte, error) {
-	return AppendSpanJSON(nil, d)
-}
-
 // AppendSpanJSON appends the bytes json.Marshal(d) writes: fields in
 // declaration order, omitempty as declared, Cost under its Go field names,
 // Card in encoding/json's float format, Tags as the object of a map and

@@ -46,7 +46,7 @@ func sampleSubtree() SpanData {
 
 func TestSpanJSONRoundTrip(t *testing.T) {
 	want := sampleSubtree()
-	b, err := EncodeSpanJSON(want)
+	b, err := AppendSpanJSON(nil, want)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestDecodeSpanJSONRejections(t *testing.T) {
 
 func TestTruncateSpanJSON(t *testing.T) {
 	d := sampleSubtree()
-	full, err := EncodeSpanJSON(d)
+	full, err := AppendSpanJSON(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func validateSpan(d SpanData, depth int, nodes *int) error {
 // bounds, and round-trip anything it does accept.
 func FuzzDecodeSpanJSON(f *testing.F) {
 	seed := sampleSubtree()
-	if b, err := EncodeSpanJSON(seed); err == nil {
+	if b, err := AppendSpanJSON(nil, seed); err == nil {
 		f.Add(b)
 	}
 	f.Add([]byte(`{"name": "root", "start": 0, "end": 1}`))
@@ -231,7 +231,7 @@ func FuzzDecodeSpanJSON(f *testing.F) {
 		if verr := validateSpan(d, 0, &nodes); verr != nil {
 			t.Fatalf("accepted subtree fails its own validation: %v", verr)
 		}
-		b, err := EncodeSpanJSON(d)
+		b, err := AppendSpanJSON(nil, d)
 		if err != nil {
 			t.Fatalf("accepted subtree does not re-encode: %v", err)
 		}
@@ -365,7 +365,7 @@ func divergent(raw []byte, known []string) bool {
 // SpanData, except on a repeated or differently-cased span or cost key,
 // the decoder's documented divergences.
 func FuzzSpanCodec(f *testing.F) {
-	if b, err := EncodeSpanJSON(sampleSubtree()); err == nil {
+	if b, err := AppendSpanJSON(nil, sampleSubtree()); err == nil {
 		f.Add(b)
 	}
 	for _, s := range []string{
@@ -413,7 +413,7 @@ func FuzzSpanCodec(f *testing.F) {
 // TestDecodeSpanJSONAllocsPer gates what decoding one stitched trace
 // allocates: the payload is sampleSubtree's, three spans.
 func TestDecodeSpanJSONAllocsPer(t *testing.T) {
-	b, err := EncodeSpanJSON(sampleSubtree())
+	b, err := AppendSpanJSON(nil, sampleSubtree())
 	if err != nil {
 		t.Fatal(err)
 	}

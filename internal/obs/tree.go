@@ -19,7 +19,7 @@ import (
 // build for every Snapshot that starts after the writer returns.
 type tree struct {
 	mu      sync.Mutex
-	tracer  *Tracer // End of the root publishes to it
+	flight  *FlightRecorder // End of the root publishes to it
 	traceID string
 	nspans  int32 // records, Lane handles among them
 	ntags   int32
@@ -31,12 +31,9 @@ type tree struct {
 	apps    []Appender // tag values rendered from appenders
 	foreign *foreignSub
 
-	// The root's last build, nil once a span it shows as ended is written.
-	// pos is nil when every span had ended; otherwise pos[i] places span
-	// i's node in built when its whole subtree had ended, and is -1 when
-	// not.
+	// The root's build, kept once every span had ended; nil until then,
+	// and again once a span it shows is written.
 	built []SpanData
-	pos   []int32
 
 	root     Span
 	firstTag [2]tagRec
@@ -197,9 +194,6 @@ type builder struct {
 	tags    []Tag
 	costs   []Cost
 	next    int32
-	prev    []SpanData // the last build, whose ended subtrees prevPos places
-	prevPos []int32
-	pos     []int32
 	text    []byte
 	fix     []fixup
 	order   []int32
@@ -220,16 +214,13 @@ var builders = sync.Pool{New: func() any { return new(builder) }}
 // point into, and one string that every rendered name and value slices;
 // the arrays are sized for the whole tree, exactly so for a root built
 // whole. None of them points into the tree's records: what a flight
-// record or a caller keeps is copied out. As the root's, the build becomes
-// the tree's; a scratch build fills b's own arrays, for b.release to reuse.
+// record or a caller keeps is copied out. As the root's of a tree whose
+// every span has ended, the build becomes the tree's; a scratch build
+// fills b's own arrays, for b.release to reuse.
 func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 	b.tr = tr
 	if t := keys.Load(); t != nil {
 		b.names = t.names
-	}
-	partial := root && tr.open > 0
-	if partial && tr.pos != nil {
-		b.prev, b.prevPos = tr.built, tr.pos
 	}
 	n, nt, nc := int(tr.nodes), int(tr.ntags), int(tr.costs)
 	switch {
@@ -245,12 +236,6 @@ func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 			b.costs = make([]Cost, 0, nc)
 		}
 	}
-	if partial {
-		b.pos = make([]int32, tr.nspans)
-		for i := range b.pos {
-			b.pos[i] = -1
-		}
-	}
 	b.next = 1
 	b.fill(0, top)
 	if len(b.text) > 0 {
@@ -259,8 +244,8 @@ func (tr *tree) build(b *builder, top *Span, root bool) SpanData {
 			*f.s = text[f.off:f.end]
 		}
 	}
-	if root {
-		tr.built, tr.pos = b.nodes, b.pos
+	if root && tr.open == 0 {
+		tr.built = b.nodes
 	}
 	return b.nodes[0]
 }
@@ -277,14 +262,6 @@ func (b *builder) release() {
 	}
 	*b = keep
 	builders.Put(b)
-}
-
-// reused returns where the last build holds span i's ended subtree, or -1.
-func (b *builder) reused(i int32) int32 {
-	if int(i) >= len(b.prevPos) {
-		return -1
-	}
-	return b.prevPos[i]
 }
 
 // render appends a name's appender a, or else tag t's value, to the text,
@@ -317,14 +294,12 @@ func (b *builder) sorted(from int, cmp func(x, y int32) int) []int32 {
 	return o
 }
 
-// fill writes r's node at position at, its children in one block taken
-// after the nodes already placed, and reports whether r's whole subtree
-// has ended.
-func (b *builder) fill(at int32, r *Span) bool {
+// fill writes r's node at position at, and its children in one block
+// taken after the nodes already placed.
+func (b *builder) fill(at int32, r *Span) {
 	tr, d := b.tr, &b.nodes[at]
-	all := r.flags&ended != 0
 	d.Name, d.Start, d.End = r.name, r.start, r.end
-	if !all {
+	if r.flags&ended == 0 {
 		d.End = r.start
 	}
 	if r.nameA != nil {
@@ -376,12 +351,7 @@ func (b *builder) fill(at int32, r *Span) bool {
 		b.next += k
 		d.Children = b.nodes[first:b.next:b.next]
 		for _, i := range kids {
-			if p := b.reused(i); p >= 0 {
-				b.nodes[first] = b.prev[p]
-				b.pos[i] = first
-			} else if !b.fill(first, tr.span(i)) {
-				all = false
-			}
+			b.fill(first, tr.span(i))
 			first++
 		}
 		for j := len(b.subs) - 1; j >= subs; j-- {
@@ -390,8 +360,4 @@ func (b *builder) fill(at int32, r *Span) bool {
 		}
 	}
 	b.order, b.subs = b.order[:mark], b.subs[:subs]
-	if all && b.pos != nil {
-		b.pos[r.id] = at
-	}
-	return all
 }

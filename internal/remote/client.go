@@ -188,28 +188,13 @@ func (c *Client) listing() (map[string][]FnSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := c.newID()
-	slot := newCallSlot()
-	sess.registerCall(id, slot)
-	defer sess.forget(id)
-	if err := sess.send("functions", &Frame{Op: OpFunctions, ID: id}, nil); err != nil {
-		return nil, err
-	}
-	var timeout <-chan time.Time
-	if c.frameTO > 0 {
-		t := time.NewTimer(c.frameTO)
-		defer t.Stop()
-		timeout = t.C
-	}
-	f, err := sess.await(slot, timeout)
+	f, err := sess.request(OpFunctions, c.frameTO)
 	switch {
 	case err != nil:
 		return nil, err
 	case f == nil:
 		sess.fail(fmt.Errorf("%w: functions listing from %s timed out", domain.ErrUnavailable, c.addr))
 		return nil, sess.failure()
-	case f.Err != "":
-		return nil, fmt.Errorf("remote: %s", f.Err)
 	}
 	return f.Functions, nil
 }
@@ -393,8 +378,6 @@ type callSlot struct {
 	reply *Frame
 }
 
-func newCallSlot() *callSlot { return &callSlot{ready: make(chan struct{}, 1)} }
-
 // tracePayloads recycles the copies of trace frame payloads that traced
 // calls take off the reader's line, each until its call has decoded it.
 var tracePayloads = sync.Pool{New: func() any { return new([]byte) }}
@@ -435,21 +418,40 @@ func (c *callSlot) route(in *frameIn) {
 	}
 }
 
-// await waits for the reply frame of a one-shot request (functions,
-// debug). A nil frame with a nil error means the timeout fired.
-func (s *session) await(c *callSlot, timeout <-chan time.Time) (*Frame, error) {
+// request sends a one-shot request of op (functions, debug) and waits
+// for its reply frame, at most timeout (0: no bound). A reply carrying an
+// error is returned as one; a nil frame with a nil error means the timeout
+// fired, which each caller handles its own way.
+func (s *session) request(op string, timeout time.Duration) (*Frame, error) {
+	id := s.c.newID()
+	slot := &callSlot{ready: make(chan struct{}, 1)}
+	s.registerCall(id, slot)
+	defer s.forget(id)
+	if err := s.send(op, &Frame{Op: op, ID: id}, nil); err != nil {
+		return nil, err
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
 	for {
 		select {
-		case <-c.ready:
-			c.mu.Lock()
-			f := c.reply
-			c.mu.Unlock()
-			if f != nil {
-				return f, nil
+		case <-slot.ready:
+			slot.mu.Lock()
+			f := slot.reply
+			slot.mu.Unlock()
+			if f == nil {
+				continue
 			}
+			if f.Err != "" {
+				return nil, fmt.Errorf("remote: %s", f.Err)
+			}
+			return f, nil
 		case <-s.done:
 			return nil, s.failure()
-		case <-timeout:
+		case <-expired:
 			return nil, nil
 		}
 	}
@@ -726,23 +728,10 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 	if !sess.debugOK {
 		return nil, fmt.Errorf("remote: %s did not grant the debug capability", c.addr)
 	}
-	id := c.newID()
-	slot := newCallSlot()
-	sess.registerCall(id, slot)
-	defer sess.forget(id)
-	if err := sess.send("debug", &Frame{Op: OpDebug, ID: id}, nil); err != nil {
-		return nil, err
-	}
 	if timeout <= 0 {
 		timeout = c.frameTO
 	}
-	var tc <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		tc = t.C
-	}
-	f, err := sess.await(slot, tc)
+	f, err := sess.request(OpDebug, timeout)
 	switch {
 	case err != nil:
 		return nil, err
@@ -751,8 +740,6 @@ func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 		// the shared session: calls may be healthy while the rollup fn is
 		// slow. The pending slot is forgotten; a late reply is dropped.
 		return nil, fmt.Errorf("%w: debug rollup from %s timed out", domain.ErrUnavailable, c.addr)
-	case f.Err != "":
-		return nil, fmt.Errorf("remote: %s", f.Err)
 	}
 	return f.Debug, nil
 }

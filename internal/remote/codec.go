@@ -133,10 +133,8 @@ func (w *frameWriter) writeBatch() {
 // payload as the span tree it encodes. Each is written straight into the
 // frame.
 type frameBody struct {
-	// args are a call's arguments, or argList their comma-separated
-	// term.AppendJSON list.
-	args    []term.Value
-	argList []byte
+	// args are a call's arguments.
+	args []term.Value
 	// values is an answers frame's term.AppendJSON list.
 	values []byte
 	// span, when set, is the trace payload, written by obs within spanMax
@@ -153,17 +151,11 @@ type frameBody struct {
 // ships no trace frame.
 var errNoTrace = errors.New("remote: trace subtree does not fit its budget")
 
-// appendFrame appends f as the line json.NewEncoder(w).Encode(f) writes,
-// HTML escaping on, except that the args and values keys come from args
-// and values, comma-separated term.AppendJSON lists (f.Args and f.Values
-// are not read). A trace or debug payload that is not one JSON value is an
-// error, as it is for encoding/json.
-func appendFrame(dst []byte, f *Frame, args, values []byte) ([]byte, error) {
-	return appendFrameBody(dst, f, &frameBody{argList: args, values: values})
-}
-
-// appendFrameBody is appendFrame with the args, values and trace of body
-// b (nil: none). A frame dropped on error leaves dst's bytes as they were.
+// appendFrameBody appends f as the line json.NewEncoder(w).Encode(f)
+// writes, HTML escaping on, except that the args, values and trace keys
+// come from body b (nil: none); f.Args and f.Values are not read. A trace
+// or debug payload that is not one JSON value is an error, as it is for
+// encoding/json. A frame dropped on error leaves dst's bytes as they were.
 func appendFrameBody(dst []byte, f *Frame, b *frameBody) ([]byte, error) {
 	if b == nil {
 		b = &frameBody{}
@@ -185,14 +177,11 @@ func appendFrameBody(dst []byte, f *Frame, b *frameBody) ([]byte, error) {
 	dst = appendString(dst, `,"domain":`, f.Domain)
 	dst = appendString(dst, `,"function":`, f.Function)
 	var err error
-	switch {
-	case len(b.args) > 0:
+	if len(b.args) > 0 {
 		if dst, err = appendValues(append(dst, `,"args":[`...), b.args); err != nil {
 			return dst, err
 		}
 		dst = append(dst, ']')
-	case len(b.argList) > 0:
-		dst = append(append(append(dst, `,"args":[`...), b.argList...), ']')
 	}
 	dst = appendString(dst, `,"trace_id":`, f.TraceID)
 	dst = appendInt(dst, `,"depth":`, f.Depth)

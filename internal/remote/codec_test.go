@@ -64,16 +64,12 @@ func valuesOf(raws []json.RawMessage) ([]term.Value, error) {
 
 // handLine is the line the codec writes for the same frame.
 func handLine(f Frame, args, values []term.Value) ([]byte, error) {
-	al, err := appendValues(nil, args)
-	if err != nil {
-		return nil, err
-	}
 	vl, err := appendValues(nil, values)
 	if err != nil {
 		return nil, err
 	}
 	f.Args, f.Values = nil, nil
-	return appendFrame(nil, &f, al, vl)
+	return appendFrameBody(nil, &f, &frameBody{args: args, values: vl})
 }
 
 // codecKeys are every key a frame line's objects can hold: Frame's,
@@ -155,7 +151,7 @@ func sameValues(a, b []term.Value) bool {
 	return true
 }
 
-// checkEncode holds appendFrame to json.Encoder on one frame: the same
+// checkEncode holds appendFrameBody to json.Encoder on one frame: the same
 // bytes, or both fail. A line it writes must decode back.
 func checkEncode(t *testing.T, f Frame, args, values []term.Value) {
 	t.Helper()

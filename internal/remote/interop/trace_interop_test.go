@@ -34,7 +34,7 @@ func acceptHelloWithCaps(dec *json.Decoder, enc *json.Encoder) error {
 // tracedHarnessCtx builds a call context carrying a live span, the shape
 // a traced query hands the remote client.
 func tracedHarnessCtx() (*domain.Ctx, *obs.Span) {
-	root := obs.NewTracer(nil).StartQuery("?- q.", 0)
+	root := obs.NewSpan("?- q.", 0)
 	call := root.Child("call src:gen()", 0)
 	ctx := domain.NewCtx(vclock.NewVirtual(0))
 	ctx.Span = call
@@ -117,7 +117,7 @@ func TestScenarioTraceFrameAfterDone(t *testing.T) {
 			return
 		}
 		sendAnswers(enc, f.ID, 3, true)
-		payload, _ := obs.EncodeSpanJSON(obs.SpanData{Name: "serve src:gen", End: time.Millisecond})
+		payload, _ := obs.AppendSpanJSON(nil, obs.SpanData{Name: "serve src:gen", End: time.Millisecond})
 		enc.Encode(remote.Frame{Op: remote.OpTrace, ID: f.ID, Trace: payload})
 		Wedge(conn)
 	}
@@ -162,7 +162,7 @@ func TestScenarioOversizedTraceSubtree(t *testing.T) {
 			Name: "serve src:gen", End: time.Millisecond,
 			Tags: obs.Tags{{K: "padding", V: strings.Repeat("x", 2048)}},
 		}
-		payload, _ := obs.EncodeSpanJSON(big)
+		payload, _ := obs.AppendSpanJSON(nil, big)
 		enc.Encode(remote.Frame{Op: remote.OpTrace, ID: f.ID, Trace: payload})
 		sendAnswers(enc, f.ID, 3, true)
 		Wedge(conn)

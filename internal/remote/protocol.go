@@ -156,7 +156,7 @@ func capSupported(caps []string, cap string) bool {
 // simulators speak raw frames over real sockets through encoding/json;
 // there Args and Values hold each value's term.AppendJSON text. The
 // package's own codec never reads or fills them: it carries call arguments
-// and answers as term.Values (appendFrame, frameIn).
+// and answers as term.Values (appendFrameBody, frameIn).
 type Frame struct {
 	// Op is the frame type (OpHello, OpCall, ...).
 	Op string `json:"op"`

@@ -24,7 +24,7 @@ func roundTrip(t *testing.T, vs ...term.Value) frameIn {
 	if err != nil {
 		t.Fatalf("encode %v: %v", vs, err)
 	}
-	line, err := appendFrame(nil, &Frame{Op: OpAnswers, ID: 1}, nil, list)
+	line, err := appendFrameBody(nil, &Frame{Op: OpAnswers, ID: 1}, &frameBody{values: list})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // tracedCtx returns a wall-clock call context carrying a live call span,
 // the shape the engine hands the remote client for a traced query.
 func tracedCtx(name string) (*domain.Ctx, *obs.Span) {
-	root := obs.NewTracer(nil).StartQuery("?- q.", 0)
+	root := obs.NewSpan("?- q.", 0)
 	call := root.Child(name, 0)
 	ctx := domain.NewCtx(vclock.NewWall())
 	ctx.Span = call
@@ -277,9 +277,8 @@ func TestTraceIDOncePerQuery(t *testing.T) {
 	c := NewClient(addrB, "ids")
 	defer c.Close()
 
-	tracer := obs.NewTracer(nil)
 	query := func(calls int) string {
-		root := tracer.StartQuery("?- q.", 0)
+		root := obs.NewSpan("?- q.", 0)
 		for i := 0; i < calls; i++ {
 			ctx := domain.NewCtx(vclock.NewWall())
 			ctx.Span = root.Child("call ids:get()", 0)
@@ -356,7 +355,7 @@ func TestTrustedTraceFrameMatchesAppendRaw(t *testing.T) {
 			}
 			continue
 		}
-		checked, cerr := appendFrame([]byte("prefix"), &Frame{Op: OpTrace, ID: uint64(i + 1), Trace: payload}, nil, nil)
+		checked, cerr := appendFrameBody([]byte("prefix"), &Frame{Op: OpTrace, ID: uint64(i + 1), Trace: payload}, nil)
 		if err != nil || cerr != nil {
 			t.Fatalf("tree %d: trusted err %v, checked err %v", i, err, cerr)
 		}

@@ -287,7 +287,7 @@ func TestFrameWriterQueueBounded(t *testing.T) {
 	bw := &blockingWriter{entered: make(chan struct{}), gate: make(chan struct{})}
 	w := &frameWriter{w: bw}
 	big := &Frame{Op: OpError, ID: 1, Err: strings.Repeat("x", 32<<10)}
-	frame, err := appendFrame(nil, big, nil, nil)
+	frame, err := appendFrameBody(nil, big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
