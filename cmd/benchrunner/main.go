@@ -1,6 +1,8 @@
 // Command benchrunner regenerates the paper's tables and figures on the
 // simulated federation. Each figure prints in a format mirroring the
 // paper's layout; see EXPERIMENTS.md for the paper-vs-measured comparison.
+// The figures are the rows of experiments.Figures, run in its order; -fig
+// selects one by name, or all of them.
 //
 // Usage:
 //
@@ -27,9 +29,12 @@
 //	                          # latency scaling to 10k invariants plus a
 //	                          # differential against the soundness oracle
 //	                          # (also writes BENCH_invindex.json)
+//
+// An unknown name prints nothing.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,191 +53,31 @@ func main() {
 	}
 }
 
+// run prints every figure named fig (all of them for "all") and writes
+// the result of each JSON one to out, or to BENCH_<name>.json.
 func run(fig, out string) error {
-	section := func(title string) {
-		fmt.Println()
-		fmt.Println("=== " + title + " ===")
-		fmt.Println()
-	}
-	want := func(name string) bool { return fig == "all" || fig == name }
-
-	if want("2") {
-		section("Figure 2: cost vector database")
-		fmt.Println(experiments.Figure2())
-	}
-	if want("3") {
-		section("Figure 3: loss-less summarizations")
-		s, err := experiments.Figure3()
+	for _, f := range experiments.Figures {
+		if fig != "all" && fig != f.Name {
+			continue
+		}
+		fmt.Printf("\n=== %s ===\n\n", f.Title)
+		text, res, err := f.Run()
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
-	}
-	if want("4") {
-		section("Figure 4: lossy summarizations (droppability analysis)")
-		s, err := experiments.Figure4()
+		fmt.Println(text)
+		if !f.JSON {
+			continue
+		}
+		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
-	}
-	if want("5") {
-		section("Figure 5: executing remote calls with caching and/or invariants")
-		rows, err := experiments.Figure5()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFigure5(rows))
-	}
-	if want("6") {
-		section("Figure 6: the utility of the DCSM (actual vs lossless vs lossy predictions)")
-		rows, err := experiments.Figure6()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFigure6(rows))
-	}
-	if want("plan") {
-		section("§8 plan choice: does the DCSM pick the faster rewriting?")
-		rows, err := experiments.PlanChoice()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatPlanChoice(rows))
-	}
-	if want("ablations") {
-		section("Ablation: summarization granularity")
-		s1, err := experiments.AblationSummarization()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSummarization(s1))
-
-		section("Ablation: recency-weighted statistics under network drift")
-		s2, err := experiments.AblationRecency()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatRecency(s2))
-
-		section("Ablation: cache eviction policy")
-		s3, err := experiments.AblationCachePolicy()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCachePolicy(s3))
-
-		section("Ablation: parallel vs serial completion of partial answers")
-		s4, err := experiments.AblationParallelPartial()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatParallelPartial(s4))
-	}
-	if want("optquality") {
-		section("Optimizer quality: chosen vs best vs worst plan over random queries")
-		rows, err := experiments.OptimizerQuality(10)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatOptimizerQuality(rows))
-	}
-	if want("hitrate") {
-		section("Cache and invariant hit rates over a skewed call stream")
-		rows, err := experiments.HitRate()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatHitRate(rows))
-	}
-	writeJSON := func(def string, v any) error {
-		path := out
-		if path == "" {
-			path = def
-		}
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return err
-		}
+		path := cmp.Or(out, "BENCH_"+f.Name+".json")
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", path)
-		return nil
-	}
-	if want("parallel") {
-		section("Parallel operator pipeline: speedup vs Parallelism")
-		res, err := experiments.ParallelSpeedup()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatParallel(res))
-		if err := writeJSON("BENCH_parallel.json", res); err != nil {
-			return err
-		}
-	}
-	if want("admission") {
-		section("Inter-query admission control: fairness under concurrent sessions")
-		res, err := experiments.AdmissionFairness()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAdmission(res))
-		if err := writeJSON("BENCH_admission.json", res); err != nil {
-			return err
-		}
-	}
-	if want("calibration") {
-		section("DCSM calibration: estimate q-error as statistics warm")
-		res, err := experiments.CalibrationWarmup()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCalibration(res))
-		if err := writeJSON("BENCH_calibration.json", res); err != nil {
-			return err
-		}
-	}
-	if want("availability") {
-		section("Query result caching under source unavailability")
-		rows, err := experiments.Availability()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAvailability(rows))
-	}
-	if want("memo") {
-		section("Rule-level memo cache: differential harness and repeat-query latency")
-		rep, err := experiments.RunDifferential()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatDifferential(rep))
-		if err := writeJSON("BENCH_memo.json", rep); err != nil {
-			return err
-		}
-	}
-	if want("adaptive") {
-		section("Adaptive planning: calibration-inflated costing vs a calibration-blind optimizer")
-		res, err := experiments.AdaptivePlanning()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAdaptive(res))
-		if err := writeJSON("BENCH_adaptive.json", res); err != nil {
-			return err
-		}
-	}
-	if want("invindex") {
-		section("Invariant discrimination index: probe latency scaling and a differential against the oracle")
-		res, err := experiments.InvindexScaling()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatInvindex(res))
-		if err := writeJSON("BENCH_invindex.json", res); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -92,9 +92,7 @@ func selfInfo(node string, o *obs.Observer, sys *core.System) nodeInfo {
 		info.Savings = sys.CIM.Ledger()
 	}
 	if o.Flight != nil {
-		recorded, skipped := o.Flight.Stats()
-		info.Flight.Recorded = recorded
-		info.Flight.Skipped = skipped
+		_, info.Flight.Recorded, info.Flight.Skipped = o.Flight.Counts()
 		records := o.Flight.Records()
 		sort.Slice(records, func(i, j int) bool { return records[i].DurationMS > records[j].DurationMS })
 		for _, r := range records {

@@ -330,7 +330,7 @@ func TestSlowQueryThreshold(t *testing.T) {
 	if got := sys.Obs.Flight.Records(); len(got) != 0 {
 		t.Errorf("fast query recorded despite threshold: %+v", got)
 	}
-	if offered, skipped := sys.Obs.Flight.Stats(); offered != 1 || skipped != 1 {
+	if _, offered, skipped := sys.Obs.Flight.Counts(); offered != 1 || skipped != 1 {
 		t.Errorf("flight stats = %d offered, %d skipped, want 1/1", offered, skipped)
 	}
 }

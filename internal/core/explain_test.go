@@ -62,7 +62,7 @@ func TestQueryTracedExplain(t *testing.T) {
 		}
 	}
 
-	if started, finished := o.Flight.Counts(); started != 2 || finished != 2 {
+	if started, finished, _ := o.Flight.Counts(); started != 2 || finished != 2 {
 		t.Errorf("flight recorder counts = %d started, %d finished, want 2/2", started, finished)
 	}
 	if v := o.Counter("hermes_cim_lookups_total", "outcome", "exact").Value(); v != 1 {

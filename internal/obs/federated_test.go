@@ -44,7 +44,7 @@ func TestFlightRecorderConcurrentWriteJSONL(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			f.Records()
-			f.Stats()
+			f.Counts()
 			f.SetThreshold(time.Duration(i%2) * time.Millisecond)
 		}
 	}()
@@ -79,7 +79,7 @@ func TestFlightRecorderConcurrentWriteJSONL(t *testing.T) {
 	if dumpErr != nil {
 		t.Fatalf("concurrent dump corrupted: %v", dumpErr)
 	}
-	if offered, _ := f.Stats(); offered != writers*rounds {
+	if _, offered, _ := f.Counts(); offered != writers*rounds {
 		t.Errorf("offered %d, want %d", offered, writers*rounds)
 	}
 }

@@ -121,25 +121,16 @@ func (f *FlightRecorder) Records() []FlightRecord {
 	return out
 }
 
-// Counts returns how many queries were started and how many finished.
-func (f *FlightRecorder) Counts() (started, finished int64) {
+// Counts returns how many queries were started, how many finished (were
+// offered to the ring) and how many of those were skipped for being under
+// the threshold.
+func (f *FlightRecorder) Counts() (started, finished, skipped int64) {
 	if f == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.started.Load(), f.seq
-}
-
-// Stats returns how many finished queries were offered and how many
-// were skipped for being under the threshold.
-func (f *FlightRecorder) Stats() (offered, skipped int64) {
-	if f == nil {
-		return 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq, f.skipped
+	return f.started.Load(), f.seq, f.skipped
 }
 
 // WriteJSONL dumps the retained records oldest first, one JSON object

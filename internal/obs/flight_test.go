@@ -29,7 +29,7 @@ func TestFlightRecorderThreshold(t *testing.T) {
 	if recs[1].DurationMS != 250 {
 		t.Errorf("duration_ms = %g, want 250", recs[1].DurationMS)
 	}
-	if offered, skipped := f.Stats(); offered != 3 || skipped != 1 {
+	if _, offered, skipped := f.Counts(); offered != 3 || skipped != 1 {
 		t.Errorf("stats = %d offered, %d skipped", offered, skipped)
 	}
 	f.SetThreshold(0)
@@ -50,7 +50,7 @@ func TestFlightThresholdBeforeSnapshot(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { f.publish(root) }); n != 0 {
 		t.Errorf("publishing a fast tree allocates %v times, want 0", n)
 	}
-	if offered, skipped := f.Stats(); offered != 102 || skipped != 102 || len(f.Records()) != 0 {
+	if _, offered, skipped := f.Counts(); offered != 102 || skipped != 102 || len(f.Records()) != 0 {
 		t.Errorf("stats = %d offered, %d skipped, %d kept; want 102, 102, 0", offered, skipped, len(f.Records()))
 	}
 }
@@ -73,7 +73,7 @@ func TestFlightConcurrentPublishing(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if started, finished := o.Flight.Counts(); started != n || finished != n {
+	if started, finished, _ := o.Flight.Counts(); started != n || finished != n {
 		t.Errorf("counts = %d started, %d finished, want %d and %d", started, finished, n, n)
 	}
 	recs := o.Flight.Records()
@@ -162,7 +162,7 @@ func TestFlightRecorderNilSafety(t *testing.T) {
 	if err := f.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil recorder WriteJSONL = %v", err)
 	}
-	if offered, skipped := f.Stats(); offered != 0 || skipped != 0 {
+	if _, offered, skipped := f.Counts(); offered != 0 || skipped != 0 {
 		t.Error("nil recorder has stats")
 	}
 }

@@ -33,7 +33,7 @@ func Handler(o *Observer) http.Handler {
 			fmt.Fprintln(w, "tracing disabled")
 			return
 		}
-		started, finished := o.Flight.Counts()
+		started, finished, _ := o.Flight.Counts()
 		recent := o.Flight.Records()
 		recent = recent[:min(len(recent), debugQueries)]
 		fmt.Fprintf(w, "%d queries started, %d finished, %d retained\n", started, finished, len(recent))

@@ -58,7 +58,7 @@ func TestNilSafety(t *testing.T) {
 	o.StartQuery("q", 0).SetTag("a", "b")
 	var f *FlightRecorder
 	o.StartQuery("q", 0).End(0)
-	if started, finished := f.Counts(); started != 0 || finished != 0 {
+	if started, finished, _ := f.Counts(); started != 0 || finished != 0 {
 		t.Errorf("nil recorder counts = %d, %d", started, finished)
 	}
 	(&Observer{}).StartQuery("q", 0).End(0) // an observer without a recorder traces nothing

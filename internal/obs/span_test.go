@@ -47,7 +47,7 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	if _, ok := d.Tags.Lookup("late"); ok {
 		t.Error("snapshot aliased live span")
 	}
-	started, finished := f.Counts()
+	started, finished, _ := f.Counts()
 	if started != 1 || finished != 1 {
 		t.Errorf("counts = %d, %d", started, finished)
 	}

@@ -98,11 +98,12 @@ func appendCostJSON(dst []byte, key string, c *Cost) ([]byte, error) {
 // by those checks, or an error: unknown keys are skipped, null leaves a
 // field unset, a repeated tag key keeps its last value. It is stricter
 // where encoding/json is lenient, as the frame codec is — a span or cost
-// object that repeats a key is an error — and matches keys exactly as
-// spelled, where encoding/json also matches them case-insensitively. Each
-// span is checked as it is read, so a tree past MaxSpanDepth or
-// MaxSpanNodes, or an unnamed span, is rejected where it is reached, not
-// after the whole payload has been built.
+// object that repeats a key is an error, the rule of
+// term.JSONReader.Member — and matches keys exactly as spelled, where
+// encoding/json also matches them case-insensitively. Each span is checked
+// as it is read, so a tree past MaxSpanDepth or MaxSpanNodes, or an
+// unnamed span, is rejected where it is reached, not after the whole
+// payload has been built.
 //
 // The tree comes back in the layout of a snapshot: one node array, one tag
 // array, one cost array and one string, none of which aliases b.
@@ -193,34 +194,19 @@ func (s *spanReader) span(parent int32, depth int) {
 	}
 }
 
-// spanKeys and costKeys are the JSON keys of SpanData and Cost; a key's
-// bit in a reader's seen-set is 1 << its index.
+// spanKeys and costKeys are the JSON keys of SpanData and Cost, in the
+// order of their bits in a Member seen-set.
 var (
 	spanKeys = [...]string{"name", "start", "end", "tags", "est", "actual", "children"}
 	costKeys = [...]string{"TFirst", "TAll", "Card"}
 )
 
-// seenKey marks key in seen if it is one of keys; a repeat is an error.
-func (s *spanReader) seenKey(seen *uint8, key []byte, keys []string) {
-	for i, k := range keys {
-		if string(key) == k {
-			if *seen&(1<<i) != 0 {
-				s.err = fmt.Errorf("obs: span subtree repeats key %q", key)
-			}
-			*seen |= 1 << i
-		}
-	}
-}
-
 // fields reads span i's members.
 func (s *spanReader) fields(i int32, depth int) {
 	r := &s.r
-	var seen uint8
+	var seen uint32
 	for more := r.Open('{'); more && s.err == nil; more = r.More('}') {
-		key := r.Key()
-		if s.seenKey(&seen, key, spanKeys[:]); s.err != nil {
-			return
-		}
+		key := r.Member(&seen, spanKeys[:])
 		if r.Null() {
 			continue
 		}
@@ -274,12 +260,9 @@ func (s *spanReader) cost() int32 {
 	r := &s.r
 	s.costs = append(s.costs, Cost{})
 	c := &s.costs[len(s.costs)-1]
-	var seen uint8
+	var seen uint32
 	for more := r.Open('{'); more; more = r.More('}') {
-		key := r.Key()
-		if s.seenKey(&seen, key, costKeys[:]); s.err != nil {
-			break
-		}
+		key := r.Member(&seen, costKeys[:])
 		if r.Null() {
 			continue
 		}

@@ -375,34 +375,29 @@ func (d *frameReader) next(in *frameIn) error {
 	return decodeFrame(&d.json, line, in)
 }
 
-// frameKeys are Frame's JSON keys; a key's bit in a decoder's seen-set is
-// 1 << its index.
-var frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "caps",
-	"domain", "function", "args", "trace_id", "depth", "values", "done",
-	"err", "unavailable", "functions", "trace", "debug"}
+// frameKeys are Frame's JSON keys, and fnSpecKeys FnSpec's, in the order
+// of their bits in a Member seen-set.
+var (
+	frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "caps",
+		"domain", "function", "args", "trace_id", "depth", "values", "done",
+		"err", "unavailable", "functions", "trace", "debug"}
+	fnSpecKeys = [...]string{"name", "arity", "doc"}
+)
 
 // decodeFrame decodes line, one frame, into in, reusing in.scratch.
 // For every line it yields the Frame json.Unmarshal decodes, or an error.
-// It is stricter where encoding/json is lenient — a repeated key, a null
-// outside a listing, anything but whitespace after the frame are errors —
-// and matches keys exactly as spelled, where encoding/json also matches
-// them case-insensitively. Trace is a slice of line, which the reader
-// reuses: the client decodes it before it reads the next frame.
+// It is stricter where encoding/json is lenient — a repeated key (the
+// rule of term.JSONReader.Member), a null outside a listing, anything but
+// whitespace after the frame are errors — and matches keys exactly as
+// spelled, where encoding/json also matches them case-insensitively. Trace
+// is a slice of line, which the reader reuses: the client decodes it
+// before it reads the next frame.
 func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 	*in = frameIn{scratch: in.scratch}
 	r.Reset(line)
 	var seen uint32
 	for more := r.Open('{'); more; more = r.More('}') {
-		key := r.Key()
-		for i, k := range frameKeys {
-			if string(key) == k {
-				if seen&(1<<i) != 0 {
-					return fmt.Errorf("malformed frame: repeated key %q", key)
-				}
-				seen |= 1 << i
-			}
-		}
-		switch string(key) {
+		switch string(r.Member(&seen, frameKeys[:])) {
 		case "op":
 			in.Op = opOf(r.Text())
 		case "id":
@@ -505,24 +500,18 @@ func readFunctions(r *term.JSONReader) (map[string][]FnSpec, error) {
 		specs := []FnSpec{}
 		for more := r.Open('['); more; more = r.More(']') {
 			var s FnSpec
-			var seen uint8
+			var seen uint32
 			for more := r.Open('{'); more; more = r.More('}') {
-				key := r.Key()
-				var bit uint8
-				switch string(key) {
+				switch string(r.Member(&seen, fnSpecKeys[:])) {
 				case "name":
-					bit, s.Name = 1, r.Str()
+					s.Name = r.Str()
 				case "arity":
-					bit, s.Arity = 2, int(r.Int())
+					s.Arity = int(r.Int())
 				case "doc":
-					bit, s.Doc = 4, r.Str()
+					s.Doc = r.Str()
 				default:
 					r.Skip()
 				}
-				if seen&bit != 0 {
-					return nil, fmt.Errorf("malformed frame: function spec repeats key %q", key)
-				}
-				seen |= bit
 			}
 			specs = append(specs, s)
 		}

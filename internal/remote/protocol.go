@@ -37,8 +37,8 @@
 // the tests' oracle (codec_test.go, FuzzFrameCodec) and as the
 // interop harness's peer. The decoder matches keys exactly as spelled —
 // encoding/json also matches them case-insensitively, the one documented
-// divergence — and rejects a repeated key and a null outside a listing,
-// which encoding/json accepts. An answer NaN or ±Inf has no JSON text: the
+// divergence — and rejects a repeated key (term.JSONReader.Member) and a
+// null outside a listing, which encoding/json accepts. An answer NaN or ±Inf has no JSON text: the
 // server ends that call with an error frame naming it (not unavailable:
 // a retry would hit the same value).
 //

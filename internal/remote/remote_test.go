@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -80,6 +81,30 @@ func TestDecodeErrors(t *testing.T) {
 		err := decodeFrame(new(term.JSONReader), []byte(`{"op":"answers","id":1,"values":[`+v+`]}`+"\n"), &in)
 		if err != nil || in.badValue == nil {
 			t.Errorf("%s: err %v, badValue %v; want a bad value in a good frame", v, err, in.badValue)
+		}
+	}
+}
+
+// TestDecodeRepeatedKey: a frame, a listing's function spec or a value
+// inside a frame that repeats one of its keys fails the line, where
+// encoding/json keeps the last value; the same line with the key once
+// decodes.
+func TestDecodeRepeatedKey(t *testing.T) {
+	const spec = `{"op":"functions","id":2,"done":true,"functions":{"a":[%s]}}`
+	for _, c := range []struct{ name, once, twice string }{
+		{"op", `{"op":"call","id":1}`, `{"op":"call","op":"call","id":1}`},
+		{"id", `{"op":"call","id":1}`, `{"op":"call","id":1,"id":1}`},
+		{"spec name", fmt.Sprintf(spec, `{"name":"gen","arity":1}`), fmt.Sprintf(spec, `{"name":"gen","name":"gen","arity":1}`)},
+		{"spec arity", fmt.Sprintf(spec, `{"name":"gen","arity":1}`), fmt.Sprintf(spec, `{"name":"gen","arity":1,"arity":1}`)},
+		{"spec doc", fmt.Sprintf(spec, `{"name":"gen","doc":"d"}`), fmt.Sprintf(spec, `{"name":"gen","doc":"d","doc":"d"}`)},
+		{"value tag", `{"op":"call","id":1,"args":[{"t":"s","s":"x"}]}`, `{"op":"call","id":1,"args":[{"t":"s","t":"s","s":"x"}]}`},
+	} {
+		var in frameIn
+		if err := decodeFrame(new(term.JSONReader), []byte(c.once), &in); err != nil || in.badValue != nil {
+			t.Errorf("%s once: %s: %v %v", c.name, c.once, err, in.badValue)
+		}
+		if err := decodeFrame(new(term.JSONReader), []byte(c.twice), &in); err == nil || !strings.Contains(err.Error(), "repeats key") {
+			t.Errorf("%s twice: %s: err %v, want a repeated key", c.name, c.twice, err)
 		}
 	}
 }

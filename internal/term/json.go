@@ -193,37 +193,41 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
+// valueKeys and fieldKeys are the keys of a value's and a record field's
+// JSON forms, in the order of their bits in a Member seen-set.
+var (
+	valueKeys = []string{"t", "s", "f", "b", "l", "r"}
+	fieldKeys = []string{"n", "v"}
+)
+
 // Value reads one value's JSON form straight to the Value. Malformed JSON,
-// a payload of the wrong JSON type, a repeated key and a null are r's
-// error. A well-formed form that names no value (an unknown tag, a bad int
-// payload, a bad element even where the tag ignores it) is read to its end
-// and returned as err. Unknown keys are skipped, and keys match exactly as
-// spelled. json_test.go and FuzzDecodeJSON hold it to encoding/json
-// decoding the oracle tree; encoding/json also matches keys
-// case-insensitively and accepts a repeated key and a null.
+// a payload of the wrong JSON type, a repeated key (the rule of Member)
+// and a null are r's error. A well-formed form that names no value (an
+// unknown tag, a bad int payload, a bad element even where the tag ignores
+// it) is read to its end and returned as err. Unknown keys are skipped,
+// and keys match exactly as spelled. json_test.go and FuzzDecodeJSON hold
+// it to encoding/json decoding the oracle tree; encoding/json also matches
+// keys case-insensitively and accepts a null.
 func (r *JSONReader) Value() (Value, error) {
 	var (
 		tag, s       []byte
 		f            float64
 		b            bool
-		seen         uint8
+		seen         uint32
 		bad          error
 		vmark, fmark = len(r.vals), len(r.fields)
 	)
 	for more := r.Open('{'); more; more = r.More('}') {
-		key := r.Key()
-		var bit uint8
-		switch string(key) {
+		switch string(r.Member(&seen, valueKeys)) {
 		case "t":
-			bit, tag = 1, r.Text()
+			tag = r.Text()
 		case "s":
-			bit, s = 2, r.Text()
+			s = r.Text()
 		case "f":
-			bit, f = 4, r.Float()
+			f = r.Float()
 		case "b":
-			bit, b = 8, r.Bool()
+			b = r.Bool()
 		case "l":
-			bit = 16
 			for more := r.Open('['); more; more = r.More(']') {
 				v, err := r.Value()
 				r.vals = append(r.vals, v)
@@ -232,7 +236,6 @@ func (r *JSONReader) Value() (Value, error) {
 				}
 			}
 		case "r":
-			bit = 32
 			for more := r.Open('['); more; more = r.More(']') {
 				fld, err := r.field()
 				r.fields = append(r.fields, fld)
@@ -243,10 +246,6 @@ func (r *JSONReader) Value() (Value, error) {
 		default:
 			r.Skip()
 		}
-		if seen&bit != 0 {
-			r.fail("repeated key %q", key)
-		}
-		seen |= bit
 	}
 	var v Value
 	if r.err == nil && bad == nil {
@@ -291,27 +290,20 @@ func (r *JSONReader) field() (Field, error) {
 	var (
 		name []byte
 		v    Value
-		seen uint8
+		seen uint32
 		bad  error
 	)
 	for more := r.Open('{'); more; more = r.More('}') {
-		key := r.Key()
-		var bit uint8
-		switch string(key) {
+		switch string(r.Member(&seen, fieldKeys)) {
 		case "n":
-			bit, name = 1, r.Text()
+			name = r.Text()
 		case "v":
-			bit = 2
 			v, bad = r.Value()
 		default:
 			r.Skip()
 		}
-		if seen&bit != 0 {
-			r.fail("repeated key %q", key)
-		}
-		seen |= bit
 	}
-	if seen&2 == 0 && bad == nil {
+	if seen&2 == 0 && bad == nil && r.err == nil { // no "v"
 		bad = fmt.Errorf("term: unknown value tag %q", "") // as for a form without "t"
 	}
 	return Field{Name: string(name), Val: v}, bad

@@ -207,6 +207,33 @@ func TestJSONDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestJSONRepeatedKey: a value or record-field form that repeats one of
+// its keys is an error, where encoding/json keeps the last value; the same
+// form with the key once decodes, and an unknown key may repeat.
+func TestJSONRepeatedKey(t *testing.T) {
+	const one = `{"t":"i","s":"1"}`
+	for _, c := range []struct{ name, once, twice string }{
+		{"tag", `{"t":"s","s":"x"}`, `{"t":"s","t":"s","s":"x"}`},
+		{"string", `{"t":"s","s":"x"}`, `{"t":"s","s":"x","s":"x"}`},
+		{"float", `{"t":"f","f":1.5}`, `{"t":"f","f":1.5,"f":1.5}`},
+		{"bool", `{"t":"b","b":true}`, `{"t":"b","b":true,"b":true}`},
+		{"tuple", `{"t":"tu","l":[` + one + `]}`, `{"t":"tu","l":[` + one + `],"l":[]}`},
+		{"record", `{"t":"r","r":[{"n":"a","v":` + one + `}]}`, `{"t":"r","r":[],"r":[{"n":"a","v":` + one + `}]}`},
+		{"field name", `{"t":"r","r":[{"n":"a","v":` + one + `}]}`, `{"t":"r","r":[{"n":"a","n":"a","v":` + one + `}]}`},
+		{"field value", `{"t":"r","r":[{"n":"a","v":` + one + `}]}`, `{"t":"r","r":[{"n":"a","v":` + one + `,"v":` + one + `}]}`},
+	} {
+		if _, err := DecodeJSONs([]byte("[" + c.once + "]")); err != nil {
+			t.Errorf("%s once: %s: %v", c.name, c.once, err)
+		}
+		if _, err := DecodeJSONs([]byte("[" + c.twice + "]")); err == nil || !strings.Contains(err.Error(), "repeats key") {
+			t.Errorf("%s twice: %s: err %v, want a repeated key", c.name, c.twice, err)
+		}
+	}
+	if vs, err := DecodeJSONs([]byte(`[{"t":"s","s":"x","z":1,"z":2}]`)); err != nil || len(vs) != 1 || !Equal(vs[0], Str("x")) {
+		t.Errorf("a repeated unknown key: %v, %v", vs, err)
+	}
+}
+
 // TestJSONSlices: EncodeJSONs writes what json.Marshal writes for the list
 // of oracle forms, and DecodeJSONs reads it back; null and no text read as
 // no values, as encoding/json reads them into a nil list.

@@ -169,6 +169,25 @@ func (r *JSONReader) Key() []byte {
 	return k
 }
 
+// Member reads an object member's key as Key does. A key that is one of
+// keys (at most 32) is marked in seen, the bit of its index; seeing it
+// again in the same object is r's error. This is the rule of every strict
+// reader built on r: encoding/json accepts an object that repeats a key,
+// keeping the last value, and they refuse it. Other keys are not tracked.
+func (r *JSONReader) Member(seen *uint32, keys []string) []byte {
+	key := r.Key()
+	for i, k := range keys {
+		if string(key) == k {
+			if *seen&(1<<i) != 0 {
+				r.fail("object repeats key %q", key)
+			}
+			*seen |= 1 << i
+			break
+		}
+	}
+	return key
+}
+
 // Text reads a string and returns its unquoted bytes.
 func (r *JSONReader) Text() []byte {
 	if r.err != nil {
