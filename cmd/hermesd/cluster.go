@@ -18,7 +18,8 @@ import (
 // mount (bounded concurrency, per-peer timeout), each peer answers with its
 // own nodeInfo, and the handler merges peer metrics snapshots, cache
 // savings ledgers, and flight-recorder slow-query summaries into one view.
-// A dead or capability-less peer is marked degraded, never fatal: the
+// A dead peer, or one that does not serve debug (it answers `unknown
+// op`), is marked degraded, never fatal: the
 // rollup always answers HTTP 200 with whatever the cluster could report.
 
 // clusterFanout bounds how many peers are polled concurrently.

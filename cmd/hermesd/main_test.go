@@ -509,3 +509,73 @@ func TestDebugClusterRollup(t *testing.T) {
 		t.Errorf("merged queries_total = %v, want 4 (1 local + 3 from node-b)", view.Merged.Queries)
 	}
 }
+
+// TestDebugClusterUnknownOpPeer: a peer that does not serve debug (an
+// older build) answers the request with `unknown op`, as a server answers
+// every op it does not know. DebugSnapshot returns that error, and
+// /debug/cluster reports the peer degraded — HTTP 200 regardless.
+func TestDebugClusterUnknownOpPeer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				dec, enc := json.NewDecoder(conn), json.NewEncoder(conn)
+				for {
+					var f remote.Frame
+					if dec.Decode(&f) != nil {
+						return
+					}
+					switch f.Op {
+					case remote.OpHello:
+						enc.Encode(remote.Frame{Op: remote.OpHello, Version: remote.ProtocolVersion})
+					case remote.OpHeartbeat:
+						enc.Encode(remote.Frame{Op: remote.OpHeartbeat, ID: f.ID})
+					default:
+						enc.Encode(remote.Frame{Op: remote.OpError, ID: f.ID, Err: fmt.Sprintf("unknown op %q", f.Op)})
+					}
+				}
+			}()
+		}
+	}()
+	addr := l.Addr().String()
+	c := remote.NewClient(addr, "old")
+	defer c.Close()
+	if _, err := c.DebugSnapshot(2 * time.Second); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("DebugSnapshot against a peer without debug: err = %v, want unknown op", err)
+	}
+
+	h, _, err := newObsHandler(BuildDomains(), obsOptions{
+		Core: core.Options{Parallelism: 1}, NodeName: "node-a",
+		Mounts: buildMounts([]mountSpec{{name: "old", addr: addr}}), PeerTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/cluster", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/cluster with a peer without debug: HTTP %d, want 200", rec.Code)
+	}
+	var view clusterView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatalf("cluster view does not decode: %v\n%s", err, rec.Body.String())
+	}
+	if len(view.Peers) != 1 {
+		t.Fatalf("peers = %d, want 1", len(view.Peers))
+	}
+	if p := view.Peers[0]; !p.Degraded || !strings.Contains(p.Err, "unknown op") {
+		t.Errorf("peer without debug not marked degraded with its unknown-op error: %+v", p)
+	}
+	if view.Merged.Nodes != 1 || view.Merged.DegradedPeers != 1 {
+		t.Errorf("merged nodes=%d degraded=%d, want 1 and 1", view.Merged.Nodes, view.Merged.DegradedPeers)
+	}
+}

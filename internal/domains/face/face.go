@@ -57,9 +57,6 @@ func New(name string) *Gallery {
 	return &Gallery{name: name, params: DefaultCostParams, byName: make(map[string]int)}
 }
 
-// SetCostParams overrides the compute cost model.
-func (g *Gallery) SetCostParams(p CostParams) { g.params = p }
-
 // Add registers a face.
 func (g *Gallery) Add(e Entry) error {
 	g.mu.Lock()
@@ -85,18 +82,6 @@ func (g *Gallery) Populate(n int, seed int64) {
 			panic(err)
 		}
 	}
-}
-
-// FeaturesOf returns an enrolled person's feature vector, for constructing
-// probe arguments in tests and workloads.
-func (g *Gallery) FeaturesOf(person string) ([FeatureDim]float64, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.byName[person]
-	if !ok {
-		return [FeatureDim]float64{}, false
-	}
-	return g.entries[i].Features, true
 }
 
 // Name implements domain.Domain.

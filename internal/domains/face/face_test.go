@@ -94,16 +94,6 @@ func TestIdentifyDeterministic(t *testing.T) {
 	}
 }
 
-func TestFeaturesOf(t *testing.T) {
-	g := testGallery(t)
-	if _, ok := g.FeaturesOf("person0000"); !ok {
-		t.Error("enrolled person missing")
-	}
-	if _, ok := g.FeaturesOf("nobody"); ok {
-		t.Error("unknown person found")
-	}
-}
-
 func TestMatchCostScalesWithCandidates(t *testing.T) {
 	g := testGallery(t)
 	cost := func(thr float64) int64 {

@@ -1,15 +1,12 @@
 // Package flatfile implements the flat-file source domain: delimited record
 // files scanned sequentially, one of the "standard" external domains of the
-// HERMES federation. Files may be backed by the filesystem or registered
-// in-memory; every access is a full scan (no indexes), which gives the
+// HERMES federation. Files are registered in memory; every access is a
+// full scan (no indexes), which gives the
 // optimizer a usefully different cost profile from the relational source.
 package flatfile
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,27 +35,12 @@ type Store struct {
 	params CostParams
 
 	mu    sync.RWMutex
-	files map[string]fileSource
-}
-
-type fileSource struct {
-	path    string   // non-empty for filesystem files
-	content []string // lines for in-memory files
+	files map[string][]string // each file's lines
 }
 
 // New creates an empty flat-file store.
 func New(name string) *Store {
-	return &Store{name: name, params: DefaultCostParams, files: make(map[string]fileSource)}
-}
-
-// SetCostParams overrides the compute cost model.
-func (s *Store) SetCostParams(p CostParams) { s.params = p }
-
-// RegisterFile maps a logical name to a filesystem path.
-func (s *Store) RegisterFile(name, path string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.files[name] = fileSource{path: path}
+	return &Store{name: name, params: DefaultCostParams, files: make(map[string][]string)}
 }
 
 // RegisterContent maps a logical name to in-memory content: a header line
@@ -66,7 +48,7 @@ func (s *Store) RegisterFile(name, path string) {
 func (s *Store) RegisterContent(name string, lines []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.files[name] = fileSource{content: append([]string(nil), lines...)}
+	s.files[name] = append([]string(nil), lines...)
 }
 
 // Name implements domain.Domain.
@@ -81,29 +63,13 @@ func (s *Store) Functions() []domain.FuncSpec {
 	}
 }
 
-// lines opens the file's line iterator.
+// lines returns the file's lines.
 func (s *Store) lines(name string) ([]string, error) {
-	src, ok := s.files[name]
+	lines, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("no flat file %q in %s", name, s.name)
 	}
-	if src.path == "" {
-		return src.content, nil
-	}
-	f, err := os.Open(src.path)
-	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", src.path, err)
-	}
-	defer f.Close()
-	var out []string
-	r := bufio.NewScanner(f)
-	for r.Scan() {
-		out = append(out, r.Text())
-	}
-	if err := r.Err(); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return out, nil
+	return lines, nil
 }
 
 // parseField converts a raw field to the most specific value kind.

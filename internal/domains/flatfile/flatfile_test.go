@@ -1,8 +1,6 @@
 package flatfile
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"hermes/internal/domain"
@@ -93,20 +91,6 @@ func TestNumericFieldParsing(t *testing.T) {
 	}
 }
 
-func TestFilesystemBackedFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.txt")
-	if err := os.WriteFile(path, []byte("k|v\na|1\nb|2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := New("files")
-	s.RegisterFile("data", path)
-	vals := callVals(t, s, "scan", term.Str("data"))
-	if len(vals) != 2 {
-		t.Errorf("file scan = %d", len(vals))
-	}
-}
-
 func TestShortRecordPadding(t *testing.T) {
 	s := New("files")
 	s.RegisterContent("ragged", []string{"a|b|c", "1|2"})
@@ -137,10 +121,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := s.Call(newCtx(), "scan", []term.Value{term.Int(1)}); err == nil {
 		t.Error("non-string filename")
-	}
-	s.RegisterFile("missing", "/nonexistent/path/xyz")
-	if _, err := s.Call(newCtx(), "scan", []term.Value{term.Str("missing")}); err == nil {
-		t.Error("unreadable file")
 	}
 }
 

@@ -98,9 +98,6 @@ type Table struct {
 	sortedIdx map[int][]int
 }
 
-// Schema returns the table's schema.
-func (t *Table) Schema() Schema { return t.schema }
-
 // Len returns the row count.
 func (t *Table) Len() int { return len(t.rows) }
 

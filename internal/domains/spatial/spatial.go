@@ -65,9 +65,6 @@ func New(name string) *Store {
 	return &Store{name: name, params: DefaultCostParams, files: make(map[string]*file)}
 }
 
-// SetCostParams overrides the compute cost model.
-func (s *Store) SetCostParams(p CostParams) { s.params = p }
-
 // AddFile registers a point file and builds its grid index.
 func (s *Store) AddFile(name string, pts []Point) error {
 	s.mu.Lock()
@@ -110,34 +107,23 @@ func (s *Store) MustAddFile(name string, pts []Point) {
 	}
 }
 
+// cellOf returns the grid cell holding (x, y), clamped to the grid.
 func (f *file) cellOf(x, y float64) int {
-	cx := int((x - f.minX) / f.cellW)
-	cy := int((y - f.minY) / f.cellH)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= gridCells {
-		cx = gridCells - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= gridCells {
-		cy = gridCells - 1
-	}
-	return cy*gridCells + cx
+	return cellIndex((y-f.minY)/f.cellH)*gridCells + cellIndex((x-f.minX)/f.cellW)
 }
 
-// Extent returns the bounding box of a file; the diagonal gives the
-// smallest admissible clamp distance for the equality invariant.
-func (s *Store) Extent(name string) (minX, minY, maxX, maxY float64, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, found := s.files[name]
-	if !found || len(f.points) == 0 {
-		return 0, 0, 0, 0, false
+// cellIndex clamps a grid coordinate to [0, gridCells-1] while it is still
+// a float: Go leaves an out-of-range float-to-int conversion to the
+// platform, so a huge range radius would land in an arbitrary cell. NaN
+// clamps to 0.
+func cellIndex(c float64) int {
+	if !(c >= 0) {
+		return 0
 	}
-	return f.minX, f.minY, f.maxX, f.maxY, true
+	if c >= gridCells {
+		return gridCells - 1
+	}
+	return int(c)
 }
 
 // Name implements domain.Domain.

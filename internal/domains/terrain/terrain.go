@@ -9,6 +9,7 @@ package terrain
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -87,9 +88,6 @@ func New(name string, g *Grid) *Planner {
 	return &Planner{name: name, params: DefaultCostParams, grid: g}
 }
 
-// SetCostParams overrides the compute cost model.
-func (p *Planner) SetCostParams(c CostParams) { p.params = c }
-
 // Name implements domain.Domain.
 func (p *Planner) Name() string { return p.name }
 
@@ -112,11 +110,15 @@ func (p *Planner) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.St
 		if len(args) != 0 {
 			return nil, fmt.Errorf("locations/0 called with %d args", len(args))
 		}
-		var out []term.Value
+		names := make([]string, 0, len(p.grid.locations))
 		for n := range p.grid.locations {
-			out = append(out, term.Str(n))
+			names = append(names, n)
 		}
-		sortValues(out)
+		slices.Sort(names)
+		out := make([]term.Value, len(names))
+		for i, n := range names {
+			out[i] = term.Str(n)
+		}
 		return domain.NewSliceStream(out), nil
 	case "findrte", "dist":
 		if len(args) != 2 {
@@ -146,14 +148,6 @@ func (p *Planner) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.St
 		return domain.NewSliceStream([]term.Value{routeValue(path)}), nil
 	}
 	return nil, fmt.Errorf("%w: %s:%s", domain.ErrUnknownFunction, p.name, fn)
-}
-
-func sortValues(vs []term.Value) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j].Key() < vs[j-1].Key(); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }
 
 // routeValue encodes a path as a record {len, waypoints}.

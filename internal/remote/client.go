@@ -219,12 +219,12 @@ func (c *Client) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Str
 		st.clock = ctx.Clock
 		st.issuedAt = ctx.Clock.Now()
 	}
-	// Federated tracing: when the server negotiated CapTrace and this call
-	// is traced locally, propagate the trace context — the query's trace
-	// ID, minted at the origin by its first remote call — so the server's
-	// serve subtree comes back in a trace frame and stitches under this
-	// call span.
-	if sess.traceOK && ctx.Span != nil {
+	// Federated tracing: when this call is traced locally, propagate the
+	// trace context — the query's trace ID, minted at the origin by its
+	// first remote call — so the server's serve subtree comes back in a
+	// trace frame and stitches under this call span. A peer that ignores
+	// the context answers the same values and ships no trace frame.
+	if ctx.Span != nil {
 		f.TraceID = ctx.Span.TraceID()
 		f.Depth = ctx.TraceDepth + 1
 		st.call = domain.Call{Domain: c.name, Function: fn, Args: args}
@@ -281,7 +281,7 @@ func (c *Client) getSession() (*session, error) {
 		done:  make(chan struct{}),
 		calls: map[uint64]*callSlot{},
 	}
-	hello := Frame{Op: OpHello, Versions: []int{ProtocolVersion}, Caps: []string{CapTrace, CapDebug}}
+	hello := Frame{Op: OpHello, Versions: []int{ProtocolVersion}}
 	if c.hbEvery > 0 {
 		hello.HeartbeatMS = int(c.hbEvery / time.Millisecond)
 	}
@@ -314,8 +314,6 @@ func (c *Client) getSession() (*session, error) {
 		conn.Close()
 		return nil, err
 	}
-	s.traceOK = capSupported(reply.Caps, CapTrace)
-	s.debugOK = capSupported(reply.Caps, CapDebug)
 	c.sess = s
 	go s.readLoop()
 	if c.hbEvery > 0 {
@@ -341,10 +339,6 @@ type session struct {
 	c   *Client
 	out frameWriter
 	in  *frameReader // read by the hello exchange, then by readLoop alone
-	// Capabilities the server's hello granted: trace subtree frames and
-	// debug rollup requests. Immutable after negotiation.
-	traceOK bool
-	debugOK bool
 
 	conn     net.Conn
 	done     chan struct{}
@@ -716,17 +710,14 @@ func (s *muxStream) Close() error {
 
 // DebugSnapshot asks the peer for its debug rollup payload (the
 // /debug/cluster contribution) over the session. Peers that fail the
-// hello, peers that did not grant CapDebug, and peers without a configured
-// rollup all return an error; the caller marks them degraded rather than failing the
-// whole cluster view. timeout bounds the round trip (0 falls back to the
-// frame timeout).
+// hello, peers that do not serve debug (they answer `unknown op`), and
+// peers without a configured rollup all return an error; the caller marks
+// them degraded rather than failing the whole cluster view. timeout bounds
+// the round trip (0 falls back to the frame timeout).
 func (c *Client) DebugSnapshot(timeout time.Duration) ([]byte, error) {
 	sess, err := c.getSession()
 	if err != nil {
 		return nil, err
-	}
-	if !sess.debugOK {
-		return nil, fmt.Errorf("remote: %s did not grant the debug capability", c.addr)
 	}
 	if timeout <= 0 {
 		timeout = c.frameTO

@@ -170,10 +170,6 @@ func appendFrameBody(dst []byte, f *Frame, b *frameBody) ([]byte, error) {
 	dst = closeList(dst, len(f.Versions), ']')
 	dst = appendInt(dst, `,"version":`, f.Version)
 	dst = appendInt(dst, `,"heartbeat_ms":`, f.HeartbeatMS)
-	for i, c := range f.Caps {
-		dst = term.AppendJSONString(listSep(dst, i, `,"caps":[`), c)
-	}
-	dst = closeList(dst, len(f.Caps), ']')
 	dst = appendString(dst, `,"domain":`, f.Domain)
 	dst = appendString(dst, `,"function":`, f.Function)
 	var err error
@@ -378,7 +374,7 @@ func (d *frameReader) next(in *frameIn) error {
 // frameKeys are Frame's JSON keys, and fnSpecKeys FnSpec's, in the order
 // of their bits in a Member seen-set.
 var (
-	frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms", "caps",
+	frameKeys = [...]string{"op", "id", "versions", "version", "heartbeat_ms",
 		"domain", "function", "args", "trace_id", "depth", "values", "done",
 		"err", "unavailable", "functions", "trace", "debug"}
 	fnSpecKeys = [...]string{"name", "arity", "doc"}
@@ -411,11 +407,6 @@ func decodeFrame(r *term.JSONReader, line []byte, in *frameIn) error {
 			in.Version = int(r.Int())
 		case "heartbeat_ms":
 			in.HeartbeatMS = int(r.Int())
-		case "caps":
-			in.Caps = []string{}
-			for more := r.Open('['); more; more = r.More(']') {
-				in.Caps = append(in.Caps, r.Str())
-			}
 		case "domain":
 			in.Domain = r.Str()
 		case "function":

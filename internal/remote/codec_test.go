@@ -177,8 +177,8 @@ func checkEncode(t *testing.T, f Frame, args, values []term.Value) {
 // whose encoding is delicate.
 func frameCorpus() []Frame {
 	return []Frame{
-		{Op: OpHello, Versions: []int{ProtocolVersion, 1}, HeartbeatMS: 10000, Caps: []string{CapTrace, CapDebug}},
-		{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace}},
+		{Op: OpHello, Versions: []int{ProtocolVersion, 1}, HeartbeatMS: 10000},
+		{Op: OpHello, Version: ProtocolVersion},
 		{Op: OpHello, Err: "unsupported protocol versions [99] (server speaks 2)"},
 		{Op: OpCall, ID: 7, Domain: "avis", Function: "frames_to_objects", TraceID: "cafe0123cafe0123", Depth: 2},
 		{Op: OpCall, ID: math.MaxUint64, Domain: "d<&>", Function: "f\u2028"},
@@ -212,6 +212,25 @@ func TestFrameCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// A hello from an older build still lists capabilities under "caps": the
+// key is skipped, as every unknown key is, and the hello decodes as
+// encoding/json decodes it.
+func TestHelloCapsKeySkipped(t *testing.T) {
+	for line, want := range map[string]Frame{
+		`{"op":"hello","versions":[2],"heartbeat_ms":10000,"caps":["trace","debug"]}`: {Op: OpHello, Versions: []int{ProtocolVersion}, HeartbeatMS: 10000},
+		`{"op":"hello","version":2,"caps":["trace","debug"]}`:                         {Op: OpHello, Version: ProtocolVersion},
+	} {
+		var in frameIn
+		if err := decodeFrame(new(term.JSONReader), []byte(line), &in); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if !reflect.DeepEqual(in.Frame, want) {
+			t.Errorf("%s:\ndecoded %+v\nwant    %+v", line, in.Frame, want)
+		}
+		checkDecode(t, []byte(line))
+	}
+}
+
 // FuzzFrameCodec holds the codec to encoding/json both ways. Decode: every
 // line either decodes to the Frame json.Unmarshal decodes, or fails.
 // Encode: every Frame json.Unmarshal makes of a line encodes to the bytes
@@ -228,6 +247,7 @@ func FuzzFrameCodec(f *testing.F) {
 		`{"op":"call","op":"cancel"}`,
 		`{"OP":"call","Id":3,"iD":4}`,
 		`{"op":"x","trace":null,"versions":null}`,
+		`{"op":"hello","versions":[2],"caps":["trace","debug"],"caps":5}`,
 		`{"op":"x","functions":{"d":null,"e":[],"f":[{"name":"g","arity":2,"doc":"","extra":[1,{"a":null}]}]}}`,
 		`{"op":"\u0061nswers","id":1e2}`,
 		`{"op":"\ud800\u0041"} `,

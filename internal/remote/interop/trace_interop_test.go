@@ -2,7 +2,6 @@ package interop
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -14,22 +13,6 @@ import (
 	"hermes/internal/term"
 	"hermes/internal/vclock"
 )
-
-// acceptHelloWithCaps answers the client hello at the current version,
-// granting the trace and debug capabilities like a real current server.
-func acceptHelloWithCaps(dec *json.Decoder, enc *json.Encoder) error {
-	var hello remote.Frame
-	if err := dec.Decode(&hello); err != nil {
-		return err
-	}
-	if hello.Op != remote.OpHello {
-		return fmt.Errorf("expected hello, got %q", hello.Op)
-	}
-	return enc.Encode(remote.Frame{
-		Op: remote.OpHello, Version: remote.ProtocolVersion,
-		Caps: []string{remote.CapTrace, remote.CapDebug},
-	})
-}
 
 // tracedHarnessCtx builds a call context carrying a live span, the shape
 // a traced query hands the remote client.
@@ -55,21 +38,22 @@ func sendAnswers(enc *json.Encoder, id uint64, n int, done bool) {
 	enc.Encode(remote.Frame{Op: remote.OpAnswers, ID: id, Values: intValues(0, n), Done: done})
 }
 
-// A v2 peer that never advertised the trace capability (an older build):
-// the client must not send trace context, and the call succeeds with a
-// local-only span — interop with plain-v2 peers is untouched.
+// A v2 peer without trace support (an older build) ignores the trace
+// context: the client sends it anyway, the peer skips the unknown keys,
+// the same answers arrive, and the span stays local — no trace frame,
+// nothing stitched.
 func TestScenarioV2PeerWithoutTraceCap(t *testing.T) {
 	NoLeakCheck(t)
-	sawTraceCtx := make(chan bool, 1)
+	sawTraceID := make(chan bool, 1)
 	script := func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		if AcceptHello(dec, enc, remote.ProtocolVersion) != nil { // no caps granted
+		if AcceptHello(dec, enc, remote.ProtocolVersion) != nil {
 			return
 		}
 		f, err := ReadCall(dec)
 		if err != nil {
 			return
 		}
-		sawTraceCtx <- f.TraceID != "" || f.Depth != 0
+		sawTraceID <- f.TraceID != "" && f.Depth == 1
 		sendAnswers(enc, f.ID, 3, true)
 		Wedge(conn)
 	}
@@ -88,8 +72,8 @@ func TestScenarioV2PeerWithoutTraceCap(t *testing.T) {
 	if err != nil || len(vals) != 3 {
 		t.Fatalf("vals=%d err=%v, want 3 answers", len(vals), err)
 	}
-	if <-sawTraceCtx {
-		t.Error("client sent trace context to a peer that never granted the trace cap")
+	if !<-sawTraceID {
+		t.Error("the traced call frame did not carry trace_id and depth 1")
 	}
 	call.End(0)
 	snap := call.Snapshot()
@@ -97,8 +81,8 @@ func TestScenarioV2PeerWithoutTraceCap(t *testing.T) {
 		t.Errorf("local-only span grew children: %+v", snap.Children)
 	}
 	m := ob.Metrics.Snapshot()
-	if m["hermes_trace_propagated_total"] != 0 || m["hermes_trace_stitched_total"] != 0 {
-		t.Errorf("trace counters moved against a no-cap peer: %v / %v",
+	if m["hermes_trace_propagated_total"] != 1 || m["hermes_trace_stitched_total"] != 0 {
+		t.Errorf("propagated / stitched = %v / %v, want 1 / 0",
 			m["hermes_trace_propagated_total"], m["hermes_trace_stitched_total"])
 	}
 }
@@ -109,7 +93,7 @@ func TestScenarioV2PeerWithoutTraceCap(t *testing.T) {
 func TestScenarioTraceFrameAfterDone(t *testing.T) {
 	NoLeakCheck(t)
 	script := func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		if acceptHelloWithCaps(dec, enc) != nil {
+		if AcceptHello(dec, enc, remote.ProtocolVersion) != nil {
 			return
 		}
 		f, err := ReadCall(dec)
@@ -151,7 +135,7 @@ func TestScenarioTraceFrameAfterDone(t *testing.T) {
 func TestScenarioOversizedTraceSubtree(t *testing.T) {
 	NoLeakCheck(t)
 	script := func(conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		if acceptHelloWithCaps(dec, enc) != nil {
+		if AcceptHello(dec, enc, remote.ProtocolVersion) != nil {
 			return
 		}
 		f, err := ReadCall(dec)
@@ -214,11 +198,7 @@ func TestScenarioDepthLimitExceeded(t *testing.T) {
 	_ = srv
 
 	d := DialDriver(t, addr)
-	d.Send(remote.Frame{
-		Op: remote.OpHello, Versions: []int{remote.ProtocolVersion},
-		Caps: []string{remote.CapTrace},
-	})
-	reply := d.MustRecv(2 * time.Second)
+	reply := d.Hello(remote.ProtocolVersion)
 	if reply.Op != remote.OpHello || reply.Version != remote.ProtocolVersion {
 		t.Fatalf("hello reply %+v", reply)
 	}

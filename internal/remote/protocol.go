@@ -28,6 +28,14 @@
 //     domain.ErrUnavailable: resilience neither retries it nor trips the
 //     breaker, and no second connection is dialled.
 //
+// Within a version the protocol grows by one rule, not by negotiation: a
+// decoder skips keys it does not know, and a server answers an op it does
+// not know with an error frame naming it. A traced call therefore sends
+// its trace_id and depth to every peer; a peer that ignores them answers
+// the same values and ships no trace frame, so the call span stays local.
+// A peer that does not serve debug answers the request with `unknown op`,
+// which /debug/cluster reports as a degraded peer.
+//
 // Framing is one frame per line, ended by its newline. Both ends encode
 // and decode with one hand-written codec (codec.go) that writes the bytes
 // json.NewEncoder writes for a Frame — HTML escaping, field order,
@@ -119,35 +127,13 @@ const (
 	OpHeartbeat = "heartbeat"
 	OpFunctions = "functions"
 	// OpTrace is the server's final per-call trace frame: the serialized
-	// span subtree it built while serving the call, sent just before the
-	// done answers frame when both sides negotiated CapTrace.
+	// span subtree it built while serving a call whose frame carried a
+	// trace ID, sent just before the done answers frame.
 	OpTrace = "trace"
 	// OpDebug requests (client) and carries (server) a node's debug
 	// rollup payload for /debug/cluster.
 	OpDebug = "debug"
 )
-
-// Capabilities negotiated on hello frames: the client lists what it
-// understands, the server replies with what it will use. A peer that
-// advertises nothing is a plain speaker and is served without the
-// optional frames, so capability growth never breaks interop.
-const (
-	// CapTrace: the peer understands federated trace context on call
-	// frames and OpTrace subtree frames.
-	CapTrace = "trace"
-	// CapDebug: the peer answers OpDebug rollup requests.
-	CapDebug = "debug"
-)
-
-// capSupported reports whether a hello's capability list names cap.
-func capSupported(caps []string, cap string) bool {
-	for _, c := range caps {
-		if c == cap {
-			return true
-		}
-	}
-	return false
-}
 
 // Frame is one wire message: a single JSON object on its own line. The
 // op selects which fields are meaningful; unknown fields are ignored on
@@ -173,15 +159,12 @@ type Frame struct {
 	// letting the server arm an idle deadline that distinguishes a
 	// silently dead peer from a quiet one. 0 means no heartbeats.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-	// Caps (both hellos) lists optional protocol capabilities (CapTrace,
-	// CapDebug). Absent means neither; unknown names are ignored.
-	Caps []string `json:"caps,omitempty"`
 
 	// Call fields (OpCall).
 	Domain   string            `json:"domain,omitempty"`
 	Function string            `json:"function,omitempty"`
 	Args     []json.RawMessage `json:"args,omitempty"`
-	// Trace context (OpCall, when CapTrace was negotiated).
+	// Trace context (OpCall, when the call is traced at the client).
 	// TraceID names the federated trace this call belongs to; Depth counts
 	// mount hops from the origin, so a server can refuse to trace past its
 	// depth limit (the cycle guard for mutually mounted nodes).

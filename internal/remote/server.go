@@ -218,6 +218,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	ss := newServerSession(s, conn)
+	defer ss.end()
 	switch {
 	case first.Op != OpHello:
 		// err + done are the keys a pre-v2 client decodes on its reply.
@@ -271,16 +272,19 @@ type serverSession struct {
 	// clock times every call served on the session: a wall clock is only
 	// an epoch, and serving measures differences on it.
 	clock *vclock.Wall
-	// peerTrace records whether the client's hello advertised CapTrace:
-	// only then do calls grow serve spans and final trace frames.
-	peerTrace bool
+	// ctx is the parent of every call's context; end cancels it, and so
+	// every call in flight, when the connection ends.
+	ctx context.Context
+	end context.CancelFunc
 
 	mu    sync.Mutex
 	calls map[uint64]*serverCall
 }
 
 func newServerSession(srv *Server, conn net.Conn) *serverSession {
-	return &serverSession{srv: srv, conn: conn, out: frameWriter{w: conn}, clock: vclock.NewWall(), calls: map[uint64]*serverCall{}}
+	ss := &serverSession{srv: srv, conn: conn, out: frameWriter{w: conn}, clock: vclock.NewWall(), calls: map[uint64]*serverCall{}}
+	ss.ctx, ss.end = context.WithCancel(context.Background())
+	return ss
 }
 
 // serverCall is one served call's record: what its call frame asked for,
@@ -324,7 +328,7 @@ func (ss *serverSession) register(in *frameIn) (c *serverCall, ok bool) {
 	c = &serverCall{ss: ss, id: in.ID, call: domain.Call{Domain: in.Domain, Function: in.Function, Args: in.args},
 		traceID: in.TraceID, depth: in.Depth, badValue: in.badValue}
 	c.ctx.Clock = ss.clock
-	c.ctx.Context, c.cancel = context.WithCancel(context.Background())
+	c.ctx.Context, c.cancel = context.WithCancel(ss.ctx)
 	ss.calls[in.ID] = c
 	return c, true
 }
@@ -351,28 +355,14 @@ func (ss *serverSession) cancel(id uint64) {
 	}
 }
 
-// cancelAll aborts every in-flight call: the connection died.
-func (ss *serverSession) cancelAll() {
-	ss.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(ss.calls))
-	for _, c := range ss.calls {
-		cancels = append(cancels, c.cancel)
-	}
-	ss.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
 // serveSession answers an accepted hello and runs the session loop. The
 // loop goroutine doubles as the per-connection reader the protocol
 // requires: a dead or misbehaving client surfaces here as a read error
-// immediately — not at the next flush boundary — and cancels every
-// in-flight call.
+// immediately — not at the next flush boundary — and returns, and
+// handle's end of the session cancels every in-flight call.
 func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 	conn := ss.conn
-	ss.peerTrace = capSupported(hello.Caps, CapTrace)
-	if !ss.send(kindHello, &Frame{Op: OpHello, Version: ProtocolVersion, Caps: []string{CapTrace, CapDebug}}, nil) {
+	if !ss.send(kindHello, &Frame{Op: OpHello, Version: ProtocolVersion}, nil) {
 		return
 	}
 	// The client announced its heartbeat period: a connection silent for
@@ -385,7 +375,6 @@ func (s *Server) serveSession(ss *serverSession, in *frameReader, hello Frame) {
 			idle = time.Second
 		}
 	}
-	defer ss.cancelAll()
 	// A call is served by a goroutine that has served one before when one
 	// is idle: it keeps the stack the calls grew, which a fresh goroutine
 	// would grow again, copying it, for every call.
@@ -481,13 +470,13 @@ func (s *Server) serveCall(c *serverCall) {
 		return
 	}
 	ctx := &c.ctx
-	// Federated tracing: when the peer negotiated CapTrace and sent trace
-	// context, serve under a standalone span (outside this node's own query
-	// ring) that travels back in a trace frame and keeps the caller's trace
-	// ID. Past the depth limit the call is served normally, just without a
-	// subtree — the cycle guard for mutually mounted nodes.
+	// Federated tracing: when the call frame carried trace context, serve
+	// under a standalone span (outside this node's own query ring) that
+	// travels back in a trace frame and keeps the caller's trace ID. Past
+	// the depth limit the call is served normally, just without a subtree
+	// — the cycle guard for mutually mounted nodes.
 	var span *obs.Span
-	if ss.peerTrace && c.traceID != "" && s.TraceMaxDepth > 0 {
+	if c.traceID != "" && s.TraceMaxDepth > 0 {
 		if c.depth > s.TraceMaxDepth {
 			s.traceDroppedDepth.Inc()
 		} else {

@@ -40,8 +40,8 @@ func findSpan(d obs.SpanData, k, v string) *obs.SpanData {
 }
 
 // TestFederatedTraceStitching is the single-hop contract: a traced call
-// against a CapTrace server comes back with the server's serve subtree
-// stitched under the local call span — per-hop node tag, remote actual
+// carries its trace context, and a server that serves it ships its serve
+// subtree back, stitched under the local call span — per-hop node tag, remote actual
 // with full cardinality, wire time split out — and the remote actual
 // reaches the caller's actuals hook.
 func TestFederatedTraceStitching(t *testing.T) {

@@ -144,20 +144,36 @@ func TestV2FirstAnswerBeforeLastAnswer(t *testing.T) {
 
 // TestV2CloseCancelsServerCall: closing a v2 answer stream sends a cancel
 // frame, and the server aborts the domain stream promptly — even though
-// the source trickles and no flush would fail for many answers.
+// the source trickles and no flush would fail for many answers. Dropping
+// the connection aborts every call in flight on it, long before a write
+// of the next 64-answer frame (6.4 s away) could fail.
 func TestV2CloseCancelsServerCall(t *testing.T) {
-	meter := domaintest.Metered(trickleDomain(10000, 10*time.Millisecond))
+	meter := domaintest.Metered(trickleDomain(10000, 100*time.Millisecond))
 	_, addr := startServer(t, meter)
 	c := NewClient(addr, "trickle")
-	s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
-	if err != nil {
-		t.Fatal(err)
+	call := func() domain.Stream {
+		t.Helper()
+		s, err := c.Call(domain.NewCtx(vclock.NewVirtual(0)), "gen", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Next(); !ok || err != nil {
+			t.Fatalf("first answer: %v %v", ok, err)
+		}
+		return s
 	}
-	if _, ok, err := s.Next(); !ok || err != nil {
-		t.Fatalf("first answer: %v %v", ok, err)
-	}
-	s.Close()
+	call().Close()
 	waitFor(t, "server call abort after cancel frame", func() bool {
+		return meter.Current() == 0
+	})
+
+	call()
+	call()
+	if n := meter.Current(); n != 2 {
+		t.Fatalf("source streams open = %d, want 2 in flight", n)
+	}
+	c.Close()
+	waitFor(t, "both server calls to abort after the connection drops", func() bool {
 		return meter.Current() == 0
 	})
 }
