@@ -403,13 +403,25 @@ func (s *System) AdmitCtx(gc context.Context, weight int) (*domain.Ctx, func(), 
 	return ctx, release, nil
 }
 
-// Plans parses a query and returns the rewriter's candidate plans.
+// Plans returns the rewriter's candidate plans for a query's text. The
+// text is lexed once: a query whose tokens are those of an earlier query's
+// but for its strings, integers and floats gets the earlier query's plans
+// with its own constants lifted into them, unparsed (see rewrite.Planner);
+// any other is parsed.
 func (s *System) Plans(query string) ([]*rewrite.Plan, error) {
-	q, err := lang.ParseQuery(query)
+	toks, err := lang.LexQuery(query)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse query: %w", err)
 	}
-	return s.PlansFor(q)
+	p := s.planner.Load()
+	if plans, ok := p.Prepared(toks); ok {
+		return plans, nil
+	}
+	tp, err := lang.ParseTemplate(toks)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse query: %w", err)
+	}
+	return p.PlansFrom(toks, tp)
 }
 
 // PlansFor returns the candidate plans of a parsed query. They are

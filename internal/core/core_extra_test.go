@@ -92,17 +92,17 @@ func TestPlanEquivalenceOverRandomData(t *testing.T) {
 	}
 }
 
-// TestOptimizerChoosesCIMRoutingWhenCached: with routing enumeration on,
-// the estimator should route a cached expensive call through the CIM, and
-// the same call through the source while the cache is cold.
-func TestOptimizerChoosesCIMRoutingWhenCached(t *testing.T) {
+// TestCIMRoutedEstimateWhenCached: once an expensive call routed through
+// the CIM is cached, the plan's estimate is the cache's serve cost, not
+// the call's.
+func TestCIMRoutedEstimateWhenCached(t *testing.T) {
 	d := domaintest.New("slow")
 	d.Define("f", domaintest.Func{Arity: 1, PerCall: 8 * time.Second,
 		Fn: func([]term.Value) ([]term.Value, error) {
 			return []term.Value{term.Str("x"), term.Str("y")}, nil
 		}})
 	sys := NewSystem(Options{
-		Rewrite: &rewrite.Config{EnumerateRouting: true, CIMDomains: map[string]bool{}},
+		Rewrite: &rewrite.Config{CIMDomains: map[string]bool{"slow": true}},
 	})
 	sys.Register(d)
 	if err := sys.LoadProgram(`v(X) :- in(X, slow:f(1)).`); err != nil {
@@ -118,8 +118,6 @@ func TestOptimizerChoosesCIMRoutingWhenCached(t *testing.T) {
 		rules := p.Rules[rewrite.PredKey{Pred: "v", Adorn: "f"}]
 		return rules[0].RouteInOrder(0)
 	}
-	// Cold cache: either route costs the actual call; after priming the
-	// cache, the CIM route must win.
 	if err := sys.PrimeCache([]domain.Call{
 		{Domain: "slow", Function: "f", Args: []term.Value{term.Int(1)}},
 	}); err != nil {
@@ -130,7 +128,7 @@ func TestOptimizerChoosesCIMRoutingWhenCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if routeOf(plan) != rewrite.RouteCIM {
-		t.Errorf("optimizer did not route the cached call via CIM:\n%s (cost %v)", plan, cv)
+		t.Errorf("the cached call is not routed via the CIM:\n%s (cost %v)", plan, cv)
 	}
 	if cv.TAll > time.Second {
 		t.Errorf("CIM-routed estimate = %v, want cache-serve cost", cv.TAll)

@@ -13,6 +13,7 @@ import (
 	"hermes/internal/lang"
 	"hermes/internal/remote"
 	"hermes/internal/rewrite"
+	"hermes/internal/term"
 	"hermes/internal/workload"
 )
 
@@ -33,11 +34,17 @@ func planText(t *testing.T, sys *System, q string) string {
 // TestShapeTableInvalidation: each change to what plan enumeration reads —
 // a rule loaded, a domain registered that enables selection push-down, a
 // domain's CIM routing flipped — changes the plans of the next query of a
-// shape already in the table.
+// shape already in the table, and the programs compiled for them: the
+// query runs the new rule, the new route and the pushed-down selection.
 func TestShapeTableInvalidation(t *testing.T) {
+	scale := func(k int64) func([]term.Value) ([]term.Value, error) {
+		return func(args []term.Value) ([]term.Value, error) {
+			return []term.Value{term.Int(k * int64(args[0].(term.Int)))}, nil
+		}
+	}
 	d := domaintest.New("d")
-	d.Define("f", domaintest.Func{Arity: 1})
-	d.Define("g", domaintest.Func{Arity: 1})
+	d.Define("f", domaintest.Func{Arity: 1, Fn: scale(10)})
+	d.Define("g", domaintest.Func{Arity: 1, Fn: scale(100)})
 	sys := NewSystem(Options{})
 	sys.Register(d)
 	if err := sys.LoadProgram(`v(X, Y) :- in(Y, d:f(X)).`); err != nil {
@@ -46,28 +53,47 @@ func TestShapeTableInvalidation(t *testing.T) {
 	if got := planText(t, sys, "?- v(1, Y)."); strings.Contains(got, "d:g") {
 		t.Fatalf("plans before the rule is loaded:\n%s", got)
 	}
+	if got := answerText(t, sys, "?- v(1, Y)."); got != "{Y=10}" {
+		t.Fatalf("answers before the rule is loaded: %s", got)
+	}
 	if err := sys.LoadProgram(`v(X, Y) :- in(Y, d:g(X)).`); err != nil {
 		t.Fatal(err)
 	}
 	if got := planText(t, sys, "?- v(2, Y)."); !strings.Contains(got, "CIM[in(Y, d:g(X))]") {
 		t.Fatalf("plans miss the rule loaded since:\n%s", got)
 	}
+	if got := answerText(t, sys, "?- v(2, Y)."); got != "{Y=200} {Y=20}" {
+		t.Fatalf("answers miss the rule loaded since: %s", got)
+	}
 
 	sys.RouteThroughCIM("d", false)
 	if got := planText(t, sys, "?- v(3, Y)."); strings.Contains(got, "CIM[") {
 		t.Fatalf("plans still route d through the CIM:\n%s", got)
+	}
+	before := sys.CIM.Stats()
+	if got := answerText(t, sys, "?- v(3, Y)."); got != "{Y=300} {Y=30}" {
+		t.Fatalf("answers after the routing changed: %s", got)
+	}
+	if after := sys.CIM.Stats(); after != before {
+		t.Fatalf("calls still reach the CIM: stats %+v, then %+v", before, after)
 	}
 
 	const scan = "?- in(T, e:all('t')) & T.a = %d."
 	if got := planText(t, sys, fmt.Sprintf(scan, 1)); strings.Contains(got, "e:equal") {
 		t.Fatalf("selection pushed into an unregistered domain:\n%s", got)
 	}
+	rows := func(args []term.Value) ([]term.Value, error) {
+		return []term.Value{term.NewRecord(term.Field{Name: "a", Val: term.Int(2)})}, nil
+	}
 	e := domaintest.New("e")
-	e.Define("all", domaintest.Func{Arity: 1})
-	e.Define("equal", domaintest.Func{Arity: 3})
+	e.Define("all", domaintest.Func{Arity: 1, Fn: rows})
+	e.Define("equal", domaintest.Func{Arity: 3, Fn: rows})
 	sys.Register(e)
 	if got := planText(t, sys, fmt.Sprintf(scan, 2)); !strings.Contains(got, "e:equal('t', 'a', 2)") {
 		t.Fatalf("selection not pushed once e is registered:\n%s", got)
+	}
+	if got := answerText(t, sys, fmt.Sprintf(scan, 2)); got != "{T={a: 2}}" || e.CallCount("equal") != 1 || e.CallCount("all") != 0 {
+		t.Fatalf("pushed-down query: answers %s, %d equal and %d all calls; want one equal call", got, e.CallCount("equal"), e.CallCount("all"))
 	}
 }
 
@@ -170,7 +196,8 @@ func TestShapeTableConcurrent(t *testing.T) {
 
 // TestPreparedShapeAllocsPer: once a query's shape is in the table, the
 // plans of another query of the shape cost a fixed handful of objects,
-// however many rule sections the plans carry.
+// however many rule sections the plans carry: one for a one-candidate
+// shape.
 func TestPreparedShapeAllocsPer(t *testing.T) {
 	perHit := func(depth int) float64 {
 		// c0 calls c1, ... c<depth> calls the source: depth+1 rule sections.
@@ -198,10 +225,9 @@ func TestPreparedShapeAllocsPer(t *testing.T) {
 		})
 	}
 	shallow, deep := perHit(1), perHit(12)
-	// The query rule, the plan list, and one array each of plans and of
-	// their query rules.
-	if shallow > 4 || deep != shallow {
-		t.Errorf("a shape hit allocates %.0f objects with 2 rule sections and %.0f with 13, want at most 4 either way", shallow, deep)
+	// One candidate: its query rule, plan and plan list in one object.
+	if shallow > 1 || deep != shallow {
+		t.Errorf("a shape hit allocates %.0f objects with 2 rule sections and %.0f with 13, want at most 1 either way", shallow, deep)
 	}
 }
 

@@ -231,11 +231,11 @@ func TestServedCallAllocsPer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := (&compiler{plan: plans[0]}).rule(plans[0].Query, "")
-		f := make(term.Frame, len(rc.vars))
+		prog := compile(plans[0])
+		f := prog.frame(plans[0].Query.Rule.Body)
 		answers := 0
 		n := testing.AllocsPerRun(200, func() {
-			s, err := eng.evalInCall(ctx, &rc.lits[0], f)
+			s, err := eng.evalInCall(ctx, &prog.query.lits[0], nil, f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,16 +1,22 @@
 package engine
 
-// Slot-compiled plan rules. Each plan rule a query evaluates is compiled
-// once, when evaluation first reaches it, for the adornment it enters
-// with: variables are numbered in the order evaluation binds them and
-// terms become frame slots, so each level decides once whether it tests
-// or binds and writes only its own positions [lo, hi): backtracking needs
-// no undo log.
+// Slot-compiled plan rules. A plan is compiled once for every query of its
+// shape (rewrite.Plan.Compiled): its query rule when the first query of
+// the shape runs, and each plan rule when evaluation first reaches it, for
+// the adornment it enters with. Variables are numbered in the order
+// evaluation binds them and terms become frame slots, so each level decides
+// once whether it tests or binds and writes only its own positions
+// [lo, hi): backtracking needs no undo log. The query's constants are
+// frame positions bound before the first level, so the one compiled query
+// rule serves every query of the shape, each with its own constants.
 
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hermes/internal/lang"
 	"hermes/internal/rewrite"
@@ -37,7 +43,11 @@ type ruleCode struct {
 
 // litCode is a body literal compiled at its level.
 type litCode struct {
+	// lit is the literal, bi its index in the rule's body. The query
+	// rule's literals have a variable for each constant: a query's own
+	// literal is its body's at bi.
 	lit lang.Literal
+	bi  int
 	// args are the literal's terms: a comparison's sides (an assignment's
 	// variable first), an in()'s output then its call arguments, or an
 	// atom's arguments.
@@ -46,25 +56,97 @@ type litCode struct {
 	op     uint8
 	route  rewrite.Route
 	key    rewrite.PredKey
-	rules  []*ruleCode // an atom's plan rules for key, once compiled (under mu)
+	rules  atomic.Pointer[[]*ruleCode] // an atom's plan rules for key, once compiled
 }
 
-// compiler compiles one query's plan, each (predicate, adornment) once.
+// program is a plan compiled for every query of its shape.
+type program struct {
+	compiler
+	query *ruleCode
+	// consts locates the query's constants, in the order of the frame
+	// positions they are bound at.
+	consts []constAt
+	// vars are the query's variables in first-occurrence order, pos their
+	// frame positions.
+	vars []string
+	pos  []int
+}
+
+// constAt locates a constant of a query: a literal of its body and a term
+// of the literal (lang.TermAt).
+type constAt struct{ lit, term int }
+
+// compile compiles a plan's query rule. Each constant of the body becomes
+// a variable of the rule's head, bound on entry: the rule is then the same
+// for every query of the shape.
+func compile(plan *rewrite.Plan) *program {
+	p := &program{compiler: compiler{plan: plan}}
+	body := plan.Query.Rule.Body
+	rule := &lang.Rule{Head: lang.Atom{Pred: rewrite.QueryPred}, Body: slices.Clone(body)}
+	for i, lit := range body {
+		for j := 0; lang.TermAt(lit, j) != nil; j++ {
+			if !lang.TermAt(lit, j).IsConst() {
+				continue
+			}
+			if rule.Body[i] == lit {
+				rule.Body[i] = lang.CloneLiteral(lit)
+			}
+			// No variable's name starts with '#': the lexer reads it as a
+			// comment.
+			v := term.V("#" + strconv.Itoa(len(p.consts)))
+			*lang.TermAt(rule.Body[i], j) = v
+			rule.Head.Args = append(rule.Head.Args, v)
+			p.consts = append(p.consts, constAt{i, j})
+		}
+	}
+	pr := &rewrite.PlanRule{Rule: rule, Order: plan.Query.Order, Routes: plan.Query.Routes}
+	p.query = p.rule(pr, rewrite.Adornment(strings.Repeat("b", len(p.consts))))
+	for _, lit := range body {
+		for _, v := range lit.Vars(nil) {
+			if !slices.Contains(p.vars, v) {
+				p.vars, p.pos = append(p.vars, v), append(p.pos, p.query.vars.Pos(v))
+			}
+		}
+	}
+	return p
+}
+
+// frame returns a frame for the query rule with a query's constants bound:
+// body is the query's, of the program's shape.
+func (p *program) frame(body []lang.Literal) term.Frame {
+	f := make(term.Frame, len(p.query.vars))
+	for k, c := range p.consts {
+		f[k] = lang.TermAt(body[c.lit], c.term).Const
+	}
+	return f
+}
+
+// compiler compiles a plan's rules, each (predicate, adornment) once, for
+// every query of the plan's shape.
 type compiler struct {
-	plan     *rewrite.Plan
-	parallel bool
-	mu       sync.Mutex // parallel lanes reach atoms concurrently
-	done     []*litCode // the first atom of each key compiled so far
+	// plan is the plan compiled: its rule section and fingerprint are
+	// those of every plan of its shape.
+	plan *rewrite.Plan
+	mu   sync.Mutex // serializes compiling
+	done []*litCode // the first atom of each key compiled so far (under mu)
 }
 
 // rules returns an atom's plan rules, compiled when evaluation first
-// reaches the atom (a memo hit never does), once per key per query.
+// reaches the atom (a memo hit never does), once per key. Concurrent
+// queries of the shape share them: they are published once compiled.
 func (c *compiler) rules(lc *litCode) ([]*ruleCode, error) {
+	if rules := lc.rules.Load(); rules != nil {
+		return *rules, nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if rules := lc.rules.Load(); rules != nil {
+		return *rules, nil
+	}
 	for _, d := range c.done {
 		if d.key == lc.key {
-			return d.rules, nil
+			lc.rules.Store(d.rules.Load())
+			return *d.rules.Load(), nil
 		}
 	}
 	prs := c.plan.Rules[lc.key]
@@ -78,7 +160,7 @@ func (c *compiler) rules(lc *litCode) ([]*ruleCode, error) {
 		}
 		rules[i] = c.rule(pr, lc.key.Adorn)
 	}
-	lc.rules = rules
+	lc.rules.Store(&rules)
 	c.done = append(c.done, lc)
 	return rules, nil
 }
@@ -98,7 +180,7 @@ func (c *compiler) rule(pr *rewrite.PlanRule, adorn rewrite.Adornment) *ruleCode
 	for level, bi := range pr.Order {
 		lc := &rc.lits[level]
 		lo = len(*n)
-		lc.lit, lc.route, lc.lo = pr.Rule.Body[bi], pr.Routes[bi], int32(lo)
+		lc.lit, lc.bi, lc.route, lc.lo = pr.Rule.Body[bi], bi, pr.Routes[bi], int32(lo)
 		switch l := lc.lit.(type) {
 		// A side, output or argument left unbound here fails to evaluate
 		// when the level is reached, as the rewriter's ordering rules out.
@@ -148,8 +230,6 @@ func (c *compiler) rule(pr *rewrite.PlanRule, adorn rewrite.Adornment) *ruleCode
 			lc.args = n.Slots(nil, l.Args)
 		}
 	}
-	if c.parallel {
-		rc.indep = rewrite.IndependentInCalls(pr, rewrite.HeadBoundVars(pr.Rule, adorn))
-	}
+	rc.indep = rewrite.IndependentInCalls(pr, rewrite.HeadBoundVars(pr.Rule, adorn))
 	return rc
 }

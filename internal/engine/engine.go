@@ -255,18 +255,10 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 		span.SetTagInt("parallel", n)
 	}
 	ctx.Clock.Sleep(e.cfg.QueryInit)
-	rc := (&compiler{plan: plan, parallel: ctx.Sched.Limit() > 1}).rule(plan.Query, "")
-	var vars []string
-	var pos []int
-	for _, lit := range plan.Query.Rule.Body {
-		for _, v := range lit.Vars(nil) {
-			if !slices.Contains(vars, v) {
-				vars, pos = append(vars, v), append(pos, rc.vars.Pos(v))
-			}
-		}
-	}
-	iter := &bodyIter{eng: e, ctx: ctx, rc: rc, f: make(term.Frame, len(rc.vars))}
-	return &Cursor{eng: e, ctx: ctx, vars: vars, pos: pos, iter: iter, start: start, span: span}, nil
+	prog := plan.Compiled(func() any { return compile(plan) }).(*program)
+	body := plan.Query.Rule.Body
+	iter := &bodyIter{eng: e, ctx: ctx, rc: prog.query, f: prog.frame(body), body: body}
+	return &Cursor{eng: e, ctx: ctx, vars: prog.vars, pos: prog.pos, iter: iter, start: start, span: span}, nil
 }
 
 // CollectAll drains a cursor (all-answers mode).

@@ -36,6 +36,9 @@ type bodyIter struct {
 	rc    *ruleCode
 	f     term.Frame
 	depth int
+	// body is the query's own body when rc is its compiled query rule,
+	// for the literals an error names; nil for a plan rule.
+	body []lang.Literal
 
 	streams []frameStream
 	inited  bool
@@ -97,17 +100,16 @@ func (b *bodyIter) next() (bool, error) {
 // then spent.
 func (b *bodyIter) openLevel(level int) (s frameStream, passed bool, err error) {
 	lc := &b.rc.lits[level]
-	if indep := b.rc.indep; indep != nil && level == indep[0] && b.stage == nil {
+	if indep := b.rc.indep; indep != nil && level == indep[0] && b.stage == nil && b.ctx.Sched.Limit() > 1 {
 		// First entry into the independent-sibling region: launch the
 		// producers that prefetch the later independent literals' streams.
 		b.stage = b.eng.newStage(b.ctx, b.rc, b.f)
 	}
 	switch lc.op {
 	case opFilter:
-		c := lc.lit.(*lang.Comparison)
-		ok, err := c.Holds(b.f, lc.args[0], lc.args[1])
+		ok, err := lc.lit.(*lang.Comparison).Holds(b.f, lc.args[0], lc.args[1])
 		if err != nil {
-			return nil, false, fmt.Errorf("engine: %s: %w", c, err)
+			return nil, false, fmt.Errorf("engine: %s: %w", b.lit(lc), err)
 		}
 		return emptyStream{}, ok, nil
 	case opAssign:
@@ -126,8 +128,17 @@ func (b *bodyIter) openLevel(level int) (s frameStream, passed bool, err error) 
 			return &replayStream{sp: sp, ctx: b.ctx, f: b.f, pos: lc.args[0].Pos}, false, nil
 		}
 	}
-	s, err = b.eng.evalInCall(b.ctx, lc, b.f)
+	s, err = b.eng.evalInCall(b.ctx, lc, b.lit(lc), b.f)
 	return s, false, err
+}
+
+// lit returns a level's literal as the query or rule being evaluated
+// states it.
+func (b *bodyIter) lit(lc *litCode) lang.Literal {
+	if b.body != nil {
+		return b.body[lc.bi]
+	}
+	return lc.lit
 }
 
 func (b *bodyIter) shutdown() {
@@ -148,13 +159,13 @@ func (b *bodyIter) close() error {
 
 // boundArgs evaluates an atom's bound arguments, nil at its free
 // positions.
-func boundArgs(lc *litCode, f term.Frame) ([]term.Value, error) {
+func (b *bodyIter) boundArgs(lc *litCode) ([]term.Value, error) {
 	vals := make([]term.Value, len(lc.args))
 	for i, s := range lc.args {
 		if lc.key.Adorn[i] == 'b' {
-			v, err := f.Eval(s)
+			v, err := b.f.Eval(s)
 			if err != nil {
-				return nil, fmt.Errorf("engine: %s argument %d: %w", lc.lit, i+1, err)
+				return nil, fmt.Errorf("engine: %s argument %d: %w", b.lit(lc), i+1, err)
 			}
 			vals[i] = v
 		}
@@ -163,11 +174,12 @@ func boundArgs(lc *litCode, f term.Frame) ([]term.Value, error) {
 }
 
 // evalInCall executes a domain call (direct or through the CIM) and binds
-// or tests the output term: the call's record is the level's stream.
-func (e *Engine) evalInCall(ctx *domain.Ctx, lc *litCode, f term.Frame) (frameStream, error) {
+// or tests the output term: the call's record is the level's stream. lit
+// is the level's literal as an error names it.
+func (e *Engine) evalInCall(ctx *domain.Ctx, lc *litCode, lit lang.Literal, f term.Frame) (frameStream, error) {
 	args, err := f.EvalAll(lc.args[1:])
 	if err != nil {
-		return nil, fmt.Errorf("engine: domain call %s argument not ground: %w", lc.lit, err)
+		return nil, fmt.Errorf("engine: domain call %s argument not ground: %w", lit, err)
 	}
 	cs, err := e.openCallStream(ctx, lc.lit.(*lang.InCall), lc.route, args)
 	if err != nil {
@@ -392,7 +404,7 @@ func (b *bodyIter) evalAtom(lc *litCode) (frameStream, error) {
 	if b.depth >= maxDepth {
 		return nil, fmt.Errorf("engine: recursion deeper than %d evaluating %s", maxDepth, lc.key.Pred)
 	}
-	in, err := boundArgs(lc, b.f)
+	in, err := b.boundArgs(lc)
 	if err != nil {
 		return nil, err
 	}

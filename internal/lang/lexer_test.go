@@ -193,39 +193,42 @@ func refLexAll(src string) ([]token, error) {
 	}
 }
 
+// lexerCorpus seeds FuzzLexer and FuzzPreparedMatchesParse.
+var lexerCorpus = []string{
+	// FuzzParseProgram's corpus
+	"p(X).",
+	"m(A, C) :- p(A, B), q(B, C).",
+	"p(A, B) :- in($ans, d1:p_ff()), =($ans.1, A), =($ans.2, B).",
+	"Dist > 142 => spatial:range('map1', X, Y, Dist) = spatial:range('points', X, Y, 142).",
+	"V1 <= V2 => relation:select_lt(T, A, V2) >= relation:select_lt(T, A, V1).",
+	"q(142).",
+	"v(Y) :- X = 'k', in(Y, d:f(X)).",
+	"p('unterminated",
+	"p(A :- q(A).",
+	"% comment only",
+	"?-",
+	"=>",
+	"p(1.5e3, -2, true, false, 'str', X.a.b).",
+	"\x00\x01\x02",
+	"p(((((",
+	"a :- b & c & d & e.",
+	// escapes, invalid UTF-8, non-ASCII letters and digits, operators
+	`'it\'s' "tab\there" 'a\nb' 'q\"' "\\"`, `'end\`, "'a\\",
+	"'bad \xff byte' 'x\xc3' '\xe2\x82' 'é\\\xff'", "\xff", "p(\xc3)", "'\xe2\x82",
+	"'\xef\xbf\xbd'", "\xef\xbf\xbd",
+	"café(Ärger, ٣٤, 1٢.5e٣) :- Ünï.ä.1 != 'ñ'.",
+	"a <> b =< c == d >= e <= f < g > h => i :- j ?- k != l",
+	"x !> y", "x !< y", "x ! y",
+	"1east 1e+5 -4e-2 2E3 3..4 5.e", "1e+", "-x",
+	"// line\n# hash\n%pct\r\n\tp .\n  q", "p.\n  @",
+	"\u2028p\u00a0(X)\u3000.",
+}
+
 // FuzzLexer: lexAll, which slices the source string, yields exactly the
 // tokens — kinds, texts, lines, columns — and the error text of the
 // rune-slice lexer it replaced.
 func FuzzLexer(f *testing.F) {
-	for _, s := range []string{
-		// FuzzParseProgram's corpus
-		"p(X).",
-		"m(A, C) :- p(A, B), q(B, C).",
-		"p(A, B) :- in($ans, d1:p_ff()), =($ans.1, A), =($ans.2, B).",
-		"Dist > 142 => spatial:range('map1', X, Y, Dist) = spatial:range('points', X, Y, 142).",
-		"V1 <= V2 => relation:select_lt(T, A, V2) >= relation:select_lt(T, A, V1).",
-		"q(142).",
-		"v(Y) :- X = 'k', in(Y, d:f(X)).",
-		"p('unterminated",
-		"p(A :- q(A).",
-		"% comment only",
-		"?-",
-		"=>",
-		"p(1.5e3, -2, true, false, 'str', X.a.b).",
-		"\x00\x01\x02",
-		"p(((((",
-		"a :- b & c & d & e.",
-		// escapes, invalid UTF-8, non-ASCII letters and digits, operators
-		`'it\'s' "tab\there" 'a\nb' 'q\"' "\\"`, `'end\`, "'a\\",
-		"'bad \xff byte' 'x\xc3' '\xe2\x82' 'é\\\xff'", "\xff", "p(\xc3)", "'\xe2\x82",
-		"'\xef\xbf\xbd'", "\xef\xbf\xbd",
-		"café(Ärger, ٣٤, 1٢.5e٣) :- Ünï.ä.1 != 'ñ'.",
-		"a <> b =< c == d >= e <= f < g > h => i :- j ?- k != l",
-		"x !> y", "x !< y", "x ! y",
-		"1east 1e+5 -4e-2 2E3 3..4 5.e", "1e+", "-x",
-		"// line\n# hash\n%pct\r\n\tp .\n  q", "p.\n  @",
-		"\u2028p\u00a0(X)\u3000.",
-	} {
+	for _, s := range lexerCorpus {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

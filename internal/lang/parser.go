@@ -12,6 +12,9 @@ import (
 type parser struct {
 	toks []token
 	pos  int
+	// terms, when set, collects the token index of every term parsed, in
+	// the order read.
+	terms *[]int
 }
 
 func lexAll(src string) ([]token, error) {
@@ -119,7 +122,11 @@ func ParseQuery(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return (&parser{toks: toks}).parseQueryText()
+}
+
+// parseQueryText parses the tokens of a query's whole text.
+func (p *parser) parseQueryText() (*Query, error) {
 	if p.at(tokQuery) {
 		p.advance()
 	}
@@ -414,25 +421,20 @@ func (p *parser) parseCallTemplate() (*CallTemplate, error) {
 }
 
 func (p *parser) parseTerm() (term.Term, error) {
+	if p.terms != nil {
+		*p.terms = append(*p.terms, p.pos)
+	}
 	t := p.advance()
 	switch t.kind {
 	case tokVar:
 		parts := strings.Split(t.text, ".")
 		return term.V(parts[0], parts[1:]...), nil
-	case tokString:
-		return term.C(term.Str(t.text)), nil
-	case tokInt:
-		n, err := strconv.ParseInt(t.text, 10, 64)
+	case tokString, tokInt, tokFloat:
+		v, err := constant(t)
 		if err != nil {
-			return term.Term{}, fmt.Errorf("%d:%d: bad integer %q: %v", t.line, t.col, t.text, err)
+			return term.Term{}, err
 		}
-		return term.C(term.Int(n)), nil
-	case tokFloat:
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return term.Term{}, fmt.Errorf("%d:%d: bad float %q: %v", t.line, t.col, t.text, err)
-		}
-		return term.C(term.Float(f)), nil
+		return term.C(v), nil
 	case tokIdent:
 		switch t.text {
 		case "true":
@@ -444,4 +446,23 @@ func (p *parser) parseTerm() (term.Term, error) {
 		return term.C(term.Str(t.text)), nil
 	}
 	return term.Term{}, fmt.Errorf("%d:%d: expected a term, found %s %q", t.line, t.col, t.kind, t.text)
+}
+
+// constant converts a string, integer or float token to its value.
+func constant(t token) (term.Value, error) {
+	switch t.kind {
+	case tokInt:
+		n, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%d:%d: bad integer %q: %v", t.line, t.col, t.text, err)
+		}
+		return term.Int(n), nil
+	case tokFloat:
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%d:%d: bad float %q: %v", t.line, t.col, t.text, err)
+		}
+		return term.Float(f), nil
+	}
+	return term.Str(t.text), nil
 }

@@ -32,20 +32,16 @@ func (rw *Rewriter) prepare(q *lang.Query) (*shape, error) {
 		return nil, fmt.Errorf("rewrite: query %s has no permissible subgoal ordering", q)
 	}
 	as := &assembler{rw: rw, altCache: map[PredKey][][]*PlanRule{}, confirmed: confirmed}
+	routes := rw.routes(body)
 	for _, ord := range ords {
-		for _, routes := range rw.routings(body) {
-			qpr := &PlanRule{Rule: qRule, Order: ord, Routes: routes}
-			plan := &Plan{Query: qpr, Rules: map[PredKey][]*PlanRule{}}
-			pending, err := rw.neededKeys(qpr, map[string]bool{})
-			if err != nil {
-				return nil, err
-			}
-			if err := as.run(plan, pending, nil); err != nil {
-				return nil, err
-			}
-			if len(as.plans) >= maxPlans {
-				break
-			}
+		qpr := &PlanRule{Rule: qRule, Order: ord, Routes: routes}
+		plan := &Plan{Query: qpr, Rules: map[PredKey][]*PlanRule{}}
+		pending, err := rw.neededKeys(qpr, map[string]bool{})
+		if err != nil {
+			return nil, err
+		}
+		if err := as.run(plan, pending, nil); err != nil {
+			return nil, err
 		}
 		if len(as.plans) >= maxPlans {
 			break
@@ -57,41 +53,14 @@ func (rw *Rewriter) prepare(q *lang.Query) (*shape, error) {
 	return &shape{body: q.Body, pushes: pushes, plans: as.plans, confirmed: as.confirmed}, nil
 }
 
-// routings enumerates per-literal routing vectors for a body. Without
-// EnumerateRouting there is exactly one: CIM for calls whose domain is in
-// CIMDomains, direct otherwise.
-func (rw *Rewriter) routings(body []lang.Literal) [][]Route {
-	base := make([]Route, len(body))
-	var inIdx []int // the in() literals to branch; stays empty without EnumerateRouting
+// routes returns a body's routing vector: CIM for the calls whose domain
+// is in CIMDomains, direct otherwise.
+func (rw *Rewriter) routes(body []lang.Literal) []Route {
+	out := make([]Route, len(body))
 	for i, lit := range body {
-		if in, ok := lit.(*lang.InCall); ok {
-			if rw.cfg.CIMDomains[in.Call.Domain] {
-				base[i] = RouteCIM
-			}
-			if rw.cfg.EnumerateRouting {
-				inIdx = append(inIdx, i)
-			}
+		if in, ok := lit.(*lang.InCall); ok && rw.cfg.CIMDomains[in.Call.Domain] {
+			out[i] = RouteCIM
 		}
-	}
-	if len(inIdx) == 0 {
-		return [][]Route{base}
-	}
-	// Branch each in() literal both ways, capped at 2^6 vectors.
-	n := len(inIdx)
-	if n > 6 {
-		n = 6
-	}
-	var out [][]Route
-	for mask := 0; mask < 1<<n; mask++ {
-		routes := append([]Route(nil), base...)
-		for b := 0; b < n; b++ {
-			if mask&(1<<b) != 0 {
-				routes[inIdx[b]] = RouteCIM
-			} else {
-				routes[inIdx[b]] = RouteDirect
-			}
-		}
-		out = append(out, routes)
 	}
 	return out
 }
@@ -226,10 +195,9 @@ func (as *assembler) alternatives(key PredKey) ([][]*PlanRule, error) {
 		eff := &lang.Rule{Head: r.Head, Body: body}
 		hb := HeadBoundVars(eff, key.Adorn)
 		var variants []*PlanRule
+		routes := rw.routes(body)
 		for _, ord := range rw.orderings(body, hb) {
-			for _, routes := range rw.routings(body) {
-				variants = append(variants, &PlanRule{Rule: eff, Order: ord, Routes: routes})
-			}
+			variants = append(variants, &PlanRule{Rule: eff, Order: ord, Routes: routes})
 		}
 		perRule = append(perRule, variants)
 	}
@@ -284,5 +252,5 @@ func clonePlan(p *Plan) *Plan {
 	for k, v := range p.Rules {
 		rules[k] = append([]*PlanRule(nil), v...)
 	}
-	return &Plan{Query: p.Query, Rules: rules}
+	return &Plan{Query: p.Query, Rules: rules, shared: new(planShared)}
 }

@@ -19,9 +19,11 @@
 package rewrite
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -107,9 +109,32 @@ type Plan struct {
 	// union predicates).
 	Rules map[PredKey][]*PlanRule
 
-	// fp caches Fingerprint (0 = not yet computed), funcs Functions.
-	fp    atomic.Uint64
-	funcs atomic.Pointer[[][2]string]
+	// shared is what every plan a shape hands out for one candidate
+	// shares with the candidate, beside its rule section.
+	shared *planShared
+}
+
+// planShared is what a candidate plan shares with every plan its shape
+// hands out: Fingerprint and Functions, cached (fp 0 = not yet computed),
+// and the engine's compiled program.
+type planShared struct {
+	fp       atomic.Uint64
+	funcs    atomic.Pointer[[][2]string]
+	compiled atomic.Value
+}
+
+// Compiled returns what compile makes of the plan, once for every plan of
+// its shape's candidate: the first call compiles, and concurrent first
+// calls may each compile, keeping one result. What compile makes must
+// therefore depend only on the plan's shape and rule section, never on
+// its query's constants.
+func (p *Plan) Compiled(compile func() any) any {
+	c := &p.shared.compiled
+	if v := c.Load(); v != nil {
+		return v
+	}
+	c.CompareAndSwap(nil, compile())
+	return c.Load()
 }
 
 // Fingerprint hashes the plan's rule section — every (pred, adornment) key
@@ -119,7 +144,7 @@ type Plan struct {
 // over the same program share entries. Stable within a process run; the
 // result is cached on the plan.
 func (p *Plan) Fingerprint() uint64 {
-	if fp := p.fp.Load(); fp != 0 {
+	if fp := p.shared.fp.Load(); fp != 0 {
 		return fp
 	}
 	h := fnv.New64a()
@@ -135,7 +160,7 @@ func (p *Plan) Fingerprint() uint64 {
 	if fp == 0 {
 		fp = 1
 	}
-	p.fp.Store(fp)
+	p.shared.fp.Store(fp)
 	return fp
 }
 
@@ -143,7 +168,7 @@ func (p *Plan) Fingerprint() uint64 {
 // literals the plan can reach, the query's first. The list is cached on
 // the plan and shared with the plans of the same shape: it is read-only.
 func (p *Plan) Functions() [][2]string {
-	if fs := p.funcs.Load(); fs != nil {
+	if fs := p.shared.funcs.Load(); fs != nil {
 		return *fs
 	}
 	seen := map[[2]string]bool{}
@@ -165,7 +190,7 @@ func (p *Plan) Functions() [][2]string {
 			add(pr)
 		}
 	}
-	p.funcs.Store(&out)
+	p.shared.funcs.Store(&out)
 	return out
 }
 
@@ -212,19 +237,10 @@ func sortedKeys(m map[PredKey][]*PlanRule) []PredKey {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && keyLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b PredKey) int {
+		return cmp.Or(strings.Compare(a.Pred, b.Pred), strings.Compare(string(a.Adorn), string(b.Adorn)))
+	})
 	return out
-}
-
-func keyLess(a, b PredKey) bool {
-	if a.Pred != b.Pred {
-		return a.Pred < b.Pred
-	}
-	return a.Adorn < b.Adorn
 }
 
 // Config tunes the rewriter.
@@ -233,10 +249,6 @@ type Config struct {
 	// (the paper's "send all calls for a certain domain" decision, made
 	// prior to query execution).
 	CIMDomains map[string]bool
-	// EnumerateRouting additionally branches each in() literal between
-	// direct and CIM routing, letting the cost estimator choose (the
-	// paper's per-call decision mode). Doubles the plan space per call.
-	EnumerateRouting bool
 }
 
 // Enumeration caps: plans generated per query, and body permutations

@@ -14,8 +14,10 @@ import (
 // its value but not its kind; variable names are part of it. Enumeration
 // reads a constant only for being one (an argument is ground, an equality
 // selects on a value), never for its value, so the queries of one shape
-// have the same plans but for the constants in their query lines. A
-// Planner is safe for concurrent use.
+// have the same plans but for the constants in their query lines. The one
+// table is keyed two ways: a parsed query by its shape (Plans), a query's
+// text by its tokens (Prepared, PlansFrom). A Planner is safe for
+// concurrent use.
 type Planner struct {
 	rw     *Rewriter
 	shapes [shapeSlots]atomic.Pointer[shape]
@@ -31,18 +33,48 @@ func NewPlanner(rw *Rewriter) *Planner { return &Planner{rw: rw} }
 // Plans returns q's candidate plans, as rw.Plans does. The first query of
 // a shape enumerates them; every later one gets them with its own
 // constants in a new query rule, sharing each plan's ordering, routing,
-// rule section, fingerprint and function list with the other queries of
-// the shape. The plans are therefore read-only. A hit's allocations do not
-// depend on the size of the rule sections.
+// rule section, fingerprint, function list and compiled program with the
+// other queries of the shape. The plans are therefore read-only. A hit's
+// allocations do not depend on the size of the rule sections.
 func (p *Planner) Plans(q *lang.Query) ([]*Plan, error) {
 	slot := &p.shapes[shapeHash(q)%shapeSlots]
 	if sh := slot.Load(); sh != nil && sh.matches(q) {
-		return sh.instantiate(q), nil
+		return sh.instantiate(q.Body), nil
 	}
+	return p.enumerate(slot, q, nil)
+}
+
+// Prepared returns the plans of the query lexed as toks when the table
+// holds its shape from an earlier query's text, as Plans would return
+// them: the query's body is lifted from toks by the shape's template, with
+// no parse. ok is false on a miss, and PlansFrom then takes the query.
+func (p *Planner) Prepared(toks lang.Tokens) (plans []*Plan, ok bool) {
+	sh := p.shapes[toks.ShapeHash()%shapeSlots].Load()
+	if sh == nil || sh.text == nil {
+		return nil, false
+	}
+	body, ok := sh.text.Lift(toks)
+	if !ok {
+		return nil, false
+	}
+	return sh.instantiate(body), true
+}
+
+// PlansFrom returns the plans of tp's query, as Plans does, and keeps tp
+// for Prepared to lift the later queries of the shape with. toks are the
+// tokens tp was parsed from.
+func (p *Planner) PlansFrom(toks lang.Tokens, tp *lang.Template) ([]*Plan, error) {
+	return p.enumerate(&p.shapes[toks.ShapeHash()%shapeSlots], tp.Query, tp)
+}
+
+// enumerate derives q's plans and keeps its shape, with its template when
+// it came as text, in slot.
+func (p *Planner) enumerate(slot *atomic.Pointer[shape], q *lang.Query, tp *lang.Template) ([]*Plan, error) {
 	sh, err := p.rw.prepare(q)
 	if err != nil {
 		return nil, err
 	}
+	sh.text = tp
 	// Push-down is fixed when a shape is enumerated: a selection kept in
 	// the mediator for a function listing that could not be read would
 	// stay there once the listing is back.
@@ -60,6 +92,8 @@ type shape struct {
 	body   []lang.Literal
 	pushes []push
 	plans  []*Plan
+	// text is the template of the query's text, when it came as text.
+	text *lang.Template
 	// confirmed: every function listing push-down read could be obtained.
 	confirmed bool
 }
@@ -77,22 +111,33 @@ func (s *shape) matches(q *lang.Query) bool {
 	return true
 }
 
-// instantiate returns the shape's plans for q, which must match it: one
-// query rule over q's body with the shape's push-downs replayed, and the
-// shape's plans otherwise.
-func (s *shape) instantiate(q *lang.Query) []*Plan {
-	rule := &lang.Rule{Head: lang.Atom{Pred: QueryPred}, Body: applyPushes(q.Body, s.pushes)}
+// instantiate returns the shape's plans for a query body of the shape: one
+// query rule over the body with the shape's push-downs replayed, and the
+// shape's plans otherwise. A one-candidate shape, as most are, hands its
+// plan out in one allocation.
+func (s *shape) instantiate(body []lang.Literal) []*Plan {
+	body = applyPushes(body, s.pushes)
+	if len(s.plans) == 1 {
+		t := s.plans[0]
+		one := &struct {
+			rule lang.Rule
+			pr   PlanRule
+			plan Plan
+			out  [1]*Plan
+		}{rule: lang.Rule{Head: lang.Atom{Pred: QueryPred}, Body: body}}
+		one.pr = PlanRule{Rule: &one.rule, Order: t.Query.Order, Routes: t.Query.Routes}
+		one.plan = Plan{Query: &one.pr, Rules: t.Rules, shared: t.shared}
+		one.out[0] = &one.plan
+		return one.out[:]
+	}
+	rule := &lang.Rule{Head: lang.Atom{Pred: QueryPred}, Body: body}
 	out := make([]*Plan, len(s.plans))
 	plans := make([]Plan, len(s.plans))
 	rules := make([]PlanRule, len(s.plans))
 	for i, t := range s.plans {
 		rules[i] = PlanRule{Rule: rule, Order: t.Query.Order, Routes: t.Query.Routes}
-		p := &plans[i]
-		p.Query, p.Rules = &rules[i], t.Rules
-		p.fp.Store(t.Fingerprint())
-		t.Functions()
-		p.funcs.Store(t.funcs.Load())
-		out[i] = p
+		plans[i] = Plan{Query: &rules[i], Rules: t.Rules, shared: t.shared}
+		out[i] = &plans[i]
 	}
 	return out
 }
