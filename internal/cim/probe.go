@@ -24,6 +24,10 @@ func (m *Manager) CostModel() CostModel {
 	}
 }
 
+// probeCtx is the scratch context every Probe runs the ladder on: its
+// clock absorbs the matching costs, and nothing reads it.
+var probeCtx = domain.NewCtx(vclock.NewVirtual(0))
+
 // Probe reports, without side effects on the cache, stats, or any clock,
 // how a ground call would be served right now: the source kind and the
 // number of answers the cache would contribute. It runs the serve path's
@@ -32,7 +36,7 @@ func (m *Manager) CostModel() CostModel {
 // run concurrently with lookups and stores (shard read-locks only).
 func (m *Manager) Probe(call domain.Call) (Source, int) {
 	var buf [domain.CallBuf]byte
-	e, _, src, _ := m.find(domain.NewCtx(vclock.NewVirtual(0)), call, call.AppendKey(buf[:0]))
+	e, _, src, _ := m.find(probeCtx, call, call.AppendKey(buf[:0]))
 	if e == nil {
 		return SourceActual, 0
 	}

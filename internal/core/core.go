@@ -525,7 +525,7 @@ func (s *System) QueryTracedCtx(ctx *domain.Ctx, query string, interactive bool)
 // index and plan, its estimate, the inflation and memo replays behind it,
 // and whether it was ranked on trustworthy numbers.
 func (s *System) choose(pc *obs.Span, plans []*rewrite.Plan, interactive bool) (*rewrite.Plan, domain.CostVector, error) {
-	best, cv, detail, err := s.estimator.BestDetail(plans, interactive)
+	best, cv, detail, err := s.estimator.Best(plans, interactive)
 	if err != nil {
 		pc.SetTag("error", err.Error())
 		return nil, cv, err

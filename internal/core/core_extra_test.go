@@ -116,7 +116,7 @@ func TestCIMRoutedEstimateWhenCached(t *testing.T) {
 	}
 	routeOf := func(p *rewrite.Plan) rewrite.Route {
 		rules := p.Rules[rewrite.PredKey{Pred: "v", Adorn: "f"}]
-		return rules[0].RouteInOrder(0)
+		return rules[0].Routes[rules[0].Order[0]]
 	}
 	if err := sys.PrimeCache([]domain.Call{
 		{Domain: "slow", Function: "f", Args: []term.Value{term.Int(1)}},

@@ -6,6 +6,7 @@ import (
 
 	"hermes/internal/domain"
 	"hermes/internal/domain/domaintest"
+	"hermes/internal/engine"
 	"hermes/internal/memo"
 	"hermes/internal/term"
 )
@@ -210,5 +211,74 @@ func TestMemoFillDependsOnPartialCompletionFlight(t *testing.T) {
 	queryVals(t, sys, "?- p(X).")
 	if st := sys.Memo.Stats(); st.Hits != 0 || st.Invalidations != 1 {
 		t.Errorf("memo stats %+v, want the rerun to miss after one invalidation", st)
+	}
+}
+
+// TestMemoResidencyAgrees: the estimator prices residency with the
+// engine's own memo key, so the subgoals the chosen plan's estimate prices
+// at replay (CostDetail.MemoHits) are the memo hits the engine records
+// when it runs that plan next. The occurrences cover a constant argument,
+// a variable known through X = const, a repeated free variable, and a
+// relation resident with a variable bound only at run time inside it.
+// The estimator cannot know a value bound only at run time, or one
+// selected by an attribute path from a record bound at run time, so it
+// prices those occurrences at source: their cases bind values no earlier
+// query bound, and the engine misses too.
+func TestMemoResidencyAgrees(t *testing.T) {
+	d := domaintest.New("d")
+	d.Define("f", domaintest.Func{Arity: 1, Fn: func(args []term.Value) ([]term.Value, error) {
+		x := int64(args[0].(term.Int))
+		return []term.Value{term.Int(10 * x), term.Int(10*x + 1)}, nil
+	}})
+	d.Define("g", domaintest.Func{Fn: func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.Int(7)}, nil
+	}})
+	d.Define("h", domaintest.Func{Fn: func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.Int(1), term.Int(2)}, nil
+	}})
+	d.Define("rec", domaintest.Func{Fn: func([]term.Value) ([]term.Value, error) {
+		return []term.Value{term.NewRecord(term.Field{Name: "k", Val: term.Int(9)})}, nil
+	}})
+	sys := memoSystem(t, d, `
+		p(X, Y) :- in(Y, d:f(X)).
+		pp(X, Y) :- in(X, d:h()) & in(Y, d:h()).
+		q(Y) :- in(X, d:g()) & p(X, Y).`)
+	for _, tc := range []struct {
+		query string
+		warm  bool // run once before the plan is ranked
+		hits  int
+	}{
+		{"?- p(1, Y).", false, 0},
+		{"?- p(1, Y).", true, 1},                     // a constant argument
+		{"?- X = 1 & p(X, Y).", false, 1},            // known through X = 1: p(1, Y)'s entry
+		{"?- pp(Z, Z).", true, 1},                    // a repeated free variable
+		{"?- pp(A, B).", false, 0},                   // not pp(Z, Z)'s entry
+		{"?- q(Y).", true, 1},                        // X is bound only at run time inside q
+		{"?- in(X, d:g()) & p(X, Y).", false, 0},     // X is bound only at run time
+		{"?- in(R, d:rec()) & p(R.k, Y).", false, 0}, // an attribute path
+	} {
+		if tc.warm {
+			queryVals(t, sys, tc.query)
+		}
+		plans, err := sys.Plans(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, _, detail, err := sys.estimator.Best(plans, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sys.Memo.Stats().Hits
+		cur, err := sys.Execute(best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := engine.CollectAll(cur); err != nil {
+			t.Fatal(err)
+		}
+		ran := sys.Memo.Stats().Hits - before
+		if detail.MemoHits != ran || ran != tc.hits {
+			t.Errorf("%s: estimate priced %d subgoals at replay, the run hit the memo %d times, want %d", tc.query, detail.MemoHits, ran, tc.hits)
+		}
 	}
 }

@@ -70,16 +70,17 @@ func hotSystem(t *testing.T) *System {
 // lifting its constants into its shape's query, the plan, its ranking and
 // the cursor over the shape's compiled program.
 //
-// Measured (go1.24, linux/amd64): 21, 15, 21 and 15 objects, 6 of them
-// the ranking's memo key; about half of the rest are the query context
-// and the cursor. While every query was parsed and its plan compiled,
-// they were 44, 56, 38 and 32. The ceilings allow about 20 %.
+// Measured (go1.24, linux/amd64): 10, 10, 18 and 7 objects; about half
+// are the query context and the cursor, and form 2's ranking spends 8
+// (TestRankAllocsPer). While the estimator walked the rules by name they
+// were 21, 15, 21 and 15, and while every query was also parsed and its
+// plan compiled, 44, 56, 38 and 32. The ceilings allow about 20 %.
 func TestPreparedExecutionAllocsPer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	sys := hotSystem(t)
-	ceilings := []float64{25, 18, 25, 18}
+	ceilings := []float64{12, 12, 22, 9}
 	warm, asked := hotForms(82, 115), hotForms(90, 130)
 	for i, q := range append(warm, asked...) {
 		if _, _, err := sys.QueryAll(q); err != nil {

@@ -231,11 +231,11 @@ func TestServedCallAllocsPer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := compile(plans[0])
-		f := prog.frame(plans[0].Query.Rule.Body)
+		prog := plans[0].Program()
+		f := prog.AppendFrame(nil, plans[0].Query.Rule.Body)
 		answers := 0
 		n := testing.AllocsPerRun(200, func() {
-			s, err := eng.evalInCall(ctx, &prog.query.lits[0], nil, f)
+			s, err := eng.evalInCall(ctx, &prog.Query.Lits[0], nil, f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -255,10 +255,10 @@ func (e *Engine) ExecutePlan(ctx *domain.Ctx, plan *rewrite.Plan) (*Cursor, erro
 		span.SetTagInt("parallel", n)
 	}
 	ctx.Clock.Sleep(e.cfg.QueryInit)
-	prog := plan.Compiled(func() any { return compile(plan) }).(*program)
+	prog := plan.Program()
 	body := plan.Query.Rule.Body
-	iter := &bodyIter{eng: e, ctx: ctx, rc: prog.query, f: prog.frame(body), body: body}
-	return &Cursor{eng: e, ctx: ctx, vars: prog.vars, pos: prog.pos, iter: iter, start: start, span: span}, nil
+	iter := &bodyIter{eng: e, ctx: ctx, rc: prog.Query, f: prog.AppendFrame(nil, body), body: body}
+	return &Cursor{eng: e, ctx: ctx, vars: prog.Vars, pos: prog.Pos, iter: iter, start: start, span: span}, nil
 }
 
 // CollectAll drains a cursor (all-answers mode).

@@ -33,7 +33,7 @@ func (emptyStream) close() error        { return nil }
 type bodyIter struct {
 	eng   *Engine
 	ctx   *domain.Ctx
-	rc    *ruleCode
+	rc    *rewrite.RuleCode
 	f     term.Frame
 	depth int
 	// body is the query's own body when rc is its compiled query rule,
@@ -45,7 +45,7 @@ type bodyIter struct {
 	done    bool
 
 	// stage holds the spool producers of the rule's independent in()
-	// literals (rc.indep) once evaluation reaches the first of them.
+	// literals (rc.Indep) once evaluation reaches the first of them.
 	stage *stage
 }
 
@@ -65,7 +65,7 @@ func (b *bodyIter) next() (bool, error) {
 			return false, err
 		}
 		if ok {
-			if i == len(b.rc.lits)-1 {
+			if i == len(b.rc.Lits)-1 {
 				b.done = i < 0 // an empty body yields its entry once
 				return true, nil
 			}
@@ -99,33 +99,33 @@ func (b *bodyIter) next() (bool, error) {
 // passed reports that it held (and made its binding), and its stream is
 // then spent.
 func (b *bodyIter) openLevel(level int) (s frameStream, passed bool, err error) {
-	lc := &b.rc.lits[level]
-	if indep := b.rc.indep; indep != nil && level == indep[0] && b.stage == nil && b.ctx.Sched.Limit() > 1 {
+	lc := &b.rc.Lits[level]
+	if indep := b.rc.Indep; indep != nil && level == indep[0] && b.stage == nil && b.ctx.Sched.Limit() > 1 {
 		// First entry into the independent-sibling region: launch the
 		// producers that prefetch the later independent literals' streams.
 		b.stage = b.eng.newStage(b.ctx, b.rc, b.f)
 	}
-	switch lc.op {
-	case opFilter:
-		ok, err := lc.lit.(*lang.Comparison).Holds(b.f, lc.args[0], lc.args[1])
+	switch lc.Op {
+	case rewrite.OpFilter:
+		ok, err := lc.Lit.(*lang.Comparison).Holds(b.f, lc.Args[0], lc.Args[1])
 		if err != nil {
 			return nil, false, fmt.Errorf("engine: %s: %w", b.lit(lc), err)
 		}
 		return emptyStream{}, ok, nil
-	case opAssign:
-		v, err := b.f.Eval(lc.args[1])
+	case rewrite.OpAssign:
+		v, err := b.f.Eval(lc.Args[1])
 		if err != nil {
 			return nil, false, err
 		}
-		b.f[lc.args[0].Pos] = v
+		b.f[lc.Args[0].Pos] = v
 		return emptyStream{}, true, nil
-	case opAtom:
+	case rewrite.OpAtom:
 		s, err := b.evalAtom(lc)
 		return s, false, err
 	}
 	if b.stage != nil {
 		if sp, ok := b.stage.spools[level]; ok {
-			return &replayStream{sp: sp, ctx: b.ctx, f: b.f, pos: lc.args[0].Pos}, false, nil
+			return &replayStream{sp: sp, ctx: b.ctx, f: b.f, pos: lc.Args[0].Pos}, false, nil
 		}
 	}
 	s, err = b.eng.evalInCall(b.ctx, lc, b.lit(lc), b.f)
@@ -134,11 +134,11 @@ func (b *bodyIter) openLevel(level int) (s frameStream, passed bool, err error) 
 
 // lit returns a level's literal as the query or rule being evaluated
 // states it.
-func (b *bodyIter) lit(lc *litCode) lang.Literal {
+func (b *bodyIter) lit(lc *rewrite.LitCode) lang.Literal {
 	if b.body != nil {
-		return b.body[lc.bi]
+		return b.body[lc.BI]
 	}
-	return lc.lit
+	return lc.Lit
 }
 
 func (b *bodyIter) shutdown() {
@@ -159,10 +159,10 @@ func (b *bodyIter) close() error {
 
 // boundArgs evaluates an atom's bound arguments, nil at its free
 // positions.
-func (b *bodyIter) boundArgs(lc *litCode) ([]term.Value, error) {
-	vals := make([]term.Value, len(lc.args))
-	for i, s := range lc.args {
-		if lc.key.Adorn[i] == 'b' {
+func (b *bodyIter) boundArgs(lc *rewrite.LitCode) ([]term.Value, error) {
+	vals := make([]term.Value, len(lc.Args))
+	for i, s := range lc.Args {
+		if lc.Key.Adorn[i] == 'b' {
 			v, err := b.f.Eval(s)
 			if err != nil {
 				return nil, fmt.Errorf("engine: %s argument %d: %w", b.lit(lc), i+1, err)
@@ -176,22 +176,22 @@ func (b *bodyIter) boundArgs(lc *litCode) ([]term.Value, error) {
 // evalInCall executes a domain call (direct or through the CIM) and binds
 // or tests the output term: the call's record is the level's stream. lit
 // is the level's literal as an error names it.
-func (e *Engine) evalInCall(ctx *domain.Ctx, lc *litCode, lit lang.Literal, f term.Frame) (frameStream, error) {
-	args, err := f.EvalAll(lc.args[1:])
+func (e *Engine) evalInCall(ctx *domain.Ctx, lc *rewrite.LitCode, lit lang.Literal, f term.Frame) (frameStream, error) {
+	args, err := f.EvalAll(lc.Args[1:])
 	if err != nil {
 		return nil, fmt.Errorf("engine: domain call %s argument not ground: %w", lit, err)
 	}
-	cs, err := e.openCallStream(ctx, lc.lit.(*lang.InCall), lc.route, args)
+	cs, err := e.openCallStream(ctx, lc.Lit.(*lang.InCall), lc.Route, args)
 	if err != nil {
 		return nil, err
 	}
-	if lc.op == opBind {
-		cs.out = &f[lc.args[0].Pos]
+	if lc.Op == rewrite.OpBind {
+		cs.out = &f[lc.Args[0].Pos]
 		return cs, nil
 	}
 	// Membership test: the output is already ground; find one match then
 	// prune (answer sets are sets).
-	if cs.want, err = f.Eval(lc.args[0]); err != nil {
+	if cs.want, err = f.Eval(lc.Args[0]); err != nil {
 		cs.close()
 		return nil, err
 	}
@@ -400,20 +400,20 @@ func (cs *callStream) endSpan() {
 // evalAtom evaluates an IDB predicate occurrence through the plan's rules
 // for its adornment, concatenating the rules' answers (union, no
 // duplicate elimination).
-func (b *bodyIter) evalAtom(lc *litCode) (frameStream, error) {
+func (b *bodyIter) evalAtom(lc *rewrite.LitCode) (frameStream, error) {
 	if b.depth >= maxDepth {
-		return nil, fmt.Errorf("engine: recursion deeper than %d evaluating %s", maxDepth, lc.key.Pred)
+		return nil, fmt.Errorf("engine: recursion deeper than %d evaluating %s", maxDepth, lc.Key.Pred)
 	}
 	in, err := b.boundArgs(lc)
 	if err != nil {
 		return nil, err
 	}
 	if b.eng.memo != nil {
-		if ms, ok := b.eng.newMemoStream(b.ctx, b.rc.c, lc, b.f, in, b.depth); ok {
+		if ms, ok := b.eng.newMemoStream(b.ctx, b.rc.Prog, lc, b.f, in, b.depth); ok {
 			return ms, nil
 		}
 	}
-	return b.eng.buildAtomStream(b.ctx, b.rc.c, lc, b.f, in, b.depth), nil
+	return b.eng.buildAtomStream(b.ctx, b.rc.Prog, lc, b.f, in, b.depth), nil
 }
 
 // buildAtomStream opens the actual evaluation of an IDB occurrence: a
@@ -421,8 +421,8 @@ func (b *bodyIter) evalAtom(lc *litCode) (frameStream, error) {
 // sequential union otherwise. in holds the occurrence's bound argument
 // values. It is the memo-free lower half of evalAtom, shared with the
 // memo's fill path.
-func (e *Engine) buildAtomStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term.Frame, in []term.Value, depth int) frameStream {
-	rules, err := c.rules(lc)
+func (e *Engine) buildAtomStream(ctx *domain.Ctx, prog *rewrite.Program, lc *rewrite.LitCode, f term.Frame, in []term.Value, depth int) frameStream {
+	rules, err := prog.Rules(lc)
 	o := occurrence{eng: e, ctx: ctx, lc: lc, rules: rules, f: f, in: in, depth: depth}
 	if len(rules) >= 2 {
 		if pu := newParallelUnion(o); pu != nil {
@@ -437,8 +437,8 @@ func (e *Engine) buildAtomStream(ctx *domain.Ctx, c *compiler, lc *litCode, f te
 type occurrence struct {
 	eng   *Engine
 	ctx   *domain.Ctx
-	lc    *litCode
-	rules []*ruleCode
+	lc    *rewrite.LitCode
+	rules []*rewrite.RuleCode
 	f     term.Frame
 	in    []term.Value
 	depth int
@@ -464,7 +464,7 @@ func (as *atomStream) next() (bool, error) {
 			}
 			rc := as.rules[as.ruleIdx]
 			as.ruleIdx++
-			callee, ok := rc.enter(as.in)
+			callee, ok := enter(rc, as.in)
 			if !ok {
 				continue // head constants conflict with the call
 			}
@@ -479,7 +479,7 @@ func (as *atomStream) next() (bool, error) {
 			as.current = nil
 			continue
 		}
-		if ok, err := as.lc.mapBack(as.f, as.current.rc, as.current.f); ok || err != nil {
+		if ok, err := mapBack(as.lc, as.f, as.current.rc, as.current.f); ok || err != nil {
 			return ok, err
 		}
 	}
@@ -494,10 +494,10 @@ func (as *atomStream) close() error {
 
 // enter builds the frame a rule is entered with: each bound caller value
 // (nil at free positions) unified with its head term.
-func (rc *ruleCode) enter(in []term.Value) (term.Frame, bool) {
-	f := make(term.Frame, len(rc.vars))
+func enter(rc *rewrite.RuleCode, in []term.Value) (term.Frame, bool) {
+	f := make(term.Frame, len(rc.Vars))
 	for i, v := range in {
-		if v != nil && !f.Unify(rc.head[i], v) {
+		if v != nil && !f.Unify(rc.Head[i], v) {
 			return nil, false
 		}
 	}
@@ -508,12 +508,12 @@ func (rc *ruleCode) enter(in []term.Value) (term.Frame, bool) {
 // clears the positions from the level's own on, then unifies each
 // argument with its head term's value in the callee frame, so bound
 // values and repeated variables filter.
-func (lc *litCode) mapBack(f term.Frame, rc *ruleCode, callee term.Frame) (bool, error) {
-	clear(f[lc.lo:])
-	for i, arg := range lc.args {
-		v, err := callee.Eval(rc.head[i])
+func mapBack(lc *rewrite.LitCode, f term.Frame, rc *rewrite.RuleCode, callee term.Frame) (bool, error) {
+	clear(f[lc.Lo:])
+	for i, arg := range lc.Args {
+		v, err := callee.Eval(rc.Head[i])
 		if err != nil {
-			return false, fmt.Errorf("engine: head term %s of %s unbound after body: %w", rc.head[i].Term, lc.key.Pred, err)
+			return false, fmt.Errorf("engine: head term %s of %s unbound after body: %w", rc.Head[i].Term, lc.Key.Pred, err)
 		}
 		if !f.Unify(arg, v) {
 			return false, nil

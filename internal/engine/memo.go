@@ -10,52 +10,33 @@ package engine
 // the same evaluation one level deeper, so it ends at the depth guard
 // exactly as it would memo-off.
 //
-// Soundness relies on the memo key (memo.KeyOf) pinning everything that
+// Soundness relies on the memo key (memo.AppendKey) pinning everything that
 // could change the answer multiset: the plan's rule section fingerprint,
 // the predicate and run-time adornment, the ground values at bound
 // positions, and the equality structure among free positions. Replay
 // re-unifies each tuple against the occurrence's argument terms, so the
-// caller-side filtering that litCode.mapBack performs happens
-// identically for cached answers.
+// caller-side filtering that mapBack performs happens identically for
+// cached answers.
 
 import (
 	"time"
 
 	"hermes/internal/domain"
-	"hermes/internal/lang"
 	"hermes/internal/memo"
 	"hermes/internal/obs"
+	"hermes/internal/rewrite"
 	"hermes/internal/term"
 )
-
-// memoKeyArgs classifies an occurrence's argument positions for the memo
-// key, given its bound values in (nil at free positions). ok=false marks
-// an occurrence the memo refuses: a free argument with an attribute path
-// cannot be replayed by unification (the enclosing record is unknown).
-func memoKeyArgs(a *lang.Atom, in []term.Value) ([]memo.KeyArg, bool) {
-	args := make([]memo.KeyArg, len(a.Args))
-	for i, t := range a.Args {
-		switch {
-		case in[i] != nil:
-			args[i] = memo.KeyArg{Bound: true, ValueKey: in[i].Key()}
-		case len(t.Path) > 0:
-			return nil, false
-		default:
-			args[i] = memo.KeyArg{Var: t.Var}
-		}
-	}
-	return args, true
-}
 
 // newMemoStream consults the memo for an IDB occurrence. ok=false means
 // the occurrence is not memoizable (un-keyable arguments) and the caller
 // must evaluate it directly.
-func (e *Engine) newMemoStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term.Frame, in []term.Value, depth int) (frameStream, bool) {
-	kargs, ok := memoKeyArgs(lc.lit.(*lang.Atom), in)
+func (e *Engine) newMemoStream(ctx *domain.Ctx, prog *rewrite.Program, lc *rewrite.LitCode, f term.Frame, in []term.Value, depth int) (frameStream, bool) {
+	var buf [128]byte // a longer key grows on the heap
+	mkey, ok := memo.AppendKey(buf[:0], prog.Plan.Fingerprint(), lc.Key.Pred, string(lc.Key.Adorn), lc.Args, in)
 	if !ok {
 		return nil, false
 	}
-	mkey := memo.KeyOf(c.plan.Fingerprint(), lc.key.Pred, string(lc.key.Adorn), kargs)
 	ctx.Clock.Sleep(e.memo.LookupCost())
 	res := e.memo.Probe(mkey)
 	if res.Entry != nil {
@@ -84,7 +65,7 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term
 			prev(callKey, degraded)
 		}
 	})
-	inner := e.buildAtomStream(lctx, c, lc, f, in, depth)
+	inner := e.buildAtomStream(lctx, prog, lc, f, in, depth)
 	return &memoRecordStream{
 		ctx: lctx, lc: lc, f: f, inner: inner, rec: rec, start: ctx.Clock.Now(),
 	}, true
@@ -96,7 +77,7 @@ func (e *Engine) newMemoStream(ctx *domain.Ctx, c *compiler, lc *litCode, f term
 type memoServeStream struct {
 	eng   *Engine
 	ctx   *domain.Ctx
-	lc    *litCode
+	lc    *rewrite.LitCode
 	f     term.Frame
 	entry *memo.Entry
 	span  *obs.Span
@@ -107,8 +88,8 @@ type memoServeStream struct {
 // AppendTo names the memo span: "memo " and the occurrence's key, which
 // does not change.
 func (m *memoServeStream) AppendTo(dst []byte) []byte {
-	dst = append(append(append(dst, "memo "...), m.lc.key.Pred...), '^')
-	return append(dst, m.lc.key.Adorn...)
+	dst = append(append(append(dst, "memo "...), m.lc.Key.Pred...), '^')
+	return append(dst, m.lc.Key.Adorn...)
 }
 
 func (m *memoServeStream) next() (bool, error) {
@@ -119,8 +100,8 @@ func (m *memoServeStream) next() (bool, error) {
 		tuple := m.entry.Tuples[m.idx]
 		m.idx++
 		m.ctx.Clock.Sleep(m.eng.memo.PerTupleCost())
-		clear(m.f[m.lc.lo:])
-		if m.f.UnifyAll(m.lc.args, tuple) {
+		clear(m.f[m.lc.Lo:])
+		if m.f.UnifyAll(m.lc.Args, tuple) {
 			return true, nil
 		}
 	}
@@ -146,7 +127,7 @@ func (m *memoServeStream) close() error {
 // committing on natural exhaustion and aborting on error or early close.
 type memoRecordStream struct {
 	ctx   *domain.Ctx
-	lc    *litCode
+	lc    *rewrite.LitCode
 	f     term.Frame
 	inner frameStream
 	rec   *memo.Recording
@@ -178,7 +159,7 @@ func (m *memoRecordStream) next() (bool, error) {
 		// An emission that cannot be represented as a ground tuple, or
 		// that takes the relation past the memo's per-entry cap, ends the
 		// recording; the stream keeps answering.
-		if tuple, err := m.f.EvalAll(m.lc.args); err != nil || !m.rec.Add(tuple) {
+		if tuple, err := m.f.EvalAll(m.lc.Args); err != nil || !m.rec.Add(tuple) {
 			m.abort()
 		}
 	}

@@ -43,6 +43,7 @@ import (
 	"hermes/internal/domain"
 	"hermes/internal/lang"
 	"hermes/internal/obs"
+	"hermes/internal/rewrite"
 	"hermes/internal/spool"
 	"hermes/internal/term"
 	"hermes/internal/vclock"
@@ -116,7 +117,7 @@ type parallelUnion struct {
 
 // AppendTo names the union's span: "union " and the predicate.
 func (u *parallelUnion) AppendTo(dst []byte) []byte {
-	return append(append(dst, "union "...), u.lc.key.Pred...)
+	return append(append(dst, "union "...), u.lc.Key.Pred...)
 }
 
 // newParallelUnion tries to set up a parallel union over the
@@ -172,8 +173,8 @@ func (u *parallelUnion) runLane(fork *domain.Ctx, ln *unionLane, i int) {
 // into the lane's frame f and pushing them into the lane's queue. more is
 // false when the lane must stop: at an error, or when the union was closed
 // or cancelled (err nil).
-func (u *parallelUnion) runRule(fork *domain.Ctx, ln *unionLane, rc *ruleCode, f term.Frame) (more bool, err error) {
-	callee, ok := rc.enter(u.in)
+func (u *parallelUnion) runRule(fork *domain.Ctx, ln *unionLane, rc *rewrite.RuleCode, f term.Frame) (more bool, err error) {
+	callee, ok := enter(rc, u.in)
 	if !ok {
 		return true, nil // head constants conflict with the call: no answers
 	}
@@ -190,11 +191,11 @@ func (u *parallelUnion) runRule(fork *domain.Ctx, ln *unionLane, rc *ruleCode, f
 		if !ok {
 			return true, nil
 		}
-		ok, err = u.lc.mapBack(f, rc, callee)
+		ok, err = mapBack(u.lc, f, rc, callee)
 		if err != nil {
 			return false, err
 		}
-		if ok && !u.push(ln, slices.Clone(f[u.lc.lo:u.lc.hi]), fork.Clock.Now()) {
+		if ok && !u.push(ln, slices.Clone(f[u.lc.Lo:u.lc.Hi]), fork.Clock.Now()) {
 			return false, nil
 		}
 	}
@@ -285,7 +286,7 @@ func (u *parallelUnion) next() (bool, error) {
 		u.cond.Broadcast() // wake a lane waiting on a full queue
 		u.mu.Unlock()
 		vclock.AdvanceTo(u.ctx.Clock, it.at)
-		copy(u.f[u.lc.lo:], it.vals)
+		copy(u.f[u.lc.Lo:], it.vals)
 		return true, nil
 	}
 }
@@ -333,8 +334,8 @@ type stage struct {
 // scheduler grants lanes for, beyond the first (which the consumer
 // evaluates inline). Each producer's call arguments are evaluated from f
 // before it launches. Returns nil when no extra lane is available.
-func (e *Engine) newStage(ctx *domain.Ctx, rc *ruleCode, f term.Frame) *stage {
-	extra := ctx.Sched.TryAcquire(len(rc.indep) - 1)
+func (e *Engine) newStage(ctx *domain.Ctx, rc *rewrite.RuleCode, f term.Frame) *stage {
+	extra := ctx.Sched.TryAcquire(len(rc.Indep) - 1)
 	if extra == 0 {
 		return nil
 	}
@@ -347,11 +348,11 @@ func (e *Engine) newStage(ctx *domain.Ctx, rc *ruleCode, f term.Frame) *stage {
 	logs := make([]spool.Log[term.Value], extra) // one allocation for every level's spool
 	ctx.Span.SetTagInt("parallel", extra+1)
 	for i := 1; i <= extra; i++ {
-		level := rc.indep[i]
-		lc := &rc.lits[level]
+		level := rc.Indep[i]
+		lc := &rc.Lits[level]
 		sp := &logs[i-1]
 		st.spools[level] = sp
-		args, err := f.EvalAll(lc.args[1:])
+		args, err := f.EvalAll(lc.Args[1:])
 		fork := ctx.Fork()
 		fork.Context, fork.Span = gctx, ctx.Span.Lane(i)
 		st.wg.Add(1)
@@ -362,11 +363,11 @@ func (e *Engine) newStage(ctx *domain.Ctx, rc *ruleCode, f term.Frame) *stage {
 
 // run is the producer: it issues the literal's source call on its own
 // forked clock and drains it eagerly into the spool (prefetch).
-func (st *stage) run(fork *domain.Ctx, lc *litCode, args []term.Value, err error, sp *spool.Log[term.Value]) {
+func (st *stage) run(fork *domain.Ctx, lc *rewrite.LitCode, args []term.Value, err error, sp *spool.Log[term.Value]) {
 	defer st.wg.Done()
 	var cs *callStream
 	if err == nil {
-		cs, err = st.eng.openCallStream(fork, lc.lit.(*lang.InCall), lc.route, args)
+		cs, err = st.eng.openCallStream(fork, lc.Lit.(*lang.InCall), lc.Route, args)
 	}
 	if err != nil {
 		sp.Settle(err, fork.Clock.Now())

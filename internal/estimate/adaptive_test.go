@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestInflationColdPath(t *testing.T) {
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
 	est.SetCalibration(0.9, 2.5)
 
-	cv, d, err := est.PlanCostDetail(plans[0])
+	cv, d, err := est.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestInflationThinPath(t *testing.T) {
 	db.Calibration().Observe("d", "f", calCost(1000), calCost(1000))
 	est.SetCalibration(0.9, 2.5)
 
-	cv, d, err := est.PlanCostDetail(plans[0])
+	cv, d, err := est.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestInflationRoughPath(t *testing.T) {
 	}
 	est.SetCalibration(0.9, 2.5)
 
-	cv, d, err := est.PlanCostDetail(plans[0])
+	cv, d, err := est.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestInflationQuantileDivergence(t *testing.T) {
 	cal.Observe("d", "f", calCost(1000), calCost(16000))
 
 	estMedian.SetCalibration(0.5, 1)
-	cvMed, _, err := estMedian.PlanCostDetail(plans[0])
+	cvMed, _, err := estMedian.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	estP90 := New(db, nil)
 	estP90.SetCalibration(0.9, 1)
-	cvP90, d, err := estP90.PlanCostDetail(plans[0])
+	cvP90, d, err := estP90.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestInflationQuantileOneReadsMaximum(t *testing.T) {
 		db.Calibration().Observe("d", "f", calCost(1000), calCost(1000*q))
 	}
 	est.SetCalibration(1, 1)
-	cv, d, err := est.PlanCostDetail(plans[0])
+	cv, d, err := est.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestInflationFlipsPlanChoice(t *testing.T) {
 	plans := plansFor(t, src, "?- v(X).")
 
 	blind := New(db, nil)
-	p, _, err := blind.Best(plans, false)
+	p, _, _, err := blind.Best(plans, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestInflationFlipsPlanChoice(t *testing.T) {
 	}
 	robust := New(db, nil)
 	robust.SetCalibration(0.9, 1.5)
-	p, cv, d, err := robust.BestDetail(plans, false)
+	p, cv, d, err := robust.Best(plans, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 	est.SetMemo(mc)
 
 	// Cold memo: source cost.
-	cv, d, err := est.PlanCostDetail(p)
+	cv, d, err := est.PlanCost(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 	}
 
 	// Seed the exact entry the query's top-level v^f occurrence probes.
-	key := memo.KeyOf(p.Fingerprint(), "v", "f", []memo.KeyArg{{Var: "X"}})
+	key := []byte(fmt.Sprintf("v^f|#%x|v0", p.Fingerprint()))
 	res := mc.Probe(key)
 	if res.Rec == nil {
 		t.Fatalf("probe did not open a recording: %+v", res)
@@ -217,7 +218,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 		t.Fatal("seeded entry not serveable")
 	}
 
-	cv, d, err = est.PlanCostDetail(p)
+	cv, d, err = est.PlanCost(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestMemoResidencyDiscount(t *testing.T) {
 		t.Fatal("degraded fill should not be serveable")
 	}
 	est.SetMemo(mc2)
-	cv, d, err = est.PlanCostDetail(p)
+	cv, d, err = est.PlanCost(p)
 	if err != nil {
 		t.Fatal(err)
 	}

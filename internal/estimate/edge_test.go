@@ -128,3 +128,48 @@ func TestFirstAnswerFromFirstRule(t *testing.T) {
 		t.Errorf("Ta=%v Card=%v", cv.TAll, cv.Card)
 	}
 }
+
+// TestCallPatternKnownConstants: a call argument is a constant in the
+// DCSM pattern when it is one, names a plan-time-known variable, or
+// selects a path that resolves from a known record; anything else is $b.
+// The pattern is built from the callee's compiled slots, with its head
+// positions holding the values head unification would carry in.
+func TestCallPatternKnownConstants(t *testing.T) {
+	plans := plansFor(t, `
+		p(X, T, Y) :- in(Z, d:f('k', X, T.loc, Y, X.f, Y.loc)).
+	`, "?- in(X, d:a()) & in(T, d:b()) & in(Y, d:c()) & p(X, T, Y).")
+	prog := plans[0].Program()
+	lc := &prog.Query.Lits[len(prog.Query.Lits)-1]
+	rules, err := prog.Rules(lc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := rules[0]
+	st := costState{known: make([]term.Value, len(rc.Vars))}
+	st.known[rc.Vars.Pos("X")] = term.Int(3)
+	st.known[rc.Vars.Pos("T")] = term.NewRecord(term.Field{Name: "loc", Val: term.Str("d7")})
+	got := st.callPattern(&rc.Lits[0], 0).String()
+	if want := "d:f('k', 3, 'd7', $b, $b, $b)"; got != want {
+		t.Errorf("callPattern = %s, want %s", got, want)
+	}
+}
+
+// TestKnownValuesReachCallee: a constant of the query, given directly or
+// assigned by X = const, flows through head unification into the callee's
+// call, whose DCSM pattern is then ground (d:f(1)), not d:f($b).
+func TestKnownValuesReachCallee(t *testing.T) {
+	db := dcsm.New(dcsm.DefaultConfig(), nil)
+	obs(db, "d", "f", []term.Value{term.Int(1)}, 10, 10, 1)
+	obs(db, "d", "f", []term.Value{term.Int(2)}, 1000, 1000, 1)
+	est := New(db, nil)
+	for _, q := range []string{"?- v(1, Y).", "?- X = 1 & v(X, Y)."} {
+		plans := plansFor(t, `v(X, Y) :- in(Y, d:f(X)).`, q)
+		cv, _, err := est.PlanCost(plans[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cv.TAll != 10*time.Millisecond {
+			t.Errorf("%s: Ta = %v, want d:f(1)'s 10ms", q, cv.TAll)
+		}
+	}
+}

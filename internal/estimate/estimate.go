@@ -8,15 +8,22 @@
 //	Tf(body)   = Σ_i  Tf_i
 //	Card(body) = Π_i  Card_i
 //
-// Plan-time-known constants propagate through head unification (the
-// pattern d1:p_bf(a)); values bound only at run time become $b. Calls
+// It costs the plan the engine runs: each candidate's slot program
+// (rewrite.Program), compiled once per query shape, walked level by level
+// in execution order. What is bound at a level is what the compiler
+// numbered before it; the plan-time-known constants (the query's, those
+// X = const assigns, and those head unification carries into a callee
+// through its compiled head slots: the pattern d1:p_bf(a)) sit in a
+// scratch frame, and values bound only at run time become $b. Calls
 // routed through the CIM are costed against the cache's current contents
 // (exact/equality hits cost a cache serve; partial hits overlap the actual
-// call; misses add the lookup overhead).
+// call; misses add the lookup overhead), and an IDB subgoal whose memo key
+// (memo.AppendKey, the engine's own) is resident costs its replay.
 package estimate
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"hermes/internal/cim"
@@ -32,7 +39,7 @@ import (
 const maxDepth = 32
 
 // defaultCost is assumed for calls with no statistics and no native
-// estimator, so that planning can proceed on cold systems; PlanCost
+// estimator, so that planning can proceed on cold systems; CostDetail
 // reports how many literals fell back to it.
 var defaultCost = domain.CostVector{TFirst: 500 * time.Millisecond, TAll: 2 * time.Second, Card: 10}
 
@@ -93,42 +100,30 @@ type CostDetail struct {
 }
 
 // PlanCost estimates the cost vector of executing a plan in all-answers
-// mode. defaulted reports how many literals had no statistics and used
-// defaultCost.
-func (e *Estimator) PlanCost(p *rewrite.Plan) (cv domain.CostVector, defaulted int, err error) {
-	cv, d, err := e.PlanCostDetail(p)
-	return cv, d.Defaulted, err
-}
-
-// PlanCostDetail is PlanCost plus the full accounting of inflation and
-// memo-residency adjustments.
-func (e *Estimator) PlanCostDetail(p *rewrite.Plan) (cv domain.CostVector, d CostDetail, err error) {
-	st := &costState{est: e, plan: p, maxInflation: 1}
-	cv, err = st.costPlanRule(p.Query, subst{}, map[string]bool{}, 0)
-	return cv, st.detail(), err
+// mode, with the accounting of how it was put together.
+func (e *Estimator) PlanCost(p *rewrite.Plan) (domain.CostVector, CostDetail, error) {
+	st := e.scratch()
+	defer st.release()
+	return st.cost(p)
 }
 
 // Best ranks plans by estimated all-answers time and returns the winner
-// with its cost. byFirstAnswer ranks by time-to-first-answer instead
-// (interactive mode).
-func (e *Estimator) Best(plans []*rewrite.Plan, byFirstAnswer bool) (*rewrite.Plan, domain.CostVector, error) {
-	p, cv, _, err := e.BestDetail(plans, byFirstAnswer)
-	return p, cv, err
-}
-
-// BestDetail is Best plus the winner's CostDetail. When calibration
-// inflation is enabled the ranking minimizes the *inflated* cost, i.e.
-// the worst-plausible-case cost under the observed q-error tail, which
-// makes the choice robust exactly when the numbers are rough.
-func (e *Estimator) BestDetail(plans []*rewrite.Plan, byFirstAnswer bool) (*rewrite.Plan, domain.CostVector, CostDetail, error) {
+// with its cost and CostDetail. byFirstAnswer ranks by time-to-first-answer
+// instead (interactive mode). When calibration inflation is enabled the
+// ranking minimizes the *inflated* cost, i.e. the worst-plausible-case
+// cost under the observed q-error tail, which makes the choice robust
+// exactly when the numbers are rough.
+func (e *Estimator) Best(plans []*rewrite.Plan, byFirstAnswer bool) (*rewrite.Plan, domain.CostVector, CostDetail, error) {
 	if len(plans) == 0 {
 		return nil, domain.CostVector{}, CostDetail{}, fmt.Errorf("estimate: no plans to rank")
 	}
+	st := e.scratch() // one scratch for the whole ranking
+	defer st.release()
 	var best *rewrite.Plan
 	var bestCV domain.CostVector
 	var bestD CostDetail
 	for _, p := range plans {
-		cv, d, err := e.PlanCostDetail(p)
+		cv, d, err := st.cost(p)
 		if err != nil {
 			return nil, domain.CostVector{}, CostDetail{}, err
 		}
@@ -147,25 +142,53 @@ func (e *Estimator) BestDetail(plans []*rewrite.Plan, byFirstAnswer bool) (*rewr
 	return best, bestCV, bestD, nil
 }
 
-// costState threads plan context and fallback accounting.
+// costState costs plans over their compiled programs (rewrite.Program),
+// the ones the engine runs, keeping the accounting of the plan being
+// costed and scratch that one ranking reuses from plan to plan.
 type costState struct {
-	est          *Estimator
-	plan         *rewrite.Plan
-	defaulted    int
-	inflated     int
-	coldInflated int
-	maxInflation float64
-	memoHits     int
+	est  *Estimator
+	prog *rewrite.Program
+	d    CostDetail
+	// known holds the plan-time-known values of each rule activation
+	// being costed, a window of its frame's size apiece, innermost last:
+	// the query's constants, what X = const assigns and what head
+	// unification carries into a callee; nil where a variable is unbound
+	// or bound only at run time.
+	known []term.Value
+	// Reused buffers: a call's DCSM pattern and ground arguments, and an
+	// occurrence's memo key and the values it is built from.
+	pattern []domain.PatternArg
+	args    []term.Value
+	in      []term.Value
+	key     []byte
 }
 
-func (st *costState) detail() CostDetail {
-	return CostDetail{
-		Defaulted:    st.defaulted,
-		Inflated:     st.inflated,
-		ColdInflated: st.coldInflated,
-		MaxInflation: st.maxInflation,
-		MemoHits:     st.memoHits,
-	}
+// scratches recycles costStates, so that a ranking's buffers are grown
+// once and a warm ranking allocates none.
+var scratches = sync.Pool{New: func() any { return new(costState) }}
+
+func (e *Estimator) scratch() *costState {
+	st := scratches.Get().(*costState)
+	st.est = e
+	return st
+}
+
+// release returns the scratch to the pool, holding no values.
+func (st *costState) release() {
+	clear(st.known[:cap(st.known)])
+	clear(st.pattern[:cap(st.pattern)])
+	clear(st.args[:cap(st.args)])
+	clear(st.in[:cap(st.in)])
+	st.est, st.prog = nil, nil
+	scratches.Put(st)
+}
+
+// cost costs one plan, starting from its query's constants.
+func (st *costState) cost(p *rewrite.Plan) (domain.CostVector, CostDetail, error) {
+	st.prog, st.d = p.Program(), CostDetail{MaxInflation: 1}
+	st.known = st.prog.AppendFrame(st.known[:0], p.Query.Rule.Body)
+	cv, err := st.rule(st.prog.Query, 0, 0)
+	return cv, st.d, err
 }
 
 // inflate scales a call's time components by the observed pessimistic
@@ -184,64 +207,49 @@ func (st *costState) inflate(cv domain.CostVector, dom, fn string) domain.CostVe
 	case n == 0:
 		if e.coldInflate > 1 {
 			factor = e.coldInflate
-			st.coldInflated++
+			st.d.ColdInflated++
 		}
 	case q > 1:
 		factor = q
-		st.inflated++
+		st.d.Inflated++
 	}
 	if factor == 1 {
 		return cv
 	}
-	if factor > st.maxInflation {
-		st.maxInflation = factor
+	if factor > st.d.MaxInflation {
+		st.d.MaxInflation = factor
 	}
 	cv.TFirst = time.Duration(float64(cv.TFirst) * factor)
 	cv.TAll = time.Duration(float64(cv.TAll) * factor)
 	return cv
 }
 
-// costPlanRule costs one plan rule body under the plan-time-known constant
-// substitution and runtime-bound variable set of its head.
-func (st *costState) costPlanRule(pr *rewrite.PlanRule, known subst, bound map[string]bool, depth int) (domain.CostVector, error) {
-	if depth > maxDepth {
-		return domain.CostVector{}, fmt.Errorf("estimate: recursion deeper than %d while costing %s", maxDepth, pr.Rule.Head.Pred)
-	}
-	bound = cloneBound(bound)
+// rule costs a compiled rule body, §7's fold over its levels in
+// execution order; base is where its activation's window of known values
+// starts. A level binds exactly the positions [Lo, Hi) the compiler gave
+// it, so what is bound before it needs no bookkeeping here.
+func (st *costState) rule(rc *rewrite.RuleCode, base, depth int) (domain.CostVector, error) {
 	total := domain.CostVector{Card: 1}
 	mult := 1.0 // Π Card_j over already-costed literals
-	for i, bi := range pr.Order {
-		lit := pr.Rule.Body[bi]
-		var cv domain.CostVector
+	for i := range rc.Lits {
+		lc := &rc.Lits[i]
+		// The paper's estimator ignores a comparison's selectivity.
+		cv := domain.CostVector{Card: 1}
 		var err error
-		switch l := lit.(type) {
-		case *lang.InCall:
-			cv, err = st.costInCall(l, pr.RouteInOrder(i), known, bound)
-			if err != nil {
-				return domain.CostVector{}, err
-			}
-			if l.Out.IsVar() && !bound[l.Out.Var] {
-				bound[l.Out.Var] = true
-			} else if cv.Card > 1 {
+		switch lc.Op {
+		case rewrite.OpAssign:
+			st.known[base+lc.Args[0].Pos] = st.value(base, lc.Args[1])
+		case rewrite.OpMember, rewrite.OpBind:
+			cv, err = st.inCall(lc, base)
+			if lc.Op == rewrite.OpMember && cv.Card > 1 {
 				// Membership test: at most one continuation per probe.
 				cv.Card = 1
 			}
-		case *lang.Atom:
-			cv, err = st.costAtom(l, known, bound, depth)
-			if err != nil {
-				return domain.CostVector{}, err
-			}
-			for _, t := range l.Args {
-				if t.IsVar() && !bound[t.Var] {
-					bound[t.Var] = true
-				}
-			}
-		case *lang.Comparison:
-			// The paper's estimator ignores a comparison's selectivity.
-			cv = domain.CostVector{Card: 1}
-			if l.Op == term.OpEQ {
-				known = propagateEquality(l, known, bound)
-			}
+		case rewrite.OpAtom:
+			cv, err = st.atom(lc, base, depth)
+		}
+		if err != nil {
+			return domain.CostVector{}, err
 		}
 		total.TFirst += cv.TFirst
 		total.TAll += time.Duration(mult * float64(cv.TAll))
@@ -254,87 +262,52 @@ func (st *costState) costPlanRule(pr *rewrite.PlanRule, known subst, bound map[s
 	return total, nil
 }
 
-func cloneBound(b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(b))
-	for k, v := range b {
-		if v {
-			out[k] = true
-		}
+// value is a term's plan-time value in the activation at base: a constant,
+// or a bare variable's known value. It is nil for a variable bound only at
+// run time and for an attribute path, which is then not selected from a
+// known record.
+func (st *costState) value(base int, s term.Slot) term.Value {
+	if s.Term.IsConst() {
+		return s.Term.Const
 	}
-	return out
+	if !s.Term.IsVar() {
+		return nil
+	}
+	return st.known[base+s.Pos]
 }
 
-// propagateEquality records X = const (either orientation) as a plan-time
-// known binding and returns the extended substitution.
-func propagateEquality(c *lang.Comparison, known subst, bound map[string]bool) subst {
-	bindIfConst := func(v, other term.Term) {
-		if !v.IsVar() || bound[v.Var] {
-			return
-		}
-		if other.IsConst() {
-			known = known.Bind(v.Var, other.Const)
-		} else if other.Var != "" && len(other.Path) == 0 {
-			if val, ok := known.Lookup(other.Var); ok {
-				known = known.Bind(v.Var, val)
-			}
-		}
-		bound[v.Var] = true
-	}
-	bindIfConst(c.Left, c.Right)
-	bindIfConst(c.Right, c.Left)
-	return known
-}
-
-// callPattern converts an in() call template into a DCSM pattern: constant
-// terms and plan-time-known variables become constants, runtime-bound
-// variables become $b.
-func callPattern(ct *lang.CallTemplate, known subst) domain.Pattern {
-	args := make([]domain.PatternArg, len(ct.Args))
-	for i, t := range ct.Args {
-		if t.IsConst() {
-			args[i] = domain.Const(t.Const)
-			continue
-		}
-		// A path selects from a known record when it resolves; anything
-		// else is runtime-bound.
-		args[i] = domain.Bound
-		if v, ok := known.Lookup(t.Var); ok {
-			if v, err := term.Select(v, t.Path); err == nil {
-				args[i] = domain.Const(v)
-			}
-		}
-	}
-	return domain.Pattern{Domain: ct.Domain, Function: ct.Function, Args: args}
-}
-
-// costInCall estimates one in() literal via the DCSM, adjusting for CIM
+// inCall estimates one in() literal via the DCSM, adjusting for CIM
 // routing.
-func (st *costState) costInCall(l *lang.InCall, route rewrite.Route, known subst, bound map[string]bool) (domain.CostVector, error) {
-	p := callPattern(&l.Call, known)
+func (st *costState) inCall(lc *rewrite.LitCode, base int) (domain.CostVector, error) {
+	p := st.callPattern(lc, base)
 	actual, err := st.est.db.Cost(p)
 	if err != nil {
 		// No statistics: assume the default cost. (For CIM-routed calls a
 		// cache probe below may still refine hits to their serve cost.)
 		actual = defaultCost
-		st.defaulted++
+		st.d.Defaulted++
 	}
 	// Calibration inflation applies to the source-call cost only: a CIM
 	// exact/equality hit below replaces it with a serve cost, which is a
 	// local replay whose price the estimator knows exactly.
-	actual = st.inflate(actual, l.Call.Domain, l.Call.Function)
-	if route != rewrite.RouteCIM || st.est.cache == nil {
+	actual = st.inflate(actual, p.Domain, p.Function)
+	if lc.Route != rewrite.RouteCIM || st.est.cache == nil {
 		return actual, nil
 	}
 	cm := st.est.cache.CostModel()
 	// The CIM decision is only precise for fully-known patterns; otherwise
 	// assume a miss and charge the lookup overhead.
-	call, ground := groundCall(p)
+	ground := true
+	st.args = st.args[:0]
+	for _, a := range p.Args {
+		st.args, ground = append(st.args, a.Val), ground && a.Known
+	}
 	if !ground {
 		actual.TFirst += cm.Lookup
 		actual.TAll += cm.Lookup
 		return actual, nil
 	}
-	src, n := st.est.cache.Probe(call)
+	src, n := st.est.cache.Probe(domain.Call{Domain: p.Domain, Function: p.Function, Args: st.args})
 	serve := func(k int) domain.CostVector {
 		return domain.CostVector{
 			TFirst: cm.Lookup + cm.PerAnswer,
@@ -359,37 +332,54 @@ func (st *costState) costInCall(l *lang.InCall, route rewrite.Route, known subst
 	}
 }
 
-// groundCall converts a fully-known pattern to a ground call.
-func groundCall(p domain.Pattern) (domain.Call, bool) {
-	args := make([]term.Value, len(p.Args))
-	for i, a := range p.Args {
-		if !a.Known {
-			return domain.Call{}, false
+// callPattern builds an in() literal's DCSM pattern in a reused buffer: a
+// constant where an argument is one, names a plan-time-known variable, or
+// selects a path that resolves from a known record, and $b anywhere else.
+func (st *costState) callPattern(lc *rewrite.LitCode, base int) domain.Pattern {
+	ct := &lc.Lit.(*lang.InCall).Call
+	st.pattern = st.pattern[:0]
+	for _, s := range lc.Args[1:] {
+		arg := domain.Bound
+		if s.Term.IsConst() {
+			arg = domain.Const(s.Term.Const)
+		} else if v := st.known[base+s.Pos]; v != nil {
+			if v, err := term.Select(v, s.Term.Path); err == nil {
+				arg = domain.Const(v)
+			}
 		}
-		args[i] = a.Val
+		st.pattern = append(st.pattern, arg)
 	}
-	return domain.Call{Domain: p.Domain, Function: p.Function, Args: args}, true
+	return domain.Pattern{Domain: ct.Domain, Function: ct.Function, Args: st.pattern}
 }
 
-// costAtom costs an IDB predicate occurrence: the plan's rules for its
+// atom costs an IDB predicate occurrence: the plan's rules for its
 // (pred, adornment) are costed recursively and combined by summing times
 // and cardinalities (§7 step 2); the first answer comes from the first
-// rule.
-func (st *costState) costAtom(a *lang.Atom, known subst, bound map[string]bool, depth int) (domain.CostVector, error) {
-	adorn := rewrite.AtomAdornment(a, bound)
-	key := rewrite.PredKey{Pred: a.Pred, Adorn: adorn}
-	rules, ok := st.plan.Rules[key]
-	if !ok || len(rules) == 0 {
-		return domain.CostVector{}, fmt.Errorf("estimate: plan has no rules for %s", key)
+// rule. Each rule is entered as the engine enters it: the caller's
+// plan-time values flow through the rule's compiled head slots.
+func (st *costState) atom(lc *rewrite.LitCode, base, depth int) (domain.CostVector, error) {
+	rules, err := st.prog.Rules(lc)
+	if err != nil {
+		return domain.CostVector{}, err
 	}
-	if cv, hit := st.memoServeCost(a, adorn, known, bound); hit {
-		st.memoHits++
+	if cv, hit := st.memoServeCost(lc, base); hit {
+		st.d.MemoHits++
 		return cv, nil
 	}
+	if depth >= maxDepth {
+		return domain.CostVector{}, fmt.Errorf("estimate: recursion deeper than %d while costing %s", maxDepth, lc.Key.Pred)
+	}
 	var total domain.CostVector
-	for ri, pr := range rules {
-		subKnown, subBound := headBindings(a, pr.Rule, known, bound)
-		cv, err := st.costPlanRule(pr, subKnown, subBound, depth+1)
+	for ri, rc := range rules {
+		cb := len(st.known)
+		st.known = append(st.known, make([]term.Value, len(rc.Vars))...)
+		for i, h := range rc.Head {
+			if v := st.value(base, lc.Args[i]); v != nil && h.Term.IsVar() {
+				st.known[cb+h.Pos] = v
+			}
+		}
+		cv, err := st.rule(rc, cb, depth+1)
+		st.known = st.known[:cb]
 		if err != nil {
 			return domain.CostVector{}, err
 		}
@@ -403,37 +393,25 @@ func (st *costState) costAtom(a *lang.Atom, known subst, bound map[string]bool, 
 }
 
 // memoServeCost prices an IDB subgoal occurrence at its memo replay cost
-// when its memo key is currently resident. The key is the plan-time
-// mirror of the engine's runtime key: constants and plan-time-known
-// variables become bound positions, free variables stay free (the
-// engine's α-renaming makes the names irrelevant). A position that is
-// runtime-bound but whose value is not known at plan time makes the
-// runtime key unknowable, so the subgoal is conservatively priced at
-// source cost; likewise attribute-path arguments, which the engine
-// refuses to memoize.
-func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known subst, bound map[string]bool) (domain.CostVector, bool) {
+// when its memo key is currently resident. The key is the engine's own
+// (memo.AppendKey over the occurrence's slots), built from the plan-time
+// values: a bound position whose value is not known at plan time makes
+// the runtime key unknowable, so the subgoal is conservatively priced at
+// source cost; likewise an attribute-path argument.
+func (st *costState) memoServeCost(lc *rewrite.LitCode, base int) (domain.CostVector, bool) {
 	m := st.est.memo
 	if m == nil {
 		return domain.CostVector{}, false
 	}
-	args := make([]memo.KeyArg, len(a.Args))
-	for i, t := range a.Args {
-		switch {
-		case t.IsConst():
-			args[i] = memo.KeyArg{Bound: true, ValueKey: t.Const.Key()}
-		case len(t.Path) > 0:
-			return domain.CostVector{}, false
-		default:
-			if v, ok := known.Lookup(t.Var); ok {
-				args[i] = memo.KeyArg{Bound: true, ValueKey: v.Key()}
-			} else if bound[t.Var] {
-				return domain.CostVector{}, false
-			} else {
-				args[i] = memo.KeyArg{Var: t.Var}
-			}
-		}
+	st.in = st.in[:0]
+	for _, s := range lc.Args {
+		st.in = append(st.in, st.value(base, s))
 	}
-	key := memo.KeyOf(st.plan.Fingerprint(), a.Pred, string(adorn), args)
+	key, ok := memo.AppendKey(st.key[:0], st.prog.Plan.Fingerprint(), lc.Key.Pred, string(lc.Key.Adorn), lc.Args, st.in)
+	st.key = key
+	if !ok {
+		return domain.CostVector{}, false
+	}
 	n, ok := m.EstimateServe(key)
 	if !ok {
 		return domain.CostVector{}, false
@@ -444,32 +422,4 @@ func (st *costState) memoServeCost(a *lang.Atom, adorn rewrite.Adornment, known 
 		TAll:   lookup + time.Duration(n)*per,
 		Card:   float64(n),
 	}, true
-}
-
-// headBindings unifies an atom occurrence with a rule head at plan time:
-// constants (literal or known) flow into head variables; runtime-bound
-// arguments mark head variables bound.
-func headBindings(a *lang.Atom, r *lang.Rule, known subst, bound map[string]bool) (subst, map[string]bool) {
-	subKnown := subst{}
-	subBound := map[string]bool{}
-	for i, arg := range a.Args {
-		if i >= len(r.Head.Args) {
-			break
-		}
-		h := r.Head.Args[i]
-		if !h.IsVar() {
-			continue
-		}
-		switch {
-		case arg.IsConst():
-			subKnown = subKnown.Bind(h.Var, arg.Const)
-			subBound[h.Var] = true
-		case arg.Var != "" && bound[arg.Var]:
-			if v, ok := known.Lookup(arg.Var); ok && len(arg.Path) == 0 {
-				subKnown = subKnown.Bind(h.Var, v)
-			}
-			subBound[h.Var] = true
-		}
-	}
-	return subKnown, subBound
 }

@@ -117,12 +117,12 @@ func TestPaperSection7Formulas(t *testing.T) {
 	plans := plansFor(t, m1Source, "?- m('a', C).")
 
 	p8 := findPlan(t, plans, "d1:p_bf(A)", "d2:q_bf(B)")
-	cv8, defaulted, err := est.PlanCost(p8)
+	cv8, d8, err := est.PlanCost(p8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if defaulted != 0 {
-		t.Errorf("P8 used %d default costs", defaulted)
+	if d8.Defaulted != 0 {
+		t.Errorf("P8 used %d default costs", d8.Defaulted)
 	}
 	if cv8.TAll != 4000*time.Millisecond {
 		t.Errorf("Ta(P8) = %v, want 4000ms", cv8.TAll)
@@ -145,7 +145,7 @@ func TestPaperSection7Formulas(t *testing.T) {
 		t.Errorf("Ta(P12) = %v, want 4580ms", cv12.TAll)
 	}
 	// The estimator must rank P8 over P12 for all-answers.
-	best, bestCV, err := est.Best(plans, false)
+	best, bestCV, _, err := est.Best(plans, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +186,12 @@ func TestDefaultCostCountsFallbacks(t *testing.T) {
 	db := dcsm.New(dcsm.DefaultConfig(), nil)
 	est := New(db, nil)
 	plans := plansFor(t, `v(X) :- in(X, d:f()).`, "?- v(X).")
-	_, defaulted, err := est.PlanCost(plans[0])
+	_, d, err := est.PlanCost(plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if defaulted != 1 {
-		t.Errorf("defaulted = %d, want 1", defaulted)
+	if d.Defaulted != 1 {
+		t.Errorf("defaulted = %d, want 1", d.Defaulted)
 	}
 }
 
@@ -254,14 +254,14 @@ func TestBestByFirstAnswer(t *testing.T) {
 		v(X) :- in(X, d:fastfirst()).
 		v(X) :- in(X, d:fastall()).
 	`, "?- v(X).")
-	bestAll, cvAll, err := est.Best(plans, false)
+	bestAll, cvAll, _, err := est.Best(plans, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !containsStr(bestAll.String(), "fastall") {
 		t.Errorf("all-answers mode picked %s (cost %v)", bestAll, cvAll)
 	}
-	bestFirst, cvFirst, err := est.Best(plans, true)
+	bestFirst, cvFirst, _, err := est.Best(plans, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestBestByFirstAnswer(t *testing.T) {
 
 func TestEmptyPlanListError(t *testing.T) {
 	est := New(dcsm.New(dcsm.DefaultConfig(), nil), nil)
-	if _, _, err := est.Best(nil, false); err == nil {
+	if _, _, _, err := est.Best(nil, false); err == nil {
 		t.Error("Best(nil) should error")
 	}
 }

@@ -72,7 +72,7 @@ func OptimizerQuality(n int) ([]OptQualityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		chosenPlan, _, err := est.Best(plans, false)
+		chosenPlan, _, _, err := est.Best(plans, false)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ type fnKey struct {
 // template: the domain, function and arity followed by one segment per
 // argument — the canonical value key for constants, v<i> for bare
 // variables numbered in first-occurrence order (so the key captures
-// exactly which positions must agree, like memo.KeyOf), and v<i>.path
+// exactly which positions must agree, like memo.AppendKey), and v<i>.path
 // for attribute-path terms. Two sides with the same ShapeKey are
 // structurally interchangeable up to variable naming.
 func ShapeKey(t *lang.CallTemplate) string {

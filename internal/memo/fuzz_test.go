@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,52 +9,76 @@ import (
 	"hermes/internal/term"
 )
 
-// parseSpec turns a comma-separated argument spec into key args: a token
-// in single quotes is a bound string, a token of digits is a bound
-// integer, anything else is a free variable named by the token. It mirrors
-// how the engine classifies run-time argument positions.
-func parseSpec(spec string) ([]KeyArg, string) {
+// occurrence is a subgoal occurrence as the engine keys it: its argument
+// terms, the adornment and the values at the bound positions.
+type occurrence struct {
+	args  []term.Term
+	adorn string
+	in    []term.Value
+}
+
+// parseSpec turns a comma-separated argument spec into an occurrence: a
+// token in single quotes is a bound string, a token of digits is a bound
+// integer, anything else is a free variable named by the token. It
+// mirrors how the engine classifies run-time argument positions.
+func parseSpec(spec string) occurrence {
 	if spec == "" {
-		return nil, ""
+		return occurrence{}
 	}
-	toks := strings.Split(spec, ",")
-	args := make([]KeyArg, 0, len(toks))
-	adorn := make([]byte, 0, len(toks))
-	for _, tok := range toks {
+	var o occurrence
+	adorn := []byte{}
+	for _, tok := range strings.Split(spec, ",") {
+		var v term.Value
 		if len(tok) >= 2 && tok[0] == '\'' && tok[len(tok)-1] == '\'' {
-			args = append(args, KeyArg{Bound: true, ValueKey: term.Str(tok[1 : len(tok)-1]).Key()})
-			adorn = append(adorn, 'b')
+			v = term.Str(tok[1 : len(tok)-1])
+		} else if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			v = term.Int(n)
+		}
+		if v != nil {
+			o.args, o.in, adorn = append(o.args, term.C(v)), append(o.in, v), append(adorn, 'b')
 			continue
 		}
-		if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			args = append(args, KeyArg{Bound: true, ValueKey: term.Int(n).Key()})
-			adorn = append(adorn, 'b')
-			continue
-		}
-		args = append(args, KeyArg{Var: tok})
-		adorn = append(adorn, 'f')
+		o.args, o.in, adorn = append(o.args, term.V(tok)), append(o.in, nil), append(adorn, 'f')
 	}
-	return args, string(adorn)
+	o.adorn = string(adorn)
+	return o
+}
+
+// key compiles the occurrence's terms in one numbering and keys it.
+func (o occurrence) key(t *testing.T, fp uint64, pred string) string {
+	var n term.Numbering
+	key, ok := AppendKey(nil, fp, pred, o.adorn, n.Slots(nil, o.args), o.in)
+	if !ok {
+		t.Fatalf("AppendKey refused %s^%s %v", pred, o.adorn, o.args)
+	}
+	return string(key)
+}
+
+// with returns the occurrence with its free variables renamed by rename.
+func (o occurrence) with(rename func(name string) string) occurrence {
+	out := o
+	out.args = make([]term.Term, len(o.args))
+	for i, a := range o.args {
+		out.args[i] = a
+		if !a.IsConst() {
+			out.args[i] = term.V(rename(a.Var))
+		}
+	}
+	return out
 }
 
 // renameVars applies an injective renaming to the free variables (suffix
 // by first-occurrence index keeps distinct names distinct).
-func renameVars(args []KeyArg) []KeyArg {
+func (o occurrence) renameVars() occurrence {
 	seen := map[string]string{}
-	out := make([]KeyArg, len(args))
-	for i, a := range args {
-		out[i] = a
-		if a.Bound {
-			continue
-		}
-		fresh, ok := seen[a.Var]
+	return o.with(func(name string) string {
+		fresh, ok := seen[name]
 		if !ok {
-			fresh = "renamed_" + strconv.Itoa(len(seen)) + "_" + a.Var
-			seen[a.Var] = fresh
+			fresh = "renamed_" + strconv.Itoa(len(seen)) + "_" + name
+			seen[name] = fresh
 		}
-		out[i].Var = fresh
-	}
-	return out
+		return fresh
+	})
 }
 
 // FuzzKeyCanonicalization checks the key invariants over arbitrary
@@ -69,54 +94,51 @@ func FuzzKeyCanonicalization(f *testing.F) {
 	f.Add("r", "")
 	f.Add("rel", "A,B,A,37")
 	f.Fuzz(func(t *testing.T, pred string, spec string) {
-		args, adorn := parseSpec(spec)
-		key := KeyOf(42, pred, adorn, args)
+		o := parseSpec(spec)
+		key := o.key(t, 42, pred)
 
 		// Determinism.
-		if again := KeyOf(42, pred, adorn, args); again != key {
+		if again := o.key(t, 42, pred); again != key {
 			t.Fatalf("key not deterministic: %q vs %q", key, again)
 		}
 		// α-equivalence: injective renaming preserves the key.
-		if renamed := KeyOf(42, pred, adorn, renameVars(args)); renamed != key {
+		if renamed := o.renameVars().key(t, 42, pred); renamed != key {
 			t.Errorf("injective renaming changed the key:\n  %q\n  %q", key, renamed)
 		}
 		// Fingerprint separates plans.
-		if other := KeyOf(43, pred, adorn, args); other == key {
+		if other := o.key(t, 43, pred); other == key {
 			t.Error("different fingerprints share a key")
 		}
 
 		// Merging two distinct free variables changes the equality
 		// structure and must change the key.
-		varIdx := map[string][]int{}
-		order := []string{}
-		for i, a := range args {
-			if !a.Bound {
-				if _, ok := varIdx[a.Var]; !ok {
-					order = append(order, a.Var)
-				}
-				varIdx[a.Var] = append(varIdx[a.Var], i)
+		var order []string
+		for _, a := range o.args {
+			if !a.IsConst() && !slices.Contains(order, a.Var) {
+				order = append(order, a.Var)
 			}
 		}
 		if len(order) >= 2 {
-			merged := make([]KeyArg, len(args))
-			copy(merged, args)
-			for _, i := range varIdx[order[1]] {
-				merged[i].Var = order[0]
-			}
-			if KeyOf(42, pred, adorn, merged) == key {
+			merged := o.with(func(name string) string {
+				if name == order[1] {
+					return order[0]
+				}
+				return name
+			})
+			if merged.key(t, 42, pred) == key {
 				t.Errorf("merging free vars %q and %q did not change the key %q", order[0], order[1], key)
 			}
 		}
 
 		// Changing any bound value changes the key.
-		for i, a := range args {
-			if !a.Bound {
+		for i, v := range o.in {
+			if v == nil {
 				continue
 			}
-			mutated := make([]KeyArg, len(args))
-			copy(mutated, args)
-			mutated[i].ValueKey = term.Str("mutated:" + a.ValueKey).Key()
-			if KeyOf(42, pred, adorn, mutated) == key {
+			mutated := o
+			mutated.in = append([]term.Value(nil), o.in...)
+			mutated.in[i] = term.Str("mutated:" + string(term.AppendKey(nil, v)))
+			if mutated.key(t, 42, pred) == key {
 				t.Errorf("mutating bound arg %d did not change the key %q", i, key)
 			}
 		}

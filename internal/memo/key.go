@@ -1,8 +1,10 @@
 package memo
 
 import (
+	"slices"
 	"strconv"
-	"strings"
+
+	"hermes/internal/term"
 )
 
 // Memo keys canonicalize IDB subgoal occurrences so that two α-equivalent
@@ -14,53 +16,46 @@ import (
 // occurrence p(X, X) keeps only the tuples whose first and second
 // components agree, so it must not share an entry with p(X, Y).
 
-// KeyArg describes one argument position of a subgoal occurrence, as seen
-// at run time: either bound to a ground value (identified by the value's
-// canonical term.Value Key encoding) or a free bare variable.
-type KeyArg struct {
-	// Bound marks a position that is ground under the caller's
-	// substitution.
-	Bound bool
-	// ValueKey is the canonical encoding of the ground value (Bound only).
-	ValueKey string
-	// Var is the variable name (free positions only). Names are α-renamed
-	// away by KeyOf; only the pattern of repetitions survives.
-	Var string
-}
-
-// KeyOf builds the canonical memo key for a subgoal occurrence.
+// AppendKey appends the canonical memo key of a subgoal occurrence to dst,
+// as pred^adorn|#fp|arg|…, one arg per position. It is the one key
+// function: the engine probes the memo with it at run time, and the
+// estimator prices residency with it at plan time.
 //
 // fingerprint pins the rule set the occurrence evaluates under (the
 // rewriter plan's rendered rules): entries never cross plans whose rules,
 // orderings or routings differ, which is conservative but always sound.
-// pred and adorn are the paper's p^bf occurrence context. Free variables
-// are numbered v0, v1, ... in first-occurrence order, so the key encodes
-// exactly which positions must agree and nothing about the names the rule
-// author chose.
-func KeyOf(fingerprint uint64, pred, adorn string, args []KeyArg) string {
-	var b strings.Builder
-	b.WriteString(pred)
-	b.WriteByte('^')
-	b.WriteString(adorn)
-	b.WriteString("|#")
-	b.WriteString(strconv.FormatUint(fingerprint, 16))
-	var ids map[string]int
-	for _, a := range args {
-		b.WriteByte('|')
-		if a.Bound {
-			b.WriteString(a.ValueKey)
+// pred and adorn are the paper's p^bf occurrence context. args are the
+// occurrence's compiled arguments and in their values at the positions
+// adorn marks bound: a bound position reads as its value's term.Value Key.
+// A free position reads as v0, v1, … by the first occurrence of its frame
+// position, so the key encodes exactly which positions must agree and
+// nothing about the names the rule author chose.
+//
+// ok is false for an occurrence the key cannot name: a bound position
+// without a value (the estimator's runtime-only binding) or a free
+// attribute path, which replay cannot unify (the enclosing record is
+// unknown).
+func AppendKey(dst []byte, fingerprint uint64, pred, adorn string, args []term.Slot, in []term.Value) ([]byte, bool) {
+	dst = append(append(append(dst, pred...), '^'), adorn...)
+	dst = strconv.AppendUint(append(dst, "|#"...), fingerprint, 16)
+	free := make([]int, 0, 8) // the distinct free frame positions, in order
+	for i, s := range args {
+		dst = append(dst, '|')
+		if adorn[i] == 'b' {
+			if in[i] == nil {
+				return dst, false
+			}
+			dst = term.AppendKey(dst, in[i])
 			continue
 		}
-		if ids == nil {
-			ids = make(map[string]int)
+		if !s.Term.IsVar() {
+			return dst, false
 		}
-		id, ok := ids[a.Var]
-		if !ok {
-			id = len(ids)
-			ids[a.Var] = id
+		id := slices.Index(free, s.Pos)
+		if id < 0 {
+			id, free = len(free), append(free, s.Pos)
 		}
-		b.WriteByte('v')
-		b.WriteString(strconv.Itoa(id))
+		dst = strconv.AppendInt(append(dst, 'v'), int64(id), 10)
 	}
-	return b.String()
+	return dst, true
 }

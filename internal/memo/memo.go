@@ -195,17 +195,18 @@ type ProbeResult struct {
 	Rec *Recording
 }
 
-// Probe consults the cache for key. A hit stamps the entry's recency and
-// counts its fill cost as saved; a miss starts a fill.
-func (c *Cache) Probe(key string) ProbeResult {
-	if e, ok := c.store.Get(key); ok {
+// Probe consults the cache for key (AppendKey's). A hit stamps the
+// entry's recency and counts its fill cost as saved; a miss starts a fill,
+// and only a miss copies the key into a string.
+func (c *Cache) Probe(key []byte) ProbeResult {
+	if e, ok := c.store.GetBytes(key); ok {
 		e.lastUsed.Store(c.tick.Add(1))
 		c.hits.Inc()
 		c.savedNS.Add(int64(e.Cost.TAll))
 		return ProbeResult{Entry: e}
 	}
 	c.misses.Inc()
-	return ProbeResult{Rec: &Recording{c: c, key: key, startGen: c.invGen.Load()}}
+	return ProbeResult{Rec: &Recording{c: c, key: string(key), startGen: c.invGen.Load()}}
 }
 
 // EstimateServe reports whether key is currently serveable and, if so,
@@ -213,8 +214,8 @@ func (c *Cache) Probe(key string) ProbeResult {
 // entirely — no stats, no recency stamp — because its caller is the *cost
 // estimator*, which must be free to price candidate plans without
 // perturbing what the cache evicts.
-func (c *Cache) EstimateServe(key string) (tuples int, ok bool) {
-	e, ok := c.store.Get(key)
+func (c *Cache) EstimateServe(key []byte) (tuples int, ok bool) {
+	e, ok := c.store.GetBytes(key)
 	if !ok {
 		return 0, false
 	}

@@ -12,12 +12,13 @@ import (
 	"hermes/internal/term"
 )
 
-func fillKey(i int) string {
-	return KeyOf(1, fmt.Sprintf("p%d", i), "f", []KeyArg{{Var: "X"}})
+// fillKey is the key of the occurrence p<i>(X) under fingerprint 1.
+func fillKey(i int) []byte {
+	return fmt.Appendf(nil, "p%d^f|#1|v0", i)
 }
 
 // commitEntry drives a full leader fill through the public API.
-func commitEntry(t *testing.T, c *Cache, key string, tuples [][]term.Value, inputs []string, degraded bool, cost time.Duration) {
+func commitEntry(t *testing.T, c *Cache, key []byte, tuples [][]term.Value, inputs []string, degraded bool, cost time.Duration) {
 	t.Helper()
 	res := c.Probe(key)
 	if res.Rec == nil {
@@ -367,8 +368,8 @@ func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
 		for step := 0; step < 800; step++ {
 			switch rng.Intn(6) {
 			case 0, 1: // probe: a hit must be the live fill; a miss opens a fill
-				key := fillKey(rng.Intn(10))
-				res := c.Probe(key)
+				key := string(fillKey(rng.Intn(10)))
+				res := c.Probe([]byte(key))
 				if res.Entry != nil {
 					want, ok := live[key]
 					if !ok {
@@ -424,9 +425,9 @@ func TestPropertyInvalidatedInputsNeverServed(t *testing.T) {
 			default: // spot-check EstimateServe against the model (evictions may
 				// have dropped a live entry; that is allowed, the reverse —
 				// serving a dead one — is not)
-				key := fillKey(rng.Intn(10))
+				key := string(fillKey(rng.Intn(10)))
 				_, isLive := live[key]
-				if _, served := c.EstimateServe(key); !isLive && served {
+				if _, served := c.EstimateServe([]byte(key)); !isLive && served {
 					t.Fatalf("seed %d step %d: %q serveable after invalidation", seed, step, key)
 				}
 			}
@@ -452,7 +453,7 @@ func TestZeroConfigChargesNothing(t *testing.T) {
 func TestFillAllocsPer(t *testing.T) {
 	const runs = 200
 	c := New(DefaultConfig())
-	keys := make([]string, runs+1) // AllocsPerRun makes one warm-up call
+	keys := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
 	for i := range keys {
 		keys[i] = fillKey(i)
 	}

@@ -82,9 +82,6 @@ func (pr *PlanRule) BodyInOrder() []lang.Literal {
 	return out
 }
 
-// RouteInOrder returns the route of the i-th literal in execution order.
-func (pr *PlanRule) RouteInOrder(i int) Route { return pr.Routes[pr.Order[i]] }
-
 // String renders the plan rule with its ordering applied.
 func (pr *PlanRule) String() string {
 	parts := make([]string, len(pr.Order))
@@ -116,24 +113,23 @@ type Plan struct {
 
 // planShared is what a candidate plan shares with every plan its shape
 // hands out: Fingerprint and Functions, cached (fp 0 = not yet computed),
-// and the engine's compiled program.
+// and its compiled program.
 type planShared struct {
-	fp       atomic.Uint64
-	funcs    atomic.Pointer[[][2]string]
-	compiled atomic.Value
+	fp    atomic.Uint64
+	funcs atomic.Pointer[[][2]string]
+	prog  atomic.Pointer[Program]
 }
 
-// Compiled returns what compile makes of the plan, once for every plan of
-// its shape's candidate: the first call compiles, and concurrent first
-// calls may each compile, keeping one result. What compile makes must
-// therefore depend only on the plan's shape and rule section, never on
-// its query's constants.
-func (p *Plan) Compiled(compile func() any) any {
-	c := &p.shared.compiled
+// Program returns the plan compiled for every plan of its shape's
+// candidate: the first call compiles, and concurrent first calls may each
+// compile, keeping one result. The program depends only on the plan's
+// shape and rule section, never on its query's constants.
+func (p *Plan) Program() *Program {
+	c := &p.shared.prog
 	if v := c.Load(); v != nil {
 		return v
 	}
-	c.CompareAndSwap(nil, compile())
+	c.CompareAndSwap(nil, compile(p))
 	return c.Load()
 }
 
