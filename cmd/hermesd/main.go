@@ -56,7 +56,6 @@ import (
 	"hermes/internal/domains/relation"
 	"hermes/internal/domains/spatial"
 	"hermes/internal/domains/terrain"
-	"hermes/internal/engine"
 	"hermes/internal/memo"
 	"hermes/internal/obs"
 	"hermes/internal/remote"
@@ -344,16 +343,24 @@ func newObsHandler(doms []domain.Domain, opts obsOptions) (http.Handler, *core.S
 			// matching the per-hop tags on stitched remote subtrees.
 			cur.Span().SetTag("node", opts.NodeName)
 		}
-		answers, metrics, err := engine.CollectAll(cur)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		// Each answer renders into one response buffer as it streams; an
+		// error answers 500 with none of it written.
+		var body []byte
+		for {
+			a, ok, err := cur.Next()
+			if err != nil {
+				cur.Close()
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			if !ok {
+				break
+			}
+			body = append(a.AppendTo(body), '\n')
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, a := range answers {
-			fmt.Fprintln(w, a)
-		}
-		fmt.Fprintf(w, "%s\n\n", metrics.Summary())
+		w.Write(body)
+		fmt.Fprintf(w, "%s\n\n", cur.Metrics().Summary())
 		fmt.Fprint(w, obs.Explain(cur.Span().Snapshot()))
 	})
 	return mux, sys, nil

@@ -2,6 +2,7 @@ package dcsm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -221,6 +222,12 @@ func TestNoStatisticsError(t *testing.T) {
 		Args: []domain.PatternArg{domain.Bound}})
 	if !errors.Is(err, ErrNoStatistics) {
 		t.Errorf("err = %v, want ErrNoStatistics", err)
+	}
+	// The traced lookup's miss names the pattern it searched for.
+	p := domain.Pattern{Domain: "d", Function: "f", Args: []domain.PatternArg{domain.Const(term.Int(7))}}
+	_, _, err = db.CostWithTrace(p)
+	if !errors.Is(err, ErrNoStatistics) || !strings.Contains(err.Error(), p.String()) {
+		t.Errorf("traced err = %v, want ErrNoStatistics naming %s", err, p)
 	}
 }
 

@@ -26,7 +26,8 @@ import (
 //
 // An estimate allocates nothing and formats nothing, whether a table or an
 // index answers it and however much history the function has;
-// TestCostAllocsFlat holds it to that.
+// TestCostAllocsFlat holds it to that. A miss returns ErrNoStatistics
+// itself; only CostWithTrace names the pattern in its error.
 //
 // Cost is the planner's read: it moves hermes_dcsm_estimates_total and the
 // access counters AutoTune reads. A read that only displays or prices a
@@ -131,7 +132,10 @@ func (db *DB) cost(p domain.Pattern, trace *lookupTrace, count bool) (domain.Cos
 	if cv, ok := db.costFromStats(q, trace, count); ok {
 		return cv, nil
 	}
-	return domain.CostVector{}, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+	if trace != nil {
+		return domain.CostVector{}, fmt.Errorf("%w: %s", ErrNoStatistics, p)
+	}
+	return domain.CostVector{}, ErrNoStatistics
 }
 
 // target is what a statistics search looks for: a function and argument

@@ -324,7 +324,9 @@ type Domain interface {
 	Functions() []FuncSpec
 	// Call executes a function on ground arguments, returning a stream of
 	// answers. Implementations advance ctx.Clock by their compute and
-	// transfer costs.
+	// transfer costs. A value handed up is immutable: the source may share
+	// it across calls, and the CIM, the memo and the engine share it in
+	// turn, so nobody modifies it.
 	Call(ctx *Ctx, fn string, args []term.Value) (Stream, error)
 }
 

@@ -10,6 +10,10 @@ import (
 // SliceStream streams a pre-materialized answer slice. An optional
 // per-answer delay charges the clock for transfer/compute per tuple, which
 // is how simulated domains model time-to-first-answer vs time-to-all.
+//
+// The slice and its values are shared, not copied: a source may hand up
+// values it boxed once and serves to every call, so neither the stream nor
+// any consumer modifies them.
 type SliceStream struct {
 	vals     []term.Value
 	idx      int

@@ -13,6 +13,7 @@ package avis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,18 +46,30 @@ type CastEntry struct {
 	Role  string
 }
 
-// Video is one entry of the store.
+// Video is one entry of the store. Every value a call hands up is boxed
+// once, when the video is added or its cast set, and shared by every call
+// after: callers treat handed-up values as immutable.
 type Video struct {
 	Name   string
 	Frames int
 	// SizeKB is the stored media size, returned by video_size.
 	SizeKB int
-	// occurrences, sorted by Interval.From, indexed by segment.
-	occs []Occurrence
-	// objects in first-appearance order.
-	objects []string
-	// cast lists the video's actors and their roles.
-	cast []CastEntry
+	// occs, sorted by Interval.From, indexed by segment; occObj[i] is
+	// occs[i]'s object index.
+	occs   []Occurrence
+	occObj []int
+	// names are the boxed objects in first-appearance order; index maps an
+	// object to its position there.
+	names []term.Value
+	index map[string]int
+	// intervals[k] lists object k's boxed <from,to> tuples in occurrence
+	// order, capped; frames[k] is their frame total.
+	intervals [][]term.Value
+	frames    []int
+	// actors are the boxed actors of the cast, in cast order; roleObj[i] is
+	// the object index of actor i's role, -1 if the role never occurs.
+	actors  []term.Value
+	roleObj []int
 }
 
 // CostParams model the content-analysis compute cost of the store.
@@ -107,18 +120,29 @@ func (s *Store) AddVideo(name string, frames, sizeKB int, occs []Occurrence) (*V
 	if _, dup := s.videos[name]; dup {
 		return nil, fmt.Errorf("video %q already exists", name)
 	}
-	v := &Video{Name: name, Frames: frames, SizeKB: sizeKB}
+	v := &Video{Name: name, Frames: frames, SizeKB: sizeKB, index: map[string]int{}}
 	v.occs = append(v.occs, occs...)
 	sort.SliceStable(v.occs, func(a, b int) bool { return v.occs[a].Interval.From < v.occs[b].Interval.From })
-	seen := map[string]bool{}
-	for _, o := range v.occs {
+	v.occObj = make([]int, len(v.occs))
+	for i, o := range v.occs {
 		if o.Interval.From < 0 || o.Interval.To < o.Interval.From || o.Interval.To >= frames {
 			return nil, fmt.Errorf("video %q: occurrence %v out of frame range [0,%d)", name, o, frames)
 		}
-		if !seen[o.Object] {
-			seen[o.Object] = true
-			v.objects = append(v.objects, o.Object)
+		k, seen := v.index[o.Object]
+		if !seen {
+			k = len(v.names)
+			v.index[o.Object] = k
+			v.names = append(v.names, term.Str(o.Object))
+			v.intervals = append(v.intervals, nil)
+			v.frames = append(v.frames, 0)
 		}
+		v.occObj[i] = k
+		v.intervals[k] = append(v.intervals[k], term.Tuple{term.Int(o.Interval.From), term.Int(o.Interval.To)})
+		v.frames[k] += o.Interval.To - o.Interval.From + 1
+	}
+	v.names = slices.Clip(v.names)
+	for k := range v.intervals {
+		v.intervals[k] = slices.Clip(v.intervals[k])
 	}
 	s.videos[name] = v
 	return v, nil
@@ -134,7 +158,13 @@ func (s *Store) MustAddVideo(name string, frames, sizeKB int, occs []Occurrence)
 }
 
 // Objects returns the video's objects in first-appearance order.
-func (v *Video) Objects() []string { return append([]string(nil), v.objects...) }
+func (v *Video) Objects() []string {
+	out := make([]string, len(v.names))
+	for i, n := range v.names {
+		out[i] = string(n.(term.Str))
+	}
+	return out
+}
 
 // SetCast attaches cast information to a video.
 func (s *Store) SetCast(name string, cast []CastEntry) error {
@@ -144,7 +174,16 @@ func (s *Store) SetCast(name string, cast []CastEntry) error {
 	if !ok {
 		return fmt.Errorf("no video %q in store %s", name, s.name)
 	}
-	v.cast = append([]CastEntry(nil), cast...)
+	v.actors = make([]term.Value, len(cast))
+	v.roleObj = make([]int, len(cast))
+	for i, c := range cast {
+		v.actors[i] = term.Str(c.Actor)
+		k, ok := v.index[c.Role]
+		if !ok {
+			k = -1
+		}
+		v.roleObj[i] = k
+	}
 	return nil
 }
 
@@ -194,7 +233,22 @@ func frameArg(args []term.Value, i int) (int, error) {
 	return int(n), nil
 }
 
-// Call implements domain.Domain.
+// objectSet returns an empty set of the video's object indexes, in buf
+// when it is large enough.
+func (v *Video) objectSet(buf []uint64) []uint64 {
+	n := (len(v.names) + 63) / 64
+	if n > len(buf) {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+func has(set []uint64, k int) bool { return set[k>>6]&(1<<(k&63)) != 0 }
+func add(set []uint64, k int)      { set[k>>6] |= 1 << (k & 63) }
+
+// Call implements domain.Domain. The returned stream hands up the video's
+// boxed values; a call allocates only its stream and, for a range query,
+// the list of its answers.
 func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -234,12 +288,8 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 			return nil, err
 		}
 		ctx.Clock.Sleep(time.Duration(len(v.occs)) * s.params.PerSegment)
-		out := make([]term.Value, len(v.objects))
-		for i, o := range v.objects {
-			out[i] = term.Str(o)
-		}
-		ctx.Clock.Sleep(time.Duration(len(out)) * s.params.PerResult)
-		return domain.NewSliceStream(out), nil
+		ctx.Clock.Sleep(time.Duration(len(v.names)) * s.params.PerResult)
+		return domain.NewSliceStream(v.names), nil
 
 	case "frames_to_objects", "objects_in_range":
 		if len(args) != 3 {
@@ -265,10 +315,11 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 		// the range and with the frames each intersecting segment
 		// contributes — the opaque, data-dependent behaviour the paper
 		// ascribes to AVIS.
-		var out []term.Value
-		seen := map[string]bool{}
+		var seenBuf [4]uint64
+		var hitBuf [64]int
+		seen, hits := v.objectSet(seenBuf[:]), hitBuf[:0]
 		segs, frames := 0, 0
-		for _, o := range v.occs {
+		for i, o := range v.occs {
 			segs++
 			if o.Interval.From > last {
 				break
@@ -284,10 +335,14 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 				hi = last
 			}
 			frames += hi - lo + 1
-			if !seen[o.Object] {
-				seen[o.Object] = true
-				out = append(out, term.Str(o.Object))
+			if k := v.occObj[i]; !has(seen, k) {
+				add(seen, k)
+				hits = append(hits, k)
 			}
+		}
+		out := make([]term.Value, len(hits))
+		for i, k := range hits {
+			out[i] = v.names[k]
 		}
 		ctx.Clock.Sleep(time.Duration(segs)*s.params.PerSegment +
 			time.Duration(frames)*s.params.PerFrame +
@@ -302,12 +357,8 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 		if err != nil {
 			return nil, err
 		}
-		out := make([]term.Value, len(v.cast))
-		for i, c := range v.cast {
-			out[i] = term.Str(c.Actor)
-		}
-		ctx.Clock.Sleep(time.Duration(len(out)) * s.params.PerResult)
-		return domain.NewSliceStream(out), nil
+		ctx.Clock.Sleep(time.Duration(len(v.actors)) * s.params.PerResult)
+		return domain.NewSliceStream(v.actors), nil
 
 	case "actors_in_range":
 		if len(args) != 3 {
@@ -329,21 +380,22 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 			first, last = last, first
 		}
 		q := Interval{From: first, To: last}
-		present := map[string]bool{}
-		for _, o := range v.occs {
+		var presentBuf [4]uint64
+		present := v.objectSet(presentBuf[:])
+		for i, o := range v.occs {
 			if o.Interval.overlaps(q) {
-				present[o.Object] = true
+				add(present, v.occObj[i])
 			}
 		}
 		var out []term.Value
-		for _, c := range v.cast {
-			if present[c.Role] {
-				out = append(out, term.Str(c.Actor))
+		for i, k := range v.roleObj {
+			if k >= 0 && has(present, k) {
+				out = append(out, v.actors[i])
 			}
 		}
 		ctx.Clock.Sleep(time.Duration(len(v.occs))*s.params.PerSegment +
 			time.Duration(len(out))*s.params.PerResult)
-		return domain.NewSliceStream(out), nil
+		return domain.NewSliceStream(slices.Clip(out)), nil
 
 	case "object_to_frames":
 		if len(args) != 2 {
@@ -359,12 +411,8 @@ func (s *Store) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stre
 		}
 		var out []term.Value
 		frames := 0
-		for _, o := range v.occs {
-			if o.Object != string(obj) {
-				continue
-			}
-			frames += o.Interval.To - o.Interval.From + 1
-			out = append(out, term.Tuple{term.Int(o.Interval.From), term.Int(o.Interval.To)})
+		if k, ok := v.index[string(obj)]; ok {
+			out, frames = v.intervals[k], v.frames[k]
 		}
 		ctx.Clock.Sleep(time.Duration(len(v.occs))*s.params.PerSegment +
 			time.Duration(frames/4)*s.params.PerFrame +

@@ -208,3 +208,39 @@ func TestRopeCastJoinsWithObjects(t *testing.T) {
 		}
 	}
 }
+
+// TestCallAllocsPer: the store hands up values it boxed when the video was
+// added, so a call allocates a fixed number of objects whatever its answer
+// count: object_to_frames only its stream, a range query its stream and
+// its answer list.
+func TestCallAllocsPer(t *testing.T) {
+	s := ropeStore(t)
+	ctx := newCtx()
+	for _, tc := range []struct {
+		fn   string
+		args []term.Value
+		want float64
+	}{
+		{"object_to_frames", []term.Value{term.Str("rope"), term.Str("rupert cadell")}, 1},
+		{"object_to_frames", []term.Value{term.Str("rope"), term.Str("no such object")}, 1},
+		{"frames_to_objects", []term.Value{term.Str("rope"), term.Int(4), term.Int(5)}, 2},
+		{"frames_to_objects", []term.Value{term.Str("rope"), term.Int(0), term.Int(159)}, 2},
+		{"objects_in_range", []term.Value{term.Str("rope"), term.Int(40), term.Int(127)}, 2},
+	} {
+		answers := 0
+		n := testing.AllocsPerRun(100, func() {
+			st, err := s.Call(ctx, tc.fn, tc.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for answers = 0; ; answers++ {
+				if _, ok, _ := st.Next(); !ok {
+					break
+				}
+			}
+		})
+		if n != tc.want {
+			t.Errorf("%s%v: %d answers allocate %v objects, want %v", tc.fn, tc.args, answers, n, tc.want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -88,6 +89,9 @@ type Row []term.Value
 type Table struct {
 	schema Schema
 	rows   []Row
+	// recs[i] is rows[i] boxed as a term.Record at Insert; calls hand the
+	// boxed records up, shared and never modified.
+	recs []term.Value
 	// idxMu guards the lazily built indexes: index construction happens
 	// inside Call, which holds only the DB's read lock, so parallel query
 	// branches probing the same cold column would otherwise race.
@@ -115,6 +119,7 @@ func (t *Table) Insert(vals ...term.Value) error {
 		}
 	}
 	t.rows = append(t.rows, Row(vals))
+	t.recs = append(t.recs, t.record(vals))
 	t.idxMu.Lock()
 	t.hashIdx = nil
 	t.sortedIdx = nil
@@ -327,10 +332,8 @@ func (db *DB) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream
 		if !ok {
 			return nil, fmt.Errorf("no table %q in domain %s", tname, db.name)
 		}
-		out := make([]term.Value, len(t.rows))
-		for i, r := range t.rows {
-			out[i] = t.record(r)
-		}
+		out := make([]term.Value, len(t.recs))
+		copy(out, t.recs)
 		ctx.Clock.Sleep(time.Duration(len(t.rows)) * (db.params.PerRowScan + db.params.PerRowResult))
 		return domain.NewSliceStream(out), nil
 
@@ -344,10 +347,11 @@ func (db *DB) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream
 		}
 		idx := t.ensureHashIdx(col)
 		ctx.Clock.Sleep(db.params.IndexProbe)
-		hits := idx[args[2].Key()]
+		var key [64]byte
+		hits := idx[string(term.AppendKey(key[:0], args[2]))]
 		out := make([]term.Value, len(hits))
 		for i, ri := range hits {
-			out[i] = t.record(t.rows[ri])
+			out[i] = t.recs[ri]
 		}
 		ctx.Clock.Sleep(time.Duration(len(hits)) * db.params.PerRowResult)
 		return domain.NewSliceStream(out), nil
@@ -406,7 +410,7 @@ func (db *DB) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.Stream
 			}
 		}
 		ctx.Clock.Sleep(time.Duration(len(out)) * db.params.PerRowResult)
-		return domain.NewSliceStream(out), nil
+		return domain.NewSliceStream(slices.Clip(out)), nil
 	}
 	return nil, fmt.Errorf("%w: %s:%s", domain.ErrUnknownFunction, db.name, fn)
 }
@@ -443,10 +447,10 @@ func (db *DB) rangeScan(ctx *domain.Ctx, t *Table, col int, fn string, bound, hi
 			return nil, fmt.Errorf("%s on table %s: %w", fn, t.schema.Name, err)
 		}
 		if ok {
-			out = append(out, t.record(t.rows[ri]))
+			out = append(out, t.recs[ri])
 		}
 	}
 	ctx.Clock.Sleep(time.Duration(scanned)*db.params.PerRowScan +
 		time.Duration(len(out))*db.params.PerRowResult)
-	return domain.NewSliceStream(out), nil
+	return domain.NewSliceStream(slices.Clip(out)), nil
 }

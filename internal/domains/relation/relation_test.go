@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,5 +289,39 @@ func TestCostParamsOverride(t *testing.T) {
 	domain.Collect(s)
 	if ctx.Clock.Now() != time.Second {
 		t.Errorf("override not applied: %v", ctx.Clock.Now())
+	}
+}
+
+// TestEqualAllocsPer: a row is boxed as a record once, at Insert, so an
+// equality select allocates its stream and its answer list whatever the
+// number of rows it returns.
+func TestEqualAllocsPer(t *testing.T) {
+	db := New("ingres")
+	tbl := db.MustCreateTable(Schema{Name: "crew", Cols: []Column{{Name: "name", Type: TString}, {Name: "role", Type: TString}}})
+	for i := 0; i < 40; i++ {
+		role := "grip"
+		if i == 0 {
+			role = "gaffer"
+		}
+		tbl.MustInsert(term.Str(fmt.Sprintf("member %02d", i)), term.Str(role))
+	}
+	ctx := domain.NewCtx(vclock.NewVirtual(0))
+	for role, rows := range map[string]int{"gaffer": 1, "grip": 39} {
+		args := []term.Value{term.Str("crew"), term.Str("role"), term.Str(role)}
+		answers := 0
+		n := testing.AllocsPerRun(100, func() {
+			st, err := db.Call(ctx, "equal", args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for answers = 0; ; answers++ {
+				if _, ok, _ := st.Next(); !ok {
+					break
+				}
+			}
+		})
+		if answers != rows || n != 2 {
+			t.Errorf("equal(crew, role, %s): %d rows allocate %v objects, want %d rows and 2", role, answers, n, rows)
+		}
 	}
 }

@@ -93,7 +93,10 @@ func New(reg *domain.Registry, cimMgr *cim.Manager, cfg Config, o *obs.Observer,
 // engine executes queries.
 func (e *Engine) SetMemo(mc *memo.Cache) { e.memo = mc }
 
-// Answer is one query answer: the bindings of the query's variables.
+// Answer is one query answer: the bindings of the query's variables. An
+// answer from Cursor.Next borrows the cursor's buffer (see Next); the
+// values themselves are shared with the sources and caches that produced
+// them and are never modified.
 type Answer struct {
 	// Vars lists the query variables in first-occurrence order; Vals their
 	// values, aligned.
@@ -116,15 +119,27 @@ const answerBuf = 256
 // String renders the answer as var=value pairs.
 func (a Answer) String() string {
 	var buf [answerBuf]byte
-	b := append(buf[:0], '{')
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the answer's String form to dst, for a consumer that
+// renders answers as they stream.
+func (a Answer) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i, v := range a.Vars {
 		if i > 0 {
-			b = append(b, ", "...)
+			dst = append(dst, ", "...)
 		}
-		b = append(append(b, v...), '=')
-		b = term.AppendString(b, a.Vals[i])
+		dst = append(append(dst, v...), '=')
+		dst = term.AppendString(dst, a.Vals[i])
 	}
-	return string(append(b, '}'))
+	return append(dst, '}')
+}
+
+// keep returns a copy of a whose values outlive the cursor's next answer.
+func (a Answer) keep() Answer {
+	a.Vals = slices.Clone(a.Vals)
+	return a
 }
 
 // Metrics are the observed timings of a query execution.
@@ -158,10 +173,19 @@ type Cursor struct {
 	gotFirst bool
 	done     bool
 	span     *obs.Span
+	// vals is the buffer every answer's Vals alias, in inline when the
+	// query has few variables.
+	vals   []term.Value
+	inline [4]term.Value
 }
 
 // Next returns the next answer. A cancelled context or an exceeded query
 // deadline surfaces as an error (the cursor is closed).
+//
+// The answer's Vals alias one buffer that the cursor owns: it is valid
+// until the next call of Next or Close, as bufio.Scanner.Bytes is, so a
+// pulled answer costs no allocation. A consumer that keeps answers copies
+// them; CollectFirst, CollectAll and Session do.
 func (c *Cursor) Next() (Answer, bool, error) {
 	if c.done {
 		return Answer{}, false, nil
@@ -185,7 +209,14 @@ func (c *Cursor) Next() (Answer, bool, error) {
 		c.metrics.TFirst = now
 	}
 	c.metrics.Answers++
-	a := Answer{Vars: c.vars, Vals: make([]term.Value, len(c.vars))}
+	if c.vals == nil {
+		if len(c.vars) <= len(c.inline) {
+			c.vals = c.inline[:len(c.vars)]
+		} else {
+			c.vals = make([]term.Value, len(c.vars))
+		}
+	}
+	a := Answer{Vars: c.vars, Vals: c.vals}
 	for i, pos := range c.pos {
 		val := c.iter.f[pos]
 		if val == nil {
@@ -277,7 +308,7 @@ func CollectFirst(c *Cursor, n int) ([]Answer, Metrics, error) {
 		if !ok {
 			return out, c.Metrics(), nil
 		}
-		out = append(out, a)
+		out = append(out, a.keep())
 	}
 	c.Close()
 	return out, c.Metrics(), nil

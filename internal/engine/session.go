@@ -39,7 +39,7 @@ func (s *Session) More() (batch []Answer, ok bool, err error) {
 			s.done = true
 			return batch, false, nil
 		}
-		batch = append(batch, a)
+		batch = append(batch, a.keep())
 	}
 	return batch, true, nil
 }

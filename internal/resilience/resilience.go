@@ -195,7 +195,9 @@ func (w *Wrapper) Call(ctx *domain.Ctx, fn string, args []term.Value) (domain.St
 // resume go through here; only Call adds the resuming wrapper, so one
 // call has exactly one resume budget no matter how often it is re-issued.
 func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []term.Value) (domain.Stream, *domain.Ctx, error) {
-	bo := Backoff{Base: w.policy.BackoffBase, Cap: w.policy.BackoffCap, Seed: w.policy.Seed, Key: call.Key()}
+	// The jitter key is the call's key, built only when a retry needs a
+	// delay: a call that succeeds first time never renders it.
+	bo := Backoff{Base: w.policy.BackoffBase, Cap: w.policy.BackoffCap, Seed: w.policy.Seed}
 	var prev time.Duration
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -242,6 +244,9 @@ func (w *Wrapper) callRaw(ctx *domain.Ctx, call domain.Call, fn string, args []t
 		if !retryable || attempt >= w.policy.MaxAttempts {
 			w.failures.Inc()
 			return nil, nil, err
+		}
+		if bo.Key == "" {
+			bo.Key = call.Key()
 		}
 		d := bo.Delay(attempt, prev)
 		prev = d

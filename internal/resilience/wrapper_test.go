@@ -101,6 +101,34 @@ func TestWrapperRetriesTransientFailures(t *testing.T) {
 	}
 }
 
+// TestWrapperBackoffKeyedByCall: the wrapper builds the jitter key only
+// when a retry needs a delay, and the delays are exactly those of a
+// Backoff keyed by the call up front.
+func TestWrapperBackoffKeyedByCall(t *testing.T) {
+	src := &flaky{vals: vals(1), failSetup: 2}
+	pol := testPolicy()
+	w := Wrap(src, pol)
+	ctx := domain.NewCtx(vclock.NewVirtual(0))
+	args := []term.Value{term.Str("x"), term.Int(7)}
+	s, err := w.Call(ctx, "get", args)
+	if err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if _, err := domain.Collect(s); err != nil {
+		t.Fatal(err)
+	}
+	call := domain.Call{Domain: "flaky", Function: "get", Args: args}
+	bo := Backoff{Base: pol.BackoffBase, Cap: pol.BackoffCap, Seed: pol.Seed, Key: call.Key()}
+	d1 := bo.Delay(1, 0)
+	want := d1 + bo.Delay(2, d1)
+	if m := w.Metrics(); m.Retries != 2 || m.BackoffTotal != want {
+		t.Errorf("retries %d, backoff %v; want 2 retries, %v", m.Retries, m.BackoffTotal, want)
+	}
+	if now := ctx.Clock.Now(); now != want {
+		t.Errorf("clock reads %v after two retries, want the delays' sum %v", now, want)
+	}
+}
+
 func TestWrapperDoesNotRetryNonRetryable(t *testing.T) {
 	src := domainFunc{name: "strict", err: errors.New("type error: arg must be int")}
 	w := Wrap(src, testPolicy())
