@@ -424,11 +424,11 @@ func (s *System) Plans(query string) ([]*rewrite.Plan, error) {
 	return p.PlansFrom(toks, tp)
 }
 
-// PlansFor returns the candidate plans of a parsed query. They are
-// enumerated once per query shape (see rewrite.Planner) and shared with
-// the other queries of the shape: they are read-only.
+// PlansFor returns the candidate plans of a parsed query: those Plans
+// returns for its rendering, from the same table slots. It is kept for the
+// traced benchmark driver, which times a parse before planning.
 func (s *System) PlansFor(q *lang.Query) ([]*rewrite.Plan, error) {
-	return s.planner.Load().Plans(q)
+	return s.Plans(q.String())
 }
 
 // replan replaces the planner, and with it the table of query shapes, for

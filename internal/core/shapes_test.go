@@ -194,10 +194,41 @@ func TestShapeTableConcurrent(t *testing.T) {
 	}
 }
 
+// TestPlansForSharesPlansSlots: a parsed query and its text get their
+// plans from one table slot, whichever comes first: the plans of both
+// run one compiled program.
+func TestPlansForSharesPlansSlots(t *testing.T) {
+	for _, q := range []string{"?- c(1, Y).", "?- m('a', C).", "?- X = 2.0 & in(Y, d:f(1e3, X))."} {
+		for _, parsedFirst := range []bool{true, false} {
+			sys, _, _ := buildM1(t)
+			if err := sys.LoadProgram(`c(X, Y) :- in(Y, d:f(X)).`); err != nil {
+				t.Fatal(err)
+			}
+			pq := mustParseQuery(t, q)
+			var parsed, text []*rewrite.Plan
+			var perr, terr error
+			if parsedFirst {
+				parsed, perr = sys.PlansFor(pq)
+				text, terr = sys.Plans(q)
+			} else {
+				text, terr = sys.Plans(q)
+				parsed, perr = sys.PlansFor(pq)
+			}
+			if perr != nil || terr != nil || len(parsed) != len(text) {
+				t.Fatalf("%s: PlansFor %d plans (%v), Plans %d (%v)", q, len(parsed), perr, len(text), terr)
+			}
+			for i := range parsed {
+				if parsed[i].Program() != text[i].Program() {
+					t.Errorf("%s, PlansFor first %v: plan %d runs two compiled programs", q, parsedFirst, i+1)
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedShapeAllocsPer: once a query's shape is in the table, the
-// plans of another query of the shape cost a fixed handful of objects,
-// however many rule sections the plans carry: one for a one-candidate
-// shape.
+// plans of another query of the shape, lifted from its tokens, cost a
+// fixed handful of objects however many rule sections the plans carry.
 func TestPreparedShapeAllocsPer(t *testing.T) {
 	perHit := func(depth int) float64 {
 		// c0 calls c1, ... c<depth> calls the source: depth+1 rule sections.
@@ -210,24 +241,32 @@ func TestPreparedShapeAllocsPer(t *testing.T) {
 		if err := sys.LoadProgram(prog.String()); err != nil {
 			t.Fatal(err)
 		}
-		first, second := mustParseQuery(t, "?- c0(1, Y)."), mustParseQuery(t, "?- c0(2, Y).")
-		plans, err := sys.PlansFor(first)
+		if _, err := sys.Plans("?- c0(1, Y)."); err != nil {
+			t.Fatal(err)
+		}
+		toks, err := lang.LexQuery("?- c0(2, Y).")
 		if err != nil {
 			t.Fatal(err)
+		}
+		p := sys.planner.Load()
+		plans, ok := p.Prepared(toks)
+		if !ok {
+			t.Fatalf("depth %d: the second query misses its shape", depth)
 		}
 		if n := len(plans[0].Rules); n != depth+1 {
 			t.Fatalf("depth %d: %d rule sections", depth, n)
 		}
 		return testing.AllocsPerRun(100, func() {
-			if _, err := sys.PlansFor(second); err != nil {
-				t.Fatal(err)
+			if _, ok := p.Prepared(toks); !ok {
+				t.Fatal("a hit missed")
 			}
 		})
 	}
 	shallow, deep := perHit(1), perHit(12)
-	// One candidate: its query rule, plan and plan list in one object.
-	if shallow > 1 || deep != shallow {
-		t.Errorf("a shape hit allocates %.0f objects with 2 rule sections and %.0f with 13, want at most 1 either way", shallow, deep)
+	// The lifted body, its atom and the atom's arguments, and the
+	// one-candidate shape's query rule, plan and plan list in one object.
+	if shallow > 4 || deep != shallow {
+		t.Errorf("a shape hit allocates %.0f objects with 2 rule sections and %.0f with 13, want at most 4 either way", shallow, deep)
 	}
 }
 

@@ -44,7 +44,9 @@ func FuzzParseProgram(f *testing.F) {
 	})
 }
 
-// FuzzParseQuery mirrors FuzzParseProgram for queries.
+// FuzzParseQuery mirrors FuzzParseProgram for queries, and a query's
+// rendering must parse back to its body: the same literals, constants of
+// the same kinds and values, and the same variables and paths.
 func FuzzParseQuery(f *testing.F) {
 	for _, s := range []string{
 		"?- m('a', C).",
@@ -52,6 +54,9 @@ func FuzzParseQuery(f *testing.F) {
 		"m(X)",
 		"?- .",
 		"?- X.",
+		"?- X = 2.0.",
+		"?- in(Y, d:f(1e3, X)) & X >= -0.0.",
+		"p(1.5e3, -2, true, false, 'str', X.a.b).",
 	} {
 		f.Add(s)
 	}
@@ -61,8 +66,12 @@ func FuzzParseQuery(f *testing.F) {
 			return
 		}
 		rendered := q.String()
-		if _, err := ParseQuery(rendered); err != nil {
+		q2, err := ParseQuery(rendered)
+		if err != nil {
 			t.Fatalf("accepted %q but rejected rendering %q: %v", src, rendered, err)
+		}
+		if !sameBody(q.Body, q2.Body) {
+			t.Fatalf("%q renders as %q, which parses to another body", src, rendered)
 		}
 	})
 }

@@ -50,7 +50,7 @@ func (rw *Rewriter) prepare(q *lang.Query) (*shape, error) {
 	if len(as.plans) == 0 {
 		return nil, fmt.Errorf("rewrite: no feasible plan for query %s (some predicate has no feasible rules for its adornment)", q)
 	}
-	return &shape{body: q.Body, pushes: pushes, plans: as.plans, confirmed: as.confirmed}, nil
+	return &shape{pushes: pushes, plans: as.plans, confirmed: as.confirmed}, nil
 }
 
 // routes returns a body's routing vector: CIM for the calls whose domain

@@ -1,10 +1,10 @@
 package term
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Term is a syntactic term appearing in rules, queries and invariants:
@@ -33,17 +33,25 @@ func (t Term) IsVar() bool { return t.Const == nil && len(t.Path) == 0 }
 
 // String renders the term in the mediator language syntax.
 func (t Term) String() string {
-	if t.IsConst() {
-		return t.Const.String()
-	}
-	if len(t.Path) == 0 {
+	if t.IsVar() {
 		return t.Var
 	}
-	return t.Var + "." + strings.Join(t.Path, ".")
+	var buf [stackBuf]byte
+	return string(t.AppendTo(buf[:0]))
 }
 
-// AppendTo appends t.String() to dst.
+// AppendTo appends t.String() to dst. A float constant keeps a point, as
+// in 2.0, so that its rendering parses back to a float; an infinity or NaN,
+// which the language cannot write, renders as strconv writes it.
 func (t Term) AppendTo(dst []byte) []byte {
+	if f, ok := t.Const.(Float); ok {
+		n := len(dst)
+		dst = AppendString(dst, f)
+		if !bytes.ContainsAny(dst[n:], ".eIN") {
+			dst = append(dst, ".0"...)
+		}
+		return dst
+	}
 	if t.IsConst() {
 		return AppendString(dst, t.Const)
 	}

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,22 @@ func TestTermString(t *testing.T) {
 	}
 	if s := C(Int(4)).String(); s != "4" {
 		t.Errorf("const string = %q", s)
+	}
+	// A float keeps a point where its shortest form has none; an answer
+	// value renders as before.
+	for _, c := range []struct {
+		f    float64
+		want string
+	}{
+		{2, "2.0"}, {math.Copysign(0, -1), "-0.0"}, {1e3, "1000.0"}, {2.5, "2.5"},
+		{1e21, "1e+21"}, {math.Inf(-1), "-Inf"}, {math.NaN(), "NaN"},
+	} {
+		if s := C(Float(c.f)).String(); s != c.want {
+			t.Errorf("C(Float(%g)).String() = %q, want %q", c.f, s, c.want)
+		}
+	}
+	if s := AppendString(nil, Float(2)); string(s) != "2" {
+		t.Errorf("AppendString(Float(2)) = %q", s)
 	}
 }
 
